@@ -61,14 +61,14 @@ pub struct RemoteClient {
     commands_rx: Receiver<CommandRequest>,
     policies_rx: Receiver<Vec<u8>>,
     quenched: Arc<AtomicBool>,
-    running: Arc<AtomicBool>,
-    router: Mutex<Option<std::thread::JoinHandle<()>>>,
+    running: AtomicBool,
 }
 
 impl RemoteClient {
     /// Joins a cell and connects to its bus: starts a [`MemberAgent`] on
-    /// `channel`, waits up to `join_timeout` for admission, and wires up
-    /// the packet router.
+    /// `channel`, waits up to `join_timeout` for admission, and installs
+    /// the packet router as the agent's sink — bus traffic is routed on
+    /// the agent's own thread, with no hand-off in between.
     ///
     /// # Errors
     ///
@@ -91,39 +91,30 @@ impl RemoteClient {
         let (policies_tx, policies_rx) = unbounded();
         let pending = Arc::new(Mutex::new(Pending::default()));
         let quenched = Arc::new(AtomicBool::new(false));
-        let running = Arc::new(AtomicBool::new(true));
-
-        let client = Arc::new(RemoteClient {
-            agent: Arc::clone(&agent),
-            channel: Arc::clone(&channel),
-            bus,
-            next_seq: AtomicU64::new(1),
-            next_request: AtomicU64::new(1),
-            pending: Arc::clone(&pending),
-            events_rx,
-            commands_rx,
-            policies_rx,
-            quenched: Arc::clone(&quenched),
-            running: Arc::clone(&running),
-            router: Mutex::new(None),
-        });
 
         let router = Router {
-            agent,
-            channel,
-            pending,
+            channel: Arc::clone(&channel),
+            pending: Arc::clone(&pending),
             events: events_tx,
             commands: commands_tx,
             policies: policies_tx,
-            quenched,
-            running,
+            quenched: Arc::clone(&quenched),
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("bus-client-{}", client.local_id()))
-            .spawn(move || router.run())
-            .expect("spawn client router");
-        *client.router.lock() = Some(handle);
-        Ok(client)
+        agent.set_packet_sink(Box::new(move |from, packet| router.route(from, packet)));
+
+        Ok(Arc::new(RemoteClient {
+            agent,
+            channel,
+            bus,
+            next_seq: AtomicU64::new(1),
+            next_request: AtomicU64::new(1),
+            pending,
+            events_rx,
+            commands_rx,
+            policies_rx,
+            quenched,
+            running: AtomicBool::new(true),
+        }))
     }
 
     /// This device's id.
@@ -336,9 +327,6 @@ impl RemoteClient {
         }
         self.agent.shutdown();
         self.channel.close();
-        if let Some(handle) = self.router.lock().take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -349,29 +337,17 @@ impl Drop for RemoteClient {
     }
 }
 
+/// The agent's packet sink: routes bus traffic to whoever waits for it.
 struct Router {
-    agent: Arc<MemberAgent>,
     channel: Arc<ReliableChannel>,
     pending: Arc<Mutex<Pending>>,
     events: Sender<Event>,
     commands: Sender<CommandRequest>,
     policies: Sender<Vec<u8>>,
     quenched: Arc<AtomicBool>,
-    running: Arc<AtomicBool>,
 }
 
 impl Router {
-    fn run(self) {
-        let unhandled = self.agent.unhandled().clone();
-        while self.running.load(Ordering::SeqCst) {
-            match unhandled.recv_timeout(Duration::from_millis(50)) {
-                Ok((from, packet)) => self.route(from, packet),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-
     fn resolve(&self, key: &str, reply: Reply) {
         if let Some(tx) = self.pending.lock().map.remove(key) {
             let _ = tx.send(reply);
@@ -434,6 +410,8 @@ pub struct RawDevice {
     agent: Arc<MemberAgent>,
     channel: Arc<ReliableChannel>,
     bus: ServiceId,
+    /// Downlink frames, queued by the agent's sink.
+    downlink_rx: Receiver<Vec<u8>>,
 }
 
 impl RawDevice {
@@ -453,10 +431,18 @@ impl RawDevice {
         let bus = agent
             .bus_endpoint()
             .ok_or_else(|| Error::Invalid("cell reported no bus endpoint".into()))?;
+        let (downlink_tx, downlink_rx) = unbounded();
+        agent.set_packet_sink(Box::new(move |_, packet| {
+            // Other traffic is not for a dumb device.
+            if let Packet::Raw(bytes) = packet {
+                let _ = downlink_tx.send(bytes);
+            }
+        }));
         Ok(RawDevice {
             agent,
             channel,
             bus,
+            downlink_rx,
         })
     }
 
@@ -482,18 +468,10 @@ impl RawDevice {
     ///
     /// [`Error::Timeout`] / [`Error::Closed`].
     pub fn recv_raw(&self, timeout: Duration) -> Result<Vec<u8>> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .ok_or(Error::Timeout)?;
-            match self.agent.unhandled().recv_timeout(remaining) {
-                Ok((_, Packet::Raw(bytes))) => return Ok(bytes),
-                Ok(_) => continue, // other traffic is not for a dumb device
-                Err(RecvTimeoutError::Timeout) => return Err(Error::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(Error::Closed),
-            }
-        }
+        self.downlink_rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => Error::Timeout,
+            RecvTimeoutError::Disconnected => Error::Closed,
+        })
     }
 
     /// Leaves the cell and stops.

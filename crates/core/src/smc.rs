@@ -140,7 +140,9 @@ pub struct SmcCell {
     /// bus-side counters stay genuinely monotonic.
     wal_seen: Mutex<WalMetrics>,
     proxies: Arc<Mutex<HashMap<ServiceId, Arc<Proxy>>>>,
-    members: Arc<Mutex<HashMap<ServiceId, ServiceInfo>>>,
+    /// Shared, not owned: dispatch looks the sender up for every packet
+    /// and must not deep-copy its strings and roles each time.
+    members: Arc<Mutex<HashMap<ServiceId, Arc<ServiceInfo>>>>,
     next_local_seq: AtomicU64,
     running: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -226,7 +228,7 @@ impl SmcCell {
         // never left, the core did) and rebuild their proxies.
         for info in &snap.members {
             cell.discovery.restore_member(info.clone());
-            cell.members.lock().insert(info.id, info.clone());
+            cell.members.lock().insert(info.id, Arc::new(info.clone()));
             cell.ensure_proxy(info);
         }
         // Restore proxy-backed subscriptions under their original ids.
@@ -368,7 +370,12 @@ impl SmcCell {
 
     /// Current members (from the wiring's view).
     pub fn members(&self) -> Vec<ServiceInfo> {
-        let mut v: Vec<ServiceInfo> = self.members.lock().values().cloned().collect();
+        let mut v: Vec<ServiceInfo> = self
+            .members
+            .lock()
+            .values()
+            .map(|info| ServiceInfo::clone(info))
+            .collect();
         v.sort_by_key(|i| i.id);
         v
     }
@@ -481,7 +488,7 @@ impl SmcCell {
                 }
                 let missing = !self.members.lock().contains_key(&info.id);
                 if missing {
-                    self.members.lock().insert(info.id, info.clone());
+                    self.members.lock().insert(info.id, Arc::new(info.clone()));
                     self.ensure_proxy(info);
                     report.repair(format!("restored member {} to members map", info.id));
                 }
@@ -719,7 +726,7 @@ impl SmcCell {
 
     fn on_member_joined(&self, info: ServiceInfo) {
         self.journal(&WalRecord::MemberJoined { info: info.clone() });
-        self.members.lock().insert(info.id, info.clone());
+        self.members.lock().insert(info.id, Arc::new(info.clone()));
         let proxy = self.ensure_proxy(&info);
         // Proxy-registered subscriptions on the device's behalf.
         for filter in proxy.initial_subscriptions() {
@@ -814,8 +821,9 @@ impl SmcCell {
                 .members()
                 .into_iter()
                 .find(|i| i.id == from)
+                .map(Arc::new)
                 .inspect(|info| {
-                    self.members.lock().insert(from, info.clone());
+                    self.members.lock().insert(from, Arc::clone(info));
                 }),
         };
         let Some(info) = member_info else {

@@ -68,6 +68,27 @@ impl Default for AgentConfig {
     }
 }
 
+/// Takes the packets the discovery protocol does not consume (bus traffic
+/// such as `Deliver` or `SubscribeAck`), called on the agent's own thread
+/// — the thread that took the packet off the channel — in arrival order.
+pub type PacketSink = Box<dyn FnMut(ServiceId, Packet) + Send>;
+
+/// Where unconsumed packets go: held until the agent's owner installs its
+/// sink ([`MemberAgent::set_packet_sink`]), handed straight to it after.
+enum Unhandled {
+    Held(Vec<(ServiceId, Packet)>),
+    Sink(PacketSink),
+}
+
+impl std::fmt::Debug for Unhandled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Unhandled::Held(held) => write!(f, "Held({})", held.len()),
+            Unhandled::Sink(_) => f.write_str("Sink"),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Searching,
@@ -114,7 +135,7 @@ pub struct MemberAgent {
     state: Arc<Mutex<AgentState>>,
     events_rx: Receiver<AgentEvent>,
     events_tx: Sender<AgentEvent>,
-    unhandled_rx: Receiver<(ServiceId, Packet)>,
+    unhandled: Arc<Mutex<Unhandled>>,
     running: Arc<AtomicBool>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     manual: Option<Mutex<ManualAgent>>,
@@ -132,7 +153,7 @@ impl MemberAgent {
     ) -> Arc<Self> {
         info.id = channel.local_id();
         let (events_tx, events_rx) = unbounded();
-        let (unhandled_tx, unhandled_rx) = unbounded();
+        let unhandled = Arc::new(Mutex::new(Unhandled::Held(Vec::new())));
         let state = Arc::new(Mutex::new(AgentState {
             phase: Phase::Searching,
             cell: None,
@@ -151,7 +172,7 @@ impl MemberAgent {
             state: Arc::clone(&state),
             events_rx,
             events_tx: events_tx.clone(),
-            unhandled_rx,
+            unhandled: Arc::clone(&unhandled),
             running: Arc::clone(&running),
             worker: Mutex::new(None),
             manual: None,
@@ -162,7 +183,7 @@ impl MemberAgent {
             config,
             state,
             events: events_tx,
-            unhandled: unhandled_tx,
+            unhandled,
             running,
         };
         let handle = std::thread::Builder::new()
@@ -188,7 +209,7 @@ impl MemberAgent {
     ) -> Arc<Self> {
         info.id = channel.local_id();
         let (events_tx, events_rx) = unbounded();
-        let (unhandled_tx, unhandled_rx) = unbounded();
+        let unhandled = Arc::new(Mutex::new(Unhandled::Held(Vec::new())));
         let origin = Instant::now();
         let state = Arc::new(Mutex::new(AgentState {
             phase: Phase::Searching,
@@ -208,7 +229,7 @@ impl MemberAgent {
             config,
             state: Arc::clone(&state),
             events: events_tx.clone(),
-            unhandled: unhandled_tx,
+            unhandled: Arc::clone(&unhandled),
             running: Arc::clone(&running),
         };
         let origin_micros = clock.now_micros();
@@ -218,7 +239,7 @@ impl MemberAgent {
             state,
             events_rx,
             events_tx,
-            unhandled_rx,
+            unhandled,
             running,
             worker: Mutex::new(None),
             manual: Some(Mutex::new(ManualAgent {
@@ -269,12 +290,22 @@ impl MemberAgent {
         &self.events_rx
     }
 
-    /// Packets the discovery protocol does not consume (bus traffic such
-    /// as `Deliver` or `SubscribeAck`), in arrival order. The device's
-    /// bus client drains this — one endpoint serves both protocols, as in
-    /// the paper's prototype.
-    pub fn unhandled(&self) -> &Receiver<(ServiceId, Packet)> {
-        &self.unhandled_rx
+    /// Installs the sink for packets the discovery protocol does not
+    /// consume — one endpoint serves both protocols, as in the paper's
+    /// prototype, and the device's bus client is that sink.
+    ///
+    /// Packets that arrived before this call were held; they go through
+    /// `sink` first, in arrival order, before any later packet does (the
+    /// agent's thread waits out the hand-over). A second call replaces
+    /// the sink.
+    pub fn set_packet_sink(&self, mut sink: PacketSink) {
+        let mut unhandled = self.unhandled.lock();
+        if let Unhandled::Held(held) = &mut *unhandled {
+            for (from, packet) in held.drain(..) {
+                sink(from, packet);
+            }
+        }
+        *unhandled = Unhandled::Sink(sink);
     }
 
     /// The cell's event-bus endpoint, learned from the join response.
@@ -358,6 +389,9 @@ impl MemberAgent {
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
+        // Drop the sink with whatever it owns (the owner's queues
+        // disconnect, as they did when a forwarding thread exited).
+        *self.unhandled.lock() = Unhandled::Held(Vec::new());
         let mut st = self.state.lock();
         st.phase = Phase::Searching;
         st.cell = None;
@@ -380,7 +414,7 @@ struct AgentWorker {
     config: AgentConfig,
     state: Arc<Mutex<AgentState>>,
     events: Sender<AgentEvent>,
-    unhandled: Sender<(ServiceId, Packet)>,
+    unhandled: Arc<Mutex<Unhandled>>,
     running: Arc<AtomicBool>,
 }
 
@@ -499,9 +533,10 @@ impl AgentWorker {
                     st.missed = 0;
                 }
             }
-            other => {
-                let _ = self.unhandled.send((from, other));
-            }
+            other => match &mut *self.unhandled.lock() {
+                Unhandled::Held(held) => held.push((from, other)),
+                Unhandled::Sink(sink) => sink(from, other),
+            },
         }
     }
 }

@@ -26,7 +26,7 @@ pub mod auth;
 pub mod membership;
 pub mod service;
 
-pub use agent::{AgentConfig, AgentEvent, MemberAgent};
+pub use agent::{AgentConfig, AgentEvent, MemberAgent, PacketSink};
 pub use auth::{AcceptAll, Authenticator, DeviceTypeAllowList, SharedSecret};
 pub use membership::{MemberRecord, MemberState, MembershipEvent, MembershipTable};
 pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats};

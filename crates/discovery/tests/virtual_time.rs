@@ -233,3 +233,57 @@ fn membership_sequence_is_deterministic() {
     };
     assert_eq!(run(99), run(99));
 }
+
+/// Bus traffic that reaches the agent before its owner installed a sink
+/// is held, then goes through the sink first and in arrival order; later
+/// packets follow it straight through.
+#[test]
+fn held_packets_reach_a_late_sink_first_and_in_order() {
+    use smc_types::codec::to_bytes;
+    use smc_types::Packet;
+    use std::sync::Mutex;
+
+    let clock = Arc::new(ManualClock::new());
+    let shared: SharedClock = clock.clone();
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 3, Arc::clone(&shared));
+    let channel = || {
+        ReliableChannel::with_clock(
+            Arc::new(net.endpoint()),
+            ReliableConfig::default(),
+            Arc::clone(&shared),
+        )
+    };
+    let (bus, device) = (channel(), channel());
+    let agent = MemberAgent::with_clock(
+        ServiceInfo::new(ServiceId::NIL, "test.device"),
+        Arc::clone(&device),
+        AgentConfig::default(),
+        shared,
+    );
+    let deliver = |n: u8| {
+        bus.send(agent.local_id(), to_bytes(&Packet::Raw(vec![n])))
+            .unwrap();
+        device.step();
+        assert_eq!(agent.step(), 1);
+        bus.step();
+    };
+
+    for n in 1..=3 {
+        deliver(n);
+    }
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink_seen = Arc::clone(&seen);
+    let bus_id = bus.local_id();
+    agent.set_packet_sink(Box::new(move |from, packet| {
+        assert_eq!(from, bus_id);
+        let Packet::Raw(bytes) = packet else {
+            panic!("unexpected {packet:?}");
+        };
+        sink_seen.lock().unwrap().push(bytes[0]);
+    }));
+    assert_eq!(*seen.lock().unwrap(), [1, 2, 3], "held packets drain first");
+    for n in 4..=5 {
+        deliver(n);
+    }
+    assert_eq!(*seen.lock().unwrap(), [1, 2, 3, 4, 5]);
+}

@@ -81,12 +81,7 @@ impl Encode for Frame {
                 epoch,
                 seq,
                 frag_index,
-            } => {
-                buf.put_u8(F_ACK);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*seq);
-                buf.put_u16_le(*frag_index);
-            }
+            } => buf.put_slice(&encode_ack_frame(*epoch, *seq, *frag_index)),
             Frame::AckBatch { epoch, acks } => {
                 buf.put_u8(F_ACK_BATCH);
                 buf.put_u64_le(*epoch);
@@ -213,7 +208,21 @@ pub fn encode_data_frame(
     buf.put_u16_le(frag_index);
     buf.put_u16_le(frag_count);
     buf.put_bytes_field(payload);
-    buf.to_vec()
+    buf.freeze()
+}
+
+/// Encoded length of a [`Frame::Ack`]: tag + epoch + seq + fragment index.
+pub const ACK_FRAME_LEN: usize = 1 + 8 + 8 + 2;
+
+/// Encodes a [`Frame::Ack`] without touching the heap — the one place
+/// that knows its layout ([`Frame`]'s `Encode` goes through here).
+pub fn encode_ack_frame(epoch: u64, seq: u64, frag_index: u16) -> [u8; ACK_FRAME_LEN] {
+    let mut buf = [0u8; ACK_FRAME_LEN];
+    buf[0] = F_ACK;
+    buf[1..9].copy_from_slice(&epoch.to_le_bytes());
+    buf[9..17].copy_from_slice(&seq.to_le_bytes());
+    buf[17..].copy_from_slice(&frag_index.to_le_bytes());
+    buf
 }
 
 #[cfg(test)]
@@ -265,6 +274,19 @@ mod tests {
                 payload: payload.clone(),
             });
             assert_eq!(direct, via_frame);
+        }
+    }
+
+    #[test]
+    fn encode_ack_frame_matches_frame_encoding() {
+        for (epoch, seq, frag_index) in [(0, 0, 0), (9, 12, 3), (u64::MAX, u64::MAX - 1, u16::MAX)]
+        {
+            let via_frame = to_bytes(&Frame::Ack {
+                epoch,
+                seq,
+                frag_index,
+            });
+            assert_eq!(encode_ack_frame(epoch, seq, frag_index)[..], via_frame[..]);
         }
     }
 

@@ -28,6 +28,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,6 +58,10 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Total payload bytes handed to receivers.
     pub bytes_delivered: u64,
+    /// Sends that woke the timer thread: only a datagram scheduled ahead
+    /// of everything already queued does. Always 0 on an instant link and
+    /// on a virtual-time network (which has no timer thread).
+    pub timer_wakeups: u64,
 }
 
 #[derive(Debug)]
@@ -110,6 +115,9 @@ struct NetInner {
     state: Mutex<NetState>,
     timer_cv: Condvar,
     rng: Mutex<StdRng>,
+    /// Mirror of `state.default_link.mtu`, so `max_datagram` — asked once
+    /// per reliable send — takes no lock.
+    default_mtu: AtomicUsize,
     clock: SharedClock,
     /// In manual mode no timer thread runs; the owner pumps deliveries.
     manual: bool,
@@ -168,6 +176,7 @@ impl SimNetwork {
 
     fn build(default_link: LinkConfig, seed: u64, clock: SharedClock, manual: bool) -> Self {
         let inner = Arc::new(NetInner {
+            default_mtu: AtomicUsize::new(default_link.mtu),
             state: Mutex::new(NetState {
                 endpoints: HashMap::new(),
                 default_link,
@@ -253,7 +262,7 @@ impl SimNetwork {
             net: self.clone(),
             id,
             rx,
-            closed: Arc::new(Mutex::new(false)),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -272,7 +281,9 @@ impl SimNetwork {
     /// Replaces the default link configuration for pairs without an
     /// override.
     pub fn set_default_link(&self, link: LinkConfig) {
-        self.inner.state.lock().default_link = link;
+        let mut st = self.inner.state.lock();
+        self.inner.default_mtu.store(link.mtu, Ordering::SeqCst);
+        st.default_link = link;
     }
 
     /// Partitions (or heals) the pair `a ↔ b`. Partitioned endpoints drop
@@ -348,11 +359,14 @@ impl SimNetwork {
             st.stats.unreachable += 1;
             return Ok(());
         }
-        let link = st
-            .links
-            .get(&(from, to))
-            .unwrap_or(&st.default_link)
-            .clone();
+        let NetState {
+            links,
+            default_link,
+            busy_until,
+            stats,
+            ..
+        } = &mut *st;
+        let link = links.get(&(from, to)).unwrap_or(default_link);
         if payload.len() > link.mtu {
             return Err(Error::Invalid(format!(
                 "payload of {} bytes exceeds link mtu {}",
@@ -372,51 +386,68 @@ impl SimNetwork {
             (lost, duplicated, jitter_micros)
         };
         if lost {
-            st.stats.lost += 1;
+            stats.lost += 1;
             return Ok(());
         }
-        let datagram = if broadcast {
-            Datagram::broadcasted(from, payload.to_vec())
-        } else {
-            Datagram::unicast(from, payload.to_vec())
-        };
 
         // Serial-link pacing: a directed link transmits one datagram at a
         // time at its configured bandwidth.
-        let tx_micros = link.transmission_time(payload.len()).as_micros() as u64;
         let deliver_at = if link.is_instant() {
             now
         } else {
-            let busy = st.busy_until.entry((from, to)).or_insert(now);
+            let tx_micros = link.transmission_time(payload.len()).as_micros() as u64;
+            let busy = busy_until.entry((from, to)).or_insert(now);
             let start = (*busy).max(now);
             *busy = start + tx_micros;
             start + tx_micros + link.latency.as_micros() as u64 + jitter_micros
         };
 
-        let copies = if duplicated { 2 } else { 1 };
+        let datagram = Datagram {
+            from,
+            payload: payload.to_vec(),
+            broadcast,
+        };
+        let mut wake = false;
         if duplicated {
-            st.stats.duplicated += 1;
+            stats.duplicated += 1;
+            wake |= self.dispatch(&mut st, now, deliver_at, to, datagram.clone());
         }
-        for _ in 0..copies {
-            if deliver_at <= now {
-                deliver(&mut st, to, datagram.clone());
-            } else {
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queue.push(Reverse(Scheduled {
-                    due: deliver_at,
-                    seq,
-                    to,
-                    datagram: datagram.clone(),
-                }));
-            }
-        }
+        wake |= self.dispatch(&mut st, now, deliver_at, to, datagram);
         drop(st);
-        // Manual networks have no timer thread to wake.
-        if !self.inner.manual {
+        if wake {
             self.inner.timer_cv.notify_all();
         }
         Ok(())
+    }
+
+    /// Hands `datagram` over now, or queues it for its deadline. Returns
+    /// `true` if the timer thread must be woken: only when this became the
+    /// earliest deadline — anything later the thread reaches on its own —
+    /// and never on a manual network, which has no timer thread.
+    fn dispatch(
+        &self,
+        st: &mut NetState,
+        now: u64,
+        deliver_at: u64,
+        to: ServiceId,
+        datagram: Datagram,
+    ) -> bool {
+        if deliver_at <= now {
+            deliver(st, to, datagram);
+            return false;
+        }
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push(Reverse(Scheduled {
+            due: deliver_at,
+            seq,
+            to,
+            datagram,
+        }));
+        let wake =
+            !self.inner.manual && st.queue.peek().is_some_and(|Reverse(head)| head.seq == seq);
+        st.stats.timer_wakeups += u64::from(wake);
+        wake
     }
 }
 
@@ -463,7 +494,7 @@ pub struct MemTransport {
     net: SimNetwork,
     id: ServiceId,
     rx: Receiver<Datagram>,
-    closed: Arc<Mutex<bool>>,
+    closed: AtomicBool,
 }
 
 impl MemTransport {
@@ -479,14 +510,14 @@ impl Transport for MemTransport {
     }
 
     fn send(&self, to: ServiceId, payload: &[u8]) -> Result<()> {
-        if *self.closed.lock() {
+        if self.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
         self.net.transmit(self.id, to, payload, false)
     }
 
     fn broadcast(&self, payload: &[u8]) -> Result<()> {
-        if *self.closed.lock() {
+        if self.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
         let mut peers: Vec<ServiceId> = {
@@ -508,7 +539,7 @@ impl Transport for MemTransport {
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<Datagram> {
-        if *self.closed.lock() {
+        if self.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
         match timeout {
@@ -521,13 +552,11 @@ impl Transport for MemTransport {
     }
 
     fn max_datagram(&self) -> usize {
-        self.net.inner.state.lock().default_link.mtu
+        self.net.inner.default_mtu.load(Ordering::SeqCst)
     }
 
     fn close(&self) {
-        let mut closed = self.closed.lock();
-        if !*closed {
-            *closed = true;
+        if !self.closed.swap(true, Ordering::SeqCst) {
             self.net.detach(self.id);
         }
     }
@@ -646,6 +675,51 @@ mod tests {
             "{:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn instant_link_never_wakes_the_timer() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let a = net.endpoint();
+        let b = net.endpoint();
+        for i in 0..1000u32 {
+            a.send(b.local_id(), &i.to_le_bytes()).unwrap();
+        }
+        for i in 0..1000u32 {
+            assert_eq!(b.recv(Some(TICK)).unwrap().payload, i.to_le_bytes());
+        }
+        assert_eq!(net.stats().timer_wakeups, 0);
+    }
+
+    #[test]
+    fn only_a_new_earliest_deadline_wakes_the_timer() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let a = net.endpoint();
+        let slow = net.endpoint();
+        let fast = net.endpoint();
+        let delayed = |ms| LinkConfig::ideal().with_latency(Duration::from_millis(ms));
+        net.set_link(a.local_id(), slow.local_id(), delayed(400));
+        net.set_link(a.local_id(), fast.local_id(), delayed(20));
+
+        // The timer parks until the slow datagram's deadline; the fast one,
+        // queued behind it, must pre-empt that wait.
+        let start = Instant::now();
+        a.send(slow.local_id(), b"slow").unwrap();
+        a.send(fast.local_id(), b"fast").unwrap();
+        assert_eq!(net.stats().timer_wakeups, 2);
+        assert_eq!(fast.recv(Some(TICK)).unwrap().payload, b"fast");
+        let fast_at = start.elapsed();
+        assert!(
+            fast_at >= Duration::from_millis(15) && fast_at < Duration::from_millis(300),
+            "fast datagram arrived after {fast_at:?}"
+        );
+        // A later deadline behind an earlier one needs no wake-up, and the
+        // timer still reaches both on time.
+        a.send(slow.local_id(), b"slower").unwrap();
+        assert_eq!(net.stats().timer_wakeups, 2);
+        assert_eq!(slow.recv(Some(TICK)).unwrap().payload, b"slow");
+        assert!(start.elapsed() >= Duration::from_millis(395));
+        assert_eq!(slow.recv(Some(TICK)).unwrap().payload, b"slower");
     }
 
     #[test]

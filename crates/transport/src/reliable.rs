@@ -31,7 +31,7 @@ use smc_types::{
     system_clock, Error, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell, TraceId,
 };
 
-use crate::frame::{encode_data_frame, fragment_ranges, Frame, FRAME_HEADER_LEN};
+use crate::frame::{encode_ack_frame, encode_data_frame, fragment_ranges, Frame, FRAME_HEADER_LEN};
 use crate::transport::Transport;
 
 /// Retransmission and flow-control parameters.
@@ -199,6 +199,43 @@ pub struct ChannelStats {
     pub missed_ack_interrupts: u64,
 }
 
+/// [`ChannelStats`] as the channel keeps them: one atomic per counter, so
+/// the send and receive paths count without taking a lock. `Relaxed`
+/// throughout — these are statistics and publish no other data.
+#[derive(Debug, Default)]
+struct Counters {
+    msgs_sent: AtomicU64,
+    msgs_acked: AtomicU64,
+    msgs_delivered: AtomicU64,
+    msgs_expired: AtomicU64,
+    retransmits: AtomicU64,
+    duplicates_suppressed: AtomicU64,
+    unreliable_sent: AtomicU64,
+    unreliable_received: AtomicU64,
+    missed_ack_interrupts: AtomicU64,
+}
+
+impl Counters {
+    fn snapshot(&self) -> ChannelStats {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ChannelStats {
+            msgs_sent: read(&self.msgs_sent),
+            msgs_acked: read(&self.msgs_acked),
+            msgs_delivered: read(&self.msgs_delivered),
+            msgs_expired: read(&self.msgs_expired),
+            retransmits: read(&self.retransmits),
+            duplicates_suppressed: read(&self.duplicates_suppressed),
+            unreliable_sent: read(&self.unreliable_sent),
+            unreliable_received: read(&self.unreliable_received),
+            missed_ack_interrupts: read(&self.missed_ack_interrupts),
+        }
+    }
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// A message handed up by [`ReliableChannel::recv`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Incoming {
@@ -301,9 +338,69 @@ struct PeerOut {
 
 #[derive(Debug)]
 struct Partial {
-    frag_count: u16,
+    /// One slot per fragment of the message.
     got: Vec<Option<Vec<u8>>>,
     received: usize,
+    /// Payload bytes held in `got`: the size of the reassembled message.
+    bytes: usize,
+}
+
+/// What one arriving fragment did to its message's reassembly.
+enum Reassembly {
+    /// Fragments are still missing (or this one contradicted the ones
+    /// already held and was ignored as corrupt).
+    Pending,
+    /// The fragment was already held.
+    Duplicate,
+    /// That was the last missing fragment: here is the message.
+    Whole(Vec<u8>),
+}
+
+impl PeerIn {
+    /// Files one fragment of message `seq`.
+    fn reassemble(
+        &mut self,
+        seq: u64,
+        frag_index: u16,
+        frag_count: u16,
+        payload: Vec<u8>,
+    ) -> Reassembly {
+        // A message that fits one datagram — nearly all of them — is
+        // whole as it arrives: nothing to keep, nothing to copy. (Were an
+        // entry already open for `seq` it would claim more fragments, and
+        // the check below rejects the mismatch.)
+        if frag_count == 1 && !self.partial.contains_key(&seq) {
+            return Reassembly::Whole(payload);
+        }
+        let frag_count = frag_count as usize;
+        let partial = self.partial.entry(seq).or_insert_with(|| Partial {
+            got: vec![None; frag_count],
+            received: 0,
+            bytes: 0,
+        });
+        if partial.got.len() != frag_count {
+            // Inconsistent metadata — treat as corrupt and ignore.
+            return Reassembly::Pending;
+        }
+        let Some(slot) = partial.got.get_mut(frag_index as usize) else {
+            return Reassembly::Pending;
+        };
+        if slot.is_some() {
+            return Reassembly::Duplicate;
+        }
+        partial.bytes += payload.len();
+        partial.received += 1;
+        *slot = Some(payload);
+        if partial.received < frag_count {
+            return Reassembly::Pending;
+        }
+        let partial = self.partial.remove(&seq).expect("partial present");
+        let mut whole = Vec::with_capacity(partial.bytes);
+        for piece in partial.got {
+            whole.extend_from_slice(&piece.expect("all fragments received"));
+        }
+        Reassembly::Whole(whole)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -330,7 +427,7 @@ struct Shared {
     /// ([`ChannelJournal::retains_rx`]); seeded from the snapshot on
     /// recovery.
     unconsumed: Mutex<UnconsumedRx>,
-    stats: Mutex<ChannelStats>,
+    stats: Counters,
     closed: AtomicBool,
     epoch: u64,
     config: ReliableConfig,
@@ -490,7 +587,7 @@ impl ReliableChannel {
             out: Mutex::new(HashMap::new()),
             peers_in: Mutex::new(peers_in),
             unconsumed: Mutex::new(pending),
-            stats: Mutex::new(ChannelStats::default()),
+            stats: Counters::default(),
             closed: AtomicBool::new(false),
             epoch,
             config,
@@ -665,7 +762,10 @@ impl ReliableChannel {
             tracer.record(trace, Hop::OutQueued);
             receipts.push(Receipt { rx });
         }
-        self.shared.stats.lock().msgs_sent += count;
+        self.shared
+            .stats
+            .msgs_sent
+            .fetch_add(count, Ordering::Relaxed);
         let now = self.shared.clock.now_micros();
         pump(
             &self.transport,
@@ -729,7 +829,7 @@ impl ReliableChannel {
             }
             peer.queued.push_back((payload, Some(tx), trace));
             tracer.record(trace, Hop::OutQueued);
-            self.shared.stats.lock().msgs_sent += 1;
+            bump(&self.shared.stats.msgs_sent);
             let now = self.shared.clock.now_micros();
             pump(
                 &self.transport,
@@ -771,7 +871,7 @@ impl ReliableChannel {
         let frame = to_bytes(&Frame::Unreliable {
             payload: payload.to_vec(),
         });
-        self.shared.stats.lock().unreliable_sent += 1;
+        bump(&self.shared.stats.unreliable_sent);
         self.transport.send(to, &frame)
     }
 
@@ -787,7 +887,7 @@ impl ReliableChannel {
         let frame = to_bytes(&Frame::Unreliable {
             payload: payload.to_vec(),
         });
-        self.shared.stats.lock().unreliable_sent += 1;
+        bump(&self.shared.stats.unreliable_sent);
         self.transport.broadcast(&frame)
     }
 
@@ -864,7 +964,7 @@ impl ReliableChannel {
 
     /// A snapshot of the channel counters.
     pub fn stats(&self) -> ChannelStats {
-        self.shared.stats.lock().clone()
+        self.shared.stats.snapshot()
     }
 
     /// The receive cursors: one `(peer, epoch, expected)` triple per
@@ -1070,7 +1170,7 @@ impl RxWorker {
     fn handle_frame(&mut self, from: ServiceId, broadcast: bool, frame: Frame) {
         match frame {
             Frame::Unreliable { payload } => {
-                self.shared.stats.lock().unreliable_received += 1;
+                bump(&self.shared.stats.unreliable_received);
                 let _ = self.inbox.send(Incoming::Unreliable {
                     from,
                     payload,
@@ -1132,7 +1232,7 @@ impl RxWorker {
                 self.shared.tracer.load().record(msg.trace, Hop::RxAcked);
                 // Count before resolving the receipt so a caller woken
                 // by `send_blocking` observes the updated stats.
-                self.shared.stats.lock().msgs_acked += 1;
+                bump(&self.shared.stats.msgs_acked);
                 if let Some(tx) = msg.receipt {
                     let _ = tx.send(Ok(()));
                 }
@@ -1217,12 +1317,7 @@ impl RxWorker {
         // original ack may have been lost. Journalled receivers ack only
         // at (or after) durably-recorded delivery, below.
         if !journaled {
-            let ack = Frame::Ack {
-                epoch,
-                seq,
-                frag_index,
-            };
-            let _ = self.transport.send(from, &to_bytes(&ack));
+            self.send_ack(from, epoch, seq, frag_index);
         }
 
         if !self.shared.config.dedup {
@@ -1230,83 +1325,43 @@ impl RxWorker {
             // fragment batch up as soon as it completes, with no duplicate
             // suppression and no reordering. Retransmitted messages get
             // delivered again; gaps are not waited for.
-            let partial = peer.partial.entry(seq).or_insert_with(|| Partial {
-                frag_count,
-                got: vec![None; frag_count as usize],
-                received: 0,
-            });
-            if partial.frag_count != frag_count || frag_index as usize >= partial.got.len() {
-                return;
-            }
-            if partial.got[frag_index as usize].is_none() {
-                partial.received += 1;
-            }
-            partial.got[frag_index as usize] = Some(payload);
-            if partial.received == partial.frag_count as usize {
-                let partial = peer.partial.remove(&seq).expect("partial present");
-                let mut whole = Vec::new();
-                for piece in partial.got {
-                    whole.extend_from_slice(&piece.expect("all fragments received"));
-                }
-                self.shared.stats.lock().msgs_delivered += 1;
-                let _ = self.inbox.send(Incoming::Reliable {
-                    from,
-                    seq,
-                    payload: whole,
-                });
+            if let Reassembly::Whole(payload) =
+                peer.reassemble(seq, frag_index, frag_count, payload)
+            {
+                bump(&self.shared.stats.msgs_delivered);
+                let _ = self.inbox.send(Incoming::Reliable { from, seq, payload });
             }
             return;
         }
 
         if seq < peer.expected || peer.ready.contains_key(&seq) {
-            self.shared.stats.lock().duplicates_suppressed += 1;
+            bump(&self.shared.stats.duplicates_suppressed);
             if journaled {
                 if seq < peer.expected {
                     // Its delivery is already journalled — safe to re-ack
                     // (the original ack may have been lost).
-                    let ack = Frame::Ack {
-                        epoch,
-                        seq,
-                        frag_index,
-                    };
-                    let _ = self.transport.send(from, &to_bytes(&ack));
+                    self.send_ack(from, epoch, seq, frag_index);
                 } else {
                     // Buffered but not yet journalled: don't ack, but
                     // retry the drain in case it stalled on a journal
                     // error earlier.
-                    self.drain_in_order(from, peer);
+                    self.drain_in_order(from, peer, None);
                 }
             }
             return;
         }
-        let partial = peer.partial.entry(seq).or_insert_with(|| Partial {
-            frag_count,
-            got: vec![None; frag_count as usize],
-            received: 0,
-        });
-        if partial.frag_count != frag_count || frag_index as usize >= partial.got.len() {
-            // Inconsistent metadata — treat as corrupt and ignore.
-            return;
-        }
-        if partial.got[frag_index as usize].is_some() {
-            self.shared.stats.lock().duplicates_suppressed += 1;
-            return;
-        }
-        partial.got[frag_index as usize] = Some(payload);
-        partial.received += 1;
-        if partial.received == partial.frag_count as usize {
-            let partial = peer.partial.remove(&seq).expect("partial present");
-            let mut whole = Vec::new();
-            for piece in partial.got {
-                whole.extend_from_slice(&piece.expect("all fragments received"));
-            }
-            peer.ready.insert(seq, (whole, frag_count));
+        match peer.reassemble(seq, frag_index, frag_count, payload) {
+            Reassembly::Pending => {}
+            Reassembly::Duplicate => bump(&self.shared.stats.duplicates_suppressed),
             // Deliver everything now in order.
-            self.drain_in_order(from, peer);
+            Reassembly::Whole(msg) => self.drain_in_order(from, peer, Some((seq, msg, frag_count))),
         }
     }
 
-    /// Delivers every consecutive ready message starting at `expected`.
+    /// Delivers every consecutive complete message starting at
+    /// `expected`, beginning with the one that just `arrived` (if any):
+    /// when that is the next in sequence — the common case — it is handed
+    /// up from the hand and never enters `ready`.
     ///
     /// With a journal attached, each delivery is recorded — payload
     /// included — *before* the message is handed up or any fragment
@@ -1318,35 +1373,44 @@ impl RxWorker {
     /// append happened under, so checkpoints never observe the append
     /// without its effect) until the application calls
     /// [`ReliableChannel::consumed`].
-    fn drain_in_order(&self, from: ServiceId, peer: &mut PeerIn) {
+    fn drain_in_order(
+        &self,
+        from: ServiceId,
+        peer: &mut PeerIn,
+        arrived: Option<(u64, Vec<u8>, u16)>,
+    ) {
+        let mut in_hand = None;
+        if let Some((seq, msg, frag_count)) = arrived {
+            if seq == peer.expected {
+                in_hand = Some((msg, frag_count));
+            } else {
+                peer.ready.insert(seq, (msg, frag_count));
+            }
+        }
         // Journalled receivers ack at delivery time; the acks for the
         // whole drained run are coalesced into batch frames instead of
         // one datagram per fragment.
         let mut acks: Vec<(u64, u16)> = Vec::new();
         loop {
             let seq = peer.expected;
-            let Some((msg, _)) = peer.ready.get(&seq) else {
+            let Some((msg, frag_count)) = in_hand.take().or_else(|| peer.ready.remove(&seq)) else {
                 break;
             };
-            let mut retain = false;
             if let Some(journal) = &self.shared.journal {
-                if journal.on_deliver(from, peer.epoch, seq, msg).is_err() {
+                if journal.on_deliver(from, peer.epoch, seq, &msg).is_err() {
+                    peer.ready.insert(seq, (msg, frag_count));
                     break;
                 }
-                retain = journal.retains_rx();
-            }
-            let (msg, frag_count) = peer.ready.remove(&seq).expect("ready entry checked above");
-            peer.expected = seq + 1;
-            if retain {
-                self.shared
-                    .unconsumed
-                    .lock()
-                    .push((from, peer.epoch, seq, msg.clone()));
-            }
-            if self.shared.journal.is_some() {
+                if journal.retains_rx() {
+                    self.shared
+                        .unconsumed
+                        .lock()
+                        .push((from, peer.epoch, seq, msg.clone()));
+                }
                 acks.extend((0..frag_count).map(|i| (seq, i)));
             }
-            self.shared.stats.lock().msgs_delivered += 1;
+            peer.expected = seq + 1;
+            bump(&self.shared.stats.msgs_delivered);
             let _ = self.inbox.send(Incoming::Reliable {
                 from,
                 seq,
@@ -1358,20 +1422,21 @@ impl RxWorker {
         self.flush_acks(from, peer.epoch, &acks);
     }
 
+    /// Acknowledges one fragment. The frame is built on the stack: an ack
+    /// answers nearly every datagram that arrives.
+    fn send_ack(&self, to: ServiceId, epoch: u64, seq: u64, frag_index: u16) {
+        let _ = self
+            .transport
+            .send(to, &encode_ack_frame(epoch, seq, frag_index));
+    }
+
     /// Sends a run of acknowledgements to `to`, coalescing two or more
     /// into [`Frame::AckBatch`] frames. Batches are chunked to respect
     /// both the codec's collection cap and the transport datagram size.
     fn flush_acks(&self, to: ServiceId, epoch: u64, acks: &[(u64, u16)]) {
         match acks {
             [] => {}
-            &[(seq, frag_index)] => {
-                let ack = Frame::Ack {
-                    epoch,
-                    seq,
-                    frag_index,
-                };
-                let _ = self.transport.send(to, &to_bytes(&ack));
-            }
+            &[(seq, frag_index)] => self.send_ack(to, epoch, seq, frag_index),
             _ => {
                 // Per-entry cost on the wire is 8 (seq) + 2 (frag_index)
                 // bytes after a tag + epoch + count header of 11.
@@ -1422,7 +1487,7 @@ impl RxWorker {
                 // A missed ack is the first observable symptom of a dead
                 // peer: pulse the interrupt line so a supervising monitor
                 // can sample immediately rather than on its next window.
-                self.shared.stats.lock().missed_ack_interrupts += 1;
+                bump(&self.shared.stats.missed_ack_interrupts);
                 if let Some(line) = missed_ack_line.as_ref() {
                     line.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1431,7 +1496,7 @@ impl RxWorker {
                     if msg.acked[i] {
                         continue;
                     }
-                    self.shared.stats.lock().retransmits += 1;
+                    bump(&self.shared.stats.retransmits);
                     let frame = encode_data_frame(
                         self.shared.epoch,
                         seq,
@@ -1453,10 +1518,12 @@ impl RxWorker {
                     let _ = journal.on_acked(peer_id, seq);
                 }
                 tracer.record(msg.trace, Hop::Dropped { reason: "expired" });
+                // Counted before the receipt resolves, as for an ack, so
+                // the woken sender observes it.
+                bump(&self.shared.stats.msgs_expired);
                 if let Some(tx) = msg.receipt {
                     let _ = tx.send(Err(Error::Timeout));
                 }
-                self.shared.stats.lock().msgs_expired += 1;
             }
             pump(
                 &self.transport,

@@ -76,7 +76,11 @@ pub trait Transport: Send + Sync + fmt::Debug {
     fn broadcast(&self, payload: &[u8]) -> Result<()>;
 
     /// Receives the next datagram, blocking up to `timeout` (forever when
-    /// `None`).
+    /// `None`; a zero timeout polls without blocking).
+    ///
+    /// One consumer per endpoint: an implementation may make concurrent
+    /// callers wait for each other ([`crate::udp::UdpTransport`] receives
+    /// into a buffer the endpoint owns).
     ///
     /// # Errors
     ///

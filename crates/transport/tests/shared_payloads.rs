@@ -315,3 +315,127 @@ fn chunk_size_plus_one_acks_split_into_two_batches() {
     let expected: Vec<(u64, u16)> = (0..=ACK_CHUNK as u16).map(|i| (1, i)).collect();
     assert_eq!(flattened, expected, "the split loses and reorders nothing");
 }
+
+// ---- Wire identity ------------------------------------------------------
+//
+// The receive/ack path may be rearranged freely as long as the *wire* does
+// not notice: the same script must put the same datagrams, in the same
+// order, with the same bytes, on the link. The golden transcript was
+// captured from the implementation before its per-datagram costs were
+// stripped (one line per datagram: sender, then the frame in hex with the
+// session epoch — bytes 1..9 of every reliable frame — zeroed, because
+// epochs are drawn from a process-wide counter).
+
+const WIRE_GOLDEN: &str = include_str!("golden/wire_script.txt");
+
+/// Moves everything `snoop` sent since the last call onto `transcript`.
+fn transcribe(who: char, snoop: &SnoopTransport, transcript: &mut Vec<String>) {
+    for mut datagram in snoop.sent.lock().unwrap().drain(..) {
+        datagram[1..9].fill(0);
+        let hex: String = datagram.iter().map(|b| format!("{b:02x}")).collect();
+        transcript.push(format!("{who} {hex}"));
+    }
+}
+
+#[test]
+fn scripted_exchange_is_byte_identical_on_the_wire() {
+    use smc_types::ManualClock;
+
+    // Step-driven channels on a virtual-time ideal link: one thread, so
+    // only the endpoint being driven sends, and transcribing after every
+    // action yields the total order of the conversation.
+    let clock = Arc::new(ManualClock::new());
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 7, clock.clone());
+    let snoop = || {
+        Arc::new(SnoopTransport {
+            inner: net.endpoint(),
+            sent: Mutex::new(Vec::new()),
+        })
+    };
+    let (ta, tb) = (snoop(), snoop());
+    // A acks on arrival; B is journalled, so it acks on delivery and
+    // coalesces a drained run into `AckBatch` frames.
+    let a = ReliableChannel::with_clock(
+        Arc::clone(&ta) as Arc<dyn Transport>,
+        ReliableConfig::default(),
+        clock.clone(),
+    );
+    let b = ReliableChannel::with_clock_journaled(
+        Arc::clone(&tb) as Arc<dyn Transport>,
+        ReliableConfig::default(),
+        clock.clone(),
+        Arc::new(NullJournal),
+        Vec::new(),
+        Vec::new(),
+    );
+    let mut wire = Vec::new();
+    let mut receipts = Vec::new();
+    type End<'a> = (char, &'a SnoopTransport, &'a ReliableChannel);
+    let (end_a, end_b): (End, End) = (('A', &ta, &a), ('B', &tb, &b));
+    // What the sender just put on the wire, then the receiver's turn
+    // (data in, acks out), then the sender's (acks in, window moves).
+    let settle = |wire: &mut Vec<String>, sender: End, receiver: End| {
+        transcribe(sender.0, sender.1, wire);
+        receiver.2.step();
+        transcribe(receiver.0, receiver.1, wire);
+        sender.2.step();
+        transcribe(sender.0, sender.1, wire);
+    };
+
+    let max_fragment = SNOOP_MAX_DATAGRAM - smc_transport::FRAME_HEADER_LEN;
+    let four_fragments: Vec<u8> = (0..max_fragment * 3 + 1).map(|i| i as u8).collect();
+    let batch = || -> Vec<(SharedBytes, TraceId)> {
+        [vec![0x33; 5], vec![0x44; max_fragment + 5], Vec::new()]
+            .into_iter()
+            .map(|p| (SharedBytes::from(p), TraceId::NONE))
+            .collect()
+    };
+
+    // One fragment, four fragments and a batch, in both directions.
+    for (from, to) in [(end_a, end_b), (end_b, end_a)] {
+        let peer = to.2.local_id();
+        receipts.push(from.2.send(peer, vec![0x11; 10]).unwrap());
+        settle(&mut wire, from, to);
+        receipts.push(from.2.send(peer, four_fragments.clone()).unwrap());
+        settle(&mut wire, from, to);
+        receipts.extend(from.2.send_shared_batch(peer, batch()).unwrap());
+        settle(&mut wire, from, to);
+    }
+
+    // A journalled drain: the first of three messages is lost, the other
+    // two wait (unacknowledged) in B's reorder buffer, and the
+    // retransmission round releases all three at once — one `AckBatch` —
+    // then re-acks the two it had already buffered.
+    net.set_partitioned(a.local_id(), b.local_id(), true);
+    receipts.push(a.send(b.local_id(), b"lost-first".to_vec()).unwrap());
+    net.set_partitioned(a.local_id(), b.local_id(), false);
+    receipts.push(a.send(b.local_id(), b"second".to_vec()).unwrap());
+    receipts.push(a.send(b.local_id(), b"third".to_vec()).unwrap());
+    settle(&mut wire, end_a, end_b);
+    clock.advance_millis(100);
+    a.step();
+    settle(&mut wire, end_a, end_b);
+
+    for receipt in receipts {
+        assert!(matches!(receipt.poll(), Some(Ok(()))), "every send acked");
+    }
+    let delivered = |ch: &ReliableChannel| -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| ch.try_recv())
+            .map(|m| m.payload().to_vec())
+            .collect()
+    };
+    let mut expected = vec![vec![0x11; 10], four_fragments.clone()];
+    expected.extend(batch().into_iter().map(|(p, _)| p.to_vec()));
+    assert_eq!(delivered(&a), expected);
+    expected.extend([&b"lost-first"[..], b"second", b"third"].map(<[u8]>::to_vec));
+    assert_eq!(delivered(&b), expected);
+    assert_eq!(b.stats().msgs_delivered, 8);
+    assert_eq!((a.stats().retransmits, b.stats().retransmits), (3, 0));
+    assert_eq!(b.stats().duplicates_suppressed, 2);
+
+    let golden: Vec<&str> = WIRE_GOLDEN.lines().collect();
+    assert_eq!(wire.len(), golden.len(), "datagram count changed");
+    for (i, (got, want)) in wire.iter().zip(&golden).enumerate() {
+        assert_eq!(got, want, "datagram {i} differs from the golden capture");
+    }
+}
