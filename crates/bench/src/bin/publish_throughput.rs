@@ -619,7 +619,7 @@ fn measure_batched(publishers: usize, fanout: usize, events_each: usize) -> f64 
 }
 
 /// One sharded sweep cell: `publishers` threads pushing through their
-/// pinned [`ShardPublisher`] handles into a `shards`-worker
+/// pinned [`smc_core::ShardPublisher`] handles into a `shards`-worker
 /// [`ShardedBus`]; returns events/second including the final flush.
 fn measure_sharded(shards: usize, publishers: usize, fanout: usize, events_each: usize) -> f64 {
     let bus = Arc::new(EventBus::new(EngineKind::FastForward));

@@ -9,15 +9,18 @@
 //!
 //! # Hot-path structure
 //!
-//! The publish path is read-only and steady-state allocation-free. All
-//! routing state — the frozen match table, the sink map, the tracer —
-//! lives in one immutable [`RouteTable`] behind a
-//! [`SnapshotCell`](smc_types::SnapshotCell): `publish` performs a single
-//! lock-free snapshot load where it used to take three mutexes. Control
-//! operations (subscribe/unsubscribe/purge/engine-swap) mutate the
-//! private [`Control`] state under one mutex and publish a fresh
-//! snapshot; a concurrent publish sees either the entire old table or
-//! the entire new one, never a mix.
+//! The publish path is read-only, and once the per-thread scratch has
+//! grown to working size a publish asks the heap for nothing when every
+//! sink reads the event in process, and for exactly one block — the
+//! shared delivery frame — when a sink takes the encoded bytes (pinned
+//! by `tests/publish_allocs.rs`). All routing state — the frozen match
+//! table, the sink map, the tracer — lives in one immutable `RouteTable`
+//! behind a [`SnapshotCell`]: `publish` performs a single lock-free
+//! snapshot load where it used to take three mutexes. Control operations
+//! (subscribe/unsubscribe/purge/engine-swap) mutate the private `Control`
+//! state under one mutex and publish a fresh snapshot; a concurrent
+//! publish sees either the entire old table or the entire new one, never
+//! a mix.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -90,7 +93,7 @@ impl<'a> DeliveryFrame<'a> {
     /// subscriber that asks.
     pub fn encoded(&self) -> SharedBytes {
         self.encoded
-            .get_or_init(|| SharedBytes::from(encode_deliver(self.event, self.trace)))
+            .get_or_init(|| encode_deliver(self.event, self.trace))
             .clone()
     }
 }

@@ -246,7 +246,7 @@ impl LatencyRecorder {
     }
 }
 
-/// Migrates [`BusMetrics`] into a telemetry [`Registry`]: installs a
+/// Migrates [`BusMetrics`] into a telemetry [`Registry`](smc_telemetry::Registry): installs a
 /// collector that samples `source` at every render, exposing each counter
 /// under a `smc_bus_*` name. The [`BusMetrics`] atomics stay the source
 /// of truth (and `snapshot()` keeps working), so hot paths are untouched.

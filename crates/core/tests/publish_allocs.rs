@@ -1,0 +1,154 @@
+//! Pins what "allocation-free publish" means: against a ward's worth of
+//! subscriptions, a warmed-up `EventBus::publish` asks the heap for nothing
+//! when its sinks read the event in process, and for exactly the one shared
+//! delivery frame when a sink takes the encoded bytes.
+//!
+//! Alone in its binary because it installs a counting `#[global_allocator]`.
+//! The count is per thread, so the test harness's own threads cannot
+//! disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use smc_core::{DeliveryFrame, EventBus, EventSink};
+use smc_match::EngineKind;
+use smc_types::{Event, Filter, Op, Result, ServiceId};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// without a destructor, so touching it never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const EVENT_TYPE: &str = "smc.sensor.reading";
+const KINDS: [&str; 7] = ["hr", "spo2", "bp.sys", "bp.dia", "temp", "resp", "ecg"];
+const WARDS: usize = 16;
+const SUBSCRIBERS: u64 = 64;
+const SUBSCRIPTIONS: usize = 2000;
+const PUBLISHES: usize = 512;
+
+/// Reads the event where it is, as the policy executor does.
+#[derive(Default)]
+struct InProcessSink(AtomicU64);
+
+impl EventSink for InProcessSink {
+    fn deliver(&self, event: &Event) -> Result<()> {
+        self.0.fetch_add(event.seq(), Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// Takes the shared encoded frame, as a proxy does.
+#[derive(Default)]
+struct FrameSink(AtomicU64);
+
+impl EventSink for FrameSink {
+    fn deliver(&self, event: &Event) -> Result<()> {
+        self.deliver_frame(&DeliveryFrame::new(event, smc_types::TraceId::NONE))
+    }
+
+    fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
+        self.0
+            .fetch_add(frame.encoded().len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn prefers_encoded(&self) -> bool {
+        true
+    }
+}
+
+/// A bus with a ward-shaped subscription set: subscription `i` watches ward
+/// `i % 16`; the first 16 watch nothing else, the rest one kind of reading
+/// above or below a threshold from an even grid.
+fn ward_bus(sink: Arc<dyn EventSink>) -> EventBus {
+    let bus = EventBus::new(EngineKind::FastForward);
+    for i in 0..SUBSCRIPTIONS {
+        let mut filter = Filter::for_type(EVENT_TYPE).with(("ward", Op::Eq, (i % WARDS) as i64));
+        if i >= WARDS {
+            let op = if i.is_multiple_of(2) { Op::Ge } else { Op::Le };
+            filter = filter
+                .with(("kind", Op::Eq, KINDS[(i / WARDS) % KINDS.len()]))
+                .with(("bpm", op, 40 + (i * 160 / SUBSCRIPTIONS) as i64));
+        }
+        let subscriber = ServiceId::from_raw(0x100 + i as u64 % SUBSCRIBERS);
+        bus.subscribe(subscriber, filter, Arc::clone(&sink))
+            .expect("subscribe");
+    }
+    bus
+}
+
+/// Four attributes, one of them a string; every event reaches somebody.
+fn events(n: usize) -> Vec<Event> {
+    (0..n)
+        .map(|i| {
+            Event::builder(EVENT_TYPE)
+                .attr("ward", (i % WARDS) as i64)
+                .attr("kind", KINDS[i % KINDS.len()])
+                .attr("bpm", 40 + (i * 37 % 160) as i64)
+                .attr("bed", (i % 24) as i64)
+                .publisher(ServiceId::from_raw(0x9000))
+                .seq(i as u64 + 1)
+                .payload(vec![0xAB; 48])
+                .build()
+        })
+        .collect()
+}
+
+/// Heap requests made by this thread while publishing `PUBLISHES` prebuilt
+/// events, after a warm-up that grows the per-thread buffers.
+fn allocations_while_publishing(bus: &EventBus) -> u64 {
+    for event in events(PUBLISHES) {
+        assert!(bus.publish(event).expect("publish") > 0);
+    }
+    let batch = events(PUBLISHES);
+    let before = ALLOCS.with(Cell::get);
+    for event in batch {
+        bus.publish(event).expect("publish");
+    }
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn steady_state_publish_allocates_only_the_shared_frame() {
+    let in_process = ward_bus(Arc::new(InProcessSink::default()));
+    assert_eq!(
+        allocations_while_publishing(&in_process),
+        0,
+        "in-process sinks: publish must not touch the heap"
+    );
+
+    let framed = ward_bus(Arc::new(FrameSink::default()));
+    assert_eq!(
+        allocations_while_publishing(&framed),
+        PUBLISHES as u64,
+        "frame-taking sinks: one shared buffer per publish, nothing else"
+    );
+}

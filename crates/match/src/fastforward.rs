@@ -1,20 +1,38 @@
-//! The counting-algorithm forwarding table — the "C-based" bus's engine.
+//! The forwarding table — the "C-based" bus's engine.
 //!
-//! This reproduces the structure of Siena's *fast forwarding* algorithm
-//! (Carzaniga & Wolf, SIGCOMM'03), which the paper's dedicated C matcher
-//! was based on:
+//! A filter is indexed in exactly one of two ways, chosen by its own shape:
 //!
-//! * identical constraints are stored **once**, shared by all filters that
-//!   use them;
-//! * constraints are indexed **per attribute name**, with hash lookup for
-//!   equality tests and sorted threshold arrays for numeric comparisons;
-//! * matching walks the event's attributes, marks satisfied constraints,
-//!   and **counts** per filter — a filter fires when its count reaches its
-//!   constraint total;
-//! * no representation translation happens on the hot path: the engine
-//!   reads the event's attributes in place.
+//! * **No equality constraint: counting**, after Siena's *fast forwarding*
+//!   (Carzaniga & Wolf, "Forwarding in a Content-Based Network",
+//!   SIGCOMM'03), which the paper's dedicated C matcher was based on.
+//!   Identical constraints are stored once and shared by every filter that
+//!   uses them; they are indexed per attribute name in sorted threshold
+//!   arrays; matching walks the event's attributes, visits each satisfied
+//!   constraint and bumps a counter for every filter posted under it — a
+//!   filter fires when its count reaches its constraint total. A constraint
+//!   sits in the per-name index only while such a filter is posted under it.
+//! * **At least one equality constraint: clustering**, after Fabret et al.
+//!   ("Filtering Algorithms and Implementation for Very Fast
+//!   Publish/Subscribe Systems", SIGMOD'01). The filter joins the cluster
+//!   keyed by the sorted set of attribute names its equalities test, in the
+//!   bucket keyed by a hash of their normalised values. An event probes
+//!   each cluster whose names it carries with one hash and one lookup, and
+//!   every filter in the bucket is then verified in place — event type,
+//!   then each constraint — so hash collisions cost time, never a wrong
+//!   answer, and no per-filter counter is touched. A filter whose
+//!   equalities cannot all hold is registered but posted nowhere.
+//!
+//! No representation translation happens on the hot path: the engine reads
+//! the event's attributes in place and allocates nothing.
+//!
+//! The matchable table shares structure with its snapshots: every piece
+//! sits behind an [`Arc`], [`Matcher::snapshot`] clones the handful of
+//! top-level pointers, and a control operation copies only the pieces it
+//! changes ([`Arc::make_mut`]).
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use smc_types::{
@@ -37,8 +55,8 @@ enum ValueKey {
     Bytes(Vec<u8>),
 }
 
-/// Returns the hash key for a value, or `None` when the value can never
-/// equal anything (NaN).
+/// Returns the interning key for a value, or `None` when the value can
+/// never equal anything (NaN).
 fn value_key(v: &AttributeValue) -> Option<ValueKey> {
     match v {
         AttributeValue::Bool(b) => Some(ValueKey::Bool(*b)),
@@ -48,6 +66,22 @@ fn value_key(v: &AttributeValue) -> Option<ValueKey> {
         AttributeValue::Str(s) => Some(ValueKey::Str(s.clone())),
         AttributeValue::Bytes(b) => Some(ValueKey::Bytes(b.clone())),
     }
+}
+
+/// Feeds `v` to `state` with the folding [`value_key`] applies, borrowing
+/// the value instead of copying it: values equal under
+/// [`AttributeValue::eq_filter`] hash alike. Returns `false` for NaN, which
+/// equals nothing.
+fn hash_value(v: &AttributeValue, state: &mut impl Hasher) -> bool {
+    match v {
+        AttributeValue::Bool(b) => (0u8, b).hash(state),
+        AttributeValue::Int(i) => (1u8, norm_bits(*i as f64)).hash(state),
+        AttributeValue::Double(d) if d.is_nan() => return false,
+        AttributeValue::Double(d) => (1u8, norm_bits(*d)).hash(state),
+        AttributeValue::Str(s) => (2u8, s).hash(state),
+        AttributeValue::Bytes(b) => (3u8, b).hash(state),
+    }
+    true
 }
 
 fn norm_bits(d: f64) -> u64 {
@@ -61,38 +95,29 @@ fn norm_bits(d: f64) -> u64 {
 
 type ConstraintId = usize;
 type FilterId = usize;
+type ClusterId = usize;
 
-#[derive(Debug, Clone)]
-struct ConstraintRecord {
-    constraint: Constraint,
-    refcount: usize,
-}
-
-/// Canonical identity of a constraint for sharing.
+/// Canonical identity of a constraint for sharing (`value` is `None` for
+/// NaN).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ConstraintKey {
     name: String,
     op: Op,
     value: Option<ValueKey>,
-    /// Disambiguates NaN doubles (value = None) from each other.
-    nan: bool,
 }
 
 fn constraint_key(c: &Constraint) -> ConstraintKey {
-    let key = value_key(&c.value);
     ConstraintKey {
         name: c.name.clone(),
         op: c.op,
-        nan: key.is_none(),
-        value: key,
+        value: value_key(&c.value),
     }
 }
 
-/// Per-attribute-name constraint index.
+/// What the table knows about one attribute name: the constraints of
+/// counting-path filters over it, and the clusters it leads.
 #[derive(Debug, Default, Clone)]
 struct NameIndex {
-    /// Equality tests, hash-indexed by canonical value.
-    eq: HashMap<ValueKey, Vec<ConstraintId>>,
     /// `x > t` / `x >= t` over numeric thresholds, sorted by `t`.
     num_greater: Vec<(f64, bool, ConstraintId)>,
     /// `x < t` / `x <= t` over numeric thresholds, sorted by `t`.
@@ -102,35 +127,36 @@ struct NameIndex {
     /// Everything else (string ops, `!=`, non-numeric ordering): evaluated
     /// directly. Small in practice.
     misc: Vec<ConstraintId>,
+    /// Clusters whose first (smallest) name is this one, so an event finds
+    /// each cluster it could satisfy from its own attributes, once.
+    clusters: Vec<ClusterId>,
 }
 
 impl NameIndex {
     fn is_empty(&self) -> bool {
-        self.eq.is_empty()
-            && self.num_greater.is_empty()
+        self.num_greater.is_empty()
             && self.num_less.is_empty()
             && self.exists.is_empty()
             && self.misc.is_empty()
+            && self.clusters.is_empty()
     }
 
     fn insert(&mut self, cid: ConstraintId, c: &Constraint) {
+        debug_assert_ne!(c.op, Op::Eq, "equalities are clustered, not counted");
         match c.op {
-            Op::Eq => {
-                if let Some(key) = value_key(&c.value) {
-                    self.eq.entry(key).or_default().push(cid);
+            Op::Gt | Op::Ge | Op::Lt | Op::Le if c.value.is_numeric() => {
+                let t = c.value.as_numeric().expect("numeric");
+                // A NaN threshold orders against nothing: never satisfied,
+                // so indexed nowhere (and it would break the sort order).
+                if t.is_nan() {
+                    return;
                 }
-                // An `Eq NaN` constraint can never be satisfied: indexed
-                // nowhere, it simply never fires.
-            }
-            Op::Gt | Op::Ge if c.value.is_numeric() => {
-                let t = c.value.as_numeric().expect("numeric");
-                let at = self.num_greater.partition_point(|&(x, _, _)| x < t);
-                self.num_greater.insert(at, (t, c.op == Op::Ge, cid));
-            }
-            Op::Lt | Op::Le if c.value.is_numeric() => {
-                let t = c.value.as_numeric().expect("numeric");
-                let at = self.num_less.partition_point(|&(x, _, _)| x < t);
-                self.num_less.insert(at, (t, c.op == Op::Le, cid));
+                let list = match c.op {
+                    Op::Gt | Op::Ge => &mut self.num_greater,
+                    _ => &mut self.num_less,
+                };
+                let at = list.partition_point(|&(x, _, _)| x < t);
+                list.insert(at, (t, matches!(c.op, Op::Ge | Op::Le), cid));
             }
             Op::Exists => self.exists.push(cid),
             _ => self.misc.push(cid),
@@ -139,16 +165,6 @@ impl NameIndex {
 
     fn remove(&mut self, cid: ConstraintId, c: &Constraint) {
         match c.op {
-            Op::Eq => {
-                if let Some(key) = value_key(&c.value) {
-                    if let Some(list) = self.eq.get_mut(&key) {
-                        list.retain(|&x| x != cid);
-                        if list.is_empty() {
-                            self.eq.remove(&key);
-                        }
-                    }
-                }
-            }
             Op::Gt | Op::Ge if c.value.is_numeric() => {
                 self.num_greater.retain(|&(_, _, x)| x != cid);
             }
@@ -160,20 +176,13 @@ impl NameIndex {
         }
     }
 
-    /// Invokes `satisfy` for every constraint satisfied by `value`.
+    /// Invokes `satisfy` for every indexed constraint satisfied by `value`.
     fn visit_satisfied(
         &self,
         value: &AttributeValue,
-        records: &[Option<ConstraintRecord>],
+        records: &[Option<Arc<Constraint>>],
         satisfy: &mut impl FnMut(ConstraintId),
     ) {
-        if let Some(key) = value_key(value) {
-            if let Some(list) = self.eq.get(&key) {
-                for &cid in list {
-                    satisfy(cid);
-                }
-            }
-        }
         if let Some(v) = value.as_numeric() {
             if !v.is_nan() {
                 // x > t (or >=): satisfied for thresholds below v.
@@ -209,12 +218,23 @@ impl NameIndex {
             satisfy(cid);
         }
         for &cid in &self.misc {
-            let rec = records[cid].as_ref().expect("indexed constraint is live");
-            if rec.constraint.matches_value(value) {
+            let c = records[cid].as_ref().expect("indexed constraint is live");
+            if c.matches_value(value) {
                 satisfy(cid);
             }
         }
     }
+}
+
+/// The filters whose equality constraints test one set of attribute names.
+#[derive(Debug, Clone)]
+struct Cluster {
+    /// The names, sorted and distinct.
+    names: Arc<[String]>,
+    /// Members by the hash of their equality values, taken in name order
+    /// with [`hash_value`]. A bucket may hold colliding signatures: every
+    /// member is verified against the event before it fires.
+    buckets: HashMap<u64, Arc<Vec<FilterId>>>,
 }
 
 /// Canonical identity of a filter for sharing.
@@ -224,13 +244,37 @@ struct FilterKey {
     constraint_ids: Vec<ConstraintId>,
 }
 
+/// Where a filter is posted — decided by the filter's shape alone.
+#[derive(Debug, Clone, Copy)]
+enum Posting {
+    /// No constraints: in `match_all` or `empty_typed`.
+    Unconditional,
+    /// No equality: under each of its constraints, for the counting pass.
+    Counted,
+    /// At least one equality: in one bucket of one cluster.
+    Clustered { cluster: ClusterId, signature: u64 },
+    /// Equalities that cannot all hold (`== NaN`, or two values for one
+    /// name): nowhere, it never fires.
+    Unsatisfiable,
+}
+
 #[derive(Debug, Clone)]
 struct FilterEntry {
     event_type: Option<String>,
+    /// Interned constraints, distinct, in verification order: equalities —
+    /// which a bucket has already selected on — last.
     constraint_ids: Vec<ConstraintId>,
-    needed: u32,
     subs: Vec<(SubscriptionId, ServiceId)>,
-    key: FilterKey,
+    posting: Posting,
+}
+
+impl FilterEntry {
+    fn type_matches(&self, event: &Event) -> bool {
+        match &self.event_type {
+            Some(t) => t == event.event_type(),
+            None => true,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -261,12 +305,19 @@ struct SubRecord {
 #[derive(Debug, Default)]
 pub struct FastForwardEngine {
     /// The matchable forwarding table. Everything matching reads lives
-    /// here; it is `Clone` so [`Matcher::snapshot`] can freeze it.
+    /// here; cloning it is what [`Matcher::snapshot`] does.
     table: FfTable,
+
+    // Interning side tables: only control operations read them, so they
+    // stay out of the table and are never copied for a snapshot.
+    /// Filters holding each constraint, by constraint id.
+    constraint_refs: Vec<usize>,
     free_records: Vec<ConstraintId>,
     constraint_lookup: HashMap<ConstraintKey, ConstraintId>,
     free_filters: Vec<FilterId>,
     filter_lookup: HashMap<FilterKey, FilterId>,
+    free_clusters: Vec<ClusterId>,
+    cluster_lookup: HashMap<Arc<[String]>, ClusterId>,
 
     subs: HashMap<SubscriptionId, SubRecord>,
 
@@ -274,28 +325,38 @@ pub struct FastForwardEngine {
     scratch: MatchScratch,
 }
 
-/// The immutable-at-match-time part of the forwarding table: constraint
-/// records, per-name indexes, filter entries and their subscriber lists.
-/// Matching only ever reads it; all mutation happens through the owning
-/// [`FastForwardEngine`], which keeps the interning side tables.
+/// A slot vector shared with snapshots twice over — the spine and each
+/// element — so changing one element copies the spine (pointers) and that
+/// element, never its neighbours.
+type Slots<T> = Arc<Vec<Option<Arc<T>>>>;
+
+/// The counted filters posted under one constraint, each with its
+/// constraint total, so a counter update reads nothing but the counter.
+type PostingList = Arc<Vec<(FilterId, u32)>>;
+
+/// The immutable-at-match-time part of the forwarding table. Matching only
+/// ever reads it; all mutation happens through the owning
+/// [`FastForwardEngine`]. Cloning it is a pointer bump per field.
 #[derive(Debug, Default, Clone)]
 struct FfTable {
-    records: Vec<Option<ConstraintRecord>>,
-    /// constraint -> filters containing it.
-    postings: Vec<Vec<FilterId>>,
-    name_index: HashMap<String, NameIndex>,
-
-    filters: Vec<Option<FilterEntry>>,
+    filters: Slots<FilterEntry>,
+    records: Slots<Constraint>,
+    /// By constraint id; empty for a constraint no counted filter holds.
+    postings: Arc<Vec<PostingList>>,
+    names: Arc<HashMap<Arc<str>, Arc<NameIndex>>>,
+    clusters: Slots<Cluster>,
     /// Filters with zero constraints and a type restriction, by type.
-    empty_typed: HashMap<String, Vec<FilterId>>,
+    empty_typed: Arc<HashMap<String, Vec<FilterId>>>,
     /// Filters with zero constraints and no type restriction.
-    match_all: Vec<FilterId>,
+    match_all: Arc<Vec<FilterId>>,
+    /// Keys the bucket signatures. Per engine and random because the
+    /// hashed values arrive from devices.
+    hasher: RandomState,
 }
 
 impl FfTable {
-    /// Core counting match: fills `scratch.fired` with the ids of all
-    /// firing filters. Read-only over the table; all working memory is
-    /// the caller's scratch.
+    /// Fills `scratch.fired` with the ids of all firing filters. Read-only
+    /// over the table; all working memory is the caller's scratch.
     fn matching_filters_into(&self, event: &Event, scratch: &mut MatchScratch) {
         let MatchScratch {
             counters,
@@ -309,40 +370,65 @@ impl FfTable {
         *generation += 1;
         let generation = *generation;
 
-        {
-            let postings = &self.postings;
-            let filters = &self.filters;
-            let records = &self.records;
-            let event_type = event.event_type();
-            let mut satisfy = |cid: ConstraintId| {
-                for &fid in &postings[cid] {
+        let filters = &self.filters[..];
+        let records = &self.records[..];
+        let postings = &self.postings[..];
+        for (name, value) in event.attributes().iter() {
+            let Some(idx) = self.names.get(name) else {
+                continue;
+            };
+            idx.visit_satisfied(value, records, &mut |cid: ConstraintId| {
+                for &(fid, needed) in postings[cid].iter() {
                     let slot = &mut counters[fid];
                     if slot.0 != generation {
                         *slot = (generation, 0);
                     }
                     slot.1 += 1;
-                    let entry = filters[fid].as_ref().expect("posted filter is live");
-                    if slot.1 == entry.needed {
-                        let type_ok = match &entry.event_type {
-                            Some(t) => t == event_type,
-                            None => true,
-                        };
-                        if type_ok {
+                    if slot.1 == needed {
+                        let entry = filters[fid].as_ref().expect("posted filter is live");
+                        if entry.type_matches(event) {
                             fired.push(fid);
                         }
                     }
                 }
-            };
-            for (name, value) in event.attributes().iter() {
-                if let Some(idx) = self.name_index.get(name) {
-                    idx.visit_satisfied(value, records, &mut satisfy);
-                }
+            });
+            for &cluster in &idx.clusters {
+                let cluster = self.clusters[cluster]
+                    .as_ref()
+                    .expect("indexed cluster is live");
+                self.probe(cluster, event, fired);
             }
         }
 
         fired.extend(self.match_all.iter().copied());
         if let Some(list) = self.empty_typed.get(event.event_type()) {
             fired.extend(list.iter().copied());
+        }
+    }
+
+    /// Appends to `fired` the members of `cluster` that match `event`: one
+    /// hash over the event's values for the cluster's names, one bucket
+    /// lookup, then each candidate verified in full.
+    fn probe(&self, cluster: &Cluster, event: &Event, fired: &mut Vec<FilterId>) {
+        let mut state = self.hasher.build_hasher();
+        for name in cluster.names.iter() {
+            match event.attr(name) {
+                Some(value) if hash_value(value, &mut state) => {}
+                _ => return,
+            }
+        }
+        let Some(bucket) = cluster.buckets.get(&state.finish()) else {
+            return;
+        };
+        for &fid in bucket.iter() {
+            let entry = self.filters[fid].as_ref().expect("posted filter is live");
+            let holds = |&cid: &ConstraintId| {
+                let c = self.records[cid].as_ref().expect("held constraint is live");
+                c.matches_event(event)
+            };
+            if entry.type_matches(event) && entry.constraint_ids.iter().all(holds) {
+                fired.push(fid);
+            }
         }
     }
 
@@ -393,60 +479,151 @@ impl RouteSnapshot for FfSnapshot {
     }
 }
 
+/// Takes a free slot of `slots`, growing it when there is none.
+fn take_slot<T>(slots: &mut Slots<T>, free: &mut Vec<usize>) -> usize {
+    free.pop().unwrap_or_else(|| {
+        let slots = Arc::make_mut(slots);
+        slots.push(None);
+        slots.len() - 1
+    })
+}
+
 impl FastForwardEngine {
     /// Creates an empty engine.
     pub fn new() -> Self {
         FastForwardEngine::default()
     }
 
+    fn record(&self, cid: ConstraintId) -> &Arc<Constraint> {
+        let record = self.table.records[cid].as_ref();
+        record.expect("interned constraint is live")
+    }
+
+    /// Finds or stores `c`, without taking a reference on it.
     fn intern_constraint(&mut self, c: &Constraint) -> ConstraintId {
         let key = constraint_key(c);
         if let Some(&cid) = self.constraint_lookup.get(&key) {
-            self.table.records[cid]
-                .as_mut()
-                .expect("looked-up constraint is live")
-                .refcount += 1;
             return cid;
         }
-        let cid = match self.free_records.pop() {
-            Some(cid) => cid,
-            None => {
-                self.table.records.push(None);
-                self.table.postings.push(Vec::new());
-                self.table.records.len() - 1
-            }
-        };
-        self.table.records[cid] = Some(ConstraintRecord {
-            constraint: c.clone(),
-            refcount: 1,
-        });
-        self.table.postings[cid].clear();
+        let cid = take_slot(&mut self.table.records, &mut self.free_records);
+        if cid == self.constraint_refs.len() {
+            // A new slot: the two tables beside `records` grow with it.
+            self.constraint_refs.push(0);
+            Arc::make_mut(&mut self.table.postings).push(Arc::default());
+        }
+        Arc::make_mut(&mut self.table.records)[cid] = Some(Arc::new(c.clone()));
         self.constraint_lookup.insert(key, cid);
-        self.table
-            .name_index
-            .entry(c.name.clone())
-            .or_default()
-            .insert(cid, c);
         cid
     }
 
     fn release_constraint(&mut self, cid: ConstraintId) {
-        let rec = self.table.records[cid]
-            .as_mut()
-            .expect("releasing live constraint");
-        rec.refcount -= 1;
-        if rec.refcount > 0 {
+        self.constraint_refs[cid] -= 1;
+        if self.constraint_refs[cid] > 0 {
             return;
         }
-        let c = rec.constraint.clone();
-        self.table.records[cid] = None;
-        self.free_records.push(cid);
+        let c = Arc::make_mut(&mut self.table.records)[cid]
+            .take()
+            .expect("releasing live constraint");
         self.constraint_lookup.remove(&constraint_key(&c));
-        if let Some(idx) = self.table.name_index.get_mut(&c.name) {
-            idx.remove(cid, &c);
-            if idx.is_empty() {
-                self.table.name_index.remove(&c.name);
+        self.free_records.push(cid);
+    }
+
+    /// Applies `edit` to the index of `name`, creating the index on demand
+    /// and dropping it once nothing is left in it.
+    fn edit_name(&mut self, name: &str, edit: impl FnOnce(&mut NameIndex)) {
+        let names = Arc::make_mut(&mut self.table.names);
+        if !names.contains_key(name) {
+            names.insert(Arc::from(name), Arc::default());
+        }
+        let idx = Arc::make_mut(names.get_mut(name).expect("present or just inserted"));
+        edit(idx);
+        if idx.is_empty() {
+            names.remove(name);
+        }
+    }
+
+    /// Posts counted filter `fid` under `cid`; the first posting puts the
+    /// constraint into its name's index.
+    fn post(&mut self, cid: ConstraintId, fid: FilterId, needed: u32) {
+        let list = Arc::make_mut(&mut Arc::make_mut(&mut self.table.postings)[cid]);
+        list.push((fid, needed));
+        if list.len() == 1 {
+            let c = Arc::clone(self.record(cid));
+            self.edit_name(&c.name, |idx| idx.insert(cid, &c));
+        }
+    }
+
+    /// Undoes [`Self::post`]; the last posting takes the constraint out of
+    /// its name's index.
+    fn unpost(&mut self, cid: ConstraintId, fid: FilterId) {
+        let list = Arc::make_mut(&mut Arc::make_mut(&mut self.table.postings)[cid]);
+        list.retain(|&(f, _)| f != fid);
+        if list.is_empty() {
+            let c = Arc::clone(self.record(cid));
+            self.edit_name(&c.name, |idx| idx.remove(cid, &c));
+        }
+    }
+
+    /// The cluster names and bucket signature of a filter whose equality
+    /// constraints are `eqs`, taken in name order; `None` when they cannot
+    /// all hold. Interning folded equal values onto one id, so two
+    /// equalities left on one name differ in value.
+    fn equality_signature(&self, eqs: &[ConstraintId]) -> Option<(Vec<String>, u64)> {
+        let mut eqs: Vec<&Constraint> = eqs.iter().map(|&cid| &**self.record(cid)).collect();
+        eqs.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        if eqs.windows(2).any(|w| w[0].name == w[1].name) {
+            return None;
+        }
+        let mut state = self.table.hasher.build_hasher();
+        for c in &eqs {
+            if !hash_value(&c.value, &mut state) {
+                return None;
             }
+        }
+        let names = eqs.iter().map(|c| c.name.clone()).collect();
+        Some((names, state.finish()))
+    }
+
+    /// Puts `fid` into the bucket `signature` of the cluster for `names`,
+    /// creating the cluster on demand.
+    fn cluster_insert(&mut self, names: Vec<String>, signature: u64, fid: FilterId) -> ClusterId {
+        let id = match self.cluster_lookup.get(names.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let names: Arc<[String]> = names.into();
+                let id = take_slot(&mut self.table.clusters, &mut self.free_clusters);
+                Arc::make_mut(&mut self.table.clusters)[id] = Some(Arc::new(Cluster {
+                    names: Arc::clone(&names),
+                    buckets: HashMap::new(),
+                }));
+                self.edit_name(&names[0], |idx| idx.clusters.push(id));
+                self.cluster_lookup.insert(names, id);
+                id
+            }
+        };
+        let slot = Arc::make_mut(&mut self.table.clusters)[id].as_mut();
+        let cluster = Arc::make_mut(slot.expect("looked-up cluster is live"));
+        Arc::make_mut(cluster.buckets.entry(signature).or_default()).push(fid);
+        id
+    }
+
+    /// Undoes [`Self::cluster_insert`]; the last member takes the cluster
+    /// with it.
+    fn cluster_remove(&mut self, id: ClusterId, signature: u64, fid: FilterId) {
+        let slot = &mut Arc::make_mut(&mut self.table.clusters)[id];
+        let cluster = Arc::make_mut(slot.as_mut().expect("member's cluster is live"));
+        let bucket = cluster.buckets.get_mut(&signature);
+        let bucket = Arc::make_mut(bucket.expect("member's bucket is live"));
+        bucket.retain(|&f| f != fid);
+        if bucket.is_empty() {
+            cluster.buckets.remove(&signature);
+        }
+        if cluster.buckets.is_empty() {
+            let names = Arc::clone(&cluster.names);
+            *slot = None;
+            self.free_clusters.push(id);
+            self.cluster_lookup.remove(&names);
+            self.edit_name(&names[0], |idx| idx.clusters.retain(|&c| c != id));
         }
     }
 
@@ -459,88 +636,99 @@ impl FastForwardEngine {
             .map(|c| self.intern_constraint(c))
             .collect();
         cids.sort_unstable();
-        let before = cids.len();
         cids.dedup();
-        if before != cids.len() {
-            // Re-do refcounting precisely: count each unique once.
-            // (Rare path: a filter containing the identical constraint twice.)
-            let mut seen = std::collections::HashSet::new();
-            for c in filter.constraints() {
-                let key = constraint_key(c);
-                let cid = self.constraint_lookup[&key];
-                if !seen.insert(cid) {
-                    self.release_constraint(cid);
-                }
-            }
-        }
         let key = FilterKey {
             event_type: filter.event_type().map(str::to_owned),
-            constraint_ids: cids.clone(),
+            constraint_ids: cids,
         };
         if let Some(&fid) = self.filter_lookup.get(&key) {
-            // The filter structure already exists; drop the refcounts we
-            // just took (the entry holds its own).
-            for &cid in &cids {
-                self.release_constraint(cid);
-            }
+            // The entry holds its constraints, so interning created none.
             return fid;
         }
-        let fid = match self.free_filters.pop() {
-            Some(fid) => fid,
-            None => {
-                self.table.filters.push(None);
-                self.table.filters.len() - 1
-            }
-        };
-        for &cid in &cids {
-            self.table.postings[cid].push(fid);
+        let fid = take_slot(&mut self.table.filters, &mut self.free_filters);
+        for &cid in &key.constraint_ids {
+            self.constraint_refs[cid] += 1;
         }
-        let entry = FilterEntry {
-            event_type: key.event_type.clone(),
-            needed: cids.len() as u32,
-            constraint_ids: cids,
-            subs: Vec::new(),
-            key: key.clone(),
-        };
-        if entry.needed == 0 {
-            match &entry.event_type {
-                Some(t) => self
-                    .table
-                    .empty_typed
+        // Verification order: equalities — which a bucket has already
+        // selected on — last.
+        let mut cids = key.constraint_ids.clone();
+        cids.sort_by_key(|&cid| self.record(cid).op == Op::Eq);
+        let first_eq = cids.partition_point(|&cid| self.record(cid).op != Op::Eq);
+        let posting = if cids.is_empty() {
+            match &key.event_type {
+                Some(t) => Arc::make_mut(&mut self.table.empty_typed)
                     .entry(t.clone())
                     .or_default()
                     .push(fid),
-                None => self.table.match_all.push(fid),
+                None => Arc::make_mut(&mut self.table.match_all).push(fid),
             }
-        }
-        self.table.filters[fid] = Some(entry);
+            Posting::Unconditional
+        } else if first_eq == cids.len() {
+            for &cid in &cids {
+                self.post(cid, fid, cids.len() as u32);
+            }
+            Posting::Counted
+        } else {
+            match self.equality_signature(&cids[first_eq..]) {
+                Some((names, signature)) => Posting::Clustered {
+                    cluster: self.cluster_insert(names, signature, fid),
+                    signature,
+                },
+                None => Posting::Unsatisfiable,
+            }
+        };
+        Arc::make_mut(&mut self.table.filters)[fid] = Some(Arc::new(FilterEntry {
+            event_type: key.event_type.clone(),
+            constraint_ids: cids,
+            subs: Vec::new(),
+            posting,
+        }));
         self.filter_lookup.insert(key, fid);
         fid
     }
 
     fn release_filter(&mut self, fid: FilterId) {
-        let entry = self.table.filters[fid]
+        let entry = Arc::make_mut(&mut self.table.filters)[fid]
             .take()
             .expect("releasing live filter");
-        self.filter_lookup.remove(&entry.key);
-        for &cid in &entry.constraint_ids {
-            self.table.postings[cid].retain(|&f| f != fid);
-            self.release_constraint(cid);
-        }
-        if entry.needed == 0 {
-            match &entry.event_type {
+        match entry.posting {
+            Posting::Unconditional => match &entry.event_type {
                 Some(t) => {
-                    if let Some(list) = self.table.empty_typed.get_mut(t) {
+                    let empty_typed = Arc::make_mut(&mut self.table.empty_typed);
+                    if let Some(list) = empty_typed.get_mut(t) {
                         list.retain(|&f| f != fid);
                         if list.is_empty() {
-                            self.table.empty_typed.remove(t);
+                            empty_typed.remove(t);
                         }
                     }
                 }
-                None => self.table.match_all.retain(|&f| f != fid),
+                None => Arc::make_mut(&mut self.table.match_all).retain(|&f| f != fid),
+            },
+            Posting::Counted => {
+                for &cid in &entry.constraint_ids {
+                    self.unpost(cid, fid);
+                }
             }
+            Posting::Clustered { cluster, signature } => {
+                self.cluster_remove(cluster, signature, fid);
+            }
+            Posting::Unsatisfiable => {}
         }
+        for &cid in &entry.constraint_ids {
+            self.release_constraint(cid);
+        }
+        let mut constraint_ids = entry.constraint_ids.clone();
+        constraint_ids.sort_unstable();
+        self.filter_lookup.remove(&FilterKey {
+            event_type: entry.event_type.clone(),
+            constraint_ids,
+        });
         self.free_filters.push(fid);
+    }
+
+    fn entry_mut(&mut self, fid: FilterId) -> &mut FilterEntry {
+        let slot = Arc::make_mut(&mut self.table.filters)[fid].as_mut();
+        Arc::make_mut(slot.expect("subscribed filter is live"))
     }
 }
 
@@ -554,11 +742,7 @@ impl Matcher for FastForwardEngine {
             return Err(Error::AlreadyExists(sub.id.to_string()));
         }
         let fid = self.intern_filter(&sub.filter);
-        self.table.filters[fid]
-            .as_mut()
-            .expect("interned filter is live")
-            .subs
-            .push((sub.id, sub.subscriber));
+        self.entry_mut(fid).subs.push((sub.id, sub.subscriber));
         self.subs.insert(
             sub.id,
             SubRecord {
@@ -576,15 +760,11 @@ impl Matcher for FastForwardEngine {
             .remove(&id)
             .ok_or_else(|| Error::NotFound(id.to_string()))?;
         let fid = rec.filter_id;
-        let empty = {
-            let entry = self.table.filters[fid]
-                .as_mut()
-                .expect("subscribed filter is live");
-            entry.subs.retain(|&(s, _)| s != id);
-            entry.subs.is_empty()
-        };
-        if empty {
+        let entry = self.table.filters[fid].as_ref();
+        if entry.expect("subscribed filter is live").subs.len() == 1 {
             self.release_filter(fid);
+        } else {
+            self.entry_mut(fid).subs.retain(|&(s, _)| s != id);
         }
         Ok(Subscription::new(id, rec.subscriber, rec.filter))
     }
@@ -836,5 +1016,163 @@ mod tests {
         m.subscribe(sub(99, 1, Filter::any().with(("x", Op::Gt, 1i64))))
             .unwrap();
         assert_eq!(m.table.records.len(), before);
+    }
+
+    /// `ward == w && kind == k && bpm >= t`, the shape a ward's monitors
+    /// subscribe with.
+    fn ward_filter(ward: i64, kind: &str, bpm: i64) -> Filter {
+        Filter::for_type("r")
+            .with(("ward", Op::Eq, ward))
+            .with(("kind", Op::Eq, kind))
+            .with(("bpm", Op::Ge, bpm))
+    }
+
+    fn reading(ward: i64, kind: &str, bpm: i64) -> Event {
+        Event::builder("r")
+            .attr("ward", ward)
+            .attr("kind", kind)
+            .attr("bpm", bpm)
+            .build()
+    }
+
+    #[test]
+    fn clustered_filters_are_selected_by_their_equalities() {
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, ward_filter(1, "hr", 100))).unwrap();
+        m.subscribe(sub(2, 2, ward_filter(1, "hr", 150))).unwrap();
+        m.subscribe(sub(3, 3, ward_filter(2, "hr", 100))).unwrap();
+        m.subscribe(sub(4, 4, ward_filter(1, "spo2", 100))).unwrap();
+        assert_eq!(
+            m.matching_subscriptions(&reading(1, "hr", 120)),
+            vec![SubscriptionId(1)]
+        );
+        assert_eq!(
+            m.matching_subscriptions(&reading(1, "hr", 150)),
+            vec![SubscriptionId(1), SubscriptionId(2)]
+        );
+        assert!(m.matching_subscriptions(&reading(3, "hr", 150)).is_empty());
+        // A clustered name missing, or carrying another type.
+        let no_kind = Event::builder("r").attr("ward", 1i64).attr("bpm", 150i64);
+        assert!(m.matching_subscriptions(&no_kind.build()).is_empty());
+        let ward_as_text = Event::builder("r")
+            .attr("ward", "1")
+            .attr("kind", "hr")
+            .attr("bpm", 150i64);
+        assert!(m.matching_subscriptions(&ward_as_text.build()).is_empty());
+        // One cluster, found under its first name; nothing is counted.
+        assert_eq!(m.cluster_lookup.len(), 1);
+        assert_eq!(m.table.names.len(), 1);
+        assert!(m.table.names["kind"].num_greater.is_empty());
+        assert!(m.table.postings.iter().all(|list| list.is_empty()));
+    }
+
+    #[test]
+    fn index_entries_live_only_while_something_is_posted() {
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, ward_filter(1, "hr", 100))).unwrap();
+        assert!(!m.table.names.contains_key("bpm"));
+        // A counted filter sharing the range constraint puts it in the index…
+        m.subscribe(sub(
+            2,
+            2,
+            Filter::for_type("r").with(("bpm", Op::Ge, 100i64)),
+        ))
+        .unwrap();
+        assert_eq!(m.constraint_lookup.len(), 3);
+        assert_eq!(m.table.names["bpm"].num_greater.len(), 1);
+        assert_eq!(m.matching_subscriptions(&reading(1, "hr", 120)).len(), 2);
+        // …and takes it out again, while the clustered filter still holds it.
+        m.unsubscribe(SubscriptionId(2)).unwrap();
+        assert!(!m.table.names.contains_key("bpm"));
+        assert_eq!(m.constraint_lookup.len(), 3);
+        assert_eq!(
+            m.matching_subscriptions(&reading(1, "hr", 120)),
+            vec![SubscriptionId(1)]
+        );
+        // The last member takes the cluster with it; its slot is reused.
+        m.unsubscribe(SubscriptionId(1)).unwrap();
+        assert!(m.table.names.is_empty() && m.cluster_lookup.is_empty());
+        assert!(m.table.clusters.len() == 1 && m.table.clusters[0].is_none());
+        m.subscribe(sub(3, 3, ward_filter(2, "hr", 100))).unwrap();
+        assert_eq!(m.table.clusters.len(), 1);
+        assert_eq!(m.matching_subscriptions(&reading(2, "hr", 120)).len(), 1);
+    }
+
+    #[test]
+    fn unsatisfiable_filter_is_registered_but_never_fires() {
+        let mut m = FastForwardEngine::new();
+        let f = Filter::any()
+            .with(("x", Op::Eq, 1i64))
+            .with(("x", Op::Eq, 2i64));
+        m.subscribe(sub(1, 1, f.clone())).unwrap();
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.snapshot().len(), 1);
+        assert!(m.table.names.is_empty() && m.table.clusters.is_empty());
+        for v in [1i64, 2] {
+            let e = Event::builder("t").attr("x", v).build();
+            assert!(m.matching_subscriptions(&e).is_empty());
+        }
+        assert_eq!(m.unsubscribe(SubscriptionId(1)).unwrap().filter, f);
+        assert!(m.is_empty());
+        assert_eq!(m.constraint_lookup.len(), 0);
+    }
+
+    #[test]
+    fn nan_threshold_never_fires_and_leaves_the_order_intact() {
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, Filter::any().with(("x", Op::Ge, f64::NAN))))
+            .unwrap();
+        m.subscribe(sub(2, 2, Filter::any().with(("x", Op::Ge, 3i64))))
+            .unwrap();
+        m.subscribe(sub(3, 3, Filter::any().with(("x", Op::Le, f64::NAN))))
+            .unwrap();
+        m.subscribe(sub(4, 4, Filter::any().with(("x", Op::Le, -2i64))))
+            .unwrap();
+        let at = |v: i64| Event::builder("t").attr("x", v).build();
+        assert!(m.matching_subscriptions(&at(0)).is_empty());
+        assert_eq!(m.matching_subscriptions(&at(3)), vec![SubscriptionId(2)]);
+        assert_eq!(m.matching_subscriptions(&at(-2)), vec![SubscriptionId(4)]);
+    }
+
+    /// Two tables cloned either side of one `subscribe` — what
+    /// `snapshot()` freezes — share every piece the operation did not
+    /// change and differ in the ones it did.
+    #[test]
+    fn snapshots_share_what_a_subscribe_did_not_change() {
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, Filter::any().with(("x", Op::Gt, 5i64))))
+            .unwrap();
+        m.subscribe(sub(2, 2, ward_filter(1, "hr", 100))).unwrap();
+        let before = m.table.clone();
+        // A second member for the existing cluster, in a bucket of its own.
+        m.subscribe(sub(3, 3, ward_filter(2, "hr", 100))).unwrap();
+        let after = m.table.clone();
+
+        let same = |a: &Option<Arc<FilterEntry>>, b: &Option<Arc<FilterEntry>>| {
+            Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap())
+        };
+        assert!(same(&before.filters[0], &after.filters[0]));
+        assert!(same(&before.filters[1], &after.filters[1]));
+        assert!(Arc::ptr_eq(&before.postings[0], &after.postings[0]));
+        assert!(Arc::ptr_eq(&before.names, &after.names));
+        let (old, new) = (&before.clusters[0], &after.clusters[0]);
+        let (old, new) = (old.as_ref().unwrap(), new.as_ref().unwrap());
+        for (signature, bucket) in &old.buckets {
+            assert!(Arc::ptr_eq(bucket, &new.buckets[signature]));
+        }
+
+        assert!(!Arc::ptr_eq(&before.filters, &after.filters));
+        assert!(!Arc::ptr_eq(&before.records, &after.records));
+        assert!(!Arc::ptr_eq(old, new));
+        assert_eq!((before.filters.len(), after.filters.len()), (2, 3));
+        assert_eq!((old.buckets.len(), new.buckets.len()), (1, 2));
+
+        // Each still answers for the moment it was taken.
+        let event = reading(2, "hr", 120);
+        let mut scratch = MatchScratch::new();
+        before.matching_filters_into(&event, &mut scratch);
+        assert!(scratch.fired.is_empty());
+        after.matching_filters_into(&event, &mut scratch);
+        assert_eq!(scratch.fired, vec![2]);
     }
 }

@@ -9,8 +9,9 @@
 //! * [`NaiveEngine`] — evaluate every filter against every event;
 //! * [`SienaEngine`] — candidate index by event type, plus the translation
 //!   round-trip the Java/JNI prototype paid on every match;
-//! * [`FastForwardEngine`] — constraint-sharing counting algorithm working
-//!   on borrowed event data (the "C-based" bus).
+//! * [`FastForwardEngine`] — candidates picked by their equality
+//!   constraints and verified in place, the constraint-sharing counting
+//!   algorithm for the rest, on borrowed event data (the "C-based" bus).
 //!
 //! All three agree exactly on match semantics; the property tests in
 //! `tests/engine_equivalence.rs` enforce it.

@@ -5,20 +5,40 @@
 //! randomly generated subscription sets, event streams and unsubscription
 //! interleavings.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use smc_match::EngineKind;
+use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
 use smc_types::{
     AttributeValue, Constraint, Event, Filter, Op, ServiceId, Subscription, SubscriptionId,
 };
 
-/// Small value alphabet so constraints and attributes collide often.
+/// Above this, neighbouring ints fold onto one double.
+const TWO_53: i64 = 1 << 53;
+
+/// Small value alphabet so constraints and attributes collide often, plus
+/// the values an equality index can get wrong: NaN (equals nothing), the
+/// two zeros (equal), ints that compare equal once they are doubles, and
+/// byte strings.
 fn arb_value() -> impl Strategy<Value = AttributeValue> {
     prop_oneof![
-        (-4i64..4).prop_map(AttributeValue::Int),
-        (-4i64..4).prop_map(|i| AttributeValue::Double(i as f64 / 2.0)),
-        prop_oneof![Just("hr"), Just("hrx"), Just("bp"), Just("")]
+        3 => (-4i64..4).prop_map(AttributeValue::Int),
+        3 => (-4i64..4).prop_map(|i| AttributeValue::Double(i as f64 / 2.0)),
+        3 => prop_oneof![Just("hr"), Just("hrx"), Just("bp"), Just("")]
             .prop_map(|s| AttributeValue::Str(s.to_string())),
-        any::<bool>().prop_map(AttributeValue::Bool),
+        2 => any::<bool>().prop_map(AttributeValue::Bool),
+        1 => prop_oneof![Just(f64::NAN), Just(-0.0f64), Just(TWO_53 as f64)]
+            .prop_map(AttributeValue::Double),
+        1 => prop_oneof![
+            Just(TWO_53 - 1),
+            Just(TWO_53),
+            Just(TWO_53 + 1),
+            Just(-TWO_53),
+            Just(-TWO_53 - 1)
+        ]
+        .prop_map(AttributeValue::Int),
+        1 => prop_oneof![Just(&b"hr"[..]), Just(&b""[..]), Just(&[0u8, 255][..])]
+            .prop_map(|b| AttributeValue::Bytes(b.to_vec())),
     ]
 }
 
@@ -72,8 +92,182 @@ fn arb_event() -> impl Strategy<Value = Event> {
         })
 }
 
+fn arb_ward() -> impl Strategy<Value = AttributeValue> {
+    prop_oneof![
+        (0i64..3).prop_map(AttributeValue::Int),
+        (0i64..3).prop_map(|i| AttributeValue::Double(i as f64)),
+    ]
+}
+
+fn arb_kind() -> impl Strategy<Value = AttributeValue> {
+    prop_oneof![Just("hr"), Just("bp")].prop_map(AttributeValue::from)
+}
+
+fn arb_threshold() -> impl Strategy<Value = (Op, i64)> {
+    (
+        prop_oneof![Just(Op::Ge), Just(Op::Le), Just(Op::Gt)],
+        -4i64..4,
+    )
+}
+
+/// Filters of a few shapes over small alphabets, so that a cluster holds
+/// many members and many filters are identical: ward-like (two equalities
+/// and a range), one equality, two equalities on one name (one value
+/// twice, one value as `5` and as `5.0`, two different values), `== NaN`,
+/// range-only (the counting path), and anything [`arb_filter`] draws.
+fn arb_shaped_filter() -> impl Strategy<Value = Filter> {
+    let twice = |v: AttributeValue, w: AttributeValue| {
+        Filter::any().with(("a", Op::Eq, v)).with(("a", Op::Eq, w))
+    };
+    prop_oneof![
+        6 => (arb_ward(), arb_kind(), arb_threshold()).prop_map(|(w, k, (op, t))| {
+            Filter::for_type("t")
+                .with(("a", Op::Eq, w))
+                .with(("b", Op::Eq, k))
+                .with(("c", op, t))
+        }),
+        2 => arb_ward().prop_map(|w| Filter::for_type("t").with(("a", Op::Eq, w))),
+        1 => arb_ward().prop_map(move |w| twice(w.clone(), w)),
+        1 => Just(twice(5i64.into(), 5.0f64.into())),
+        1 => Just(twice(1i64.into(), 2i64.into())),
+        1 => Just(Filter::any().with(("b", Op::Eq, f64::NAN))),
+        2 => arb_threshold().prop_map(|(op, t)| Filter::any().with(("c", op, t))),
+        1 => arb_filter(),
+    ]
+}
+
+/// Events over the shaped filters' names: mostly values of the type the
+/// filters expect, sometimes a name missing or carrying another type.
+fn arb_shaped_event() -> impl Strategy<Value = Event> {
+    let a = prop_oneof![4 => arb_ward(), 1 => Just(5.0f64.into()), 1 => arb_value()];
+    let b = prop_oneof![4 => arb_kind(), 1 => arb_value()];
+    let c = prop_oneof![4 => (-4i64..4).prop_map(AttributeValue::Int), 1 => arb_value()];
+    (
+        prop_oneof![3 => Just("t"), 1 => Just("u")],
+        proptest::option::of(a),
+        proptest::option::of(b),
+        proptest::option::of(c),
+    )
+        .prop_map(|(ty, a, b, c)| {
+            let mut builder = Event::builder(ty).publisher(ServiceId::from_raw(1)).seq(1);
+            for (name, value) in [("a", a), ("b", b), ("c", c)] {
+                if let Some(value) = value {
+                    builder = builder.attr(name, value);
+                }
+            }
+            builder.build()
+        })
+}
+
+fn subscribe_all(engines: &mut [Box<dyn Matcher>], id: u64, filter: &Filter) {
+    let sub = Subscription::new(
+        SubscriptionId(id),
+        ServiceId::from_raw(100 + id % 3),
+        filter.clone(),
+    );
+    for e in engines {
+        e.subscribe(sub.clone()).unwrap();
+    }
+}
+
+/// Every engine answers `event` like the oracle (`engines[0]`).
+fn assert_agree(engines: &mut [Box<dyn Matcher>], event: &Event) {
+    let oracle = engines[0].matching_subscriptions(event);
+    let oracle_svc = engines[0].matching_subscribers(event);
+    for e in &mut engines[1..] {
+        assert_eq!(
+            e.matching_subscriptions(event),
+            oracle,
+            "engine {} disagrees with oracle on {event}",
+            e.name()
+        );
+        assert_eq!(e.matching_subscribers(event), oracle_svc);
+    }
+}
+
+/// A snapshot, the subscription count and the oracle's answer for each
+/// event at the moment it was taken.
+type Frozen = (Arc<dyn RouteSnapshot>, usize, Vec<Vec<ServiceId>>);
+
+/// Freezes `engine`, checks the snapshot against the oracle now, and
+/// returns it with the oracle's answers for checking again later.
+fn freeze(engine: &dyn Matcher, oracle: &mut dyn Matcher, events: &[Event]) -> Frozen {
+    let answers = events
+        .iter()
+        .map(|ev| oracle.matching_subscribers(ev))
+        .collect();
+    let frozen = (engine.snapshot(), oracle.len(), answers);
+    assert_frozen(&frozen, events);
+    frozen
+}
+
+fn assert_frozen((snap, len, answers): &Frozen, events: &[Event]) {
+    let mut scratch = MatchScratch::new();
+    let mut out = Vec::new();
+    assert_eq!(snap.len(), *len);
+    for (ev, want) in events.iter().zip(answers) {
+        snap.matching_subscribers_into(ev, &mut scratch, &mut out);
+        assert_eq!(&out, want, "snapshot of {len} subscriptions on {ev}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Subscribing, unsubscribing and re-subscribing the same few filter
+    /// shapes — until every cluster has emptied and refilled and every
+    /// slot has been reused — never makes an engine leave the oracle.
+    #[test]
+    fn engines_agree_through_cluster_churn(
+        filters in proptest::collection::vec(arb_shaped_filter(), 1..200),
+        ops in proptest::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 0..48),
+        events in proptest::collection::vec(arb_shaped_event(), 1..6),
+    ) {
+        let mut engines: Vec<_> = EngineKind::ALL.iter().map(|k| k.build()).collect();
+        let mut live: Vec<u64> = (0..filters.len() as u64).collect();
+        let mut next_id = live.len() as u64;
+        for (&id, f) in live.iter().zip(&filters) {
+            subscribe_all(&mut engines, id, f);
+        }
+        for ev in &events {
+            assert_agree(&mut engines, ev);
+        }
+        // Churn: one more subscription to a filter already there, or one
+        // fewer of whatever is live.
+        for (step, (idx, add)) in ops.into_iter().enumerate() {
+            if add || live.is_empty() {
+                subscribe_all(&mut engines, next_id, &filters[idx.index(filters.len())]);
+                live.push(next_id);
+                next_id += 1;
+            } else {
+                let id = live.swap_remove(idx.index(live.len()));
+                for e in &mut engines {
+                    prop_assert_eq!(e.unsubscribe(SubscriptionId(id)).unwrap().id, SubscriptionId(id));
+                }
+            }
+            assert_agree(&mut engines, &events[step % events.len()]);
+        }
+        // Drain: every cluster, posting list and slot is given back.
+        for id in live.drain(..) {
+            for e in &mut engines {
+                e.unsubscribe(SubscriptionId(id)).unwrap();
+            }
+        }
+        for ev in &events {
+            for e in &mut engines {
+                prop_assert!(e.is_empty());
+                prop_assert!(e.matching_subscriptions(ev).is_empty(), "{} after drain", e.name());
+            }
+        }
+        // Refill, in the other order, into the reused slots.
+        for f in filters.iter().rev() {
+            subscribe_all(&mut engines, next_id, f);
+            next_id += 1;
+        }
+        for ev in &events {
+            assert_agree(&mut engines, ev);
+        }
+    }
 
     /// All engines return identical subscription sets for every event.
     #[test]
@@ -110,23 +304,34 @@ proptest! {
 
     /// Every engine's frozen snapshot answers exactly like the live
     /// engine, and stays pinned to the subscription set it was taken
-    /// from even after the engine mutates.
+    /// from even after the engine mutates: every snapshot taken along the
+    /// way is checked again, after all later mutations, against the
+    /// oracle's answer recorded when it was taken — a snapshot is a value
+    /// even where it shares memory with its successors.
     #[test]
     fn snapshots_agree_with_engines(
         filters in proptest::collection::vec(arb_filter(), 1..10),
         events in proptest::collection::vec(arb_event(), 1..8),
+        shaped in proptest::collection::vec(arb_shaped_filter(), 0..24),
+        shaped_events in proptest::collection::vec(arb_shaped_event(), 0..6),
     ) {
-        use smc_match::MatchScratch;
+        let filters = [filters, shaped].concat();
+        let events = [events, shaped_events].concat();
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
         for kind in EngineKind::ALL {
             let mut engine = kind.build();
+            let mut oracle = EngineKind::Naive.build();
+            let mut kept: Vec<Frozen> = Vec::new();
             for (i, f) in filters.iter().enumerate() {
-                engine.subscribe(Subscription::new(
+                let sub = Subscription::new(
                     SubscriptionId(i as u64),
                     ServiceId::from_raw(100 + (i % 3) as u64),
                     f.clone(),
-                )).unwrap();
+                );
+                engine.subscribe(sub.clone()).unwrap();
+                oracle.subscribe(sub).unwrap();
+                kept.push(freeze(&*engine, &mut *oracle, &events));
             }
             let snap = engine.snapshot();
             prop_assert_eq!(snap.len(), engine.len());
@@ -138,6 +343,7 @@ proptest! {
             }
             // Mutating the engine must not leak into the taken snapshot.
             engine.unsubscribe(SubscriptionId(0)).unwrap();
+            oracle.unsubscribe(SubscriptionId(0)).unwrap();
             for ev in &events {
                 snap.matching_subscribers_into(ev, &mut scratch, &mut out);
                 let mut stale = kind.build();
@@ -150,6 +356,15 @@ proptest! {
                 }
                 prop_assert_eq!(&out, &stale.matching_subscribers(ev),
                     "{} snapshot changed after engine mutation", kind);
+            }
+            kept.push(freeze(&*engine, &mut *oracle, &events));
+            for i in 1..filters.len() as u64 {
+                engine.unsubscribe(SubscriptionId(i)).unwrap();
+                oracle.unsubscribe(SubscriptionId(i)).unwrap();
+                kept.push(freeze(&*engine, &mut *oracle, &events));
+            }
+            for frozen in &kept {
+                assert_frozen(frozen, &events);
             }
         }
     }

@@ -173,7 +173,7 @@ type Segment = Box<[Mutex<Option<HopRecord>>]>;
 /// overwritten ([`TraceSink::overwritten`] counts them); queries see the
 /// most recent `capacity` hops.
 ///
-/// Slots are allocated in [`SEGMENT_SLOTS`]-sized segments on first
+/// Slots are allocated in `SEGMENT_SLOTS`-sized segments on first
 /// touch, so creating a large sink is cheap and a lightly-used one never
 /// pays for its full capacity.
 #[derive(Debug)]

@@ -7,7 +7,7 @@
 //! domain moves emulate devices drifting out of radio range.
 //!
 //! Endpoints attached to the same [`SimNetwork`] exchange datagrams.
-//! All timestamps come from a [`Clock`], so the network runs in one of
+//! All timestamps come from a [`Clock`](smc_types::Clock), so the network runs in one of
 //! two modes:
 //!
 //! * **Real time** ([`SimNetwork::new`] / [`SimNetwork::with_seed`]): a

@@ -4,6 +4,8 @@
 //! reliable frames: publish/ack, subscribe/ack, discovery beacons and the
 //! join handshake, heartbeats, quench control and raw device data.
 
+use std::cell::RefCell;
+
 use bytes::{BufMut, BytesMut};
 
 use crate::codec::{Decode, Encode, Reader, WriteExt};
@@ -12,6 +14,7 @@ use crate::event::{AttributeSet, Event};
 use crate::filter::Filter;
 use crate::id::{CellId, EventId, ServiceId, SubscriptionId};
 use crate::member::ServiceInfo;
+use crate::shared::SharedBytes;
 use crate::trace::TraceId;
 
 /// An application-level packet.
@@ -453,6 +456,13 @@ impl Decode for Packet {
     }
 }
 
+thread_local! {
+    /// The buffer [`encode_deliver`] encodes into before it knows the
+    /// frame's length; the thread keeps the capacity of the largest frame
+    /// it has encoded.
+    static DELIVER_SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+}
+
 /// Encodes a [`Packet::Deliver`] frame straight from a borrowed event —
 /// byte-identical to `to_bytes(&Packet::Deliver { event, trace })` but
 /// without cloning the event into a packet first.
@@ -460,15 +470,14 @@ impl Decode for Packet {
 /// This is the fan-out hot path: the bus encodes one delivery frame per
 /// publish and shares it across every remote subscriber, so the per-
 /// subscriber cost is a reference-count bump instead of an event clone
-/// plus a fresh encode.
-pub fn encode_deliver(event: &Event, trace: TraceId) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u8(P_DELIVER);
-    event.encode(&mut buf);
-    if trace.is_some() {
-        buf.put_u64_le(trace.raw());
-    }
-    buf.to_vec()
+/// plus a fresh encode. The shared buffer is the call's only allocation.
+pub fn encode_deliver(event: &Event, trace: TraceId) -> SharedBytes {
+    DELIVER_SCRATCH.with(|scratch| {
+        let mut buf = scratch.borrow_mut();
+        buf.clear();
+        encode_deliver_arena(event, trace, &mut buf);
+        SharedBytes::from(&buf[..])
+    })
 }
 
 /// Appends one [`Packet::Deliver`] frame to `arena`, returning the byte
@@ -534,7 +543,7 @@ mod tests {
                 event: event.clone(),
                 trace,
             });
-            assert_eq!(direct, via_packet);
+            assert_eq!(&direct[..], &via_packet[..]);
         }
     }
 

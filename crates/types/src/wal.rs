@@ -43,7 +43,7 @@ const W_OUT_REQUEUE: u8 = 11;
 /// One durable state transition of the SMC core.
 ///
 /// Channel-level records carry a `chan` discriminator because the core
-/// runs more than one [`ReliableChannel`] (the bus/device channel and
+/// runs more than one `ReliableChannel` (the bus/device channel and
 /// the discovery channel); each is journalled independently.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
