@@ -1,10 +1,9 @@
 //! Criterion microbench for the publish hot path: one `publish` against
 //! a pre-built subscription set, swept over fan-out width.
 //!
-//! Complements `src/bin/publish_throughput.rs` (which measures
-//! multi-threaded end-to-end throughput against the locked baseline):
-//! this one isolates the single-publish latency of the snapshot path —
-//! one atomic route load, allocation-free matching, one shared encode.
+//! Isolates the single-publish latency of the snapshot path — one atomic
+//! route load, allocation-free matching, one shared encode. End-to-end
+//! throughput is the ledger's job (`benchmark/`, workload `ward_bus`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

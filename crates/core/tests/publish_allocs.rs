@@ -79,10 +79,6 @@ impl EventSink for FrameSink {
             .fetch_add(frame.encoded().len() as u64, Ordering::Relaxed);
         Ok(())
     }
-
-    fn prefers_encoded(&self) -> bool {
-        true
-    }
 }
 
 /// A bus with a ward-shaped subscription set: subscription `i` watches ward

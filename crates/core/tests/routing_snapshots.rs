@@ -140,17 +140,36 @@ fn purge_is_atomic_for_the_next_publish() {
     assert_eq!(sink.delivered.load(Ordering::SeqCst), 1);
 }
 
-/// Concurrent publish + subscribe/purge churn: no panics, and a stable
-/// subscriber registered before publishing starts receives every single
-/// matched event — churn never drops a matched delivery.
+/// The seqs `sink` retained from each of `publishers` publishers, in
+/// arrival order.
+fn seqs_per_publisher(sink: &RetainingSink, publishers: usize) -> Vec<Vec<u64>> {
+    let events = sink.events.lock().unwrap();
+    (0..publishers)
+        .map(|p| {
+            let id = ServiceId::from_raw(0x9000 + p as u64);
+            events
+                .iter()
+                .filter(|e| e.publisher() == id)
+                .map(Event::seq)
+                .collect()
+        })
+        .collect()
+}
+
+/// Four threads publish through one bus while a fifth subscribes and
+/// purges members, under the delivery oracle's rules: a subscriber that
+/// stays a member throughout gets every publisher's stream exactly once
+/// and in order, and a member that comes and goes gets, from each
+/// publisher, one gap-free in-order run — exactly once while a member,
+/// per-sender FIFO, nothing after the purge.
 #[test]
 fn publish_survives_concurrent_churn_without_drops() {
-    const PUBLISHERS: usize = 3;
+    const PUBLISHERS: usize = 4;
     const EVENTS_EACH: usize = 2_000;
     const CHURN_MEMBERS: usize = 8;
 
     let bus = Arc::new(EventBus::new(EngineKind::FastForward));
-    let stable = Arc::new(CountingSink::default());
+    let stable = Arc::new(RetainingSink::default());
     bus.subscribe(
         ServiceId::from_raw(0x50),
         Filter::for_type(EVENT_TYPE),
@@ -160,7 +179,7 @@ fn publish_survives_concurrent_churn_without_drops() {
 
     let publishers_done = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(Barrier::new(PUBLISHERS + 2));
-    std::thread::scope(|scope| {
+    let churned: Vec<Arc<RetainingSink>> = std::thread::scope(|scope| {
         let bus_ref = &bus;
         let done_ref = &publishers_done;
         let barrier_ref = &barrier;
@@ -173,10 +192,12 @@ fn publish_survives_concurrent_churn_without_drops() {
                 done_ref.fetch_add(1, Ordering::SeqCst);
             });
         }
-        // Churn thread: members subscribe, get a few deliveries, get
-        // purged — until every publisher finished.
-        scope.spawn(move || {
+        // Churn thread: members subscribe (a fresh sink per membership),
+        // get a few deliveries, get purged — until every publisher
+        // finished.
+        let churn = scope.spawn(move || {
             barrier_ref.wait();
+            let mut sinks = Vec::new();
             let mut round = 0u64;
             while done_ref.load(Ordering::SeqCst) < PUBLISHERS as u64 {
                 round += 1;
@@ -184,13 +205,15 @@ fn publish_survives_concurrent_churn_without_drops() {
                     .map(|m| ServiceId::from_raw(0x1000 + m as u64))
                     .collect();
                 for &m in &members {
+                    let sink = Arc::new(RetainingSink::default());
                     bus_ref
                         .subscribe(
                             m,
                             Filter::for_type(EVENT_TYPE),
-                            Arc::new(CountingSink::default()) as Arc<dyn EventSink>,
+                            Arc::clone(&sink) as Arc<dyn EventSink>,
                         )
                         .unwrap();
+                    sinks.push(sink);
                 }
                 for &m in &members {
                     if round.is_multiple_of(2) {
@@ -205,16 +228,27 @@ fn publish_survives_concurrent_churn_without_drops() {
                     }
                 }
             }
+            sinks
         });
         barrier.wait();
+        churn.join().unwrap()
     });
 
-    let expected = (PUBLISHERS * EVENTS_EACH) as u64;
-    assert_eq!(
-        stable.delivered.load(Ordering::SeqCst),
-        expected,
-        "stable subscriber missed matched deliveries under churn"
-    );
+    let whole_stream: Vec<u64> = (1..=EVENTS_EACH as u64).collect();
+    for (p, seqs) in seqs_per_publisher(&stable, PUBLISHERS).iter().enumerate() {
+        assert_eq!(
+            seqs, &whole_stream,
+            "stable subscriber: publisher {p}'s stream is not exactly-once in order"
+        );
+    }
+    for sink in &churned {
+        for (p, seqs) in seqs_per_publisher(sink, PUBLISHERS).iter().enumerate() {
+            assert!(
+                seqs.windows(2).all(|w| w[1] == w[0] + 1),
+                "churned member: publisher {p}'s run has a gap, a duplicate or a reorder: {seqs:?}"
+            );
+        }
+    }
 }
 
 /// Purge while publishers hammer the bus: after `remove_subscriber`

@@ -4,15 +4,11 @@
 //! (or into both) the books stop balancing, and this test names the
 //! seed that caught it.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
-use smc_core::{BatchPublisher, DeliveryFrame, EventBus, EventSink};
+use proptest::{proptest, ProptestConfig};
 use smc_harness::{run_with_options, RunOptions, Scenario};
-use smc_match::EngineKind;
-use smc_telemetry::{Hop, StageKind, TraceSink, Tracer};
-use smc_types::{Event, Filter, ManualClock, Result, ServiceId, SharedClock, TraceId};
+use smc_telemetry::StageKind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -73,99 +69,5 @@ proptest! {
         // Quiet schedules still publish on the device cadence, so the
         // property never passes vacuously.
         assert!(journeys > 0, "seed {seed}: no complete journeys to check");
-    }
-
-    /// Batched publishes keep the books balanced too: the linger an
-    /// event spends in the publisher's coalescing buffer lands in the
-    /// `batch-queue` stage as *wait* — never inflating a service stage
-    /// — and wait + service still sums to the journey total exactly.
-    #[test]
-    fn batched_publish_attributes_linger_as_wait(
-        events in 1usize..24,
-        max_batch in 1usize..8,
-        gaps in proptest::collection::vec(0u64..200, 24),
-    ) {
-        struct TracingSink {
-            tracer: Tracer,
-        }
-        impl EventSink for TracingSink {
-            fn deliver(&self, event: &Event) -> Result<()> {
-                self.tracer.record(
-                    TraceId::for_event(event.publisher(), event.seq()),
-                    Hop::Delivered,
-                );
-                Ok(())
-            }
-            fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
-                self.tracer.record(frame.trace(), Hop::Delivered);
-                Ok(())
-            }
-        }
-
-        let ring = Arc::new(TraceSink::with_capacity(1024));
-        let manual = Arc::new(ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock));
-        let bus = Arc::new(EventBus::new(EngineKind::FastForward));
-        bus.set_tracer(tracer.clone());
-        bus.subscribe(
-            ServiceId::from_raw(1),
-            Filter::any(),
-            Arc::new(TracingSink { tracer }) as Arc<dyn EventSink>,
-        )
-        .expect("subscribe");
-
-        let publisher = ServiceId::from_raw(0xAB);
-        let mut batcher = BatchPublisher::new(Arc::clone(&bus), clock, max_batch, u64::MAX);
-        for seq in 1..=events as u64 {
-            manual.advance_micros(gaps[(seq as usize - 1) % gaps.len()]);
-            batcher
-                .push(
-                    Event::builder("r")
-                        .publisher(publisher)
-                        .seq(seq)
-                        .build(),
-                )
-                .expect("push");
-        }
-        batcher.flush().expect("flush");
-
-        for seq in 1..=events as u64 {
-            let journey = ring.journey(TraceId::for_event(publisher, seq));
-            prop_assert!(!journey.is_empty(), "event {seq} left no journey");
-            let legs = journey.attribution();
-            let batch_legs: Vec<_> = legs
-                .iter()
-                .filter(|l| l.stage == "batch-queue")
-                .collect();
-            prop_assert_eq!(
-                batch_legs.len(),
-                1,
-                "event {} must cross the batch queue exactly once",
-                seq
-            );
-            prop_assert_eq!(
-                batch_legs[0].kind,
-                StageKind::Wait,
-                "linger must be attributed as wait"
-            );
-            let wait: u64 = legs
-                .iter()
-                .filter(|l| l.kind == StageKind::Wait)
-                .map(|l| l.delta_micros)
-                .sum();
-            let service: u64 = legs
-                .iter()
-                .filter(|l| l.kind == StageKind::Service)
-                .map(|l| l.delta_micros)
-                .sum();
-            prop_assert_eq!(
-                wait + service,
-                journey.total_micros(),
-                "event {} leaks time over legs {:#?}",
-                seq,
-                legs
-            );
-        }
     }
 }

@@ -17,9 +17,7 @@
 //!   when one is wired in, otherwise a fold of the trace sink's current
 //!   window,
 //! * `GET /slo` (`?json` for machine form, `?at=<µs>` to pin the
-//!   evaluation instant) — per-SLO windowed burn rates,
-//! * `GET /shards` (`?shard=<n>` for one shard) — per-shard ring depth
-//!   and throughput gauges when the sharded bus publishes them.
+//!   evaluation instant) — per-SLO windowed burn rates.
 //!
 //! One request per connection, `Connection: close` — deliberately
 //! minimal, since the workspace is offline and vendors no HTTP stack.
@@ -48,43 +46,6 @@ pub struct SupervisionStatus {
     pub peers: Vec<PeerLease>,
 }
 
-/// One shard's gauges as published to the status surface. Kept as a
-/// plain value struct so the health crate stays independent of the bus
-/// crate — whoever runs a sharded bus copies its stat snapshots in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardGauge {
-    /// Shard index.
-    pub shard: u64,
-    /// Events enqueued but not yet processed (live ring depth).
-    pub depth: u64,
-    /// Events accepted into the shard's rings since start.
-    pub enqueued: u64,
-    /// Events the shard worker has published.
-    pub processed: u64,
-    /// Deliveries those publishes made.
-    pub delivered: u64,
-    /// Coalesced publish batches the worker has run.
-    pub batches: u64,
-    /// Publisher handles pinned to the shard.
-    pub publishers: u64,
-}
-
-impl ShardGauge {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"shard\": {}, \"depth\": {}, \"enqueued\": {}, \"processed\": {}, \
-             \"delivered\": {}, \"batches\": {}, \"publishers\": {}}}",
-            self.shard,
-            self.depth,
-            self.enqueued,
-            self.processed,
-            self.delivered,
-            self.batches,
-            self.publishers
-        )
-    }
-}
-
 /// What the server reads on each request. The health report is shared
 /// state refreshed by whoever drives the
 /// [`HealthMonitor`](crate::HealthMonitor); the registry and sink sample
@@ -111,9 +72,6 @@ pub struct StatusSources {
     pub tails: Option<Arc<parking_lot::Mutex<CriticalPath>>>,
     /// SLO trackers behind `/slo` (404s when absent).
     pub slo: Option<Arc<parking_lot::Mutex<Vec<SloTracker>>>>,
-    /// Per-shard gauges behind `/shards`, refreshed by whoever runs the
-    /// sharded bus (404s when absent).
-    pub shards: Option<Arc<parking_lot::Mutex<Vec<ShardGauge>>>>,
 }
 
 /// The running server: a background accept loop that can be stopped.
@@ -269,12 +227,11 @@ fn route(target: &str, sources: &StatusSources) -> (&'static str, &'static str, 
         },
         "/tails" => tails_route(query, sources),
         "/slo" => slo_route(query, sources),
-        "/shards" => shards_route(query, sources),
         "/" => (
             "200 OK",
             "text/plain",
             "smc status server: /metrics /health /supervision /cells \
-             /tails /slo /shards /journey?sender=..&seq=..\n"
+             /tails /slo /journey?sender=..&seq=..\n"
                 .to_owned(),
         ),
         _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
@@ -446,48 +403,6 @@ fn slo_route(query: &str, sources: &StatusSources) -> (&'static str, &'static st
     }
 }
 
-/// `/shards`: per-shard depth/throughput gauges as JSON. `?shard=<n>`
-/// narrows to one shard (404 for an index nobody publishes).
-fn shards_route(query: &str, sources: &StatusSources) -> (&'static str, &'static str, String) {
-    let gauges = match &sources.shards {
-        None => return json_error("404 Not Found", "sharded execution is not enabled"),
-        Some(g) => g,
-    };
-    let mut only: Option<u64> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        if k == "shard" {
-            match v.parse() {
-                Ok(idx) => only = Some(idx),
-                Err(_) => {
-                    return json_error(
-                        "400 Bad Request",
-                        &format!(
-                            "query parameter 'shard' must be a non-negative integer, got '{v}'"
-                        ),
-                    )
-                }
-            }
-        }
-    }
-    let gauges = gauges.lock();
-    let selected: Vec<String> = gauges
-        .iter()
-        .filter(|g| only.is_none_or(|idx| g.shard == idx))
-        .map(|g| g.to_json())
-        .collect();
-    if let Some(idx) = only {
-        if selected.is_empty() {
-            return json_error("404 Not Found", &format!("no such shard: {idx}"));
-        }
-    }
-    (
-        "200 OK",
-        "application/json",
-        format!("{{\"shards\": [{}]}}\n", selected.join(", ")),
-    )
-}
-
 /// A JSON error body: `{"error":"..."}` with the given status line.
 fn json_error(status: &'static str, message: &str) -> (&'static str, &'static str, String) {
     (
@@ -584,7 +499,6 @@ mod tests {
             clock: None,
             tails: None,
             slo: None,
-            shards: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
         let addr = server.local_addr();
@@ -625,7 +539,6 @@ mod tests {
             clock: None,
             tails: None,
             slo: None,
-            shards: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
         let addr = server.local_addr();
@@ -718,7 +631,6 @@ mod tests {
             clock: None,
             tails: None,
             slo: None,
-            shards: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
         let r = get(server.local_addr(), "/supervision");
@@ -995,76 +907,6 @@ mod tests {
         assert!(r.starts_with("HTTP/1.1 404"), "got: {r}");
         assert!(r.contains("application/json"));
         assert!(r.contains("{\"error\":\"slo tracking is not enabled\"}"));
-        server.stop();
-    }
-
-    #[test]
-    fn shards_serves_gauges_with_filter_and_errors() {
-        let gauges = Arc::new(parking_lot::Mutex::new(vec![
-            ShardGauge {
-                shard: 0,
-                depth: 2,
-                enqueued: 12,
-                processed: 10,
-                delivered: 10,
-                batches: 3,
-                publishers: 1,
-            },
-            ShardGauge {
-                shard: 1,
-                depth: 0,
-                enqueued: 7,
-                processed: 7,
-                delivered: 14,
-                batches: 2,
-                publishers: 2,
-            },
-        ]));
-        let sources = StatusSources {
-            shards: Some(Arc::clone(&gauges)),
-            ..Default::default()
-        };
-        let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
-        let addr = server.local_addr();
-
-        // All shards by default.
-        let r = get(addr, "/shards");
-        assert!(r.starts_with("HTTP/1.1 200 OK"), "got: {r}");
-        assert!(r.contains("application/json"));
-        assert!(
-            r.contains("{\"shard\": 0, \"depth\": 2, \"enqueued\": 12, \"processed\": 10"),
-            "got: {r}"
-        );
-        assert!(r.contains("\"shard\": 1"));
-
-        // ?shard narrows to one.
-        let r = get(addr, "/shards?shard=1");
-        assert!(r.starts_with("HTTP/1.1 200 OK"), "got: {r}");
-        assert!(!r.contains("\"shard\": 0"), "got: {r}");
-        assert!(r.contains("\"delivered\": 14"));
-
-        // The view is live: a refresh shows on the next request.
-        gauges.lock()[0].depth = 0;
-        let r = get(addr, "/shards?shard=0");
-        assert!(r.contains("\"depth\": 0"), "got: {r}");
-
-        // Unknown index: 404. Non-integer: 400, echoing the value.
-        let r = get(addr, "/shards?shard=9");
-        assert!(r.starts_with("HTTP/1.1 404"), "got: {r}");
-        assert!(r.contains("{\"error\":\"no such shard: 9\"}"));
-        let r = get(addr, "/shards?shard=two");
-        assert!(r.starts_with("HTTP/1.1 400"), "got: {r}");
-        assert!(r.contains("'shard' must be a non-negative integer, got 'two'"));
-        server.stop();
-    }
-
-    #[test]
-    fn shards_without_sharding_is_a_json_404() {
-        let server = StatusServer::start("127.0.0.1:0", StatusSources::default()).expect("start");
-        let r = get(server.local_addr(), "/shards");
-        assert!(r.starts_with("HTTP/1.1 404"), "got: {r}");
-        assert!(r.contains("application/json"));
-        assert!(r.contains("{\"error\":\"sharded execution is not enabled\"}"));
         server.stop();
     }
 

@@ -44,7 +44,6 @@ pub mod member;
 pub mod packet;
 pub mod shared;
 pub mod snap;
-pub mod spsc;
 pub mod supervision;
 pub mod telemetry;
 pub mod trace;
@@ -61,10 +60,9 @@ pub use member::{
     device_type_of, member_id_of, new_member_event, purge_member_event, wellknown, PurgeReason,
     ServiceInfo,
 };
-pub use packet::{encode_deliver, encode_deliver_arena, Packet};
+pub use packet::{encode_deliver, Packet};
 pub use shared::SharedBytes;
 pub use snap::SnapshotCell;
-pub use spsc::{SpscReceiver, SpscSender};
 pub use supervision::SupervisionMsg;
 pub use telemetry::{episode_trace, HopExport, SeriesDelta, TelemetryMsg};
 pub use trace::TraceId;

@@ -475,26 +475,13 @@ pub fn encode_deliver(event: &Event, trace: TraceId) -> SharedBytes {
     DELIVER_SCRATCH.with(|scratch| {
         let mut buf = scratch.borrow_mut();
         buf.clear();
-        encode_deliver_arena(event, trace, &mut buf);
+        buf.put_u8(P_DELIVER);
+        event.encode(&mut buf);
+        if trace.is_some() {
+            buf.put_u64_le(trace.raw());
+        }
         SharedBytes::from(&buf[..])
     })
-}
-
-/// Appends one [`Packet::Deliver`] frame to `arena`, returning the byte
-/// range it occupies — byte-identical per frame to [`encode_deliver`].
-///
-/// This is the batched fan-out path: the bus encodes a whole publish
-/// burst into one arena, wraps it in a single shared buffer, and slices
-/// each event's frame back out by range, so a batch costs one buffer
-/// allocation instead of one (plus a copy) per event.
-pub fn encode_deliver_arena(event: &Event, trace: TraceId, arena: &mut BytesMut) -> (usize, usize) {
-    let start = arena.len();
-    arena.put_u8(P_DELIVER);
-    event.encode(arena);
-    if trace.is_some() {
-        arena.put_u64_le(trace.raw());
-    }
-    (start, arena.len())
 }
 
 /// Reads the trailing optional trace id: old (pre-trace) frames end at the
@@ -545,41 +532,6 @@ mod tests {
             });
             assert_eq!(&direct[..], &via_packet[..]);
         }
-    }
-
-    /// Each arena-encoded frame must be byte-identical to a standalone
-    /// `encode_deliver` — remote subscribers cannot tell a batched
-    /// publish from a singular one.
-    #[test]
-    fn encode_deliver_arena_slices_match_singular_encoding() {
-        let events: Vec<Event> = (0..3)
-            .map(|i| {
-                Event::builder("t.hot")
-                    .attr("a", i as i64)
-                    .publisher(ServiceId::from_raw(9))
-                    .seq(i)
-                    .payload(vec![i as u8; 8 + i as usize])
-                    .build()
-            })
-            .collect();
-        let mut arena = BytesMut::new();
-        let mut ranges = Vec::new();
-        for (i, event) in events.iter().enumerate() {
-            let trace = if i == 1 {
-                TraceId::NONE
-            } else {
-                TraceId::for_event(event.publisher(), event.seq())
-            };
-            ranges.push((trace, encode_deliver_arena(event, trace, &mut arena)));
-        }
-        for (event, (trace, (start, end))) in events.iter().zip(&ranges) {
-            assert_eq!(&arena[*start..*end], &encode_deliver(event, *trace)[..]);
-        }
-        // Frames tile the arena exactly: no gaps, no overlap.
-        assert_eq!(ranges[0].1 .0, 0);
-        assert_eq!(ranges[0].1 .1, ranges[1].1 .0);
-        assert_eq!(ranges[1].1 .1, ranges[2].1 .0);
-        assert_eq!(ranges[2].1 .1, arena.len());
     }
 
     #[test]
