@@ -348,8 +348,15 @@ struct Router {
 }
 
 impl Router {
-    fn resolve(&self, key: &str, reply: Reply) {
-        if let Some(tx) = self.pending.lock().map.remove(key) {
+    /// Hands `reply` to whoever waits under `key`. The key is built only
+    /// when somebody waits at all: a `publish_nowait` stream is answered
+    /// by a `PublishAck` per event that nobody asked for.
+    fn resolve(&self, key: impl FnOnce() -> String, reply: Reply) {
+        let mut pending = self.pending.lock();
+        if pending.map.is_empty() {
+            return;
+        }
+        if let Some(tx) = pending.map.remove(&key()) {
             let _ = tx.send(reply);
         }
     }
@@ -363,23 +370,26 @@ impl Router {
                     .send(from, to_bytes(&Packet::DeliverAck(event.id())));
                 let _ = self.events.send(event);
             }
-            Packet::PublishAck(id) => self.resolve(&id.to_string(), Reply::PublishAcked),
+            Packet::PublishAck(id) => self.resolve(|| id.to_string(), Reply::PublishAcked),
             Packet::SubscribeAck {
                 request_id,
                 subscription,
             } => {
                 self.resolve(
-                    &format!("req:{request_id}"),
+                    || format!("req:{request_id}"),
                     Reply::Subscribed(subscription),
                 );
             }
-            Packet::UnsubscribeAck(id) => self.resolve(&id.to_string(), Reply::Unsubscribed),
+            Packet::UnsubscribeAck(id) => self.resolve(|| id.to_string(), Reply::Unsubscribed),
             Packet::AdvertiseAck {
                 request_id,
                 interested,
             } => {
                 self.quenched.store(!interested, Ordering::SeqCst);
-                self.resolve(&format!("req:{request_id}"), Reply::Advertised(interested));
+                self.resolve(
+                    || format!("req:{request_id}"),
+                    Reply::Advertised(interested),
+                );
             }
             Packet::Quench { enable } => {
                 self.quenched.store(enable, Ordering::SeqCst);
@@ -397,7 +407,7 @@ impl Router {
             Packet::PolicyDeploy { payload } => {
                 let _ = self.policies.send(payload);
             }
-            Packet::Error { about, message } => self.resolve(&about, Reply::Failed(message)),
+            Packet::Error { about, message } => self.resolve(|| about, Reply::Failed(message)),
             _ => {}
         }
     }

@@ -143,6 +143,8 @@ pub struct SmcCell {
     /// Shared, not owned: dispatch looks the sender up for every packet
     /// and must not deep-copy its strings and roles each time.
     members: Arc<Mutex<HashMap<ServiceId, Arc<ServiceInfo>>>>,
+    /// Held for the whole of [`SmcCell::on_member_joined`].
+    admission: Mutex<()>,
     next_local_seq: AtomicU64,
     running: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -306,9 +308,18 @@ impl SmcCell {
             wal_seen: Mutex::new(WalMetrics::default()),
             proxies: Arc::new(Mutex::new(HashMap::new())),
             members: Arc::new(Mutex::new(HashMap::new())),
+            admission: Mutex::new(()),
             next_local_seq: AtomicU64::new(1),
             running: Arc::new(AtomicBool::new(true)),
             threads: Mutex::new(Vec::new()),
+        });
+        // Admission completes before discovery answers the join, so a
+        // device that hears it is a member finds its proxy in place.
+        let admitting = Arc::downgrade(&cell);
+        cell.discovery.set_admission_hook(move |info| {
+            if let Some(cell) = admitting.upgrade() {
+                cell.on_member_joined(info.clone());
+            }
         });
         let membership = Arc::downgrade(&cell);
         let membership_running = Arc::clone(&cell.running);
@@ -706,7 +717,9 @@ impl SmcCell {
             let outcome = events.recv_timeout(Duration::from_millis(50));
             let Some(cell) = weak.upgrade() else { return };
             match outcome {
-                Ok(MembershipEvent::Joined(info)) => cell.on_member_joined(info),
+                Ok(MembershipEvent::Joined(info)) => {
+                    cell.on_member_joined(info);
+                }
                 Ok(MembershipEvent::Purged(id, reason)) => {
                     // Publish Purge Member *before* tearing down, so other
                     // subscribers (and policies) see it; the doomed proxy
@@ -724,9 +737,31 @@ impl SmcCell {
         }
     }
 
-    fn on_member_joined(&self, info: ServiceInfo) {
+    /// Brings a member that discovery admitted into the cell: the log
+    /// record, its proxy and the proxy's own subscriptions, quench state,
+    /// its policy bundle, the New Member event — and last the `members`
+    /// entry, so whoever finds a member there knows all of that is done.
+    ///
+    /// Discovery runs it (the admission hook) before it answers the join,
+    /// because a device may act the moment it hears it was admitted: its
+    /// proxy must exist, and its `Subscribe` must not see its own New
+    /// Member event. That call does the work for every ordinary join.
+    ///
+    /// Purges, though, are still handled on the membership thread, in
+    /// queue order, so a member that leaves and rejoins at once can reach
+    /// the hook while its `Purged` is still queued: the hook finds it
+    /// known and does nothing, the membership thread then tears the old
+    /// incarnation down — and must admit the new one when it comes to the
+    /// `Joined` queued behind. Hence the same call on `Joined`, and on
+    /// the dispatch thread for a packet that arrives in between (or from
+    /// a member that joined before the hook was installed). Serialised
+    /// and idempotent: after an ordinary join both find the work done.
+    fn on_member_joined(&self, info: ServiceInfo) -> Arc<ServiceInfo> {
+        let _admitting = self.admission.lock();
+        if let Some(known) = self.members.lock().get(&info.id) {
+            return Arc::clone(known);
+        }
         self.journal(&WalRecord::MemberJoined { info: info.clone() });
-        self.members.lock().insert(info.id, Arc::new(info.clone()));
         let proxy = self.ensure_proxy(&info);
         // Proxy-registered subscriptions on the device's behalf.
         for filter in proxy.initial_subscriptions() {
@@ -746,6 +781,9 @@ impl SmcCell {
             let _ = proxy.send_packet(&Packet::PolicyDeploy { payload });
         }
         let _ = self.publish_local(new_member_event(&info));
+        let info = Arc::new(info);
+        self.members.lock().insert(info.id, Arc::clone(&info));
+        info
     }
 
     fn destroy_member(&self, id: ServiceId) {
@@ -811,8 +849,9 @@ impl SmcCell {
             return;
         };
         // Membership gate: everything on the bus endpoint requires
-        // membership. The discovery table is authoritative; the local
-        // members map may lag it by a beat.
+        // membership. The discovery table is authoritative; a member it
+        // lists and this cell has not met is admitted here, before its
+        // packet is looked at.
         let member_info = self.members.lock().get(&from).cloned();
         let member_info = match member_info {
             Some(info) => Some(info),
@@ -821,10 +860,7 @@ impl SmcCell {
                 .members()
                 .into_iter()
                 .find(|i| i.id == from)
-                .map(Arc::new)
-                .inspect(|info| {
-                    self.members.lock().insert(from, Arc::clone(info));
-                }),
+                .map(|info| self.on_member_joined(info)),
         };
         let Some(info) = member_info else {
             let _ = self.channel.send(

@@ -169,7 +169,14 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
     .expect("durable start");
 
     let sensor = connect(&net, "sensor.heart-rate");
-    let monitor = connect(&net, "monitor.station");
+    let monitor_channel = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
+    let monitor = RemoteClient::connect(
+        ServiceInfo::new(ServiceId::NIL, "monitor.station"),
+        Arc::clone(&monitor_channel),
+        AgentConfig::default(),
+        TICK,
+    )
+    .expect("monitor joins cell");
     monitor
         .subscribe(Filter::for_type("smc.sensor.reading"), TICK)
         .unwrap();
@@ -183,6 +190,16 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
         )
         .unwrap();
     monitor.next_event(TICK).unwrap();
+    // Let the round trip finish on the wire too. The acknowledgement of
+    // the cell's `Deliver` travels in (or ahead of) the monitor's
+    // `DeliverAck`; once the cell has acknowledged that, its log owes the
+    // monitor nothing, and recovery resends nothing ahead of the payload
+    // planted below.
+    let deadline = std::time::Instant::now() + TICK;
+    while monitor_channel.pending(bus_id) > 0 {
+        assert!(std::time::Instant::now() < deadline, "round trip settles");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     cell.shutdown();
     drop(cell);
@@ -213,7 +230,9 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
         payload,
     })
     .unwrap();
-    drop(wal);
+    // Never written through again; kept open to read the log while the
+    // reborn cell runs (`recover_state` below).
+    let log = wal;
 
     let reborn = SmcCell::start_durable(
         Arc::new(net.endpoint_with_id(bus_id)),
@@ -233,11 +252,30 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
         .as_int();
     assert_eq!(bpm, Some(140));
 
+    // Let this round trip finish too before the cell is stopped: the
+    // monitor's `DeliverAck` for the re-routed reading is an inbound
+    // payload of its own, and a shutdown that lands between the cell
+    // journalling it and the dispatch thread consuming it would leave
+    // *that* behind. Acknowledged means journalled; the log then says
+    // when it was consumed.
+    let deadline = std::time::Instant::now() + TICK;
+    while monitor_channel.pending(bus_id) > 0
+        || !log
+            .recover_state()
+            .unwrap()
+            .pending_rx_for(CHAN_BUS)
+            .is_empty()
+    {
+        assert!(std::time::Instant::now() < deadline, "round trip settles");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // Reprocessing marked it consumed: a checkpoint must not carry the
     // payload forward into the next incarnation's snapshot.
     reborn.checkpoint().expect("checkpoint");
     reborn.shutdown();
     drop(reborn);
+    drop(log);
     let (_, recovered) = Wal::open(backend, WalConfig::default()).unwrap();
     assert!(
         recovered.snapshot.pending_rx_for(CHAN_BUS).is_empty(),

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{from_bytes, to_bytes};
@@ -133,6 +133,8 @@ pub struct MemberAgent {
     info: ServiceInfo,
     channel: Arc<ReliableChannel>,
     state: Arc<Mutex<AgentState>>,
+    /// Signalled on every transition to [`Phase::Member`].
+    joined: Arc<Condvar>,
     events_rx: Receiver<AgentEvent>,
     events_tx: Sender<AgentEvent>,
     unhandled: Arc<Mutex<Unhandled>>,
@@ -166,10 +168,12 @@ impl MemberAgent {
             missed: 0,
         }));
         let running = Arc::new(AtomicBool::new(true));
+        let joined = Arc::new(Condvar::new());
         let agent = Arc::new(MemberAgent {
             info: info.clone(),
             channel: Arc::clone(&channel),
             state: Arc::clone(&state),
+            joined: Arc::clone(&joined),
             events_rx,
             events_tx: events_tx.clone(),
             unhandled: Arc::clone(&unhandled),
@@ -182,6 +186,7 @@ impl MemberAgent {
             channel,
             config,
             state,
+            joined,
             events: events_tx,
             unhandled,
             running,
@@ -223,11 +228,13 @@ impl MemberAgent {
             missed: 0,
         }));
         let running = Arc::new(AtomicBool::new(true));
+        let joined = Arc::new(Condvar::new());
         let worker = AgentWorker {
             info: info.clone(),
             channel: Arc::clone(&channel),
             config,
             state: Arc::clone(&state),
+            joined: Arc::clone(&joined),
             events: events_tx.clone(),
             unhandled: Arc::clone(&unhandled),
             running: Arc::clone(&running),
@@ -237,6 +244,7 @@ impl MemberAgent {
             info,
             channel,
             state,
+            joined,
             events_rx,
             events_tx,
             unhandled,
@@ -340,14 +348,16 @@ impl MemberAgent {
     /// [`Error::Timeout`] if no cell admitted the agent in time.
     pub fn wait_joined(&self, timeout: Duration) -> Result<CellId> {
         let deadline = Instant::now() + timeout;
+        let mut st = self.state.lock();
         loop {
-            if let Some(cell) = self.cell() {
-                return Ok(cell);
+            if st.phase == Phase::Member {
+                return Ok(st.cell.expect("member has a cell"));
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(Error::Timeout);
             }
-            std::thread::sleep(Duration::from_millis(5));
+            self.joined.wait_for(&mut st, left);
         }
     }
 
@@ -413,6 +423,7 @@ struct AgentWorker {
     channel: Arc<ReliableChannel>,
     config: AgentConfig,
     state: Arc<Mutex<AgentState>>,
+    joined: Arc<Condvar>,
     events: Sender<AgentEvent>,
     unhandled: Arc<Mutex<Unhandled>>,
     running: Arc<AtomicBool>,
@@ -513,11 +524,14 @@ impl AgentWorker {
                     st.last_acked_seq = 0;
                     st.missed = 0;
                     st.next_heartbeat = now + st.lease / 3;
-                    drop(st);
+                    // Recorded and announced before the state is released:
+                    // whoever sees `Member` acts after `Joined` is queued.
                     let _ = self.events.send(AgentEvent::Joined {
                         cell,
                         discovery: from,
                     });
+                    self.joined.notify_all();
+                    drop(st);
                 } else {
                     st.phase = Phase::Searching;
                     st.cell = None;

@@ -124,9 +124,21 @@ impl DiscoveryCounters {
     }
 }
 
-#[derive(Debug)]
 struct ServiceState {
     table: MembershipTable,
+    /// See [`DiscoveryService::set_admission_hook`].
+    admission: Option<AdmissionHook>,
+}
+
+type AdmissionHook = Arc<dyn Fn(&ServiceInfo) + Send + Sync>;
+
+impl std::fmt::Debug for ServiceState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceState")
+            .field("table", &self.table)
+            .field("admission", &self.admission.is_some())
+            .finish()
+    }
 }
 
 /// Step-driven state for a service built with
@@ -175,6 +187,7 @@ impl DiscoveryService {
         let (events_tx, events_rx) = unbounded();
         let state = Arc::new(Mutex::new(ServiceState {
             table: MembershipTable::new(),
+            admission: None,
         }));
         let running = Arc::new(AtomicBool::new(true));
         let counters = Arc::new(DiscoveryCounters::default());
@@ -224,6 +237,7 @@ impl DiscoveryService {
         let (events_tx, events_rx) = unbounded();
         let state = Arc::new(Mutex::new(ServiceState {
             table: MembershipTable::new(),
+            admission: None,
         }));
         let running = Arc::new(AtomicBool::new(true));
         let counters = Arc::new(DiscoveryCounters::default());
@@ -318,6 +332,18 @@ impl DiscoveryService {
     /// The service's own endpoint id.
     pub fn local_id(&self) -> ServiceId {
         self.channel.local_id()
+    }
+
+    /// Installs what the owner does to finish admitting a member. It
+    /// runs on the service's own thread, after a new member is entered in
+    /// the table and **before** its `JoinResponse` is sent — so whatever
+    /// it sets up (a proxy, subscriptions on the device's behalf) exists
+    /// by the time the device hears it was admitted, and the device may
+    /// act on its membership at once. [`MembershipEvent::Joined`] is
+    /// still reported afterwards. The answer waits for the hook, so it
+    /// should do what admission needs and no more.
+    pub fn set_admission_hook(&self, hook: impl Fn(&ServiceInfo) + Send + Sync + 'static) {
+        self.state.lock().admission = Some(Arc::new(hook));
     }
 
     /// The stream of membership changes (joined / suspected / recovered /
@@ -552,15 +578,23 @@ impl Worker {
             lease_millis: self.config.lease.as_millis() as u64,
             bus: self.config.bus_endpoint,
         };
+        // Admit before answering: a device that hears it is a member may
+        // use its membership at once, so by then the table lists it and
+        // the owner has done its part.
+        let (is_new, hook) = {
+            let mut st = self.state.lock();
+            let is_new = accepted && st.table.admit(info.clone(), now);
+            (is_new, st.admission.clone())
+        };
+        if let (true, Some(hook)) = (is_new, hook) {
+            hook(&info);
+        }
         let _ = self.channel.send(from, to_bytes(&response));
-        if accepted {
-            let is_new = self.state.lock().table.admit(info.clone(), now);
-            if is_new {
-                let ev = MembershipEvent::Joined(info);
-                self.counters.count(&ev);
-                let _ = self.events.send(ev);
-            }
-        } else {
+        if is_new {
+            let ev = MembershipEvent::Joined(info);
+            self.counters.count(&ev);
+            let _ = self.events.send(ev);
+        } else if !accepted {
             self.counters.join_rejects.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -281,3 +281,83 @@ fn discovery_works_over_lossy_link() {
     agent.shutdown();
     service.shutdown();
 }
+
+/// The service's endpoint, noting — at the instant an accepting
+/// `JoinResponse` goes onto the wire — whether the membership table
+/// already lists the device it is addressed to, and whether the owner's
+/// admission hook has already run for it.
+#[derive(Debug)]
+struct AdmissionProbe {
+    inner: smc_transport::MemTransport,
+    service: std::sync::OnceLock<Arc<DiscoveryService>>,
+    hooked: std::sync::Mutex<Vec<ServiceId>>,
+    listed_and_hooked_when_told: std::sync::Mutex<Vec<(bool, bool)>>,
+}
+
+impl smc_transport::Transport for AdmissionProbe {
+    fn local_id(&self) -> ServiceId {
+        self.inner.local_id()
+    }
+    fn send(&self, to: ServiceId, payload: &[u8]) -> smc_types::Result<()> {
+        use smc_types::codec::from_bytes;
+        if let Ok(smc_transport::Frame::Data { payload: body, .. }) = from_bytes(payload) {
+            if let Ok(smc_types::Packet::JoinResponse { accepted: true, .. }) = from_bytes(&body) {
+                let service = self.service.get().expect("probe armed before any join");
+                let hooked = self.hooked.lock().unwrap().contains(&to);
+                self.listed_and_hooked_when_told
+                    .lock()
+                    .unwrap()
+                    .push((service.is_member(to), hooked));
+            }
+        }
+        self.inner.send(to, payload)
+    }
+    fn broadcast(&self, payload: &[u8]) -> smc_types::Result<()> {
+        self.inner.broadcast(payload)
+    }
+    fn recv(&self, timeout: Option<Duration>) -> smc_types::Result<smc_transport::Datagram> {
+        self.inner.recv(timeout)
+    }
+    fn max_datagram(&self) -> usize {
+        self.inner.max_datagram()
+    }
+    fn close(&self) {
+        self.inner.close()
+    }
+}
+
+/// A device that hears it was admitted may use its membership at once
+/// (`wait_joined` returns on the transition, not a poll later), so before
+/// the answer leaves the table must list it — the bus asks the table —
+/// and the owner's admission hook must have run.
+#[test]
+fn member_is_admitted_before_it_is_told() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let probe = Arc::new(AdmissionProbe {
+        inner: net.endpoint(),
+        service: std::sync::OnceLock::new(),
+        hooked: std::sync::Mutex::new(Vec::new()),
+        listed_and_hooked_when_told: std::sync::Mutex::new(Vec::new()),
+    });
+    let service_channel = ReliableChannel::new(
+        Arc::clone(&probe) as Arc<dyn smc_transport::Transport>,
+        ReliableConfig::default(),
+    );
+    let service = DiscoveryService::start(CellId(1), service_channel, DiscoveryConfig::fast());
+    probe.service.set(Arc::clone(&service)).unwrap();
+    let hook_probe = Arc::clone(&probe);
+    service.set_admission_hook(move |info| {
+        hook_probe.hooked.lock().unwrap().push(info.id);
+    });
+
+    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    agent.wait_joined(TICK).unwrap();
+    assert_eq!(
+        *probe.listed_and_hooked_when_told.lock().unwrap(),
+        vec![(true, true)]
+    );
+    assert_eq!(*probe.hooked.lock().unwrap(), vec![agent.local_id()]);
+
+    agent.shutdown();
+    service.shutdown();
+}

@@ -240,7 +240,14 @@ fn clean_run_traces_complete_journeys() {
     assert_eq!(names.first(), Some(&"published"));
     assert!(names.contains(&"tx-sent"), "hops: {names:?}");
     assert!(names.contains(&"rx-acked"), "hops: {names:?}");
-    assert_eq!(names.last(), Some(&"delivered"), "hops: {names:?}");
+    // The ack is held for a data frame to carry, so `rx-acked` may
+    // legitimately follow the delivery it acknowledges.
+    let delivered = names.iter().position(|&n| n == "delivered");
+    let delivered = delivered.unwrap_or_else(|| panic!("hops: {names:?}"));
+    assert!(
+        matches!(names[delivered + 1..], [] | ["rx-acked"]),
+        "hops: {names:?}"
+    );
     // Timestamps never go backwards along a journey.
     let times: Vec<u64> = journey.hops.iter().map(|r| r.at_micros).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]), "times: {times:?}");

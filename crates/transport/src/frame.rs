@@ -1,17 +1,35 @@
 //! Wire frames used by the reliability layer.
 //!
-//! A [`Frame`] is what actually crosses a [`crate::Transport`]: either a
-//! `Data` fragment with acknowledgement bookkeeping, an `Ack`, or an
-//! `Unreliable` passthrough (used for discovery beacons and other traffic
-//! that neither needs nor wants retransmission).
+//! A [`Frame`] is what actually crosses a [`crate::Transport`]: a `Data`
+//! fragment (which may carry a cumulative acknowledgement for the reverse
+//! direction), a standalone `Ack` / `AckBatch`, or an `Unreliable`
+//! passthrough (used for discovery beacons and other traffic that neither
+//! needs nor wants retransmission).
 
 use bytes::{BufMut, BytesMut};
 
 use smc_types::codec::{Decode, Encode, Reader, WriteExt};
 use smc_types::error::CodecError;
 
-/// Fixed per-fragment header budget: tag + epoch + seq + 2×u16 + u32 len.
-pub const FRAME_HEADER_LEN: usize = 1 + 8 + 8 + 2 + 2 + 4;
+/// Fixed per-fragment header budget: tag + epoch + seq + 2×u16 + u32 len,
+/// plus the [`CumulativeAck`] a fragment may carry. Fragments are cut to
+/// fit with the ack present, so any (re)transmission can take one.
+pub const FRAME_HEADER_LEN: usize = 1 + 8 + 8 + 2 + 2 + 4 + CUMULATIVE_ACK_LEN;
+
+/// Encoded length of a [`CumulativeAck`]: epoch + sequence number.
+const CUMULATIVE_ACK_LEN: usize = 8 + 8;
+
+/// The acknowledgement a [`Frame::Data`] carries for the reverse
+/// direction: every message of the receiving endpoint's session `epoch`
+/// numbered `up_to` or below arrived whole and was delivered in order —
+/// all of their fragments are acknowledged at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CumulativeAck {
+    /// Echo of the acknowledged sender's epoch.
+    pub epoch: u64,
+    /// Highest in-order delivered sequence number.
+    pub up_to: u64,
+}
 
 /// A reliability-layer frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +44,8 @@ pub enum Frame {
         frag_index: u16,
         /// Total fragments in the message (≥ 1).
         frag_count: u16,
+        /// Piggy-backed acknowledgement of the receiver's own traffic.
+        ack: Option<CumulativeAck>,
         /// The fragment bytes.
         payload: Vec<u8>,
     },
@@ -39,9 +59,9 @@ pub enum Frame {
         frag_index: u16,
     },
     /// Acknowledges several fragments in one frame — the coalesced form
-    /// a receiver emits when a batch of deliveries (or a multi-fragment
-    /// message) becomes ack-able at once. Semantically identical to the
-    /// same sequence of [`Frame::Ack`]s.
+    /// a receiver emits when it flushes two or more held
+    /// acknowledgements that found no data frame to ride on.
+    /// Semantically identical to the same sequence of [`Frame::Ack`]s.
     AckBatch {
         /// Echo of the sender's epoch (one batch never mixes epochs).
         epoch: u64,
@@ -56,6 +76,9 @@ pub enum Frame {
 }
 
 const F_DATA: u8 = 0xD1;
+/// A data fragment with a [`CumulativeAck`] between `frag_count` and the
+/// payload; otherwise laid out as [`F_DATA`].
+const F_DATA_ACK: u8 = 0xD2;
 const F_ACK: u8 = 0xA1;
 const F_ACK_BATCH: u8 = 0xA2;
 const F_UNRELIABLE: u8 = 0x01;
@@ -68,29 +91,15 @@ impl Encode for Frame {
                 seq,
                 frag_index,
                 frag_count,
+                ack,
                 payload,
-            } => {
-                buf.put_u8(F_DATA);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*seq);
-                buf.put_u16_le(*frag_index);
-                buf.put_u16_le(*frag_count);
-                buf.put_bytes_field(payload);
-            }
+            } => put_data_frame(buf, *ack, *epoch, *seq, *frag_index, *frag_count, payload),
             Frame::Ack {
                 epoch,
                 seq,
                 frag_index,
             } => buf.put_slice(&encode_ack_frame(*epoch, *seq, *frag_index)),
-            Frame::AckBatch { epoch, acks } => {
-                buf.put_u8(F_ACK_BATCH);
-                buf.put_u64_le(*epoch);
-                buf.put_u16_le(acks.len() as u16);
-                for &(seq, frag_index) in acks {
-                    buf.put_u64_le(seq);
-                    buf.put_u16_le(frag_index);
-                }
-            }
+            Frame::AckBatch { epoch, acks } => put_ack_batch_frame(buf, *epoch, acks),
             Frame::Unreliable { payload } => {
                 buf.put_u8(F_UNRELIABLE);
                 buf.put_bytes_field(payload);
@@ -102,11 +111,19 @@ impl Encode for Frame {
 impl Decode for Frame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
-            F_DATA => {
+            tag @ (F_DATA | F_DATA_ACK) => {
                 let epoch = r.u64()?;
                 let seq = r.u64()?;
                 let frag_index = r.u16()?;
                 let frag_count = r.u16()?;
+                let ack = if tag == F_DATA_ACK {
+                    Some(CumulativeAck {
+                        epoch: r.u64()?,
+                        up_to: r.u64()?,
+                    })
+                } else {
+                    None
+                };
                 let payload = r.bytes()?;
                 if frag_count == 0 || frag_index >= frag_count {
                     return Err(CodecError::BadTag {
@@ -119,6 +136,7 @@ impl Decode for Frame {
                     seq,
                     frag_index,
                     frag_count,
+                    ack,
                     payload,
                 })
             }
@@ -130,6 +148,15 @@ impl Decode for Frame {
             F_ACK_BATCH => {
                 let epoch = r.u64()?;
                 let count = r.collection_len()?;
+                // The count is the sender's claim; reserve only what the
+                // datagram can actually hold.
+                let needed = count * ACK_ENTRY_LEN;
+                if r.remaining() < needed {
+                    return Err(CodecError::UnexpectedEnd {
+                        needed,
+                        remaining: r.remaining(),
+                    });
+                }
                 let mut acks = Vec::with_capacity(count);
                 for _ in 0..count {
                     acks.push((r.u64()?, r.u16()?));
@@ -191,9 +218,32 @@ pub fn fragment_ranges(len: usize, max_fragment: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Encodes a [`Frame::Data`] straight from a borrowed fragment slice,
-/// byte-identical to `to_bytes(&Frame::Data { .. })` but without first
-/// materialising the fragment as an owned `Vec<u8>`.
+/// The one place that knows the data-frame layout ([`Frame`]'s `Encode`
+/// goes through here).
+fn put_data_frame(
+    buf: &mut BytesMut,
+    ack: Option<CumulativeAck>,
+    epoch: u64,
+    seq: u64,
+    frag_index: u16,
+    frag_count: u16,
+    payload: &[u8],
+) {
+    buf.put_u8(if ack.is_some() { F_DATA_ACK } else { F_DATA });
+    buf.put_u64_le(epoch);
+    buf.put_u64_le(seq);
+    buf.put_u16_le(frag_index);
+    buf.put_u16_le(frag_count);
+    if let Some(ack) = ack {
+        buf.put_u64_le(ack.epoch);
+        buf.put_u64_le(ack.up_to);
+    }
+    buf.put_bytes_field(payload);
+}
+
+/// Encodes an ack-less [`Frame::Data`] straight from a borrowed fragment
+/// slice, byte-identical to `to_bytes(&Frame::Data { .. })` but without
+/// first materialising the fragment as an owned `Vec<u8>`.
 pub fn encode_data_frame(
     epoch: u64,
     seq: u64,
@@ -201,18 +251,59 @@ pub fn encode_data_frame(
     frag_count: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
-    buf.put_u8(F_DATA);
-    buf.put_u64_le(epoch);
-    buf.put_u64_le(seq);
-    buf.put_u16_le(frag_index);
-    buf.put_u16_le(frag_count);
-    buf.put_bytes_field(payload);
+    encode_data_frame_acking(None, epoch, seq, frag_index, frag_count, payload)
+}
+
+/// [`encode_data_frame`] for a fragment that may carry the reverse
+/// direction's acknowledgement.
+pub fn encode_data_frame_acking(
+    ack: Option<CumulativeAck>,
+    epoch: u64,
+    seq: u64,
+    frag_index: u16,
+    frag_count: u16,
+    payload: &[u8],
+) -> Vec<u8> {
+    let header = match ack {
+        Some(_) => FRAME_HEADER_LEN,
+        None => FRAME_HEADER_LEN - CUMULATIVE_ACK_LEN,
+    };
+    let mut buf = BytesMut::with_capacity(header + payload.len());
+    put_data_frame(&mut buf, ack, epoch, seq, frag_index, frag_count, payload);
     buf.freeze()
 }
 
 /// Encoded length of a [`Frame::Ack`]: tag + epoch + seq + fragment index.
 pub const ACK_FRAME_LEN: usize = 1 + 8 + 8 + 2;
+
+/// Encodes a [`Frame::AckBatch`] straight from a borrowed run of
+/// `(seq, frag_index)` pairs.
+///
+/// # Panics
+///
+/// Panics if `acks` holds more entries than the `u16` count can say.
+pub fn encode_ack_batch_frame(epoch: u64, acks: &[(u64, u16)]) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(ACK_BATCH_HEADER_LEN + acks.len() * ACK_ENTRY_LEN);
+    put_ack_batch_frame(&mut buf, epoch, acks);
+    buf.freeze()
+}
+
+fn put_ack_batch_frame(buf: &mut BytesMut, epoch: u64, acks: &[(u64, u16)]) {
+    buf.put_u8(F_ACK_BATCH);
+    buf.put_u64_le(epoch);
+    buf.put_u16_le(u16::try_from(acks.len()).expect("ack batch fits a u16 count"));
+    for &(seq, frag_index) in acks {
+        buf.put_u64_le(seq);
+        buf.put_u16_le(frag_index);
+    }
+}
+
+/// Encoded length of a [`Frame::AckBatch`] before its entries: tag +
+/// epoch + count.
+pub const ACK_BATCH_HEADER_LEN: usize = 1 + 8 + 2;
+
+/// Encoded length of one [`Frame::AckBatch`] entry: seq + fragment index.
+pub const ACK_ENTRY_LEN: usize = 8 + 2;
 
 /// Encodes a [`Frame::Ack`] without touching the heap — the one place
 /// that knows its layout ([`Frame`]'s `Encode` goes through here).
@@ -238,6 +329,18 @@ mod tests {
                 seq: 2,
                 frag_index: 0,
                 frag_count: 3,
+                ack: None,
+                payload: vec![9; 10],
+            },
+            Frame::Data {
+                epoch: 1,
+                seq: 2,
+                frag_index: 2,
+                frag_count: 3,
+                ack: Some(CumulativeAck {
+                    epoch: 8,
+                    up_to: 41,
+                }),
                 payload: vec![9; 10],
             },
             Frame::Ack {
@@ -264,17 +367,93 @@ mod tests {
 
     #[test]
     fn encode_data_frame_matches_frame_encoding() {
-        for payload in [vec![], vec![0xAB; 37]] {
-            let direct = encode_data_frame(9, 12, 1, 4, &payload);
+        let acks = [
+            None,
+            Some(CumulativeAck {
+                epoch: 3,
+                up_to: 77,
+            }),
+        ];
+        for (payload, ack) in [vec![], vec![0xAB; 37]].into_iter().zip(acks) {
+            let direct = encode_data_frame_acking(ack, 9, 12, 1, 4, &payload);
             let via_frame = to_bytes(&Frame::Data {
                 epoch: 9,
                 seq: 12,
                 frag_index: 1,
                 frag_count: 4,
+                ack,
                 payload: payload.clone(),
             });
             assert_eq!(direct, via_frame);
+            // The exact capacity was reserved, with or without the ack.
+            assert_eq!(direct.capacity(), direct.len());
+            if ack.is_none() {
+                assert_eq!(direct, encode_data_frame(9, 12, 1, 4, &payload));
+            }
         }
+    }
+
+    /// The ack-less layout is the one every earlier capture holds, and
+    /// the ack rides between `frag_count` and the payload length.
+    #[test]
+    fn data_frame_layouts_are_pinned() {
+        let plain = encode_data_frame(2, 3, 0, 1, b"xy");
+        let mut expected = vec![0xD1];
+        expected.extend(2u64.to_le_bytes());
+        expected.extend(3u64.to_le_bytes());
+        expected.extend([0, 0, 1, 0]);
+        let header_len = expected.len();
+        expected.extend([2, 0, 0, 0, b'x', b'y']);
+        assert_eq!(plain, expected);
+
+        let ack = CumulativeAck { epoch: 5, up_to: 6 };
+        let acking = encode_data_frame_acking(Some(ack), 2, 3, 0, 1, b"xy");
+        assert_eq!(acking[0], 0xD2);
+        assert_eq!(acking[1..header_len], plain[1..header_len]);
+        let mut field = 5u64.to_le_bytes().to_vec();
+        field.extend(6u64.to_le_bytes());
+        assert_eq!(
+            acking[header_len..header_len + CUMULATIVE_ACK_LEN],
+            field[..]
+        );
+        assert_eq!(
+            acking[header_len + CUMULATIVE_ACK_LEN..],
+            plain[header_len..]
+        );
+    }
+
+    #[test]
+    fn encode_ack_batch_frame_matches_frame_encoding() {
+        for acks in [
+            vec![],
+            vec![(3, 0)],
+            vec![(3, 0), (4, 0), (u64::MAX, u16::MAX)],
+        ] {
+            let via_frame = to_bytes(&Frame::AckBatch {
+                epoch: 7,
+                acks: acks.clone(),
+            });
+            assert_eq!(encode_ack_batch_frame(7, &acks), via_frame);
+            assert_eq!(
+                via_frame.len(),
+                ACK_BATCH_HEADER_LEN + acks.len() * ACK_ENTRY_LEN
+            );
+        }
+    }
+
+    /// An 11-byte datagram may not make the decoder reserve 4 096 entries.
+    #[test]
+    fn ack_batch_count_beyond_the_datagram_is_rejected() {
+        let mut bytes = encode_ack_batch_frame(7, &[(1, 0), (2, 0)]);
+        bytes[9..11].copy_from_slice(&4096u16.to_le_bytes());
+        assert!(matches!(
+            from_bytes::<Frame>(&bytes),
+            Err(CodecError::UnexpectedEnd {
+                needed: 40_960,
+                remaining: 20
+            })
+        ));
+        assert!(from_bytes::<Frame>(&bytes[..ACK_BATCH_HEADER_LEN]).is_err());
     }
 
     #[test]
@@ -310,9 +489,10 @@ mod tests {
             seq: 0,
             frag_index: 0,
             frag_count: 1,
+            ack: Some(CumulativeAck { epoch: 0, up_to: 0 }),
             payload: vec![],
         };
-        assert!(to_bytes(&f).len() <= FRAME_HEADER_LEN);
+        assert_eq!(to_bytes(&f).len(), FRAME_HEADER_LEN);
     }
 
     #[test]
@@ -322,6 +502,7 @@ mod tests {
             seq: 0,
             frag_index: 5,
             frag_count: 3,
+            ack: None,
             payload: vec![],
         };
         let bytes = to_bytes(&f);

@@ -26,7 +26,7 @@ pub mod reliable;
 pub mod transport;
 pub mod udp;
 
-pub use frame::{fragment, Frame, FRAME_HEADER_LEN};
+pub use frame::{fragment, CumulativeAck, Frame, FRAME_HEADER_LEN};
 pub use mem::{MemTransport, NetStats, SimNetwork};
 pub use profile::{CpuProfile, LinkConfig};
 pub use reliable::{

@@ -12,8 +12,13 @@
 //! * every fragment is acknowledged; unacknowledged fragments are
 //!   retransmitted with exponential backoff (for as long as the caller
 //!   wants — proxies retry until the member is purged);
+//! * an acknowledgement for newly accepted, in-order data is *held* per
+//!   peer and leaves inside the next data frame sent to that peer, on
+//!   the next poll tick, or at once when half a window of messages is
+//!   owed — whichever comes first;
 //! * duplicates (from the network or from retransmission) are suppressed
-//!   and re-acknowledged;
+//!   and re-acknowledged at once, as are out-of-order arrivals: both
+//!   tell the sender about a gap or a lost acknowledgement;
 //! * messages larger than the transport MTU are fragmented and
 //!   reassembled.
 
@@ -31,7 +36,10 @@ use smc_types::{
     system_clock, Error, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell, TraceId,
 };
 
-use crate::frame::{encode_ack_frame, encode_data_frame, fragment_ranges, Frame, FRAME_HEADER_LEN};
+use crate::frame::{
+    encode_ack_batch_frame, encode_ack_frame, encode_data_frame_acking, fragment_ranges,
+    CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN, FRAME_HEADER_LEN,
+};
 use crate::transport::Transport;
 
 /// Retransmission and flow-control parameters.
@@ -47,8 +55,21 @@ pub struct ReliableConfig {
     /// retry forever, the proxy behaviour).
     pub max_retries: Option<u32>,
     /// Maximum messages in flight per peer; excess sends queue.
+    ///
+    /// The receiving side reads its **own** `window` as the sender's
+    /// when it decides how many acknowledgements to hold (half of it),
+    /// so the two ends of a channel are assumed to agree on it. A sender
+    /// with a smaller window than its receiver still gets everything
+    /// acknowledged, but a one-way stream from it is paced by the
+    /// receiver's poll tick rather than the link.
     pub window: usize,
     /// How long `recv` polls the transport between retransmission scans.
+    /// Also the tick on which held acknowledgements are flushed. A
+    /// datagram that arrives just before a tick is due returns the poll
+    /// early without a scan and the next poll can run its full length,
+    /// so an acknowledgement is held for up to **two** intervals:
+    /// `2 * poll_interval` must not exceed `initial_rto` (checked at
+    /// construction).
     pub poll_interval: Duration,
     /// Maximum out-of-order messages buffered per peer before the
     /// receiver starts dropping (the sender retransmits them later).
@@ -307,9 +328,8 @@ impl Receipt {
 #[derive(Debug)]
 struct OutMessage {
     /// The whole message, shared with whoever produced it (the bus
-    /// fan-out keeps one encoded buffer per publish — or one arena per
-    /// publish *batch*, of which this is a range; enqueueing here costs
-    /// a reference count, not a copy).
+    /// fan-out keeps one encoded buffer per publish; enqueueing here
+    /// costs a reference count, not a copy).
     payload: SharedBytes,
     /// `start..end` byte ranges of each fragment within `payload`;
     /// fragments are sliced out at (re)transmit time.
@@ -417,10 +437,49 @@ struct PeerIn {
     partial: HashMap<u64, Partial>,
 }
 
+/// Acknowledgements owed to one peer and not yet on the wire.
+#[derive(Debug, Default)]
+struct HeldAcks {
+    /// The peer session the entries echo; a hold never mixes epochs.
+    epoch: u64,
+    /// Every held `(seq, frag_index)`, oldest first — what a standalone
+    /// flush sends. Cleared, never shrunk: the buffer is reused.
+    frags: Vec<(u64, u16)>,
+    /// Highest held sequence number delivered in order (0 = none): what
+    /// a data frame can carry as a [`CumulativeAck`] instead.
+    up_to: u64,
+    /// Messages delivered since the hold began.
+    msgs: usize,
+}
+
+impl HeldAcks {
+    /// The hold for `epoch`, forgetting whatever a dead session was owed.
+    fn for_epoch(&mut self, epoch: u64) -> &mut Self {
+        if self.epoch != epoch {
+            self.clear();
+            self.epoch = epoch;
+        }
+        self
+    }
+
+    fn clear(&mut self) {
+        self.frags.clear();
+        self.up_to = 0;
+        self.msgs = 0;
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
+    transport: Arc<dyn Transport>,
     out: Mutex<HashMap<ServiceId, PeerOut>>,
     peers_in: Mutex<HashMap<ServiceId, PeerIn>>,
+    /// Acknowledgements waiting for a data frame to ride on. A leaf
+    /// lock: taken under `out` (by `pump`) and under `peers_in` (by the
+    /// receive path), never the other way round. Ordered, because a
+    /// flush sends and every send draws from the simulated network's
+    /// seeded rng.
+    held: Mutex<BTreeMap<ServiceId, HeldAcks>>,
     /// Delivered messages the application has not yet confirmed via
     /// [`ReliableChannel::consumed`], in delivery order. Populated only
     /// when the journal retains rx payloads
@@ -465,7 +524,6 @@ struct Shared {
 /// ```
 #[derive(Debug)]
 pub struct ReliableChannel {
-    transport: Arc<dyn Transport>,
     shared: Arc<Shared>,
     inbox: Receiver<Incoming>,
     rx_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -533,6 +591,12 @@ impl ReliableChannel {
     /// network delivered datagrams) to drain the transport, send acks and
     /// retransmit whatever timed out. Single-threaded stepping plus a
     /// seeded network makes whole scenarios bit-identical per seed.
+    ///
+    /// # Panics
+    ///
+    /// As every constructor does, if `2 * config.poll_interval` exceeds
+    /// `config.initial_rto`: a held acknowledgement waits up to two poll
+    /// intervals for the tick, and must beat the sender's first timeout.
     pub fn with_clock(
         transport: Arc<dyn Transport>,
         config: ReliableConfig,
@@ -571,6 +635,12 @@ impl ReliableChannel {
         restored: Vec<(ServiceId, u64, u64)>,
         pending: UnconsumedRx,
     ) -> Arc<Self> {
+        assert!(
+            2 * config.poll_interval <= config.initial_rto,
+            "poll_interval ({:?}) must be at most half of initial_rto ({:?})",
+            config.poll_interval,
+            config.initial_rto
+        );
         let epoch = clock.now_micros() + EPOCH_BUMP.fetch_add(1, Ordering::Relaxed);
         let mut peers_in = HashMap::new();
         for (peer, peer_epoch, expected) in restored {
@@ -584,8 +654,10 @@ impl ReliableChannel {
             );
         }
         let shared = Arc::new(Shared {
+            transport,
             out: Mutex::new(HashMap::new()),
             peers_in: Mutex::new(peers_in),
+            held: Mutex::new(BTreeMap::new()),
             unconsumed: Mutex::new(pending),
             stats: Counters::default(),
             closed: AtomicBool::new(false),
@@ -598,13 +670,11 @@ impl ReliableChannel {
         });
         let (inbox_tx, inbox_rx) = unbounded();
         let worker = RxWorker {
-            transport: Arc::clone(&transport),
             shared: Arc::clone(&shared),
             inbox: inbox_tx,
         };
         if manual {
             return Arc::new(ReliableChannel {
-                transport,
                 shared,
                 inbox: inbox_rx,
                 rx_thread: Mutex::new(None),
@@ -612,7 +682,6 @@ impl ReliableChannel {
             });
         }
         let channel = Arc::new(ReliableChannel {
-            transport,
             shared,
             inbox: inbox_rx,
             rx_thread: Mutex::new(None),
@@ -626,9 +695,12 @@ impl ReliableChannel {
         channel
     }
 
-    /// Drives a step-driven channel: drains every datagram currently in
-    /// the transport, processes it (acks, reassembly, in-order delivery
-    /// into the inbox) and retransmits whatever the clock says is due.
+    /// Drives a step-driven channel: sends the acknowledgements still
+    /// held from the previous step (the owner's turn in between was their
+    /// chance to ride on a data frame — no virtual time needs to pass),
+    /// drains every datagram currently in the transport, processes it
+    /// (acks, reassembly, in-order delivery into the inbox) and
+    /// retransmits whatever the clock says is due.
     ///
     /// Returns the number of datagrams processed.
     ///
@@ -643,8 +715,9 @@ impl ReliableChannel {
             .expect("step() requires a channel built with ReliableChannel::with_clock")
             .lock();
         let mut worker = rx;
+        self.shared.flush_held();
         let mut processed = 0;
-        while let Ok(datagram) = self.transport.recv(Some(Duration::ZERO)) {
+        while let Ok(datagram) = self.shared.transport.recv(Some(Duration::ZERO)) {
             processed += 1;
             let broadcast = datagram.broadcast;
             let from = datagram.from;
@@ -658,12 +731,12 @@ impl ReliableChannel {
 
     /// The underlying endpoint's identifier.
     pub fn local_id(&self) -> ServiceId {
-        self.transport.local_id()
+        self.shared.transport.local_id()
     }
 
     /// The underlying transport.
     pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
+        &self.shared.transport
     }
 
     /// Installs (or replaces) the hop tracer. Subsequent transmit,
@@ -692,11 +765,10 @@ impl ReliableChannel {
 
     /// Queues `payload` for exactly-once, in-order delivery to `to`.
     ///
-    /// The payload may be anything convertible into a [`SharedBytes`]
-    /// view — a `Vec<u8>` or `Arc<[u8]>` works as before, and an
-    /// already-shared buffer (e.g. the bus's one-per-publish encoded
-    /// frame, or a range of a batch's encode arena) is enqueued without
-    /// copying.
+    /// The payload may be anything convertible into a [`SharedBytes`] —
+    /// a `Vec<u8>` or `Arc<[u8]>` works, and an already-shared buffer
+    /// (e.g. the bus's one-per-publish encoded frame) is enqueued
+    /// without copying.
     ///
     /// Returns a [`Receipt`] resolving when the peer acknowledged every
     /// fragment.
@@ -722,61 +794,6 @@ impl ReliableChannel {
         trace: TraceId,
     ) -> Result<Receipt> {
         self.send_inner(to, payload.into(), None, trace)
-    }
-
-    /// Queues a batch of already-shared payloads for `to` under **one**
-    /// out-lock acquisition and one window pump — the bus fan-out path
-    /// for a proxy that receives several events in a burst.
-    ///
-    /// Receipts come back in batch order. On a journal error the
-    /// messages enqueued before the failing one stay queued (they are
-    /// journalled); the failing one and everything after it are not
-    /// enqueued.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Closed`] if the channel is shut down; journal errors as
-    /// described above.
-    pub fn send_shared_batch(
-        &self,
-        to: ServiceId,
-        batch: Vec<(SharedBytes, TraceId)>,
-    ) -> Result<Vec<Receipt>> {
-        if self.shared.closed.load(Ordering::SeqCst) {
-            return Err(Error::Closed);
-        }
-        let count = batch.len() as u64;
-        let mut receipts = Vec::with_capacity(batch.len());
-        let mut out = self.shared.out.lock();
-        let peer = out.entry(to).or_default();
-        let tracer = self.shared.tracer.load();
-        for (payload, trace) in batch {
-            if let Some(journal) = &self.shared.journal {
-                let seq = peer.next_seq + peer.queued.len() as u64 + 1;
-                tracer.record(trace, Hop::WalQueued);
-                journal.on_enqueue(to, seq, &payload)?;
-                tracer.record(trace, Hop::WalAppended);
-            }
-            let (tx, rx) = bounded(1);
-            peer.queued.push_back((payload, Some(tx), trace));
-            tracer.record(trace, Hop::OutQueued);
-            receipts.push(Receipt { rx });
-        }
-        self.shared
-            .stats
-            .msgs_sent
-            .fetch_add(count, Ordering::Relaxed);
-        let now = self.shared.clock.now_micros();
-        pump(
-            &self.transport,
-            self.shared.epoch,
-            &self.shared.config,
-            now,
-            to,
-            peer,
-            &tracer,
-        );
-        Ok(receipts)
     }
 
     /// The crash-recovery variant of [`ReliableChannel::send`]: queues a
@@ -831,15 +848,7 @@ impl ReliableChannel {
             tracer.record(trace, Hop::OutQueued);
             bump(&self.shared.stats.msgs_sent);
             let now = self.shared.clock.now_micros();
-            pump(
-                &self.transport,
-                self.shared.epoch,
-                &self.shared.config,
-                now,
-                to,
-                peer,
-                &tracer,
-            );
+            self.shared.pump(now, to, peer, &tracer);
         }
         Ok(Receipt { rx })
     }
@@ -872,7 +881,7 @@ impl ReliableChannel {
             payload: payload.to_vec(),
         });
         bump(&self.shared.stats.unreliable_sent);
-        self.transport.send(to, &frame)
+        self.shared.transport.send(to, &frame)
     }
 
     /// Broadcasts a fire-and-forget payload.
@@ -888,7 +897,7 @@ impl ReliableChannel {
             payload: payload.to_vec(),
         });
         bump(&self.shared.stats.unreliable_sent);
-        self.transport.broadcast(&frame)
+        self.shared.transport.broadcast(&frame)
     }
 
     /// Receives the next message, blocking up to `timeout` (forever when
@@ -1060,12 +1069,15 @@ impl ReliableChannel {
     }
 
     /// Shuts the channel down: closes the transport and stops the receive
-    /// thread. Unacknowledged messages are dropped.
+    /// thread. Unacknowledged messages are dropped, and so are held
+    /// acknowledgements — nothing more is sent, which is what lets the
+    /// harness use this as a crash (the peer retransmits and is answered,
+    /// or not, by whoever comes back).
     pub fn close(&self) {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.transport.close();
+        self.shared.transport.close();
         let peers: Vec<ServiceId> = self.shared.out.lock().keys().copied().collect();
         for p in peers {
             self.forget_peer(p);
@@ -1081,60 +1093,124 @@ impl Drop for ReliableChannel {
         // Close without joining (join may self-deadlock if dropped from
         // the rx thread; it never is, but stay safe and cheap).
         if !self.shared.closed.swap(true, Ordering::SeqCst) {
-            self.transport.close();
+            self.shared.transport.close();
         }
     }
 }
 
-/// Promotes queued messages into the send window and transmits their
-/// fragments. Callers hold the out-map lock.
-fn pump(
-    transport: &Arc<dyn Transport>,
-    epoch: u64,
-    config: &ReliableConfig,
-    now: u64,
-    to: ServiceId,
-    peer: &mut PeerOut,
-    tracer: &Tracer,
-) {
-    let max_frag = transport
-        .max_datagram()
-        .saturating_sub(FRAME_HEADER_LEN)
-        .max(1);
-    while peer.inflight.len() < config.window {
-        let Some((payload, receipt, trace)) = peer.queued.pop_front() else {
-            break;
-        };
-        let seq = peer.next_seq + 1;
-        peer.next_seq = seq;
-        let frags = fragment_ranges(payload.len(), max_frag);
-        let n = frags.len();
-        tracer.record(trace, Hop::TxSent);
-        for (i, &(start, end)) in frags.iter().enumerate() {
-            // Fragments are sliced out of the shared payload and encoded
-            // straight into the wire buffer — no owned per-fragment copy.
-            let frame = encode_data_frame(epoch, seq, i as u16, n as u16, &payload[start..end]);
-            let _ = transport.send(to, &frame);
+impl Shared {
+    /// Promotes queued messages into the send window and transmits their
+    /// fragments. Callers hold the out-map lock.
+    fn pump(&self, now: u64, to: ServiceId, peer: &mut PeerOut, tracer: &Tracer) {
+        let max_frag = self
+            .transport
+            .max_datagram()
+            .saturating_sub(FRAME_HEADER_LEN)
+            .max(1);
+        while peer.inflight.len() < self.config.window {
+            let Some((payload, receipt, trace)) = peer.queued.pop_front() else {
+                break;
+            };
+            let seq = peer.next_seq + 1;
+            peer.next_seq = seq;
+            let frags = fragment_ranges(payload.len(), max_frag);
+            let n = frags.len();
+            tracer.record(trace, Hop::TxSent);
+            let mut ack = self.take_piggyback(to);
+            for (i, &(start, end)) in frags.iter().enumerate() {
+                // Fragments are sliced out of the shared payload and encoded
+                // straight into the wire buffer — no owned per-fragment copy.
+                let frame = encode_data_frame_acking(
+                    ack.take(),
+                    self.epoch,
+                    seq,
+                    i as u16,
+                    n as u16,
+                    &payload[start..end],
+                );
+                let _ = self.transport.send(to, &frame);
+            }
+            let msg = OutMessage {
+                acked: vec![false; n],
+                unacked: n,
+                payload,
+                frags,
+                receipt,
+                last_tx: now,
+                rto: self.config.initial_rto,
+                retries: 0,
+                trace,
+            };
+            peer.inflight.insert(seq, msg);
         }
-        let msg = OutMessage {
-            acked: vec![false; n],
-            unacked: n,
-            payload,
-            frags,
-            receipt,
-            last_tx: now,
-            rto: config.initial_rto,
-            retries: 0,
-            trace,
+    }
+
+    /// What the next data frame to `to` carries for the reverse
+    /// direction: everything held up to the last in-order delivery. The
+    /// held fragments it covers are dropped; fragments of a message still
+    /// being reassembled stay for the tick.
+    fn take_piggyback(&self, to: ServiceId) -> Option<CumulativeAck> {
+        let mut held = self.held.lock();
+        let held = held.get_mut(&to)?;
+        if held.up_to == 0 {
+            return None;
+        }
+        let ack = CumulativeAck {
+            epoch: held.epoch,
+            up_to: held.up_to,
         };
-        peer.inflight.insert(seq, msg);
+        held.frags.retain(|&(seq, _)| seq > ack.up_to);
+        held.up_to = 0;
+        held.msgs = 0;
+        Some(ack)
+    }
+
+    /// Acknowledges one fragment at once. The frame is built on the
+    /// stack.
+    fn send_ack(&self, to: ServiceId, epoch: u64, seq: u64, frag_index: u16) {
+        let _ = self
+            .transport
+            .send(to, &encode_ack_frame(epoch, seq, frag_index));
+    }
+
+    /// Sends everything held for `to` as standalone acknowledgements:
+    /// one [`Frame::Ack`], or [`Frame::AckBatch`] frames chunked to
+    /// respect both the codec's collection cap and the transport
+    /// datagram size.
+    fn flush(&self, to: ServiceId, held: &mut HeldAcks) {
+        match held.frags[..] {
+            [] => {}
+            [(seq, frag_index)] => self.send_ack(to, held.epoch, seq, frag_index),
+            _ => {
+                let per_datagram = self
+                    .transport
+                    .max_datagram()
+                    .saturating_sub(ACK_BATCH_HEADER_LEN)
+                    / ACK_ENTRY_LEN;
+                let chunk = per_datagram.clamp(1, MAX_COLLECTION_LEN);
+                for chunk in held.frags.chunks(chunk) {
+                    let _ = self
+                        .transport
+                        .send(to, &encode_ack_batch_frame(held.epoch, chunk));
+                }
+            }
+        }
+        held.clear();
+    }
+
+    /// Sends every held acknowledgement that found no data frame to ride
+    /// on — the poll tick of a threaded channel, the start of a step of a
+    /// step-driven one.
+    fn flush_held(&self) {
+        for (&peer, held) in self.held.lock().iter_mut() {
+            self.flush(peer, held);
+        }
     }
 }
 
 /// The receive/retransmit worker.
 #[derive(Debug)]
 struct RxWorker {
-    transport: Arc<dyn Transport>,
     shared: Arc<Shared>,
     inbox: Sender<Incoming>,
 }
@@ -1147,7 +1223,7 @@ impl RxWorker {
             if self.shared.closed.load(Ordering::SeqCst) {
                 return;
             }
-            match self.transport.recv(Some(poll)) {
+            match self.shared.transport.recv(Some(poll)) {
                 Ok(datagram) => {
                     let broadcast = datagram.broadcast;
                     let from = datagram.from;
@@ -1161,7 +1237,9 @@ impl RxWorker {
             }
             let now = self.shared.clock.now_micros();
             if Duration::from_micros(now.saturating_sub(last_scan)) >= poll {
+                // Retransmissions first: they can carry what is held.
                 self.retransmit_due();
+                self.shared.flush_held();
                 last_scan = now;
             }
         }
@@ -1182,27 +1260,36 @@ impl RxWorker {
                 seq,
                 frag_index,
             } => {
-                self.handle_acks(from, epoch, &[(seq, frag_index)]);
+                self.handle_acks(from, epoch, 0, &[(seq, frag_index)]);
             }
             Frame::AckBatch { epoch, acks } => {
-                self.handle_acks(from, epoch, &acks);
+                self.handle_acks(from, epoch, 0, &acks);
             }
             Frame::Data {
                 epoch,
                 seq,
                 frag_index,
                 frag_count,
+                ack,
                 payload,
             } => {
+                // The ack first: it may open the window this data's
+                // reply needs.
+                if let Some(ack) = ack {
+                    self.handle_acks(from, ack.epoch, ack.up_to, &[]);
+                }
                 self.handle_data(from, epoch, seq, frag_index, frag_count, payload);
             }
         }
     }
 
-    /// Applies a run of `(seq, frag_index)` acknowledgements from `from`
-    /// under a single out-lock acquisition — shared by [`Frame::Ack`]
-    /// (one pair) and [`Frame::AckBatch`] (the coalesced form).
-    fn handle_acks(&mut self, from: ServiceId, epoch: u64, acks: &[(u64, u16)]) {
+    /// Applies acknowledgements from `from` under a single out-lock
+    /// acquisition: every in-flight message numbered `up_to` or below
+    /// (the cumulative form a data frame carries; 0 = none), then a run
+    /// of `(seq, frag_index)` pairs ([`Frame::Ack`] is one pair,
+    /// [`Frame::AckBatch`] the coalesced form). Acknowledgements echoing
+    /// any epoch but this session's are ignored.
+    fn handle_acks(&mut self, from: ServiceId, epoch: u64, up_to: u64, acks: &[(u64, u16)]) {
         if epoch != self.shared.epoch {
             return;
         }
@@ -1211,6 +1298,14 @@ impl RxWorker {
             return;
         };
         let mut completed = false;
+        while let Some(first) = peer.inflight.first_entry() {
+            if *first.key() > up_to {
+                break;
+            }
+            let (seq, msg) = first.remove_entry();
+            self.complete(from, seq, msg);
+            completed = true;
+        }
         for &(seq, frag_index) in acks {
             let mut done = false;
             if let Some(msg) = peer.inflight.get_mut(&seq) {
@@ -1226,16 +1321,7 @@ impl RxWorker {
                     .inflight
                     .remove(&seq)
                     .expect("completed message exists");
-                if let Some(journal) = &self.shared.journal {
-                    let _ = journal.on_acked(from, seq);
-                }
-                self.shared.tracer.load().record(msg.trace, Hop::RxAcked);
-                // Count before resolving the receipt so a caller woken
-                // by `send_blocking` observes the updated stats.
-                bump(&self.shared.stats.msgs_acked);
-                if let Some(tx) = msg.receipt {
-                    let _ = tx.send(Ok(()));
-                }
+                self.complete(from, seq, msg);
                 completed = true;
             }
         }
@@ -1244,15 +1330,21 @@ impl RxWorker {
             // whole batch.
             let now = self.shared.clock.now_micros();
             let tracer = self.shared.tracer.load();
-            pump(
-                &self.transport,
-                self.shared.epoch,
-                &self.shared.config,
-                now,
-                from,
-                peer,
-                &tracer,
-            );
+            self.shared.pump(now, from, peer, &tracer);
+        }
+    }
+
+    /// Retires a fully acknowledged message.
+    fn complete(&self, from: ServiceId, seq: u64, msg: OutMessage) {
+        if let Some(journal) = &self.shared.journal {
+            let _ = journal.on_acked(from, seq);
+        }
+        self.shared.tracer.load().record(msg.trace, Hop::RxAcked);
+        // Count before resolving the receipt so a caller woken by
+        // `send_blocking` observes the updated stats.
+        bump(&self.shared.stats.msgs_acked);
+        if let Some(tx) = msg.receipt {
+            let _ = tx.send(Ok(()));
         }
     }
 
@@ -1265,9 +1357,12 @@ impl RxWorker {
         frag_count: u16,
         payload: Vec<u8>,
     ) {
-        // Journalled receivers defer acknowledgement until delivery is
-        // durably recorded; without a journal (or with dedup disabled)
-        // the original ack-on-arrival behaviour applies unchanged.
+        // Journalled receivers acknowledge nothing until delivery is
+        // durably recorded; without a journal a fragment is acknowledged
+        // as it is accepted. Either way the acknowledgement of in-order
+        // data is held for a data frame to carry; only with dedup
+        // disabled does the original ack-everything-on-arrival behaviour
+        // apply unchanged.
         let journaled = self.shared.journal.is_some() && self.shared.config.dedup;
         let mut peers_in = self.shared.peers_in.lock();
         let peer = peers_in.entry(from).or_default();
@@ -1313,18 +1408,13 @@ impl RxWorker {
             return;
         }
 
-        // (Re-)acknowledge everything else — including duplicates, whose
-        // original ack may have been lost. Journalled receivers ack only
-        // at (or after) durably-recorded delivery, below.
-        if !journaled {
-            self.send_ack(from, epoch, seq, frag_index);
-        }
-
         if !self.shared.config.dedup {
-            // Intentionally-broken mode for oracle validation: hand every
-            // fragment batch up as soon as it completes, with no duplicate
-            // suppression and no reordering. Retransmitted messages get
-            // delivered again; gaps are not waited for.
+            // Intentionally-broken mode for oracle validation: ack on
+            // arrival and hand every fragment batch up as soon as it
+            // completes, with no duplicate suppression and no reordering.
+            // Retransmitted messages get delivered again; gaps are not
+            // waited for.
+            self.shared.send_ack(from, epoch, seq, frag_index);
             if let Reassembly::Whole(payload) =
                 peer.reassemble(seq, frag_index, frag_count, payload)
             {
@@ -1334,23 +1424,35 @@ impl RxWorker {
             return;
         }
 
+        // A duplicate is re-acknowledged at once: its original ack may
+        // have been lost, and the sender is already retransmitting.
         if seq < peer.expected || peer.ready.contains_key(&seq) {
             bump(&self.shared.stats.duplicates_suppressed);
-            if journaled {
-                if seq < peer.expected {
-                    // Its delivery is already journalled — safe to re-ack
-                    // (the original ack may have been lost).
-                    self.send_ack(from, epoch, seq, frag_index);
-                } else {
-                    // Buffered but not yet journalled: don't ack, but
-                    // retry the drain in case it stalled on a journal
-                    // error earlier.
-                    self.drain_in_order(from, peer, None);
-                }
+            if !journaled || seq < peer.expected {
+                // (Journalled: its delivery is already recorded.)
+                self.shared.send_ack(from, epoch, seq, frag_index);
+            } else {
+                // Buffered but not yet journalled: don't ack, but retry
+                // the drain in case it stalled on a journal error earlier.
+                self.drain_in_order(from, peer, None);
             }
             return;
         }
-        match peer.reassemble(seq, frag_index, frag_count, payload) {
+        let in_order = seq == peer.expected;
+        let reassembly = peer.reassemble(seq, frag_index, frag_count, payload);
+        if !journaled {
+            if in_order && !matches!(reassembly, Reassembly::Duplicate) {
+                let mut held = self.shared.held.lock();
+                let held = held.entry(from).or_default().for_epoch(epoch);
+                held.frags.push((seq, frag_index));
+            } else {
+                // New data ahead of a gap is acknowledged at once too:
+                // the sender should learn which of its window arrived.
+                // Only the next message in sequence waits for a ride.
+                self.shared.send_ack(from, epoch, seq, frag_index);
+            }
+        }
+        match reassembly {
             Reassembly::Pending => {}
             Reassembly::Duplicate => bump(&self.shared.stats.duplicates_suppressed),
             // Deliver everything now in order.
@@ -1365,9 +1467,10 @@ impl RxWorker {
     ///
     /// With a journal attached, each delivery is recorded — payload
     /// included — *before* the message is handed up or any fragment
-    /// acked; a journal error leaves the message buffered and
-    /// unacknowledged so the sender retransmits and delivery is retried
-    /// — the invariant that makes an acked message durably recorded.
+    /// acked (held or sent); a journal error leaves the message buffered
+    /// and unacknowledged so the sender retransmits and delivery is
+    /// retried — the invariant that makes an acked message durably
+    /// recorded.
     /// When the journal retains rx payloads the message also joins the
     /// unconsumed list (under the same `peers_in` lock the journal
     /// append happened under, so checkpoints never observe the append
@@ -1387,10 +1490,12 @@ impl RxWorker {
                 peer.ready.insert(seq, (msg, frag_count));
             }
         }
-        // Journalled receivers ack at delivery time; the acks for the
-        // whole drained run are coalesced into batch frames instead of
-        // one datagram per fragment.
-        let mut acks: Vec<(u64, u16)> = Vec::new();
+        let journaled = self.shared.journal.is_some();
+        // Half a window owed is sent without waiting for a ride, so a
+        // one-way stream is never paced by the poll tick (and a window
+        // of one is acknowledged message by message). The window is this
+        // end's own: both ends are assumed to be configured alike.
+        let bound = (self.shared.config.window / 2).max(1);
         loop {
             let seq = peer.expected;
             let Some((msg, frag_count)) = in_hand.take().or_else(|| peer.ready.remove(&seq)) else {
@@ -1407,7 +1512,20 @@ impl RxWorker {
                         .lock()
                         .push((from, peer.epoch, seq, msg.clone()));
                 }
-                acks.extend((0..frag_count).map(|i| (seq, i)));
+            }
+            {
+                let mut held = self.shared.held.lock();
+                let held = held.entry(from).or_default().for_epoch(peer.epoch);
+                if journaled {
+                    // Journalled receivers ack at delivery time, the
+                    // whole message at once.
+                    held.frags.extend((0..frag_count).map(|i| (seq, i)));
+                }
+                held.up_to = seq;
+                held.msgs += 1;
+                if held.msgs >= bound {
+                    self.shared.flush(from, held);
+                }
             }
             peer.expected = seq + 1;
             bump(&self.shared.stats.msgs_delivered);
@@ -1416,40 +1534,6 @@ impl RxWorker {
                 seq,
                 payload: msg,
             });
-        }
-        // Flush even when the loop broke on a journal error: everything
-        // collected so far was durably recorded before delivery.
-        self.flush_acks(from, peer.epoch, &acks);
-    }
-
-    /// Acknowledges one fragment. The frame is built on the stack: an ack
-    /// answers nearly every datagram that arrives.
-    fn send_ack(&self, to: ServiceId, epoch: u64, seq: u64, frag_index: u16) {
-        let _ = self
-            .transport
-            .send(to, &encode_ack_frame(epoch, seq, frag_index));
-    }
-
-    /// Sends a run of acknowledgements to `to`, coalescing two or more
-    /// into [`Frame::AckBatch`] frames. Batches are chunked to respect
-    /// both the codec's collection cap and the transport datagram size.
-    fn flush_acks(&self, to: ServiceId, epoch: u64, acks: &[(u64, u16)]) {
-        match acks {
-            [] => {}
-            &[(seq, frag_index)] => self.send_ack(to, epoch, seq, frag_index),
-            _ => {
-                // Per-entry cost on the wire is 8 (seq) + 2 (frag_index)
-                // bytes after a tag + epoch + count header of 11.
-                let per_datagram = self.transport.max_datagram().saturating_sub(11) / 10;
-                let chunk = per_datagram.clamp(1, MAX_COLLECTION_LEN);
-                for chunk in acks.chunks(chunk) {
-                    let frame = Frame::AckBatch {
-                        epoch,
-                        acks: chunk.to_vec(),
-                    };
-                    let _ = self.transport.send(to, &to_bytes(&frame));
-                }
-            }
         }
     }
 
@@ -1492,19 +1576,21 @@ impl RxWorker {
                     line.fetch_add(1, Ordering::Relaxed);
                 }
                 let n = msg.frags.len() as u16;
+                let mut ack = self.shared.take_piggyback(peer_id);
                 for (i, &(start, end)) in msg.frags.iter().enumerate() {
                     if msg.acked[i] {
                         continue;
                     }
                     bump(&self.shared.stats.retransmits);
-                    let frame = encode_data_frame(
+                    let frame = encode_data_frame_acking(
+                        ack.take(),
                         self.shared.epoch,
                         seq,
                         i as u16,
                         n,
                         &msg.payload[start..end],
                     );
-                    let _ = self.transport.send(peer_id, &frame);
+                    let _ = self.shared.transport.send(peer_id, &frame);
                 }
             }
             for seq in expired {
@@ -1525,15 +1611,7 @@ impl RxWorker {
                     let _ = tx.send(Err(Error::Timeout));
                 }
             }
-            pump(
-                &self.transport,
-                self.shared.epoch,
-                &config,
-                now,
-                peer_id,
-                peer,
-                &tracer,
-            );
+            self.shared.pump(now, peer_id, peer, &tracer);
         }
     }
 }

@@ -364,6 +364,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(b.step(), 0, "the held ack leaves at the next step");
         assert_eq!(a.step(), 1, "the ack is polled off the socket");
         assert!(matches!(receipt.poll(), Some(Ok(()))));
         assert_eq!((a.step(), b.step()), (0, 0), "both sockets are drained");

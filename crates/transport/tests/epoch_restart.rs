@@ -102,6 +102,8 @@ fn restart_with_higher_epoch_rejects_stale_traffic_and_starts_clean() {
     net.pump_due();
     rx.step();
     assert_eq!(drain(&rx), vec![vec![0xA1], vec![0xA2]]);
+    // The acks were held through our turn; the next step sends them.
+    rx.step();
     net.pump_due();
     old.step();
     assert_eq!(old.pending(rx.local_id()), 0);
@@ -151,6 +153,7 @@ fn restart_with_higher_epoch_rejects_stale_traffic_and_starts_clean() {
     reborn.send(rx.local_id(), vec![0xB2]).unwrap();
     net.pump_due();
     rx.step();
+    rx.step();
     reborn.step();
     assert_eq!(drain(&rx), vec![vec![0xB2]]);
     assert_eq!(
@@ -159,6 +162,61 @@ fn restart_with_higher_epoch_rejects_stale_traffic_and_starts_clean() {
         "the new session's sends are acked"
     );
     assert_eq!(rx.stats().msgs_delivered, 4);
+}
+
+/// The same restart seen from the other side: the receiver still holds
+/// acknowledgements for the dead session when it next sends data to that
+/// identity, so the frame's ack field echoes a dead epoch. The reborn
+/// sender must take the data and ignore the ack — its own message 1 is
+/// not what "up to 3" was said about.
+#[test]
+fn piggybacked_ack_for_a_dead_epoch_is_ignored() {
+    let clock = Arc::new(ManualClock::new());
+    let shared: SharedClock = clock.clone();
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 12, Arc::clone(&shared));
+    let channel = |endpoint| {
+        ReliableChannel::with_clock(
+            Arc::new(endpoint),
+            ReliableConfig::default(),
+            Arc::clone(&shared),
+        )
+    };
+    let old = channel(net.endpoint());
+    let rx = channel(net.endpoint());
+    let sender_id = old.local_id();
+
+    // Three messages of the old session are delivered; their acks are
+    // held through the receiver's turn, and the sender dies first.
+    for n in [0xA1u8, 0xA2, 0xA3] {
+        old.send(rx.local_id(), vec![n]).unwrap();
+    }
+    rx.step();
+    assert_eq!(drain(&rx).len(), 3);
+    old.close();
+
+    // The reborn sender's first message is lost, so the receiver has not
+    // heard of the new session when it sends data of its own.
+    let reborn = channel(net.endpoint_with_id(sender_id));
+    net.set_link(sender_id, rx.local_id(), LinkConfig::ideal().with_loss(1.0));
+    reborn.send(rx.local_id(), vec![0xB1]).unwrap();
+    net.set_link(sender_id, rx.local_id(), LinkConfig::ideal());
+    rx.send(sender_id, vec![0xC1]).unwrap();
+    reborn.step();
+    assert_eq!(drain(&reborn), vec![vec![0xC1]], "the data is delivered");
+    assert_eq!(
+        reborn.pending(rx.local_id()),
+        1,
+        "an ack echoing the dead epoch must not retire the new session's message"
+    );
+
+    // The retransmission introduces the new session; now the ack counts.
+    clock.advance_millis(100);
+    reborn.step();
+    rx.step();
+    assert_eq!(drain(&rx), vec![vec![0xB1]]);
+    rx.step();
+    reborn.step();
+    assert_eq!(reborn.pending(rx.local_id()), 0);
 }
 
 /// Builds the redelivery scenario shared by the next two tests: a device

@@ -32,6 +32,8 @@ fn missed_ack_pulses_the_interrupt_line() {
     let receipt = tx.send(rx.local_id(), vec![1]).expect("send");
     net.pump_due();
     rx.step();
+    // The ack was held through the owner's turn; the next step sends it.
+    rx.step();
     tx.step();
     receipt
         .wait(std::time::Duration::ZERO)

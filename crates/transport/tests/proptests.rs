@@ -1,48 +1,142 @@
 //! Property-based tests for the transport layer's codecs and invariants.
 
 use proptest::prelude::*;
-use smc_transport::{fragment, Frame, FRAME_HEADER_LEN};
+use smc_transport::frame::ACK_ENTRY_LEN;
+use smc_transport::{fragment, CumulativeAck, Frame, FRAME_HEADER_LEN};
 use smc_types::codec::{from_bytes, to_bytes};
+
+/// Any well-formed frame, every tag and both data layouts.
+fn any_frame() -> impl Strategy<Value = Frame> {
+    let payload = || proptest::collection::vec(any::<u8>(), 0..512);
+    let ack = proptest::option::of(
+        (any::<u64>(), any::<u64>()).prop_map(|(epoch, up_to)| CumulativeAck { epoch, up_to }),
+    );
+    prop_oneof![
+        (
+            any::<u64>(),
+            any::<u64>(),
+            0u16..64,
+            0u16..64,
+            ack,
+            payload()
+        )
+            .prop_map(
+                |(epoch, seq, frag_index, extra, ack, payload)| Frame::Data {
+                    epoch,
+                    seq,
+                    frag_index,
+                    frag_count: frag_index + extra + 1,
+                    ack,
+                    payload,
+                }
+            ),
+        (any::<u64>(), any::<u64>(), any::<u16>()).prop_map(|(epoch, seq, frag_index)| {
+            Frame::Ack {
+                epoch,
+                seq,
+                frag_index,
+            }
+        }),
+        (
+            any::<u64>(),
+            proptest::collection::vec((any::<u64>(), any::<u16>()), 0..64)
+        )
+            .prop_map(|(epoch, acks)| Frame::AckBatch { epoch, acks }),
+        payload().prop_map(|payload| Frame::Unreliable { payload }),
+    ]
+}
+
+/// Decodes hostile bytes: whatever comes back, nothing it holds may have
+/// reserved more than the datagram itself could fill.
+fn decode_within_budget(bytes: &[u8]) {
+    match from_bytes::<Frame>(bytes) {
+        Ok(Frame::Data { payload, .. } | Frame::Unreliable { payload }) => {
+            assert!(payload.capacity() <= bytes.len());
+        }
+        Ok(Frame::AckBatch { acks, .. }) => {
+            assert!(acks.capacity() * ACK_ENTRY_LEN <= bytes.len());
+        }
+        Ok(Frame::Ack { .. }) | Err(_) => {}
+    }
+}
 
 proptest! {
     /// Frame encode/decode is the identity.
     #[test]
-    fn frame_round_trip(
-        epoch in any::<u64>(),
-        seq in any::<u64>(),
-        frag_index in 0u16..64,
-        extra in 0u16..64,
-        payload in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let frames = vec![
-            Frame::Data {
-                epoch,
-                seq,
-                frag_index,
-                frag_count: frag_index + extra + 1,
-                payload: payload.clone(),
-            },
-            Frame::Ack { epoch, seq, frag_index },
-            Frame::Unreliable { payload },
-        ];
-        for f in frames {
-            let bytes = to_bytes(&f);
-            prop_assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), f);
-        }
+    fn frame_round_trip(frame in any_frame()) {
+        let bytes = to_bytes(&frame);
+        prop_assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame);
     }
 
-    /// Decoding arbitrary bytes never panics.
+    /// Raw noise behind every frame tag (and behind no tag at all): an
+    /// error or a frame, never a panic, never an outsized reservation.
     #[test]
-    fn frame_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = from_bytes::<Frame>(&bytes);
+    fn frame_decode_never_panics(
+        tag in prop_oneof![
+            Just(None),
+            Just(Some(0xD1u8)),
+            Just(Some(0xD2u8)),
+            Just(Some(0xA1u8)),
+            Just(Some(0xA2u8)),
+            Just(Some(0x01u8)),
+        ],
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        if let (Some(tag), Some(first)) = (tag, bytes.first_mut()) {
+            *first = tag;
+        }
+        decode_within_budget(&bytes);
+    }
+
+    /// A valid frame of any tag, damaged the ways a link or an attacker
+    /// damages one: bytes overwritten (length and count fields included),
+    /// the tail cut off, junk appended.
+    #[test]
+    fn mutated_valid_frames_decode_or_fail_cleanly(
+        frame in any_frame(),
+        overwrites in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 0..6),
+        keep in any::<proptest::sample::Index>(),
+        truncate in any::<bool>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut bytes = to_bytes(&frame);
+        for (at, value) in overwrites {
+            let at = at.index(bytes.len());
+            bytes[at] = value;
+        }
+        if truncate {
+            bytes.truncate(keep.index(bytes.len() + 1));
+        }
+        bytes.extend(junk);
+        decode_within_budget(&bytes);
+    }
+
+    /// The count field of an `AckBatch` is a claim, not a fact: any count
+    /// the bytes behind it cannot back is an error.
+    #[test]
+    fn ack_batch_count_must_be_backed_by_bytes(
+        epoch in any::<u64>(),
+        entries in proptest::collection::vec((any::<u64>(), any::<u16>()), 0..8),
+        claimed in any::<u16>(),
+    ) {
+        let mut bytes = to_bytes(&Frame::AckBatch { epoch, acks: entries.clone() });
+        bytes[9..11].copy_from_slice(&claimed.to_le_bytes());
+        let decoded = from_bytes::<Frame>(&bytes);
+        if claimed as usize == entries.len() {
+            prop_assert_eq!(decoded.unwrap(), Frame::AckBatch { epoch, acks: entries });
+        } else {
+            prop_assert!(decoded.is_err());
+        }
     }
 
     /// The frame header budget is honest: an encoded empty-payload data
     /// frame never exceeds it.
     #[test]
     fn header_budget(epoch in any::<u64>(), seq in any::<u64>()) {
-        let f = Frame::Data { epoch, seq, frag_index: 0, frag_count: 1, payload: vec![] };
-        prop_assert!(to_bytes(&f).len() <= FRAME_HEADER_LEN);
+        for ack in [None, Some(CumulativeAck { epoch: seq, up_to: epoch })] {
+            let f = Frame::Data { epoch, seq, frag_index: 0, frag_count: 1, ack, payload: vec![] };
+            prop_assert!(to_bytes(&f).len() <= FRAME_HEADER_LEN);
+        }
     }
 
     /// Fragmentation partitions the payload exactly: concatenation

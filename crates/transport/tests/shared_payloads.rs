@@ -1,5 +1,5 @@
-//! Tests for the zero-copy send path: shared `Arc<[u8]>` payloads,
-//! the batch-enqueue entry point, and coalesced [`AckBatch`] handling.
+//! Tests for the zero-copy send path (shared `Arc<[u8]>` payloads),
+//! coalesced [`Frame::AckBatch`] handling, and the golden wire transcript.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -9,7 +9,7 @@ use smc_transport::{
     ReliableConfig, SimNetwork, Transport,
 };
 use smc_types::codec::from_bytes;
-use smc_types::{Result, ServiceId, SharedBytes, TraceId};
+use smc_types::{Result, ServiceId, TraceId};
 
 const TICK: Duration = Duration::from_secs(5);
 
@@ -52,29 +52,6 @@ fn one_shared_buffer_reaches_many_peers() {
     }
 }
 
-/// The batch entry point delivers every payload in order with one lock
-/// round, and each receipt resolves.
-#[test]
-fn batch_enqueue_preserves_order_and_receipts() {
-    let net = SimNetwork::new(LinkConfig::ideal());
-    let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
-    let b = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
-    let batch: Vec<(SharedBytes, TraceId)> = (0..20u32)
-        .map(|i| (SharedBytes::from(i.to_le_bytes().to_vec()), TraceId::NONE))
-        .collect();
-    let receipts = a.send_shared_batch(b.local_id(), batch).unwrap();
-    assert_eq!(receipts.len(), 20);
-    let got = collect_reliable(&b, 20);
-    for (i, payload) in got.iter().enumerate() {
-        assert_eq!(payload, &(i as u32).to_le_bytes().to_vec());
-    }
-    for r in receipts {
-        r.wait(TICK).unwrap();
-    }
-    assert_eq!(a.stats().msgs_sent, 20);
-    assert_eq!(a.stats().msgs_acked, 20);
-}
-
 /// A journalling (ack-on-delivery) receiver coalesces its acks into
 /// batch frames; the sender must still see every message acknowledged —
 /// including multi-fragment ones — and exactly-once FIFO must hold.
@@ -109,10 +86,9 @@ fn coalesced_acks_complete_journaled_deliveries() {
     // Payloads big enough to fragment, sent as one burst so the
     // receiver's in-order drain acks a run of messages at once.
     let big = a.transport().max_datagram() * 3;
-    let batch: Vec<(SharedBytes, TraceId)> = (0..10u8)
-        .map(|i| (SharedBytes::from(vec![i; big]), TraceId::NONE))
+    let receipts: Vec<_> = (0..10u8)
+        .map(|i| a.send(b.local_id(), vec![i; big]).unwrap())
         .collect();
-    let receipts = a.send_shared_batch(b.local_id(), batch).unwrap();
     let got = collect_reliable(&b, 10);
     for (i, payload) in got.iter().enumerate() {
         assert_eq!(payload.len(), big);
@@ -320,11 +296,13 @@ fn chunk_size_plus_one_acks_split_into_two_batches() {
 //
 // The receive/ack path may be rearranged freely as long as the *wire* does
 // not notice: the same script must put the same datagrams, in the same
-// order, with the same bytes, on the link. The golden transcript was
-// captured from the implementation before its per-datagram costs were
-// stripped (one line per datagram: sender, then the frame in hex with the
-// session epoch — bytes 1..9 of every reliable frame — zeroed, because
-// epochs are drawn from a process-wide counter).
+// order, with the same bytes, on the link. The golden transcript is
+// regenerated only by a deliberate wire change (docs/PROTOCOL.md explains
+// the last one group by group). One line per datagram: sender, then the
+// frame in hex with every session epoch zeroed — bytes 1..9 of a reliable
+// frame, and the echoed epoch of the acknowledgement an ack-bearing data
+// frame (tag 0xD2) carries at bytes 21..29 — because epochs are drawn
+// from a process-wide counter.
 
 const WIRE_GOLDEN: &str = include_str!("golden/wire_script.txt");
 
@@ -332,6 +310,9 @@ const WIRE_GOLDEN: &str = include_str!("golden/wire_script.txt");
 fn transcribe(who: char, snoop: &SnoopTransport, transcript: &mut Vec<String>) {
     for mut datagram in snoop.sent.lock().unwrap().drain(..) {
         datagram[1..9].fill(0);
+        if datagram[0] == 0xD2 {
+            datagram[21..29].fill(0);
+        }
         let hex: String = datagram.iter().map(|b| format!("{b:02x}")).collect();
         transcript.push(format!("{who} {hex}"));
     }
@@ -353,8 +334,9 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
         })
     };
     let (ta, tb) = (snoop(), snoop());
-    // A acks on arrival; B is journalled, so it acks on delivery and
-    // coalesces a drained run into `AckBatch` frames.
+    // A acknowledges fragments as it accepts them; B is journalled, so it
+    // acknowledges whole messages on delivery. Both hold what they owe for
+    // the next data frame to the peer, or for their next step.
     let a = ReliableChannel::with_clock(
         Arc::clone(&ta) as Arc<dyn Transport>,
         ReliableConfig::default(),
@@ -373,7 +355,8 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     type End<'a> = (char, &'a SnoopTransport, &'a ReliableChannel);
     let (end_a, end_b): (End, End) = (('A', &ta, &a), ('B', &tb, &b));
     // What the sender just put on the wire, then the receiver's turn
-    // (data in, acks out), then the sender's (acks in, window moves).
+    // (acks held since its last turn out, data in), then the sender's
+    // (acks in, window moves).
     let settle = |wire: &mut Vec<String>, sender: End, receiver: End| {
         transcribe(sender.0, sender.1, wire);
         receiver.2.step();
@@ -384,28 +367,30 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
 
     let max_fragment = SNOOP_MAX_DATAGRAM - smc_transport::FRAME_HEADER_LEN;
     let four_fragments: Vec<u8> = (0..max_fragment * 3 + 1).map(|i| i as u8).collect();
-    let batch = || -> Vec<(SharedBytes, TraceId)> {
-        [vec![0x33; 5], vec![0x44; max_fragment + 5], Vec::new()]
-            .into_iter()
-            .map(|p| (SharedBytes::from(p), TraceId::NONE))
-            .collect()
-    };
+    let burst = || [vec![0x33; 5], vec![0x44; max_fragment + 5], Vec::new()];
 
-    // One fragment, four fragments and a batch, in both directions.
+    // One fragment, four fragments and a burst of three, in both directions.
     for (from, to) in [(end_a, end_b), (end_b, end_a)] {
         let peer = to.2.local_id();
         receipts.push(from.2.send(peer, vec![0x11; 10]).unwrap());
         settle(&mut wire, from, to);
         receipts.push(from.2.send(peer, four_fragments.clone()).unwrap());
         settle(&mut wire, from, to);
-        receipts.extend(from.2.send_shared_batch(peer, batch()).unwrap());
+        receipts.extend(burst().map(|p| from.2.send(peer, p).unwrap()));
         settle(&mut wire, from, to);
     }
 
+    // A quiet turn each: what A still holds for B's burst leaves as one
+    // `AckBatch` (it would otherwise ride on — and be lost with — the
+    // message the partition below swallows).
+    settle(&mut wire, end_b, end_a);
+
     // A journalled drain: the first of three messages is lost, the other
     // two wait (unacknowledged) in B's reorder buffer, and the
-    // retransmission round releases all three at once — one `AckBatch` —
-    // then re-acks the two it had already buffered.
+    // retransmission round releases all three at once, then re-acks at
+    // once the two duplicates it had already buffered. The three
+    // deliveries' own acks are held, and leave as one `AckBatch` on B's
+    // next turn.
     net.set_partitioned(a.local_id(), b.local_id(), true);
     receipts.push(a.send(b.local_id(), b"lost-first".to_vec()).unwrap());
     net.set_partitioned(a.local_id(), b.local_id(), false);
@@ -414,6 +399,7 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     settle(&mut wire, end_a, end_b);
     clock.advance_millis(100);
     a.step();
+    settle(&mut wire, end_a, end_b);
     settle(&mut wire, end_a, end_b);
 
     for receipt in receipts {
@@ -425,7 +411,7 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
             .collect()
     };
     let mut expected = vec![vec![0x11; 10], four_fragments.clone()];
-    expected.extend(batch().into_iter().map(|(p, _)| p.to_vec()));
+    expected.extend(burst());
     assert_eq!(delivered(&a), expected);
     expected.extend([&b"lost-first"[..], b"second", b"third"].map(<[u8]>::to_vec));
     assert_eq!(delivered(&b), expected);

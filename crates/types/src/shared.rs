@@ -1,12 +1,12 @@
 //! A cheaply cloneable byte slice backed by a shared buffer.
 //!
-//! [`SharedBytes`] is a `(Arc<[u8]>, range)` pair: many values can view
-//! disjoint windows of one allocation. The batched publish path encodes a
-//! whole burst of delivery frames into a single arena, wraps it in one
-//! `Arc`, and hands each subscriber-bound frame out as a range — so the
-//! per-event cost of sharing is a reference-count bump, never a copy.
+//! [`SharedBytes`] wraps an `Arc<[u8]>`: the bus encodes a delivery frame
+//! once and hands the same allocation to every subscriber's channel, so
+//! the per-recipient cost of sharing is a reference-count bump, never a
+//! copy — and a sender can pass a `Vec<u8>`, an `Arc<[u8]>` or a slice
+//! without caring which.
 
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An immutable byte slice that shares ownership of its backing buffer.
@@ -14,64 +14,34 @@ use std::sync::Arc;
 /// ```
 /// use smc_types::SharedBytes;
 ///
-/// let arena = SharedBytes::from(vec![1u8, 2, 3, 4, 5]);
-/// let window = arena.slice(1..4);
-/// assert_eq!(&window[..], &[2, 3, 4]);
-/// assert!(SharedBytes::same_buffer(&arena, &window));
+/// let frame = SharedBytes::from(vec![1u8, 2, 3]);
+/// let for_another_peer = frame.clone();
+/// assert_eq!(&for_another_peer[..], &[1, 2, 3]);
 /// ```
 #[derive(Clone)]
 pub struct SharedBytes {
     buf: Arc<[u8]>,
-    start: usize,
-    end: usize,
 }
 
 impl SharedBytes {
     /// Wraps a whole shared buffer.
     pub fn new(buf: Arc<[u8]>) -> Self {
-        let end = buf.len();
-        SharedBytes { buf, start: 0, end }
+        SharedBytes { buf }
     }
 
-    /// A view of `range` within this slice (indices are relative to this
-    /// slice, not the backing buffer). Shares the backing buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
-        assert!(range.start <= range.end && self.start + range.end <= self.end);
-        SharedBytes {
-            buf: Arc::clone(&self.buf),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    /// The bytes of this view.
+    /// The bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
-    }
-
-    /// Length of this view in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Returns `true` if the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Returns `true` if both views share one backing allocation —
-    /// the zero-copy proof used by payload-sharing tests.
-    pub fn same_buffer(a: &SharedBytes, b: &SharedBytes) -> bool {
-        Arc::ptr_eq(&a.buf, &b.buf)
-    }
-
-    /// The full backing buffer (ignores the view window).
-    pub fn backing(&self) -> &Arc<[u8]> {
         &self.buf
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Returns `true` if there are no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 }
 
@@ -116,13 +86,7 @@ impl Eq for SharedBytes {}
 
 impl std::fmt::Debug for SharedBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedBytes({} bytes @ {}..{})",
-            self.len(),
-            self.start,
-            self.end
-        )
+        write!(f, "SharedBytes({} bytes)", self.len())
     }
 }
 
@@ -140,40 +104,17 @@ mod tests {
     }
 
     #[test]
-    fn slices_share_the_backing_allocation() {
-        let arena = SharedBytes::from((0u8..10).collect::<Vec<_>>());
-        let a = arena.slice(0..4);
-        let b = arena.slice(4..10);
-        assert_eq!(&a[..], &[0, 1, 2, 3]);
-        assert_eq!(&b[..], &[4, 5, 6, 7, 8, 9]);
-        assert!(SharedBytes::same_buffer(&a, &b));
-        // Sub-slicing a slice stays relative to the view, not the buffer.
-        let c = b.slice(1..3);
-        assert_eq!(&c[..], &[5, 6]);
-        assert!(SharedBytes::same_buffer(&arena, &c));
-    }
-
-    #[test]
     fn equality_is_by_content() {
         let a = SharedBytes::from(vec![7u8, 8]);
         let b = SharedBytes::from(vec![7u8, 8]);
         assert_eq!(a, b);
-        assert!(!SharedBytes::same_buffer(&a, &b));
+        assert_eq!(a, a.clone());
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_bounds_slice_panics() {
-        let s = SharedBytes::from(vec![1u8, 2]);
-        let _ = s.slice(0..3);
-    }
-
-    #[test]
-    fn empty_slice_is_fine() {
+    fn empty_is_fine() {
         let s = SharedBytes::from(Vec::new());
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        let t = s.slice(0..0);
-        assert!(t.is_empty());
     }
 }
