@@ -1,8 +1,6 @@
-//! Bus activity counters and a small latency recorder.
+//! Bus activity counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 /// Monotonic counters describing everything the bus did.
 ///
@@ -123,127 +121,6 @@ pub struct MetricsSnapshot {
     pub wal_recovery_micros: u64,
     pub route_writer_wait_spins: u64,
     pub route_writer_waits: u64,
-}
-
-/// A bounded reservoir of latency samples in microseconds.
-///
-/// Uses reservoir sampling (Algorithm R, deterministic seed): once the
-/// reservoir is full each new sample replaces a uniformly random stored
-/// one, so the summary describes the *whole* run, not just the first
-/// `cap` observations. Min, max, mean and the observation count are
-/// tracked exactly; percentiles come from the reservoir.
-#[derive(Debug)]
-pub struct LatencyRecorder {
-    state: Mutex<RecorderState>,
-    cap: usize,
-}
-
-#[derive(Debug, Default)]
-struct RecorderState {
-    samples: Vec<u64>,
-    /// Total observations (≥ `samples.len()`).
-    seen: u64,
-    /// Exact aggregates over every observation.
-    sum: u64,
-    min: u64,
-    max: u64,
-    /// splitmix64 state for reservoir replacement draws.
-    rng: u64,
-}
-
-/// Fixed PRNG seed: summaries of a deterministic run are reproducible.
-const RESERVOIR_SEED: u64 = 0x5EED_1A7E_0B5E_55ED;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        LatencyRecorder::new(65_536)
-    }
-}
-
-impl LatencyRecorder {
-    /// Creates a recorder whose reservoir holds at most `cap` samples.
-    pub fn new(cap: usize) -> Self {
-        LatencyRecorder {
-            state: Mutex::new(RecorderState {
-                rng: RESERVOIR_SEED,
-                ..RecorderState::default()
-            }),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, micros: u64) {
-        let mut s = self.state.lock();
-        s.seen += 1;
-        s.sum = s.sum.saturating_add(micros);
-        if s.seen == 1 {
-            s.min = micros;
-            s.max = micros;
-        } else {
-            s.min = s.min.min(micros);
-            s.max = s.max.max(micros);
-        }
-        if s.samples.len() < self.cap {
-            s.samples.push(micros);
-        } else {
-            // Algorithm R: keep with probability cap/seen, replacing a
-            // uniform victim — every observation ends up in the reservoir
-            // with equal probability.
-            let j = splitmix64(&mut s.rng) % s.seen;
-            if (j as usize) < self.cap {
-                s.samples[j as usize] = micros;
-            }
-        }
-    }
-
-    /// Number of stored samples (bounded by the reservoir capacity).
-    pub fn len(&self) -> usize {
-        self.state.lock().samples.len()
-    }
-
-    /// Returns `true` if no samples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears all samples and aggregates.
-    pub fn clear(&self) {
-        *self.state.lock() = RecorderState {
-            rng: RESERVOIR_SEED,
-            ..RecorderState::default()
-        };
-    }
-
-    /// Summary statistics: exact count/min/max/mean over everything
-    /// observed, percentiles estimated from the reservoir.
-    pub fn summary(&self) -> LatencySummary {
-        let state = self.state.lock();
-        if state.samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut s = state.samples.clone();
-        s.sort_unstable();
-        let count = s.len();
-        let pct = |p: f64| s[(((count - 1) as f64) * p) as usize];
-        LatencySummary {
-            count: state.seen as usize,
-            min_micros: state.min,
-            max_micros: state.max,
-            mean_micros: state.sum as f64 / state.seen as f64,
-            p50_micros: pct(0.50),
-            p95_micros: pct(0.95),
-            p99_micros: pct(0.99),
-        }
-    }
 }
 
 /// Migrates [`BusMetrics`] into a telemetry [`Registry`](smc_telemetry::Registry): installs a
@@ -368,19 +245,6 @@ pub fn register_bus_metrics(
     });
 }
 
-/// Summary statistics produced by [`LatencyRecorder::summary`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[allow(missing_docs)]
-pub struct LatencySummary {
-    pub count: usize,
-    pub min_micros: u64,
-    pub max_micros: u64,
-    pub mean_micros: f64,
-    pub p50_micros: u64,
-    pub p95_micros: u64,
-    pub p99_micros: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,74 +292,5 @@ mod tests {
             m.snapshot().wal_fsyncs >= before,
             "a monotonic counter never decreases"
         );
-    }
-
-    #[test]
-    fn latency_summary() {
-        let r = LatencyRecorder::new(100);
-        assert!(r.is_empty());
-        assert_eq!(r.summary(), LatencySummary::default());
-        for v in [10u64, 20, 30, 40, 50] {
-            r.record(v);
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min_micros, 10);
-        assert_eq!(s.max_micros, 50);
-        assert_eq!(s.mean_micros, 30.0);
-        assert_eq!(s.p50_micros, 30);
-        r.clear();
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn recorder_is_bounded() {
-        let r = LatencyRecorder::new(3);
-        for v in 0..10u64 {
-            r.record(v);
-        }
-        assert_eq!(r.len(), 3);
-    }
-
-    /// The reservoir keeps describing the whole run after the cap: a
-    /// sudden latency regression late in a long run must show up in the
-    /// summary (the old behaviour dropped every post-cap sample, so
-    /// summaries only ever described the warm-up).
-    #[test]
-    fn reservoir_sees_past_the_cap() {
-        let r = LatencyRecorder::new(64);
-        for _ in 0..1_000 {
-            r.record(10);
-        }
-        // Regression phase, entirely after the cap is full.
-        for _ in 0..9_000 {
-            r.record(1_000);
-        }
-        let s = r.summary();
-        assert_eq!(s.count, 10_000, "count covers every observation");
-        assert_eq!(s.max_micros, 1_000, "exact max sees the regression");
-        assert!(
-            s.mean_micros > 800.0,
-            "exact mean is dominated by the regression, got {}",
-            s.mean_micros
-        );
-        assert!(
-            s.p95_micros == 1_000,
-            "the reservoir must contain post-cap samples (p95 = {})",
-            s.p95_micros
-        );
-    }
-
-    /// Same inputs → same summary: the reservoir's PRNG seed is fixed.
-    #[test]
-    fn reservoir_is_deterministic() {
-        let mk = || {
-            let r = LatencyRecorder::new(8);
-            for v in 0..500u64 {
-                r.record(v * 7 % 97);
-            }
-            r.summary()
-        };
-        assert_eq!(mk(), mk());
     }
 }

@@ -1,6 +1,10 @@
 //! Lifecycle hygiene: dropping handles without calling `shutdown` must
 //! still stop every worker thread (workers hold weak references), so a
 //! library user cannot leak threads by forgetting teardown.
+//!
+//! Both checks compare process-wide thread counts, so they run one after
+//! the other inside the only `#[test]` of this binary: run in parallel,
+//! each would see the other's cell come and go.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,6 +34,11 @@ fn settle(baseline: usize) -> usize {
 }
 
 #[test]
+fn a_cell_leaves_no_threads_behind() {
+    dropping_a_cell_stops_its_threads();
+    shutdown_then_drop_is_also_clean();
+}
+
 fn dropping_a_cell_stops_its_threads() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let baseline = thread_count();
@@ -53,7 +62,6 @@ fn dropping_a_cell_stops_its_threads() {
     net.shutdown();
 }
 
-#[test]
 fn shutdown_then_drop_is_also_clean() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let baseline = thread_count();

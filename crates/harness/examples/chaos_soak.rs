@@ -52,14 +52,14 @@ fn main() {
             report.total_published(),
             report.total_delivered(),
             report.retransmits,
-            report.core_recoveries,
+            report.core_recoveries(),
         );
         results.push(SeedResult {
             seed,
             published: report.total_published(),
             delivered: report.total_delivered(),
             retransmits: report.retransmits,
-            core_recoveries: report.core_recoveries,
+            core_recoveries: report.core_recoveries(),
             recovery_micros_total: report.recovery_micros_total,
             verdict,
         });

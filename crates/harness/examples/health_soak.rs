@@ -84,7 +84,7 @@ fn main() {
             },
         });
         let report = run_with_options(&storm, with_health(None));
-        let health = report.health.as_ref().expect("health enabled");
+        let health = report.cells[0].health.as_ref().expect("health enabled");
         for t in &health.transitions {
             if t.to == HealthState::Degraded && t.at_micros >= STORM_AT_MICROS {
                 latencies
@@ -105,7 +105,10 @@ fn main() {
         }
 
         let clean_report = run_with_options(&base(seed, secs), with_health(None));
-        let clean = clean_report.health.as_ref().expect("health enabled");
+        let clean = clean_report.cells[0]
+            .health
+            .as_ref()
+            .expect("health enabled");
         false_positives += clean.transitions.len();
 
         eprintln!(
@@ -137,7 +140,7 @@ fn main() {
         },
     });
     let crash_report = run_with_options(&crash, with_health(Some(dump.clone())));
-    let dumped = crash_report
+    let dumped = crash_report.cells[0]
         .health
         .as_ref()
         .and_then(|h| h.dumped_to.as_ref())

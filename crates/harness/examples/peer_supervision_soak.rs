@@ -18,9 +18,20 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use smc_harness::{
-    run_peer, run_with_options, ChaosOp, CoreComponent, HealthOptions, RunOptions, Scenario,
-    ScriptedOp, SupervisionOptions,
+    run_with_options, ChaosOp, CoreComponent, HealthOptions, RunOptions, Scenario, ScriptedOp,
+    SupervisionOptions,
 };
+
+/// Two sibling cells, each supervised and each watching the other.
+fn peered() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions {
+            peer: Some(Default::default()),
+            ..SupervisionOptions::default()
+        }),
+        ..RunOptions::default()
+    }
+}
 
 struct SeedResult {
     seed: u64,
@@ -55,7 +66,7 @@ fn main() {
 
     for seed in 9_500..9_500 + seeds {
         let scenario = Scenario::random_peer(seed, 3, Duration::from_secs(secs), ops);
-        let report = run_peer(&scenario);
+        let report = run_with_options(&scenario, peered());
         let violation = report.oracle.violation().is_some();
         let converged = report.converged();
         if violation {
@@ -168,7 +179,7 @@ fn main() {
             ..RunOptions::default()
         },
     );
-    let dumped = wedge_report
+    let dumped = wedge_report.cells[0]
         .health
         .as_ref()
         .and_then(|h| h.dumped_to.as_ref())

@@ -63,7 +63,7 @@ fn main() {
                 ..RunOptions::default()
             },
         );
-        let sup = report.supervision.as_ref().expect("supervision enabled");
+        let sup = &report.cells[0];
         let violation = report.oracle.violation().is_some();
         let converged = sup.converged();
         if violation {
@@ -86,7 +86,7 @@ fn main() {
             escalations: sup.report.escalations,
             reconcile_repairs: sup.report.reconcile_repairs,
             policy_restarts: sup.policy_restarts,
-            core_reboots: report.core_recoveries,
+            core_reboots: report.core_recoveries(),
             missed_ack_interrupts: sup.missed_ack_interrupts,
             ttr_micros: sup.report.ttr_micros.clone(),
             converged,
@@ -183,7 +183,7 @@ fn main() {
             ..RunOptions::default()
         },
     );
-    let dumped = crash_report
+    let dumped = crash_report.cells[0]
         .health
         .as_ref()
         .and_then(|h| h.dumped_to.as_ref())

@@ -21,7 +21,20 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use smc_harness::{run_peer_with_options, ChaosOp, PeerOptions, Scenario, ScriptedOp};
+use smc_harness::{
+    run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
+};
+
+/// Two sibling cells, each supervised and each watching the other.
+fn peered() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions {
+            peer: Some(Default::default()),
+            ..SupervisionOptions::default()
+        }),
+        ..RunOptions::default()
+    }
+}
 
 const JOURNEY: [&str; 5] = [
     "lease-lapse",
@@ -81,15 +94,15 @@ fn main() {
         let scenario = scenario_for(seed, secs);
 
         let started = Instant::now();
-        let baseline = run_peer_with_options(&scenario, PeerOptions::default());
+        let baseline = run_with_options(&scenario, peered());
         let baseline_micros = started.elapsed().as_micros() as u64;
 
         let started = Instant::now();
-        let report = run_peer_with_options(
+        let report = run_with_options(
             &scenario,
-            PeerOptions {
+            RunOptions {
                 telemetry: Some(Default::default()),
-                ..PeerOptions::default()
+                ..peered()
             },
         );
         let plane_micros = started.elapsed().as_micros() as u64;

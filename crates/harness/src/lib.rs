@@ -31,20 +31,17 @@
 
 #![warn(missing_docs)]
 
+mod cell;
 mod oracle;
-mod peer_world;
+mod planes;
 mod scenario;
 mod world;
 
 pub use oracle::{DeliveryOracle, OracleViolation, TraceEvent, ViolationKind};
-pub use peer_world::{
-    run_peer, run_peer_with_options, CellReport, PeerOptions, PeerRunReport, TelemetryPlaneOptions,
-    TelemetryPlaneReport,
-};
 pub use scenario::{
     shrink_scenario, ChaosOp, CoreComponent, CorruptTarget, LinkProfileKind, Scenario, ScriptedOp,
 };
 pub use world::{
-    default_discovery, default_reliable, run, run_with, run_with_backend, run_with_options,
-    HealthOptions, HealthOutcome, RunOptions, RunReport, SupervisionOptions, SupervisionOutcome,
+    default_discovery, run, run_with_options, CellReport, HealthOptions, HealthOutcome, RunOptions,
+    RunReport, SupervisionOptions, TelemetryPlaneOptions, TelemetryPlaneReport,
 };

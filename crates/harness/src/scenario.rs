@@ -46,6 +46,23 @@ pub enum CoreComponent {
     Sink,
 }
 
+impl CoreComponent {
+    /// The name supervision knows the component by.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            CoreComponent::Discovery => "discovery",
+            CoreComponent::Sink => "sink",
+        }
+    }
+
+    /// The component supervision calls `name`, if it is one of these.
+    pub(crate) fn named(name: &str) -> Option<CoreComponent> {
+        [CoreComponent::Discovery, CoreComponent::Sink]
+            .into_iter()
+            .find(|c| c.name() == name)
+    }
+}
+
 /// Which piece of live state a [`ChaosOp::CorruptState`] damages. Every
 /// target diverges a *view* from durable truth without touching the
 /// write-ahead log, so only an anti-entropy reconcile pass heals it.

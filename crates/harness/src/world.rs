@@ -1,75 +1,91 @@
-//! The chaos world: a cell plus device nodes in one virtual timeline.
+//! The chaos world: a list of cells, their device nodes and their
+//! optional planes, stepped through one virtual timeline.
 //!
-//! [`run`] builds a simulated radio environment ([`SimNetwork`]) around a
-//! [`ManualClock`], wires a step-driven discovery service, an event sink
-//! (standing in for the cell's bus endpoint) and `scenario.nodes` device
-//! agents onto it, then single-threadedly steps virtual time in fixed
-//! ticks: scripted faults fire at their scripted instants, devices
-//! publish while they hold membership, and every observable fact lands in
-//! a [`DeliveryOracle`] in a deterministic order. Seconds of simulated
-//! chaos run in milliseconds of wall time, and the same seed always
-//! produces the same trace, byte for byte.
+//! [`run_with_options`] builds a simulated radio environment
+//! ([`SimNetwork`]) around a [`ManualClock`] and a `World` on top of it:
+//! the shared context every cell needs (network, clock, tracer, oracle,
+//! channel and discovery configuration, the current virtual instant)
+//! plus a `Vec` of [`Cell`]s. Each cell is a step-driven discovery
+//! service, an event sink standing in for the cell's bus endpoint, and
+//! `scenario.nodes` device agents. The world then single-threadedly steps
+//! virtual time in fixed ticks: scripted faults fire at their scripted
+//! instants, devices publish while they hold membership, and every
+//! observable fact lands in one [`DeliveryOracle`] in a deterministic
+//! order. Seconds of simulated chaos run in milliseconds of wall time,
+//! and the same seed always produces the same trace, byte for byte.
 //!
-//! The core itself is durable: its channels journal cursors and outbound
-//! queues into a write-ahead log (an in-memory [`MemBackend`] by
-//! default), and a snapshot is cut every [`CHECKPOINT_MICROS`] of virtual
-//! time. A [`ChaosOp::CoreCrash`] tears the whole core down — discovery
-//! table, sink cursors, pending queues — and rebuilds it from that log,
-//! so the oracle checks exactly-once and FIFO *across* the restart
-//! boundary. [`run_with_backend`] swaps the backend, which is how tests
-//! prove the teeth: the same scenario on a `NoopBackend` loses the
-//! cursors and the oracle flags the redelivery.
+//! **Durable cores.** A cell's channels journal cursors and outbound
+//! queues into a write-ahead log and a snapshot is cut every
+//! `CHECKPOINT_MICROS` of virtual time. A [`ChaosOp::CoreCrash`] tears
+//! the whole core down and rebuilds it from that log, so the oracle
+//! checks exactly-once and FIFO *across* the restart boundary.
+//! [`RunOptions::backend`] swaps the log of the cell under test, which is
+//! how tests prove the teeth: the same scenario on a `NoopBackend` loses
+//! the cursors and the oracle flags the redelivery.
+//!
+//! **Planes.** Everything beyond that is a per-cell plane that is either
+//! configured or absent — the run loop has one body and skips what is
+//! not there:
+//!
+//! * **health** ([`RunOptions::health`]) — a monitor, the built-in quench
+//!   obligations and a flight recorder, sampling the live cell;
+//! * **supervision** ([`RunOptions::supervision`]) — the detect → repair
+//!   loop: a component-down detector, a supervisor that restarts dead
+//!   components from the log and escalates wedged ones to a core reboot,
+//!   and periodic anti-entropy against durable truth;
+//! * **peer supervision** ([`SupervisionOptions::peer`]) — the world has
+//!   two sibling cells exactly when this is set. Each heartbeats a lease
+//!   over a journalled supervision channel; a lapsed lease is claimed,
+//!   the silent cell adopted, and repair (reviving the dead supervisor
+//!   included) driven remotely through wire commands the ward's cell
+//!   runtime executes even with its own supervisor dead;
+//! * **telemetry** ([`RunOptions::telemetry`]) — every cell exports delta
+//!   metrics, trace hops and SLO reports as journalled `smc.telemetry`
+//!   events to an observer that folds them into a ward view.
+//!
+//! Device-indexed and component faults hit cell 0, the cell under test;
+//! [`ChaosOp::KillSupervisor`] and [`ChaosOp::PartitionCell`] name their
+//! cell. Rules that hold wherever the plane they concern exists: a cell
+//! with a supervision plane refuses to checkpoint unless an anti-entropy
+//! pass ran within the last checkpoint interval (compaction must never
+//! freeze a diverged view into durable truth — `checkpoint deferred` in
+//! the trace), and every device channel pulses that plane's missed-ack
+//! interrupt line so detection runs at wire speed.
 
-use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_discovery::{AgentConfig, DiscoveryConfig, DiscoveryService, MemberAgent, MembershipEvent};
+use smc_discovery::DiscoveryConfig;
 use smc_health::{
-    health_event, ComponentDown, DeliveryLatency, Detector, FlightRecorder, HealthConfig,
-    HealthMonitor, HealthReport, HealthState, HealthTransition, Hysteresis, MembershipFlap,
-    QueueGrowth, RepairAction, RetransmitStorm, ServiceRegistry, ServiceSpec, SuperviseConfig,
-    SupervisionReport, Supervisor, WalStall,
-};
-use smc_policy::{
-    health_quench_policies, supervision_policies, telemetry_quench_exemptions, ActionClass,
-    ActionSpec, Decision, PolicyService,
+    FlightRecorder, HealthConfig, HealthReport, HealthState, HealthTransition, Hysteresis,
+    PeerConfig, PeerReport, SuperviseConfig, SupervisionReport,
 };
 use smc_telemetry::{
-    Hop, HopRecord, Journey, Registry, Sample, TraceSink, Tracer, DEFAULT_SINK_CAPACITY,
+    Journey, ProbeSink, Registry, TraceSink, Tracer, WardRegistry, DEFAULT_SINK_CAPACITY,
 };
-use smc_transport::{Incoming, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
-use smc_types::{
-    CellId, CoreSnapshot, CursorEntry, ManualClock, OutboundEntry, PendingRx, ServiceId,
-    ServiceInfo, SharedClock, TraceId, WalRecord,
-};
-use smc_wal::{
-    MemBackend, Recovered, Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY,
-};
+use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
+use smc_types::{ManualClock, ServiceId, SharedClock, TraceId};
+use smc_wal::{MemBackend, Wal, WalBackend, WalChannelJournal, WalConfig};
 
-use crate::oracle::DeliveryOracle;
+use crate::cell::Cell;
+use crate::oracle::{DeliveryOracle, TraceEvent};
+use crate::planes::{CellView, Observer};
 use crate::scenario::{ChaosOp, CoreComponent, CorruptTarget, LinkProfileKind, Scenario};
 
 /// Virtual-time step granularity.
 pub(crate) const TICK_MICROS: u64 = 2_000;
 /// Quiescent tail after the scripted run: publishing stops, faults keep
 /// resolving, retransmissions flush.
-pub(crate) const DRAIN_MICROS: u64 = 3_000_000;
-/// Every n-th message carries a large payload to exercise fragmentation.
-const BIG_EVERY: u64 = 5;
+const DRAIN_MICROS: u64 = 3_000_000;
 /// Virtual interval between core snapshots (log compaction points).
 pub(crate) const CHECKPOINT_MICROS: u64 = 2_000_000;
-/// The fabricated member `CorruptTarget::GhostMember` injects into the
-/// sink's routing view. Out of the simulator's address range, so it can
-/// never collide with a real device.
-pub(crate) const GHOST_MEMBER: ServiceId = ServiceId::from_raw(0x0BAD_C0DE_0BAD);
-
-/// Reliability parameters the harness runs by default.
-pub fn default_reliable() -> ReliableConfig {
-    ReliableConfig::default()
-}
+/// The telemetry plane's step cadence: far coarser than the 2ms world
+/// tick (telemetry tolerates latency; the data plane does not), fine
+/// enough that the export cadence never waits long on it. This is what
+/// keeps observing the world an order of magnitude cheaper than
+/// running it.
+const TEL_STEP_MICROS: u64 = 50 * TICK_MICROS;
 
 /// Discovery timings the harness runs by default: second-scale leases
 /// that a 30-virtual-second scenario exercises many times over.
@@ -84,13 +100,14 @@ pub fn default_discovery() -> DiscoveryConfig {
 
 /// Everything configurable about a chaos run.
 pub struct RunOptions {
-    /// Reliable-channel parameters (weaken them — `dedup: false` — to
-    /// prove the oracle has teeth).
+    /// Reliable-channel parameters for every channel in the world
+    /// (weaken them — `dedup: false` — to prove the oracle has teeth).
     pub reliable: ReliableConfig,
-    /// Discovery timings and admission control.
+    /// Discovery timings and admission control, for every cell.
     pub discovery: DiscoveryConfig,
-    /// The core's WAL backend ([`MemBackend`] by default; `NoopBackend`
-    /// demonstrates what durability buys).
+    /// The WAL backend of the cell under test ([`MemBackend`] by default;
+    /// `NoopBackend` demonstrates what durability buys). A sibling cell
+    /// always journals into a private in-memory log.
     pub backend: Arc<dyn WalBackend>,
     /// Whether every channel, publish and delivery records hops into a
     /// trace sink. On by default; the bench's untraced arm turns it off.
@@ -99,22 +116,27 @@ pub struct RunOptions {
     pub trace_capacity: usize,
     /// Contention/occupancy probes (control-mutex hold times, proxy
     /// queue depth at enqueue, WAL append wait/service split) feeding a
-    /// [`ProbeSink`](smc_telemetry::ProbeSink) exported through the
-    /// run's registry. Off by default; requires `trace`.
+    /// [`ProbeSink`] exported through the run's registry. Off by
+    /// default; requires `trace`.
     pub probes: bool,
-    /// Autonomic self-observation: `Some` runs a [`HealthMonitor`] (plus
-    /// flight recorder and the built-in quench obligations) inside the
-    /// virtual timeline. `None` (the default) leaves the run untouched —
-    /// traces stay byte-identical with pre-health harness versions.
+    /// Autonomic self-observation: `Some` runs a health monitor (plus
+    /// flight recorder and the built-in quench obligations) per cell
+    /// inside the virtual timeline. `None` (the default) leaves the run
+    /// untouched.
     pub health: Option<HealthOptions>,
-    /// Self-repair: `Some` runs a [`Supervisor`] over the core's
-    /// components — a `component-down` detector feeds failure episodes,
-    /// restarts rebuild the dead component from the write-ahead log,
-    /// wedged components escalate to a full core reboot, and a periodic
+    /// Self-repair: `Some` runs a supervisor over each cell's components
+    /// — a `component-down` detector feeds failure episodes, restarts
+    /// rebuild the dead component from the write-ahead log, wedged
+    /// components escalate to a full core reboot, and a periodic
     /// anti-entropy pass reconciles live views against durable truth.
     /// `None` (the default) leaves [`ChaosOp::KillComponent`] faults
     /// permanently down — the teeth baseline.
     pub supervision: Option<SupervisionOptions>,
+    /// The ward-scale telemetry plane: when set, every cell exports
+    /// delta-encoded metrics, trace hops and SLO reports as journalled
+    /// `smc.telemetry` events to an observer that folds them into a
+    /// [`WardRegistry`]. `None` (the default) adds no events to the run.
+    pub telemetry: Option<TelemetryPlaneOptions>,
 }
 
 /// How the in-run supervisor behaves.
@@ -128,6 +150,11 @@ pub struct SupervisionOptions {
     pub health: HealthConfig,
     /// Virtual interval between anti-entropy reconcile passes.
     pub reconcile_micros: u64,
+    /// Peer supervision: `Some` adds a sibling cell running the same
+    /// stack, and the two watch each other's supervisor over the wire
+    /// with these lease/claim timings. `None` (the default) is the
+    /// one-cell world, where a killed supervisor stays dead.
+    pub peer: Option<PeerConfig>,
 }
 
 impl Default for SupervisionOptions {
@@ -143,6 +170,7 @@ impl Default for SupervisionOptions {
                 },
             },
             reconcile_micros: 500_000,
+            peer: None,
         }
     }
 }
@@ -161,8 +189,9 @@ pub struct HealthOptions {
     /// audible while degraded. Registered as authorisation denies on
     /// `quench:<raw>`, checked at the actuator.
     pub quench_exempt: Vec<u64>,
-    /// When set, the flight recorder dumps here if the run ends with an
-    /// oracle violation or saw a core crash.
+    /// When set, the flight recorder of the cell under test dumps here
+    /// if the run ends with an oracle violation or saw a core crash or
+    /// a supervision escalation.
     pub dump_path: Option<PathBuf>,
 }
 
@@ -177,10 +206,38 @@ impl Default for HealthOptions {
     }
 }
 
+/// Configuration of the in-network telemetry plane.
+#[derive(Debug, Clone)]
+pub struct TelemetryPlaneOptions {
+    /// Virtual interval between a cell's exports (µs).
+    pub export_interval_micros: u64,
+    /// Delivery-latency SLO objective (µs).
+    pub delivery_objective_micros: u64,
+    /// Supervision time-to-repair SLO objective (µs).
+    pub ttr_objective_micros: u64,
+}
+
+impl Default for TelemetryPlaneOptions {
+    fn default() -> Self {
+        TelemetryPlaneOptions {
+            export_interval_micros: 400_000,
+            delivery_objective_micros: 400_000,
+            ttr_objective_micros: 3_000_000,
+        }
+    }
+}
+
+impl RunOptions {
+    /// Whether the run has a peer plane — and so two sibling cells.
+    pub(crate) fn peered(&self) -> bool {
+        self.supervision.as_ref().is_some_and(|s| s.peer.is_some())
+    }
+}
+
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            reliable: default_reliable(),
+            reliable: ReliableConfig::default(),
             discovery: default_discovery(),
             backend: Arc::new(MemBackend::new()),
             trace: true,
@@ -188,6 +245,7 @@ impl Default for RunOptions {
             probes: false,
             health: None,
             supervision: None,
+            telemetry: None,
         }
     }
 }
@@ -206,63 +264,89 @@ impl std::fmt::Debug for RunOptions {
 pub struct RunReport {
     /// The oracle holding the full trace and any violation.
     pub oracle: DeliveryOracle,
-    /// The device endpoints, in node-index order.
+    /// The device endpoints, in node-index order: cell 0's nodes, then
+    /// its sibling's.
     pub device_ids: Vec<ServiceId>,
+    /// Per-cell outcomes, in member-id order (one entry, or two under
+    /// peer supervision).
+    pub cells: Vec<CellReport>,
     /// Ticks executed.
     pub ticks: u64,
     /// Virtual micros covered (scripted duration plus drain).
     pub virtual_micros: u64,
-    /// Core restarts recovered from the write-ahead log.
-    pub core_recoveries: u64,
     /// Wall-clock micros spent replaying the log across all recoveries.
     /// Reporting only — never part of the deterministic trace.
     pub recovery_micros_total: u64,
-    /// Reliable-channel retransmissions summed over every channel and
-    /// every incarnation (crashed devices and cores included).
+    /// Reliable-channel retransmissions summed over every data-plane
+    /// channel of every cell and every incarnation (crashed devices,
+    /// killed components and rebooted cores included).
     pub retransmits: u64,
     /// The hop-record sink every component traced into, when
     /// [`RunOptions::trace`] was on.
     pub trace_sink: Option<Arc<TraceSink>>,
-    /// The run's metrics registry: WAL, discovery, channel and harness
-    /// counters, sampled when rendered.
+    /// The run's metrics registry: run-wide harness counters, the trace
+    /// and probe sinks, and the WAL, discovery and sink-channel
+    /// collectors of the cell under test, sampled when rendered.
     pub registry: Registry,
-    /// What the health monitor saw, when [`RunOptions::health`] was on.
-    pub health: Option<HealthOutcome>,
-    /// What the supervisor saw and repaired, when
-    /// [`RunOptions::supervision`] was on.
-    pub supervision: Option<SupervisionOutcome>,
+    /// The telemetry plane's outcome, when it ran.
+    pub telemetry: Option<TelemetryPlaneReport>,
 }
 
-/// Everything the in-run supervisor produced.
-#[derive(Debug)]
-pub struct SupervisionOutcome {
-    /// Episode accounting: restarts, escalations, per-episode
-    /// time-to-repair, the full repair log.
+/// What one cell ended the run with. The supervision fields read zero /
+/// empty / `false` when the cell ran without that plane.
+#[derive(Debug, Default)]
+pub struct CellReport {
+    /// The cell's member id on the supervision plane (1-based; also the
+    /// cell id its discovery service beacons).
+    pub member_id: u64,
+    /// Core restarts recovered from the write-ahead log: scripted
+    /// `CoreRestart`s and escalated or wire-ordered reboots.
+    pub core_recoveries: u64,
+    /// What the health monitor saw, when [`RunOptions::health`] was on.
+    pub health: Option<HealthOutcome>,
+    /// Whether an in-process supervisor was alive at run end (`false`
+    /// after an unrevived [`ChaosOp::KillSupervisor`], or with no
+    /// supervision plane at all).
+    pub supervisor_alive: bool,
+    /// Times a sibling's remote `Repair` revived this cell's supervisor.
+    pub supervisor_revivals: u64,
+    /// The peer watcher's counters and decision log (final incarnation).
+    pub peer: PeerReport,
+    /// The local supervisor's episode accounting (final incarnation):
+    /// restarts, escalations, per-episode time-to-repair, the repair log.
     pub report: SupervisionReport,
-    /// Repair actions the harness actually executed (or refused, for
-    /// wedged components): `(at_micros, what)`.
-    pub repairs: Vec<(u64, String)>,
-    /// Anti-entropy passes run.
+    /// Repairs the cell's own supervisor executed, or was refused by a
+    /// wedged component: `(at_micros, what)`.
+    pub local_repairs: Vec<(u64, String)>,
+    /// Repair commands this cell shipped to its adopted ward.
+    pub remote_commands: Vec<(u64, String)>,
+    /// Wire-commanded repairs executed *on* this cell.
+    pub remote_repairs: Vec<(u64, String)>,
+    /// Anti-entropy passes run on this cell (local or wire-ordered).
     pub reconciles: u64,
-    /// Divergences the reconcile passes repaired: `(at_micros, what)`.
+    /// Divergences those passes repaired: `(at_micros, what)`.
     pub reconcile_fixes: Vec<(u64, String)>,
+    /// Checkpoints refused because no reconcile had run recently enough
+    /// (the reconcile-before-checkpoint invariant holding).
+    pub checkpoints_deferred: u64,
     /// `Restart` actions the built-in supervision obligation fired
     /// through the policy service (the policy-layer view of the same
     /// failures the supervisor handled).
     pub policy_restarts: u64,
-    /// Missed-ack retransmission rounds that pulsed the monitor's
-    /// interrupt line (each one woke an immediate sample).
+    /// Missed-ack retransmission rounds on the cell's device channels
+    /// that pulsed the supervisor's interrupt line (each one woke an
+    /// immediate sample), summed over supervisor incarnations.
     pub missed_ack_interrupts: u64,
-    /// `false` when a [`ChaosOp::KillSupervisor`] left the in-process
-    /// supervisor dead at run end — in this single-cell world nothing
-    /// revives it, so any outage it was mid-repair on stays unrepaired.
-    pub supervisor_alive: bool,
+    /// Sibling member ids this cell still held adopted at run end.
+    pub adopted_at_end: Vec<u64>,
 }
 
-impl SupervisionOutcome {
-    /// `true` when every failure episode was repaired by run end.
+impl CellReport {
+    /// `true` when the cell ended healthy: supervisor alive, no
+    /// unresolved failure episode, no ward still adopted (its sibling
+    /// recovered and was released).
     pub fn converged(&self) -> bool {
-        self.report.converged()
+        self.supervisor_alive && self.report.converged() && self.adopted_at_end.is_empty()
     }
 }
 
@@ -284,11 +368,7 @@ pub struct HealthOutcome {
 
 impl HealthOutcome {
     /// The first transition of `component` into `to`, if any.
-    pub fn first_transition(
-        &self,
-        component: &str,
-        to: smc_health::HealthState,
-    ) -> Option<&HealthTransition> {
+    pub fn first_transition(&self, component: &str, to: HealthState) -> Option<&HealthTransition> {
         self.transitions
             .iter()
             .find(|t| t.component == component && t.to == to)
@@ -298,6 +378,49 @@ impl HealthOutcome {
     /// component stayed `Healthy` throughout (the clean-run criterion).
     pub fn stayed_green(&self) -> bool {
         self.transitions.is_empty() && self.report.all_healthy()
+    }
+}
+
+/// What the telemetry plane ended the run with (present only when
+/// [`RunOptions::telemetry`] was set).
+#[derive(Debug)]
+pub struct TelemetryPlaneReport {
+    /// The observer's ward view: folded per-cell + rolled-up series,
+    /// stitched journeys, per-cell freshness.
+    pub ward: Arc<WardRegistry>,
+    /// Every supervision episode the watchers traced:
+    /// `(target member, episode trace)`.
+    pub episodes: Vec<(u64, TraceId)>,
+    /// Exports the observer folded (duplicates excluded).
+    pub exports_applied: u64,
+    /// Journal-replay duplicates the observer dropped.
+    pub duplicates: u64,
+    /// Times any ward-rolled counter moved backwards (the invariant the
+    /// delta encoding exists to hold; must be 0).
+    pub backwards: u64,
+    /// Aggregation lag quantiles: virtual time between a cell stamping
+    /// an export and the observer folding it.
+    pub lag_p50_micros: u64,
+    /// The p95 of the same lag distribution.
+    pub lag_p95_micros: u64,
+    /// `slo-burn` detector transitions out of healthy on the observer.
+    pub slo_alerts: u64,
+    /// Telemetry events cells sent (exports across all three kinds).
+    pub exports_sent: u64,
+}
+
+impl TelemetryPlaneReport {
+    /// `true` when the stitched journey for `trace` carries every one
+    /// of `labels` in virtual-time order and was never truncated.
+    pub fn journey_complete(&self, trace: TraceId, labels: &[&str]) -> bool {
+        let Some(journey) = self.ward.stitched(trace) else {
+            return false;
+        };
+        if journey.truncated {
+            return false;
+        }
+        let mut legs = journey.legs.iter();
+        labels.iter().all(|want| legs.any(|leg| leg.label == *want))
     }
 }
 
@@ -337,7 +460,7 @@ impl RunReport {
             .sum()
     }
 
-    /// Total messages delivered across devices.
+    /// Total messages delivered across every cell's sink.
     pub fn total_delivered(&self) -> u64 {
         self.device_ids
             .iter()
@@ -345,11 +468,31 @@ impl RunReport {
             .sum()
     }
 
+    /// Core restarts recovered from the write-ahead log, over all cells.
+    pub fn core_recoveries(&self) -> u64 {
+        self.cells.iter().map(|c| c.core_recoveries).sum()
+    }
+
+    /// `true` when every cell ended healthy (see
+    /// [`CellReport::converged`]).
+    pub fn converged(&self) -> bool {
+        self.cells.iter().all(CellReport::converged)
+    }
+
+    /// The cell report for member id `id` (1-based). Panics if absent.
+    pub fn cell(&self, id: u64) -> &CellReport {
+        self.cells
+            .iter()
+            .find(|c| c.member_id == id)
+            .expect("cell report present")
+    }
+
     /// `true` if the trace contains a purge of `member`.
     pub fn was_purged(&self, member: ServiceId) -> bool {
-        self.oracle.trace().iter().any(
-            |e| matches!(e, crate::oracle::TraceEvent::Purged { member: m, .. } if *m == member),
-        )
+        self.oracle
+            .trace()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Purged { member: m, .. } if *m == member))
     }
 
     /// How many times `member` was admitted.
@@ -357,13 +500,12 @@ impl RunReport {
         self.oracle
             .trace()
             .iter()
-            .filter(|e| matches!(e, crate::oracle::TraceEvent::Joined { member: m, .. } if *m == member))
+            .filter(|e| matches!(e, TraceEvent::Joined { member: m, .. } if *m == member))
             .count()
     }
 }
 
 /// A fault-timeline entry, expanded from the scenario's scripted ops.
-/// Core acts carry no node index (`usize::MAX` sentinel in the timeline).
 #[derive(Debug, Clone)]
 pub(crate) enum Act {
     Loss(f64),
@@ -385,1605 +527,449 @@ pub(crate) enum Act {
     CellPartition(usize, bool),
 }
 
-/// Which core components are currently dead (and whether a restart can
-/// bring them back). Tracked whether or not supervision is on: without a
-/// supervisor a killed component simply stays down.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ComponentFlags {
-    pub(crate) discovery_down: bool,
-    pub(crate) sink_down: bool,
-    pub(crate) discovery_wedged: bool,
-    pub(crate) sink_wedged: bool,
-}
-
-impl ComponentFlags {
-    pub(crate) fn any_down(&self) -> bool {
-        self.discovery_down || self.sink_down
-    }
-}
-
-/// The in-run repair stack: component-down detection, the supervisor,
-/// the built-in supervision obligation, and reconcile bookkeeping.
-pub(crate) struct SupervisionRuntime {
-    pub(crate) monitor: HealthMonitor,
-    pub(crate) supervisor: Supervisor,
-    pub(crate) policy: PolicyService,
-    pub(crate) reconcile_micros: u64,
-    pub(crate) next_reconcile: u64,
-    pub(crate) repairs: Vec<(u64, String)>,
-    pub(crate) reconciles: u64,
-    pub(crate) reconcile_fixes: Vec<(u64, String)>,
-    pub(crate) policy_restarts: u64,
-    /// Pulsed by the reliable channels whenever a message enters a
-    /// retransmission round (a missed ack — the earliest wire-visible
-    /// sign of a dead receiver). The monitor samples immediately instead
-    /// of waiting out its cadence.
-    pub(crate) interrupt_line: Arc<AtomicU64>,
-    /// Interrupt pulses already consumed by a sample.
-    pub(crate) seen_interrupts: u64,
-    /// `false` after a [`ChaosOp::KillSupervisor`]: the loop stops
-    /// ticking — detection, repair and reconcile all halt — while the
-    /// data plane runs on. Only a sibling cell's remote repair (the
-    /// peer world) ever revives it.
-    pub(crate) alive: bool,
-}
-
-impl SupervisionRuntime {
-    pub(crate) fn new(opts: SupervisionOptions) -> SupervisionRuntime {
-        let mut registry = ServiceRegistry::new();
-        registry.register(ServiceSpec::new("core"));
-        registry.register(
-            ServiceSpec::new("discovery")
-                .depends_on("core")
-                .escalates_to("core"),
-        );
-        registry.register(
-            ServiceSpec::new("sink")
-                .depends_on("core")
-                .escalates_to("core"),
-        );
-        let policy = PolicyService::new();
-        for p in supervision_policies() {
-            policy
-                .add(p)
-                .expect("built-in supervision policies are valid");
-        }
-        SupervisionRuntime {
-            monitor: HealthMonitor::with_detectors(
-                opts.health,
-                vec![Box::new(ComponentDown::default())],
-            ),
-            supervisor: Supervisor::new(registry, opts.config),
-            policy,
-            reconcile_micros: opts.reconcile_micros.max(1),
-            next_reconcile: 0,
-            repairs: Vec::new(),
-            reconciles: 0,
-            reconcile_fixes: Vec::new(),
-            policy_restarts: 0,
-            interrupt_line: Arc::new(AtomicU64::new(0)),
-            seen_interrupts: 0,
-            alive: true,
-        }
-    }
-
-    /// The up/down gauges the component-down detector watches.
-    pub(crate) fn samples(&self, flags: &ComponentFlags) -> Vec<Sample> {
-        let up = |name: &str, is_up: bool| Sample {
-            name: "smc_component_up".to_string(),
-            help: String::new(),
-            monotonic: false,
-            labels: vec![("component".to_string(), name.to_string())],
-            value: u64::from(is_up),
-        };
-        vec![
-            up("discovery", !flags.discovery_down),
-            up("sink", !flags.sink_down),
-        ]
-    }
-}
-
-pub(crate) struct Device {
-    pub(crate) id: ServiceId,
-    pub(crate) info: ServiceInfo,
-    pub(crate) channel: Arc<ReliableChannel>,
-    pub(crate) agent: Arc<MemberAgent>,
-    pub(crate) next_seq: u64,
-    pub(crate) next_publish: u64,
-    pub(crate) crashed: bool,
-    /// Set by the built-in health obligation: a quenched device holds
-    /// its publishes until woken.
-    pub(crate) quenched: bool,
-    /// The link profile faults modify and heals restore to.
-    pub(crate) baseline: LinkConfig,
-    pub(crate) domain: u32,
-}
-
-/// The cell's side of the world: everything a `CoreCrash` destroys and a
-/// `CoreRestart` rebuilds from the write-ahead log.
-pub(crate) struct Core {
-    pub(crate) wal: Arc<Wal>,
-    pub(crate) disco_channel: Arc<ReliableChannel>,
-    pub(crate) sink_channel: Arc<ReliableChannel>,
-    pub(crate) service: Arc<DiscoveryService>,
-}
-
-/// The in-run self-observation stack: monitor, built-in obligations, and
-/// the flight recorder, all stepped on the virtual timeline.
-struct HealthRuntime {
-    monitor: HealthMonitor,
-    policy: PolicyService,
-    recorder: FlightRecorder,
-    transitions: Vec<HealthTransition>,
-    quenches: Vec<(u64, ServiceId, bool)>,
-    quench: bool,
-    dump_path: Option<PathBuf>,
-    hop_cursor: u64,
-}
-
-impl HealthRuntime {
-    fn new(opts: HealthOptions) -> HealthRuntime {
-        // The same detector suite `default_detectors` ships, except the
-        // WAL-stall traffic reference is the harness's own publish
-        // counter (the harness routes events itself, so the cell's
-        // `smc_events_published_total` never moves here).
-        let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(RetransmitStorm::default()),
-            Box::new(QueueGrowth::default()),
-            Box::new(WalStall::new(
-                "smc_wal_records_appended_total",
-                "smc_harness_published_total",
-            )),
-            Box::new(DeliveryLatency::default()),
-            Box::new(MembershipFlap::default()),
-        ];
-        let policy = PolicyService::new();
-        for p in health_quench_policies() {
-            policy.add(p).expect("built-in health policies are valid");
-        }
-        for p in telemetry_quench_exemptions(opts.quench_exempt.iter().copied()) {
-            policy
-                .add(p)
-                .expect("built-in exemption policies are valid");
-        }
-        HealthRuntime {
-            monitor: HealthMonitor::with_detectors(opts.config, detectors),
-            policy,
-            recorder: FlightRecorder::default(),
-            transitions: Vec::new(),
-            quenches: Vec::new(),
-            quench: opts.quench,
-            dump_path: opts.dump_path,
-            hop_cursor: 0,
-        }
-    }
-}
-
-/// One health-sampling window's worth of metrics, read straight off the
-/// live objects (the registry's collectors capture the *final* core
-/// incarnation, so the in-run monitor samples the current one directly).
-fn health_samples(
-    devices: &[Device],
-    core: &Core,
-    core_crashed: bool,
-    oracle: &DeliveryOracle,
-    device_ids: &[ServiceId],
-    sink_id: ServiceId,
-) -> Vec<Sample> {
-    fn mk(name: &str, labels: Vec<(String, String)>, monotonic: bool, value: u64) -> Sample {
-        Sample {
-            name: name.to_string(),
-            help: String::new(),
-            monotonic,
-            labels,
-            value,
-        }
-    }
-    let mut out = Vec::new();
-    for (n, dev) in devices.iter().enumerate() {
-        let label = format!("device{n}");
-        out.push(mk(
-            "smc_channel_retransmits_total",
-            vec![("channel".to_string(), label.clone())],
-            true,
-            dev.channel.stats().retransmits,
-        ));
-        out.push(mk(
-            "smc_proxy_queue_depth",
-            vec![("queue".to_string(), label)],
-            false,
-            dev.channel.pending(sink_id) as u64,
-        ));
-    }
-    if !core_crashed {
-        out.push(mk(
-            "smc_channel_retransmits_total",
-            vec![("channel".to_string(), "sink".to_string())],
-            true,
-            core.sink_channel.stats().retransmits,
-        ));
-        out.push(mk(
-            "smc_channel_retransmits_total",
-            vec![("channel".to_string(), "discovery".to_string())],
-            true,
-            core.disco_channel.stats().retransmits,
-        ));
-        let d = core.service.stats();
-        out.push(mk("smc_discovery_joins_total", Vec::new(), true, d.joins));
-        out.push(mk("smc_discovery_purges_total", Vec::new(), true, d.purges));
-        out.push(mk(
-            "smc_wal_records_appended_total",
-            Vec::new(),
-            true,
-            core.wal.metrics().records_appended,
-        ));
-    }
-    let published: u64 = device_ids.iter().map(|&id| oracle.published(id)).sum();
-    out.push(mk(
-        "smc_harness_published_total",
-        Vec::new(),
-        true,
-        published,
-    ));
-    out
-}
-
-/// Maps a detector's component key back to the device it watches:
-/// `channel:device3` / `queue:device3` → index 3.
-fn component_device(component: &str, device_ids: &[ServiceId]) -> Option<ServiceId> {
-    component
-        .strip_prefix("channel:")
-        .or_else(|| component.strip_prefix("queue:"))
-        .and_then(|l| l.strip_prefix("device"))
-        .and_then(|n| n.parse::<usize>().ok())
-        .and_then(|n| device_ids.get(n).copied())
-}
-
-pub(crate) fn encode(seq: u64) -> Vec<u8> {
-    let filler = if seq.is_multiple_of(BIG_EVERY) {
-        2000
-    } else {
-        32
-    };
-    let mut payload = Vec::with_capacity(8 + filler);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.resize(8 + filler, 0xA5);
-    payload
-}
-
-pub(crate) fn decode(payload: &[u8]) -> Option<u64> {
-    payload
-        .get(..8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-/// Opens the WAL on `backend` and assembles a core from whatever it
-/// recovers: journaled channels seeded with the restored receive
-/// cursors, a discovery service re-admitting every snapshotted member
-/// (resetting the sink's member filter to match), and the recovered
-/// outbound queue re-enqueued for retransmission. `ids` pins the
-/// endpoints of a previous incarnation on restart; `cell` names the
-/// cell the discovery service beacons as (sibling cells on one radio
-/// network must beacon distinct ids so agents can filter).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn boot_core(
-    net: &SimNetwork,
-    backend: &Arc<dyn WalBackend>,
-    reliable: &ReliableConfig,
-    discovery_config: &DiscoveryConfig,
-    clock: &SharedClock,
-    tracer: &Tracer,
-    ids: Option<(ServiceId, ServiceId)>,
-    members: &mut HashSet<ServiceId>,
-    cell: CellId,
-) -> (Core, Recovered) {
-    let (wal, recovered) =
-        Wal::open(Arc::clone(backend), WalConfig::default()).expect("wal backend opens");
-    let wal = Arc::new(wal);
-    if let Some(probes) = tracer.probes() {
-        wal.set_probes(Arc::clone(probes), Arc::clone(clock));
-    }
-    let (disco_transport, sink_transport) = match ids {
-        Some((disco_id, sink_id)) => (
-            net.endpoint_with_id(disco_id),
-            net.endpoint_with_id(sink_id),
-        ),
-        None => (net.endpoint(), net.endpoint()),
-    };
-    let disco_channel = ReliableChannel::with_clock_journaled(
-        Arc::new(disco_transport),
-        reliable.clone(),
-        Arc::clone(clock),
-        Arc::new(WalChannelJournal::new(Arc::clone(&wal), CHAN_DISCOVERY)),
-        recovered.snapshot.cursors_for(CHAN_DISCOVERY),
-        Vec::new(),
-    );
-    // The sink retains delivered payloads until the run loop records
-    // them (mirroring the SMC bus channel): an acked-but-unrecorded
-    // message survives a crash in the log instead of vanishing.
-    let sink_channel = ReliableChannel::with_clock_journaled(
-        Arc::new(sink_transport),
-        reliable.clone(),
-        Arc::clone(clock),
-        Arc::new(WalChannelJournal::with_rx_retention(
-            Arc::clone(&wal),
-            CHAN_BUS,
-        )),
-        recovered.snapshot.cursors_for(CHAN_BUS),
-        recovered.snapshot.pending_rx_for(CHAN_BUS),
-    );
-    disco_channel.set_tracer(tracer.clone());
-    sink_channel.set_tracer(tracer.clone());
-    let service = DiscoveryService::with_clock(
-        cell,
-        Arc::clone(&disco_channel),
-        discovery_config
-            .clone()
-            .with_bus_endpoint(sink_channel.local_id()),
-        Arc::clone(clock),
-    );
-    members.clear();
-    for info in &recovered.snapshot.members {
-        service.restore_member(info.clone());
-        members.insert(info.id);
-    }
-    // `send_recovered` renumbers the journal's retained entries instead
-    // of journalling fresh copies, so a second crash resends this queue
-    // once more — never twice.
-    for (peer, payloads) in recovered.snapshot.outbound_for(CHAN_BUS) {
-        for (prior_seq, payload) in payloads {
-            let _ = sink_channel.send_recovered(peer, payload, prior_seq);
-        }
-    }
-    (
-        Core {
-            wal,
-            disco_channel,
-            sink_channel,
-            service,
-        },
-        recovered,
-    )
-}
-
-/// Cuts a snapshot of the core's durable state into the WAL: both
-/// channels' receive cursors, the sink's pending outbound plus
-/// delivered-but-unrecorded inbound, and the sorted membership table.
-/// Mirrors `SmcCell::checkpoint` (the world is single-threaded, so the
-/// pre-built-snapshot form of `Wal::snapshot` is race-free here).
-pub(crate) fn checkpoint(core: &Core) {
-    let mut snap = CoreSnapshot::default();
-    for (peer, epoch, expected) in core.sink_channel.rx_cursors() {
-        snap.cursors.push(CursorEntry {
-            chan: CHAN_BUS,
-            peer,
-            epoch,
-            expected,
-        });
-    }
-    for (peer, epoch, expected) in core.disco_channel.rx_cursors() {
-        snap.cursors.push(CursorEntry {
-            chan: CHAN_DISCOVERY,
-            peer,
-            epoch,
-            expected,
-        });
-    }
-    for (peer, msgs) in core.sink_channel.outbound_pending() {
-        for (seq, payload) in msgs {
-            snap.outbound.push(OutboundEntry {
-                chan: CHAN_BUS,
-                peer,
-                seq,
-                payload,
-            });
-        }
-    }
-    for (peer, epoch, seq, payload) in core.sink_channel.unconsumed_rx() {
-        snap.pending_rx.push(PendingRx {
-            chan: CHAN_BUS,
-            peer,
-            epoch,
-            seq,
-            payload,
-        });
-    }
-    snap.members = core.service.members();
-    snap.members.sort_by_key(|i| i.id);
-    let _ = core.wal.snapshot(&snap);
-}
-
-/// Rebuilds the discovery service (and its journaled channel) on the
-/// same endpoint from durable truth — the supervisor's `restart
-/// discovery` repair. The sink and its membership view are untouched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn restart_discovery(
-    net: &SimNetwork,
-    core: &mut Core,
-    reliable: &ReliableConfig,
-    discovery_config: &DiscoveryConfig,
-    clock: &SharedClock,
-    tracer: &Tracer,
-    disco_id: ServiceId,
-    sink_id: ServiceId,
-    cell: CellId,
-) {
-    let state = core.wal.recover_state().unwrap_or_default();
-    let disco_channel = ReliableChannel::with_clock_journaled(
-        Arc::new(net.endpoint_with_id(disco_id)),
-        reliable.clone(),
-        Arc::clone(clock),
-        Arc::new(WalChannelJournal::new(
-            Arc::clone(&core.wal),
-            CHAN_DISCOVERY,
-        )),
-        state.cursors_for(CHAN_DISCOVERY),
-        Vec::new(),
-    );
-    disco_channel.set_tracer(tracer.clone());
-    let service = DiscoveryService::with_clock(
-        cell,
-        Arc::clone(&disco_channel),
-        discovery_config.clone().with_bus_endpoint(sink_id),
-        Arc::clone(clock),
-    );
-    for info in &state.members {
-        service.restore_member(info.clone());
-    }
-    core.disco_channel = disco_channel;
-    core.service = service;
-}
-
-/// Rebuilds the sink channel on the same endpoint from durable truth —
-/// the supervisor's `restart sink` repair. Recovered receive cursors
-/// keep dedup across the outage; the recovered outbound queue re-enters
-/// retransmission; events the kill caught between ack and recording are
-/// re-processed from the journal's retained copies, exactly like the
-/// core-crash recovery path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn restart_sink(
-    net: &SimNetwork,
-    core: &mut Core,
-    reliable: &ReliableConfig,
-    clock: &SharedClock,
-    tracer: &Tracer,
-    sink_id: ServiceId,
-    members: &HashSet<ServiceId>,
-    oracle: &mut DeliveryOracle,
-    now: u64,
-) {
-    let state = core.wal.recover_state().unwrap_or_default();
-    let sink_channel = ReliableChannel::with_clock_journaled(
-        Arc::new(net.endpoint_with_id(sink_id)),
-        reliable.clone(),
-        Arc::clone(clock),
-        Arc::new(WalChannelJournal::with_rx_retention(
-            Arc::clone(&core.wal),
-            CHAN_BUS,
-        )),
-        state.cursors_for(CHAN_BUS),
-        state.pending_rx_for(CHAN_BUS),
-    );
-    sink_channel.set_tracer(tracer.clone());
-    for (peer, payloads) in state.outbound_for(CHAN_BUS) {
-        for (prior_seq, payload) in payloads {
-            let _ = sink_channel.send_recovered(peer, payload, prior_seq);
-        }
-    }
-    core.sink_channel = sink_channel;
-    for (peer, _epoch, seq, payload) in state.pending_rx_for(CHAN_BUS) {
-        if let Some(published) = decode(&payload) {
-            let t = TraceId::for_event(peer, published);
-            if members.contains(&peer) {
-                tracer.record(t, Hop::Delivered);
-                oracle.record_delivery(now, peer, published);
-            } else {
-                tracer.record(
-                    t,
-                    Hop::Dropped {
-                        reason: "purge-filter",
-                    },
-                );
-                oracle.record_filtered(now, peer, published);
-            }
-        }
-        core.sink_channel.consumed(peer, seq);
-    }
-}
-
-/// One anti-entropy pass: diffs the sink's membership view and the
-/// discovery table against durable truth (the folded write-ahead log)
-/// and repairs both directions. Returns human-readable descriptions of
-/// every divergence repaired, in deterministic order.
-pub(crate) fn reconcile_pass(
-    core: &Core,
-    members: &mut HashSet<ServiceId>,
-    flags: &ComponentFlags,
-) -> Vec<String> {
-    let Ok(truth) = core.wal.recover_state() else {
-        return Vec::new();
-    };
-    let mut fixes = Vec::new();
-    let mut truth_sorted = truth.members.clone();
-    truth_sorted.sort_by_key(|i| i.id);
-    let truth_ids: HashSet<ServiceId> = truth_sorted.iter().map(|i| i.id).collect();
-    // Sink view: re-admit members durable truth still has...
-    for info in &truth_sorted {
-        if members.insert(info.id) {
-            fixes.push(format!("sink view re-admitted {}", info.id));
-        }
-    }
-    // ...and drop ids truth never admitted (or has purged).
-    let mut ghosts: Vec<ServiceId> = members
-        .iter()
-        .filter(|id| !truth_ids.contains(id))
-        .copied()
-        .collect();
-    ghosts.sort();
-    for ghost in ghosts {
-        members.remove(&ghost);
-        fixes.push(format!("sink view dropped ghost {ghost}"));
-    }
-    // Discovery table, when it's alive: same diff, both directions.
-    if !flags.discovery_down {
-        let live_ids: HashSet<ServiceId> = core.service.members().iter().map(|i| i.id).collect();
-        for info in &truth_sorted {
-            if !live_ids.contains(&info.id) {
-                core.service.restore_member(info.clone());
-                fixes.push(format!("discovery re-admitted {}", info.id));
-            }
-        }
-        let mut stray: Vec<ServiceId> = live_ids
-            .iter()
-            .filter(|id| !truth_ids.contains(id))
-            .copied()
-            .collect();
-        stray.sort();
-        for id in stray {
-            if core.service.forget_member(id) {
-                fixes.push(format!("discovery dropped ghost {id}"));
-            }
-        }
-    }
-    fixes
-}
-
-/// Runs `scenario` with the default reliability and discovery settings.
-pub fn run(scenario: &Scenario) -> RunReport {
-    run_with_options(scenario, RunOptions::default())
-}
-
-/// Runs `scenario` with explicit channel and discovery parameters (e.g.
-/// `dedup: false` to prove the oracle catches a broken channel). The
-/// core journals into a fresh in-memory WAL backend.
-pub fn run_with(
-    scenario: &Scenario,
-    reliable: ReliableConfig,
-    discovery_config: DiscoveryConfig,
-) -> RunReport {
-    run_with_options(
-        scenario,
-        RunOptions {
-            reliable,
-            discovery: discovery_config,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Runs `scenario` with an explicit WAL backend for the core. Passing
-/// `NoopBackend` demonstrates what the durability layer buys: any
-/// `CoreCrash` then loses the cursors and the oracle catches the
-/// resulting redeliveries.
-pub fn run_with_backend(
-    scenario: &Scenario,
-    reliable: ReliableConfig,
-    discovery_config: DiscoveryConfig,
-    backend: Arc<dyn WalBackend>,
-) -> RunReport {
-    run_with_options(
-        scenario,
-        RunOptions {
-            reliable,
-            discovery: discovery_config,
-            backend,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Runs `scenario` under full [`RunOptions`] control.
-pub fn run_with_options(scenario: &Scenario, options: RunOptions) -> RunReport {
-    let RunOptions {
-        reliable,
-        discovery: discovery_config,
-        backend,
-        trace,
-        trace_capacity,
-        probes,
-        health,
-        supervision,
-    } = options;
-    let clock = Arc::new(ManualClock::new());
-    let shared: SharedClock = clock.clone();
-    let baseline = LinkConfig::ideal();
-    let net = SimNetwork::with_clock(baseline.clone(), scenario.seed, Arc::clone(&shared));
-
-    let (tracer, trace_sink) = if trace {
-        let sink = Arc::new(TraceSink::with_capacity(trace_capacity));
-        let tracer = if probes {
-            Tracer::with_probes(
-                Arc::clone(&sink),
-                Arc::clone(&shared),
-                Arc::new(smc_telemetry::ProbeSink::new()),
-            )
-        } else {
-            Tracer::new(Arc::clone(&sink), Arc::clone(&shared))
-        };
-        (tracer, Some(sink))
-    } else {
-        (Tracer::disabled(), None)
-    };
-
-    let mut oracle = DeliveryOracle::new(scenario.seed);
-    let mut members: HashSet<ServiceId> = HashSet::new();
-    let (mut core, _) = boot_core(
-        &net,
-        &backend,
-        &reliable,
-        &discovery_config,
-        &shared,
-        &tracer,
-        None,
-        &mut members,
-        CellId(1),
-    );
-    let disco_id = core.disco_channel.local_id();
-    let sink_id = core.sink_channel.local_id();
-
-    let publish_interval = scenario.publish_interval.as_micros().max(1) as u64;
-    let mut devices: Vec<Device> = (0..scenario.nodes)
-        .map(|n| {
-            let channel = ReliableChannel::with_clock(
-                Arc::new(net.endpoint()),
-                reliable.clone(),
-                Arc::clone(&shared),
-            );
-            let info = ServiceInfo::new(ServiceId::NIL, "harness.device")
-                .with_name(format!("chaos device {n}"));
-            channel.set_tracer(tracer.clone());
-            let agent = MemberAgent::with_clock(
-                info.clone(),
-                Arc::clone(&channel),
-                AgentConfig::default(),
-                Arc::clone(&shared),
-            );
-            Device {
-                id: channel.local_id(),
-                info,
-                channel,
-                agent,
-                next_seq: 1,
-                next_publish: 0,
-                crashed: false,
-                quenched: false,
-                baseline: baseline.clone(),
-                domain: 0,
-            }
-        })
-        .collect();
-    let device_ids: Vec<ServiceId> = devices.iter().map(|d| d.id).collect();
-
-    // Expand scripted ops into an absolute-time fault timeline. Core ops
-    // use a `usize::MAX` node sentinel so they sort after device ops at
-    // the same instant (deterministically).
+/// Expands scripted ops into an absolute-time fault timeline, sorted by
+/// `(instant, node)`: each op is the act that starts it plus, for the
+/// ones that revert, the act that ends it. Core and cell acts use a
+/// `usize::MAX` node sentinel so they sort after device acts at the same
+/// instant (deterministically).
+fn expand_timeline(scenario: &Scenario) -> Vec<(u64, usize, Act)> {
+    const CORE: usize = usize::MAX;
     let mut timeline: Vec<(u64, usize, Act)> = Vec::new();
     for s in &scenario.ops {
-        let at = s.at.as_micros() as u64;
-        match s.op {
+        let (node, start, end) = match s.op {
             ChaosOp::LossBurst {
                 node,
                 loss,
                 duration,
-            } => {
-                timeline.push((at, node, Act::Loss(loss)));
-                timeline.push((at + duration.as_micros() as u64, node, Act::Heal));
-            }
+            } => (node, Act::Loss(loss), Some((duration, Act::Heal))),
             ChaosOp::DuplicateStorm {
                 node,
                 duplicate,
                 duration,
-            } => {
-                timeline.push((at, node, Act::Dup(duplicate)));
-                timeline.push((at + duration.as_micros() as u64, node, Act::Heal));
-            }
+            } => (node, Act::Dup(duplicate), Some((duration, Act::Heal))),
             ChaosOp::Partition { node, duration } => {
-                timeline.push((at, node, Act::PartitionOn));
-                timeline.push((at + duration.as_micros() as u64, node, Act::PartitionOff));
+                (node, Act::PartitionOn, Some((duration, Act::PartitionOff)))
             }
-            ChaosOp::Crash { node, down_for } => {
-                timeline.push((at, node, Act::Crash));
-                timeline.push((at + down_for.as_micros() as u64, node, Act::Restart));
-            }
+            ChaosOp::Crash { node, down_for } => (node, Act::Crash, Some((down_for, Act::Restart))),
             ChaosOp::DomainMove {
                 node,
                 domain,
                 duration,
-            } => {
-                timeline.push((at, node, Act::Domain(domain)));
-                timeline.push((at + duration.as_micros() as u64, node, Act::Domain(0)));
-            }
-            ChaosOp::LinkProfile { node, profile } => {
-                timeline.push((at, node, Act::Profile(profile)));
-            }
+            } => (node, Act::Domain(domain), Some((duration, Act::Domain(0)))),
+            ChaosOp::LinkProfile { node, profile } => (node, Act::Profile(profile), None),
             ChaosOp::CoreCrash { down_for } => {
-                timeline.push((at, usize::MAX, Act::CoreCrash));
-                timeline.push((
-                    at + down_for.as_micros() as u64,
-                    usize::MAX,
-                    Act::CoreRestart,
-                ));
+                (CORE, Act::CoreCrash, Some((down_for, Act::CoreRestart)))
             }
-            // No scripted recovery for either: the supervisor restarts
-            // killed components, the reconcile pass heals corruptions.
+            // No scripted recovery for the next three: a supervisor
+            // restarts killed components, a reconcile pass heals
+            // corruptions, and only a sibling cell's remote repair
+            // revives a killed supervisor.
             ChaosOp::KillComponent { component, wedged } => {
-                timeline.push((at, usize::MAX, Act::Kill(component, wedged)));
+                (CORE, Act::Kill(component, wedged), None)
             }
-            ChaosOp::CorruptState { target } => {
-                timeline.push((at, usize::MAX, Act::Corrupt(target)));
-            }
-            // No scripted revival: in this single-cell world a killed
-            // supervisor stays dead (the peer-supervision baseline).
-            ChaosOp::KillSupervisor { cell } => {
-                timeline.push((at, usize::MAX, Act::KillSupervisor(cell)));
-            }
-            ChaosOp::PartitionCell { cell, duration } => {
-                timeline.push((at, usize::MAX, Act::CellPartition(cell, true)));
-                timeline.push((
-                    at + duration.as_micros() as u64,
-                    usize::MAX,
-                    Act::CellPartition(cell, false),
-                ));
-            }
+            ChaosOp::CorruptState { target } => (CORE, Act::Corrupt(target), None),
+            ChaosOp::KillSupervisor { cell } => (CORE, Act::KillSupervisor(cell), None),
+            ChaosOp::PartitionCell { cell, duration } => (
+                CORE,
+                Act::CellPartition(cell, true),
+                Some((duration, Act::CellPartition(cell, false))),
+            ),
+        };
+        let at = s.at.as_micros() as u64;
+        timeline.push((at, node, start));
+        if let Some((after, end)) = end {
+            timeline.push((at + after.as_micros() as u64, node, end));
         }
     }
     timeline.sort_by_key(|&(at, node, _)| (at, node));
+    timeline
+}
 
-    let end = scenario.duration.as_micros() as u64;
-    let total = end + DRAIN_MICROS;
-    let mut next_act = 0usize;
-    let mut ticks = 0u64;
-    let mut core_crashed = false;
-    let mut core_recoveries = 0u64;
-    let mut recovery_micros_total = 0u64;
-    // Retransmissions of incarnations that no longer exist at run end.
-    let mut retransmits_gone = 0u64;
-    let mut saw_core_crash = false;
-    let mut saw_escalation = false;
-    let mut health_rt = health.map(HealthRuntime::new);
-    let mut sup_rt = supervision.map(SupervisionRuntime::new);
-    let mut flags = ComponentFlags::default();
-    // Wire the missed-ack interrupt: every device channel pulses the
-    // supervision runtime's line when a send enters retransmission, so
-    // detection reacts at wire speed instead of the sampling cadence.
-    if let Some(rt) = &sup_rt {
-        for dev in &devices {
-            dev.channel
-                .set_missed_ack_interrupt(Arc::clone(&rt.interrupt_line));
+/// What every cell and plane shares: the simulated network, the clock,
+/// the tracer, the oracle, the channel and discovery configuration and
+/// the current virtual instant.
+pub(crate) struct Env {
+    pub(crate) net: SimNetwork,
+    pub(crate) clock: SharedClock,
+    pub(crate) tracer: Tracer,
+    pub(crate) trace_sink: Option<Arc<TraceSink>>,
+    pub(crate) oracle: DeliveryOracle,
+    pub(crate) reliable: ReliableConfig,
+    pub(crate) discovery: DiscoveryConfig,
+    /// The current virtual instant (micros since the run began).
+    pub(crate) now: u64,
+    /// Retransmissions of channel incarnations that no longer exist.
+    pub(crate) retransmits_gone: u64,
+    pub(crate) recovery_micros_total: u64,
+}
+
+impl Env {
+    /// Records a fault line at the current instant.
+    pub(crate) fn fault(&mut self, what: impl Into<String>) {
+        self.oracle.record_fault(self.now, what);
+    }
+
+    /// Books the retransmissions of a channel that is about to die.
+    pub(crate) fn retire(&mut self, channel: &ReliableChannel) {
+        self.retransmits_gone += channel.stats().retransmits;
+    }
+
+    /// A device's (volatile) channel, on a fresh endpoint or — after a
+    /// crash — on the endpoint `id` it had before.
+    pub(crate) fn device_channel(&self, id: Option<ServiceId>) -> Arc<ReliableChannel> {
+        let transport = match id {
+            Some(id) => self.net.endpoint_with_id(id),
+            None => self.net.endpoint(),
+        };
+        let channel = ReliableChannel::with_clock(
+            Arc::new(transport),
+            self.reliable.clone(),
+            Arc::clone(&self.clock),
+        );
+        channel.set_tracer(self.tracer.clone());
+        channel
+    }
+
+    /// A plane's own endpoint: a channel journalled into a private
+    /// in-memory log, so the plane survives whatever it reports on — a
+    /// partitioned cell's backlog lands after the heal rather than never.
+    pub(crate) fn plane_channel(&self, chan: u8) -> Arc<ReliableChannel> {
+        let (wal, _) = Wal::open(Arc::new(MemBackend::new()), WalConfig::default())
+            .expect("in-memory wal opens");
+        let channel = ReliableChannel::with_clock_journaled(
+            Arc::new(self.net.endpoint()),
+            self.reliable.clone(),
+            Arc::clone(&self.clock),
+            Arc::new(WalChannelJournal::new(Arc::new(wal), chan)),
+            Vec::new(),
+            Vec::new(),
+        );
+        channel.set_tracer(self.tracer.clone());
+        channel
+    }
+}
+
+/// The whole simulation: the shared context, the cells, the telemetry
+/// observer (when that plane runs) and the position in the fault
+/// timeline.
+struct World {
+    env: Env,
+    /// The clock behind `env.clock`, as the one thing that advances it.
+    manual: Arc<ManualClock>,
+    cells: Vec<Cell>,
+    observer: Option<Observer>,
+    timeline: Vec<(u64, usize, Act)>,
+    next_act: usize,
+    publish_interval: u64,
+    /// Scripted end: publishing stops here.
+    end: u64,
+    /// `end` plus the drain tail: the run stops here.
+    total: u64,
+}
+
+impl World {
+    fn new(scenario: &Scenario, options: &RunOptions) -> World {
+        let manual = Arc::new(ManualClock::new());
+        let clock: SharedClock = manual.clone();
+        let net = SimNetwork::with_clock(LinkConfig::ideal(), scenario.seed, Arc::clone(&clock));
+        let (tracer, trace_sink) = if options.trace {
+            let sink = Arc::new(TraceSink::with_capacity(options.trace_capacity));
+            let tracer = if options.probes {
+                Tracer::with_probes(
+                    Arc::clone(&sink),
+                    Arc::clone(&clock),
+                    Arc::new(ProbeSink::new()),
+                )
+            } else {
+                Tracer::new(Arc::clone(&sink), Arc::clone(&clock))
+            };
+            (tracer, Some(sink))
+        } else {
+            (Tracer::disabled(), None)
+        };
+        let env = Env {
+            net,
+            clock,
+            tracer,
+            trace_sink,
+            oracle: DeliveryOracle::new(scenario.seed),
+            reliable: options.reliable.clone(),
+            discovery: options.discovery.clone(),
+            now: 0,
+            retransmits_gone: 0,
+            recovery_micros_total: 0,
+        };
+
+        // One cell, or — under peer supervision — two symmetric siblings,
+        // member ids 1 and 2 (the two members `PeerSupervisor` knows).
+        let mut cells: Vec<Cell> = (0..if options.peered() { 2 } else { 1 })
+            .map(|idx| Cell::new(&env, idx, scenario.nodes, options))
+            .collect();
+        // Introduce the siblings to each other.
+        if let [a, b] = &mut cells[..] {
+            if let (Some((a_id, _)), Some((b_id, _))) = (a.supervision_link(), b.supervision_link())
+            {
+                a.meet_sibling(1, b_id);
+                b.meet_sibling(0, a_id);
+            }
+        }
+        let observer = options.telemetry.as_ref().map(|_| Observer::new(&env));
+
+        let end = scenario.duration.as_micros() as u64;
+        World {
+            env,
+            manual,
+            cells,
+            observer,
+            timeline: expand_timeline(scenario),
+            next_act: 0,
+            publish_interval: scenario.publish_interval.as_micros().max(1) as u64,
+            end,
+            total: end + DRAIN_MICROS,
         }
     }
 
-    let mut now = 0u64;
-    loop {
+    /// One scripted fault. Device-indexed and component faults hit
+    /// cell 0, the cell under test; supervisor kills and cell partitions
+    /// name their cell. A node or cell the world does not have is
+    /// ignored.
+    fn apply_fault(&mut self, node: usize, act: Act) {
+        let env = &mut self.env;
+        match act {
+            Act::KillSupervisor(c) => {
+                if let Some(cell) = self.cells.get_mut(c) {
+                    cell.kill_supervisor(env);
+                }
+            }
+            Act::CellPartition(c, on) => {
+                let Some(cell) = self.cells.get(c) else {
+                    return;
+                };
+                // Supervision traffic severs both ways, and the
+                // telemetry plane shares the cell's fate: a partitioned
+                // cell's exports queue in its journal and drain to the
+                // observer after the heal. With neither plane there is
+                // nothing to cut and only the trace line remains.
+                if let Some((own, sibling)) = cell.supervision_link() {
+                    env.net.set_partitioned(own, sibling, on);
+                }
+                if let (Some(tel), Some(obs)) = (cell.telemetry_endpoint(), &self.observer) {
+                    env.net.set_partitioned(tel, obs.id, on);
+                }
+                env.fault(format!(
+                    "cell{c} {}",
+                    if on {
+                        "partitioned from siblings"
+                    } else {
+                        "partition healed"
+                    }
+                ));
+            }
+            Act::CoreCrash => self.cells[0].crash_core(env),
+            Act::CoreRestart => self.cells[0].restart_core(env),
+            Act::Kill(component, wedged) => self.cells[0].kill_component(env, component, wedged),
+            Act::Corrupt(target) => self.cells[0].corrupt(env, target),
+            device_act => self.cells[0].apply_device_fault(env, node, &device_act),
+        }
+    }
+
+    /// One tick of virtual time.
+    fn tick(&mut self) {
+        let now = self.env.now;
         // 1. Scripted faults due now.
-        while next_act < timeline.len() && timeline[next_act].0 <= now {
-            let (_, node, act) = timeline[next_act].clone();
-            next_act += 1;
-            match act {
-                Act::CoreCrash => {
-                    if core_crashed {
-                        continue;
-                    }
-                    oracle.record_fault(now, "core crashed");
-                    core_crashed = true;
-                    saw_core_crash = true;
-                    if let Some(rt) = health_rt.as_mut() {
-                        rt.recorder.note(now, "core crashed");
-                    }
-                    retransmits_gone += core.sink_channel.stats().retransmits
-                        + core.disco_channel.stats().retransmits;
-                    core.service.shutdown();
-                    core.sink_channel.close();
-                    flags = ComponentFlags::default();
-                    continue;
-                }
-                Act::Kill(component, wedged) => {
-                    if core_crashed {
-                        continue;
-                    }
-                    match component {
-                        CoreComponent::Discovery => {
-                            if flags.discovery_down {
-                                continue;
-                            }
-                            oracle.record_fault(now, "discovery killed");
-                            retransmits_gone += core.disco_channel.stats().retransmits;
-                            core.service.shutdown();
-                            flags.discovery_down = true;
-                            flags.discovery_wedged = wedged;
-                        }
-                        CoreComponent::Sink => {
-                            if flags.sink_down {
-                                continue;
-                            }
-                            oracle.record_fault(now, "sink killed");
-                            retransmits_gone += core.sink_channel.stats().retransmits;
-                            core.sink_channel.close();
-                            flags.sink_down = true;
-                            flags.sink_wedged = wedged;
-                        }
-                    }
-                    continue;
-                }
-                Act::Corrupt(target) => {
-                    match target {
-                        CorruptTarget::MembershipView { node } => {
-                            if let Some(&id) = device_ids.get(node) {
-                                if members.remove(&id) {
-                                    oracle.record_fault(
-                                        now,
-                                        format!("corrupt: sink view dropped {id}"),
-                                    );
-                                }
-                            }
-                        }
-                        CorruptTarget::GhostMember => {
-                            if members.insert(GHOST_MEMBER) {
-                                oracle.record_fault(
-                                    now,
-                                    format!("corrupt: ghost {GHOST_MEMBER} in sink view"),
-                                );
-                            }
-                        }
-                        CorruptTarget::DiscoveryMember { node } => {
-                            if let Some(&id) = device_ids.get(node) {
-                                if !core_crashed
-                                    && !flags.discovery_down
-                                    && core.service.forget_member(id)
-                                {
-                                    oracle.record_fault(
-                                        now,
-                                        format!("corrupt: discovery forgot {id}"),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                }
-                Act::CoreRestart => {
-                    if !core_crashed {
-                        continue;
-                    }
-                    let (reborn, recovered) = boot_core(
-                        &net,
-                        &backend,
-                        &reliable,
-                        &discovery_config,
-                        &shared,
-                        &tracer,
-                        Some((disco_id, sink_id)),
-                        &mut members,
-                        CellId(1),
-                    );
-                    core = reborn;
-                    core_crashed = false;
-                    core_recoveries += 1;
-                    recovery_micros_total += recovered.recovery_micros;
-                    oracle.record_fault(now, "core restarted");
-                    if let Some(rt) = health_rt.as_mut() {
-                        rt.recorder.note(now, "core restarted from WAL");
-                    }
-                    // Re-process events the crash caught between ack and
-                    // recording: their senders saw them acknowledged and
-                    // will never retransmit, so the log held the only
-                    // copy. Mirrors `SmcCell::start_durable`.
-                    for (peer, _epoch, seq, payload) in recovered.snapshot.pending_rx_for(CHAN_BUS)
-                    {
-                        if let Some(published) = decode(&payload) {
-                            let t = TraceId::for_event(peer, published);
-                            if members.contains(&peer) {
-                                tracer.record(t, Hop::Delivered);
-                                oracle.record_delivery(now, peer, published);
-                            } else {
-                                tracer.record(
-                                    t,
-                                    Hop::Dropped {
-                                        reason: "purge-filter",
-                                    },
-                                );
-                                oracle.record_filtered(now, peer, published);
-                            }
-                        }
-                        core.sink_channel.consumed(peer, seq);
-                    }
-                    continue;
-                }
-                Act::KillSupervisor(cell) => {
-                    // Single-cell world: only cell 0's supervisor exists.
-                    match sup_rt.as_mut() {
-                        Some(rt) if rt.alive && cell == 0 => {
-                            rt.alive = false;
-                            oracle.record_fault(now, "supervisor killed");
-                            if let Some(h) = health_rt.as_mut() {
-                                h.recorder.note(now, "supervisor killed");
-                            }
-                        }
-                        _ => {
-                            oracle.record_fault(now, "supervisor killed (none running)");
-                        }
-                    }
-                    continue;
-                }
-                Act::CellPartition(cell, on) => {
-                    // No sibling cells in this world — record the fault
-                    // for the trace; the peer world severs real links.
-                    oracle.record_fault(
-                        now,
-                        format!(
-                            "cell{cell} {}",
-                            if on {
-                                "partitioned from siblings"
-                            } else {
-                                "partition healed"
-                            }
-                        ),
-                    );
-                    continue;
-                }
-                _ => {}
-            }
-            if node >= devices.len() {
-                continue;
-            }
-            apply(
-                &net,
-                &mut devices[node],
-                node,
-                &act,
-                disco_id,
-                sink_id,
-                &reliable,
-                &shared,
-                &tracer,
-                &mut oracle,
-                now,
-                &mut retransmits_gone,
-                sup_rt.as_ref().map(|rt| &rt.interrupt_line),
-            );
+        while let Some((_, node, act)) = self
+            .timeline
+            .get(self.next_act)
+            .filter(|(at, ..)| *at <= now)
+            .cloned()
+        {
+            self.next_act += 1;
+            self.apply_fault(node, act);
         }
+        let env = &mut self.env;
         // 2. Deliver every datagram whose deadline has passed.
-        net.pump_due();
-        // 3. Channels: process frames, ack, retransmit. A killed
-        // component's channel is closed; don't step the corpse.
-        if !core_crashed {
-            if !flags.discovery_down {
-                core.disco_channel.step();
-            }
-            if !flags.sink_down {
-                core.sink_channel.step();
-            }
+        env.net.pump_due();
+        // 3. Channels: process frames, ack, retransmit. Telemetry is a
+        // background plane: its channels step on a coarser (still
+        // deterministic) cadence, an order of magnitude below the export
+        // interval, so observing the world stays cheap relative to
+        // running it.
+        let telemetry_due = now.is_multiple_of(TEL_STEP_MICROS);
+        for cell in &self.cells {
+            cell.step_channels(telemetry_due);
         }
-        for dev in &devices {
-            if !dev.crashed {
-                dev.channel.step();
-            }
+        if let Some(obs) = self.observer.as_ref().filter(|_| telemetry_due) {
+            obs.channel.step();
         }
         // 4. Protocol logic on top of the channels.
-        if !core_crashed && !flags.discovery_down {
-            core.service.step();
+        for cell in &self.cells {
+            cell.step_protocol();
         }
-        for dev in &devices {
-            if !dev.crashed {
-                dev.agent.step();
+        // 5. Membership transitions into the oracle (and each sink's
+        // member filter).
+        for cell in &mut self.cells {
+            cell.drain_membership(env);
+        }
+        // 5h. Self-observation, before anything this tick repairs.
+        for cell in &mut self.cells {
+            cell.observe_health(env);
+        }
+        // 5s. The supervision planes. Ward views snapshot first so the
+        // order cells are processed in cannot change what either sees.
+        let views: Vec<CellView> = self.cells.iter().map(Cell::view).collect();
+        for cell in &mut self.cells {
+            cell.supervise(env, &views);
+        }
+        // 5b. Periodic snapshots, after anti-entropy and repair so a
+        // corrupted view can never be frozen into the durable truth
+        // repair depends on.
+        if now > 0 && now.is_multiple_of(CHECKPOINT_MICROS) {
+            for cell in &mut self.cells {
+                cell.checkpoint(env);
             }
         }
-        // 5. Membership transitions into the oracle (and the sink's
-        // member filter). Joins and purges are journaled, mirroring the
-        // SMC core's own event path.
-        while let Ok(ev) = core.service.events().try_recv() {
-            match ev {
-                MembershipEvent::Joined(info) => {
-                    let _ = core
-                        .wal
-                        .append(&WalRecord::MemberJoined { info: info.clone() });
-                    members.insert(info.id);
-                    oracle.record_joined(now, info.id);
-                }
-                MembershipEvent::Purged(id, _reason) => {
-                    let _ = core.wal.append(&WalRecord::MemberPurged { member: id });
-                    members.remove(&id);
-                    oracle.record_purged(now, id);
-                }
-                MembershipEvent::Suspected(id) => {
-                    oracle.record_fault(now, format!("suspected {id}"));
-                }
-                MembershipEvent::Recovered(id) => {
-                    oracle.record_fault(now, format!("recovered {id}"));
-                }
+        // 6. Member devices publish on schedule (until the scripted
+        // end), each to its own cell's sink.
+        if now < self.end {
+            for cell in &mut self.cells {
+                cell.publish(env, self.publish_interval);
             }
         }
-        // 5a. Anti-entropy on its own cadence: diff the sink's view and
-        // the discovery table against the folded log and repair both
-        // directions, whether or not anything ever failed. This runs
-        // *before* the checkpoint on purpose — compaction snapshots the
-        // live tables, so reconciling first means a corrupted view can
-        // never be frozen into the durable truth repair depends on.
-        if let Some(rt) = sup_rt.as_mut() {
-            if rt.alive && now >= rt.next_reconcile {
-                rt.next_reconcile = now + rt.reconcile_micros;
-                if !core_crashed {
-                    rt.reconciles += 1;
-                    let fixes = reconcile_pass(&core, &mut members, &flags);
-                    for fix in &fixes {
-                        oracle.record_fault(now, format!("reconcile: {fix}"));
-                    }
-                    rt.supervisor.record_reconcile(now, &fixes);
-                    rt.reconcile_fixes
-                        .extend(fixes.into_iter().map(|f| (now, f)));
-                }
+        // 7. Sinks accept deliveries.
+        for cell in &mut self.cells {
+            cell.accept_deliveries(env);
+        }
+        // 8. The telemetry plane: cells export on cadence, then the
+        // observer folds whatever has arrived and watches SLO burn.
+        // Cell-runtime plane, like the supervision channel — it keeps
+        // exporting with the supervisor dead, which is exactly what
+        // lets the ward view narrate the outage. Runs on the coarse
+        // telemetry cadence: exports only move when the channels step.
+        if let Some(obs) = self.observer.as_mut().filter(|_| telemetry_due) {
+            for cell in &mut self.cells {
+                cell.export_telemetry(env, obs.id, self.total);
             }
+            obs.fold(env);
         }
-        // 5b. Periodic snapshot: compacts the log so recovery replays a
-        // bounded tail. Never while a component is down: snapshotting a
-        // closed channel would freeze empty cursors over the journal's
-        // live tail and destroy the durable truth repair depends on.
-        if !core_crashed && !flags.any_down() && now > 0 && now.is_multiple_of(CHECKPOINT_MICROS) {
-            checkpoint(&core);
-        }
-        // 5c. Self-observation: the health monitor samples the live
-        // channels/WAL/discovery on its own virtual cadence, runs its
-        // detectors, and lets the built-in obligations quench a degraded
-        // publisher — the paper's autonomic feedback loop, in-run.
-        if let Some(rt) = health_rt.as_mut() {
-            if rt.monitor.due(now) {
-                let samples =
-                    health_samples(&devices, &core, core_crashed, &oracle, &device_ids, sink_id);
-                let hops: Vec<HopRecord> = match &trace_sink {
-                    Some(sink) => sink
-                        .records()
-                        .into_iter()
-                        .filter(|r| r.order >= rt.hop_cursor)
-                        .collect(),
-                    None => Vec::new(),
-                };
-                if let Some(max) = hops.iter().map(|r| r.order).max() {
-                    rt.hop_cursor = max + 1;
-                }
-                let transitions = rt.monitor.observe(now, &samples, &hops);
-                for t in &transitions {
-                    oracle.record_fault(
-                        now,
-                        format!(
-                            "health {} {}->{} [{}]",
-                            t.component,
-                            t.from.as_str(),
-                            t.to.as_str(),
-                            t.detector
-                        ),
-                    );
-                    if !rt.quench {
-                        continue;
-                    }
-                    // Publish the transition as a typed `smc.health`
-                    // event through the policy service, exactly as the
-                    // cell would; execute any quench it fires.
-                    let member = component_device(&t.component, &device_ids);
-                    for fired in rt.policy.on_event(&health_event(t, member)) {
-                        let ActionSpec::Quench { publisher, enable } = fired.action else {
-                            continue;
-                        };
-                        let Some(raw) = publisher.resolve(&fired.trigger).and_then(|v| v.as_int())
-                        else {
-                            continue;
-                        };
-                        let target = ServiceId::from_raw(raw as u64);
-                        // The actuator consults authorisation before
-                        // silencing anyone: telemetry observers carry a
-                        // deny on `quench:<raw>` and stay audible.
-                        if enable
-                            && rt.policy.check(
-                                "*",
-                                ActionClass::Command,
-                                &format!("quench:{}", target.raw()),
-                            ) == Decision::Deny
-                        {
-                            oracle.record_fault(now, format!("quench-exempt {target}"));
-                            continue;
-                        }
-                        if let Some(dev) = devices.iter_mut().find(|d| d.id == target) {
-                            dev.quenched = enable;
-                            rt.quenches.push((now, target, enable));
-                            oracle.record_fault(
-                                now,
-                                format!("{} {target}", if enable { "quench" } else { "wake" }),
-                            );
-                        }
-                    }
-                }
-                rt.recorder.record_hops(&hops);
-                rt.recorder.record_frame(now, samples, rt.monitor.report());
-                rt.transitions.extend(transitions);
-            }
-        }
-        // 5d. Supervision: the detect → repair loop. The component-down
-        // detector samples liveness gauges, failures route through the
-        // built-in restart obligation (policy-mediated, as the paper's
-        // management events would be) into the supervisor, and the
-        // supervisor's plan is executed against durable truth. A wedged
-        // component refuses its restart, the gauge stays down, and the
-        // tick's retry timeout escalates up the dependency graph. While
-        // the core itself is scripted-crashed the supervisor holds off:
-        // the scenario owns that outage.
-        if let Some(rt) = sup_rt.as_mut() {
-            // A missed ack anywhere pulses the interrupt line; sample
-            // immediately instead of waiting out the monitor's cadence.
-            // (Observing resets the cadence, so a quiet line costs
-            // nothing extra.)
-            let pulses = rt.interrupt_line.load(Ordering::Relaxed);
-            let interrupted = pulses != rt.seen_interrupts;
-            rt.seen_interrupts = pulses;
-            if rt.alive && !core_crashed && (rt.monitor.due(now) || interrupted) {
-                let samples = rt.samples(&flags);
-                let transitions = rt.monitor.observe(now, &samples, &[]);
-                let mut actions = Vec::new();
-                for t in &transitions {
-                    oracle.record_fault(
-                        now,
-                        format!(
-                            "supervision {} {}->{}",
-                            t.component,
-                            t.from.as_str(),
-                            t.to.as_str()
-                        ),
-                    );
-                    if t.to == HealthState::Failed {
-                        for fired in rt.policy.on_event(&health_event(t, None)) {
-                            if let ActionSpec::Restart { component } = &fired.action {
-                                if component
-                                    .resolve(&fired.trigger)
-                                    .is_some_and(|v| v.as_str().is_some())
-                                {
-                                    rt.policy_restarts += 1;
-                                }
-                            }
-                        }
-                    }
-                    actions.extend(rt.supervisor.on_transition(t));
-                }
-                actions.extend(rt.supervisor.tick(now, &rt.monitor.report()));
-                for action in actions {
-                    if let RepairAction::Escalate { failed, target } = &action {
-                        // Escalations are the loop admitting a restart
-                        // was not enough — exactly the runs worth a
-                        // black-box dump.
-                        saw_escalation = true;
-                        if let Some(h) = health_rt.as_mut() {
-                            h.recorder
-                                .note(now, format!("escalation: {failed} -> {target}"));
-                        }
-                    }
-                    let target = match &action {
-                        RepairAction::Restart { component, .. } => component.clone(),
-                        RepairAction::Escalate { target, .. } => target.clone(),
-                    };
-                    match target.as_str() {
-                        "discovery" => {
-                            if !flags.discovery_down {
-                                // Already back (detector hysteresis lags
-                                // the repair); nothing to do.
-                            } else if flags.discovery_wedged {
-                                rt.repairs.push((now, format!("{action}: failed (wedged)")));
-                                oracle.record_fault(now, format!("{action}: failed (wedged)"));
-                            } else {
-                                restart_discovery(
-                                    &net,
-                                    &mut core,
-                                    &reliable,
-                                    &discovery_config,
-                                    &shared,
-                                    &tracer,
-                                    disco_id,
-                                    sink_id,
-                                    CellId(1),
-                                );
-                                flags.discovery_down = false;
-                                rt.repairs.push((now, action.to_string()));
-                                oracle.record_fault(now, format!("{action}: done"));
-                            }
-                        }
-                        "sink" => {
-                            if !flags.sink_down {
-                                // Already back; nothing to do.
-                            } else if flags.sink_wedged {
-                                rt.repairs.push((now, format!("{action}: failed (wedged)")));
-                                oracle.record_fault(now, format!("{action}: failed (wedged)"));
-                            } else {
-                                restart_sink(
-                                    &net,
-                                    &mut core,
-                                    &reliable,
-                                    &shared,
-                                    &tracer,
-                                    sink_id,
-                                    &members,
-                                    &mut oracle,
-                                    now,
-                                );
-                                flags.sink_down = false;
-                                rt.repairs.push((now, action.to_string()));
-                                oracle.record_fault(now, format!("{action}: done"));
-                            }
-                        }
-                        "core" => {
-                            // Escalation target: a full reboot from the
-                            // write-ahead log subsumes every child — and
-                            // clears a wedge, the way power-cycling a
-                            // gateway does what restarting one daemon on
-                            // it could not.
-                            if !flags.sink_down {
-                                retransmits_gone += core.sink_channel.stats().retransmits;
-                                core.sink_channel.close();
-                            }
-                            if !flags.discovery_down {
-                                retransmits_gone += core.disco_channel.stats().retransmits;
-                                core.service.shutdown();
-                            }
-                            let (reborn, recovered) = boot_core(
-                                &net,
-                                &backend,
-                                &reliable,
-                                &discovery_config,
-                                &shared,
-                                &tracer,
-                                Some((disco_id, sink_id)),
-                                &mut members,
-                                CellId(1),
-                            );
-                            core = reborn;
-                            core_recoveries += 1;
-                            recovery_micros_total += recovered.recovery_micros;
-                            for (peer, _epoch, seq, payload) in
-                                recovered.snapshot.pending_rx_for(CHAN_BUS)
-                            {
-                                if let Some(published) = decode(&payload) {
-                                    let t = TraceId::for_event(peer, published);
-                                    if members.contains(&peer) {
-                                        tracer.record(t, Hop::Delivered);
-                                        oracle.record_delivery(now, peer, published);
-                                    } else {
-                                        tracer.record(
-                                            t,
-                                            Hop::Dropped {
-                                                reason: "purge-filter",
-                                            },
-                                        );
-                                        oracle.record_filtered(now, peer, published);
-                                    }
-                                }
-                                core.sink_channel.consumed(peer, seq);
-                            }
-                            flags = ComponentFlags::default();
-                            rt.repairs.push((now, action.to_string()));
-                            oracle.record_fault(now, format!("{action}: core rebooted"));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        // 6. Member devices publish on schedule (until the scripted end).
-        // A crashed core does not stop them: their channels queue and
-        // retransmit into the outage, which is exactly the traffic the
-        // recovered cursors must dedup. A *quenched* device, though,
-        // holds its publishes until the obligation wakes it.
-        if now < end {
-            for dev in &mut devices {
-                if dev.crashed || dev.quenched || !dev.agent.is_member() || now < dev.next_publish {
-                    continue;
-                }
-                let seq = dev.next_seq;
-                dev.next_seq += 1;
-                dev.next_publish = now + publish_interval;
-                let t = TraceId::for_event(dev.id, seq);
-                tracer.record(t, Hop::Published);
-                oracle.record_publish(now, dev.id, seq);
-                let _ = dev.channel.send_traced(sink_id, encode(seq), t);
-            }
-        }
-        // 7. The sink accepts deliveries, mirroring the SMC's rule that
-        // purged members' traffic is no longer served. A killed sink
-        // accepts nothing — its channel is closed and senders retransmit
-        // into the outage until the supervisor brings it back.
-        while let Ok(incoming) = core.sink_channel.recv(Some(Duration::ZERO)) {
-            if let Incoming::Reliable { from, seq, payload } = incoming {
-                if let Some(published) = decode(&payload) {
-                    let t = TraceId::for_event(from, published);
-                    if members.contains(&from) {
-                        tracer.record(t, Hop::Delivered);
-                        oracle.record_delivery(now, from, published);
-                    } else {
-                        tracer.record(
-                            t,
-                            Hop::Dropped {
-                                reason: "purge-filter",
-                            },
-                        );
-                        oracle.record_filtered(now, from, published);
-                    }
-                }
-                // Recording *is* the harness's routing step; release the
-                // journal's retained copy so checkpoints stop carrying it.
-                core.sink_channel.consumed(from, seq);
-            }
-        }
-        ticks += 1;
-        if now >= total {
-            break;
-        }
-        now += TICK_MICROS;
-        clock.advance_micros(TICK_MICROS);
     }
 
-    let retransmits = retransmits_gone
-        + core.sink_channel.stats().retransmits
-        + core.disco_channel.stats().retransmits
-        + devices
-            .iter()
-            .map(|d| d.channel.stats().retransmits)
-            .sum::<u64>();
+    /// Steps the timeline to its end and assembles the report.
+    fn run(mut self) -> RunReport {
+        let mut ticks = 0u64;
+        loop {
+            self.tick();
+            ticks += 1;
+            if self.env.now >= self.total {
+                break;
+            }
+            self.env.now += TICK_MICROS;
+            self.manual.advance_micros(TICK_MICROS);
+        }
 
-    // Attach the offending event's journey to the violation, if any: the
-    // sink can replay exactly where the message's guarantees broke down.
-    if let Some(sink) = &trace_sink {
-        if let Some(v) = oracle.violation_mut() {
+        let World {
+            mut env,
+            mut cells,
+            observer,
+            total,
+            ..
+        } = self;
+        let oracle = &mut env.oracle;
+        let retransmits =
+            env.retransmits_gone + cells.iter().map(Cell::live_retransmits).sum::<u64>();
+        // Attach the offending event's journey to the violation, if any:
+        // the sink can replay exactly where the message's guarantees
+        // broke down.
+        if let (Some(sink), Some(v)) = (&env.trace_sink, oracle.violation_mut()) {
             if let Some((sender, seq)) = v.offender {
                 v.journey = Some(sink.journey(TraceId::for_event(sender, seq)));
             }
         }
-    }
+        // Assemble the run's registry. Collectors sample the final core
+        // incarnation of the cell under test at render time; run-wide
+        // aggregates (which span cells and crashed incarnations) go in
+        // below as plain instruments with their final values.
+        let registry = Registry::default();
+        cells[0].register_core_with(&registry);
+        if let Some(sink) = &env.trace_sink {
+            sink.register_with(&registry);
+        }
+        if let Some(probe_sink) = env.tracer.probes() {
+            probe_sink.register_with(&registry);
+        }
+        let supervised = cells.iter().any(|c| c.sup.is_some());
 
-    // Assemble the run's registry. Collectors sample the final core
-    // incarnation at render time; run-wide aggregates (which span crashed
-    // incarnations) go in as plain instruments with their final values.
-    let registry = Registry::default();
-    core.wal.register_with(&registry);
-    core.service.register_with(&registry);
-    {
-        let sink_channel = Arc::clone(&core.sink_channel);
-        registry.register_collector(move |out| {
-            let s = sink_channel.stats();
-            let counter = |name: &str, help: &str, value: u64| smc_telemetry::Sample {
-                name: name.to_string(),
-                help: help.to_string(),
-                monotonic: true,
-                labels: vec![("channel".to_string(), "sink".to_string())],
-                value,
-            };
-            out.push(counter(
-                "smc_channel_msgs_delivered_total",
-                "Reliable messages delivered to the application.",
-                s.msgs_delivered,
-            ));
-            out.push(counter(
-                "smc_channel_retransmits_total",
-                "Fragment retransmissions.",
-                s.retransmits,
-            ));
-            out.push(counter(
-                "smc_channel_duplicates_suppressed_total",
-                "Duplicate fragments suppressed on receive.",
-                s.duplicates_suppressed,
-            ));
+        let telemetry = observer.map(|obs| {
+            let mut episodes = Vec::new();
+            let mut exports_sent = 0;
+            for tel in cells.iter_mut().filter_map(|c| c.telemetry.as_mut()) {
+                episodes.append(&mut tel.episodes);
+                exports_sent += tel.exports_sent;
+            }
+            obs.into_report(episodes, exports_sent)
         });
-    }
-    if let Some(sink) = &trace_sink {
-        sink.register_with(&registry);
-    }
-    if let Some(probe_sink) = tracer.probes() {
-        probe_sink.register_with(&registry);
-    }
-    let published_total: u64 = device_ids.iter().map(|&id| oracle.published(id)).sum();
-    let delivered_total: u64 = device_ids.iter().map(|&id| oracle.delivered(id)).sum();
-    registry
-        .counter(
-            "smc_harness_published_total",
-            "Messages devices handed to their channels over the run.",
-        )
-        .add(published_total);
-    registry
-        .counter(
-            "smc_harness_delivered_total",
-            "Messages the sink accepted over the run.",
-        )
-        .add(delivered_total);
-    registry
-        .counter(
-            "smc_harness_retransmits_total",
-            "Retransmissions across every channel and incarnation.",
-        )
-        .add(retransmits);
-    registry
-        .counter(
-            "smc_harness_core_recoveries_total",
-            "Core restarts recovered from the write-ahead log.",
-        )
-        .add(core_recoveries);
-    if let Some(rt) = &sup_rt {
-        registry
-            .counter(
+        let violated = oracle.violation().is_some();
+        let report = RunReport {
+            device_ids: cells
+                .iter()
+                .flat_map(|c| c.device_ids.iter().copied())
+                .collect(),
+            cells: cells
+                .into_iter()
+                .map(|cell| cell.into_report(violated, total))
+                .collect(),
+            ticks,
+            virtual_micros: total,
+            recovery_micros_total: env.recovery_micros_total,
+            retransmits,
+            trace_sink: env.trace_sink,
+            registry,
+            telemetry,
+            oracle: env.oracle,
+        };
+
+        let mut counters = vec![
+            (
+                "smc_harness_published_total",
+                "Messages devices handed to their channels over the run.",
+                report.total_published(),
+            ),
+            (
+                "smc_harness_delivered_total",
+                "Messages the sinks accepted over the run.",
+                report.total_delivered(),
+            ),
+            (
+                "smc_harness_retransmits_total",
+                "Retransmissions across every channel and incarnation.",
+                report.retransmits,
+            ),
+            (
+                "smc_harness_core_recoveries_total",
+                "Core restarts recovered from the write-ahead log.",
+                report.core_recoveries(),
+            ),
+        ];
+        if supervised {
+            counters.push((
                 "smc_missed_ack_interrupts_total",
                 "Missed-ack retransmission rounds that pulsed the supervision interrupt line.",
-            )
-            .add(rt.interrupt_line.load(Ordering::Relaxed));
-    }
-
-    // The flight recorder's reason to exist: when the run ended badly,
-    // dump the black box for post-mortem before reporting.
-    let health = health_rt.map(|mut rt| {
-        let report = rt.monitor.report();
-        let violated = oracle.violation().is_some();
-        let mut dumped_to = None;
-        if let Some(path) = rt.dump_path.take() {
-            if violated || saw_core_crash || saw_escalation {
-                rt.recorder.note(
-                    total,
-                    if violated {
-                        "dump: run ended with an oracle violation"
-                    } else if saw_core_crash {
-                        "dump: run saw a core crash"
-                    } else {
-                        "dump: run saw a supervision escalation"
-                    },
-                );
-                if rt.recorder.dump_to(&path).is_ok() {
-                    dumped_to = Some(path);
-                }
-            }
+                report.cells.iter().map(|c| c.missed_ack_interrupts).sum(),
+            ));
         }
-        HealthOutcome {
-            transitions: rt.transitions,
-            quenches: rt.quenches,
-            report,
-            recorder: rt.recorder,
-            dumped_to,
+        for (name, help, value) in counters {
+            report.registry.counter(name, help).add(value);
         }
-    });
-
-    let supervision = sup_rt.map(|rt| SupervisionOutcome {
-        report: rt.supervisor.report(),
-        repairs: rt.repairs,
-        reconciles: rt.reconciles,
-        reconcile_fixes: rt.reconcile_fixes,
-        policy_restarts: rt.policy_restarts,
-        missed_ack_interrupts: rt.interrupt_line.load(Ordering::Relaxed),
-        supervisor_alive: rt.alive,
-    });
-
-    RunReport {
-        oracle,
-        device_ids,
-        ticks,
-        virtual_micros: total,
-        core_recoveries,
-        recovery_micros_total,
-        retransmits,
-        trace_sink,
-        registry,
-        health,
-        supervision,
+        report
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply(
-    net: &SimNetwork,
-    dev: &mut Device,
-    node: usize,
-    act: &Act,
-    disco_id: ServiceId,
-    sink_id: ServiceId,
-    reliable: &ReliableConfig,
-    clock: &SharedClock,
-    tracer: &Tracer,
-    oracle: &mut DeliveryOracle,
-    now: u64,
-    retransmits_gone: &mut u64,
-    interrupt_line: Option<&Arc<AtomicU64>>,
-) {
-    let set_links = |link: LinkConfig| {
-        net.set_link_between(dev.id, sink_id, link.clone());
-        net.set_link_between(dev.id, disco_id, link);
-    };
-    match act {
-        Act::Loss(loss) => {
-            oracle.record_fault(now, format!("node{node} loss burst {loss:.2}"));
-            let mut link = dev.baseline.clone();
-            link.loss = *loss;
-            set_links(link);
-        }
-        Act::Dup(dup) => {
-            oracle.record_fault(now, format!("node{node} duplicate storm {dup:.2}"));
-            let mut link = dev.baseline.clone();
-            link.duplicate = *dup;
-            set_links(link);
-        }
-        Act::Heal => {
-            oracle.record_fault(now, format!("node{node} link healed"));
-            set_links(dev.baseline.clone());
-        }
-        Act::Profile(profile) => {
-            oracle.record_fault(now, format!("node{node} link profile {profile:?}"));
-            let mut link = profile.config();
-            // Keep the baseline MTU: fragments are sized against the
-            // default link, and a shrunken path MTU would wedge them.
-            link.mtu = dev.baseline.mtu;
-            dev.baseline = link.clone();
-            set_links(link);
-        }
-        Act::PartitionOn => {
-            oracle.record_fault(now, format!("node{node} partitioned"));
-            net.set_partitioned(dev.id, sink_id, true);
-            net.set_partitioned(dev.id, disco_id, true);
-        }
-        Act::PartitionOff => {
-            oracle.record_fault(now, format!("node{node} partition healed"));
-            net.set_partitioned(dev.id, sink_id, false);
-            net.set_partitioned(dev.id, disco_id, false);
-        }
-        Act::Domain(domain) => {
-            oracle.record_fault(now, format!("node{node} moved to domain {domain}"));
-            dev.domain = *domain;
-            net.set_domain(dev.id, *domain);
-        }
-        Act::Crash => {
-            oracle.record_fault(now, format!("node{node} crashed"));
-            dev.crashed = true;
-            *retransmits_gone += dev.channel.stats().retransmits;
-            dev.channel.close();
-        }
-        Act::Restart => {
-            if !dev.crashed {
-                return;
-            }
-            oracle.record_fault(now, format!("node{node} restarted"));
-            let transport = Arc::new(net.endpoint_with_id(dev.id));
-            let channel =
-                ReliableChannel::with_clock(transport, reliable.clone(), Arc::clone(clock));
-            channel.set_tracer(tracer.clone());
-            if let Some(line) = interrupt_line {
-                channel.set_missed_ack_interrupt(Arc::clone(line));
-            }
-            let agent = MemberAgent::with_clock(
-                dev.info.clone(),
-                Arc::clone(&channel),
-                AgentConfig::default(),
-                Arc::clone(clock),
-            );
-            net.set_domain(dev.id, dev.domain);
-            dev.channel = channel;
-            dev.agent = agent;
-            dev.crashed = false;
-        }
-        // Core acts are handled inline by the run loop (they touch state
-        // no single device owns); reaching here is a timeline bug.
-        Act::CoreCrash
-        | Act::CoreRestart
-        | Act::Kill(..)
-        | Act::Corrupt(..)
-        | Act::KillSupervisor(..)
-        | Act::CellPartition(..) => {
-            unreachable!("core acts routed in run loop")
-        }
-    }
+/// Runs `scenario` with the default options: one cell, default
+/// reliability and discovery settings, an in-memory WAL, no planes.
+pub fn run(scenario: &Scenario) -> RunReport {
+    run_with_options(scenario, RunOptions::default())
+}
+
+/// Runs `scenario` under full [`RunOptions`] control.
+pub fn run_with_options(scenario: &Scenario, options: RunOptions) -> RunReport {
+    World::new(scenario, &options).run()
 }

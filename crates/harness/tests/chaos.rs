@@ -4,8 +4,10 @@
 use std::time::{Duration, Instant};
 
 use smc_harness::{
-    run, run_with, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, ViolationKind,
+    run, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
+    ViolationKind,
 };
+use smc_health::PeerConfig;
 use smc_telemetry::Hop;
 use smc_transport::ReliableConfig;
 
@@ -193,7 +195,13 @@ fn broken_channel_config_fails_the_oracle() {
         dedup: false,
         ..ReliableConfig::default()
     };
-    let report = run_with(&scenario.sorted(), broken, smc_harness::default_discovery());
+    let report = run_with_options(
+        &scenario.sorted(),
+        RunOptions {
+            reliable: broken,
+            ..RunOptions::default()
+        },
+    );
     let violation = report
         .oracle
         .violation()
@@ -265,7 +273,8 @@ fn clean_run_traces_complete_journeys() {
 
 /// The acceptance criterion for tracing: an injected delivery violation
 /// (dedup disabled under a duplicate storm) is reported with the
-/// offending event's complete hop journey attached.
+/// offending event's complete hop journey attached — in a one-cell world
+/// and in a two-cell one alike.
 #[test]
 fn violation_report_carries_offending_journey() {
     let mut scenario = Scenario::quiet(41, 2, secs(8));
@@ -279,47 +288,57 @@ fn violation_report_carries_offending_journey() {
             },
         });
     }
-    let report = run_with_options(
-        &scenario.sorted(),
-        RunOptions {
-            reliable: ReliableConfig {
-                dedup: false,
-                ..ReliableConfig::default()
+    let scenario = scenario.sorted();
+    let peered = SupervisionOptions {
+        peer: Some(PeerConfig::default()),
+        ..SupervisionOptions::default()
+    };
+    for supervision in [None, Some(peered)] {
+        let cells = if supervision.is_some() { 2 } else { 1 };
+        let report = run_with_options(
+            &scenario,
+            RunOptions {
+                reliable: ReliableConfig {
+                    dedup: false,
+                    ..ReliableConfig::default()
+                },
+                supervision,
+                ..RunOptions::default()
             },
-            ..RunOptions::default()
-        },
-    );
-    let violation = report
-        .oracle
-        .violation()
-        .expect("dedup=false under a duplicate storm must violate delivery semantics");
-    let (sender, seq) = violation
-        .offender
-        .expect("delivery violations name the offending message");
-    let journey = violation
-        .journey
-        .as_ref()
-        .expect("the harness attaches the offender's journey");
-    assert!(
-        !journey.is_empty(),
-        "offender {sender} #{seq} must have recorded hops"
-    );
-    let names: Vec<&str> = journey.hops.iter().map(|r| r.hop.name()).collect();
-    assert_eq!(
-        names.first(),
-        Some(&"published"),
-        "journey starts at the publish: {names:?}"
-    );
-    assert!(
-        names.iter().filter(|&&n| n == "delivered").count() >= 2,
-        "a duplicate delivery shows up as two delivered hops: {names:?}"
-    );
-    let rendered = violation.to_string();
-    assert!(
-        rendered.contains("offending event's journey"),
-        "report must print the journey: {rendered}"
-    );
-    assert!(rendered.contains("delivered"), "{rendered}");
+        );
+        assert_eq!(report.cells.len(), cells);
+        let violation = report
+            .oracle
+            .violation()
+            .expect("dedup=false under a duplicate storm must violate delivery semantics");
+        let (sender, seq) = violation
+            .offender
+            .expect("delivery violations name the offending message");
+        let journey = violation
+            .journey
+            .as_ref()
+            .expect("the harness attaches the offender's journey");
+        assert!(
+            !journey.is_empty(),
+            "offender {sender} #{seq} must have recorded hops ({cells} cells)"
+        );
+        let names: Vec<&str> = journey.hops.iter().map(|r| r.hop.name()).collect();
+        assert_eq!(
+            names.first(),
+            Some(&"published"),
+            "journey starts at the publish: {names:?}"
+        );
+        assert!(
+            names.iter().filter(|&&n| n == "delivered").count() >= 2,
+            "a duplicate delivery shows up as two delivered hops: {names:?}"
+        );
+        let rendered = violation.to_string();
+        assert!(
+            rendered.contains("offending event's journey"),
+            "report must print the journey: {rendered}"
+        );
+        assert!(rendered.contains("delivered"), "{rendered}");
+    }
 }
 
 /// Turning tracing off must not change the run itself: the oracle trace

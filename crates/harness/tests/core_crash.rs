@@ -6,9 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_harness::{
-    default_discovery, run, run_with, run_with_backend, ChaosOp, Scenario, ScriptedOp,
-};
+use smc_harness::{run, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp};
 use smc_transport::ReliableConfig;
 use smc_wal::NoopBackend;
 
@@ -24,6 +22,22 @@ fn teeth_reliable() -> ReliableConfig {
     ReliableConfig {
         window: 1,
         ..ReliableConfig::default()
+    }
+}
+
+/// The teeth channel settings over the real (in-memory) write-ahead log.
+fn on_the_wal() -> RunOptions {
+    RunOptions {
+        reliable: teeth_reliable(),
+        ..RunOptions::default()
+    }
+}
+
+/// The same settings over a "log" that retains nothing.
+fn on_a_noop_backend() -> RunOptions {
+    RunOptions {
+        backend: Arc::new(NoopBackend),
+        ..on_the_wal()
     }
 }
 
@@ -63,25 +77,17 @@ const TEETH_SEED: u64 = 1;
 #[test]
 fn core_crash_recovers_exactly_once_from_the_wal() {
     let scenario = core_crash_scenario(TEETH_SEED);
-    let report = run_with(&scenario, teeth_reliable(), default_discovery());
+    let report = run_with_options(&scenario, on_the_wal());
     report.assert_clean();
-    assert_eq!(report.core_recoveries, 1, "the core restarted once");
+    assert_eq!(report.core_recoveries(), 1, "the core restarted once");
     assert!(report.retransmits > 0, "the outage forced retransmissions");
     assert!(report.total_delivered() > 0);
 }
 
 #[test]
 fn core_crash_runs_are_deterministic() {
-    let a = run_with(
-        &core_crash_scenario(TEETH_SEED),
-        teeth_reliable(),
-        default_discovery(),
-    );
-    let b = run_with(
-        &core_crash_scenario(TEETH_SEED),
-        teeth_reliable(),
-        default_discovery(),
-    );
+    let a = run_with_options(&core_crash_scenario(TEETH_SEED), on_the_wal());
+    let b = run_with_options(&core_crash_scenario(TEETH_SEED), on_the_wal());
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -96,12 +102,7 @@ fn noop_backend_loses_the_guarantee() {
     // frame the old incarnation already delivered is delivered again —
     // the violation the WAL exists to prevent.
     let scenario = core_crash_scenario(TEETH_SEED);
-    let report = run_with_backend(
-        &scenario,
-        teeth_reliable(),
-        default_discovery(),
-        Arc::new(NoopBackend),
-    );
+    let report = run_with_options(&scenario, on_a_noop_backend());
     let violation = report
         .oracle
         .violation()
@@ -118,7 +119,7 @@ fn random_core_crash_family_stays_safe() {
         let scenario = Scenario::random(seed, 3, Duration::from_secs(8), 8);
         let report = run(&scenario);
         report.assert_clean();
-        crashes += report.core_recoveries;
+        crashes += report.core_recoveries();
     }
     assert!(
         crashes > 0,
@@ -134,13 +135,8 @@ fn random_core_crash_family_stays_safe() {
 fn scan_for_teeth_seed() {
     for seed in 1..=40u64 {
         let scenario = core_crash_scenario(seed);
-        let noop = run_with_backend(
-            &scenario,
-            teeth_reliable(),
-            default_discovery(),
-            Arc::new(NoopBackend),
-        );
-        let wal = run_with(&scenario, teeth_reliable(), default_discovery());
+        let noop = run_with_options(&scenario, on_a_noop_backend());
+        let wal = run_with_options(&scenario, on_the_wal());
         let wal_clean = wal.oracle.violation().is_none();
         println!(
             "seed {seed}: noop violation={} wal clean={}",

@@ -47,7 +47,7 @@ fn with_health(dump_path: Option<PathBuf>) -> RunOptions {
 #[test]
 fn retransmit_storm_flips_the_detector_and_quenches_the_publisher() {
     let report = run_with_options(&storm_scenario(SEED), with_health(None));
-    let health = report.health.as_ref().expect("health was enabled");
+    let health = report.cells[0].health.as_ref().expect("health was enabled");
 
     let degraded = health
         .first_transition("channel:device0", HealthState::Degraded)
@@ -95,7 +95,7 @@ fn retransmit_storm_flips_the_detector_and_quenches_the_publisher() {
 #[test]
 fn identical_clean_run_stays_green() {
     let report = run_with_options(&base_scenario(SEED), with_health(None));
-    let health = report.health.as_ref().expect("health was enabled");
+    let health = report.cells[0].health.as_ref().expect("health was enabled");
     assert!(
         health.stayed_green(),
         "clean run must produce zero transitions; got {:?}",
@@ -110,7 +110,10 @@ fn health_runs_are_deterministic_per_seed() {
     let a = run_with_options(&storm_scenario(7), with_health(None));
     let b = run_with_options(&storm_scenario(7), with_health(None));
     assert_eq!(a.trace_text(), b.trace_text());
-    let (ha, hb) = (a.health.unwrap(), b.health.unwrap());
+    let (ha, hb) = (
+        a.cells[0].health.as_ref().unwrap(),
+        b.cells[0].health.as_ref().unwrap(),
+    );
     assert_eq!(ha.transitions, hb.transitions);
     assert_eq!(ha.quenches, hb.quenches);
 }
@@ -127,7 +130,7 @@ fn flight_recorder_dumps_on_core_crash() {
     let dump = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("flight_recorder_crash.txt");
     let _ = std::fs::remove_file(&dump);
     let report = run_with_options(&scenario, with_health(Some(dump.clone())));
-    let health = report.health.as_ref().expect("health was enabled");
+    let health = report.cells[0].health.as_ref().expect("health was enabled");
     assert_eq!(health.dumped_to.as_deref(), Some(dump.as_path()));
     let text = std::fs::read_to_string(&dump).expect("dump file written");
     assert!(text.contains("core crashed"), "dump must carry the notes");

@@ -11,9 +11,30 @@
 use std::time::Duration;
 
 use smc_harness::{
-    run_peer, run_with_options, ChaosOp, CoreComponent, RunOptions, Scenario, ScriptedOp,
-    SupervisionOptions,
+    run_with_options, ChaosOp, CoreComponent, RunOptions, RunReport, Scenario, ScriptedOp,
+    SupervisionOptions, TraceEvent,
 };
+use smc_health::PeerConfig;
+use smc_telemetry::Hop;
+
+/// One supervised cell on its own.
+fn supervised() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions::default()),
+        ..RunOptions::default()
+    }
+}
+
+/// Two sibling cells, each supervised and each watching the other.
+fn peered() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions {
+            peer: Some(PeerConfig::default()),
+            ..SupervisionOptions::default()
+        }),
+        ..RunOptions::default()
+    }
+}
 
 fn kill_sink_wedged_at(secs: u64) -> ScriptedOp {
     ScriptedOp {
@@ -40,22 +61,17 @@ fn dead_supervisor_strands_the_outage_without_a_sibling() {
     let mut scenario = Scenario::quiet(71, 2, Duration::from_secs(14));
     scenario.ops.push(kill_sink_wedged_at(4));
     scenario.ops.push(kill_supervisor_at(5, 0));
-    let report = run_with_options(
-        &scenario.sorted(),
-        RunOptions {
-            supervision: Some(SupervisionOptions::default()),
-            ..RunOptions::default()
-        },
-    );
+    let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let sup = &report.cells[0];
     assert!(!sup.supervisor_alive, "the supervisor stayed dead");
     assert!(
         !report.all_delivered(),
         "a dead supervisor plus a wedged sink must strand publishes"
     );
     assert_eq!(
-        report.core_recoveries, 0,
+        report.core_recoveries(),
+        0,
         "nobody was left to escalate to a reboot"
     );
 }
@@ -70,7 +86,7 @@ fn sibling_adopts_a_dead_supervisor_mid_outage_and_completes_the_repair() {
     let mut scenario = Scenario::quiet(71, 2, Duration::from_secs(16));
     scenario.ops.push(kill_sink_wedged_at(4));
     scenario.ops.push(kill_supervisor_at(5, 0));
-    let report = run_peer(&scenario.sorted());
+    let report = run_with_options(&scenario.sorted(), peered());
     report.assert_clean();
     let ward = report.cell(1);
     let adopter = report.cell(2);
@@ -122,8 +138,8 @@ fn peer_runs_are_deterministic() {
     scenario.ops.push(kill_sink_wedged_at(4));
     scenario.ops.push(kill_supervisor_at(5, 0));
     let scenario = scenario.sorted();
-    let a = run_peer(&scenario);
-    let b = run_peer(&scenario);
+    let a = run_with_options(&scenario, peered());
+    let b = run_with_options(&scenario, peered());
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -141,7 +157,7 @@ fn outage_after_supervisor_death_is_detected_and_repaired_remotely() {
     let mut scenario = Scenario::quiet(73, 2, Duration::from_secs(14));
     scenario.ops.push(kill_supervisor_at(1, 0));
     scenario.ops.push(kill_sink_wedged_at(6));
-    let report = run_peer(&scenario.sorted());
+    let report = run_with_options(&scenario.sorted(), peered());
     report.assert_clean();
     let ward = report.cell(1);
     let adopter = report.cell(2);
@@ -171,7 +187,7 @@ fn partition_triggers_false_adoption_then_clean_release() {
             duration: Duration::from_secs(2),
         },
     });
-    let report = run_peer(&scenario.sorted());
+    let report = run_with_options(&scenario.sorted(), peered());
     report.assert_clean();
     let adoptions: u64 = report.cells.iter().map(|c| c.peer.adoptions).sum();
     let releases: u64 = report.cells.iter().map(|c| c.peer.releases).sum();
@@ -210,7 +226,8 @@ fn unreconciled_cell_defers_checkpoints_until_wire_reconcile_lands() {
             duration: Duration::from_secs(5),
         },
     });
-    let report = run_peer(&scenario.sorted());
+    let scenario = scenario.sorted();
+    let report = run_with_options(&scenario, peered());
     report.assert_clean();
     let ward = report.cell(1);
     assert!(
@@ -225,6 +242,67 @@ fn unreconciled_cell_defers_checkpoints_until_wire_reconcile_lands() {
         ward.supervisor_revivals >= 1 && report.converged() && report.all_delivered(),
         "the cell was still healed once reachable"
     );
+
+    // The gate belongs to the supervision plane, not to the peer plane:
+    // the same supervisor death on a lone cell starts deferring at the
+    // same virtual instant — and, with no sibling to order a pass, never
+    // stops.
+    let first_deferral = |r: &RunReport| {
+        r.oracle.trace().iter().find_map(|e| match e {
+            TraceEvent::Fault { at, what } if what.contains("checkpoint deferred") => Some(*at),
+            _ => None,
+        })
+    };
+    let lone = run_with_options(&scenario, supervised());
+    lone.assert_clean();
+    assert!(!lone.cell(1).supervisor_alive, "nobody revives a lone cell");
+    assert_eq!(
+        first_deferral(&lone),
+        first_deferral(&report),
+        "one cell defers exactly when a two-cell ward does"
+    );
+    assert!(
+        lone.cell(1).checkpoints_deferred > ward.checkpoints_deferred,
+        "without a wire-ordered pass the gate never re-arms"
+    );
+}
+
+#[test]
+fn two_cell_report_counts_retransmits_of_crashed_incarnations() {
+    // A device retransmits into a heavy loss burst, then crashes and
+    // never comes back inside the run: its channel is gone by run end,
+    // so only a total kept across incarnations can still hold what its
+    // own journeys say it retransmitted.
+    let mut scenario = Scenario::quiet(76, 1, Duration::from_secs(5));
+    scenario.ops.push(ScriptedOp {
+        at: Duration::from_millis(500),
+        op: ChaosOp::LossBurst {
+            node: 0,
+            loss: 0.85,
+            duration: Duration::from_millis(2500),
+        },
+    });
+    scenario.ops.push(ScriptedOp {
+        at: Duration::from_secs(3),
+        op: ChaosOp::Crash {
+            node: 0,
+            down_for: Duration::from_secs(60),
+        },
+    });
+    let report = run_with_options(&scenario.sorted(), peered());
+    report.assert_clean();
+    assert_eq!(report.cells.len(), 2);
+    let crashed = report.device_ids[0];
+    let rounds: usize = (1..=report.oracle.published(crashed))
+        .filter_map(|seq| report.journey(crashed, seq))
+        .map(|j| j.hops.iter().filter(|r| r.hop == Hop::TxRetransmit).count())
+        .sum();
+    assert!(rounds > 0, "the burst forced traced retransmission rounds");
+    assert!(
+        report.retransmits >= rounds as u64,
+        "{} retransmits reported, {rounds} rounds traced on the crashed device alone",
+        report.retransmits
+    );
 }
 
 #[test]
@@ -236,7 +314,7 @@ fn seeded_peer_sweep_always_reconverges() {
     let mut revivals = 0u64;
     for seed in 9500..9506u64 {
         let scenario = Scenario::random_peer(seed, 3, Duration::from_secs(24), 3);
-        let report = run_peer(&scenario);
+        let report = run_with_options(&scenario, peered());
         report.assert_clean();
         assert!(
             report.converged(),

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use proptest::{proptest, ProptestConfig};
 use smc_harness::{
-    default_discovery, run, run_with, shrink_scenario, ChaosOp, Scenario, ScriptedOp,
+    run, run_with_options, shrink_scenario, ChaosOp, RunOptions, Scenario, ScriptedOp,
 };
 use smc_transport::ReliableConfig;
 
@@ -100,16 +100,14 @@ fn shrinker_minimizes_a_failing_script() {
     });
     let scenario = scenario.sorted();
 
-    let broken = ReliableConfig {
-        dedup: false,
-        ..ReliableConfig::default()
+    let broken = || RunOptions {
+        reliable: ReliableConfig {
+            dedup: false,
+            ..ReliableConfig::default()
+        },
+        ..RunOptions::default()
     };
-    let fails = |s: &Scenario| {
-        run_with(s, broken.clone(), default_discovery())
-            .oracle
-            .violation()
-            .is_some()
-    };
+    let fails = |s: &Scenario| run_with_options(s, broken()).oracle.violation().is_some();
     assert!(
         fails(&scenario),
         "the unshrunk scenario must fail to begin with"
@@ -136,7 +134,7 @@ fn shrinker_minimizes_a_failing_script() {
         "the run should have been shortened"
     );
 
-    let report = run_with(&minimal, broken, default_discovery());
+    let report = run_with_options(&minimal, broken());
     let violation = report
         .oracle
         .violation()

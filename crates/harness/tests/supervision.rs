@@ -47,7 +47,10 @@ fn killed_sink_stays_down_without_supervision() {
         !report.all_delivered(),
         "an unsupervised sink kill must strand post-kill publishes"
     );
-    assert!(report.supervision.is_none());
+    assert!(
+        !report.cells[0].supervisor_alive && report.cells[0].reconciles == 0,
+        "no supervision plane ran"
+    );
 }
 
 #[test]
@@ -60,7 +63,7 @@ fn killed_sink_is_repaired_with_exactly_once_across_the_outage() {
     scenario.ops.push(kill_at(5, CoreComponent::Sink, false));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let sup = &report.cells[0];
     assert!(
         sup.converged(),
         "open episodes: {:?}",
@@ -92,7 +95,7 @@ fn killed_discovery_is_restarted_from_durable_truth() {
         .push(kill_at(5, CoreComponent::Discovery, false));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let sup = &report.cells[0];
     assert!(
         sup.converged(),
         "open episodes: {:?}",
@@ -100,16 +103,18 @@ fn killed_discovery_is_restarted_from_durable_truth() {
     );
     assert!(sup.report.restarts >= 1);
     assert!(
-        sup.repairs.iter().any(|(_, r)| r.contains("discovery")),
+        sup.local_repairs
+            .iter()
+            .any(|(_, r)| r.contains("discovery")),
         "repair log names discovery: {:?}",
-        sup.repairs
+        sup.local_repairs
     );
     // The restarted table was rebuilt from the WAL, not re-learned:
     // nobody had to re-join, so each device joined exactly once.
     for &id in &report.device_ids {
         assert_eq!(report.times_joined(id), 1, "{id} never re-joined");
     }
-    assert_eq!(report.core_recoveries, 0, "no reboot for a clean kill");
+    assert_eq!(report.core_recoveries(), 0, "no reboot for a clean kill");
 }
 
 #[test]
@@ -121,7 +126,7 @@ fn wedged_component_escalates_to_a_core_reboot() {
     scenario.ops.push(kill_at(4, CoreComponent::Sink, true));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let sup = &report.cells[0];
     assert!(
         sup.converged(),
         "open episodes: {:?}",
@@ -133,13 +138,13 @@ fn wedged_component_escalates_to_a_core_reboot() {
         sup.report.log
     );
     assert!(
-        report.core_recoveries >= 1,
+        report.core_recoveries() >= 1,
         "escalation rebooted the core from the WAL"
     );
     assert!(
-        sup.repairs.iter().any(|(_, r)| r.contains("wedged")),
+        sup.local_repairs.iter().any(|(_, r)| r.contains("wedged")),
         "the refused restarts are on record: {:?}",
-        sup.repairs
+        sup.local_repairs
     );
 }
 
@@ -160,7 +165,7 @@ fn corrupted_views_are_healed_by_reconcile() {
         .push(corrupt_at(6, CorruptTarget::DiscoveryMember { node: 1 }));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let sup = &report.cells[0];
     assert!(sup.reconciles > 0, "reconcile passes ran on cadence");
     let fixes: Vec<&str> = sup
         .reconcile_fixes
@@ -204,7 +209,7 @@ fn seeded_kill_and_corrupt_sweep_always_reconverges() {
         let scenario = Scenario::random_supervision(seed, 3, Duration::from_secs(20), 5);
         let report = run_with_options(&scenario, supervised());
         report.assert_clean();
-        let sup = report.supervision.as_ref().expect("supervision was on");
+        let sup = &report.cells[0];
         assert!(
             sup.converged(),
             "seed {seed} left open episodes: {:?}",

@@ -11,7 +11,10 @@
 
 use std::time::Duration;
 
-use smc_harness::{run_peer_with_options, ChaosOp, PeerOptions, Scenario, ScriptedOp};
+use smc_harness::{
+    run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
+};
+use smc_health::PeerConfig;
 
 /// The five legs of a complete remote-revival journey, in virtual-time
 /// order. The first four are recorded by the adopter, the last by the
@@ -40,16 +43,27 @@ fn revival_under_partition(seed: u64) -> Scenario {
     scenario.sorted()
 }
 
-fn telemetry_on() -> PeerOptions {
-    PeerOptions {
+/// Two sibling cells under peer supervision, telemetry plane off.
+fn peered() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions {
+            peer: Some(PeerConfig::default()),
+            ..SupervisionOptions::default()
+        }),
+        ..RunOptions::default()
+    }
+}
+
+fn telemetry_on() -> RunOptions {
+    RunOptions {
         telemetry: Some(Default::default()),
-        ..PeerOptions::default()
+        ..peered()
     }
 }
 
 #[test]
 fn stitched_journey_survives_supervisor_death_and_partition() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     report.assert_clean();
     assert!(
         report.converged() && report.all_delivered(),
@@ -109,7 +123,7 @@ fn stitched_journey_survives_supervisor_death_and_partition() {
 
 #[test]
 fn aggregation_lag_is_bounded_by_the_partition() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     let tel = report.telemetry.as_ref().expect("telemetry plane was on");
     // Off-partition exports land within one plane step (the telemetry
     // channels deliberately step on a coarse 100ms cadence); only the
@@ -143,7 +157,7 @@ fn aggregation_lag_is_bounded_by_the_partition() {
 
 #[test]
 fn ward_rollup_and_slo_series_are_present() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     let tel = report.telemetry.as_ref().expect("telemetry plane was on");
     let samples = tel.ward.registry().gather();
     let has = |name: &str, cell: &str| {
@@ -190,8 +204,8 @@ fn ward_rollup_and_slo_series_are_present() {
 
 #[test]
 fn telemetry_runs_are_deterministic() {
-    let a = run_peer_with_options(&revival_under_partition(82), telemetry_on());
-    let b = run_peer_with_options(&revival_under_partition(82), telemetry_on());
+    let a = run_with_options(&revival_under_partition(82), telemetry_on());
+    let b = run_with_options(&revival_under_partition(82), telemetry_on());
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -210,11 +224,17 @@ fn telemetry_runs_are_deterministic() {
 
 #[test]
 fn plane_off_stays_byte_identical_to_the_seed_world() {
-    // The opt-in guarantee: PeerOptions::default() runs the exact same
-    // world as before the telemetry plane existed.
+    // The opt-in guarantee: leaving `telemetry` at its default runs the
+    // exact same world as before the telemetry plane existed.
     let scenario = revival_under_partition(83);
-    let with_default = smc_harness::run_peer(&scenario);
-    let with_explicit_none = run_peer_with_options(&scenario, PeerOptions::default());
+    let with_default = run_with_options(&scenario, peered());
+    let with_explicit_none = run_with_options(
+        &scenario,
+        RunOptions {
+            telemetry: None,
+            ..peered()
+        },
+    );
     assert!(with_default.telemetry.is_none());
     assert_eq!(with_default.trace_text(), with_explicit_none.trace_text());
 }

@@ -117,14 +117,13 @@ pub trait Matcher: Send + fmt::Debug {
 
 /// Which engine implementation to construct.
 ///
-/// `Siena` and `FastForward` correspond to the paper's two event buses;
-/// `Naive` is a correctness oracle used by tests and as a baseline in
-/// benchmarks.
+/// `Siena` and `FastForward` correspond to the paper's two event buses.
+/// The linear-scan [`NaiveEngine`](crate::NaiveEngine) is the reference
+/// implementation tests compare both against; it is constructed
+/// directly and is not something a cell can be configured to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum EngineKind {
-    /// Linear scan over all subscriptions.
-    Naive,
     /// General-purpose engine with Siena-style representation translation.
     Siena,
     /// Counting-algorithm forwarding table (the "C-based" bus's engine).
@@ -133,16 +132,11 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All engine kinds.
-    pub const ALL: [EngineKind; 3] = [
-        EngineKind::Naive,
-        EngineKind::Siena,
-        EngineKind::FastForward,
-    ];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Siena, EngineKind::FastForward];
 
     /// Constructs a boxed engine of this kind.
     pub fn build(self) -> Box<dyn Matcher> {
         match self {
-            EngineKind::Naive => Box::new(crate::naive::NaiveEngine::new()),
             EngineKind::Siena => Box::new(crate::siena::SienaEngine::new()),
             EngineKind::FastForward => Box::new(crate::fastforward::FastForwardEngine::new()),
         }
@@ -155,7 +149,6 @@ impl EngineKind {
     /// Returns [`Error::Invalid`] for unknown names.
     pub fn parse(name: &str) -> Result<Self> {
         match name {
-            "naive" => Ok(EngineKind::Naive),
             "siena" => Ok(EngineKind::Siena),
             "fastforward" | "ff" | "c" => Ok(EngineKind::FastForward),
             other => Err(Error::Invalid(format!("unknown engine '{other}'"))),
@@ -173,7 +166,6 @@ impl EngineKind {
     /// The canonical engine name.
     pub fn as_str(self) -> &'static str {
         match self {
-            EngineKind::Naive => "naive",
             EngineKind::Siena => "siena",
             EngineKind::FastForward => "fastforward",
         }
@@ -186,7 +178,10 @@ mod tests {
 
     #[test]
     fn parse_engine_names() {
-        assert_eq!(EngineKind::parse("naive").unwrap(), EngineKind::Naive);
+        assert!(
+            EngineKind::parse("naive").is_err(),
+            "the oracle is not an engine kind"
+        );
         assert_eq!(EngineKind::parse("siena").unwrap(), EngineKind::Siena);
         assert_eq!(EngineKind::parse("ff").unwrap(), EngineKind::FastForward);
         assert_eq!(EngineKind::parse("c").unwrap(), EngineKind::FastForward);

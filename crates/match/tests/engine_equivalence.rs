@@ -8,10 +8,20 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
+use smc_match::{EngineKind, MatchScratch, Matcher, NaiveEngine, RouteSnapshot};
 use smc_types::{
     AttributeValue, Constraint, Event, Filter, Op, ServiceId, Subscription, SubscriptionId,
 };
+
+/// The naive linear scan first — the oracle the others are held to, and
+/// deliberately not an `EngineKind` a cell can be configured with — then
+/// every engine a cell can run.
+fn oracle_and_engines() -> Vec<Box<dyn Matcher>> {
+    let oracle: Box<dyn Matcher> = Box::new(NaiveEngine::new());
+    std::iter::once(oracle)
+        .chain(EngineKind::ALL.iter().map(|k| k.build()))
+        .collect()
+}
 
 /// Above this, neighbouring ints fold onto one double.
 const TWO_53: i64 = 1 << 53;
@@ -223,7 +233,7 @@ proptest! {
         ops in proptest::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 0..48),
         events in proptest::collection::vec(arb_shaped_event(), 1..6),
     ) {
-        let mut engines: Vec<_> = EngineKind::ALL.iter().map(|k| k.build()).collect();
+        let mut engines = oracle_and_engines();
         let mut live: Vec<u64> = (0..filters.len() as u64).collect();
         let mut next_id = live.len() as u64;
         for (&id, f) in live.iter().zip(&filters) {
@@ -275,7 +285,7 @@ proptest! {
         filters in proptest::collection::vec(arb_filter(), 0..12),
         events in proptest::collection::vec(arb_event(), 1..12),
     ) {
-        let mut engines: Vec<_> = EngineKind::ALL.iter().map(|k| k.build()).collect();
+        let mut engines = oracle_and_engines();
         for (i, f) in filters.iter().enumerate() {
             let sub = Subscription::new(
                 SubscriptionId(i as u64),
@@ -319,9 +329,10 @@ proptest! {
         let events = [events, shaped_events].concat();
         let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
-        for kind in EngineKind::ALL {
-            let mut engine = kind.build();
-            let mut oracle = EngineKind::Naive.build();
+        for which in 0..oracle_and_engines().len() {
+            let fresh = || oracle_and_engines().swap_remove(which);
+            let mut engine = fresh();
+            let mut oracle: Box<dyn Matcher> = Box::new(NaiveEngine::new());
             let mut kept: Vec<Frozen> = Vec::new();
             for (i, f) in filters.iter().enumerate() {
                 let sub = Subscription::new(
@@ -346,7 +357,7 @@ proptest! {
             oracle.unsubscribe(SubscriptionId(0)).unwrap();
             for ev in &events {
                 snap.matching_subscribers_into(ev, &mut scratch, &mut out);
-                let mut stale = kind.build();
+                let mut stale = fresh();
                 for (i, f) in filters.iter().enumerate() {
                     stale.subscribe(Subscription::new(
                         SubscriptionId(i as u64),
@@ -355,7 +366,7 @@ proptest! {
                     )).unwrap();
                 }
                 prop_assert_eq!(&out, &stale.matching_subscribers(ev),
-                    "{} snapshot changed after engine mutation", kind);
+                    "{} snapshot changed after engine mutation", engine.name());
             }
             kept.push(freeze(&*engine, &mut *oracle, &events));
             for i in 1..filters.len() as u64 {
@@ -376,7 +387,7 @@ proptest! {
         removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
         events in proptest::collection::vec(arb_event(), 1..8),
     ) {
-        let mut engines: Vec<_> = EngineKind::ALL.iter().map(|k| k.build()).collect();
+        let mut engines = oracle_and_engines();
         for (i, f) in filters.iter().enumerate() {
             let sub = Subscription::new(
                 SubscriptionId(i as u64),
@@ -415,8 +426,7 @@ proptest! {
         filters in proptest::collection::vec(arb_filter(), 1..8),
         ev in arb_event(),
     ) {
-        for kind in EngineKind::ALL {
-            let mut engine = kind.build();
+        for mut engine in oracle_and_engines() {
             for (i, f) in filters.iter().enumerate() {
                 engine.subscribe(Subscription::new(
                     SubscriptionId(i as u64), ServiceId::from_raw(1), f.clone())).unwrap();

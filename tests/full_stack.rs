@@ -152,8 +152,8 @@ fn engine_swap_torture() {
     // Swap engines while events are in flight.
     for kind in [
         EngineKind::Siena,
-        EngineKind::Naive,
         EngineKind::FastForward,
+        EngineKind::Siena,
     ] {
         std::thread::sleep(Duration::from_millis(60));
         cell.bus().swap_engine(kind).unwrap();
