@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use smc_discovery::{AgentConfig, MemberAgent};
 use smc_transport::ReliableChannel;
-use smc_types::codec::to_bytes;
+use smc_types::codec::to_shared;
 use smc_types::{
     AttributeSet, CellId, Error, Event, EventId, Filter, Packet, Result, ServiceId, ServiceInfo,
     SubscriptionId,
@@ -149,7 +149,7 @@ impl RemoteClient {
         let (tx, rx) = bounded(1);
         self.pending.lock().map.insert(id.to_string(), tx);
         self.channel
-            .send(self.bus, to_bytes(&Packet::publish(event)))?;
+            .send(self.bus, to_shared(&Packet::publish(event)))?;
         let reply = match rx.recv_timeout(timeout) {
             Ok(r) => r,
             Err(RecvTimeoutError::Timeout) => {
@@ -175,7 +175,7 @@ impl RemoteClient {
         let event = self.stamp(event);
         let id = event.id();
         self.channel
-            .send(self.bus, to_bytes(&Packet::publish(event)))?;
+            .send(self.bus, to_shared(&Packet::publish(event)))?;
         Ok(id)
     }
 
@@ -202,7 +202,7 @@ impl RemoteClient {
             .insert(format!("req:{request_id}"), tx);
         self.channel.send(
             self.bus,
-            to_bytes(&Packet::Subscribe { request_id, filter }),
+            to_shared(&Packet::Subscribe { request_id, filter }),
         )?;
         match self.wait_reply(rx, &format!("req:{request_id}"), timeout)? {
             Reply::Subscribed(id) => Ok(id),
@@ -220,7 +220,7 @@ impl RemoteClient {
         let (tx, rx) = bounded(1);
         self.pending.lock().map.insert(id.to_string(), tx);
         self.channel
-            .send(self.bus, to_bytes(&Packet::Unsubscribe(id)))?;
+            .send(self.bus, to_shared(&Packet::Unsubscribe(id)))?;
         match self.wait_reply(rx, &id.to_string(), timeout)? {
             Reply::Unsubscribed => Ok(()),
             Reply::Failed(m) => Err(Error::Denied(m)),
@@ -243,7 +243,7 @@ impl RemoteClient {
             .insert(format!("req:{request_id}"), tx);
         self.channel.send(
             self.bus,
-            to_bytes(&Packet::Advertise { request_id, filter }),
+            to_shared(&Packet::Advertise { request_id, filter }),
         )?;
         match self.wait_reply(rx, &format!("req:{request_id}"), timeout)? {
             Reply::Advertised(interested) => {
@@ -367,7 +367,7 @@ impl Router {
                 // Acknowledge end-to-end, then hand to the application.
                 let _ = self
                     .channel
-                    .send(from, to_bytes(&Packet::DeliverAck(event.id())));
+                    .send(from, to_shared(&Packet::DeliverAck(event.id())));
                 let _ = self.events.send(event);
             }
             Packet::PublishAck(id) => self.resolve(|| id.to_string(), Reply::PublishAcked),
@@ -397,7 +397,7 @@ impl Router {
             Packet::Command { target, name, args } => {
                 let _ = self.channel.send(
                     from,
-                    to_bytes(&Packet::CommandAck {
+                    to_shared(&Packet::CommandAck {
                         target,
                         name: name.clone(),
                     }),
@@ -468,8 +468,7 @@ impl RawDevice {
     /// Propagates channel errors.
     pub fn send_raw(&self, frame: &[u8]) -> Result<()> {
         self.channel
-            .send(self.bus, to_bytes(&Packet::Raw(frame.to_vec())))
-            .map(|_| ())
+            .send(self.bus, to_shared(&Packet::Raw(frame.to_vec())))
     }
 
     /// Receives the next downlink raw frame from the proxy.

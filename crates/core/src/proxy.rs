@@ -15,9 +15,10 @@ use parking_lot::Mutex;
 
 use smc_telemetry::Hop;
 use smc_transport::ReliableChannel;
-use smc_types::codec::to_bytes;
+use smc_types::codec::to_shared;
 use smc_types::{
-    Error, Event, Filter, Packet, Result, ServiceId, ServiceInfo, SubscriptionId, TraceId,
+    encode_deliver, Error, Event, Filter, Packet, Result, ServiceId, ServiceInfo, SharedBytes,
+    SubscriptionId, TraceId,
 };
 
 use crate::bus::{DeliveryFrame, EventSink};
@@ -259,9 +260,22 @@ impl Proxy {
         if self.is_destroyed() {
             return Err(Error::Closed);
         }
-        self.channel
-            .send(self.info.id, to_bytes(packet))
-            .map(|_| ())
+        self.channel.send(self.info.id, to_shared(packet))
+    }
+
+    /// Queues one encoded downlink message for the device and accounts
+    /// for it.
+    fn enqueue(&self, encoded: SharedBytes, trace: TraceId) -> Result<()> {
+        let tracer = self.channel.tracer();
+        tracer.record(trace, Hop::ProxyEnqueued);
+        self.channel.send_traced(self.info.id, encoded, trace)?;
+        AtomicU64::fetch_add(&self.counters.events_downlinked, 1, Ordering::Relaxed);
+        let depth = self.channel.pending(self.info.id) as u64;
+        self.counters
+            .queue_depth_hwm
+            .fetch_max(depth, Ordering::Relaxed);
+        tracer.probe_queue_depth(depth);
+        Ok(())
     }
 
     /// A snapshot of the proxy's counters.
@@ -288,28 +302,15 @@ impl EventSink for Proxy {
             return Err(Error::Closed);
         }
         let trace = TraceId::for_event(event.publisher(), event.seq());
-        let packet = match self.codec.encode_downlink(event) {
-            Ok(Some(raw)) => Packet::Raw(raw),
-            Ok(None) => Packet::Deliver {
-                event: event.clone(),
-                trace,
-            },
+        let encoded = match self.codec.encode_downlink(event) {
+            Ok(Some(raw)) => to_shared(&Packet::Raw(raw)),
+            Ok(None) => encode_deliver(event, trace),
             Err(e) => {
                 AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
                 return Err(e);
             }
         };
-        let tracer = self.channel.tracer();
-        tracer.record(trace, Hop::ProxyEnqueued);
-        self.channel
-            .send_traced(self.info.id, to_bytes(&packet), trace)?;
-        AtomicU64::fetch_add(&self.counters.events_downlinked, 1, Ordering::Relaxed);
-        let depth = self.channel.pending(self.info.id) as u64;
-        self.counters
-            .queue_depth_hwm
-            .fetch_max(depth, Ordering::Relaxed);
-        tracer.probe_queue_depth(depth);
-        Ok(())
+        self.enqueue(encoded, trace)
     }
 
     /// Zero-copy downlink for passthrough members: when the codec has no
@@ -325,20 +326,7 @@ impl EventSink for Proxy {
         match self.codec.encode_downlink(event) {
             // Device-specific raw translation: fall back to the owned path.
             Ok(Some(_)) => self.deliver(event),
-            Ok(None) => {
-                let trace = frame.trace();
-                let tracer = self.channel.tracer();
-                tracer.record(trace, Hop::ProxyEnqueued);
-                self.channel
-                    .send_traced(self.info.id, frame.encoded(), trace)?;
-                AtomicU64::fetch_add(&self.counters.events_downlinked, 1, Ordering::Relaxed);
-                let depth = self.channel.pending(self.info.id) as u64;
-                self.counters
-                    .queue_depth_hwm
-                    .fetch_max(depth, Ordering::Relaxed);
-                tracer.probe_queue_depth(depth);
-                Ok(())
-            }
+            Ok(None) => self.enqueue(frame.encoded(), frame.trace()),
             Err(e) => {
                 AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
                 Err(e)

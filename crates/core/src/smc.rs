@@ -26,7 +26,7 @@ use smc_match::EngineKind;
 use smc_policy::{ActionClass, ActionSpec, Decision, FiredAction, PolicyService};
 use smc_telemetry::{Hop, Registry, Tracer};
 use smc_transport::{CpuProfile, Incoming, ReliableChannel, ReliableConfig, Transport};
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, to_shared};
 use smc_types::{
     new_member_event, purge_member_event, system_clock, AttributeSet, CellId, CoreSnapshot,
     CursorEntry, Error, Event, Filter, OutboundEntry, Packet, Result, ServiceId, ServiceInfo,
@@ -865,7 +865,7 @@ impl SmcCell {
         let Some(info) = member_info else {
             let _ = self.channel.send(
                 from,
-                to_bytes(&Packet::Error {
+                to_shared(&Packet::Error {
                     about: packet.kind().to_owned(),
                     message: "not a member of this cell".into(),
                 }),
@@ -892,7 +892,7 @@ impl SmcCell {
                     );
                     let _ = self.channel.send(
                         from,
-                        to_bytes(&Packet::Error {
+                        to_shared(&Packet::Error {
                             about: event.id().to_string(),
                             message: "publish denied by policy".into(),
                         }),
@@ -905,7 +905,7 @@ impl SmcCell {
                 if proxy.forwards_acks() {
                     let _ = self
                         .channel
-                        .send(from, to_bytes(&Packet::PublishAck(event.id())));
+                        .send(from, to_shared(&Packet::PublishAck(event.id())));
                 }
                 let _ = self.publish_internal(event, 0);
             }
@@ -928,7 +928,7 @@ impl SmcCell {
                     BusMetrics::bump(&self.bus.metrics_ref().subscribes_denied);
                     let _ = self.channel.send(
                         from,
-                        to_bytes(&Packet::Error {
+                        to_shared(&Packet::Error {
                             about: format!("req:{request_id}"),
                             message: "subscribe denied by policy".into(),
                         }),
@@ -947,7 +947,7 @@ impl SmcCell {
                         proxy.track_subscription(id, filter);
                         let _ = self.channel.send(
                             from,
-                            to_bytes(&Packet::SubscribeAck {
+                            to_shared(&Packet::SubscribeAck {
                                 request_id,
                                 subscription: id,
                             }),
@@ -957,7 +957,7 @@ impl SmcCell {
                     Err(e) => {
                         let _ = self.channel.send(
                             from,
-                            to_bytes(&Packet::Error {
+                            to_shared(&Packet::Error {
                                 about: format!("req:{request_id}"),
                                 message: e.to_string(),
                             }),
@@ -972,12 +972,12 @@ impl SmcCell {
                     proxy.untrack_subscription(id);
                     let _ = self
                         .channel
-                        .send(from, to_bytes(&Packet::UnsubscribeAck(id)));
+                        .send(from, to_shared(&Packet::UnsubscribeAck(id)));
                     self.recompute_quench();
                 } else {
                     let _ = self.channel.send(
                         from,
-                        to_bytes(&Packet::Error {
+                        to_shared(&Packet::Error {
                             about: id.to_string(),
                             message: "unknown subscription".into(),
                         }),
@@ -990,7 +990,7 @@ impl SmcCell {
                         .advertise(from, filter, &self.bus.subscription_filters());
                 let _ = self.channel.send(
                     from,
-                    to_bytes(&Packet::AdvertiseAck {
+                    to_shared(&Packet::AdvertiseAck {
                         request_id,
                         interested,
                     }),
@@ -1073,7 +1073,7 @@ impl SmcCell {
                     BusMetrics::bump(&self.bus.metrics_ref().quench_signals);
                     let _ = self
                         .channel
-                        .send(target, to_bytes(&Packet::Quench { enable }));
+                        .send(target, to_shared(&Packet::Quench { enable }));
                 }
             }
             // Enable/Disable/Log were applied inside the policy service;
@@ -1113,7 +1113,7 @@ impl SmcCell {
             BusMetrics::bump(&self.bus.metrics_ref().quench_signals);
             let _ = self.channel.send(
                 change.publisher,
-                to_bytes(&Packet::Quench {
+                to_shared(&Packet::Quench {
                     enable: change.quench,
                 }),
             );

@@ -1,0 +1,161 @@
+//! Pins the heap requests one event costs on its whole journey through a
+//! real, threaded cell: publisher `RemoteClient` → mem link → bus channel
+//! → dispatch → bus → proxy → mem link → subscriber `RemoteClient`, 64 B,
+//! 1 → 1, the ledger's `vitals_udp` shape on the in-memory link.
+//!
+//! The rule the path is held to: one request to send a message, none to
+//! share one, and a decode asks for what the decoded value keeps. Per
+//! delivered event that is
+//!
+//! | stage                                                   | requests |
+//! |---------------------------------------------------------|----------|
+//! | driver: clone of the pooled event                       | 0        |
+//! | publisher: `Publish` encoded (`to_shared`) and sent     | 1        |
+//! | link: one buffer per datagram, 4 datagrams              | 4        |
+//! | `Frame` decode ×4 (the payload keeps the datagram)      | 0        |
+//! | cell: `Publish` decoded (type, table, 3 names, payload, body) | 7  |
+//! | cell: `PublishAck` encoded and sent                     | 1        |
+//! | cell: event shared with the bus; policy, nothing firing | 0        |
+//! | bus: the one `Deliver` frame; proxy sends it as it is   | 1        |
+//! | subscriber: `Deliver` decoded                           | 7        |
+//! | subscriber: `DeliverAck` encoded and sent               | 1        |
+//! | `PublishAck` / `DeliverAck` decoded                     | 0        |
+//! | in-flight maps gaining a node as windows fill           | ≈ 0.5    |
+//! | **plain**                                               | **≈ 23** |
+//! | durable: the two messages the bus channel delivers, kept until consumed | 2 |
+//! | durable: the log's segments growing (8 records, framed in scratch) | ≈ 0.5 |
+//! | **durable**                                             | **≈ 26** |
+//!
+//! Measured here: 22.4 plain, 24.5 durable (74.1 and 119.9 before this
+//! budget existed; 8 of what is left are the type and attribute names of
+//! the two decodes). The bounds leave room for a loaded host, where an
+//! acknowledgement that misses its ride on a data frame costs a datagram
+//! of its own.
+//!
+//! Alone in its binary because it installs a counting `#[global_allocator]`;
+//! the count is process-wide because the cell's work happens on its own
+//! threads.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use smc_core::{RemoteClient, SmcCell, SmcConfig};
+use smc_discovery::{AgentConfig, DiscoveryConfig};
+use smc_policy::ehealth_baseline;
+use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork, Transport};
+use smc_types::{Event, Filter, Op, ServiceId, ServiceInfo};
+use smc_wal::MemBackend;
+
+#[path = "../../types/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
+
+const EVENT_TYPE: &str = "smc.sensor.reading";
+const STEP: Duration = Duration::from_secs(10);
+const WARM_UP: u64 = 500;
+const EVENTS: u64 = 2_000;
+/// Events outstanding, as on the ledger's cell workloads.
+const WINDOW: u64 = 16;
+
+/// A lossless run must never retransmit: the RTO sits far above any
+/// queueing delay.
+fn reliable() -> ReliableConfig {
+    ReliableConfig {
+        initial_rto: Duration::from_secs(3),
+        max_rto: Duration::from_secs(6),
+        poll_interval: Duration::from_millis(5),
+        ..ReliableConfig::default()
+    }
+}
+
+/// Heap requests per delivered event, process-wide, over `EVENTS` events
+/// after `WARM_UP`.
+fn requests_per_event(durable: bool) -> f64 {
+    let net = SimNetwork::with_seed(LinkConfig::ideal(), 1);
+    let endpoint = || -> Arc<dyn Transport> { Arc::new(net.endpoint()) };
+    let config = SmcConfig {
+        discovery: DiscoveryConfig {
+            beacon_interval: Duration::from_millis(25),
+            // No lease traffic inside the run.
+            lease: Duration::from_secs(600),
+            grace: Duration::from_secs(600),
+            ..DiscoveryConfig::default()
+        },
+        reliable: reliable(),
+        ..SmcConfig::default()
+    };
+    let cell = if durable {
+        SmcCell::start_durable(endpoint(), endpoint(), config, Arc::new(MemBackend::new()))
+            .expect("durable start")
+    } else {
+        SmcCell::start(endpoint(), endpoint(), config)
+    };
+    for policy in ehealth_baseline() {
+        cell.policy().add(policy).expect("policy");
+    }
+    let connect = |device_type: &str, role: &str| {
+        RemoteClient::connect(
+            ServiceInfo::new(ServiceId::NIL, device_type).with_role(role),
+            ReliableChannel::new(endpoint(), reliable()),
+            AgentConfig::default(),
+            STEP,
+        )
+        .expect("join")
+    };
+    let publisher = connect("sensor.vitals", "sensor");
+    let subscriber = connect("monitor.station", "manager");
+    subscriber
+        .subscribe(
+            Filter::for_type(EVENT_TYPE).with(("bpm", Op::Ge, 30i64)),
+            STEP,
+        )
+        .expect("subscribe");
+    let pool: Vec<Event> = (0..64i64)
+        .map(|i| {
+            Event::builder(EVENT_TYPE)
+                .attr("bpm", 60 + i)
+                .attr("patient", 0x12_3456_7890 + i)
+                .attr("sum", -i)
+                .payload(vec![i as u8; 64])
+                .build()
+        })
+        .collect();
+
+    let (mut published, mut delivered) = (0, 0);
+    let mut run = |until: u64| {
+        while delivered < until {
+            while published - delivered < WINDOW {
+                let event = pool[published as usize % pool.len()].clone();
+                publisher.publish_nowait(event).expect("publish");
+                published += 1;
+            }
+            let event = subscriber.next_event(STEP).expect("delivery");
+            delivered += 1;
+            assert_eq!(event.seq(), delivered, "in order, exactly once");
+        }
+    };
+    run(WARM_UP);
+    let before = counting_alloc::in_process();
+    run(WARM_UP + EVENTS);
+    let requests = counting_alloc::in_process() - before;
+
+    publisher.shutdown();
+    subscriber.shutdown();
+    cell.shutdown();
+    net.shutdown();
+    requests as f64 / EVENTS as f64
+}
+
+// One test, so nothing else in the process allocates while it counts.
+#[test]
+fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
+    let plain = requests_per_event(false);
+    assert!(plain <= 28.0, "plain cell: {plain} heap requests per event");
+    let durable = requests_per_event(true);
+    assert!(
+        durable <= 32.0,
+        "durable cell: {durable} heap requests per event"
+    );
+}

@@ -181,7 +181,7 @@ fn non_member_is_refused() {
             .build(),
     );
     rogue
-        .send(cell.bus_endpoint(), smc_types::codec::to_bytes(&packet))
+        .send(cell.bus_endpoint(), smc_types::codec::to_shared(&packet))
         .unwrap();
     // The cell answers with an Error packet.
     let deadline = std::time::Instant::now() + TICK;

@@ -7,8 +7,6 @@
 //! The count is per thread, so the test harness's own threads cannot
 //! disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,36 +14,11 @@ use smc_core::{DeliveryFrame, EventBus, EventSink};
 use smc_match::EngineKind;
 use smc_types::{Event, Filter, Op, Result, ServiceId};
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// without a destructor, so touching it never allocates or re-enters.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "../../types/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const EVENT_TYPE: &str = "smc.sensor.reading";
 const KINDS: [&str; 7] = ["hr", "spo2", "bp.sys", "bp.dia", "temp", "resp", "ecg"];
@@ -125,11 +98,12 @@ fn allocations_while_publishing(bus: &EventBus) -> u64 {
         assert!(bus.publish(event).expect("publish") > 0);
     }
     let batch = events(PUBLISHES);
-    let before = ALLOCS.with(Cell::get);
-    for event in batch {
-        bus.publish(event).expect("publish");
-    }
-    ALLOCS.with(Cell::get) - before
+    let (requests, ()) = counting_alloc::during(|| {
+        for event in batch {
+            bus.publish(event).expect("publish");
+        }
+    });
+    requests.count
 }
 
 #[test]

@@ -15,7 +15,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use smc_transport::{Incoming, ReliableChannel};
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
 
 /// Lifecycle notifications emitted by a [`MemberAgent`].
@@ -384,7 +384,7 @@ impl MemberAgent {
             member: self.local_id(),
             reason: reason.to_owned(),
         };
-        let _ = self.channel.send(discovery, to_bytes(&leave));
+        let _ = self.channel.send(discovery, to_shared(&leave));
         let _ = self.events_tx.send(AgentEvent::Left { cell });
         Ok(())
     }
@@ -500,7 +500,7 @@ impl AgentWorker {
                         info: self.info.clone(),
                         auth_token: self.config.auth_token.clone(),
                     };
-                    let _ = self.channel.send(discovery, to_bytes(&join));
+                    let _ = self.channel.send(discovery, to_shared(&join));
                 }
             }
             Packet::JoinResponse {

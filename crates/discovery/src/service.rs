@@ -14,7 +14,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use smc_transport::{Incoming, ReliableChannel};
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, PurgeReason, Result, ServiceId, ServiceInfo, SharedClock};
 
 use crate::auth::{AcceptAll, Authenticator};
@@ -589,7 +589,7 @@ impl Worker {
         if let (true, Some(hook)) = (is_new, hook) {
             hook(&info);
         }
-        let _ = self.channel.send(from, to_bytes(&response));
+        let _ = self.channel.send(from, to_shared(&response));
         if is_new {
             let ev = MembershipEvent::Joined(info);
             self.counters.count(&ev);

@@ -239,7 +239,7 @@ fn membership_sequence_is_deterministic() {
 /// packets follow it straight through.
 #[test]
 fn held_packets_reach_a_late_sink_first_and_in_order() {
-    use smc_types::codec::to_bytes;
+    use smc_types::codec::to_shared;
     use smc_types::Packet;
     use std::sync::Mutex;
 
@@ -261,7 +261,7 @@ fn held_packets_reach_a_late_sink_first_and_in_order() {
         shared,
     );
     let deliver = |n: u8| {
-        bus.send(agent.local_id(), to_bytes(&Packet::Raw(vec![n])))
+        bus.send(agent.local_id(), to_shared(&Packet::Raw(vec![n])))
             .unwrap();
         device.step();
         assert_eq!(agent.step(), 1);

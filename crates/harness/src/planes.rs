@@ -370,7 +370,7 @@ impl PeerPlane {
     }
 
     pub(crate) fn send(&self, to: ServiceId, event: &Event) {
-        let _ = self.channel.send(to, codec::to_bytes(event));
+        let _ = self.channel.send(to, codec::to_shared(event));
     }
 
     /// Opens the remote session over a freshly adopted ward.
@@ -587,7 +587,7 @@ impl CellTelemetry {
         for msg in &msgs {
             let _ = self
                 .channel
-                .send(observer, codec::to_bytes(&msg.to_event(now)));
+                .send(observer, codec::to_shared(&msg.to_event(now)));
         }
         self.exports_sent += msgs.len() as u64;
     }

@@ -6,7 +6,7 @@
 //! Policies can be added, removed, enabled and disabled to change the
 //! behaviour of cell components without reprogramming them."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use parking_lot::RwLock;
 
@@ -48,7 +48,8 @@ struct Stored {
 
 #[derive(Debug, Default)]
 struct State {
-    policies: HashMap<String, Stored>,
+    /// Ordered by id: obligations are evaluated, and fire, in this order.
+    policies: BTreeMap<String, Stored>,
     /// Device-type pattern → policy ids deployed on join.
     deployments: Vec<(String, Vec<String>)>,
     audit: Vec<String>,
@@ -174,9 +175,7 @@ impl PolicyService {
 
     /// Ids of all stored policies, sorted.
     pub fn policy_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.state.read().policies.keys().cloned().collect();
-        ids.sort();
-        ids
+        self.state.read().policies.keys().cloned().collect()
     }
 
     /// Checks whether `role` may perform `action` on `resource`.
@@ -216,11 +215,9 @@ impl PolicyService {
     pub fn on_event(&self, event: &Event) -> Vec<FiredAction> {
         let fired: Vec<FiredAction> = {
             let st = self.state.read();
-            let mut ids: Vec<&String> = st.policies.keys().collect();
-            ids.sort();
-            ids.into_iter()
-                .filter_map(|id| {
-                    let stored = &st.policies[id];
+            st.policies
+                .values()
+                .filter_map(|stored| {
                     if !stored.enabled {
                         return None;
                     }

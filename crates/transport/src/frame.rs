@@ -100,77 +100,132 @@ impl Encode for Frame {
                 frag_index,
             } => buf.put_slice(&encode_ack_frame(*epoch, *seq, *frag_index)),
             Frame::AckBatch { epoch, acks } => put_ack_batch_frame(buf, *epoch, acks),
-            Frame::Unreliable { payload } => {
-                buf.put_u8(F_UNRELIABLE);
-                buf.put_bytes_field(payload);
-            }
+            Frame::Unreliable { payload } => put_unreliable_frame(buf, payload),
         }
+    }
+}
+
+/// Writes a [`Frame::Unreliable`] around a borrowed payload.
+pub fn put_unreliable_frame(buf: &mut BytesMut, payload: &[u8]) {
+    buf.put_u8(F_UNRELIABLE);
+    buf.put_bytes_field(payload);
+}
+
+/// Parses one frame, leaving a payload-bearing frame's `payload` empty
+/// and returning the payload's bytes, still in the input, beside it.
+fn decode_borrowed<'a>(r: &mut Reader<'a>) -> Result<(Frame, &'a [u8]), CodecError> {
+    match r.u8()? {
+        tag @ (F_DATA | F_DATA_ACK) => {
+            let epoch = r.u64()?;
+            let seq = r.u64()?;
+            let frag_index = r.u16()?;
+            let frag_count = r.u16()?;
+            let ack = if tag == F_DATA_ACK {
+                Some(CumulativeAck {
+                    epoch: r.u64()?,
+                    up_to: r.u64()?,
+                })
+            } else {
+                None
+            };
+            let payload = r.bytes_ref()?;
+            if frag_count == 0 || frag_index >= frag_count {
+                return Err(CodecError::BadTag {
+                    what: "fragment index",
+                    tag: 0,
+                });
+            }
+            let frame = Frame::Data {
+                epoch,
+                seq,
+                frag_index,
+                frag_count,
+                ack,
+                payload: Vec::new(),
+            };
+            Ok((frame, payload))
+        }
+        F_ACK => Ok((
+            Frame::Ack {
+                epoch: r.u64()?,
+                seq: r.u64()?,
+                frag_index: r.u16()?,
+            },
+            &[],
+        )),
+        F_ACK_BATCH => {
+            let epoch = r.u64()?;
+            let count = r.collection_len()?;
+            // The count is the sender's claim; reserve only what the
+            // datagram can actually hold.
+            let needed = count * ACK_ENTRY_LEN;
+            if r.remaining() < needed {
+                return Err(CodecError::UnexpectedEnd {
+                    needed,
+                    remaining: r.remaining(),
+                });
+            }
+            let mut acks = Vec::with_capacity(count);
+            for _ in 0..count {
+                acks.push((r.u64()?, r.u16()?));
+            }
+            Ok((Frame::AckBatch { epoch, acks }, &[]))
+        }
+        F_UNRELIABLE => Ok((
+            Frame::Unreliable {
+                payload: Vec::new(),
+            },
+            r.bytes_ref()?,
+        )),
+        t => Err(CodecError::BadTag {
+            what: "frame",
+            tag: t,
+        }),
+    }
+}
+
+impl Frame {
+    fn payload_mut(&mut self) -> Option<&mut Vec<u8>> {
+        match self {
+            Frame::Data { payload, .. } | Frame::Unreliable { payload } => Some(payload),
+            Frame::Ack { .. } | Frame::AckBatch { .. } => None,
+        }
+    }
+
+    /// Decodes the frame a received datagram holds, exactly as
+    /// `from_bytes::<Frame>` would — the same frame, the same error —
+    /// except that the payload *keeps the datagram's allocation*: the
+    /// header is moved out from under it instead of the payload being
+    /// copied out of a buffer that was itself just copied out of the
+    /// socket's.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the datagram is truncated, malformed,
+    /// or has trailing bytes.
+    pub fn from_datagram(mut datagram: Vec<u8>) -> Result<Frame, CodecError> {
+        let mut r = Reader::new(&datagram);
+        let (mut frame, payload) = decode_borrowed(&mut r)?;
+        if !r.is_empty() {
+            return Err(CodecError::TrailingBytes(r.remaining()));
+        }
+        if let Some(slot) = frame.payload_mut() {
+            // Nothing follows a payload, so it is the datagram's tail.
+            let header = datagram.len() - payload.len();
+            datagram.drain(..header);
+            *slot = datagram;
+        }
+        Ok(frame)
     }
 }
 
 impl Decode for Frame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            tag @ (F_DATA | F_DATA_ACK) => {
-                let epoch = r.u64()?;
-                let seq = r.u64()?;
-                let frag_index = r.u16()?;
-                let frag_count = r.u16()?;
-                let ack = if tag == F_DATA_ACK {
-                    Some(CumulativeAck {
-                        epoch: r.u64()?,
-                        up_to: r.u64()?,
-                    })
-                } else {
-                    None
-                };
-                let payload = r.bytes()?;
-                if frag_count == 0 || frag_index >= frag_count {
-                    return Err(CodecError::BadTag {
-                        what: "fragment index",
-                        tag: 0,
-                    });
-                }
-                Ok(Frame::Data {
-                    epoch,
-                    seq,
-                    frag_index,
-                    frag_count,
-                    ack,
-                    payload,
-                })
-            }
-            F_ACK => Ok(Frame::Ack {
-                epoch: r.u64()?,
-                seq: r.u64()?,
-                frag_index: r.u16()?,
-            }),
-            F_ACK_BATCH => {
-                let epoch = r.u64()?;
-                let count = r.collection_len()?;
-                // The count is the sender's claim; reserve only what the
-                // datagram can actually hold.
-                let needed = count * ACK_ENTRY_LEN;
-                if r.remaining() < needed {
-                    return Err(CodecError::UnexpectedEnd {
-                        needed,
-                        remaining: r.remaining(),
-                    });
-                }
-                let mut acks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    acks.push((r.u64()?, r.u16()?));
-                }
-                Ok(Frame::AckBatch { epoch, acks })
-            }
-            F_UNRELIABLE => Ok(Frame::Unreliable {
-                payload: r.bytes()?,
-            }),
-            t => Err(CodecError::BadTag {
-                what: "frame",
-                tag: t,
-            }),
+        let (mut frame, payload) = decode_borrowed(r)?;
+        if let Some(slot) = frame.payload_mut() {
+            *slot = payload.to_vec();
         }
+        Ok(frame)
     }
 }
 
@@ -196,31 +251,30 @@ pub fn fragment(payload: &[u8], max_fragment: usize) -> Vec<Vec<u8>> {
     payload.chunks(max_fragment).map(<[u8]>::to_vec).collect()
 }
 
-/// Computes the `start..end` byte ranges [`fragment`] would copy, without
-/// copying anything. The reliability layer keeps one shared payload buffer
-/// and slices it per fragment at transmit time.
+/// How many fragments [`fragment`] cuts a payload of `len` bytes into.
 ///
 /// # Panics
 ///
 /// Same contract as [`fragment`].
-pub fn fragment_ranges(len: usize, max_fragment: usize) -> Vec<(usize, usize)> {
+pub fn fragment_count(len: usize, max_fragment: usize) -> u16 {
     assert!(max_fragment > 0, "max_fragment must be positive");
-    if len == 0 {
-        return vec![(0, 0)];
-    }
-    let count = len.div_ceil(max_fragment);
-    assert!(
-        count <= u16::MAX as usize,
-        "payload needs too many fragments"
-    );
-    (0..count)
-        .map(|i| (i * max_fragment, ((i + 1) * max_fragment).min(len)))
-        .collect()
+    u16::try_from(len.div_ceil(max_fragment).max(1)).expect("payload needs too many fragments")
 }
 
-/// The one place that knows the data-frame layout ([`Frame`]'s `Encode`
-/// goes through here).
-fn put_data_frame(
+/// The `start..end` bytes of the payload that fragment `index` of
+/// [`fragment`]'s cut holds, without copying anything. The reliability
+/// layer keeps one shared payload buffer and slices it per fragment at
+/// transmit time.
+pub fn fragment_range(len: usize, max_fragment: usize, index: u16) -> std::ops::Range<usize> {
+    let start = index as usize * max_fragment;
+    start..(start + max_fragment).min(len)
+}
+
+/// Writes a [`Frame::Data`] straight from a borrowed fragment slice,
+/// without first materialising the fragment as an owned `Vec<u8>`. The
+/// one place that knows the data-frame layout ([`Frame`]'s `Encode` goes
+/// through here).
+pub fn put_data_frame(
     buf: &mut BytesMut,
     ack: Option<CumulativeAck>,
     epoch: u64,
@@ -241,9 +295,8 @@ fn put_data_frame(
     buf.put_bytes_field(payload);
 }
 
-/// Encodes an ack-less [`Frame::Data`] straight from a borrowed fragment
-/// slice, byte-identical to `to_bytes(&Frame::Data { .. })` but without
-/// first materialising the fragment as an owned `Vec<u8>`.
+/// [`put_data_frame`] for an ack-less fragment, into a buffer of its own
+/// of exactly the frame's size.
 pub fn encode_data_frame(
     epoch: u64,
     seq: u64,
@@ -251,25 +304,9 @@ pub fn encode_data_frame(
     frag_count: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    encode_data_frame_acking(None, epoch, seq, frag_index, frag_count, payload)
-}
-
-/// [`encode_data_frame`] for a fragment that may carry the reverse
-/// direction's acknowledgement.
-pub fn encode_data_frame_acking(
-    ack: Option<CumulativeAck>,
-    epoch: u64,
-    seq: u64,
-    frag_index: u16,
-    frag_count: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let header = match ack {
-        Some(_) => FRAME_HEADER_LEN,
-        None => FRAME_HEADER_LEN - CUMULATIVE_ACK_LEN,
-    };
+    let header = FRAME_HEADER_LEN - CUMULATIVE_ACK_LEN;
     let mut buf = BytesMut::with_capacity(header + payload.len());
-    put_data_frame(&mut buf, ack, epoch, seq, frag_index, frag_count, payload);
+    put_data_frame(&mut buf, None, epoch, seq, frag_index, frag_count, payload);
     buf.freeze()
 }
 
@@ -365,8 +402,22 @@ mod tests {
         }
     }
 
+    /// [`put_data_frame`] into a fresh buffer.
+    fn data_frame(
+        ack: Option<CumulativeAck>,
+        epoch: u64,
+        seq: u64,
+        frag_index: u16,
+        frag_count: u16,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_data_frame(&mut buf, ack, epoch, seq, frag_index, frag_count, payload);
+        buf.freeze()
+    }
+
     #[test]
-    fn encode_data_frame_matches_frame_encoding() {
+    fn put_data_frame_matches_frame_encoding() {
         let acks = [
             None,
             Some(CumulativeAck {
@@ -375,7 +426,7 @@ mod tests {
             }),
         ];
         for (payload, ack) in [vec![], vec![0xAB; 37]].into_iter().zip(acks) {
-            let direct = encode_data_frame_acking(ack, 9, 12, 1, 4, &payload);
+            let direct = data_frame(ack, 9, 12, 1, 4, &payload);
             let via_frame = to_bytes(&Frame::Data {
                 epoch: 9,
                 seq: 12,
@@ -385,10 +436,11 @@ mod tests {
                 payload: payload.clone(),
             });
             assert_eq!(direct, via_frame);
-            // The exact capacity was reserved, with or without the ack.
-            assert_eq!(direct.capacity(), direct.len());
             if ack.is_none() {
-                assert_eq!(direct, encode_data_frame(9, 12, 1, 4, &payload));
+                let owned = encode_data_frame(9, 12, 1, 4, &payload);
+                assert_eq!(direct, owned);
+                // The exact capacity was reserved.
+                assert_eq!(owned.capacity(), owned.len());
             }
         }
     }
@@ -407,7 +459,7 @@ mod tests {
         assert_eq!(plain, expected);
 
         let ack = CumulativeAck { epoch: 5, up_to: 6 };
-        let acking = encode_data_frame_acking(Some(ack), 2, 3, 0, 1, b"xy");
+        let acking = data_frame(Some(ack), 2, 3, 0, 1, b"xy");
         assert_eq!(acking[0], 0xD2);
         assert_eq!(acking[1..header_len], plain[1..header_len]);
         let mut field = 5u64.to_le_bytes().to_vec();
@@ -470,15 +522,55 @@ mod tests {
     }
 
     #[test]
-    fn fragment_ranges_mirror_fragment() {
+    fn fragment_range_mirrors_fragment() {
         for (len, max) in [(0usize, 10usize), (3, 10), (25, 10), (30, 10), (1, 1)] {
             let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let frags = fragment(&payload, max);
-            let ranges = fragment_ranges(len, max);
-            assert_eq!(frags.len(), ranges.len());
-            for (frag, &(s, e)) in frags.iter().zip(&ranges) {
-                assert_eq!(&payload[s..e], &frag[..]);
+            assert_eq!(frags.len(), fragment_count(len, max) as usize);
+            for (frag, i) in frags.iter().zip(0..) {
+                assert_eq!(&payload[fragment_range(len, max, i)], &frag[..]);
             }
+        }
+    }
+
+    /// The owned decode agrees with the borrowed one on every frame kind,
+    /// on every truncation of each, and on trailing bytes — and a data
+    /// payload comes back in the buffer the datagram arrived in.
+    #[test]
+    fn from_datagram_matches_from_bytes() {
+        let frames = [
+            data_frame(None, 1, 2, 0, 3, &[9; 10]),
+            data_frame(Some(CumulativeAck { epoch: 8, up_to: 4 }), 1, 2, 2, 3, &[]),
+            data_frame(None, 1, 2, 5, 3, b"bad index"),
+            encode_ack_frame(1, 2, 1).to_vec(),
+            encode_ack_batch_frame(7, &[(3, 0), (4, 1)]),
+            to_bytes(&Frame::Unreliable {
+                payload: vec![1, 2, 3],
+            }),
+            vec![0x77],
+        ];
+        for bytes in frames {
+            for cut in 0..=bytes.len() {
+                assert_eq!(
+                    Frame::from_datagram(bytes[..cut].to_vec()),
+                    from_bytes::<Frame>(&bytes[..cut])
+                );
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert_eq!(
+                Frame::from_datagram(long.clone()),
+                from_bytes::<Frame>(&long)
+            );
+        }
+        let datagram = data_frame(None, 1, 2, 0, 1, &[7; 100]);
+        let buffer = datagram.as_ptr();
+        match Frame::from_datagram(datagram).unwrap() {
+            Frame::Data { payload, .. } => {
+                assert_eq!(payload, vec![7; 100]);
+                assert_eq!(payload.as_ptr(), buffer, "the datagram's own allocation");
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 

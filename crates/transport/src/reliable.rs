@@ -31,14 +31,15 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use parking_lot::Mutex;
 
 use smc_telemetry::{Hop, Tracer};
-use smc_types::codec::{from_bytes, to_bytes, MAX_COLLECTION_LEN};
+use smc_types::codec::{with_scratch, MAX_COLLECTION_LEN};
 use smc_types::{
     system_clock, Error, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell, TraceId,
 };
 
 use crate::frame::{
-    encode_ack_batch_frame, encode_ack_frame, encode_data_frame_acking, fragment_ranges,
-    CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN, FRAME_HEADER_LEN,
+    encode_ack_batch_frame, encode_ack_frame, fragment_count, fragment_range, put_data_frame,
+    put_unreliable_frame, CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN,
+    FRAME_HEADER_LEN,
 };
 use crate::transport::Transport;
 
@@ -299,6 +300,7 @@ impl Incoming {
 }
 
 /// Resolves when a reliable send is fully acknowledged (or abandoned).
+/// Asked for with [`ReliableChannel::send_with_receipt`].
 #[derive(Debug)]
 pub struct Receipt {
     rx: Receiver<Result<()>>,
@@ -331,10 +333,12 @@ struct OutMessage {
     /// fan-out keeps one encoded buffer per publish; enqueueing here
     /// costs a reference count, not a copy).
     payload: SharedBytes,
-    /// `start..end` byte ranges of each fragment within `payload`;
-    /// fragments are sliced out at (re)transmit time.
-    frags: Vec<(usize, usize)>,
-    acked: Vec<bool>,
+    /// The size the message was cut to: fragment `i` is
+    /// `fragment_range(payload.len(), max_frag, i)`, sliced out at
+    /// (re)transmit time.
+    max_frag: usize,
+    frag_count: u16,
+    acked: AckedSet,
     unacked: usize,
     receipt: Option<Sender<Result<()>>>,
     /// Clock micros of the last (re)transmission.
@@ -343,6 +347,44 @@ struct OutMessage {
     retries: u32,
     /// Causal trace of the payload ([`TraceId::NONE`] when untraced).
     trace: TraceId,
+}
+
+/// Which fragments of a message are acknowledged. The first 64 are a
+/// word in the message itself — every message the cell sends fits — and
+/// only a longer message has a bitmap on the heap for the rest.
+#[derive(Debug)]
+struct AckedSet {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl AckedSet {
+    fn new(frag_count: u16) -> Self {
+        AckedSet {
+            first: 0,
+            rest: vec![0; (frag_count as usize).saturating_sub(64).div_ceil(64)],
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        let word = match i / 64 {
+            0 => self.first,
+            w => self.rest[w - 1],
+        };
+        word >> (i % 64) & 1 == 1
+    }
+
+    /// Marks fragment `i`; `false` if it already was.
+    fn insert(&mut self, i: usize) -> bool {
+        let word = match i / 64 {
+            0 => &mut self.first,
+            w => &mut self.rest[w - 1],
+        };
+        let bit = 1 << (i % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
 }
 
 /// A queued message, the optional receipt to resolve on ack, and the
@@ -514,7 +556,7 @@ struct Shared {
 /// let net = SimNetwork::new(LinkConfig::ideal());
 /// let a = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
 /// let b = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
-/// let receipt = a.send(b.local_id(), b"event".to_vec())?;
+/// let receipt = a.send_with_receipt(b.local_id(), b"event".to_vec())?;
 /// match b.recv(Some(Duration::from_secs(2)))? {
 ///     Incoming::Reliable { payload, .. } => assert_eq!(payload, b"event"),
 ///     other => panic!("unexpected {other:?}"),
@@ -719,10 +761,9 @@ impl ReliableChannel {
         let mut processed = 0;
         while let Ok(datagram) = self.shared.transport.recv(Some(Duration::ZERO)) {
             processed += 1;
-            let broadcast = datagram.broadcast;
-            let from = datagram.from;
-            if let Ok(frame) = from_bytes::<Frame>(&datagram.payload) {
-                worker.handle_frame(from, broadcast, frame);
+            // A corrupt datagram is dropped silently.
+            if let Ok(frame) = Frame::from_datagram(datagram.payload) {
+                worker.handle_frame(datagram.from, datagram.broadcast, frame);
             }
         }
         worker.retransmit_due();
@@ -767,17 +808,18 @@ impl ReliableChannel {
     ///
     /// The payload may be anything convertible into a [`SharedBytes`] —
     /// a `Vec<u8>` or `Arc<[u8]>` works, and an already-shared buffer
-    /// (e.g. the bus's one-per-publish encoded frame) is enqueued
-    /// without copying.
+    /// (`codec::to_shared`'s, the bus's one-per-publish encoded frame) is
+    /// enqueued without copying.
     ///
-    /// Returns a [`Receipt`] resolving when the peer acknowledged every
-    /// fragment.
+    /// Returning means queued, not delivered: the channel retransmits
+    /// until the peer acknowledges or is forgotten. A caller that has to
+    /// know asks for a receipt ([`ReliableChannel::send_with_receipt`]).
     ///
     /// # Errors
     ///
     /// [`Error::Closed`] if the channel is shut down.
-    pub fn send(&self, to: ServiceId, payload: impl Into<SharedBytes>) -> Result<Receipt> {
-        self.send_inner(to, payload.into(), None, TraceId::NONE)
+    pub fn send(&self, to: ServiceId, payload: impl Into<SharedBytes>) -> Result<()> {
+        self.send_inner(to, payload.into(), None, TraceId::NONE, None)
     }
 
     /// Like [`ReliableChannel::send`], with the payload's causal trace:
@@ -792,8 +834,8 @@ impl ReliableChannel {
         to: ServiceId,
         payload: impl Into<SharedBytes>,
         trace: TraceId,
-    ) -> Result<Receipt> {
-        self.send_inner(to, payload.into(), None, trace)
+    ) -> Result<()> {
+        self.send_inner(to, payload.into(), None, trace, None)
     }
 
     /// The crash-recovery variant of [`ReliableChannel::send`]: queues a
@@ -806,13 +848,26 @@ impl ReliableChannel {
     /// # Errors
     ///
     /// [`Error::Closed`] if the channel is shut down.
-    pub fn send_recovered(
+    pub fn send_recovered(&self, to: ServiceId, payload: Vec<u8>, prior_seq: u64) -> Result<()> {
+        self.send_inner(to, payload.into(), Some(prior_seq), TraceId::NONE, None)
+    }
+
+    /// Like [`ReliableChannel::send`], returning a [`Receipt`] that
+    /// resolves when the peer acknowledged every fragment (or the message
+    /// was abandoned). The receipt is a one-shot queue of its own, which
+    /// is why a send does not come with one unasked.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Closed`] if the channel is shut down.
+    pub fn send_with_receipt(
         &self,
         to: ServiceId,
-        payload: Vec<u8>,
-        prior_seq: u64,
+        payload: impl Into<SharedBytes>,
     ) -> Result<Receipt> {
-        self.send_inner(to, payload.into(), Some(prior_seq), TraceId::NONE)
+        let (tx, rx) = bounded(1);
+        self.send_inner(to, payload.into(), None, TraceId::NONE, Some(tx))?;
+        Ok(Receipt { rx })
     }
 
     fn send_inner(
@@ -821,36 +876,34 @@ impl ReliableChannel {
         payload: SharedBytes,
         requeued_from: Option<u64>,
         trace: TraceId,
-    ) -> Result<Receipt> {
+        receipt: Option<Sender<Result<()>>>,
+    ) -> Result<()> {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
-        let (tx, rx) = bounded(1);
-        {
-            let mut out = self.shared.out.lock();
-            let peer = out.entry(to).or_default();
-            let tracer = self.shared.tracer.load();
-            if let Some(journal) = &self.shared.journal {
-                // Sequence numbers are assigned when `pump` promotes the
-                // message into the window, strictly in queue order under
-                // this lock — so the eventual number is predictable now,
-                // and the journal entry can carry it before any bytes hit
-                // the wire.
-                let seq = peer.next_seq + peer.queued.len() as u64 + 1;
-                tracer.record(trace, Hop::WalQueued);
-                match requeued_from {
-                    Some(prior_seq) => journal.on_requeue(to, prior_seq, seq)?,
-                    None => journal.on_enqueue(to, seq, &payload)?,
-                }
-                tracer.record(trace, Hop::WalAppended);
+        let mut out = self.shared.out.lock();
+        let peer = out.entry(to).or_default();
+        let tracer = self.shared.tracer.load();
+        if let Some(journal) = &self.shared.journal {
+            // Sequence numbers are assigned when `pump` promotes the
+            // message into the window, strictly in queue order under
+            // this lock — so the eventual number is predictable now,
+            // and the journal entry can carry it before any bytes hit
+            // the wire.
+            let seq = peer.next_seq + peer.queued.len() as u64 + 1;
+            tracer.record(trace, Hop::WalQueued);
+            match requeued_from {
+                Some(prior_seq) => journal.on_requeue(to, prior_seq, seq)?,
+                None => journal.on_enqueue(to, seq, &payload)?,
             }
-            peer.queued.push_back((payload, Some(tx), trace));
-            tracer.record(trace, Hop::OutQueued);
-            bump(&self.shared.stats.msgs_sent);
-            let now = self.shared.clock.now_micros();
-            self.shared.pump(now, to, peer, &tracer);
+            tracer.record(trace, Hop::WalAppended);
         }
-        Ok(Receipt { rx })
+        peer.queued.push_back((payload, receipt, trace));
+        tracer.record(trace, Hop::OutQueued);
+        bump(&self.shared.stats.msgs_sent);
+        let now = self.shared.clock.now_micros();
+        self.shared.pump(now, to, peer, &tracer);
+        Ok(())
     }
 
     /// Like [`ReliableChannel::send`] but blocks until acknowledged.
@@ -865,7 +918,7 @@ impl ReliableChannel {
         payload: impl Into<SharedBytes>,
         timeout: Duration,
     ) -> Result<()> {
-        self.send(to, payload)?.wait(timeout)
+        self.send_with_receipt(to, payload)?.wait(timeout)
     }
 
     /// Sends a fire-and-forget payload (no ordering, no retransmission).
@@ -877,11 +930,11 @@ impl ReliableChannel {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
-        let frame = to_bytes(&Frame::Unreliable {
-            payload: payload.to_vec(),
-        });
         bump(&self.shared.stats.unreliable_sent);
-        self.shared.transport.send(to, &frame)
+        with_scratch(|frame| {
+            put_unreliable_frame(frame, payload);
+            self.shared.transport.send(to, frame)
+        })
     }
 
     /// Broadcasts a fire-and-forget payload.
@@ -893,11 +946,11 @@ impl ReliableChannel {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
-        let frame = to_bytes(&Frame::Unreliable {
-            payload: payload.to_vec(),
-        });
         bump(&self.shared.stats.unreliable_sent);
-        self.shared.transport.broadcast(&frame)
+        with_scratch(|frame| {
+            put_unreliable_frame(frame, payload);
+            self.shared.transport.broadcast(frame)
+        })
     }
 
     /// Receives the next message, blocking up to `timeout` (forever when
@@ -1113,36 +1166,51 @@ impl Shared {
             };
             let seq = peer.next_seq + 1;
             peer.next_seq = seq;
-            let frags = fragment_ranges(payload.len(), max_frag);
-            let n = frags.len();
+            let frag_count = fragment_count(payload.len(), max_frag);
             tracer.record(trace, Hop::TxSent);
-            let mut ack = self.take_piggyback(to);
-            for (i, &(start, end)) in frags.iter().enumerate() {
-                // Fragments are sliced out of the shared payload and encoded
-                // straight into the wire buffer — no owned per-fragment copy.
-                let frame = encode_data_frame_acking(
-                    ack.take(),
-                    self.epoch,
-                    seq,
-                    i as u16,
-                    n as u16,
-                    &payload[start..end],
-                );
-                let _ = self.transport.send(to, &frame);
-            }
             let msg = OutMessage {
-                acked: vec![false; n],
-                unacked: n,
+                acked: AckedSet::new(frag_count),
+                unacked: frag_count as usize,
                 payload,
-                frags,
+                max_frag,
+                frag_count,
                 receipt,
                 last_tx: now,
                 rto: self.config.initial_rto,
                 retries: 0,
                 trace,
             };
+            self.transmit(to, seq, &msg);
             peer.inflight.insert(seq, msg);
         }
+    }
+
+    /// Puts every unacknowledged fragment of `msg` on the wire, the first
+    /// carrying whatever acknowledgement `to` is owed. Each fragment is
+    /// sliced out of the shared payload and framed in this thread's
+    /// encode scratch, which the transport reads it from: no owned copy
+    /// of the fragment, no buffer for the frame. Returns how many
+    /// fragments went out.
+    fn transmit(&self, to: ServiceId, seq: u64, msg: &OutMessage) -> u64 {
+        let mut ack = self.take_piggyback(to);
+        let mut sent = 0;
+        for i in (0..msg.frag_count).filter(|&i| !msg.acked.contains(i as usize)) {
+            let fragment = &msg.payload[fragment_range(msg.payload.len(), msg.max_frag, i)];
+            with_scratch(|frame| {
+                put_data_frame(
+                    frame,
+                    ack.take(),
+                    self.epoch,
+                    seq,
+                    i,
+                    msg.frag_count,
+                    fragment,
+                );
+                let _ = self.transport.send(to, frame);
+            });
+            sent += 1;
+        }
+        sent
     }
 
     /// What the next data frame to `to` carries for the reverse
@@ -1225,11 +1293,9 @@ impl RxWorker {
             }
             match self.shared.transport.recv(Some(poll)) {
                 Ok(datagram) => {
-                    let broadcast = datagram.broadcast;
-                    let from = datagram.from;
-                    match from_bytes::<Frame>(&datagram.payload) {
-                        Ok(frame) => self.handle_frame(from, broadcast, frame),
-                        Err(_) => { /* corrupt datagram: drop silently */ }
+                    // A corrupt datagram is dropped silently.
+                    if let Ok(frame) = Frame::from_datagram(datagram.payload) {
+                        self.handle_frame(datagram.from, datagram.broadcast, frame);
                     }
                 }
                 Err(Error::Timeout) => {}
@@ -1309,9 +1375,7 @@ impl RxWorker {
         for &(seq, frag_index) in acks {
             let mut done = false;
             if let Some(msg) = peer.inflight.get_mut(&seq) {
-                let i = frag_index as usize;
-                if i < msg.acked.len() && !msg.acked[i] {
-                    msg.acked[i] = true;
+                if frag_index < msg.frag_count && msg.acked.insert(frag_index as usize) {
                     msg.unacked -= 1;
                     done = msg.unacked == 0;
                 }
@@ -1575,23 +1639,11 @@ impl RxWorker {
                 if let Some(line) = missed_ack_line.as_ref() {
                     line.fetch_add(1, Ordering::Relaxed);
                 }
-                let n = msg.frags.len() as u16;
-                let mut ack = self.shared.take_piggyback(peer_id);
-                for (i, &(start, end)) in msg.frags.iter().enumerate() {
-                    if msg.acked[i] {
-                        continue;
-                    }
-                    bump(&self.shared.stats.retransmits);
-                    let frame = encode_data_frame_acking(
-                        ack.take(),
-                        self.shared.epoch,
-                        seq,
-                        i as u16,
-                        n,
-                        &msg.payload[start..end],
-                    );
-                    let _ = self.shared.transport.send(peer_id, &frame);
-                }
+                let resent = self.shared.transmit(peer_id, seq, msg);
+                self.shared
+                    .stats
+                    .retransmits
+                    .fetch_add(resent, Ordering::Relaxed);
             }
             for seq in expired {
                 let msg = peer.inflight.remove(&seq).expect("expired message exists");

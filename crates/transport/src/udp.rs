@@ -355,7 +355,9 @@ mod tests {
             )
         };
         let (a, b) = (channel(), channel());
-        let receipt = a.send(b.local_id(), b"stepped".to_vec()).unwrap();
+        let receipt = a
+            .send_with_receipt(b.local_id(), b"stepped".to_vec())
+            .unwrap();
         assert_eq!(b.step(), 1, "the data frame is polled off the socket");
         match b.try_recv().expect("delivered by step") {
             Incoming::Reliable { from, payload, .. } => {

@@ -122,8 +122,14 @@ fn two_way_traffic_survives_loss_duplication_and_reordering() {
             // A and B talk at different rates, so acks sometimes find a
             // ride and sometimes wait for the step.
             if sent < EACH_WAY {
-                receipts.push(a.send(b.local_id(), message(sent, max_datagram)).unwrap());
-                receipts.push(b.send(a.local_id(), message(sent, max_datagram)).unwrap());
+                receipts.push(
+                    a.send_with_receipt(b.local_id(), message(sent, max_datagram))
+                        .unwrap(),
+                );
+                receipts.push(
+                    b.send_with_receipt(a.local_id(), message(sent, max_datagram))
+                        .unwrap(),
+                );
                 sent += 1;
             }
             clock.advance_millis(1);
@@ -198,14 +204,18 @@ fn lost_ack_bearing_frame_is_recovered_by_retransmission() {
     );
 
     // B's message arrives; A holds the ack through its turn.
-    let from_b = b.send(a.local_id(), b"question".to_vec()).unwrap();
+    let from_b = b
+        .send_with_receipt(a.local_id(), b"question".to_vec())
+        .unwrap();
     a.step();
     assert_eq!(a.try_recv().unwrap().payload(), b"question");
     assert!(ta.take().is_empty(), "the ack is held, not sent");
 
     // A's reply carries it — into a partition.
     net.set_partitioned(a.local_id(), b.local_id(), true);
-    let from_a = a.send(b.local_id(), b"answer".to_vec()).unwrap();
+    let from_a = a
+        .send_with_receipt(b.local_id(), b"answer".to_vec())
+        .unwrap();
     net.set_partitioned(a.local_id(), b.local_id(), false);
     let lost = ta.take();
     assert!(
@@ -258,7 +268,10 @@ fn one_way_stream_never_waits_for_the_retransmission_timer() {
     let channel = || ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
     let (a, b) = (channel(), channel());
     let receipts: Vec<Receipt> = (0..2_000u32)
-        .map(|i| a.send(b.local_id(), i.to_le_bytes().to_vec()).unwrap())
+        .map(|i| {
+            a.send_with_receipt(b.local_id(), i.to_le_bytes().to_vec())
+                .unwrap()
+        })
         .collect();
     for i in 0..2_000u32 {
         let incoming = b.recv(Some(Duration::from_secs(10))).unwrap();
@@ -288,7 +301,10 @@ fn window_of_one_is_not_paced_by_the_tick() {
     let b = ReliableChannel::new(Arc::new(net.endpoint()), config.clone());
     let start = Instant::now();
     let receipts: Vec<Receipt> = (0..MESSAGES)
-        .map(|i| a.send(b.local_id(), i.to_le_bytes().to_vec()).unwrap())
+        .map(|i| {
+            a.send_with_receipt(b.local_id(), i.to_le_bytes().to_vec())
+                .unwrap()
+        })
         .collect();
     for receipt in receipts {
         receipt.wait(Duration::from_secs(10)).unwrap();
@@ -328,7 +344,10 @@ fn smaller_sender_window_is_paced_by_the_receivers_tick() {
     let b = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
     let start = Instant::now();
     let receipts: Vec<Receipt> = (0..MESSAGES)
-        .map(|i| a.send(b.local_id(), i.to_le_bytes().to_vec()).unwrap())
+        .map(|i| {
+            a.send_with_receipt(b.local_id(), i.to_le_bytes().to_vec())
+                .unwrap()
+        })
         .collect();
     for i in 0..MESSAGES {
         let incoming = b.recv(Some(Duration::from_secs(10))).unwrap();
@@ -400,7 +419,7 @@ fn undelivered_message_is_acknowledged_in_no_form() {
     device.send(core.local_id(), vec![1]).unwrap();
     core.step();
     *journal.failing.lock() = true;
-    let second = device.send(core.local_id(), vec![2]).unwrap();
+    let second = device.send_with_receipt(core.local_id(), vec![2]).unwrap();
 
     // The core keeps talking to the device the whole time, through
     // several of the device's retransmission rounds.

@@ -29,7 +29,7 @@ fn missed_ack_pulses_the_interrupt_line() {
 
     // A healthy exchange never trips the interrupt: acks arrive before
     // any retransmission deadline.
-    let receipt = tx.send(rx.local_id(), vec![1]).expect("send");
+    let receipt = tx.send_with_receipt(rx.local_id(), vec![1]).expect("send");
     net.pump_due();
     rx.step();
     // The ack was held through the owner's turn; the next step sends it.
@@ -53,7 +53,7 @@ fn missed_ack_pulses_the_interrupt_line() {
         rx.local_id(),
         LinkConfig::ideal().with_loss(1.0),
     );
-    let _ = tx.send(rx.local_id(), vec![2]).expect("send into the void");
+    tx.send(rx.local_id(), vec![2]).expect("send into the void");
     tx.step();
     assert_eq!(
         line.load(Ordering::Relaxed),

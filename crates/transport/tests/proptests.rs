@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use smc_transport::frame::ACK_ENTRY_LEN;
 use smc_transport::{fragment, CumulativeAck, Frame, FRAME_HEADER_LEN};
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, to_shared};
 
 /// Any well-formed frame, every tag and both data layouts.
 fn any_frame() -> impl Strategy<Value = Frame> {
@@ -47,9 +47,13 @@ fn any_frame() -> impl Strategy<Value = Frame> {
 }
 
 /// Decodes hostile bytes: whatever comes back, nothing it holds may have
-/// reserved more than the datagram itself could fill.
+/// reserved more than the datagram itself could fill — and decoding the
+/// datagram as the channel does, owned, comes back with the same frame or
+/// the same error.
 fn decode_within_budget(bytes: &[u8]) {
-    match from_bytes::<Frame>(bytes) {
+    let decoded = from_bytes::<Frame>(bytes);
+    assert_eq!(Frame::from_datagram(bytes.to_vec()), decoded);
+    match decoded {
         Ok(Frame::Data { payload, .. } | Frame::Unreliable { payload }) => {
             assert!(payload.capacity() <= bytes.len());
         }
@@ -61,11 +65,14 @@ fn decode_within_budget(bytes: &[u8]) {
 }
 
 proptest! {
-    /// Frame encode/decode is the identity.
+    /// Frame encode/decode is the identity — into an owned or a shared
+    /// buffer, out of a borrowed or an owned one.
     #[test]
     fn frame_round_trip(frame in any_frame()) {
         let bytes = to_bytes(&frame);
-        prop_assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame);
+        prop_assert_eq!(&to_shared(&frame)[..], &bytes[..]);
+        prop_assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame.clone());
+        prop_assert_eq!(Frame::from_datagram(bytes).unwrap(), frame);
     }
 
     /// Raw noise behind every frame tag (and behind no tag at all): an

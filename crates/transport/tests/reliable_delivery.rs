@@ -94,10 +94,36 @@ fn fragments_large_messages() {
     let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
     let b = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
     let big: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-    let receipt = a.send(b.local_id(), big.clone()).unwrap();
+    let receipt = a.send_with_receipt(b.local_id(), big.clone()).unwrap();
     let got = collect_reliable(&b, 1);
     assert_eq!(got[0], big);
     receipt.wait(TICK).unwrap();
+}
+
+/// Past 64 fragments the acknowledged set spills out of its inline word:
+/// a lossy link still gets the message across, and each round resends
+/// only what is still unacknowledged on either side of that boundary.
+#[test]
+fn a_message_past_64_fragments_survives_loss() {
+    let mut link = LinkConfig::ideal().with_loss(0.2);
+    link.mtu = 100;
+    let net = SimNetwork::with_seed(link, 5);
+    let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
+    let b = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
+    let max_fragment = 100 - smc_transport::FRAME_HEADER_LEN;
+    let fragments = 204;
+    let big: Vec<u8> = (0..max_fragment * fragments)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    let receipt = a.send_with_receipt(b.local_id(), big.clone()).unwrap();
+    assert_eq!(collect_reliable(&b, 1)[0], big);
+    receipt.wait(TICK).unwrap();
+    let resent = a.stats().retransmits as usize;
+    // Resending everything every round would be ≈ 5 × `fragments`.
+    assert!(
+        resent > 0 && resent < 2 * fragments,
+        "{resent} fragments resent"
+    );
 }
 
 #[test]
@@ -130,7 +156,7 @@ fn receipt_resolves_on_ack_and_timeout() {
     a.send_blocking(b.local_id(), b"ok".to_vec(), TICK).unwrap();
     // Send into the void: max_retries exhausts, receipt resolves Err.
     net.set_partitioned(a.local_id(), b.local_id(), true);
-    let receipt = a.send(b.local_id(), b"lost".to_vec()).unwrap();
+    let receipt = a.send_with_receipt(b.local_id(), b"lost".to_vec()).unwrap();
     assert!(matches!(receipt.wait(TICK), Err(Error::Timeout)));
     assert_eq!(a.stats().msgs_expired, 1);
 }
@@ -141,7 +167,9 @@ fn forget_peer_drops_pending() {
     let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
     let b = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
     net.set_partitioned(a.local_id(), b.local_id(), true);
-    let receipt = a.send(b.local_id(), b"queued".to_vec()).unwrap();
+    let receipt = a
+        .send_with_receipt(b.local_id(), b"queued".to_vec())
+        .unwrap();
     assert_eq!(a.pending(b.local_id()), 1);
     a.forget_peer(b.local_id());
     assert_eq!(a.pending(b.local_id()), 0);

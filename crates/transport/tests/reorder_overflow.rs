@@ -48,7 +48,9 @@ fn reorder_overflow_drops_backlog_then_recovers_in_order() {
         rx.local_id(),
         LinkConfig::ideal().with_loss(1.0),
     );
-    let first = tx.send(rx.local_id(), vec![1]).expect("send 1");
+    let first = tx
+        .send_with_receipt(rx.local_id(), vec![1])
+        .expect("send 1");
     step_all();
 
     // Heal the link and pour 19 more messages through the open window.
@@ -56,7 +58,7 @@ fn reorder_overflow_drops_backlog_then_recovers_in_order() {
     // unacked: its reorder buffer is only 4 deep.
     net.set_link(tx.local_id(), rx.local_id(), LinkConfig::ideal());
     for n in 2u8..=20 {
-        let _ = tx.send(rx.local_id(), vec![n]).expect("send");
+        tx.send(rx.local_id(), vec![n]).expect("send");
     }
     step_all();
     assert!(

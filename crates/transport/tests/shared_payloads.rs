@@ -87,7 +87,7 @@ fn coalesced_acks_complete_journaled_deliveries() {
     // receiver's in-order drain acks a run of messages at once.
     let big = a.transport().max_datagram() * 3;
     let receipts: Vec<_> = (0..10u8)
-        .map(|i| a.send(b.local_id(), vec![i; big]).unwrap())
+        .map(|i| a.send_with_receipt(b.local_id(), vec![i; big]).unwrap())
         .collect();
     let got = collect_reliable(&b, 10);
     for (i, payload) in got.iter().enumerate() {
@@ -214,7 +214,7 @@ fn recorded_ack_frames(snoop: &SnoopTransport) -> Vec<Frame> {
 fn deliver_one(a: &ReliableChannel, b: &ReliableChannel, frags: usize) {
     let max_fragment = a.transport().max_datagram() - smc_transport::FRAME_HEADER_LEN;
     let len = max_fragment * (frags - 1) + 1;
-    let receipt = a.send(b.local_id(), vec![0x5A; len]).unwrap();
+    let receipt = a.send_with_receipt(b.local_id(), vec![0x5A; len]).unwrap();
     let got = collect_reliable(b, 1);
     assert_eq!(got[0].len(), len);
     receipt.wait(TICK).unwrap();
@@ -372,11 +372,15 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     // One fragment, four fragments and a burst of three, in both directions.
     for (from, to) in [(end_a, end_b), (end_b, end_a)] {
         let peer = to.2.local_id();
-        receipts.push(from.2.send(peer, vec![0x11; 10]).unwrap());
+        receipts.push(from.2.send_with_receipt(peer, vec![0x11; 10]).unwrap());
         settle(&mut wire, from, to);
-        receipts.push(from.2.send(peer, four_fragments.clone()).unwrap());
+        receipts.push(
+            from.2
+                .send_with_receipt(peer, four_fragments.clone())
+                .unwrap(),
+        );
         settle(&mut wire, from, to);
-        receipts.extend(burst().map(|p| from.2.send(peer, p).unwrap()));
+        receipts.extend(burst().map(|p| from.2.send_with_receipt(peer, p).unwrap()));
         settle(&mut wire, from, to);
     }
 
@@ -392,10 +396,19 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     // deliveries' own acks are held, and leave as one `AckBatch` on B's
     // next turn.
     net.set_partitioned(a.local_id(), b.local_id(), true);
-    receipts.push(a.send(b.local_id(), b"lost-first".to_vec()).unwrap());
+    receipts.push(
+        a.send_with_receipt(b.local_id(), b"lost-first".to_vec())
+            .unwrap(),
+    );
     net.set_partitioned(a.local_id(), b.local_id(), false);
-    receipts.push(a.send(b.local_id(), b"second".to_vec()).unwrap());
-    receipts.push(a.send(b.local_id(), b"third".to_vec()).unwrap());
+    receipts.push(
+        a.send_with_receipt(b.local_id(), b"second".to_vec())
+            .unwrap(),
+    );
+    receipts.push(
+        a.send_with_receipt(b.local_id(), b"third".to_vec())
+            .unwrap(),
+    );
     settle(&mut wire, end_a, end_b);
     clock.advance_millis(100);
     a.step();

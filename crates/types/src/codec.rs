@@ -11,12 +11,18 @@
 //! enforce sanity limits so a corrupt length prefix cannot trigger huge
 //! allocations.
 
-use bytes::{BufMut, BytesMut};
+use std::cell::RefCell;
+
+use bytes::BufMut;
+/// The buffer [`Encode`] writes into, re-exported so a crate that only
+/// hands one through ([`with_scratch`]) need not depend on `bytes`.
+pub use bytes::BytesMut;
 
 use crate::error::CodecError;
-use crate::event::{AttributeSet, Event};
+use crate::event::{AttributeSet, Event, Payload};
 use crate::filter::{Constraint, Filter, Op, Subscription};
 use crate::id::{CellId, EventId, ServiceId, SubscriptionId};
+use crate::shared::SharedBytes;
 use crate::value::AttributeValue;
 
 /// Maximum length accepted for a string field.
@@ -42,11 +48,56 @@ pub trait Decode: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
 
-/// Encodes a value into a fresh byte vector.
+/// Capacity a thread's encode scratch keeps between calls. A rare larger
+/// encoding (a snapshot) gets its buffer freed again.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+thread_local! {
+    static SCRATCH: RefCell<BytesMut> = const { RefCell::new(BytesMut::new()) };
+}
+
+/// Runs `f` on this thread's encode scratch, handed over empty.
+///
+/// An encoder does not know an encoding's length until it has written
+/// it, so everything is written here first — the buffer has long since
+/// grown to working size — and whoever needs the bytes afterwards takes
+/// one exact-size copy ([`to_shared`], [`to_bytes`]) or none at all (a
+/// datagram handed to a socket, a record appended to a log). The
+/// contents do not survive the call.
+///
+/// `f` may itself end up back here (a transport or log backend that
+/// encodes something of its own): the inner call gets a fresh buffer.
+pub fn with_scratch<R>(f: impl FnOnce(&mut BytesMut) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            let out = f(&mut buf);
+            if buf.capacity() > SCRATCH_KEEP {
+                *buf = BytesMut::new();
+            }
+            out
+        }
+        Err(_) => f(&mut BytesMut::new()),
+    })
+}
+
+/// Encodes a value into a byte vector of exactly its length.
 pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    value.encode(&mut buf);
-    buf.to_vec()
+    with_scratch(|buf| {
+        value.encode(buf);
+        buf.to_vec()
+    })
+}
+
+/// Encodes a value into a shared buffer of exactly its length — the
+/// call's one heap request. This is the form a
+/// `ReliableChannel::send` enqueues without copying, so it is how every
+/// message on its way to a channel is encoded.
+pub fn to_shared<T: Encode + ?Sized>(value: &T) -> SharedBytes {
+    with_scratch(|buf| {
+        value.encode(buf);
+        SharedBytes::from(&buf[..])
+    })
 }
 
 /// Decodes a value from a byte slice, requiring the slice to be consumed
@@ -156,6 +207,12 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u32`-length-prefixed byte array.
     pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        Ok(self.bytes_ref()?.to_vec())
+    }
+
+    /// Reads a `u32`-length-prefixed byte array without copying it out
+    /// of the input.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
         if len > MAX_BYTES_LEN {
             return Err(CodecError::LengthOverflow {
@@ -163,7 +220,7 @@ impl<'a> Reader<'a> {
                 limit: MAX_BYTES_LEN,
             });
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads a collection length prefix, enforcing [`MAX_COLLECTION_LEN`].
@@ -338,10 +395,16 @@ impl Encode for AttributeSet {
     }
 }
 
+/// The shortest attribute on the wire: an empty name (2) and a boolean
+/// (tag + byte).
+const MIN_ATTRIBUTE_LEN: usize = 4;
+
 impl Decode for AttributeSet {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.collection_len()?;
-        let mut set = AttributeSet::new();
+        // The count is the sender's claim; reserve only what the bytes
+        // that are left can actually hold.
+        let mut set = AttributeSet::with_capacity(len.min(r.remaining() / MIN_ATTRIBUTE_LEN));
         for _ in 0..len {
             let name = r.str()?;
             let value = AttributeValue::decode(r)?;
@@ -371,16 +434,10 @@ impl Decode for Event {
         let seq = r.u64()?;
         let timestamp = r.u64()?;
         let attributes = AttributeSet::decode(r)?;
-        let payload = r.bytes()?;
-        let mut builder = Event::builder(event_type)
-            .publisher(publisher)
-            .seq(seq)
-            .timestamp_micros(timestamp)
-            .payload(payload);
-        for (name, value) in attributes.iter() {
-            builder = builder.attr(name, value.clone());
-        }
-        Ok(builder.build())
+        let payload = Payload::from(r.bytes_ref()?);
+        Ok(Event::from_parts(
+            event_type, attributes, payload, publisher, seq, timestamp,
+        ))
     }
 }
 

@@ -152,6 +152,13 @@ impl AttributeSet {
         AttributeSet::default()
     }
 
+    /// An empty set with room for `capacity` attributes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        AttributeSet {
+            entries: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Inserts or replaces the attribute `name`, returning the previous
     /// value if one was present.
     pub fn insert(
@@ -228,6 +235,14 @@ impl Extend<(String, AttributeValue)> for AttributeSet {
     }
 }
 
+/// The part of an [`Event`] a stamp never touches.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Body {
+    event_type: String,
+    attributes: AttributeSet,
+    payload: Payload,
+}
+
 /// An event as carried over the bus.
 ///
 /// An event has a *type name* (e.g. `"smc.sensor.reading"`), a set of typed
@@ -235,6 +250,13 @@ impl Extend<(String, AttributeValue)> for AttributeSet {
 /// number (assigned by the publisher's proxy and used for per-sender FIFO
 /// ordering and exactly-once suppression), a timestamp, and an optional
 /// opaque payload for bulk data.
+///
+/// An event is a value, and a cheap one to copy: type name, attributes
+/// and payload sit behind one shared pointer, so [`Clone`] asks the heap
+/// for nothing, and [`Event::stamp`] writes fields that are not shared.
+/// The first mutation of a clone's attributes
+/// ([`Event::attributes_mut`]) copies them if anyone else still holds
+/// them — the original never changes.
 ///
 /// ```
 /// use smc_types::{Event, ServiceId};
@@ -246,24 +268,39 @@ impl Extend<(String, AttributeValue)> for AttributeSet {
 ///     .build();
 /// assert_eq!(event.attributes().get("bpm").and_then(|v| v.as_int()), Some(72));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Event {
-    event_type: String,
-    attributes: AttributeSet,
+    body: Arc<Body>,
     publisher: ServiceId,
     seq: u64,
     timestamp_micros: u64,
-    payload: Payload,
+}
+
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Flat, as the fields read through the accessors.
+        f.debug_struct("Event")
+            .field("event_type", &self.body.event_type)
+            .field("attributes", &self.body.attributes)
+            .field("publisher", &self.publisher)
+            .field("seq", &self.seq)
+            .field("timestamp_micros", &self.timestamp_micros)
+            .field("payload", &self.body.payload)
+            .finish()
+    }
 }
 
 impl Event {
     /// Starts building an event of type `event_type`.
     pub fn builder(event_type: impl Into<String>) -> EventBuilder {
         EventBuilder {
-            event: Event {
+            body: Body {
                 event_type: event_type.into(),
-                ..Event::default()
+                ..Body::default()
             },
+            publisher: ServiceId::default(),
+            seq: 0,
+            timestamp_micros: 0,
         }
     }
 
@@ -272,19 +309,42 @@ impl Event {
         Event::builder(event_type).build()
     }
 
+    /// Assembles a decoded event from its fields as they came off the
+    /// wire.
+    pub(crate) fn from_parts(
+        event_type: String,
+        attributes: AttributeSet,
+        payload: Payload,
+        publisher: ServiceId,
+        seq: u64,
+        timestamp_micros: u64,
+    ) -> Self {
+        Event {
+            body: Arc::new(Body {
+                event_type,
+                attributes,
+                payload,
+            }),
+            publisher,
+            seq,
+            timestamp_micros,
+        }
+    }
+
     /// The event's type name.
     pub fn event_type(&self) -> &str {
-        &self.event_type
+        &self.body.event_type
     }
 
     /// The event's attributes.
     pub fn attributes(&self) -> &AttributeSet {
-        &self.attributes
+        &self.body.attributes
     }
 
-    /// Mutable access to the attributes.
+    /// Mutable access to the attributes. If a clone of this event still
+    /// shares them they are copied first, so the clone is unaffected.
     pub fn attributes_mut(&mut self) -> &mut AttributeSet {
-        &mut self.attributes
+        &mut Arc::make_mut(&mut self.body).attributes
     }
 
     /// The publishing service.
@@ -309,19 +369,20 @@ impl Event {
 
     /// The opaque bulk payload (possibly empty).
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.body.payload
     }
 
     /// The shared payload handle. Cloning it (or the whole event) shares
     /// the underlying buffer — see [`Payload`].
     pub fn payload_shared(&self) -> &Payload {
-        &self.payload
+        &self.body.payload
     }
 
     /// Stamps publisher identity and sequence number.
     ///
     /// Proxies call this exactly once when accepting an event from a device;
-    /// user code normally never needs it.
+    /// user code normally never needs it. A stamp copies nothing, however
+    /// many clones share the event's content.
     pub fn stamp(&mut self, publisher: ServiceId, seq: u64, timestamp_micros: u64) {
         self.publisher = publisher;
         self.seq = seq;
@@ -330,7 +391,7 @@ impl Event {
 
     /// Convenience: the value of attribute `name`.
     pub fn attr(&self, name: &str) -> Option<&AttributeValue> {
-        self.attributes.get(name)
+        self.body.attributes.get(name)
     }
 
     /// Total approximate size of the event's variable content in bytes
@@ -338,6 +399,7 @@ impl Event {
     /// accounting.
     pub fn content_len(&self) -> usize {
         let attrs: usize = self
+            .body
             .attributes
             .iter()
             .map(|(n, v)| {
@@ -349,22 +411,22 @@ impl Event {
                     }
             })
             .sum();
-        self.event_type.len() + attrs + self.payload.len()
+        self.body.event_type.len() + attrs + self.body.payload.len()
     }
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}](", self.event_type, self.id())?;
-        for (i, (n, v)) in self.attributes.iter().enumerate() {
+        write!(f, "{}[{}](", self.event_type(), self.id())?;
+        for (i, (n, v)) in self.attributes().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{n}={v}")?;
         }
         write!(f, ")")?;
-        if !self.payload.is_empty() {
-            write!(f, "+{}B", self.payload.len())?;
+        if !self.payload().is_empty() {
+            write!(f, "+{}B", self.payload().len())?;
         }
         Ok(())
     }
@@ -373,44 +435,52 @@ impl fmt::Display for Event {
 /// Builder for [`Event`] (see [`Event::builder`]).
 #[derive(Debug, Clone, Default)]
 pub struct EventBuilder {
-    event: Event,
+    body: Body,
+    publisher: ServiceId,
+    seq: u64,
+    timestamp_micros: u64,
 }
 
 impl EventBuilder {
     /// Adds (or replaces) an attribute.
     pub fn attr(mut self, name: impl Into<String>, value: impl Into<AttributeValue>) -> Self {
-        self.event.attributes.insert(name, value);
+        self.body.attributes.insert(name, value);
         self
     }
 
     /// Sets the publisher identity.
     pub fn publisher(mut self, publisher: ServiceId) -> Self {
-        self.event.publisher = publisher;
+        self.publisher = publisher;
         self
     }
 
     /// Sets the sequence number.
     pub fn seq(mut self, seq: u64) -> Self {
-        self.event.seq = seq;
+        self.seq = seq;
         self
     }
 
     /// Sets the publication timestamp in microseconds.
     pub fn timestamp_micros(mut self, micros: u64) -> Self {
-        self.event.timestamp_micros = micros;
+        self.timestamp_micros = micros;
         self
     }
 
     /// Attaches an opaque bulk payload. Accepts `Vec<u8>`, `&[u8]`,
     /// byte arrays, or an already-shared [`Payload`]/`Arc<[u8]>`.
     pub fn payload(mut self, payload: impl Into<Payload>) -> Self {
-        self.event.payload = payload.into();
+        self.body.payload = payload.into();
         self
     }
 
     /// Finishes building the event.
     pub fn build(self) -> Event {
-        self.event
+        Event {
+            body: Arc::new(self.body),
+            publisher: self.publisher,
+            seq: self.seq,
+            timestamp_micros: self.timestamp_micros,
+        }
     }
 }
 

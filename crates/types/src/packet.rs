@@ -4,11 +4,9 @@
 //! reliable frames: publish/ack, subscribe/ack, discovery beacons and the
 //! join handshake, heartbeats, quench control and raw device data.
 
-use std::cell::RefCell;
-
 use bytes::{BufMut, BytesMut};
 
-use crate::codec::{Decode, Encode, Reader, WriteExt};
+use crate::codec::{to_shared, Decode, Encode, Reader, WriteExt};
 use crate::error::CodecError;
 use crate::event::{AttributeSet, Event};
 use crate::filter::Filter;
@@ -238,26 +236,12 @@ impl Packet {
 impl Encode for Packet {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Packet::Publish { event, trace } => {
-                buf.put_u8(P_PUBLISH);
-                event.encode(buf);
-                // Trailing optional: omitted entirely when untraced, so
-                // the NONE encoding is byte-identical to pre-trace frames.
-                if trace.is_some() {
-                    buf.put_u64_le(trace.raw());
-                }
-            }
+            Packet::Publish { event, trace } => put_event_packet(buf, P_PUBLISH, event, *trace),
             Packet::PublishAck(id) => {
                 buf.put_u8(P_PUBLISH_ACK);
                 id.encode(buf);
             }
-            Packet::Deliver { event, trace } => {
-                buf.put_u8(P_DELIVER);
-                event.encode(buf);
-                if trace.is_some() {
-                    buf.put_u64_le(trace.raw());
-                }
-            }
+            Packet::Deliver { event, trace } => put_event_packet(buf, P_DELIVER, event, *trace),
             Packet::DeliverAck(id) => {
                 buf.put_u8(P_DELIVER_ACK);
                 id.encode(buf);
@@ -456,32 +440,39 @@ impl Decode for Packet {
     }
 }
 
-thread_local! {
-    /// The buffer [`encode_deliver`] encodes into before it knows the
-    /// frame's length; the thread keeps the capacity of the largest frame
-    /// it has encoded.
-    static DELIVER_SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+/// The layout `Publish` and `Deliver` share: tag, event, optional trace.
+fn put_event_packet(buf: &mut BytesMut, tag: u8, event: &Event, trace: TraceId) {
+    buf.put_u8(tag);
+    event.encode(buf);
+    // Trailing optional: omitted entirely when untraced, so the NONE
+    // encoding is byte-identical to pre-trace frames.
+    if trace.is_some() {
+        buf.put_u64_le(trace.raw());
+    }
+}
+
+/// A [`Packet::Deliver`] over a borrowed event.
+struct DeliverRef<'a> {
+    event: &'a Event,
+    trace: TraceId,
+}
+
+impl Encode for DeliverRef<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_event_packet(buf, P_DELIVER, self.event, self.trace);
+    }
 }
 
 /// Encodes a [`Packet::Deliver`] frame straight from a borrowed event —
-/// byte-identical to `to_bytes(&Packet::Deliver { event, trace })` but
-/// without cloning the event into a packet first.
+/// byte-identical to `to_shared(&Packet::Deliver { event, trace })` but
+/// without putting the event into a packet first.
 ///
 /// This is the fan-out hot path: the bus encodes one delivery frame per
 /// publish and shares it across every remote subscriber, so the per-
-/// subscriber cost is a reference-count bump instead of an event clone
-/// plus a fresh encode. The shared buffer is the call's only allocation.
+/// subscriber cost is a reference-count bump instead of a fresh encode.
+/// The shared buffer is the call's only allocation.
 pub fn encode_deliver(event: &Event, trace: TraceId) -> SharedBytes {
-    DELIVER_SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        buf.clear();
-        buf.put_u8(P_DELIVER);
-        event.encode(&mut buf);
-        if trace.is_some() {
-            buf.put_u64_le(trace.raw());
-        }
-        SharedBytes::from(&buf[..])
-    })
+    to_shared(&DeliverRef { event, trace })
 }
 
 /// Reads the trailing optional trace id: old (pre-trace) frames end at the

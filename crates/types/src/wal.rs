@@ -163,6 +163,44 @@ pub enum WalRecord {
     },
 }
 
+impl WalRecord {
+    /// Writes a [`WalRecord::RxDeliver`] whose payload the caller only
+    /// borrows — a channel journals the message it is about to hand up
+    /// without copying it into a record first. The one place that knows
+    /// the layout (`Encode` goes through here).
+    pub fn put_rx_deliver(
+        buf: &mut BytesMut,
+        chan: u8,
+        peer: ServiceId,
+        epoch: u64,
+        seq: u64,
+        payload: &[u8],
+    ) {
+        buf.put_u8(W_RX_DELIVER);
+        buf.put_u8(chan);
+        peer.encode(buf);
+        buf.put_u64_le(epoch);
+        buf.put_u64_le(seq);
+        buf.put_bytes_field(payload);
+    }
+
+    /// Writes a [`WalRecord::OutEnqueue`] from a borrowed payload; as
+    /// [`WalRecord::put_rx_deliver`].
+    pub fn put_out_enqueue(
+        buf: &mut BytesMut,
+        chan: u8,
+        peer: ServiceId,
+        seq: u64,
+        payload: &[u8],
+    ) {
+        buf.put_u8(W_OUT_ENQUEUE);
+        buf.put_u8(chan);
+        peer.encode(buf);
+        buf.put_u64_le(seq);
+        buf.put_bytes_field(payload);
+    }
+}
+
 impl Encode for WalRecord {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -184,14 +222,7 @@ impl Encode for WalRecord {
                 epoch,
                 seq,
                 payload,
-            } => {
-                buf.put_u8(W_RX_DELIVER);
-                buf.put_u8(*chan);
-                peer.encode(buf);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*seq);
-                buf.put_bytes_field(payload);
-            }
+            } => WalRecord::put_rx_deliver(buf, *chan, *peer, *epoch, *seq, payload),
             WalRecord::RxConsumed { chan, peer, seq } => {
                 buf.put_u8(W_RX_CONSUMED);
                 buf.put_u8(*chan);
@@ -203,13 +234,7 @@ impl Encode for WalRecord {
                 peer,
                 seq,
                 payload,
-            } => {
-                buf.put_u8(W_OUT_ENQUEUE);
-                buf.put_u8(*chan);
-                peer.encode(buf);
-                buf.put_u64_le(*seq);
-                buf.put_bytes_field(payload);
-            }
+            } => WalRecord::put_out_enqueue(buf, *chan, *peer, *seq, payload),
             WalRecord::OutRequeue {
                 chan,
                 peer,

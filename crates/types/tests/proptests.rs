@@ -1,11 +1,18 @@
 //! Property-based tests for the wire codec and the filter algebra.
 
 use proptest::prelude::*;
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, to_shared};
 use smc_types::{
     AttributeValue, CellId, Constraint, Event, Filter, Op, Packet, ServiceId, ServiceInfo,
-    SubscriptionId,
+    SubscriptionId, WalRecord,
 };
+
+// For the one property that measures what a decode reserves.
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 fn arb_value() -> impl Strategy<Value = AttributeValue> {
     prop_oneof![
@@ -168,6 +175,105 @@ proptest! {
             let back: Packet = from_bytes(&bytes).unwrap();
             prop_assert_eq!(back, p);
         }
+    }
+
+    /// The shared encoding is the owned encoding, byte for byte.
+    #[test]
+    fn to_shared_is_to_bytes(e in arb_event(), f in arb_filter(), raw in any::<u64>()) {
+        let peer = ServiceId::from_raw(raw);
+        let packets = [
+            Packet::publish(e.clone()),
+            Packet::Deliver { event: e.clone(), trace: smc_types::TraceId::from_raw(raw | 1) },
+            Packet::PublishAck(e.id()),
+            Packet::Subscribe { request_id: raw, filter: f.clone() },
+            Packet::Raw(e.payload().to_vec()),
+        ];
+        for p in &packets {
+            prop_assert_eq!(&to_shared(p)[..], &to_bytes(p)[..]);
+        }
+        let records = [
+            WalRecord::RxDeliver { chan: 0, peer, epoch: raw, seq: 3, payload: e.payload().to_vec() },
+            WalRecord::OutEnqueue { chan: 1, peer, seq: raw, payload: to_bytes(&packets[0]) },
+            WalRecord::OutAck { chan: 0, peer, seq: raw },
+            WalRecord::Subscribed {
+                subscription: smc_types::Subscription::new(SubscriptionId(raw), peer, f),
+            },
+        ];
+        for r in &records {
+            prop_assert_eq!(&to_shared(r)[..], &to_bytes(r)[..]);
+        }
+    }
+
+    /// An event is a value however many clones share its content: what is
+    /// done to a copy — through `attributes_mut`, a stamp, or a cloned
+    /// builder carried on — never shows in the original, and `==` still
+    /// compares content.
+    #[test]
+    fn event_clones_are_values(
+        e in arb_event(),
+        name in arb_name(),
+        value in arb_value(),
+        seq in 1u64..u64::MAX,
+    ) {
+        let before = to_bytes(&e);
+        let mut copy = e.clone();
+        prop_assert_eq!(&copy, &e);
+
+        copy.stamp(ServiceId::from_raw(seq), seq, seq);
+        prop_assert_eq!(&to_bytes(&e), &before, "a stamp is the copy's own");
+        prop_assert_eq!(copy.attributes(), e.attributes());
+        prop_assert!(copy.payload_shared().ptr_eq(e.payload_shared()));
+
+        let had = e.attr(&name).cloned();
+        copy.attributes_mut().insert(name.clone(), value.clone());
+        prop_assert_eq!(&to_bytes(&e), &before, "a mutation is the copy's own");
+        prop_assert_eq!(e.attr(&name), had.as_ref());
+        prop_assert_eq!(copy.attr(&name), Some(&value));
+        prop_assert_eq!(copy.attributes() == e.attributes(), had.as_ref() == Some(&value));
+
+        // The same mutation made independently gives an equal event.
+        let mut again = e.clone();
+        again.stamp(ServiceId::from_raw(seq), seq, seq);
+        again.attributes_mut().insert(name.clone(), value.clone());
+        prop_assert_eq!(&again, &copy);
+        copy.attributes_mut().remove(&name);
+        prop_assert_ne!(&again, &copy);
+
+        // A builder is a value too.
+        let base = Event::builder(e.event_type()).attr("k", 1i64);
+        let with = base.clone().attr(name.clone(), value).build();
+        let without = base.build();
+        prop_assert_eq!(without.attributes().len(), 1);
+        prop_assert_eq!(with.attributes().len(), if name == "k" { 1 } else { 2 });
+    }
+
+    /// The attribute count of an event is the sender's claim. Whatever it
+    /// says, and wherever the bytes stop, decoding reserves no more than
+    /// the bytes that are there could fill: 56 B of table per 4 B
+    /// attribute, the strings and the payload once each.
+    #[test]
+    fn hostile_collection_len_cannot_make_event_decode_reserve(
+        e in arb_event(),
+        claimed in proptest::option::of(any::<u16>()),
+        keep in any::<proptest::sample::Index>(),
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = to_bytes(&e);
+        let whole = bytes.len();
+        let count_at = 2 + e.event_type().len() + 6 + 8 + 8;
+        let claimed = claimed.unwrap_or(e.attributes().len() as u16);
+        bytes[count_at..count_at + 2].copy_from_slice(&claimed.to_le_bytes());
+        if truncate {
+            bytes.truncate(keep.index(whole + 1));
+        }
+        let (requests, decoded) = counting_alloc::during(|| from_bytes::<Event>(&bytes));
+        if claimed as usize == e.attributes().len() {
+            prop_assert_eq!(decoded.ok(), (bytes.len() == whole).then_some(e));
+        }
+        prop_assert!(
+            requests.bytes as usize <= 17 * bytes.len() + 128,
+            "{} B requested for {} B of input", requests.bytes, bytes.len()
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use smc_transport::ChannelJournal;
-use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::codec::{from_bytes, to_bytes, with_scratch, BytesMut, Encode};
 use smc_types::{CoreSnapshot, Error, Result, ServiceId, WalRecord};
 
 /// Channel discriminator for the bus/device channel's journal records.
@@ -688,22 +688,41 @@ impl Wal {
     /// treated as *not* durable (the channel layer then refuses to ack
     /// the state transition it describes).
     pub fn append(&self, record: &WalRecord) -> Result<()> {
-        let payload = to_bytes(record);
-        if payload.len() > MAX_RECORD_LEN {
-            return Err(Error::Invalid(format!(
-                "wal record of {} bytes",
-                payload.len()
-            )));
-        }
-        let mut framed = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        self.append_with(|buf| record.encode(buf))
+    }
 
+    /// [`Wal::append`] for a record the caller writes itself — `encode`
+    /// must append exactly one [`WalRecord`] encoding to the buffer it is
+    /// given (e.g. [`WalRecord::put_rx_deliver`], from a payload the
+    /// caller only borrows). The record is framed where it is encoded, in
+    /// the thread's encode scratch, and the backend reads it from there.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wal::append`].
+    pub fn append_with(&self, encode: impl FnOnce(&mut BytesMut)) -> Result<()> {
+        with_scratch(|framed| {
+            // Room for the header; filled in once the payload is there.
+            framed.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+            encode(framed);
+            let (header, payload) = framed.split_at_mut(RECORD_HEADER_LEN);
+            if payload.len() > MAX_RECORD_LEN {
+                return Err(Error::Invalid(format!(
+                    "wal record of {} bytes",
+                    payload.len()
+                )));
+            }
+            header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+            self.append_framed(framed)
+        })
+    }
+
+    fn append_framed(&self, framed: &[u8]) -> Result<()> {
         // Queue-wait vs service split: time-to-lock is how long this
         // append sat behind concurrent appenders, time-under-lock is the
-        // append's own work (framing above is untimed — it is identical
-        // for every caller and lock-free).
+        // append's own work (framing, in the caller, is untimed — it is
+        // identical for every caller and lock-free).
         let probes = self.probes.load();
         let queued_at = probes.as_ref().as_ref().map(|p| p.clock.now_micros());
         let mut inner = self.inner.lock();
@@ -716,7 +735,7 @@ impl Wal {
             inner.active = next;
             inner.active_bytes = 0;
         }
-        self.backend.append(inner.active, &framed)?;
+        self.backend.append(inner.active, framed)?;
         inner.active_bytes += framed.len();
         self.records_appended.fetch_add(1, Ordering::Relaxed);
         self.bytes_appended
@@ -911,12 +930,8 @@ impl WalChannelJournal {
 impl ChannelJournal for WalChannelJournal {
     fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64, payload: &[u8]) -> Result<()> {
         if self.retain_rx {
-            self.wal.append(&WalRecord::RxDeliver {
-                chan: self.chan,
-                peer,
-                epoch,
-                seq,
-                payload: payload.to_vec(),
+            self.wal.append_with(|buf| {
+                WalRecord::put_rx_deliver(buf, self.chan, peer, epoch, seq, payload);
             })
         } else {
             self.wal.append(&WalRecord::RxCursor {
@@ -944,11 +959,8 @@ impl ChannelJournal for WalChannelJournal {
     }
 
     fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &[u8]) -> Result<()> {
-        self.wal.append(&WalRecord::OutEnqueue {
-            chan: self.chan,
-            peer,
-            seq,
-            payload: payload.to_vec(),
+        self.wal.append_with(|buf| {
+            WalRecord::put_out_enqueue(buf, self.chan, peer, seq, payload);
         })
     }
 
