@@ -137,7 +137,9 @@ impl RemoteClient {
         &self.agent
     }
 
-    /// Stamps and publishes an event, waiting for the bus's acknowledgement.
+    /// Stamps and publishes an event, waiting for the bus's acknowledgement
+    /// — which the bus sends because this call marks its packet as
+    /// waiting for one.
     ///
     /// # Errors
     ///
@@ -146,27 +148,16 @@ impl RemoteClient {
     pub fn publish(&self, event: Event, timeout: Duration) -> Result<EventId> {
         let event = self.stamp(event);
         let id = event.id();
-        let (tx, rx) = bounded(1);
-        self.pending.lock().map.insert(id.to_string(), tx);
-        self.channel
-            .send(self.bus, to_shared(&Packet::publish(event)))?;
-        let reply = match rx.recv_timeout(timeout) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().map.remove(&id.to_string());
-                return Err(Error::Timeout);
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(Error::Closed),
-        };
-        match reply {
+        match self.request(id.to_string(), &Packet::publish_acked(event), timeout)? {
             Reply::PublishAcked => Ok(id),
-            Reply::Failed(m) => Err(Error::Denied(m)),
-            other => Err(Error::Invalid(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
-    /// Stamps and publishes without waiting for the acknowledgement (the
-    /// reliable channel still guarantees the transfer).
+    /// Stamps and publishes without asking for an acknowledgement: the
+    /// reliable channel guarantees the transfer, and its transport
+    /// acknowledgement is the only one the hop pays for. A policy refusal
+    /// is counted and traced at the cell, not reported here.
     ///
     /// # Errors
     ///
@@ -195,19 +186,10 @@ impl RemoteClient {
     /// reply.
     pub fn subscribe(&self, filter: Filter, timeout: Duration) -> Result<SubscriptionId> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.pending
-            .lock()
-            .map
-            .insert(format!("req:{request_id}"), tx);
-        self.channel.send(
-            self.bus,
-            to_shared(&Packet::Subscribe { request_id, filter }),
-        )?;
-        match self.wait_reply(rx, &format!("req:{request_id}"), timeout)? {
+        let packet = Packet::Subscribe { request_id, filter };
+        match self.request(format!("req:{request_id}"), &packet, timeout)? {
             Reply::Subscribed(id) => Ok(id),
-            Reply::Failed(m) => Err(Error::Denied(m)),
-            other => Err(Error::Invalid(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -217,14 +199,9 @@ impl RemoteClient {
     ///
     /// [`Error::Denied`] for unknown ids, [`Error::Timeout`] on no reply.
     pub fn unsubscribe(&self, id: SubscriptionId, timeout: Duration) -> Result<()> {
-        let (tx, rx) = bounded(1);
-        self.pending.lock().map.insert(id.to_string(), tx);
-        self.channel
-            .send(self.bus, to_shared(&Packet::Unsubscribe(id)))?;
-        match self.wait_reply(rx, &id.to_string(), timeout)? {
+        match self.request(id.to_string(), &Packet::Unsubscribe(id), timeout)? {
             Reply::Unsubscribed => Ok(()),
-            Reply::Failed(m) => Err(Error::Denied(m)),
-            other => Err(Error::Invalid(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -236,38 +213,41 @@ impl RemoteClient {
     /// [`Error::Timeout`] on no reply.
     pub fn advertise(&self, filter: Filter, timeout: Duration) -> Result<bool> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.pending
-            .lock()
-            .map
-            .insert(format!("req:{request_id}"), tx);
-        self.channel.send(
-            self.bus,
-            to_shared(&Packet::Advertise { request_id, filter }),
-        )?;
-        match self.wait_reply(rx, &format!("req:{request_id}"), timeout)? {
+        let packet = Packet::Advertise { request_id, filter };
+        match self.request(format!("req:{request_id}"), &packet, timeout)? {
             Reply::Advertised(interested) => {
                 self.quenched.store(!interested, Ordering::SeqCst);
                 Ok(interested)
             }
-            Reply::Failed(m) => Err(Error::Denied(m)),
-            other => Err(Error::Invalid(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
-    fn wait_reply(&self, rx: Receiver<Reply>, key: &str, timeout: Duration) -> Result<Reply> {
-        match rx.recv_timeout(timeout) {
-            Ok(r) => Ok(r),
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().map.remove(key);
-                Err(Error::Timeout)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(Error::Closed),
+    /// Sends `packet` to the bus and waits for the reply the router files
+    /// under `key`. Whichever way it fails — the send, the wait, a refusal
+    /// — nothing is left waiting in `pending`.
+    fn request(&self, key: String, packet: &Packet, timeout: Duration) -> Result<Reply> {
+        let (tx, rx) = bounded(1);
+        self.pending.lock().map.insert(key.clone(), tx);
+        let reply = self
+            .channel
+            .send(self.bus, to_shared(packet))
+            .and_then(|()| match rx.recv_timeout(timeout) {
+                Ok(Reply::Failed(m)) => Err(Error::Denied(m)),
+                Ok(reply) => Ok(reply),
+                Err(RecvTimeoutError::Timeout) => Err(Error::Timeout),
+                Err(RecvTimeoutError::Disconnected) => Err(Error::Closed),
+            });
+        if reply.is_err() {
+            // (A reply that arrived took its own entry with it.)
+            self.pending.lock().map.remove(&key);
         }
+        reply
     }
 
-    /// Receives the next delivered event (already acknowledged back to
-    /// the bus).
+    /// Receives the next delivered event. The bus hears of its arrival
+    /// from the reliable channel's acknowledgement and nothing else; no
+    /// application-level confirmation is sent for it.
     ///
     /// # Errors
     ///
@@ -348,9 +328,10 @@ struct Router {
 }
 
 impl Router {
-    /// Hands `reply` to whoever waits under `key`. The key is built only
-    /// when somebody waits at all: a `publish_nowait` stream is answered
-    /// by a `PublishAck` per event that nobody asked for.
+    /// Hands `reply` to whoever waits under `key`; a reply nobody waits
+    /// for (an unsolicited `PublishAck`, an `Error` about a refused
+    /// `publish_nowait`) is dropped. The key is built only when somebody
+    /// waits at all.
     fn resolve(&self, key: impl FnOnce() -> String, reply: Reply) {
         let mut pending = self.pending.lock();
         if pending.map.is_empty() {
@@ -364,10 +345,8 @@ impl Router {
     fn route(&self, from: ServiceId, packet: Packet) {
         match packet {
             Packet::Deliver { event, .. } => {
-                // Acknowledge end-to-end, then hand to the application.
-                let _ = self
-                    .channel
-                    .send(from, to_shared(&Packet::DeliverAck(event.id())));
+                // The channel's own acknowledgement tells the bus it
+                // arrived; nothing is sent back for it.
                 let _ = self.events.send(event);
             }
             Packet::PublishAck(id) => self.resolve(|| id.to_string(), Reply::PublishAcked),
@@ -490,10 +469,51 @@ impl RawDevice {
     }
 }
 
+fn unexpected(reply: Reply) -> Error {
+    Error::Invalid(format!("unexpected reply {reply:?}"))
+}
+
 fn now_micros() -> u64 {
     use std::time::{SystemTime, UNIX_EPOCH};
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default()
         .as_micros() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SmcCell, SmcConfig};
+    use smc_transport::{LinkConfig, ReliableConfig, SimNetwork};
+
+    /// A request whose send fails leaves no waiter behind for the life of
+    /// the client.
+    #[test]
+    fn failed_send_leaves_nothing_pending() {
+        const T: Duration = Duration::from_secs(5);
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let cell = SmcCell::start(
+            Arc::new(net.endpoint()),
+            Arc::new(net.endpoint()),
+            SmcConfig::fast(),
+        );
+        let channel = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
+        let client = RemoteClient::connect(
+            ServiceInfo::new(ServiceId::NIL, "sensor.heart-rate"),
+            Arc::clone(&channel),
+            AgentConfig::default(),
+            T,
+        )
+        .expect("device joins cell");
+        channel.close();
+
+        let closed = |r: Result<()>| assert!(matches!(r, Err(Error::Closed)), "{r:?}");
+        closed(client.publish(Event::new("x"), T).map(drop));
+        closed(client.subscribe(Filter::for_type("x"), T).map(drop));
+        closed(client.unsubscribe(SubscriptionId(1), T));
+        closed(client.advertise(Filter::for_type("x"), T).map(drop));
+        assert!(client.pending.lock().map.is_empty());
+        cell.shutdown();
+    }
 }

@@ -56,13 +56,6 @@ pub trait DeviceCodec: Send + Sync {
     fn initial_subscriptions(&self) -> Vec<Filter> {
         Vec::new()
     }
-
-    /// Whether publish acknowledgements should be forwarded to the device
-    /// ("it is the design choice of the proxy as to whether it should
-    /// forward this acknowledgement to the device itself").
-    fn forwards_acks(&self) -> bool {
-        true
-    }
 }
 
 /// Passthrough codec: the "simple proxy for a complex sensor". The device
@@ -163,11 +156,6 @@ impl Proxy {
     /// The member's description.
     pub fn info(&self) -> &ServiceInfo {
         &self.info
-    }
-
-    /// Whether publish acks should be relayed to the device.
-    pub fn forwards_acks(&self) -> bool {
-        self.codec.forwards_acks()
     }
 
     /// The subscriptions the proxy should register at creation.
@@ -373,10 +361,6 @@ mod tests {
         fn initial_subscriptions(&self) -> Vec<Filter> {
             vec![Filter::for_type("smc.command")]
         }
-
-        fn forwards_acks(&self) -> bool {
-            false
-        }
     }
 
     fn setup() -> (Arc<ReliableChannel>, Arc<ReliableChannel>, SimNetwork) {
@@ -514,6 +498,5 @@ mod tests {
         let subs = proxy.initial_subscriptions();
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].event_type(), Some("smc.command"));
-        assert!(!proxy.forwards_acks());
     }
 }

@@ -875,7 +875,11 @@ impl SmcCell {
         let proxy = self.ensure_proxy(&info);
 
         match packet {
-            Packet::Publish { mut event, trace } => {
+            Packet::Publish {
+                mut event,
+                trace,
+                ack,
+            } => {
                 if let Decision::Deny =
                     self.authorise(&info, ActionClass::Publish, event.event_type())
                 {
@@ -900,9 +904,11 @@ impl SmcCell {
                     return;
                 }
                 proxy.stamp_if_needed(&mut event, self.config.clock.now_micros());
-                // Acknowledge acceptance (§II-C: "events are always
-                // acknowledged when passing from publisher to event bus").
-                if proxy.forwards_acks() {
+                // §II-C's "always acknowledged when passing from publisher
+                // to event bus" is the channel's own acknowledgement; a
+                // `PublishAck` on top of it goes only to a publisher that
+                // waits for one.
+                if ack {
                     let _ = self
                         .channel
                         .send(from, to_shared(&Packet::PublishAck(event.id())));
@@ -998,7 +1004,8 @@ impl SmcCell {
             }
             Packet::DeliverAck(_) | Packet::CommandAck { .. } => {
                 // End-to-end confirmations; the reliable layer already
-                // guarantees the transfer, these are informational.
+                // guarantees the transfer, these are informational (and
+                // `DeliverAck` comes from older peers only).
             }
             _ => {
                 // Discovery traffic arriving on the bus endpoint (or

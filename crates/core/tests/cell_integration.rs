@@ -9,9 +9,12 @@ use smc_discovery::AgentConfig;
 use smc_policy::{
     ActionClass, ActionSpec, AuthorisationPolicy, Expr, ObligationPolicy, Policy, ValueTemplate,
 };
+use smc_telemetry::{Hop, TraceSink, Tracer};
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
+use smc_types::codec::to_shared;
 use smc_types::{
-    wellknown, AttributeSet, Error, Event, Filter, Op, Result, ServiceId, ServiceInfo,
+    system_clock, wellknown, AttributeSet, Error, Event, EventId, Filter, Op, Packet, Result,
+    ServiceId, ServiceInfo, TraceId,
 };
 
 const TICK: Duration = Duration::from_secs(5);
@@ -33,17 +36,23 @@ fn start_cell(net: &SimNetwork) -> Arc<SmcCell> {
 }
 
 fn connect(net: &SimNetwork, device_type: &str, roles: &[&str]) -> Arc<RemoteClient> {
+    connect_with_channel(net, device_type, roles).0
+}
+
+/// [`connect`], keeping hold of the member's channel for its counters.
+fn connect_with_channel(
+    net: &SimNetwork,
+    device_type: &str,
+    roles: &[&str],
+) -> (Arc<RemoteClient>, Arc<ReliableChannel>) {
     let mut info = ServiceInfo::new(ServiceId::NIL, device_type).with_name(device_type);
     for r in roles {
         info = info.with_role(*r);
     }
-    RemoteClient::connect(
-        info,
-        ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable()),
-        AgentConfig::default(),
-        TICK,
-    )
-    .expect("device joins cell")
+    let channel = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
+    let client = RemoteClient::connect(info, Arc::clone(&channel), AgentConfig::default(), TICK)
+        .expect("device joins cell");
+    (client, channel)
 }
 
 #[test]
@@ -115,6 +124,85 @@ fn per_sender_fifo_under_loss() {
         "exactly once: no duplicates"
     );
     sensor.shutdown();
+    monitor.shutdown();
+    cell.shutdown();
+}
+
+/// One acknowledgement per hop: an event published without waiting is
+/// two reliable messages, `Publish` in and `Deliver` out. Neither the
+/// subscriber nor the cell answers at the application level — the
+/// channel's own acknowledgement is the §II-C one.
+#[test]
+fn nowait_stream_costs_no_application_acks() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let cell = start_cell(&net);
+    let (sensor, sensor_channel) = connect_with_channel(&net, "sensor.heart-rate", &["sensor"]);
+    let (monitor, monitor_channel) = connect_with_channel(&net, "monitor.station", &["manager"]);
+    monitor
+        .subscribe(Filter::for_type("smc.sensor.reading"), TICK)
+        .unwrap();
+    let monitor_sent = monitor_channel.stats().msgs_sent;
+    let sensor_got = sensor_channel.stats().msgs_delivered;
+
+    for i in 0..200i64 {
+        sensor
+            .publish_nowait(Event::builder("smc.sensor.reading").attr("n", i).build())
+            .unwrap();
+    }
+    for i in 0..200i64 {
+        let got = monitor.next_event(TICK).unwrap();
+        assert_eq!(got.attr("n").unwrap().as_int(), Some(i), "in order");
+    }
+    assert!(monitor.try_next_event().is_none(), "each event once");
+    assert_eq!(
+        monitor_channel.stats().msgs_sent,
+        monitor_sent,
+        "the subscriber answers no `Deliver`"
+    );
+    assert_eq!(
+        sensor_channel.stats().msgs_delivered,
+        sensor_got,
+        "the cell answers no unmarked `Publish`"
+    );
+    sensor.shutdown();
+    monitor.shutdown();
+    cell.shutdown();
+}
+
+/// Both acknowledgement tags are decoded, never required: a `DeliverAck`
+/// from an older subscriber is not an error at the cell, and a
+/// `PublishAck` nobody waits for is dropped by the client.
+#[test]
+fn stray_application_acks_are_ignored() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let cell = start_cell(&net);
+    let (monitor, monitor_channel) = connect_with_channel(&net, "monitor.station", &["manager"]);
+    let id = EventId::new(ServiceId::from_raw(77), 5);
+
+    // To the cell, as a member: the marked publish queued behind it is
+    // answered, and its `PublishAck` is all that comes back.
+    let got = monitor_channel.stats().msgs_delivered;
+    monitor_channel
+        .send(cell.bus_endpoint(), to_shared(&Packet::DeliverAck(id)))
+        .unwrap();
+    monitor.publish(Event::new("smc.note"), TICK).unwrap();
+    assert_eq!(monitor_channel.stats().msgs_delivered, got + 1);
+
+    // To the client: the `Deliver` queued behind it is handed up.
+    let stranger = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
+    stranger
+        .send(monitor.local_id(), to_shared(&Packet::PublishAck(id)))
+        .unwrap();
+    stranger
+        .send(
+            monitor.local_id(),
+            to_shared(&Packet::deliver(Event::new("smc.after"))),
+        )
+        .unwrap();
+    assert_eq!(monitor.next_event(TICK).unwrap().event_type(), "smc.after");
+    monitor.publish(Event::new("smc.note"), TICK).unwrap();
+
+    stranger.close();
     monitor.shutdown();
     cell.shutdown();
 }
@@ -203,7 +291,15 @@ fn non_member_is_refused() {
 #[test]
 fn authorisation_policy_denies_publish() {
     let net = SimNetwork::new(LinkConfig::ideal());
-    let cell = start_cell(&net);
+    let sink = Arc::new(TraceSink::default());
+    let cell = SmcCell::start(
+        Arc::new(net.endpoint()),
+        Arc::new(net.endpoint()),
+        SmcConfig {
+            tracer: Tracer::new(Arc::clone(&sink), system_clock()),
+            ..SmcConfig::fast()
+        },
+    );
     cell.policy()
         .add(Policy::Authorisation(AuthorisationPolicy::deny(
             "no-alarms-from-sensors",
@@ -215,11 +311,24 @@ fn authorisation_policy_denies_publish() {
     let sensor = connect(&net, "sensor.heart-rate", &["sensor"]);
     let err = sensor.publish(Event::new("smc.alarm"), TICK).unwrap_err();
     assert!(matches!(err, Error::Denied(_)), "{err:?}");
-    // Readings are still fine (default permit).
+    // Readings are still fine (default permit); `Ok` means the bus
+    // answered, i.e. the publish passed the policy check.
     sensor
         .publish(Event::new("smc.sensor.reading"), TICK)
         .unwrap();
     assert_eq!(cell.metrics().publishes_denied, 1);
+
+    // A publisher that does not wait is refused all the same: counted and
+    // traced at the cell. (The blocking publish queued behind it returns
+    // once the cell is past both.)
+    let refused = sensor.publish_nowait(Event::new("smc.alarm")).unwrap();
+    sensor
+        .publish(Event::new("smc.sensor.reading"), TICK)
+        .unwrap();
+    assert_eq!(cell.metrics().publishes_denied, 2);
+    let journey = sink.journey(TraceId::for_event(refused.publisher, refused.seq));
+    let denied = |hop: &Hop| matches!(hop, Hop::Dropped { reason } if *reason == "policy-deny");
+    assert!(journey.hops.iter().any(|r| denied(&r.hop)), "{journey:?}");
     sensor.shutdown();
     cell.shutdown();
 }

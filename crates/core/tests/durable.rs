@@ -156,6 +156,10 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
     // saw its ack and will never retransmit.
     let net = SimNetwork::new(LinkConfig::ideal());
     let backend = Arc::new(MemBackend::new());
+    // Never written through: a reader of what the cells below log
+    // (`recover_state`), opened first so that its own, empty segment sorts
+    // ahead of theirs.
+    let (log, _) = Wal::open(backend.clone(), WalConfig::default()).unwrap();
 
     let bus_t = net.endpoint();
     let disco_t = net.endpoint();
@@ -169,14 +173,7 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
     .expect("durable start");
 
     let sensor = connect(&net, "sensor.heart-rate");
-    let monitor_channel = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
-    let monitor = RemoteClient::connect(
-        ServiceInfo::new(ServiceId::NIL, "monitor.station"),
-        Arc::clone(&monitor_channel),
-        AgentConfig::default(),
-        TICK,
-    )
-    .expect("monitor joins cell");
+    let monitor = connect(&net, "monitor.station");
     monitor
         .subscribe(Filter::for_type("smc.sensor.reading"), TICK)
         .unwrap();
@@ -190,16 +187,28 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
         )
         .unwrap();
     monitor.next_event(TICK).unwrap();
-    // Let the round trip finish on the wire too. The acknowledgement of
-    // the cell's `Deliver` travels in (or ahead of) the monitor's
-    // `DeliverAck`; once the cell has acknowledged that, its log owes the
-    // monitor nothing, and recovery resends nothing ahead of the payload
-    // planted below.
-    let deadline = std::time::Instant::now() + TICK;
-    while monitor_channel.pending(bus_id) > 0 {
-        assert!(std::time::Instant::now() < deadline, "round trip settles");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The round trip is over on the wire once the cell's log says so:
+    // every inbound payload consumed, and nothing owed to the monitor —
+    // the monitor holds its acknowledgement of the `Deliver` for up to
+    // two poll ticks, and until it lands the log still retains the
+    // `Deliver`, which recovery would resend ahead of the payload planted
+    // below.
+    let monitor_id = monitor.local_id();
+    let wait_settled = || {
+        let deadline = std::time::Instant::now() + TICK;
+        loop {
+            let state = log.recover_state().unwrap();
+            let owed = state.outbound_for(CHAN_BUS);
+            if state.pending_rx_for(CHAN_BUS).is_empty()
+                && owed.iter().all(|(peer, _)| *peer != monitor_id)
+            {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "round trip settles");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    wait_settled();
 
     cell.shutdown();
     drop(cell);
@@ -230,9 +239,7 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
         payload,
     })
     .unwrap();
-    // Never written through again; kept open to read the log while the
-    // reborn cell runs (`recover_state` below).
-    let log = wal;
+    drop(wal);
 
     let reborn = SmcCell::start_durable(
         Arc::new(net.endpoint_with_id(bus_id)),
@@ -253,22 +260,9 @@ fn unconsumed_rx_payload_is_routed_after_restart() {
     assert_eq!(bpm, Some(140));
 
     // Let this round trip finish too before the cell is stopped: the
-    // monitor's `DeliverAck` for the re-routed reading is an inbound
-    // payload of its own, and a shutdown that lands between the cell
-    // journalling it and the dispatch thread consuming it would leave
-    // *that* behind. Acknowledged means journalled; the log then says
-    // when it was consumed.
-    let deadline = std::time::Instant::now() + TICK;
-    while monitor_channel.pending(bus_id) > 0
-        || !log
-            .recover_state()
-            .unwrap()
-            .pending_rx_for(CHAN_BUS)
-            .is_empty()
-    {
-        assert!(std::time::Instant::now() < deadline, "round trip settles");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // monitor has its event before the dispatch thread marks the payload
+    // consumed, and the log says when it was.
+    wait_settled();
 
     // Reprocessing marked it consumed: a checkpoint must not carry the
     // payload forward into the next incarnation's snapshot.

@@ -129,11 +129,6 @@ macro_rules! sensor_codec {
                 // Dumb sensors listen for management commands only.
                 vec![Filter::for_type(wellknown::COMMAND)]
             }
-
-            fn forwards_acks(&self) -> bool {
-                // Periodic samplers do not wait for acks (§III-B).
-                false
-            }
         }
     };
 }
@@ -273,12 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn codecs_subscribe_to_commands_and_skip_acks() {
+    fn codecs_subscribe_to_commands() {
         let c = Spo2Codec;
         let subs = c.initial_subscriptions();
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].event_type(), Some(wellknown::COMMAND));
-        assert!(!c.forwards_acks());
     }
 
     #[test]

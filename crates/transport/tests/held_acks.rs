@@ -369,6 +369,51 @@ fn smaller_sender_window_is_paced_by_the_receivers_tick() {
     );
 }
 
+/// (b, the limit from above) Tick-paced is not stalled. Since the cell
+/// stopped answering `Publish` and `Deliver` at the application level a
+/// stream is one-way as a rule, so a sender with a smaller window than its
+/// receiver is the shape this limit is met in: window 4 facing the default
+/// 64 (bound 32) never reaches the bound, each round of four is released
+/// by the receiver's tick — at most two poll intervals away — and nothing
+/// waits for a retransmission timer.
+#[test]
+fn a_smaller_sender_window_is_tick_paced_not_stalled() {
+    const MESSAGES: u32 = 200;
+    const WINDOW: u32 = 4;
+    let net = SimNetwork::new(LinkConfig::ideal());
+    // An RTO far above the tick, so that a round released by the timer
+    // instead (50 of them, a second each) cannot pass for tick pacing.
+    let narrow = ReliableConfig {
+        window: WINDOW as usize,
+        initial_rto: Duration::from_secs(1),
+        ..ReliableConfig::default()
+    };
+    let a = ReliableChannel::new(Arc::new(net.endpoint()), narrow);
+    let b = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
+    let start = Instant::now();
+    let receipts: Vec<Receipt> = (0..MESSAGES)
+        .map(|i| {
+            a.send_with_receipt(b.local_id(), i.to_le_bytes().to_vec())
+                .unwrap()
+        })
+        .collect();
+    for i in 0..MESSAGES {
+        let incoming = b.recv(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(incoming.payload(), i.to_le_bytes());
+    }
+    for receipt in receipts {
+        receipt.wait(Duration::from_secs(10)).unwrap();
+    }
+    let elapsed = start.elapsed();
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!((sa.msgs_acked, sb.msgs_delivered), (200, 200));
+    assert_eq!((sa.retransmits, sb.duplicates_suppressed), (0, 0));
+    // The slack is for a loaded host; the timer's pace would be 50 s.
+    let tick = ReliableConfig::default().poll_interval;
+    let limit = tick * 2 * (MESSAGES / WINDOW) + Duration::from_secs(3);
+    assert!(elapsed < limit, "{MESSAGES} messages took {elapsed:?}");
+}
+
 /// A journal whose `on_deliver` can be switched to fail.
 #[derive(Debug, Default)]
 struct FlakyJournal {

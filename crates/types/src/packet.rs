@@ -27,8 +27,13 @@ pub enum Packet {
         /// frames from pre-trace peers (the field is a trailing optional
         /// on the wire).
         trace: TraceId,
+        /// Whether the publisher waits for a [`Packet::PublishAck`]. The
+        /// request is the packet's tag, not a field of its body: a marked
+        /// publish is the unmarked one's bytes under a second tag.
+        ack: bool,
     },
-    /// Bus confirms it accepted the published event.
+    /// Bus confirms it accepted a published event — sent only in answer
+    /// to a publish marked `ack` (decoded, never required).
     PublishAck(EventId),
     /// Bus pushes a matching event to a subscriber.
     Deliver {
@@ -38,8 +43,10 @@ pub enum Packet {
         /// [`TraceId::NONE`] on frames from pre-trace peers.
         trace: TraceId,
     },
-    /// Subscriber confirms it processed a delivered event; the proxy may
-    /// now drop it from the outbound queue.
+    /// A subscriber's confirmation of a delivered event, as older peers
+    /// sent one per `Deliver`. No longer sent — the transport's own
+    /// acknowledgement is what releases the bus's outbound queue — and
+    /// ignored by the cell; the tag stays decodable.
     DeliverAck(EventId),
     /// Register a subscription; `request_id` correlates the ack.
     Subscribe {
@@ -185,14 +192,28 @@ const P_ADVERTISE: u8 = 19;
 const P_ADVERTISE_ACK: u8 = 20;
 const P_POLICY_DEPLOY: u8 = 21;
 const P_ERROR: u8 = 22;
+/// `P_PUBLISH` from a publisher that waits for the `PublishAck`.
+const P_PUBLISH_ACKED: u8 = 23;
 
 impl Packet {
-    /// An untraced `Publish` packet (the trace id, if wanted, can always
-    /// be derived later via [`TraceId::for_event`]).
+    /// An untraced `Publish` packet that asks for no `PublishAck` (the
+    /// trace id, if wanted, can always be derived later via
+    /// [`TraceId::for_event`]).
     pub fn publish(event: Event) -> Packet {
         Packet::Publish {
             event,
             trace: TraceId::NONE,
+            ack: false,
+        }
+    }
+
+    /// [`Packet::publish`] from a publisher that waits for the bus's
+    /// `PublishAck`.
+    pub fn publish_acked(event: Event) -> Packet {
+        Packet::Publish {
+            event,
+            trace: TraceId::NONE,
+            ack: true,
         }
     }
 
@@ -236,7 +257,10 @@ impl Packet {
 impl Encode for Packet {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Packet::Publish { event, trace } => put_event_packet(buf, P_PUBLISH, event, *trace),
+            Packet::Publish { event, trace, ack } => {
+                let tag = if *ack { P_PUBLISH_ACKED } else { P_PUBLISH };
+                put_event_packet(buf, tag, event, *trace);
+            }
             Packet::PublishAck(id) => {
                 buf.put_u8(P_PUBLISH_ACK);
                 id.encode(buf);
@@ -359,9 +383,10 @@ impl Decode for Packet {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let tag = r.u8()?;
         Ok(match tag {
-            P_PUBLISH => Packet::Publish {
+            P_PUBLISH | P_PUBLISH_ACKED => Packet::Publish {
                 event: Event::decode(r)?,
                 trace: decode_trailing_trace(r)?,
+                ack: tag == P_PUBLISH_ACKED,
             },
             P_PUBLISH_ACK => Packet::PublishAck(EventId::decode(r)?),
             P_DELIVER => Packet::Deliver {
@@ -440,7 +465,8 @@ impl Decode for Packet {
     }
 }
 
-/// The layout `Publish` and `Deliver` share: tag, event, optional trace.
+/// The layout both `Publish` tags and `Deliver` share: tag, event,
+/// optional trace.
 fn put_event_packet(buf: &mut BytesMut, tag: u8, event: &Event, trace: TraceId) {
     buf.put_u8(tag);
     event.encode(buf);
@@ -531,6 +557,13 @@ mod tests {
         round_trip(Packet::Publish {
             event: sample_event(),
             trace: TraceId::for_event(ServiceId::from_raw(9), 4),
+            ack: false,
+        });
+        round_trip(Packet::publish_acked(sample_event()));
+        round_trip(Packet::Publish {
+            event: sample_event(),
+            trace: TraceId::for_event(ServiceId::from_raw(9), 4),
+            ack: true,
         });
         round_trip(Packet::PublishAck(EventId::new(ServiceId::from_raw(9), 4)));
         round_trip(Packet::deliver(sample_event()));
@@ -634,13 +667,16 @@ mod tests {
         let traced = to_bytes(&Packet::Publish {
             event: sample_event(),
             trace,
+            ack: false,
         });
         let untraced = to_bytes(&Packet::publish(sample_event()));
         assert_eq!(traced.len(), untraced.len() + 8, "trace is a trailing u64");
 
         // New frame: the trace survives the round trip.
         match from_bytes::<Packet>(&traced).expect("decode traced") {
-            Packet::Publish { event, trace: t } => {
+            Packet::Publish {
+                event, trace: t, ..
+            } => {
                 assert_eq!(event, sample_event());
                 assert_eq!(t, trace);
             }

@@ -160,7 +160,17 @@ proptest! {
             Packet::Publish {
                 event: e.clone(),
                 trace: smc_types::TraceId::from_raw(raw | 1),
+                ack: false,
             },
+            // The marked publish, untraced and traced.
+            Packet::publish_acked(e.clone()),
+            Packet::Publish {
+                event: e.clone(),
+                trace: smc_types::TraceId::from_raw(raw | 1),
+                ack: true,
+            },
+            // Both ack tags stay decodable though neither is required.
+            Packet::PublishAck(e.id()),
             Packet::DeliverAck(e.id()),
             Packet::Subscribe { request_id: raw, filter: f },
             Packet::SubscribeAck { request_id: raw, subscription: SubscriptionId(raw) },
@@ -175,6 +185,11 @@ proptest! {
             let back: Packet = from_bytes(&bytes).unwrap();
             prop_assert_eq!(back, p);
         }
+        // The mark is the tag alone: the same bytes after it.
+        let plain = to_bytes(&Packet::publish(e.clone()));
+        let marked = to_bytes(&Packet::publish_acked(e));
+        prop_assert_ne!(plain[0], marked[0]);
+        prop_assert_eq!(&plain[1..], &marked[1..]);
     }
 
     /// The shared encoding is the owned encoding, byte for byte.
