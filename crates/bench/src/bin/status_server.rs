@@ -74,10 +74,7 @@ fn main() {
     }
 
     let registry = Registry::default();
-    {
-        let cell = Arc::clone(&cell);
-        smc_core::register_bus_metrics(&registry, move || cell.metrics());
-    }
+    cell.register_metrics(&registry);
     sink.register_with(&registry);
 
     let connect = |device_type: &str| {
@@ -174,9 +171,24 @@ fn main() {
     let mut failures = 0;
     if smoke {
         let metrics = http_get(addr, "/metrics");
-        if !(metrics.starts_with("HTTP/1.1 200") && metrics.contains("smc_bus_published_total")) {
-            eprintln!("SMOKE FAIL: /metrics missing bus counters:\n{metrics}");
+        // One exposition for the whole cell: the bus's and discovery's
+        // series side by side, each series exactly once.
+        let body = metrics.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+        let series = smc_telemetry::parse_text(body).unwrap_or_default();
+        let has = |name: &str| series.iter().any(|s| s.name == name);
+        if !(metrics.starts_with("HTTP/1.1 200")
+            && has("smc_bus_published_total")
+            && has("smc_discovery_joins_total"))
+        {
+            eprintln!("SMOKE FAIL: /metrics missing bus or discovery counters:\n{metrics}");
             failures += 1;
+        }
+        let mut seen = std::collections::HashSet::new();
+        for s in &series {
+            if !seen.insert((&s.name, &s.labels)) {
+                eprintln!("SMOKE FAIL: /metrics repeats {} {:?}", s.name, s.labels);
+                failures += 1;
+            }
         }
         let health = http_get(addr, "/health");
         if !(health.starts_with("HTTP/1.1 200") && health.contains("\"overall\"")) {

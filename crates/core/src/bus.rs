@@ -30,14 +30,14 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
-use smc_telemetry::{Hop, Registry, Tracer};
+use smc_telemetry::{Hop, Tracer};
 use smc_transport::CpuProfile;
 use smc_types::{
     encode_deliver, Error, Event, Filter, Result, ServiceId, SharedBytes, SnapshotCell,
     Subscription, SubscriptionId, TraceId,
 };
 
-use crate::metrics::{register_bus_metrics, BusMetrics, MetricsSnapshot};
+use crate::metrics::{BusMetrics, MetricsSnapshot};
 
 /// One publish's worth of delivery context, shared across the fan-out.
 ///
@@ -234,7 +234,7 @@ impl EventBus {
             engine_kind: engine,
             next_sub: AtomicU64::new(1),
             cpu,
-            metrics: BusMetrics::new(),
+            metrics: BusMetrics::default(),
         }
     }
 
@@ -253,13 +253,6 @@ impl EventBus {
         let hold = control.tracer.probe_start();
         self.republish(&control);
         control.tracer.probe_control_hold(hold);
-    }
-
-    /// Exports this bus's counters into `registry` (sampled at render
-    /// time; the [`BusMetrics`] atomics remain the source of truth).
-    pub fn register_metrics(self: &Arc<Self>, registry: &Registry) {
-        let bus = Arc::clone(self);
-        register_bus_metrics(registry, move || bus.metrics());
     }
 
     /// Which engine the bus is running.
@@ -532,10 +525,11 @@ impl EventBus {
     ///
     /// [`SnapshotCell`]: smc_types::SnapshotCell
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.route_writer_wait_spins = self.routes.writer_wait_spins();
-        snap.route_writer_waits = self.routes.writer_waits();
-        snap
+        MetricsSnapshot {
+            route_writer_wait_spins: self.routes.writer_wait_spins(),
+            route_writer_waits: self.routes.writer_waits(),
+            ..self.metrics.snapshot()
+        }
     }
 
     /// Internal access for the cell wiring.

@@ -84,7 +84,7 @@ pub use composition::{
     child_cell_of, composition_path, CompositionLink, CompositionStats, CHILD_CELL_ATTR,
 };
 pub use federation::{federation_path, FederationLink, FederationStats, FEDERATION_PATH_ATTR};
-pub use metrics::{register_bus_metrics, BusMetrics, MetricsSnapshot};
+pub use metrics::{BusMetrics, MetricsSnapshot};
 pub use proxy::{DeviceCodec, PassthroughCodec, Proxy, ProxyStats};
 pub use quench::{QuenchChange, QuenchManager};
 pub use smc::{ReconcileReport, SmcCell, SmcConfig};

@@ -77,27 +77,24 @@ impl DeviceCodec for PassthroughCodec {
     }
 }
 
-/// Counters describing one proxy's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ProxyStats {
-    pub events_uplinked: u64,
-    pub events_downlinked: u64,
-    pub raw_frames: u64,
-    pub decode_errors: u64,
-    pub encode_errors: u64,
-    /// Deepest the member's outbound queue (queued + in flight) has been.
-    pub queue_depth_hwm: u64,
-}
-
-#[derive(Debug, Default)]
-struct ProxyCounters {
-    events_uplinked: AtomicU64,
-    events_downlinked: AtomicU64,
-    raw_frames: AtomicU64,
-    decode_errors: AtomicU64,
-    encode_errors: AtomicU64,
-    queue_depth_hwm: AtomicU64,
+smc_telemetry::metric_set! {
+    /// [`ProxyStats`] as the proxy counts them.
+    struct ProxyCounters {
+        /// Uplink events translated and handed to the bus.
+        counter events_uplinked: "smc_proxy_events_uplinked_total",
+        /// Downlink events queued for the member.
+        counter events_downlinked: "smc_proxy_events_downlinked_total",
+        /// Raw device frames received.
+        counter raw_frames: "smc_proxy_raw_frames_total",
+        /// Raw frames the codec could not decode.
+        counter decode_errors: "smc_proxy_decode_errors_total",
+        /// Downlink events the codec could not encode.
+        counter encode_errors: "smc_proxy_encode_errors_total",
+        /// Deepest the member's outbound queue (queued + in flight) has been.
+        gauge queue_depth_hwm: "smc_proxy_queue_depth_hwm",
+    }
+    /// Counters describing one proxy's activity.
+    pub struct ProxyStats {}
 }
 
 /// The per-member proxy.
@@ -268,14 +265,7 @@ impl Proxy {
 
     /// A snapshot of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
-        ProxyStats {
-            events_uplinked: self.counters.events_uplinked.load(Ordering::Relaxed),
-            events_downlinked: self.counters.events_downlinked.load(Ordering::Relaxed),
-            raw_frames: self.counters.raw_frames.load(Ordering::Relaxed),
-            decode_errors: self.counters.decode_errors.load(Ordering::Relaxed),
-            encode_errors: self.counters.encode_errors.load(Ordering::Relaxed),
-            queue_depth_hwm: self.counters.queue_depth_hwm.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 

@@ -32,13 +32,11 @@ use smc_types::{
     CursorEntry, Error, Event, Filter, OutboundEntry, Packet, Result, ServiceId, ServiceInfo,
     SharedClock, Subscription, SubscriptionId, TraceId, WalRecord,
 };
-use smc_wal::{
-    Wal, WalBackend, WalChannelJournal, WalConfig, WalMetrics, CHAN_BUS, CHAN_DISCOVERY,
-};
+use smc_wal::{Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY};
 
 use crate::bootstrap::ProxyFactory;
 use crate::bus::{EventBus, EventSink};
-use crate::metrics::{register_bus_metrics, BusMetrics, MetricsSnapshot};
+use crate::metrics::{BusMetrics, MetricsSnapshot};
 use crate::proxy::Proxy;
 use crate::quench::QuenchManager;
 
@@ -135,10 +133,6 @@ pub struct SmcCell {
     channel: Arc<ReliableChannel>,
     discovery_channel: Arc<ReliableChannel>,
     wal: Option<Arc<Wal>>,
-    /// WAL counter values already folded into [`BusMetrics`], so
-    /// successive [`SmcCell::metrics`] calls add only the delta and the
-    /// bus-side counters stay genuinely monotonic.
-    wal_seen: Mutex<WalMetrics>,
     proxies: Arc<Mutex<HashMap<ServiceId, Arc<Proxy>>>>,
     /// Shared, not owned: dispatch looks the sender up for every packet
     /// and must not deep-copy its strings and roles each time.
@@ -222,10 +216,8 @@ impl SmcCell {
             Vec::new(),
         );
         let cell = SmcCell::assemble(config, channel, discovery_channel, Some(Arc::clone(&wal)));
-        BusMetrics::put(
-            &cell.bus.metrics_ref().wal_recovery_micros,
-            recovered.recovery_micros,
-        );
+        let recovery_micros = &cell.bus.metrics_ref().wal_recovery_micros;
+        recovery_micros.store(recovered.recovery_micros, Ordering::Relaxed);
         // Re-admit recovered members silently (no Joined event — they
         // never left, the core did) and rebuild their proxies.
         for info in &snap.members {
@@ -305,7 +297,6 @@ impl SmcCell {
             channel,
             discovery_channel,
             wal,
-            wal_seen: Mutex::new(WalMetrics::default()),
             proxies: Arc::new(Mutex::new(HashMap::new())),
             members: Arc::new(Mutex::new(HashMap::new())),
             admission: Mutex::new(()),
@@ -373,6 +364,11 @@ impl SmcCell {
         &self.discovery
     }
 
+    /// The write-ahead log of a durable cell.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.wal.as_ref()
+    }
+
     /// The proxy factory — register device-type codecs here *before*
     /// devices join.
     pub fn proxy_factory(&self) -> &Arc<ProxyFactory> {
@@ -396,38 +392,27 @@ impl SmcCell {
         self.proxies.lock().get(&member).cloned()
     }
 
-    /// Bus metrics, folded together with the proxy queue high-water mark
-    /// and (for durable cells) the WAL's activity counters.
+    /// Bus metrics, folded together with the proxy queue high-water
+    /// mark. A durable cell's log counts for itself: [`SmcCell::wal`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        let m = self.bus.metrics_ref();
         let mut hwm = 0;
         for proxy in self.proxies.lock().values() {
             hwm = hwm.max(proxy.stats().queue_depth_hwm);
         }
-        BusMetrics::fetch_max(&m.proxy_queue_hwm, hwm);
-        if let Some(wal) = &self.wal {
-            let w = wal.metrics();
-            // Fold in only what the WAL did since we last looked: the
-            // bus-side counters are documented as monotonic, and `add`
-            // keeps them that way even though the WAL's own counters
-            // reset when a recovered cell reopens the log.
-            let mut seen = self.wal_seen.lock();
-            BusMetrics::add(
-                &m.wal_bytes_appended,
-                w.bytes_appended.saturating_sub(seen.bytes_appended),
-            );
-            BusMetrics::add(&m.wal_fsyncs, w.fsyncs.saturating_sub(seen.fsyncs));
-            BusMetrics::add(&m.wal_snapshots, w.snapshots.saturating_sub(seen.snapshots));
-            *seen = w;
-        }
+        let bus = self.bus.metrics_ref();
+        bus.proxy_queue_hwm.fetch_max(hwm, Ordering::Relaxed);
         self.bus.metrics()
     }
 
-    /// Exports this cell's counters (bus + proxy high-water mark + WAL)
-    /// into `registry`, sampled at render time.
+    /// Exposes this cell through `registry`, sampled at render time:
+    /// [`SmcCell::metrics`], and — each from its own counters — the
+    /// write-ahead log of a durable cell and the discovery service.
     pub fn register_metrics(self: &Arc<Self>, registry: &Registry) {
-        let cell = Arc::clone(self);
-        register_bus_metrics(registry, move || cell.metrics());
+        registry.register_weak(self, |cell, out| cell.metrics().samples(&[], out));
+        if let Some(wal) = &self.wal {
+            wal.register_with(registry);
+        }
+        self.discovery.register_with(registry);
     }
 
     /// Writes a [`CoreSnapshot`] of all durable state and truncates the

@@ -2,7 +2,7 @@
 //! still stop every worker thread (workers hold weak references), so a
 //! library user cannot leak threads by forgetting teardown.
 //!
-//! Both checks compare process-wide thread counts, so they run one after
+//! The checks compare process-wide thread counts, so they run one after
 //! the other inside the only `#[test]` of this binary: run in parallel,
 //! each would see the other's cell come and go.
 
@@ -37,6 +37,7 @@ fn settle(baseline: usize) -> usize {
 fn a_cell_leaves_no_threads_behind() {
     dropping_a_cell_stops_its_threads();
     shutdown_then_drop_is_also_clean();
+    a_registry_does_not_keep_a_dropped_cell_running();
 }
 
 fn dropping_a_cell_stops_its_threads() {
@@ -77,6 +78,36 @@ fn shutdown_then_drop_is_also_clean() {
     assert!(
         after <= baseline,
         "threads leaked after shutdown: {after} vs {baseline}"
+    );
+    net.shutdown();
+}
+
+fn a_registry_does_not_keep_a_dropped_cell_running() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let baseline = thread_count();
+    let cell = SmcCell::start(
+        Arc::new(net.endpoint()),
+        Arc::new(net.endpoint()),
+        SmcConfig::fast(),
+    );
+    let registry = smc_telemetry::Registry::new();
+    cell.register_metrics(&registry);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(thread_count() > baseline, "the cell spawned workers");
+    assert!(registry.render_text().contains("smc_bus_published_total"));
+
+    // The registry outlives the caller's handle and must not stand in
+    // for it: collectors hold the cell weakly.
+    drop(cell);
+    let after = settle(baseline);
+    assert!(
+        after <= baseline,
+        "a registry kept the cell alive: {after} threads vs baseline {baseline}"
+    );
+    let text = registry.render_text();
+    assert!(
+        !text.contains("smc_bus_published_total"),
+        "a dropped cell still exported:\n{text}"
     );
     net.shutdown();
 }

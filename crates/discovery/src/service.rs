@@ -6,7 +6,7 @@
 //! on the bus — the paper is explicit that "the discovery protocol does
 //! not use the event bus for monitoring group membership".
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,26 +78,24 @@ impl DiscoveryConfig {
     }
 }
 
-/// Counters describing one discovery service's activity since start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct DiscoveryStats {
-    pub joins: u64,
-    pub join_rejects: u64,
-    pub heartbeats: u64,
-    pub suspects: u64,
-    pub recovers: u64,
-    pub purges: u64,
-}
-
-#[derive(Debug, Default)]
-struct DiscoveryCounters {
-    joins: AtomicU64,
-    join_rejects: AtomicU64,
-    heartbeats: AtomicU64,
-    suspects: AtomicU64,
-    recovers: AtomicU64,
-    purges: AtomicU64,
+smc_telemetry::metric_set! {
+    /// [`DiscoveryStats`] as the service counts them.
+    struct DiscoveryCounters {
+        /// Members admitted to the cell.
+        counter joins: "smc_discovery_joins_total",
+        /// Join requests denied by the authenticator.
+        counter join_rejects: "smc_discovery_join_rejects_total",
+        /// Heartbeats received from known members.
+        counter heartbeats: "smc_discovery_heartbeats_total",
+        /// Lease expiries (member suspected).
+        counter suspects: "smc_discovery_suspects_total",
+        /// Suspected members that heartbeat within grace.
+        counter recovers: "smc_discovery_recovers_total",
+        /// Members purged (grace expiry, leave or eviction).
+        counter purges: "smc_discovery_purges_total",
+    }
+    /// Counters describing one discovery service's activity since start.
+    pub struct DiscoveryStats {}
 }
 
 impl DiscoveryCounters {
@@ -110,17 +108,6 @@ impl DiscoveryCounters {
             MembershipEvent::Purged(..) => &self.purges,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> DiscoveryStats {
-        DiscoveryStats {
-            joins: self.joins.load(Ordering::Relaxed),
-            join_rejects: self.join_rejects.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
-            suspects: self.suspects.load(Ordering::Relaxed),
-            recovers: self.recovers.load(Ordering::Relaxed),
-            purges: self.purges.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -411,47 +398,7 @@ impl DiscoveryService {
     /// Exports this service's counters into `registry` as
     /// `smc_discovery_*` series, sampled at render time.
     pub fn register_with(self: &Arc<Self>, registry: &smc_telemetry::Registry) {
-        let service = Arc::clone(self);
-        registry.register_collector(move |out| {
-            let s = service.stats();
-            let counter = |name: &str, help: &str, value: u64| smc_telemetry::Sample {
-                name: name.to_string(),
-                help: help.to_string(),
-                monotonic: true,
-                labels: Vec::new(),
-                value,
-            };
-            out.push(counter(
-                "smc_discovery_joins_total",
-                "Members admitted to the cell.",
-                s.joins,
-            ));
-            out.push(counter(
-                "smc_discovery_join_rejects_total",
-                "Join requests denied by the authenticator.",
-                s.join_rejects,
-            ));
-            out.push(counter(
-                "smc_discovery_heartbeats_total",
-                "Heartbeats received from known members.",
-                s.heartbeats,
-            ));
-            out.push(counter(
-                "smc_discovery_suspects_total",
-                "Lease expiries (member suspected).",
-                s.suspects,
-            ));
-            out.push(counter(
-                "smc_discovery_recovers_total",
-                "Suspected members that heartbeat within grace.",
-                s.recovers,
-            ));
-            out.push(counter(
-                "smc_discovery_purges_total",
-                "Members purged (grace expiry, leave or eviction).",
-                s.purges,
-            ));
-        });
+        registry.register_weak(self, |service, out| service.stats().samples(&[], out));
     }
 
     /// Stops the service and its worker thread.

@@ -21,9 +21,7 @@ use smc_wal::{
     MemBackend, Recovered, Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY,
 };
 
-use crate::planes::{
-    component_samples, sample, CellTelemetry, CellView, HealthRuntime, SupervisionPlane,
-};
+use crate::planes::{component_samples, CellTelemetry, CellView, HealthRuntime, SupervisionPlane};
 use crate::scenario::{CoreComponent, CorruptTarget};
 use crate::world::{Act, CellReport, Env, RunOptions, CHECKPOINT_MICROS};
 
@@ -691,16 +689,16 @@ impl Cell {
         for (n, dev) in self.devices.iter().enumerate() {
             let label = format!("device{n}");
             let retransmits = dev.channel.stats().retransmits;
-            out.push(sample(
+            out.push(Sample::counter(
                 RETRANSMITS,
-                Some(("channel", &label)),
-                true,
+                "",
+                &[("channel", &label)],
                 retransmits,
             ));
-            out.push(sample(
+            out.push(Sample::gauge(
                 "smc_proxy_queue_depth",
-                Some(("queue", &label)),
-                false,
+                "",
+                &[("queue", &label)],
                 dev.channel.pending(self.sink_id) as u64,
             ));
         }
@@ -711,29 +709,34 @@ impl Cell {
                 ("discovery", &core.disco_channel),
             ] {
                 let retransmits = channel.stats().retransmits;
-                out.push(sample(
+                out.push(Sample::counter(
                     RETRANSMITS,
-                    Some(("channel", label)),
-                    true,
+                    "",
+                    &[("channel", label)],
                     retransmits,
                 ));
             }
             let d = core.service.stats();
-            out.push(sample("smc_discovery_joins_total", None, true, d.joins));
-            out.push(sample("smc_discovery_purges_total", None, true, d.purges));
-            out.push(sample(
-                "smc_wal_records_appended_total",
-                None,
-                true,
-                core.wal.metrics().records_appended,
-            ));
+            let records = core.wal.metrics().records_appended;
+            for (name, value) in [
+                ("smc_discovery_joins_total", d.joins),
+                ("smc_discovery_purges_total", d.purges),
+                ("smc_wal_records_appended_total", records),
+            ] {
+                out.push(Sample::counter(name, "", &[], value));
+            }
         }
         let published: u64 = self
             .device_ids
             .iter()
             .map(|&id| env.oracle.published(id))
             .sum();
-        out.push(sample("smc_harness_published_total", None, true, published));
+        out.push(Sample::counter(
+            "smc_harness_published_total",
+            "",
+            &[],
+            published,
+        ));
         out
     }
 
@@ -1422,35 +1425,22 @@ impl Cell {
     }
 
     /// Registers collectors over the final core incarnation: the WAL's
-    /// and discovery's own series plus the sink channel's counters.
+    /// and discovery's own series plus three of the sink channel's.
     pub(crate) fn register_core_with(&self, registry: &Registry) {
+        const SINK_SERIES: [&str; 3] = [
+            "smc_channel_msgs_delivered_total",
+            "smc_channel_retransmits_total",
+            "smc_channel_duplicates_suppressed_total",
+        ];
         self.core.wal.register_with(registry);
         self.core.service.register_with(registry);
-        let sink_channel = Arc::clone(&self.core.sink_channel);
-        registry.register_collector(move |out| {
-            let s = sink_channel.stats();
-            for (name, help, value) in [
-                (
-                    "smc_channel_msgs_delivered_total",
-                    "Reliable messages delivered to the application.",
-                    s.msgs_delivered,
-                ),
-                (
-                    "smc_channel_retransmits_total",
-                    "Fragment retransmissions.",
-                    s.retransmits,
-                ),
-                (
-                    "smc_channel_duplicates_suppressed_total",
-                    "Duplicate fragments suppressed on receive.",
-                    s.duplicates_suppressed,
-                ),
-            ] {
-                out.push(Sample {
-                    help: help.to_string(),
-                    ..sample(name, Some(("channel", "sink")), true, value)
-                });
-            }
+        registry.register_weak(&self.core.sink_channel, |channel, out| {
+            let mut all = Vec::new();
+            channel.stats().samples(&[("channel", "sink")], &mut all);
+            out.extend(
+                all.into_iter()
+                    .filter(|s| SINK_SERIES.contains(&s.name.as_str())),
+            );
         });
     }
 

@@ -115,29 +115,10 @@ impl HealthRuntime {
 // Supervision.
 // ----------------------------------------------------------------------
 
-/// One metric sample, carrying at most one label and no help text.
-pub(crate) fn sample(
-    name: &str,
-    label: Option<(&str, &str)>,
-    monotonic: bool,
-    value: u64,
-) -> Sample {
-    Sample {
-        name: name.to_string(),
-        help: String::new(),
-        monotonic,
-        labels: label
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .into_iter()
-            .collect(),
-        value,
-    }
-}
-
 /// An up/down gauge of the kind the component-down detector watches.
 fn up_sample(name: &str, is_up: bool) -> Sample {
-    let label = Some(("component", name));
-    sample("smc_component_up", label, false, u64::from(is_up))
+    let labels = [("component", name)];
+    Sample::gauge("smc_component_up", "", &labels, u64::from(is_up))
 }
 
 /// The liveness gauges of a core's restartable components.

@@ -884,18 +884,22 @@ impl World {
                 v.journey = Some(sink.journey(TraceId::for_event(sender, seq)));
             }
         }
-        // Assemble the run's registry. Collectors sample the final core
-        // incarnation of the cell under test at render time; run-wide
+        // Assemble the run's registry. The final core incarnation of the
+        // cell under test is read once, here: collectors do not keep what
+        // they watch alive and the report outlives the cells. Run-wide
         // aggregates (which span cells and crashed incarnations) go in
         // below as plain instruments with their final values.
-        let registry = Registry::default();
-        cells[0].register_core_with(&registry);
+        let live = Registry::default();
+        cells[0].register_core_with(&live);
         if let Some(sink) = &env.trace_sink {
-            sink.register_with(&registry);
+            sink.register_with(&live);
         }
         if let Some(probe_sink) = env.tracer.probes() {
-            probe_sink.register_with(&registry);
+            probe_sink.register_with(&live);
         }
+        let finals = live.gather();
+        let registry = Registry::default();
+        registry.register_collector(move |out| out.extend(finals.iter().cloned()));
         let supervised = cells.iter().any(|c| c.sup.is_some());
 
         let telemetry = observer.map(|obs| {

@@ -647,16 +647,7 @@ mod tests {
     use super::*;
 
     fn sample(name: &str, labels: &[(&str, &str)], value: u64) -> Sample {
-        Sample {
-            name: name.to_owned(),
-            help: String::new(),
-            monotonic: true,
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect(),
-            value,
-        }
+        Sample::counter(name, "", labels, value)
     }
 
     fn ctx<'a>(
@@ -873,13 +864,9 @@ mod tests {
     #[test]
     fn slo_burn_needs_every_window_over_threshold() {
         let mut d = SloBurn::new("burn", 1000);
-        let burn = |slo: &str, window: &str, cell: &str, v: u64| Sample {
-            monotonic: false,
-            ..sample(
-                "burn",
-                &[("slo", slo), ("window", window), ("cell", cell)],
-                v,
-            )
+        let burn = |slo: &str, window: &str, cell: &str, v: u64| {
+            let labels = [("slo", slo), ("window", window), ("cell", cell)];
+            Sample::gauge("burn", "", &labels, v)
         };
         // Fast window spikes but the slow window is clean: a blip.
         let blip = vec![

@@ -316,13 +316,7 @@ mod tests {
     use smc_telemetry::Sample;
 
     fn rtx(label: &str, value: u64) -> Sample {
-        Sample {
-            name: "rtx".into(),
-            help: String::new(),
-            monotonic: true,
-            labels: vec![("channel".into(), label.into())],
-            value,
-        }
+        Sample::counter("rtx", "", &[("channel", label)], value)
     }
 
     fn storm_monitor() -> HealthMonitor {

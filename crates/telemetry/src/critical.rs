@@ -527,43 +527,35 @@ impl CriticalPath {
     /// `smc_trace_tail_*` samples, mirroring the sink's declared-
     /// truncation pattern: exemplar loss must be visible, not silent.
     pub fn register_with(registry: &crate::Registry, profiler: &Arc<Mutex<CriticalPath>>) {
-        let profiler = Arc::clone(profiler);
-        registry.register_collector(move |out| {
+        registry.register_weak(profiler, |profiler, out| {
             let p = profiler.lock();
             let r = p.reservoir();
-            let mut push = |name: &str, help: &str, monotonic: bool, value: u64| {
-                out.push(crate::Sample {
-                    name: name.into(),
-                    help: help.into(),
-                    monotonic,
-                    labels: vec![],
-                    value,
-                });
-            };
-            push(
-                "smc_trace_tail_exemplars_total",
-                "Tail journeys ever admitted to the exemplar reservoir.",
-                true,
-                r.admitted(),
-            );
-            push(
-                "smc_trace_tail_exemplars_dropped_total",
-                "Tail journeys lost to reservoir capacity (evictions and refusals).",
-                true,
-                r.dropped(),
-            );
-            push(
-                "smc_trace_tail_reservoir_occupancy",
-                "Exemplars currently retained.",
-                false,
-                r.occupancy() as u64,
-            );
-            push(
-                "smc_trace_tail_threshold_micros",
-                "Rolling quantile threshold for tail admission.",
-                false,
-                r.threshold_micros(),
-            );
+            out.extend([
+                crate::Sample::counter(
+                    "smc_trace_tail_exemplars_total",
+                    "Tail journeys ever admitted to the exemplar reservoir.",
+                    &[],
+                    r.admitted(),
+                ),
+                crate::Sample::counter(
+                    "smc_trace_tail_exemplars_dropped_total",
+                    "Tail journeys lost to reservoir capacity (evictions and refusals).",
+                    &[],
+                    r.dropped(),
+                ),
+                crate::Sample::gauge(
+                    "smc_trace_tail_reservoir_occupancy",
+                    "Exemplars currently retained.",
+                    &[],
+                    r.occupancy() as u64,
+                ),
+                crate::Sample::gauge(
+                    "smc_trace_tail_threshold_micros",
+                    "Rolling quantile threshold for tail admission.",
+                    &[],
+                    r.threshold_micros(),
+                ),
+            ]);
         });
     }
 }

@@ -99,20 +99,11 @@ mod tests {
     use super::*;
 
     fn counter(name: &str, value: u64) -> Sample {
-        Sample {
-            name: name.into(),
-            help: String::new(),
-            monotonic: true,
-            labels: vec![],
-            value,
-        }
+        Sample::counter(name, "", &[], value)
     }
 
     fn gauge(name: &str, value: u64) -> Sample {
-        Sample {
-            monotonic: false,
-            ..counter(name, value)
-        }
+        Sample::gauge(name, "", &[], value)
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! Instruments are cheap atomic handles; the registry remembers what was
 //! registered (name, help, labels) and renders everything on demand.
-//! Components that already keep their own atomic counters (the bus, the
-//! WAL, discovery) plug in as *collectors* — closures sampled at render
-//! time — so migration does not require rewriting their hot paths.
+//! Components that count on their own hot paths (the bus, the WAL,
+//! discovery, the reliable channel) declare their series once with
+//! [`metric_set!`](crate::metric_set) and plug in as *collectors* —
+//! closures sampled at render time.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -213,6 +214,14 @@ impl Kind {
             Kind::Histogram => "histogram",
         }
     }
+
+    fn of(sample: &Sample) -> Kind {
+        if sample.monotonic {
+            Kind::Counter
+        } else {
+            Kind::Gauge
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -243,6 +252,123 @@ pub struct Sample {
     pub labels: Vec<(String, String)>,
     /// The sampled value.
     pub value: u64,
+}
+
+impl Sample {
+    /// A counter reading (monotonic).
+    pub fn counter(name: &str, help: &str, labels: &[(&str, &str)], value: u64) -> Sample {
+        Sample {
+            name: name.to_owned(),
+            help: help.to_owned(),
+            monotonic: true,
+            labels: owned_labels(labels),
+            value,
+        }
+    }
+
+    /// A gauge reading (may go down).
+    pub fn gauge(name: &str, help: &str, labels: &[(&str, &str)], value: u64) -> Sample {
+        Sample {
+            monotonic: false,
+            ..Sample::counter(name, help, labels, value)
+        }
+    }
+}
+
+/// Declares a set of `u64` series **once**: kind (`counter` / `gauge`),
+/// field name, exposition name, and a doc comment that is also the
+/// `# HELP` text.
+///
+/// The first struct is what a hot path bumps — one inline, `Relaxed`
+/// [`AtomicU64`] per series. The second is its plain `Copy` reading,
+/// returned by the generated `snapshot()` and turned into [`Sample`]s by
+/// the generated `samples(labels, out)`. Series listed in the second
+/// struct's own braces have no atomic behind them: `snapshot()` leaves
+/// them zero for whoever takes the reading to fill in from where the
+/// value really lives.
+///
+/// ```
+/// smc_telemetry::metric_set! {
+///     /// What the door did.
+///     struct DoorCounters {
+///         /// Times the door opened.
+///         counter opened: "door_opened_total",
+///     }
+///     /// A reading of [`DoorCounters`].
+///     pub struct DoorStats {
+///         /// People inside right now.
+///         gauge inside: "door_inside",
+///     }
+/// }
+/// let mut out = Vec::new();
+/// DoorCounters::default().snapshot().samples(&[("door", "front")], &mut out);
+/// assert_eq!(out[1].name, "door_inside");
+/// ```
+#[macro_export]
+macro_rules! metric_set {
+    (
+        $(#[$atomics_meta:meta])*
+        $atomics_vis:vis struct $Atomics:ident {
+            $( $(#[doc = $help:literal])+ $kind:ident $field:ident : $name:literal ),* $(,)?
+        }
+        $(#[$reading_meta:meta])*
+        $reading_vis:vis struct $Reading:ident {
+            $( $(#[doc = $r_help:literal])+ $r_kind:ident $r_field:ident : $r_name:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$atomics_meta])*
+        #[derive(Debug, Default)]
+        $atomics_vis struct $Atomics {
+            $( $(#[doc = $help])+ pub $field: ::std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $Atomics {
+            /// A plain-value reading of every series (`Relaxed` loads).
+            $atomics_vis fn snapshot(&self) -> $Reading {
+                $Reading {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                    $( $r_field: 0, )*
+                }
+            }
+        }
+
+        $(#[$reading_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $reading_vis struct $Reading {
+            $( $(#[doc = $help])+ pub $field: u64, )*
+            $( $(#[doc = $r_help])+ pub $r_field: u64, )*
+        }
+
+        impl $Reading {
+            /// Appends one sample per series, each carrying `labels`.
+            $reading_vis fn samples(&self, labels: &[(&str, &str)], out: &mut Vec<$crate::Sample>) {
+                $( out.push($crate::Sample::$kind(
+                    $name, concat!($($help),+).trim(), labels, self.$field,
+                )); )*
+                $( out.push($crate::Sample::$r_kind(
+                    $r_name, concat!($($r_help),+).trim(), labels, self.$r_field,
+                )); )*
+            }
+        }
+    };
+}
+
+/// What one exposition has emitted so far. A series (`name{labels}`) is
+/// exported once and a name has one type: the first claim stands and a
+/// repeat is dropped — loudly in a debug build.
+#[derive(Default)]
+struct Claims {
+    series: HashSet<String>,
+    kinds: HashMap<String, Kind>,
+}
+
+impl Claims {
+    fn admit(&mut self, family: &str, kind: Kind, series: String) -> bool {
+        let fresh = *self.kinds.entry(family.to_owned()).or_insert(kind) == kind
+            && !self.series.contains(&series);
+        debug_assert!(fresh, "series {series} is exported twice or as two types");
+        fresh && self.series.insert(series)
+    }
 }
 
 type Collector = Box<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
@@ -279,10 +405,7 @@ impl Registry {
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Instrument,
     ) -> Instrument {
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect();
+        let labels = owned_labels(labels);
         let mut entries = self.0.entries.lock();
         if let Some(e) = entries
             .iter()
@@ -350,6 +473,31 @@ impl Registry {
         self.0.collectors.lock().push(Box::new(f));
     }
 
+    /// Installs a collector over `component` that does not keep it
+    /// alive: a registry may outlive what it watches, and emits nothing
+    /// for a component that is gone.
+    pub fn register_weak<T: Send + Sync + 'static>(
+        &self,
+        component: &Arc<T>,
+        f: impl Fn(&T, &mut Vec<Sample>) + Send + Sync + 'static,
+    ) {
+        let component = Arc::downgrade(component);
+        self.register_collector(move |out| {
+            if let Some(component) = component.upgrade() {
+                f(&component, out);
+            }
+        });
+    }
+
+    /// Every collector's samples, in registration order.
+    fn collect(&self) -> Vec<Sample> {
+        let mut out = Vec::new();
+        for c in self.0.collectors.lock().iter() {
+            c(&mut out);
+        }
+        out
+    }
+
     /// Samples every instrument and collector into a flat list — the
     /// structured twin of [`Registry::render_text`], consumed by readers
     /// that analyse the registry programmatically (the health monitor)
@@ -358,42 +506,28 @@ impl Registry {
     pub fn gather(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         for e in self.0.entries.lock().iter() {
+            let sample = |suffix: &str, monotonic: bool, value: u64| Sample {
+                name: format!("{}{suffix}", e.name),
+                help: e.help.clone(),
+                monotonic,
+                labels: e.labels.clone(),
+                value,
+            };
             match &e.inst {
-                Instrument::Counter(c) => out.push(Sample {
-                    name: e.name.clone(),
-                    help: e.help.clone(),
-                    monotonic: true,
-                    labels: e.labels.clone(),
-                    value: c.get(),
-                }),
-                Instrument::Gauge(g) => out.push(Sample {
-                    name: e.name.clone(),
-                    help: e.help.clone(),
-                    monotonic: false,
-                    labels: e.labels.clone(),
-                    value: g.get(),
-                }),
+                Instrument::Counter(c) => out.push(sample("", true, c.get())),
+                Instrument::Gauge(g) => out.push(sample("", false, g.get())),
                 Instrument::Histogram(h) => {
-                    out.push(Sample {
-                        name: format!("{}_count", e.name),
-                        help: e.help.clone(),
-                        monotonic: true,
-                        labels: e.labels.clone(),
-                        value: h.count(),
-                    });
-                    out.push(Sample {
-                        name: format!("{}_sum", e.name),
-                        help: e.help.clone(),
-                        monotonic: true,
-                        labels: e.labels.clone(),
-                        value: h.sum(),
-                    });
+                    out.push(sample("_count", true, h.count()));
+                    out.push(sample("_sum", true, h.sum()));
                 }
             }
         }
-        for c in self.0.collectors.lock().iter() {
-            c(&mut out);
-        }
+        out.extend(self.collect());
+        let mut claims = Claims::default();
+        out.retain(|s| {
+            let series = format!("{}{}", s.name, render_labels(&s.labels, None));
+            claims.admit(&s.name, Kind::of(s), series)
+        });
         out
     }
 
@@ -401,86 +535,53 @@ impl Registry {
     /// text exposition format (`# HELP`/`# TYPE`, labelled series,
     /// cumulative histogram buckets ending in `+Inf`).
     pub fn render_text(&self) -> String {
-        // name → (help, kind, series); BTreeMap for stable output.
+        // name → (help, kind, series lines); BTreeMap for stable output.
         let mut families: BTreeMap<String, (String, Kind, Vec<String>)> = BTreeMap::new();
-        let add_series = |families: &mut BTreeMap<String, (String, Kind, Vec<String>)>,
-                          name: &str,
-                          help: &str,
-                          kind: Kind,
-                          line: String| {
-            let fam = families
-                .entry(name.to_owned())
-                .or_insert_with(|| (help.to_owned(), kind, Vec::new()));
-            fam.2.push(line);
+        let mut claims = Claims::default();
+        let mut add_series = |name: &str, help: &str, kind: Kind, series: String, value: String| {
+            let line = format!("{series} {value}");
+            if claims.admit(name, kind, series) {
+                let fam = families
+                    .entry(name.to_owned())
+                    .or_insert_with(|| (help.to_owned(), kind, Vec::new()));
+                fam.2.push(line);
+            }
         };
 
         for e in self.0.entries.lock().iter() {
+            let series = |suffix: &str, le: Option<&str>| {
+                format!("{}{suffix}{}", e.name, render_labels(&e.labels, le))
+            };
+            let mut add = |kind: Kind, series: String, value: String| {
+                add_series(&e.name, &e.help, kind, series, value);
+            };
             match &e.inst {
-                Instrument::Counter(c) => add_series(
-                    &mut families,
-                    &e.name,
-                    &e.help,
-                    Kind::Counter,
-                    format!("{}{} {}", e.name, render_labels(&e.labels, None), c.get()),
-                ),
-                Instrument::Gauge(g) => add_series(
-                    &mut families,
-                    &e.name,
-                    &e.help,
-                    Kind::Gauge,
-                    format!("{}{} {}", e.name, render_labels(&e.labels, None), g.get()),
-                ),
+                Instrument::Counter(c) => add(Kind::Counter, series("", None), c.get().to_string()),
+                Instrument::Gauge(g) => add(Kind::Gauge, series("", None), g.get().to_string()),
                 Instrument::Histogram(h) => {
-                    let cumulative = h.cumulative();
                     let exemplars = h.0.exemplars.lock();
-                    let mut lines = Vec::with_capacity(BUCKETS + 2);
-                    for (i, c) in cumulative.iter().enumerate() {
+                    for (i, c) in h.cumulative().iter().enumerate() {
                         let exemplar = exemplars[i]
                             .map(|ex| format!(" # {{trace_id=\"{}\"}} {}", ex.trace, ex.value))
                             .unwrap_or_default();
-                        lines.push(format!(
-                            "{}_bucket{} {}{exemplar}",
-                            e.name,
-                            render_labels(&e.labels, Some(&bucket_bound(i))),
-                            c
-                        ));
+                        add(
+                            Kind::Histogram,
+                            series("_bucket", Some(&bucket_bound(i))),
+                            format!("{c}{exemplar}"),
+                        );
                     }
-                    lines.push(format!(
-                        "{}_sum{} {}",
-                        e.name,
-                        render_labels(&e.labels, None),
-                        h.sum()
-                    ));
-                    lines.push(format!(
-                        "{}_count{} {}",
-                        e.name,
-                        render_labels(&e.labels, None),
-                        h.count()
-                    ));
-                    for line in lines {
-                        add_series(&mut families, &e.name, &e.help, Kind::Histogram, line);
-                    }
+                    add(Kind::Histogram, series("_sum", None), h.sum().to_string());
+                    add(
+                        Kind::Histogram,
+                        series("_count", None),
+                        h.count().to_string(),
+                    );
                 }
             }
         }
-
-        let mut samples = Vec::new();
-        for c in self.0.collectors.lock().iter() {
-            c(&mut samples);
-        }
-        for s in samples {
-            let kind = if s.monotonic {
-                Kind::Counter
-            } else {
-                Kind::Gauge
-            };
-            add_series(
-                &mut families,
-                &s.name,
-                &s.help,
-                kind,
-                format!("{}{} {}", s.name, render_labels(&s.labels, None), s.value),
-            );
+        for s in self.collect() {
+            let series = format!("{}{}", s.name, render_labels(&s.labels, None));
+            add_series(&s.name, &s.help, Kind::of(&s), series, s.value.to_string());
         }
 
         let mut out = String::new();
@@ -530,6 +631,11 @@ pub struct ExemplarEntry {
     pub trace: TraceId,
     /// The exemplar observation's value.
     pub value: u64,
+}
+
+fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    let own = |(k, v): &(&str, &str)| ((*k).to_owned(), (*v).to_owned());
+    labels.iter().map(own).collect()
 }
 
 fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
@@ -842,15 +948,7 @@ mod tests {
         let h = r.histogram("g_lat", "A histogram.");
         h.observe(5);
         h.observe(7);
-        r.register_collector(|out| {
-            out.push(Sample {
-                name: "g_ext".into(),
-                help: "External.".into(),
-                monotonic: true,
-                labels: vec![],
-                value: 1,
-            });
-        });
+        r.register_collector(|out| out.push(Sample::counter("g_ext", "External.", &[], 1)));
         let samples = r.gather();
         let find = |n: &str| samples.iter().find(|s| s.name == n).unwrap();
         assert_eq!(find("g_total").value, 3);
@@ -876,19 +974,112 @@ mod tests {
         assert_eq!(c.get(), 1);
     }
 
+    crate::metric_set! {
+        /// A door's counters.
+        struct DoorCounters {
+            /// Times the door opened.
+            counter opened: "door_opened_total",
+            /// Most people ever inside
+            /// at once.
+            gauge inside_hwm: "door_inside_hwm",
+        }
+        /// A reading of [`DoorCounters`].
+        struct DoorStats {
+            /// People inside right now.
+            gauge inside: "door_inside",
+        }
+    }
+
+    #[test]
+    fn a_metric_set_is_bumped_read_and_sampled_from_one_declaration() {
+        let door = DoorCounters::default();
+        door.opened.fetch_add(1, Ordering::Relaxed);
+        door.opened.fetch_add(2, Ordering::Relaxed);
+        door.inside_hwm.fetch_max(5, Ordering::Relaxed);
+        door.inside_hwm.fetch_max(4, Ordering::Relaxed);
+        let stats = DoorStats {
+            inside: 2,
+            ..door.snapshot()
+        };
+        let expected = DoorStats {
+            opened: 3,
+            inside_hwm: 5,
+            inside: 2,
+        };
+        assert_eq!(stats, expected);
+        assert_eq!(door.snapshot().inside, 0, "no atomic behind it");
+
+        let mut out = Vec::new();
+        stats.samples(&[("door", "front")], &mut out);
+        let got: Vec<_> = out
+            .iter()
+            .map(|s| (s.name.as_str(), s.help.as_str(), s.monotonic, s.value))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("door_opened_total", "Times the door opened.", true, 3),
+                (
+                    "door_inside_hwm",
+                    "Most people ever inside at once.",
+                    false,
+                    5
+                ),
+                ("door_inside", "People inside right now.", false, 2),
+            ]
+        );
+        let front = vec![("door".to_owned(), "front".to_owned())];
+        assert!(out.iter().all(|s| s.labels == front));
+    }
+
+    #[test]
+    fn a_weak_collector_emits_nothing_once_its_component_is_gone() {
+        let r = Registry::new();
+        let component = Arc::new(AtomicU64::new(4));
+        r.register_weak(&component, |c, out| {
+            out.push(Sample::gauge("held", "", &[], c.load(Ordering::Relaxed)));
+        });
+        assert_eq!(
+            Arc::strong_count(&component),
+            1,
+            "the registry pins nothing"
+        );
+        assert!(r.render_text().contains("held 4"));
+        drop(component);
+        assert_eq!(r.render_text(), "");
+        assert!(r.gather().is_empty());
+    }
+
+    /// The first claim on a name fixes its type; a second source claiming
+    /// it as another is dropped — with a panic naming it in a debug build.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "series clash"))]
+    fn a_counter_gauge_clash_keeps_one_type() {
+        let r = Registry::new();
+        r.register_collector(|out| {
+            out.push(Sample::counter("clash", "As a counter.", &[], 1));
+            out.push(Sample::gauge("clash", "As a gauge.", &[("k", "v")], 2));
+        });
+        let text = r.render_text();
+        assert_eq!(
+            text,
+            "# HELP clash As a counter.\n# TYPE clash counter\nclash 1\n"
+        );
+        assert_eq!(r.gather().len(), 1);
+    }
+
     #[test]
     fn collectors_are_sampled_at_render_time() {
         let r = Registry::new();
         let source = Arc::new(AtomicU64::new(5));
         let s2 = Arc::clone(&source);
         r.register_collector(move |out| {
-            out.push(Sample {
-                name: "external_total".into(),
-                help: "From a component's own atomics.".into(),
-                monotonic: true,
-                labels: vec![],
-                value: s2.load(Ordering::Relaxed),
-            });
+            out.push(Sample::counter(
+                "external_total",
+                "From a component's own atomics.",
+                &[],
+                s2.load(Ordering::Relaxed),
+            ));
         });
         assert!(r.render_text().contains("external_total 5"));
         source.store(9, Ordering::Relaxed);

@@ -103,22 +103,19 @@ impl ProbeSink {
     /// Exports every probe series through `registry` as
     /// `smc_probe_*_{sum,count,max}` samples.
     pub fn register_with(self: &Arc<Self>, registry: &crate::Registry) {
-        let sink = Arc::clone(self);
-        registry.register_collector(move |out| {
+        registry.register_weak(self, |sink, out| {
             let mut series = |name: &str, help: &str, snap: ProbeSnapshot, max_is_gauge: bool| {
                 let (sum, count, max) = snap;
-                let mut push = |suffix: &str, monotonic: bool, value: u64| {
-                    out.push(crate::Sample {
-                        name: format!("{name}_{suffix}"),
-                        help: help.to_owned(),
-                        monotonic,
-                        labels: vec![],
-                        value,
-                    });
+                let max_of = if max_is_gauge {
+                    crate::Sample::gauge
+                } else {
+                    crate::Sample::counter
                 };
-                push("sum", true, sum);
-                push("count", true, count);
-                push("max", !max_is_gauge, max);
+                out.extend([
+                    crate::Sample::counter(&format!("{name}_sum"), help, &[], sum),
+                    crate::Sample::counter(&format!("{name}_count"), help, &[], count),
+                    max_of(&format!("{name}_max"), help, &[], max),
+                ]);
             };
             series(
                 "smc_probe_control_hold_micros",

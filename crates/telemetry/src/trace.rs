@@ -303,29 +303,27 @@ impl TraceSink {
     /// wrap-around — nonzero means journeys may be incomplete and the
     /// sink capacity should grow).
     pub fn register_with(self: &Arc<Self>, registry: &crate::Registry) {
-        let sink = Arc::clone(self);
-        registry.register_collector(move |out| {
-            out.push(crate::Sample {
-                name: "smc_trace_hops_appended_total".into(),
-                help: "Hop records appended to the trace sink.".into(),
-                monotonic: true,
-                labels: vec![],
-                value: sink.appended(),
-            });
-            out.push(crate::Sample {
-                name: "smc_trace_dropped_hops_total".into(),
-                help: "Hop records lost to trace-ring wrap-around.".into(),
-                monotonic: true,
-                labels: vec![],
-                value: sink.dropped(),
-            });
-            out.push(crate::Sample {
-                name: "smc_trace_truncated_journeys_total".into(),
-                help: "Distinct traces whose journeys lost records to ring wrap-around.".into(),
-                monotonic: true,
-                labels: vec![],
-                value: sink.truncated_journeys(),
-            });
+        registry.register_weak(self, |sink, out| {
+            out.extend([
+                crate::Sample::counter(
+                    "smc_trace_hops_appended_total",
+                    "Hop records appended to the trace sink.",
+                    &[],
+                    sink.appended(),
+                ),
+                crate::Sample::counter(
+                    "smc_trace_dropped_hops_total",
+                    "Hop records lost to trace-ring wrap-around.",
+                    &[],
+                    sink.dropped(),
+                ),
+                crate::Sample::counter(
+                    "smc_trace_truncated_journeys_total",
+                    "Distinct traces whose journeys lost records to ring wrap-around.",
+                    &[],
+                    sink.truncated_journeys(),
+                ),
+            ]);
         });
     }
 

@@ -195,63 +195,34 @@ pub type PendingOutbound = Vec<(ServiceId, Vec<(u64, Vec<u8>)>)>;
 /// entries in delivery order.
 pub type UnconsumedRx = Vec<(ServiceId, u64, u64, Vec<u8>)>;
 
-/// Counters describing a channel's activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Reliable messages accepted for sending.
-    pub msgs_sent: u64,
-    /// Reliable messages fully acknowledged.
-    pub msgs_acked: u64,
-    /// Reliable messages delivered to the application.
-    pub msgs_delivered: u64,
-    /// Messages abandoned after `max_retries`.
-    pub msgs_expired: u64,
-    /// Fragment retransmissions.
-    pub retransmits: u64,
-    /// Duplicate fragments suppressed on receive.
-    pub duplicates_suppressed: u64,
-    /// Unreliable payloads sent (including broadcasts).
-    pub unreliable_sent: u64,
-    /// Unreliable payloads received.
-    pub unreliable_received: u64,
-    /// Messages that entered a retransmission round — an ack deadline
-    /// passed with fragments still outstanding. Mirrored onto the
-    /// interrupt line installed via
-    /// [`ReliableChannel::set_missed_ack_interrupt`].
-    pub missed_ack_interrupts: u64,
-}
-
-/// [`ChannelStats`] as the channel keeps them: one atomic per counter, so
-/// the send and receive paths count without taking a lock. `Relaxed`
-/// throughout — these are statistics and publish no other data.
-#[derive(Debug, Default)]
-struct Counters {
-    msgs_sent: AtomicU64,
-    msgs_acked: AtomicU64,
-    msgs_delivered: AtomicU64,
-    msgs_expired: AtomicU64,
-    retransmits: AtomicU64,
-    duplicates_suppressed: AtomicU64,
-    unreliable_sent: AtomicU64,
-    unreliable_received: AtomicU64,
-    missed_ack_interrupts: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ChannelStats {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ChannelStats {
-            msgs_sent: read(&self.msgs_sent),
-            msgs_acked: read(&self.msgs_acked),
-            msgs_delivered: read(&self.msgs_delivered),
-            msgs_expired: read(&self.msgs_expired),
-            retransmits: read(&self.retransmits),
-            duplicates_suppressed: read(&self.duplicates_suppressed),
-            unreliable_sent: read(&self.unreliable_sent),
-            unreliable_received: read(&self.unreliable_received),
-            missed_ack_interrupts: read(&self.missed_ack_interrupts),
-        }
+smc_telemetry::metric_set! {
+    /// [`ChannelStats`] as the channel keeps them: one atomic per counter,
+    /// so the send and receive paths count without taking a lock.
+    /// `Relaxed` throughout — these are statistics and publish no other
+    /// data.
+    struct Counters {
+        /// Reliable messages accepted for sending.
+        counter msgs_sent: "smc_channel_msgs_sent_total",
+        /// Reliable messages fully acknowledged.
+        counter msgs_acked: "smc_channel_msgs_acked_total",
+        /// Reliable messages delivered to the application.
+        counter msgs_delivered: "smc_channel_msgs_delivered_total",
+        /// Messages abandoned after `max_retries`.
+        counter msgs_expired: "smc_channel_msgs_expired_total",
+        /// Fragment retransmissions.
+        counter retransmits: "smc_channel_retransmits_total",
+        /// Duplicate fragments suppressed on receive.
+        counter duplicates_suppressed: "smc_channel_duplicates_suppressed_total",
+        /// Unreliable payloads sent (including broadcasts).
+        counter unreliable_sent: "smc_channel_unreliable_sent_total",
+        /// Unreliable payloads received.
+        counter unreliable_received: "smc_channel_unreliable_received_total",
+        /// Messages that entered a retransmission round: an ack deadline
+        /// passed with fragments outstanding (the missed-ack interrupt).
+        counter missed_ack_interrupts: "smc_channel_missed_ack_interrupts_total",
     }
+    /// Counters describing a channel's activity.
+    pub struct ChannelStats {}
 }
 
 fn bump(counter: &AtomicU64) {

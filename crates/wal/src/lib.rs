@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -512,17 +512,20 @@ pub struct Recovered {
     pub recovery_micros: u64,
 }
 
-/// Counters describing a [`Wal`]'s activity since open.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalMetrics {
-    /// Records appended.
-    pub records_appended: u64,
-    /// Framed bytes appended (headers included).
-    pub bytes_appended: u64,
-    /// Fsyncs performed.
-    pub fsyncs: u64,
-    /// Snapshots written.
-    pub snapshots: u64,
+smc_telemetry::metric_set! {
+    /// [`WalMetrics`] as the log counts them.
+    struct WalCounters {
+        /// Records appended to the write-ahead log.
+        counter records_appended: "smc_wal_records_appended_total",
+        /// Framed bytes appended to the write-ahead log.
+        counter bytes_appended: "smc_wal_bytes_appended_total",
+        /// Fsyncs performed by the write-ahead log.
+        counter fsyncs: "smc_wal_fsyncs_total",
+        /// Snapshots written by the write-ahead log.
+        counter snapshots: "smc_wal_snapshots_total",
+    }
+    /// Counters describing a [`Wal`]'s activity since open.
+    pub struct WalMetrics {}
 }
 
 #[derive(Debug)]
@@ -605,10 +608,7 @@ pub struct Wal {
     backend: Arc<dyn WalBackend>,
     config: WalConfig,
     inner: Mutex<WalInner>,
-    records_appended: AtomicU64,
-    bytes_appended: AtomicU64,
-    fsyncs: AtomicU64,
-    snapshots: AtomicU64,
+    counters: WalCounters,
     /// Append wait/service probe (clock + sink), swapped in via
     /// [`Wal::set_probes`]; `None` keeps appends untimed.
     probes: smc_types::SnapshotCell<Option<WalProbes>>,
@@ -648,10 +648,7 @@ impl Wal {
                 active,
                 active_bytes: 0,
             }),
-            records_appended: AtomicU64::new(0),
-            bytes_appended: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
+            counters: WalCounters::default(),
             probes: smc_types::SnapshotCell::default(),
         };
         let recovered = Recovered {
@@ -737,12 +734,14 @@ impl Wal {
         }
         self.backend.append(inner.active, framed)?;
         inner.active_bytes += framed.len();
-        self.records_appended.fetch_add(1, Ordering::Relaxed);
-        self.bytes_appended
+        let counters = &self.counters;
+        counters.records_appended.fetch_add(1, Ordering::Relaxed);
+        counters
+            .bytes_appended
             .fetch_add(framed.len() as u64, Ordering::Relaxed);
         if self.config.sync_each_append {
             self.backend.sync(inner.active)?;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         if let (Some(p), Some(t0), Some(t1)) = (probes.as_ref(), queued_at, locked_at) {
             let done = p.clock.now_micros();
@@ -807,7 +806,7 @@ impl Wal {
                 self.backend.remove_segment(id)?;
             }
         }
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -825,12 +824,7 @@ impl Wal {
 
     /// A snapshot of the log's activity counters.
     pub fn metrics(&self) -> WalMetrics {
-        WalMetrics {
-            records_appended: self.records_appended.load(Ordering::Relaxed),
-            bytes_appended: self.bytes_appended.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// The backend this log writes to.
@@ -841,37 +835,7 @@ impl Wal {
     /// Exports this log's counters into `registry` as `smc_wal_*` series,
     /// sampled at render time.
     pub fn register_with(self: &Arc<Self>, registry: &smc_telemetry::Registry) {
-        let wal = Arc::clone(self);
-        registry.register_collector(move |out| {
-            let m = wal.metrics();
-            let counter = |name: &str, help: &str, value: u64| smc_telemetry::Sample {
-                name: name.to_string(),
-                help: help.to_string(),
-                monotonic: true,
-                labels: Vec::new(),
-                value,
-            };
-            out.push(counter(
-                "smc_wal_records_appended_total",
-                "Records appended to the write-ahead log.",
-                m.records_appended,
-            ));
-            out.push(counter(
-                "smc_wal_bytes_appended_total",
-                "Framed bytes appended to the write-ahead log.",
-                m.bytes_appended,
-            ));
-            out.push(counter(
-                "smc_wal_fsyncs_total",
-                "Fsyncs performed by the write-ahead log.",
-                m.fsyncs,
-            ));
-            out.push(counter(
-                "smc_wal_snapshots_total",
-                "Snapshots written by the write-ahead log.",
-                m.snapshots,
-            ));
-        });
+        registry.register_weak(self, |wal, out| wal.metrics().samples(&[], out));
     }
 }
 
@@ -1227,8 +1191,48 @@ mod tests {
         assert!(m.bytes_appended > 2 * RECORD_HEADER_LEN as u64);
     }
 
+    /// One log installed on a registry twice is still exported once (and
+    /// a debug build says so, naming the first repeated series).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "smc_wal_records_appended_total")
+    )]
+    fn registering_a_log_twice_renders_each_series_once() {
+        let wal = Arc::new(open_mem(&MemBackend::new()).0);
+        wal.append(&cursor(1, 1)).unwrap();
+        let registry = smc_telemetry::Registry::new();
+        wal.register_with(&registry);
+        wal.register_with(&registry);
+        let text = registry.render_text();
+        let parsed = smc_telemetry::parse_text(&text).expect("exposition parses back");
+        let series: Vec<(&str, f64)> = parsed.iter().map(|s| (s.name.as_str(), s.value)).collect();
+        let m = wal.metrics();
+        assert_eq!(
+            series,
+            [
+                ("smc_wal_bytes_appended_total", m.bytes_appended as f64),
+                ("smc_wal_fsyncs_total", 1.0),
+                ("smc_wal_records_appended_total", 1.0),
+                ("smc_wal_snapshots_total", 0.0),
+            ]
+        );
+        assert_eq!(text.matches("# TYPE").count(), 4);
+    }
+
+    #[test]
+    fn a_registry_does_not_keep_the_log_alive() {
+        let wal = Arc::new(open_mem(&MemBackend::new()).0);
+        let registry = smc_telemetry::Registry::new();
+        wal.register_with(&registry);
+        assert!(registry.render_text().contains("smc_wal_fsyncs_total 0"));
+        drop(wal);
+        assert_eq!(registry.render_text(), "");
+    }
+
     #[test]
     fn file_backend_round_trips() {
+        use std::sync::atomic::AtomicU64;
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "smc-wal-test-{}-{}",
