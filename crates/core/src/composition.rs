@@ -117,9 +117,8 @@ impl CompositionLink {
                     return Ok(());
                 }
                 path.push(child_cell_id);
-                let mut out = event.clone();
                 let text: Vec<String> = path.iter().map(|c| c.raw().to_string()).collect();
-                out.attributes_mut().insert(CHILD_CELL_ATTR, text.join(","));
+                let mut out = event.with_attr(CHILD_CELL_ATTR, text.join(","));
                 // Fresh stamp under the link's identity in the parent.
                 out.stamp(ServiceId::NIL, 0, 0);
                 // Count before publishing so an observer woken by the

@@ -207,11 +207,8 @@ impl FederationLink {
             path.push(self.remote_cell);
         }
         path.push(local_cell);
-        let mut imported = event;
         let path_text: Vec<String> = path.iter().map(|c| c.raw().to_string()).collect();
-        imported
-            .attributes_mut()
-            .insert(FEDERATION_PATH_ATTR, path_text.join(","));
+        let imported = event.with_attr(FEDERATION_PATH_ATTR, path_text.join(","));
         // Count before republishing so an observer woken by the delivery
         // sees the updated stats. Republished under the local cell's
         // identity: local subscribers see one coherent FIFO stream per

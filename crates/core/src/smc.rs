@@ -26,7 +26,7 @@ use smc_match::EngineKind;
 use smc_policy::{ActionClass, ActionSpec, Decision, FiredAction, PolicyService};
 use smc_telemetry::{Hop, Registry, Tracer};
 use smc_transport::{CpuProfile, Incoming, ReliableChannel, ReliableConfig, Transport};
-use smc_types::codec::{from_bytes, to_bytes, to_shared};
+use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{
     new_member_event, purge_member_event, system_clock, AttributeSet, CellId, CoreSnapshot,
     CursorEntry, Error, Event, Filter, OutboundEntry, Packet, Result, ServiceId, ServiceInfo,
@@ -830,7 +830,7 @@ impl SmcCell {
 
     fn handle_incoming(&self, incoming: Incoming) {
         let from = incoming.from();
-        let Ok(packet) = from_bytes::<Packet>(incoming.payload()) else {
+        let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
         };
         // Membership gate: everything on the bus endpoint requires

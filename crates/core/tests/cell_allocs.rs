@@ -4,8 +4,9 @@
 //! 1 → 1, the ledger's `vitals_udp` shape on the in-memory link.
 //!
 //! The rule the path is held to: one request to send a message, none to
-//! share one, and a decode asks for what the decoded value keeps. Per
-//! delivered event that is
+//! share one, and a decode asks for what the decoded value keeps — which,
+//! for an event, is the message it arrived in plus a table. Per delivered
+//! event that is
 //!
 //! | stage                                                   | requests |
 //! |---------------------------------------------------------|----------|
@@ -14,25 +15,29 @@
 //! | link: one buffer per datagram, 2 data frames            | 2        |
 //! | link: a standalone acknowledgement per half window and hop | ≈ 0.1 |
 //! | `Frame` decode ×2 (the payload keeps the datagram)      | 0        |
-//! | cell: `Publish` decoded (type, table, 3 names, payload, body) | 7  |
+//! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its table, its shared body) | 2 |
 //! | cell: event shared with the bus; policy, nothing firing | 0        |
-//! | bus: the one `Deliver` frame; proxy sends it as it is   | 1        |
-//! | subscriber: `Deliver` decoded                           | 7        |
+//! | bus: the one `Deliver` frame — the `Publish`'s bytes, restamped; proxy sends it as it is | 1 |
+//! | subscriber: `Deliver` adopted (table, body)             | 2        |
 //! | in-flight maps gaining a node as windows fill           | ≈ 0.5    |
-//! | **plain**                                               | **≈ 18.5** |
+//! | **plain**                                               | **≈ 8.5** |
 //! | durable: the one message the bus channel delivers, kept until consumed | 1 |
 //! | durable: the log's segments growing (4 records, framed in scratch) | ≈ 0.1 |
-//! | **durable**                                             | **≈ 19.5** |
+//! | **durable**                                             | **≈ 9.5** |
 //!
 //! Nothing is sent back at the application level: the publisher did not
 //! ask for a `PublishAck`, and the channel's own acknowledgement — held,
 //! cumulative, one datagram per half window — is all either hop pays.
 //!
-//! Measured here: 18.5 plain, 19.5 durable (22.4 and 24.5 with a
-//! `PublishAck` and a `DeliverAck` per event, 74.1 and 119.9 before this
-//! budget existed; 8 of what is left are the type and attribute names of
-//! the two decodes). The bounds leave room for a loaded host, where the
-//! poll tick sends an acknowledgement before half a window is owed.
+//! Measured here: 8.5 plain, 9.5 durable (18.5 and 19.5 while each decode
+//! copied type name, three names and payload out of the message — 7
+//! requests a decode; 22.4 and 24.5 with a `PublishAck` and a
+//! `DeliverAck` per event; 74.1 and 119.9 before this budget existed).
+//! What is left of a decode is two requests whatever the event's size;
+//! string and bytes attribute *values* are still copied out on top, one
+//! request each, and this event has none. The bounds leave room for a
+//! loaded host, where the poll tick sends an acknowledgement before half
+//! a window is owed.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`;
 //! the count is process-wide because the cell's work happens on its own
@@ -154,10 +159,10 @@ fn requests_per_event(durable: bool) -> f64 {
 #[test]
 fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
     let plain = requests_per_event(false);
-    assert!(plain <= 22.0, "plain cell: {plain} heap requests per event");
+    assert!(plain <= 11.0, "plain cell: {plain} heap requests per event");
     let durable = requests_per_event(true);
     assert!(
-        durable <= 24.0,
+        durable <= 12.0,
         "durable cell: {durable} heap requests per event"
     );
 }

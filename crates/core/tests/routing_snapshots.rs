@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use smc_core::{EventBus, EventSink};
 use smc_match::EngineKind;
-use smc_types::{Error, Event, Filter, Payload, Result, ServiceId};
+use smc_types::{Error, Event, Filter, Result, ServiceId};
 
 const EVENT_TYPE: &str = "smc.sensor.reading";
 
@@ -326,13 +326,13 @@ fn fan_out_shares_one_payload_buffer() {
         })
         .collect();
     let e = event(1, 1);
-    let original: Payload = e.payload_shared().clone();
+    let original = e.clone();
     assert_eq!(bus.publish(e).unwrap(), 16);
     for sink in &sinks {
         let events = sink.events.lock().unwrap();
         assert_eq!(events.len(), 1);
         assert!(
-            events[0].payload_shared().ptr_eq(&original),
+            std::ptr::eq(events[0].payload(), original.payload()),
             "delivery copied the payload buffer"
         );
     }

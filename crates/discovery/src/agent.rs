@@ -15,7 +15,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use smc_transport::{Incoming, ReliableChannel};
-use smc_types::codec::{from_bytes, to_bytes, to_shared};
+use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
 
 /// Lifecycle notifications emitted by a [`MemberAgent`].
@@ -478,7 +478,7 @@ impl AgentWorker {
 
     fn handle_at(&self, incoming: Incoming, now: Instant) {
         let from = incoming.from();
-        let Ok(packet) = from_bytes::<Packet>(incoming.payload()) else {
+        let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
         };
         match packet {

@@ -14,7 +14,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use smc_transport::{Incoming, ReliableChannel};
-use smc_types::codec::{from_bytes, to_bytes, to_shared};
+use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, PurgeReason, Result, ServiceId, ServiceInfo, SharedClock};
 
 use crate::auth::{AcceptAll, Authenticator};
@@ -472,7 +472,7 @@ impl Worker {
 
     fn handle_at(&self, incoming: Incoming, now: Instant) {
         let from = incoming.from();
-        let Ok(packet) = from_bytes::<Packet>(incoming.payload()) else {
+        let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
         };
         match packet {

@@ -14,7 +14,7 @@ use smc_policy::{ActionClass, ActionSpec, Decision};
 use smc_telemetry::{Hop, HopRecord, Registry, Sample};
 use smc_transport::{Incoming, LinkConfig, MemTransport, ReliableChannel};
 use smc_types::{
-    codec, member::wellknown, CellId, CoreSnapshot, CursorEntry, Event, OutboundEntry, PendingRx,
+    member::wellknown, CellId, CoreSnapshot, CursorEntry, Event, OutboundEntry, PendingRx,
     ServiceId, ServiceInfo, SupervisionMsg, TraceId, WalRecord,
 };
 use smc_wal::{
@@ -935,7 +935,7 @@ impl Cell {
         let ward_view = views[peer.sibling];
         while let Ok(incoming) = peer.channel.recv(Some(Duration::ZERO)) {
             if let Incoming::Reliable { payload, .. } = incoming {
-                if let Ok(event) = codec::from_bytes::<Event>(&payload) {
+                if let Ok(event) = Event::from_message(payload) {
                     if let Some(msg) = SupervisionMsg::from_event(&event) {
                         // A repair command may carry the adopter's
                         // episode trace; the target's half of the
@@ -1108,9 +1108,7 @@ impl Cell {
                     .as_mut()
                     .and_then(|tel| tel.episode_wire_repair(ward_member, now))
                 {
-                    event
-                        .attributes_mut()
-                        .insert(wellknown::TEL_EPISODE, trace.raw() as i64);
+                    event = event.with_attr(wellknown::TEL_EPISODE, trace.raw() as i64);
                 }
             }
             peer.send(sibling_sup, &event);

@@ -616,7 +616,7 @@ impl Observer {
         let now = env.now;
         while let Ok(incoming) = self.channel.recv(Some(Duration::ZERO)) {
             if let Incoming::Reliable { payload, .. } = incoming {
-                if let Ok(event) = codec::from_bytes::<Event>(&payload) {
+                if let Ok(event) = Event::from_message(payload) {
                     if let Some(msg) = TelemetryMsg::from_event(&event) {
                         self.ward.apply(&msg, event.timestamp_micros(), now);
                     }

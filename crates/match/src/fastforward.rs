@@ -269,9 +269,9 @@ struct FilterEntry {
 }
 
 impl FilterEntry {
-    fn type_matches(&self, event: &Event) -> bool {
+    fn type_matches(&self, event_type: &str) -> bool {
         match &self.event_type {
-            Some(t) => t == event.event_type(),
+            Some(t) => t == event_type,
             None => true,
         }
     }
@@ -369,6 +369,9 @@ impl FfTable {
         }
         *generation += 1;
         let generation = *generation;
+        // Read once: an event's type name is a slice of its encoding,
+        // re-checked as UTF-8 on every read.
+        let event_type = event.event_type();
 
         let filters = &self.filters[..];
         let records = &self.records[..];
@@ -386,7 +389,7 @@ impl FfTable {
                     slot.1 += 1;
                     if slot.1 == needed {
                         let entry = filters[fid].as_ref().expect("posted filter is live");
-                        if entry.type_matches(event) {
+                        if entry.type_matches(event_type) {
                             fired.push(fid);
                         }
                     }
@@ -396,12 +399,12 @@ impl FfTable {
                 let cluster = self.clusters[cluster]
                     .as_ref()
                     .expect("indexed cluster is live");
-                self.probe(cluster, event, fired);
+                self.probe(cluster, event, event_type, fired);
             }
         }
 
         fired.extend(self.match_all.iter().copied());
-        if let Some(list) = self.empty_typed.get(event.event_type()) {
+        if let Some(list) = self.empty_typed.get(event_type) {
             fired.extend(list.iter().copied());
         }
     }
@@ -409,7 +412,7 @@ impl FfTable {
     /// Appends to `fired` the members of `cluster` that match `event`: one
     /// hash over the event's values for the cluster's names, one bucket
     /// lookup, then each candidate verified in full.
-    fn probe(&self, cluster: &Cluster, event: &Event, fired: &mut Vec<FilterId>) {
+    fn probe(&self, cluster: &Cluster, event: &Event, event_type: &str, fired: &mut Vec<FilterId>) {
         let mut state = self.hasher.build_hasher();
         for name in cluster.names.iter() {
             match event.attr(name) {
@@ -426,7 +429,7 @@ impl FfTable {
                 let c = self.records[cid].as_ref().expect("held constraint is live");
                 c.matches_event(event)
             };
-            if entry.type_matches(event) && entry.constraint_ids.iter().all(holds) {
+            if entry.type_matches(event_type) && entry.constraint_ids.iter().all(holds) {
                 fired.push(fid);
             }
         }

@@ -9,8 +9,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use smc_match::{EngineKind, MatchScratch, Matcher, NaiveEngine, RouteSnapshot};
+use smc_types::codec::to_bytes;
 use smc_types::{
-    AttributeValue, Constraint, Event, Filter, Op, ServiceId, Subscription, SubscriptionId,
+    AttributeValue, Constraint, Event, Filter, Op, Packet, ServiceId, Subscription, SubscriptionId,
 };
 
 /// The naive linear scan first — the oracle the others are held to, and
@@ -180,18 +181,33 @@ fn subscribe_all(engines: &mut [Box<dyn Matcher>], id: u64, filter: &Filter) {
     }
 }
 
-/// Every engine answers `event` like the oracle (`engines[0]`).
+/// `event` as a cell or a subscriber holds it: sent as a `Publish` and
+/// left in the message it arrived in, names and payload read out of the
+/// received bytes.
+fn adopted(event: &Event) -> Event {
+    match Packet::from_message(to_bytes(&Packet::publish(event.clone()))) {
+        Ok(Packet::Publish { event, .. }) => event,
+        other => panic!("{event} came back as {other:?}"),
+    }
+}
+
+/// Every engine answers `event` like the oracle (`engines[0]`) — and
+/// every engine, the oracle included, answers the adopted form of it
+/// like the built one.
 fn assert_agree(engines: &mut [Box<dyn Matcher>], event: &Event) {
     let oracle = engines[0].matching_subscriptions(event);
     let oracle_svc = engines[0].matching_subscribers(event);
-    for e in &mut engines[1..] {
-        assert_eq!(
-            e.matching_subscriptions(event),
-            oracle,
-            "engine {} disagrees with oracle on {event}",
-            e.name()
-        );
-        assert_eq!(e.matching_subscribers(event), oracle_svc);
+    let received = adopted(event);
+    for e in engines {
+        for form in [event, &received] {
+            assert_eq!(
+                e.matching_subscriptions(form),
+                oracle,
+                "engine {} disagrees with oracle on {form}",
+                e.name()
+            );
+            assert_eq!(e.matching_subscribers(form), oracle_svc);
+        }
     }
 }
 
@@ -216,8 +232,10 @@ fn assert_frozen((snap, len, answers): &Frozen, events: &[Event]) {
     let mut out = Vec::new();
     assert_eq!(snap.len(), *len);
     for (ev, want) in events.iter().zip(answers) {
-        snap.matching_subscribers_into(ev, &mut scratch, &mut out);
-        assert_eq!(&out, want, "snapshot of {len} subscriptions on {ev}");
+        for form in [ev, &adopted(ev)] {
+            snap.matching_subscribers_into(form, &mut scratch, &mut out);
+            assert_eq!(&out, want, "snapshot of {len} subscriptions on {form}");
+        }
     }
 }
 

@@ -268,6 +268,14 @@ impl Incoming {
             Incoming::Reliable { payload, .. } | Incoming::Unreliable { payload, .. } => payload,
         }
     }
+
+    /// The payload itself — the buffer the message arrived in — for a
+    /// consumer that keeps it (`Packet::from_message`).
+    pub fn into_payload(self) -> Vec<u8> {
+        match self {
+            Incoming::Reliable { payload, .. } | Incoming::Unreliable { payload, .. } => payload,
+        }
+    }
 }
 
 /// Resolves when a reliable send is fully acknowledged (or abandoned).

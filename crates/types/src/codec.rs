@@ -19,7 +19,7 @@ use bytes::BufMut;
 pub use bytes::BytesMut;
 
 use crate::error::CodecError;
-use crate::event::{AttributeSet, Event, Payload};
+use crate::event::AttributeSet;
 use crate::filter::{Constraint, Filter, Op, Subscription};
 use crate::id::{CellId, EventId, ServiceId, SubscriptionId};
 use crate::shared::SharedBytes;
@@ -139,6 +139,21 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    /// Bytes consumed so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes not yet consumed.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Consumes `n` bytes unread.
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), CodecError> {
+        self.take(n).map(|_| ())
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEnd {
@@ -200,9 +215,14 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u16`-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        Ok(self.str_ref()?.to_owned())
+    }
+
+    /// Reads a `u16`-length-prefixed UTF-8 string without copying it out
+    /// of the input: the bytes are checked where they lie.
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u16()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::BadUtf8)
     }
 
     /// Reads a `u32`-length-prefixed byte array.
@@ -397,49 +417,27 @@ impl Encode for AttributeSet {
 
 /// The shortest attribute on the wire: an empty name (2) and a boolean
 /// (tag + byte).
-const MIN_ATTRIBUTE_LEN: usize = 4;
+pub(crate) const MIN_ATTRIBUTE_LEN: usize = 4;
 
 impl Decode for AttributeSet {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = r.collection_len()?;
         // The count is the sender's claim; reserve only what the bytes
         // that are left can actually hold.
-        let mut set = AttributeSet::with_capacity(len.min(r.remaining() / MIN_ATTRIBUTE_LEN));
+        let mut entries = Vec::with_capacity(len.min(r.remaining() / MIN_ATTRIBUTE_LEN));
         for _ in 0..len {
-            let name = r.str()?;
-            let value = AttributeValue::decode(r)?;
-            set.insert(name, value);
+            entries.push((r.str()?, AttributeValue::decode(r)?));
         }
-        Ok(set)
+        // Senders write names in ascending order, which costs nothing to
+        // confirm; anything else is sorted once, last duplicate winning.
+        Ok(AttributeSet::from_entries(entries))
     }
 }
 
 // --- events ----------------------------------------------------------------
-
-impl Encode for Event {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_str(self.event_type());
-        self.publisher().encode(buf);
-        buf.put_u64_le(self.seq());
-        buf.put_u64_le(self.timestamp_micros());
-        self.attributes().encode(buf);
-        buf.put_bytes_field(self.payload());
-    }
-}
-
-impl Decode for Event {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let event_type = r.str()?;
-        let publisher = ServiceId::decode(r)?;
-        let seq = r.u64()?;
-        let timestamp = r.u64()?;
-        let attributes = AttributeSet::decode(r)?;
-        let payload = Payload::from(r.bytes_ref()?);
-        Ok(Event::from_parts(
-            event_type, attributes, payload, publisher, seq, timestamp,
-        ))
-    }
-}
+//
+// `Encode` and `Decode for Event` are in `crate::event`, beside the event's
+// body: the body is the encoding.
 
 // --- filters ----------------------------------------------------------------
 
@@ -516,6 +514,7 @@ impl Decode for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = to_bytes(v);
@@ -645,6 +644,28 @@ mod tests {
         buf.put_u16_le(u16::MAX); // attribute count
         let err = AttributeSet::decode(&mut Reader::new(&buf));
         assert!(matches!(err, Err(CodecError::LengthOverflow { .. })));
+    }
+
+    /// What a hostile sender can do to the attribute table: the largest
+    /// collection, names descending, one of them twice. One sort, the
+    /// later duplicate standing.
+    #[test]
+    fn descending_and_duplicate_names_are_sorted_once_last_wins() {
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(MAX_COLLECTION_LEN as u16);
+        for i in (1..MAX_COLLECTION_LEN as i64).rev() {
+            buf.put_str(&format!("n{i:04}"));
+            AttributeValue::Int(i).encode(&mut buf);
+        }
+        buf.put_str("n0007");
+        AttributeValue::Int(-7).encode(&mut buf);
+        let set: AttributeSet = from_bytes(&buf).unwrap();
+        assert_eq!(set.len(), MAX_COLLECTION_LEN - 1);
+        assert!(set.iter().map(|(n, _)| n).is_sorted());
+        assert_eq!(set.get("n0007"), Some(&AttributeValue::Int(-7)));
+        assert_eq!(set.get("n4095"), Some(&AttributeValue::Int(4095)));
+        // And what every honest sender writes comes back as it was.
+        assert_eq!(from_bytes::<AttributeSet>(&to_bytes(&set)).unwrap(), set);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod wal;
 
 pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use error::{CodecError, Error, Result};
-pub use event::{AttributeSet, Event, EventBuilder, Payload};
+pub use event::{AttributeSet, Attributes, Event, EventBuilder};
 pub use filter::{Constraint, Filter, Op, Subscription};
 pub use filter_text::parse_filter;
 pub use id::{CellId, EventId, ServiceId, SubscriptionId};

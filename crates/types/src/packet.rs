@@ -6,7 +6,7 @@
 
 use bytes::{BufMut, BytesMut};
 
-use crate::codec::{to_shared, Decode, Encode, Reader, WriteExt};
+use crate::codec::{from_bytes, with_scratch, Decode, Encode, Reader, WriteExt};
 use crate::error::CodecError;
 use crate::event::{AttributeSet, Event};
 use crate::filter::Filter;
@@ -223,6 +223,34 @@ impl Packet {
             event,
             trace: TraceId::NONE,
         }
+    }
+
+    /// Decodes a received message, keeping it: the event of a `Publish`
+    /// or a `Deliver` stays in `message` and reads its type name, names
+    /// and payload out of it (see [`Event`]), so the decode asks the heap
+    /// for the event's table and shared body and copies nothing. Every
+    /// other packet is decoded as [`from_bytes`] would and the message
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the input is truncated, malformed, or
+    /// has trailing bytes — the same verdict as [`from_bytes`] on the
+    /// same bytes.
+    pub fn from_message(message: Vec<u8>) -> Result<Packet, CodecError> {
+        let Some(&tag @ (P_PUBLISH | P_PUBLISH_ACKED | P_DELIVER)) = message.first() else {
+            return from_bytes(&message);
+        };
+        let (event, trace) = Event::adopt(message, 1, decode_trailing_trace)?;
+        Ok(if tag == P_DELIVER {
+            Packet::Deliver { event, trace }
+        } else {
+            Packet::Publish {
+                event,
+                trace,
+                ack: tag == P_PUBLISH_ACKED,
+            }
+        })
     }
 
     /// Short packet-kind name for logs and metrics.
@@ -477,18 +505,6 @@ fn put_event_packet(buf: &mut BytesMut, tag: u8, event: &Event, trace: TraceId) 
     }
 }
 
-/// A [`Packet::Deliver`] over a borrowed event.
-struct DeliverRef<'a> {
-    event: &'a Event,
-    trace: TraceId,
-}
-
-impl Encode for DeliverRef<'_> {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_event_packet(buf, P_DELIVER, self.event, self.trace);
-    }
-}
-
 /// Encodes a [`Packet::Deliver`] frame straight from a borrowed event —
 /// byte-identical to `to_shared(&Packet::Deliver { event, trace })` but
 /// without putting the event into a packet first.
@@ -496,9 +512,14 @@ impl Encode for DeliverRef<'_> {
 /// This is the fan-out hot path: the bus encodes one delivery frame per
 /// publish and shares it across every remote subscriber, so the per-
 /// subscriber cost is a reference-count bump instead of a fresh encode.
-/// The shared buffer is the call's only allocation.
+/// The shared buffer is the call's only allocation, and what goes into it
+/// is the event's body as it is held — for an event that arrived in a
+/// `Publish`, that message's bytes under another tag.
 pub fn encode_deliver(event: &Event, trace: TraceId) -> SharedBytes {
-    to_shared(&DeliverRef { event, trace })
+    with_scratch(|buf| {
+        put_event_packet(buf, P_DELIVER, event, trace);
+        SharedBytes::from(&buf[..])
+    })
 }
 
 /// Reads the trailing optional trace id: old (pre-trace) frames end at the

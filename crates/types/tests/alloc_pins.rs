@@ -1,11 +1,14 @@
 //! Pins what the codec and an [`Event`] may ask of the heap: sharing an
-//! event is free, sending anything is one request, and decoding asks for
-//! what the decoded value keeps and nothing else.
+//! event is free, sending anything is one request — sending on an event
+//! that arrived in a message included — and decoding asks for what the
+//! decoded value keeps and nothing else.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`.
 
 use smc_types::codec::{from_bytes, to_bytes, to_shared};
-use smc_types::{Event, EventId, Packet, ServiceId};
+use smc_types::{
+    encode_deliver, AttributeValue, CodecError, Event, EventId, Packet, ServiceId, TraceId,
+};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -58,8 +61,56 @@ fn encoding_for_a_channel_is_one_request() {
 #[test]
 fn decoding_a_publish_asks_for_what_the_event_keeps() {
     let bytes = to_bytes(&Packet::publish(reading()));
+    // Handed the message, the event stays in it: the attribute table and
+    // the shared body.
+    let message = bytes.clone();
+    let (requests, packet) = during(|| Packet::from_message(message));
+    assert_eq!(packet.unwrap(), Packet::publish(reading()));
+    assert!(requests.count <= 2, "{} requests, owned", requests.count);
+    // Lent a slice, the event's own bytes are copied out first.
     let (requests, packet) = during(|| from_bytes::<Packet>(&bytes));
     assert_eq!(packet.unwrap(), Packet::publish(reading()));
-    // Type name, attribute table, three names, payload, the shared body.
-    assert!(requests.count <= 8, "{} requests", requests.count);
+    assert!(requests.count <= 3, "{} requests, borrowed", requests.count);
+    // Nothing but the table scales with the event: 40 B a row.
+    assert!(
+        requests.bytes as usize <= bytes.len() + 3 * 40 + 128,
+        "{} B requested for a {} B message",
+        requests.bytes,
+        bytes.len()
+    );
+}
+
+#[test]
+fn a_string_that_is_not_utf8_is_refused_before_it_is_copied() {
+    // A string value: tag 3, length 64, no byte of it UTF-8.
+    let mut bytes = vec![3u8, 64, 0];
+    bytes.extend([0xFF; 64]);
+    let (requests, value) = during(|| from_bytes::<AttributeValue>(&bytes));
+    assert_eq!(value, Err(CodecError::BadUtf8));
+    assert_eq!(requests.count, 0);
+}
+
+#[test]
+fn re_encoding_an_adopted_event_as_a_deliver_is_one_request() {
+    let trace = TraceId::for_event(ServiceId::from_raw(7), 1);
+    let message = to_bytes(&Packet::Publish {
+        event: reading(),
+        trace,
+        ack: false,
+    });
+    let Ok(Packet::Publish { mut event, .. }) = Packet::from_message(message) else {
+        panic!("a publish");
+    };
+    event.stamp(ServiceId::from_raw(7), 1, 99);
+    let mut expected = reading();
+    expected.stamp(ServiceId::from_raw(7), 1, 99);
+    // Once: the thread's scratch grows to working size.
+    let expected = to_bytes(&Packet::Deliver {
+        event: expected,
+        trace,
+    });
+    let (requests, deliver) = during(|| encode_deliver(&event, trace));
+    assert_eq!(requests.count, 1, "encode_deliver");
+    assert!(requests.bytes as usize <= deliver.len() + 24);
+    assert_eq!(&deliver[..], &expected[..]);
 }

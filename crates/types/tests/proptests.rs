@@ -3,11 +3,11 @@
 use proptest::prelude::*;
 use smc_types::codec::{from_bytes, to_bytes, to_shared};
 use smc_types::{
-    AttributeValue, CellId, Constraint, Event, Filter, Op, Packet, ServiceId, ServiceInfo,
-    SubscriptionId, WalRecord,
+    encode_deliver, AttributeValue, CellId, Constraint, Event, Filter, Op, Packet, ServiceId,
+    ServiceInfo, SubscriptionId, TraceId, WalRecord,
 };
 
-// For the one property that measures what a decode reserves.
+// For the properties that measure what a decode reserves.
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
@@ -48,6 +48,24 @@ fn arb_event() -> impl Strategy<Value = Event> {
             }
             b.build()
         })
+}
+
+/// Whether two decodes of the same bytes agree: the same error, or values
+/// that encode alike (damaged bytes may hold a NaN, which `==` refuses).
+fn same_verdict<T: smc_types::codec::Encode>(
+    a: &Result<T, smc_types::CodecError>,
+    b: &Result<T, smc_types::CodecError>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => to_bytes(a) == to_bytes(b),
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// The attribute count written at `count_at` of an encoded event body.
+fn expected_count(body: &[u8], count_at: usize) -> usize {
+    u16::from_le_bytes([body[count_at], body[count_at + 1]]) as usize
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -220,9 +238,8 @@ proptest! {
     }
 
     /// An event is a value however many clones share its content: what is
-    /// done to a copy — through `attributes_mut`, a stamp, or a cloned
-    /// builder carried on — never shows in the original, and `==` still
-    /// compares content.
+    /// done to a copy — `with_attr`, a stamp, or a cloned builder carried
+    /// on — never shows in the original, and `==` still compares content.
     #[test]
     fn event_clones_are_values(
         e in arb_event(),
@@ -237,22 +254,29 @@ proptest! {
         copy.stamp(ServiceId::from_raw(seq), seq, seq);
         prop_assert_eq!(&to_bytes(&e), &before, "a stamp is the copy's own");
         prop_assert_eq!(copy.attributes(), e.attributes());
-        prop_assert!(copy.payload_shared().ptr_eq(e.payload_shared()));
+        prop_assert!(std::ptr::eq(copy.payload(), e.payload()));
 
         let had = e.attr(&name).cloned();
-        copy.attributes_mut().insert(name.clone(), value.clone());
-        prop_assert_eq!(&to_bytes(&e), &before, "a mutation is the copy's own");
+        let shared = copy.clone();
+        let copy = copy.with_attr(&name, value.clone());
+        prop_assert_eq!(&to_bytes(&e), &before, "a new attribute is the copy's own");
         prop_assert_eq!(e.attr(&name), had.as_ref());
+        prop_assert_eq!(shared.attr(&name), had.as_ref());
         prop_assert_eq!(copy.attr(&name), Some(&value));
         prop_assert_eq!(copy.attributes() == e.attributes(), had.as_ref() == Some(&value));
+        prop_assert_eq!(copy.id(), shared.id(), "the stamp is carried over");
+        prop_assert_eq!(copy.payload(), e.payload());
 
-        // The same mutation made independently gives an equal event.
+        // The same change made independently gives an equal event, and it
+        // is what a round trip over the wire gives back.
         let mut again = e.clone();
         again.stamp(ServiceId::from_raw(seq), seq, seq);
-        again.attributes_mut().insert(name.clone(), value.clone());
+        let again = again.with_attr(&name, value.clone());
         prop_assert_eq!(&again, &copy);
-        copy.attributes_mut().remove(&name);
-        prop_assert_ne!(&again, &copy);
+        prop_assert_eq!(&from_bytes::<Event>(&to_bytes(&copy)).unwrap(), &copy);
+        // No generated value is this long.
+        let other = copy.with_attr(&name, vec![0xFFu8; 65]);
+        prop_assert_ne!(&again, &other);
 
         // A builder is a value too.
         let base = Event::builder(e.event_type()).attr("k", 1i64);
@@ -262,10 +286,135 @@ proptest! {
         prop_assert_eq!(with.attributes().len(), if name == "k" { 1 } else { 2 });
     }
 
+    /// An event that stays in the message it arrived in is the event that
+    /// was sent: equal to it, matched by the same filters, and sent on as
+    /// the same bytes under every tag an event travels under.
+    #[test]
+    fn an_adopted_event_is_the_event_that_was_sent(
+        e in arb_event(),
+        f in arb_filter(),
+        raw in any::<u64>(),
+    ) {
+        let trace = TraceId::from_raw(raw | 1);
+        for sent in [
+            Packet::publish(e.clone()),
+            Packet::publish_acked(e.clone()),
+            Packet::Publish { event: e.clone(), trace, ack: false },
+            Packet::Deliver { event: e.clone(), trace },
+        ] {
+            let message = to_bytes(&sent);
+            let adopted = Packet::from_message(message.clone()).unwrap();
+            prop_assert_eq!(&adopted, &sent);
+            prop_assert_eq!(&adopted, &from_bytes::<Packet>(&message).unwrap());
+            prop_assert_eq!(&to_bytes(&adopted), &message);
+            let (Packet::Publish { event, .. } | Packet::Deliver { event, .. }) = adopted else {
+                unreachable!("an event packet")
+            };
+            prop_assert_eq!(&event, &e);
+            prop_assert_eq!(f.matches(&event), f.matches(&e));
+            prop_assert_eq!(event.content_len(), e.content_len());
+            for packet in [
+                Packet::publish(event.clone()),
+                Packet::publish_acked(event.clone()),
+                Packet::deliver(event.clone()),
+                Packet::Deliver { event: event.clone(), trace },
+            ] {
+                let built = match &packet {
+                    Packet::Publish { ack: false, .. } => Packet::publish(e.clone()),
+                    Packet::Publish { .. } => Packet::publish_acked(e.clone()),
+                    Packet::Deliver { trace, .. } => Packet::Deliver { event: e.clone(), trace: *trace },
+                    _ => unreachable!("an event packet"),
+                };
+                prop_assert_eq!(to_bytes(&packet), to_bytes(&built));
+            }
+            for trace in [TraceId::NONE, trace] {
+                prop_assert_eq!(
+                    &encode_deliver(&event, trace)[..],
+                    &to_bytes(&Packet::Deliver { event: e.clone(), trace })[..]
+                );
+            }
+        }
+        // The bare event, as the harness's planes send it.
+        prop_assert_eq!(&Event::from_message(to_bytes(&e)).unwrap(), &e);
+    }
+
+    /// A message's body is its sender's claim. Cut anywhere, with a name
+    /// that is not UTF-8, names out of order or repeated, a count the
+    /// bytes cannot back, or bytes left over, adopting it gives an error
+    /// or the event a builder would have made of the same content —
+    /// whichever the borrowed decode gives — and asks the heap for no
+    /// more than the message could fill: 40 B of table per 4 B attribute,
+    /// the values once, a non-canonical body written out once more.
+    #[test]
+    fn a_hostile_body_is_refused_or_normalised(
+        e in arb_event(),
+        attrs in proptest::collection::vec((arb_name(), arb_value()), 0..6),
+        damage in 0usize..6,
+        at in any::<proptest::sample::Index>(),
+        claimed in any::<u16>(),
+        extra in 1usize..8,
+    ) {
+        // The event's content with `attrs` appended in the order drawn:
+        // unsorted, and with repeats when a name comes up twice.
+        let mut expected = e.clone();
+        let mut body = Vec::new();
+        body.extend_from_slice(&(e.event_type().len() as u16).to_le_bytes());
+        body.extend_from_slice(e.event_type().as_bytes());
+        body.extend_from_slice(&to_bytes(&e)[body.len()..][..22]);
+        let count_at = body.len();
+        body.extend_from_slice(&((e.attributes().len() + attrs.len()) as u16).to_le_bytes());
+        let mut name_at = None;
+        for (n, v) in e.attributes().iter().map(|(n, v)| (n, v.clone())).chain(
+            attrs.iter().map(|(n, v)| (n.as_str(), v.clone())),
+        ) {
+            name_at = Some(body.len() + 2);
+            body.extend_from_slice(&(n.len() as u16).to_le_bytes());
+            body.extend_from_slice(n.as_bytes());
+            body.extend_from_slice(&to_bytes(&v));
+            expected = expected.with_attr(n, v);
+        }
+        body.extend_from_slice(&(e.payload().len() as u32).to_le_bytes());
+        body.extend_from_slice(e.payload());
+
+        let mut intact = true;
+        match damage {
+            0 => {}
+            1 => { body.truncate(at.index(body.len())); intact = false; }
+            2 => if let Some(i) = name_at { body[i] = 0xFF; intact = false; },
+            3 => {
+                intact = claimed as usize == expected_count(&body, count_at);
+                body[count_at..count_at + 2].copy_from_slice(&claimed.to_le_bytes());
+            }
+            4 => { body.extend(std::iter::repeat_n(0xA5, extra)); intact = false; }
+            _ => { let i = at.index(body.len()); body[i] ^= 0x55; intact = false; }
+        }
+
+        let mut message = vec![1u8];
+        message.extend_from_slice(&body);
+        let borrowed = from_bytes::<Event>(&body);
+        let (requests, adopted) = counting_alloc::during(|| Event::from_message(body.clone()));
+        // 11 × for a table of the smallest attributes, 1 × for the clone
+        // above, up to 3 × for a body written out again with its table.
+        prop_assert!(
+            requests.bytes as usize <= 16 * body.len() + 256,
+            "{} B requested for {} B of input", requests.bytes, body.len()
+        );
+        prop_assert!(same_verdict(&adopted, &borrowed), "{adopted:?} vs {borrowed:?}");
+        let packet = Packet::from_message(message.clone());
+        prop_assert!(same_verdict(&packet, &from_bytes::<Packet>(&message)));
+        if intact {
+            prop_assert_eq!(adopted.as_ref().ok(), Some(&expected));
+            prop_assert_eq!(to_bytes(adopted.as_ref().unwrap()), to_bytes(&expected));
+            prop_assert_eq!(packet.ok(), Some(Packet::publish(expected)));
+        } else if damage == 1 || damage == 2 || damage == 4 {
+            prop_assert!(adopted.is_err());
+        }
+    }
+
     /// The attribute count of an event is the sender's claim. Whatever it
     /// says, and wherever the bytes stop, decoding reserves no more than
-    /// the bytes that are there could fill: 56 B of table per 4 B
-    /// attribute, the strings and the payload once each.
+    /// the bytes that are there could fill: 40 B of table per 4 B
+    /// attribute, the values and the event's own bytes once each.
     #[test]
     fn hostile_collection_len_cannot_make_event_decode_reserve(
         e in arb_event(),
@@ -286,17 +435,20 @@ proptest! {
             prop_assert_eq!(decoded.ok(), (bytes.len() == whole).then_some(e));
         }
         prop_assert!(
-            requests.bytes as usize <= 17 * bytes.len() + 128,
+            requests.bytes as usize <= 12 * bytes.len() + 128,
             "{} B requested for {} B of input", requests.bytes, bytes.len()
         );
     }
 
     #[test]
     fn decoding_random_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Must not panic; error is fine.
-        let _ = from_bytes::<Packet>(&bytes);
-        let _ = from_bytes::<Event>(&bytes);
+        // Must not panic; error is fine — and the same error whether the
+        // bytes are borrowed or handed over.
+        let packet = from_bytes::<Packet>(&bytes);
+        let event = from_bytes::<Event>(&bytes);
         let _ = from_bytes::<Filter>(&bytes);
+        prop_assert!(same_verdict(&Packet::from_message(bytes.clone()), &packet));
+        prop_assert!(same_verdict(&Event::from_message(bytes), &event));
     }
 
     /// Soundness of the covering relation: if `wide` covers `narrow`, then
