@@ -68,7 +68,10 @@ impl RemoteClient {
     /// Joins a cell and connects to its bus: starts a [`MemberAgent`] on
     /// `channel`, waits up to `join_timeout` for admission, and installs
     /// the packet router as the agent's sink — bus traffic is routed on
-    /// the agent's own thread, with no hand-off in between.
+    /// the thread that received it (the channel's receive thread), with
+    /// no hand-off in between. The router only queues and answers
+    /// without waiting; whoever installs a sink of their own must keep to
+    /// the same rule ([`smc_discovery::PacketSink`]).
     ///
     /// # Errors
     ///

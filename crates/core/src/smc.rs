@@ -3,16 +3,19 @@
 //! [`SmcCell`] is the paper's Figure 1 in one object: the event bus at the
 //! heart, the discovery service managing membership, the policy service
 //! governing behaviour, and per-member proxies masking device
-//! heterogeneity. Two worker threads do the wiring:
+//! heterogeneity. Two threads do the wiring:
 //!
 //! * the **membership thread** consumes discovery's membership events,
 //!   creates/destroys proxies (the bootstrap mechanism), publishes the
 //!   well-known `New Member` / `Purge Member` events, and pushes policy
 //!   deployments to newcomers;
-//! * the **dispatch thread** serves the bus endpoint: publishes,
-//!   subscriptions, advertisements, raw device frames, acknowledgements —
-//!   enforcing authorisation policies and feeding every accepted event to
-//!   the policy service's obligation rules.
+//! * the **bus channel's receive thread** serves the bus endpoint, as the
+//!   channel's handler: publishes, subscriptions, advertisements, raw
+//!   device frames — enforcing authorisation policies and feeding every
+//!   accepted event to the policy service's obligation rules. An event
+//!   runs from the socket to the subscribers' outbound queues on the
+//!   thread that received it; there is no queue in between, so a slow
+//!   consumer is bounded by its senders' windows.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -87,7 +90,7 @@ pub struct SmcConfig {
     /// The clock used to timestamp cell-originated events (inject a
     /// [`smc_types::ManualClock`] for reproducible timestamps).
     pub clock: SharedClock,
-    /// Hop tracer wired into the bus, the channels and the dispatch path.
+    /// Hop tracer wired into the bus, the channels and dispatch.
     /// Disabled (free) by default.
     pub tracer: Tracer,
 }
@@ -165,7 +168,9 @@ impl SmcCell {
     ) -> Arc<Self> {
         let channel = ReliableChannel::new(bus_transport, config.reliable.clone());
         let discovery_channel = ReliableChannel::new(discovery_transport, config.reliable.clone());
-        SmcCell::assemble(config, channel, discovery_channel, None)
+        let cell = SmcCell::assemble(config, channel, discovery_channel, None);
+        cell.serve();
+        cell
     }
 
     /// Starts a cell whose delivery state survives a crash: every durable
@@ -255,13 +260,15 @@ impl SmcCell {
         // path (subscriptions are already restored above) and each event
         // is marked consumed afterwards, exactly as live traffic is.
         for (peer, _epoch, seq, payload) in pending {
-            cell.handle_incoming(Incoming::Reliable {
+            cell.dispatch(Incoming::Reliable {
                 from: peer,
                 seq,
                 payload,
             });
-            cell.channel.consumed(peer, seq);
         }
+        // Only now the live traffic: whatever reached the channel since it
+        // was built waited in its inbox and goes first, in order.
+        cell.serve();
         Ok(cell)
     }
 
@@ -315,11 +322,7 @@ impl SmcCell {
         let membership = Arc::downgrade(&cell);
         let membership_running = Arc::clone(&cell.running);
         let membership_events = cell.discovery.events().clone();
-        let dispatch = Arc::downgrade(&cell);
-        let dispatch_running = Arc::clone(&cell.running);
-        let dispatch_channel = Arc::clone(&cell.channel);
-        let mut threads = cell.threads.lock();
-        threads.push(
+        cell.threads.lock().push(
             std::thread::Builder::new()
                 .name(format!("smc-membership-{}", cell.config.cell))
                 .spawn(move || {
@@ -327,16 +330,21 @@ impl SmcCell {
                 })
                 .expect("spawn membership thread"),
         );
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("smc-dispatch-{}", cell.config.cell))
-                .spawn(move || {
-                    SmcCell::dispatch_loop(&dispatch, &dispatch_running, &dispatch_channel)
-                })
-                .expect("spawn dispatch thread"),
-        );
-        drop(threads);
         cell
+    }
+
+    /// Starts serving the bus endpoint: every message the bus channel
+    /// delivers is dispatched by the thread that received it. The handler
+    /// holds the cell weakly, upgraded for one message at a time, so
+    /// dropping the last external handle stops the cell (via its `Drop`)
+    /// — even when that handle is the handler's own upgrade.
+    fn serve(self: &Arc<Self>) {
+        let serving = Arc::downgrade(self);
+        self.channel.set_handler(Box::new(move |incoming| {
+            if let Some(cell) = serving.upgrade() {
+                cell.dispatch(incoming);
+            }
+        }));
     }
 
     /// The cell identity.
@@ -667,7 +675,7 @@ impl SmcCell {
         })
     }
 
-    /// Stops the cell: discovery, dispatch, and every proxy.
+    /// Stops the cell: discovery, the bus endpoint, and every proxy.
     pub fn shutdown(&self) {
         if !self.running.swap(false, Ordering::SeqCst) {
             return;
@@ -686,10 +694,10 @@ impl SmcCell {
 
     // --- wiring ------------------------------------------------------------
 
-    /// Workers hold only a weak cell reference, upgraded transiently to
-    /// process one item — never across a blocking wait. Dropping the last
-    /// external handle therefore stops the threads (via the cell's `Drop`)
-    /// instead of leaking them.
+    /// The worker holds only a weak cell reference, upgraded transiently
+    /// to process one item — never across a blocking wait. Dropping the
+    /// last external handle therefore stops the thread (via the cell's
+    /// `Drop`) instead of leaking it.
     fn membership_loop(
         weak: &std::sync::Weak<Self>,
         running: &std::sync::atomic::AtomicBool,
@@ -737,9 +745,9 @@ impl SmcCell {
     /// the hook while its `Purged` is still queued: the hook finds it
     /// known and does nothing, the membership thread then tears the old
     /// incarnation down — and must admit the new one when it comes to the
-    /// `Joined` queued behind. Hence the same call on `Joined`, and on
-    /// the dispatch thread for a packet that arrives in between (or from
-    /// a member that joined before the hook was installed). Serialised
+    /// `Joined` queued behind. Hence the same call on `Joined`, and in
+    /// dispatch for a packet that arrives in between (or from a member
+    /// that joined before the hook was installed). Serialised
     /// and idempotent: after an ordinary join both find the work done.
     fn on_member_joined(&self, info: ServiceInfo) -> Arc<ServiceInfo> {
         let _admitting = self.admission.lock();
@@ -784,7 +792,7 @@ impl SmcCell {
     }
 
     /// Creates the member's proxy if it does not exist yet (idempotent;
-    /// called from both the membership thread and the dispatch thread).
+    /// called from both the membership thread and dispatch).
     fn ensure_proxy(&self, info: &ServiceInfo) -> Arc<Proxy> {
         let mut proxies = self.proxies.lock();
         if let Some(p) = proxies.get(&info.id) {
@@ -797,34 +805,18 @@ impl SmcCell {
         proxy
     }
 
-    fn dispatch_loop(
-        weak: &std::sync::Weak<Self>,
-        running: &std::sync::atomic::AtomicBool,
-        channel: &ReliableChannel,
-    ) {
-        loop {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            match channel.recv(Some(Duration::from_millis(50))) {
-                Ok(incoming) => {
-                    let Some(cell) = weak.upgrade() else { return };
-                    // Mark reliable messages consumed once routing
-                    // returns, releasing the journal's retained copy; a
-                    // crash mid-routing leaves the message pending in the
-                    // log and recovery re-routes it.
-                    let consumed = match &incoming {
-                        Incoming::Reliable { from, seq, .. } => Some((*from, *seq)),
-                        Incoming::Unreliable { .. } => None,
-                    };
-                    cell.handle_incoming(incoming);
-                    if let Some((from, seq)) = consumed {
-                        cell.channel.consumed(from, seq);
-                    }
-                }
-                Err(Error::Timeout) => {}
-                Err(_) => return,
-            }
+    /// Routes one message from the bus channel and marks a reliable one
+    /// consumed once routing returns, releasing the journal's retained
+    /// copy; a crash mid-routing leaves the message pending in the log
+    /// and recovery re-routes it.
+    fn dispatch(&self, incoming: Incoming) {
+        let consumed = match &incoming {
+            Incoming::Reliable { from, seq, .. } => Some((*from, *seq)),
+            Incoming::Unreliable { .. } => None,
+        };
+        self.handle_incoming(incoming);
+        if let Some((from, seq)) = consumed {
+            self.channel.consumed(from, seq);
         }
     }
 
@@ -842,9 +834,7 @@ impl SmcCell {
             Some(info) => Some(info),
             None => self
                 .discovery
-                .members()
-                .into_iter()
-                .find(|i| i.id == from)
+                .member(from)
                 .map(|info| self.on_member_joined(info)),
         };
         let Some(info) = member_info else {

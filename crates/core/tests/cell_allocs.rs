@@ -1,7 +1,9 @@
 //! Pins the heap requests one event costs on its whole journey through a
 //! real, threaded cell: publisher `RemoteClient` → mem link → bus channel
-//! → dispatch → bus → proxy → mem link → subscriber `RemoteClient`, 64 B,
-//! 1 → 1, the ledger's `vitals_udp` shape on the in-memory link.
+//! (whose receive thread dispatches: no inbox, no dispatch thread) → bus →
+//! proxy → mem link → subscriber `RemoteClient` (routed on *its* channel's
+//! receive thread), 64 B, 1 → 1, the ledger's `vitals_udp` shape on the
+//! in-memory link.
 //!
 //! The rule the path is held to: one request to send a message, none to
 //! share one, and a decode asks for what the decoded value keeps — which,

@@ -1,6 +1,9 @@
-//! Thread accounting of the device-side client. Alone in its own test
-//! binary: it counts this process's threads, which parallel tests would
-//! disturb.
+//! Thread accounting of the cell and of the device-side client: a message
+//! is handled on the thread that received it, so neither side has a
+//! thread that only moves messages on. Counts go down, never up.
+//!
+//! Alone in its own test binary, and one `#[test]`: it counts this
+//! process's threads, which parallel tests would disturb.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,16 +33,39 @@ fn settles_to(expected: usize) -> bool {
     true
 }
 
-/// A connected client runs two threads — its channel's receiver and its
-/// agent, which routes bus traffic itself — and `shutdown` leaves none.
 #[test]
-fn client_runs_two_threads_and_shutdown_leaves_none() {
+fn threads_are_counted() {
     let net = SimNetwork::new(LinkConfig::ideal());
+    let idle = thread_count();
+    let cell = cell_runs_four_threads(&net, idle);
+    client_runs_two_threads_and_shutdown_leaves_none(&net);
+    cell.shutdown();
+    assert!(
+        settles_to(idle),
+        "the cell left threads behind: {idle} before start, {} after shutdown",
+        thread_count()
+    );
+    net.shutdown();
+}
+
+/// A started cell runs four threads: the bus channel's receiver (which
+/// dispatches), the discovery channel's receiver (which admits), the
+/// discovery timer (beacons, leases) and the membership thread. There is
+/// no dispatch thread.
+fn cell_runs_four_threads(net: &SimNetwork, idle: usize) -> Arc<SmcCell> {
     let cell = SmcCell::start(
         Arc::new(net.endpoint()),
         Arc::new(net.endpoint()),
         SmcConfig::fast(),
     );
+    assert_eq!(thread_count(), idle + 4, "four threads per cell");
+    cell
+}
+
+/// A connected client runs two threads — its channel's receiver, which
+/// routes bus traffic itself, and its agent's heartbeat timer — and
+/// `shutdown` leaves none.
+fn client_runs_two_threads_and_shutdown_leaves_none(net: &SimNetwork) {
     let before = thread_count();
 
     let connect = |device_type: &str| {
@@ -72,6 +98,4 @@ fn client_runs_two_threads_and_shutdown_leaves_none() {
         before,
         thread_count()
     );
-    cell.shutdown();
-    net.shutdown();
 }

@@ -6,11 +6,15 @@
 //! the other inside the only `#[test]` of this binary: run in parallel,
 //! each would see the other's cell come and go.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use smc_core::{SmcCell, SmcConfig};
-use smc_transport::{LinkConfig, SimNetwork};
+use smc_core::{RemoteClient, SmcCell, SmcConfig};
+use smc_discovery::AgentConfig;
+use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
+use smc_types::{Event, Filter, ServiceId, ServiceInfo};
 
 /// Linux-specific: the process's current thread count.
 fn thread_count() -> usize {
@@ -38,6 +42,7 @@ fn a_cell_leaves_no_threads_behind() {
     dropping_a_cell_stops_its_threads();
     shutdown_then_drop_is_also_clean();
     a_registry_does_not_keep_a_dropped_cell_running();
+    the_last_handle_may_be_the_one_dispatch_holds();
 }
 
 fn dropping_a_cell_stops_its_threads() {
@@ -108,6 +113,75 @@ fn a_registry_does_not_keep_a_dropped_cell_running() {
     assert!(
         !text.contains("smc_bus_published_total"),
         "a dropped cell still exported:\n{text}"
+    );
+    net.shutdown();
+}
+
+/// The bus channel's handler upgrades its weak cell reference for one
+/// message at a time, so the owner can drop *its* handle while a message
+/// is being dispatched: the cell is then dropped by its own receive
+/// thread, mid-stream, which must neither join itself nor keep the
+/// channel (and its thread) alive through the handler it is running.
+fn the_last_handle_may_be_the_one_dispatch_holds() {
+    const STEP: Duration = Duration::from_secs(5);
+    // A thread that dies of a panic is gone too: count those apart.
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::SeqCst);
+        report(info);
+    }));
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let baseline = thread_count();
+    let cell = SmcCell::start(
+        Arc::new(net.endpoint()),
+        Arc::new(net.endpoint()),
+        SmcConfig::fast(),
+    );
+    // A cell-side subscriber that holds dispatch where this test wants it.
+    let (entered, dispatching) = mpsc::channel();
+    let (resume, resumed) = mpsc::channel::<()>();
+    let resumed = Mutex::new(resumed);
+    cell.subscribe_local(
+        ServiceId::from_raw(9_000),
+        Filter::for_type("vitals"),
+        Arc::new(move |_: &Event| {
+            let _ = entered.send(());
+            let _ = resumed.lock().expect("one dispatcher").recv();
+            Ok(())
+        }),
+    )
+    .expect("local subscription");
+    let publisher = RemoteClient::connect(
+        ServiceInfo::new(ServiceId::NIL, "sensor.hr"),
+        ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default()),
+        AgentConfig::default(),
+        STEP,
+    )
+    .expect("join");
+    for bpm in 0..100i64 {
+        let event = Event::builder("vitals").attr("hr", bpm).build();
+        publisher.publish_nowait(event).expect("queued");
+    }
+
+    dispatching
+        .recv_timeout(STEP)
+        .expect("the first event reached the subscriber");
+    // Dispatch is inside the subscriber, holding its upgraded handle;
+    // this one goes, and the rest of the stream is still arriving.
+    drop(cell);
+    drop(resume);
+
+    publisher.shutdown();
+    let after = settle(baseline);
+    assert!(
+        after <= baseline,
+        "a cell dropped from its own dispatch leaked threads: {after} vs {baseline}"
+    );
+    assert_eq!(
+        PANICS.load(Ordering::SeqCst),
+        0,
+        "a thread ended by panicking (joined itself?)"
     );
     net.shutdown();
 }

@@ -69,8 +69,16 @@ impl Default for AgentConfig {
 }
 
 /// Takes the packets the discovery protocol does not consume (bus traffic
-/// such as `Deliver` or `SubscribeAck`), called on the agent's own thread
-/// — the thread that took the packet off the channel — in arrival order.
+/// such as `Deliver` or `SubscribeAck`), called in arrival order on the
+/// thread that took the packet off the transport: the channel's receive
+/// thread (a step-driven agent: the caller of [`MemberAgent::step`]).
+///
+/// **Never block on a reply inside a sink.** Until it returns, that
+/// thread receives nothing: a sink that calls `RemoteClient::publish` (or
+/// `subscribe`, or anything else that waits for an answer from the cell)
+/// waits for a message only its own thread can deliver, and times out.
+/// Send without waiting (`publish_nowait`) or hand the work to another
+/// thread.
 pub type PacketSink = Box<dyn FnMut(ServiceId, Packet) + Send>;
 
 /// Where unconsumed packets go: held until the agent's owner installs its
@@ -181,7 +189,7 @@ impl MemberAgent {
             worker: Mutex::new(None),
             manual: None,
         });
-        let worker = AgentWorker {
+        let worker = Arc::new(AgentWorker {
             info,
             channel,
             config,
@@ -190,7 +198,13 @@ impl MemberAgent {
             events: events_tx,
             unhandled,
             running,
-        };
+        });
+        // Packets are handled where they are received; the agent's own
+        // thread only keeps time.
+        let receiving = Arc::clone(&worker);
+        worker.channel.set_handler(Box::new(move |incoming| {
+            receiving.handle_at(incoming, Instant::now());
+        }));
         let handle = std::thread::Builder::new()
             .name(format!("member-agent-{}", agent.info.id))
             .spawn(move || worker.run())
@@ -304,8 +318,8 @@ impl MemberAgent {
     ///
     /// Packets that arrived before this call were held; they go through
     /// `sink` first, in arrival order, before any later packet does (the
-    /// agent's thread waits out the hand-over). A second call replaces
-    /// the sink.
+    /// receiving thread waits out the hand-over). A second call replaces
+    /// the sink. See [`PacketSink`] for what a sink must not do.
     pub fn set_packet_sink(&self, mut sink: PacketSink) {
         let mut unhandled = self.unhandled.lock();
         if let Unhandled::Held(held) = &mut *unhandled {
@@ -389,19 +403,26 @@ impl MemberAgent {
         Ok(())
     }
 
-    /// Stops the agent and its worker thread. Membership state is
-    /// dropped: a stopped agent is not a member of anything.
+    /// Stops the agent, its timer thread and its channel. Membership
+    /// state is dropped: a stopped agent is not a member of anything.
+    ///
+    /// May be called from the packet sink: nothing here waits for the
+    /// thread the sink runs on.
     pub fn shutdown(&self) {
         if !self.running.swap(false, Ordering::SeqCst) {
             return;
         }
         self.channel.close();
         if let Some(handle) = self.worker.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // Drop the sink with whatever it owns (the owner's queues
-        // disconnect, as they did when a forwarding thread exited).
-        *self.unhandled.lock() = Unhandled::Held(Vec::new());
+        // disconnect). A sink that is running — this call came from
+        // inside it — is dropped by its caller when it returns.
+        if let Some(mut unhandled) = self.unhandled.try_lock() {
+            *unhandled = Unhandled::Held(Vec::new());
+        }
         let mut st = self.state.lock();
         st.phase = Phase::Searching;
         st.cell = None;
@@ -430,15 +451,13 @@ struct AgentWorker {
 }
 
 impl AgentWorker {
-    fn run(self) {
+    /// The agent's own thread: the heartbeat timer, until the agent is
+    /// stopped or its channel closed under it.
+    fn run(&self) {
         let poll = Duration::from_millis(10);
-        while self.running.load(Ordering::SeqCst) {
+        while self.running.load(Ordering::SeqCst) && !self.channel.is_closed() {
             self.heartbeat_if_due(Instant::now());
-            match self.channel.recv(Some(poll)) {
-                Ok(incoming) => self.handle_at(incoming, Instant::now()),
-                Err(Error::Timeout) => {}
-                Err(_) => return,
-            }
+            std::thread::park_timeout(poll);
         }
     }
 
@@ -547,10 +566,18 @@ impl AgentWorker {
                     st.missed = 0;
                 }
             }
-            other => match &mut *self.unhandled.lock() {
-                Unhandled::Held(held) => held.push((from, other)),
-                Unhandled::Sink(sink) => sink(from, other),
-            },
+            other => {
+                let mut unhandled = self.unhandled.lock();
+                match &mut *unhandled {
+                    Unhandled::Held(held) => held.push((from, other)),
+                    Unhandled::Sink(sink) => sink(from, other),
+                }
+                // A sink that stopped the agent could not be dropped
+                // while it ran ([`MemberAgent::shutdown`]).
+                if !self.running.load(Ordering::SeqCst) {
+                    *unhandled = Unhandled::Held(Vec::new());
+                }
+            }
         }
     }
 }

@@ -190,7 +190,7 @@ impl DiscoveryService {
             worker: Mutex::new(None),
             manual: None,
         });
-        let worker = Worker {
+        let worker = Arc::new(Worker {
             cell,
             channel,
             config,
@@ -198,7 +198,13 @@ impl DiscoveryService {
             events: events_tx,
             running,
             counters,
-        };
+        });
+        // Requests are answered where they are received; the service's
+        // own thread only keeps time (beacons, leases).
+        let receiving = Arc::clone(&worker);
+        worker.channel.set_handler(Box::new(move |incoming| {
+            receiving.handle_at(incoming, Instant::now());
+        }));
         let handle = std::thread::Builder::new()
             .name(format!("discovery-{cell}"))
             .spawn(move || worker.run())
@@ -322,7 +328,8 @@ impl DiscoveryService {
     }
 
     /// Installs what the owner does to finish admitting a member. It
-    /// runs on the service's own thread, after a new member is entered in
+    /// runs on the thread that received the join request (the channel's
+    /// receive thread), after a new member is entered in
     /// the table and **before** its `JoinResponse` is sent — so whatever
     /// it sets up (a proxy, subscriptions on the device's behalf) exists
     /// by the time the device hears it was admitted, and the device may
@@ -342,6 +349,12 @@ impl DiscoveryService {
     /// Snapshot of current members.
     pub fn members(&self) -> Vec<ServiceInfo> {
         self.state.lock().table.snapshot()
+    }
+
+    /// The description `id` was admitted under, if it is a member: one
+    /// table lookup, whatever the size of the cell.
+    pub fn member(&self, id: ServiceId) -> Option<ServiceInfo> {
+        self.state.lock().table.get(id).map(|r| r.info.clone())
     }
 
     /// Returns `true` if `id` is currently a member.
@@ -401,13 +414,14 @@ impl DiscoveryService {
         registry.register_weak(self, |service, out| service.stats().samples(&[], out));
     }
 
-    /// Stops the service and its worker thread.
+    /// Stops the service, its timer thread and its channel.
     pub fn shutdown(&self) {
         if !self.running.swap(false, Ordering::SeqCst) {
             return;
         }
         self.channel.close();
         if let Some(handle) = self.worker.lock().take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -432,7 +446,9 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(self) {
+    /// The service's own thread: the beacon and lease timer, until the
+    /// service is stopped or its channel closed under it.
+    fn run(&self) {
         let mut beacon_seq: u64 = 0;
         let mut next_beacon = Instant::now();
         let poll = self
@@ -440,7 +456,7 @@ impl Worker {
             .beacon_interval
             .min(Duration::from_millis(50))
             .max(Duration::from_millis(5));
-        while self.running.load(Ordering::SeqCst) {
+        while self.running.load(Ordering::SeqCst) && !self.channel.is_closed() {
             let now = Instant::now();
             if now >= next_beacon {
                 beacon_seq += 1;
@@ -461,12 +477,7 @@ impl Worker {
                 self.counters.count(&ev);
                 let _ = self.events.send(ev);
             }
-            // Handle one inbound message (or time out and loop).
-            match self.channel.recv(Some(poll)) {
-                Ok(incoming) => self.handle_at(incoming, Instant::now()),
-                Err(Error::Timeout) => {}
-                Err(_) => return,
-            }
+            std::thread::park_timeout(poll);
         }
     }
 

@@ -40,6 +40,11 @@ fn device_discovers_and_joins() {
     assert!(service.is_member(agent.local_id()));
     assert_eq!(service.members().len(), 1);
     assert_eq!(service.members()[0].device_type, "sensor.hr");
+    assert_eq!(
+        service.member(agent.local_id()),
+        Some(service.members().remove(0))
+    );
+    assert_eq!(service.member(service.local_id()), None);
 
     // Both sides observed the join.
     match service.events().recv_timeout(TICK).unwrap() {
@@ -359,5 +364,50 @@ fn member_is_admitted_before_it_is_told() {
     assert_eq!(*probe.hooked.lock().unwrap(), vec![agent.local_id()]);
 
     agent.shutdown();
+    service.shutdown();
+}
+
+/// A packet sink runs on the channel's receive thread, under the agent's
+/// sink lock, and may still stop the agent it belongs to: `shutdown`
+/// neither joins the thread it was called on nor takes that lock again,
+/// and the sink — with the agent handle it holds — is dropped once it
+/// returns.
+#[test]
+fn a_packet_sink_may_shut_its_agent_down() {
+    use smc_types::codec::to_shared;
+    use smc_types::Packet;
+
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
+    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    agent.wait_joined(TICK).unwrap();
+    let (id, released) = (agent.local_id(), Arc::downgrade(&agent));
+
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    let own = Arc::clone(&agent);
+    agent.set_packet_sink(Box::new(move |_, _| {
+        own.shutdown();
+        let _ = stopped_tx.send(own.is_member());
+    }));
+    drop(agent);
+
+    // Bus traffic, which discovery leaves to the sink.
+    let bus = channel(&net);
+    bus.send(id, to_shared(&Packet::Quench { enable: true }))
+        .unwrap();
+    assert_eq!(
+        stopped.recv_timeout(TICK),
+        Ok(false),
+        "shutdown returned inside the sink"
+    );
+    let deadline = std::time::Instant::now() + TICK;
+    while released.upgrade().is_some() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the sink (and the agent it held) outlived the shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    bus.close();
     service.shutdown();
 }

@@ -30,7 +30,7 @@ pub use frame::{fragment, CumulativeAck, Frame, FRAME_HEADER_LEN};
 pub use mem::{MemTransport, NetStats, SimNetwork};
 pub use profile::{CpuProfile, LinkConfig};
 pub use reliable::{
-    ChannelJournal, ChannelStats, Incoming, PendingOutbound, Receipt, ReliableChannel,
+    ChannelJournal, ChannelStats, Handler, Incoming, PendingOutbound, Receipt, ReliableChannel,
     ReliableConfig, UnconsumedRx,
 };
 pub use transport::{Datagram, Transport};

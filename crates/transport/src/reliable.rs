@@ -20,8 +20,13 @@
 //!   and re-acknowledged at once, as are out-of-order arrivals: both
 //!   tell the sender about a gap or a lost acknowledgement;
 //! * messages larger than the transport MTU are fragmented and
-//!   reassembled.
+//!   reassembled;
+//! * a message that is next in order is handed to the channel's owner by
+//!   the thread that took its last datagram off the transport — a call
+//!   into the owner's [`Handler`], or, on a channel nobody claimed, a
+//!   push onto the inbox [`ReliableChannel::recv`] reads.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,7 +234,8 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A message handed up by [`ReliableChannel::recv`].
+/// A message handed up by [`ReliableChannel::recv`] or to the channel's
+/// [`Handler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Incoming {
     /// An exactly-once, in-order message from `from`.
@@ -275,6 +281,69 @@ impl Incoming {
         match self {
             Incoming::Reliable { payload, .. } | Incoming::Unreliable { payload, .. } => payload,
         }
+    }
+}
+
+/// What a channel's owner does with each message, installed with
+/// [`ReliableChannel::set_handler`].
+///
+/// It runs on the thread that received the message — the channel's
+/// receive thread, or the caller of [`ReliableChannel::step`] — one
+/// message at a time, in delivery order, with none of the channel's
+/// state locks held: it may send, read cursors, mark messages consumed
+/// and close its own channel. Until it returns, that thread receives
+/// nothing more, acknowledges nothing and retransmits nothing, so a
+/// handler must not wait for a message only its own channel can deliver.
+pub type Handler = Box<dyn FnMut(Incoming) + Send>;
+
+/// Where the delivery step puts a message.
+enum Consumer {
+    /// Nobody claimed the channel: [`ReliableChannel::recv`] and
+    /// [`ReliableChannel::try_recv`] read the other end.
+    Inbox(Sender<Incoming>),
+    /// The owner's handler.
+    Handler(Handler),
+    /// The channel is shut down. Dropping the handler here is what breaks
+    /// a channel → handler → owner → channel reference cycle; dropping
+    /// the inbox sender is what makes `recv` report [`Error::Closed`].
+    Closed,
+}
+
+impl std::fmt::Debug for Consumer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Consumer::Inbox(_) => "Inbox",
+            Consumer::Handler(_) => "Handler",
+            Consumer::Closed => "Closed",
+        })
+    }
+}
+
+thread_local! {
+    /// The channel whose delivery step this thread is inside (the address
+    /// of its [`Shared`]; 0 = none). [`ReliableChannel::close`] reads it:
+    /// a handler closing its own channel — or dropping the last handle of
+    /// the owner that does — must neither join the thread it runs on nor
+    /// take the lock it runs under.
+    static DELIVERING: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Marks this thread as inside `shared`'s delivery step until dropped.
+struct DeliveryScope {
+    outer: usize,
+}
+
+impl DeliveryScope {
+    fn enter(shared: &Shared) -> Self {
+        DeliveryScope {
+            outer: DELIVERING.replace(shared as *const Shared as usize),
+        }
+    }
+}
+
+impl Drop for DeliveryScope {
+    fn drop(&mut self) {
+        DELIVERING.set(self.outer);
     }
 }
 
@@ -507,6 +576,12 @@ struct Shared {
     /// ([`ChannelJournal::retains_rx`]); seeded from the snapshot on
     /// recovery.
     unconsumed: Mutex<UnconsumedRx>,
+    /// Who takes delivered messages. The delivery step holds this lock
+    /// across each hand-over and [`ReliableChannel::set_handler`] takes it
+    /// to install, which is what orders "everything that arrived before
+    /// the handler" ahead of "everything after". Taken with no other
+    /// channel lock held.
+    consumer: Mutex<Consumer>,
     stats: Counters,
     closed: AtomicBool,
     epoch: u64,
@@ -663,6 +738,7 @@ impl ReliableChannel {
             config.initial_rto
         );
         let epoch = clock.now_micros() + EPOCH_BUMP.fetch_add(1, Ordering::Relaxed);
+        let (inbox_tx, inbox_rx) = unbounded();
         let mut peers_in = HashMap::new();
         for (peer, peer_epoch, expected) in restored {
             peers_in.insert(
@@ -680,6 +756,7 @@ impl ReliableChannel {
             peers_in: Mutex::new(peers_in),
             held: Mutex::new(BTreeMap::new()),
             unconsumed: Mutex::new(pending),
+            consumer: Mutex::new(Consumer::Inbox(inbox_tx)),
             stats: Counters::default(),
             closed: AtomicBool::new(false),
             epoch,
@@ -689,10 +766,9 @@ impl ReliableChannel {
             tracer: SnapshotCell::new(Arc::new(Tracer::disabled())),
             missed_ack_line: SnapshotCell::new(Arc::new(None)),
         });
-        let (inbox_tx, inbox_rx) = unbounded();
         let worker = RxWorker {
             shared: Arc::clone(&shared),
-            inbox: inbox_tx,
+            handover: Vec::new(),
         };
         if manual {
             return Arc::new(ReliableChannel {
@@ -720,8 +796,9 @@ impl ReliableChannel {
     /// held from the previous step (the owner's turn in between was their
     /// chance to ride on a data frame — no virtual time needs to pass),
     /// drains every datagram currently in the transport, processes it
-    /// (acks, reassembly, in-order delivery into the inbox) and
-    /// retransmits whatever the clock says is due.
+    /// (acks, reassembly, in-order delivery — into the inbox, or through
+    /// the installed [`Handler`] before this call returns) and retransmits
+    /// whatever the clock says is due.
     ///
     /// Returns the number of datagrams processed.
     ///
@@ -743,6 +820,7 @@ impl ReliableChannel {
             // A corrupt datagram is dropped silently.
             if let Ok(frame) = Frame::from_datagram(datagram.payload) {
                 worker.handle_frame(datagram.from, datagram.broadcast, frame);
+                worker.deliver();
             }
         }
         worker.retransmit_due();
@@ -932,12 +1010,37 @@ impl ReliableChannel {
         })
     }
 
+    /// Claims the channel: from now on every message is handed to
+    /// `handler` by the thread that received it, instead of joining the
+    /// inbox. See [`Handler`] for what it may and may not do.
+    ///
+    /// Messages that arrived before this call go through `handler`
+    /// first, on the calling thread, in arrival order, before any later
+    /// one does (the receiving thread waits out the hand-over). A second
+    /// call replaces the handler. [`ReliableChannel::close`] drops it.
+    pub fn set_handler(&self, mut handler: Handler) {
+        let mut consumer = self.shared.consumer.lock();
+        let _scope = DeliveryScope::enter(&self.shared);
+        while !self.shared.closed.load(Ordering::SeqCst) {
+            let Ok(earlier) = self.inbox.try_recv() else {
+                break;
+            };
+            handler(earlier);
+        }
+        *consumer = if self.shared.closed.load(Ordering::SeqCst) {
+            Consumer::Closed
+        } else {
+            Consumer::Handler(handler)
+        };
+    }
+
     /// Receives the next message, blocking up to `timeout` (forever when
     /// `None`).
     ///
     /// # Errors
     ///
-    /// [`Error::Timeout`] on timeout, [`Error::Closed`] after shutdown.
+    /// [`Error::Timeout`] on timeout, [`Error::Closed`] after shutdown —
+    /// or once the channel has a [`Handler`], which takes every message.
     pub fn recv(&self, timeout: Option<Duration>) -> Result<Incoming> {
         match timeout {
             Some(t) => self.inbox.recv_timeout(t).map_err(|e| match e {
@@ -1100,11 +1203,22 @@ impl ReliableChannel {
         pending
     }
 
-    /// Shuts the channel down: closes the transport and stops the receive
-    /// thread. Unacknowledged messages are dropped, and so are held
-    /// acknowledgements — nothing more is sent, which is what lets the
-    /// harness use this as a crash (the peer retransmits and is answered,
-    /// or not, by whoever comes back).
+    /// Whether [`ReliableChannel::close`] was called (or the channel
+    /// dropped).
+    pub fn is_closed(&self) -> bool {
+        self.shared.closed.load(Ordering::SeqCst)
+    }
+
+    /// Shuts the channel down: closes the transport, stops the receive
+    /// thread and drops the installed [`Handler`]. Unacknowledged
+    /// messages are dropped, and so are held acknowledgements — nothing
+    /// more is sent, which is what lets the harness use this as a crash
+    /// (the peer retransmits and is answered, or not, by whoever comes
+    /// back).
+    ///
+    /// Called from inside the channel's own handler it returns without
+    /// waiting: the delivery step it was called from drops the handler
+    /// when the handler returns, and the receive thread ends there.
     pub fn close(&self) {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -1114,16 +1228,21 @@ impl ReliableChannel {
         for p in peers {
             self.forget_peer(p);
         }
+        if DELIVERING.get() == Arc::as_ptr(&self.shared) as usize {
+            return;
+        }
         if let Some(handle) = self.rx_thread.lock().take() {
             let _ = handle.join();
         }
+        *self.shared.consumer.lock() = Consumer::Closed;
     }
 }
 
 impl Drop for ReliableChannel {
     fn drop(&mut self) {
-        // Close without joining (join may self-deadlock if dropped from
-        // the rx thread; it never is, but stay safe and cheap).
+        // Close without joining: the last handle can be dropped by the
+        // channel's own handler, on the receive thread — which ends, and
+        // drops the consumer, once it sees the flag.
         if !self.shared.closed.swap(true, Ordering::SeqCst) {
             self.shared.transport.close();
         }
@@ -1253,32 +1372,137 @@ impl Shared {
             self.flush(peer, held);
         }
     }
+
+    /// Hands `messages` to the consumer, one at a time, in order. A
+    /// consumer that closed the channel gets nothing more and is dropped
+    /// here: [`ReliableChannel::close`] could not do it from inside.
+    fn deliver(&self, messages: impl Iterator<Item = Incoming>) {
+        let mut consumer = self.consumer.lock();
+        let _scope = DeliveryScope::enter(self);
+        for message in messages {
+            match &mut *consumer {
+                Consumer::Inbox(inbox) => {
+                    let _ = inbox.send(message);
+                }
+                Consumer::Handler(handler) => handler(message),
+                Consumer::Closed => {}
+            }
+            if self.closed.load(Ordering::SeqCst) {
+                *consumer = Consumer::Closed;
+            }
+        }
+    }
+
+    /// Delivers every consecutive complete message starting at
+    /// `expected`, beginning with the one that just `arrived` (if any):
+    /// when that is the next in sequence — the common case — it is handed
+    /// up from the hand and never enters `ready`.
+    ///
+    /// With a journal attached, each delivery is recorded — payload
+    /// included — *before* the message is handed up or any fragment
+    /// acked (held or sent); a journal error leaves the message buffered
+    /// and unacknowledged so the sender retransmits and delivery is
+    /// retried — the invariant that makes an acked message durably
+    /// recorded.
+    /// When the journal retains rx payloads the message also joins the
+    /// unconsumed list (under the same `peers_in` lock the journal
+    /// append happened under, so checkpoints never observe the append
+    /// without its effect) until the application calls
+    /// [`ReliableChannel::consumed`].
+    ///
+    /// "Handed up" is a push onto `handover`: the caller holds `peers_in`,
+    /// and the consumer is called only after it let go
+    /// ([`RxWorker::deliver`]).
+    fn drain_in_order(
+        &self,
+        handover: &mut Vec<Incoming>,
+        from: ServiceId,
+        peer: &mut PeerIn,
+        arrived: Option<(u64, Vec<u8>, u16)>,
+    ) {
+        let mut in_hand = None;
+        if let Some((seq, msg, frag_count)) = arrived {
+            if seq == peer.expected {
+                in_hand = Some((msg, frag_count));
+            } else {
+                peer.ready.insert(seq, (msg, frag_count));
+            }
+        }
+        let journaled = self.journal.is_some();
+        // Half a window owed is sent without waiting for a ride, so a
+        // one-way stream is never paced by the poll tick (and a window
+        // of one is acknowledged message by message). The window is this
+        // end's own: both ends are assumed to be configured alike.
+        let bound = (self.config.window / 2).max(1);
+        loop {
+            let seq = peer.expected;
+            let Some((msg, frag_count)) = in_hand.take().or_else(|| peer.ready.remove(&seq)) else {
+                break;
+            };
+            if let Some(journal) = &self.journal {
+                if journal.on_deliver(from, peer.epoch, seq, &msg).is_err() {
+                    peer.ready.insert(seq, (msg, frag_count));
+                    break;
+                }
+                if journal.retains_rx() {
+                    self.unconsumed
+                        .lock()
+                        .push((from, peer.epoch, seq, msg.clone()));
+                }
+            }
+            {
+                let mut held = self.held.lock();
+                let held = held.entry(from).or_default().for_epoch(peer.epoch);
+                if journaled {
+                    // Journalled receivers ack at delivery time, the
+                    // whole message at once.
+                    held.frags.extend((0..frag_count).map(|i| (seq, i)));
+                }
+                held.up_to = seq;
+                held.msgs += 1;
+                if held.msgs >= bound {
+                    self.flush(from, held);
+                }
+            }
+            peer.expected = seq + 1;
+            bump(&self.stats.msgs_delivered);
+            handover.push(Incoming::Reliable {
+                from,
+                seq,
+                payload: msg,
+            });
+        }
+    }
 }
 
 /// The receive/retransmit worker.
 #[derive(Debug)]
 struct RxWorker {
     shared: Arc<Shared>,
-    inbox: Sender<Incoming>,
+    /// Messages one frame made deliverable, filled under `peers_in` and
+    /// emptied by [`RxWorker::deliver`] once it is released. Cleared,
+    /// never shrunk: the buffer is reused.
+    handover: Vec<Incoming>,
 }
 
 impl RxWorker {
+    /// The receive thread's body. Whichever way the loop ends, the
+    /// consumer goes with it: the handler and what it owns are dropped,
+    /// `recv` reports the channel closed.
     fn run(mut self) {
         let poll = self.shared.config.poll_interval;
         let mut last_scan = self.shared.clock.now_micros();
-        loop {
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return;
-            }
+        while !self.shared.closed.load(Ordering::SeqCst) {
             match self.shared.transport.recv(Some(poll)) {
                 Ok(datagram) => {
                     // A corrupt datagram is dropped silently.
                     if let Ok(frame) = Frame::from_datagram(datagram.payload) {
                         self.handle_frame(datagram.from, datagram.broadcast, frame);
+                        self.deliver();
                     }
                 }
                 Err(Error::Timeout) => {}
-                Err(_) => return,
+                Err(_) => break,
             }
             let now = self.shared.clock.now_micros();
             if Duration::from_micros(now.saturating_sub(last_scan)) >= poll {
@@ -1288,13 +1512,22 @@ impl RxWorker {
                 last_scan = now;
             }
         }
+        *self.shared.consumer.lock() = Consumer::Closed;
+    }
+
+    /// The delivery step: hands what the last frame made deliverable to
+    /// the channel's consumer, with `peers_in` released.
+    fn deliver(&mut self) {
+        if !self.handover.is_empty() {
+            self.shared.deliver(self.handover.drain(..));
+        }
     }
 
     fn handle_frame(&mut self, from: ServiceId, broadcast: bool, frame: Frame) {
         match frame {
             Frame::Unreliable { payload } => {
                 bump(&self.shared.stats.unreliable_received);
-                let _ = self.inbox.send(Incoming::Unreliable {
+                self.handover.push(Incoming::Unreliable {
                     from,
                     payload,
                     broadcast,
@@ -1462,7 +1695,8 @@ impl RxWorker {
                 peer.reassemble(seq, frag_index, frag_count, payload)
             {
                 bump(&self.shared.stats.msgs_delivered);
-                let _ = self.inbox.send(Incoming::Reliable { from, seq, payload });
+                self.handover
+                    .push(Incoming::Reliable { from, seq, payload });
             }
             return;
         }
@@ -1477,7 +1711,8 @@ impl RxWorker {
             } else {
                 // Buffered but not yet journalled: don't ack, but retry
                 // the drain in case it stalled on a journal error earlier.
-                self.drain_in_order(from, peer, None);
+                self.shared
+                    .drain_in_order(&mut self.handover, from, peer, None);
             }
             return;
         }
@@ -1499,84 +1734,11 @@ impl RxWorker {
             Reassembly::Pending => {}
             Reassembly::Duplicate => bump(&self.shared.stats.duplicates_suppressed),
             // Deliver everything now in order.
-            Reassembly::Whole(msg) => self.drain_in_order(from, peer, Some((seq, msg, frag_count))),
-        }
-    }
-
-    /// Delivers every consecutive complete message starting at
-    /// `expected`, beginning with the one that just `arrived` (if any):
-    /// when that is the next in sequence — the common case — it is handed
-    /// up from the hand and never enters `ready`.
-    ///
-    /// With a journal attached, each delivery is recorded — payload
-    /// included — *before* the message is handed up or any fragment
-    /// acked (held or sent); a journal error leaves the message buffered
-    /// and unacknowledged so the sender retransmits and delivery is
-    /// retried — the invariant that makes an acked message durably
-    /// recorded.
-    /// When the journal retains rx payloads the message also joins the
-    /// unconsumed list (under the same `peers_in` lock the journal
-    /// append happened under, so checkpoints never observe the append
-    /// without its effect) until the application calls
-    /// [`ReliableChannel::consumed`].
-    fn drain_in_order(
-        &self,
-        from: ServiceId,
-        peer: &mut PeerIn,
-        arrived: Option<(u64, Vec<u8>, u16)>,
-    ) {
-        let mut in_hand = None;
-        if let Some((seq, msg, frag_count)) = arrived {
-            if seq == peer.expected {
-                in_hand = Some((msg, frag_count));
-            } else {
-                peer.ready.insert(seq, (msg, frag_count));
+            Reassembly::Whole(msg) => {
+                let arrived = Some((seq, msg, frag_count));
+                self.shared
+                    .drain_in_order(&mut self.handover, from, peer, arrived);
             }
-        }
-        let journaled = self.shared.journal.is_some();
-        // Half a window owed is sent without waiting for a ride, so a
-        // one-way stream is never paced by the poll tick (and a window
-        // of one is acknowledged message by message). The window is this
-        // end's own: both ends are assumed to be configured alike.
-        let bound = (self.shared.config.window / 2).max(1);
-        loop {
-            let seq = peer.expected;
-            let Some((msg, frag_count)) = in_hand.take().or_else(|| peer.ready.remove(&seq)) else {
-                break;
-            };
-            if let Some(journal) = &self.shared.journal {
-                if journal.on_deliver(from, peer.epoch, seq, &msg).is_err() {
-                    peer.ready.insert(seq, (msg, frag_count));
-                    break;
-                }
-                if journal.retains_rx() {
-                    self.shared
-                        .unconsumed
-                        .lock()
-                        .push((from, peer.epoch, seq, msg.clone()));
-                }
-            }
-            {
-                let mut held = self.shared.held.lock();
-                let held = held.entry(from).or_default().for_epoch(peer.epoch);
-                if journaled {
-                    // Journalled receivers ack at delivery time, the
-                    // whole message at once.
-                    held.frags.extend((0..frag_count).map(|i| (seq, i)));
-                }
-                held.up_to = seq;
-                held.msgs += 1;
-                if held.msgs >= bound {
-                    self.shared.flush(from, held);
-                }
-            }
-            peer.expected = seq + 1;
-            bump(&self.shared.stats.msgs_delivered);
-            let _ = self.inbox.send(Incoming::Reliable {
-                from,
-                seq,
-                payload: msg,
-            });
         }
     }
 
