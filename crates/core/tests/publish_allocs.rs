@@ -1,7 +1,8 @@
 //! Pins what "allocation-free publish" means: against a ward's worth of
 //! subscriptions, a warmed-up `EventBus::publish` asks the heap for nothing
 //! when its sinks read the event in process, and for exactly the one shared
-//! delivery frame when a sink takes the encoded bytes.
+//! delivery frame when a sink takes the encoded bytes. Beside it, what one
+//! control-path pair (`unsubscribe` + `subscribe`) may ask for.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`.
 //! The count is per thread, so the test harness's own threads cannot
@@ -104,6 +105,45 @@ fn allocations_while_publishing(bus: &EventBus) -> u64 {
         }
     });
     requests.count
+}
+
+/// Heap requests one control pair made on this bus while filters carried
+/// their event type as a `String`. Interning types made it 48; a type map
+/// copied on every `subscribe` would read 52.
+const CONTROL_PAIR_BUDGET: u64 = 51;
+
+/// The churn the ledger's `ward_bus` runs beside its publishes: one
+/// ward-shaped subscription dropped and installed again. Each half
+/// copies the engine pieces it changes — the bus's route table holds the
+/// previous snapshot, which shares them — and publishes a new table; a
+/// piece copied that the operation did not change shows here.
+#[test]
+fn control_pair_allocates_no_more_than_before() {
+    let sink: Arc<dyn EventSink> = Arc::new(InProcessSink::default());
+    let bus = ward_bus(Arc::clone(&sink));
+    let subscriber = ServiceId::from_raw(0x100);
+    let filter = Filter::for_type(EVENT_TYPE)
+        .with(("ward", Op::Eq, 3i64))
+        .with(("kind", Op::Eq, KINDS[2]))
+        .with(("bpm", Op::Ge, 111i64));
+    let mut id = bus
+        .subscribe(subscriber, filter.clone(), Arc::clone(&sink))
+        .expect("subscribe");
+    let pairs: Vec<u64> = (0..16)
+        .map(|_| {
+            let (requests, ()) = counting_alloc::during(|| {
+                bus.unsubscribe(id).expect("unsubscribe");
+                id = bus
+                    .subscribe(subscriber, filter.clone(), Arc::clone(&sink))
+                    .expect("subscribe");
+            });
+            requests.count
+        })
+        .collect();
+    assert!(
+        pairs.iter().all(|&n| n <= CONTROL_PAIR_BUDGET),
+        "heap requests per unsubscribe + subscribe: {pairs:?}, budget {CONTROL_PAIR_BUDGET}"
+    );
 }
 
 #[test]

@@ -14,9 +14,9 @@ use smc_types::{Error, Event, Result, ServiceId, Subscription, SubscriptionId};
 ///
 /// Snapshot matching is read-only over the snapshot but still needs
 /// working memory (the counting algorithm's per-filter counters, the
-/// fired-filter list). Callers own that memory and pass it in, so a
-/// steady-state publish loop performs no allocation: the buffers are
-/// grown once and reused for every subsequent match.
+/// predicate memo, the fired-filter list). Callers own that memory and
+/// pass it in, so a steady-state publish loop performs no allocation: the
+/// buffers are grown once and reused for every subsequent match.
 ///
 /// A scratch may be reused freely across different snapshots and engine
 /// kinds — the generation counter makes stale state self-invalidating.
@@ -24,8 +24,12 @@ use smc_types::{Error, Event, Result, ServiceId, Subscription, SubscriptionId};
 pub struct MatchScratch {
     /// Counting slots, `(generation, satisfied-count)` per filter slot.
     pub(crate) counters: Vec<(u64, u32)>,
+    /// The predicate memo, `(generation, verdict)` per constraint slot:
+    /// a constraint is evaluated the first time a match needs it, and its
+    /// verdict is read from here after that.
+    pub(crate) verdicts: Vec<(u64, bool)>,
     /// Current match generation (epoch trick: bumping it invalidates all
-    /// counters without clearing them).
+    /// counters and verdicts without clearing them).
     pub(crate) generation: u64,
     /// Filter ids fired by the current match.
     pub(crate) fired: Vec<usize>,

@@ -17,10 +17,17 @@
 //!   keyed by the sorted set of attribute names its equalities test, in the
 //!   bucket keyed by a hash of their normalised values. An event probes
 //!   each cluster whose names it carries with one hash and one lookup, and
-//!   every filter in the bucket is then verified in place — event type,
-//!   then each constraint — so hash collisions cost time, never a wrong
-//!   answer, and no per-filter counter is touched. A filter whose
-//!   equalities cannot all hold is registered but posted nowhere.
+//!   every member of the bucket is then verified — so hash collisions cost
+//!   time, never a wrong answer, and no per-filter counter is touched. A
+//!   bucket is one flat array of rows, each holding the member's filter
+//!   id, its interned event-type id and its constraint ids (those the
+//!   bucket did not select on first, its equalities last), so verifying a
+//!   member reads its row, compares two integers for the type, and asks
+//!   the *predicate memo* for each constraint: as in Fabret et al., a
+//!   predicate is evaluated at most once per event — the first time a
+//!   member needs it — however many members share it, and an attribute
+//!   is looked up in the event once per match. A filter whose equalities
+//!   cannot all hold is registered but posted nowhere.
 //!
 //! No representation translation happens on the hot path: the engine reads
 //! the event's attributes in place and allocates nothing.
@@ -96,6 +103,23 @@ fn norm_bits(d: f64) -> u64 {
 type ConstraintId = usize;
 type FilterId = usize;
 type ClusterId = usize;
+/// An interned event-type name.
+type TypeId = u32;
+
+/// The type id of a filter without a type restriction — and the one an
+/// event whose type no filter names is given, which only such a filter
+/// admits.
+const ANY_TYPE: TypeId = TypeId::MAX;
+
+/// Whether a filter of type `filter` admits an event of type `event`.
+fn admits(filter: TypeId, event: TypeId) -> bool {
+    filter == ANY_TYPE || filter == event
+}
+
+/// An id as a bucket row stores it.
+fn row_id(id: usize) -> u32 {
+    u32::try_from(id).expect("fewer than 2^32 filters and constraints")
+}
 
 /// Canonical identity of a constraint for sharing (`value` is `None` for
 /// NaN).
@@ -234,13 +258,56 @@ struct Cluster {
     /// Members by the hash of their equality values, taken in name order
     /// with [`hash_value`]. A bucket may hold colliding signatures: every
     /// member is verified against the event before it fires.
-    buckets: HashMap<u64, Arc<Vec<FilterId>>>,
+    buckets: HashMap<u64, Arc<Bucket>>,
+}
+
+/// The members of one bucket, one row each, back to back in one array:
+/// `[filter id, type id, n, constraint id × n]`, the constraints in the
+/// filter's verification order. Checking a member reads its row and
+/// nothing else of the table.
+#[derive(Debug, Clone, Default)]
+struct Bucket(Vec<u32>);
+
+/// A row's fixed part: filter id, type id, constraint count.
+const ROW_HEAD: usize = 3;
+
+impl Bucket {
+    fn push(&mut self, fid: FilterId, type_id: TypeId, cids: &[ConstraintId]) {
+        self.0.extend([row_id(fid), type_id, row_id(cids.len())]);
+        self.0.extend(cids.iter().map(|&cid| row_id(cid)));
+    }
+
+    /// Removes the row of member `fid`.
+    fn remove(&mut self, fid: FilterId) {
+        let row_len = |at: usize| ROW_HEAD + self.0[at + 2] as usize;
+        let mut at = 0;
+        while self.0[at] as usize != fid {
+            at += row_len(at);
+        }
+        let end = at + row_len(at);
+        self.0.drain(at..end);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// `(filter id, type id, constraint ids)` per member.
+    fn rows(&self) -> impl Iterator<Item = (FilterId, TypeId, &[u32])> {
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            let (&[fid, type_id, n], tail) = rest.split_first_chunk()?;
+            let (cids, tail) = tail.split_at(n as usize);
+            rest = tail;
+            Some((fid as FilterId, type_id, cids))
+        })
+    }
 }
 
 /// Canonical identity of a filter for sharing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FilterKey {
-    event_type: Option<String>,
+    type_id: TypeId,
     constraint_ids: Vec<ConstraintId>,
 }
 
@@ -260,21 +327,12 @@ enum Posting {
 
 #[derive(Debug, Clone)]
 struct FilterEntry {
-    event_type: Option<String>,
+    type_id: TypeId,
     /// Interned constraints, distinct, in verification order: equalities —
     /// which a bucket has already selected on — last.
     constraint_ids: Vec<ConstraintId>,
     subs: Vec<(SubscriptionId, ServiceId)>,
     posting: Posting,
-}
-
-impl FilterEntry {
-    fn type_matches(&self, event_type: &str) -> bool {
-        match &self.event_type {
-            Some(t) => t == event_type,
-            None => true,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -318,6 +376,9 @@ pub struct FastForwardEngine {
     filter_lookup: HashMap<FilterKey, FilterId>,
     free_clusters: Vec<ClusterId>,
     cluster_lookup: HashMap<Arc<[String]>, ClusterId>,
+    /// Each interned type's name and the filters naming it, by type id.
+    type_refs: Vec<(String, usize)>,
+    free_types: Vec<TypeId>,
 
     subs: HashMap<SubscriptionId, SubRecord>,
 
@@ -345,13 +406,75 @@ struct FfTable {
     postings: Arc<Vec<PostingList>>,
     names: Arc<HashMap<Arc<str>, Arc<NameIndex>>>,
     clusters: Slots<Cluster>,
+    /// Interned event types: a name gets its id with its first filter and
+    /// loses it with its last, so only those two copy the map.
+    types: Arc<HashMap<String, TypeId>>,
     /// Filters with zero constraints and a type restriction, by type.
-    empty_typed: Arc<HashMap<String, Vec<FilterId>>>,
+    empty_typed: Arc<HashMap<TypeId, Vec<FilterId>>>,
     /// Filters with zero constraints and no type restriction.
     match_all: Arc<Vec<FilterId>>,
     /// Keys the bucket signatures. Per engine and random because the
     /// hashed values arrive from devices.
     hasher: RandomState,
+}
+
+/// The attributes one match has looked up in its event: the names the
+/// constraints of one event's buckets test are few (a ward reading's are
+/// three), so each is searched for once. Past [`Lookups::KEPT`] names
+/// the oldest is forgotten, and looked up again if it is asked for.
+struct Lookups<'a> {
+    event: &'a Event,
+    found: [(&'a str, Option<&'a AttributeValue>); Lookups::KEPT],
+    /// Lookups made: the next one goes to `found[made % KEPT]`.
+    made: usize,
+}
+
+impl<'a> Lookups<'a> {
+    const KEPT: usize = 4;
+
+    fn new(event: &'a Event) -> Self {
+        Lookups {
+            event,
+            found: [("", None); Lookups::KEPT],
+            made: 0,
+        }
+    }
+
+    fn get(&mut self, name: &'a str) -> Option<&'a AttributeValue> {
+        let kept = &self.found[..self.made.min(Lookups::KEPT)];
+        if let Some(&(_, value)) = kept.iter().find(|&&(n, _)| n == name) {
+            return value;
+        }
+        let value = self.event.attr(name);
+        self.found[self.made % Lookups::KEPT] = (name, value);
+        self.made += 1;
+        value
+    }
+}
+
+/// One match's predicates: each constraint is evaluated against the event
+/// the first time a bucket member needs it, and its verdict read from the
+/// caller's memo after that.
+struct Predicates<'a> {
+    records: &'a [Option<Arc<Constraint>>],
+    memo: &'a mut [(u64, bool)],
+    generation: u64,
+    attrs: Lookups<'a>,
+}
+
+impl Predicates<'_> {
+    fn holds(&mut self, cid: u32) -> bool {
+        let cid = cid as ConstraintId;
+        let (generation, verdict) = self.memo[cid];
+        if generation == self.generation {
+            return verdict;
+        }
+        let records = self.records;
+        let c = records[cid].as_ref().expect("held constraint is live");
+        let verdict = self.attrs.get(&c.name).is_some_and(|v| c.matches_value(v));
+        self.memo[cid] = (self.generation, verdict);
+        verdict
+    }
 }
 
 impl FfTable {
@@ -360,6 +483,7 @@ impl FfTable {
     fn matching_filters_into(&self, event: &Event, scratch: &mut MatchScratch) {
         let MatchScratch {
             counters,
+            verdicts,
             generation,
             fired,
         } = scratch;
@@ -367,15 +491,23 @@ impl FfTable {
         if counters.len() < self.filters.len() {
             counters.resize(self.filters.len(), (0, 0));
         }
+        if verdicts.len() < self.records.len() {
+            verdicts.resize(self.records.len(), (0, false));
+        }
         *generation += 1;
         let generation = *generation;
-        // Read once: an event's type name is a slice of its encoding,
-        // re-checked as UTF-8 on every read.
-        let event_type = event.event_type();
+        let event_type = self.types.get(event.event_type());
+        let event_type = event_type.copied().unwrap_or(ANY_TYPE);
 
         let filters = &self.filters[..];
         let records = &self.records[..];
         let postings = &self.postings[..];
+        let mut predicates = Predicates {
+            records,
+            memo: verdicts,
+            generation,
+            attrs: Lookups::new(event),
+        };
         for (name, value) in event.attributes().iter() {
             let Some(idx) = self.names.get(name) else {
                 continue;
@@ -389,7 +521,7 @@ impl FfTable {
                     slot.1 += 1;
                     if slot.1 == needed {
                         let entry = filters[fid].as_ref().expect("posted filter is live");
-                        if entry.type_matches(event_type) {
+                        if admits(entry.type_id, event_type) {
                             fired.push(fid);
                         }
                     }
@@ -399,23 +531,30 @@ impl FfTable {
                 let cluster = self.clusters[cluster]
                     .as_ref()
                     .expect("indexed cluster is live");
-                self.probe(cluster, event, event_type, fired);
+                self.probe(cluster, event_type, &mut predicates, fired);
             }
         }
 
         fired.extend(self.match_all.iter().copied());
-        if let Some(list) = self.empty_typed.get(event_type) {
+        if let Some(list) = self.empty_typed.get(&event_type) {
             fired.extend(list.iter().copied());
         }
     }
 
-    /// Appends to `fired` the members of `cluster` that match `event`: one
-    /// hash over the event's values for the cluster's names, one bucket
-    /// lookup, then each candidate verified in full.
-    fn probe(&self, cluster: &Cluster, event: &Event, event_type: &str, fired: &mut Vec<FilterId>) {
+    /// Appends to `fired` the members of `cluster` that match the event:
+    /// one hash over the event's values for the cluster's names, one
+    /// bucket lookup, then each member's row checked against the
+    /// predicate memo.
+    fn probe<'a>(
+        &self,
+        cluster: &'a Cluster,
+        event_type: TypeId,
+        predicates: &mut Predicates<'a>,
+        fired: &mut Vec<FilterId>,
+    ) {
         let mut state = self.hasher.build_hasher();
         for name in cluster.names.iter() {
-            match event.attr(name) {
+            match predicates.attrs.get(name) {
                 Some(value) if hash_value(value, &mut state) => {}
                 _ => return,
             }
@@ -423,13 +562,8 @@ impl FfTable {
         let Some(bucket) = cluster.buckets.get(&state.finish()) else {
             return;
         };
-        for &fid in bucket.iter() {
-            let entry = self.filters[fid].as_ref().expect("posted filter is live");
-            let holds = |&cid: &ConstraintId| {
-                let c = self.records[cid].as_ref().expect("held constraint is live");
-                c.matches_event(event)
-            };
-            if entry.type_matches(event_type) && entry.constraint_ids.iter().all(holds) {
+        for (fid, type_id, cids) in bucket.rows() {
+            if admits(type_id, event_type) && cids.iter().all(|&cid| predicates.holds(cid)) {
                 fired.push(fid);
             }
         }
@@ -531,6 +665,38 @@ impl FastForwardEngine {
         self.free_records.push(cid);
     }
 
+    /// Finds or stores the type `name`, without taking a reference on it;
+    /// a filter without a type gets [`ANY_TYPE`].
+    fn intern_type(&mut self, name: Option<&str>) -> TypeId {
+        let Some(name) = name else {
+            return ANY_TYPE;
+        };
+        if let Some(&id) = self.table.types.get(name) {
+            return id;
+        }
+        let id = self.free_types.pop().unwrap_or_else(|| {
+            self.type_refs.push(Default::default());
+            let id = TypeId::try_from(self.type_refs.len() - 1).ok();
+            id.filter(|&id| id != ANY_TYPE)
+                .expect("fewer than 2^32 - 1 types")
+        });
+        self.type_refs[id as usize] = (name.to_owned(), 0);
+        Arc::make_mut(&mut self.table.types).insert(name.to_owned(), id);
+        id
+    }
+
+    fn release_type(&mut self, id: TypeId) {
+        if id == ANY_TYPE {
+            return;
+        }
+        let (name, refs) = &mut self.type_refs[id as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            Arc::make_mut(&mut self.table.types).remove(std::mem::take(name).as_str());
+            self.free_types.push(id);
+        }
+    }
+
     /// Applies `edit` to the index of `name`, creating the index on demand
     /// and dropping it once nothing is left in it.
     fn edit_name(&mut self, name: &str, edit: impl FnOnce(&mut NameIndex)) {
@@ -587,9 +753,15 @@ impl FastForwardEngine {
         Some((names, state.finish()))
     }
 
-    /// Puts `fid` into the bucket `signature` of the cluster for `names`,
-    /// creating the cluster on demand.
-    fn cluster_insert(&mut self, names: Vec<String>, signature: u64, fid: FilterId) -> ClusterId {
+    /// Puts the row of `fid` — its type and its constraints in
+    /// verification order — into the bucket `signature` of the cluster for
+    /// `names`, creating the cluster on demand.
+    fn cluster_insert(
+        &mut self,
+        names: Vec<String>,
+        signature: u64,
+        (fid, type_id, cids): (FilterId, TypeId, &[ConstraintId]),
+    ) -> ClusterId {
         let id = match self.cluster_lookup.get(names.as_slice()) {
             Some(&id) => id,
             None => {
@@ -606,7 +778,7 @@ impl FastForwardEngine {
         };
         let slot = Arc::make_mut(&mut self.table.clusters)[id].as_mut();
         let cluster = Arc::make_mut(slot.expect("looked-up cluster is live"));
-        Arc::make_mut(cluster.buckets.entry(signature).or_default()).push(fid);
+        Arc::make_mut(cluster.buckets.entry(signature).or_default()).push(fid, type_id, cids);
         id
     }
 
@@ -617,7 +789,7 @@ impl FastForwardEngine {
         let cluster = Arc::make_mut(slot.as_mut().expect("member's cluster is live"));
         let bucket = cluster.buckets.get_mut(&signature);
         let bucket = Arc::make_mut(bucket.expect("member's bucket is live"));
-        bucket.retain(|&f| f != fid);
+        bucket.remove(fid);
         if bucket.is_empty() {
             cluster.buckets.remove(&signature);
         }
@@ -640,17 +812,22 @@ impl FastForwardEngine {
             .collect();
         cids.sort_unstable();
         cids.dedup();
+        let type_id = self.intern_type(filter.event_type());
         let key = FilterKey {
-            event_type: filter.event_type().map(str::to_owned),
+            type_id,
             constraint_ids: cids,
         };
         if let Some(&fid) = self.filter_lookup.get(&key) {
-            // The entry holds its constraints, so interning created none.
+            // The entry holds its type and constraints, so interning
+            // created none.
             return fid;
         }
         let fid = take_slot(&mut self.table.filters, &mut self.free_filters);
         for &cid in &key.constraint_ids {
             self.constraint_refs[cid] += 1;
+        }
+        if type_id != ANY_TYPE {
+            self.type_refs[type_id as usize].1 += 1;
         }
         // Verification order: equalities — which a bucket has already
         // selected on — last.
@@ -658,12 +835,12 @@ impl FastForwardEngine {
         cids.sort_by_key(|&cid| self.record(cid).op == Op::Eq);
         let first_eq = cids.partition_point(|&cid| self.record(cid).op != Op::Eq);
         let posting = if cids.is_empty() {
-            match &key.event_type {
-                Some(t) => Arc::make_mut(&mut self.table.empty_typed)
-                    .entry(t.clone())
+            match type_id {
+                ANY_TYPE => Arc::make_mut(&mut self.table.match_all).push(fid),
+                _ => Arc::make_mut(&mut self.table.empty_typed)
+                    .entry(type_id)
                     .or_default()
                     .push(fid),
-                None => Arc::make_mut(&mut self.table.match_all).push(fid),
             }
             Posting::Unconditional
         } else if first_eq == cids.len() {
@@ -674,14 +851,14 @@ impl FastForwardEngine {
         } else {
             match self.equality_signature(&cids[first_eq..]) {
                 Some((names, signature)) => Posting::Clustered {
-                    cluster: self.cluster_insert(names, signature, fid),
+                    cluster: self.cluster_insert(names, signature, (fid, type_id, &cids)),
                     signature,
                 },
                 None => Posting::Unsatisfiable,
             }
         };
         Arc::make_mut(&mut self.table.filters)[fid] = Some(Arc::new(FilterEntry {
-            event_type: key.event_type.clone(),
+            type_id,
             constraint_ids: cids,
             subs: Vec::new(),
             posting,
@@ -694,18 +871,19 @@ impl FastForwardEngine {
         let entry = Arc::make_mut(&mut self.table.filters)[fid]
             .take()
             .expect("releasing live filter");
+        let type_id = entry.type_id;
         match entry.posting {
-            Posting::Unconditional => match &entry.event_type {
-                Some(t) => {
+            Posting::Unconditional => match type_id {
+                ANY_TYPE => Arc::make_mut(&mut self.table.match_all).retain(|&f| f != fid),
+                _ => {
                     let empty_typed = Arc::make_mut(&mut self.table.empty_typed);
-                    if let Some(list) = empty_typed.get_mut(t) {
+                    if let Some(list) = empty_typed.get_mut(&type_id) {
                         list.retain(|&f| f != fid);
                         if list.is_empty() {
-                            empty_typed.remove(t);
+                            empty_typed.remove(&type_id);
                         }
                     }
                 }
-                None => Arc::make_mut(&mut self.table.match_all).retain(|&f| f != fid),
             },
             Posting::Counted => {
                 for &cid in &entry.constraint_ids {
@@ -720,10 +898,11 @@ impl FastForwardEngine {
         for &cid in &entry.constraint_ids {
             self.release_constraint(cid);
         }
+        self.release_type(type_id);
         let mut constraint_ids = entry.constraint_ids.clone();
         constraint_ids.sort_unstable();
         self.filter_lookup.remove(&FilterKey {
-            event_type: entry.event_type.clone(),
+            type_id,
             constraint_ids,
         });
         self.free_filters.push(fid);
@@ -1158,6 +1337,7 @@ mod tests {
         assert!(same(&before.filters[1], &after.filters[1]));
         assert!(Arc::ptr_eq(&before.postings[0], &after.postings[0]));
         assert!(Arc::ptr_eq(&before.names, &after.names));
+        assert!(Arc::ptr_eq(&before.types, &after.types));
         let (old, new) = (&before.clusters[0], &after.clusters[0]);
         let (old, new) = (old.as_ref().unwrap(), new.as_ref().unwrap());
         for (signature, bucket) in &old.buckets {
@@ -1177,5 +1357,195 @@ mod tests {
         assert!(scratch.fired.is_empty());
         after.matching_filters_into(&event, &mut scratch);
         assert_eq!(scratch.fired, vec![2]);
+    }
+
+    fn rows(bucket: &Bucket) -> Vec<(FilterId, TypeId, Vec<u32>)> {
+        let rows = bucket
+            .rows()
+            .map(|(fid, ty, cids)| (fid, ty, cids.to_vec()));
+        rows.collect()
+    }
+
+    #[test]
+    fn bucket_rows_of_any_length_come_out_as_they_went_in() {
+        let mut bucket = Bucket::default();
+        bucket.push(4, ANY_TYPE, &[7, 1, 2]);
+        bucket.push(9, 0, &[]);
+        bucket.push(2, 3, &[5, 6, 7, 8, 9, 10, 11]);
+        assert_eq!(
+            rows(&bucket),
+            vec![
+                (4, ANY_TYPE, vec![7, 1, 2]),
+                (9, 0, vec![]),
+                (2, 3, vec![5, 6, 7, 8, 9, 10, 11])
+            ]
+        );
+        bucket.remove(9);
+        bucket.remove(4);
+        assert_eq!(rows(&bucket), vec![(2, 3, vec![5, 6, 7, 8, 9, 10, 11])]);
+        bucket.remove(2);
+        assert!(bucket.is_empty());
+    }
+
+    fn posting_of(m: &FastForwardEngine, id: u64) -> (FilterId, ClusterId, u64) {
+        let fid = m.subs[&SubscriptionId(id)].filter_id;
+        match m.table.filters[fid].as_ref().unwrap().posting {
+            Posting::Clustered { cluster, signature } => (fid, cluster, signature),
+            other => panic!("subscription {id} is posted {other:?}"),
+        }
+    }
+
+    /// Two equality sets under one signature — what a hash collision
+    /// makes: the event selects the bucket by its hash, and only the
+    /// members whose equalities it meets fire.
+    #[test]
+    fn forced_two_signature_bucket_fires_only_members_whose_equalities_hold() {
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, ward_filter(1, "hr", 100))).unwrap();
+        m.subscribe(sub(2, 2, ward_filter(2, "hr", 100))).unwrap();
+        m.subscribe(sub(3, 3, ward_filter(1, "hr", 130))).unwrap();
+        let (_, cluster, shared) = posting_of(&m, 1);
+        let (moved, _, own) = posting_of(&m, 2);
+        assert_ne!(shared, own);
+        m.cluster_remove(cluster, own, moved);
+        let entry = Arc::clone(m.table.filters[moved].as_ref().unwrap());
+        let names = m.table.clusters[cluster].as_ref().unwrap().names.to_vec();
+        m.cluster_insert(names, shared, (moved, entry.type_id, &entry.constraint_ids));
+        m.entry_mut(moved).posting = Posting::Clustered {
+            cluster,
+            signature: shared,
+        };
+        let cluster_ref = m.table.clusters[cluster].as_ref().unwrap();
+        assert_eq!(cluster_ref.buckets.len(), 1);
+        assert_eq!(rows(&cluster_ref.buckets[&shared]).len(), 3);
+
+        assert_eq!(
+            m.matching_subscriptions(&reading(1, "hr", 140)),
+            vec![SubscriptionId(1), SubscriptionId(3)]
+        );
+        assert_eq!(
+            m.matching_subscriptions(&reading(1, "hr", 120)),
+            vec![SubscriptionId(1)]
+        );
+        // Ward 2's own signature leads to no bucket any more.
+        assert!(m.matching_subscriptions(&reading(2, "hr", 140)).is_empty());
+        for id in 1..=3 {
+            m.unsubscribe(SubscriptionId(id)).unwrap();
+        }
+        assert!(m.cluster_lookup.is_empty() && m.table.names.is_empty());
+    }
+
+    /// Typed members of two types and an untyped one in one bucket: the
+    /// event's type is resolved once, and a type nobody subscribed to
+    /// reaches the untyped member only.
+    #[test]
+    fn typed_and_untyped_members_share_a_bucket() {
+        let clustered = |ty: Option<&str>| {
+            ty.map_or_else(Filter::any, Filter::for_type)
+                .with(("ward", Op::Eq, 1i64))
+                .with(("bpm", Op::Ge, 100i64))
+        };
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, clustered(Some("r")))).unwrap();
+        m.subscribe(sub(2, 2, clustered(Some("q")))).unwrap();
+        m.subscribe(sub(3, 3, clustered(None))).unwrap();
+        let (_, cluster, signature) = posting_of(&m, 1);
+        let bucket = &m.table.clusters[cluster].as_ref().unwrap().buckets[&signature];
+        let types: Vec<TypeId> = bucket.rows().map(|(_, ty, _)| ty).collect();
+        assert_eq!(
+            types,
+            vec![m.table.types["r"], m.table.types["q"], ANY_TYPE]
+        );
+
+        let at = |ty: &str| Event::builder(ty).attr("ward", 1i64).attr("bpm", 120i64);
+        let ids = |v: &[u64]| v.iter().map(|&i| SubscriptionId(i)).collect::<Vec<_>>();
+        assert_eq!(m.matching_subscriptions(&at("r").build()), ids(&[1, 3]));
+        assert_eq!(m.matching_subscriptions(&at("q").build()), ids(&[2, 3]));
+        assert_eq!(m.matching_subscriptions(&at("nobody").build()), ids(&[3]));
+        // The last filter of a type takes its id with it; the next type
+        // gets the id back.
+        m.unsubscribe(SubscriptionId(2)).unwrap();
+        assert!(!m.table.types.contains_key("q"));
+        m.subscribe(sub(4, 4, Filter::for_type("p"))).unwrap();
+        assert_eq!(m.free_types, vec![]);
+        assert_eq!(m.table.types.len(), 2);
+        assert_eq!(m.matching_subscriptions(&at("q").build()), ids(&[3]));
+        assert_eq!(m.matching_subscriptions(&at("p").build()), ids(&[3, 4]));
+    }
+
+    /// Members of six and more constraints over two attributes besides
+    /// their equalities, sharing some: every constraint is evaluated once
+    /// per event, whichever member asks first.
+    #[test]
+    fn long_rows_share_verdicts_across_members() {
+        let long = |lo: i64, hi: i64| {
+            ward_filter(1, "hr", lo)
+                .with(("bpm", Op::Le, hi))
+                .with(("bpm", Op::Ne, 120i64))
+                .with(("spo2", Op::Ge, 90i64))
+                .with(("spo2", Op::Ne, 95i64))
+                .with(("spo2", Op::Exists, 0i64))
+        };
+        let mut m = FastForwardEngine::new();
+        m.subscribe(sub(1, 1, long(100, 150))).unwrap();
+        m.subscribe(sub(2, 2, long(110, 150))).unwrap();
+        m.subscribe(sub(3, 3, long(100, 130))).unwrap();
+        let (fid, _, _) = posting_of(&m, 1);
+        assert_eq!(
+            m.table.filters[fid].as_ref().unwrap().constraint_ids.len(),
+            8
+        );
+        let at = |bpm: i64, spo2: i64| reading(1, "hr", bpm).with_attr("spo2", spo2);
+        let ids = |v: &[u64]| v.iter().map(|&i| SubscriptionId(i)).collect::<Vec<_>>();
+        assert_eq!(m.matching_subscriptions(&at(125, 97)), ids(&[1, 2, 3]));
+        assert_eq!(m.matching_subscriptions(&at(105, 97)), ids(&[1, 3]));
+        assert_eq!(m.matching_subscriptions(&at(140, 97)), ids(&[1, 2]));
+        assert!(m.matching_subscriptions(&at(120, 97)).is_empty());
+        assert!(m.matching_subscriptions(&at(125, 95)).is_empty());
+        assert!(m.matching_subscriptions(&reading(1, "hr", 125)).is_empty());
+    }
+
+    /// Equalities compare numbers across `Int` and `Double` in a cluster
+    /// as everywhere, and a range on a NaN threshold is a member that
+    /// never fires — its `false` verdict spoils no sibling's.
+    #[test]
+    fn cross_type_equalities_and_nan_thresholds_in_a_cluster() {
+        let mut m = FastForwardEngine::new();
+        let f = |ward: AttributeValue, op: Op, t: f64| {
+            Filter::for_type("r")
+                .with(("ward", Op::Eq, ward))
+                .with(("bpm", op, t))
+        };
+        m.subscribe(sub(1, 1, f(1i64.into(), Op::Ge, 100.0)))
+            .unwrap();
+        m.subscribe(sub(2, 2, f(1.0f64.into(), Op::Ge, f64::NAN)))
+            .unwrap();
+        m.subscribe(sub(3, 3, f(1i64.into(), Op::Le, f64::NAN)))
+            .unwrap();
+        m.subscribe(sub(4, 4, f(2.0f64.into(), Op::Le, 100.0)))
+            .unwrap();
+        // `ward == 1` and `ward == 1.0` are one constraint, in one bucket.
+        assert_eq!(m.constraint_lookup.len(), 6);
+        let (_, cluster, _) = posting_of(&m, 1);
+        assert_eq!(m.table.clusters[cluster].as_ref().unwrap().buckets.len(), 2);
+        let at = |ward: AttributeValue, bpm: f64| {
+            Event::builder("r")
+                .attr("ward", ward)
+                .attr("bpm", bpm)
+                .build()
+        };
+        for ward in [AttributeValue::Int(1), AttributeValue::Double(1.0)] {
+            assert_eq!(
+                m.matching_subscriptions(&at(ward.clone(), 120.0)),
+                vec![SubscriptionId(1)]
+            );
+            assert!(m.matching_subscriptions(&at(ward, f64::NAN)).is_empty());
+        }
+        for ward in [AttributeValue::Int(2), AttributeValue::Double(2.0)] {
+            assert_eq!(
+                m.matching_subscriptions(&at(ward, 80.0)),
+                vec![SubscriptionId(4)]
+            );
+        }
     }
 }

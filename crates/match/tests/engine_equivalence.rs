@@ -121,40 +121,98 @@ fn arb_threshold() -> impl Strategy<Value = (Op, i64)> {
     )
 }
 
+/// `None` (any type) or one of the types the shaped events carry.
+fn arb_filter_type() -> impl Strategy<Value = Option<&'static str>> {
+    prop_oneof![3 => Just(Some("t")), 1 => Just(Some("u")), 1 => Just(None)]
+}
+
+/// A ward-like filter — `a == ward && b == kind` and a range on `c` —
+/// typed or not, so one bucket holds members of several types and none.
+fn arb_ward_filter() -> impl Strategy<Value = Filter> {
+    (arb_filter_type(), arb_ward(), arb_kind(), arb_threshold()).prop_map(|(ty, w, k, (op, t))| {
+        let f = ty.map_or_else(Filter::any, Filter::for_type);
+        f.with(("a", Op::Eq, w))
+            .with(("b", Op::Eq, k))
+            .with(("c", op, t))
+    })
+}
+
+/// The two equalities of [`arb_ward_filter`] and 4–6 more constraints over
+/// `a` and `c` — a bucket member whose row is long and whose constraints
+/// alternate between attributes — some of them with a NaN threshold.
+fn arb_long_filter() -> impl Strategy<Value = Filter> {
+    let threshold = prop_oneof![
+        4 => (-4i64..4).prop_map(AttributeValue::Int),
+        1 => (-8i64..8).prop_map(|i| AttributeValue::Double(i as f64 / 2.0)),
+        1 => Just(AttributeValue::Double(f64::NAN)),
+    ];
+    let residual = (
+        prop_oneof![Just("a"), Just("c")],
+        prop_oneof![
+            Just(Op::Ge),
+            Just(Op::Le),
+            Just(Op::Gt),
+            Just(Op::Ne),
+            Just(Op::Exists)
+        ],
+        threshold,
+    );
+    (
+        arb_filter_type(),
+        arb_ward(),
+        arb_kind(),
+        proptest::collection::vec(residual, 4..7),
+    )
+        .prop_map(|(ty, w, k, residuals)| {
+            let mut f = ty
+                .map_or_else(Filter::any, Filter::for_type)
+                .with(("a", Op::Eq, w))
+                .with(("b", Op::Eq, k));
+            for (name, op, t) in residuals {
+                f.push(Constraint::new(name, op, t));
+            }
+            f
+        })
+}
+
 /// Filters of a few shapes over small alphabets, so that a cluster holds
 /// many members and many filters are identical: ward-like (two equalities
-/// and a range), one equality, two equalities on one name (one value
-/// twice, one value as `5` and as `5.0`, two different values), `== NaN`,
-/// range-only (the counting path), and anything [`arb_filter`] draws.
+/// and a range; typed, of another type, or untyped), long ward-like (six
+/// to eight constraints), one equality, two equalities on one name (one
+/// value twice, one value as `5` and as `5.0`, two different values),
+/// `== NaN`, a clustered range on a NaN threshold, range-only (the
+/// counting path), and anything [`arb_filter`] draws.
 fn arb_shaped_filter() -> impl Strategy<Value = Filter> {
     let twice = |v: AttributeValue, w: AttributeValue| {
         Filter::any().with(("a", Op::Eq, v)).with(("a", Op::Eq, w))
     };
     prop_oneof![
-        6 => (arb_ward(), arb_kind(), arb_threshold()).prop_map(|(w, k, (op, t))| {
-            Filter::for_type("t")
-                .with(("a", Op::Eq, w))
-                .with(("b", Op::Eq, k))
-                .with(("c", op, t))
-        }),
+        6 => arb_ward_filter(),
+        2 => arb_long_filter(),
         2 => arb_ward().prop_map(|w| Filter::for_type("t").with(("a", Op::Eq, w))),
         1 => arb_ward().prop_map(move |w| twice(w.clone(), w)),
         1 => Just(twice(5i64.into(), 5.0f64.into())),
         1 => Just(twice(1i64.into(), 2i64.into())),
         1 => Just(Filter::any().with(("b", Op::Eq, f64::NAN))),
+        1 => (arb_ward(), arb_threshold()).prop_map(|(w, (op, _))| {
+            Filter::for_type("t")
+                .with(("a", Op::Eq, w))
+                .with(("c", op, f64::NAN))
+        }),
         2 => arb_threshold().prop_map(|(op, t)| Filter::any().with(("c", op, t))),
         1 => arb_filter(),
     ]
 }
 
 /// Events over the shaped filters' names: mostly values of the type the
-/// filters expect, sometimes a name missing or carrying another type.
+/// filters expect, sometimes a name missing or carrying another type, and
+/// sometimes an event type no filter names.
 fn arb_shaped_event() -> impl Strategy<Value = Event> {
     let a = prop_oneof![4 => arb_ward(), 1 => Just(5.0f64.into()), 1 => arb_value()];
     let b = prop_oneof![4 => arb_kind(), 1 => arb_value()];
     let c = prop_oneof![4 => (-4i64..4).prop_map(AttributeValue::Int), 1 => arb_value()];
     (
-        prop_oneof![3 => Just("t"), 1 => Just("u")],
+        prop_oneof![3 => Just("t"), 1 => Just("u"), 1 => Just("z")],
         proptest::option::of(a),
         proptest::option::of(b),
         proptest::option::of(c),
@@ -394,6 +452,57 @@ proptest! {
             }
             for frozen in &kept {
                 assert_frozen(frozen, &events);
+            }
+        }
+    }
+
+    /// One scratch handed, event by event, between two fast-forward
+    /// engines that number their constraints differently (the same
+    /// filters subscribed in opposite orders) and between a snapshot and
+    /// its successor answers every event like the oracle: the predicate
+    /// memo is indexed by constraint id, and only the match generation
+    /// tells one match's verdicts from another's.
+    #[test]
+    fn one_scratch_alternates_between_engines_and_snapshots(
+        filters in proptest::collection::vec(arb_shaped_filter(), 1..60),
+        extra in arb_shaped_filter(),
+        events in proptest::collection::vec(arb_shaped_event(), 1..8),
+    ) {
+        let sub = |i: usize, f: &Filter| {
+            Subscription::new(SubscriptionId(i as u64), ServiceId::from_raw(100 + (i % 3) as u64), f.clone())
+        };
+        let mut oracle = NaiveEngine::new();
+        let mut forward = EngineKind::FastForward.build();
+        let mut backward = EngineKind::FastForward.build();
+        for (i, f) in filters.iter().enumerate() {
+            oracle.subscribe(sub(i, f)).unwrap();
+            forward.subscribe(sub(i, f)).unwrap();
+        }
+        for (i, f) in filters.iter().enumerate().rev() {
+            backward.subscribe(sub(i, f)).unwrap();
+        }
+        let answers = |oracle: &mut NaiveEngine| -> Vec<Vec<ServiceId>> {
+            events.iter().map(|ev| oracle.matching_subscribers(ev)).collect()
+        };
+        let before = answers(&mut oracle);
+        let (first, other) = (forward.snapshot(), backward.snapshot());
+        // The successor: one filter more, one fewer.
+        forward.subscribe(sub(filters.len(), &extra)).unwrap();
+        oracle.subscribe(sub(filters.len(), &extra)).unwrap();
+        forward.unsubscribe(SubscriptionId(0)).unwrap();
+        oracle.unsubscribe(SubscriptionId(0)).unwrap();
+        let after = answers(&mut oracle);
+        let successor = forward.snapshot();
+
+        let turns = [(&first, &before), (&other, &before), (&successor, &after)];
+        let mut scratch = MatchScratch::new();
+        let mut out = Vec::new();
+        for round in 0..turns.len() {
+            for (i, ev) in events.iter().enumerate() {
+                for (snap, want) in turns.iter().cycle().skip(round + i).take(turns.len()) {
+                    snap.matching_subscribers_into(ev, &mut scratch, &mut out);
+                    prop_assert_eq!(&out, &want[i], "round {} on {}", round, ev);
+                }
             }
         }
     }

@@ -210,17 +210,21 @@ impl SimNetwork {
     /// timer thread usually wins the race).
     pub fn pump_due(&self) -> usize {
         let now = self.inner.clock.now_micros();
-        let mut st = self.inner.state.lock();
         let mut delivered = 0;
-        while let Some(Reverse(next)) = st.queue.peek() {
-            if next.due > now || st.closed {
-                break;
+        loop {
+            let mut st = self.inner.state.lock();
+            let due = st.queue.peek().is_some_and(|Reverse(next)| next.due <= now);
+            if !due || st.closed {
+                return delivered;
             }
             let Reverse(item) = st.queue.pop().expect("peeked item present");
-            deliver(&mut st, item.to, item.datagram);
+            let handover = deliver(&mut st, item.to, item.datagram);
+            drop(st);
+            if let Some(handover) = handover {
+                handover.complete();
+            }
             delivered += 1;
         }
-        delivered
     }
 
     /// Deadline of the earliest queued datagram, if any (clock micros).
@@ -408,22 +412,28 @@ impl SimNetwork {
             broadcast,
         };
         let mut wake = false;
-        if duplicated {
+        let copy = if duplicated {
             stats.duplicated += 1;
-            wake |= self.dispatch(&mut st, now, deliver_at, to, datagram.clone());
-        }
-        wake |= self.dispatch(&mut st, now, deliver_at, to, datagram);
+            self.dispatch(&mut st, now, deliver_at, to, datagram.clone(), &mut wake)
+        } else {
+            None
+        };
+        let original = self.dispatch(&mut st, now, deliver_at, to, datagram, &mut wake);
         drop(st);
+        for handover in [copy, original].into_iter().flatten() {
+            handover.complete();
+        }
         if wake {
             self.inner.timer_cv.notify_all();
         }
         Ok(())
     }
 
-    /// Hands `datagram` over now, or queues it for its deadline. Returns
-    /// `true` if the timer thread must be woken: only when this became the
-    /// earliest deadline — anything later the thread reaches on its own —
-    /// and never on a manual network, which has no timer thread.
+    /// Hands `datagram` over now — returned, for the caller to complete
+    /// once it has released the lock — or queues it for its deadline.
+    /// Sets `wake` if the timer thread must be woken: only when this
+    /// became the earliest deadline — anything later the thread reaches on
+    /// its own — and never on a manual network, which has no timer thread.
     fn dispatch(
         &self,
         st: &mut NetState,
@@ -431,10 +441,10 @@ impl SimNetwork {
         deliver_at: u64,
         to: ServiceId,
         datagram: Datagram,
-    ) -> bool {
+        wake: &mut bool,
+    ) -> Option<Handover> {
         if deliver_at <= now {
-            deliver(st, to, datagram);
-            return false;
+            return deliver(st, to, datagram);
         }
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -444,22 +454,43 @@ impl SimNetwork {
             to,
             datagram,
         }));
-        let wake =
+        let earliest =
             !self.inner.manual && st.queue.peek().is_some_and(|Reverse(head)| head.seq == seq);
-        st.stats.timer_wakeups += u64::from(wake);
-        wake
+        st.stats.timer_wakeups += u64::from(earliest);
+        *wake |= earliest;
+        None
     }
 }
 
-fn deliver(st: &mut NetState, to: ServiceId, datagram: Datagram) {
-    if let Some(ep) = st.endpoints.get(&to) {
-        st.stats.bytes_delivered += datagram.payload.len() as u64;
-        st.stats.delivered += 1;
+/// A datagram on its way into an endpoint's queue. It is counted under
+/// the network lock and handed over after the lock is released: pushing
+/// it wakes the receiving thread, which on one core preempts the sender —
+/// and, were the lock still held, would block on it at its first send.
+struct Handover {
+    sender: Sender<Datagram>,
+    datagram: Datagram,
+}
+
+impl Handover {
+    fn complete(self) {
         // A closed receiver just drops the datagram.
-        let _ = ep.sender.send(datagram);
-    } else {
-        st.stats.unreachable += 1;
+        let _ = self.sender.send(self.datagram);
     }
+}
+
+/// Counts the delivery of `datagram` to `to` and returns its hand-over;
+/// `None` when `to` has detached.
+fn deliver(st: &mut NetState, to: ServiceId, datagram: Datagram) -> Option<Handover> {
+    let Some(ep) = st.endpoints.get(&to) else {
+        st.stats.unreachable += 1;
+        return None;
+    };
+    st.stats.bytes_delivered += datagram.payload.len() as u64;
+    st.stats.delivered += 1;
+    Some(Handover {
+        sender: ep.sender.clone(),
+        datagram,
+    })
 }
 
 fn timer_loop(inner: Arc<NetInner>) {
@@ -477,7 +508,12 @@ fn timer_loop(inner: Arc<NetInner>) {
                 let now = inner.clock.now_micros();
                 if due <= now {
                     let Reverse(item) = st.queue.pop().expect("peeked item present");
-                    deliver(&mut st, item.to, item.datagram);
+                    let handover = deliver(&mut st, item.to, item.datagram);
+                    drop(st);
+                    if let Some(handover) = handover {
+                        handover.complete();
+                    }
+                    st = inner.state.lock();
                 } else {
                     inner
                         .timer_cv
@@ -689,6 +725,48 @@ mod tests {
             assert_eq!(b.recv(Some(TICK)).unwrap().payload, i.to_le_bytes());
         }
         assert_eq!(net.stats().timer_wakeups, 0);
+    }
+
+    /// A datagram is handed over after the network lock is released, so
+    /// sends from several threads may reach a queue in another order than
+    /// they took the lock — but never one thread's out of its own order.
+    #[test]
+    fn concurrent_senders_keep_their_own_order_on_an_instant_link() {
+        const THREADS: u8 = 4;
+        const EACH: u32 = 2_000;
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let a = net.endpoint();
+        let receivers = [net.endpoint(), net.endpoint()];
+        std::thread::scope(|s| {
+            for thread in 0..THREADS {
+                let (a, receivers) = (&a, &receivers);
+                s.spawn(move || {
+                    for i in 0..EACH {
+                        let to = receivers[i as usize % 2].local_id();
+                        let mut payload = vec![thread];
+                        payload.extend_from_slice(&i.to_le_bytes());
+                        a.send(to, &payload).unwrap();
+                    }
+                });
+            }
+        });
+        for (r, receiver) in receivers.iter().enumerate() {
+            let mut next = [r as u32; THREADS as usize];
+            for _ in 0..THREADS as u32 * EACH / 2 {
+                let d = receiver.recv(Some(TICK)).unwrap();
+                let thread = d.payload[0] as usize;
+                let i = u32::from_le_bytes(d.payload[1..].try_into().unwrap());
+                assert_eq!(i, next[thread], "receiver {r}, thread {thread}");
+                next[thread] += 2;
+            }
+            assert!(matches!(
+                receiver.recv(Some(Duration::ZERO)),
+                Err(Error::Timeout)
+            ));
+        }
+        let stats = net.stats();
+        assert_eq!(stats.delivered, u64::from(THREADS as u32 * EACH));
+        assert_eq!(stats.timer_wakeups, 0);
     }
 
     #[test]
