@@ -20,6 +20,8 @@
 //! * [`TypedBus`] — type-based publish/subscribe over the content bus
 //!   (the other future-work item);
 //! * [`SmcCell`] — the full cell: bus + discovery + policy + proxies;
+//! * [`CellLink`] — one cell's membership in another: a peer import or a
+//!   child export, the paper's two ways of composing cells;
 //! * [`RemoteClient`]/[`RawDevice`] — the device-side libraries.
 //!
 //! # Quick start
@@ -67,9 +69,8 @@
 
 pub mod bootstrap;
 pub mod bus;
+pub mod cell_link;
 pub mod client;
-pub mod composition;
-pub mod federation;
 pub mod metrics;
 pub mod proxy;
 pub mod quench;
@@ -79,11 +80,8 @@ pub mod typed;
 
 pub use bootstrap::{CodecBuilder, ProxyFactory};
 pub use bus::{ChannelSink, DeliveryFrame, EventBus, EventSink};
+pub use cell_link::{cell_path, CellLink, LinkStats, PATH_ATTR, TARGET_TYPE_ARG};
 pub use client::{CommandRequest, RawDevice, RemoteClient};
-pub use composition::{
-    child_cell_of, composition_path, CompositionLink, CompositionStats, CHILD_CELL_ATTR,
-};
-pub use federation::{federation_path, FederationLink, FederationStats, FEDERATION_PATH_ATTR};
 pub use metrics::{BusMetrics, MetricsSnapshot};
 pub use proxy::{DeviceCodec, PassthroughCodec, Proxy, ProxyStats};
 pub use quench::{QuenchChange, QuenchManager};

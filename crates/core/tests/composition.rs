@@ -3,8 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_core::composition::TARGET_TYPE_ARG;
-use smc_core::{child_cell_of, CompositionLink, RemoteClient, SmcCell, SmcConfig};
+use smc_core::{cell_path, CellLink, RemoteClient, SmcCell, SmcConfig, TARGET_TYPE_ARG};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use smc_types::{AttributeSet, CellId, Event, Filter, Op, ServiceId, ServiceInfo};
@@ -42,13 +41,15 @@ fn connect(net: &SimNetwork, cell: CellId, device_type: &str) -> Arc<RemoteClien
     .expect("join")
 }
 
-fn attach(
-    net: &SimNetwork,
-    child: &Arc<SmcCell>,
-    parent: CellId,
-    export: Filter,
-) -> Arc<CompositionLink> {
-    CompositionLink::attach(
+/// The cell an exported event came up from: the second-to-last entry of
+/// its path (the last is the cell it is published in now).
+fn child_cell_of(event: &Event) -> Option<CellId> {
+    let path = cell_path(event);
+    path.len().checked_sub(2).map(|i| path[i])
+}
+
+fn attach(net: &SimNetwork, child: &Arc<SmcCell>, parent: CellId, export: Filter) -> CellLink {
+    CellLink::export(
         Arc::clone(child),
         ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable()),
         parent,
@@ -74,7 +75,7 @@ fn child_appears_as_one_member_and_exports_events() {
     let member = ward
         .members()
         .into_iter()
-        .find(|m| m.id == link.parent_identity())
+        .find(|m| m.id == link.remote_identity())
         .expect("link is a ward member");
     assert_eq!(member.device_type, "smc.cell");
 
@@ -102,10 +103,10 @@ fn child_appears_as_one_member_and_exports_events() {
     );
     assert_eq!(
         seen.publisher(),
-        link.parent_identity(),
+        link.remote_identity(),
         "one stream per child"
     );
-    assert!(link.stats().exported >= 1);
+    assert!(link.stats().forwarded >= 1);
 
     // Non-exported traffic stays inside the child.
     sensor
@@ -113,7 +114,7 @@ fn child_appears_as_one_member_and_exports_events() {
         .unwrap();
     assert!(sister.next_event(Duration::from_millis(300)).is_err());
 
-    link.detach();
+    link.close();
     sensor.shutdown();
     sister.shutdown();
     ward.shutdown();
@@ -146,7 +147,7 @@ fn commands_descend_by_device_type() {
     let mut args = AttributeSet::new();
     args.insert(TARGET_TYPE_ARG, "actuator.*");
     args.insert("rate", 2i64);
-    ward.send_command(link.parent_identity(), "set-rate", args)
+    ward.send_command(link.remote_identity(), "set-rate", args)
         .unwrap();
 
     let cmd = pump.next_command(TICK).unwrap();
@@ -158,7 +159,7 @@ fn commands_descend_by_device_type() {
     );
     assert_eq!(link.stats().commands_relayed, 1);
 
-    link.detach();
+    link.close();
     pump.shutdown();
     ward.shutdown();
     patient.shutdown();
@@ -221,7 +222,7 @@ fn three_level_hierarchy() {
 fn self_parenting_is_refused() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let cell = start_cell(&net, 5);
-    let err = CompositionLink::attach(
+    let err = CellLink::export(
         Arc::clone(&cell),
         ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable()),
         cell.cell_id(),
@@ -267,8 +268,86 @@ fn export_filter_with_constraints() {
         Some(4),
         "minor alarm stayed local"
     );
-    link.detach();
+    link.close();
     sensor.shutdown();
+    sister.shutdown();
+    ward.shutdown();
+    patient.shutdown();
+}
+
+/// What a link that was open leaves behind once it is gone: nothing — no
+/// subscription in the child, no delivery failure for a matching child
+/// event, no membership in the parent, nothing crossing.
+fn assert_gone(
+    ward: &SmcCell,
+    patient: &SmcCell,
+    sister: &RemoteClient,
+    link_id: ServiceId,
+    subscriptions_before: usize,
+) {
+    assert_eq!(
+        patient.bus().subscription_count(),
+        subscriptions_before,
+        "the export subscription is removed"
+    );
+    let failures = patient.metrics().delivery_failures;
+    patient.publish_local(Event::new("smc.alarm")).unwrap();
+    assert_eq!(
+        patient.metrics().delivery_failures,
+        failures,
+        "a matching child event fails nowhere"
+    );
+    let deadline = std::time::Instant::now() + TICK;
+    while ward.members().iter().any(|m| m.id == link_id) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the ward still lists the link"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        sister.next_event(Duration::from_millis(300)).is_err(),
+        "nothing crosses"
+    );
+}
+
+#[test]
+fn closed_or_dropped_export_link_leaves_nothing_behind() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let ward = start_cell(&net, 1);
+    let patient = start_cell(&net, 2);
+    let sister = connect(&net, ward.cell_id(), "terminal.sister");
+    sister
+        .subscribe(Filter::for_type("smc.alarm"), TICK)
+        .unwrap();
+    let before = patient.bus().subscription_count();
+
+    let open = || {
+        let link = attach(
+            &net,
+            &patient,
+            ward.cell_id(),
+            Filter::for_type("smc.alarm"),
+        );
+        assert_eq!(patient.bus().subscription_count(), before + 1);
+        patient.publish_local(Event::new("smc.alarm")).unwrap();
+        assert!(sister.next_event(TICK).is_ok(), "the link works while open");
+        link
+    };
+
+    // Closed, with the handle still held.
+    let closed = open();
+    let closed_id = closed.remote_identity();
+    closed.close();
+    assert_gone(&ward, &patient, &sister, closed_id, before);
+
+    // Dropped without a close.
+    let dropped = open();
+    let dropped_id = dropped.remote_identity();
+    drop(dropped);
+    assert_gone(&ward, &patient, &sister, dropped_id, before);
+
+    drop(closed);
     sister.shutdown();
     ward.shutdown();
     patient.shutdown();

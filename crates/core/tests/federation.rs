@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_core::{FederationLink, RemoteClient, SmcCell, SmcConfig};
+use smc_core::{CellLink, RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use smc_types::{CellId, Event, Filter, ServiceId, ServiceInfo};
@@ -43,19 +43,9 @@ fn connect(net: &SimNetwork, cell: CellId, device_type: &str) -> Arc<RemoteClien
     .expect("join cell")
 }
 
-fn bridge(
-    net: &SimNetwork,
-    local: &Arc<SmcCell>,
-    remote: CellId,
-    filter: Filter,
-) -> Arc<FederationLink> {
+fn bridge(net: &SimNetwork, local: &Arc<SmcCell>, remote: CellId, filter: Filter) -> CellLink {
     let channel = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
-    // The link must join the *remote* cell, so scope its agent with a
-    // dedicated channel whose joins target that cell: FederationLink uses
-    // AgentConfig::default(), so isolate by link-level subscribe filter
-    // and by bringing the link up while only `remote` beacons reach it.
-    FederationLink::connect_scoped(Arc::clone(local), channel, remote, filter, TICK)
-        .expect("federation link")
+    CellLink::import(Arc::clone(local), channel, remote, filter, TICK).expect("federation link")
 }
 
 #[test]
@@ -85,9 +75,9 @@ fn events_cross_the_federation_link() {
     let got = doctor.next_event(TICK).unwrap();
     assert_eq!(got.event_type(), "smc.alarm");
     assert_eq!(got.attr("kind").unwrap().as_str(), Some("tachycardia"));
-    let path = smc_core::federation_path(&got);
+    let path = smc_core::cell_path(&got);
     assert_eq!(path, vec![ward.cell_id(), clinic.cell_id()]);
-    assert_eq!(link.stats().imported, 1);
+    assert_eq!(link.stats().forwarded, 1);
 
     // Non-matching events do not cross.
     sensor
@@ -95,7 +85,7 @@ fn events_cross_the_federation_link() {
         .unwrap();
     assert!(doctor.next_event(Duration::from_millis(300)).is_err());
 
-    link.shutdown();
+    link.close();
     sensor.shutdown();
     doctor.shutdown();
     ward.shutdown();
@@ -150,8 +140,8 @@ fn symmetric_peering_does_not_loop() {
     assert!(watcher_b.try_next_event().is_none(), "no duplicate in B");
     assert!(a_from_b.stats().loops_suppressed >= 1, "the loop was cut");
 
-    a_from_b.shutdown();
-    b_from_a.shutdown();
+    a_from_b.close();
+    b_from_a.close();
     watcher_a.shutdown();
     watcher_b.shutdown();
     source.shutdown();
@@ -164,7 +154,7 @@ fn self_federation_is_refused() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let cell = start_cell(&net, 5);
     let channel = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
-    let err = FederationLink::connect_scoped(
+    let err = CellLink::import(
         Arc::clone(&cell),
         channel,
         cell.cell_id(),
@@ -192,13 +182,80 @@ fn link_is_an_ordinary_member_of_the_remote_cell() {
     assert_eq!(member.device_type, "smc.federation-link");
     assert!(member.has_role("federation"));
 
-    link.shutdown();
+    link.close();
     // After shutdown the link leaves the ward.
     let deadline = std::time::Instant::now() + TICK;
     while ward.discovery().is_member(member.id) {
         assert!(std::time::Instant::now() < deadline, "link never left");
         std::thread::sleep(Duration::from_millis(20));
     }
+
+    // So does a link that is only dropped.
+    let dropped = bridge(&net, &clinic, ward.cell_id(), Filter::for_type("smc.alarm"));
+    let id = dropped.remote_identity();
+    assert!(ward.discovery().is_member(id));
+    drop(dropped);
+    let deadline = std::time::Instant::now() + TICK;
+    while ward.discovery().is_member(id) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "dropped link never left"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     ward.shutdown();
     clinic.shutdown();
+}
+
+#[test]
+fn three_cell_import_ring_delivers_once_per_cell() {
+    // A ← B ← C ← A: each cell imports the next one's alarms.
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let a = start_cell(&net, 10);
+    let b = start_cell(&net, 20);
+    let c = start_cell(&net, 30);
+    let alarms = || Filter::for_type("smc.alarm");
+    let a_from_b = bridge(&net, &a, b.cell_id(), alarms());
+    let b_from_c = bridge(&net, &b, c.cell_id(), alarms());
+    let c_from_a = bridge(&net, &c, a.cell_id(), alarms());
+
+    let watchers = [&a, &b, &c].map(|cell| {
+        let watcher = connect(&net, cell.cell_id(), "watch");
+        watcher.subscribe(alarms(), TICK).unwrap();
+        watcher
+    });
+    let source = connect(&net, a.cell_id(), "sensor.src");
+    source
+        .publish(Event::builder("smc.alarm").attr("n", 1i64).build(), TICK)
+        .unwrap();
+
+    let seen = watchers
+        .each_ref()
+        .map(|watcher| watcher.next_event(TICK).expect("every cell sees it"));
+    for got in &seen {
+        assert_eq!(got.attr("n").unwrap().as_int(), Some(1));
+    }
+    // Published in A, then C, then B — never again in A.
+    let (ida, idb, idc) = (a.cell_id(), b.cell_id(), c.cell_id());
+    assert!(smc_core::cell_path(&seen[0]).is_empty());
+    assert_eq!(smc_core::cell_path(&seen[1]), vec![ida, idc, idb]);
+    assert_eq!(smc_core::cell_path(&seen[2]), vec![ida, idc]);
+    std::thread::sleep(Duration::from_millis(300));
+    for watcher in &watchers {
+        assert!(watcher.try_next_event().is_none(), "exactly once per cell");
+    }
+    assert_eq!(a_from_b.stats().forwarded, 0, "never re-imported into A");
+    assert!(a_from_b.stats().loops_suppressed >= 1, "the ring was cut");
+    assert_eq!(b_from_c.stats().forwarded, 1);
+    assert_eq!(c_from_a.stats().forwarded, 1);
+
+    for link in [&a_from_b, &b_from_c, &c_from_a] {
+        link.close();
+    }
+    for watcher in watchers.iter().chain([&source]) {
+        watcher.shutdown();
+    }
+    for cell in [&a, &b, &c] {
+        cell.shutdown();
+    }
 }

@@ -10,8 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use amuse::core::composition::TARGET_TYPE_ARG;
-use amuse::core::{composition_path, CompositionLink, RemoteClient, SmcCell, SmcConfig};
+use amuse::core::{cell_path, CellLink, RemoteClient, SmcCell, SmcConfig, TARGET_TYPE_ARG};
 use amuse::discovery::{AgentConfig, DiscoveryConfig};
 use amuse::transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use amuse::types::{AttributeSet, CellId, Event, Filter, ServiceId, ServiceInfo};
@@ -53,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bed2 = start_cell(&net, 102);
 
     let link = |child: &Arc<SmcCell>, parent: &Arc<SmcCell>| {
-        CompositionLink::attach(
+        CellLink::export(
             Arc::clone(child),
             ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default()),
             parent.cell_id(),
@@ -89,23 +88,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TIMEOUT,
     )?;
     let alarm = board.next_event(TIMEOUT)?;
-    let path: Vec<String> = composition_path(&alarm)
-        .iter()
-        .map(|c| c.to_string())
-        .collect();
+    let path: Vec<String> = cell_path(&alarm).iter().map(|c| c.to_string()).collect();
     println!("hospital board sees: {alarm}");
     println!("  bubbled out of: {}", path.join(" → "));
     assert_eq!(
         path,
-        vec!["cell-65", "cell-a"],
-        "bed1(0x65=101) then ward(0xa=10)"
+        vec!["cell-65", "cell-a", "cell-1"],
+        "bed1(0x65=101), ward(0xa=10), then hospital(1)"
     );
 
     // Downward: the ward nurses bed 2's actuators as one unit.
     let mut args = AttributeSet::new();
     args.insert(TARGET_TYPE_ARG, "actuator.*");
     args.insert("rate", 5i64);
-    ward.send_command(bed2_link.parent_identity(), "set-rate", args)?;
+    ward.send_command(bed2_link.remote_identity(), "set-rate", args)?;
     let cmd = pump.next_command(TIMEOUT)?;
     println!(
         "bed 2 pump executed: {} rate={:?}",
@@ -115,13 +111,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "link stats: ward-in-hospital exported {}, bed1 exported {}, bed2 relayed {} command(s)",
-        ward_link.stats().exported,
-        bed1_link.stats().exported,
+        ward_link.stats().forwarded,
+        bed1_link.stats().forwarded,
         bed2_link.stats().commands_relayed,
     );
 
     for l in [&ward_link, &bed1_link, &bed2_link] {
-        l.detach();
+        l.close();
     }
     sensor.shutdown();
     pump.shutdown();
