@@ -25,6 +25,7 @@
 //! [`SystemClock`]: smc_types::SystemClock
 //! [`ManualClock`]: smc_types::ManualClock
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -40,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use smc_types::{system_clock, Error, Result, ServiceId, SharedClock};
 
 use crate::profile::LinkConfig;
-use crate::transport::{Datagram, Transport};
+use crate::transport::{Cork, Datagram, Transport};
 
 /// Counters describing everything the simulated network did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -472,10 +473,41 @@ struct Handover {
 }
 
 impl Handover {
+    /// Pushes the datagram now, or — on a thread holding a [`Cork`] —
+    /// when the outermost cork ends ([`release_held`]).
     fn complete(self) {
-        // A closed receiver just drops the datagram.
-        let _ = self.sender.send(self.datagram);
+        if Cork::held() {
+            HELD.with_borrow_mut(|held| held.push(self));
+        } else {
+            // A closed receiver just drops the datagram.
+            let _ = self.sender.send(self.datagram);
+        }
     }
+}
+
+thread_local! {
+    /// The hand-overs this thread's cork holds, in the order they were
+    /// made. Drained, never shrunk: the buffer is reused.
+    static HELD: RefCell<Vec<Handover>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Completes every hand-over this thread's cork held, in order: one
+/// queue push per run of consecutive hand-overs to one endpoint.
+pub(crate) fn release_held() {
+    HELD.with_borrow_mut(|held| {
+        let mut held = held.drain(..).peekable();
+        while let Some(Handover { sender, datagram }) = held.next() {
+            // The run's other senders are clones of `sender`, which
+            // outlives the push: dropping them inside it (under the
+            // queue's lock) never drops the channel's last sender.
+            let run = std::iter::from_fn(|| {
+                held.next_if(|next| next.sender.same_channel(&sender))
+                    .map(|next| next.datagram)
+            });
+            // A closed receiver just drops the datagrams.
+            let _ = sender.send_all(std::iter::once(datagram).chain(run));
+        }
+    });
 }
 
 /// Counts the delivery of `datagram` to `to` and returns its hand-over;
@@ -767,6 +799,90 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.delivered, u64::from(THREADS as u32 * EACH));
         assert_eq!(stats.timer_wakeups, 0);
+    }
+
+    fn try_recv(ep: &MemTransport) -> Option<Vec<u8>> {
+        ep.recv(Some(Duration::ZERO)).ok().map(|d| d.payload)
+    }
+
+    #[test]
+    fn an_uncorked_send_is_handed_over_at_once() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let (a, b) = (net.endpoint(), net.endpoint());
+        a.send(b.local_id(), b"now").unwrap();
+        assert_eq!(try_recv(&b).as_deref(), Some(&b"now"[..]));
+    }
+
+    /// Held datagrams are counted as delivered at once, but reach the
+    /// queue — all of them, in order — only when the cork ends.
+    #[test]
+    fn nothing_reaches_the_receiver_inside_the_cork() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let (a, b) = (net.endpoint(), net.endpoint());
+        {
+            let _cork = Cork::hold();
+            for i in 0..4u8 {
+                a.send(b.local_id(), &[i]).unwrap();
+            }
+            assert_eq!(net.stats().delivered, 4);
+            assert!(matches!(b.recv(Some(Duration::ZERO)), Err(Error::Timeout)));
+        }
+        assert_eq!(b.rx.len(), 4, "in the queue together");
+        for i in 0..4u8 {
+            assert_eq!(try_recv(&b), Some(vec![i]));
+        }
+    }
+
+    #[test]
+    fn nested_corks_hand_over_once_at_the_outermost_exit() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let (a, b) = (net.endpoint(), net.endpoint());
+        let outer = Cork::hold();
+        a.send(b.local_id(), b"outer").unwrap();
+        {
+            let _inner = Cork::hold();
+            a.send(b.local_id(), b"inner").unwrap();
+        }
+        assert_eq!(b.rx.len(), 0, "the inner cork's end hands nothing over");
+        assert_eq!(HELD.with_borrow(Vec::len), 2);
+        drop(outer);
+        assert_eq!(HELD.with_borrow(Vec::len), 0);
+        assert_eq!(try_recv(&b).as_deref(), Some(&b"outer"[..]));
+        assert_eq!(try_recv(&b).as_deref(), Some(&b"inner"[..]));
+    }
+
+    #[test]
+    fn interleaved_sends_under_one_cork_keep_each_endpoints_order() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let a = net.endpoint();
+        let receivers = [net.endpoint(), net.endpoint()];
+        {
+            let _cork = Cork::hold();
+            for i in 0..10u8 {
+                a.send(receivers[i as usize % 2].local_id(), &[i]).unwrap();
+            }
+        }
+        for (r, receiver) in receivers.iter().enumerate() {
+            let got: Vec<u8> = std::iter::from_fn(|| try_recv(receiver))
+                .map(|p| p[0])
+                .collect();
+            let sent: Vec<u8> = (0..10).filter(|i| *i as usize % 2 == r).collect();
+            assert_eq!(got, sent, "receiver {r}");
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_the_cork_still_hands_over_what_was_held() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let (a, b) = (net.endpoint(), net.endpoint());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _cork = Cork::hold();
+            a.send(b.local_id(), b"held").unwrap();
+            panic!("inside the cork");
+        }));
+        assert!(unwound.is_err());
+        assert!(!Cork::held());
+        assert_eq!(try_recv(&b).as_deref(), Some(&b"held"[..]));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::frame::{
     put_unreliable_frame, CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN,
     FRAME_HEADER_LEN,
 };
-use crate::transport::Transport;
+use crate::transport::{Cork, Transport};
 
 /// Retransmission and flow-control parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -446,12 +446,16 @@ struct PeerOut {
     queued: VecDeque<QueuedMessage>,
 }
 
+/// Fragments received so far, sorted by index.
+type Fragments = Vec<(u16, Vec<u8>)>;
+
 #[derive(Debug)]
 struct Partial {
-    /// One slot per fragment of the message.
-    got: Vec<Option<Vec<u8>>>,
-    received: usize,
-    /// Payload bytes held in `got`: the size of the reassembled message.
+    frag_count: u16,
+    /// What arrived — never a slot per fragment the first datagram
+    /// claimed, which nothing has validated.
+    frags: Fragments,
+    /// Payload bytes held in `frags`: the size of the reassembled message.
     bytes: usize,
 }
 
@@ -482,33 +486,31 @@ impl PeerIn {
         if frag_count == 1 && !self.partial.contains_key(&seq) {
             return Reassembly::Whole(payload);
         }
-        let frag_count = frag_count as usize;
+        let spare = &mut self.spare;
         let partial = self.partial.entry(seq).or_insert_with(|| Partial {
-            got: vec![None; frag_count],
-            received: 0,
+            frag_count,
+            frags: std::mem::take(spare),
             bytes: 0,
         });
-        if partial.got.len() != frag_count {
+        if partial.frag_count != frag_count {
             // Inconsistent metadata — treat as corrupt and ignore.
             return Reassembly::Pending;
         }
-        let Some(slot) = partial.got.get_mut(frag_index as usize) else {
-            return Reassembly::Pending;
-        };
-        if slot.is_some() {
+        // (The frame decoder refused an index outside `0..frag_count`.)
+        let Err(at) = partial.frags.binary_search_by_key(&frag_index, |&(i, _)| i) else {
             return Reassembly::Duplicate;
-        }
+        };
         partial.bytes += payload.len();
-        partial.received += 1;
-        *slot = Some(payload);
-        if partial.received < frag_count {
+        partial.frags.insert(at, (frag_index, payload));
+        if partial.frags.len() < frag_count as usize {
             return Reassembly::Pending;
         }
-        let partial = self.partial.remove(&seq).expect("partial present");
+        let mut partial = self.partial.remove(&seq).expect("partial present");
         let mut whole = Vec::with_capacity(partial.bytes);
-        for piece in partial.got {
-            whole.extend_from_slice(&piece.expect("all fragments received"));
+        for (_, piece) in partial.frags.drain(..) {
+            whole.extend_from_slice(&piece);
         }
+        self.spare = partial.frags;
         Reassembly::Whole(whole)
     }
 }
@@ -525,6 +527,8 @@ struct PeerIn {
     ready: BTreeMap<u64, (Vec<u8>, u16)>,
     /// Messages still missing fragments.
     partial: HashMap<u64, Partial>,
+    /// The emptied list of the last message reassembled, for the next.
+    spare: Fragments,
 }
 
 /// Acknowledgements owed to one peer and not yet on the wire.
@@ -1287,11 +1291,13 @@ impl Shared {
     /// carrying whatever acknowledgement `to` is owed. Each fragment is
     /// sliced out of the shared payload and framed in this thread's
     /// encode scratch, which the transport reads it from: no owned copy
-    /// of the fragment, no buffer for the frame. Returns how many
-    /// fragments went out.
+    /// of the fragment, no buffer for the frame. On the mem link the
+    /// fragments reach `to` in one hand-over (a [`Cork`]). Returns how
+    /// many fragments went out.
     fn transmit(&self, to: ServiceId, seq: u64, msg: &OutMessage) -> u64 {
         let mut ack = self.take_piggyback(to);
         let mut sent = 0;
+        let _cork = Cork::hold();
         for i in (0..msg.frag_count).filter(|&i| !msg.acked.contains(i as usize)) {
             let fragment = &msg.payload[fragment_range(msg.payload.len(), msg.max_frag, i)];
             with_scratch(|frame| {
@@ -1666,8 +1672,7 @@ impl RxWorker {
             *peer = PeerIn {
                 epoch,
                 expected,
-                ready: BTreeMap::new(),
-                partial: HashMap::new(),
+                ..PeerIn::default()
             };
         }
         // Capacity check FIRST: a fragment we cannot buffer must be

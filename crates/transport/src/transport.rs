@@ -7,6 +7,7 @@
 //! arrays in and out. Reliability lives one layer up, in
 //! [`crate::reliable::ReliableChannel`].
 
+use std::cell::Cell;
 use std::fmt;
 use std::time::Duration;
 
@@ -93,6 +94,44 @@ pub trait Transport: Send + Sync + fmt::Debug {
 
     /// Shuts the endpoint down; subsequent operations return `Closed`.
     fn close(&self);
+}
+
+thread_local! {
+    /// How many [`Cork`]s this thread holds.
+    static CORKS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// While held, every datagram this thread sends over a
+/// [`crate::mem::MemTransport`] that is due at once is counted as
+/// delivered but held back; when the outermost cork ends, each run of held
+/// datagrams to one endpoint goes into its queue in one push, with at most
+/// one wake-up. [`crate::udp::UdpTransport`] ignores it.
+///
+/// A thread-local, not a [`Transport`] method, so that it holds through
+/// any wrapper that forwards `send` on the same thread.
+pub(crate) struct Cork(());
+
+impl Cork {
+    pub(crate) fn hold() -> Cork {
+        CORKS.set(CORKS.get() + 1);
+        Cork(())
+    }
+
+    /// Whether this thread holds a cork.
+    pub(crate) fn held() -> bool {
+        CORKS.get() > 0
+    }
+}
+
+impl Drop for Cork {
+    /// Also on unwind: a panic inside the cork still hands over what it held.
+    fn drop(&mut self) {
+        let corks = CORKS.get() - 1;
+        CORKS.set(corks);
+        if corks == 0 {
+            crate::mem::release_held();
+        }
+    }
 }
 
 #[cfg(test)]

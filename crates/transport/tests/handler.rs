@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use smc_transport::{
     ChannelJournal, Incoming, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork,
+    FRAME_HEADER_LEN,
 };
 use smc_types::{ManualClock, Result, ServiceId, SharedClock};
 
@@ -129,6 +130,98 @@ proptest! {
         }
         net.shutdown();
     }
+}
+
+/// Payload bytes one datagram carries at [`small_mtu`].
+const FRAGMENT: usize = 24;
+
+fn small_mtu(mut link: LinkConfig) -> LinkConfig {
+    link.mtu = FRAME_HEADER_LEN + FRAGMENT;
+    link
+}
+
+/// Message `i` of `sender`, cut into exactly `frags` fragments, every
+/// byte telling where it belongs.
+fn fragmented(sender: u8, i: usize, frags: usize) -> Vec<u8> {
+    let len = (frags - 1) * FRAGMENT + 1 + i * 7 % FRAGMENT;
+    (0..len)
+        .map(|j| (sender as usize * 31 + i * 7 + j) as u8)
+        .collect()
+}
+
+/// Two senders stream messages of the given fragment counts to one
+/// receiver over `link`; its handler must see each sender's messages once
+/// each, in the order sent, byte for byte, and nothing else.
+fn two_senders_of_fragmented_messages(link: LinkConfig, seed: u64, frags: [&[usize]; 2]) {
+    let net = SimNetwork::with_seed(small_mtu(link), seed);
+    let channel = || ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
+    let (senders, receiver) = ([channel(), channel()], channel());
+    let delivered = forward_reliable(&receiver);
+    for i in 0..frags[0].len().max(frags[1].len()) {
+        for (s, sender) in senders.iter().enumerate() {
+            if let Some(&n) = frags[s].get(i) {
+                sender
+                    .send(receiver.local_id(), fragmented(s as u8, i, n))
+                    .unwrap();
+            }
+        }
+    }
+    // Per sender: its index, and the next message expected from it.
+    let mut next: HashMap<ServiceId, (usize, usize)> = HashMap::from([
+        (senders[0].local_id(), (0, 0)),
+        (senders[1].local_id(), (1, 0)),
+    ]);
+    for _ in 0..frags[0].len() + frags[1].len() {
+        let (from, seq, got) = delivered.recv_timeout(TICK).expect("delivered in time");
+        let (s, i) = next.get_mut(&from).expect("a known sender");
+        assert_eq!(seq, *i as u64 + 1, "sequence numbers ascend by one");
+        assert_eq!(got, fragmented(*s as u8, *i, frags[*s][*i]));
+        *i += 1;
+    }
+    let deadline = Instant::now() + TICK;
+    while senders.iter().any(|s| s.pending(receiver.local_id()) > 0) {
+        assert!(Instant::now() < deadline, "acknowledged in time");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        delivered.try_recv().is_err(),
+        "a message was handed up twice"
+    );
+    for ch in senders.iter().chain([&receiver]) {
+        ch.close();
+    }
+    net.shutdown();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// The property above for messages of one to five fragments: lost,
+    /// repeated and reordered fragments still make each message once, in
+    /// order, byte for byte.
+    #[test]
+    fn fragmented_messages_reach_the_handler_exactly_once_per_sender_fifo(
+        frags in (
+            prop::collection::vec(1usize..=5, 1..25),
+            prop::collection::vec(1usize..=5, 1..25),
+        ),
+        seed in any::<u64>(),
+        loss in 0.0f64..0.3,
+        duplicate in 0.0f64..0.3,
+        jitter_us in 0u64..3_000,
+    ) {
+        let mut link = LinkConfig::ideal().with_loss(loss).with_duplicates(duplicate);
+        link.jitter = Duration::from_micros(jitter_us);
+        two_senders_of_fragmented_messages(link, seed, [&frags.0, &frags.1]);
+    }
+}
+
+/// The same on an instant link, where every message's fragments reach
+/// the receiver in one hand-over.
+#[test]
+fn fragmented_messages_over_an_instant_link_arrive_whole_and_in_order() {
+    let frags: Vec<usize> = (0..200).map(|i| 1 + i % 5).collect();
+    let reversed: Vec<usize> = frags.iter().rev().copied().collect();
+    two_senders_of_fragmented_messages(LinkConfig::ideal(), 1, [&frags, &reversed]);
 }
 
 /// Traffic first, handler second: what the inbox held goes through the
