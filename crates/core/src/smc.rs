@@ -3,12 +3,15 @@
 //! [`SmcCell`] is the paper's Figure 1 in one object: the event bus at the
 //! heart, the discovery service managing membership, the policy service
 //! governing behaviour, and per-member proxies masking device
-//! heterogeneity. Two threads do the wiring:
+//! heterogeneity. Two handlers do the wiring, each on the thread that has
+//! the work:
 //!
-//! * the **membership thread** consumes discovery's membership events,
-//!   creates/destroys proxies (the bootstrap mechanism), publishes the
-//!   well-known `New Member` / `Purge Member` events, and pushes policy
-//!   deployments to newcomers;
+//! * the **membership handler** is handed each of discovery's membership
+//!   changes, in the order its table changed, on the discovery thread
+//!   that made it; it creates/destroys proxies (the bootstrap mechanism),
+//!   publishes the well-known `New Member` / `Purge Member` events, and
+//!   pushes policy deployments to newcomers — a newcomer's before it is
+//!   told it was admitted;
 //! * the **bus channel's receive thread** serves the bus endpoint, as the
 //!   channel's handler: publishes, subscriptions, advertisements, raw
 //!   device frames — enforcing authorisation policies and feeding every
@@ -18,7 +21,7 @@
 //!   consumer is bounded by its senders' windows.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -140,11 +143,7 @@ pub struct SmcCell {
     /// Shared, not owned: dispatch looks the sender up for every packet
     /// and must not deep-copy its strings and roles each time.
     members: Arc<Mutex<HashMap<ServiceId, Arc<ServiceInfo>>>>,
-    /// Held for the whole of [`SmcCell::on_member_joined`].
-    admission: Mutex<()>,
     next_local_seq: AtomicU64,
-    running: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for SmcCell {
@@ -306,30 +305,32 @@ impl SmcCell {
             wal,
             proxies: Arc::new(Mutex::new(HashMap::new())),
             members: Arc::new(Mutex::new(HashMap::new())),
-            admission: Mutex::new(()),
             next_local_seq: AtomicU64::new(1),
-            running: Arc::new(AtomicBool::new(true)),
-            threads: Mutex::new(Vec::new()),
         });
-        // Admission completes before discovery answers the join, so a
-        // device that hears it is a member finds its proxy in place.
-        let admitting = Arc::downgrade(&cell);
-        cell.discovery.set_admission_hook(move |info| {
-            if let Some(cell) = admitting.upgrade() {
-                cell.on_member_joined(info.clone());
-            }
-        });
+        // Every membership change, in the order discovery's table made
+        // them; a join's before discovery answers it, so a device that
+        // hears it is a member finds its proxy in place. Held weakly, like
+        // the bus handler (`serve`).
         let membership = Arc::downgrade(&cell);
-        let membership_running = Arc::clone(&cell.running);
-        let membership_events = cell.discovery.events().clone();
-        cell.threads.lock().push(
-            std::thread::Builder::new()
-                .name(format!("smc-membership-{}", cell.config.cell))
-                .spawn(move || {
-                    SmcCell::membership_loop(&membership, &membership_running, &membership_events)
-                })
-                .expect("spawn membership thread"),
-        );
+        cell.discovery
+            .set_membership_handler(Box::new(move |change| {
+                let Some(cell) = membership.upgrade() else {
+                    return;
+                };
+                match change {
+                    MembershipEvent::Joined(info) => cell.on_member_joined(info),
+                    MembershipEvent::Purged(id, reason) => {
+                        // Publish Purge Member *before* tearing down, so
+                        // other subscribers (and policies) see it; the
+                        // doomed proxy is skipped by its own destruction
+                        // right after.
+                        let _ = cell.publish_local(purge_member_event(id, reason));
+                        cell.destroy_member(id);
+                    }
+                    // Transient: masked by design; proxies keep queueing.
+                    MembershipEvent::Suspected(_) | MembershipEvent::Recovered(_) => {}
+                }
+            }));
         cell
     }
 
@@ -506,12 +507,7 @@ impl SmcCell {
                 .collect();
             ghosts.sort();
             for id in ghosts {
-                self.members.lock().remove(&id);
-                if let Some(proxy) = self.proxies.lock().remove(&id) {
-                    proxy.destroy();
-                }
-                self.bus.remove_subscriber(id);
-                self.quench.remove(id);
+                self.tear_down(id);
                 report.repair(format!("removed ghost member {id}"));
             }
         }
@@ -677,82 +673,29 @@ impl SmcCell {
 
     /// Stops the cell: discovery, the bus endpoint, and every proxy.
     pub fn shutdown(&self) {
-        if !self.running.swap(false, Ordering::SeqCst) {
-            return;
-        }
         self.discovery.shutdown();
         self.channel.close();
         let proxies: Vec<Arc<Proxy>> = self.proxies.lock().values().cloned().collect();
         for p in proxies {
             p.destroy();
         }
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
-            let _ = t.join();
-        }
     }
 
     // --- wiring ------------------------------------------------------------
-
-    /// The worker holds only a weak cell reference, upgraded transiently
-    /// to process one item — never across a blocking wait. Dropping the
-    /// last external handle therefore stops the thread (via the cell's
-    /// `Drop`) instead of leaking it.
-    fn membership_loop(
-        weak: &std::sync::Weak<Self>,
-        running: &std::sync::atomic::AtomicBool,
-        events: &crossbeam::channel::Receiver<MembershipEvent>,
-    ) {
-        loop {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            let outcome = events.recv_timeout(Duration::from_millis(50));
-            let Some(cell) = weak.upgrade() else { return };
-            match outcome {
-                Ok(MembershipEvent::Joined(info)) => {
-                    cell.on_member_joined(info);
-                }
-                Ok(MembershipEvent::Purged(id, reason)) => {
-                    // Publish Purge Member *before* tearing down, so other
-                    // subscribers (and policies) see it; the doomed proxy
-                    // is skipped by its own destruction right after.
-                    let _ = cell.publish_local(purge_member_event(id, reason));
-                    cell.destroy_member(id);
-                }
-                Ok(MembershipEvent::Suspected(_)) | Ok(MembershipEvent::Recovered(_)) => {
-                    // Transient: masked by design; proxies keep queueing.
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
-            drop(cell);
-        }
-    }
 
     /// Brings a member that discovery admitted into the cell: the log
     /// record, its proxy and the proxy's own subscriptions, quench state,
     /// its policy bundle, the New Member event — and last the `members`
     /// entry, so whoever finds a member there knows all of that is done.
+    /// Discovery has it done before it answers the join, because a device
+    /// may act the moment it hears it was admitted.
     ///
-    /// Discovery runs it (the admission hook) before it answers the join,
-    /// because a device may act the moment it hears it was admitted: its
-    /// proxy must exist, and its `Subscribe` must not see its own New
-    /// Member event. That call does the work for every ordinary join.
-    ///
-    /// Purges, though, are still handled on the membership thread, in
-    /// queue order, so a member that leaves and rejoins at once can reach
-    /// the hook while its `Purged` is still queued: the hook finds it
-    /// known and does nothing, the membership thread then tears the old
-    /// incarnation down — and must admit the new one when it comes to the
-    /// `Joined` queued behind. Hence the same call on `Joined`, and in
-    /// dispatch for a packet that arrives in between (or from a member
-    /// that joined before the hook was installed). Serialised
-    /// and idempotent: after an ordinary join both find the work done.
-    fn on_member_joined(&self, info: ServiceInfo) -> Arc<ServiceInfo> {
-        let _admitting = self.admission.lock();
-        if let Some(known) = self.members.lock().get(&info.id) {
-            return Arc::clone(known);
+    /// A member the cell already knows is left as it is: one that
+    /// discovery forgot while the cell did not (state corruption) rejoins
+    /// as the same incarnation.
+    fn on_member_joined(&self, info: ServiceInfo) {
+        if self.members.lock().contains_key(&info.id) {
+            return;
         }
         self.journal(&WalRecord::MemberJoined { info: info.clone() });
         let proxy = self.ensure_proxy(&info);
@@ -774,13 +717,19 @@ impl SmcCell {
             let _ = proxy.send_packet(&Packet::PolicyDeploy { payload });
         }
         let _ = self.publish_local(new_member_event(&info));
-        let info = Arc::new(info);
-        self.members.lock().insert(info.id, Arc::clone(&info));
-        info
+        self.members.lock().insert(info.id, Arc::new(info));
     }
 
     fn destroy_member(&self, id: ServiceId) {
         self.journal(&WalRecord::MemberPurged { member: id });
+        self.tear_down(id);
+        self.recompute_quench();
+    }
+
+    /// Removes a member from the live cell: its `members` entry, its
+    /// proxy, its bus routes and its quench state. The caller journals
+    /// and recomputes quench, each in its own time.
+    fn tear_down(&self, id: ServiceId) {
         self.members.lock().remove(&id);
         let proxy = self.proxies.lock().remove(&id);
         if let Some(proxy) = proxy {
@@ -788,11 +737,10 @@ impl SmcCell {
         }
         self.bus.remove_subscriber(id);
         self.quench.remove(id);
-        self.recompute_quench();
     }
 
     /// Creates the member's proxy if it does not exist yet (idempotent;
-    /// called from both the membership thread and dispatch).
+    /// called on admission, on restore and by dispatch).
     fn ensure_proxy(&self, info: &ServiceInfo) -> Arc<Proxy> {
         let mut proxies = self.proxies.lock();
         if let Some(p) = proxies.get(&info.id) {
@@ -826,17 +774,9 @@ impl SmcCell {
             return;
         };
         // Membership gate: everything on the bus endpoint requires
-        // membership. The discovery table is authoritative; a member it
-        // lists and this cell has not met is admitted here, before its
-        // packet is looked at.
+        // membership, and a member is in `members` from before discovery
+        // answers its join until its purge is handled.
         let member_info = self.members.lock().get(&from).cloned();
-        let member_info = match member_info {
-            Some(info) => Some(info),
-            None => self
-                .discovery
-                .member(from)
-                .map(|info| self.on_member_joined(info)),
-        };
         let Some(info) = member_info else {
             let _ = self.channel.send(
                 from,
@@ -1105,7 +1045,6 @@ impl SmcCell {
 
 impl Drop for SmcCell {
     fn drop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
         self.channel.close();
     }
 }

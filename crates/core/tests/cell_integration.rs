@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_core::{DeviceCodec, RawDevice, RemoteClient, SmcCell, SmcConfig};
+use smc_core::{ChannelSink, DeviceCodec, EventSink, RawDevice, RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::AgentConfig;
 use smc_policy::{
     ActionClass, ActionSpec, AuthorisationPolicy, Expr, ObligationPolicy, Policy, ValueTemplate,
@@ -231,6 +231,103 @@ fn membership_events_flow_on_the_bus() {
     assert_eq!(smc_types::member_id_of(&purged), Some(sensor.local_id()));
 
     monitor.shutdown();
+    cell.shutdown();
+}
+
+/// A member that leaves and at once asks to join again, from the same
+/// endpoint, is handled in that order: a local subscriber sees New
+/// Member, Purge Member, New Member; the cell lists the member once,
+/// behind the new incarnation's proxy; and its next publish is delivered
+/// exactly once. Twenty times over.
+#[test]
+fn leave_then_rejoin_at_once_is_handled_in_order() {
+    use smc_types::codec::from_bytes;
+
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let cell = start_cell(&net);
+    let (membership_sink, membership) = ChannelSink::new();
+    let membership_sink = Arc::new(membership_sink);
+    for change in [wellknown::NEW_MEMBER, wellknown::PURGE_MEMBER] {
+        cell.subscribe_local(
+            ServiceId::from_raw(0xCE11),
+            Filter::for_type(change),
+            Arc::clone(&membership_sink) as Arc<dyn EventSink>,
+        )
+        .unwrap();
+    }
+    let (readings_sink, readings) = ChannelSink::new();
+    cell.subscribe_local(
+        ServiceId::from_raw(0xCE12),
+        Filter::for_type("smc.sensor.reading"),
+        Arc::new(readings_sink),
+    )
+    .unwrap();
+
+    // The device speaks the protocol by hand, so nothing but this test
+    // decides when it leaves and joins.
+    let device = ReliableChannel::new(Arc::new(net.endpoint()), fast_reliable());
+    let id = device.local_id();
+    let discovery = cell.discovery().local_id();
+    let join = || {
+        let request = Packet::JoinRequest {
+            info: ServiceInfo::new(ServiceId::NIL, "sensor.spo2"),
+            auth_token: Vec::new(),
+        };
+        device.send(discovery, to_shared(&request)).unwrap();
+    };
+    let answered = || loop {
+        let incoming = device.recv(Some(TICK)).expect("a join response");
+        if let Ok(Packet::JoinResponse { accepted, .. }) = from_bytes(incoming.payload()) {
+            assert!(accepted);
+            return;
+        }
+    };
+    let next_change = || {
+        let event = membership.recv_timeout(TICK).expect("a membership event");
+        assert_eq!(smc_types::member_id_of(&event), Some(id));
+        event.event_type().to_owned()
+    };
+
+    join();
+    answered();
+    assert_eq!(next_change(), wellknown::NEW_MEMBER);
+    let mut proxy = cell.proxy(id).expect("a proxy");
+    for round in 1..=20i64 {
+        let leave = Packet::Leave {
+            member: id,
+            reason: "rejoin".into(),
+        };
+        device.send(discovery, to_shared(&leave)).unwrap();
+        join();
+        answered();
+        assert_eq!(
+            [next_change(), next_change()],
+            [wellknown::PURGE_MEMBER, wellknown::NEW_MEMBER],
+            "round {round}"
+        );
+        let listed = cell.members().iter().filter(|m| m.id == id).count();
+        assert_eq!(listed, 1, "round {round}");
+        let fresh = cell.proxy(id).expect("a proxy");
+        assert!(!Arc::ptr_eq(&fresh, &proxy), "round {round}: the old proxy");
+        assert!(proxy.is_destroyed() && !fresh.is_destroyed());
+        proxy = fresh;
+
+        let reading = Event::builder("smc.sensor.reading")
+            .attr("round", round)
+            .build();
+        device
+            .send(cell.bus_endpoint(), to_shared(&Packet::publish(reading)))
+            .unwrap();
+        let got = readings.recv_timeout(TICK).expect("the publish delivered");
+        assert_eq!(
+            got.attr("round").unwrap().as_int(),
+            Some(round),
+            "once each"
+        );
+    }
+    assert!(readings.recv_timeout(Duration::from_millis(100)).is_err());
+    assert!(membership.try_recv().is_err());
+    device.close();
     cell.shutdown();
 }
 

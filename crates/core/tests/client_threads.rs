@@ -37,7 +37,7 @@ fn settles_to(expected: usize) -> bool {
 fn threads_are_counted() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let idle = thread_count();
-    let cell = cell_runs_four_threads(&net, idle);
+    let cell = cell_runs_three_threads(&net, idle);
     client_runs_two_threads_and_shutdown_leaves_none(&net);
     cell.shutdown();
     assert!(
@@ -48,17 +48,18 @@ fn threads_are_counted() {
     net.shutdown();
 }
 
-/// A started cell runs four threads: the bus channel's receiver (which
-/// dispatches), the discovery channel's receiver (which admits), the
-/// discovery timer (beacons, leases) and the membership thread. There is
-/// no dispatch thread.
-fn cell_runs_four_threads(net: &SimNetwork, idle: usize) -> Arc<SmcCell> {
+/// A started cell runs three threads: the bus channel's receiver (which
+/// dispatches), the discovery channel's receiver (which admits members
+/// and hands joins, leaves and recoveries to the cell) and the discovery
+/// timer (beacons, and the lease purges it hands to the cell). There is
+/// no dispatch thread and no membership thread.
+fn cell_runs_three_threads(net: &SimNetwork, idle: usize) -> Arc<SmcCell> {
     let cell = SmcCell::start(
         Arc::new(net.endpoint()),
         Arc::new(net.endpoint()),
         SmcConfig::fast(),
     );
-    assert_eq!(thread_count(), idle + 4, "four threads per cell");
+    assert_eq!(thread_count(), idle + 3, "three threads per cell");
     cell
 }
 

@@ -15,8 +15,9 @@
 //!   heartbeating, loss detection and automatic rejoin.
 //!
 //! Group membership deliberately does **not** travel over the event bus;
-//! the service reports [`MembershipEvent`]s on a plain channel and the
-//! cell wiring (in `smc-core`) publishes the corresponding bus events.
+//! the service hands each [`MembershipEvent`] to its owner's
+//! [`MembershipHandler`], in the order the table changed, and the cell
+//! wiring (in `smc-core`) publishes the corresponding bus events.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -29,4 +30,4 @@ pub mod service;
 pub use agent::{AgentConfig, AgentEvent, MemberAgent, PacketSink};
 pub use auth::{AcceptAll, Authenticator, DeviceTypeAllowList, SharedSecret};
 pub use membership::{MemberRecord, MemberState, MembershipEvent, MembershipTable};
-pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats};
+pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats, MembershipHandler};

@@ -1,24 +1,27 @@
 //! The discovery service: beacons, admission, leases, purges.
 //!
 //! Runs on its own transport endpoint (it is a separate SMC core service
-//! in the paper's Figure 1) and reports membership changes over a channel
-//! that the cell wiring converts into `New Member` / `Purge Member` events
-//! on the bus — the paper is explicit that "the discovery protocol does
-//! not use the event bus for monitoring group membership".
+//! in the paper's Figure 1) and hands every membership change to its
+//! owner's [`MembershipHandler`], one at a time and in the order the
+//! table changed; the cell's handler turns them into `New Member` /
+//! `Purge Member` events on the bus — the paper is explicit that "the
+//! discovery protocol does not use the event bus for monitoring group
+//! membership".
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver};
+use parking_lot::{Mutex, MutexGuard};
 
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, PurgeReason, Result, ServiceId, ServiceInfo, SharedClock};
 
 use crate::auth::{AcceptAll, Authenticator};
-use crate::membership::{MembershipEvent, MembershipTable};
+use crate::membership::{MemberState, MembershipEvent, MembershipTable};
 
 /// Timing and admission parameters of a discovery service.
 #[derive(Debug, Clone)]
@@ -111,28 +114,42 @@ impl DiscoveryCounters {
     }
 }
 
-struct ServiceState {
-    table: MembershipTable,
-    /// See [`DiscoveryService::set_admission_hook`].
-    admission: Option<AdmissionHook>,
+/// What a service's owner does with each membership change, installed
+/// with [`DiscoveryService::set_membership_handler`].
+///
+/// It is called one change at a time, in the order the table changed, by
+/// the thread that made the change — the channel's receive thread (joins,
+/// leaves, recoveries), the timer thread or the caller of
+/// [`DiscoveryService::step`] (lease expiries), the caller of
+/// [`DiscoveryService::evict`] — or, if another thread is running the
+/// handler at that moment, by that thread once it returns: nobody waits
+/// for a handler. No lock the table's readers take is held, so it may read
+/// the table; a `Joined` is handled before the member's `JoinResponse` is
+/// sent, so what it sets up exists by the time the device hears it was
+/// admitted. It must not install a handler itself.
+pub type MembershipHandler = Box<dyn FnMut(MembershipEvent) + Send>;
+
+/// What the table's writers leave for the handler, in table order.
+#[derive(Debug)]
+enum Report {
+    /// A membership change.
+    Change(MembershipEvent),
+    /// A join's answer, sent once every change before it is handled.
+    Answer(ServiceId, Packet),
 }
 
-type AdmissionHook = Arc<dyn Fn(&ServiceInfo) + Send + Sync>;
-
-impl std::fmt::Debug for ServiceState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceState")
-            .field("table", &self.table)
-            .field("admission", &self.admission.is_some())
-            .finish()
-    }
+#[derive(Debug)]
+struct ServiceState {
+    table: MembershipTable,
+    /// Reports not yet handled: each is queued under this lock together
+    /// with the change it reports, so the queue is in table order.
+    unreported: VecDeque<Report>,
 }
 
 /// Step-driven state for a service built with
 /// [`DiscoveryService::with_clock`].
 #[derive(Debug)]
 struct ManualDriver {
-    worker: Worker,
     clock: SharedClock,
     /// Wall-clock anchor mapping virtual micros onto the `Instant`
     /// timeline the membership table uses.
@@ -152,15 +169,10 @@ impl ManualDriver {
 /// The discovery service of one self-managed cell.
 #[derive(Debug)]
 pub struct DiscoveryService {
-    cell: CellId,
-    channel: Arc<ReliableChannel>,
-    config: DiscoveryConfig,
-    state: Arc<Mutex<ServiceState>>,
-    events_rx: Receiver<MembershipEvent>,
-    events_tx: Sender<MembershipEvent>,
-    running: Arc<AtomicBool>,
-    counters: Arc<DiscoveryCounters>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    worker: Arc<Worker>,
+    /// The other end of an unclaimed service's handler.
+    events: Receiver<MembershipEvent>,
+    timer: Mutex<Option<std::thread::JoinHandle<()>>>,
     manual: Option<Mutex<ManualDriver>>,
 }
 
@@ -171,45 +183,22 @@ impl DiscoveryService {
         channel: Arc<ReliableChannel>,
         config: DiscoveryConfig,
     ) -> Arc<Self> {
-        let (events_tx, events_rx) = unbounded();
-        let state = Arc::new(Mutex::new(ServiceState {
-            table: MembershipTable::new(),
-            admission: None,
-        }));
-        let running = Arc::new(AtomicBool::new(true));
-        let counters = Arc::new(DiscoveryCounters::default());
-        let service = Arc::new(DiscoveryService {
-            cell,
-            channel: Arc::clone(&channel),
-            config: config.clone(),
-            state: Arc::clone(&state),
-            events_rx,
-            events_tx: events_tx.clone(),
-            running: Arc::clone(&running),
-            counters: Arc::clone(&counters),
-            worker: Mutex::new(None),
-            manual: None,
-        });
-        let worker = Arc::new(Worker {
-            cell,
-            channel,
-            config,
-            state,
-            events: events_tx,
-            running,
-            counters,
-        });
+        let service = Self::build(cell, channel, config, None);
         // Requests are answered where they are received; the service's
         // own thread only keeps time (beacons, leases).
-        let receiving = Arc::clone(&worker);
-        worker.channel.set_handler(Box::new(move |incoming| {
-            receiving.handle_at(incoming, Instant::now());
-        }));
+        let receiving = Arc::clone(&service.worker);
+        service
+            .worker
+            .channel
+            .set_handler(Box::new(move |incoming| {
+                receiving.handle_at(incoming, Instant::now());
+            }));
+        let worker = Arc::clone(&service.worker);
         let handle = std::thread::Builder::new()
             .name(format!("discovery-{cell}"))
             .spawn(move || worker.run())
             .expect("spawn discovery worker");
-        *service.worker.lock() = Some(handle);
+        *service.timer.lock() = Some(handle);
         service
     }
 
@@ -227,41 +216,44 @@ impl DiscoveryService {
         config: DiscoveryConfig,
         clock: SharedClock,
     ) -> Arc<Self> {
-        let (events_tx, events_rx) = unbounded();
-        let state = Arc::new(Mutex::new(ServiceState {
-            table: MembershipTable::new(),
-            admission: None,
-        }));
-        let running = Arc::new(AtomicBool::new(true));
-        let counters = Arc::new(DiscoveryCounters::default());
-        let worker = Worker {
-            cell,
-            channel: Arc::clone(&channel),
-            config: config.clone(),
-            state: Arc::clone(&state),
-            events: events_tx.clone(),
-            running: Arc::clone(&running),
-            counters: Arc::clone(&counters),
-        };
         let now_micros = clock.now_micros();
+        let driver = ManualDriver {
+            clock,
+            origin: Instant::now(),
+            origin_micros: now_micros,
+            beacon_seq: 0,
+            next_beacon_micros: now_micros,
+        };
+        Self::build(cell, channel, config, Some(driver))
+    }
+
+    /// A service nobody has claimed: its handler pushes onto the
+    /// [`DiscoveryService::events`] queue.
+    fn build(
+        cell: CellId,
+        channel: Arc<ReliableChannel>,
+        config: DiscoveryConfig,
+        manual: Option<ManualDriver>,
+    ) -> Arc<Self> {
+        let (events_tx, events) = unbounded();
         Arc::new(DiscoveryService {
-            cell,
-            channel,
-            config,
-            state,
-            events_rx,
-            events_tx,
-            running,
-            counters,
-            worker: Mutex::new(None),
-            manual: Some(Mutex::new(ManualDriver {
-                worker,
-                clock,
-                origin: Instant::now(),
-                origin_micros: now_micros,
-                beacon_seq: 0,
-                next_beacon_micros: now_micros,
-            })),
+            worker: Arc::new(Worker {
+                cell,
+                channel,
+                config,
+                state: Mutex::new(ServiceState {
+                    table: MembershipTable::new(),
+                    unreported: VecDeque::new(),
+                }),
+                handler: Mutex::new(Box::new(move |ev| {
+                    let _ = events_tx.send(ev);
+                })),
+                running: AtomicBool::new(true),
+                counters: DiscoveryCounters::default(),
+            }),
+            events,
+            timer: Mutex::new(None),
+            manual: manual.map(Mutex::new),
         })
     }
 
@@ -286,27 +278,15 @@ impl DiscoveryService {
         let mut work = 0;
         if now_micros >= drv.next_beacon_micros {
             drv.beacon_seq += 1;
-            let beacon = Packet::Beacon {
-                cell: self.cell,
-                discovery: self.channel.local_id(),
-                seq: drv.beacon_seq,
-            };
-            let _ = self.channel.broadcast_unreliable(&to_bytes(&beacon));
-            drv.next_beacon_micros = now_micros + self.config.beacon_interval.as_micros() as u64;
+            self.worker.beacon(drv.beacon_seq);
+            drv.next_beacon_micros = now_micros + self.config().beacon_interval.as_micros() as u64;
             work += 1;
         }
         let now = drv.virtual_now();
-        let transitions = {
-            let mut st = self.state.lock();
-            st.table.tick(now, self.config.lease, self.config.grace)
-        };
-        work += transitions.len();
-        for ev in transitions {
-            self.counters.count(&ev);
-            let _ = self.events_tx.send(ev);
-        }
-        while let Ok(incoming) = self.channel.recv(Some(Duration::ZERO)) {
-            drv.worker.handle_at(incoming, now);
+        drop(drv);
+        work += self.worker.tick(now);
+        while let Ok(incoming) = self.worker.channel.recv(Some(Duration::ZERO)) {
+            self.worker.handle_at(incoming, now);
             work += 1;
         }
         work
@@ -314,52 +294,63 @@ impl DiscoveryService {
 
     /// The cell this service announces.
     pub fn cell(&self) -> CellId {
-        self.cell
+        self.worker.cell
     }
 
     /// The timing and admission parameters in force.
     pub fn config(&self) -> &DiscoveryConfig {
-        &self.config
+        &self.worker.config
     }
 
     /// The service's own endpoint id.
     pub fn local_id(&self) -> ServiceId {
-        self.channel.local_id()
+        self.worker.channel.local_id()
     }
 
-    /// Installs what the owner does to finish admitting a member. It
-    /// runs on the thread that received the join request (the channel's
-    /// receive thread), after a new member is entered in
-    /// the table and **before** its `JoinResponse` is sent — so whatever
-    /// it sets up (a proxy, subscriptions on the device's behalf) exists
-    /// by the time the device hears it was admitted, and the device may
-    /// act on its membership at once. [`MembershipEvent::Joined`] is
-    /// still reported afterwards. The answer waits for the hook, so it
-    /// should do what admission needs and no more.
-    pub fn set_admission_hook(&self, hook: impl Fn(&ServiceInfo) + Send + Sync + 'static) {
-        self.state.lock().admission = Some(Arc::new(hook));
+    /// Claims the service: from now on every membership change is handed
+    /// to `handler` instead of the [`DiscoveryService::events`] queue. See
+    /// [`MembershipHandler`] for where and when it runs.
+    ///
+    /// Changes made before this call go through `handler` first, on the
+    /// calling thread, in order, before any later one does. A second call
+    /// replaces the handler.
+    pub fn set_membership_handler(&self, mut handler: MembershipHandler) {
+        let mut current = self.worker.handler.lock();
+        while let Ok(earlier) = self.events.try_recv() {
+            handler(earlier);
+        }
+        *current = handler;
+        drop(current);
+        self.worker.drain();
     }
 
-    /// The stream of membership changes (joined / suspected / recovered /
-    /// purged).
+    /// The membership changes (joined / suspected / recovered / purged) of
+    /// a service nobody claimed with
+    /// [`DiscoveryService::set_membership_handler`]; nothing arrives here
+    /// once a handler is installed.
     pub fn events(&self) -> &Receiver<MembershipEvent> {
-        &self.events_rx
+        &self.events
     }
 
     /// Snapshot of current members.
     pub fn members(&self) -> Vec<ServiceInfo> {
-        self.state.lock().table.snapshot()
+        self.worker.state.lock().table.snapshot()
     }
 
     /// The description `id` was admitted under, if it is a member: one
     /// table lookup, whatever the size of the cell.
     pub fn member(&self, id: ServiceId) -> Option<ServiceInfo> {
-        self.state.lock().table.get(id).map(|r| r.info.clone())
+        self.worker
+            .state
+            .lock()
+            .table
+            .get(id)
+            .map(|r| r.info.clone())
     }
 
     /// Returns `true` if `id` is currently a member.
     pub fn is_member(&self, id: ServiceId) -> bool {
-        self.state.lock().table.contains(id)
+        self.worker.state.lock().table.contains(id)
     }
 
     /// Silently re-admits a member recovered from a durability snapshot
@@ -372,7 +363,7 @@ impl DiscoveryService {
             Some(driver) => driver.lock().virtual_now(),
             None => Instant::now(),
         };
-        self.state.lock().table.admit(info, now);
+        self.worker.state.lock().table.admit(info, now);
     }
 
     /// Silently drops a member from the table: no `Purged` event, no
@@ -382,7 +373,7 @@ impl DiscoveryService {
     /// against durable truth brings the member back. Returns `true` if
     /// the entry existed.
     pub fn forget_member(&self, id: ServiceId) -> bool {
-        self.state.lock().table.remove(id).is_some()
+        self.worker.state.lock().table.remove(id).is_some()
     }
 
     /// Forcibly removes a member (operator or policy action).
@@ -391,21 +382,18 @@ impl DiscoveryService {
     ///
     /// [`Error::NotMember`] if `id` is not in the table.
     pub fn evict(&self, id: ServiceId) -> Result<()> {
-        let removed = self.state.lock().table.remove(id);
-        match removed {
-            Some(_) => {
-                let ev = MembershipEvent::Purged(id, PurgeReason::Evicted);
-                self.counters.count(&ev);
-                let _ = self.events_tx.send(ev);
-                Ok(())
-            }
-            None => Err(Error::NotMember),
+        let mut st = self.worker.state.lock();
+        if st.table.remove(id).is_none() {
+            return Err(Error::NotMember);
         }
+        let evicted = MembershipEvent::Purged(id, PurgeReason::Evicted);
+        self.worker.report(st, [Report::Change(evicted)]);
+        Ok(())
     }
 
     /// A snapshot of the service's activity counters.
     pub fn stats(&self) -> DiscoveryStats {
-        self.counters.snapshot()
+        self.worker.counters.snapshot()
     }
 
     /// Exports this service's counters into `registry` as
@@ -416,33 +404,47 @@ impl DiscoveryService {
 
     /// Stops the service, its timer thread and its channel.
     pub fn shutdown(&self) {
-        if !self.running.swap(false, Ordering::SeqCst) {
+        if !self.worker.running.swap(false, Ordering::SeqCst) {
             return;
         }
-        self.channel.close();
-        if let Some(handle) = self.worker.lock().take() {
+        self.worker.channel.close();
+        if let Some(handle) = self.timer.lock().take() {
             handle.thread().unpark();
-            let _ = handle.join();
+            // A handler may stop the service from the timer thread.
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }
 
 impl Drop for DiscoveryService {
     fn drop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.channel.close();
+        self.worker.running.store(false, Ordering::SeqCst);
+        self.worker.channel.close();
     }
 }
 
-#[derive(Debug)]
+/// What the service's handle, its channel's receive thread and its timer
+/// thread share.
 struct Worker {
     cell: CellId,
     channel: Arc<ReliableChannel>,
     config: DiscoveryConfig,
-    state: Arc<Mutex<ServiceState>>,
-    events: Sender<MembershipEvent>,
-    running: Arc<AtomicBool>,
-    counters: Arc<DiscoveryCounters>,
+    state: Mutex<ServiceState>,
+    /// Held by the thread running it; see [`Worker::drain`].
+    handler: Mutex<MembershipHandler>,
+    running: AtomicBool,
+    counters: DiscoveryCounters,
+}
+
+impl std::fmt::Debug for Worker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Worker")
+            .field("cell", &self.cell)
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Worker {
@@ -460,24 +462,71 @@ impl Worker {
             let now = Instant::now();
             if now >= next_beacon {
                 beacon_seq += 1;
-                let beacon = Packet::Beacon {
-                    cell: self.cell,
-                    discovery: self.channel.local_id(),
-                    seq: beacon_seq,
-                };
-                let _ = self.channel.broadcast_unreliable(&to_bytes(&beacon));
+                self.beacon(beacon_seq);
                 next_beacon = now + self.config.beacon_interval;
             }
-            // Lease accounting.
-            let transitions = {
-                let mut st = self.state.lock();
-                st.table.tick(now, self.config.lease, self.config.grace)
-            };
-            for ev in transitions {
-                self.counters.count(&ev);
-                let _ = self.events.send(ev);
-            }
+            self.tick(now);
             std::thread::park_timeout(poll);
+        }
+    }
+
+    fn beacon(&self, seq: u64) {
+        let beacon = Packet::Beacon {
+            cell: self.cell,
+            discovery: self.channel.local_id(),
+            seq,
+        };
+        let _ = self.channel.broadcast_unreliable(&to_bytes(&beacon));
+    }
+
+    /// Lease accounting at `now`; returns the number of transitions.
+    fn tick(&self, now: Instant) -> usize {
+        let mut st = self.state.lock();
+        let transitions = st.table.tick(now, self.config.lease, self.config.grace);
+        let n = transitions.len();
+        self.report(st, transitions.into_iter().map(Report::Change));
+        n
+    }
+
+    /// Reports what was just done to the table under `st`: counts each
+    /// change, queues it behind everything done before it, and once `st`
+    /// is released hands the queue to the handler.
+    fn report(
+        &self,
+        mut st: MutexGuard<'_, ServiceState>,
+        reports: impl IntoIterator<Item = Report>,
+    ) {
+        for report in reports {
+            if let Report::Change(ev) = &report {
+                self.counters.count(ev);
+            }
+            st.unreported.push_back(report);
+        }
+        drop(st);
+        self.drain();
+    }
+
+    /// Handles queued reports one at a time, in order — unless another
+    /// thread is running the handler, in which case that thread takes
+    /// them before it lets go. Never waits for a handler to return.
+    fn drain(&self) {
+        while let Some(mut handler) = self.handler.try_lock() {
+            loop {
+                let next = self.state.lock().unreported.pop_front();
+                match next {
+                    Some(Report::Change(ev)) => handler(ev),
+                    Some(Report::Answer(to, answer)) => {
+                        let _ = self.channel.send(to, to_shared(&answer));
+                    }
+                    None => break,
+                }
+            }
+            drop(handler);
+            // A report queued while this thread was letting go found the
+            // handler taken: it is this thread's to hand over.
+            if self.state.lock().unreported.is_empty() {
+                return;
+            }
         }
     }
 
@@ -491,31 +540,26 @@ impl Worker {
                 self.handle_join(from, info, &auth_token, now);
             }
             Packet::Heartbeat { member, seq } => {
-                let prev = self.state.lock().table.heartbeat(member, now);
-                match prev {
-                    Some(state) => {
-                        self.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
-                        if state == crate::membership::MemberState::Suspected {
-                            let ev = MembershipEvent::Recovered(member);
-                            self.counters.count(&ev);
-                            let _ = self.events.send(ev);
-                        }
-                        let ack = Packet::HeartbeatAck { seq };
-                        let _ = self.channel.send_unreliable(from, &to_bytes(&ack));
-                    }
-                    None => {
-                        // Unknown member: stay silent so it rejoins on the
-                        // next beacon.
-                    }
-                }
+                let mut st = self.state.lock();
+                // Unknown member: stay silent so it rejoins on the next
+                // beacon.
+                let Some(prev) = st.table.heartbeat(member, now) else {
+                    return;
+                };
+                let recovered = (prev == MemberState::Suspected)
+                    .then_some(Report::Change(MembershipEvent::Recovered(member)));
+                self.report(st, recovered);
+                self.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
+                let ack = Packet::HeartbeatAck { seq };
+                let _ = self.channel.send_unreliable(from, &to_bytes(&ack));
             }
             Packet::Leave { member, .. } => {
-                let removed = self.state.lock().table.remove(member);
-                if removed.is_some() {
-                    let ev = MembershipEvent::Purged(member, PurgeReason::Left);
-                    self.counters.count(&ev);
-                    let _ = self.events.send(ev);
-                }
+                let mut st = self.state.lock();
+                let left = st
+                    .table
+                    .remove(member)
+                    .map(|_| Report::Change(MembershipEvent::Purged(member, PurgeReason::Left)));
+                self.report(st, left);
             }
             _ => {}
         }
@@ -529,6 +573,9 @@ impl Worker {
             Ok(()) => (true, String::new()),
             Err(e) => (false, e.clone()),
         };
+        if !accepted {
+            self.counters.join_rejects.fetch_add(1, Ordering::Relaxed);
+        }
         let response = Packet::JoinResponse {
             accepted,
             reason,
@@ -538,22 +585,13 @@ impl Worker {
         };
         // Admit before answering: a device that hears it is a member may
         // use its membership at once, so by then the table lists it and
-        // the owner has done its part.
-        let (is_new, hook) = {
-            let mut st = self.state.lock();
-            let is_new = accepted && st.table.admit(info.clone(), now);
-            (is_new, st.admission.clone())
-        };
-        if let (true, Some(hook)) = (is_new, hook) {
-            hook(&info);
-        }
-        let _ = self.channel.send(from, to_shared(&response));
-        if is_new {
-            let ev = MembershipEvent::Joined(info);
-            self.counters.count(&ev);
-            let _ = self.events.send(ev);
-        } else if !accepted {
-            self.counters.join_rejects.fetch_add(1, Ordering::Relaxed);
-        }
+        // the handler has seen it join.
+        let mut st = self.state.lock();
+        let joined = (accepted && st.table.admit(info.clone(), now))
+            .then_some(Report::Change(MembershipEvent::Joined(info)));
+        self.report(
+            st,
+            joined.into_iter().chain([Report::Answer(from, response)]),
+        );
     }
 }

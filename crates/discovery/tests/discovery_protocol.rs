@@ -290,7 +290,7 @@ fn discovery_works_over_lossy_link() {
 /// The service's endpoint, noting — at the instant an accepting
 /// `JoinResponse` goes onto the wire — whether the membership table
 /// already lists the device it is addressed to, and whether the owner's
-/// admission hook has already run for it.
+/// membership handler has already seen it join.
 #[derive(Debug)]
 struct AdmissionProbe {
     inner: smc_transport::MemTransport,
@@ -333,8 +333,8 @@ impl smc_transport::Transport for AdmissionProbe {
 
 /// A device that hears it was admitted may use its membership at once
 /// (`wait_joined` returns on the transition, not a poll later), so before
-/// the answer leaves the table must list it — the bus asks the table —
-/// and the owner's admission hook must have run.
+/// the answer leaves the table must list it and the owner's membership
+/// handler must have seen it join — the bus asks the owner.
 #[test]
 fn member_is_admitted_before_it_is_told() {
     let net = SimNetwork::new(LinkConfig::ideal());
@@ -351,9 +351,11 @@ fn member_is_admitted_before_it_is_told() {
     let service = DiscoveryService::start(CellId(1), service_channel, DiscoveryConfig::fast());
     probe.service.set(Arc::clone(&service)).unwrap();
     let hook_probe = Arc::clone(&probe);
-    service.set_admission_hook(move |info| {
-        hook_probe.hooked.lock().unwrap().push(info.id);
-    });
+    service.set_membership_handler(Box::new(move |change| {
+        if let MembershipEvent::Joined(info) = change {
+            hook_probe.hooked.lock().unwrap().push(info.id);
+        }
+    }));
 
     let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
     agent.wait_joined(TICK).unwrap();
@@ -364,6 +366,81 @@ fn member_is_admitted_before_it_is_told() {
     assert_eq!(*probe.hooked.lock().unwrap(), vec![agent.local_id()]);
 
     agent.shutdown();
+    service.shutdown();
+}
+
+/// A device without an agent: it joins, is answered, and is never heard
+/// from again (give the service a long lease).
+fn join_by_hand(net: &SimNetwork, service: &DiscoveryService) -> Arc<ReliableChannel> {
+    use smc_types::codec::{from_bytes, to_shared};
+    use smc_types::Packet;
+
+    let device = channel(net);
+    let join = Packet::JoinRequest {
+        info: info("sensor.hr"),
+        auth_token: Vec::new(),
+    };
+    device.send(service.local_id(), to_shared(&join)).unwrap();
+    loop {
+        let incoming = device.recv(Some(TICK)).expect("an answer");
+        if let Ok(Packet::JoinResponse { accepted, .. }) = from_bytes(incoming.payload()) {
+            assert!(accepted);
+            return device;
+        }
+    }
+}
+
+fn change_of(change: &MembershipEvent) -> String {
+    match change {
+        MembershipEvent::Joined(info) => format!("joined {}", info.id),
+        MembershipEvent::Purged(id, reason) => format!("purged {id} {reason:?}"),
+        other => format!("{other:?}"),
+    }
+}
+
+/// A service nobody claimed queues its membership changes on `events()`.
+/// A handler installed later is handed those first, in the order the
+/// table changed and before the setter returns, then every later change;
+/// the queue gets nothing more.
+#[test]
+fn a_late_membership_handler_sees_earlier_changes_first_and_in_order() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let config = DiscoveryConfig {
+        lease: Duration::from_secs(60),
+        grace: Duration::from_secs(60),
+        ..DiscoveryConfig::fast()
+    };
+    let service = DiscoveryService::start(CellId(1), channel(&net), config);
+    let (a, b) = (join_by_hand(&net, &service), join_by_hand(&net, &service));
+    let (a, b) = (a.local_id(), b.local_id());
+    service.evict(a).unwrap();
+
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let handled = Arc::clone(&seen);
+    service.set_membership_handler(Box::new(move |change| {
+        handled.lock().unwrap().push(change_of(&change));
+    }));
+    assert_eq!(
+        *seen.lock().unwrap(),
+        [
+            format!("joined {a}"),
+            format!("joined {b}"),
+            format!("purged {a} Evicted"),
+        ]
+    );
+
+    // Live: `b`'s purge is queued ahead of `c`'s join, and `c` is not
+    // answered before both are handled.
+    service.evict(b).unwrap();
+    let c = join_by_hand(&net, &service).local_id();
+    assert_eq!(
+        seen.lock().unwrap()[3..],
+        [format!("purged {b} Evicted"), format!("joined {c}")]
+    );
+    assert!(
+        service.events().try_recv().is_err(),
+        "a claimed service queues nothing"
+    );
     service.shutdown();
 }
 
