@@ -20,7 +20,7 @@ use smc_transport::{LinkConfig, ReliableChannel, SimNetwork};
 use smc_types::{CellId, ServiceId, ServiceInfo};
 
 fn main() {
-    let args = HarnessArgs::from_env();
+    let args = HarnessArgs::from_env(&["lease-ms", "grace-ms"], &[]);
     let lease = Duration::from_millis(args.get("lease-ms", 150));
     let grace = Duration::from_millis(args.get("grace-ms", 250));
 

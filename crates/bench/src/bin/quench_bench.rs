@@ -107,7 +107,7 @@ fn run(honour_quench: bool, rate_hz: u64, window: Duration) -> Run {
 }
 
 fn main() {
-    let args = HarnessArgs::from_env();
+    let args = HarnessArgs::from_env(&["rate-hz", "window-ms"], &[]);
     let rate_hz: u64 = args.get("rate-hz", 100);
     let window = Duration::from_millis(args.get("window-ms", 500));
 

@@ -18,6 +18,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use smc_bench::HarnessArgs;
 use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_health::{
@@ -39,14 +40,9 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let secs: u64 = args
-        .iter()
-        .position(|a| a == "--secs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 2 } else { 10 });
+    let args = HarnessArgs::from_env(&["secs"], &["smoke"]);
+    let smoke = args.has("smoke");
+    let secs: u64 = args.get("secs", if smoke { 2 } else { 10 });
 
     let clock = system_clock();
     let net = SimNetwork::with_seed(LinkConfig::ideal(), 7);

@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,7 @@ use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_match::EngineKind;
 use smc_transport::{CpuProfile, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
-use smc_types::{Event, Filter, Result, ServiceId, ServiceInfo};
+use smc_types::{Error, Event, EventId, Filter, Result, ServiceId, ServiceInfo};
 
 /// How long harnesses wait on any single blocking step.
 pub const HARNESS_TIMEOUT: Duration = Duration::from_secs(30);
@@ -44,8 +45,9 @@ pub struct Testbed {
     pub cell: Arc<SmcCell>,
     /// The publishing endpoint (on the "laptop").
     pub publisher: Arc<RemoteClient>,
-    /// The subscribing endpoint (on the "laptop").
-    pub subscriber: Arc<RemoteClient>,
+    /// The subscribing endpoints (on the "laptop"), each subscribed to
+    /// every benchmark event.
+    pub subscribers: Vec<Arc<RemoteClient>>,
 }
 
 /// Knobs of a testbed run.
@@ -84,14 +86,15 @@ impl TestbedConfig {
 }
 
 impl Testbed {
-    /// Brings up the cell and both endpoints, subscribes the subscriber
-    /// to the benchmark event type, and installs the link profile on the
-    /// measured paths (joins happen over an ideal link so setup is fast).
+    /// Brings up the cell, the publisher and `subscribers` subscribers,
+    /// subscribes each to the benchmark event type, and installs the link
+    /// profile on the measured paths (joins happen over an ideal link so
+    /// setup is fast).
     ///
     /// # Errors
     ///
     /// Propagates join/subscribe failures.
-    pub fn start(config: &TestbedConfig) -> Result<Testbed> {
+    pub fn start(config: &TestbedConfig, subscribers: usize) -> Result<Testbed> {
         let net = SimNetwork::with_seed(LinkConfig::ideal(), config.seed);
         let smc_config = SmcConfig {
             engine: config.engine,
@@ -119,23 +122,29 @@ impl Testbed {
             )
         };
         let publisher = connect("bench.publisher")?;
-        let subscriber = connect("bench.subscriber")?;
-        subscriber.subscribe(Filter::for_type("bench.event"), HARNESS_TIMEOUT)?;
+        let subscribers = (0..subscribers)
+            .map(|_| {
+                let subscriber = connect("bench.subscriber")?;
+                subscriber.subscribe(Filter::for_type("bench.event"), HARNESS_TIMEOUT)?;
+                Ok(subscriber)
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         // Install the measured link on publisher→bus and bus→subscriber,
         // and make it the network default so `max_datagram` (which the
         // reliability layer sizes fragments from) reflects the profile's
         // MTU — crucial for small-MTU radios like ZigBee.
         let bus = cell.bus_endpoint();
-        net.set_link_between(publisher.local_id(), bus, config.link.clone());
-        net.set_link_between(subscriber.local_id(), bus, config.link.clone());
+        for member in subscribers.iter().chain([&publisher]) {
+            net.set_link_between(member.local_id(), bus, config.link.clone());
+        }
         net.set_default_link(config.link.clone());
 
         Ok(Testbed {
             net,
             cell,
             publisher,
-            subscriber,
+            subscribers,
         })
     }
 
@@ -146,142 +155,273 @@ impl Testbed {
             .build()
     }
 
-    /// Measures end-to-end response time (publish → delivery at the
+    /// Measures end-to-end response time (publish → delivery at the last
     /// subscriber) for `samples` events of `payload` bytes each,
     /// one-at-a-time (no pipelining), returning the per-event times.
     ///
     /// # Errors
     ///
-    /// Propagates publish/receive failures.
+    /// Propagates publish/receive failures; [`Error::Invalid`] when a
+    /// subscriber receives any event but the one just published.
     pub fn measure_response(&self, payload: usize, samples: usize) -> Result<Vec<Duration>> {
-        let mut times = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let start = Instant::now();
-            self.publisher.publish_nowait(Self::event(payload))?;
-            let _ = self.subscriber.next_event(HARNESS_TIMEOUT)?;
-            times.push(start.elapsed());
-        }
-        Ok(times)
+        (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                self.receive(self.publisher.publish_nowait(Self::event(payload))?)?;
+                Ok(start.elapsed())
+            })
+            .collect()
     }
 
     /// Measures sustained payload throughput: the publisher pipelines
     /// `events` events of `payload` bytes; the clock stops when the last
-    /// one reaches the subscriber. Returns payload kilobytes per second.
+    /// one reaches every subscriber. Returns payload kilobytes per second.
     ///
     /// # Errors
     ///
-    /// Propagates publish/receive failures.
+    /// As [`Testbed::measure_response`].
     pub fn measure_throughput(&self, payload: usize, events: usize) -> Result<f64> {
         let start = Instant::now();
-        for _ in 0..events {
-            self.publisher.publish_nowait(Self::event(payload))?;
+        let ids = (0..events)
+            .map(|_| self.publisher.publish_nowait(Self::event(payload)))
+            .collect::<Result<Vec<_>>>()?;
+        for id in ids {
+            self.receive(id)?;
         }
-        for _ in 0..events {
-            let _ = self.subscriber.next_event(HARNESS_TIMEOUT)?;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        Ok((payload * events) as f64 / 1024.0 / elapsed)
+        Ok((payload * events) as f64 / 1024.0 / start.elapsed().as_secs_f64())
     }
 
-    /// Tears the testbed down.
-    pub fn shutdown(&self) {
+    /// Takes the next event from every subscriber and checks it is
+    /// `expected`: a lost, repeated or reordered delivery fails here.
+    fn receive(&self, expected: EventId) -> Result<()> {
+        for (i, subscriber) in self.subscribers.iter().enumerate() {
+            let got = subscriber.next_event(HARNESS_TIMEOUT)?.id();
+            if got != expected {
+                return Err(Error::Invalid(format!(
+                    "subscriber {i} received {got}, expected {expected}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Dropping a testbed tears it down.
+impl Drop for Testbed {
+    fn drop(&mut self) {
         self.publisher.shutdown();
-        self.subscriber.shutdown();
+        for subscriber in &self.subscribers {
+            subscriber.shutdown();
+        }
         self.cell.shutdown();
         self.net.shutdown();
     }
 }
 
-/// Summary statistics over duration samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)]
-pub struct Stats {
-    pub mean_ms: f64,
-    pub min_ms: f64,
-    pub max_ms: f64,
-    pub p95_ms: f64,
-}
-
-/// Computes [`Stats`] over a sample set.
+/// The quantiles `qs` (each in `[0, 1]`) of `samples`, interpolated
+/// linearly between the closest ranks.
 ///
 /// # Panics
 ///
 /// Panics on an empty sample set.
-pub fn stats(samples: &[Duration]) -> Stats {
+pub fn quantiles<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
     assert!(!samples.is_empty(), "no samples");
-    let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-    ms.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let mean = ms.iter().sum::<f64>() / ms.len() as f64;
-    Stats {
-        mean_ms: mean,
-        min_ms: ms[0],
-        max_ms: *ms.last().expect("non-empty"),
-        p95_ms: ms[((ms.len() - 1) as f64 * 0.95) as usize],
-    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    qs.map(|q| {
+        let rank = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+    })
 }
 
-/// Parses `--key value` style harness arguments with defaults.
+/// The least-squares slope of `y` on `x` over `points`.
+///
+/// # Panics
+///
+/// Panics unless two points differ in `x`.
+pub fn slope(points: &[(f64, f64)]) -> f64 {
+    let n = points.len() as f64;
+    let mean_x = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let mean_y = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let (sxy, sxx) = points.iter().fold((0.0, 0.0), |(sxy, sxx), (x, y)| {
+        (
+            sxy + (x - mean_x) * (y - mean_y),
+            sxx + (x - mean_x).powi(2),
+        )
+    });
+    assert!(sxx > 0.0, "a slope needs two distinct x");
+    sxy / sxx
+}
+
+/// Writes a bench report to `results/<name>` under the working
+/// directory and names the file on stderr.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn write_report(name: &str, text: &str) {
+    let path = std::path::Path::new("results").join(name);
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, text))
+        .expect("write the bench report");
+    eprintln!("wrote {}", path.display());
+}
+
+/// A bench bin's command line: `--name value` options and bare
+/// `--name` switches, each declared by the bin.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
-    args: Vec<String>,
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
 }
 
 impl HarnessArgs {
-    /// Captures the process arguments.
-    pub fn from_env() -> Self {
-        HarnessArgs {
-            args: std::env::args().skip(1).collect(),
+    /// Parses `args` against the declared `options` (each takes a value)
+    /// and `switches`.
+    ///
+    /// # Errors
+    ///
+    /// An undeclared flag, a word that is not a flag, or an option
+    /// without its value; the message names it.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        options: &[&str],
+        switches: &[&str],
+    ) -> std::result::Result<Self, String> {
+        let mut parsed = HarnessArgs {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let name = arg.strip_prefix("--").unwrap_or_default();
+            if options.contains(&name) {
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.values.push((name.to_string(), value));
+            } else if switches.contains(&name) {
+                parsed.switches.push(name.to_string());
+            } else {
+                return Err(format!("unknown argument {arg}"));
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`HarnessArgs::parse`] over the process arguments; on bad input
+    /// prints the error and exits 2.
+    pub fn from_env(options: &[&str], switches: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), options, switches).unwrap_or_else(|e| usage(&e))
+    }
+
+    /// The last value of `--name`, parsed, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse as `T`; the message names the flag.
+    pub fn try_get<T: FromStr>(&self, name: &str, default: T) -> std::result::Result<T, String> {
+        match self.values.iter().rev().find(|(n, _)| n == name) {
+            Some((_, value)) => value
+                .parse()
+                .map_err(|_| format!("--{name}: cannot parse {value:?}")),
+            None => Ok(default),
         }
     }
 
-    /// The value following `--name`, parsed, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// [`HarnessArgs::try_get`]; on a value that does not parse prints
+    /// the error and exits 2.
+    pub fn get<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.try_get(name, default).unwrap_or_else(|e| usage(&e))
     }
 
-    /// Whether the bare flag `--name` is present.
+    /// Whether the switch `--name` is present.
     pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.args.iter().any(|a| a == &flag)
+        self.switches.iter().any(|s| s == name)
     }
+}
+
+fn usage(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
     #[test]
-    fn stats_computed() {
-        let s = stats(&[
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(30),
-        ]);
-        assert!((s.mean_ms - 20.0).abs() < 1e-9);
-        assert_eq!(s.min_ms, 10.0);
-        assert_eq!(s.max_ms, 30.0);
+    fn quantiles_interpolate_between_ranks() {
+        let q = quantiles(&[30.0, 10.0, 20.0, 40.0], [0.0, 0.5, 0.75, 1.0]);
+        assert_eq!(q, [10.0, 25.0, 32.5, 40.0]);
     }
 
     #[test]
     #[should_panic(expected = "no samples")]
-    fn stats_empty_panics() {
-        let _ = stats(&[]);
+    fn quantiles_of_nothing_panic() {
+        let _ = quantiles(&[], [0.5]);
+    }
+
+    #[test]
+    fn slope_is_exact_on_linear_data() {
+        let line: Vec<(f64, f64)> = (0..=10)
+            .map(|i| (i as f64 * 500.0, 3.5 * i as f64 * 500.0 + 2.0))
+            .collect();
+        assert_eq!(slope(&line), 3.5);
+    }
+
+    #[test]
+    fn args_parse_declared_flags() {
+        let a = HarnessArgs::parse(args("--smoke --secs 3"), &["secs"], &["smoke"]).unwrap();
+        assert!(a.has("smoke"));
+        assert_eq!(a.get("secs", 10u64), 3);
+        let a = HarnessArgs::parse(args(""), &["secs"], &["smoke"]).unwrap();
+        assert!(!a.has("smoke"));
+        assert_eq!(a.get("secs", 10u64), 10);
+    }
+
+    #[test]
+    fn args_reject_bad_input_naming_the_flag() {
+        let parse = |line| HarnessArgs::parse(args(line), &["samples"], &["smoke"]);
+        assert_eq!(
+            parse("--sample 5").unwrap_err(),
+            "unknown argument --sample"
+        );
+        assert_eq!(parse("smoke").unwrap_err(), "unknown argument smoke");
+        assert_eq!(parse("--samples").unwrap_err(), "--samples needs a value");
+        let five = parse("--samples five").unwrap();
+        assert_eq!(
+            five.try_get("samples", 30usize).unwrap_err(),
+            "--samples: cannot parse \"five\""
+        );
+    }
+
+    #[test]
+    fn testbed_delivers_each_event_once_in_order_to_every_subscriber() {
+        let bed = Testbed::start(&TestbedConfig::ideal(EngineKind::FastForward), 3).unwrap();
+        let ids: Vec<EventId> = (0..20)
+            .map(|_| bed.publisher.publish_nowait(Testbed::event(64)).unwrap())
+            .collect();
+        for subscriber in &bed.subscribers {
+            let got: Vec<EventId> = (0..ids.len())
+                .map(|_| subscriber.next_event(HARNESS_TIMEOUT).unwrap().id())
+                .collect();
+            assert_eq!(got, ids);
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(bed.subscribers.iter().all(|s| s.try_next_event().is_none()));
     }
 
     #[test]
     fn testbed_round_trips_ideal() {
-        let bed = Testbed::start(&TestbedConfig::ideal(EngineKind::FastForward)).unwrap();
+        let bed = Testbed::start(&TestbedConfig::ideal(EngineKind::FastForward), 1).unwrap();
         let times = bed.measure_response(100, 3).unwrap();
         assert_eq!(times.len(), 3);
         let kbps = bed.measure_throughput(500, 20).unwrap();
         assert!(kbps > 0.0);
-        bed.shutdown();
     }
 
     #[test]
@@ -292,13 +432,12 @@ mod tests {
             copy_rounds: 10,
             dispatch_spin: 100,
         };
-        let bed = Testbed::start(&cfg).unwrap();
+        let bed = Testbed::start(&cfg, 1).unwrap();
         let times = bed.measure_response(1000, 2).unwrap();
         // Two link hops of ≥0.6 ms each plus transmission.
         assert!(
             times.iter().all(|t| *t >= Duration::from_millis(1)),
             "{times:?}"
         );
-        bed.shutdown();
     }
 }

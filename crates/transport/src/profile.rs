@@ -177,16 +177,6 @@ impl CpuProfile {
         }
     }
 
-    /// Returns a copy with every cost scaled by `factor` (≥ 0). Benches
-    /// use this to explore faster/slower hosts without editing code.
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor >= 0.0, "scale factor must be non-negative");
-        CpuProfile {
-            copy_rounds: (self.copy_rounds as f64 * factor) as u32,
-            dispatch_spin: (self.dispatch_spin as f64 * factor) as u32,
-        }
-    }
-
     /// Performs the modelled work for handling `bytes` of packet data.
     ///
     /// Returns a checksum so the optimiser cannot elide the copies.
