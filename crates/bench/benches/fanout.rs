@@ -2,8 +2,9 @@
 //! a pre-built subscription set, swept over fan-out width.
 //!
 //! Isolates the single-publish latency of the snapshot path — one atomic
-//! route load, allocation-free matching, one shared encode. End-to-end
-//! throughput is the ledger's job (`benchmark/`, workload `ward_bus`).
+//! route load, allocation-free matching, the encoded `Deliver` shared by
+//! reference count. End-to-end throughput is the ledger's job
+//! (`benchmark/`, workload `ward_bus`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ impl EventSink for CountingSink {
     }
 
     fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
-        // Touch the shared encoded buffer like a proxy enqueue would.
+        // Take the encoded `Deliver` like a proxy enqueue would.
         let _ = frame.encoded();
         self.delivered.fetch_add(1, Ordering::Relaxed);
         Ok(())

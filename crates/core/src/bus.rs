@@ -10,22 +10,21 @@
 //! # Hot-path structure
 //!
 //! The publish path is read-only, and once the per-thread scratch has
-//! grown to working size a publish asks the heap for nothing when every
-//! sink reads the event in process, and for exactly one block — the
-//! shared delivery frame — when a sink takes the encoded bytes (pinned
-//! by `tests/publish_allocs.rs`). All routing state — the frozen match
-//! table, the sink map, the tracer — lives in one immutable `RouteTable`
-//! behind a [`SnapshotCell`]: `publish` performs a single lock-free
-//! snapshot load where it used to take three mutexes. Control operations
-//! (subscribe/unsubscribe/purge/engine-swap) mutate the private `Control`
-//! state under one mutex and publish a fresh snapshot; a concurrent
-//! publish sees either the entire old table or the entire new one, never
-//! a mix.
+//! grown to working size a publish asks the heap for nothing, whether
+//! its sinks read the event in process or take the encoded `Deliver`
+//! (the event's body under a tag; pinned by `tests/publish_allocs.rs`).
+//! All routing state — the frozen match table, the sink map, the tracer
+//! — lives in one immutable `RouteTable` behind a [`SnapshotCell`]:
+//! `publish` performs a single lock-free snapshot load where it used to
+//! take three mutexes. Control operations (subscribe/unsubscribe/purge/
+//! engine-swap) mutate the private `Control` state under one mutex and
+//! publish a fresh snapshot; a concurrent publish sees either the entire
+//! old table or the entire new one, never a mix.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -41,27 +40,21 @@ use crate::metrics::{BusMetrics, MetricsSnapshot};
 
 /// One publish's worth of delivery context, shared across the fan-out.
 ///
-/// The frame carries the event by reference and lazily encodes the
-/// `Packet::Deliver` wire bytes **once**, on first demand, into a shared
-/// `Arc<[u8]>`. Sinks that relay over the network ask for
-/// [`DeliveryFrame::encoded`] and enqueue the shared buffer; in-process
+/// The frame carries the event by reference. Sinks that relay over the
+/// network ask for [`DeliveryFrame::encoded`] — the `Packet::Deliver`
+/// held as the event's own body under a tag — and enqueue it; in-process
 /// sinks just read the event. Either way, per-subscriber cost is a
-/// reference-count bump — no event clone, no repeated encode.
+/// reference-count bump: nothing is encoded and nothing copied.
 #[derive(Debug)]
 pub struct DeliveryFrame<'a> {
     event: &'a Event,
     trace: TraceId,
-    encoded: OnceLock<SharedBytes>,
 }
 
 impl<'a> DeliveryFrame<'a> {
     /// Creates a frame for one publish.
     pub fn new(event: &'a Event, trace: TraceId) -> Self {
-        DeliveryFrame {
-            event,
-            trace,
-            encoded: OnceLock::new(),
-        }
+        DeliveryFrame { event, trace }
     }
 
     /// The event being delivered.
@@ -74,12 +67,10 @@ impl<'a> DeliveryFrame<'a> {
         self.trace
     }
 
-    /// The encoded `Packet::Deliver` frame, computed at most once per
-    /// publish and shared by every subscriber that asks.
+    /// The `Packet::Deliver` a channel sends ([`encode_deliver`]): the
+    /// event's body by reference count, for every subscriber that asks.
     pub fn encoded(&self) -> SharedBytes {
-        self.encoded
-            .get_or_init(|| encode_deliver(self.event, self.trace))
-            .clone()
+        encode_deliver(self.event, self.trace)
     }
 }
 
@@ -101,8 +92,8 @@ pub trait EventSink: Send + Sync {
     /// Delivers one event with its shared fan-out context.
     ///
     /// The default forwards to [`EventSink::deliver`]; network-facing
-    /// sinks override it to enqueue [`DeliveryFrame::encoded`]'s shared
-    /// buffer instead of re-encoding the event per subscriber.
+    /// sinks override it to enqueue [`DeliveryFrame::encoded`] with the
+    /// publish's own trace.
     ///
     /// # Errors
     ///

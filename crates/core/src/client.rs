@@ -151,7 +151,7 @@ impl RemoteClient {
     pub fn publish(&self, event: Event, timeout: Duration) -> Result<EventId> {
         let event = self.stamp(event);
         let id = event.id();
-        match self.request(id.to_string(), &Packet::publish_acked(event), timeout)? {
+        match self.request(id.to_string(), Packet::publish_acked(event), timeout)? {
             Reply::PublishAcked => Ok(id),
             other => Err(unexpected(other)),
         }
@@ -169,7 +169,7 @@ impl RemoteClient {
         let event = self.stamp(event);
         let id = event.id();
         self.channel
-            .send(self.bus, to_shared(&Packet::publish(event)))?;
+            .send(self.bus, Packet::publish(event).into_shared())?;
         Ok(id)
     }
 
@@ -190,7 +190,7 @@ impl RemoteClient {
     pub fn subscribe(&self, filter: Filter, timeout: Duration) -> Result<SubscriptionId> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let packet = Packet::Subscribe { request_id, filter };
-        match self.request(format!("req:{request_id}"), &packet, timeout)? {
+        match self.request(format!("req:{request_id}"), packet, timeout)? {
             Reply::Subscribed(id) => Ok(id),
             other => Err(unexpected(other)),
         }
@@ -202,7 +202,7 @@ impl RemoteClient {
     ///
     /// [`Error::Denied`] for unknown ids, [`Error::Timeout`] on no reply.
     pub fn unsubscribe(&self, id: SubscriptionId, timeout: Duration) -> Result<()> {
-        match self.request(id.to_string(), &Packet::Unsubscribe(id), timeout)? {
+        match self.request(id.to_string(), Packet::Unsubscribe(id), timeout)? {
             Reply::Unsubscribed => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -217,7 +217,7 @@ impl RemoteClient {
     pub fn advertise(&self, filter: Filter, timeout: Duration) -> Result<bool> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let packet = Packet::Advertise { request_id, filter };
-        match self.request(format!("req:{request_id}"), &packet, timeout)? {
+        match self.request(format!("req:{request_id}"), packet, timeout)? {
             Reply::Advertised(interested) => {
                 self.quenched.store(!interested, Ordering::SeqCst);
                 Ok(interested)
@@ -229,12 +229,12 @@ impl RemoteClient {
     /// Sends `packet` to the bus and waits for the reply the router files
     /// under `key`. Whichever way it fails — the send, the wait, a refusal
     /// — nothing is left waiting in `pending`.
-    fn request(&self, key: String, packet: &Packet, timeout: Duration) -> Result<Reply> {
+    fn request(&self, key: String, packet: Packet, timeout: Duration) -> Result<Reply> {
         let (tx, rx) = bounded(1);
         self.pending.lock().map.insert(key.clone(), tx);
         let reply = self
             .channel
-            .send(self.bus, to_shared(packet))
+            .send(self.bus, packet.into_shared())
             .and_then(|()| match rx.recv_timeout(timeout) {
                 Ok(Reply::Failed(m)) => Err(Error::Denied(m)),
                 Ok(reply) => Ok(reply),

@@ -241,11 +241,29 @@ impl Proxy {
     /// # Errors
     ///
     /// [`Error::Closed`] if the proxy is destroyed or the channel is shut.
-    pub fn send_packet(&self, packet: &Packet) -> Result<()> {
+    pub fn send_packet(&self, packet: Packet) -> Result<()> {
         if self.is_destroyed() {
             return Err(Error::Closed);
         }
-        self.channel.send(self.info.id, to_shared(packet))
+        self.channel.send(self.info.id, packet.into_shared())
+    }
+
+    /// Downlink: translates `event` for the device once and queues what
+    /// the codec made of it — its raw frame, or the typed `Deliver` of
+    /// the event under `trace` — accounted under `trace`.
+    fn downlink(&self, event: &Event, trace: TraceId) -> Result<()> {
+        if self.is_destroyed() {
+            return Err(Error::Closed);
+        }
+        let encoded = match self.codec.encode_downlink(event) {
+            Ok(Some(raw)) => to_shared(&Packet::Raw(raw)),
+            Ok(None) => encode_deliver(event, trace),
+            Err(e) => {
+                AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
+                return Err(e);
+            }
+        };
+        self.enqueue(encoded, trace)
     }
 
     /// Queues one encoded downlink message for the device and accounts
@@ -270,46 +288,22 @@ impl Proxy {
 }
 
 impl EventSink for Proxy {
-    /// Downlink: translate and queue the event for the device.
+    /// Downlink: translate and queue the event for the device, traced as
+    /// the publish it came from.
     ///
     /// The queueing, in-order retransmission and eventual drop-on-purge
     /// are provided by the reliable channel (`forget_peer` in
     /// [`Proxy::destroy`]).
     fn deliver(&self, event: &Event) -> Result<()> {
-        if self.is_destroyed() {
-            return Err(Error::Closed);
-        }
-        let trace = TraceId::for_event(event.publisher(), event.seq());
-        let encoded = match self.codec.encode_downlink(event) {
-            Ok(Some(raw)) => to_shared(&Packet::Raw(raw)),
-            Ok(None) => encode_deliver(event, trace),
-            Err(e) => {
-                AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        self.enqueue(encoded, trace)
+        self.downlink(event, TraceId::for_event(event.publisher(), event.seq()))
     }
 
-    /// Zero-copy downlink for passthrough members: when the codec has no
-    /// device-specific translation (`encode_downlink` → `Ok(None)`), the
-    /// bytes on the wire are exactly the frame's shared `Deliver`
-    /// encoding, so the proxy enqueues the fan-out's one buffer by
-    /// reference count instead of re-encoding the event per subscriber.
+    /// As [`EventSink::deliver`], under the frame's trace. A passthrough
+    /// member's `Deliver` is the frame's [`encoded`](DeliveryFrame::encoded)
+    /// packet — the event's body by reference count; a raw member's frame
+    /// is translated once, like any other delivery.
     fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
-        if self.is_destroyed() {
-            return Err(Error::Closed);
-        }
-        let event = frame.event();
-        match self.codec.encode_downlink(event) {
-            // Device-specific raw translation: fall back to the owned path.
-            Ok(Some(_)) => self.deliver(event),
-            Ok(None) => self.enqueue(frame.encoded(), frame.trace()),
-            Err(e) => {
-                AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.downlink(frame.event(), frame.trace())
     }
 }
 
@@ -475,9 +469,68 @@ mod tests {
             Err(Error::Closed)
         ));
         assert!(matches!(
-            proxy.send_packet(&Packet::Quench { enable: true }),
+            proxy.send_packet(Packet::Quench { enable: true }),
             Err(Error::Closed)
         ));
+    }
+
+    /// Translates every event to one raw byte, counting its calls.
+    #[derive(Debug)]
+    struct CountingCodec(Arc<AtomicU64>);
+
+    impl DeviceCodec for CountingCodec {
+        fn decode_uplink(&self, _raw: &[u8]) -> Result<Vec<Event>> {
+            Ok(Vec::new())
+        }
+
+        fn encode_downlink(&self, _event: &Event) -> Result<Option<Vec<u8>>> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(Some(vec![0xC0]))
+        }
+    }
+
+    #[test]
+    fn a_raw_delivery_is_translated_once_under_the_frames_trace() {
+        use smc_telemetry::{TraceSink, Tracer};
+
+        let (cell, device, _net) = setup();
+        let sink = Arc::new(TraceSink::with_capacity(64));
+        cell.set_tracer(Tracer::new(Arc::clone(&sink), smc_types::system_clock()));
+        let translations = Arc::new(AtomicU64::new(0));
+        let info = ServiceInfo::new(device.local_id(), "sensor.temperature");
+        let codec = CountingCodec(Arc::clone(&translations));
+        let proxy = Proxy::new(info, Box::new(codec), cell);
+        let event = Event::builder("smc.command")
+            .publisher(ServiceId::from_raw(9))
+            .seq(4)
+            .build();
+        // Not the id `TraceId::for_event` would derive.
+        let trace = TraceId::from_raw(0xF00D);
+        proxy
+            .deliver_frame(&DeliveryFrame::new(&event, trace))
+            .unwrap();
+        assert_eq!(translations.load(Ordering::Relaxed), 1, "one translation");
+        match device.recv(Some(Duration::from_secs(2))).unwrap() {
+            Incoming::Reliable { payload, .. } => {
+                assert_eq!(
+                    from_bytes::<Packet>(&payload).unwrap(),
+                    Packet::Raw(vec![0xC0])
+                );
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let enqueued = |trace| {
+            sink.journey(trace)
+                .hops
+                .iter()
+                .any(|r| r.hop == Hop::ProxyEnqueued)
+        };
+        assert!(enqueued(trace), "accounted under the frame's trace");
+        assert!(!enqueued(TraceId::for_event(
+            event.publisher(),
+            event.seq()
+        )));
+        assert_eq!(proxy.stats().events_downlinked, 1);
     }
 
     #[test]

@@ -664,7 +664,7 @@ impl SmcCell {
     /// [`Error::NotMember`] if the target has no proxy.
     pub fn send_command(&self, target: ServiceId, name: &str, args: AttributeSet) -> Result<()> {
         let proxy = self.proxy(target).ok_or(Error::NotMember)?;
-        proxy.send_packet(&Packet::Command {
+        proxy.send_packet(Packet::Command {
             target,
             name: name.to_owned(),
             args,
@@ -714,7 +714,7 @@ impl SmcCell {
         let bundle = self.policy.deployment_for(&info.device_type);
         if !bundle.policies.is_empty() {
             let payload = to_bytes(&bundle);
-            let _ = proxy.send_packet(&Packet::PolicyDeploy { payload });
+            let _ = proxy.send_packet(Packet::PolicyDeploy { payload });
         }
         let _ = self.publish_local(new_member_event(&info));
         self.members.lock().insert(info.id, Arc::new(info));

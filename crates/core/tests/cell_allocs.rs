@@ -5,35 +5,36 @@
 //! receive thread), 64 B, 1 → 1, the ledger's `vitals_udp` shape on the
 //! in-memory link.
 //!
-//! The rule the path is held to: one request to send a message, none to
-//! share one, and a decode asks for what the decoded value keeps — which,
-//! for an event, is the message it arrived in plus a table. Per delivered
-//! event that is
+//! The rule the path is held to: none to send or share an event (its
+//! packet is its body under a tag), and a decode asks for what the decoded
+//! value keeps — which, for an event, is the message it arrived in plus a
+//! table. Per delivered event that is
 //!
 //! | stage                                                   | requests |
 //! |---------------------------------------------------------|----------|
 //! | driver: clone of the pooled event                       | 0        |
-//! | publisher: `Publish` encoded (`to_shared`) and sent     | 1        |
+//! | publisher: `Publish` — the event under a tag (`Packet::into_shared`) — sent | 0 |
 //! | link: one buffer per datagram, 2 data frames            | 2        |
 //! | link: a standalone acknowledgement per half window and hop | ≈ 0.1 |
 //! | `Frame` decode ×2 (the payload keeps the datagram)      | 0        |
 //! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its table, its shared body) | 2 |
 //! | cell: event shared with the bus; policy, nothing firing | 0        |
-//! | bus: the one `Deliver` frame — the `Publish`'s bytes, restamped; proxy sends it as it is | 1 |
+//! | bus: the `Deliver` — the adopted event under another tag, its stamp written as it is framed; proxy sends it as it is | 0 |
 //! | subscriber: `Deliver` adopted (table, body)             | 2        |
 //! | in-flight maps gaining a node as windows fill           | ≈ 0.5    |
-//! | **plain**                                               | **≈ 8.5** |
+//! | **plain**                                               | **≈ 6.5** |
 //! | durable: the one message the bus channel delivers, kept until consumed | 1 |
 //! | durable: the log's segments growing (4 records, framed in scratch) | ≈ 0.1 |
-//! | **durable**                                             | **≈ 9.5** |
+//! | **durable**                                             | **≈ 7.5** |
 //!
 //! Nothing is sent back at the application level: the publisher did not
 //! ask for a `PublishAck`, and the channel's own acknowledgement — held,
 //! cumulative, one datagram per half window — is all either hop pays.
 //!
-//! Measured here: 8.5 plain, 9.5 durable (18.5 and 19.5 while each decode
-//! copied type name, three names and payload out of the message — 7
-//! requests a decode; 22.4 and 24.5 with a `PublishAck` and a
+//! Measured here: 6.5 plain, 7.5 durable (8.5 and 9.5 while each send
+//! copied its event into a buffer of its own; 18.5 and 19.5 while each
+//! decode copied type name, three names and payload out of the message —
+//! 7 requests a decode; 22.4 and 24.5 with a `PublishAck` and a
 //! `DeliverAck` per event; 74.1 and 119.9 before this budget existed).
 //! What is left of a decode is two requests whatever the event's size;
 //! string and bytes attribute *values* are still copied out on top, one

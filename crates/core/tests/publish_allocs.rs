@@ -1,8 +1,9 @@
 //! Pins what "allocation-free publish" means: against a ward's worth of
-//! subscriptions, a warmed-up `EventBus::publish` asks the heap for nothing
-//! when its sinks read the event in process, and for exactly the one shared
-//! delivery frame when a sink takes the encoded bytes. Beside it, what one
-//! control-path pair (`unsubscribe` + `subscribe`) may ask for.
+//! subscriptions, a warmed-up `EventBus::publish` asks the heap for nothing,
+//! whether its sinks read the event in process or take the encoded
+//! `Deliver` — the event's body under a tag, shared by reference count.
+//! Beside it, what one control-path pair (`unsubscribe` + `subscribe`) may
+//! ask for.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`.
 //! The count is per thread, so the test harness's own threads cannot
@@ -147,7 +148,7 @@ fn control_pair_allocates_no_more_than_before() {
 }
 
 #[test]
-fn steady_state_publish_allocates_only_the_shared_frame() {
+fn steady_state_publish_asks_the_heap_for_nothing() {
     let in_process = ward_bus(Arc::new(InProcessSink::default()));
     assert_eq!(
         allocations_while_publishing(&in_process),
@@ -158,7 +159,7 @@ fn steady_state_publish_allocates_only_the_shared_frame() {
     let framed = ward_bus(Arc::new(FrameSink::default()));
     assert_eq!(
         allocations_while_publishing(&framed),
-        PUBLISHES as u64,
-        "frame-taking sinks: one shared buffer per publish, nothing else"
+        0,
+        "frame-taking sinks: the encoded frame is the event, shared"
     );
 }

@@ -271,9 +271,7 @@ pub fn fragment_range(len: usize, max_fragment: usize, index: u16) -> std::ops::
 }
 
 /// Writes a [`Frame::Data`] straight from a borrowed fragment slice,
-/// without first materialising the fragment as an owned `Vec<u8>`. The
-/// one place that knows the data-frame layout ([`Frame`]'s `Encode` goes
-/// through here).
+/// without first materialising the fragment as an owned `Vec<u8>`.
 pub fn put_data_frame(
     buf: &mut BytesMut,
     ack: Option<CumulativeAck>,
@@ -282,6 +280,29 @@ pub fn put_data_frame(
     frag_index: u16,
     frag_count: u16,
     payload: &[u8],
+) {
+    put_data_header(buf, ack, epoch, seq, frag_index, frag_count, payload.len());
+    buf.put_slice(payload);
+}
+
+/// Writes a [`Frame::Data`] up to its fragment's bytes, which the caller
+/// appends next — exactly `payload_len` of them (a channel writes them
+/// from the message it holds, `SharedBytes::put_range`). The one place
+/// that knows the data-frame layout ([`Frame`]'s `Encode` goes through
+/// here).
+///
+/// # Panics
+///
+/// Panics if `payload_len` exceeds the byte-field limit
+/// ([`MAX_BYTES_LEN`](smc_types::codec::MAX_BYTES_LEN)).
+pub fn put_data_header(
+    buf: &mut BytesMut,
+    ack: Option<CumulativeAck>,
+    epoch: u64,
+    seq: u64,
+    frag_index: u16,
+    frag_count: u16,
+    payload_len: usize,
 ) {
     buf.put_u8(if ack.is_some() { F_DATA_ACK } else { F_DATA });
     buf.put_u64_le(epoch);
@@ -292,7 +313,7 @@ pub fn put_data_frame(
         buf.put_u64_le(ack.epoch);
         buf.put_u64_le(ack.up_to);
     }
-    buf.put_bytes_field(payload);
+    buf.put_bytes_len(payload_len);
 }
 
 /// [`put_data_frame`] for an ack-less fragment, into a buffer of its own

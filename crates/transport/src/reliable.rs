@@ -42,7 +42,7 @@ use smc_types::{
 };
 
 use crate::frame::{
-    encode_ack_batch_frame, encode_ack_frame, fragment_count, fragment_range, put_data_frame,
+    encode_ack_batch_frame, encode_ack_frame, fragment_count, fragment_range, put_data_header,
     put_unreliable_frame, CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN,
     FRAME_HEADER_LEN,
 };
@@ -158,12 +158,14 @@ pub trait ChannelJournal: Send + Sync + std::fmt::Debug {
         Ok(())
     }
     /// A message with (predicted) sequence number `seq` is about to be
-    /// queued for `peer`.
+    /// queued for `peer`. The payload is lent as the channel holds it: a
+    /// journal that keeps it writes its bytes where it wants them
+    /// ([`SharedBytes::put_range`]).
     ///
     /// # Errors
     ///
     /// An error aborts the send before any state changes.
-    fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &[u8]) -> Result<()>;
+    fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &SharedBytes) -> Result<()>;
     /// A recovered payload, retained by the journal under `prior_seq`, is
     /// about to re-enter the queue for `peer` under the fresh (predicted)
     /// number `seq`.
@@ -868,9 +870,10 @@ impl ReliableChannel {
     /// Queues `payload` for exactly-once, in-order delivery to `to`.
     ///
     /// The payload may be anything convertible into a [`SharedBytes`] —
-    /// a `Vec<u8>` or `Arc<[u8]>` works, and an already-shared buffer
-    /// (`codec::to_shared`'s, the bus's one-per-publish encoded frame) is
-    /// enqueued without copying.
+    /// a `Vec<u8>` or `Arc<[u8]>` works, and an already-shared message
+    /// (`codec::to_shared`'s buffer, an event packet held as its event:
+    /// `Packet::into_shared`, the bus's `encode_deliver`) is enqueued
+    /// without copying.
     ///
     /// Returning means queued, not delivered: the channel retransmits
     /// until the peer acknowledges or is forgotten. A caller that has to
@@ -1288,28 +1291,31 @@ impl Shared {
     }
 
     /// Puts every unacknowledged fragment of `msg` on the wire, the first
-    /// carrying whatever acknowledgement `to` is owed. Each fragment is
-    /// sliced out of the shared payload and framed in this thread's
-    /// encode scratch, which the transport reads it from: no owned copy
-    /// of the fragment, no buffer for the frame. On the mem link the
-    /// fragments reach `to` in one hand-over (a [`Cork`]). Returns how
-    /// many fragments went out.
+    /// carrying whatever acknowledgement `to` is owed. Each fragment's
+    /// bytes are written from the shared payload — an event packet's from
+    /// the event's own body — into a frame in this thread's encode
+    /// scratch, which the transport reads it from: no owned copy of the
+    /// message or the fragment, no buffer for the frame. On the mem link
+    /// the fragments reach `to` in one hand-over (a [`Cork`]). Returns
+    /// how many fragments went out.
     fn transmit(&self, to: ServiceId, seq: u64, msg: &OutMessage) -> u64 {
         let mut ack = self.take_piggyback(to);
         let mut sent = 0;
         let _cork = Cork::hold();
+        let len = msg.payload.len();
         for i in (0..msg.frag_count).filter(|&i| !msg.acked.contains(i as usize)) {
-            let fragment = &msg.payload[fragment_range(msg.payload.len(), msg.max_frag, i)];
+            let fragment = fragment_range(len, msg.max_frag, i);
             with_scratch(|frame| {
-                put_data_frame(
+                put_data_header(
                     frame,
                     ack.take(),
                     self.epoch,
                     seq,
                     i,
                     msg.frag_count,
-                    fragment,
+                    fragment.len(),
                 );
+                msg.payload.put_range(fragment, frame);
                 let _ = self.transport.send(to, frame);
             });
             sent += 1;

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use smc_transport::{
     ChannelJournal, Incoming, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork,
 };
-use smc_types::{Error, ManualClock, Result, ServiceId, SharedClock};
+use smc_types::{Error, ManualClock, Result, ServiceId, SharedBytes, SharedClock};
 
 /// A journal that records cursor advances and can be told to fail.
 #[derive(Debug, Default)]
@@ -52,7 +52,7 @@ impl ChannelJournal for RecordingJournal {
         Ok(())
     }
 
-    fn on_enqueue(&self, _peer: ServiceId, _seq: u64, _payload: &[u8]) -> Result<()> {
+    fn on_enqueue(&self, _peer: ServiceId, _seq: u64, _payload: &SharedBytes) -> Result<()> {
         Ok(())
     }
 

@@ -19,7 +19,7 @@ use smc_transport::{
     ChannelJournal, Incoming, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork,
     FRAME_HEADER_LEN,
 };
-use smc_types::{ManualClock, Result, ServiceId, SharedClock};
+use smc_types::{ManualClock, Result, ServiceId, SharedBytes, SharedClock};
 
 const TICK: Duration = Duration::from_secs(10);
 
@@ -64,7 +64,7 @@ impl ChannelJournal for Retaining {
         self.consumed.lock().push((peer, seq));
         Ok(())
     }
-    fn on_enqueue(&self, _: ServiceId, _: u64, _: &[u8]) -> Result<()> {
+    fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
     }
     fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {

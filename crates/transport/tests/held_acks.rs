@@ -15,7 +15,7 @@ use smc_transport::{
     ReliableConfig, SimNetwork, Transport,
 };
 use smc_types::codec::from_bytes;
-use smc_types::{Error, ManualClock, Result, ServiceId, SharedClock};
+use smc_types::{Error, ManualClock, Result, ServiceId, SharedBytes, SharedClock};
 
 /// A simulated endpoint that remembers every frame sent through it.
 #[derive(Debug)]
@@ -427,7 +427,7 @@ impl ChannelJournal for FlakyJournal {
         }
         Ok(())
     }
-    fn on_enqueue(&self, _: ServiceId, _: u64, _: &[u8]) -> Result<()> {
+    fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
     }
     fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {

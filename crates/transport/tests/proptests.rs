@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn frame_round_trip(frame in any_frame()) {
         let bytes = to_bytes(&frame);
-        prop_assert_eq!(&to_shared(&frame)[..], &bytes[..]);
+        prop_assert_eq!(to_shared(&frame).to_vec(), bytes.clone());
         prop_assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame.clone());
         prop_assert_eq!(Frame::from_datagram(bytes).unwrap(), frame);
     }

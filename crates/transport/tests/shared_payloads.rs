@@ -9,7 +9,7 @@ use smc_transport::{
     ReliableConfig, SimNetwork, Transport,
 };
 use smc_types::codec::from_bytes;
-use smc_types::{Result, ServiceId, TraceId};
+use smc_types::{Result, ServiceId, SharedBytes, TraceId};
 
 const TICK: Duration = Duration::from_secs(5);
 
@@ -63,7 +63,7 @@ fn coalesced_acks_complete_journaled_deliveries() {
         fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
             Ok(())
         }
-        fn on_enqueue(&self, _: ServiceId, _: u64, _: &[u8]) -> Result<()> {
+        fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
             Ok(())
         }
         fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {
@@ -158,7 +158,7 @@ impl ChannelJournal for NullJournal {
     fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
         Ok(())
     }
-    fn on_enqueue(&self, _: ServiceId, _: u64, _: &[u8]) -> Result<()> {
+    fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
     }
     fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {
@@ -436,5 +436,93 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     assert_eq!(wire.len(), golden.len(), "datagram count changed");
     for (i, (got, want)) in wire.iter().zip(&golden).enumerate() {
         assert_eq!(got, want, "datagram {i} differs from the golden capture");
+    }
+}
+
+/// Records every datagram it is asked to send, at the mem link's MTU, and
+/// carries nothing.
+#[derive(Debug, Default)]
+struct Recorder {
+    sent: Mutex<Vec<Vec<u8>>>,
+}
+
+impl Transport for Recorder {
+    fn local_id(&self) -> ServiceId {
+        ServiceId::from_raw(0xA)
+    }
+    fn send(&self, _to: ServiceId, payload: &[u8]) -> Result<()> {
+        self.sent.lock().unwrap().push(payload.to_vec());
+        Ok(())
+    }
+    fn broadcast(&self, _payload: &[u8]) -> Result<()> {
+        Ok(())
+    }
+    fn recv(&self, _timeout: Option<Duration>) -> Result<Datagram> {
+        Err(smc_types::Error::Timeout)
+    }
+    fn max_datagram(&self) -> usize {
+        1400
+    }
+    fn close(&self) {}
+}
+
+/// An event packet a channel holds as the event — its body under a tag —
+/// goes out as exactly the datagrams its encoded bytes would: each
+/// fragment framed from the view is the fragment of `to_bytes(&packet)`
+/// framed by `put_data_frame`.
+#[test]
+fn an_event_packet_is_framed_as_its_bytes_would_be() {
+    use smc_transport::frame::{fragment_range, put_data_frame};
+    use smc_types::codec::{to_bytes, BytesMut};
+    use smc_types::{Event, ManualClock, Packet};
+
+    let recorder = Arc::new(Recorder::default());
+    let channel = ReliableChannel::with_clock(
+        Arc::clone(&recorder) as Arc<dyn Transport>,
+        ReliableConfig::default(),
+        Arc::new(ManualClock::new()),
+    );
+    let event = Event::builder("smc.sensor.ecg")
+        .attr("lead", 2i64)
+        .attr("patient", "p-17")
+        .publisher(ServiceId::from_raw(0x77))
+        .seq(9)
+        .timestamp_micros(123_456)
+        .payload((0..4096u32).map(|i| (i * 7) as u8).collect::<Vec<u8>>())
+        .build();
+    let trace = TraceId::for_event(event.publisher(), event.seq());
+    let packets = [
+        Packet::Publish {
+            event: event.clone(),
+            trace,
+            ack: false,
+        },
+        Packet::publish_acked(event.clone()),
+        Packet::Deliver { event, trace },
+    ];
+    let peer = ServiceId::from_raw(0xBEEF);
+    let max_fragment = 1400 - smc_transport::FRAME_HEADER_LEN;
+    for (k, packet) in packets.into_iter().enumerate() {
+        let bytes = to_bytes(&packet);
+        channel.send(peer, packet.into_shared()).unwrap();
+        let sent = std::mem::take(&mut *recorder.sent.lock().unwrap());
+        let frag_count = bytes.len().div_ceil(max_fragment);
+        assert!(frag_count >= 3, "a 4 KB event spans several fragments");
+        assert_eq!(sent.len(), frag_count);
+        let epoch = u64::from_le_bytes(sent[0][1..9].try_into().unwrap());
+        for (i, datagram) in sent.iter().enumerate() {
+            let mut expected = BytesMut::new();
+            let fragment = fragment_range(bytes.len(), max_fragment, i as u16);
+            put_data_frame(
+                &mut expected,
+                None,
+                epoch,
+                k as u64 + 1,
+                i as u16,
+                frag_count as u16,
+                &bytes[fragment],
+            );
+            assert_eq!(datagram, &expected[..], "packet {k}, fragment {i}");
+        }
     }
 }

@@ -91,8 +91,10 @@ pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
 
 /// Encodes a value into a shared buffer of exactly its length — the
 /// call's one heap request. This is the form a
-/// `ReliableChannel::send` enqueues without copying, so it is how every
-/// message on its way to a channel is encoded.
+/// `ReliableChannel::send` enqueues without copying, so it is how a
+/// message on its way to a channel is encoded — all but an event packet,
+/// which [`Packet::into_shared`](crate::Packet::into_shared) sends as the
+/// event's own body under a tag, asking the heap for nothing.
 pub fn to_shared<T: Encode + ?Sized>(value: &T) -> SharedBytes {
     with_scratch(|buf| {
         value.encode(buf);
@@ -267,6 +269,13 @@ pub trait WriteExt {
     fn put_str(&mut self, s: &str);
     /// Writes a `u32`-length-prefixed byte array.
     fn put_bytes_field(&mut self, b: &[u8]);
+    /// Writes the length prefix of a byte array whose `len` bytes the
+    /// caller appends next ([`SharedBytes::put_range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_BYTES_LEN`].
+    fn put_bytes_len(&mut self, len: usize);
     /// Writes a boolean as one byte.
     fn put_bool(&mut self, b: bool);
 }
@@ -282,12 +291,16 @@ impl WriteExt for BytesMut {
     }
 
     fn put_bytes_field(&mut self, b: &[u8]) {
+        self.put_bytes_len(b.len());
+        self.put_slice(b);
+    }
+
+    fn put_bytes_len(&mut self, len: usize) {
         assert!(
-            b.len() <= MAX_BYTES_LEN,
+            len <= MAX_BYTES_LEN,
             "byte field exceeds {MAX_BYTES_LEN} bytes"
         );
-        self.put_u32_le(b.len() as u32);
-        self.put_slice(b);
+        self.put_u32_le(len as u32);
     }
 
     fn put_bool(&mut self, b: bool) {

@@ -401,8 +401,9 @@ impl fmt::Debug for Attributes<'_> {
 /// What is shared is the event's own encoding: an event that arrived in a
 /// message ([`Packet::from_message`](crate::Packet::from_message),
 /// [`Event::from_message`]) keeps that message and reads its type name,
-/// attribute names and payload out of it, and sending it on is a copy of
-/// those bytes. Whoever keeps an event, or a clone, keeps the message.
+/// attribute names and payload out of it, and sending it on shares those
+/// bytes ([`Packet::into_shared`](crate::Packet::into_shared)). Whoever
+/// keeps an event, or a clone, keeps the message.
 ///
 /// ```
 /// use smc_types::{Event, ServiceId};
@@ -583,19 +584,35 @@ impl Event {
     pub fn content_len(&self) -> usize {
         self.body.content_len
     }
+
+    /// The event's encoding in the three runs it is made of: the body up
+    /// to the stamp, the stamp written from the event's own fields, and
+    /// the rest of the body. Concatenated they are what `Encode` writes.
+    pub(crate) fn encoding_runs(&self) -> (&[u8], [u8; STAMP_LEN], &[u8]) {
+        let (head, rest) = self
+            .body
+            .encoding()
+            .split_at(2 + self.body.event_type.len as usize);
+        let mut stamp = [0; STAMP_LEN];
+        stamp[..6].copy_from_slice(&self.publisher.raw().to_le_bytes()[..6]);
+        stamp[6..14].copy_from_slice(&self.seq.to_le_bytes());
+        stamp[14..].copy_from_slice(&self.timestamp_micros.to_le_bytes());
+        (head, stamp, &rest[STAMP_LEN..])
+    }
+
+    /// Length of the event's encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.body.encoding().len()
+    }
 }
 
 impl Encode for Event {
     /// One copy of the body, the stamp patched in.
     fn encode(&self, buf: &mut BytesMut) {
-        let body = &*self.body;
-        let at = buf.len();
-        buf.put_slice(body.encoding());
-        let stamp_at = at + 2 + body.event_type.len as usize;
-        let stamp = &mut buf[stamp_at..stamp_at + STAMP_LEN];
-        stamp[..6].copy_from_slice(&self.publisher.raw().to_le_bytes()[..6]);
-        stamp[6..14].copy_from_slice(&self.seq.to_le_bytes());
-        stamp[14..].copy_from_slice(&self.timestamp_micros.to_le_bytes());
+        let (head, stamp, _) = self.encoding_runs();
+        let stamp_at = buf.len() + head.len();
+        buf.put_slice(self.body.encoding());
+        buf[stamp_at..stamp_at + STAMP_LEN].copy_from_slice(&stamp);
     }
 }
 

@@ -6,7 +6,7 @@
 
 use bytes::{BufMut, BytesMut};
 
-use crate::codec::{from_bytes, with_scratch, Decode, Encode, Reader, WriteExt};
+use crate::codec::{from_bytes, to_shared, Decode, Encode, Reader, WriteExt};
 use crate::error::CodecError;
 use crate::event::{AttributeSet, Event};
 use crate::filter::Filter;
@@ -251,6 +251,20 @@ impl Packet {
                 ack: tag == P_PUBLISH_ACKED,
             }
         })
+    }
+
+    /// The packet as a channel sends it: a `Publish` or a `Deliver` is
+    /// its event's body under a tag ([`encode_deliver`]), asking the heap
+    /// for nothing; any other packet is encoded once ([`to_shared`]).
+    pub fn into_shared(self) -> SharedBytes {
+        match self {
+            Packet::Publish { event, trace, ack } => {
+                let tag = if ack { P_PUBLISH_ACKED } else { P_PUBLISH };
+                SharedBytes::event_packet(tag, event, trace)
+            }
+            Packet::Deliver { event, trace } => SharedBytes::event_packet(P_DELIVER, event, trace),
+            other => to_shared(&other),
+        }
     }
 
     /// Short packet-kind name for logs and metrics.
@@ -505,21 +519,16 @@ fn put_event_packet(buf: &mut BytesMut, tag: u8, event: &Event, trace: TraceId) 
     }
 }
 
-/// Encodes a [`Packet::Deliver`] frame straight from a borrowed event —
-/// byte-identical to `to_shared(&Packet::Deliver { event, trace })` but
-/// without putting the event into a packet first.
+/// The [`Packet::Deliver`] of a borrowed event, as a channel sends it —
+/// the bytes of `to_shared(&Packet::Deliver { event, trace })`, held as
+/// the event: nothing is written and the heap is not asked.
 ///
-/// This is the fan-out hot path: the bus encodes one delivery frame per
-/// publish and shares it across every remote subscriber, so the per-
-/// subscriber cost is a reference-count bump instead of a fresh encode.
-/// The shared buffer is the call's only allocation, and what goes into it
-/// is the event's body as it is held — for an event that arrived in a
-/// `Publish`, that message's bytes under another tag.
+/// This is the fan-out hot path: every remote subscriber's channel gets
+/// the event's own body by reference count, and frames each fragment
+/// straight from it. For an event that arrived in a `Publish`, the
+/// message it arrived in is what the outbound queues keep.
 pub fn encode_deliver(event: &Event, trace: TraceId) -> SharedBytes {
-    with_scratch(|buf| {
-        put_event_packet(buf, P_DELIVER, event, trace);
-        SharedBytes::from(&buf[..])
-    })
+    SharedBytes::event_packet(P_DELIVER, event.clone(), trace)
 }
 
 /// Reads the trailing optional trace id: old (pre-trace) frames end at the
@@ -568,7 +577,8 @@ mod tests {
                 event: event.clone(),
                 trace,
             });
-            assert_eq!(&direct[..], &via_packet[..]);
+            assert_eq!(direct.len(), via_packet.len());
+            assert_eq!(direct.to_vec(), via_packet);
         }
     }
 

@@ -21,6 +21,7 @@ use crate::error::CodecError;
 use crate::filter::Subscription;
 use crate::id::{ServiceId, SubscriptionId};
 use crate::member::ServiceInfo;
+use crate::shared::SharedBytes;
 
 /// Upper bound on entries in one snapshot collection (cursors, outbound
 /// messages, members, subscriptions) — far above anything a body-area
@@ -184,21 +185,29 @@ impl WalRecord {
         buf.put_bytes_field(payload);
     }
 
-    /// Writes a [`WalRecord::OutEnqueue`] from a borrowed payload; as
-    /// [`WalRecord::put_rx_deliver`].
+    /// Writes a [`WalRecord::OutEnqueue`] of a message on its way to a
+    /// channel, its bytes written from however the message holds them
+    /// ([`SharedBytes::put_range`]) — a channel journals what it queues
+    /// without writing the message out first.
     pub fn put_out_enqueue(
         buf: &mut BytesMut,
         chan: u8,
         peer: ServiceId,
         seq: u64,
-        payload: &[u8],
+        payload: &SharedBytes,
     ) {
-        buf.put_u8(W_OUT_ENQUEUE);
-        buf.put_u8(chan);
-        peer.encode(buf);
-        buf.put_u64_le(seq);
-        buf.put_bytes_field(payload);
+        put_out_enqueue_head(buf, chan, peer, seq);
+        buf.put_bytes_len(payload.len());
+        payload.put_range(0..payload.len(), buf);
     }
+}
+
+/// An `OutEnqueue` record up to its payload field.
+fn put_out_enqueue_head(buf: &mut BytesMut, chan: u8, peer: ServiceId, seq: u64) {
+    buf.put_u8(W_OUT_ENQUEUE);
+    buf.put_u8(chan);
+    peer.encode(buf);
+    buf.put_u64_le(seq);
 }
 
 impl Encode for WalRecord {
@@ -234,7 +243,10 @@ impl Encode for WalRecord {
                 peer,
                 seq,
                 payload,
-            } => WalRecord::put_out_enqueue(buf, *chan, *peer, *seq, payload),
+            } => {
+                put_out_enqueue_head(buf, *chan, *peer, *seq);
+                buf.put_bytes_field(payload);
+            }
             WalRecord::OutRequeue {
                 chan,
                 peer,

@@ -1,7 +1,8 @@
 //! Pins what the codec and an [`Event`] may ask of the heap: sharing an
-//! event is free, sending anything is one request — sending on an event
-//! that arrived in a message included — and decoding asks for what the
-//! decoded value keeps and nothing else.
+//! event is free, sending an event — one that arrived in a message
+//! included — is free too (its packet is its body under a tag), sending
+//! anything else is one request, and decoding asks for what the decoded
+//! value keeps and nothing else.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`.
 
@@ -55,7 +56,7 @@ fn encoding_for_a_channel_is_one_request() {
         let (requests, _) = during(|| to_bytes(packet));
         assert_eq!(requests.count, 1, "to_bytes({})", packet.kind());
     }
-    assert_eq!(&to_shared(&publish)[..], &expected[..]);
+    assert_eq!(to_shared(&publish).to_vec(), expected);
 }
 
 #[test]
@@ -91,7 +92,7 @@ fn a_string_that_is_not_utf8_is_refused_before_it_is_copied() {
 }
 
 #[test]
-fn re_encoding_an_adopted_event_as_a_deliver_is_one_request() {
+fn re_encoding_an_adopted_event_as_a_deliver_asks_the_heap_for_nothing() {
     let trace = TraceId::for_event(ServiceId::from_raw(7), 1);
     let message = to_bytes(&Packet::Publish {
         event: reading(),
@@ -104,13 +105,16 @@ fn re_encoding_an_adopted_event_as_a_deliver_is_one_request() {
     event.stamp(ServiceId::from_raw(7), 1, 99);
     let mut expected = reading();
     expected.stamp(ServiceId::from_raw(7), 1, 99);
-    // Once: the thread's scratch grows to working size.
     let expected = to_bytes(&Packet::Deliver {
         event: expected,
         trace,
     });
     let (requests, deliver) = during(|| encode_deliver(&event, trace));
-    assert_eq!(requests.count, 1, "encode_deliver");
-    assert!(requests.bytes as usize <= deliver.len() + 24);
-    assert_eq!(&deliver[..], &expected[..]);
+    assert_eq!(requests.count, 0, "encode_deliver");
+    assert_eq!(deliver.to_vec(), expected);
+    // And a publisher's own packet, built or adopted: its body by
+    // reference count.
+    let (requests, publish) = during(|| Packet::publish(event.clone()).into_shared());
+    assert_eq!(requests.count, 0, "Packet::into_shared");
+    assert_eq!(publish.to_vec(), to_bytes(&Packet::publish(event)));
 }

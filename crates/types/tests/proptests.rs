@@ -1,7 +1,7 @@
 //! Property-based tests for the wire codec and the filter algebra.
 
 use proptest::prelude::*;
-use smc_types::codec::{from_bytes, to_bytes, to_shared};
+use smc_types::codec::{from_bytes, to_bytes, to_shared, BytesMut};
 use smc_types::{
     encode_deliver, AttributeValue, CellId, Constraint, Event, Filter, Op, Packet, ServiceId,
     ServiceInfo, SubscriptionId, TraceId, WalRecord,
@@ -66,6 +66,22 @@ fn same_verdict<T: smc_types::codec::Encode>(
 /// The attribute count written at `count_at` of an encoded event body.
 fn expected_count(body: &[u8], count_at: usize) -> usize {
     u16::from_le_bytes([body[count_at], body[count_at + 1]]) as usize
+}
+
+/// `e`'s encoding with its attributes written in reverse name order: a
+/// body that adopting it writes out again, sorted.
+fn reversed_body(e: &Event) -> Vec<u8> {
+    let count_at = 2 + e.event_type().len() + 22;
+    let mut body = to_bytes(e)[..count_at + 2].to_vec();
+    let attributes: Vec<_> = e.attributes().iter().collect();
+    for (name, value) in attributes.into_iter().rev() {
+        body.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        body.extend_from_slice(name.as_bytes());
+        body.extend_from_slice(&to_bytes(value));
+    }
+    body.extend_from_slice(&(e.payload().len() as u32).to_le_bytes());
+    body.extend_from_slice(e.payload());
+    body
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -210,7 +226,8 @@ proptest! {
         prop_assert_eq!(&plain[1..], &marked[1..]);
     }
 
-    /// The shared encoding is the owned encoding, byte for byte.
+    /// The shared encoding is the owned encoding, byte for byte — and so
+    /// is a packet handed over whole, whichever form it takes.
     #[test]
     fn to_shared_is_to_bytes(e in arb_event(), f in arb_filter(), raw in any::<u64>()) {
         let peer = ServiceId::from_raw(raw);
@@ -222,7 +239,8 @@ proptest! {
             Packet::Raw(e.payload().to_vec()),
         ];
         for p in &packets {
-            prop_assert_eq!(&to_shared(p)[..], &to_bytes(p)[..]);
+            prop_assert_eq!(to_shared(p).to_vec(), to_bytes(p));
+            prop_assert_eq!(p.clone().into_shared(), to_shared(p));
         }
         let records = [
             WalRecord::RxDeliver { chan: 0, peer, epoch: raw, seq: 3, payload: e.payload().to_vec() },
@@ -233,7 +251,60 @@ proptest! {
             },
         ];
         for r in &records {
-            prop_assert_eq!(&to_shared(r)[..], &to_bytes(r)[..]);
+            prop_assert_eq!(to_shared(r).to_vec(), to_bytes(r));
+        }
+    }
+
+    /// A `Publish` or a `Deliver` a channel holds as its event — built,
+    /// adopted, or adopted from a body that had to be sorted — is the
+    /// packet's bytes: as long, the same bytes over any split into
+    /// ranges, and journalled as the same `OutEnqueue` record.
+    #[test]
+    fn an_event_packet_held_as_its_event_is_its_bytes(
+        e in arb_event(),
+        raw in any::<u64>(),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
+    ) {
+        let adopt = |message: Vec<u8>| match Packet::from_message(message).unwrap() {
+            Packet::Publish { event, .. } | Packet::Deliver { event, .. } => event,
+            other => unreachable!("an event packet, not {other:?}"),
+        };
+        let mut unsorted = vec![1u8];
+        unsorted.extend(reversed_body(&e));
+        let events = [e.clone(), adopt(to_bytes(&Packet::publish(e.clone()))), adopt(unsorted)];
+        let peer = ServiceId::from_raw(raw);
+        for event in events {
+            prop_assert_eq!(&event, &e);
+            for trace in [TraceId::NONE, TraceId::from_raw(raw | 1)] {
+                for packet in [
+                    Packet::Publish { event: event.clone(), trace, ack: false },
+                    Packet::Publish { event: event.clone(), trace, ack: true },
+                    Packet::Deliver { event: event.clone(), trace },
+                ] {
+                    let bytes = to_bytes(&packet);
+                    let deliver = matches!(packet, Packet::Deliver { .. });
+                    let view = packet.into_shared();
+                    prop_assert_eq!(view.len(), bytes.len());
+                    prop_assert_eq!(view.to_vec(), bytes.clone());
+                    if deliver {
+                        prop_assert_eq!(&encode_deliver(&event, trace), &view);
+                    }
+                    let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+                    at.extend([0, bytes.len()]);
+                    at.sort_unstable();
+                    let mut joined = Vec::new();
+                    for range in at.windows(2) {
+                        view.put_range(range[0]..range[1], &mut joined);
+                    }
+                    prop_assert_eq!(&joined, &bytes);
+
+                    let mut from_view = BytesMut::new();
+                    WalRecord::put_out_enqueue(&mut from_view, 1, peer, raw, &view);
+                    let record = WalRecord::OutEnqueue { chan: 1, peer, seq: raw, payload: bytes };
+                    prop_assert_eq!(&from_view[..], &to_bytes(&record)[..]);
+                    prop_assert_eq!(from_bytes::<WalRecord>(&from_view).unwrap(), record);
+                }
+            }
         }
     }
 
@@ -329,8 +400,8 @@ proptest! {
             }
             for trace in [TraceId::NONE, trace] {
                 prop_assert_eq!(
-                    &encode_deliver(&event, trace)[..],
-                    &to_bytes(&Packet::Deliver { event: e.clone(), trace })[..]
+                    encode_deliver(&event, trace).to_vec(),
+                    to_bytes(&Packet::Deliver { event: e.clone(), trace })
                 );
             }
         }

@@ -58,7 +58,7 @@ use parking_lot::Mutex;
 
 use smc_transport::ChannelJournal;
 use smc_types::codec::{from_bytes, to_bytes, with_scratch, BytesMut, Encode};
-use smc_types::{CoreSnapshot, Error, Result, ServiceId, WalRecord};
+use smc_types::{CoreSnapshot, Error, Result, ServiceId, SharedBytes, WalRecord};
 
 /// Channel discriminator for the bus/device channel's journal records.
 pub const CHAN_BUS: u8 = 0;
@@ -922,7 +922,7 @@ impl ChannelJournal for WalChannelJournal {
         })
     }
 
-    fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &[u8]) -> Result<()> {
+    fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &SharedBytes) -> Result<()> {
         self.wal.append_with(|buf| {
             WalRecord::put_out_enqueue(buf, self.chan, peer, seq, payload);
         })
@@ -1264,7 +1264,9 @@ mod tests {
         let bus = WalChannelJournal::new(Arc::clone(&wal), CHAN_BUS);
         let disco = WalChannelJournal::new(Arc::clone(&wal), CHAN_DISCOVERY);
         bus.on_deliver(sid(1), 3, 9, &[1, 2]).unwrap();
-        disco.on_enqueue(sid(2), 1, &[5, 6]).unwrap();
+        disco
+            .on_enqueue(sid(2), 1, &SharedBytes::from(vec![5, 6]))
+            .unwrap();
         bus.on_acked(sid(3), 4).unwrap();
         disco.on_forget(sid(2)).unwrap();
         drop(bus);
