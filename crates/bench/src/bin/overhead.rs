@@ -9,14 +9,14 @@
 //!
 //! Three arms run the *same* scenarios, interleaved repetition by
 //! repetition: untraced, traced, and traced with probes (control-mutex
-//! hold times, proxy queue depths, WAL append wait/service splits,
-//! snapshot writer-wait spins). Virtual-time determinism means every arm
-//! does identical protocol work, so the wall-clock ratios isolate what
-//! recording costs; each arm keeps its least-disturbed (minimum)
-//! repetition. The traced arm's own reports are then mined for every
-//! message's journey, each leg's delta (virtual µs since the previous
-//! hop) reported as p50/p95/p99 under the hop it arrives at, and the
-//! probed arm's registry for the series the probes feed.
+//! hold times, proxy queue depths, WAL append wait/service splits).
+//! Virtual-time determinism means every arm does identical protocol
+//! work, so the wall-clock ratios isolate what recording costs; each
+//! arm keeps its least-disturbed (minimum) repetition. The traced arm's
+//! own reports are then mined for every message's journey, each leg's
+//! delta (virtual µs since the previous hop) reported as p50/p95/p99
+//! under the hop it arrives at, and the probed arm's registry for the
+//! series the probes feed.
 //!
 //! Writes `results/BENCH_overhead.json`; exits 1 when traced / untraced
 //! exceeds 1.15 or probed / traced exceeds 1.10.
@@ -119,11 +119,7 @@ fn main() {
         .registry
         .gather()
         .into_iter()
-        .filter(|s| {
-            s.name.starts_with("smc_probe_")
-                || s.name.contains("writer_wait")
-                || s.name.starts_with("smc_trace_tail_")
-        })
+        .filter(|s| s.name.starts_with("smc_probe_") || s.name.starts_with("smc_trace_tail_"))
         .map(|s| format!("{{\"name\": \"{}\", \"value\": {}}}", s.name, s.value))
         .collect();
     let hops: Vec<String> = legs

@@ -7,6 +7,7 @@
 //! twice — once per matching engine — so the Siena-vs-C comparison is an
 //! emergent property of genuinely different code paths, not a constant.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::str::FromStr;

@@ -15,11 +15,12 @@
 //! (the event's body under a tag; pinned by `tests/publish_allocs.rs`).
 //! All routing state — the frozen match table, the sink map, the tracer
 //! — lives in one immutable `RouteTable` behind a [`SnapshotCell`]:
-//! `publish` performs a single lock-free snapshot load where it used to
-//! take three mutexes. Control operations (subscribe/unsubscribe/purge/
-//! engine-swap) mutate the private `Control` state under one mutex and
-//! publish a fresh snapshot; a concurrent publish sees either the entire
-//! old table or the entire new one, never a mix.
+//! `publish` takes one snapshot load (an uncontended lock held for a
+//! reference-count bump) where it used to take three mutexes. Control
+//! operations (subscribe/unsubscribe/purge/engine-swap) mutate the
+//! private `Control` state under one mutex and publish a fresh snapshot;
+//! a concurrent publish sees either the entire old table or the entire
+//! new one, never a mix.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -144,7 +145,7 @@ pub struct EventBus {
     /// All mutable routing state, mutated under one lock (fixed lock
     /// order by construction: there is only one lock to take).
     control: Mutex<Control>,
-    /// The published routing snapshot; `publish` does one lock-free load.
+    /// The published routing snapshot; `publish` does one load.
     routes: SnapshotCell<RouteTable>,
     engine_kind: EngineKind,
     next_sub: AtomicU64,
@@ -374,7 +375,7 @@ impl EventBus {
         BusMetrics::bump(&self.metrics.published);
         BusMetrics::add(&self.metrics.bytes_published, event.content_len() as u64);
         // The only synchronisation on the whole publish path: one
-        // lock-free snapshot load covering matcher, sinks and tracer.
+        // snapshot load covering matcher, sinks and tracer.
         let routes = self.routes.load();
         let trace = TraceId::for_event(event.publisher(), event.seq());
         routes.tracer.record(trace, Hop::Published);
@@ -511,16 +512,9 @@ impl EventBus {
         self.control.lock().subs.len()
     }
 
-    /// Bus activity counters, including route-snapshot writer-wait
-    /// contention sampled straight off the [`SnapshotCell`].
-    ///
-    /// [`SnapshotCell`]: smc_types::SnapshotCell
+    /// Bus activity counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            route_writer_wait_spins: self.routes.writer_wait_spins(),
-            route_writer_waits: self.routes.writer_waits(),
-            ..self.metrics.snapshot()
-        }
+        self.metrics.snapshot()
     }
 
     /// Internal access for the cell wiring.

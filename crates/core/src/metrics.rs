@@ -35,15 +35,8 @@ smc_telemetry::metric_set! {
         /// Wall-clock duration of the last WAL recovery, in microseconds.
         gauge wal_recovery_micros: "smc_wal_recovery_micros",
     }
-    /// A reading of [`BusMetrics`], plus the route-snapshot contention
-    /// [`EventBus::metrics`](crate::EventBus::metrics) samples straight
-    /// off the routes [`SnapshotCell`](smc_types::SnapshotCell).
-    pub struct MetricsSnapshot {
-        /// Spin iterations route-snapshot writers spent draining readers.
-        counter route_writer_wait_spins: "smc_bus_route_writer_wait_spins_total",
-        /// Route-snapshot publications that waited for a reader.
-        counter route_writer_waits: "smc_bus_route_writer_waits_total",
-    }
+    /// A reading of [`BusMetrics`].
+    pub struct MetricsSnapshot {}
 }
 
 impl BusMetrics {

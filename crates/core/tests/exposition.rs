@@ -64,16 +64,6 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         "Quench state flips sent to publishers.",
     ),
     (
-        "smc_bus_route_writer_wait_spins_total",
-        "counter",
-        "Spin iterations route-snapshot writers spent draining readers.",
-    ),
-    (
-        "smc_bus_route_writer_waits_total",
-        "counter",
-        "Route-snapshot publications that waited for a reader.",
-    ),
-    (
         "smc_bus_subscribes_denied_total",
         "counter",
         "Subscribe attempts rejected by policy.",

@@ -19,6 +19,7 @@
 //! [`MembershipHandler`], in the order the table changed, and the cell
 //! wiring (in `smc-core`) publishes the corresponding bus events.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -337,17 +337,6 @@ impl DiscoveryService {
         self.worker.state.lock().table.snapshot()
     }
 
-    /// The description `id` was admitted under, if it is a member: one
-    /// table lookup, whatever the size of the cell.
-    pub fn member(&self, id: ServiceId) -> Option<ServiceInfo> {
-        self.worker
-            .state
-            .lock()
-            .table
-            .get(id)
-            .map(|r| r.info.clone())
-    }
-
     /// Returns `true` if `id` is currently a member.
     pub fn is_member(&self, id: ServiceId) -> bool {
         self.worker.state.lock().table.contains(id)

@@ -29,6 +29,7 @@
 //! report.assert_clean(); // panics with seed + trace on a violation
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cell;

@@ -34,6 +34,7 @@
 //! Everything samples an injected clock, so the virtual-time chaos
 //! harness drives the whole loop deterministically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,7 @@
 //! # Ok::<(), smc_types::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

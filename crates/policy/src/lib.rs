@@ -14,6 +14,7 @@
 //! returns [`FiredAction`]s; executing them against the bus is the cell
 //! wiring's job (`smc-core`), keeping this crate free of networking.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

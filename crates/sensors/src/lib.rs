@@ -13,6 +13,7 @@
 //! * [`ecg`] — bulk ECG streaming that bypasses the bus, as the paper
 //!   assumes for high-rate monitoring data.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,6 +21,7 @@
 //! virtual-time chaos harness produces byte-identical journeys run after
 //! run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

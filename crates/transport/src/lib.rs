@@ -16,6 +16,7 @@
 //! * [`LinkConfig`]/[`CpuProfile`] — profiles of the paper's testbed (the
 //!   1.5 ms / 575 KB/s IP-over-USB link, the iPAQ hx4700's copying cost).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

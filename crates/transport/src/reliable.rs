@@ -595,8 +595,8 @@ struct Shared {
     clock: SharedClock,
     journal: Option<Arc<dyn ChannelJournal>>,
     /// Hop recorder for traced payloads; disabled (free) by default.
-    /// A copy-on-write snapshot so the send and receive paths read it
-    /// with one atomic load instead of a lock acquisition.
+    /// A copy-on-write snapshot, so the send and receive paths take it
+    /// with one short load and hold no lock while recording.
     tracer: SnapshotCell<Tracer>,
     /// Missed-ack interrupt line: bumped once per message per
     /// retransmission round so a health monitor can wake on the first

@@ -30,6 +30,7 @@
 //! # Ok::<(), smc_types::CodecError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,32 +1,23 @@
-//! Lock-free copy-on-write snapshots for read-mostly state.
+//! Copy-on-write snapshots for read-mostly state.
 //!
-//! [`SnapshotCell`] holds an `Arc<T>` that readers take with a single
-//! wait-free protocol (no mutex, no writer starvation of readers) and
-//! writers replace atomically. It is the hot-path primitive behind the
-//! bus's route table and the tracer handles: `publish` does one
-//! [`SnapshotCell::load`] where it used to take three mutexes.
+//! [`SnapshotCell`] holds an `Arc<T>` behind one mutex. A reader locks,
+//! clones the `Arc` and unlocks; a writer swaps in a new `Arc` under
+//! the lock. It is the hot-path primitive behind the bus's route table
+//! and the tracer handles: `publish` does one [`SnapshotCell::load`]
+//! where it used to take three mutexes.
 //!
-//! The design is a miniature RCU:
-//!
-//! * readers announce themselves on a counter, load the pointer, bump
-//!   the `Arc` strong count, and retire — a handful of uncontended
-//!   atomic operations, never a lock;
-//! * a writer swaps the pointer first, then waits for the reader count
-//!   to drain to zero **once** before dropping its reference to the old
-//!   value. Any reader that could have observed the old pointer is, at
-//!   that point, guaranteed to have finished taking its reference.
-//!
-//! All operations use `SeqCst`. The correctness argument needs the
-//! single total order: a reader's pointer load that follows the
-//! writer's swap in that order must observe the new pointer, so a
-//! reader holding the *old* pointer ordered its counter increment
-//! before the swap — and the writer's drain therefore waits for it.
+//! The lock is held only for a reference-count bump or a pointer swap,
+//! never while a snapshot is built or dropped — except by
+//! [`SnapshotCell::rcu`], whose `update` runs under it so that
+//! concurrent read-modify-writes serialise. A snapshot replaced by a
+//! writer is dropped after the lock is released, so a `Drop` may load
+//! the cell again. A panic under the lock cannot corrupt the `Arc`, so
+//! a poisoned lock is recovered, not propagated.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A cell whose current value is an immutable snapshot behind an `Arc`,
-/// readable without locks and replaceable atomically.
+/// readable under a short lock and replaceable atomically.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -38,108 +29,43 @@ use std::sync::Arc;
 /// assert_eq!(*cell.load(), vec![4]);
 /// ```
 pub struct SnapshotCell<T> {
-    /// Raw pointer obtained from `Arc::into_raw`; the cell owns one
-    /// strong reference to whatever it currently points at.
-    current: AtomicPtr<T>,
-    /// Readers mid-`load` (between announcing and having taken their
-    /// own strong reference).
-    readers: AtomicUsize,
-    /// Serialises writers; readers never touch it.
-    writer: std::sync::Mutex<()>,
-    /// Spin iterations writers spent draining readers (contention
-    /// probe; only touched when a drain actually spun).
-    writer_wait_spins: AtomicU64,
-    /// Drains that spun at least once.
-    writer_waits: AtomicU64,
+    current: Mutex<Arc<T>>,
 }
 
 impl<T> SnapshotCell<T> {
     /// Creates a cell holding `value`.
     pub fn new(value: Arc<T>) -> Self {
         SnapshotCell {
-            current: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            readers: AtomicUsize::new(0),
-            writer: std::sync::Mutex::new(()),
-            writer_wait_spins: AtomicU64::new(0),
-            writer_waits: AtomicU64::new(0),
+            current: Mutex::new(value),
         }
     }
 
-    /// Drains the reader count after a swap, accounting any contention.
-    fn drain_readers(&self) {
-        let mut spins = 0u64;
-        while self.readers.load(SeqCst) != 0 {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // Uncontended drains (the overwhelming majority) cost nothing
-        // extra; only a drain that actually spun touches the counters.
-        if spins > 0 {
-            self.writer_wait_spins.fetch_add(spins, SeqCst);
-            self.writer_waits.fetch_add(1, SeqCst);
-        }
+    fn lock(&self) -> MutexGuard<'_, Arc<T>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Total spin iterations writers spent waiting for readers to drain
-    /// — a direct contention signal on this cell.
-    pub fn writer_wait_spins(&self) -> u64 {
-        self.writer_wait_spins.load(SeqCst)
-    }
-
-    /// Number of writer drains that observed at least one mid-`load`
-    /// reader.
-    pub fn writer_waits(&self) -> u64 {
-        self.writer_waits.load(SeqCst)
-    }
-
-    /// Returns the current snapshot. Lock-free: a few atomic operations,
-    /// regardless of writer activity.
+    /// Returns the current snapshot: one lock, one reference-count bump.
     pub fn load(&self) -> Arc<T> {
-        self.readers.fetch_add(1, SeqCst);
-        let ptr = self.current.load(SeqCst);
-        // SAFETY: `ptr` came from `Arc::into_raw` and the cell's strong
-        // reference to it cannot be dropped while `readers > 0` — a
-        // writer that swapped it out waits for the reader count to
-        // drain before releasing the old value (see `store`).
-        unsafe { Arc::increment_strong_count(ptr) };
-        self.readers.fetch_sub(1, SeqCst);
-        // SAFETY: we hold the strong count we just took.
-        unsafe { Arc::from_raw(ptr) }
+        Arc::clone(&self.lock())
     }
 
     /// Replaces the snapshot. Readers that raced the swap keep whichever
     /// value they loaded; subsequent loads see `value`.
     pub fn store(&self, value: Arc<T>) {
-        let _serialise = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let old = self.current.swap(Arc::into_raw(value).cast_mut(), SeqCst);
-        // Wait for every reader that might have loaded `old` to finish
-        // taking its reference. Readers arriving after the swap load the
-        // new pointer, so this drains quickly (their critical section is
-        // a few instructions).
-        self.drain_readers();
-        // SAFETY: `old` came from `Arc::into_raw`, the cell's reference
-        // to it is no longer reachable, and no reader is mid-take.
-        drop(unsafe { Arc::from_raw(old) });
+        let old = std::mem::replace(&mut *self.lock(), value);
+        // The guard is gone: the old snapshot drops outside the lock.
+        drop(old);
     }
 
     /// Applies `update` to the current snapshot and stores the result,
-    /// atomically with respect to other writers.
+    /// atomically with respect to other writers. `update` runs under
+    /// the lock, so it must not touch this cell.
     pub fn rcu(&self, update: impl FnOnce(&T) -> T) {
-        let _serialise = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        // Safe to read without the reader protocol: we are the only
-        // writer, so the pointer cannot change under us.
-        let ptr = self.current.load(SeqCst);
-        // SAFETY: the cell holds a strong reference for as long as the
-        // pointer is installed, and we block all swaps.
-        let next = Arc::new(update(unsafe { &*ptr }));
-        let old = self.current.swap(Arc::into_raw(next).cast_mut(), SeqCst);
-        self.drain_readers();
-        // SAFETY: as in `store`.
-        drop(unsafe { Arc::from_raw(old) });
+        let mut current = self.lock();
+        let next = Arc::new(update(&current));
+        let old = std::mem::replace(&mut *current, next);
+        drop(current);
+        drop(old);
     }
 }
 
@@ -155,24 +81,10 @@ impl<T: Default> Default for SnapshotCell<T> {
     }
 }
 
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        let ptr = *self.current.get_mut();
-        // SAFETY: dropping the cell's own strong reference; no readers
-        // can exist (we have `&mut self`).
-        drop(unsafe { Arc::from_raw(ptr) });
-    }
-}
-
-// SAFETY: the cell hands out `Arc<T>` clones across threads, which is
-// exactly what `Arc` requires of `T`.
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     #[test]
     fn load_store_round_trip() {
@@ -225,20 +137,62 @@ mod tests {
         assert_eq!(LIVE.load(SeqCst), 0, "dropping the cell frees the last");
     }
 
-    /// Uncontended writes leave the contention counters untouched.
+    /// A panicking `update` poisons the lock; the cell recovers it, still
+    /// holds the snapshot from before the `rcu` and takes new writes.
     #[test]
-    fn uncontended_writes_record_no_waits() {
-        let cell = SnapshotCell::new(Arc::new(0u64));
-        for i in 0..100 {
-            cell.store(Arc::new(i));
+    fn a_panicking_rcu_leaves_the_old_snapshot() {
+        let cell = SnapshotCell::new(Arc::new(7u64));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.rcu(|_| panic!("update failed"));
+        }));
+        assert!(panicked.is_err());
+        assert!(cell.current.is_poisoned());
+        assert_eq!(*cell.load(), 7);
+        cell.rcu(|v| v + 1);
+        assert_eq!(*cell.load(), 8);
+        cell.store(Arc::new(9));
+        assert_eq!(*cell.load(), 9);
+    }
+
+    /// A replaced snapshot is dropped after the lock is released, so a
+    /// `Drop` that loads the same cell does not deadlock the writer.
+    #[test]
+    fn a_snapshot_may_load_its_cell_while_dropping() {
+        struct Reloads(std::sync::Weak<SnapshotCell<Reloads>>, Arc<AtomicU64>);
+        impl Drop for Reloads {
+            fn drop(&mut self) {
+                if let Some(cell) = self.0.upgrade() {
+                    drop(cell.load());
+                    self.1.fetch_add(1, SeqCst);
+                }
+            }
         }
-        assert_eq!(cell.writer_wait_spins(), 0);
-        assert_eq!(cell.writer_waits(), 0);
+        let reloads = Arc::new(AtomicU64::new(0));
+        let cell = Arc::new(SnapshotCell::new(Arc::new(Reloads(
+            std::sync::Weak::new(),
+            Arc::clone(&reloads),
+        ))));
+        let (done, finished) = std::sync::mpsc::channel();
+        let writer = {
+            let cell = Arc::clone(&cell);
+            let reloads = Arc::clone(&reloads);
+            std::thread::spawn(move || {
+                for _ in 0..3 {
+                    let next = Reloads(Arc::downgrade(&cell), Arc::clone(&reloads));
+                    cell.store(Arc::new(next));
+                }
+                done.send(()).unwrap();
+            })
+        };
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("store deadlocked dropping a snapshot that loads its cell");
+        writer.join().unwrap();
+        assert_eq!(reloads.load(SeqCst), 2, "two replaced snapshots reloaded");
     }
 
     /// Concurrent readers and a writer never observe a torn or freed
-    /// value. (A correctness smoke test; the memory-ordering argument is
-    /// in the module docs.)
+    /// value. (A correctness smoke test.)
     #[test]
     fn concurrent_load_store_stress() {
         let cell = Arc::new(SnapshotCell::new(Arc::new(vec![0u64; 16])));

@@ -43,6 +43,7 @@
 //! receivers' restored cursors suppress the resend, and re-routing is
 //! the documented at-least-once downlink window.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

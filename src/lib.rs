@@ -18,6 +18,8 @@
 //!
 //! See `examples/quickstart.rs` for the five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use smc_core as core;
 pub use smc_discovery as discovery;
 pub use smc_match as matching;
