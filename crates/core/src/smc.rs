@@ -19,6 +19,12 @@
 //!   runs from the socket to the subscribers' outbound queues on the
 //!   thread that received it; there is no queue in between, so a slow
 //!   consumer is bounded by its senders' windows.
+//!
+//! A cell built with [`SmcCell::with_clock`] has no thread at all: its
+//! owner's [`SmcCell::step`] is the thread that has the work, which is
+//! how the chaos harness replays a durable cell bit for bit. Either kind
+//! restarts a dead component on its own ([`SmcCell::restart_discovery`],
+//! [`SmcCell::restart_bus`]) through the recovery a boot runs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +42,7 @@ use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{
     new_member_event, purge_member_event, system_clock, AttributeSet, CellId, CoreSnapshot,
     CursorEntry, Error, Event, Filter, OutboundEntry, Packet, Result, ServiceId, ServiceInfo,
-    SharedClock, Subscription, SubscriptionId, TraceId, WalRecord,
+    SharedClock, SnapshotCell, Subscription, SubscriptionId, TraceId, WalRecord,
 };
 use smc_wal::{Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY};
 
@@ -131,13 +137,21 @@ impl SmcConfig {
 /// A running self-managed cell.
 pub struct SmcCell {
     config: SmcConfig,
+    /// Whether the channels and discovery are driven by [`SmcCell::step`]
+    /// ([`SmcCell::with_clock`]) rather than by their own threads.
+    stepped: bool,
+    /// The bus endpoint's id, which a restarted bus channel keeps.
+    bus_id: ServiceId,
     bus: Arc<EventBus>,
     policy: Arc<PolicyService>,
-    discovery: Arc<DiscoveryService>,
     factory: Arc<ProxyFactory>,
     quench: Arc<QuenchManager>,
-    channel: Arc<ReliableChannel>,
-    discovery_channel: Arc<ReliableChannel>,
+    /// The bus channel, the discovery channel and the discovery service:
+    /// what a component restart replaces. The bus channel's handler holds
+    /// its own channel, so routing a message loads none of them.
+    channel: SnapshotCell<ReliableChannel>,
+    discovery_channel: SnapshotCell<ReliableChannel>,
+    discovery: SnapshotCell<DiscoveryService>,
     wal: Option<Arc<Wal>>,
     proxies: Arc<Mutex<HashMap<ServiceId, Arc<Proxy>>>>,
     /// Shared, not owned: dispatch looks the sender up for every packet
@@ -156,6 +170,54 @@ impl std::fmt::Debug for SmcCell {
     }
 }
 
+/// A channel for one of the cell's endpoints: threaded or step-driven,
+/// and — given the log, the channel's number in it and the state it
+/// recovered — journalled and seeded from that state.
+fn open_channel(
+    config: &SmcConfig,
+    stepped: bool,
+    transport: Arc<dyn Transport>,
+    journal: Option<(&Arc<Wal>, u8, &CoreSnapshot)>,
+) -> Arc<ReliableChannel> {
+    let channel = match journal {
+        None => ReliableChannel::new(transport, config.reliable.clone()),
+        Some((wal, chan, snap)) => {
+            // The bus journal retains rx payloads: once the channel acks
+            // an event the device will never retransmit it, so the event
+            // must live in the log until it is routed. Discovery traffic
+            // is lease-protocol chatter a peer's next refresh regenerates,
+            // so a bare cursor suffices there.
+            let (journal, pending) = if chan == CHAN_BUS {
+                let journal = WalChannelJournal::with_rx_retention(Arc::clone(wal), chan);
+                (journal, snap.pending_rx_for(chan))
+            } else {
+                (WalChannelJournal::new(Arc::clone(wal), chan), Vec::new())
+            };
+            let (journal, cursors) = (Arc::new(journal), snap.cursors_for(chan));
+            let reliable = config.reliable.clone();
+            if stepped {
+                let clock = Arc::clone(&config.clock);
+                ReliableChannel::with_clock_journaled(
+                    transport, reliable, clock, journal, cursors, pending,
+                )
+            } else {
+                ReliableChannel::new_journaled(transport, reliable, journal, cursors, pending)
+            }
+        }
+    };
+    channel.set_tracer(config.tracer.clone());
+    channel
+}
+
+/// Tells `to` that the request `about` was refused, and why.
+fn refuse(channel: &ReliableChannel, to: ServiceId, about: impl ToString, message: impl ToString) {
+    let refusal = Packet::Error {
+        about: about.to_string(),
+        message: message.to_string(),
+    };
+    let _ = channel.send(to, to_shared(&refusal));
+}
+
 impl SmcCell {
     /// Starts a cell: `bus_transport` serves the event bus endpoint,
     /// `discovery_transport` the discovery endpoint (two sockets, as in
@@ -165,10 +227,10 @@ impl SmcCell {
         discovery_transport: Arc<dyn Transport>,
         config: SmcConfig,
     ) -> Arc<Self> {
-        let channel = ReliableChannel::new(bus_transport, config.reliable.clone());
-        let discovery_channel = ReliableChannel::new(discovery_transport, config.reliable.clone());
-        let cell = SmcCell::assemble(config, channel, discovery_channel, None);
-        cell.serve();
+        let channel = open_channel(&config, false, bus_transport, None);
+        let discovery_channel = open_channel(&config, false, discovery_transport, None);
+        let cell = SmcCell::assemble(config, false, channel, discovery_channel, None);
+        cell.serve(&cell.bus_channel());
         cell
     }
 
@@ -193,159 +255,310 @@ impl SmcCell {
         config: SmcConfig,
         backend: Arc<dyn WalBackend>,
     ) -> Result<Arc<Self>> {
+        SmcCell::boot(bus_transport, discovery_transport, config, backend, false)
+    }
+
+    /// The **step-driven** [`SmcCell::start_durable`]: the same durable
+    /// cell, recovered the same way, with no thread of its own. Its
+    /// channels and discovery service are timed by `config.clock`, and
+    /// nothing happens until [`SmcCell::step`] is called — so a
+    /// single-threaded owner with a [`smc_types::ManualClock`] and a
+    /// seeded network replays a whole cell bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend open/write failures.
+    pub fn with_clock(
+        bus_transport: Arc<dyn Transport>,
+        discovery_transport: Arc<dyn Transport>,
+        config: SmcConfig,
+        backend: Arc<dyn WalBackend>,
+    ) -> Result<Arc<Self>> {
+        SmcCell::boot(bus_transport, discovery_transport, config, backend, true)
+    }
+
+    fn boot(
+        bus_transport: Arc<dyn Transport>,
+        discovery_transport: Arc<dyn Transport>,
+        config: SmcConfig,
+        backend: Arc<dyn WalBackend>,
+        stepped: bool,
+    ) -> Result<Arc<Self>> {
         let (wal, recovered) = Wal::open(backend, WalConfig::default())?;
         let wal = Arc::new(wal);
         let snap = recovered.snapshot;
-        // The bus journal retains rx payloads: once the channel acks an
-        // event the device will never retransmit it, so the event must
-        // live in the log until it is routed. Discovery traffic is
-        // lease-protocol chatter a peer's next refresh regenerates, so a
-        // bare cursor suffices there.
-        let pending = snap.pending_rx_for(CHAN_BUS);
-        let channel = ReliableChannel::new_journaled(
-            bus_transport,
-            config.reliable.clone(),
-            Arc::new(WalChannelJournal::with_rx_retention(
-                Arc::clone(&wal),
-                CHAN_BUS,
-            )),
-            snap.cursors_for(CHAN_BUS),
-            pending.clone(),
-        );
-        let discovery_channel = ReliableChannel::new_journaled(
+        let journal = |chan| Some((&wal, chan, &snap));
+        let channel = open_channel(&config, stepped, bus_transport, journal(CHAN_BUS));
+        let discovery_channel = open_channel(
+            &config,
+            stepped,
             discovery_transport,
-            config.reliable.clone(),
-            Arc::new(WalChannelJournal::new(Arc::clone(&wal), CHAN_DISCOVERY)),
-            snap.cursors_for(CHAN_DISCOVERY),
-            Vec::new(),
+            journal(CHAN_DISCOVERY),
         );
-        let cell = SmcCell::assemble(config, channel, discovery_channel, Some(Arc::clone(&wal)));
+        let cell = SmcCell::assemble(config, stepped, channel, discovery_channel, Some(wal));
         let recovery_micros = &cell.bus.metrics_ref().wal_recovery_micros;
         recovery_micros.store(recovered.recovery_micros, Ordering::Relaxed);
-        // Re-admit recovered members silently (no Joined event — they
-        // never left, the core did) and rebuild their proxies.
-        for info in &snap.members {
-            cell.discovery.restore_member(info.clone());
-            cell.members.lock().insert(info.id, Arc::new(info.clone()));
-            cell.ensure_proxy(info);
+        let channel = cell.bus_channel();
+        cell.recover(&snap, Some(&cell.discovery()), Some(&channel));
+        // Only now the live traffic: whatever reached the channel since it
+        // was built waited in its inbox and goes first, in order.
+        cell.serve(&channel);
+        Ok(cell)
+    }
+
+    fn assemble(
+        config: SmcConfig,
+        stepped: bool,
+        channel: Arc<ReliableChannel>,
+        discovery_channel: Arc<ReliableChannel>,
+        wal: Option<Arc<Wal>>,
+    ) -> Arc<Self> {
+        let bus = Arc::new(EventBus::with_cpu_profile(
+            config.engine,
+            config.cpu_profile.clone(),
+        ));
+        bus.set_tracer(config.tracer.clone());
+        let bus_id = channel.local_id();
+        let discovery = SmcCell::open_discovery(&config, stepped, bus_id, &discovery_channel);
+        let cell = Arc::new(SmcCell {
+            config,
+            stepped,
+            bus_id,
+            bus,
+            policy: Arc::new(PolicyService::new()),
+            factory: Arc::new(ProxyFactory::new()),
+            quench: Arc::new(QuenchManager::new()),
+            channel: SnapshotCell::new(channel),
+            discovery_channel: SnapshotCell::new(discovery_channel),
+            discovery: SnapshotCell::new(Arc::clone(&discovery)),
+            wal,
+            proxies: Arc::new(Mutex::new(HashMap::new())),
+            members: Arc::new(Mutex::new(HashMap::new())),
+            next_local_seq: AtomicU64::new(1),
+        });
+        cell.claim(&discovery);
+        cell
+    }
+
+    /// A discovery service for this cell on `channel`, threaded or
+    /// step-driven.
+    fn open_discovery(
+        config: &SmcConfig,
+        stepped: bool,
+        bus_id: ServiceId,
+        channel: &Arc<ReliableChannel>,
+    ) -> Arc<DiscoveryService> {
+        let discovery_config = config.discovery.clone().with_bus_endpoint(bus_id);
+        let channel = Arc::clone(channel);
+        if stepped {
+            let clock = Arc::clone(&config.clock);
+            DiscoveryService::with_clock(config.cell, channel, discovery_config, clock)
+        } else {
+            DiscoveryService::start(config.cell, channel, discovery_config)
         }
-        // Restore proxy-backed subscriptions under their original ids.
+    }
+
+    /// Takes every membership change `discovery` makes, in the order its
+    /// table made them; a join's before discovery answers it, so a device
+    /// that hears it is a member finds its proxy in place. Held weakly,
+    /// like the bus handler (`serve`).
+    fn claim(self: &Arc<Self>, discovery: &DiscoveryService) {
+        let membership = Arc::downgrade(self);
+        discovery.set_membership_handler(Box::new(move |change| {
+            let Some(cell) = membership.upgrade() else {
+                return;
+            };
+            match change {
+                MembershipEvent::Joined(info) => cell.on_member_joined(info),
+                MembershipEvent::Purged(id, reason) => {
+                    // Publish Purge Member *before* tearing down, so
+                    // other subscribers (and policies) see it; the
+                    // doomed proxy is skipped by its own destruction
+                    // right after.
+                    let _ = cell.publish_local(purge_member_event(id, reason));
+                    cell.destroy_member(id);
+                }
+                // Transient: masked by design; proxies keep queueing.
+                MembershipEvent::Suspected(_) | MembershipEvent::Recovered(_) => {}
+            }
+        }));
+    }
+
+    /// Starts serving the bus endpoint on `channel`: every message it
+    /// delivers is dispatched by the thread that received it, and
+    /// answered on `channel`. The handler holds the cell weakly, upgraded
+    /// for one message at a time, so dropping the last external handle
+    /// stops the cell (via its `Drop`) — even when that handle is the
+    /// handler's own upgrade. Its hold on `channel` ends when the channel
+    /// closes and drops the handler.
+    fn serve(self: &Arc<Self>, channel: &Arc<ReliableChannel>) {
+        let serving = Arc::downgrade(self);
+        let answering = Arc::clone(channel);
+        channel.set_handler(Box::new(move |incoming| {
+            if let Some(cell) = serving.upgrade() {
+                cell.dispatch(&answering, incoming);
+            }
+        }));
+    }
+
+    /// Brings what a boot or a component restart rebuilt in line with
+    /// `snap`, the log's durable state — one recovery path for all three:
+    ///
+    /// * `discovery` re-admits the members silently (no `Joined` event —
+    ///   they never left, the component did);
+    /// * `bus` gets the members and their proxies, the proxies'
+    ///   subscriptions under their original ids, quench state, the
+    ///   outbound queue re-sent in order, and the events a crash caught
+    ///   between ack and routing routed again.
+    fn recover(
+        &self,
+        snap: &CoreSnapshot,
+        discovery: Option<&DiscoveryService>,
+        bus: Option<&Arc<ReliableChannel>>,
+    ) {
+        if let Some(discovery) = discovery {
+            for info in &snap.members {
+                discovery.restore_member(info.clone());
+            }
+        }
+        let Some(channel) = bus else {
+            return;
+        };
+        for info in &snap.members {
+            self.members.lock().insert(info.id, Arc::new(info.clone()));
+            self.ensure_proxy(info, channel);
+        }
         // In-process sinks cannot be serialised, so local subscriptions
         // are the owner's job to re-register.
         for sub in &snap.subscriptions {
-            if let Some(proxy) = cell.proxy(sub.subscriber) {
+            if let Some(proxy) = self.proxy(sub.subscriber) {
                 let sink = Arc::clone(&proxy) as Arc<dyn EventSink>;
-                if cell.bus.restore_subscription(sub.clone(), sink).is_ok() {
+                if self.bus.restore_subscription(sub.clone(), sink).is_ok() {
                     proxy.track_subscription(sub.id, sub.filter.clone());
                 }
             }
         }
-        cell.recompute_quench();
-        // Resume interrupted downlink deliveries in their original order;
-        // the fresh epoch renumbers them on the wire, the restored
-        // receivers dedup by epoch so nothing double-delivers.
+        self.recompute_quench();
+        // The fresh epoch renumbers the queue on the wire, and the
+        // restored receivers dedup by epoch so nothing double-delivers.
         // `send_recovered` renumbers the journal's retained entries to
         // the fresh sequence numbers instead of journalling a second
         // copy, so a crash during (or after) recovery resends the queue
         // exactly once more — never twice.
         for (peer, msgs) in snap.outbound_for(CHAN_BUS) {
             for (prior_seq, payload) in msgs {
-                let _ = cell.channel.send_recovered(peer, payload, prior_seq);
+                let _ = channel.send_recovered(peer, payload, prior_seq);
             }
         }
-        // Re-route events the crash caught between ack and routing: their
-        // senders saw them acknowledged and will never retransmit, so the
-        // log is the only copy. Routing goes through the normal dispatch
-        // path (subscriptions are already restored above) and each event
-        // is marked consumed afterwards, exactly as live traffic is.
-        for (peer, _epoch, seq, payload) in pending {
-            cell.dispatch(Incoming::Reliable {
-                from: peer,
-                seq,
-                payload,
-            });
+        // Their senders saw these acknowledged and will never retransmit,
+        // so the log is the only copy. Routing goes through the normal
+        // dispatch path and marks each consumed, exactly as live traffic.
+        for (peer, _epoch, seq, payload) in snap.pending_rx_for(CHAN_BUS) {
+            self.dispatch(
+                channel,
+                Incoming::Reliable {
+                    from: peer,
+                    seq,
+                    payload,
+                },
+            );
         }
-        // Only now the live traffic: whatever reached the channel since it
-        // was built waited in its inbox and goes first, in order.
-        cell.serve();
-        Ok(cell)
     }
 
-    fn assemble(
-        config: SmcConfig,
-        channel: Arc<ReliableChannel>,
-        discovery_channel: Arc<ReliableChannel>,
-        wal: Option<Arc<Wal>>,
-    ) -> Arc<Self> {
-        let discovery_config = config
-            .discovery
-            .clone()
-            .with_bus_endpoint(channel.local_id());
-        let discovery = DiscoveryService::start(
-            config.cell,
-            Arc::clone(&discovery_channel),
-            discovery_config,
-        );
-        let bus = Arc::new(EventBus::with_cpu_profile(
-            config.engine,
-            config.cpu_profile.clone(),
-        ));
-        bus.set_tracer(config.tracer.clone());
-        channel.set_tracer(config.tracer.clone());
-        discovery_channel.set_tracer(config.tracer.clone());
-        let cell = Arc::new(SmcCell {
-            config,
-            bus,
-            policy: Arc::new(PolicyService::new()),
-            discovery,
-            factory: Arc::new(ProxyFactory::new()),
-            quench: Arc::new(QuenchManager::new()),
-            channel,
-            discovery_channel,
-            wal,
-            proxies: Arc::new(Mutex::new(HashMap::new())),
-            members: Arc::new(Mutex::new(HashMap::new())),
-            next_local_seq: AtomicU64::new(1),
-        });
-        // Every membership change, in the order discovery's table made
-        // them; a join's before discovery answers it, so a device that
-        // hears it is a member finds its proxy in place. Held weakly, like
-        // the bus handler (`serve`).
-        let membership = Arc::downgrade(&cell);
-        cell.discovery
-            .set_membership_handler(Box::new(move |change| {
-                let Some(cell) = membership.upgrade() else {
-                    return;
-                };
-                match change {
-                    MembershipEvent::Joined(info) => cell.on_member_joined(info),
-                    MembershipEvent::Purged(id, reason) => {
-                        // Publish Purge Member *before* tearing down, so
-                        // other subscribers (and policies) see it; the
-                        // doomed proxy is skipped by its own destruction
-                        // right after.
-                        let _ = cell.publish_local(purge_member_event(id, reason));
-                        cell.destroy_member(id);
-                    }
-                    // Transient: masked by design; proxies keep queueing.
-                    MembershipEvent::Suspected(_) | MembershipEvent::Recovered(_) => {}
-                }
-            }));
-        cell
+    /// Drives a cell built with [`SmcCell::with_clock`] at its clock's
+    /// current time: steps the bus channel (whose messages are routed
+    /// before it returns), the discovery channel, then discovery. A
+    /// stopped component is skipped. Returns the datagrams and discovery
+    /// work processed.
+    ///
+    /// # Panics
+    ///
+    /// If the cell runs its own threads ([`SmcCell::start`],
+    /// [`SmcCell::start_durable`]).
+    pub fn step(&self) -> usize {
+        let mut work = 0;
+        let channel = self.bus_channel();
+        if !channel.is_closed() {
+            work += channel.step();
+        }
+        let discovery_channel = self.discovery_channel();
+        if !discovery_channel.is_closed() {
+            work += discovery_channel.step() + self.discovery().step();
+        }
+        work
     }
 
-    /// Starts serving the bus endpoint: every message the bus channel
-    /// delivers is dispatched by the thread that received it. The handler
-    /// holds the cell weakly, upgraded for one message at a time, so
-    /// dropping the last external handle stops the cell (via its `Drop`)
-    /// — even when that handle is the handler's own upgrade.
-    fn serve(self: &Arc<Self>) {
-        let serving = Arc::downgrade(self);
-        self.channel.set_handler(Box::new(move |incoming| {
-            if let Some(cell) = serving.upgrade() {
-                cell.dispatch(incoming);
-            }
-        }));
+    /// Rebuilds the discovery service on `transport` — its old endpoint —
+    /// from the log: the members it held come back silently, with fresh
+    /// leases. Nothing else of the cell is touched.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invalid`] if the cell is not durable; propagates log read
+    /// failures.
+    pub fn restart_discovery(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
+        let (wal, snap) = self.durable_truth()?;
+        self.discovery().shutdown();
+        let journal = Some((wal, CHAN_DISCOVERY, &snap));
+        let channel = open_channel(&self.config, self.stepped, transport, journal);
+        let discovery = SmcCell::open_discovery(&self.config, self.stepped, self.bus_id, &channel);
+        self.recover(&snap, Some(&discovery), None);
+        self.claim(&discovery);
+        self.discovery_channel.store(channel);
+        self.discovery.store(discovery);
+        Ok(())
+    }
+
+    /// Rebuilds the bus channel on `transport` — its old endpoint — from
+    /// the log: receive cursors keep suppressing duplicates across the
+    /// outage, every member gets a fresh proxy on the new channel with
+    /// its subscriptions, and the outbound queue and unrouted events are
+    /// recovered as a boot recovers them. In-process subscriptions stay.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invalid`] if the cell is not durable; propagates log read
+    /// failures.
+    pub fn restart_bus(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
+        let (wal, snap) = self.durable_truth()?;
+        // A closed channel journals no discard, so the stale proxies'
+        // queues stay in the log for the new channel to resend.
+        self.bus_channel().close();
+        let stale: Vec<(ServiceId, Arc<Proxy>)> = self.proxies.lock().drain().collect();
+        for (id, proxy) in stale {
+            proxy.destroy();
+            self.bus.remove_subscriber(id);
+        }
+        let journal = Some((wal, CHAN_BUS, &snap));
+        let channel = open_channel(&self.config, self.stepped, transport, journal);
+        self.channel.store(Arc::clone(&channel));
+        self.recover(&snap, None, Some(&channel));
+        self.serve(&channel);
+        Ok(())
+    }
+
+    /// The log and the state it folds to, for a component restart.
+    fn durable_truth(&self) -> Result<(&Arc<Wal>, CoreSnapshot)> {
+        let wal = self
+            .wal
+            .as_ref()
+            .ok_or_else(|| Error::Invalid("cell was not started durable".into()))?;
+        Ok((wal, wal.recover_state()?))
+    }
+
+    /// Makes the members map disagree with durable truth, for the
+    /// self-stabilisation tests: plants `id` as a member when `present`,
+    /// drops it otherwise (its proxy stays). Returns whether the map
+    /// changed. Only [`SmcCell::reconcile`] repairs it.
+    #[doc(hidden)]
+    pub fn corrupt_members(&self, id: ServiceId, present: bool) -> bool {
+        let mut members = self.members.lock();
+        if present {
+            let ghost = Arc::new(ServiceInfo::new(id, "corrupt.ghost"));
+            members.insert(id, ghost).is_none()
+        } else {
+            members.remove(&id).is_some()
+        }
     }
 
     /// The cell identity.
@@ -355,7 +568,17 @@ impl SmcCell {
 
     /// The bus endpoint members publish/subscribe through.
     pub fn bus_endpoint(&self) -> ServiceId {
-        self.channel.local_id()
+        self.bus_id
+    }
+
+    /// The reliable channel serving the bus endpoint.
+    pub fn bus_channel(&self) -> Arc<ReliableChannel> {
+        self.channel.load()
+    }
+
+    /// The reliable channel serving the discovery endpoint.
+    pub fn discovery_channel(&self) -> Arc<ReliableChannel> {
+        self.discovery_channel.load()
     }
 
     /// The in-process event bus.
@@ -369,8 +592,8 @@ impl SmcCell {
     }
 
     /// The discovery service.
-    pub fn discovery(&self) -> &Arc<DiscoveryService> {
-        &self.discovery
+    pub fn discovery(&self) -> Arc<DiscoveryService> {
+        self.discovery.load()
     }
 
     /// The write-ahead log of a durable cell.
@@ -421,7 +644,7 @@ impl SmcCell {
         if let Some(wal) = &self.wal {
             wal.register_with(registry);
         }
-        self.discovery.register_with(registry);
+        self.discovery().register_with(registry);
     }
 
     /// Writes a [`CoreSnapshot`] of all durable state and truncates the
@@ -479,22 +702,24 @@ impl SmcCell {
     /// recorded in the report and do not abort the pass.
     pub fn reconcile(&self) -> Result<ReconcileReport> {
         let mut report = ReconcileReport::default();
+        let channel = self.bus_channel();
         if let Some(wal) = &self.wal {
+            let discovery = self.discovery();
             let truth = wal.recover_state()?;
             let mut truth_members = truth.members.clone();
             truth_members.sort_by_key(|m| m.id);
             let truth_ids: std::collections::HashSet<ServiceId> =
                 truth_members.iter().map(|m| m.id).collect();
             for info in &truth_members {
-                if !self.discovery.is_member(info.id) {
-                    self.discovery.restore_member(info.clone());
-                    self.ensure_proxy(info);
+                if !discovery.is_member(info.id) {
+                    discovery.restore_member(info.clone());
+                    self.ensure_proxy(info, &channel);
                     report.repair(format!("re-admitted member {} to discovery", info.id));
                 }
                 let missing = !self.members.lock().contains_key(&info.id);
                 if missing {
                     self.members.lock().insert(info.id, Arc::new(info.clone()));
-                    self.ensure_proxy(info);
+                    self.ensure_proxy(info, &channel);
                     report.repair(format!("restored member {} to members map", info.id));
                 }
             }
@@ -565,23 +790,21 @@ impl SmcCell {
     /// across their appends).
     fn capture_snapshot(&self) -> CoreSnapshot {
         let mut snap = CoreSnapshot::default();
-        for (peer, epoch, expected) in self.channel.rx_cursors() {
-            snap.cursors.push(CursorEntry {
-                chan: CHAN_BUS,
-                peer,
-                epoch,
-                expected,
-            });
+        let channel = self.bus_channel();
+        for (chan, of) in [
+            (CHAN_BUS, &channel),
+            (CHAN_DISCOVERY, &self.discovery_channel()),
+        ] {
+            for (peer, epoch, expected) in of.rx_cursors() {
+                snap.cursors.push(CursorEntry {
+                    chan,
+                    peer,
+                    epoch,
+                    expected,
+                });
+            }
         }
-        for (peer, epoch, expected) in self.discovery_channel.rx_cursors() {
-            snap.cursors.push(CursorEntry {
-                chan: CHAN_DISCOVERY,
-                peer,
-                epoch,
-                expected,
-            });
-        }
-        for (peer, msgs) in self.channel.outbound_pending() {
+        for (peer, msgs) in channel.outbound_pending() {
             for (seq, payload) in msgs {
                 snap.outbound.push(OutboundEntry {
                     chan: CHAN_BUS,
@@ -595,7 +818,7 @@ impl SmcCell {
         // advances the cursor and joins the list under one channel lock,
         // so this order can over-report (entry present, cursor stale —
         // harmless, replay is idempotent) but never under-report.
-        for (peer, epoch, seq, payload) in self.channel.unconsumed_rx() {
+        for (peer, epoch, seq, payload) in channel.unconsumed_rx() {
             snap.pending_rx.push(smc_types::PendingRx {
                 chan: CHAN_BUS,
                 peer,
@@ -604,7 +827,7 @@ impl SmcCell {
                 payload,
             });
         }
-        snap.members = self.discovery.members();
+        snap.members = self.discovery().members();
         snap.members.sort_by_key(|i| i.id);
         let proxies = self.proxies.lock();
         for (id, subscriber, filter) in self.bus.subscriptions() {
@@ -673,8 +896,8 @@ impl SmcCell {
 
     /// Stops the cell: discovery, the bus endpoint, and every proxy.
     pub fn shutdown(&self) {
-        self.discovery.shutdown();
-        self.channel.close();
+        self.discovery().shutdown();
+        self.bus_channel().close();
         let proxies: Vec<Arc<Proxy>> = self.proxies.lock().values().cloned().collect();
         for p in proxies {
             p.destroy();
@@ -698,14 +921,15 @@ impl SmcCell {
             return;
         }
         self.journal(&WalRecord::MemberJoined { info: info.clone() });
-        let proxy = self.ensure_proxy(&info);
-        // Proxy-registered subscriptions on the device's behalf.
+        let proxy = self.ensure_proxy(&info, &self.bus_channel());
+        // Proxy-registered subscriptions on the device's behalf, journalled
+        // like a device's own so recovery restores them.
         for filter in proxy.initial_subscriptions() {
-            if let Ok(id) = self.bus.subscribe(
-                info.id,
-                filter.clone(),
-                Arc::clone(&proxy) as Arc<dyn EventSink>,
-            ) {
+            let sink = Arc::clone(&proxy) as Arc<dyn EventSink>;
+            if let Ok(id) = self.bus.subscribe(info.id, filter.clone(), sink) {
+                self.journal(&WalRecord::Subscribed {
+                    subscription: Subscription::new(id, info.id, filter.clone()),
+                });
                 proxy.track_subscription(id, filter);
             }
         }
@@ -739,36 +963,34 @@ impl SmcCell {
         self.quench.remove(id);
     }
 
-    /// Creates the member's proxy if it does not exist yet (idempotent;
-    /// called on admission, on restore and by dispatch).
-    fn ensure_proxy(&self, info: &ServiceInfo) -> Arc<Proxy> {
+    /// Creates the member's proxy on `channel` if it does not exist yet
+    /// (idempotent; called on admission, on restore and by dispatch).
+    fn ensure_proxy(&self, info: &ServiceInfo, channel: &Arc<ReliableChannel>) -> Arc<Proxy> {
         let mut proxies = self.proxies.lock();
         if let Some(p) = proxies.get(&info.id) {
             return Arc::clone(p);
         }
-        let proxy = self
-            .factory
-            .create_proxy(info.clone(), Arc::clone(&self.channel));
+        let proxy = self.factory.create_proxy(info.clone(), Arc::clone(channel));
         proxies.insert(info.id, Arc::clone(&proxy));
         proxy
     }
 
-    /// Routes one message from the bus channel and marks a reliable one
-    /// consumed once routing returns, releasing the journal's retained
-    /// copy; a crash mid-routing leaves the message pending in the log
-    /// and recovery re-routes it.
-    fn dispatch(&self, incoming: Incoming) {
+    /// Routes one message from the bus channel `channel` and marks a
+    /// reliable one consumed once routing returns, releasing the journal's
+    /// retained copy; a crash mid-routing leaves the message pending in
+    /// the log and recovery re-routes it.
+    fn dispatch(&self, channel: &Arc<ReliableChannel>, incoming: Incoming) {
         let consumed = match &incoming {
             Incoming::Reliable { from, seq, .. } => Some((*from, *seq)),
             Incoming::Unreliable { .. } => None,
         };
-        self.handle_incoming(incoming);
+        self.handle_incoming(channel, incoming);
         if let Some((from, seq)) = consumed {
-            self.channel.consumed(from, seq);
+            channel.consumed(from, seq);
         }
     }
 
-    fn handle_incoming(&self, incoming: Incoming) {
+    fn handle_incoming(&self, channel: &Arc<ReliableChannel>, incoming: Incoming) {
         let from = incoming.from();
         let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
@@ -778,16 +1000,10 @@ impl SmcCell {
         // answers its join until its purge is handled.
         let member_info = self.members.lock().get(&from).cloned();
         let Some(info) = member_info else {
-            let _ = self.channel.send(
-                from,
-                to_shared(&Packet::Error {
-                    about: packet.kind().to_owned(),
-                    message: "not a member of this cell".into(),
-                }),
-            );
+            refuse(channel, from, packet.kind(), "not a member of this cell");
             return;
         };
-        let proxy = self.ensure_proxy(&info);
+        let proxy = self.ensure_proxy(&info, channel);
 
         match packet {
             Packet::Publish {
@@ -809,13 +1025,7 @@ impl SmcCell {
                             reason: "policy-deny",
                         },
                     );
-                    let _ = self.channel.send(
-                        from,
-                        to_shared(&Packet::Error {
-                            about: event.id().to_string(),
-                            message: "publish denied by policy".into(),
-                        }),
-                    );
+                    refuse(channel, from, event.id(), "publish denied by policy");
                     return;
                 }
                 proxy.stamp_if_needed(&mut event, self.config.clock.now_micros());
@@ -824,9 +1034,7 @@ impl SmcCell {
                 // `PublishAck` on top of it goes only to a publisher that
                 // waits for one.
                 if ack {
-                    let _ = self
-                        .channel
-                        .send(from, to_shared(&Packet::PublishAck(event.id())));
+                    let _ = channel.send(from, to_shared(&Packet::PublishAck(event.id())));
                 }
                 let _ = self.publish_internal(event, 0);
             }
@@ -847,12 +1055,11 @@ impl SmcCell {
                 let resource = filter.event_type().unwrap_or("*");
                 if let Decision::Deny = self.authorise(&info, ActionClass::Subscribe, resource) {
                     BusMetrics::bump(&self.bus.metrics_ref().subscribes_denied);
-                    let _ = self.channel.send(
+                    refuse(
+                        channel,
                         from,
-                        to_shared(&Packet::Error {
-                            about: format!("req:{request_id}"),
-                            message: "subscribe denied by policy".into(),
-                        }),
+                        format!("req:{request_id}"),
+                        "subscribe denied by policy",
                     );
                     return;
                 }
@@ -866,7 +1073,7 @@ impl SmcCell {
                             subscription: Subscription::new(id, from, filter.clone()),
                         });
                         proxy.track_subscription(id, filter);
-                        let _ = self.channel.send(
+                        let _ = channel.send(
                             from,
                             to_shared(&Packet::SubscribeAck {
                                 request_id,
@@ -875,15 +1082,7 @@ impl SmcCell {
                         );
                         self.recompute_quench();
                     }
-                    Err(e) => {
-                        let _ = self.channel.send(
-                            from,
-                            to_shared(&Packet::Error {
-                                about: format!("req:{request_id}"),
-                                message: e.to_string(),
-                            }),
-                        );
-                    }
+                    Err(e) => refuse(channel, from, format!("req:{request_id}"), e),
                 }
             }
             Packet::Unsubscribe(id) => {
@@ -891,25 +1090,17 @@ impl SmcCell {
                     let _ = self.bus.unsubscribe(id);
                     self.journal(&WalRecord::Unsubscribed { id });
                     proxy.untrack_subscription(id);
-                    let _ = self
-                        .channel
-                        .send(from, to_shared(&Packet::UnsubscribeAck(id)));
+                    let _ = channel.send(from, to_shared(&Packet::UnsubscribeAck(id)));
                     self.recompute_quench();
                 } else {
-                    let _ = self.channel.send(
-                        from,
-                        to_shared(&Packet::Error {
-                            about: id.to_string(),
-                            message: "unknown subscription".into(),
-                        }),
-                    );
+                    refuse(channel, from, id, "unknown subscription");
                 }
             }
             Packet::Advertise { request_id, filter } => {
                 let interested =
                     self.quench
                         .advertise(from, filter, &self.bus.subscription_filters());
-                let _ = self.channel.send(
+                let _ = channel.send(
                     from,
                     to_shared(&Packet::AdvertiseAck {
                         request_id,
@@ -993,9 +1184,8 @@ impl SmcCell {
                 if let Some(raw) = publisher.resolve(&fired.trigger).and_then(|v| v.as_int()) {
                     let target = ServiceId::from_raw(raw as u64);
                     BusMetrics::bump(&self.bus.metrics_ref().quench_signals);
-                    let _ = self
-                        .channel
-                        .send(target, to_shared(&Packet::Quench { enable }));
+                    let packet = to_shared(&Packet::Quench { enable });
+                    let _ = self.bus_channel().send(target, packet);
                 }
             }
             // Enable/Disable/Log were applied inside the policy service;
@@ -1031,9 +1221,13 @@ impl SmcCell {
     fn recompute_quench(&self) {
         let filters = self.bus.subscription_filters();
         let changes = self.quench.on_subscriptions_changed(&filters);
+        if changes.is_empty() {
+            return;
+        }
+        let channel = self.bus_channel();
         for change in changes {
             BusMetrics::bump(&self.bus.metrics_ref().quench_signals);
-            let _ = self.channel.send(
+            let _ = channel.send(
                 change.publisher,
                 to_shared(&Packet::Quench {
                     enable: change.quench,
@@ -1045,6 +1239,6 @@ impl SmcCell {
 
 impl Drop for SmcCell {
     fn drop(&mut self) {
-        self.channel.close();
+        self.bus_channel().close();
     }
 }

@@ -126,3 +126,49 @@ fn health_events_without_a_member_id_quench_nobody() {
     sensor.shutdown();
     cell.shutdown();
 }
+
+/// The default detector suite reads a real cell: `WalStall::default()`
+/// compares the log's appends against the bus's own publish counter, so
+/// five events published between two samples are five events it sees.
+#[test]
+fn the_default_wal_stall_detector_sees_the_cells_traffic() {
+    use smc_health::{Detector, SampleCtx, WalStall};
+    use smc_telemetry::Registry;
+    use smc_types::Event;
+    use smc_wal::MemBackend;
+
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let cell = SmcCell::start_durable(
+        Arc::new(net.endpoint()),
+        Arc::new(net.endpoint()),
+        SmcConfig::fast(),
+        Arc::new(MemBackend::new()),
+    )
+    .expect("durable cell starts");
+    let registry = Registry::new();
+    cell.register_metrics(&registry);
+    let mut detector = WalStall::default();
+    let mut observe = |registry: &Registry| {
+        let samples = registry.gather();
+        let ctx = SampleCtx {
+            at_micros: 0,
+            elapsed_micros: 0,
+            samples: &samples,
+            hops: &[],
+        };
+        detector.observe(&ctx)
+    };
+    observe(&registry);
+    for _ in 0..5 {
+        cell.publish_local(Event::new("smc.test.tick"))
+            .expect("local publish");
+    }
+    let seen = observe(&registry);
+    assert_eq!(seen.len(), 1, "one observation of the log: {seen:?}");
+    assert!(
+        seen[0].detail.starts_with("+5 events"),
+        "the bus's publishes are the traffic: {}",
+        seen[0].detail
+    );
+    cell.shutdown();
+}

@@ -1,53 +1,115 @@
-//! One cell of the chaos world: a durable core (discovery service and
-//! bus sink over journalled channels), its device nodes, the sink's
-//! membership view, and whichever planes the run configured. Everything
-//! here is a step of the world's tick loop or a repair it can order.
+//! One cell of the chaos world: a step-driven durable [`SmcCell`], its
+//! device nodes, an observer member subscribed to everything they
+//! publish, and whichever planes the run configured. Everything here is
+//! a step of the world's tick loop or a repair it can order.
+//!
+//! The oracle hears the cell at two points. A recorder — an in-process
+//! subscriber on the cell's own bus — takes joins, purges and every
+//! device event the bus accepted, in the order the bus took them: that
+//! is where "nothing after purge" is judged, because a purge may overtake
+//! events the bus accepted before it on their way to a subscriber. The
+//! observer takes exactly-once and per-sender FIFO at the far end of the
+//! bus → proxy → channel leg.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use smc_discovery::{AgentConfig, DiscoveryService, MemberAgent, MembershipEvent};
+use smc_core::{DeviceCodec, EventSink, PassthroughCodec, SmcCell, SmcConfig};
+use smc_discovery::{AgentConfig, MemberAgent};
 use smc_health::{health_event, HealthState, PeerAction, RepairAction};
 use smc_policy::{ActionClass, ActionSpec, Decision};
 use smc_telemetry::{Hop, HopRecord, Registry, Sample};
-use smc_transport::{Incoming, LinkConfig, MemTransport, ReliableChannel};
+use smc_transport::{Incoming, LinkConfig, ReliableChannel};
 use smc_types::{
-    member::wellknown, CellId, CoreSnapshot, CursorEntry, Event, OutboundEntry, PendingRx,
-    ServiceId, ServiceInfo, SupervisionMsg, TraceId, WalRecord,
+    member::wellknown, member_id_of, CellId, Event, Filter, Packet, ServiceId, ServiceInfo,
+    SupervisionMsg, TraceId,
 };
-use smc_wal::{
-    MemBackend, Recovered, Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY,
-};
+use smc_wal::{MemBackend, WalBackend, CHAN_BUS};
 
 use crate::planes::{component_samples, CellTelemetry, CellView, HealthRuntime, SupervisionPlane};
 use crate::scenario::{CoreComponent, CorruptTarget};
 use crate::world::{Act, CellReport, Env, RunOptions, CHECKPOINT_MICROS};
 
+/// The event type devices publish and the observer subscribes to.
+const CHAOS_EVENT: &str = "harness.chaos";
+/// The observer's device type, which the cell's proxy factory maps to
+/// [`ObserverCodec`].
+const OBSERVER_TYPE: &str = "harness.observer";
+/// The one-way latency of the observer's link to the bus, without jitter
+/// so nothing reorders: a radio hop away, like a device. Its
+/// acknowledgements are in flight for a round trip, so a crash finds
+/// deliveries the log still owes it — what recovery must resend once.
+const OBSERVER_LATENCY: Duration = Duration::from_millis(20);
 /// Every n-th message carries a large payload to exercise fragmentation.
 const BIG_EVERY: u64 = 5;
-/// The fabricated member `CorruptTarget::GhostMember` injects into the
-/// sink's routing view. Out of the simulator's address range, so it can
+/// The fabricated member `CorruptTarget::GhostMember` plants in the
+/// cell's members map. Out of the simulator's address range, so it can
 /// never collide with a real device.
 const GHOST_MEMBER: ServiceId = ServiceId::from_raw(0x0BAD_C0DE_0BAD);
+/// The recorder's subscriber id on the bus, out of the same range.
+const RECORDER: ServiceId = ServiceId::from_raw(0x0B5E_4BED_0B5E);
 
-fn encode(seq: u64) -> Vec<u8> {
-    let filler = if seq.is_multiple_of(BIG_EVERY) {
-        2000
+fn payload(seq: u64) -> Vec<u8> {
+    let len = if seq.is_multiple_of(BIG_EVERY) {
+        2008
     } else {
-        32
+        40
     };
-    let mut payload = Vec::with_capacity(8 + filler);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.resize(8 + filler, 0xA5);
-    payload
+    vec![0xA5; len]
 }
 
-fn decode(payload: &[u8]) -> Option<u64> {
-    payload
-        .get(..8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+/// The observer's proxy: a passthrough that subscribes, on admission, to
+/// every event devices publish — so the subscription is journalled, and
+/// made afresh on re-admission.
+struct ObserverCodec;
+
+impl DeviceCodec for ObserverCodec {
+    fn decode_uplink(&self, raw: &[u8]) -> smc_types::Result<Vec<Event>> {
+        PassthroughCodec.decode_uplink(raw)
+    }
+
+    fn encode_downlink(&self, event: &Event) -> smc_types::Result<Option<Vec<u8>>> {
+        PassthroughCodec.encode_downlink(event)
+    }
+
+    fn initial_subscriptions(&self) -> Vec<Filter> {
+        vec![Filter::for_type(CHAOS_EVENT)]
+    }
+}
+
+/// What the recorder saw on the bus.
+enum Seen {
+    Joined(ServiceId),
+    Purged(ServiceId),
+    Accepted(ServiceId, u64),
+}
+
+type Recorded = Arc<Mutex<Vec<Seen>>>;
+
+/// A member agent for a node of cell `member_id`. Sibling cells share
+/// one radio network; the filter keeps each node joining its own cell's
+/// beacons. Whatever the bus sends a node that is not discovery traffic
+/// goes to `sink`.
+fn agent(
+    env: &Env,
+    member_id: u64,
+    info: &ServiceInfo,
+    channel: &Arc<ReliableChannel>,
+    sink: impl FnMut(ServiceId, Packet) + Send + 'static,
+) -> Arc<MemberAgent> {
+    let agent = MemberAgent::with_clock(
+        info.clone(),
+        Arc::clone(channel),
+        AgentConfig {
+            cell_filter: Some(CellId(member_id)),
+            ..AgentConfig::default()
+        },
+        Arc::clone(&env.clock),
+    );
+    agent.set_packet_sink(Box::new(sink));
+    agent
 }
 
 struct Device {
@@ -66,193 +128,117 @@ struct Device {
     domain: u32,
 }
 
-/// Whether a core component is dead, and whether it is *wedged* — shrugs
-/// off restarts until the whole core is rebooted.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ComponentState {
-    pub(crate) down: bool,
-    wedged: bool,
+/// The cell's observer: a member admitted through discovery like any
+/// device and never a fault target, whose proxy subscribes it to every
+/// device event.
+struct Observer {
+    channel: Arc<ReliableChannel>,
+    agent: Arc<MemberAgent>,
+    inbox: Arc<Mutex<Vec<Event>>>,
+    /// The last sequence number received from each publisher.
+    received: HashMap<ServiceId, u64>,
+    /// Repeats the observer may drop, per event. The downlink is
+    /// at-least-once across a restart (DESIGN.md §5): what the log still
+    /// owed when its component died is sent once more by each recovery,
+    /// and a subscriber drops the repeat by event id.
+    resent: HashMap<(ServiceId, u64), u32>,
 }
 
-/// The state of the two components a supervisor can restart on their
-/// own. Tracked whether or not supervision is on: without a supervisor a
-/// killed component simply stays down.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ComponentFlags {
-    pub(crate) discovery: ComponentState,
-    pub(crate) sink: ComponentState,
-}
-
-impl ComponentFlags {
-    fn of(&mut self, component: CoreComponent) -> &mut ComponentState {
-        match component {
-            CoreComponent::Discovery => &mut self.discovery,
-            CoreComponent::Sink => &mut self.sink,
+impl Observer {
+    fn new(env: &Env, member_id: u64, name: String) -> Observer {
+        let channel = env.device_channel(None);
+        let info = ServiceInfo::new(channel.local_id(), OBSERVER_TYPE).with_name(name);
+        let inbox: Arc<Mutex<Vec<Event>>> = Arc::default();
+        let deliveries = Arc::clone(&inbox);
+        let agent = agent(env, member_id, &info, &channel, move |_, packet| {
+            if let Packet::Deliver { event, .. } = packet {
+                deliveries.lock().expect("inbox").push(event);
+            }
+        });
+        Observer {
+            channel,
+            agent,
+            inbox,
+            received: HashMap::new(),
+            resent: HashMap::new(),
         }
     }
 
-    fn any_down(&self) -> bool {
-        self.discovery.down || self.sink.down
-    }
-}
-
-/// The cell's durable side: everything a core crash destroys and a
-/// reboot rebuilds from the write-ahead log.
-struct Core {
-    wal: Arc<Wal>,
-    disco_channel: Arc<ReliableChannel>,
-    sink_channel: Arc<ReliableChannel>,
-    service: Arc<DiscoveryService>,
-}
-
-/// A core component's channel over `transport`, journalled into `wal`
-/// as `chan` and seeded with what `state` restored. The bus channel
-/// retains delivered payloads until the run loop records them (mirroring
-/// the SMC bus channel): an acked-but-unrecorded message survives a
-/// crash in the log instead of vanishing.
-fn core_channel(
-    env: &Env,
-    wal: &Arc<Wal>,
-    chan: u8,
-    transport: MemTransport,
-    state: &CoreSnapshot,
-) -> Arc<ReliableChannel> {
-    let journal = if chan == CHAN_BUS {
-        WalChannelJournal::with_rx_retention(Arc::clone(wal), chan)
-    } else {
-        WalChannelJournal::new(Arc::clone(wal), chan)
-    };
-    let channel = ReliableChannel::with_clock_journaled(
-        Arc::new(transport),
-        env.reliable.clone(),
-        Arc::clone(&env.clock),
-        Arc::new(journal),
-        state.cursors_for(chan),
-        state.pending_rx_for(chan),
-    );
-    channel.set_tracer(env.tracer.clone());
-    channel
-}
-
-/// A discovery service beaconing as `cell` on `channel`, re-admitting
-/// every member `state` restored. Sibling cells on one radio network
-/// beacon distinct ids so agents can filter.
-fn discovery_service(
-    env: &Env,
-    cell: CellId,
-    channel: &Arc<ReliableChannel>,
-    sink_id: ServiceId,
-    state: &CoreSnapshot,
-) -> Arc<DiscoveryService> {
-    let service = DiscoveryService::with_clock(
-        cell,
-        Arc::clone(channel),
-        env.discovery.clone().with_bus_endpoint(sink_id),
-        Arc::clone(&env.clock),
-    );
-    for info in &state.members {
-        service.restore_member(info.clone());
-    }
-    service
-}
-
-/// Puts the recovered outbound queue back into retransmission.
-/// `send_recovered` renumbers the journal's retained entries instead of
-/// journalling fresh copies, so a second crash resends this queue once
-/// more — never twice.
-fn requeue_outbound(sink: &ReliableChannel, state: &CoreSnapshot) {
-    for (peer, payloads) in state.outbound_for(CHAN_BUS) {
-        for (prior_seq, payload) in payloads {
-            let _ = sink.send_recovered(peer, payload, prior_seq);
-        }
-    }
-}
-
-impl Core {
-    /// Opens the WAL on `backend` and assembles a core from whatever it
-    /// recovers. `ids` pins the endpoints of a previous incarnation on a
-    /// reboot.
-    fn boot(
-        env: &Env,
-        backend: &Arc<dyn WalBackend>,
-        cell: CellId,
-        ids: Option<(ServiceId, ServiceId)>,
-    ) -> (Core, Recovered) {
-        let (wal, recovered) =
-            Wal::open(Arc::clone(backend), WalConfig::default()).expect("wal backend opens");
-        let wal = Arc::new(wal);
-        if let Some(probes) = env.tracer.probes() {
-            wal.set_probes(Arc::clone(probes), Arc::clone(&env.clock));
-        }
-        let (disco_transport, sink_transport) = match ids {
-            Some((disco_id, sink_id)) => (
-                env.net.endpoint_with_id(disco_id),
-                env.net.endpoint_with_id(sink_id),
-            ),
-            None => (env.net.endpoint(), env.net.endpoint()),
+    /// Notes what `core`'s log owes the observer right after a recovery
+    /// re-sent it: one more copy of each event. An event the log owes
+    /// twice is owed one repeat, not two.
+    fn expect_resends(&mut self, core: &SmcCell) {
+        let Some(Ok(state)) = core.wal().map(|wal| wal.recover_state()) else {
+            return;
         };
-        let state = &recovered.snapshot;
-        let disco_channel = core_channel(env, &wal, CHAN_DISCOVERY, disco_transport, state);
-        let sink_channel = core_channel(env, &wal, CHAN_BUS, sink_transport, state);
-        let service = discovery_service(env, cell, &disco_channel, sink_channel.local_id(), state);
-        requeue_outbound(&sink_channel, state);
-        (
-            Core {
-                wal,
-                disco_channel,
-                sink_channel,
-                service,
-            },
-            recovered,
-        )
-    }
-
-    /// Cuts a snapshot of the core's durable state into the WAL: both
-    /// channels' receive cursors, the sink's pending outbound plus
-    /// delivered-but-unrecorded inbound, and the sorted membership table.
-    /// Mirrors `SmcCell::checkpoint` (the world is single-threaded, so the
-    /// pre-built-snapshot form of `Wal::snapshot` is race-free here).
-    fn checkpoint(&self) {
-        let mut snap = CoreSnapshot::default();
-        for (chan, channel) in [
-            (CHAN_BUS, &self.sink_channel),
-            (CHAN_DISCOVERY, &self.disco_channel),
-        ] {
-            for (peer, epoch, expected) in channel.rx_cursors() {
-                snap.cursors.push(CursorEntry {
-                    chan,
-                    peer,
-                    epoch,
-                    expected,
-                });
-            }
+        let me = self.channel.local_id();
+        let owed: BTreeSet<(ServiceId, u64)> = state
+            .outbound_for(CHAN_BUS)
+            .into_iter()
+            .filter(|(peer, _)| *peer == me)
+            .flat_map(|(_, msgs)| msgs)
+            .filter_map(|(_, payload)| match Packet::from_message(payload) {
+                Ok(Packet::Deliver { event, .. }) => Some((event.publisher(), event.seq())),
+                _ => None,
+            })
+            .collect();
+        for id in owed {
+            *self.resent.entry(id).or_default() += 1;
         }
-        for (peer, msgs) in self.sink_channel.outbound_pending() {
-            for (seq, payload) in msgs {
-                snap.outbound.push(OutboundEntry {
-                    chan: CHAN_BUS,
-                    peer,
-                    seq,
-                    payload,
-                });
-            }
-        }
-        for (peer, epoch, seq, payload) in self.sink_channel.unconsumed_rx() {
-            snap.pending_rx.push(PendingRx {
-                chan: CHAN_BUS,
-                peer,
-                epoch,
-                seq,
-                payload,
-            });
-        }
-        snap.members = self.service.members();
-        snap.members.sort_by_key(|i| i.id);
-        let _ = self.wal.snapshot(&snap);
     }
 }
 
-/// One cell: core, devices, the sink's membership view, and its planes.
+/// Boots cell `cell`'s core from `backend` — a fresh log, or the one a
+/// crashed incarnation left — on the endpoints `ids` pins on a reboot.
+/// The recorder and the observer's codec are registered before the
+/// incarnation's first step.
+fn boot_core(
+    env: &Env,
+    backend: &Arc<dyn WalBackend>,
+    cell: CellId,
+    ids: Option<(ServiceId, ServiceId)>,
+    recorded: &Recorded,
+) -> Arc<SmcCell> {
+    let (disco, bus) = match ids {
+        Some((disco_id, bus_id)) => (
+            env.net.endpoint_with_id(disco_id),
+            env.net.endpoint_with_id(bus_id),
+        ),
+        None => (env.net.endpoint(), env.net.endpoint()),
+    };
+    let config = SmcConfig {
+        cell,
+        discovery: env.discovery.clone(),
+        reliable: env.reliable.clone(),
+        clock: Arc::clone(&env.clock),
+        ..SmcConfig::default()
+    };
+    let core = SmcCell::with_clock(Arc::new(bus), Arc::new(disco), config, Arc::clone(backend))
+        .expect("wal backend opens");
+    if let (Some(probes), Some(wal)) = (env.tracer.probes(), core.wal()) {
+        wal.set_probes(Arc::clone(probes), Arc::clone(&env.clock));
+    }
+    core.proxy_factory()
+        .register(OBSERVER_TYPE, |_| Box::new(ObserverCodec));
+    let recorded = Arc::clone(recorded);
+    let recorder: Arc<dyn EventSink> = Arc::new(move |event: &Event| {
+        let seen = match event.event_type() {
+            wellknown::NEW_MEMBER => member_id_of(event).map(Seen::Joined),
+            wellknown::PURGE_MEMBER => member_id_of(event).map(Seen::Purged),
+            _ => Some(Seen::Accepted(event.publisher(), event.seq())),
+        };
+        recorded.lock().expect("recorder").extend(seen);
+        Ok(())
+    });
+    for event_type in [wellknown::NEW_MEMBER, wellknown::PURGE_MEMBER, CHAOS_EVENT] {
+        let filter = Filter::for_type(event_type);
+        core.subscribe_local(RECORDER, filter, Arc::clone(&recorder))
+            .expect("recorder subscribes");
+    }
+    core
+}
+
+/// One cell: core, devices, observer, and its planes.
 pub(crate) struct Cell {
     /// Position in the world's cell list; names the cell in fault lines.
     idx: usize,
@@ -260,13 +246,15 @@ pub(crate) struct Cell {
     /// on the supervision plane.
     member_id: u64,
     backend: Arc<dyn WalBackend>,
-    core: Core,
+    /// The core; `None` while it is crashed.
+    core: Option<Arc<SmcCell>>,
     disco_id: ServiceId,
     sink_id: ServiceId,
-    /// The sink's delivery view: who is a member as far as routing goes.
-    members: HashSet<ServiceId>,
-    flags: ComponentFlags,
-    core_crashed: bool,
+    recorded: Recorded,
+    observer: Observer,
+    /// Components a scripted kill wedged: they refuse restarts until the
+    /// core reboots.
+    wedged: Vec<CoreComponent>,
     devices: Vec<Device>,
     pub(crate) device_ids: Vec<ServiceId>,
     pub(crate) core_recoveries: u64,
@@ -278,11 +266,11 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// Builds cell `idx` on `env`'s network: core, `nodes` devices, then
-    /// the planes `options` configures. Cell 0 is the cell under test —
-    /// scripted faults land on it — so it alone gets the caller's WAL
-    /// backend and flight-recorder dump path; a sibling journals into a
-    /// private in-memory log.
+    /// Builds cell `idx` on `env`'s network: core, observer, `nodes`
+    /// devices, then the planes `options` configures. Cell 0 is the cell
+    /// under test — scripted faults land on it — so it alone gets the
+    /// caller's WAL backend and flight-recorder dump path; a sibling
+    /// journals into a private in-memory log.
     pub(crate) fn new(env: &Env, idx: usize, nodes: usize, options: &RunOptions) -> Cell {
         let under_test = idx == 0;
         let member_id = idx as u64 + 1;
@@ -291,26 +279,41 @@ impl Cell {
         } else {
             Arc::new(MemBackend::new())
         };
-        let (core, recovered) = Core::boot(env, &backend, CellId(member_id), None);
+        let recorded = Recorded::default();
+        let core = boot_core(env, &backend, CellId(member_id), None, &recorded);
         // Names are wire bytes (join requests carry them and bandwidth-
         // limited links charge for each), so a cell with a sibling on
-        // its radio network qualifies its devices' names with its member
+        // its radio network qualifies its nodes' names with its member
         // id and a lone cell does not.
-        let peered = options.peered();
+        let name = |node: &str, n: usize| {
+            if options.peered() {
+                format!("chaos {node} {member_id}.{n}")
+            } else {
+                format!("chaos {node} {n}")
+            }
+        };
+        // The observer joins first: its subscription is in place before
+        // any device can publish.
+        let observer = Observer::new(env, member_id, name("observer", 0));
+        let link = LinkConfig {
+            latency: OBSERVER_LATENCY,
+            ..LinkConfig::ideal()
+        };
+        let sink_id = core.bus_endpoint();
+        env.net
+            .set_link_between(observer.channel.local_id(), sink_id, link);
         let devices: Vec<Device> = (0..nodes)
             .map(|n| {
                 let channel = env.device_channel(None);
                 let info =
-                    ServiceInfo::new(ServiceId::NIL, "harness.device").with_name(if peered {
-                        format!("chaos device {member_id}.{n}")
-                    } else {
-                        format!("chaos device {n}")
-                    });
+                    ServiceInfo::new(ServiceId::NIL, "harness.device").with_name(name("device", n));
+                // A device drops what the bus sends it (refusals).
+                let agent = agent(env, member_id, &info, &channel, |_, _| {});
                 Device {
                     id: channel.local_id(),
-                    agent: Self::agent(env, member_id, &info, &channel),
                     info,
                     channel,
+                    agent,
                     next_seq: 1,
                     next_publish: 0,
                     crashed: false,
@@ -320,7 +323,7 @@ impl Cell {
                 }
             })
             .collect();
-        // Planes open their endpoints after the devices', in this order.
+        // Planes open their endpoints after the nodes', in this order.
         let sup = options
             .supervision
             .clone()
@@ -338,12 +341,12 @@ impl Cell {
             idx,
             member_id,
             backend,
-            disco_id: core.disco_channel.local_id(),
-            sink_id: core.sink_channel.local_id(),
-            core,
-            members: recovered.snapshot.members.iter().map(|i| i.id).collect(),
-            flags: ComponentFlags::default(),
-            core_crashed: false,
+            disco_id: core.discovery().local_id(),
+            sink_id,
+            core: Some(core),
+            recorded,
+            observer,
+            wedged: Vec::new(),
             device_ids: devices.iter().map(|d| d.id).collect(),
             devices,
             core_recoveries: 0,
@@ -356,26 +359,6 @@ impl Cell {
             sup,
             telemetry,
         }
-    }
-
-    /// A member agent for a device of cell `member_id`. Sibling cells
-    /// share one radio network; the filter keeps each device joining its
-    /// own cell's beacons.
-    fn agent(
-        env: &Env,
-        member_id: u64,
-        info: &ServiceInfo,
-        channel: &Arc<ReliableChannel>,
-    ) -> Arc<MemberAgent> {
-        MemberAgent::with_clock(
-            info.clone(),
-            Arc::clone(channel),
-            AgentConfig {
-                cell_filter: Some(CellId(member_id)),
-                ..AgentConfig::default()
-            },
-            Arc::clone(&env.clock),
-        )
     }
 
     /// The cell's endpoint on the supervision plane and its sibling's, if
@@ -402,11 +385,30 @@ impl Cell {
         self.sup.as_ref().is_some_and(|s| s.rt.alive)
     }
 
+    /// Whether `component` runs: the core is up and the component's
+    /// channel open.
+    fn up(&self, component: CoreComponent) -> bool {
+        self.core.as_ref().is_some_and(|core| {
+            let channel = match component {
+                CoreComponent::Discovery => core.discovery_channel(),
+                CoreComponent::Sink => core.bus_channel(),
+            };
+            !channel.is_closed()
+        })
+    }
+
+    fn components_up(&self) -> [bool; 2] {
+        [
+            self.up(CoreComponent::Discovery),
+            self.up(CoreComponent::Sink),
+        ]
+    }
+
     pub(crate) fn view(&self) -> CellView {
         CellView {
-            flags: self.flags,
+            up: self.components_up(),
             sup_alive: self.sup_alive(),
-            core_crashed: self.core_crashed,
+            core_crashed: self.core.is_none(),
         }
     }
 
@@ -416,6 +418,7 @@ impl Cell {
 
     /// A device-indexed fault on node `node` of this cell.
     pub(crate) fn apply_device_fault(&mut self, env: &mut Env, node: usize, act: &Act) {
+        let discovery_up = self.up(CoreComponent::Discovery);
         let Some(dev) = self.devices.get_mut(node) else {
             return;
         };
@@ -467,6 +470,13 @@ impl Cell {
                 dev.domain = *domain;
                 env.net.set_domain(dev.id, *domain);
             }
+            Act::Evict => {
+                let evict = |core: &SmcCell| core.discovery().evict(dev.id).is_ok();
+                let core = self.core.as_deref().filter(|_| discovery_up);
+                if core.is_some_and(evict) {
+                    env.fault(format!("node{node} evicted"));
+                }
+            }
             Act::Crash => {
                 env.fault(format!("node{node} crashed"));
                 dev.crashed = true;
@@ -479,7 +489,7 @@ impl Cell {
                 }
                 env.fault(format!("node{node} restarted"));
                 dev.channel = env.device_channel(Some(dev.id));
-                dev.agent = Self::agent(env, self.member_id, &dev.info, &dev.channel);
+                dev.agent = agent(env, self.member_id, &dev.info, &dev.channel, |_, _| {});
                 env.net.set_domain(dev.id, dev.domain);
                 dev.crashed = false;
                 if let Some(sup) = &self.sup {
@@ -499,45 +509,48 @@ impl Cell {
 
     /// Kills one component: its channel closes, and it stays down until
     /// something restarts it.
-    fn kill(&mut self, env: &mut Env, component: CoreComponent, wedged: bool) {
+    fn kill(&mut self, env: &mut Env, core: &SmcCell, component: CoreComponent, wedged: bool) {
         match component {
             CoreComponent::Discovery => {
-                env.retire(&self.core.disco_channel);
-                self.core.service.shutdown();
+                env.retire(&core.discovery_channel());
+                core.discovery().shutdown();
             }
             CoreComponent::Sink => {
-                env.retire(&self.core.sink_channel);
-                self.core.sink_channel.close();
+                let channel = core.bus_channel();
+                env.retire(&channel);
+                channel.close();
             }
         }
-        *self.flags.of(component) = ComponentState { down: true, wedged };
+        if wedged {
+            self.wedged.push(component);
+        }
     }
 
     /// The scripted `KillComponent`: one core component silently dies.
     pub(crate) fn kill_component(&mut self, env: &mut Env, component: CoreComponent, wedged: bool) {
-        if self.core_crashed || self.flags.of(component).down {
+        let Some(core) = self.core.clone().filter(|_| self.up(component)) else {
             return;
-        }
+        };
         env.fault(format!("cell{} {} killed", self.idx, component.name()));
-        self.kill(env, component, wedged);
+        self.kill(env, &core, component, wedged);
     }
 
     /// Tears down whatever of the core is still up. The discovery table,
-    /// sink cursors and pending queues are gone until a reboot reads them
-    /// back from the log.
+    /// bus cursors, proxies and pending queues are gone until a reboot
+    /// reads them back from the log.
     fn stop_core(&mut self, env: &mut Env) {
         for component in [CoreComponent::Sink, CoreComponent::Discovery] {
-            if !self.flags.of(component).down {
-                self.kill(env, component, false);
+            if let Some(core) = self.core.clone().filter(|_| self.up(component)) {
+                self.kill(env, &core, component, false);
             }
         }
-        self.core_crashed = true;
-        self.flags = ComponentFlags::default();
+        self.core = None;
+        self.wedged.clear();
     }
 
     /// The scripted `CoreCrash`.
     pub(crate) fn crash_core(&mut self, env: &mut Env) {
-        if self.core_crashed {
+        if self.core.is_none() {
             return;
         }
         env.fault(format!("cell{} core crashed", self.idx));
@@ -550,7 +563,7 @@ impl Cell {
 
     /// The scripted `CoreRestart`.
     pub(crate) fn restart_core(&mut self, env: &mut Env) {
-        if !self.core_crashed {
+        if self.core.is_some() {
             return;
         }
         self.reboot_core(env);
@@ -563,29 +576,28 @@ impl Cell {
     /// Live state diverges from durable truth.
     pub(crate) fn corrupt(&mut self, env: &mut Env, target: CorruptTarget) {
         let idx = self.idx;
+        let Some(core) = &self.core else {
+            return;
+        };
+        let device = |node| self.device_ids.get(node).copied();
         match target {
             CorruptTarget::MembershipView { node } => {
-                if let Some(&id) = self.device_ids.get(node) {
-                    if self.members.remove(&id) {
-                        env.fault(format!("corrupt: cell{idx} sink view dropped {id}"));
-                    }
+                if let Some(id) = device(node).filter(|&id| core.corrupt_members(id, false)) {
+                    env.fault(format!("corrupt: cell{idx} members map dropped {id}"));
                 }
             }
             CorruptTarget::GhostMember => {
-                if self.members.insert(GHOST_MEMBER) {
+                if core.corrupt_members(GHOST_MEMBER, true) {
                     env.fault(format!(
-                        "corrupt: ghost {GHOST_MEMBER} in cell{idx} sink view"
+                        "corrupt: ghost {GHOST_MEMBER} in cell{idx} members map"
                     ));
                 }
             }
             CorruptTarget::DiscoveryMember { node } => {
-                if let Some(&id) = self.device_ids.get(node) {
-                    if !self.core_crashed
-                        && !self.flags.discovery.down
-                        && self.core.service.forget_member(id)
-                    {
-                        env.fault(format!("corrupt: cell{idx} discovery forgot {id}"));
-                    }
+                let up = self.up(CoreComponent::Discovery);
+                let forgot = |id| up && core.discovery().forget_member(id);
+                if let Some(id) = device(node).filter(|&id| forgot(id)) {
+                    env.fault(format!("corrupt: cell{idx} discovery forgot {id}"));
                 }
             }
         }
@@ -613,18 +625,14 @@ impl Cell {
     // The tick loop's per-cell steps.
     // ------------------------------------------------------------------
 
-    /// Channels: process frames, ack, retransmit. A killed component's
-    /// channel is closed — don't step the corpse. The supervision
+    /// Channels: process frames, ack, retransmit — the core's first (its
+    /// bus channel routes what arrives, and discovery steps after its own
+    /// channel). A killed component is not stepped. The supervision
     /// channel always steps: the plane it carries must outlive both the
     /// supervisor and the core.
     pub(crate) fn step_channels(&self, telemetry_due: bool) {
-        if !self.core_crashed {
-            if !self.flags.discovery.down {
-                self.core.disco_channel.step();
-            }
-            if !self.flags.sink.down {
-                self.core.sink_channel.step();
-            }
+        if let Some(core) = &self.core {
+            core.step();
         }
         if let Some(peer) = self.sup.as_ref().and_then(|s| s.peer.as_ref()) {
             peer.channel.step();
@@ -632,6 +640,7 @@ impl Cell {
         if let Some(tel) = self.telemetry.as_ref().filter(|_| telemetry_due) {
             tel.channel.step();
         }
+        self.observer.channel.step();
         for dev in &self.devices {
             if !dev.crashed {
                 dev.channel.step();
@@ -639,11 +648,9 @@ impl Cell {
         }
     }
 
-    /// Protocol logic on top of the channels.
+    /// The nodes' protocol logic on top of their channels.
     pub(crate) fn step_protocol(&self) {
-        if !self.core_crashed && !self.flags.discovery.down {
-            self.core.service.step();
-        }
+        self.observer.agent.step();
         for dev in &self.devices {
             if !dev.crashed {
                 dev.agent.step();
@@ -651,30 +658,15 @@ impl Cell {
         }
     }
 
-    /// Membership transitions into the oracle (and the sink's member
-    /// filter). Joins and purges are journalled, mirroring the SMC
-    /// core's own event path.
-    pub(crate) fn drain_membership(&mut self, env: &mut Env) {
-        while let Ok(ev) = self.core.service.events().try_recv() {
-            match ev {
-                MembershipEvent::Joined(info) => {
-                    let _ = self
-                        .core
-                        .wal
-                        .append(&WalRecord::MemberJoined { info: info.clone() });
-                    self.members.insert(info.id);
-                    env.oracle.record_joined(env.now, info.id);
-                }
-                MembershipEvent::Purged(id, _reason) => {
-                    let _ = self
-                        .core
-                        .wal
-                        .append(&WalRecord::MemberPurged { member: id });
-                    self.members.remove(&id);
-                    env.oracle.record_purged(env.now, id);
-                }
-                MembershipEvent::Suspected(id) => env.fault(format!("suspected {id}")),
-                MembershipEvent::Recovered(id) => env.fault(format!("recovered {id}")),
+    /// What the recorder saw on the bus since the last tick, into the
+    /// oracle in the bus's order.
+    pub(crate) fn drain_recorder(&mut self, env: &mut Env) {
+        let seen = std::mem::take(&mut *self.recorded.lock().expect("recorder"));
+        for seen in seen {
+            match seen {
+                Seen::Joined(id) => env.oracle.record_joined(env.now, id),
+                Seen::Purged(id) => env.oracle.record_purged(env.now, id),
+                Seen::Accepted(from, seq) => env.oracle.record_accepted(env.now, from, seq),
             }
         }
     }
@@ -683,60 +675,35 @@ impl Cell {
     /// the live objects (the run registry's collectors capture the
     /// *final* core incarnation, so the in-run monitor samples the
     /// current one directly).
-    fn health_samples(&self, env: &Env) -> Vec<Sample> {
-        const RETRANSMITS: &str = "smc_channel_retransmits_total";
+    fn health_samples(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         for (n, dev) in self.devices.iter().enumerate() {
             let label = format!("device{n}");
-            let retransmits = dev.channel.stats().retransmits;
-            out.push(Sample::counter(
-                RETRANSMITS,
-                "",
-                &[("channel", &label)],
-                retransmits,
-            ));
+            dev.channel
+                .stats()
+                .samples(&[("channel", &label)], &mut out);
+            let depth = dev.channel.pending(self.sink_id) as u64;
             out.push(Sample::gauge(
                 "smc_proxy_queue_depth",
                 "",
                 &[("queue", &label)],
-                dev.channel.pending(self.sink_id) as u64,
+                depth,
             ));
         }
-        if !self.core_crashed {
-            let core = &self.core;
-            for (label, channel) in [
-                ("sink", &core.sink_channel),
-                ("discovery", &core.disco_channel),
-            ] {
-                let retransmits = channel.stats().retransmits;
-                out.push(Sample::counter(
-                    RETRANSMITS,
-                    "",
-                    &[("channel", label)],
-                    retransmits,
-                ));
+        if let Some(core) = &self.core {
+            let channels = [
+                ("sink", core.bus_channel()),
+                ("discovery", core.discovery_channel()),
+            ];
+            for (label, channel) in channels {
+                channel.stats().samples(&[("channel", label)], &mut out);
             }
-            let d = core.service.stats();
-            let records = core.wal.metrics().records_appended;
-            for (name, value) in [
-                ("smc_discovery_joins_total", d.joins),
-                ("smc_discovery_purges_total", d.purges),
-                ("smc_wal_records_appended_total", records),
-            ] {
-                out.push(Sample::counter(name, "", &[], value));
+            core.metrics().samples(&[], &mut out);
+            core.discovery().stats().samples(&[], &mut out);
+            if let Some(wal) = core.wal() {
+                wal.metrics().samples(&[], &mut out);
             }
         }
-        let published: u64 = self
-            .device_ids
-            .iter()
-            .map(|&id| env.oracle.published(id))
-            .sum();
-        out.push(Sample::counter(
-            "smc_harness_published_total",
-            "",
-            &[],
-            published,
-        ));
         out
     }
 
@@ -760,7 +727,7 @@ impl Cell {
         if !self.health.as_ref().is_some_and(|h| h.monitor.due(now)) {
             return;
         }
-        let samples = self.health_samples(env);
+        let samples = self.health_samples();
         let mut rt = self.health.take().expect("checked above");
         let hops: Vec<HopRecord> = match &env.trace_sink {
             Some(sink) => sink
@@ -826,18 +793,19 @@ impl Cell {
         self.health = Some(rt);
     }
 
-    /// One anti-entropy pass: diffs the sink's membership view and the
-    /// discovery table against durable truth (the folded write-ahead
-    /// log) and repairs both directions, whether or not anything ever
-    /// failed. `by` names a sibling that ordered the pass over the wire.
-    /// A crashed core has nothing to reconcile.
+    /// One anti-entropy pass: [`SmcCell::reconcile`] diffs the members
+    /// map, the discovery table and the proxies' routes against durable
+    /// truth (the folded write-ahead log) and repairs every direction,
+    /// whether or not anything ever failed. `by` names a sibling that
+    /// ordered the pass over the wire. A crashed core has nothing to
+    /// reconcile.
     fn reconcile(&mut self, env: &mut Env, sup: &mut SupervisionPlane, by: Option<u64>) {
-        if self.core_crashed {
+        let Some(core) = &self.core else {
             return;
-        }
+        };
         sup.book.reconciles += 1;
         sup.last_reconcile_at = env.now;
-        let fixes = self.reconcile_pass();
+        let fixes = core.reconcile().map(|r| r.divergences).unwrap_or_default();
         let who = match by {
             Some(requester) => format!("cell{}, by {requester}", self.idx),
             None => format!("cell{}", self.idx),
@@ -851,51 +819,6 @@ impl Cell {
         sup.book
             .reconcile_fixes
             .extend(fixes.into_iter().map(|f| (env.now, f)));
-    }
-
-    /// The diff behind [`Cell::reconcile`]. Returns human-readable
-    /// descriptions of every divergence repaired, in deterministic order.
-    fn reconcile_pass(&mut self) -> Vec<String> {
-        let Ok(truth) = self.core.wal.recover_state() else {
-            return Vec::new();
-        };
-        let mut fixes = Vec::new();
-        let mut truth_sorted = truth.members;
-        truth_sorted.sort_by_key(|i| i.id);
-        let truth_ids: HashSet<ServiceId> = truth_sorted.iter().map(|i| i.id).collect();
-        let strays = |live: &HashSet<ServiceId>| {
-            let mut strays: Vec<ServiceId> = live.difference(&truth_ids).copied().collect();
-            strays.sort();
-            strays
-        };
-        // Sink view: re-admit members durable truth still has...
-        for info in &truth_sorted {
-            if self.members.insert(info.id) {
-                fixes.push(format!("sink view re-admitted {}", info.id));
-            }
-        }
-        // ...and drop ids truth never admitted (or has purged).
-        for ghost in strays(&self.members) {
-            self.members.remove(&ghost);
-            fixes.push(format!("sink view dropped ghost {ghost}"));
-        }
-        // Discovery table, when it's alive: same diff, both directions.
-        if !self.flags.discovery.down {
-            let service = &self.core.service;
-            let live_ids: HashSet<ServiceId> = service.members().iter().map(|i| i.id).collect();
-            for info in &truth_sorted {
-                if !live_ids.contains(&info.id) {
-                    service.restore_member(info.clone());
-                    fixes.push(format!("discovery re-admitted {}", info.id));
-                }
-            }
-            for id in strays(&live_ids) {
-                if service.forget_member(id) {
-                    fixes.push(format!("discovery dropped ghost {id}"));
-                }
-            }
-        }
-        fixes
     }
 
     /// The cell's supervision-plane turn: drain the wire, run the peer
@@ -1125,7 +1048,7 @@ impl Cell {
     /// scripted-crashed the supervisor holds off: the scenario owns that
     /// outage.
     fn detect_and_repair(&mut self, env: &mut Env, sup: &mut SupervisionPlane) {
-        if !sup.rt.alive || self.core_crashed {
+        if !sup.rt.alive || self.core.is_none() {
             return;
         }
         let now = env.now;
@@ -1139,7 +1062,7 @@ impl Cell {
         if !sup.rt.monitor.due(now) && !interrupted {
             return;
         }
-        let samples = component_samples(&self.flags, true);
+        let samples = component_samples(self.components_up());
         let transitions = sup.rt.monitor.observe(now, &samples, &[]);
         let mut actions = Vec::new();
         for t in &transitions {
@@ -1202,12 +1125,11 @@ impl Cell {
     ) {
         let outcome = match (CoreComponent::named(component), component) {
             (Some(which), _) => {
-                let state = *self.flags.of(which);
-                if !state.down {
+                if self.core.is_none() || self.up(which) {
                     // Already back (detector hysteresis lags the repair).
                     return;
                 }
-                if state.wedged {
+                if self.wedged.contains(&which) {
                     format!("{component}: failed (wedged)")
                 } else {
                     self.restart_component(env, which);
@@ -1215,9 +1137,7 @@ impl Cell {
                 }
             }
             (None, "core") => {
-                if !self.core_crashed {
-                    self.stop_core(env);
-                }
+                self.stop_core(env);
                 self.reboot_core(env);
                 "core: rebooted".to_string()
             }
@@ -1241,83 +1161,37 @@ impl Cell {
     }
 
     /// Rebuilds one killed component on its old endpoint from durable
-    /// truth — the supervisor's `restart` repair.
+    /// truth — the supervisor's `restart` repair, which the cell performs
+    /// itself ([`SmcCell::restart_discovery`], [`SmcCell::restart_bus`]).
     fn restart_component(&mut self, env: &mut Env, component: CoreComponent) {
-        let state = self.core.wal.recover_state().unwrap_or_default();
-        let core = &mut self.core;
+        let Some(core) = &self.core else {
+            return;
+        };
+        let endpoint = |id| Arc::new(env.net.endpoint_with_id(id));
         match component {
-            // The sink and its membership view are untouched.
-            CoreComponent::Discovery => {
-                let transport = env.net.endpoint_with_id(self.disco_id);
-                core.disco_channel =
-                    core_channel(env, &core.wal, CHAN_DISCOVERY, transport, &state);
-                core.service = discovery_service(
-                    env,
-                    CellId(self.member_id),
-                    &core.disco_channel,
-                    self.sink_id,
-                    &state,
-                );
-            }
-            // Recovered receive cursors keep dedup across the outage,
-            // the recovered outbound queue re-enters retransmission, and
-            // events the kill caught between ack and recording are
-            // re-processed from the journal's retained copies.
-            CoreComponent::Sink => {
-                let transport = env.net.endpoint_with_id(self.sink_id);
-                core.sink_channel = core_channel(env, &core.wal, CHAN_BUS, transport, &state);
-                requeue_outbound(&core.sink_channel, &state);
-                self.replay_pending_rx(env, &state);
-            }
+            CoreComponent::Discovery => core.restart_discovery(endpoint(self.disco_id)),
+            CoreComponent::Sink => core
+                .restart_bus(endpoint(self.sink_id))
+                .map(|()| self.observer.expect_resends(core)),
         }
-        self.flags.of(component).down = false;
+        .expect("the log reads back");
     }
 
     /// Rebuilds the core from its write-ahead log (the escalation repair
     /// and the scripted `CoreRestart`).
     fn reboot_core(&mut self, env: &mut Env) {
-        let (core, recovered) = Core::boot(
+        let ids = Some((self.disco_id, self.sink_id));
+        let core = boot_core(
             env,
             &self.backend,
             CellId(self.member_id),
-            Some((self.disco_id, self.sink_id)),
+            ids,
+            &self.recorded,
         );
-        self.core = core;
-        self.members = recovered.snapshot.members.iter().map(|i| i.id).collect();
-        self.core_crashed = false;
+        self.observer.expect_resends(&core);
         self.core_recoveries += 1;
-        env.recovery_micros_total += recovered.recovery_micros;
-        self.replay_pending_rx(env, &recovered.snapshot);
-        self.flags = ComponentFlags::default();
-    }
-
-    /// Re-processes events an outage caught between ack and recording:
-    /// their senders saw them acknowledged and will never retransmit, so
-    /// the log held the only copy. Mirrors `SmcCell::start_durable`.
-    fn replay_pending_rx(&mut self, env: &mut Env, state: &CoreSnapshot) {
-        for (peer, _epoch, seq, payload) in state.pending_rx_for(CHAN_BUS) {
-            if let Some(published) = decode(&payload) {
-                self.record_delivery(env, peer, published);
-            }
-            self.core.sink_channel.consumed(peer, seq);
-        }
-    }
-
-    /// The sink's routing decision for one event, mirroring the SMC's
-    /// rule that purged members' traffic is no longer served. Returns
-    /// whether the event was delivered.
-    fn record_delivery(&self, env: &mut Env, from: ServiceId, published: u64) -> bool {
-        let trace = TraceId::for_event(from, published);
-        let member = self.members.contains(&from);
-        if member {
-            env.tracer.record(trace, Hop::Delivered);
-            env.oracle.record_delivery(env.now, from, published);
-        } else {
-            let reason = "purge-filter";
-            env.tracer.record(trace, Hop::Dropped { reason });
-            env.oracle.record_filtered(env.now, from, published);
-        }
-        member
+        env.recovery_micros_total += core.metrics().wal_recovery_micros;
+        self.core = Some(core);
     }
 
     /// The periodic snapshot: compacts the log so recovery replays a
@@ -1330,9 +1204,13 @@ impl Cell {
     /// possibly-diverged view into durable truth. An adopter's
     /// wire-ordered Reconcile is what re-arms the gate.
     pub(crate) fn checkpoint(&mut self, env: &mut Env) {
-        if self.core_crashed || self.flags.any_down() {
+        let Some(core) = self
+            .core
+            .as_ref()
+            .filter(|_| self.components_up() == [true; 2])
+        else {
             return;
-        }
+        };
         match self.sup.as_mut() {
             Some(sup) if env.now.saturating_sub(sup.last_reconcile_at) > CHECKPOINT_MICROS => {
                 sup.book.checkpoints_deferred += 1;
@@ -1341,11 +1219,14 @@ impl Cell {
                     self.idx
                 ));
             }
-            _ => self.core.checkpoint(),
+            _ => {
+                let _ = core.checkpoint();
+            }
         }
     }
 
-    /// Member devices publish on schedule. A crashed core does not stop
+    /// Member devices publish on schedule, each event stamped by its
+    /// device and sent to the bus endpoint. A crashed core does not stop
     /// them: their channels queue and retransmit into the outage, which
     /// is exactly the traffic the recovered cursors must dedup. A
     /// *quenched* device, though, holds its publishes until the
@@ -1353,7 +1234,7 @@ impl Cell {
     pub(crate) fn publish(&mut self, env: &mut Env, interval: u64) {
         let now = env.now;
         for dev in &mut self.devices {
-            if dev.crashed || dev.quenched || !dev.agent.is_member() || now < dev.next_publish {
+            if dev.crashed || dev.quenched || now < dev.next_publish || !dev.agent.is_member() {
                 continue;
             }
             let seq = dev.next_seq;
@@ -1365,26 +1246,32 @@ impl Cell {
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.on_publish(dev.id, seq, now);
             }
-            let _ = dev.channel.send_traced(self.sink_id, encode(seq), trace);
+            let mut event = Event::builder(CHAOS_EVENT).payload(payload(seq)).build();
+            event.stamp(dev.id, seq, now);
+            let publish = Packet::publish(event).into_shared();
+            let _ = dev.channel.send_traced(self.sink_id, publish, trace);
         }
     }
 
-    /// The sink accepts deliveries. A killed sink accepts nothing — its
-    /// channel is closed and senders retransmit into the outage until a
-    /// supervisor brings it back.
+    /// The observer takes what its proxy delivered: every event once, in
+    /// each publisher's order — less the repeats recoveries re-sent.
     pub(crate) fn accept_deliveries(&mut self, env: &mut Env) {
-        while let Ok(incoming) = self.core.sink_channel.recv(Some(Duration::ZERO)) {
-            if let Incoming::Reliable { from, seq, payload } = incoming {
-                if let Some(published) = decode(&payload) {
-                    if self.record_delivery(env, from, published) {
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_delivery(from, published, env.now);
-                        }
-                    }
-                }
-                // Recording *is* the harness's routing step; release the
-                // journal's retained copy so checkpoints stop carrying it.
-                self.core.sink_channel.consumed(from, seq);
+        let delivered = std::mem::take(&mut *self.observer.inbox.lock().expect("inbox"));
+        let observer = &mut self.observer;
+        for event in delivered {
+            let (from, seq) = (event.publisher(), event.seq());
+            let last = observer.received.entry(from).or_default();
+            let repeat = |allowed: &&mut u32| seq <= *last && **allowed > 0;
+            if let Some(allowed) = observer.resent.get_mut(&(from, seq)).filter(repeat) {
+                *allowed -= 1;
+                continue;
+            }
+            *last = (*last).max(seq);
+            env.tracer
+                .record(TraceId::for_event(from, seq), Hop::Delivered);
+            env.oracle.record_delivery(env.now, from, seq);
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.on_delivery(from, seq, env.now);
             }
         }
     }
@@ -1395,13 +1282,8 @@ impl Cell {
         let sup_alive = self.sup_alive();
         if let Some(tel) = self.telemetry.as_mut() {
             if tel.export_due(env.now, total) {
-                tel.export(
-                    env.now,
-                    self.member_id,
-                    observer,
-                    self.members.len(),
-                    sup_alive,
-                );
+                let members = self.core.as_ref().map_or(0, |core| core.members().len());
+                tel.export(env.now, self.member_id, observer, members, sup_alive);
             }
         }
     }
@@ -1412,34 +1294,23 @@ impl Cell {
 
     /// Retransmissions of the data-plane channels alive at run end.
     pub(crate) fn live_retransmits(&self) -> u64 {
-        let core = &self.core;
-        core.sink_channel.stats().retransmits
-            + core.disco_channel.stats().retransmits
-            + self
-                .devices
-                .iter()
-                .map(|d| d.channel.stats().retransmits)
-                .sum::<u64>()
+        let core = self
+            .core
+            .iter()
+            .flat_map(|c| [c.bus_channel(), c.discovery_channel()]);
+        let nodes = self.devices.iter().map(|d| Arc::clone(&d.channel));
+        core.chain(nodes)
+            .chain([Arc::clone(&self.observer.channel)])
+            .map(|channel| channel.stats().retransmits)
+            .sum()
     }
 
-    /// Registers collectors over the final core incarnation: the WAL's
-    /// and discovery's own series plus three of the sink channel's.
+    /// Registers collectors over the final core incarnation: the cell's
+    /// bus, WAL and discovery series.
     pub(crate) fn register_core_with(&self, registry: &Registry) {
-        const SINK_SERIES: [&str; 3] = [
-            "smc_channel_msgs_delivered_total",
-            "smc_channel_retransmits_total",
-            "smc_channel_duplicates_suppressed_total",
-        ];
-        self.core.wal.register_with(registry);
-        self.core.service.register_with(registry);
-        registry.register_weak(&self.core.sink_channel, |channel, out| {
-            let mut all = Vec::new();
-            channel.stats().samples(&[("channel", "sink")], &mut all);
-            out.extend(
-                all.into_iter()
-                    .filter(|s| SINK_SERIES.contains(&s.name.as_str())),
-            );
-        });
+        if let Some(core) = &self.core {
+            core.register_metrics(registry);
+        }
     }
 
     /// What the cell ended the run with. `violated` is the oracle's

@@ -1,14 +1,17 @@
 //! The delivery-semantics oracle.
 //!
-//! Records every publish, delivery and membership transition the harness
-//! observes, in virtual-time order, and checks the paper's delivery
-//! guarantees (§II-C) as the trace grows:
+//! Records every publish, acceptance, delivery and membership transition
+//! the harness observes, in virtual-time order, and checks the paper's
+//! delivery guarantees (§II-C) as the trace grows:
 //!
 //! * **exactly-once** — no application message is delivered twice;
 //! * **per-sender FIFO** — deliveries from one sender arrive in publish
 //!   order;
-//! * **no delivery after purge** — once discovery purges a member, its
-//!   traffic stops being delivered until it is re-admitted.
+//! * **no delivery after purge** — once discovery purges a member, the
+//!   bus accepts none of its traffic until it is re-admitted. This is
+//!   judged where the bus accepts an event, in the bus's order: a purge
+//!   may overtake, on its way to a subscriber, events the bus accepted
+//!   before it.
 //!
 //! On a violation the oracle reports the scenario seed and the tail of
 //! the event trace, which — because runs are deterministic — is enough
@@ -32,8 +35,8 @@ pub enum TraceEvent {
         /// The sender's application sequence number.
         seq: u64,
     },
-    /// The cell's sink accepted a message.
-    Deliver {
+    /// The cell's bus accepted a message for routing.
+    Accept {
         /// Virtual time in micros.
         at: u64,
         /// The publishing endpoint.
@@ -41,8 +44,8 @@ pub enum TraceEvent {
         /// The sender's application sequence number.
         seq: u64,
     },
-    /// The sink dropped a message from a non-member (the purge filter).
-    Filtered {
+    /// A subscriber received a message.
+    Deliver {
         /// Virtual time in micros.
         at: u64,
         /// The publishing endpoint.
@@ -82,8 +85,8 @@ impl fmt::Display for TraceEvent {
             TraceEvent::Deliver { at, sender, seq } => {
                 write!(f, "{at:>12} deliver  {sender} #{seq}")
             }
-            TraceEvent::Filtered { at, sender, seq } => {
-                write!(f, "{at:>12} filtered {sender} #{seq}")
+            TraceEvent::Accept { at, sender, seq } => {
+                write!(f, "{at:>12} accept   {sender} #{seq}")
             }
             TraceEvent::Joined { at, member } => write!(f, "{at:>12} joined   {member}"),
             TraceEvent::Purged { at, member } => write!(f, "{at:>12} purged   {member}"),
@@ -154,7 +157,8 @@ struct SenderState {
     last_delivered: u64,
     /// Member right now (admitted more recently than purged)?
     member: bool,
-    /// Ever purged without a later re-admission?
+    /// Highest seq the bus accepted while the sender was a member.
+    accepted: u64,
     published: u64,
     delivered: u64,
 }
@@ -265,20 +269,31 @@ impl DeliveryOracle {
         self.senders.entry(sender).or_default().published += 1;
     }
 
-    /// Records the sink filtering a non-member's message (not a
-    /// delivery; kept in the trace for context).
-    pub fn record_filtered(&mut self, at: u64, sender: ServiceId, seq: u64) {
-        self.trace.push(TraceEvent::Filtered { at, sender, seq });
+    /// Records the bus accepting message `seq` from `sender`, checking
+    /// that the sender is a member.
+    pub fn record_accepted(&mut self, at: u64, sender: ServiceId, seq: u64) {
+        self.trace.push(TraceEvent::Accept { at, sender, seq });
+        let state = self.senders.entry(sender).or_default();
+        if state.member {
+            state.accepted = state.accepted.max(seq);
+        } else {
+            self.fail(
+                ViolationKind::DeliveryAfterPurge,
+                format!("message #{seq} from {sender} accepted while purged / never admitted"),
+                Some((sender, seq)),
+            );
+        }
     }
 
-    /// Records the sink accepting message `seq` from `sender`, checking
-    /// every guarantee.
+    /// Records a subscriber receiving message `seq` from `sender`,
+    /// checking every guarantee. Membership is judged as of the bus's
+    /// acceptance when one was recorded, and as of now otherwise.
     pub fn record_delivery(&mut self, at: u64, sender: ServiceId, seq: u64) {
         self.trace.push(TraceEvent::Deliver { at, sender, seq });
         let state = self.senders.entry(sender).or_default();
         state.delivered += 1;
         let last = state.last_delivered;
-        let member = state.member;
+        let member = state.member || seq <= state.accepted;
         if seq == last && last != 0 {
             self.fail(
                 ViolationKind::DuplicateDelivery,
@@ -359,6 +374,35 @@ mod tests {
         o.record_joined(1, id(3));
         o.record_purged(2, id(3));
         o.record_delivery(3, id(3), 1);
+        assert_eq!(
+            o.violation().unwrap().kind,
+            ViolationKind::DeliveryAfterPurge
+        );
+    }
+
+    #[test]
+    fn acceptance_after_purge_is_flagged() {
+        let mut o = DeliveryOracle::new(5);
+        o.record_joined(1, id(3));
+        o.record_purged(2, id(3));
+        o.record_accepted(3, id(3), 1);
+        assert_eq!(
+            o.violation().unwrap().kind,
+            ViolationKind::DeliveryAfterPurge
+        );
+    }
+
+    /// A purge may overtake, on the way to a subscriber, an event the bus
+    /// accepted before it: the delivery is judged as of the acceptance.
+    #[test]
+    fn a_purge_may_overtake_an_accepted_event() {
+        let mut o = DeliveryOracle::new(5);
+        o.record_joined(1, id(3));
+        o.record_accepted(2, id(3), 1);
+        o.record_purged(3, id(3));
+        o.record_delivery(4, id(3), 1);
+        o.assert_clean();
+        o.record_delivery(5, id(3), 2);
         assert_eq!(
             o.violation().unwrap().kind,
             ViolationKind::DeliveryAfterPurge

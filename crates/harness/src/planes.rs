@@ -10,9 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smc_health::{
-    ComponentDown, DeliveryLatency, Detector, FlightRecorder, HealthConfig, HealthMonitor,
-    HealthState, HealthTransition, MembershipFlap, PeerConfig, PeerSupervisor, QueueGrowth,
-    RetransmitStorm, ServiceRegistry, ServiceSpec, SloBurn, Supervisor, WalStall,
+    ComponentDown, FlightRecorder, HealthConfig, HealthMonitor, HealthState, HealthTransition,
+    PeerConfig, PeerSupervisor, ServiceRegistry, ServiceSpec, SloBurn, Supervisor,
 };
 use smc_policy::{
     health_quench_policies, peer_repair_policies, supervision_policies,
@@ -25,7 +24,6 @@ use smc_transport::{Incoming, ReliableChannel};
 use smc_types::{codec, episode_trace, Event, HopExport, ServiceId, TelemetryMsg, TraceId};
 use smc_wal::{CHAN_SUPERVISION, CHAN_TELEMETRY};
 
-use crate::cell::ComponentFlags;
 use crate::world::{
     CellReport, Env, HealthOptions, HealthOutcome, SupervisionOptions, TelemetryPlaneOptions,
     TelemetryPlaneReport, TICK_MICROS,
@@ -59,27 +57,13 @@ pub(crate) struct HealthRuntime {
 
 impl HealthRuntime {
     pub(crate) fn new(opts: HealthOptions) -> HealthRuntime {
-        // The same detector suite `default_detectors` ships, except the
-        // WAL-stall traffic reference is the harness's own publish
-        // counter (the harness routes events itself, so the cell's
-        // `smc_events_published_total` never moves here).
-        let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(RetransmitStorm::default()),
-            Box::new(QueueGrowth::default()),
-            Box::new(WalStall::new(
-                "smc_wal_records_appended_total",
-                "smc_harness_published_total",
-            )),
-            Box::new(DeliveryLatency::default()),
-            Box::new(MembershipFlap::default()),
-        ];
         let policies = health_quench_policies()
             .into_iter()
             .chain(telemetry_quench_exemptions(
                 opts.quench_exempt.iter().copied(),
             ));
         HealthRuntime {
-            monitor: HealthMonitor::with_detectors(opts.config, detectors),
+            monitor: HealthMonitor::new(opts.config),
             policy: policy_service(policies),
             recorder: FlightRecorder::default(),
             transitions: Vec::new(),
@@ -121,12 +105,10 @@ fn up_sample(name: &str, is_up: bool) -> Sample {
     Sample::gauge("smc_component_up", "", &labels, u64::from(is_up))
 }
 
-/// The liveness gauges of a core's restartable components.
-pub(crate) fn component_samples(flags: &ComponentFlags, core_up: bool) -> Vec<Sample> {
-    vec![
-        up_sample("discovery", core_up && !flags.discovery.down),
-        up_sample("sink", core_up && !flags.sink.down),
-    ]
+/// The liveness gauges of a core's restartable components, discovery
+/// and the sink, each `true` while it runs.
+pub(crate) fn component_samples([discovery, sink]: [bool; 2]) -> Vec<Sample> {
+    vec![up_sample("discovery", discovery), up_sample("sink", sink)]
 }
 
 /// The read-only snapshot of a cell an adopting sibling's monitor
@@ -135,7 +117,9 @@ pub(crate) fn component_samples(flags: &ComponentFlags, core_up: bool) -> Vec<Sa
 /// observes.
 #[derive(Clone, Copy)]
 pub(crate) struct CellView {
-    pub(crate) flags: ComponentFlags,
+    /// Whether discovery and the sink run (neither while the core is
+    /// crashed).
+    pub(crate) up: [bool; 2],
     pub(crate) sup_alive: bool,
     pub(crate) core_crashed: bool,
 }
@@ -146,7 +130,7 @@ impl CellView {
     /// the liveness signals the ward's cell runtime exports; the
     /// protocol itself — lease, claim, repair — still crosses the wire.)
     pub(crate) fn samples(&self) -> Vec<Sample> {
-        let mut samples = component_samples(&self.flags, !self.core_crashed);
+        let mut samples = component_samples(self.up);
         samples.push(up_sample("supervisor", self.sup_alive));
         samples
     }
@@ -416,9 +400,9 @@ impl CellTelemetry {
         CellTelemetry {
             channel: env.plane_channel(CHAN_TELEMETRY),
             published: registry.counter("smc_cell_published_total", "Events devices published."),
-            delivered: registry.counter("smc_cell_delivered_total", "Events the sink delivered."),
-            members_gauge: registry
-                .gauge("smc_cell_members", "Members in the sink's delivery view."),
+            delivered: registry
+                .counter("smc_cell_delivered_total", "Events the observer received."),
+            members_gauge: registry.gauge("smc_cell_members", "Members in the cell's members map."),
             sup_up_gauge: registry.gauge(
                 "smc_cell_supervisor_up",
                 "Whether the supervisor plane is alive.",

@@ -68,13 +68,13 @@ impl CoreComponent {
 /// write-ahead log, so only an anti-entropy reconcile pass heals it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptTarget {
-    /// The sink's membership view silently forgets device `node`: its
-    /// events are filtered as if it had been purged.
+    /// The cell's members map silently forgets device `node`: the bus
+    /// refuses its events as if it had been purged.
     MembershipView {
         /// Target device node index.
         node: usize,
     },
-    /// A fabricated member id appears in the sink's membership view.
+    /// A fabricated member id appears in the cell's members map.
     GhostMember,
     /// The discovery table silently drops device `node` — no `Purged`
     /// event, no counter; the member just vanishes.
@@ -133,6 +133,14 @@ pub enum ChaosOp {
         domain: u32,
         /// Time away before returning to the cell's domain.
         duration: Duration,
+    },
+    /// Discovery evicts the node — an operator's or a policy's purge of
+    /// a member that is still connected, and still publishing until its
+    /// missed heartbeats tell it. No scripted recovery: the node rejoins
+    /// on its own.
+    Evict {
+        /// Target device node index.
+        node: usize,
     },
     /// The node's links permanently switch to a different profile.
     LinkProfile {
@@ -198,6 +206,7 @@ impl ChaosOp {
             | ChaosOp::DuplicateStorm { node, .. }
             | ChaosOp::Crash { node, .. }
             | ChaosOp::DomainMove { node, .. }
+            | ChaosOp::Evict { node }
             | ChaosOp::LinkProfile { node, .. } => Some(node),
             ChaosOp::CoreCrash { .. }
             | ChaosOp::KillComponent { .. }

@@ -5,9 +5,10 @@
 //! ([`SimNetwork`]) around a [`ManualClock`] and a `World` on top of it:
 //! the shared context every cell needs (network, clock, tracer, oracle,
 //! channel and discovery configuration, the current virtual instant)
-//! plus a `Vec` of [`Cell`]s. Each cell is a step-driven discovery
-//! service, an event sink standing in for the cell's bus endpoint, and
-//! `scenario.nodes` device agents. The world then single-threadedly steps
+//! plus a `Vec` of [`Cell`]s. Each cell is a step-driven durable
+//! [`smc_core::SmcCell`] — bus, discovery, proxies and write-ahead log —
+//! with `scenario.nodes` device agents publishing to it and one observer
+//! member subscribed to them. The world then single-threadedly steps
 //! virtual time in fixed ticks: scripted faults fire at their scripted
 //! instants, devices publish while they hold membership, and every
 //! observable fact lands in one [`DeliveryOracle`] in a deterministic
@@ -15,7 +16,7 @@
 //! and the same seed always produces the same trace, byte for byte.
 //!
 //! **Durable cores.** A cell's channels journal cursors and outbound
-//! queues into a write-ahead log and a snapshot is cut every
+//! queues into its write-ahead log and a snapshot is cut every
 //! `CHECKPOINT_MICROS` of virtual time. A [`ChaosOp::CoreCrash`] tears
 //! the whole core down and rebuilds it from that log, so the oracle
 //! checks exactly-once and FIFO *across* the restart boundary.
@@ -460,7 +461,7 @@ impl RunReport {
             .sum()
     }
 
-    /// Total messages delivered across every cell's sink.
+    /// Total messages delivered across every cell's observer.
     pub fn total_delivered(&self) -> u64 {
         self.device_ids
             .iter()
@@ -515,6 +516,7 @@ pub(crate) enum Act {
     PartitionOn,
     PartitionOff,
     Domain(u32),
+    Evict,
     Crash,
     Restart,
     CoreCrash,
@@ -556,6 +558,7 @@ fn expand_timeline(scenario: &Scenario) -> Vec<(u64, usize, Act)> {
                 domain,
                 duration,
             } => (node, Act::Domain(domain), Some((duration, Act::Domain(0)))),
+            ChaosOp::Evict { node } => (node, Act::Evict, None),
             ChaosOp::LinkProfile { node, profile } => (node, Act::Profile(profile), None),
             ChaosOp::CoreCrash { down_for } => {
                 (CORE, Act::CoreCrash, Some((down_for, Act::CoreRestart)))
@@ -805,10 +808,10 @@ impl World {
         for cell in &self.cells {
             cell.step_protocol();
         }
-        // 5. Membership transitions into the oracle (and each sink's
-        // member filter).
+        // 5. What each bus accepted — joins, purges, device events — into
+        // the oracle, in the bus's order.
         for cell in &mut self.cells {
-            cell.drain_membership(env);
+            cell.drain_recorder(env);
         }
         // 5h. Self-observation, before anything this tick repairs.
         for cell in &mut self.cells {
@@ -829,13 +832,13 @@ impl World {
             }
         }
         // 6. Member devices publish on schedule (until the scripted
-        // end), each to its own cell's sink.
+        // end), each to its own cell's bus.
         if now < self.end {
             for cell in &mut self.cells {
                 cell.publish(env, self.publish_interval);
             }
         }
-        // 7. Sinks accept deliveries.
+        // 7. Observers take their deliveries.
         for cell in &mut self.cells {
             cell.accept_deliveries(env);
         }
@@ -939,7 +942,7 @@ impl World {
             ),
             (
                 "smc_harness_delivered_total",
-                "Messages the sinks accepted over the run.",
+                "Messages the observers received over the run.",
                 report.total_delivered(),
             ),
             (

@@ -414,3 +414,37 @@ fn domain_move_and_profile_change_stay_safe() {
     report.assert_clean();
     assert!(report.total_delivered() > 0);
 }
+
+/// Family 5: evictions. Discovery purges a node that is still connected
+/// and still publishing until its missed heartbeats tell it: the bus
+/// must refuse everything it sends between the purge and its rejoin,
+/// and serve it again once it is re-admitted.
+#[test]
+fn eviction_family_refuses_a_purged_member() {
+    let mut scenario = Scenario::quiet(37, 3, secs(10));
+    for (node, at) in [(0usize, 1500u64), (1, 4000), (0, 6500)] {
+        scenario.ops.push(ScriptedOp {
+            at: millis(at),
+            op: ChaosOp::Evict { node },
+        });
+    }
+    let report = run(&scenario.sorted());
+    report.assert_clean();
+    for node in [0, 1] {
+        let evicted = report.device_ids[node];
+        assert!(report.was_purged(evicted), "node {node} was evicted");
+        assert!(
+            report.times_joined(evicted) >= 2,
+            "node {node} rejoined after its eviction"
+        );
+        assert!(
+            report.oracle.delivered(evicted) < report.oracle.published(evicted),
+            "the bus refused node {node} while it was purged"
+        );
+    }
+    let untouched = report.device_ids[2];
+    assert_eq!(
+        report.oracle.delivered(untouched),
+        report.oracle.published(untouched)
+    );
+}

@@ -152,7 +152,7 @@ fn wedged_component_escalates_to_a_core_reboot() {
 fn corrupted_views_are_healed_by_reconcile() {
     // No detector fires for silent state corruption — only the periodic
     // anti-entropy diff against the folded log notices. Drop a live
-    // member from the sink's view, plant a ghost in it, and vanish a
+    // member from the cell's members map, plant a ghost in it, and vanish a
     // member from the discovery table; every divergence must be repaired
     // and the repaired member's later publishes delivered.
     let mut scenario = Scenario::quiet(64, 3, Duration::from_secs(10));
@@ -173,15 +173,15 @@ fn corrupted_views_are_healed_by_reconcile() {
         .map(|(_, f)| f.as_str())
         .collect();
     assert!(
-        fixes.iter().any(|f| f.contains("sink view re-admitted")),
+        fixes.iter().any(|f| f.contains("to members map")),
         "dropped member re-admitted: {fixes:?}"
     );
     assert!(
-        fixes.iter().any(|f| f.contains("sink view dropped ghost")),
+        fixes.iter().any(|f| f.contains("removed ghost member")),
         "ghost evicted: {fixes:?}"
     );
     assert!(
-        fixes.iter().any(|f| f.contains("discovery re-admitted")),
+        fixes.iter().any(|f| f.contains("to discovery")),
         "discovery table repaired: {fixes:?}"
     );
     assert_eq!(

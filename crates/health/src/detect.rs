@@ -213,10 +213,7 @@ impl WalStall {
 
 impl Default for WalStall {
     fn default() -> Self {
-        WalStall::new(
-            "smc_wal_records_appended_total",
-            "smc_events_published_total",
-        )
+        WalStall::new("smc_wal_records_appended_total", "smc_bus_published_total")
     }
 }
 

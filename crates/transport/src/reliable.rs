@@ -1754,11 +1754,19 @@ impl RxWorker {
     }
 
     fn retransmit_due(&mut self) {
+        let mut out = self.shared.out.lock();
+        // An idle channel — the common case on every tick — has nothing
+        // to resend or promote.
+        if out
+            .values()
+            .all(|peer| peer.inflight.is_empty() && peer.queued.is_empty())
+        {
+            return;
+        }
         let now = self.shared.clock.now_micros();
         let config = self.shared.config.clone();
         let tracer = self.shared.tracer.load();
         let missed_ack_line = self.shared.missed_ack_line.load();
-        let mut out = self.shared.out.lock();
         // Sorted peer order: every (re)transmission consumes draws from
         // the simulated network's seeded rng, so iteration order must not
         // depend on hash-map layout for runs to be reproducible.

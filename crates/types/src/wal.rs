@@ -601,8 +601,11 @@ impl CoreSnapshot {
                     None => self.members.push(info.clone()),
                 }
             }
+            // A purge destroys the member's proxy and with it the routes it
+            // owned; a re-admission subscribes afresh.
             WalRecord::MemberPurged { member } => {
                 self.members.retain(|m| m.id != *member);
+                self.subscriptions.retain(|s| s.subscriber != *member);
             }
             WalRecord::Subscribed { subscription } => {
                 self.next_subscription = self.next_subscription.max(subscription.id.0 + 1);
@@ -881,6 +884,23 @@ mod tests {
             id: SubscriptionId(9),
         });
         assert!(snap.subscriptions.is_empty());
+    }
+
+    /// A member purged and re-admitted owns only the routes it made
+    /// after re-admission: recovery must not restore its old ones next
+    /// to them and deliver every event to it twice.
+    #[test]
+    fn a_purge_drops_the_members_subscriptions() {
+        let mut snap = CoreSnapshot::default();
+        let (member, other) = (sid(3), sid(4));
+        for (id, subscriber) in [(1, member), (2, other)] {
+            let subscription = Subscription::new(SubscriptionId(id), subscriber, Filter::any());
+            snap.apply(&WalRecord::Subscribed { subscription });
+        }
+        snap.apply(&WalRecord::MemberPurged { member });
+        let left: Vec<ServiceId> = snap.subscriptions.iter().map(|s| s.subscriber).collect();
+        assert_eq!(left, vec![other]);
+        assert_eq!(snap.next_subscription, 3, "ids are never reused");
     }
 
     #[test]

@@ -811,18 +811,6 @@ impl Wal {
         Ok(())
     }
 
-    /// [`Wal::snapshot_with`] for a pre-built snapshot — only safe when
-    /// no other thread can append concurrently (recovery, tests, the
-    /// step-driven harness between ticks).
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O failures; on a snapshot-write failure the log is
-    /// untouched and the previous snapshot remains current.
-    pub fn snapshot(&self, snapshot: &CoreSnapshot) -> Result<()> {
-        self.snapshot_with(|| Ok(snapshot.clone()))
-    }
-
     /// A snapshot of the log's activity counters.
     pub fn metrics(&self) -> WalMetrics {
         self.counters.snapshot()
@@ -1128,7 +1116,7 @@ mod tests {
         }
         let mut snap = CoreSnapshot::default();
         snap.apply(&cursor(1, 5));
-        wal.snapshot(&snap).unwrap();
+        wal.snapshot_with(|| Ok(snap.clone())).unwrap();
         assert_eq!(
             backend.segments().unwrap().len(),
             1,
@@ -1155,7 +1143,7 @@ mod tests {
         let (wal, _) = open_mem(&backend);
         let mut snap = CoreSnapshot::default();
         snap.apply(&cursor(1, 5));
-        wal.snapshot(&snap).unwrap();
+        wal.snapshot_with(|| Ok(snap.clone())).unwrap();
         drop(wal);
         // Flip a payload byte so the snapshot checksum no longer holds.
         {
@@ -1245,7 +1233,7 @@ mod tests {
         wal.append(&cursor(1, 5)).unwrap();
         let mut snap = CoreSnapshot::default();
         snap.apply(&cursor(2, 9));
-        wal.snapshot(&snap).unwrap();
+        wal.snapshot_with(|| Ok(snap.clone())).unwrap();
         wal.append(&cursor(1, 6)).unwrap();
         drop(wal);
 
