@@ -7,8 +7,9 @@
 //!
 //! The rule the path is held to: none to send or share an event (its
 //! packet is its body under a tag), and a decode asks for what the decoded
-//! value keeps — which, for an event, is the message it arrived in plus a
-//! table. Per delivered event that is
+//! value keeps — which, for an event, is the message it arrived in plus
+//! its shared body, the attribute table inside it. Per delivered event
+//! that is
 //!
 //! | stage                                                   | requests |
 //! |---------------------------------------------------------|----------|
@@ -17,30 +18,33 @@
 //! | link: one buffer per datagram, 2 data frames            | 2        |
 //! | link: a standalone acknowledgement per half window and hop | ≈ 0.1 |
 //! | `Frame` decode ×2 (the payload keeps the datagram)      | 0        |
-//! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its table, its shared body) | 2 |
+//! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its shared body, three attributes in its inline table) | 1 |
 //! | cell: event shared with the bus; policy, nothing firing | 0        |
 //! | bus: the `Deliver` — the adopted event under another tag, its stamp written as it is framed; proxy sends it as it is | 0 |
-//! | subscriber: `Deliver` adopted (table, body)             | 2        |
-//! | in-flight maps gaining a node as windows fill           | ≈ 0.5    |
-//! | **plain**                                               | **≈ 6.5** |
+//! | subscriber: `Deliver` adopted (body)                    | 1        |
+//! | send windows: rings whose buffers are reused            | 0        |
+//! | **plain**                                               | **≈ 4.1** |
 //! | durable: the one message the bus channel delivers, kept until consumed | 1 |
 //! | durable: the log's segments growing (4 records, framed in scratch) | ≈ 0.1 |
-//! | **durable**                                             | **≈ 7.5** |
+//! | **durable**                                             | **≈ 5.2** |
 //!
 //! Nothing is sent back at the application level: the publisher did not
 //! ask for a `PublishAck`, and the channel's own acknowledgement — held,
 //! cumulative, one datagram per half window — is all either hop pays.
 //!
-//! Measured here: 6.5 plain, 7.5 durable (8.5 and 9.5 while each send
+//! Measured here: 4.13 plain, 5.16 durable (6.5 and 7.5 while the
+//! attribute table was a `Vec` of its own and the send windows were
+//! B-trees gaining nodes as they filled; 8.5 and 9.5 while each send
 //! copied its event into a buffer of its own; 18.5 and 19.5 while each
 //! decode copied type name, three names and payload out of the message —
 //! 7 requests a decode; 22.4 and 24.5 with a `PublishAck` and a
 //! `DeliverAck` per event; 74.1 and 119.9 before this budget existed).
-//! What is left of a decode is two requests whatever the event's size;
-//! string and bytes attribute *values* are still copied out on top, one
-//! request each, and this event has none. The bounds leave room for a
-//! loaded host, where the poll tick sends an acknowledgement before half
-//! a window is owed.
+//! What is left of a decode is one request whatever the event's size,
+//! for up to four attributes (a fifth puts the table in a `Vec`, one
+//! more); string and bytes attribute *values* are still copied out on
+//! top, one request each, and this event has none. The bounds leave a
+//! little room for a loaded host, where the poll tick sends an
+//! acknowledgement before half a window is owed.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`;
 //! the count is process-wide because the cell's work happens on its own
@@ -162,10 +166,10 @@ fn requests_per_event(durable: bool) -> f64 {
 #[test]
 fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
     let plain = requests_per_event(false);
-    assert!(plain <= 11.0, "plain cell: {plain} heap requests per event");
+    assert!(plain <= 5.0, "plain cell: {plain} heap requests per event");
     let durable = requests_per_event(true);
     assert!(
-        durable <= 12.0,
+        durable <= 6.0,
         "durable cell: {durable} heap requests per event"
     );
 }

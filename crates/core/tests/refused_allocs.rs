@@ -5,9 +5,10 @@
 //! that acknowledges every member's traffic. That question is one table
 //! lookup (`DiscoveryService::member`), so a refusal costs the same in a
 //! cell of 200 members as in an empty one: the sender's encode and
-//! datagram, the cell's decode (the event's table and body), the `Error`
-//! it answers with (two strings, the encoding, a datagram) and the
-//! sender's decode of that — 10 requests, measured. Cloning the
+//! datagram, the cell's decode (the event's body, its attribute table
+//! inside), the `Error` it answers with (two strings, the encoding, a
+//! datagram) and the sender's decode of that — 9 requests, measured (10
+//! while the table was a `Vec` of its own). Cloning the
 //! membership table to search it, as dispatch once did, was 3 requests
 //! per member on top: 611 here.
 //!

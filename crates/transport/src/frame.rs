@@ -334,19 +334,15 @@ pub fn encode_data_frame(
 /// Encoded length of a [`Frame::Ack`]: tag + epoch + seq + fragment index.
 pub const ACK_FRAME_LEN: usize = 1 + 8 + 8 + 2;
 
-/// Encodes a [`Frame::AckBatch`] straight from a borrowed run of
-/// `(seq, frag_index)` pairs.
+/// Writes a [`Frame::AckBatch`] straight from a borrowed run of
+/// `(seq, frag_index)` pairs — a channel writes it into its thread's
+/// encode scratch. The one place that knows the batch layout
+/// ([`Frame`]'s `Encode` goes through here).
 ///
 /// # Panics
 ///
 /// Panics if `acks` holds more entries than the `u16` count can say.
-pub fn encode_ack_batch_frame(epoch: u64, acks: &[(u64, u16)]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(ACK_BATCH_HEADER_LEN + acks.len() * ACK_ENTRY_LEN);
-    put_ack_batch_frame(&mut buf, epoch, acks);
-    buf.freeze()
-}
-
-fn put_ack_batch_frame(buf: &mut BytesMut, epoch: u64, acks: &[(u64, u16)]) {
+pub fn put_ack_batch_frame(buf: &mut BytesMut, epoch: u64, acks: &[(u64, u16)]) {
     buf.put_u8(F_ACK_BATCH);
     buf.put_u64_le(epoch);
     buf.put_u16_le(u16::try_from(acks.len()).expect("ack batch fits a u16 count"));
@@ -378,6 +374,13 @@ pub fn encode_ack_frame(epoch: u64, seq: u64, frag_index: u16) -> [u8; ACK_FRAME
 mod tests {
     use super::*;
     use smc_types::codec::{from_bytes, to_bytes};
+
+    /// A [`Frame::AckBatch`] in a buffer of its own.
+    fn encode_ack_batch_frame(epoch: u64, acks: &[(u64, u16)]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_ack_batch_frame(&mut buf, epoch, acks);
+        buf.freeze()
+    }
 
     #[test]
     fn frames_round_trip() {

@@ -42,7 +42,7 @@ use smc_types::{
 };
 
 use crate::frame::{
-    encode_ack_batch_frame, encode_ack_frame, fragment_count, fragment_range, put_data_header,
+    encode_ack_frame, fragment_count, fragment_range, put_ack_batch_frame, put_data_header,
     put_unreliable_frame, CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN,
     FRAME_HEADER_LEN,
 };
@@ -444,8 +444,19 @@ type QueuedMessage = (SharedBytes, Option<Sender<Result<()>>>, TraceId);
 #[derive(Debug, Default)]
 struct PeerOut {
     next_seq: u64,
-    inflight: BTreeMap<u64, OutMessage>,
+    /// The send window: messages sent and not yet acknowledged, in
+    /// sequence order. A ring whose buffer outlives the messages in it:
+    /// once it has held a window's worth, sending asks nothing of the
+    /// heap.
+    inflight: VecDeque<(u64, OutMessage)>,
     queued: VecDeque<QueuedMessage>,
+}
+
+impl PeerOut {
+    /// Where message `seq` sits in the window, if it is there.
+    fn find(&self, seq: u64) -> Option<usize> {
+        self.inflight.binary_search_by_key(&seq, |&(s, _)| s).ok()
+    }
 }
 
 /// Fragments received so far, sorted by index.
@@ -1196,7 +1207,7 @@ impl ReliableChannel {
             let mut msgs: Vec<(u64, Vec<u8>)> = peer
                 .inflight
                 .iter()
-                .map(|(&seq, m)| (seq, m.payload.to_vec()))
+                .map(|(seq, m)| (*seq, m.payload.to_vec()))
                 .collect();
             let mut seq = peer.next_seq;
             for (payload, _, _) in &peer.queued {
@@ -1286,7 +1297,7 @@ impl Shared {
                 trace,
             };
             self.transmit(to, seq, &msg);
-            peer.inflight.insert(seq, msg);
+            peer.inflight.push_back((seq, msg));
         }
     }
 
@@ -1354,7 +1365,7 @@ impl Shared {
     /// Sends everything held for `to` as standalone acknowledgements:
     /// one [`Frame::Ack`], or [`Frame::AckBatch`] frames chunked to
     /// respect both the codec's collection cap and the transport
-    /// datagram size.
+    /// datagram size, each written into this thread's encode scratch.
     fn flush(&self, to: ServiceId, held: &mut HeldAcks) {
         match held.frags[..] {
             [] => {}
@@ -1367,9 +1378,10 @@ impl Shared {
                     / ACK_ENTRY_LEN;
                 let chunk = per_datagram.clamp(1, MAX_COLLECTION_LEN);
                 for chunk in held.frags.chunks(chunk) {
-                    let _ = self
-                        .transport
-                        .send(to, &encode_ack_batch_frame(held.epoch, chunk));
+                    with_scratch(|frame| {
+                        put_ack_batch_frame(frame, held.epoch, chunk);
+                        let _ = self.transport.send(to, frame);
+                    });
                 }
             }
         }
@@ -1588,29 +1600,23 @@ impl RxWorker {
             return;
         };
         let mut completed = false;
-        while let Some(first) = peer.inflight.first_entry() {
-            if *first.key() > up_to {
-                break;
-            }
-            let (seq, msg) = first.remove_entry();
+        while peer.inflight.front().is_some_and(|&(seq, _)| seq <= up_to) {
+            let (seq, msg) = peer.inflight.pop_front().expect("the front is there");
             self.complete(from, seq, msg);
             completed = true;
         }
         for &(seq, frag_index) in acks {
-            let mut done = false;
-            if let Some(msg) = peer.inflight.get_mut(&seq) {
-                if frag_index < msg.frag_count && msg.acked.insert(frag_index as usize) {
-                    msg.unacked -= 1;
-                    done = msg.unacked == 0;
+            let Some(at) = peer.find(seq) else {
+                continue;
+            };
+            let msg = &mut peer.inflight[at].1;
+            if frag_index < msg.frag_count && msg.acked.insert(frag_index as usize) {
+                msg.unacked -= 1;
+                if msg.unacked == 0 {
+                    let (seq, msg) = peer.inflight.remove(at).expect("completed message exists");
+                    self.complete(from, seq, msg);
+                    completed = true;
                 }
-            }
-            if done {
-                let msg = peer
-                    .inflight
-                    .remove(&seq)
-                    .expect("completed message exists");
-                self.complete(from, seq, msg);
-                completed = true;
             }
         }
         if completed {
@@ -1775,7 +1781,8 @@ impl RxWorker {
         for peer_id in peer_ids {
             let peer = out.get_mut(&peer_id).expect("peer present");
             let mut expired: Vec<u64> = Vec::new();
-            for (&seq, msg) in peer.inflight.iter_mut() {
+            for (seq, msg) in peer.inflight.iter_mut() {
+                let seq = *seq;
                 if msg.unacked == 0
                     || Duration::from_micros(now.saturating_sub(msg.last_tx)) < msg.rto
                 {
@@ -1806,7 +1813,8 @@ impl RxWorker {
                     .fetch_add(resent, Ordering::Relaxed);
             }
             for seq in expired {
-                let msg = peer.inflight.remove(&seq).expect("expired message exists");
+                let at = peer.find(seq).expect("expired message exists");
+                let (_, msg) = peer.inflight.remove(at).expect("expired message exists");
                 // An abandoned message will never be acked; stop
                 // retaining it. (If the journal entry outlives us anyway,
                 // recovery resends it once and the receiver's cursor

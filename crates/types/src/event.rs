@@ -30,7 +30,9 @@ impl AttributeSet {
     /// The set holding `entries`, given in any order; the last of several
     /// entries with one name stands.
     pub(crate) fn from_entries(mut entries: Vec<(String, AttributeValue)>) -> Self {
-        sort_last_wins(&mut entries, |a, b| a.0.cmp(&b.0));
+        if let Some(kept) = sort_last_wins(&mut entries, |a, b| a.0.cmp(&b.0)) {
+            entries.truncate(kept);
+        }
         AttributeSet { entries }
     }
 
@@ -107,28 +109,29 @@ impl Extend<(String, AttributeValue)> for AttributeSet {
 }
 
 /// Puts `entries` into strictly ascending name order, the last of several
-/// entries with one name standing for all of them, and says whether it
-/// had to. Entries that already are — every honest sender's — cost one
+/// entries with one name standing for all of them, and says how many
+/// entries that leaves at the front — or `None` if they already were in
+/// order. Entries that already are — every honest sender's — cost one
 /// pass and nothing moves; anything else costs one stable sort, however
-/// it was arranged.
-fn sort_last_wins<T>(entries: &mut Vec<T>, by_name: impl Fn(&T, &T) -> Ordering) -> bool {
+/// it was arranged. The caller drops what is past the count.
+fn sort_last_wins<T>(entries: &mut [T], by_name: impl Fn(&T, &T) -> Ordering) -> Option<usize> {
     if entries
         .windows(2)
         .all(|w| by_name(&w[0], &w[1]) == Ordering::Less)
     {
-        return false;
+        return None;
     }
     entries.sort_by(&by_name);
-    // `dedup_by` keeps the earlier of two neighbours: hand it the later
-    // one's content first.
-    entries.dedup_by(|later, earlier| {
-        let same = by_name(earlier, later) == Ordering::Equal;
-        if same {
-            std::mem::swap(earlier, later);
+    // The stable sort left each name's entries in arrival order: the
+    // latest of a run moves onto the slot kept for its name.
+    let mut kept = 0;
+    for i in 1..entries.len() {
+        if by_name(&entries[kept], &entries[i]) != Ordering::Equal {
+            kept += 1;
         }
-        same
-    });
-    true
+        entries.swap(kept, i);
+    }
+    Some(kept + 1)
 }
 
 /// Publisher (6), sequence number (8), timestamp (8): the bytes between
@@ -163,6 +166,72 @@ struct Entry {
     value: AttributeValue,
 }
 
+/// A row that holds nothing: what fills the unused inline slots.
+const VACANT: Entry = Entry {
+    name: Span { at: 0, len: 0 },
+    value: AttributeValue::Bool(false),
+};
+
+/// Rows a [`Table`] keeps inside the body. The cell's traffic carries two
+/// to four attributes (a sensor reading two or three, a ledger or ward
+/// event three or four); an event with a fifth has its table on the heap.
+const INLINE_ROWS: usize = 4;
+
+/// A body's attribute table: up to [`INLINE_ROWS`] rows in place, so a
+/// body that has them asks the heap for nothing but its shared cell, and
+/// any more in a `Vec`. Which one is settled when the table is made, for
+/// the rows it is about to be given; either way they read as one slice.
+enum Table {
+    Inline { len: u8, rows: [Entry; INLINE_ROWS] },
+    Spilled(Vec<Entry>),
+}
+
+impl Default for Table {
+    fn default() -> Self {
+        Table::with_capacity(0)
+    }
+}
+
+impl Table {
+    fn with_capacity(rows: usize) -> Table {
+        if rows <= INLINE_ROWS {
+            Table::Inline {
+                len: 0,
+                rows: [VACANT; INLINE_ROWS],
+            }
+        } else {
+            Table::Spilled(Vec::with_capacity(rows))
+        }
+    }
+
+    /// Adds a row. There is room: a table is made for as many rows as it
+    /// will be given — [`scan`] reserves no more than the bytes left can
+    /// hold and decodes no more rows than that.
+    fn push(&mut self, entry: Entry) {
+        match self {
+            Table::Inline { len, rows } => {
+                rows[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Table::Spilled(rows) => rows.push(entry),
+        }
+    }
+
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            Table::Inline { len, rows } => &rows[..usize::from(*len)],
+            Table::Spilled(rows) => rows,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Entry] {
+        match self {
+            Table::Inline { len, rows } => &mut rows[..usize::from(*len)],
+            Table::Spilled(rows) => rows,
+        }
+    }
+}
+
 /// What an attribute value adds to [`Event::content_len`].
 fn value_content_len(value: &AttributeValue) -> usize {
     match value {
@@ -182,11 +251,13 @@ fn value_content_len(value: &AttributeValue) -> usize {
 /// put there and never read again — the event's own fields are the
 /// stamp. Type name, attribute names and payload are slices of `buf`;
 /// attribute values are decoded once, into `table`, in strictly
-/// ascending name order.
+/// ascending name order. The table is part of the body, so an event with
+/// up to [`INLINE_ROWS`] attributes is two heap requests: `buf` and the
+/// shared cell the body lives in.
 struct Body {
     buf: Vec<u8>,
     event_type: Span,
-    table: Vec<Entry>,
+    table: Table,
     payload: Span,
     content_len: usize,
 }
@@ -212,7 +283,7 @@ fn scan(r: &mut Reader<'_>) -> Result<(Body, Stamp), CodecError> {
     let count = r.collection_len()?;
     // The count is the sender's claim; reserve only what the bytes that
     // are left can actually hold.
-    let mut table = Vec::with_capacity(count.min(r.remaining() / MIN_ATTRIBUTE_LEN));
+    let mut table = Table::with_capacity(count.min(r.remaining() / MIN_ATTRIBUTE_LEN));
     let mut content_len = type_len;
     for _ in 0..count {
         let name_len = r.str_ref()?.len();
@@ -249,7 +320,7 @@ impl Body {
         payload: &[u8],
     ) -> Body {
         let count = u16::try_from(attrs.len()).expect("more attributes than a u16 counts");
-        let mut table = Vec::with_capacity(attrs.len());
+        let mut table = Table::with_capacity(attrs.len());
         let mut content_len = event_type.len() + payload.len();
         let buf = with_scratch(|buf| {
             buf.put_str(event_type);
@@ -287,15 +358,25 @@ impl Body {
         let mut body = Body { buf, ..scanned };
         let mut table = std::mem::take(&mut body.table);
         let by_name = |a: &Entry, b: &Entry| body.bytes(a.name).cmp(body.bytes(b.name));
-        if !sort_last_wins(&mut table, by_name) {
+        let Some(kept) = sort_last_wins(table.as_mut_slice(), by_name) else {
             body.table = table;
             return body;
-        }
+        };
+        let rows = table.as_mut_slice()[..kept].iter_mut();
         Body::write(
             body.event_type(),
-            table.into_iter().map(|e| (body.name(e.name), e.value)),
+            rows.map(|e| {
+                (
+                    body.name(e.name),
+                    std::mem::replace(&mut e.value, VACANT.value),
+                )
+            }),
             body.bytes(body.payload),
         )
+    }
+
+    fn rows(&self) -> &[Entry] {
+        self.table.as_slice()
     }
 
     fn bytes(&self, span: Span) -> &[u8] {
@@ -319,7 +400,7 @@ impl Body {
     }
 
     fn find(&self, name: &str) -> Result<usize, usize> {
-        self.table
+        self.rows()
             .binary_search_by(|e| self.bytes(e.name).cmp(name.as_bytes()))
     }
 }
@@ -338,7 +419,7 @@ impl<'a> Attributes<'a> {
     /// Returns the value of attribute `name`, if present.
     pub fn get(&self, name: &str) -> Option<&'a AttributeValue> {
         let i = self.body.find(name).ok()?;
-        Some(&self.body.table[i].value)
+        Some(&self.body.rows()[i].value)
     }
 
     /// Returns `true` if attribute `name` is present.
@@ -348,27 +429,29 @@ impl<'a> Attributes<'a> {
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.body.table.len()
+        self.body.rows().len()
     }
 
     /// Returns `true` if there are no attributes.
     pub fn is_empty(&self) -> bool {
-        self.body.table.is_empty()
+        self.body.rows().is_empty()
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a AttributeValue)> + 'a {
         let body = self.body;
-        body.table.iter().map(|e| (body.name(e.name), &e.value))
+        body.rows().iter().map(|e| (body.name(e.name), &e.value))
     }
 }
 
 impl PartialEq for Attributes<'_> {
     fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.body, other.body);
         self.len() == other.len()
-            && self.body.table.iter().zip(&other.body.table).all(|(a, b)| {
-                self.body.bytes(a.name) == other.body.bytes(b.name) && a.value == b.value
-            })
+            && a.rows()
+                .iter()
+                .zip(b.rows())
+                .all(|(x, y)| a.bytes(x.name) == b.bytes(y.name) && x.value == y.value)
     }
 }
 
@@ -472,7 +555,8 @@ impl Event {
     }
 
     /// The event whose encoding `message` is, kept in `message`: what is
-    /// asked of the heap is the attribute table and the shared body.
+    /// asked of the heap is the shared body, whose attribute table holds
+    /// up to four rows in place (a fifth moves it to a `Vec` of its own).
     /// [`from_bytes`](crate::codec::from_bytes) gives the same event from
     /// a borrowed slice, for one copy of the slice more.
     ///
@@ -525,7 +609,7 @@ impl Event {
     /// place of the value it had. The content is written out once more;
     /// `self`, and whoever shares it, is untouched.
     pub fn with_attr(&self, name: &str, value: impl Into<AttributeValue>) -> Event {
-        let mut attrs: Vec<(&str, AttributeValue)> = Vec::with_capacity(self.body.table.len() + 1);
+        let mut attrs: Vec<(&str, AttributeValue)> = Vec::with_capacity(self.body.rows().len() + 1);
         attrs.extend(self.attributes().iter().map(|(n, v)| (n, v.clone())));
         match self.body.find(name) {
             Ok(i) => attrs[i].1 = value.into(),
