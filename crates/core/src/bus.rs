@@ -31,7 +31,6 @@ use parking_lot::Mutex;
 
 use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
 use smc_telemetry::{Hop, Tracer};
-use smc_transport::CpuProfile;
 use smc_types::{
     encode_deliver, Error, Event, Filter, Result, ServiceId, SharedBytes, SnapshotCell,
     Subscription, SubscriptionId, TraceId,
@@ -149,7 +148,6 @@ pub struct EventBus {
     routes: SnapshotCell<RouteTable>,
     engine_kind: EngineKind,
     next_sub: AtomicU64,
-    cpu: CpuProfile,
     metrics: BusMetrics,
 }
 
@@ -207,12 +205,6 @@ impl std::fmt::Debug for EventBus {
 impl EventBus {
     /// Creates a bus around the given matching engine.
     pub fn new(engine: EngineKind) -> Self {
-        EventBus::with_cpu_profile(engine, CpuProfile::native())
-    }
-
-    /// Creates a bus that charges the given CPU cost model per event —
-    /// used by the figure harnesses to approximate the paper's PDA.
-    pub fn with_cpu_profile(engine: EngineKind, cpu: CpuProfile) -> Self {
         let control = Control {
             engine: engine.build(),
             subs: HashMap::new(),
@@ -225,7 +217,6 @@ impl EventBus {
             routes,
             engine_kind: engine,
             next_sub: AtomicU64::new(1),
-            cpu,
             metrics: BusMetrics::default(),
         }
     }
@@ -379,20 +370,6 @@ impl EventBus {
         let routes = self.routes.load();
         let trace = TraceId::for_event(event.publisher(), event.seq());
         routes.tracer.record(trace, Hop::Published);
-        // The modelled per-event processing cost. `charge` represents one
-        // full buffer copy across an OS/JVM/engine boundary on the target
-        // hardware; the Siena path crosses four such boundaries (socket →
-        // bus types → engine notification form and back — the translation
-        // §V blames for its slowdown), the dedicated matcher one.
-        if !self.cpu.is_native() {
-            let crossings = match self.engine_kind {
-                EngineKind::Siena => 4,
-                _ => 1,
-            };
-            for _ in 0..crossings {
-                self.cpu.charge(event.payload());
-            }
-        }
         PUBLISH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
             Ok(mut slot) => {
                 let (scratch, targets) = &mut *slot;
@@ -472,16 +449,6 @@ impl EventBus {
             BusMetrics::add(&self.metrics.delivery_failures, failures);
         }
         Ok(delivered)
-    }
-
-    /// Returns `true` if at least one current subscription's filter
-    /// overlaps `advert` — the quench test for a prospective publisher.
-    pub fn has_interest(&self, advert: &Filter) -> bool {
-        self.control
-            .lock()
-            .subs
-            .values()
-            .any(|(_, f)| smc_match::overlaps(advert, f))
     }
 
     /// All current subscription filters (used by the quench manager).
@@ -742,26 +709,6 @@ mod tests {
         assert_eq!(bus.publish(ev("a", 1)).unwrap(), 1);
         assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(bus.metrics().delivery_failures, 1);
-    }
-
-    #[test]
-    fn has_interest_for_quench() {
-        let bus = bus();
-        let advert = Filter::for_type("smc.sensor.reading");
-        assert!(!bus.has_interest(&advert));
-        let (sink, _rx) = ChannelSink::new();
-        let id = bus
-            .subscribe(
-                ServiceId::from_raw(1),
-                Filter::for_type("smc.alarm"),
-                Arc::new(sink.clone()),
-            )
-            .unwrap();
-        assert!(!bus.has_interest(&advert));
-        bus.subscribe(ServiceId::from_raw(1), Filter::any(), Arc::new(sink))
-            .unwrap();
-        assert!(bus.has_interest(&advert));
-        let _ = id;
     }
 
     #[test]

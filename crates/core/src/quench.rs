@@ -135,6 +135,9 @@ mod tests {
         let p = ServiceId::from_raw(1);
         assert!(!q.advertise(p, advert(), &[]));
         assert_eq!(q.is_quenched(p), Some(true));
+        // A subscription to another type is no interest either.
+        assert!(!q.advertise(p, advert(), &[Filter::for_type("smc.alarm")]));
+        assert_eq!(q.is_quenched(p), Some(true));
         assert!(q.advertise(p, advert(), &[Filter::any()]));
         assert_eq!(q.is_quenched(p), Some(false));
         assert_eq!(q.len(), 1, "re-advertising replaces");

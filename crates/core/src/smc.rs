@@ -37,7 +37,7 @@ use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent};
 use smc_match::EngineKind;
 use smc_policy::{ActionClass, ActionSpec, Decision, FiredAction, PolicyService};
 use smc_telemetry::{Hop, Registry, Tracer};
-use smc_transport::{CpuProfile, Incoming, ReliableChannel, ReliableConfig, Transport};
+use smc_transport::{Incoming, ReliableChannel, ReliableConfig, Transport};
 use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{
     new_member_event, purge_member_event, system_clock, AttributeSet, CellId, CoreSnapshot,
@@ -91,8 +91,6 @@ pub struct SmcConfig {
     pub discovery: DiscoveryConfig,
     /// Reliability parameters for the bus endpoint.
     pub reliable: ReliableConfig,
-    /// CPU cost model applied per event (native = no artificial cost).
-    pub cpu_profile: CpuProfile,
     /// What to do when no authorisation policy applies: `true` = permit
     /// (the default — policies then only restrict), `false` = deny.
     pub default_permit: bool,
@@ -111,7 +109,6 @@ impl Default for SmcConfig {
             engine: EngineKind::FastForward,
             discovery: DiscoveryConfig::default(),
             reliable: ReliableConfig::default(),
-            cpu_profile: CpuProfile::native(),
             default_permit: true,
             clock: system_clock(),
             tracer: Tracer::disabled(),
@@ -313,10 +310,7 @@ impl SmcCell {
         discovery_channel: Arc<ReliableChannel>,
         wal: Option<Arc<Wal>>,
     ) -> Arc<Self> {
-        let bus = Arc::new(EventBus::with_cpu_profile(
-            config.engine,
-            config.cpu_profile.clone(),
-        ));
+        let bus = Arc::new(EventBus::new(config.engine));
         bus.set_tracer(config.tracer.clone());
         let bus_id = channel.local_id();
         let discovery = SmcCell::open_discovery(&config, stepped, bus_id, &discovery_channel);

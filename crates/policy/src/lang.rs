@@ -30,9 +30,11 @@
 //!   to matching members;
 //! * `do enable ID` / `do disable ID` / `do log "…"` manage the store.
 //!
-//! `#` starts a comment; blank lines are ignored.
+//! `#` starts a comment outside a double-quoted string
+//! ([`smc_types::strip_comment`], the filter syntax's own rule); blank
+//! lines are ignored.
 
-use smc_types::{parse_filter, AttributeValue, Error, Result};
+use smc_types::{parse_filter, strip_comment, AttributeValue, Error, Result};
 
 use crate::expr::Expr;
 use crate::model::{
@@ -111,19 +113,6 @@ pub fn parse_policies(input: &str) -> Result<Vec<Policy>> {
         }
     }
     Ok(policies)
-}
-
-fn strip_comment(s: &str) -> &str {
-    // Respect '#' inside double-quoted strings.
-    let mut in_string = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &s[..i],
-            _ => {}
-        }
-    }
-    s
 }
 
 fn err(line: usize, message: &str) -> Error {
@@ -632,6 +621,24 @@ mod tests {
             panic!()
         };
         assert_eq!(p.actions[0], ActionSpec::Log("issue #42".into()));
+    }
+
+    #[test]
+    fn hash_inside_a_quoted_filter_value_is_not_a_comment() {
+        let policies = parse_policies(
+            r##"oblig x {
+                on   smc.alarm : room == "ward#3" && kind == "a && b"   # the ward
+                do   log "paged"
+            }"##,
+        )
+        .unwrap();
+        let Policy::Obligation(p) = &policies[0] else {
+            panic!()
+        };
+        let expected = Filter::for_type("smc.alarm")
+            .with(("room", Op::Eq, "ward#3"))
+            .with(("kind", Op::Eq, "a && b"));
+        assert_eq!(p.event, expected);
     }
 
     #[test]

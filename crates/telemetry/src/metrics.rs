@@ -280,12 +280,10 @@ impl Sample {
 /// `# HELP` text.
 ///
 /// The first struct is what a hot path bumps — one inline, `Relaxed`
-/// [`AtomicU64`] per series. The second is its plain `Copy` reading,
-/// returned by the generated `snapshot()` and turned into [`Sample`]s by
-/// the generated `samples(labels, out)`. Series listed in the second
-/// struct's own braces have no atomic behind them: `snapshot()` leaves
-/// them zero for whoever takes the reading to fill in from where the
-/// value really lives.
+/// [`AtomicU64`] per series. The second, declared with empty braces, is
+/// its plain `Copy` reading: the same fields as `u64`s, returned by the
+/// generated `snapshot()` and turned into [`Sample`]s by the generated
+/// `samples(labels, out)`.
 ///
 /// ```
 /// smc_telemetry::metric_set! {
@@ -295,14 +293,11 @@ impl Sample {
 ///         counter opened: "door_opened_total",
 ///     }
 ///     /// A reading of [`DoorCounters`].
-///     pub struct DoorStats {
-///         /// People inside right now.
-///         gauge inside: "door_inside",
-///     }
+///     pub struct DoorStats {}
 /// }
 /// let mut out = Vec::new();
 /// DoorCounters::default().snapshot().samples(&[("door", "front")], &mut out);
-/// assert_eq!(out[1].name, "door_inside");
+/// assert_eq!(out[0].name, "door_opened_total");
 /// ```
 #[macro_export]
 macro_rules! metric_set {
@@ -312,9 +307,7 @@ macro_rules! metric_set {
             $( $(#[doc = $help:literal])+ $kind:ident $field:ident : $name:literal ),* $(,)?
         }
         $(#[$reading_meta:meta])*
-        $reading_vis:vis struct $Reading:ident {
-            $( $(#[doc = $r_help:literal])+ $r_kind:ident $r_field:ident : $r_name:literal ),* $(,)?
-        }
+        $reading_vis:vis struct $Reading:ident {}
     ) => {
         $(#[$atomics_meta])*
         #[derive(Debug, Default)]
@@ -327,7 +320,6 @@ macro_rules! metric_set {
             $atomics_vis fn snapshot(&self) -> $Reading {
                 $Reading {
                     $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
-                    $( $r_field: 0, )*
                 }
             }
         }
@@ -336,7 +328,6 @@ macro_rules! metric_set {
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         $reading_vis struct $Reading {
             $( $(#[doc = $help])+ pub $field: u64, )*
-            $( $(#[doc = $r_help])+ pub $r_field: u64, )*
         }
 
         impl $Reading {
@@ -344,9 +335,6 @@ macro_rules! metric_set {
             $reading_vis fn samples(&self, labels: &[(&str, &str)], out: &mut Vec<$crate::Sample>) {
                 $( out.push($crate::Sample::$kind(
                     $name, concat!($($help),+).trim(), labels, self.$field,
-                )); )*
-                $( out.push($crate::Sample::$r_kind(
-                    $r_name, concat!($($r_help),+).trim(), labels, self.$r_field,
                 )); )*
             }
         }
@@ -984,10 +972,7 @@ mod tests {
             gauge inside_hwm: "door_inside_hwm",
         }
         /// A reading of [`DoorCounters`].
-        struct DoorStats {
-            /// People inside right now.
-            gauge inside: "door_inside",
-        }
+        struct DoorStats {}
     }
 
     #[test]
@@ -997,17 +982,12 @@ mod tests {
         door.opened.fetch_add(2, Ordering::Relaxed);
         door.inside_hwm.fetch_max(5, Ordering::Relaxed);
         door.inside_hwm.fetch_max(4, Ordering::Relaxed);
-        let stats = DoorStats {
-            inside: 2,
-            ..door.snapshot()
-        };
+        let stats = door.snapshot();
         let expected = DoorStats {
             opened: 3,
             inside_hwm: 5,
-            inside: 2,
         };
         assert_eq!(stats, expected);
-        assert_eq!(door.snapshot().inside, 0, "no atomic behind it");
 
         let mut out = Vec::new();
         stats.samples(&[("door", "front")], &mut out);
@@ -1025,7 +1005,6 @@ mod tests {
                     false,
                     5
                 ),
-                ("door_inside", "People inside right now.", false, 2),
             ]
         );
         let front = vec![("door".to_owned(), "front".to_owned())];

@@ -13,8 +13,12 @@
 //!   socket address exactly as the prototype's 48-bit ids;
 //! * [`ReliableChannel`] — acknowledged, exactly-once, per-sender-FIFO
 //!   messaging with fragmentation, built on any `Transport`;
-//! * [`LinkConfig`]/[`CpuProfile`] — profiles of the paper's testbed (the
-//!   1.5 ms / 575 KB/s IP-over-USB link, the iPAQ hx4700's copying cost).
+//! * [`LinkConfig`] — link profiles: the paper's 1.5 ms / 575 KB/s
+//!   IP-over-USB link and the Bluetooth and ZigBee radios it plans for.
+//!
+//! Nothing here models the CPU of the device a transport runs on: the
+//! paper's PDA is a testbed input, charged by `smc-bench` at the bus
+//! host's receive boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +33,7 @@ pub mod udp;
 
 pub use frame::{fragment, CumulativeAck, Frame, FRAME_HEADER_LEN};
 pub use mem::{MemTransport, NetStats, SimNetwork};
-pub use profile::{CpuProfile, LinkConfig};
+pub use profile::LinkConfig;
 pub use reliable::{
     ChannelJournal, ChannelStats, Handler, Incoming, PendingOutbound, Receipt, ReliableChannel,
     ReliableConfig, UnconsumedRx,

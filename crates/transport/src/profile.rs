@@ -1,11 +1,12 @@
-//! Link and device profiles reproducing the paper's testbed.
+//! Link profiles: the paper's testbed link and the radios §VI plans for.
 //!
 //! The evaluation ran the event bus on an iPAQ hx4700 PDA linked to a
 //! laptop over IP-over-USB: average link latency **1.5 ms** (0.6–2.3 ms),
 //! raw link throughput **≈575 KB/s**. [`LinkConfig::usb_ip_link`] encodes
-//! that link; [`CpuProfile::ipaq_hx4700`] approximates the PDA's
-//! per-byte copying cost (the paper attributes the response-time slope to
-//! packet-data copying through the OS, the JVM and the engine).
+//! that link, and [`crate::SimNetwork`] applies it to the datagrams it
+//! carries. The PDA's copying cost is not a property of the link; the
+//! testbed that reproduces Fig 4 (`smc-bench`) models it at the bus
+//! host's receive boundary.
 
 use std::time::Duration;
 
@@ -134,76 +135,6 @@ impl LinkConfig {
     }
 }
 
-/// A crude CPU cost model for a constrained device.
-///
-/// The paper's absolute numbers come from a 624 MHz PDA running an
-/// interpreting JVM: every buffer crossing the OS/JVM/engine boundary was
-/// copied, and copies dominated the response-time slope. `CpuProfile`
-/// reproduces that by *actually performing* `copy_rounds` redundant copies
-/// of each buffer plus a fixed per-dispatch overhead, so measured curves
-/// have the paper's shape without pretending to its exact hardware.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuProfile {
-    /// How many redundant full-buffer copies to perform per charge.
-    pub copy_rounds: u32,
-    /// Fixed busy-work per dispatch, in iterations of a cheap spin.
-    pub dispatch_spin: u32,
-}
-
-impl Default for CpuProfile {
-    fn default() -> Self {
-        CpuProfile::native()
-    }
-}
-
-impl CpuProfile {
-    /// No artificial cost: measure the host as-is.
-    pub fn native() -> Self {
-        CpuProfile {
-            copy_rounds: 0,
-            dispatch_spin: 0,
-        }
-    }
-
-    /// Approximation of the iPAQ hx4700 + Blackdown JVM 1.3.1 stack: many
-    /// interpreted per-byte copies and a hefty per-call overhead. One
-    /// `charge` models one buffer crossing an OS/JVM/engine boundary on
-    /// that hardware; the bus charges it once per boundary its engine
-    /// path crosses.
-    pub fn ipaq_hx4700() -> Self {
-        CpuProfile {
-            copy_rounds: 160_000,
-            dispatch_spin: 2_000_000,
-        }
-    }
-
-    /// Performs the modelled work for handling `bytes` of packet data.
-    ///
-    /// Returns a checksum so the optimiser cannot elide the copies.
-    pub fn charge(&self, bytes: &[u8]) -> u64 {
-        let mut acc: u64 = 0;
-        if self.copy_rounds > 0 && !bytes.is_empty() {
-            let mut scratch = vec![0u8; bytes.len()];
-            for round in 0..self.copy_rounds {
-                scratch.copy_from_slice(bytes);
-                // Touch the copy so it is observably used.
-                acc = acc
-                    .wrapping_add(scratch[round as usize % scratch.len()] as u64)
-                    .wrapping_mul(1099511628211);
-            }
-        }
-        for i in 0..self.dispatch_spin {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-        }
-        std::hint::black_box(acc)
-    }
-
-    /// Whether this profile performs no work.
-    pub fn is_native(&self) -> bool {
-        self.copy_rounds == 0 && self.dispatch_spin == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,19 +180,6 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn loss_out_of_range_panics() {
         let _ = LinkConfig::ideal().with_loss(1.5);
-    }
-
-    #[test]
-    fn cpu_profile_charges() {
-        let native = CpuProfile::native();
-        assert!(native.is_native());
-        native.charge(&[1, 2, 3]); // no-op, must not panic
-        let pda = CpuProfile::ipaq_hx4700();
-        assert!(!pda.is_native());
-        let x = pda.charge(&[7u8; 64]);
-        let _ = x;
-        // Empty buffer must not panic even with copy rounds.
-        pda.charge(&[]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! event type name or `*`, and each constraint is
 //! `name OP value | exists(name)` with `OP` one of
 //! `== != < <= > >= prefix suffix contains`. Values are integers,
-//! decimals, `true`/`false`, or double-quoted strings.
+//! decimals, `true`/`false`, or double-quoted strings (no escapes). A
+//! `#`, a `&&` or an operator inside a string is part of the string:
+//! the parser scans for them only outside quotes ([`strip_comment`]).
 
 use crate::error::{Error, Result};
 use crate::filter::{Constraint, Filter, Op};
@@ -52,17 +54,34 @@ pub fn parse_filter(input: &str) -> Result<Filter> {
     if constraints_part.is_empty() {
         return Ok(filter);
     }
-    for clause in constraints_part.split("&&") {
-        filter.push(parse_constraint(clause.trim())?);
+    let mut rest = constraints_part;
+    while let Some(i) = find_unquoted(rest, "&&") {
+        filter.push(parse_constraint(rest[..i].trim())?);
+        rest = &rest[i + 2..];
     }
+    filter.push(parse_constraint(rest.trim())?);
     Ok(filter)
 }
 
-fn strip_comment(s: &str) -> &str {
-    match s.find('#') {
-        Some(i) => &s[..i],
-        None => s,
+/// `s` up to its first `#` outside a double-quoted string: the comment
+/// rule of the filter syntax and of the policy language built on it.
+pub fn strip_comment(s: &str) -> &str {
+    find_unquoted(s, "#").map_or(s, |i| &s[..i])
+}
+
+/// The byte offset of the first `pattern` in `s` that starts outside a
+/// double-quoted string. Strings have no escapes, so every `"` opens or
+/// closes one.
+fn find_unquoted(s: &str, pattern: &str) -> Option<usize> {
+    let mut quoted = false;
+    for (i, c) in s.char_indices() {
+        if c == '"' {
+            quoted = !quoted;
+        } else if !quoted && s[i..].starts_with(pattern) {
+            return Some(i);
+        }
     }
+    None
 }
 
 fn is_type_char(c: char) -> bool {
@@ -97,7 +116,7 @@ fn parse_constraint(clause: &str) -> Result<Constraint> {
         (" contains ", Op::Contains),
     ];
     for (token, op) in OPS {
-        if let Some(at) = clause.find(token) {
+        if let Some(at) = find_unquoted(clause, token) {
             let name = clause[..at].trim();
             let value_text = clause[at + token.len()..].trim();
             if name.is_empty() || !name.chars().all(is_type_char) {
@@ -208,6 +227,28 @@ mod tests {
         let f = parse_filter("smc.alarm : severity >= 2   # page the nurse").unwrap();
         assert_eq!(f.constraints().len(), 1);
         assert_eq!(parse_filter("# whole line comment").unwrap(), Filter::any());
+    }
+
+    #[test]
+    fn quoted_values_keep_what_the_syntax_scans_for() {
+        for (src, op, value) in [
+            (r##"x : tag == "a#b""##, Op::Eq, "a#b"),
+            (r#"x : tag == "a && b""#, Op::Eq, "a && b"),
+            (r#"x : tag prefix "a<b""#, Op::Prefix, "a<b"),
+            (r#"x : tag contains "==""#, Op::Contains, "=="),
+            (r##"x : tag == "a:b" # "quoted" comment"##, Op::Eq, "a:b"),
+        ] {
+            let f = parse_filter(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(f.event_type(), Some("x"), "{src}");
+            let [c] = f.constraints() else {
+                panic!("{src}: {f:?}")
+            };
+            assert_eq!((&*c.name, c.op), ("tag", op), "{src}");
+            assert_eq!(c.value, AttributeValue::Str(value.into()), "{src}");
+        }
+        let f = parse_filter(r##"x : a == "p && q" && b contains "#" # note"##).unwrap();
+        assert_eq!(f.constraints().len(), 2);
+        assert_eq!(f.constraints()[1].value, AttributeValue::Str("#".into()));
     }
 
     #[test]

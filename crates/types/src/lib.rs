@@ -55,7 +55,7 @@ pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use error::{CodecError, Error, Result};
 pub use event::{AttributeSet, Attributes, Event, EventBuilder};
 pub use filter::{Constraint, Filter, Op, Subscription};
-pub use filter_text::parse_filter;
+pub use filter_text::{parse_filter, strip_comment};
 pub use id::{CellId, EventId, ServiceId, SubscriptionId};
 pub use member::{
     device_type_of, member_id_of, new_member_event, purge_member_event, wellknown, PurgeReason,
