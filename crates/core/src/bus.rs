@@ -151,11 +151,20 @@ pub struct EventBus {
     metrics: BusMetrics,
 }
 
+/// Each subscriber's one sink.
+type SinkMap = HashMap<ServiceId, Arc<dyn EventSink>>;
+
 /// The write side: engine, subscription registry, sinks and tracer.
 struct Control {
     engine: Box<dyn Matcher>,
     subs: HashMap<SubscriptionId, (ServiceId, Filter)>,
-    sinks: HashMap<ServiceId, Arc<dyn EventSink>>,
+    /// Shared with the published route table, so a republish copies it
+    /// only when a subscriber gained its first subscription, lost its
+    /// last, or changed its sink.
+    sinks: Arc<SinkMap>,
+    /// Each subscriber's live subscriptions, counted: its sink goes with
+    /// its last one.
+    held: HashMap<ServiceId, usize>,
     tracer: Tracer,
 }
 
@@ -164,8 +173,40 @@ impl Control {
     fn route_table(&self) -> RouteTable {
         RouteTable {
             matcher: self.engine.snapshot(),
-            sinks: self.sinks.clone(),
+            sinks: Arc::clone(&self.sinks),
             tracer: self.tracer.clone(),
+        }
+    }
+
+    /// Records subscription `id` (already in the engine) and makes `sink`
+    /// its subscriber's sink.
+    fn add(
+        &mut self,
+        id: SubscriptionId,
+        subscriber: ServiceId,
+        filter: Filter,
+        sink: Arc<dyn EventSink>,
+    ) {
+        self.subs.insert(id, (subscriber, filter));
+        *self.held.entry(subscriber).or_default() += 1;
+        let current = self.sinks.get(&subscriber);
+        if !current.is_some_and(|s| Arc::ptr_eq(s, &sink)) {
+            Arc::make_mut(&mut self.sinks).insert(subscriber, sink);
+        }
+    }
+
+    /// Forgets subscription `id` (already out of the engine); its
+    /// subscriber's sink goes with the subscriber's last subscription.
+    fn remove(&mut self, id: SubscriptionId) {
+        let Some((subscriber, _)) = self.subs.remove(&id) else {
+            return;
+        };
+        let held = self.held.get_mut(&subscriber);
+        let held = held.expect("a subscriber with a subscription is counted");
+        *held -= 1;
+        if *held == 0 {
+            self.held.remove(&subscriber);
+            Arc::make_mut(&mut self.sinks).remove(&subscriber);
         }
     }
 }
@@ -173,7 +214,7 @@ impl Control {
 /// The read side: everything `publish` needs, immutable once published.
 struct RouteTable {
     matcher: Arc<dyn RouteSnapshot>,
-    sinks: HashMap<ServiceId, Arc<dyn EventSink>>,
+    sinks: Arc<SinkMap>,
     tracer: Tracer,
 }
 
@@ -208,7 +249,8 @@ impl EventBus {
         let control = Control {
             engine: engine.build(),
             subs: HashMap::new(),
-            sinks: HashMap::new(),
+            sinks: Arc::default(),
+            held: HashMap::new(),
             tracer: Tracer::disabled(),
         };
         let routes = SnapshotCell::new(Arc::new(control.route_table()));
@@ -265,8 +307,7 @@ impl EventBus {
         control
             .engine
             .subscribe(Subscription::new(id, subscriber, filter.clone()))?;
-        control.subs.insert(id, (subscriber, filter));
-        control.sinks.insert(subscriber, sink);
+        control.add(id, subscriber, filter, sink);
         self.republish(&control);
         control.tracer.probe_control_hold(hold);
         BusMetrics::bump(&self.metrics.subscriptions);
@@ -286,8 +327,7 @@ impl EventBus {
         let mut control = self.control.lock();
         let hold = control.tracer.probe_start();
         control.engine.subscribe(sub.clone())?;
-        control.subs.insert(sub.id, (sub.subscriber, sub.filter));
-        control.sinks.insert(sub.subscriber, sink);
+        control.add(sub.id, sub.subscriber, sub.filter, sink);
         self.republish(&control);
         control.tracer.probe_control_hold(hold);
         Ok(())
@@ -306,20 +346,14 @@ impl EventBus {
     /// [`Error::NotFound`] if the id is unknown.
     pub fn unsubscribe(&self, id: SubscriptionId) -> Result<()> {
         // One lock acquisition covering the whole removal: the engine
-        // entry, the registry entry and the sink liveness check change
-        // together, so a concurrent subscribe can neither revive the
-        // sink between our two looks at the registry nor observe the
-        // engine and registry disagreeing.
+        // entry, the registry entry, the subscriber's count and its sink
+        // change together, so a concurrent subscribe can neither revive
+        // the sink half-way nor observe the engine and registry
+        // disagreeing.
         let mut control = self.control.lock();
         let hold = control.tracer.probe_start();
         control.engine.unsubscribe(id)?;
-        if let Some((subscriber, _)) = control.subs.remove(&id) {
-            // Drop the sink only when no subscription references it.
-            let still_used = control.subs.values().any(|(s, _)| *s == subscriber);
-            if !still_used {
-                control.sinks.remove(&subscriber);
-            }
-        }
+        control.remove(id);
         self.republish(&control);
         control.tracer.probe_control_hold(hold);
         BusMetrics::bump(&self.metrics.unsubscriptions);
@@ -343,9 +377,8 @@ impl EventBus {
             .collect();
         for &id in &ids {
             let _ = control.engine.unsubscribe(id);
-            control.subs.remove(&id);
+            control.remove(id);
         }
-        control.sinks.remove(&subscriber);
         self.republish(&control);
         control.tracer.probe_control_hold(hold);
         drop(control);
@@ -624,7 +657,7 @@ mod tests {
         // Matched subscriber without a sink in the published snapshot.
         {
             let mut control = bus.control.lock();
-            control.sinks.remove(&me);
+            Arc::make_mut(&mut control.sinks).remove(&me);
             bus.republish(&control);
         }
         publish_and_check(ev("x", 1), 2);
@@ -663,6 +696,76 @@ mod tests {
         bus.publish(ev("a", 1)).unwrap();
         assert!(rx.try_recv().is_err());
         assert_eq!(bus.remove_subscriber(s), 0);
+    }
+
+    /// The sinks the published route table holds.
+    fn published_sinks(bus: &EventBus) -> Arc<SinkMap> {
+        Arc::clone(&bus.routes.load().sinks)
+    }
+
+    /// A subscriber's sink stays while any of its subscriptions does —
+    /// however they came and went — and goes with the last; the published
+    /// sink map is copied only when that happens.
+    #[test]
+    fn sink_goes_with_the_last_subscription() {
+        let bus = bus();
+        let (sink, rx) = ChannelSink::new();
+        let sink: Arc<dyn EventSink> = Arc::new(sink);
+        let s = ServiceId::from_raw(1);
+        let first = bus
+            .subscribe(s, Filter::for_type("a"), Arc::clone(&sink))
+            .unwrap();
+        let shared = published_sinks(&bus);
+        let restored = Subscription::new(SubscriptionId(90), s, Filter::for_type("b"));
+        bus.restore_subscription(restored, Arc::clone(&sink))
+            .unwrap();
+        let third = bus
+            .subscribe(s, Filter::for_type("c"), Arc::clone(&sink))
+            .unwrap();
+        assert!(Arc::ptr_eq(&shared, &published_sinks(&bus)));
+
+        bus.unsubscribe(first).unwrap();
+        bus.unsubscribe(SubscriptionId(90)).unwrap();
+        assert!(Arc::ptr_eq(&shared, &published_sinks(&bus)));
+        assert_eq!(bus.publish(ev("c", 1)).unwrap(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
+        bus.unsubscribe(third).unwrap();
+        assert!(published_sinks(&bus).is_empty());
+        assert!(bus.control.lock().held.is_empty());
+
+        // Back through the recovery path; then purged with a second one.
+        let restored = Subscription::new(SubscriptionId(91), s, Filter::for_type("a"));
+        bus.restore_subscription(restored, Arc::clone(&sink))
+            .unwrap();
+        bus.subscribe(s, Filter::for_type("b"), Arc::clone(&sink))
+            .unwrap();
+        assert_eq!(bus.control.lock().held[&s], 2);
+        assert_eq!(bus.remove_subscriber(s), 2);
+        assert!(published_sinks(&bus).is_empty());
+        assert!(bus.control.lock().held.is_empty());
+    }
+
+    /// Subscribing again with another sink moves every subscription of
+    /// the subscriber to it.
+    #[test]
+    fn a_new_sink_replaces_the_old_for_every_subscription() {
+        let bus = bus();
+        let (old, old_rx) = ChannelSink::new();
+        let (new, new_rx) = ChannelSink::new();
+        let s = ServiceId::from_raw(1);
+        bus.subscribe(s, Filter::for_type("a"), Arc::new(old))
+            .unwrap();
+        let id = bus
+            .subscribe(s, Filter::for_type("b"), Arc::new(new))
+            .unwrap();
+        bus.publish(ev("a", 1)).unwrap();
+        assert_eq!(
+            (old_rx.try_iter().count(), new_rx.try_iter().count()),
+            (0, 1)
+        );
+        bus.unsubscribe(id).unwrap();
+        bus.publish(ev("a", 2)).unwrap();
+        assert_eq!(new_rx.try_iter().count(), 1);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! whether its sinks read the event in process or take the encoded
 //! `Deliver` — the event's body under a tag, shared by reference count.
 //! Beside it, what one control-path pair (`unsubscribe` + `subscribe`) may
-//! ask for.
+//! ask for — heap requests and bytes — and that its bytes do not grow with
+//! the number of subscriptions.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`.
 //! The count is per thread, so the test harness's own threads cannot
@@ -56,24 +57,29 @@ impl EventSink for FrameSink {
     }
 }
 
-/// A bus with a ward-shaped subscription set: subscription `i` watches ward
-/// `i % 16`; the first 16 watch nothing else, the rest one kind of reading
-/// above or below a threshold from an even grid.
-fn ward_bus(sink: Arc<dyn EventSink>) -> EventBus {
+/// A bus with a ward-shaped set of `subscriptions`: subscription `i`
+/// watches ward `i % 16`; the first 16 watch nothing else, the rest one
+/// kind of reading above or below a threshold from an even grid.
+fn ward_bus_of(subscriptions: usize, sink: Arc<dyn EventSink>) -> EventBus {
     let bus = EventBus::new(EngineKind::FastForward);
-    for i in 0..SUBSCRIPTIONS {
+    for i in 0..subscriptions {
         let mut filter = Filter::for_type(EVENT_TYPE).with(("ward", Op::Eq, (i % WARDS) as i64));
         if i >= WARDS {
             let op = if i.is_multiple_of(2) { Op::Ge } else { Op::Le };
             filter = filter
                 .with(("kind", Op::Eq, KINDS[(i / WARDS) % KINDS.len()]))
-                .with(("bpm", op, 40 + (i * 160 / SUBSCRIPTIONS) as i64));
+                .with(("bpm", op, 40 + (i * 160 / subscriptions) as i64));
         }
         let subscriber = ServiceId::from_raw(0x100 + i as u64 % SUBSCRIBERS);
         bus.subscribe(subscriber, filter, Arc::clone(&sink))
             .expect("subscribe");
     }
     bus
+}
+
+/// The ledger's `ward_bus` set: 2 000 subscriptions.
+fn ward_bus(sink: Arc<dyn EventSink>) -> EventBus {
+    ward_bus_of(SUBSCRIPTIONS, sink)
 }
 
 /// Four attributes, one of them a string; every event reaches somebody.
@@ -108,29 +114,41 @@ fn allocations_while_publishing(bus: &EventBus) -> u64 {
     requests.count
 }
 
-/// Heap requests one control pair made on this bus while filters carried
-/// their event type as a `String`. Interning types made it 48; a type map
-/// copied on every `subscribe` would read 52.
-const CONTROL_PAIR_BUDGET: u64 = 51;
+/// Heap requests one control pair may make on the 2 000-subscription bus:
+/// 46 for the first pair after the table was built, 45 after it, since
+/// the forwarding table's vectors are chunked and a shared bucket is
+/// copied with room for its new row. 48 before that; 51 while filters
+/// carried their event type as a `String`.
+const CONTROL_PAIR_BUDGET: u64 = 46;
+
+/// Bytes one control pair may ask for on the same bus: 9 479 for the
+/// first pair, 9 447 after it. Before the table was chunked, when every
+/// pair copied the whole filter spine and every republish the sink map,
+/// it asked for 46 175.
+const CONTROL_PAIR_BYTES: u64 = 10_000;
 
 /// The churn the ledger's `ward_bus` runs beside its publishes: one
-/// ward-shaped subscription dropped and installed again. Each half
+/// ward-shaped subscription dropped and installed again.
+fn churned() -> Filter {
+    Filter::for_type(EVENT_TYPE)
+        .with(("ward", Op::Eq, 3i64))
+        .with(("kind", Op::Eq, KINDS[2]))
+        .with(("bpm", Op::Ge, 111i64))
+}
+
+/// What each of 16 `unsubscribe` + `subscribe` pairs of `filter` asked
+/// the heap for, on a bus of `subscriptions` ward-shaped ones. Each half
 /// copies the engine pieces it changes — the bus's route table holds the
 /// previous snapshot, which shares them — and publishes a new table; a
 /// piece copied that the operation did not change shows here.
-#[test]
-fn control_pair_allocates_no_more_than_before() {
+fn control_pairs(subscriptions: usize, filter: &Filter) -> Vec<counting_alloc::Requests> {
     let sink: Arc<dyn EventSink> = Arc::new(InProcessSink::default());
-    let bus = ward_bus(Arc::clone(&sink));
+    let bus = ward_bus_of(subscriptions, Arc::clone(&sink));
     let subscriber = ServiceId::from_raw(0x100);
-    let filter = Filter::for_type(EVENT_TYPE)
-        .with(("ward", Op::Eq, 3i64))
-        .with(("kind", Op::Eq, KINDS[2]))
-        .with(("bpm", Op::Ge, 111i64));
     let mut id = bus
         .subscribe(subscriber, filter.clone(), Arc::clone(&sink))
         .expect("subscribe");
-    let pairs: Vec<u64> = (0..16)
+    (0..16)
         .map(|_| {
             let (requests, ()) = counting_alloc::during(|| {
                 bus.unsubscribe(id).expect("unsubscribe");
@@ -138,12 +156,63 @@ fn control_pair_allocates_no_more_than_before() {
                     .subscribe(subscriber, filter.clone(), Arc::clone(&sink))
                     .expect("subscribe");
             });
-            requests.count
+            requests
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn control_pair_allocates_no_more_than_before() {
+    let pairs = control_pairs(SUBSCRIPTIONS, &churned());
     assert!(
-        pairs.iter().all(|&n| n <= CONTROL_PAIR_BUDGET),
+        pairs.iter().all(|r| r.count <= CONTROL_PAIR_BUDGET),
         "heap requests per unsubscribe + subscribe: {pairs:?}, budget {CONTROL_PAIR_BUDGET}"
+    );
+    assert!(
+        pairs.iter().all(|r| r.bytes <= CONTROL_PAIR_BYTES),
+        "bytes per unsubscribe + subscribe: {pairs:?}, budget {CONTROL_PAIR_BYTES}"
+    );
+}
+
+/// Members of `ward_bus_of(subscriptions)` in the bucket [`churned`]
+/// joins: ward 3, the third kind.
+fn bucket_mates(subscriptions: usize) -> u64 {
+    let mate = |i: &usize| i % WARDS == 3 && (i / WARDS) % KINDS.len() == 2;
+    (WARDS..subscriptions).filter(mate).count() as u64
+}
+
+/// One member's row in a bucket, `[filter id, type id, n, constraint id
+/// × n]` as `u32`s, for [`churned`]'s three constraints.
+const ROW_BYTES: u64 = 4 * (3 + 3);
+
+/// A control pair's bytes do not follow the table: 8 × the subscriptions
+/// cost less than 2 × the bytes, where copying whole spines cost ≈ 8 ×.
+/// Measured on a subscription in a bucket of its own (a ward-only
+/// subscription for a seventeenth ward), which is what the table's size
+/// alone costs: 2 × its spines, one pointer per 64 slots. The churned
+/// ward-shaped subscription shares its bucket with every subscription to
+/// its ward and kind (18 at 2 000, 143 at 16 000), and both halves of the
+/// pair copy that bucket's rows whole; those rows are all it may cost on
+/// top (9 447 → 18 951 B per pair, ≈ 2.0 ×).
+#[test]
+fn control_pair_bytes_do_not_grow_with_the_table() {
+    let (small, large) = (SUBSCRIPTIONS, 8 * SUBSCRIPTIONS);
+    let most = |subscriptions: usize, filter: &Filter| {
+        let pairs = control_pairs(subscriptions, filter);
+        pairs.iter().map(|r| r.bytes).max().expect("16 pairs")
+    };
+    let own = Filter::for_type(EVENT_TYPE).with(("ward", Op::Eq, WARDS as i64));
+    let (own_small, own_large) = (most(small, &own), most(large, &own));
+    assert!(
+        own_large < 2 * own_small,
+        "bytes per pair in a bucket of its own: {own_small} at {small}, {own_large} at {large}"
+    );
+    let (shared_small, shared_large) = (most(small, &churned()), most(large, &churned()));
+    let rows = 2 * ROW_BYTES * (bucket_mates(large) - bucket_mates(small));
+    assert!(
+        shared_large - shared_small <= own_large - own_small + rows,
+        "bytes per pair in a shared bucket: {shared_small} at {small}, {shared_large} at \
+         {large}; the bucket's rows account for {rows} of the growth"
     );
 }
 

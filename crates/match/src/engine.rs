@@ -122,9 +122,8 @@ pub trait Matcher: Send + fmt::Debug {
 /// Which engine implementation to construct.
 ///
 /// `Siena` and `FastForward` correspond to the paper's two event buses.
-/// The linear-scan [`NaiveEngine`](crate::NaiveEngine) is the reference
-/// implementation tests compare both against; it is constructed
-/// directly and is not something a cell can be configured to run.
+/// The linear scan the equivalence tests hold both to is test code, not
+/// an engine a cell can be configured to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum EngineKind {

@@ -35,7 +35,14 @@
 //! The matchable table shares structure with its snapshots: every piece
 //! sits behind an [`Arc`], [`Matcher::snapshot`] clones the handful of
 //! top-level pointers, and a control operation copies only the pieces it
-//! changes ([`Arc::make_mut`]).
+//! changes ([`Arc::make_mut`]). The four vectors indexed by id — filter
+//! entries, constraint records, posting lists and clusters — are chunked:
+//! a write copies the vector's spine, one pointer per 64 slots, and the
+//! one 64-slot chunk it lands in, never the whole vector. What a control
+//! operation copies still grows with the table in three places: those
+//! spines, by a pointer per 64 slots; a cluster's bucket map, by an entry
+//! per distinct combination of equality values; and the one bucket it
+//! writes, by a row per filter that shares that bucket's values.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -204,7 +211,7 @@ impl NameIndex {
     fn visit_satisfied(
         &self,
         value: &AttributeValue,
-        records: &[Option<Arc<Constraint>>],
+        records: &Slots<Constraint>,
         satisfy: &mut impl FnMut(ConstraintId),
     ) {
         if let Some(v) = value.as_numeric() {
@@ -386,14 +393,70 @@ pub struct FastForwardEngine {
     scratch: MatchScratch,
 }
 
-/// A slot vector shared with snapshots twice over — the spine and each
-/// element — so changing one element copies the spine (pointers) and that
-/// element, never its neighbours.
-type Slots<T> = Arc<Vec<Option<Arc<T>>>>;
+/// Slots per chunk of a [`Slots`] vector.
+const CHUNK: usize = 64;
+
+/// One fixed-size run of a [`Slots`] vector; slots past the end are `None`.
+type Chunk<T> = [Option<Arc<T>>; CHUNK];
+
+/// A slot vector shared with snapshots three times over — the spine of
+/// chunk pointers, each fixed-size chunk and each element — so changing
+/// one element copies the spine (one pointer per [`CHUNK`] slots), the
+/// one chunk that holds it and that element, one heap request each, and
+/// never another chunk. A spine and a chunk are each one allocation, with
+/// their reference count in front: a copy is one request, not two.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    chunks: Arc<[Arc<Chunk<T>>]>,
+    /// Slots handed out so far, empty or not.
+    len: usize,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            chunks: Arc::new([]),
+            len: 0,
+        }
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slots<T> {
+    type Output = Option<Arc<T>>;
+
+    fn index(&self, i: usize) -> &Option<Arc<T>> {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl<T> Slots<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Slot `i`, for writing: copies the spine and the slot's chunk if a
+    /// snapshot shares them, and nothing else.
+    fn slot_mut(&mut self, i: usize) -> &mut Option<Arc<T>> {
+        let chunk = &mut Arc::make_mut(&mut self.chunks)[i / CHUNK];
+        &mut Arc::make_mut(chunk)[i % CHUNK]
+    }
+
+    /// Appends an empty slot and returns its index; every [`CHUNK`]th
+    /// grows the spine by a fresh chunk.
+    fn push(&mut self) -> usize {
+        if self.len == self.chunks.len() * CHUNK {
+            let fresh = Arc::new(std::array::from_fn(|_| None));
+            let spine = self.chunks.iter().cloned().chain([fresh]);
+            self.chunks = spine.collect();
+        }
+        self.len += 1;
+        self.len - 1
+    }
+}
 
 /// The counted filters posted under one constraint, each with its
 /// constraint total, so a counter update reads nothing but the counter.
-type PostingList = Arc<Vec<(FilterId, u32)>>;
+type PostingList = Vec<(FilterId, u32)>;
 
 /// The immutable-at-match-time part of the forwarding table. Matching only
 /// ever reads it; all mutation happens through the owning
@@ -402,8 +465,8 @@ type PostingList = Arc<Vec<(FilterId, u32)>>;
 struct FfTable {
     filters: Slots<FilterEntry>,
     records: Slots<Constraint>,
-    /// By constraint id; empty for a constraint no counted filter holds.
-    postings: Arc<Vec<PostingList>>,
+    /// By constraint id; `None` for a constraint no counted filter holds.
+    postings: Slots<PostingList>,
     names: Arc<HashMap<Arc<str>, Arc<NameIndex>>>,
     clusters: Slots<Cluster>,
     /// Interned event types: a name gets its id with its first filter and
@@ -456,7 +519,7 @@ impl<'a> Lookups<'a> {
 /// the first time a bucket member needs it, and its verdict read from the
 /// caller's memo after that.
 struct Predicates<'a> {
-    records: &'a [Option<Arc<Constraint>>],
+    records: &'a Slots<Constraint>,
     memo: &'a mut [(u64, bool)],
     generation: u64,
     attrs: Lookups<'a>,
@@ -499,9 +562,9 @@ impl FfTable {
         let event_type = self.types.get(event.event_type());
         let event_type = event_type.copied().unwrap_or(ANY_TYPE);
 
-        let filters = &self.filters[..];
-        let records = &self.records[..];
-        let postings = &self.postings[..];
+        let filters = &self.filters;
+        let records = &self.records;
+        let postings = &self.postings;
         let mut predicates = Predicates {
             records,
             memo: verdicts,
@@ -513,7 +576,10 @@ impl FfTable {
                 continue;
             };
             idx.visit_satisfied(value, records, &mut |cid: ConstraintId| {
-                for &(fid, needed) in postings[cid].iter() {
+                let Some(list) = &postings[cid] else {
+                    return;
+                };
+                for &(fid, needed) in list.iter() {
                     let slot = &mut counters[fid];
                     if slot.0 != generation {
                         *slot = (generation, 0);
@@ -618,11 +684,7 @@ impl RouteSnapshot for FfSnapshot {
 
 /// Takes a free slot of `slots`, growing it when there is none.
 fn take_slot<T>(slots: &mut Slots<T>, free: &mut Vec<usize>) -> usize {
-    free.pop().unwrap_or_else(|| {
-        let slots = Arc::make_mut(slots);
-        slots.push(None);
-        slots.len() - 1
-    })
+    free.pop().unwrap_or_else(|| slots.push())
 }
 
 impl FastForwardEngine {
@@ -646,9 +708,9 @@ impl FastForwardEngine {
         if cid == self.constraint_refs.len() {
             // A new slot: the two tables beside `records` grow with it.
             self.constraint_refs.push(0);
-            Arc::make_mut(&mut self.table.postings).push(Arc::default());
+            self.table.postings.push();
         }
-        Arc::make_mut(&mut self.table.records)[cid] = Some(Arc::new(c.clone()));
+        *self.table.records.slot_mut(cid) = Some(Arc::new(c.clone()));
         self.constraint_lookup.insert(key, cid);
         cid
     }
@@ -658,9 +720,8 @@ impl FastForwardEngine {
         if self.constraint_refs[cid] > 0 {
             return;
         }
-        let c = Arc::make_mut(&mut self.table.records)[cid]
-            .take()
-            .expect("releasing live constraint");
+        let c = self.table.records.slot_mut(cid).take();
+        let c = c.expect("releasing live constraint");
         self.constraint_lookup.remove(&constraint_key(&c));
         self.free_records.push(cid);
     }
@@ -714,7 +775,8 @@ impl FastForwardEngine {
     /// Posts counted filter `fid` under `cid`; the first posting puts the
     /// constraint into its name's index.
     fn post(&mut self, cid: ConstraintId, fid: FilterId, needed: u32) {
-        let list = Arc::make_mut(&mut Arc::make_mut(&mut self.table.postings)[cid]);
+        let list = self.table.postings.slot_mut(cid).get_or_insert_default();
+        let list = Arc::make_mut(list);
         list.push((fid, needed));
         if list.len() == 1 {
             let c = Arc::clone(self.record(cid));
@@ -725,9 +787,11 @@ impl FastForwardEngine {
     /// Undoes [`Self::post`]; the last posting takes the constraint out of
     /// its name's index.
     fn unpost(&mut self, cid: ConstraintId, fid: FilterId) {
-        let list = Arc::make_mut(&mut Arc::make_mut(&mut self.table.postings)[cid]);
+        let slot = self.table.postings.slot_mut(cid);
+        let list = Arc::make_mut(slot.as_mut().expect("posted constraint"));
         list.retain(|&(f, _)| f != fid);
         if list.is_empty() {
+            *slot = None;
             let c = Arc::clone(self.record(cid));
             self.edit_name(&c.name, |idx| idx.remove(cid, &c));
         }
@@ -767,7 +831,7 @@ impl FastForwardEngine {
             None => {
                 let names: Arc<[String]> = names.into();
                 let id = take_slot(&mut self.table.clusters, &mut self.free_clusters);
-                Arc::make_mut(&mut self.table.clusters)[id] = Some(Arc::new(Cluster {
+                *self.table.clusters.slot_mut(id) = Some(Arc::new(Cluster {
                     names: Arc::clone(&names),
                     buckets: HashMap::new(),
                 }));
@@ -776,16 +840,24 @@ impl FastForwardEngine {
                 id
             }
         };
-        let slot = Arc::make_mut(&mut self.table.clusters)[id].as_mut();
+        let slot = self.table.clusters.slot_mut(id).as_mut();
         let cluster = Arc::make_mut(slot.expect("looked-up cluster is live"));
-        Arc::make_mut(cluster.buckets.entry(signature).or_default()).push(fid, type_id, cids);
+        let bucket = cluster.buckets.entry(signature).or_default();
+        if Arc::get_mut(bucket).is_none() {
+            // A snapshot holds it: copy it once, with room for the new row.
+            let mut rows = Vec::with_capacity(bucket.0.len() + ROW_HEAD + cids.len());
+            rows.extend_from_slice(&bucket.0);
+            *bucket = Arc::new(Bucket(rows));
+        }
+        let bucket = Arc::get_mut(bucket).expect("copied if it was shared");
+        bucket.push(fid, type_id, cids);
         id
     }
 
     /// Undoes [`Self::cluster_insert`]; the last member takes the cluster
     /// with it.
     fn cluster_remove(&mut self, id: ClusterId, signature: u64, fid: FilterId) {
-        let slot = &mut Arc::make_mut(&mut self.table.clusters)[id];
+        let slot = self.table.clusters.slot_mut(id);
         let cluster = Arc::make_mut(slot.as_mut().expect("member's cluster is live"));
         let bucket = cluster.buckets.get_mut(&signature);
         let bucket = Arc::make_mut(bucket.expect("member's bucket is live"));
@@ -857,7 +929,7 @@ impl FastForwardEngine {
                 None => Posting::Unsatisfiable,
             }
         };
-        Arc::make_mut(&mut self.table.filters)[fid] = Some(Arc::new(FilterEntry {
+        *self.table.filters.slot_mut(fid) = Some(Arc::new(FilterEntry {
             type_id,
             constraint_ids: cids,
             subs: Vec::new(),
@@ -868,9 +940,8 @@ impl FastForwardEngine {
     }
 
     fn release_filter(&mut self, fid: FilterId) {
-        let entry = Arc::make_mut(&mut self.table.filters)[fid]
-            .take()
-            .expect("releasing live filter");
+        let entry = self.table.filters.slot_mut(fid).take();
+        let entry = entry.expect("releasing live filter");
         let type_id = entry.type_id;
         match entry.posting {
             Posting::Unconditional => match type_id {
@@ -909,7 +980,7 @@ impl FastForwardEngine {
     }
 
     fn entry_mut(&mut self, fid: FilterId) -> &mut FilterEntry {
-        let slot = Arc::make_mut(&mut self.table.filters)[fid].as_mut();
+        let slot = self.table.filters.slot_mut(fid).as_mut();
         Arc::make_mut(slot.expect("subscribed filter is live"))
     }
 }
@@ -1245,7 +1316,7 @@ mod tests {
         assert_eq!(m.cluster_lookup.len(), 1);
         assert_eq!(m.table.names.len(), 1);
         assert!(m.table.names["kind"].num_greater.is_empty());
-        assert!(m.table.postings.iter().all(|list| list.is_empty()));
+        assert!((0..m.table.postings.len()).all(|cid| m.table.postings[cid].is_none()));
     }
 
     #[test]
@@ -1289,7 +1360,7 @@ mod tests {
         m.subscribe(sub(1, 1, f.clone())).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m.snapshot().len(), 1);
-        assert!(m.table.names.is_empty() && m.table.clusters.is_empty());
+        assert!(m.table.names.is_empty() && m.table.clusters.len() == 0);
         for v in [1i64, 2] {
             let e = Event::builder("t").attr("x", v).build();
             assert!(m.matching_subscriptions(&e).is_empty());
@@ -1316,39 +1387,83 @@ mod tests {
         assert_eq!(m.matching_subscriptions(&at(-2)), vec![SubscriptionId(4)]);
     }
 
+    /// The chunks of `after` that are not the very chunks of `before`.
+    fn chunks_copied<T>(before: &Slots<T>, after: &Slots<T>) -> Vec<usize> {
+        assert_eq!(before.chunks.len(), after.chunks.len());
+        let copied = |&c: &usize| !Arc::ptr_eq(&before.chunks[c], &after.chunks[c]);
+        (0..after.chunks.len()).filter(copied).collect()
+    }
+
     /// Two tables cloned either side of one `subscribe` — what
-    /// `snapshot()` freezes — share every piece the operation did not
-    /// change and differ in the ones it did.
+    /// `snapshot()` freezes — share every chunk of every slot vector the
+    /// operation did not write to, and every piece it did not change; the
+    /// one chunk it wrote to is a copy.
     #[test]
     fn snapshots_share_what_a_subscribe_did_not_change() {
         let mut m = FastForwardEngine::new();
-        m.subscribe(sub(1, 1, Filter::any().with(("x", Op::Gt, 5i64))))
-            .unwrap();
-        m.subscribe(sub(2, 2, ward_filter(1, "hr", 100))).unwrap();
+        // Four chunks of counted filters and constraints, and as many
+        // clusters — one per name — plus two ward-shaped members.
+        for i in 0..200u64 {
+            let counted = Filter::any().with(("x", Op::Gt, i as i64));
+            let clustered = Filter::any().with((format!("n{i:03}"), Op::Eq, 1i64));
+            m.subscribe(sub(2 * i, 1, counted)).unwrap();
+            m.subscribe(sub(2 * i + 1, 1, clustered)).unwrap();
+        }
+        m.subscribe(sub(400, 1, ward_filter(1, "hr", 100))).unwrap();
+        // Free a slot of the filters, the constraints and the clusters,
+        // each past the first chunk and before the last.
+        let (fid, cluster, _) = posting_of(&m, 261);
+        let cid = m.table.filters[fid].as_ref().unwrap().constraint_ids[0];
+        m.unsubscribe(SubscriptionId(261)).unwrap();
         let before = m.table.clone();
-        // A second member for the existing cluster, in a bucket of its own.
-        m.subscribe(sub(3, 3, ward_filter(2, "hr", 100))).unwrap();
-        let after = m.table.clone();
+        for (chunk, of) in [
+            (fid / CHUNK, before.filters.chunks.len()),
+            (cid / CHUNK, before.records.chunks.len()),
+            (cluster / CHUNK, before.clusters.chunks.len()),
+        ] {
+            assert!(chunk >= 1 && chunk + 1 < of, "chunk {chunk} of {of}");
+        }
 
-        let same = |a: &Option<Arc<FilterEntry>>, b: &Option<Arc<FilterEntry>>| {
-            Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap())
-        };
-        assert!(same(&before.filters[0], &after.filters[0]));
-        assert!(same(&before.filters[1], &after.filters[1]));
-        assert!(Arc::ptr_eq(&before.postings[0], &after.postings[0]));
-        assert!(Arc::ptr_eq(&before.names, &after.names));
+        // A new cluster, filter and constraint, each in the slot just freed.
+        m.subscribe(sub(401, 1, Filter::any().with(("m", Op::Eq, 1i64))))
+            .unwrap();
+        assert_eq!(posting_of(&m, 401), (fid, cluster, posting_of(&m, 401).2));
+        let after = m.table.clone();
+        assert_eq!(
+            chunks_copied(&before.filters, &after.filters),
+            [fid / CHUNK]
+        );
+        assert_eq!(
+            chunks_copied(&before.records, &after.records),
+            [cid / CHUNK]
+        );
+        assert_eq!(
+            chunks_copied(&before.clusters, &after.clusters),
+            [cluster / CHUNK]
+        );
+        assert!(chunks_copied(&before.postings, &after.postings).is_empty());
+        assert!(Arc::ptr_eq(&before.postings.chunks, &after.postings.chunks));
         assert!(Arc::ptr_eq(&before.types, &after.types));
-        let (old, new) = (&before.clusters[0], &after.clusters[0]);
+        assert!(!Arc::ptr_eq(&before.names, &after.names));
+
+        // A second member of the ward cluster, in a bucket of its own: the
+        // first bucket is shared, the cluster is a copy.
+        let (_, ward, _) = posting_of(&m, 400);
+        let before = m.table.clone();
+        m.subscribe(sub(402, 1, ward_filter(2, "hr", 100))).unwrap();
+        let after = m.table.clone();
+        assert_eq!(
+            chunks_copied(&before.clusters, &after.clusters),
+            [ward / CHUNK]
+        );
+        let (old, new) = (&before.clusters[ward], &after.clusters[ward]);
         let (old, new) = (old.as_ref().unwrap(), new.as_ref().unwrap());
+        assert!(!Arc::ptr_eq(old, new));
+        assert_eq!((old.buckets.len(), new.buckets.len()), (1, 2));
         for (signature, bucket) in &old.buckets {
             assert!(Arc::ptr_eq(bucket, &new.buckets[signature]));
         }
-
-        assert!(!Arc::ptr_eq(&before.filters, &after.filters));
-        assert!(!Arc::ptr_eq(&before.records, &after.records));
-        assert!(!Arc::ptr_eq(old, new));
-        assert_eq!((before.filters.len(), after.filters.len()), (2, 3));
-        assert_eq!((old.buckets.len(), new.buckets.len()), (1, 2));
+        assert!(Arc::ptr_eq(&before.names, &after.names));
 
         // Each still answers for the moment it was taken.
         let event = reading(2, "hr", 120);
@@ -1356,7 +1471,7 @@ mod tests {
         before.matching_filters_into(&event, &mut scratch);
         assert!(scratch.fired.is_empty());
         after.matching_filters_into(&event, &mut scratch);
-        assert_eq!(scratch.fired, vec![2]);
+        assert_eq!(scratch.fired, vec![posting_of(&m, 402).0]);
     }
 
     fn rows(bucket: &Bucket) -> Vec<(FilterId, TypeId, Vec<u32>)> {

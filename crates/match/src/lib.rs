@@ -3,18 +3,18 @@
 //! The paper builds its event bus twice: first around **Siena** (with heavy
 //! representation translation at the engine boundary), then around a
 //! dedicated matcher in C based on Siena's **fast forwarding** algorithm.
-//! Both live here behind the [`Matcher`] trait, together with a naive
-//! linear-scan oracle used by tests and benchmarks:
+//! Both live here behind the [`Matcher`] trait:
 //!
-//! * [`NaiveEngine`] — evaluate every filter against every event;
 //! * [`SienaEngine`] — candidate index by event type, plus the translation
 //!   round-trip the Java/JNI prototype paid on every match;
 //! * [`FastForwardEngine`] — candidates picked by their equality
 //!   constraints and verified in place, the constraint-sharing counting
 //!   algorithm for the rest, on borrowed event data (the "C-based" bus).
 //!
-//! All three agree exactly on match semantics; the property tests in
-//! `tests/engine_equivalence.rs` enforce it.
+//! Both agree exactly on match semantics with a linear scan that calls
+//! `Filter::matches` on every filter; the property tests in
+//! `tests/engine_equivalence.rs` hold them to it (the scan is
+//! `tests/support/naive.rs`, test code, not part of the library).
 //!
 //! ```
 //! use smc_match::{EngineKind, Matcher};
@@ -38,11 +38,9 @@
 pub mod covering;
 pub mod engine;
 pub mod fastforward;
-pub mod naive;
 pub mod siena;
 
 pub use covering::{any_interest, minimal_cover, overlaps};
 pub use engine::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
 pub use fastforward::FastForwardEngine;
-pub use naive::NaiveEngine;
 pub use siena::SienaEngine;

@@ -1,18 +1,24 @@
-//! The three engines must agree *exactly* on match semantics.
+//! The engines must agree *exactly* on match semantics.
 //!
-//! The naive engine is the oracle (it calls `Filter::matches` directly);
-//! the Siena and fast-forwarding engines are checked against it over
-//! randomly generated subscription sets, event streams and unsubscription
-//! interleavings.
+//! The naive engine (`support/naive.rs`, test code) is the oracle: it calls
+//! `Filter::matches` directly. The Siena and fast-forwarding engines are
+//! checked against it over randomly generated subscription sets, event
+//! streams and unsubscription interleavings — among them tables that span
+//! several of the forwarding table's 64-slot chunks.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smc_match::{EngineKind, MatchScratch, Matcher, NaiveEngine, RouteSnapshot};
+use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
 use smc_types::codec::to_bytes;
 use smc_types::{
     AttributeValue, Constraint, Event, Filter, Op, Packet, ServiceId, Subscription, SubscriptionId,
 };
+
+#[path = "support/naive.rs"]
+mod naive;
+
+use naive::NaiveEngine;
 
 /// The naive linear scan first — the oracle the others are held to, and
 /// deliberately not an `EngineKind` a cell can be configured with — then
@@ -294,6 +300,48 @@ fn assert_frozen((snap, len, answers): &Frozen, events: &[Event]) {
             snap.matching_subscribers_into(form, &mut scratch, &mut out);
             assert_eq!(&out, want, "snapshot of {len} subscriptions on {form}");
         }
+    }
+}
+
+/// Slots per chunk of the forwarding table's vectors; the multi-chunk
+/// property spans at least three.
+const CHUNK: usize = 64;
+
+/// `filter` narrowed by a constraint on `d` that no other filter carries:
+/// a threshold of its own. Every such filter is distinct, and so is every
+/// such constraint, so `n` of them fill `n` filter and constraint slots.
+fn own(filter: &Filter, op: Op, threshold: usize) -> Filter {
+    filter.clone().with(("d", op, threshold as i64 - 160))
+}
+
+fn arb_own_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        Just(Op::Ne),
+        Just(Op::Ge),
+        Just(Op::Le),
+        Just(Op::Gt),
+        Just(Op::Lt)
+    ]
+}
+
+/// A shaped event, mostly with a `d` somewhere among the thresholds [`own`]
+/// hands out.
+fn arb_own_event() -> impl Strategy<Value = Event> {
+    let d = prop_oneof![
+        6 => (-170i64..400).prop_map(AttributeValue::Int),
+        1 => arb_value(),
+    ];
+    (arb_shaped_event(), proptest::option::of(d)).prop_map(|(event, d)| match d {
+        Some(d) => event.with_attr("d", d),
+        None => event,
+    })
+}
+
+/// Every engine after the oracle, frozen and checked against it.
+fn freeze_each(engines: &mut [Box<dyn Matcher>], events: &[Event], kept: &mut Vec<Frozen>) {
+    let (oracle, rest) = engines.split_first_mut().expect("an oracle");
+    for engine in rest {
+        kept.push(freeze(&**engine, &mut **oracle, events));
     }
 }
 
@@ -591,5 +639,95 @@ proptest! {
         let full: bool = filters.iter().any(|f| f.matches(&ev));
         let reduced: bool = keep.iter().any(|&i| filters[i].matches(&ev));
         prop_assert_eq!(full, reduced);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Tables past one chunk: a few hundred distinct filters over as many
+    /// distinct constraints fill at least three 64-slot chunks of each.
+    /// Every engine agrees with the oracle after the table is built, after
+    /// the subscriptions around the first two chunk boundaries are dropped,
+    /// after new ones reuse those slots — on both sides of each boundary —
+    /// and through random churn; and every snapshot taken along the way
+    /// still answers, at the end, as the oracle did when it was taken.
+    #[test]
+    fn engines_agree_across_chunks(
+        filters in proptest::collection::vec((arb_shaped_filter(), arb_own_op()), 3 * CHUNK..5 * CHUNK),
+        refill in proptest::collection::vec((arb_shaped_filter(), arb_own_op()), CHUNK / 2..CHUNK),
+        ops in proptest::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 0..24),
+        events in proptest::collection::vec(arb_own_event(), 1..6),
+    ) {
+        let mut engines = oracle_and_engines();
+        let mut kept: Vec<Frozen> = Vec::new();
+        let filters: Vec<Filter> = filters
+            .iter()
+            .enumerate()
+            .map(|(i, (f, op))| own(f, *op, i))
+            .collect();
+        for (id, f) in filters.iter().enumerate() {
+            subscribe_all(&mut engines, id as u64, f);
+            if (id + 1) % CHUNK == 0 {
+                freeze_each(&mut engines, &events, &mut kept);
+            }
+        }
+        for ev in &events {
+            assert_agree(&mut engines, ev);
+        }
+        freeze_each(&mut engines, &events, &mut kept);
+
+        // Free the slots either side of the first two chunk boundaries.
+        let freed: Vec<u64> = (CHUNK - 8..CHUNK + 8)
+            .chain(2 * CHUNK - 8..2 * CHUNK + 8)
+            .map(|i| i as u64)
+            .collect();
+        for &id in &freed {
+            for e in &mut engines {
+                prop_assert_eq!(e.unsubscribe(SubscriptionId(id)).unwrap().id, SubscriptionId(id));
+            }
+        }
+        for ev in &events {
+            assert_agree(&mut engines, ev);
+        }
+        freeze_each(&mut engines, &events, &mut kept);
+
+        // New filters take the freed slots, then new ones past the end.
+        let mut live: Vec<u64> = (0..filters.len() as u64).filter(|id| !freed.contains(id)).collect();
+        let mut next_id = filters.len() as u64;
+        for (j, (f, op)) in refill.iter().enumerate() {
+            let f = own(f, *op, filters.len() + j);
+            subscribe_all(&mut engines, next_id, &f);
+            live.push(next_id);
+            next_id += 1;
+            if j % 8 == 7 {
+                freeze_each(&mut engines, &events, &mut kept);
+            }
+        }
+        for ev in &events {
+            assert_agree(&mut engines, ev);
+        }
+
+        // Churn: one more subscription to a filter already there, or one
+        // fewer of whatever is live.
+        for (step, (idx, add)) in ops.into_iter().enumerate() {
+            if add {
+                subscribe_all(&mut engines, next_id, &filters[idx.index(filters.len())]);
+                live.push(next_id);
+                next_id += 1;
+            } else {
+                let id = live.swap_remove(idx.index(live.len()));
+                for e in &mut engines {
+                    e.unsubscribe(SubscriptionId(id)).unwrap();
+                }
+            }
+            assert_agree(&mut engines, &events[step % events.len()]);
+            if step % 4 == 3 {
+                freeze_each(&mut engines, &events, &mut kept);
+            }
+        }
+        for frozen in &kept {
+            assert_frozen(frozen, &events);
+        }
     }
 }

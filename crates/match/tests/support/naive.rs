@@ -1,16 +1,14 @@
-//! Linear-scan engine: the correctness oracle.
+//! Linear-scan engine: the correctness oracle the engines a cell can run
+//! are held to. Not part of the library: a test includes it with
+//! `#[path = "support/naive.rs"] mod naive;`.
 
 use std::sync::Arc;
 
+use smc_match::{MatchScratch, Matcher, RouteSnapshot};
 use smc_types::{Error, Event, Result, ServiceId, Subscription, SubscriptionId};
 
-use crate::engine::{MatchScratch, Matcher, RouteSnapshot};
-
-/// The simplest possible engine: every match evaluates every filter.
-///
-/// Used as the semantics oracle in equivalence tests and as the baseline in
-/// matching benchmarks. For the handful of subscriptions in a body-area
-/// network it is actually competitive; it degrades linearly beyond that.
+/// The simplest possible engine: every match evaluates every filter, by
+/// calling `Filter::matches` directly.
 #[derive(Debug, Default)]
 pub struct NaiveEngine {
     subs: Vec<Subscription>,

@@ -6,8 +6,8 @@
 //! roof. The layers, bottom-up:
 //!
 //! * [`types`] — events, filters, identifiers, the byte-array wire codec;
-//! * [`matching`] — the three content-matching engines (naive oracle,
-//!   Siena-style, fast-forwarding counting algorithm);
+//! * [`matching`] — the two content-matching engines (Siena-style, and
+//!   the fast-forwarding table of the "C-based" bus);
 //! * [`transport`] — datagram transports (simulated network, UDP) and
 //!   the reliability layer (exactly-once, per-sender FIFO, acknowledged);
 //! * [`discovery`] — cell membership: beacons, joins, leases, purges;

@@ -115,7 +115,7 @@ fn facade_types_compose() {
     assert_eq!(id.port(), 9);
 }
 
-/// All three engines, hot-swapped mid-flight under live traffic, never
+/// Both engines, hot-swapped mid-flight under live traffic, never
 /// drop or duplicate an event.
 #[test]
 fn engine_swap_torture() {
