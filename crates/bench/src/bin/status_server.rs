@@ -105,8 +105,6 @@ fn main() {
         supervision: Some(Arc::clone(&supervision)),
         ward: None,
         clock: Some(Arc::clone(&clock)),
-        // `/tails` folds the live sink's window on demand.
-        tails: None,
         slo: Some(Arc::clone(&slo)),
     };
     let shared_report = Arc::clone(&sources.health);

@@ -17,8 +17,6 @@
 //!   the bootstrap mechanism on `New Member` events;
 //! * [`QuenchManager`] — Elvin-style publisher quenching (a future-work
 //!   item of the paper, implemented here);
-//! * [`TypedBus`] — type-based publish/subscribe over the content bus
-//!   (the other future-work item);
 //! * [`SmcCell`] — the full cell: bus + discovery + policy + proxies;
 //! * [`CellLink`] — one cell's membership in another: a peer import or a
 //!   child export, the paper's two ways of composing cells;
@@ -76,8 +74,6 @@ pub mod metrics;
 pub mod proxy;
 pub mod quench;
 pub mod smc;
-pub mod store;
-pub mod typed;
 
 pub use bootstrap::{CodecBuilder, ProxyFactory};
 pub use bus::{ChannelSink, DeliveryFrame, EventBus, EventSink};
@@ -87,5 +83,3 @@ pub use metrics::{BusMetrics, MetricsSnapshot};
 pub use proxy::{DeviceCodec, PassthroughCodec, Proxy, ProxyStats};
 pub use quench::{QuenchChange, QuenchManager};
 pub use smc::{ReconcileReport, SmcCell, SmcConfig};
-pub use store::{shared_store, AttributeSummary, EventStore};
-pub use typed::{EventMessage, TypedBus};

@@ -1,11 +1,10 @@
 //! Focused tests of the device-side client library: error paths,
-//! local-service wiring, typed pub/sub over a live cell, and command
-//! round trips.
+//! local-service wiring, and command round trips.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_core::{ChannelSink, EventMessage, RemoteClient, SmcCell, SmcConfig, TypedBus};
+use smc_core::{ChannelSink, RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::AgentConfig;
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use smc_types::{AttributeSet, Error, Event, Filter, ServiceId, ServiceInfo, SubscriptionId};
@@ -126,54 +125,6 @@ fn command_round_trip_to_device() {
     let cmd = device.next_command(TICK).unwrap();
     assert_eq!(cmd.name, "set-rate");
     assert_eq!(cmd.args.get("rate").unwrap().as_int(), Some(3));
-    device.shutdown();
-    cell.shutdown();
-}
-
-#[derive(Debug, PartialEq)]
-struct Spo2Reading {
-    pct: i64,
-}
-
-impl EventMessage for Spo2Reading {
-    const EVENT_TYPE: &'static str = "typed.spo2";
-
-    fn into_event(self) -> Event {
-        Event::builder(Self::EVENT_TYPE)
-            .attr("pct", self.pct)
-            .build()
-    }
-
-    fn from_event(event: &Event) -> Option<Self> {
-        Some(Spo2Reading {
-            pct: event.attr("pct")?.as_int()?,
-        })
-    }
-}
-
-#[test]
-fn typed_bus_rides_the_cell_bus() {
-    let net = SimNetwork::new(LinkConfig::ideal());
-    let cell = start_cell(&net);
-    // In-process typed subscription over the cell's content bus.
-    let typed = TypedBus::new(Arc::clone(cell.bus()));
-    let (_, typed_rx) = typed
-        .subscribe::<Spo2Reading>(ServiceId::from_raw(0x717))
-        .unwrap();
-    // A remote, untyped device publishes the same event type.
-    let device = connect(&net, "sensor.spo2");
-    device
-        .publish(
-            Event::builder(Spo2Reading::EVENT_TYPE)
-                .attr("pct", 93i64)
-                .build(),
-            TICK,
-        )
-        .unwrap();
-    assert_eq!(
-        typed_rx.recv_timeout(TICK).unwrap(),
-        Spo2Reading { pct: 93 }
-    );
     device.shutdown();
     cell.shutdown();
 }

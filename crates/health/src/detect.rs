@@ -325,132 +325,6 @@ impl Detector for DeliveryLatency {
     }
 }
 
-/// Tail regression over the attribution table: a pipeline stage's share
-/// of end-to-end latency (queue-wait vs service, per
-/// [`CriticalPath`](smc_telemetry::CriticalPath)) shifts beyond a
-/// learned baseline — the "which stage broke" companion to
-/// [`DeliveryLatency`]'s "how slow did it get".
-///
-/// Each window's completed journeys are folded into a fresh attribution
-/// table; the baseline is the maximum share (×1000) each stage reached
-/// during the first `baseline_windows` windows with completed traffic.
-/// A later window is unhealthy when some stage's share exceeds its
-/// baseline by more than `margin_milli` *and* the absolute
-/// `floor_share_milli` — the detail names the offending stage, so a
-/// management action can target the right component.
-///
-/// Not part of [`default_detectors`]: share baselines assume steady
-/// traffic shape, which general chaos runs do not promise.
-#[derive(Debug)]
-pub struct TailRegression {
-    margin_milli: u64,
-    floor_share_milli: u64,
-    baseline_windows: u32,
-    windows_seen: u32,
-    /// stage → max share_milli observed while baselining.
-    baseline: HashMap<String, u64>,
-    /// trace → hops collected so far (journeys complete on `Delivered`).
-    pending: HashMap<TraceId, Vec<HopRecord>>,
-}
-
-impl TailRegression {
-    /// Flags a stage whose latency share exceeds its baseline share by
-    /// `margin_milli` (×1000) and the absolute `floor_share_milli`,
-    /// after `baseline_windows` learning windows.
-    pub fn new(margin_milli: u64, floor_share_milli: u64, baseline_windows: u32) -> TailRegression {
-        TailRegression {
-            margin_milli,
-            floor_share_milli,
-            baseline_windows,
-            windows_seen: 0,
-            baseline: HashMap::new(),
-            pending: HashMap::new(),
-        }
-    }
-}
-
-impl Default for TailRegression {
-    fn default() -> Self {
-        TailRegression::new(200, 400, 6)
-    }
-}
-
-impl Detector for TailRegression {
-    fn name(&self) -> &'static str {
-        "tail-regression"
-    }
-
-    fn observe(&mut self, ctx: &SampleCtx<'_>) -> Vec<Observation> {
-        let mut profiler = smc_telemetry::CriticalPath::new();
-        for r in ctx.hops {
-            self.pending.entry(r.trace).or_default().push(*r);
-            if matches!(r.hop, Hop::Delivered) {
-                if let Some(mut hops) = self.pending.remove(&r.trace) {
-                    hops.sort_by_key(|h| h.order);
-                    profiler.fold(&smc_telemetry::Journey {
-                        trace: r.trace,
-                        hops,
-                        truncated: false,
-                    });
-                }
-            }
-        }
-        // Never-delivered journeys must not pin memory forever.
-        if self.pending.len() > 65_536 {
-            self.pending.clear();
-        }
-        let table = profiler.table();
-        if table.is_empty() {
-            return Vec::new();
-        }
-        if self.windows_seen < self.baseline_windows {
-            self.windows_seen += 1;
-            for row in &table {
-                let e = self.baseline.entry(row.stage.clone()).or_insert(0);
-                *e = (*e).max(row.share_milli);
-            }
-            return vec![Observation {
-                component: "critical-path".to_owned(),
-                healthy: true,
-                detail: format!(
-                    "baselining: {} stages over {} journeys",
-                    table.len(),
-                    profiler.journeys()
-                ),
-            }];
-        }
-        // The worst offender: the stage furthest above its allowance.
-        let mut worst: Option<(&smc_telemetry::StageRow, u64)> = None;
-        for row in &table {
-            let baseline = self.baseline.get(&row.stage).copied().unwrap_or(0);
-            let limit = (baseline + self.margin_milli).max(self.floor_share_milli);
-            let excess = row.share_milli.saturating_sub(limit);
-            if excess > 0 && worst.as_ref().is_none_or(|(_, e)| excess > *e) {
-                worst = Some((row, excess));
-            }
-        }
-        match worst {
-            Some((row, _)) => vec![Observation {
-                component: "critical-path".to_owned(),
-                healthy: false,
-                detail: format!(
-                    "stage {} ({}) took {}‰ of latency (baseline {}‰ + margin {}‰)",
-                    row.stage,
-                    row.kind.name(),
-                    row.share_milli,
-                    self.baseline.get(&row.stage).copied().unwrap_or(0),
-                    self.margin_milli
-                ),
-            }],
-            None => vec![Observation {
-                component: "critical-path".to_owned(),
-                healthy: true,
-                detail: format!("{} stages within baseline shares", table.len()),
-            }],
-        }
-    }
-}
-
 /// Membership flapping: join + purge churn within one window reaches
 /// `max_churn` (a purge-and-rejoin is churn 2).
 #[derive(Debug)]
@@ -765,82 +639,6 @@ mod tests {
         assert!(d.observe(&ctx(11, 1, &[], &hops))[0].healthy);
         // A window with no completed deliveries says nothing.
         assert!(d.observe(&ctx(12, 1, &[], &[])).is_empty());
-    }
-
-    #[test]
-    fn tail_regression_names_the_shifted_stage() {
-        use smc_types::ServiceId;
-        let mut d = TailRegression::new(200, 400, 2);
-        // A journey whose outbound queue-wait is `wait` µs of a
-        // `wait + 20` µs total.
-        let mk = |seq: u64, wait: u64| {
-            let t = TraceId::for_event(ServiceId::from_raw(1), seq);
-            let hops = [
-                (Hop::Published, 0),
-                (Hop::Matched, 5),
-                (Hop::OutQueued, 10),
-                (Hop::TxSent, 10 + wait),
-                (Hop::Delivered, 20 + wait),
-            ];
-            hops.iter()
-                .enumerate()
-                .map(|(i, &(hop, at))| HopRecord {
-                    trace: t,
-                    hop,
-                    at_micros: at,
-                    order: seq * 8 + i as u64,
-                })
-                .collect::<Vec<_>>()
-        };
-        // Baseline windows: the queue waits ~10 µs of ~30 µs (≈333‰).
-        for w in 0..2u64 {
-            let hops = mk(w, 10);
-            let obs = d.observe(&ctx(w, 1, &[], &hops));
-            assert!(obs[0].healthy);
-            assert!(obs[0].detail.contains("baselining"));
-        }
-        // Within allowance: share must clear baseline + margin AND the
-        // absolute floor.
-        let hops = mk(10, 15);
-        assert!(d.observe(&ctx(10, 1, &[], &hops))[0].healthy);
-        // The queue blows up: 980 µs of 1000 µs (980‰) — flagged, and
-        // the detail names the stage and its kind.
-        let hops = mk(11, 980);
-        let obs = d.observe(&ctx(11, 1, &[], &hops));
-        assert!(!obs[0].healthy);
-        assert_eq!(obs[0].component, "critical-path");
-        assert!(
-            obs[0].detail.contains("outbound-queue") && obs[0].detail.contains("wait"),
-            "detail must name the offending stage: {}",
-            obs[0].detail
-        );
-        // An empty window says nothing.
-        assert!(d.observe(&ctx(12, 1, &[], &[])).is_empty());
-    }
-
-    #[test]
-    fn tail_regression_ignores_incomplete_journeys() {
-        use smc_types::ServiceId;
-        let mut d = TailRegression::default();
-        let t = TraceId::for_event(ServiceId::from_raw(2), 1);
-        // Published but never delivered: stays pending, no observation.
-        let hops = vec![HopRecord {
-            trace: t,
-            hop: Hop::Published,
-            at_micros: 0,
-            order: 0,
-        }];
-        assert!(d.observe(&ctx(0, 1, &[], &hops)).is_empty());
-        // The delivery arrives in a later window with the rest pending.
-        let hops = vec![HopRecord {
-            trace: t,
-            hop: Hop::Delivered,
-            at_micros: 400,
-            order: 1,
-        }];
-        let obs = d.observe(&ctx(1, 1, &[], &hops));
-        assert_eq!(obs.len(), 1, "the stitched journey completes");
-        assert!(obs[0].healthy);
     }
 
     #[test]

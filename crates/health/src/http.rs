@@ -1,5 +1,6 @@
 //! A tiny dependency-free blocking HTTP status server — the operator
-//! surface. Serves:
+//! surface. One route table serves these endpoints and renders the `/`
+//! index that lists them:
 //!
 //! * `GET /metrics` — the registry's Prometheus text exposition,
 //! * `GET /health` — per-component health state as JSON,
@@ -13,15 +14,16 @@
 //! * `GET /supervision` — the supervisor's report plus the
 //!   peer-supervision lease table as JSON,
 //! * `GET /tails` (`?format=text` for the flame view) — the critical-path
-//!   attribution table plus the tail-exemplar reservoir: a live profiler
-//!   when one is wired in, otherwise a fold of the trace sink's current
-//!   window,
+//!   attribution table plus the tail-exemplar reservoir, folded from the
+//!   trace sink's current window,
 //! * `GET /slo` (`?json` for machine form, `?at=<µs>` to pin the
 //!   evaluation instant) — per-SLO windowed burn rates.
 //!
+//! Every refusal is a `400` or `404` with a `{"error": "..."}` JSON body.
 //! One request per connection, `Connection: close` — deliberately
 //! minimal, since the workspace is offline and vendors no HTTP stack.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use smc_telemetry::{CriticalPath, Registry, SloTracker, TraceSink, WardRegistry};
+use smc_telemetry::{json_string, CriticalPath, Registry, SloTracker, TraceSink, WardRegistry};
 use smc_types::{ServiceId, SharedClock, TraceId};
 
 use crate::monitor::HealthReport;
@@ -54,7 +56,7 @@ pub struct SupervisionStatus {
 pub struct StatusSources {
     /// Metrics registry behind `/metrics`.
     pub registry: Registry,
-    /// Trace sink behind `/journey` (404s when absent).
+    /// Trace sink behind `/journey` and `/tails` (404s when absent).
     pub sink: Option<Arc<TraceSink>>,
     /// Latest health report behind `/health`.
     pub health: Arc<parking_lot::Mutex<HealthReport>>,
@@ -66,10 +68,6 @@ pub struct StatusSources {
     /// Clock `/cells` computes lag against; falls back to the newest
     /// export timestamp the ward has seen when absent.
     pub clock: Option<SharedClock>,
-    /// A live critical-path profiler behind `/tails`. When absent the
-    /// endpoint folds the trace sink's current window on demand; 404s
-    /// when the sink is absent too.
-    pub tails: Option<Arc<parking_lot::Mutex<CriticalPath>>>,
     /// SLO trackers behind `/slo` (404s when absent).
     pub slo: Option<Arc<parking_lot::Mutex<Vec<SloTracker>>>>,
 }
@@ -165,163 +163,174 @@ fn serve_one(mut stream: TcpStream, sources: &StatusSources) -> std::io::Result<
     stream.write_all(response.as_bytes())
 }
 
+/// A refused request: its status line and the message its
+/// `{"error": ...}` body carries.
+type Refusal = (&'static str, String);
+/// A handler's answer: a `200 OK`'s content type and body, or a refusal.
+type Reply = Result<(&'static str, String), Refusal>;
+/// One endpoint: answers a parsed query from the sources.
+type Handler = fn(&Query, &StatusSources) -> Reply;
+
+const BAD_REQUEST: &str = "400 Bad Request";
+const NOT_FOUND: &str = "404 Not Found";
+const JSON: &str = "application/json";
+const TEXT: &str = "text/plain";
+
+/// The status server's one route table, in the order `/` lists it.
+const ROUTES: &[(&str, Handler)] = &[
+    ("/metrics", |_, s| {
+        Ok(("text/plain; version=0.0.4", s.registry.render_text()))
+    }),
+    ("/health", |_, s| Ok((JSON, s.health.lock().to_json()))),
+    ("/journey", journey),
+    ("/cells", cells),
+    ("/supervision", supervision),
+    ("/tails", tails),
+    ("/slo", slo),
+];
+
 fn route(target: &str, sources: &StatusSources) -> (&'static str, &'static str, String) {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let reply = match ROUTES.iter().find(|(p, _)| *p == path) {
+        Some((_, handler)) => handler(&Query::parse(query), sources),
+        None if path == "/" => Ok((TEXT, index())),
+        None => Err((NOT_FOUND, format!("no endpoint {path}"))),
     };
-    match path {
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            sources.registry.render_text(),
-        ),
-        "/health" => {
-            let report = sources.health.lock().clone();
-            ("200 OK", "application/json", report.to_json())
+    match reply {
+        Ok((content_type, body)) => ("200 OK", content_type, body),
+        Err((status, error)) => {
+            let body = format!("{{\"error\":{}}}\n", json_string(&error));
+            (status, JSON, body)
         }
-        "/journey" => journey_route(query, sources),
-        "/cells" => match &sources.ward {
-            None => json_error("404 Not Found", "telemetry aggregation is not enabled"),
-            Some(ward) => {
-                let now = sources
-                    .clock
-                    .as_ref()
-                    .map(|c| c.now_micros())
-                    .unwrap_or_else(|| ward.latest_export_micros());
-                let cells: Vec<String> = ward
-                    .freshness(now)
-                    .into_iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"cell\": {}, \"last_export_seq\": {}, \
-                             \"last_delta_at_micros\": {}, \"lag_micros\": {}}}",
-                            f.cell, f.last_export_seq, f.last_delta_at_micros, f.lag_micros
-                        )
-                    })
-                    .collect();
-                (
-                    "200 OK",
-                    "application/json",
-                    format!(
-                        "{{\"at_micros\": {now}, \"cells\": [{}]}}\n",
-                        cells.join(", ")
-                    ),
-                )
-            }
-        },
-        "/supervision" => match &sources.supervision {
-            None => json_error("404 Not Found", "supervision is not enabled"),
-            Some(status) => {
-                let status = status.lock().clone();
-                (
-                    "200 OK",
-                    "application/json",
-                    format!(
-                        "{{\"report\": {}, \"peers\": {}}}\n",
-                        status.report.to_json(),
-                        peer_lease_json(&status.peers),
-                    ),
-                )
-            }
-        },
-        "/tails" => tails_route(query, sources),
-        "/slo" => slo_route(query, sources),
-        "/" => (
-            "200 OK",
-            "text/plain",
-            "smc status server: /metrics /health /supervision /cells \
-             /tails /slo /journey?sender=..&seq=..\n"
-                .to_owned(),
-        ),
-        _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
     }
+}
+
+/// The `/` page: every path in `ROUTES`.
+fn index() -> String {
+    let paths: Vec<&str> = ROUTES.iter().map(|(p, _)| *p).collect();
+    format!("smc status server: {}\n", paths.join(" "))
+}
+
+/// A request's query string, split once into `key=value` pairs (a bare
+/// `key` has an empty value). When a key repeats, the first one counts.
+struct Query<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Query<'a> {
+    fn parse(raw: &'a str) -> Query<'a> {
+        let pair = |p: &'a str| p.split_once('=').unwrap_or((p, ""));
+        Query(raw.split('&').filter(|p| !p.is_empty()).map(pair).collect())
+    }
+
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.0.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// `key` as a decimal `u64`; `None` when absent.
+    fn u64(&self, key: &str) -> Result<Option<u64>, Refusal> {
+        self.number(key, 10, "a non-negative integer")
+    }
+
+    /// `key` as a hexadecimal trace id; `None` when absent.
+    fn hex(&self, key: &str) -> Result<Option<u64>, Refusal> {
+        self.number(key, 16, "a hex trace id")
+    }
+
+    /// `key` as a `u64` that must be present.
+    fn required(&self, key: &str) -> Result<u64, Refusal> {
+        let missing = || (BAD_REQUEST, format!("missing query parameter '{key}'"));
+        self.u64(key)?.ok_or_else(missing)
+    }
+
+    fn number(&self, key: &str, radix: u32, what: &str) -> Result<Option<u64>, Refusal> {
+        let bad = |raw: &str| format!("query parameter '{key}' must be {what}, got '{raw}'");
+        let parse = |raw| u64::from_str_radix(raw, radix).map_err(|_| (BAD_REQUEST, bad(raw)));
+        self.get(key).map(parse).transpose()
+    }
+}
+
+/// The 404 of an endpoint whose source is not configured.
+fn off(what: &str) -> Refusal {
+    (NOT_FOUND, format!("{what} is not enabled"))
+}
+
+/// The source behind an endpoint, or the 404 saying `what` is off.
+fn enabled<'s, T>(source: &'s Option<T>, what: &str) -> Result<&'s T, Refusal> {
+    source.as_ref().ok_or_else(|| off(what))
+}
+
+/// `[a, b, …]` from already-rendered JSON values.
+fn json_list(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(", "))
 }
 
 /// `/journey`: stitched cross-cell journey when a ward view has one,
 /// the local trace sink's replay otherwise, with matching histogram
-/// exemplars appended.
-fn journey_route(query: &str, sources: &StatusSources) -> (&'static str, &'static str, String) {
+/// exemplars appended. `trace=<16-hex>` names a trace directly;
+/// otherwise `sender=<u64>&seq=<u64>` derives one.
+fn journey(query: &Query, sources: &StatusSources) -> Reply {
     if sources.sink.is_none() && sources.ward.is_none() {
-        return json_error("404 Not Found", "tracing is not enabled");
+        return Err(off("tracing"));
     }
-    let (trace, described) = match parse_trace_query(query) {
-        Err(e) => return json_error("400 Bad Request", &e),
-        Ok(t) => t,
+    let (trace, described) = match (query.hex("trace")?, query.get("trace")) {
+        (Some(raw), Some(given)) => (TraceId::from_raw(raw), format!("trace={given}")),
+        _ => {
+            let (sender, seq) = (query.required("sender")?, query.required("seq")?);
+            let trace = TraceId::for_event(ServiceId::from_raw(sender), seq);
+            (trace, format!("sender={sender} seq={seq}"))
+        }
     };
-    let mut body = String::new();
-    if let Some(ward) = &sources.ward {
-        if let Some(stitched) = ward.stitched(trace) {
-            body = stitched.to_string();
-        }
+    let stitched = sources.ward.as_ref().and_then(|w| w.stitched(trace));
+    let replayed = || {
+        let journey = sources.sink.as_ref()?.journey(trace);
+        (!journey.is_empty()).then(|| journey.to_string())
+    };
+    let Some(mut body) = stitched.map(|s| s.to_string()).or_else(replayed) else {
+        let why = "(never traced, or the ring overwrote them)";
+        return Err((NOT_FOUND, format!("no hops recorded for {described} {why}")));
+    };
+    let exemplars = sources.registry.exemplars();
+    for e in exemplars.iter().filter(|e| e.trace == trace) {
+        let (metric, le, value) = (&e.metric, &e.le, &e.value);
+        let _ = writeln!(body, "  exemplar {metric}{{le=\"{le}\"}} = {value}");
     }
-    if body.is_empty() {
-        if let Some(sink) = &sources.sink {
-            let journey = sink.journey(trace);
-            if !journey.is_empty() {
-                body = journey.to_string();
-            }
-        }
-    }
-    if body.is_empty() {
-        return json_error(
-            "404 Not Found",
-            &format!(
-                "no hops recorded for {described} \
-                 (never traced, or the ring overwrote them)"
-            ),
-        );
-    }
-    for e in sources.registry.exemplars() {
-        if e.trace == trace {
-            body.push_str(&format!(
-                "  exemplar {}{{le=\"{}\"}} = {}\n",
-                e.metric, e.le, e.value
-            ));
-        }
-    }
-    ("200 OK", "text/plain", body)
+    Ok((TEXT, body))
+}
+
+fn cells(_: &Query, sources: &StatusSources) -> Reply {
+    let ward = enabled(&sources.ward, "telemetry aggregation")?;
+    let now = match &sources.clock {
+        Some(clock) => clock.now_micros(),
+        None => ward.latest_export_micros(),
+    };
+    let cells = json_list(ward.freshness(now).into_iter().map(|f| {
+        format!(
+            "{{\"cell\": {}, \"last_export_seq\": {}, \"last_delta_at_micros\": {}, \"lag_micros\": {}}}",
+            f.cell, f.last_export_seq, f.last_delta_at_micros, f.lag_micros
+        )
+    }));
+    let body = format!("{{\"at_micros\": {now}, \"cells\": {cells}}}\n");
+    Ok((JSON, body))
+}
+
+fn supervision(_: &Query, sources: &StatusSources) -> Reply {
+    let status = enabled(&sources.supervision, "supervision")?.lock().clone();
+    let (report, peers) = (status.report.to_json(), peer_lease_json(&status.peers));
+    let body = format!("{{\"report\": {report}, \"peers\": {peers}}}\n");
+    Ok((JSON, body))
 }
 
 /// `/tails`: the critical-path attribution table and tail-exemplar
-/// reservoir. A live profiler source is preferred; otherwise the trace
-/// sink's current window is folded on demand. JSON by default,
-/// `?format=text` for the flame view.
-fn tails_route(query: &str, sources: &StatusSources) -> (&'static str, &'static str, String) {
-    let mut text = false;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        if k == "format" {
-            match v {
-                "json" => text = false,
-                "text" => text = true,
-                other => {
-                    return json_error(
-                        "400 Bad Request",
-                        &format!(
-                            "query parameter 'format' must be 'json' or 'text', got '{other}'"
-                        ),
-                    )
-                }
-            }
-        }
-    }
-    let render = |cp: &CriticalPath| {
-        if text {
-            ("200 OK", "text/plain", cp.render_text())
-        } else {
-            ("200 OK", "application/json", cp.render_json())
-        }
-    };
-    if let Some(tails) = &sources.tails {
-        return render(&tails.lock());
-    }
-    match &sources.sink {
-        None => json_error("404 Not Found", "tail profiling is not enabled"),
-        Some(sink) => {
-            let mut cp = CriticalPath::new();
-            cp.fold_window(&sink.records());
-            render(&cp)
+/// reservoir, folded from the trace sink's current window. JSON by
+/// default, `?format=text` for the flame view.
+fn tails(query: &Query, sources: &StatusSources) -> Reply {
+    let mut cp = CriticalPath::new();
+    cp.fold_window(&enabled(&sources.sink, "tail profiling")?.records());
+    match query.get("format") {
+        None | Some("json") => Ok((JSON, cp.render_json())),
+        Some("text") => Ok((TEXT, cp.render_text())),
+        Some(other) => {
+            let must = "query parameter 'format' must be 'json' or 'text'";
+            Err((BAD_REQUEST, format!("{must}, got '{other}'")))
         }
     }
 }
@@ -329,129 +338,36 @@ fn tails_route(query: &str, sources: &StatusSources) -> (&'static str, &'static 
 /// `/slo`: per-SLO windowed burn rates, text by default, `?json` for
 /// the machine form. Burn is evaluated at `?at=<µs>` when given, else
 /// at the configured clock's now, else at 0.
-fn slo_route(query: &str, sources: &StatusSources) -> (&'static str, &'static str, String) {
-    let trackers = match &sources.slo {
-        None => return json_error("404 Not Found", "slo tracking is not enabled"),
-        Some(t) => t,
-    };
-    let mut json = false;
-    let mut at: Option<u64> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        match k {
-            "json" => json = true,
-            "at" => match v.parse() {
-                Ok(micros) => at = Some(micros),
-                Err(_) => {
-                    return json_error(
-                        "400 Bad Request",
-                        &format!("query parameter 'at' must be a non-negative integer, got '{v}'"),
-                    )
-                }
-            },
-            _ => {}
+fn slo(query: &Query, sources: &StatusSources) -> Reply {
+    let trackers = enabled(&sources.slo, "slo tracking")?.lock();
+    let clock = || sources.clock.as_ref().map(|c| c.now_micros());
+    let now = query.u64("at")?.or_else(clock).unwrap_or(0);
+    if query.get("json").is_some() {
+        let slos = json_list(trackers.iter().map(|t| {
+            let windows = json_list(t.burn(now).into_iter().map(|b| {
+                let (w, burn, left) = (b.window_micros, b.burn_milli, b.budget_left_milli);
+                format!("{{\"window_micros\": {w}, \"burn_milli\": {burn}, \"budget_left_milli\": {left}}}")
+            }));
+            let name = json_string(t.name());
+            format!("{{\"slo\": {name}, \"windows\": {windows}}}")
+        }));
+        return Ok((
+            JSON,
+            format!("{{\"at_micros\": {now}, \"slos\": {slos}}}\n"),
+        ));
+    }
+    let mut body = format!("slo burn at t={now}us\n");
+    for t in trackers.iter() {
+        for b in t.burn(now) {
+            let (name, w, burn, left) =
+                (t.name(), b.window_micros, b.burn_milli, b.budget_left_milli);
+            let _ = writeln!(
+                body,
+                "  {name:<24} window={w:>10}us  burn={burn:>6}m  budget_left={left:>4}m"
+            );
         }
     }
-    let now = at
-        .or_else(|| sources.clock.as_ref().map(|c| c.now_micros()))
-        .unwrap_or(0);
-    let trackers = trackers.lock();
-    if json {
-        let slos: Vec<String> = trackers
-            .iter()
-            .map(|t| {
-                let windows: Vec<String> = t
-                    .burn(now)
-                    .into_iter()
-                    .map(|b| {
-                        format!(
-                            "{{\"window_micros\": {}, \"burn_milli\": {}, \
-                             \"budget_left_milli\": {}}}",
-                            b.window_micros, b.burn_milli, b.budget_left_milli
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"slo\": {}, \"windows\": [{}]}}",
-                    crate::monitor::json_string(t.name()),
-                    windows.join(", ")
-                )
-            })
-            .collect();
-        (
-            "200 OK",
-            "application/json",
-            format!(
-                "{{\"at_micros\": {now}, \"slos\": [{}]}}\n",
-                slos.join(", ")
-            ),
-        )
-    } else {
-        let mut body = format!("slo burn at t={now}us\n");
-        for t in trackers.iter() {
-            for b in t.burn(now) {
-                body.push_str(&format!(
-                    "  {:<24} window={:>10}us  burn={:>6}m  budget_left={:>4}m\n",
-                    t.name(),
-                    b.window_micros,
-                    b.burn_milli,
-                    b.budget_left_milli
-                ));
-            }
-        }
-        ("200 OK", "text/plain", body)
-    }
-}
-
-/// A JSON error body: `{"error":"..."}` with the given status line.
-fn json_error(status: &'static str, message: &str) -> (&'static str, &'static str, String) {
-    (
-        status,
-        "application/json",
-        format!("{{\"error\":{}}}\n", crate::monitor::json_string(message)),
-    )
-}
-
-/// Parses a `/journey` query: `trace=<16-hex>` directly names a trace;
-/// otherwise `sender=<u64>&seq=<u64>` derives one. Returns the trace
-/// plus a human description for error bodies.
-fn parse_trace_query(query: &str) -> Result<(TraceId, String), String> {
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        if k == "trace" {
-            let raw = u64::from_str_radix(v, 16).map_err(|_| {
-                format!("query parameter 'trace' must be a hex trace id, got '{v}'")
-            })?;
-            return Ok((TraceId::from_raw(raw), format!("trace={v}")));
-        }
-    }
-    let (sender, seq) = parse_journey_query(query)?;
-    Ok((
-        TraceId::for_event(ServiceId::from_raw(sender), seq),
-        format!("sender={sender} seq={seq}"),
-    ))
-}
-
-/// Parses `sender=<u64>&seq=<u64>`, reporting exactly which parameter
-/// is missing or malformed so the 400 body is actionable.
-fn parse_journey_query(query: &str) -> Result<(u64, u64), String> {
-    let mut sender: Option<&str> = None;
-    let mut seq: Option<&str> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        match k {
-            "sender" => sender = Some(v),
-            "seq" => seq = Some(v),
-            _ => {}
-        }
-    }
-    let parse = |name: &str, raw: Option<&str>| -> Result<u64, String> {
-        let raw = raw.ok_or_else(|| format!("missing query parameter '{name}'"))?;
-        raw.parse().map_err(|_| {
-            format!("query parameter '{name}' must be a non-negative integer, got '{raw}'")
-        })
-    };
-    Ok((parse("sender", sender)?, parse("seq", seq)?))
+    Ok((TEXT, body))
 }
 
 #[cfg(test)]
@@ -459,6 +375,7 @@ mod tests {
     use super::*;
     use crate::monitor::{ComponentStatus, HealthReport};
     use crate::HealthState;
+    use proptest::prelude::*;
     use smc_telemetry::Hop;
 
     fn get(addr: SocketAddr, target: &str) -> String {
@@ -497,7 +414,6 @@ mod tests {
             supervision: None,
             ward: None,
             clock: None,
-            tails: None,
             slo: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
@@ -537,7 +453,6 @@ mod tests {
             supervision: None,
             ward: None,
             clock: None,
-            tails: None,
             slo: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
@@ -629,7 +544,6 @@ mod tests {
             supervision: Some(Arc::new(parking_lot::Mutex::new(status))),
             ward: None,
             clock: None,
-            tails: None,
             slo: None,
         };
         let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
@@ -810,44 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn tails_prefers_a_live_profiler_over_the_sink() {
-        use smc_telemetry::{HopRecord, Journey};
-
-        let trace = TraceId::for_event(ServiceId::from_raw(4), 1);
-        let mut cp = CriticalPath::new();
-        cp.fold(&Journey {
-            trace,
-            hops: vec![
-                HopRecord {
-                    trace,
-                    hop: Hop::Published,
-                    at_micros: 0,
-                    order: 0,
-                },
-                HopRecord {
-                    trace,
-                    hop: Hop::Delivered,
-                    at_micros: 90,
-                    order: 1,
-                },
-            ],
-            truncated: false,
-        });
-        let sources = StatusSources {
-            // A sink exists but is empty; the profiler must win.
-            sink: Some(Arc::new(TraceSink::with_capacity(8))),
-            tails: Some(Arc::new(parking_lot::Mutex::new(cp))),
-            ..Default::default()
-        };
-        let server = StatusServer::start("127.0.0.1:0", sources).expect("start");
-        let r = get(server.local_addr(), "/tails");
-        assert!(r.starts_with("HTTP/1.1 200 OK"), "got: {r}");
-        assert!(r.contains("\"journeys\":1"), "got: {r}");
-        assert!(r.contains("\"stage\":\"deliver\""));
-        server.stop();
-    }
-
-    #[test]
     fn tails_without_tracing_is_a_json_404() {
         let server = StatusServer::start("127.0.0.1:0", StatusSources::default()).expect("start");
         let r = get(server.local_addr(), "/tails");
@@ -920,5 +796,143 @@ mod tests {
         assert!(r.contains("application/json"));
         assert!(r.contains("{\"error\":\"supervision is not enabled\"}"));
         server.stop();
+    }
+
+    #[test]
+    fn index_lists_exactly_the_route_table() {
+        let (status, _, body) = route("/", &StatusSources::default());
+        assert_eq!(status, "200 OK");
+        let listed: Vec<&str> = body
+            .trim_end()
+            .strip_prefix("smc status server: ")
+            .expect("index header")
+            .split(' ')
+            .collect();
+        let table: Vec<&str> = ROUTES.iter().map(|(p, _)| *p).collect();
+        assert_eq!(listed, table);
+    }
+
+    /// Whether `s` is exactly one JSON string literal: quoted, every
+    /// control character and lone quote escaped, every escape valid.
+    fn is_json_string(s: &str) -> bool {
+        let Some(inner) = s.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
+            return false;
+        };
+        let mut chars = inner.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => return false,
+                c if (c as u32) < 0x20 => return false,
+                '\\' => match chars.next() {
+                    Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') => {}
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        if hex.len() != 4 || u16::from_str_radix(&hex, 16).is_err() {
+                            return false;
+                        }
+                    }
+                    _ => return false,
+                },
+                _ => {}
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn json_string_checker_rejects_raw_quotes_and_controls() {
+        assert!(is_json_string(r#""a\"b\\c\u0001""#));
+        assert!(!is_json_string(r#""a"b""#));
+        assert!(!is_json_string("\"a\nb\""));
+        assert!(!is_json_string(r#""a\qb""#));
+    }
+
+    /// A hostile query: pairs with and without `=`, empty values,
+    /// repeated keys, `%`-junk, quotes, backslashes, control characters
+    /// and over-long values, under the table's own keys and others.
+    fn hostile_query() -> impl Strategy<Value = String> {
+        let key = prop_oneof![
+            Just("sender".to_owned()),
+            Just("seq".to_owned()),
+            Just("trace".to_owned()),
+            Just("format".to_owned()),
+            Just("at".to_owned()),
+            Just("json".to_owned()),
+            "[a-z%]{0,6}",
+        ];
+        let value = prop_oneof![
+            Just(String::new()),
+            "[0-9]{1,25}",
+            "[0-9a-fA-F]{1,20}",
+            "[ -~]{0,40}",
+            "%[0-9A-Fa-z]{0,2}%%",
+            prop::collection::vec(any::<char>(), 0..40).prop_map(|c| c.into_iter().collect()),
+            (1usize..5000).prop_map(|n| "9".repeat(n)),
+            Just("text".to_owned()),
+            Just("-1".to_owned()),
+        ];
+        let pair = prop_oneof![
+            (key.clone(), value).prop_map(|(k, v)| format!("{k}={v}")),
+            key,
+            Just("=".to_owned()),
+            Just(String::new()),
+        ];
+        prop::collection::vec(pair, 0..6).prop_map(|pairs| pairs.join("&"))
+    }
+
+    fn hostile_path() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0usize..ROUTES.len()).prop_map(|i| ROUTES[i].0.to_owned()),
+            Just("/".to_owned()),
+            "/[ -~]{0,30}",
+            prop::collection::vec(any::<char>(), 0..20).prop_map(|c| c.into_iter().collect()),
+        ]
+    }
+
+    /// Every source configured, with one traced event, so a well-formed
+    /// query can reach every handler's success path.
+    fn full_sources() -> StatusSources {
+        use smc_telemetry::{SloConfig, SloTracker};
+        let sink = Arc::new(TraceSink::with_capacity(64));
+        let trace = TraceId::for_event(ServiceId::from_raw(9), 4);
+        sink.record(trace, Hop::Published, 100);
+        sink.record(trace, Hop::Delivered, 400);
+        StatusSources {
+            sink: Some(sink),
+            supervision: Some(Arc::default()),
+            ward: Some(Arc::new(WardRegistry::new())),
+            slo: Some(Arc::new(parking_lot::Mutex::new(vec![SloTracker::new(
+                SloConfig::new("delivery \"latency\"", 1_000),
+            )]))),
+            ..Default::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hostile_targets_get_a_status_and_json_errors(
+            path in hostile_path(),
+            query in hostile_query(),
+            with_query in any::<bool>(),
+            full in any::<bool>(),
+        ) {
+            let target = if with_query { format!("{path}?{query}") } else { path };
+            let sources = if full { full_sources() } else { StatusSources::default() };
+            let (status, content_type, body) = route(&target, &sources);
+            prop_assert!(
+                matches!(status, "200 OK" | "400 Bad Request" | "404 Not Found"),
+                "{target:?} answered {status}"
+            );
+            if status != "200 OK" {
+                prop_assert_eq!(content_type, "application/json");
+                let error = body
+                    .strip_prefix("{\"error\":")
+                    .and_then(|b| b.strip_suffix("}\n"))
+                    .unwrap_or("");
+                prop_assert!(is_json_string(error), "{target:?} gave {body:?}");
+            }
+        }
     }
 }

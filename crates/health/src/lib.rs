@@ -17,7 +17,9 @@
 //!   events the policy service can react to ([`health_event`]) — the
 //!   built-in reaction quenches a degraded publisher.
 //! * **The operator surface** ([`http`]): a dependency-free blocking
-//!   status server (`/metrics`, `/health`, `/journey`).
+//!   status server behind one route table (`/metrics`, `/health`,
+//!   `/journey`, `/cells`, `/supervision`, `/tails`, `/slo`, and the
+//!   `/` index listing them).
 //! * **The black box** ([`recorder`]): a bounded flight recorder of
 //!   registry snapshots, hops and notes, dumped to a file on chaos
 //!   violations or core crashes.
@@ -48,7 +50,7 @@ pub mod supervise;
 
 pub use detect::{
     default_detectors, ComponentDown, DeliveryLatency, Detector, MembershipFlap, Observation,
-    QueueGrowth, RetransmitStorm, SampleCtx, SloBurn, TailRegression, WalStall,
+    QueueGrowth, RetransmitStorm, SampleCtx, SloBurn, WalStall,
 };
 pub use http::{StatusServer, StatusSources, SupervisionStatus};
 pub use monitor::{

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use smc_telemetry::{HopRecord, Registry, TraceSink};
+use smc_telemetry::{json_string, HopRecord, Registry, TraceSink};
 use smc_types::member::wellknown;
 use smc_types::{Event, ServiceId};
 
@@ -113,25 +113,6 @@ impl HealthReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[derive(Debug)]
@@ -402,11 +383,5 @@ mod tests {
         );
         let ev = health_event(&t, None);
         assert!(ev.attr(wellknown::HEALTH_MEMBER).is_none());
-    }
-
-    #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{01}"), "\"\\u0001\"");
     }
 }

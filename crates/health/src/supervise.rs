@@ -29,6 +29,8 @@
 
 use std::collections::BTreeMap;
 
+use smc_telemetry::json_string;
+
 use crate::monitor::{HealthReport, HealthTransition};
 use crate::state::HealthState;
 
@@ -279,7 +281,7 @@ impl SupervisionReport {
         let unresolved = self
             .unresolved
             .iter()
-            .map(|c| format!("\"{c}\""))
+            .map(|c| json_string(c))
             .collect::<Vec<_>>()
             .join(", ");
         let mut out = String::from("{");
@@ -741,6 +743,19 @@ mod tests {
         assert!(json.contains("\"ttr_micros\": [2500]"));
         assert!(json.contains("\"converged\": true"));
         assert!(json.contains("\"unresolved\": []"));
+    }
+
+    #[test]
+    fn unresolved_names_are_escaped_in_json() {
+        let report = SupervisionReport {
+            unresolved: vec!["ward \"b\" \\ 3".into()],
+            ..SupervisionReport::default()
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""unresolved": ["ward \"b\" \\ 3"]"#),
+            "a quote or backslash in a name must be escaped: {json}"
+        );
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! [`CriticalPath`] analyzer answers the aggregate question: across a
 //! window of traffic, which pipeline stage dominates the tail, and is
 //! it queue wait or service work? It folds [`Journey`]s (or raw
-//! [`HopRecord`] windows, or cross-cell [`StitchedJourney`]s) into a
-//! bounded per-stage accumulator, keeps full journeys whose end-to-end
-//! latency clears a rolling quantile threshold (the **tail-exemplar
-//! reservoir** — the concrete evidence behind every percentile), and
+//! [`HopRecord`] windows) into a bounded per-stage accumulator, keeps
+//! full journeys whose end-to-end latency clears a rolling quantile
+//! threshold (the **tail-exemplar reservoir** — the concrete evidence
+//! behind every percentile), and
 //! renders both as a flame-style text report and JSON.
 //!
 //! Everything is bounded: per-stage latency samples use deterministic
@@ -22,7 +22,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::trace::{HopRecord, Journey, StageKind};
-use crate::ward::StitchedJourney;
 
 /// Per-stage latency samples kept (deterministic reservoir).
 const STAGE_SAMPLE_CAP: usize = 4096;
@@ -265,13 +264,6 @@ impl CriticalPath {
         }
     }
 
-    fn record_stage(&mut self, stage: &str, kind: StageKind, delta: u64) {
-        self.stages
-            .entry(stage.to_owned())
-            .or_insert_with(|| StageAcc::new(kind))
-            .record(delta);
-    }
-
     /// Folds one journey into the table and offers it to the reservoir.
     /// Empty journeys (no hops captured) are ignored.
     pub fn fold(&mut self, journey: &Journey) {
@@ -283,7 +275,10 @@ impl CriticalPath {
             self.truncated += 1;
         }
         for leg in journey.attribution() {
-            self.record_stage(leg.stage, leg.kind, leg.delta_micros);
+            self.stages
+                .entry(leg.stage.to_owned())
+                .or_insert_with(|| StageAcc::new(leg.kind))
+                .record(leg.delta_micros);
         }
         self.reservoir.offer(journey);
     }
@@ -305,28 +300,6 @@ impl CriticalPath {
                 hops,
                 truncated: false,
             });
-        }
-    }
-
-    /// Folds a cross-cell stitched journey (PR 8). Labels that match a
-    /// hop name inherit that hop's stage; ward-level labels (`"claim"`,
-    /// `"adopt"`, …) become their own service stages. Stitched journeys
-    /// carry no hop structure the reservoir could replay, so they only
-    /// feed the table.
-    pub fn fold_stitched(&mut self, journey: &StitchedJourney) {
-        if journey.legs.is_empty() {
-            return;
-        }
-        self.journeys += 1;
-        if journey.truncated {
-            self.truncated += 1;
-        }
-        let mut prev: Option<u64> = None;
-        for leg in &journey.legs {
-            let delta = prev.map_or(0, |p| leg.at_micros.saturating_sub(p));
-            prev = Some(leg.at_micros);
-            let (stage, kind) = stage_for_label(&leg.label);
-            self.record_stage(stage, kind, delta);
         }
     }
 
@@ -560,31 +533,9 @@ impl CriticalPath {
     }
 }
 
-/// Maps a stitched-hop label onto a stage. Labels matching a local hop
-/// name inherit that hop's attribution; everything else is its own
-/// service stage.
-fn stage_for_label(label: &str) -> (&str, StageKind) {
-    use crate::trace::Hop;
-    for hop in [
-        Hop::Published,
-        Hop::Matched,
-        Hop::ProxyEnqueued,
-        Hop::OutQueued,
-        Hop::TxSent,
-        Hop::TxRetransmit,
-        Hop::RxAcked,
-        Hop::WalQueued,
-        Hop::WalAppended,
-        Hop::Delivered,
-    ] {
-        if hop.name() == label {
-            return hop.stage();
-        }
-    }
-    (label, StageKind::Service)
-}
-
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal, quotes included. The
+/// attribution report and every `smc-health` JSON body use it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -606,7 +557,6 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::trace::{Hop, TraceSink};
-    use crate::ward::StitchedHop;
     use smc_types::TraceId;
 
     fn tid(n: u64) -> TraceId {
@@ -672,38 +622,9 @@ mod tests {
     }
 
     #[test]
-    fn stitched_journey_folds_by_label() {
-        let mut cp = CriticalPath::new();
-        cp.fold_stitched(&StitchedJourney {
-            trace: tid(5),
-            legs: vec![
-                StitchedHop {
-                    cell: 1,
-                    label: "published".into(),
-                    at_micros: 0,
-                },
-                StitchedHop {
-                    cell: 1,
-                    label: "tx-sent".into(),
-                    at_micros: 40,
-                },
-                StitchedHop {
-                    cell: 2,
-                    label: "claim".into(),
-                    at_micros: 100,
-                },
-            ],
-            truncated: true,
-        });
-        assert_eq!(cp.journeys(), 1);
-        assert_eq!(cp.truncated(), 1);
-        let table = cp.table();
-        let tx = table.iter().find(|r| r.stage == "outbound-queue").unwrap();
-        assert_eq!(tx.kind, StageKind::Wait, "hop-named labels inherit stages");
-        assert_eq!(tx.total_micros, 40);
-        let claim = table.iter().find(|r| r.stage == "claim").unwrap();
-        assert_eq!(claim.kind, StageKind::Service);
-        assert_eq!(claim.total_micros, 60);
+    fn json_string_escapes_control_characters() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{01}"), "\"\\u0001\"");
     }
 
     #[test]

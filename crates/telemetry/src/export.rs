@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use smc_types::SeriesDelta;
 
 use crate::metrics::Sample;
+use crate::ward::series_key;
 
 /// Delta-encodes successive [`Sample`] snapshots of one cell's
 /// registry. Keep one exporter per cell per observer; its memory is one
@@ -26,18 +27,6 @@ pub struct DeltaExporter {
     /// Counter resets noticed (diagnostics; each one re-counted from
     /// the observed value, never went backwards).
     resets: u64,
-}
-
-fn series_key(name: &str, labels: &[(String, String)]) -> String {
-    let mut key = String::with_capacity(name.len() + 16 * labels.len());
-    key.push_str(name);
-    for (k, v) in labels {
-        key.push('\u{1}');
-        key.push_str(k);
-        key.push('\u{2}');
-        key.push_str(v);
-    }
-    key
 }
 
 impl DeltaExporter {

@@ -33,7 +33,7 @@ pub mod slo;
 pub mod trace;
 pub mod ward;
 
-pub use critical::{CriticalPath, StageRow, TailExemplar, TailReservoir};
+pub use critical::{json_string, CriticalPath, StageRow, TailExemplar, TailReservoir};
 pub use export::DeltaExporter;
 pub use metrics::{
     parse_text, Counter, Exemplar, ExemplarEntry, Gauge, Histogram, ParsedSample, Registry, Sample,

@@ -142,7 +142,10 @@ pub const WARD_LABEL: &str = "ward";
 
 const FOLD_HELP: &str = "Series folded from per-cell telemetry exports.";
 
-fn series_key(name: &str, labels: &[(String, String)]) -> String {
+/// One series' identity, `name` plus its labels, as a map key. The
+/// exporter and the ward fold must agree on it for a delta to land in
+/// the series it came from.
+pub(crate) fn series_key(name: &str, labels: &[(String, String)]) -> String {
     let mut key = String::with_capacity(name.len() + 16 * labels.len());
     key.push_str(name);
     for (k, v) in labels {

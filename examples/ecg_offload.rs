@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use amuse::core::{RemoteClient, SmcCell, SmcConfig};
 use amuse::discovery::AgentConfig;
-use amuse::sensors::{EcgStreamer, EcgTrace, EcgViewer};
 use amuse::transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use amuse::types::{wellknown, Event, Filter, ServiceId, ServiceInfo};
+use smc_sensors::{EcgStreamer, EcgTrace, EcgViewer};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 

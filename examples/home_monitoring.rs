@@ -19,10 +19,10 @@ use std::time::Duration;
 use amuse::core::{RemoteClient, SmcCell, SmcConfig};
 use amuse::discovery::AgentConfig;
 use amuse::policy::{ActionSpec, Expr, ObligationPolicy, Policy, ValueTemplate};
-use amuse::sensors::runner::{SensorKind, SensorRunner};
-use amuse::sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
 use amuse::transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use amuse::types::{wellknown, Filter, Op, ServiceId, ServiceInfo};
+use smc_sensors::runner::{SensorKind, SensorRunner};
+use smc_sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 

@@ -12,9 +12,9 @@ use std::time::Duration;
 use amuse::core::{RemoteClient, SmcCell, SmcConfig};
 use amuse::discovery::AgentConfig;
 use amuse::policy::parse_policies;
-use amuse::sensors::register_standard_codecs;
 use amuse::transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use amuse::types::{wellknown, Event, Filter, ServiceId, ServiceInfo};
+use smc_sensors::register_standard_codecs;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 

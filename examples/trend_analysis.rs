@@ -3,22 +3,96 @@
 //! deterioration of well-being over time" and to let researchers study
 //! "body changes that take place prior to a specific problem".
 //!
-//! An [`EventStore`] subscribes to all sensor readings; after a scripted
-//! infection develops, the analysis detects the temperature and
-//! heart-rate drift *before* the alarm threshold fires.
+//! A [`Recorder`] — an in-process sink that keeps every event it is
+//! given — subscribes to all sensor readings; after a scripted infection
+//! develops, the analysis detects the temperature and heart-rate drift
+//! *before* the alarm threshold fires.
 //!
 //! ```text
 //! cargo run --example trend_analysis
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use amuse::core::{shared_store, SmcCell, SmcConfig};
-use amuse::sensors::runner::{SensorKind, SensorRunner};
-use amuse::sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
+use amuse::core::{EventSink, SmcCell, SmcConfig};
 use amuse::transport::{LinkConfig, SimNetwork};
-use amuse::types::{parse_filter, ServiceId};
+use amuse::types::{parse_filter, Event, Filter, ServiceId};
+use smc_sensors::runner::{SensorKind, SensorRunner};
+use smc_sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
+
+/// The analysis service's record of bus traffic, oldest first.
+#[derive(Debug, Default)]
+struct Recorder {
+    events: Mutex<Vec<Event>>,
+}
+
+impl EventSink for Recorder {
+    fn deliver(&self, event: &Event) -> amuse::types::Result<()> {
+        self.events.lock().unwrap().push(event.clone());
+        Ok(())
+    }
+}
+
+impl Recorder {
+    fn len(&self) -> usize {
+        self.events.lock().unwrap().len()
+    }
+
+    /// Every recorded event matching `filter`, oldest first.
+    fn query(&self, filter: &Filter) -> Vec<Event> {
+        let events = self.events.lock().unwrap();
+        events
+            .iter()
+            .filter(|e| filter.matches(e))
+            .cloned()
+            .collect()
+    }
+
+    /// Statistics of numeric attribute `attr` over the events matching
+    /// `filter`; `None` when none carries it.
+    fn summarise(&self, filter: &Filter, attr: &str) -> Option<Summary> {
+        let values: Vec<f64> = self
+            .query(filter)
+            .iter()
+            .filter_map(|e| e.attr(attr).and_then(|v| v.as_numeric()))
+            .filter(|v| !v.is_nan())
+            .collect();
+        let last = *values.last()?;
+        Some(Summary {
+            count: values.len(),
+            min: values.iter().copied().fold(f64::INFINITY, f64::min),
+            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            mean: values.iter().sum::<f64>() / values.len() as f64,
+            last,
+        })
+    }
+}
+
+/// Summary statistics over one numeric attribute.
+#[derive(Debug)]
+struct Summary {
+    count: usize,
+    min: f64,
+    max: f64,
+    mean: f64,
+    last: f64,
+}
+
+impl Summary {
+    /// Crude deterioration signal: the latest value's offset from the
+    /// mean, in units of the value range (0 when flat). Positive means
+    /// trending above its history — the home-monitoring use case
+    /// ("deterioration of well-being over time") watches this.
+    fn drift(&self) -> f64 {
+        let range = self.max - self.min;
+        if range == 0.0 {
+            0.0
+        } else {
+            (self.last - self.mean) / range
+        }
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = SimNetwork::new(LinkConfig::ideal());
@@ -30,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     register_standard_codecs(cell.proxy_factory());
 
     // The analysis service: an in-process subscriber recording readings.
-    let store = shared_store(100_000);
+    let store = Arc::new(Recorder::default());
     cell.subscribe_local(
         ServiceId::from_raw(0xA11A),
         parse_filter("smc.sensor.reading")?,

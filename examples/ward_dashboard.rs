@@ -12,10 +12,10 @@ use std::time::Duration;
 
 use amuse::core::{ChannelSink, SmcCell, SmcConfig};
 use amuse::policy::{ActionSpec, Expr, ObligationPolicy, Policy, ValueTemplate};
-use amuse::sensors::runner::Patient;
-use amuse::sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
 use amuse::transport::{LinkConfig, SimNetwork};
 use amuse::types::{parse_filter, wellknown, ServiceId};
+use smc_sensors::runner::Patient;
+use smc_sensors::{register_standard_codecs, Episode, EpisodeKind, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = SimNetwork::new(LinkConfig::ideal());

@@ -12,9 +12,14 @@
 //!   the reliability layer (exactly-once, per-sender FIFO, acknowledged);
 //! * [`discovery`] — cell membership: beacons, joins, leases, purges;
 //! * [`policy`] — Ponder-style authorisation and obligation policies;
-//! * [`core`] — the event bus, proxies, bootstrap, quenching, typed
-//!   pub/sub, and the assembled [`core::SmcCell`];
-//! * [`sensors`] — simulated e-health devices and patient scenarios.
+//! * [`core`] — the event bus, proxies, bootstrap, quenching, the
+//!   inter-cell link, and the assembled [`core::SmcCell`].
+//!
+//! The simulated e-health devices and patient scenarios the examples
+//! drive (`smc-sensors`: vital-sign traces, device byte formats, runner
+//! threads) are example support, not product: the proxy mechanism they
+//! plug into (`DeviceCodec`, `Proxy`, `Bootstrap`) is [`core`]'s, and
+//! the examples import `smc_sensors` directly as a dev-dependency.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour.
 
@@ -24,7 +29,6 @@ pub use smc_core as core;
 pub use smc_discovery as discovery;
 pub use smc_match as matching;
 pub use smc_policy as policy;
-pub use smc_sensors as sensors;
 pub use smc_transport as transport;
 pub use smc_types as types;
 
