@@ -1,25 +1,22 @@
-//! Observability overhead: the wall-clock cost of hop tracing, and of the
-//! occupancy probes on top of it, plus per-hop latency percentiles —
-//! measured on the deterministic chaos harness under the paper
+//! Observability overhead: the wall-clock cost of hop tracing, plus
+//! per-hop latency percentiles — measured on the deterministic chaos harness under the paper
 //! prototype's USB/IP link profile.
 //!
 //! ```text
 //! cargo run --release -p smc-bench --bin overhead -- [--smoke]
 //! ```
 //!
-//! Three arms run the *same* scenarios, interleaved repetition by
-//! repetition: untraced, traced, and traced with probes (control-mutex
-//! hold times, proxy queue depths, WAL append wait/service splits).
-//! Virtual-time determinism means every arm does identical protocol
-//! work, so the wall-clock ratios isolate what recording costs; each
-//! arm keeps its least-disturbed (minimum) repetition. The traced arm's
-//! own reports are then mined for every message's journey, each leg's
-//! delta (virtual µs since the previous hop) reported as p50/p95/p99
-//! under the hop it arrives at, and the probed arm's registry for the
-//! series the probes feed.
+//! Two arms run the *same* scenarios, interleaved repetition by
+//! repetition: untraced and traced. Virtual-time determinism means both
+//! arms do identical protocol work, so the wall-clock ratio isolates
+//! what recording costs; each arm keeps its least-disturbed (minimum)
+//! repetition. The traced arm's own reports are then mined for every
+//! message's journey, each leg's delta (virtual µs since the previous
+//! hop) reported as p50/p95/p99 under the hop it arrives at, and its
+//! registry for the trace sink's `smc_trace_*` series.
 //!
 //! Writes `results/BENCH_overhead.json`; exits 1 when traced / untraced
-//! exceeds 1.15 or probed / traced exceeds 1.10.
+//! exceeds 1.15.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -29,16 +26,11 @@ use smc_harness::{
     run_with_options, ChaosOp, LinkProfileKind, RunOptions, RunReport, Scenario, ScriptedOp,
 };
 
-/// The arms: name, trace, probes.
-const ARMS: [(&str, bool, bool); 3] = [
-    ("untraced", false, false),
-    ("traced", true, false),
-    ("probed", true, true),
-];
+/// The arms: name, trace.
+const ARMS: [(&str, bool); 2] = [("untraced", false), ("traced", true)];
 
-/// The gates: arm, the arm it is compared with, the largest wall-clock
-/// ratio allowed.
-const GATES: [(usize, usize, f64); 2] = [(1, 0, 1.15), (2, 1, 1.10)];
+/// The largest traced / untraced wall-clock ratio allowed.
+const GATE: f64 = 1.15;
 
 const NODES: usize = 3;
 
@@ -60,14 +52,13 @@ fn scenario(seed: u64, secs: u64) -> Scenario {
 
 /// One arm over every scenario: wall-clock micros, and the reports,
 /// dropped by the caller outside the timed span.
-fn arm(scenarios: &[Scenario], (_, trace, probes): (&str, bool, bool)) -> (u64, Vec<RunReport>) {
+fn arm(scenarios: &[Scenario], trace: bool) -> (u64, Vec<RunReport>) {
     let started = Instant::now();
     let reports: Vec<RunReport> = scenarios
         .iter()
         .map(|s| {
             let options = RunOptions {
                 trace,
-                probes,
                 ..RunOptions::default()
             };
             run_with_options(s, options)
@@ -84,25 +75,25 @@ fn main() {
     let scenarios: Vec<Scenario> = (0..seeds).map(|i| scenario(0x0B5E + i, secs)).collect();
 
     // Warm-up every arm once so none pays first-touch costs.
-    for a in ARMS {
-        arm(&scenarios[..1], a);
+    for (_, trace) in ARMS {
+        arm(&scenarios[..1], trace);
     }
-    let mut walls = [u64::MAX; 3];
-    let mut first_rep = Vec::new();
+    let mut walls = [u64::MAX; 2];
+    let mut traced = Vec::new();
     for rep in 0..reps {
-        for (i, a) in ARMS.into_iter().enumerate() {
-            let (wall, reports) = arm(&scenarios, a);
+        for (i, (_, trace)) in ARMS.into_iter().enumerate() {
+            let (wall, reports) = arm(&scenarios, trace);
             walls[i] = walls[i].min(wall);
-            if rep == 0 {
-                first_rep.push(reports);
+            if rep == 0 && trace {
+                traced = reports;
             }
         }
     }
-    let ratios = GATES.map(|(a, base, _)| walls[a] as f64 / walls[base].max(1) as f64);
+    let ratio = walls[1] as f64 / walls[0].max(1) as f64;
 
     let mut legs: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut journeys = 0u64;
-    for report in &first_rep[1] {
+    for report in &traced {
         for &dev in &report.device_ids {
             for seq in 1..=report.oracle.published(dev) {
                 let Some(journey) = report.journey(dev, seq).filter(|j| !j.is_empty()) else {
@@ -115,11 +106,11 @@ fn main() {
             }
         }
     }
-    let probe_series: Vec<String> = first_rep[2][0]
+    let trace_series: Vec<String> = traced[0]
         .registry
         .gather()
         .into_iter()
-        .filter(|s| s.name.starts_with("smc_probe_") || s.name.starts_with("smc_trace_tail_"))
+        .filter(|s| s.name.starts_with("smc_trace_"))
         .map(|s| format!("{{\"name\": \"{}\", \"value\": {}}}", s.name, s.value))
         .collect();
     let hops: Vec<String> = legs
@@ -133,40 +124,28 @@ fn main() {
             )
         })
         .collect();
-    let gates: Vec<String> = GATES
-        .iter()
-        .zip(ratios)
-        .map(|(&(a, base, max), ratio)| {
-            let (a, base) = (ARMS[a].0, ARMS[base].0);
-            format!("{{\"ratio\": \"{a}/{base}\", \"value\": {ratio:.4}, \"max\": {max}}}")
-        })
-        .collect();
     let walls: Vec<String> = ARMS
         .iter()
         .zip(walls)
-        .map(|((name, ..), wall)| format!("\"{name}\": {wall}"))
+        .map(|((name, _), wall)| format!("\"{name}\": {wall}"))
         .collect();
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let list = |items: Vec<String>| items.join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"overhead\",\n  \"config\": {{\"seeds\": {seeds}, \"nodes\": {NODES}, \
          \"virtual_secs\": {secs}, \"reps\": {reps}, \"link\": \"usb-ip\", \"smoke\": {smoke}, \
-         \"nproc\": {nproc}}},\n  \"wall_micros\": {{{}}},\n  \"gates\": [\n    {}\n  ],\n  \
-         \"journeys\": {journeys},\n  \"hops\": [\n    {}\n  ],\n  \"probe_series\": [\n    {}\n  ]\n}}\n",
+         \"nproc\": {nproc}}},\n  \"wall_micros\": {{{}}},\n  \"gate\": {{\"ratio\": \
+         \"traced/untraced\", \"value\": {ratio:.4}, \"max\": {GATE}}},\n  \
+         \"journeys\": {journeys},\n  \"hops\": [\n    {}\n  ],\n  \"trace_series\": [\n    {}\n  ]\n}}\n",
         walls.join(", "),
-        list(gates),
         list(hops),
-        list(probe_series)
+        list(trace_series)
     );
     print!("{json}");
     write_report("BENCH_overhead.json", &json);
 
-    let failed = GATES
-        .iter()
-        .zip(ratios)
-        .any(|(&(.., max), ratio)| ratio > max);
-    if failed {
-        eprintln!("FAIL: a wall-clock ratio exceeds its gate");
+    if ratio > GATE {
+        eprintln!("FAIL: traced / untraced {ratio:.4} exceeds {GATE}");
         std::process::exit(1);
     }
 }

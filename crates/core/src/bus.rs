@@ -275,9 +275,7 @@ impl EventBus {
     pub fn set_tracer(&self, tracer: Tracer) {
         let mut control = self.control.lock();
         control.tracer = tracer;
-        let hold = control.tracer.probe_start();
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
     }
 
     /// Which engine the bus is running.
@@ -303,13 +301,11 @@ impl EventBus {
     ) -> Result<SubscriptionId> {
         let id = SubscriptionId(self.next_sub.fetch_add(1, Ordering::Relaxed));
         let mut control = self.control.lock();
-        let hold = control.tracer.probe_start();
         control
             .engine
             .subscribe(Subscription::new(id, subscriber, filter.clone()))?;
         control.add(id, subscriber, filter, sink);
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
         BusMetrics::bump(&self.metrics.subscriptions);
         Ok(id)
     }
@@ -325,11 +321,9 @@ impl EventBus {
     pub fn restore_subscription(&self, sub: Subscription, sink: Arc<dyn EventSink>) -> Result<()> {
         self.next_sub.fetch_max(sub.id.0 + 1, Ordering::Relaxed);
         let mut control = self.control.lock();
-        let hold = control.tracer.probe_start();
         control.engine.subscribe(sub.clone())?;
         control.add(sub.id, sub.subscriber, sub.filter, sink);
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
         Ok(())
     }
 
@@ -351,11 +345,9 @@ impl EventBus {
         // the sink half-way nor observe the engine and registry
         // disagreeing.
         let mut control = self.control.lock();
-        let hold = control.tracer.probe_start();
         control.engine.unsubscribe(id)?;
         control.remove(id);
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
         BusMetrics::bump(&self.metrics.unsubscriptions);
         Ok(())
     }
@@ -368,7 +360,6 @@ impl EventBus {
     /// sees the member fully present or fully gone, never half-purged.
     pub fn remove_subscriber(&self, subscriber: ServiceId) -> usize {
         let mut control = self.control.lock();
-        let hold = control.tracer.probe_start();
         let ids: Vec<SubscriptionId> = control
             .subs
             .iter()
@@ -380,7 +371,6 @@ impl EventBus {
             control.remove(id);
         }
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
         drop(control);
         BusMetrics::add(&self.metrics.unsubscriptions, ids.len() as u64);
         ids.len()
@@ -532,14 +522,12 @@ impl EventBus {
     /// the old engine.
     pub fn swap_engine(&self, kind: EngineKind) -> Result<()> {
         let mut control = self.control.lock();
-        let hold = control.tracer.probe_start();
         let mut new_engine = kind.build();
         for (&id, (subscriber, filter)) in control.subs.iter() {
             new_engine.subscribe(Subscription::new(id, *subscriber, filter.clone()))?;
         }
         control.engine = new_engine;
         self.republish(&control);
-        control.tracer.probe_control_hold(hold);
         Ok(())
     }
 }

@@ -269,15 +269,13 @@ impl Proxy {
     /// Queues one encoded downlink message for the device and accounts
     /// for it.
     fn enqueue(&self, encoded: SharedBytes, trace: TraceId) -> Result<()> {
-        let tracer = self.channel.tracer();
-        tracer.record(trace, Hop::ProxyEnqueued);
+        self.channel.tracer().record(trace, Hop::ProxyEnqueued);
         self.channel.send_traced(self.info.id, encoded, trace)?;
         AtomicU64::fetch_add(&self.counters.events_downlinked, 1, Ordering::Relaxed);
         let depth = self.channel.pending(self.info.id) as u64;
         self.counters
             .queue_depth_hwm
             .fetch_max(depth, Ordering::Relaxed);
-        tracer.probe_queue_depth(depth);
         Ok(())
     }
 

@@ -9,7 +9,7 @@
 //!
 //! `generator` picks the fault family (`random`, `supervision`, `peer`);
 //! `options` is `none` or a comma-separated set of the planes to run —
-//! `health`, `probes`, `supervision`, `peer` (two sibling cells; implies
+//! `health`, `supervision`, `peer` (two sibling cells; implies
 //! `supervision`), `telemetry` — plus `crash`, which scripts a one-second
 //! `CoreCrash` at mid-run on top of whatever the generator drew.
 
@@ -25,7 +25,7 @@ fn usage() -> ! {
          replays a seeded scenario and prints the trace\n\
          generator: random (default) | supervision | peer\n\
          options:   none (default) or a comma-separated subset of\n\
-         \x20          health,probes,supervision,peer,telemetry,crash"
+         \x20          health,supervision,peer,telemetry,crash"
     );
     std::process::exit(2);
 }
@@ -60,7 +60,6 @@ fn main() {
         match token {
             "none" => {}
             "health" => options.health = Some(HealthOptions::default()),
-            "probes" => options.probes = true,
             "supervision" => {
                 options
                     .supervision
@@ -70,9 +69,9 @@ fn main() {
                 options
                     .supervision
                     .get_or_insert_with(SupervisionOptions::default)
-                    .peer = Some(Default::default());
+                    .peer = true;
             }
-            "telemetry" => options.telemetry = Some(Default::default()),
+            "telemetry" => options.telemetry = true,
             "crash" => {
                 scenario.ops.push(ScriptedOp {
                     at: duration / 2,

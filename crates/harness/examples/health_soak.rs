@@ -32,10 +32,7 @@ fn base(seed: u64, secs: u64) -> Scenario {
 
 fn with_health(dump_path: Option<PathBuf>) -> RunOptions {
     RunOptions {
-        health: Some(HealthOptions {
-            dump_path,
-            ..HealthOptions::default()
-        }),
+        health: Some(HealthOptions { dump_path }),
         ..RunOptions::default()
     }
 }

@@ -25,10 +25,7 @@ use smc_harness::{
 /// Two sibling cells, each supervised and each watching the other.
 fn peered() -> RunOptions {
     RunOptions {
-        supervision: Some(SupervisionOptions {
-            peer: Some(Default::default()),
-            ..SupervisionOptions::default()
-        }),
+        supervision: Some(SupervisionOptions { peer: true }),
         ..RunOptions::default()
     }
 }
@@ -173,7 +170,6 @@ fn main() {
         RunOptions {
             health: Some(HealthOptions {
                 dump_path: Some(dump.clone()),
-                ..HealthOptions::default()
             }),
             supervision: Some(SupervisionOptions::default()),
             ..RunOptions::default()

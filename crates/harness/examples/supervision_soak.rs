@@ -177,7 +177,6 @@ fn main() {
         RunOptions {
             health: Some(HealthOptions {
                 dump_path: Some(dump.clone()),
-                ..HealthOptions::default()
             }),
             supervision: Some(SupervisionOptions::default()),
             ..RunOptions::default()

@@ -28,10 +28,7 @@ use smc_harness::{
 /// Two sibling cells, each supervised and each watching the other.
 fn peered() -> RunOptions {
     RunOptions {
-        supervision: Some(SupervisionOptions {
-            peer: Some(Default::default()),
-            ..SupervisionOptions::default()
-        }),
+        supervision: Some(SupervisionOptions { peer: true }),
         ..RunOptions::default()
     }
 }
@@ -101,7 +98,7 @@ fn main() {
         let report = run_with_options(
             &scenario,
             RunOptions {
-                telemetry: Some(Default::default()),
+                telemetry: true,
                 ..peered()
             },
         );

@@ -19,7 +19,7 @@ use std::time::Duration;
 use smc_core::{DeviceCodec, EventSink, PassthroughCodec, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, MemberAgent};
 use smc_health::{health_event, HealthState, PeerAction, RepairAction};
-use smc_policy::{ActionClass, ActionSpec, Decision};
+use smc_policy::ActionSpec;
 use smc_telemetry::{Hop, HopRecord, Registry, Sample};
 use smc_transport::{Incoming, LinkConfig, ReliableChannel};
 use smc_types::{
@@ -28,7 +28,9 @@ use smc_types::{
 };
 use smc_wal::{MemBackend, WalBackend, CHAN_BUS};
 
-use crate::planes::{component_samples, CellTelemetry, CellView, HealthRuntime, SupervisionPlane};
+use crate::planes::{
+    component_samples, CellTelemetry, CellView, HealthRuntime, SupervisionPlane, RECONCILE_MICROS,
+};
 use crate::scenario::{CoreComponent, CorruptTarget};
 use crate::world::{Act, CellReport, Env, RunOptions, CHECKPOINT_MICROS};
 
@@ -215,9 +217,6 @@ fn boot_core(
     };
     let core = SmcCell::with_clock(Arc::new(bus), Arc::new(disco), config, Arc::clone(backend))
         .expect("wal backend opens");
-    if let (Some(probes), Some(wal)) = (env.tracer.probes(), core.wal()) {
-        wal.set_probes(Arc::clone(probes), Arc::clone(&env.clock));
-    }
     core.proxy_factory()
         .register(OBSERVER_TYPE, |_| Box::new(ObserverCodec));
     let recorded = Arc::clone(recorded);
@@ -326,17 +325,14 @@ impl Cell {
         // Planes open their endpoints after the nodes', in this order.
         let sup = options
             .supervision
-            .clone()
-            .map(|opts| SupervisionPlane::new(env, opts, member_id));
+            .as_ref()
+            .map(|opts| SupervisionPlane::new(env, opts.peer, member_id));
         if let Some(sup) = &sup {
             for dev in &devices {
                 sup.watch(&dev.channel);
             }
         }
-        let telemetry = options
-            .telemetry
-            .as_ref()
-            .map(|opts| CellTelemetry::new(env, opts));
+        let telemetry = options.telemetry.then(|| CellTelemetry::new(env));
         Cell {
             idx,
             member_id,
@@ -352,10 +348,10 @@ impl Cell {
             core_recoveries: 0,
             saw_core_crash: false,
             saw_escalation: false,
-            health: options.health.clone().map(|mut opts| {
-                opts.dump_path = opts.dump_path.filter(|_| under_test);
-                HealthRuntime::new(opts)
-            }),
+            health: options
+                .health
+                .as_ref()
+                .map(|opts| HealthRuntime::new(opts.dump_path.clone().filter(|_| under_test))),
             sup,
             telemetry,
         }
@@ -749,9 +745,6 @@ impl Cell {
                 t.to.as_str(),
                 t.detector
             ));
-            if !rt.quench {
-                continue;
-            }
             // Publish the transition as a typed `smc.health` event
             // through the policy service, exactly as the cell would;
             // execute any quench it fires.
@@ -764,19 +757,6 @@ impl Cell {
                     continue;
                 };
                 let target = ServiceId::from_raw(raw as u64);
-                // The actuator consults authorisation before silencing
-                // anyone: telemetry observers carry a deny on
-                // `quench:<raw>` and stay audible.
-                if enable
-                    && rt.policy.check(
-                        "*",
-                        ActionClass::Command,
-                        &format!("quench:{}", target.raw()),
-                    ) == Decision::Deny
-                {
-                    env.fault(format!("quench-exempt {target}"));
-                    continue;
-                }
                 if let Some(dev) = self.devices.iter_mut().find(|d| d.id == target) {
                     dev.quenched = enable;
                     rt.quenches.push((now, target, enable));
@@ -838,7 +818,7 @@ impl Cell {
         // checkpoint gate until an adopter's wire-ordered pass re-arms
         // it).
         if sup.rt.alive && env.now >= sup.rt.next_reconcile {
-            sup.rt.next_reconcile = env.now + sup.rt.reconcile_micros;
+            sup.rt.next_reconcile = env.now + RECONCILE_MICROS;
             self.reconcile(env, &mut sup, None);
         }
         self.detect_and_repair(env, &mut sup);
@@ -948,7 +928,7 @@ impl Cell {
                     // anti-entropy pass before the ward's next
                     // compaction window, then keep re-arming it on
                     // cadence.
-                    peer.start_remote(&sup.opts, now + sup.rt.reconcile_micros);
+                    peer.start_remote(now + RECONCILE_MICROS);
                     let order = SupervisionMsg::Reconcile {
                         target,
                         requester: member_id,
@@ -979,7 +959,7 @@ impl Cell {
         };
         let order_reconcile = now >= remote.next_reconcile;
         if order_reconcile {
-            remote.next_reconcile = now + sup.rt.reconcile_micros;
+            remote.next_reconcile = now + RECONCILE_MICROS;
         }
         let mut commands: Vec<(String, u32, String)> = Vec::new();
         if remote.monitor.due(now) {

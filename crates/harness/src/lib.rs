@@ -44,5 +44,5 @@ pub use scenario::{
 };
 pub use world::{
     default_discovery, run, run_with_options, CellReport, HealthOptions, HealthOutcome, RunOptions,
-    RunReport, SupervisionOptions, TelemetryPlaneOptions, TelemetryPlaneReport,
+    RunReport, SupervisionOptions, TelemetryPlaneReport,
 };

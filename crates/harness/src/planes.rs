@@ -11,23 +11,40 @@ use std::time::Duration;
 
 use smc_health::{
     ComponentDown, FlightRecorder, HealthConfig, HealthMonitor, HealthState, HealthTransition,
-    PeerConfig, PeerSupervisor, ServiceRegistry, ServiceSpec, SloBurn, Supervisor,
+    Hysteresis, PeerSupervisor, ServiceRegistry, ServiceSpec, SloBurn, SuperviseConfig, Supervisor,
 };
 use smc_policy::{
-    health_quench_policies, peer_repair_policies, supervision_policies,
-    telemetry_quench_exemptions, Policy, PolicyService,
+    health_quench_policies, peer_repair_policies, supervision_policies, Policy, PolicyService,
 };
 use smc_telemetry::{
-    Counter, DeltaExporter, Gauge, Registry, Sample, SloConfig, SloTracker, WardRegistry,
+    series_key, Counter, DeltaExporter, Gauge, Registry, Sample, SloConfig, SloTracker,
+    WardRegistry,
 };
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::{codec, episode_trace, Event, HopExport, ServiceId, TelemetryMsg, TraceId};
 use smc_wal::{CHAN_SUPERVISION, CHAN_TELEMETRY};
 
-use crate::world::{
-    CellReport, Env, HealthOptions, HealthOutcome, SupervisionOptions, TelemetryPlaneOptions,
-    TelemetryPlaneReport, TICK_MICROS,
+use crate::world::{CellReport, Env, HealthOutcome, TelemetryPlaneReport};
+
+/// Sampling cadence and hysteresis of the component-down detector:
+/// deliberately tight (fail after 2 bad 250 ms samples) so
+/// time-to-repair stays near one virtual second.
+const COMPONENT_HEALTH: HealthConfig = HealthConfig {
+    interval_micros: 250_000,
+    hysteresis: Hysteresis {
+        degrade_after: 1,
+        fail_after: 2,
+        recover_after: 1,
+    },
 };
+/// Virtual interval between anti-entropy reconcile passes.
+pub(crate) const RECONCILE_MICROS: u64 = 500_000;
+/// Virtual interval between a cell's telemetry exports.
+const EXPORT_INTERVAL_MICROS: u64 = 400_000;
+/// Delivery-latency SLO objective.
+const DELIVERY_OBJECTIVE_MICROS: u64 = 400_000;
+/// Supervision time-to-repair SLO objective.
+const TTR_OBJECTIVE_MICROS: u64 = 3_000_000;
 
 /// A policy service loaded with one of the built-in policy sets.
 fn policy_service(policies: impl IntoIterator<Item = Policy>) -> PolicyService {
@@ -50,26 +67,19 @@ pub(crate) struct HealthRuntime {
     pub(crate) recorder: FlightRecorder,
     pub(crate) transitions: Vec<HealthTransition>,
     pub(crate) quenches: Vec<(u64, ServiceId, bool)>,
-    pub(crate) quench: bool,
     dump_path: Option<PathBuf>,
     pub(crate) hop_cursor: u64,
 }
 
 impl HealthRuntime {
-    pub(crate) fn new(opts: HealthOptions) -> HealthRuntime {
-        let policies = health_quench_policies()
-            .into_iter()
-            .chain(telemetry_quench_exemptions(
-                opts.quench_exempt.iter().copied(),
-            ));
+    pub(crate) fn new(dump_path: Option<PathBuf>) -> HealthRuntime {
         HealthRuntime {
-            monitor: HealthMonitor::new(opts.config),
-            policy: policy_service(policies),
+            monitor: HealthMonitor::new(HealthConfig::default()),
+            policy: policy_service(health_quench_policies()),
             recorder: FlightRecorder::default(),
             transitions: Vec::new(),
             quenches: Vec::new(),
-            quench: opts.quench,
-            dump_path: opts.dump_path,
+            dump_path,
             hop_cursor: 0,
         }
     }
@@ -139,7 +149,7 @@ impl CellView {
 /// A supervisor planning over a core's components — and, for an adopter
 /// watching a ward, over the one component a local loop can never watch:
 /// the ward's supervisor itself.
-fn component_supervisor(opts: &SupervisionOptions, watch_supervisor: bool) -> Supervisor {
+fn component_supervisor(watch_supervisor: bool) -> Supervisor {
     let mut registry = ServiceRegistry::new();
     registry.register(ServiceSpec::new("core"));
     let mut children = vec!["discovery", "sink"];
@@ -153,11 +163,11 @@ fn component_supervisor(opts: &SupervisionOptions, watch_supervisor: bool) -> Su
                 .escalates_to("core"),
         );
     }
-    Supervisor::new(registry, opts.config)
+    Supervisor::new(registry, SuperviseConfig::default())
 }
 
-fn component_monitor(opts: &SupervisionOptions) -> HealthMonitor {
-    HealthMonitor::with_detectors(opts.health, vec![Box::new(ComponentDown::default())])
+fn component_monitor() -> HealthMonitor {
+    HealthMonitor::with_detectors(COMPONENT_HEALTH, vec![Box::new(ComponentDown::default())])
 }
 
 /// The in-process supervisor: component-down detection, the planner and
@@ -167,7 +177,6 @@ pub(crate) struct SupervisionRuntime {
     pub(crate) monitor: HealthMonitor,
     pub(crate) supervisor: Supervisor,
     pub(crate) policy: PolicyService,
-    pub(crate) reconcile_micros: u64,
     pub(crate) next_reconcile: u64,
     /// Pulsed by the reliable channels whenever a message enters a
     /// retransmission round (a missed ack — the earliest wire-visible
@@ -183,12 +192,11 @@ pub(crate) struct SupervisionRuntime {
 }
 
 impl SupervisionRuntime {
-    fn new(opts: &SupervisionOptions) -> SupervisionRuntime {
+    fn new() -> SupervisionRuntime {
         SupervisionRuntime {
-            monitor: component_monitor(opts),
-            supervisor: component_supervisor(opts, false),
+            monitor: component_monitor(),
+            supervisor: component_supervisor(false),
             policy: policy_service(supervision_policies()),
-            reconcile_micros: opts.reconcile_micros.max(1),
             next_reconcile: 0,
             interrupt_line: Arc::new(AtomicU64::new(0)),
             seen_interrupts: 0,
@@ -201,7 +209,6 @@ impl SupervisionRuntime {
 /// when the cell has a sibling, and the bookkeeping that outlives any
 /// one supervisor incarnation.
 pub(crate) struct SupervisionPlane {
-    pub(crate) opts: SupervisionOptions,
     member_id: u64,
     pub(crate) rt: SupervisionRuntime,
     pub(crate) peer: Option<PeerPlane>,
@@ -218,15 +225,11 @@ pub(crate) struct SupervisionPlane {
 
 impl SupervisionPlane {
     /// Builds cell `member_id`'s plane, opening its endpoint on the
-    /// supervision network when `opts.peer` asks for a sibling.
-    pub(crate) fn new(env: &Env, opts: SupervisionOptions, member_id: u64) -> SupervisionPlane {
+    /// supervision network when `peer` asks for a sibling.
+    pub(crate) fn new(env: &Env, peer: bool, member_id: u64) -> SupervisionPlane {
         SupervisionPlane {
-            rt: SupervisionRuntime::new(&opts),
-            peer: opts
-                .peer
-                .clone()
-                .map(|config| PeerPlane::new(env, config, member_id)),
-            opts,
+            rt: SupervisionRuntime::new(),
+            peer: peer.then(|| PeerPlane::new(env, member_id)),
             member_id,
             last_reconcile_at: 0,
             book: CellReport::default(),
@@ -247,9 +250,9 @@ impl SupervisionPlane {
     /// the device channels at the new interrupt line.
     pub(crate) fn revive(&mut self) {
         self.missed_acks_gone += self.rt.interrupt_line.load(Ordering::Relaxed);
-        self.rt = SupervisionRuntime::new(&self.opts);
+        self.rt = SupervisionRuntime::new();
         if let Some(peer) = self.peer.as_mut() {
-            peer.watcher = PeerPlane::watcher(self.member_id, &peer.config);
+            peer.watcher = PeerPlane::watcher(self.member_id);
         }
         self.book.supervisor_revivals += 1;
     }
@@ -300,7 +303,6 @@ pub(crate) struct RemoteSupervision {
 /// revival possible at all: the sibling's `Repair { component:
 /// "supervisor" }` lands on a live actuator.
 pub(crate) struct PeerPlane {
-    config: PeerConfig,
     pub(crate) channel: Arc<ReliableChannel>,
     pub(crate) id: ServiceId,
     /// The sibling's index in the world's cell list and its endpoint on
@@ -315,23 +317,22 @@ pub(crate) struct PeerPlane {
 }
 
 impl PeerPlane {
-    fn new(env: &Env, config: PeerConfig, member_id: u64) -> PeerPlane {
+    fn new(env: &Env, member_id: u64) -> PeerPlane {
         let channel = env.plane_channel(CHAN_SUPERVISION);
         PeerPlane {
             id: channel.local_id(),
             channel,
             sibling: 0,
             sibling_sup: ServiceId::NIL,
-            watcher: PeerPlane::watcher(member_id, &config),
-            config,
+            watcher: PeerPlane::watcher(member_id),
             remote: None,
             actuator: policy_service(peer_repair_policies()),
         }
     }
 
     /// A fresh watcher for member `member_id` of the two-member ward.
-    fn watcher(member_id: u64, config: &PeerConfig) -> PeerSupervisor {
-        PeerSupervisor::new(member_id, [1u64, 2], config.clone())
+    fn watcher(member_id: u64) -> PeerSupervisor {
+        PeerSupervisor::new(member_id, [1u64, 2])
     }
 
     pub(crate) fn send(&self, to: ServiceId, event: &Event) {
@@ -339,10 +340,10 @@ impl PeerPlane {
     }
 
     /// Opens the remote session over a freshly adopted ward.
-    pub(crate) fn start_remote(&mut self, opts: &SupervisionOptions, first_reconcile: u64) {
+    pub(crate) fn start_remote(&mut self, first_reconcile: u64) {
         self.remote = Some(RemoteSupervision {
-            monitor: component_monitor(opts),
-            supervisor: component_supervisor(opts, true),
+            monitor: component_monitor(),
+            supervisor: component_supervisor(true),
             next_reconcile: first_reconcile,
         });
     }
@@ -378,7 +379,6 @@ pub(crate) struct CellTelemetry {
     pending_hops: Vec<HopExport>,
     export_seq: u64,
     next_export: u64,
-    interval: u64,
     /// Publish stamp per `(device, seq)`, consumed at delivery to feed
     /// the delivery-latency SLO.
     publish_at: HashMap<(ServiceId, u64), u64>,
@@ -395,7 +395,7 @@ pub(crate) struct CellTelemetry {
 }
 
 impl CellTelemetry {
-    pub(crate) fn new(env: &Env, opts: &TelemetryPlaneOptions) -> CellTelemetry {
+    pub(crate) fn new(env: &Env) -> CellTelemetry {
         let registry = Registry::new();
         CellTelemetry {
             channel: env.plane_channel(CHAN_TELEMETRY),
@@ -412,13 +412,12 @@ impl CellTelemetry {
             pending_hops: Vec::new(),
             export_seq: 0,
             next_export: 0,
-            interval: opts.export_interval_micros.max(TICK_MICROS),
             publish_at: HashMap::new(),
             slo_delivery: SloTracker::new(SloConfig::new(
                 "delivery-latency",
-                opts.delivery_objective_micros,
+                DELIVERY_OBJECTIVE_MICROS,
             )),
-            slo_ttr: SloTracker::new(SloConfig::new("supervision-ttr", opts.ttr_objective_micros)),
+            slo_ttr: SloTracker::new(SloConfig::new("supervision-ttr", TTR_OBJECTIVE_MICROS)),
             episode_ordinal: 0,
             episode: None,
             episodes: Vec::new(),
@@ -506,7 +505,7 @@ impl CellTelemetry {
     /// before the run ends (`total`), so its messages can land inside
     /// the drain window instead of dying in flight.
     pub(crate) fn export_due(&self, now: u64, total: u64) -> bool {
-        now >= self.next_export && now + self.interval <= total
+        now >= self.next_export && now + EXPORT_INTERVAL_MICROS <= total
     }
 
     /// Ships one export to `observer`: the metric delta, any pending
@@ -519,7 +518,7 @@ impl CellTelemetry {
         members: usize,
         supervisor_up: bool,
     ) {
-        self.next_export = now + self.interval;
+        self.next_export = now + EXPORT_INTERVAL_MICROS;
         self.members_gauge.set(members as u64);
         self.sup_up_gauge.set(u64::from(supervisor_up));
         self.export_seq += 1;
@@ -584,7 +583,7 @@ impl Observer {
             monitor: HealthMonitor::with_detectors(
                 HealthConfig {
                     interval_micros: 1_000_000,
-                    ..SupervisionOptions::default().health
+                    ..COMPONENT_HEALTH
                 },
                 vec![Box::new(SloBurn::default())],
             ),
@@ -616,14 +615,7 @@ impl Observer {
         // included. Checked on the monitor cadence, over the same gather
         // the detectors read.
         for sample in samples.iter().filter(|s| s.monotonic) {
-            let mut key = String::with_capacity(sample.name.len() + 16);
-            key.push_str(&sample.name);
-            for (k, v) in &sample.labels {
-                key.push('\u{1}');
-                key.push_str(k);
-                key.push('\u{2}');
-                key.push_str(v);
-            }
+            let key = series_key(&sample.name, &sample.labels);
             let prev = self.prev_counters.insert(key, sample.value).unwrap_or(0);
             if sample.value < prev {
                 self.backwards += 1;

@@ -59,12 +59,9 @@ use std::time::Duration;
 
 use smc_discovery::DiscoveryConfig;
 use smc_health::{
-    FlightRecorder, HealthConfig, HealthReport, HealthState, HealthTransition, Hysteresis,
-    PeerConfig, PeerReport, SuperviseConfig, SupervisionReport,
+    FlightRecorder, HealthReport, HealthState, HealthTransition, PeerReport, SupervisionReport,
 };
-use smc_telemetry::{
-    Journey, ProbeSink, Registry, TraceSink, Tracer, WardRegistry, DEFAULT_SINK_CAPACITY,
-};
+use smc_telemetry::{Journey, Registry, TraceSink, Tracer, WardRegistry, DEFAULT_SINK_CAPACITY};
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use smc_types::{ManualClock, ServiceId, SharedClock, TraceId};
 use smc_wal::{MemBackend, Wal, WalBackend, WalChannelJournal, WalConfig};
@@ -111,18 +108,13 @@ pub struct RunOptions {
     /// always journals into a private in-memory log.
     pub backend: Arc<dyn WalBackend>,
     /// Whether every channel, publish and delivery records hops into a
-    /// trace sink. On by default; the bench's untraced arm turns it off.
+    /// trace sink of [`DEFAULT_SINK_CAPACITY`] records. On by default;
+    /// the bench's untraced arm turns it off.
     pub trace: bool,
-    /// Ring capacity of the trace sink, in hop records.
-    pub trace_capacity: usize,
-    /// Contention/occupancy probes (control-mutex hold times, proxy
-    /// queue depth at enqueue, WAL append wait/service split) feeding a
-    /// [`ProbeSink`] exported through the run's registry. Off by
-    /// default; requires `trace`.
-    pub probes: bool,
     /// Autonomic self-observation: `Some` runs a health monitor (plus
-    /// flight recorder and the built-in quench obligations) per cell
-    /// inside the virtual timeline. `None` (the default) leaves the run
+    /// flight recorder and the built-in quench obligations, which
+    /// silence a degraded publisher until it recovers) per cell inside
+    /// the virtual timeline. `None` (the default) leaves the run
     /// untouched.
     pub health: Option<HealthOptions>,
     /// Self-repair: `Some` runs a supervisor over each cell's components
@@ -136,102 +128,33 @@ pub struct RunOptions {
     /// The ward-scale telemetry plane: when set, every cell exports
     /// delta-encoded metrics, trace hops and SLO reports as journalled
     /// `smc.telemetry` events to an observer that folds them into a
-    /// [`WardRegistry`]. `None` (the default) adds no events to the run.
-    pub telemetry: Option<TelemetryPlaneOptions>,
+    /// [`WardRegistry`]. Off (the default) adds no events to the run.
+    pub telemetry: bool,
 }
 
 /// How the in-run supervisor behaves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SupervisionOptions {
-    /// Restart budget and retry pacing.
-    pub config: SuperviseConfig,
-    /// Sampling cadence and hysteresis of the component-down detector.
-    /// The default is deliberately tight (fail after 2 bad 250 ms
-    /// samples) so time-to-repair stays near one virtual second.
-    pub health: HealthConfig,
-    /// Virtual interval between anti-entropy reconcile passes.
-    pub reconcile_micros: u64,
-    /// Peer supervision: `Some` adds a sibling cell running the same
-    /// stack, and the two watch each other's supervisor over the wire
-    /// with these lease/claim timings. `None` (the default) is the
-    /// one-cell world, where a killed supervisor stays dead.
-    pub peer: Option<PeerConfig>,
-}
-
-impl Default for SupervisionOptions {
-    fn default() -> Self {
-        SupervisionOptions {
-            config: SuperviseConfig::default(),
-            health: HealthConfig {
-                interval_micros: 250_000,
-                hysteresis: Hysteresis {
-                    degrade_after: 1,
-                    fail_after: 2,
-                    recover_after: 1,
-                },
-            },
-            reconcile_micros: 500_000,
-            peer: None,
-        }
-    }
+    /// Peer supervision: `true` adds a sibling cell running the same
+    /// stack, and the two watch each other's supervisor over the wire.
+    /// `false` (the default) is the one-cell world, where a killed
+    /// supervisor stays dead.
+    pub peer: bool,
 }
 
 /// How the in-run health monitor behaves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthOptions {
-    /// Sampling interval and hysteresis.
-    pub config: HealthConfig,
-    /// Whether the built-in obligations act on transitions: a member
-    /// whose channel goes `Degraded` is quenched (stops publishing)
-    /// until it recovers. Off = observe-only.
-    pub quench: bool,
-    /// Members the quench obligation may never silence (raw service
-    /// ids): telemetry observers and anything else that must stay
-    /// audible while degraded. Registered as authorisation denies on
-    /// `quench:<raw>`, checked at the actuator.
-    pub quench_exempt: Vec<u64>,
     /// When set, the flight recorder of the cell under test dumps here
     /// if the run ends with an oracle violation or saw a core crash or
     /// a supervision escalation.
     pub dump_path: Option<PathBuf>,
 }
 
-impl Default for HealthOptions {
-    fn default() -> Self {
-        HealthOptions {
-            config: HealthConfig::default(),
-            quench: true,
-            quench_exempt: Vec::new(),
-            dump_path: None,
-        }
-    }
-}
-
-/// Configuration of the in-network telemetry plane.
-#[derive(Debug, Clone)]
-pub struct TelemetryPlaneOptions {
-    /// Virtual interval between a cell's exports (µs).
-    pub export_interval_micros: u64,
-    /// Delivery-latency SLO objective (µs).
-    pub delivery_objective_micros: u64,
-    /// Supervision time-to-repair SLO objective (µs).
-    pub ttr_objective_micros: u64,
-}
-
-impl Default for TelemetryPlaneOptions {
-    fn default() -> Self {
-        TelemetryPlaneOptions {
-            export_interval_micros: 400_000,
-            delivery_objective_micros: 400_000,
-            ttr_objective_micros: 3_000_000,
-        }
-    }
-}
-
 impl RunOptions {
     /// Whether the run has a peer plane — and so two sibling cells.
     pub(crate) fn peered(&self) -> bool {
-        self.supervision.as_ref().is_some_and(|s| s.peer.is_some())
+        self.supervision.as_ref().is_some_and(|s| s.peer)
     }
 }
 
@@ -242,11 +165,9 @@ impl Default for RunOptions {
             discovery: default_discovery(),
             backend: Arc::new(MemBackend::new()),
             trace: true,
-            trace_capacity: DEFAULT_SINK_CAPACITY,
-            probes: false,
             health: None,
             supervision: None,
-            telemetry: None,
+            telemetry: false,
         }
     }
 }
@@ -255,7 +176,6 @@ impl std::fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("trace", &self.trace)
-            .field("trace_capacity", &self.trace_capacity)
             .finish_non_exhaustive()
     }
 }
@@ -286,7 +206,7 @@ pub struct RunReport {
     /// [`RunOptions::trace`] was on.
     pub trace_sink: Option<Arc<TraceSink>>,
     /// The run's metrics registry: run-wide harness counters, the trace
-    /// and probe sinks, and the WAL, discovery and sink-channel
+    /// sink, and the WAL, discovery and sink-channel
     /// collectors of the cell under test, sampled when rendered.
     pub registry: Registry,
     /// The telemetry plane's outcome, when it ran.
@@ -676,16 +596,8 @@ impl World {
         let clock: SharedClock = manual.clone();
         let net = SimNetwork::with_clock(LinkConfig::ideal(), scenario.seed, Arc::clone(&clock));
         let (tracer, trace_sink) = if options.trace {
-            let sink = Arc::new(TraceSink::with_capacity(options.trace_capacity));
-            let tracer = if options.probes {
-                Tracer::with_probes(
-                    Arc::clone(&sink),
-                    Arc::clone(&clock),
-                    Arc::new(ProbeSink::new()),
-                )
-            } else {
-                Tracer::new(Arc::clone(&sink), Arc::clone(&clock))
-            };
+            let sink = Arc::new(TraceSink::with_capacity(DEFAULT_SINK_CAPACITY));
+            let tracer = Tracer::new(Arc::clone(&sink), Arc::clone(&clock));
             (tracer, Some(sink))
         } else {
             (Tracer::disabled(), None)
@@ -716,7 +628,7 @@ impl World {
                 b.meet_sibling(0, a_id);
             }
         }
-        let observer = options.telemetry.as_ref().map(|_| Observer::new(&env));
+        let observer = options.telemetry.then(|| Observer::new(&env));
 
         let end = scenario.duration.as_micros() as u64;
         World {
@@ -896,9 +808,6 @@ impl World {
         cells[0].register_core_with(&live);
         if let Some(sink) = &env.trace_sink {
             sink.register_with(&live);
-        }
-        if let Some(probe_sink) = env.tracer.probes() {
-            probe_sink.register_with(&live);
         }
         let finals = live.gather();
         let registry = Registry::default();

@@ -27,7 +27,6 @@ proptest! {
             &scenario,
             RunOptions {
                 trace: true,
-                probes: true,
                 ..RunOptions::default()
             },
         );

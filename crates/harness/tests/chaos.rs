@@ -7,7 +7,6 @@ use smc_harness::{
     run, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
     ViolationKind,
 };
-use smc_health::PeerConfig;
 use smc_telemetry::Hop;
 use smc_transport::ReliableConfig;
 
@@ -289,10 +288,7 @@ fn violation_report_carries_offending_journey() {
         });
     }
     let scenario = scenario.sorted();
-    let peered = SupervisionOptions {
-        peer: Some(PeerConfig::default()),
-        ..SupervisionOptions::default()
-    };
+    let peered = SupervisionOptions { peer: true };
     for supervision in [None, Some(peered)] {
         let cells = if supervision.is_some() { 2 } else { 1 };
         let report = run_with_options(

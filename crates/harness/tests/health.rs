@@ -36,10 +36,7 @@ fn storm_scenario(seed: u64) -> Scenario {
 
 fn with_health(dump_path: Option<PathBuf>) -> RunOptions {
     RunOptions {
-        health: Some(HealthOptions {
-            dump_path,
-            ..HealthOptions::default()
-        }),
+        health: Some(HealthOptions { dump_path }),
         ..RunOptions::default()
     }
 }

@@ -14,7 +14,6 @@ use smc_harness::{
     run_with_options, ChaosOp, CoreComponent, RunOptions, RunReport, Scenario, ScriptedOp,
     SupervisionOptions, TraceEvent,
 };
-use smc_health::PeerConfig;
 use smc_telemetry::Hop;
 
 /// One supervised cell on its own.
@@ -28,10 +27,7 @@ fn supervised() -> RunOptions {
 /// Two sibling cells, each supervised and each watching the other.
 fn peered() -> RunOptions {
     RunOptions {
-        supervision: Some(SupervisionOptions {
-            peer: Some(PeerConfig::default()),
-            ..SupervisionOptions::default()
-        }),
+        supervision: Some(SupervisionOptions { peer: true }),
         ..RunOptions::default()
     }
 }

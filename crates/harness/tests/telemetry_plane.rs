@@ -14,7 +14,6 @@ use std::time::Duration;
 use smc_harness::{
     run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
 };
-use smc_health::PeerConfig;
 
 /// The five legs of a complete remote-revival journey, in virtual-time
 /// order. The first four are recorded by the adopter, the last by the
@@ -46,17 +45,14 @@ fn revival_under_partition(seed: u64) -> Scenario {
 /// Two sibling cells under peer supervision, telemetry plane off.
 fn peered() -> RunOptions {
     RunOptions {
-        supervision: Some(SupervisionOptions {
-            peer: Some(PeerConfig::default()),
-            ..SupervisionOptions::default()
-        }),
+        supervision: Some(SupervisionOptions { peer: true }),
         ..RunOptions::default()
     }
 }
 
 fn telemetry_on() -> RunOptions {
     RunOptions {
-        telemetry: Some(Default::default()),
+        telemetry: true,
         ..peered()
     }
 }
@@ -231,7 +227,7 @@ fn plane_off_stays_byte_identical_to_the_seed_world() {
     let with_explicit_none = run_with_options(
         &scenario,
         RunOptions {
-            telemetry: None,
+            telemetry: false,
             ..peered()
         },
     );

@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn supervision_serves_report_and_lease_table() {
-        use crate::peer::{PeerConfig, PeerSupervisor};
+        use crate::peer::PeerSupervisor;
         use crate::supervise::{ServiceRegistry, ServiceSpec, SuperviseConfig, Supervisor};
         use crate::HealthTransition;
 
@@ -530,7 +530,7 @@ mod tests {
             to: HealthState::Healthy,
             detail: "up=1".into(),
         });
-        let mut watcher = PeerSupervisor::new(1, [2u64], PeerConfig::default());
+        let mut watcher = PeerSupervisor::new(1, [2u64]);
         watcher.tick(0);
 
         let status = SupervisionStatus {

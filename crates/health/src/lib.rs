@@ -56,7 +56,7 @@ pub use http::{StatusServer, StatusSources, SupervisionStatus};
 pub use monitor::{
     health_event, ComponentStatus, HealthConfig, HealthMonitor, HealthReport, HealthTransition,
 };
-pub use peer::{peer_lease_json, PeerAction, PeerConfig, PeerLease, PeerReport, PeerSupervisor};
+pub use peer::{peer_lease_json, PeerAction, PeerLease, PeerReport, PeerSupervisor};
 pub use recorder::FlightRecorder;
 pub use state::{ComponentHealth, HealthState, Hysteresis};
 pub use supervise::{

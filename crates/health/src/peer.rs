@@ -36,28 +36,15 @@ use std::fmt::Write as _;
 
 use smc_types::SupervisionMsg;
 
-/// Timing knobs for the lease protocol, all in virtual microseconds.
-#[derive(Debug, Clone)]
-pub struct PeerConfig {
-    /// Heartbeat cadence; also the ttl advertised in each lease.
-    pub lease_micros: u64,
-    /// Slack beyond the advertised ttl before a lease counts as lapsed
-    /// — absorbs network jitter and retransmission delay.
-    pub grace_micros: u64,
-    /// How long a claim stays open collecting rival claims before the
-    /// lowest-member-id tie-break resolves it.
-    pub claim_micros: u64,
-}
-
-impl Default for PeerConfig {
-    fn default() -> Self {
-        PeerConfig {
-            lease_micros: 500_000,
-            grace_micros: 300_000,
-            claim_micros: 250_000,
-        }
-    }
-}
+/// Heartbeat cadence (virtual µs); also the ttl advertised in each
+/// lease.
+const LEASE_MICROS: u64 = 500_000;
+/// Slack beyond the advertised ttl before a lease counts as lapsed —
+/// absorbs network jitter and retransmission delay.
+const GRACE_MICROS: u64 = 300_000;
+/// How long a claim stays open collecting rival claims before the
+/// lowest-member-id tie-break resolves it.
+const CLAIM_MICROS: u64 = 250_000;
 
 /// What the caller must do on behalf of the state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +73,7 @@ enum WatchState {
     Watching,
     /// Lease lapsed; a claim window is open, rivals accumulating.
     Claiming {
-        /// When the window opened; it resolves at `since + claim_micros`.
+        /// When the window opened; it resolves at `since + CLAIM_MICROS`.
         since: u64,
     },
     /// A lower-id rival won the claim; we stand by unless *they* lapse.
@@ -193,7 +180,6 @@ pub struct PeerReport {
 #[derive(Debug)]
 pub struct PeerSupervisor {
     self_id: u64,
-    config: PeerConfig,
     tracks: BTreeMap<u64, PeerTrack>,
     next_lease_at: u64,
     report: PeerReport,
@@ -202,7 +188,7 @@ pub struct PeerSupervisor {
 impl PeerSupervisor {
     /// A watcher for the cell with member id `self_id`, tracking the
     /// given sibling member ids.
-    pub fn new(self_id: u64, siblings: impl IntoIterator<Item = u64>, config: PeerConfig) -> Self {
+    pub fn new(self_id: u64, siblings: impl IntoIterator<Item = u64>) -> Self {
         let tracks = siblings
             .into_iter()
             .filter(|&peer| peer != self_id)
@@ -212,7 +198,7 @@ impl PeerSupervisor {
                     PeerTrack {
                         state: WatchState::Watching,
                         last_lease: None,
-                        ttl_micros: config.lease_micros,
+                        ttl_micros: LEASE_MICROS,
                         rivals: BTreeSet::new(),
                     },
                 )
@@ -220,7 +206,6 @@ impl PeerSupervisor {
             .collect();
         PeerSupervisor {
             self_id,
-            config,
             tracks,
             next_lease_at: 0,
             report: PeerReport::default(),
@@ -238,11 +223,11 @@ impl PeerSupervisor {
     pub fn tick(&mut self, now: u64) -> Vec<PeerAction> {
         let mut actions = Vec::new();
         if now >= self.next_lease_at {
-            self.next_lease_at = now + self.config.lease_micros;
+            self.next_lease_at = now + LEASE_MICROS;
             self.report.leases_sent += 1;
             actions.push(PeerAction::Send(SupervisionMsg::Lease {
                 holder: self.self_id,
-                ttl_micros: self.config.lease_micros,
+                ttl_micros: LEASE_MICROS,
             }));
         }
 
@@ -254,7 +239,7 @@ impl PeerSupervisor {
                     // Arm the watch on first sight so a sibling that was
                     // silent from boot still lapses one full window in.
                     let armed_at = *track.last_lease.get_or_insert(now);
-                    if now > armed_at + track.ttl_micros + self.config.grace_micros {
+                    if now > armed_at + track.ttl_micros + GRACE_MICROS {
                         track.state = WatchState::Claiming { since: now };
                         track.rivals.clear();
                         track.rivals.insert(self_id);
@@ -270,7 +255,7 @@ impl PeerSupervisor {
                         lapsed_now.push(peer);
                     }
                 }
-                WatchState::Claiming { since } if now >= since + self.config.claim_micros => {
+                WatchState::Claiming { since } if now >= since + CLAIM_MICROS => {
                     // The window closed: lowest member id among the bids
                     // wins. No further messages are needed to agree —
                     // every claimant saw (at least) its own bid and
@@ -509,7 +494,7 @@ mod tests {
     const CLAIM: u64 = 250_000;
 
     fn watcher(self_id: u64, siblings: &[u64]) -> PeerSupervisor {
-        PeerSupervisor::new(self_id, siblings.iter().copied(), PeerConfig::default())
+        PeerSupervisor::new(self_id, siblings.iter().copied())
     }
 
     fn sends(actions: &[PeerAction]) -> Vec<&SupervisionMsg> {

@@ -30,6 +30,6 @@ pub use model::{
     PolicySet, ValueTemplate,
 };
 pub use service::{
-    ehealth_baseline, health_quench_policies, peer_repair_policies, supervision_policies,
-    telemetry_quench_exemptions, Decision, FiredAction, PolicyService,
+    ehealth_baseline, health_quench_policies, peer_repair_policies, supervision_policies, Decision,
+    FiredAction, PolicyService,
 };

@@ -381,27 +381,6 @@ pub fn health_quench_policies() -> Vec<Policy> {
     ]
 }
 
-/// Quench exemptions for the telemetry plane: an observer (or any
-/// member carrying the ward view) must never be silenced by the
-/// built-in health-quench obligation, because quenching it blinds the
-/// very aggregation that would notice the recovery. Each exempt member
-/// gets an authorisation deny on the `quench:<raw-id>` resource; the
-/// quench actuator checks it before silencing anyone, and deny
-/// overrides whatever obligation fired.
-pub fn telemetry_quench_exemptions(exempt: impl IntoIterator<Item = u64>) -> Vec<Policy> {
-    exempt
-        .into_iter()
-        .map(|raw| {
-            Policy::Authorisation(AuthorisationPolicy::deny(
-                format!("builtin.telemetry.no-quench-{raw}"),
-                "*",
-                ActionClass::Command,
-                format!("quench:{raw}"),
-            ))
-        })
-        .collect()
-}
-
 /// The built-in supervision obligation: when a component's health
 /// transitions to `Failed`, ask the supervisor to restart it. This is
 /// the policy-layer entry into the detect → repair loop — the
@@ -541,37 +520,6 @@ mod tests {
         assert!(s.on_event(&health("degraded", None)).is_empty());
         // Degraded → Failed transitions don't re-quench.
         assert!(s.on_event(&health("failed", Some(42))).is_empty());
-    }
-
-    #[test]
-    fn telemetry_quench_exemptions_deny_only_their_members() {
-        let s = PolicyService::new();
-        for p in health_quench_policies() {
-            s.add(p).unwrap();
-        }
-        for p in telemetry_quench_exemptions([7, 9]) {
-            s.add(p).unwrap();
-        }
-        // The obligation still fires — the exemption lives at the
-        // actuator's authorisation check, not in the trigger.
-        assert_eq!(
-            s.check("*", ActionClass::Command, "quench:7"),
-            Decision::Deny
-        );
-        assert_eq!(
-            s.check("*", ActionClass::Command, "quench:9"),
-            Decision::Deny
-        );
-        assert_eq!(
-            s.check("*", ActionClass::Command, "quench:8"),
-            Decision::NotApplicable
-        );
-        // The deny is quench-specific: other commands at the same
-        // member stay unconstrained.
-        assert_eq!(
-            s.check("*", ActionClass::Command, "restart:7"),
-            Decision::NotApplicable
-        );
     }
 
     #[test]

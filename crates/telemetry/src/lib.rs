@@ -28,7 +28,6 @@
 pub mod critical;
 pub mod export;
 pub mod metrics;
-pub mod probe;
 pub mod slo;
 pub mod trace;
 pub mod ward;
@@ -38,9 +37,8 @@ pub use export::DeltaExporter;
 pub use metrics::{
     parse_text, Counter, Exemplar, ExemplarEntry, Gauge, Histogram, ParsedSample, Registry, Sample,
 };
-pub use probe::ProbeSink;
 pub use slo::{SloConfig, SloTracker, SloWindowBurn};
 pub use trace::{
     Hop, HopRecord, Journey, LegAttribution, StageKind, TraceSink, Tracer, DEFAULT_SINK_CAPACITY,
 };
-pub use ward::{CellFreshness, StitchedHop, StitchedJourney, WardRegistry};
+pub use ward::{series_key, CellFreshness, StitchedHop, StitchedJourney, WardRegistry};

@@ -463,9 +463,6 @@ pub struct Tracer(Option<Arc<TracerInner>>);
 struct TracerInner {
     sink: Arc<TraceSink>,
     clock: SharedClock,
-    /// Contention/occupancy probes; `None` keeps probe calls at the
-    /// same one-branch cost as hop recording on a disabled tracer.
-    probes: Option<Arc<crate::ProbeSink>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -484,25 +481,7 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// A tracer recording into `sink`, timestamping from `clock`.
     pub fn new(sink: Arc<TraceSink>, clock: SharedClock) -> Tracer {
-        Tracer(Some(Arc::new(TracerInner {
-            sink,
-            clock,
-            probes: None,
-        })))
-    }
-
-    /// A tracer that additionally feeds contention/occupancy probes
-    /// into `probes` (see [`ProbeSink`](crate::ProbeSink)).
-    pub fn with_probes(
-        sink: Arc<TraceSink>,
-        clock: SharedClock,
-        probes: Arc<crate::ProbeSink>,
-    ) -> Tracer {
-        Tracer(Some(Arc::new(TracerInner {
-            sink,
-            clock,
-            probes: Some(probes),
-        })))
+        Tracer(Some(Arc::new(TracerInner { sink, clock })))
     }
 
     /// The no-op tracer (also `Tracer::default()`).
@@ -528,45 +507,6 @@ impl Tracer {
     /// The sink this tracer writes to, if enabled.
     pub fn sink(&self) -> Option<&Arc<TraceSink>> {
         self.0.as_ref().map(|i| &i.sink)
-    }
-
-    /// The probe sink this tracer feeds, if probes are enabled.
-    pub fn probes(&self) -> Option<&Arc<crate::ProbeSink>> {
-        self.0.as_ref().and_then(|i| i.probes.as_ref())
-    }
-
-    /// Whether contention/occupancy probes are being recorded.
-    pub fn probes_enabled(&self) -> bool {
-        self.probes().is_some()
-    }
-
-    /// A probe timestamp, or `None` when probes are off — one branch on
-    /// the disabled path, no clock read.
-    pub fn probe_start(&self) -> Option<u64> {
-        match &self.0 {
-            Some(inner) if inner.probes.is_some() => Some(inner.clock.now_micros()),
-            _ => None,
-        }
-    }
-
-    /// Closes a control-mutex hold-time measurement opened by
-    /// [`Tracer::probe_start`]. No-op when probes are off.
-    pub fn probe_control_hold(&self, started: Option<u64>) {
-        if let (Some(inner), Some(t0)) = (&self.0, started) {
-            if let Some(probes) = &inner.probes {
-                probes.control_hold(inner.clock.now_micros().saturating_sub(t0));
-            }
-        }
-    }
-
-    /// Records a proxy queue depth observed at enqueue. No-op when
-    /// probes are off.
-    pub fn probe_queue_depth(&self, depth: u64) {
-        if let Some(inner) = &self.0 {
-            if let Some(probes) = &inner.probes {
-                probes.queue_depth(depth);
-            }
-        }
     }
 }
 
@@ -741,40 +681,6 @@ mod tests {
         assert_eq!(j.wait_micros(), 0);
         assert_eq!(j.service_micros(), 0);
         assert!(j.attribution().is_empty());
-    }
-
-    #[test]
-    fn probe_helpers_are_inert_without_a_probe_sink() {
-        let sink = Arc::new(TraceSink::with_capacity(8));
-        let clock: SharedClock = Arc::new(ManualClock::new());
-        let t = Tracer::new(Arc::clone(&sink), clock);
-        assert!(!t.probes_enabled());
-        assert_eq!(t.probe_start(), None);
-        t.probe_control_hold(None);
-        t.probe_queue_depth(5);
-        let off = Tracer::disabled();
-        assert_eq!(off.probe_start(), None);
-        off.probe_queue_depth(5);
-    }
-
-    #[test]
-    fn probe_helpers_feed_the_probe_sink() {
-        let sink = Arc::new(TraceSink::with_capacity(8));
-        let manual = Arc::new(ManualClock::new());
-        let probes = Arc::new(crate::ProbeSink::new());
-        let t = Tracer::with_probes(
-            Arc::clone(&sink),
-            manual.clone() as SharedClock,
-            Arc::clone(&probes),
-        );
-        assert!(t.probes_enabled());
-        let hold = t.probe_start();
-        assert_eq!(hold, Some(0));
-        manual.advance_micros(40);
-        t.probe_control_hold(hold);
-        t.probe_queue_depth(12);
-        assert_eq!(probes.control_hold_snapshot(), (40, 1, 40));
-        assert_eq!(probes.queue_depth_snapshot(), (12, 1, 12));
     }
 
     #[test]

@@ -144,8 +144,9 @@ const FOLD_HELP: &str = "Series folded from per-cell telemetry exports.";
 
 /// One series' identity, `name` plus its labels, as a map key. The
 /// exporter and the ward fold must agree on it for a delta to land in
-/// the series it came from.
-pub(crate) fn series_key(name: &str, labels: &[(String, String)]) -> String {
+/// the series it came from; a reader tracking series across gathers
+/// keys them the same way.
+pub fn series_key(name: &str, labels: &[(String, String)]) -> String {
     let mut key = String::with_capacity(name.len() + 16 * labels.len());
     key.push_str(name);
     for (k, v) in labels {

@@ -48,13 +48,14 @@ use crate::frame::{
 };
 use crate::transport::{Cork, Transport};
 
+/// Multiplier applied to a message's RTO after each retransmission.
+const BACKOFF: u32 = 2;
+
 /// Retransmission and flow-control parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliableConfig {
     /// Initial retransmission timeout.
     pub initial_rto: Duration,
-    /// Multiplier applied to the RTO after each retransmission.
-    pub backoff: u32,
     /// Upper bound on the RTO.
     pub max_rto: Duration,
     /// Give up after this many retransmissions of a message (`None` =
@@ -91,7 +92,6 @@ impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
             initial_rto: Duration::from_millis(60),
-            backoff: 2,
             max_rto: Duration::from_secs(2),
             max_retries: None,
             window: 64,
@@ -1796,7 +1796,7 @@ impl RxWorker {
                 }
                 msg.retries += 1;
                 msg.last_tx = now;
-                msg.rto = (msg.rto * config.backoff).min(config.max_rto);
+                msg.rto = (msg.rto * BACKOFF).min(config.max_rto);
                 // One hop per retransmission round, not per fragment.
                 tracer.record(msg.trace, Hop::TxRetransmit);
                 // A missed ack is the first observable symptom of a dead

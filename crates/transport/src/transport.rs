@@ -33,15 +33,6 @@ impl Datagram {
             broadcast: false,
         }
     }
-
-    /// Creates a broadcast datagram record.
-    pub fn broadcasted(from: ServiceId, payload: Vec<u8>) -> Self {
-        Datagram {
-            from,
-            payload,
-            broadcast: true,
-        }
-    }
 }
 
 /// An unreliable datagram transport endpoint.
@@ -142,8 +133,5 @@ mod tests {
     fn datagram_constructors() {
         let d = Datagram::unicast(ServiceId::from_raw(1), vec![1, 2]);
         assert!(!d.broadcast);
-        let b = Datagram::broadcasted(ServiceId::from_raw(1), vec![]);
-        assert!(b.broadcast);
-        assert_eq!(b.from, ServiceId::from_raw(1));
     }
 }

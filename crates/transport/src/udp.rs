@@ -132,11 +132,6 @@ impl UdpTransport {
         }
     }
 
-    /// Removes a broadcast peer.
-    pub fn remove_broadcast_peer(&self, peer: ServiceId) {
-        self.broadcast_peers.lock().retain(|&p| p != peer);
-    }
-
     fn addr_of(id: ServiceId) -> SocketAddrV4 {
         SocketAddrV4::new(id.ipv4(), id.port())
     }
@@ -292,13 +287,6 @@ mod tests {
             assert_eq!(d.payload, b"beacon");
             assert_eq!(d.from, a.local_id());
         }
-        a.remove_broadcast_peer(b.local_id());
-        a.broadcast(b"again").unwrap();
-        assert!(matches!(
-            b.recv(Some(Duration::from_millis(50))),
-            Err(Error::Timeout)
-        ));
-        assert_eq!(c.recv(Some(TICK)).unwrap().payload, b"again");
     }
 
     #[test]

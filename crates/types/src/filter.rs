@@ -266,11 +266,6 @@ impl Filter {
         self.event_type.as_deref()
     }
 
-    /// Sets or clears the event-type restriction.
-    pub fn set_event_type(&mut self, event_type: Option<String>) {
-        self.event_type = event_type;
-    }
-
     /// The constraints, sorted by attribute name.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints

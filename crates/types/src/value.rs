@@ -32,14 +32,6 @@ pub enum AttributeValue {
 }
 
 impl AttributeValue {
-    /// Returns the boolean, if this is a [`AttributeValue::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            AttributeValue::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Returns the integer, if this is an [`AttributeValue::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match *self {
@@ -84,17 +76,6 @@ impl AttributeValue {
     /// Returns `true` for `Int` and `Double` values.
     pub fn is_numeric(&self) -> bool {
         matches!(self, AttributeValue::Int(_) | AttributeValue::Double(_))
-    }
-
-    /// A short name of the variant, used in diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AttributeValue::Bool(_) => "bool",
-            AttributeValue::Int(_) => "int",
-            AttributeValue::Double(_) => "double",
-            AttributeValue::Str(_) => "string",
-            AttributeValue::Bytes(_) => "bytes",
-        }
     }
 
     /// Compares two values for filtering purposes.
@@ -207,7 +188,6 @@ mod tests {
 
     #[test]
     fn accessors_match_variants() {
-        assert_eq!(AttributeValue::Bool(true).as_bool(), Some(true));
         assert_eq!(AttributeValue::Int(7).as_int(), Some(7));
         assert_eq!(AttributeValue::Double(1.5).as_double(), Some(1.5));
         assert_eq!(AttributeValue::from("hi").as_str(), Some("hi"));
@@ -262,15 +242,6 @@ mod tests {
         let a = AttributeValue::from(vec![1u8, 2]);
         let b = AttributeValue::from(vec![1u8, 3]);
         assert_eq!(a.partial_cmp_filter(&b), Some(Ordering::Less));
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(AttributeValue::Bool(true).type_name(), "bool");
-        assert_eq!(AttributeValue::Int(1).type_name(), "int");
-        assert_eq!(AttributeValue::Double(1.0).type_name(), "double");
-        assert_eq!(AttributeValue::from("s").type_name(), "string");
-        assert_eq!(AttributeValue::from(vec![0u8]).type_name(), "bytes");
     }
 
     #[test]

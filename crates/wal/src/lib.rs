@@ -610,16 +610,6 @@ pub struct Wal {
     config: WalConfig,
     inner: Mutex<WalInner>,
     counters: WalCounters,
-    /// Append wait/service probe (clock + sink), swapped in via
-    /// [`Wal::set_probes`]; `None` keeps appends untimed.
-    probes: smc_types::SnapshotCell<Option<WalProbes>>,
-}
-
-/// The clock and sink a probed WAL times its appends with.
-#[derive(Debug, Clone)]
-struct WalProbes {
-    clock: smc_types::SharedClock,
-    sink: Arc<smc_telemetry::ProbeSink>,
 }
 
 impl Wal {
@@ -650,7 +640,6 @@ impl Wal {
                 active_bytes: 0,
             }),
             counters: WalCounters::default(),
-            probes: smc_types::SnapshotCell::default(),
         };
         let recovered = Recovered {
             snapshot: fold.snapshot,
@@ -717,14 +706,7 @@ impl Wal {
     }
 
     fn append_framed(&self, framed: &[u8]) -> Result<()> {
-        // Queue-wait vs service split: time-to-lock is how long this
-        // append sat behind concurrent appenders, time-under-lock is the
-        // append's own work (framing, in the caller, is untimed — it is
-        // identical for every caller and lock-free).
-        let probes = self.probes.load();
-        let queued_at = probes.as_ref().as_ref().map(|p| p.clock.now_micros());
         let mut inner = self.inner.lock();
-        let locked_at = probes.as_ref().as_ref().map(|p| p.clock.now_micros());
         if inner.active_bytes > 0
             && inner.active_bytes + framed.len() > self.config.segment_max_bytes
         {
@@ -744,19 +726,7 @@ impl Wal {
             self.backend.sync(inner.active)?;
             counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
-        if let (Some(p), Some(t0), Some(t1)) = (probes.as_ref(), queued_at, locked_at) {
-            let done = p.clock.now_micros();
-            p.sink
-                .wal_append(t1.saturating_sub(t0), done.saturating_sub(t1));
-        }
         Ok(())
-    }
-
-    /// Times every append's lock wait and service duration on `clock`,
-    /// feeding `sink` (`smc_probe_wal_append_*`). Probes default off;
-    /// installing them costs one snapshot load per append.
-    pub fn set_probes(&self, sink: Arc<smc_telemetry::ProbeSink>, clock: smc_types::SharedClock) {
-        self.probes.store(Arc::new(Some(WalProbes { clock, sink })));
     }
 
     /// Writes the snapshot produced by `capture` and compacts the log,
