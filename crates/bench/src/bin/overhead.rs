@@ -7,13 +7,16 @@
 //! ```
 //!
 //! Two arms run the *same* scenarios, interleaved repetition by
-//! repetition: untraced and traced. Virtual-time determinism means both
-//! arms do identical protocol work, so the wall-clock ratio isolates
-//! what recording costs; each arm keeps its least-disturbed (minimum)
-//! repetition. The traced arm's own reports are then mined for every
-//! message's journey, each leg's delta (virtual µs since the previous
-//! hop) reported as p50/p95/p99 under the hop it arrives at, and its
-//! registry for the trace sink's `smc_trace_*` series.
+//! repetition: untraced and traced, taking turns to go first.
+//! Virtual-time determinism means both arms do identical protocol work,
+//! so the wall-clock ratio isolates what recording costs; each arm
+//! keeps its least-disturbed (minimum) repetition, and the gate is the
+//! ratio of those minima. Each repetition's own traced / untraced ratio
+//! is reported beside it (`rep_ratios`) to show the spread. The traced
+//! arm's own reports are then mined for every message's journey, each
+//! leg's delta (virtual µs since the previous hop) reported as
+//! p50/p95/p99 under the hop it arrives at, and its registry for the
+//! trace sink's `smc_trace_*` series.
 //!
 //! Writes `results/BENCH_overhead.json`; exits 1 when traced / untraced
 //! exceeds 1.15.
@@ -79,15 +82,24 @@ fn main() {
         arm(&scenarios[..1], trace);
     }
     let mut walls = [u64::MAX; 2];
+    let mut rep_ratios = Vec::with_capacity(reps);
     let mut traced = Vec::new();
     for rep in 0..reps {
-        for (i, (_, trace)) in ARMS.into_iter().enumerate() {
-            let (wall, reports) = arm(&scenarios, trace);
+        // The arms take turns going first, so neither always runs on
+        // the caches and clocks the other leaves behind.
+        let mut rep_walls = [0u64; 2];
+        for i in [rep % 2, 1 - rep % 2] {
+            let (wall, reports) = arm(&scenarios, ARMS[i].1);
+            rep_walls[i] = wall;
             walls[i] = walls[i].min(wall);
-            if rep == 0 && trace {
+            if rep == 0 && ARMS[i].1 {
                 traced = reports;
             }
         }
+        rep_ratios.push(format!(
+            "{:.4}",
+            rep_walls[1] as f64 / rep_walls[0].max(1) as f64
+        ));
     }
     let ratio = walls[1] as f64 / walls[0].max(1) as f64;
 
@@ -136,8 +148,10 @@ fn main() {
          \"virtual_secs\": {secs}, \"reps\": {reps}, \"link\": \"usb-ip\", \"smoke\": {smoke}, \
          \"nproc\": {nproc}}},\n  \"wall_micros\": {{{}}},\n  \"gate\": {{\"ratio\": \
          \"traced/untraced\", \"value\": {ratio:.4}, \"max\": {GATE}}},\n  \
+         \"rep_ratios\": [{}],\n  \
          \"journeys\": {journeys},\n  \"hops\": [\n    {}\n  ],\n  \"trace_series\": [\n    {}\n  ]\n}}\n",
         walls.join(", "),
+        rep_ratios.join(", "),
         list(hops),
         list(trace_series)
     );

@@ -13,10 +13,20 @@
 //! attribute or a type-mismatched comparison makes the enclosing
 //! comparison *false* (never an error at runtime): policies must be safe
 //! to evaluate against any event.
+//!
+//! Conditions are read with the shared lexer of [`smc_types::text`], so
+//! literals are written and read exactly as in filters, and written back
+//! by `Display` in a form [`Expr::parse`] reads to an equal tree.
+//! Nesting is bounded at 256 levels, both in the text read and in the
+//! fully parenthesised text `Display` writes for it: a flat `&&` or `||`
+//! chain reads up to 256 comparisons, and what reads always reads back.
 
 use std::fmt;
 
+use smc_types::text::{lex, Cursor};
 use smc_types::{AttributeValue, Event};
+
+pub use smc_types::text::ParseError;
 
 /// A parsed condition expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,23 +78,6 @@ impl fmt::Display for CmpOp {
     }
 }
 
-/// Error produced when parsing a condition string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub message: String,
-    /// Byte offset in the input.
-    pub position: usize,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.position, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 impl Expr {
     /// Parses a condition from its textual form.
     ///
@@ -104,16 +97,8 @@ impl Expr {
     /// # Ok::<(), smc_policy::ParseError>(())
     /// ```
     pub fn parse(input: &str) -> Result<Expr, ParseError> {
-        let tokens = tokenize(input)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let expr = p.parse_or()?;
-        if p.pos != p.tokens.len() {
-            return Err(ParseError {
-                message: format!("unexpected trailing token {:?}", p.tokens[p.pos].kind),
-                position: p.tokens[p.pos].position,
-            });
-        }
-        Ok(expr)
+        let tokens = lex(input)?;
+        condition(&mut Cursor::new(&tokens, input.len()))
     }
 
     /// Evaluates the condition against `event`.
@@ -158,40 +143,11 @@ impl Expr {
             }
         }
     }
-
-    /// The set of attribute names the expression reads.
-    pub fn referenced_attributes(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_attrs(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_attrs(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Attr(n) | Expr::Exists(n) => out.push(n.clone()),
-            Expr::Not(e) => e.collect_attrs(out),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_attrs(out);
-                b.collect_attrs(out);
-            }
-            Expr::Cmp(a, _, b) => {
-                a.collect_attrs(out);
-                b.collect_attrs(out);
-            }
-            Expr::Literal(_) => {}
-        }
-    }
 }
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Literal(AttributeValue::Str(s)) => write!(f, "{s:?}"),
-            // `{:?}` keeps the decimal point on whole doubles ("-1.0"),
-            // so the printed form reparses to the same variant.
-            Expr::Literal(AttributeValue::Double(d)) => write!(f, "{d:?}"),
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Attr(n) => f.write_str(n),
             Expr::Exists(n) => write!(f, "exists({n})"),
@@ -205,347 +161,105 @@ impl fmt::Display for Expr {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum TokenKind {
-    Ident(String),
-    Int(i64),
-    Double(f64),
-    Str(String),
-    True,
-    False,
-    AndAnd,
-    OrOr,
-    Bang,
-    LParen,
-    RParen,
-    Cmp(CmpOp),
-    Exists,
+/// The deepest nesting a condition may have, counted twice: in its text
+/// as read, and in the text `Display` writes for the tree it builds,
+/// where each binary node opens one `(` and each `!` three, `(!(…))`.
+/// Conditions arrive as wire bytes in a `PolicySet`, so the first bounds
+/// the parser's stack; the second bounds the tree that `eval`, `Display`
+/// and `Drop` walk, and makes every condition that parses print to one
+/// that parses again.
+const MAX_DEPTH: usize = 256;
+
+impl CmpOp {
+    const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Token {
-    kind: TokenKind,
-    position: usize,
+/// A condition read so far and the nesting of its printed form.
+type Parsed = (Expr, usize);
+
+/// Reads a condition from every token left in `c`.
+pub(crate) fn condition(c: &mut Cursor<'_>) -> Result<Expr, ParseError> {
+    let (expr, _) = or(c, 0)?;
+    c.finish()?;
+    Ok(expr)
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let position = i;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    position,
-                });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    position,
-                });
-                i += 1;
-            }
-            '&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    tokens.push(Token {
-                        kind: TokenKind::AndAnd,
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    return Err(ParseError {
-                        message: "expected '&&'".into(),
-                        position,
-                    });
-                }
-            }
-            '|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    tokens.push(Token {
-                        kind: TokenKind::OrOr,
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    return Err(ParseError {
-                        message: "expected '||'".into(),
-                        position,
-                    });
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Ne),
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Bang,
-                        position,
-                    });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Eq),
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    return Err(ParseError {
-                        message: "expected '=='".into(),
-                        position,
-                    });
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Le),
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Lt),
-                        position,
-                    });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Ge),
-                        position,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Cmp(CmpOp::Gt),
-                        position,
-                    });
-                    i += 1;
-                }
-            }
-            '"' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < bytes.len() {
-                    match bytes[j] as char {
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        '\\' if j + 1 < bytes.len() => {
-                            let esc = bytes[j + 1] as char;
-                            s.push(match esc {
-                                'n' => '\n',
-                                't' => '\t',
-                                other => other,
-                            });
-                            j += 2;
-                        }
-                        ch => {
-                            s.push(ch);
-                            j += 1;
-                        }
-                    }
-                }
-                if !closed {
-                    return Err(ParseError {
-                        message: "unterminated string".into(),
-                        position,
-                    });
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    position,
-                });
-                i = j + 1;
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let start = i;
-                i += 1;
-                let mut is_double = false;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_digit() {
-                        i += 1;
-                    } else if d == '.' && !is_double {
-                        is_double = true;
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let text = &input[start..i];
-                let kind = if is_double {
-                    TokenKind::Double(text.parse().map_err(|_| ParseError {
-                        message: format!("bad number '{text}'"),
-                        position,
-                    })?)
-                } else {
-                    TokenKind::Int(text.parse().map_err(|_| ParseError {
-                        message: format!("bad number '{text}'"),
-                        position,
-                    })?)
-                };
-                tokens.push(Token { kind, position });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '.' || d == '-' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let word = &input[start..i];
-                let kind = match word {
-                    "true" => TokenKind::True,
-                    "false" => TokenKind::False,
-                    "exists" => TokenKind::Exists,
-                    _ => TokenKind::Ident(word.to_owned()),
-                };
-                tokens.push(Token { kind, position });
-            }
-            other => {
-                return Err(ParseError {
-                    message: format!("unexpected character '{other}'"),
-                    position,
-                })
-            }
-        }
+fn or(c: &mut Cursor<'_>, depth: usize) -> Result<Parsed, ParseError> {
+    let mut left = and(c, depth)?;
+    while c.eat("||") {
+        let right = and(c, depth)?;
+        left = binary(c, left, right, Expr::Or)?;
     }
-    Ok(tokens)
+    Ok(left)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+fn and(c: &mut Cursor<'_>, depth: usize) -> Result<Parsed, ParseError> {
+    let mut left = not(c, depth)?;
+    while c.eat("&&") {
+        let right = not(c, depth)?;
+        left = binary(c, left, right, Expr::And)?;
+    }
+    Ok(left)
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+/// `!`* then a term, compared with another term or not.
+fn not(c: &mut Cursor<'_>, depth: usize) -> Result<Parsed, ParseError> {
+    if c.eat("!") {
+        let (inner, printed) = not(c, level(c, depth + 1)?)?;
+        return Ok((Expr::Not(Box::new(inner)), level(c, printed + 3)?));
     }
-
-    fn position(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .or_else(|| self.tokens.last())
-            .map_or(0, |t| t.position)
-    }
-
-    fn advance(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    let left = term(c, depth)?;
+    match CmpOp::ALL.into_iter().find(|op| c.eat(&op.to_string())) {
+        Some(op) => {
+            let right = term(c, depth)?;
+            binary(c, left, right, |a, b| Expr::Cmp(a, op, b))
         }
-        t.map(|t| t.kind)
+        None => Ok(left),
     }
+}
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ParseError {
-                message: format!("expected {what}"),
-                position: self.position(),
-            })
-        }
+fn term(c: &mut Cursor<'_>, depth: usize) -> Result<Parsed, ParseError> {
+    if c.eat("(") {
+        let inner = or(c, level(c, depth + 1)?)?;
+        c.expect(")")?;
+        return Ok(inner);
     }
+    if c.eat("exists") {
+        c.expect("(")?;
+        let name = c.word("an attribute name")?;
+        c.expect(")")?;
+        return Ok((Expr::Exists(name.to_owned()), 0));
+    }
+    if let Ok(value) = c.value() {
+        return Ok((Expr::Literal(value), 0));
+    }
+    let name = c.word("a value, an attribute or '('")?;
+    Ok((Expr::Attr(name.to_owned()), 0))
+}
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.peek() == Some(&TokenKind::OrOr) {
-            self.pos += 1;
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
+/// A binary node, printed `(a op b)`: one level over its deeper operand.
+fn binary(
+    c: &Cursor<'_>,
+    (a, a_printed): Parsed,
+    (b, b_printed): Parsed,
+    node: impl FnOnce(Box<Expr>, Box<Expr>) -> Expr,
+) -> Result<Parsed, ParseError> {
+    let printed = level(c, a_printed.max(b_printed) + 1)?;
+    Ok((node(Box::new(a), Box::new(b)), printed))
+}
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_not()?;
-        while self.peek() == Some(&TokenKind::AndAnd) {
-            self.pos += 1;
-            let right = self.parse_not()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+fn level(c: &Cursor<'_>, depth: usize) -> Result<usize, ParseError> {
+    if depth > MAX_DEPTH {
+        return c.fail(format!("nested deeper than {MAX_DEPTH}"));
     }
-
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.peek() == Some(&TokenKind::Bang) {
-            self.pos += 1;
-            let inner = self.parse_not()?;
-            return Ok(Expr::Not(Box::new(inner)));
-        }
-        self.parse_cmp()
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
-        let left = self.parse_term()?;
-        if let Some(TokenKind::Cmp(op)) = self.peek().cloned() {
-            self.pos += 1;
-            let right = self.parse_term()?;
-            return Ok(Expr::Cmp(Box::new(left), op, Box::new(right)));
-        }
-        Ok(left)
-    }
-
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let position = self.position();
-        match self.advance() {
-            Some(TokenKind::Int(i)) => Ok(Expr::Literal(AttributeValue::Int(i))),
-            Some(TokenKind::Double(d)) => Ok(Expr::Literal(AttributeValue::Double(d))),
-            Some(TokenKind::Str(s)) => Ok(Expr::Literal(AttributeValue::Str(s))),
-            Some(TokenKind::True) => Ok(Expr::Literal(AttributeValue::Bool(true))),
-            Some(TokenKind::False) => Ok(Expr::Literal(AttributeValue::Bool(false))),
-            Some(TokenKind::Ident(name)) => Ok(Expr::Attr(name)),
-            Some(TokenKind::Exists) => {
-                self.expect(&TokenKind::LParen, "'(' after exists")?;
-                let name = match self.advance() {
-                    Some(TokenKind::Ident(n)) => n,
-                    _ => {
-                        return Err(ParseError {
-                            message: "expected attribute name in exists(...)".into(),
-                            position,
-                        })
-                    }
-                };
-                self.expect(&TokenKind::RParen, "')' after exists(name")?;
-                Ok(Expr::Exists(name))
-            }
-            Some(TokenKind::LParen) => {
-                let e = self.parse_or()?;
-                self.expect(&TokenKind::RParen, "closing ')'")?;
-                Ok(e)
-            }
-            other => Err(ParseError {
-                message: format!("expected a value, attribute or '(': got {other:?}"),
-                position,
-            }),
-        }
-    }
+    Ok(depth)
 }
 
 #[cfg(test)]
@@ -684,12 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn referenced_attributes_collected() {
-        let e = Expr::parse("bpm > 120 && (spo2 < 90 || exists(temp)) && bpm != 0").unwrap();
-        assert_eq!(e.referenced_attributes(), vec!["bpm", "spo2", "temp"]);
-    }
-
-    #[test]
     fn dotted_attribute_names() {
         let event = Event::builder("r")
             .attr("member.device_type", "sensor.hr")
@@ -697,5 +405,96 @@ mod tests {
         assert!(Expr::parse("member.device_type == \"sensor.hr\"")
             .unwrap()
             .eval(&event));
+    }
+
+    #[test]
+    fn non_ascii_strings_read_as_written() {
+        let cond = Expr::parse(r#"unit == "°C""#).unwrap();
+        let expected = Expr::Cmp(
+            Box::new(Expr::Attr("unit".into())),
+            CmpOp::Eq,
+            Box::new(Expr::Literal(AttributeValue::Str("°C".into()))),
+        );
+        assert_eq!(cond, expected);
+        assert!(cond.eval(&Event::builder("r").attr("unit", "°C").build()));
+    }
+
+    #[test]
+    fn exponent_and_non_finite_doubles_read_back() {
+        for d in [1e20, 1.5e-7, f64::INFINITY, f64::NEG_INFINITY] {
+            let cond = Expr::Cmp(
+                Box::new(Expr::Attr("x".into())),
+                CmpOp::Gt,
+                Box::new(Expr::Literal(AttributeValue::Double(d))),
+            );
+            assert_eq!(Expr::parse(&cond.to_string()).unwrap(), cond, "{cond}");
+        }
+        assert!(eval("bpm < 1e20 && bpm > -inf"));
+    }
+
+    #[test]
+    fn escaped_strings_read_back() {
+        for s in ["a\"b", "a\\b", "a\rb", "\u{1b}x", "a\tb\nc"] {
+            let cond = Expr::Literal(AttributeValue::Str(s.into()));
+            assert_eq!(Expr::parse(&cond.to_string()).unwrap(), cond, "{s:?}");
+        }
+    }
+
+    /// `(` and `!` nest at most `MAX_DEPTH` deep: ten thousand of either,
+    /// or a flat chain of twenty thousand links, is an error, not a stack
+    /// overflow, on a 2 MiB thread.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                [
+                    "(".repeat(10_000) + "a" + &")".repeat(10_000),
+                    "!".repeat(10_000) + "a",
+                    vec!["a"; 20_000].join("&&"),
+                ]
+                .map(|src| Expr::parse(&src))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for result in deep {
+            let err = result.unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
+        let limit = "(".repeat(MAX_DEPTH) + "a" + &")".repeat(MAX_DEPTH);
+        assert!(Expr::parse(&limit).is_ok());
+        let over = "(".repeat(MAX_DEPTH + 1) + "a" + &")".repeat(MAX_DEPTH + 1);
+        assert!(Expr::parse(&over).is_err());
+    }
+
+    /// Every condition that parses prints to text that parses to the same
+    /// tree: a flat chain or a run of `!` is refused where its printed
+    /// form, which opens a `(` per link and three per `!`, would nest
+    /// deeper than `MAX_DEPTH`.
+    #[test]
+    fn what_parses_prints_back() {
+        let chain = |n: usize| vec!["c > 1"; n].join(" && ");
+        assert!(Expr::parse(&chain(100)).is_ok());
+        assert!(Expr::parse(&chain(MAX_DEPTH)).is_ok());
+        assert!(Expr::parse(&chain(MAX_DEPTH + 1)).is_err());
+        assert!(Expr::parse(&("!".repeat(MAX_DEPTH / 3) + "a")).is_ok());
+        assert!(Expr::parse(&("!".repeat(MAX_DEPTH / 3 + 1) + "a")).is_err());
+        let printed_back = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut sources = vec![chain(100), chain(MAX_DEPTH)];
+                sources.push(vec!["a"; MAX_DEPTH + 1].join(" || "));
+                sources.push("!".repeat(MAX_DEPTH / 3) + "a");
+                sources.push("!(".repeat(60) + "a > 1" + &")".repeat(60));
+                for src in sources {
+                    let cond = Expr::parse(&src).unwrap();
+                    assert_eq!(Expr::parse(&cond.to_string()), Ok(cond.clone()));
+                    cond.eval(&ev());
+                }
+            })
+            .unwrap()
+            .join();
+        assert!(printed_back.is_ok());
     }
 }

@@ -30,13 +30,19 @@
 //!   to matching members;
 //! * `do enable ID` / `do disable ID` / `do log "…"` manage the store.
 //!
-//! `#` starts a comment outside a double-quoted string
-//! ([`smc_types::strip_comment`], the filter syntax's own rule); blank
-//! lines are ignored.
+//! The document is read with the shared lexer of [`smc_types::text`]:
+//! ids, roles, types and names are words, strings are double-quoted
+//! with the escapes `\\ \" \n \r \t`, and `#` outside a string starts
+//! a comment. A clause ends with its line; an `auth` policy is one line,
+//! and an `oblig` block closes with a line holding only `}`.
+//! [`write_policies`] writes values with the same writer the lexer reads.
 
-use smc_types::{parse_filter, strip_comment, AttributeValue, Error, Result};
+use std::fmt;
 
-use crate::expr::Expr;
+use smc_types::text::{filter, lex, Cursor, ParseError, Quoted};
+use smc_types::{Error, Filter, Result};
+
+use crate::expr::condition;
 use crate::model::{
     ActionClass, ActionSpec, AuthorisationPolicy, ObligationPolicy, Policy, ValueTemplate,
 };
@@ -65,311 +71,174 @@ use crate::model::{
 /// # Ok::<(), smc_types::Error>(())
 /// ```
 pub fn parse_policies(input: &str) -> Result<Vec<Policy>> {
+    let tokens = lex(input).map_err(|e| err(1 + input[..e.position].matches('\n').count(), e))?;
+    // One cursor per line, numbered from 1.
+    let mut lines = tokens
+        .chunk_by(|a, b| !input[a.at..b.at].contains('\n'))
+        .scan((1, 0), |(line, from), tokens| {
+            let at = tokens[0].at;
+            *line += input[*from..at].matches('\n').count();
+            *from = at;
+            let end = input[at..].find('\n').map_or(input.len(), |n| at + n);
+            Some((*line, Cursor::new(tokens, end)))
+        });
     let mut policies = Vec::new();
-    let mut lines = input.lines().enumerate().peekable();
-    while let Some((lineno, raw)) = lines.next() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        match words.next() {
-            Some("auth") => {
-                policies.push(parse_auth(lineno + 1, line)?);
-            }
-            Some("oblig") => {
-                // Header: `oblig ID {` — body runs until the closing `}`.
-                let id = words
-                    .next()
-                    .ok_or_else(|| err(lineno + 1, "expected a policy id after 'oblig'"))?;
-                let brace = words.next();
-                if brace != Some("{") || words.next().is_some() {
-                    return Err(err(lineno + 1, "expected 'oblig ID {'"));
+    while let Some((n, mut c)) = lines.next() {
+        match c.one_of(&["auth", "oblig"]) {
+            Some("auth") => policies.push(auth(&mut c).map_err(|e| err(n, e))?),
+            Some(_) => {
+                let id = c.word("a policy id").map_err(|e| err(n, e))?;
+                if !c.eat("{") || c.finish().is_err() {
+                    return Err(err(n, "expected 'oblig ID {'"));
                 }
                 let mut body = Vec::new();
-                let mut closed = false;
-                for (n, raw) in lines.by_ref() {
-                    let line = strip_comment(raw).trim();
-                    if line == "}" {
-                        closed = true;
+                loop {
+                    let Some(line) = lines.next() else {
+                        return Err(err(n, "unterminated oblig block (missing '}')"));
+                    };
+                    let mut close = line.1.clone();
+                    if close.eat("}") && close.finish().is_ok() {
                         break;
                     }
-                    if !line.is_empty() {
-                        body.push((n + 1, line.to_owned()));
-                    }
+                    body.push(line);
                 }
-                if !closed {
-                    return Err(err(lineno + 1, "unterminated oblig block (missing '}')"));
-                }
-                policies.push(parse_oblig(lineno + 1, id, &body)?);
+                policies.push(oblig(n, id, body)?);
             }
-            Some(other) => {
-                return Err(err(
-                    lineno + 1,
-                    &format!("expected 'auth' or 'oblig', got '{other}'"),
-                ))
-            }
-            None => {}
+            None => return Err(err(n, "expected 'auth' or 'oblig'")),
         }
     }
     Ok(policies)
 }
 
-fn err(line: usize, message: &str) -> Error {
+fn err(line: usize, message: impl fmt::Display) -> Error {
     Error::Invalid(format!("line {line}: {message}"))
 }
 
-/// `auth (permit|deny) ID { role ROLE can ACTION on "RESOURCE" }`
-fn parse_auth(lineno: usize, line: &str) -> Result<Policy> {
-    let (head, brace_body) = line
-        .split_once('{')
-        .ok_or_else(|| err(lineno, "expected '{' in auth policy"))?;
-    let body = brace_body
-        .strip_suffix('}')
-        .map(str::trim)
-        .ok_or_else(|| err(lineno, "auth policy must close with '}' on the same line"))?;
-
-    let mut head_words = head.split_whitespace();
-    let _auth = head_words.next();
-    let permit = match head_words.next() {
-        Some("permit") => true,
-        Some("deny") => false,
-        other => return Err(err(lineno, &format!("expected permit|deny, got {other:?}"))),
+/// `(permit|deny) ID { role ROLE can ACTION on "RESOURCE" }`, after `auth`.
+fn auth(c: &mut Cursor<'_>) -> std::result::Result<Policy, ParseError> {
+    let Some(permit) = c.one_of(&["permit", "deny"]) else {
+        return c.fail("expected permit|deny");
     };
-    let id = head_words
-        .next()
-        .ok_or_else(|| err(lineno, "expected a policy id"))?;
-    if head_words.next().is_some() {
-        return Err(err(lineno, "unexpected tokens before '{'"));
-    }
-
-    let mut w = body.split_whitespace();
-    if w.next() != Some("role") {
-        return Err(err(lineno, "expected 'role' in auth body"));
-    }
-    let role = w
-        .next()
-        .ok_or_else(|| err(lineno, "expected a role name"))?;
-    if w.next() != Some("can") {
-        return Err(err(lineno, "expected 'can'"));
-    }
-    let action = match w.next() {
+    let id = c.word("a policy id")?.to_owned();
+    c.expect("{")?;
+    c.expect("role")?;
+    let role = if c.eat("*") { "*" } else { c.word("a role")? };
+    c.expect("can")?;
+    let action = match c.one_of(&["publish", "subscribe", "command"]) {
         Some("publish") => ActionClass::Publish,
         Some("subscribe") => ActionClass::Subscribe,
-        Some("command") => ActionClass::Command,
-        other => {
-            return Err(err(
-                lineno,
-                &format!("expected publish|subscribe|command, got {other:?}"),
-            ))
-        }
+        Some(_) => ActionClass::Command,
+        None => return c.fail("expected publish|subscribe|command"),
     };
-    if w.next() != Some("on") {
-        return Err(err(lineno, "expected 'on'"));
-    }
-    let rest: String = w.collect::<Vec<_>>().join(" ");
-    let resource = unquote(&rest).ok_or_else(|| err(lineno, "expected a quoted resource"))?;
-
-    let policy = AuthorisationPolicy {
-        id: id.into(),
-        permit,
-        role: role.into(),
+    c.expect("on")?;
+    let resource = c.string("a quoted resource")?;
+    c.expect("}")?;
+    c.finish()?;
+    Ok(Policy::Authorisation(AuthorisationPolicy {
+        id,
+        permit: permit == "permit",
+        role: role.to_owned(),
         action,
         resource,
-    };
-    Ok(Policy::Authorisation(policy))
+    }))
 }
 
-fn unquote(s: &str) -> Option<String> {
-    let s = s.trim();
-    s.strip_prefix('"')?.strip_suffix('"').map(str::to_owned)
-}
-
-fn parse_oblig(header_line: usize, id: &str, body: &[(usize, String)]) -> Result<Policy> {
-    let mut filter = None;
-    let mut condition = None;
-    let mut actions = Vec::new();
-    for (lineno, line) in body {
-        let (keyword, rest) = line
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| err(*lineno, "expected 'on', 'when' or 'do' with arguments"))?;
-        let rest = rest.trim();
-        match keyword {
-            "on" => {
-                if filter.is_some() {
-                    return Err(err(*lineno, "duplicate 'on' clause"));
-                }
-                filter = Some(parse_filter(rest).map_err(|e| err(*lineno, &e.to_string()))?);
+/// The clauses of `oblig ID { … }`, one line each.
+fn oblig(header_line: usize, id: &str, body: Vec<(usize, Cursor<'_>)>) -> Result<Policy> {
+    let mut on: Option<Filter> = None;
+    let mut policy = ObligationPolicy::new(id, Filter::any());
+    for (n, mut c) in body {
+        let at = |e: ParseError| err(n, e);
+        match c.one_of(&["on", "when", "do"]) {
+            Some("on") if on.is_some() => return Err(err(n, "duplicate 'on' clause")),
+            Some("on") => on = Some(filter(&mut c).map_err(at)?),
+            Some("when") if policy.condition.is_some() => {
+                return Err(err(n, "duplicate 'when' clause"))
             }
-            "when" => {
-                if condition.is_some() {
-                    return Err(err(*lineno, "duplicate 'when' clause"));
-                }
-                condition = Some(Expr::parse(rest).map_err(|e| err(*lineno, &e.to_string()))?);
-            }
-            "do" => actions.push(parse_action(*lineno, rest)?),
-            other => return Err(err(*lineno, &format!("unknown clause '{other}'"))),
+            Some("when") => policy.condition = Some(condition(&mut c).map_err(at)?),
+            Some(_) => policy.actions.push(action(&mut c).map_err(at)?),
+            None => return Err(err(n, "expected 'on', 'when' or 'do'")),
         }
     }
-    let filter = filter.ok_or_else(|| err(header_line, "oblig block needs an 'on' clause"))?;
-    if actions.is_empty() {
+    policy.event = on.ok_or_else(|| err(header_line, "oblig block needs an 'on' clause"))?;
+    if policy.actions.is_empty() {
         return Err(err(
             header_line,
             "oblig block needs at least one 'do' clause",
         ));
     }
-    let mut policy = ObligationPolicy::new(id, filter);
-    policy.condition = condition;
-    policy.actions = actions;
     Ok(Policy::Obligation(policy))
 }
 
-fn parse_action(lineno: usize, text: &str) -> Result<ActionSpec> {
-    let (verb, rest) = match text.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (text, ""),
+/// One `do` clause's action.
+fn action(c: &mut Cursor<'_>) -> std::result::Result<ActionSpec, ParseError> {
+    let verbs = [
+        "publish", "command", "enable", "disable", "log", "quench", "wake", "restart",
+    ];
+    let Some(verb) = c.one_of(&verbs) else {
+        return c.fail("unknown action");
     };
-    match verb {
-        "publish" => {
-            let (event_type, args_text) = match rest.split_once(char::is_whitespace) {
-                Some((t, a)) => (t, a.trim()),
-                None => (rest, ""),
-            };
-            if event_type.is_empty() {
-                return Err(err(lineno, "publish needs an event type"));
-            }
-            Ok(ActionSpec::PublishEvent {
-                event_type: event_type.to_owned(),
-                attrs: parse_assignments(lineno, args_text)?,
-            })
-        }
-        "command" => {
-            // command "TYPE-GLOB" NAME k = v, ...
-            let rest = rest.trim();
-            let (target_glob, after) = if let Some(inner) = rest.strip_prefix('"') {
-                let end = inner
-                    .find('"')
-                    .ok_or_else(|| err(lineno, "unterminated target glob"))?;
-                (inner[..end].to_owned(), inner[end + 1..].trim())
-            } else {
-                return Err(err(lineno, "command needs a quoted device-type glob"));
-            };
-            let (name, args_text) = match after.split_once(char::is_whitespace) {
-                Some((n, a)) => (n, a.trim()),
-                None => (after, ""),
-            };
-            if name.is_empty() {
-                return Err(err(lineno, "command needs a name"));
-            }
-            Ok(ActionSpec::SendCommand {
-                target: None,
-                target_device_type: target_glob,
-                name: name.to_owned(),
-                args: parse_assignments(lineno, args_text)?,
-            })
-        }
-        "enable" => Ok(ActionSpec::EnablePolicy(expect_ident(lineno, rest)?)),
-        "disable" => Ok(ActionSpec::DisablePolicy(expect_ident(lineno, rest)?)),
-        "log" => {
-            let message = unquote(rest).ok_or_else(|| err(lineno, "log needs a quoted message"))?;
-            Ok(ActionSpec::Log(message))
-        }
+    let action = match verb {
+        "publish" => ActionSpec::PublishEvent {
+            event_type: c.word("an event type")?.to_owned(),
+            attrs: assignments(c)?,
+        },
+        // command "TYPE-GLOB" NAME k = v, ...
+        "command" => ActionSpec::SendCommand {
+            target: None,
+            target_device_type: c.string("a quoted device-type glob")?,
+            name: c.word("a command name")?.to_owned(),
+            args: assignments(c)?,
+        },
+        "enable" => ActionSpec::EnablePolicy(c.word("a policy id")?.to_owned()),
+        "disable" => ActionSpec::DisablePolicy(c.word("a policy id")?.to_owned()),
+        "log" => ActionSpec::Log(c.string("a quoted message")?),
         // quench @attr | quench 123 — silence the addressed publisher;
         // wake undoes it.
-        "quench" | "wake" => Ok(ActionSpec::Quench {
-            publisher: parse_template(lineno, rest)?,
+        "quench" | "wake" => ActionSpec::Quench {
+            publisher: template(c)?,
             enable: verb == "quench",
-        }),
+        },
         // restart @attr | restart "name" — ask the supervisor to restart
         // the addressed cell component.
-        "restart" => Ok(ActionSpec::Restart {
-            component: parse_template(lineno, rest)?,
-        }),
-        other => Err(err(lineno, &format!("unknown action '{other}'"))),
-    }
+        _ => ActionSpec::Restart {
+            component: template(c)?,
+        },
+    };
+    c.finish()?;
+    Ok(action)
 }
 
-fn expect_ident(lineno: usize, s: &str) -> Result<String> {
-    let s = s.trim();
-    if s.is_empty() || s.contains(char::is_whitespace) {
-        return Err(err(lineno, "expected a single policy id"));
-    }
-    Ok(s.to_owned())
-}
-
-/// `k = v, k2 = @attr, …` — empty input yields no assignments.
-fn parse_assignments(lineno: usize, text: &str) -> Result<Vec<(String, ValueTemplate)>> {
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
+/// `k = v, k2 = @attr, …` to the end of the line; nothing is none.
+fn assignments(
+    c: &mut Cursor<'_>,
+) -> std::result::Result<Vec<(String, ValueTemplate)>, ParseError> {
     let mut out = Vec::new();
-    for part in split_top_level_commas(text) {
-        let (name, value_text) = part
-            .split_once('=')
-            .ok_or_else(|| err(lineno, &format!("expected 'name = value' in '{part}'")))?;
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(err(lineno, "empty assignment name"));
+    if c.peek().is_none() {
+        return Ok(out);
+    }
+    loop {
+        let name = c.word("an attribute name")?.to_owned();
+        if !c.eat("=") {
+            return c.fail(format!(
+                "cannot parse value: expected 'name = value' after '{name}'"
+            ));
         }
-        let value_text = value_text.trim();
-        let template = if let Some(attr) = value_text.strip_prefix('@') {
-            ValueTemplate::FromEvent(attr.to_owned())
-        } else {
-            ValueTemplate::Literal(parse_literal(lineno, value_text)?)
-        };
-        out.push((name.to_owned(), template));
-    }
-    Ok(out)
-}
-
-/// `@attr` or a literal — one standalone value template.
-fn parse_template(lineno: usize, text: &str) -> Result<ValueTemplate> {
-    let text = text.trim();
-    if text.is_empty() {
-        return Err(err(lineno, "expected a value or @attribute"));
-    }
-    if let Some(attr) = text.strip_prefix('@') {
-        return Ok(ValueTemplate::FromEvent(attr.to_owned()));
-    }
-    Ok(ValueTemplate::Literal(parse_literal(lineno, text)?))
-}
-
-fn split_top_level_commas(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                out.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
+        out.push((name, template(c)?));
+        if !c.eat(",") {
+            return Ok(out);
         }
     }
-    out.push(s[start..].trim());
-    out
 }
 
-fn parse_literal(lineno: usize, text: &str) -> Result<AttributeValue> {
-    if let Some(s) = unquote(text) {
-        return Ok(AttributeValue::Str(s));
+/// `@attr` or a literal value.
+fn template(c: &mut Cursor<'_>) -> std::result::Result<ValueTemplate, ParseError> {
+    if c.eat("@") {
+        return Ok(ValueTemplate::FromEvent(
+            c.word("an attribute name")?.to_owned(),
+        ));
     }
-    match text {
-        "true" => return Ok(AttributeValue::Bool(true)),
-        "false" => return Ok(AttributeValue::Bool(false)),
-        _ => {}
-    }
-    if text.contains('.') {
-        if let Ok(d) = text.parse::<f64>() {
-            return Ok(AttributeValue::Double(d));
-        }
-    } else if let Ok(i) = text.parse::<i64>() {
-        return Ok(AttributeValue::Int(i));
-    }
-    Err(err(lineno, &format!("cannot parse value '{text}'")))
+    Ok(ValueTemplate::Literal(c.value()?))
 }
 
 /// Renders policies back into the textual language.
@@ -378,128 +247,87 @@ fn parse_literal(lineno: usize, text: &str) -> Result<AttributeValue> {
 /// (enforced by a property test), so a cell's live policy set can be
 /// exported, audited, edited and reloaded.
 pub fn write_policies(policies: &[Policy]) -> String {
-    let mut out = String::new();
-    for policy in policies {
-        match policy {
-            Policy::Authorisation(p) => {
-                out.push_str(&format!(
-                    "auth {} {} {{ role {} can {} on \"{}\" }}\n",
-                    if p.permit { "permit" } else { "deny" },
-                    p.id,
-                    p.role,
-                    p.action,
-                    p.resource
-                ));
-            }
+    policies.iter().map(Policy::to_string).collect()
+}
+
+/// The policy in the textual language, ending with a newline. A
+/// command's `target` member is not part of the language and is dropped.
+impl fmt::Display for Policy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Policy::Authorisation(p) => writeln!(
+                f,
+                "auth {} {} {{ role {} can {} on {} }}",
+                if p.permit { "permit" } else { "deny" },
+                p.id,
+                p.role,
+                p.action,
+                Quoted(&p.resource)
+            ),
             Policy::Obligation(p) => {
-                out.push_str(&format!("oblig {} {{\n", p.id));
-                out.push_str(&format!("    on {}\n", write_filter(&p.event)));
+                writeln!(f, "oblig {} {{\n    on {}", p.id, p.event)?;
                 if let Some(cond) = &p.condition {
-                    out.push_str(&format!("    when {cond}\n"));
+                    writeln!(f, "    when {cond}")?;
                 }
                 for action in &p.actions {
-                    out.push_str(&format!("    do {}\n", write_action(action)));
+                    writeln!(f, "    do {action}")?;
                 }
-                out.push_str("}\n");
+                writeln!(f, "}}")
             }
         }
     }
-    out
 }
 
-fn write_filter(filter: &smc_types::Filter) -> String {
-    let mut out = filter.event_type().unwrap_or("*").to_owned();
-    if !filter.constraints().is_empty() {
-        out.push_str(" : ");
-        let parts: Vec<String> = filter.constraints().iter().map(write_constraint).collect();
-        out.push_str(&parts.join(" && "));
-    }
-    out
-}
-
-fn write_constraint(c: &smc_types::Constraint) -> String {
-    use smc_types::Op;
-    match c.op {
-        Op::Exists => format!("exists({})", c.name),
-        Op::Eq => format!("{} == {}", c.name, write_value(&c.value)),
-        Op::Ne => format!("{} != {}", c.name, write_value(&c.value)),
-        Op::Lt => format!("{} < {}", c.name, write_value(&c.value)),
-        Op::Le => format!("{} <= {}", c.name, write_value(&c.value)),
-        Op::Gt => format!("{} > {}", c.name, write_value(&c.value)),
-        Op::Ge => format!("{} >= {}", c.name, write_value(&c.value)),
-        Op::Prefix => format!("{} prefix {}", c.name, write_value(&c.value)),
-        Op::Suffix => format!("{} suffix {}", c.name, write_value(&c.value)),
-        Op::Contains => format!("{} contains {}", c.name, write_value(&c.value)),
-    }
-}
-
-fn write_value(v: &AttributeValue) -> String {
-    match v {
-        AttributeValue::Bool(b) => b.to_string(),
-        AttributeValue::Int(i) => i.to_string(),
-        // `{:?}` keeps the decimal point so the value reparses as a double.
-        AttributeValue::Double(d) => format!("{d:?}"),
-        AttributeValue::Str(s) => format!("{s:?}"),
-        AttributeValue::Bytes(_) => "\"<bytes>\"".to_owned(),
-    }
-}
-
-fn write_template(t: &ValueTemplate) -> String {
-    match t {
-        ValueTemplate::Literal(v) => write_value(v),
-        ValueTemplate::FromEvent(name) => format!("@{name}"),
-    }
-}
-
-fn write_assignments(pairs: &[(String, ValueTemplate)]) -> String {
-    pairs
-        .iter()
-        .map(|(n, t)| format!("{n} = {}", write_template(t)))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn write_action(action: &ActionSpec) -> String {
-    match action {
-        ActionSpec::PublishEvent { event_type, attrs } => {
-            if attrs.is_empty() {
-                format!("publish {event_type}")
-            } else {
-                format!("publish {event_type} {}", write_assignments(attrs))
+impl fmt::Display for ActionSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ActionSpec::PublishEvent { event_type, attrs } => {
+                write!(f, "publish {event_type}")?;
+                write_assignments(f, attrs)
             }
-        }
-        ActionSpec::SendCommand {
-            target_device_type,
-            name,
-            args,
-            ..
-        } => {
-            if args.is_empty() {
-                format!("command \"{target_device_type}\" {name}")
-            } else {
-                format!(
-                    "command \"{target_device_type}\" {name} {}",
-                    write_assignments(args)
-                )
+            ActionSpec::SendCommand {
+                target_device_type,
+                name,
+                args,
+                ..
+            } => {
+                write!(f, "command {} {name}", Quoted(target_device_type))?;
+                write_assignments(f, args)
             }
-        }
-        ActionSpec::EnablePolicy(id) => format!("enable {id}"),
-        ActionSpec::DisablePolicy(id) => format!("disable {id}"),
-        ActionSpec::Log(msg) => format!("log {msg:?}"),
-        ActionSpec::Quench { publisher, enable } => {
-            let verb = if *enable { "quench" } else { "wake" };
-            format!("{verb} {}", write_template(publisher))
-        }
-        ActionSpec::Restart { component } => {
-            format!("restart {}", write_template(component))
+            ActionSpec::EnablePolicy(id) => write!(f, "enable {id}"),
+            ActionSpec::DisablePolicy(id) => write!(f, "disable {id}"),
+            ActionSpec::Log(msg) => write!(f, "log {}", Quoted(msg)),
+            ActionSpec::Quench { publisher, enable } => {
+                let verb = if *enable { "quench" } else { "wake" };
+                write!(f, "{verb} {publisher}")
+            }
+            ActionSpec::Restart { component } => write!(f, "restart {component}"),
         }
     }
+}
+
+impl fmt::Display for ValueTemplate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueTemplate::Literal(v) => write!(f, "{v}"),
+            ValueTemplate::FromEvent(name) => write!(f, "@{name}"),
+        }
+    }
+}
+
+/// ` k = v, k2 = @attr`: nothing for no pairs.
+fn write_assignments(f: &mut fmt::Formatter<'_>, pairs: &[(String, ValueTemplate)]) -> fmt::Result {
+    for (i, (name, value)) in pairs.iter().enumerate() {
+        write!(f, "{}{name} = {value}", if i == 0 { " " } else { ", " })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smc_types::{Event, Filter, Op};
+    use crate::Expr;
+    use smc_types::{AttributeValue, Event, Filter, Op};
 
     const DOC: &str = r#"
         # ward policies
@@ -732,5 +560,74 @@ mod tests {
         };
         assert_eq!(p.event.constraints().len(), 2);
         assert_eq!(p.event.constraints()[1].op, Op::Lt);
+    }
+
+    /// Write `policies`, parse the text, and require the same policies.
+    fn round_trip(policies: Vec<Policy>) {
+        let text = write_policies(&policies);
+        let back = parse_policies(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(format!("{back:?}"), format!("{policies:?}"), "{text}");
+    }
+
+    #[test]
+    fn exponent_and_infinite_doubles_round_trip() {
+        let mut policy = ObligationPolicy::new("big", Filter::any().with(("x", Op::Gt, 1e20)));
+        policy.condition = Some(Expr::parse("x > 100000000000000000000.0 && y < inf").unwrap());
+        policy.actions = vec![ActionSpec::PublishEvent {
+            event_type: "t".into(),
+            attrs: vec![
+                ("a".into(), ValueTemplate::Literal(f64::INFINITY.into())),
+                ("b".into(), ValueTemplate::Literal(f64::NEG_INFINITY.into())),
+                ("c".into(), ValueTemplate::Literal(f64::NAN.into())),
+                ("d".into(), ValueTemplate::Literal(1.5e-7.into())),
+            ],
+        }];
+        round_trip(vec![Policy::Obligation(policy)]);
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let policies = parse_policies(
+            r#"oblig x {
+                on   * : s == "a\"b"
+                do   log "say \"hi\""
+            }"#,
+        )
+        .unwrap();
+        let Policy::Obligation(p) = &policies[0] else {
+            panic!()
+        };
+        assert_eq!(p.actions[0], ActionSpec::Log("say \"hi\"".into()));
+        assert_eq!(
+            p.event.constraints()[0].value,
+            AttributeValue::Str("a\"b".into())
+        );
+        let strings = ["a\"b", "a\\b", "a\rb", "\u{1b}x", "say \"hi\""];
+        round_trip(
+            strings
+                .iter()
+                .map(|s| {
+                    let mut p = ObligationPolicy::new("p", Filter::any().with(("k", Op::Eq, *s)));
+                    p.condition = Some(Expr::Literal(AttributeValue::Str((*s).into())));
+                    p.actions = vec![
+                        ActionSpec::Log((*s).into()),
+                        ActionSpec::Restart {
+                            component: ValueTemplate::Literal((*s).into()),
+                        },
+                    ];
+                    Policy::Obligation(p)
+                })
+                .collect(),
+        );
+    }
+
+    #[test]
+    fn auth_resources_keep_inner_whitespace() {
+        let policies = parse_policies(r#"auth permit p { role r can publish on "a  b" }"#).unwrap();
+        let Policy::Authorisation(p) = &policies[0] else {
+            panic!()
+        };
+        assert_eq!(p.resource, "a  b");
+        round_trip(policies);
     }
 }

@@ -504,6 +504,7 @@ impl Decode for PolicySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::{parse_policies, write_policies};
     use smc_types::codec::{from_bytes, to_bytes};
     use smc_types::Op;
 
@@ -649,6 +650,65 @@ mod tests {
         let bytes = to_bytes(&set);
         for cut in 0..bytes.len() {
             assert!(from_bytes::<PolicySet>(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn exponent_double_conditions_cross_the_wire() {
+        let set = PolicySet {
+            policies: vec![Policy::Obligation(
+                ObligationPolicy::new("big", Filter::any())
+                    .when(Expr::parse("x > 100000000000000000000.0").unwrap())
+                    .then(ActionSpec::Log("big".into())),
+            )],
+        };
+        let back: PolicySet = from_bytes(&to_bytes(&set)).unwrap();
+        assert_eq!(back, set);
+    }
+
+    /// A flat chain of a hundred clauses reads from text, is sent as its
+    /// fully parenthesised `Display` form, and reads back on the member.
+    #[test]
+    fn long_flat_conditions_cross_the_wire() {
+        let chain = (0..100).map(|i| format!("c{i} > {i}")).collect::<Vec<_>>();
+        let set = PolicySet {
+            policies: vec![Policy::Obligation(
+                ObligationPolicy::new("long", Filter::any())
+                    .when(Expr::parse(&chain.join(" && ")).unwrap())
+                    .then(ActionSpec::Log("long".into())),
+            )],
+        };
+        let back: PolicySet = from_bytes(&to_bytes(&set)).unwrap();
+        assert_eq!(back, set);
+        assert_eq!(
+            parse_policies(&write_policies(&set.policies)).unwrap(),
+            set.policies
+        );
+    }
+
+    /// A condition nested ten thousand deep, or a flat chain of twenty
+    /// thousand links, arrives as wire bytes and is refused, on a 2 MiB
+    /// thread, without overflowing its stack.
+    #[test]
+    fn deeply_nested_wire_condition_is_refused() {
+        use smc_types::codec::WriteExt;
+        let chain = vec!["a"; 20_000].join("&&");
+        for deep in ["(".repeat(10_000), "!".repeat(10_000) + "a", chain] {
+            let mut buf = BytesMut::new();
+            buf.put_u16_le(1);
+            buf.put_u8(1);
+            buf.put_str("p");
+            Filter::any().encode(&mut buf);
+            buf.put_bool(true);
+            buf.put_str(&deep);
+            buf.put_u16_le(0);
+            let decoded = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || from_bytes::<PolicySet>(&buf).is_err())
+                .unwrap()
+                .join()
+                .unwrap();
+            assert!(decoded);
         }
     }
 }

@@ -1,39 +1,16 @@
 //! Property-based tests for the condition-expression language.
 
 use proptest::prelude::*;
-use smc_policy::{CmpOp, Expr};
-use smc_types::{AttributeValue, Event};
+use smc_policy::{ActionSpec, Expr, ObligationPolicy, Policy, PolicySet};
+use smc_types::codec::{from_bytes, to_bytes};
+use smc_types::{Event, Filter};
 
-/// Random expression trees over a tiny attribute alphabet.
+#[path = "support/wide.rs"]
+mod wide;
+
+/// Random expression trees whose literals span every value (wide.rs).
 fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        (-9i64..9).prop_map(|i| Expr::Literal(AttributeValue::Int(i))),
-        (-4i64..4).prop_map(|i| Expr::Literal(AttributeValue::Double(i as f64 / 2.0))),
-        any::<bool>().prop_map(|b| Expr::Literal(AttributeValue::Bool(b))),
-        "[a-z]{1,6}".prop_map(|s| Expr::Literal(AttributeValue::Str(s))),
-        prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(|n| Expr::Attr(n.to_string())),
-        prop_oneof![Just("a"), Just("b"), Just("zz")].prop_map(|n| Expr::Exists(n.to_string())),
-    ];
-    leaf.prop_recursive(4, 32, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (
-                inner.clone(),
-                prop_oneof![
-                    Just(CmpOp::Eq),
-                    Just(CmpOp::Ne),
-                    Just(CmpOp::Lt),
-                    Just(CmpOp::Le),
-                    Just(CmpOp::Gt),
-                    Just(CmpOp::Ge)
-                ],
-                inner
-            )
-                .prop_map(|(a, op, b)| Expr::Cmp(Box::new(a), op, Box::new(b))),
-        ]
-    })
+    wide::expr()
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -71,13 +48,29 @@ proptest! {
     }
 
     /// Display→parse is semantics-preserving: the reparsed expression is
-    /// structurally identical.
+    /// structurally identical (a NaN literal reads back as a NaN).
     #[test]
     fn display_parse_round_trip(expr in arb_expr()) {
         let printed = expr.to_string();
         let reparsed = Expr::parse(&printed)
             .unwrap_or_else(|e| panic!("'{printed}' failed to reparse: {e}"));
-        prop_assert_eq!(reparsed, expr);
+        prop_assert!(wide::same(&reparsed, &expr), "{printed}: {reparsed:?} != {expr:?}");
+    }
+
+    /// A condition crosses the wire in its printed form: a `PolicySet`
+    /// holding it decodes to the same policy.
+    #[test]
+    fn policy_set_wire_round_trip(expr in arb_expr()) {
+        let set = PolicySet {
+            policies: vec![Policy::Obligation(
+                ObligationPolicy::new("p", Filter::any())
+                    .when(expr)
+                    .then(ActionSpec::Log("fired".into())),
+            )],
+        };
+        let back: PolicySet = from_bytes(&to_bytes(&set))
+            .unwrap_or_else(|e| panic!("{set:?} failed to decode: {e}"));
+        prop_assert!(wide::same(&back, &set), "{back:?} != {set:?}");
     }
 
     /// Evaluation is total and deterministic for any expression and event.
@@ -100,21 +93,5 @@ proptest! {
             Box::new(Expr::Not(Box::new(b.clone()))),
         );
         prop_assert_eq!(lhs.eval(&event), rhs.eval(&event), "de morgan");
-    }
-
-    /// `referenced_attributes` is sound: evaluating against an event with
-    /// all referenced attributes removed equals evaluating against an
-    /// empty event.
-    #[test]
-    fn referenced_attributes_cover_reads(expr in arb_expr()) {
-        let empty = Event::new("t");
-        let mut stacked = Event::builder("t");
-        for name in ["x", "y", "z"] {
-            // Attributes the expression never references cannot matter.
-            if !expr.referenced_attributes().contains(&name.to_string()) {
-                stacked = stacked.attr(name, 1i64);
-            }
-        }
-        prop_assert_eq!(expr.eval(&stacked.build()), expr.eval(&empty));
     }
 }

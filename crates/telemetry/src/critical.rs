@@ -13,13 +13,11 @@
 //!
 //! Everything is bounded: per-stage latency samples use deterministic
 //! reservoir sampling, the exemplar store evicts its smallest member,
-//! and dropped exemplars are counted so silent loss is visible on
-//! `/metrics` (`smc_trace_tail_*`).
+//! and dropped exemplars are counted so silent loss is visible: both
+//! renderings carry the reservoir's occupancy, admissions, drops and
+//! threshold, which the status server serves at `/tails`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::trace::{HopRecord, Journey, StageKind};
 
@@ -495,42 +493,6 @@ impl CriticalPath {
         out.push_str("]}}");
         out
     }
-
-    /// Exports tail-reservoir health through `registry` as
-    /// `smc_trace_tail_*` samples, mirroring the sink's declared-
-    /// truncation pattern: exemplar loss must be visible, not silent.
-    pub fn register_with(registry: &crate::Registry, profiler: &Arc<Mutex<CriticalPath>>) {
-        registry.register_weak(profiler, |profiler, out| {
-            let p = profiler.lock();
-            let r = p.reservoir();
-            out.extend([
-                crate::Sample::counter(
-                    "smc_trace_tail_exemplars_total",
-                    "Tail journeys ever admitted to the exemplar reservoir.",
-                    &[],
-                    r.admitted(),
-                ),
-                crate::Sample::counter(
-                    "smc_trace_tail_exemplars_dropped_total",
-                    "Tail journeys lost to reservoir capacity (evictions and refusals).",
-                    &[],
-                    r.dropped(),
-                ),
-                crate::Sample::gauge(
-                    "smc_trace_tail_reservoir_occupancy",
-                    "Exemplars currently retained.",
-                    &[],
-                    r.occupancy() as u64,
-                ),
-                crate::Sample::gauge(
-                    "smc_trace_tail_threshold_micros",
-                    "Rolling quantile threshold for tail admission.",
-                    &[],
-                    r.threshold_micros(),
-                ),
-            ]);
-        });
-    }
 }
 
 /// Escapes `s` as a JSON string literal, quotes included. The
@@ -704,31 +666,5 @@ mod tests {
             (990..=1000).contains(&shares),
             "shares sum to ~1000‰: {shares}"
         );
-    }
-
-    #[test]
-    fn tail_metrics_export_through_the_registry() {
-        let registry = crate::Registry::new();
-        let profiler = Arc::new(Mutex::new(CriticalPath::with_reservoir(
-            TailReservoir::new(1, 500),
-        )));
-        CriticalPath::register_with(&registry, &profiler);
-        {
-            let mut p = profiler.lock();
-            for i in 0..40u64 {
-                p.fold(&journey(
-                    i,
-                    &[(Hop::Published, 0), (Hop::Delivered, 10 + i * 10)],
-                ));
-            }
-        }
-        let text = registry.render_text();
-        assert!(
-            text.contains("smc_trace_tail_reservoir_occupancy 1"),
-            "{text}"
-        );
-        assert!(text.contains("smc_trace_tail_exemplars_total"));
-        assert!(text.contains("smc_trace_tail_exemplars_dropped_total"));
-        assert!(text.contains("smc_trace_tail_threshold_micros"));
     }
 }

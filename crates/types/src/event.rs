@@ -718,7 +718,13 @@ impl fmt::Display for Event {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{n}={v}")?;
+            // Human-facing, not the text syntax: strings escape every
+            // control character and whole doubles print without a point.
+            match v {
+                AttributeValue::Str(s) => write!(f, "{n}={s:?}")?,
+                AttributeValue::Double(d) => write!(f, "{n}={d}")?,
+                v => write!(f, "{n}={v}")?,
+            }
         }
         write!(f, ")")?;
         if !self.payload().is_empty() {
@@ -998,5 +1004,18 @@ mod tests {
         assert!(s.contains("t["));
         assert!(s.contains("a=1"));
         assert!(s.contains("+4B"));
+    }
+
+    /// An event's text is for people: a device's control characters are
+    /// escaped, and a whole double prints as a number.
+    #[test]
+    fn display_escapes_control_characters() {
+        let e = Event::builder("t")
+            .attr("s", "a\u{1b}[2J\u{7}")
+            .attr("d", 38.0f64)
+            .build();
+        let s = e.to_string();
+        assert!(s.contains(r#"s="a\u{1b}[2J\u{7}""#), "{s}");
+        assert!(s.contains("d=38,") || s.ends_with("d=38)"), "{s}");
     }
 }

@@ -64,24 +64,6 @@ impl Op {
     }
 }
 
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Op::Eq => "=",
-            Op::Ne => "!=",
-            Op::Lt => "<",
-            Op::Le => "<=",
-            Op::Gt => ">",
-            Op::Ge => ">=",
-            Op::Prefix => "prefix",
-            Op::Suffix => "suffix",
-            Op::Contains => "contains",
-            Op::Exists => "exists",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A single predicate over one named attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
@@ -203,16 +185,6 @@ impl Constraint {
     }
 }
 
-impl fmt::Display for Constraint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.op == Op::Exists {
-            write!(f, "{} exists", self.name)
-        } else {
-            write!(f, "{} {} {}", self.name, self.op, self.value)
-        }
-    }
-}
-
 /// A content-based filter: an optional event-type restriction plus a
 /// conjunction of constraints.
 ///
@@ -307,24 +279,6 @@ impl Filter {
         self.constraints
             .iter()
             .all(|sc| other.constraints.iter().any(|oc| oc.implies(sc)))
-    }
-}
-
-impl fmt::Display for Filter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.event_type {
-            Some(t) => write!(f, "[{t}]")?,
-            None => write!(f, "[*]")?,
-        }
-        for (i, c) in self.constraints.iter().enumerate() {
-            if i == 0 {
-                write!(f, " ")?;
-            } else {
-                write!(f, " && ")?;
-            }
-            write!(f, "{c}")?;
-        }
-        Ok(())
     }
 }
 
@@ -528,8 +482,8 @@ mod tests {
     #[test]
     fn display_forms() {
         let f = Filter::for_type("r").with(("bpm", Op::Gt, 10i64));
-        assert_eq!(f.to_string(), "[r] bpm > 10");
-        assert_eq!(Filter::any().to_string(), "[*]");
+        assert_eq!(f.to_string(), "r : bpm > 10");
+        assert_eq!(Filter::any().to_string(), "*");
         let s = Subscription::new(SubscriptionId(3), ServiceId::from_raw(1), Filter::any());
         assert!(s.to_string().contains("sub-3"));
     }

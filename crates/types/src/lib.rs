@@ -39,7 +39,6 @@ pub mod codec;
 pub mod error;
 pub mod event;
 pub mod filter;
-pub mod filter_text;
 pub mod id;
 pub mod member;
 pub mod packet;
@@ -47,6 +46,7 @@ pub mod shared;
 pub mod snap;
 pub mod supervision;
 pub mod telemetry;
+pub mod text;
 pub mod trace;
 pub mod value;
 pub mod wal;
@@ -55,7 +55,6 @@ pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use error::{CodecError, Error, Result};
 pub use event::{AttributeSet, Attributes, Event, EventBuilder};
 pub use filter::{Constraint, Filter, Op, Subscription};
-pub use filter_text::{parse_filter, strip_comment};
 pub use id::{CellId, EventId, ServiceId, SubscriptionId};
 pub use member::{
     device_type_of, member_id_of, new_member_event, purge_member_event, wellknown, PurgeReason,
@@ -66,6 +65,7 @@ pub use shared::SharedBytes;
 pub use snap::SnapshotCell;
 pub use supervision::SupervisionMsg;
 pub use telemetry::{episode_trace, HopExport, SeriesDelta, TelemetryMsg};
+pub use text::parse_filter;
 pub use trace::TraceId;
 pub use value::AttributeValue;
 pub use wal::{CoreSnapshot, CursorEntry, OutboundEntry, PendingRx, RetainedOutbound, WalRecord};

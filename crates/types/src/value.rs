@@ -1,7 +1,6 @@
 //! Attribute values carried by events and compared by filters.
 
 use std::cmp::Ordering;
-use std::fmt;
 
 /// A single attribute value in an event or a filter constraint.
 ///
@@ -105,27 +104,6 @@ impl AttributeValue {
     pub fn eq_filter(&self, other: &AttributeValue) -> bool {
         self.partial_cmp_filter(other) == Some(Ordering::Equal)
     }
-}
-
-impl fmt::Display for AttributeValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttributeValue::Bool(b) => write!(f, "{b}"),
-            AttributeValue::Int(i) => write!(f, "{i}"),
-            AttributeValue::Double(d) => write!(f, "{d}"),
-            AttributeValue::Str(s) => write!(f, "{s:?}"),
-            AttributeValue::Bytes(b) => write!(f, "0x{}", hex(b)),
-        }
-    }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use fmt::Write;
-        let _ = write!(s, "{b:02x}");
-    }
-    s
 }
 
 impl From<bool> for AttributeValue {

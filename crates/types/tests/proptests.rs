@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use smc_types::codec::{from_bytes, to_bytes, to_shared, BytesMut};
 use smc_types::{
-    encode_deliver, AttributeValue, CellId, Constraint, Event, Filter, Op, Packet, ServiceId,
-    ServiceInfo, SubscriptionId, TraceId, WalRecord,
+    encode_deliver, parse_filter, AttributeValue, CellId, Constraint, Event, Filter, Op, Packet,
+    ServiceId, ServiceInfo, SubscriptionId, TraceId, WalRecord,
 };
 
 // For the properties that measure what a decode reserves.
@@ -109,6 +109,30 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
                 Some(t) => Filter::for_type(t),
                 None => Filter::any(),
             };
+            for (n, op, v) in cs {
+                f.push(Constraint::new(n, op, v));
+            }
+            f
+        })
+}
+
+/// Filters over every value the text syntax writes: strings of any
+/// characters, any double and each non-finite one, bytes.
+fn arb_text_filter() -> impl Strategy<Value = Filter> {
+    let text = proptest::collection::vec(any::<char>(), 0..12).prop_map(String::from_iter);
+    let non_finite = prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN)];
+    let value = prop_oneof![
+        arb_value(),
+        text.prop_map(AttributeValue::Str),
+        any::<f64>().prop_map(AttributeValue::Double),
+        non_finite.prop_map(AttributeValue::Double),
+    ];
+    (
+        proptest::option::of(arb_name()),
+        proptest::collection::vec((arb_name(), arb_op(), value), 0..5),
+    )
+        .prop_map(|(ty, cs)| {
+            let mut f = ty.map_or_else(Filter::any, Filter::for_type);
             for (n, op, v) in cs {
                 f.push(Constraint::new(n, op, v));
             }
@@ -520,6 +544,21 @@ proptest! {
         let _ = from_bytes::<Filter>(&bytes);
         prop_assert!(same_verdict(&Packet::from_message(bytes.clone()), &packet));
         prop_assert!(same_verdict(&Event::from_message(bytes), &event));
+    }
+
+    /// `Display` writes the filter syntax: `parse_filter` reads it back
+    /// to the same filter (an `exists` constraint's ignored value as 0,
+    /// a NaN as a NaN).
+    #[test]
+    fn filter_display_reads_back(f in arb_text_filter()) {
+        let text = f.to_string();
+        let back = parse_filter(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        let mut expected = f.event_type().map_or_else(Filter::any, Filter::for_type);
+        for c in f.constraints() {
+            let value = if c.op == Op::Exists { AttributeValue::Int(0) } else { c.value.clone() };
+            expected.push(Constraint::new(c.name.clone(), c.op, value));
+        }
+        prop_assert_eq!(format!("{back:?}"), format!("{expected:?}"), "{}", text);
     }
 
     /// Soundness of the covering relation: if `wide` covers `narrow`, then
