@@ -28,6 +28,7 @@ use smc_policy::health_quench_policies;
 use smc_telemetry::{Registry, SloConfig, SloTracker, TraceSink, Tracer, DEFAULT_SINK_CAPACITY};
 use smc_transport::{LinkConfig, ReliableChannel, SimNetwork};
 use smc_types::{system_clock, Event, Filter, ServiceId, ServiceInfo, TraceId};
+use smc_wal::MemBackend;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -58,11 +59,15 @@ fn main() {
         tracer: tracer.clone(),
         ..SmcConfig::default()
     };
-    let cell = Arc::new(SmcCell::start(
+    // Durable, so the cell runs its own detect → repair loop, whose
+    // report `/supervision` serves.
+    let cell = SmcCell::start_durable(
         Arc::new(net.endpoint()),
         Arc::new(net.endpoint()),
         config,
-    ));
+        Arc::new(MemBackend::new()),
+    )
+    .expect("durable cell starts");
     for p in health_quench_policies() {
         cell.policy()
             .add(p)
@@ -152,6 +157,7 @@ fn main() {
                 let _ = cell.publish_local(health_event(t, None));
             }
             *shared_report.lock() = monitor.report();
+            supervision.lock().report = cell.supervision();
             // Feed the SLO tracker the freshest complete journey's
             // end-to-end latency.
             let journey = sink.journey(TraceId::for_event(sensor_id, seq));
@@ -201,9 +207,14 @@ fn main() {
             eprintln!("SMOKE FAIL: /journey errored:\n{journey}");
             failures += 1;
         }
+        // The cell's own loop: both of its components, as last sampled.
         let supervision = http_get(addr, "/supervision");
-        if !(supervision.starts_with("HTTP/1.1 200") && supervision.contains("\"peers\"")) {
-            eprintln!("SMOKE FAIL: /supervision not a report:\n{supervision}");
+        if !(supervision.starts_with("HTTP/1.1 200")
+            && supervision.contains("\"peers\"")
+            && supervision.contains("\"discovery\": \"healthy\"")
+            && supervision.contains("\"sink\": \"healthy\""))
+        {
+            eprintln!("SMOKE FAIL: /supervision not the cell's loop report:\n{supervision}");
             failures += 1;
         }
         let tails = http_get(addr, "/tails");

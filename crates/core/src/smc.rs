@@ -22,20 +22,25 @@
 //!
 //! A cell built with [`SmcCell::with_clock`] has no thread at all: its
 //! owner's [`SmcCell::step`] is the thread that has the work, which is
-//! how the chaos harness replays a durable cell bit for bit. Either kind
-//! restarts a dead component on its own ([`SmcCell::restart_discovery`],
-//! [`SmcCell::restart_bus`]) through the recovery a boot runs.
+//! how the chaos harness replays a durable cell bit for bit. A durable
+//! cell of either kind manages itself: its detect → repair loop
+//! ([`SmcCell::supervision`] reports it) restarts a dead component
+//! through the recovery a boot runs, and hands its owner the one repair
+//! it cannot make, a reboot.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent};
 use smc_match::EngineKind;
-use smc_policy::{ActionClass, ActionSpec, Decision, FiredAction, PolicyService};
+use smc_policy::{
+    peer_repair_policies, supervision_policies, ActionClass, ActionSpec, Decision, FiredAction,
+    PolicyService,
+};
 use smc_telemetry::{Hop, Registry, Tracer};
 use smc_transport::{Incoming, ReliableChannel, ReliableConfig, Transport};
 use smc_types::codec::{to_bytes, to_shared};
@@ -51,6 +56,8 @@ use crate::bus::{EventBus, EventSink};
 use crate::metrics::{BusMetrics, MetricsSnapshot};
 use crate::proxy::Proxy;
 use crate::quench::QuenchManager;
+
+mod manage;
 
 /// Maximum depth of policy-generated event cascades (a policy publishing
 /// an event that triggers a policy that publishes…).
@@ -155,6 +162,12 @@ pub struct SmcCell {
     /// and must not deep-copy its strings and roles each time.
     members: Arc<Mutex<HashMap<ServiceId, Arc<ServiceInfo>>>>,
     next_local_seq: AtomicU64,
+    /// This cell, for what a repair rebuilds (handlers hold it weakly).
+    me: Weak<SmcCell>,
+    /// The detect → repair loop ([`manage`]) and when it is next due
+    /// (shared with a threaded cell's endpoints, which give it its turns).
+    supervision: Mutex<manage::Loop>,
+    due: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for SmcCell {
@@ -224,9 +237,7 @@ impl SmcCell {
         discovery_transport: Arc<dyn Transport>,
         config: SmcConfig,
     ) -> Arc<Self> {
-        let channel = open_channel(&config, false, bus_transport, None);
-        let discovery_channel = open_channel(&config, false, discovery_transport, None);
-        let cell = SmcCell::assemble(config, false, channel, discovery_channel, None);
+        let cell = SmcCell::assemble(config, false, bus_transport, discovery_transport, None);
         cell.serve(&cell.bus_channel());
         cell
     }
@@ -282,17 +293,9 @@ impl SmcCell {
         stepped: bool,
     ) -> Result<Arc<Self>> {
         let (wal, recovered) = Wal::open(backend, WalConfig::default())?;
-        let wal = Arc::new(wal);
         let snap = recovered.snapshot;
-        let journal = |chan| Some((&wal, chan, &snap));
-        let channel = open_channel(&config, stepped, bus_transport, journal(CHAN_BUS));
-        let discovery_channel = open_channel(
-            &config,
-            stepped,
-            discovery_transport,
-            journal(CHAN_DISCOVERY),
-        );
-        let cell = SmcCell::assemble(config, stepped, channel, discovery_channel, Some(wal));
+        let durable = Some((Arc::new(wal), &snap));
+        let cell = SmcCell::assemble(config, stepped, bus_transport, discovery_transport, durable);
         let recovery_micros = &cell.bus.metrics_ref().wal_recovery_micros;
         recovery_micros.store(recovered.recovery_micros, Ordering::Relaxed);
         let channel = cell.bus_channel();
@@ -303,34 +306,70 @@ impl SmcCell {
         Ok(cell)
     }
 
+    /// The cell on its two endpoints; a durable one (`durable`: the log
+    /// and the state it recovered) journals both channels, runs its own
+    /// detect → repair loop under the built-in supervision and
+    /// peer-repair obligations, and — threaded — takes the loop's turns
+    /// on its receive threads.
     fn assemble(
         config: SmcConfig,
         stepped: bool,
-        channel: Arc<ReliableChannel>,
-        discovery_channel: Arc<ReliableChannel>,
-        wal: Option<Arc<Wal>>,
+        bus_transport: Arc<dyn Transport>,
+        discovery_transport: Arc<dyn Transport>,
+        durable: Option<(Arc<Wal>, &CoreSnapshot)>,
     ) -> Arc<Self> {
         let bus = Arc::new(EventBus::new(config.engine));
         bus.set_tracer(config.tracer.clone());
-        let bus_id = channel.local_id();
-        let discovery = SmcCell::open_discovery(&config, stepped, bus_id, &discovery_channel);
-        let cell = Arc::new(SmcCell {
-            config,
-            stepped,
-            bus_id,
-            bus,
-            policy: Arc::new(PolicyService::new()),
-            factory: Arc::new(ProxyFactory::new()),
-            quench: Arc::new(QuenchManager::new()),
-            channel: SnapshotCell::new(channel),
-            discovery_channel: SnapshotCell::new(discovery_channel),
-            discovery: SnapshotCell::new(Arc::clone(&discovery)),
-            wal,
-            proxies: Arc::new(Mutex::new(HashMap::new())),
-            members: Arc::new(Mutex::new(HashMap::new())),
-            next_local_seq: AtomicU64::new(1),
+        let policy = PolicyService::new();
+        if durable.is_some() {
+            for p in supervision_policies()
+                .into_iter()
+                .chain(peer_repair_policies())
+            {
+                policy.add(p).expect("built-in policies are valid");
+            }
+        }
+        let due = Arc::new(AtomicU64::new(0));
+        let cell = Arc::new_cyclic(|me: &Weak<SmcCell>| {
+            let endpoint = |transport| match &durable {
+                Some(_) if !stepped => {
+                    let clock = Arc::clone(&config.clock);
+                    manage::Managed::wrap(transport, me.clone(), Arc::clone(&due), clock)
+                }
+                _ => transport,
+            };
+            let journal = |chan| durable.as_ref().map(|(wal, snap)| (wal, chan, *snap));
+            let channel =
+                open_channel(&config, stepped, endpoint(bus_transport), journal(CHAN_BUS));
+            let discovery_channel = open_channel(
+                &config,
+                stepped,
+                endpoint(discovery_transport),
+                journal(CHAN_DISCOVERY),
+            );
+            let bus_id = channel.local_id();
+            let discovery = SmcCell::open_discovery(&config, stepped, bus_id, &discovery_channel);
+            SmcCell {
+                stepped,
+                bus_id,
+                bus,
+                policy: Arc::new(policy),
+                factory: Arc::new(ProxyFactory::new()),
+                quench: Arc::new(QuenchManager::new()),
+                channel: SnapshotCell::new(channel),
+                discovery_channel: SnapshotCell::new(discovery_channel),
+                discovery: SnapshotCell::new(discovery),
+                supervision: Mutex::new(manage::Loop::new(durable.is_some())),
+                wal: durable.as_ref().map(|(wal, _)| Arc::clone(wal)),
+                proxies: Arc::new(Mutex::new(HashMap::new())),
+                members: Arc::new(Mutex::new(HashMap::new())),
+                next_local_seq: AtomicU64::new(1),
+                me: me.clone(),
+                due: Arc::clone(&due),
+                config,
+            }
         });
-        cell.claim(&discovery);
+        cell.claim(&cell.discovery());
         cell
     }
 
@@ -461,9 +500,9 @@ impl SmcCell {
 
     /// Drives a cell built with [`SmcCell::with_clock`] at its clock's
     /// current time: steps the bus channel (whose messages are routed
-    /// before it returns), the discovery channel, then discovery. A
-    /// stopped component is skipped. Returns the datagrams and discovery
-    /// work processed.
+    /// before it returns), the discovery channel, then discovery, and
+    /// gives the detect → repair loop its turn. A stopped component is
+    /// skipped. Returns the datagrams and discovery work processed.
     ///
     /// # Panics
     ///
@@ -479,6 +518,7 @@ impl SmcCell {
         if !discovery_channel.is_closed() {
             work += discovery_channel.step() + self.discovery().step();
         }
+        self.manage();
         work
     }
 
@@ -490,7 +530,7 @@ impl SmcCell {
     ///
     /// [`Error::Invalid`] if the cell is not durable; propagates log read
     /// failures.
-    pub fn restart_discovery(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
+    fn restart_discovery(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
         let (wal, snap) = self.durable_truth()?;
         self.discovery().shutdown();
         let journal = Some((wal, CHAN_DISCOVERY, &snap));
@@ -513,7 +553,7 @@ impl SmcCell {
     ///
     /// [`Error::Invalid`] if the cell is not durable; propagates log read
     /// failures.
-    pub fn restart_bus(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
+    fn restart_bus(self: &Arc<Self>, transport: Arc<dyn Transport>) -> Result<()> {
         let (wal, snap) = self.durable_truth()?;
         // A closed channel journals no discard, so the stale proxies'
         // queues stay in the log for the new channel to resend.
@@ -888,8 +928,10 @@ impl SmcCell {
         })
     }
 
-    /// Stops the cell: discovery, the bus endpoint, and every proxy.
+    /// Stops the cell: its loop, discovery, the bus endpoint, and every
+    /// proxy.
     pub fn shutdown(&self) {
+        self.set_supervising(false);
         self.discovery().shutdown();
         self.bus_channel().close();
         let proxies: Vec<Arc<Proxy>> = self.proxies.lock().values().cloned().collect();
@@ -1180,6 +1222,12 @@ impl SmcCell {
                     BusMetrics::bump(&self.bus.metrics_ref().quench_signals);
                     let packet = to_shared(&Packet::Quench { enable });
                     let _ = self.bus_channel().send(target, packet);
+                }
+            }
+            ActionSpec::Restart { component } => {
+                let component = component.resolve(&fired.trigger);
+                if let Some(component) = component.as_ref().and_then(|v| v.as_str()) {
+                    self.on_restart(component, &fired.trigger);
                 }
             }
             // Enable/Disable/Log were applied inside the policy service;

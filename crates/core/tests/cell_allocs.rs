@@ -57,7 +57,7 @@ use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_policy::ehealth_baseline;
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork, Transport};
-use smc_types::{Event, Filter, Op, ServiceId, ServiceInfo};
+use smc_types::{Event, Filter, ManualClock, Op, ServiceId, ServiceInfo, SharedClock};
 use smc_wal::MemBackend;
 
 #[path = "../../types/tests/support/counting_alloc.rs"]
@@ -162,9 +162,49 @@ fn requests_per_event(durable: bool) -> f64 {
     requests as f64 / EVENTS as f64
 }
 
+/// Heap requests the calling thread makes over step-driven turns of a
+/// quiet durable cell's detect → repair loop at which a sample is due
+/// and nothing changed (and no anti-entropy pass is due).
+fn quiet_loop_turn_requests() -> u64 {
+    let clock = Arc::new(ManualClock::new());
+    let shared: SharedClock = clock.clone();
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 1, Arc::clone(&shared));
+    let config = SmcConfig {
+        discovery: DiscoveryConfig {
+            beacon_interval: Duration::from_secs(3600),
+            ..DiscoveryConfig::default()
+        },
+        clock: shared,
+        ..SmcConfig::default()
+    };
+    let (bus, discovery) = (Arc::new(net.endpoint()), Arc::new(net.endpoint()));
+    let backend = Arc::new(MemBackend::new());
+    let cell = SmcCell::with_clock(bus, discovery, config, backend).expect("durable start");
+    // Anti-entropy passes come every other sampling window, so the
+    // turns counted only sample; the first two windows warm up.
+    cell.step();
+    let mut requests = 0;
+    for window in 0..6 {
+        clock.advance_micros(250_000);
+        let (r, _) = counting_alloc::during(|| cell.step());
+        if window >= 2 {
+            requests += r.count;
+        }
+        clock.advance_micros(250_000);
+        cell.step();
+    }
+    assert!(cell
+        .supervision()
+        .components
+        .iter()
+        .all(|(_, h)| h.as_str() == "healthy"));
+    requests
+}
+
 // One test, so nothing else in the process allocates while it counts.
 #[test]
 fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
+    assert_eq!(quiet_loop_turn_requests(), 0, "a quiet loop turn allocated");
     let plain = requests_per_event(false);
     assert!(plain <= 5.0, "plain cell: {plain} heap requests per event");
     let durable = requests_per_event(true);

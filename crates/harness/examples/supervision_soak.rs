@@ -32,7 +32,6 @@ struct SeedResult {
     reconcile_repairs: u64,
     policy_restarts: u64,
     core_reboots: u64,
-    missed_ack_interrupts: u64,
     ttr_micros: Vec<u64>,
     converged: bool,
     violation: bool,
@@ -87,7 +86,6 @@ fn main() {
             reconcile_repairs: sup.report.reconcile_repairs,
             policy_restarts: sup.policy_restarts,
             core_reboots: report.core_recoveries(),
-            missed_ack_interrupts: sup.missed_ack_interrupts,
             ttr_micros: sup.report.ttr_micros.clone(),
             converged,
             violation,
@@ -113,13 +111,12 @@ fn main() {
     let _ = writeln!(json, "  \"unconverged\": {unconverged},");
     let _ = writeln!(
         json,
-        "  \"totals\": {{\"restarts\": {}, \"escalations\": {}, \"reconcile_repairs\": {}, \"policy_restarts\": {}, \"core_reboots\": {}, \"missed_ack_interrupts\": {}}},",
+        "  \"totals\": {{\"restarts\": {}, \"escalations\": {}, \"reconcile_repairs\": {}, \"policy_restarts\": {}, \"core_reboots\": {}}},",
         totals(|r| r.restarts),
         totals(|r| r.escalations),
         totals(|r| r.reconcile_repairs),
         totals(|r| r.policy_restarts),
         totals(|r| r.core_reboots),
-        totals(|r| r.missed_ack_interrupts),
     );
     let _ = writeln!(
         json,
@@ -139,14 +136,13 @@ fn main() {
             .join(", ");
         let _ = writeln!(
             json,
-            "    {{\"seed\": {}, \"restarts\": {}, \"escalations\": {}, \"reconcile_repairs\": {}, \"policy_restarts\": {}, \"core_reboots\": {}, \"missed_ack_interrupts\": {}, \"ttr_micros\": [{ttrs}], \"converged\": {}, \"violation\": {}}}{comma}",
+            "    {{\"seed\": {}, \"restarts\": {}, \"escalations\": {}, \"reconcile_repairs\": {}, \"policy_restarts\": {}, \"core_reboots\": {}, \"ttr_micros\": [{ttrs}], \"converged\": {}, \"violation\": {}}}{comma}",
             r.seed,
             r.restarts,
             r.escalations,
             r.reconcile_repairs,
             r.policy_restarts,
             r.core_reboots,
-            r.missed_ack_interrupts,
             r.converged,
             r.violation,
         );
@@ -200,10 +196,10 @@ fn main() {
         results.len(),
         all_ttr.len(),
     );
-    // The missed-ack interrupt hook exists to keep detection ahead of
-    // the sampling cadence: a soak whose mean time-to-repair drifts to
-    // a virtual second or more means the hook stopped waking the
-    // monitor and repairs fell back to polling.
+    // The cell checks a repair on its loop's next turn: a soak whose
+    // mean time-to-repair drifts to a virtual second or more means
+    // repairs stopped taking at the first attempt, or stopped being
+    // checked until the next sampling window.
     let ttr_ok = all_ttr.is_empty() || mean_ttr < 1_000_000;
     if !ttr_ok {
         eprintln!("FAIL: mean TTR {mean_ttr}µs breached the 1s budget");

@@ -1,7 +1,9 @@
 //! One cell of the chaos world: a step-driven durable [`SmcCell`], its
 //! device nodes, an observer member subscribed to everything they
 //! publish, and whichever planes the run configured. Everything here is
-//! a step of the world's tick loop or a repair it can order.
+//! a step of the world's tick loop or a fault it injects. The cell
+//! detects and repairs on its own; the one repair it hands back is a
+//! reboot, which this side performs as the cell's power supply.
 //!
 //! The oracle hears the cell at two points. A recorder — an in-process
 //! subscriber on the cell's own bus — takes joins, purges and every
@@ -12,25 +14,23 @@
 //! bus → proxy → channel leg.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use smc_core::{DeviceCodec, EventSink, PassthroughCodec, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, MemberAgent};
-use smc_health::{health_event, HealthState, PeerAction, RepairAction};
-use smc_policy::ActionSpec;
+use smc_health::{health_event, PeerAction};
+use smc_policy::health_quench_policies;
 use smc_telemetry::{Hop, HopRecord, Registry, Sample};
-use smc_transport::{Incoming, LinkConfig, ReliableChannel};
+use smc_transport::{Incoming, LinkConfig, MemTransport, ReliableChannel};
 use smc_types::{
     member::wellknown, member_id_of, CellId, Event, Filter, Packet, ServiceId, ServiceInfo,
     SupervisionMsg, TraceId,
 };
 use smc_wal::{MemBackend, WalBackend, CHAN_BUS};
 
-use crate::planes::{
-    component_samples, CellTelemetry, CellView, HealthRuntime, SupervisionPlane, RECONCILE_MICROS,
-};
+use crate::planes::{CellTelemetry, CellView, HealthRuntime, SupervisionPlane, RECONCILE_MICROS};
 use crate::scenario::{CoreComponent, CorruptTarget};
 use crate::world::{Act, CellReport, Env, RunOptions, CHECKPOINT_MICROS};
 
@@ -52,6 +52,8 @@ const BIG_EVERY: u64 = 5;
 const GHOST_MEMBER: ServiceId = ServiceId::from_raw(0x0BAD_C0DE_0BAD);
 /// The recorder's subscriber id on the bus, out of the same range.
 const RECORDER: ServiceId = ServiceId::from_raw(0x0B5E_4BED_0B5E);
+/// The detector the cell's own loop names in its health events.
+const LOOP: &str = "component-down";
 
 fn payload(seq: u64) -> Vec<u8> {
     let len = if seq.is_multiple_of(BIG_EVERY) {
@@ -86,6 +88,8 @@ enum Seen {
     Joined(ServiceId),
     Purged(ServiceId),
     Accepted(ServiceId, u64),
+    /// One of the cell's own health transitions: component, from, to.
+    Health(String, String, String),
 }
 
 type Recorded = Arc<Mutex<Vec<Seen>>>;
@@ -114,6 +118,24 @@ fn agent(
     agent
 }
 
+/// A device's agent: whatever the bus sends it that is not discovery
+/// traffic is dropped (refusals), but for the cell's `Quench`, which it
+/// obeys.
+fn device_agent(
+    env: &Env,
+    member_id: u64,
+    info: &ServiceInfo,
+    channel: &Arc<ReliableChannel>,
+    quench: &Arc<AtomicBool>,
+) -> Arc<MemberAgent> {
+    let quench = Arc::clone(quench);
+    agent(env, member_id, info, channel, move |_, packet| {
+        if let Packet::Quench { enable } = packet {
+            quench.store(enable, Ordering::Relaxed);
+        }
+    })
+}
+
 struct Device {
     id: ServiceId,
     info: ServiceInfo,
@@ -122,8 +144,9 @@ struct Device {
     next_seq: u64,
     next_publish: u64,
     crashed: bool,
-    /// Set by the built-in health obligation: a quenched device holds
-    /// its publishes until woken.
+    /// Set by the cell's `Quench`: a quenched device holds its publishes
+    /// until woken. `quenched` is what the device last acted on.
+    quench: Arc<AtomicBool>,
     quenched: bool,
     /// The link profile faults modify and heals restore to.
     baseline: LinkConfig,
@@ -192,14 +215,16 @@ impl Observer {
 
 /// Boots cell `cell`'s core from `backend` — a fresh log, or the one a
 /// crashed incarnation left — on the endpoints `ids` pins on a reboot.
-/// The recorder and the observer's codec are registered before the
-/// incarnation's first step.
+/// The recorder, the observer's codec, the quench obligations (with a
+/// health plane) and a stopped loop (with no running supervisor) are in
+/// place before the incarnation's first step.
 fn boot_core(
     env: &Env,
     backend: &Arc<dyn WalBackend>,
     cell: CellId,
     ids: Option<(ServiceId, ServiceId)>,
     recorded: &Recorded,
+    (supervising, quenching): (bool, bool),
 ) -> Arc<SmcCell> {
     let (disco, bus) = match ids {
         Some((disco_id, bus_id)) => (
@@ -219,17 +244,33 @@ fn boot_core(
         .expect("wal backend opens");
     core.proxy_factory()
         .register(OBSERVER_TYPE, |_| Box::new(ObserverCodec));
+    core.set_supervising(supervising);
+    if quenching {
+        for p in health_quench_policies() {
+            core.policy().add(p).expect("built-in policies are valid");
+        }
+    }
     let recorded = Arc::clone(recorded);
     let recorder: Arc<dyn EventSink> = Arc::new(move |event: &Event| {
+        let text = |name| event.attr(name).and_then(|v| v.as_str()).map(str::to_owned);
         let seen = match event.event_type() {
             wellknown::NEW_MEMBER => member_id_of(event).map(Seen::Joined),
             wellknown::PURGE_MEMBER => member_id_of(event).map(Seen::Purged),
+            // The cell's own loop names its detector; the health plane's
+            // transitions are the plane's to narrate.
+            wellknown::HEALTH if text(wellknown::HEALTH_DETECTOR).as_deref() == Some(LOOP) => {
+                let from = text(wellknown::HEALTH_FROM).unwrap_or_default();
+                let to = text(wellknown::HEALTH_TO).unwrap_or_default();
+                text(wellknown::HEALTH_COMPONENT).map(|c| Seen::Health(c, from, to))
+            }
+            wellknown::HEALTH => None,
             _ => Some(Seen::Accepted(event.publisher(), event.seq())),
         };
         recorded.lock().expect("recorder").extend(seen);
         Ok(())
     });
-    for event_type in [wellknown::NEW_MEMBER, wellknown::PURGE_MEMBER, CHAOS_EVENT] {
+    use wellknown::{HEALTH, NEW_MEMBER, PURGE_MEMBER};
+    for event_type in [NEW_MEMBER, PURGE_MEMBER, HEALTH, CHAOS_EVENT] {
         let filter = Filter::for_type(event_type);
         core.subscribe_local(RECORDER, filter, Arc::clone(&recorder))
             .expect("recorder subscribes");
@@ -246,14 +287,19 @@ pub(crate) struct Cell {
     member_id: u64,
     backend: Arc<dyn WalBackend>,
     /// The core; `None` while it is crashed.
-    core: Option<Arc<SmcCell>>,
+    pub(crate) core: Option<Arc<SmcCell>>,
     disco_id: ServiceId,
     sink_id: ServiceId,
     recorded: Recorded,
     observer: Observer,
-    /// Components a scripted kill wedged: they refuse restarts until the
-    /// core reboots.
-    wedged: Vec<CoreComponent>,
+    /// Endpoints holding the addresses of components a scripted kill
+    /// wedged: their restarts fail until the core reboots.
+    squatters: Vec<MemTransport>,
+    /// The bus channel the observer's resend bookkeeping last saw: a new
+    /// one means the cell restarted its sink.
+    bus_seen: Arc<ReliableChannel>,
+    /// Whether the cell runs the quench obligations (a health plane).
+    quenching: bool,
     devices: Vec<Device>,
     pub(crate) device_ids: Vec<ServiceId>,
     pub(crate) core_recoveries: u64,
@@ -279,7 +325,9 @@ impl Cell {
             Arc::new(MemBackend::new())
         };
         let recorded = Recorded::default();
-        let core = boot_core(env, &backend, CellId(member_id), None, &recorded);
+        let quenching = options.health.is_some();
+        let flags = (options.supervision.is_some(), quenching);
+        let core = boot_core(env, &backend, CellId(member_id), None, &recorded, flags);
         // Names are wire bytes (join requests carry them and bandwidth-
         // limited links charge for each), so a cell with a sibling on
         // its radio network qualifies its nodes' names with its member
@@ -306,8 +354,8 @@ impl Cell {
                 let channel = env.device_channel(None);
                 let info =
                     ServiceInfo::new(ServiceId::NIL, "harness.device").with_name(name("device", n));
-                // A device drops what the bus sends it (refusals).
-                let agent = agent(env, member_id, &info, &channel, |_, _| {});
+                let quench = Arc::default();
+                let agent = device_agent(env, member_id, &info, &channel, &quench);
                 Device {
                     id: channel.local_id(),
                     info,
@@ -316,6 +364,7 @@ impl Cell {
                     next_seq: 1,
                     next_publish: 0,
                     crashed: false,
+                    quench,
                     quenched: false,
                     baseline: LinkConfig::ideal(),
                     domain: 0,
@@ -327,11 +376,6 @@ impl Cell {
             .supervision
             .as_ref()
             .map(|opts| SupervisionPlane::new(env, opts.peer, member_id));
-        if let Some(sup) = &sup {
-            for dev in &devices {
-                sup.watch(&dev.channel);
-            }
-        }
         let telemetry = options.telemetry.then(|| CellTelemetry::new(env));
         Cell {
             idx,
@@ -339,10 +383,12 @@ impl Cell {
             backend,
             disco_id: core.discovery().local_id(),
             sink_id,
+            bus_seen: core.bus_channel(),
             core: Some(core),
             recorded,
             observer,
-            wedged: Vec::new(),
+            squatters: Vec::new(),
+            quenching,
             device_ids: devices.iter().map(|d| d.id).collect(),
             devices,
             core_recoveries: 0,
@@ -361,7 +407,7 @@ impl Cell {
     /// that plane runs.
     pub(crate) fn supervision_link(&self) -> Option<(ServiceId, ServiceId)> {
         let peer = self.sup.as_ref()?.peer.as_ref()?;
-        Some((peer.id, peer.sibling_sup))
+        Some((peer.channel.local_id(), peer.sibling_sup))
     }
 
     /// Tells this cell's peer plane who its sibling is.
@@ -372,13 +418,8 @@ impl Cell {
         }
     }
 
-    /// The cell's endpoint on the telemetry plane, if it has one.
-    pub(crate) fn telemetry_endpoint(&self) -> Option<ServiceId> {
-        self.telemetry.as_ref().map(|t| t.channel.local_id())
-    }
-
     fn sup_alive(&self) -> bool {
-        self.sup.as_ref().is_some_and(|s| s.rt.alive)
+        self.sup.as_ref().is_some_and(|s| s.alive)
     }
 
     /// Whether `component` runs: the core is up and the component's
@@ -393,16 +434,8 @@ impl Cell {
         })
     }
 
-    fn components_up(&self) -> [bool; 2] {
-        [
-            self.up(CoreComponent::Discovery),
-            self.up(CoreComponent::Sink),
-        ]
-    }
-
     pub(crate) fn view(&self) -> CellView {
         CellView {
-            up: self.components_up(),
             sup_alive: self.sup_alive(),
             core_crashed: self.core.is_none(),
         }
@@ -485,12 +518,10 @@ impl Cell {
                 }
                 env.fault(format!("node{node} restarted"));
                 dev.channel = env.device_channel(Some(dev.id));
-                dev.agent = agent(env, self.member_id, &dev.info, &dev.channel, |_, _| {});
+                let member_id = self.member_id;
+                dev.agent = device_agent(env, member_id, &dev.info, &dev.channel, &dev.quench);
                 env.net.set_domain(dev.id, dev.domain);
                 dev.crashed = false;
-                if let Some(sup) = &self.sup {
-                    sup.watch(&dev.channel);
-                }
             }
             Act::CoreCrash
             | Act::CoreRestart
@@ -504,21 +535,24 @@ impl Cell {
     }
 
     /// Kills one component: its channel closes, and it stays down until
-    /// something restarts it.
+    /// something restarts it. A wedged one's address is taken at once,
+    /// so its endpoint will not reopen.
     fn kill(&mut self, env: &mut Env, core: &SmcCell, component: CoreComponent, wedged: bool) {
-        match component {
+        let id = match component {
             CoreComponent::Discovery => {
                 env.retire(&core.discovery_channel());
                 core.discovery().shutdown();
+                self.disco_id
             }
             CoreComponent::Sink => {
                 let channel = core.bus_channel();
                 env.retire(&channel);
                 channel.close();
+                self.sink_id
             }
-        }
+        };
         if wedged {
-            self.wedged.push(component);
+            self.squatters.push(env.net.endpoint_with_id(id));
         }
     }
 
@@ -533,15 +567,23 @@ impl Cell {
 
     /// Tears down whatever of the core is still up. The discovery table,
     /// bus cursors, proxies and pending queues are gone until a reboot
-    /// reads them back from the log.
+    /// reads them back from the log; the loop's report goes into the
+    /// book.
     fn stop_core(&mut self, env: &mut Env) {
+        let Some(core) = self.core.clone() else {
+            return;
+        };
+        core.set_supervising(false);
+        if let Some(sup) = self.sup.as_mut() {
+            sup.fold(core.supervision());
+        }
         for component in [CoreComponent::Sink, CoreComponent::Discovery] {
-            if let Some(core) = self.core.clone().filter(|_| self.up(component)) {
+            if self.up(component) {
                 self.kill(env, &core, component, false);
             }
         }
         self.core = None;
-        self.wedged.clear();
+        self.squatters.clear();
     }
 
     /// The scripted `CoreCrash`.
@@ -599,15 +641,18 @@ impl Cell {
         }
     }
 
-    /// The in-process supervisor dies: detection, repair and reconcile
-    /// all halt while the data plane (and the cell runtime that executes
-    /// a sibling's wire commands) runs on. The remote session, if this
+    /// The cell's loop stops: detection, repair and reconcile all halt
+    /// while the data plane (and the obligations that carry out a
+    /// sibling's wire commands) runs on. The remote session, if this
     /// cell was an adopter, dies with its host.
     pub(crate) fn kill_supervisor(&mut self, env: &mut Env) {
-        let Some(sup) = self.sup.as_mut().filter(|s| s.rt.alive) else {
+        let Some(sup) = self.sup.as_mut().filter(|s| s.alive) else {
             return;
         };
-        sup.rt.alive = false;
+        sup.alive = false;
+        if let Some(core) = &self.core {
+            core.set_supervising(false);
+        }
         if let Some(peer) = sup.peer.as_mut() {
             peer.remote = None;
         }
@@ -655,15 +700,43 @@ impl Cell {
     }
 
     /// What the recorder saw on the bus since the last tick, into the
-    /// oracle in the bus's order.
+    /// oracle in the bus's order. The cell's own health transitions go
+    /// into the trace and the supervision book, and a `core` failure —
+    /// the cell asking its owner for a reboot — is answered here.
     pub(crate) fn drain_recorder(&mut self, env: &mut Env) {
         let seen = std::mem::take(&mut *self.recorded.lock().expect("recorder"));
+        let mut reboot = false;
         for seen in seen {
             match seen {
                 Seen::Joined(id) => env.oracle.record_joined(env.now, id),
                 Seen::Purged(id) => env.oracle.record_purged(env.now, id),
                 Seen::Accepted(from, seq) => env.oracle.record_accepted(env.now, from, seq),
+                Seen::Health(component, _, _) if component == "core" => reboot = true,
+                Seen::Health(component, from, to) => {
+                    let idx = self.idx;
+                    env.fault(format!("supervision(cell{idx}) {component} {from}->{to}"));
+                    let Some(sup) = self.sup.as_mut() else {
+                        continue;
+                    };
+                    if to == "healthy" {
+                        sup.failed_at.remove(&component);
+                    } else if to == "failed" {
+                        sup.book.policy_restarts += 1;
+                        sup.failed_at.entry(component).or_insert(env.now);
+                    }
+                }
             }
+        }
+        if reboot && self.core.is_some() {
+            // Escalations are the loop admitting a restart was not
+            // enough — exactly the runs worth a black-box dump.
+            self.saw_escalation = true;
+            if let Some(health) = self.health.as_mut() {
+                health.recorder.note(env.now, "escalation: core reboot");
+            }
+            self.stop_core(env);
+            self.reboot_core(env);
+            env.fault(format!("cell{} core rebooted by its owner", self.idx));
         }
     }
 
@@ -694,11 +767,9 @@ impl Cell {
             for (label, channel) in channels {
                 channel.stats().samples(&[("channel", label)], &mut out);
             }
-            core.metrics().samples(&[], &mut out);
-            core.discovery().stats().samples(&[], &mut out);
-            if let Some(wal) = core.wal() {
-                wal.metrics().samples(&[], &mut out);
-            }
+            let registry = Registry::default();
+            core.register_metrics(&registry);
+            out.extend(registry.gather());
         }
         out
     }
@@ -745,26 +816,11 @@ impl Cell {
                 t.to.as_str(),
                 t.detector
             ));
-            // Publish the transition as a typed `smc.health` event
-            // through the policy service, exactly as the cell would;
-            // execute any quench it fires.
-            let member = self.component_device(&t.component);
-            for fired in rt.policy.on_event(&health_event(t, member)) {
-                let ActionSpec::Quench { publisher, enable } = fired.action else {
-                    continue;
-                };
-                let Some(raw) = publisher.resolve(&fired.trigger).and_then(|v| v.as_int()) else {
-                    continue;
-                };
-                let target = ServiceId::from_raw(raw as u64);
-                if let Some(dev) = self.devices.iter_mut().find(|d| d.id == target) {
-                    dev.quenched = enable;
-                    rt.quenches.push((now, target, enable));
-                    env.fault(format!(
-                        "{} {target}",
-                        if enable { "quench" } else { "wake" }
-                    ));
-                }
+            // Published into the cell as a typed `smc.health` event:
+            // its quench obligations silence a degraded publisher.
+            if let Some(core) = &self.core {
+                let member = self.component_device(&t.component);
+                let _ = core.publish_local(health_event(t, member));
             }
         }
         rt.recorder.record_hops(&hops);
@@ -773,55 +829,60 @@ impl Cell {
         self.health = Some(rt);
     }
 
-    /// One anti-entropy pass: [`SmcCell::reconcile`] diffs the members
-    /// map, the discovery table and the proxies' routes against durable
-    /// truth (the folded write-ahead log) and repairs every direction,
-    /// whether or not anything ever failed. `by` names a sibling that
-    /// ordered the pass over the wire. A crashed core has nothing to
-    /// reconcile.
-    fn reconcile(&mut self, env: &mut Env, sup: &mut SupervisionPlane, by: Option<u64>) {
+    /// A wire-ordered anti-entropy pass: [`SmcCell::reconcile`] diffs
+    /// the members map, the discovery table and the proxies' routes
+    /// against durable truth (the folded write-ahead log) and repairs
+    /// every direction. `by` names the sibling that ordered it. A crashed
+    /// core has nothing to reconcile.
+    fn reconcile(&mut self, env: &mut Env, sup: &mut SupervisionPlane, by: u64) {
         let Some(core) = &self.core else {
             return;
         };
         sup.book.reconciles += 1;
         sup.last_reconcile_at = env.now;
         let fixes = core.reconcile().map(|r| r.divergences).unwrap_or_default();
-        let who = match by {
-            Some(requester) => format!("cell{}, by {requester}", self.idx),
-            None => format!("cell{}", self.idx),
-        };
         for fix in &fixes {
-            env.fault(format!("reconcile({who}): {fix}"));
-        }
-        if by.is_none() {
-            sup.rt.supervisor.record_reconcile(env.now, &fixes);
+            env.fault(format!("reconcile(cell{}, by {by}): {fix}", self.idx));
         }
         sup.book
             .reconcile_fixes
             .extend(fixes.into_iter().map(|f| (env.now, f)));
     }
 
-    /// The cell's supervision-plane turn: drain the wire, run the peer
-    /// protocol, drive the remote session if adopting, run anti-entropy
-    /// on cadence, then the local detect → repair loop. The peer steps
-    /// are skipped where that plane is absent.
+    /// A sibling's wire command, published into the cell: its peer-repair
+    /// obligation carries it out. What came of it is read back off the
+    /// cell's loop report; a revived loop brings the watcher back.
+    fn command(&mut self, env: &mut Env, sup: &mut SupervisionPlane, event: Event) -> bool {
+        let Some(core) = self.core.clone() else {
+            return false;
+        };
+        let before = core.supervision().remote_repairs.len();
+        let _ = core.publish_local(event);
+        let mut revived = false;
+        for (_, what) in core.supervision().remote_repairs.split_off(before) {
+            env.fault(format!("cell{} remote repair {what}", self.idx));
+            revived |= what == "supervisor: revived";
+        }
+        if revived {
+            sup.revive();
+        }
+        revived
+    }
+
+    /// The cell's supervision-plane turn: the cell's own loop
+    /// reconciles on its cadence while it runs; then the peer protocol
+    /// and, if adopting, the remote session.
     pub(crate) fn supervise(&mut self, env: &mut Env, views: &[CellView]) {
         // The plane is detached while it works on the rest of the cell.
         let Some(mut sup) = self.sup.take() else {
             return;
         };
+        if sup.alive && self.core.is_some() {
+            sup.last_reconcile_at = env.now;
+        }
         if sup.peer.is_some() {
             self.step_peer_plane(env, &mut sup, views);
         }
-        // Local anti-entropy on cadence (alive only — a dead supervisor
-        // runs no reconciles, which is exactly what starves the
-        // checkpoint gate until an adopter's wire-ordered pass re-arms
-        // it).
-        if sup.rt.alive && env.now >= sup.rt.next_reconcile {
-            sup.rt.next_reconcile = env.now + RECONCILE_MICROS;
-            self.reconcile(env, &mut sup, None);
-        }
-        self.detect_and_repair(env, &mut sup);
         self.sup = Some(sup);
     }
 
@@ -829,79 +890,52 @@ impl Cell {
     fn step_peer_plane(&mut self, env: &mut Env, sup: &mut SupervisionPlane, views: &[CellView]) {
         let now = env.now;
         let member_id = self.member_id;
-        // a. Drain the supervision channel. Repair/Reconcile are
-        // actuator commands the cell runtime executes even with its
-        // supervisor dead; everything else is watcher-plane protocol.
-        let mut msgs: Vec<(SupervisionMsg, Option<u64>)> = Vec::new();
+        // a. Drain the supervision channel. A repair is the cell's to
+        // carry out (its obligations run with its loop stopped, too), a
+        // reconcile order is run here, and the rest is the watcher's.
         let peer = sup.peer.as_ref().expect("peer plane present");
         let (sibling_sup, ward_member) = (peer.sibling_sup, peer.sibling as u64 + 1);
         let ward_view = views[peer.sibling];
+        let mut events = Vec::new();
         while let Ok(incoming) = peer.channel.recv(Some(Duration::ZERO)) {
             if let Incoming::Reliable { payload, .. } = incoming {
-                if let Ok(event) = Event::from_message(payload) {
-                    if let Some(msg) = SupervisionMsg::from_event(&event) {
-                        // A repair command may carry the adopter's
-                        // episode trace; the target's half of the
-                        // stitched journey hangs off it.
-                        let episode = event
-                            .attr(wellknown::TEL_EPISODE)
-                            .and_then(|v| v.as_int())
-                            .map(|v| v as u64);
-                        msgs.push((msg, episode));
-                    }
-                }
+                events.extend(Event::from_message(payload).ok());
             }
         }
         let mut peer_actions = Vec::new();
-        for (msg, episode_attr) in msgs {
-            match &msg {
-                SupervisionMsg::Repair {
-                    target, component, ..
-                } if *target == member_id => {
-                    let revivals_before = sup.book.supervisor_revivals;
-                    // Policy-mediated execution: the wire command
-                    // becomes a typed event, the built-in obligation
-                    // fires Restart.
-                    let peer = sup.peer.as_ref().expect("peer plane present");
-                    for fired in peer.actuator.on_event(&msg.to_event(now)) {
-                        let ActionSpec::Restart { component: tmpl } = &fired.action else {
-                            continue;
-                        };
-                        let resolved = tmpl
-                            .resolve(&fired.trigger)
-                            .and_then(|v| v.as_str().map(str::to_string));
-                        if let Some(resolved) = resolved {
-                            debug_assert_eq!(&resolved, component);
-                            self.execute_repair(env, sup, &resolved, true);
-                        }
-                    }
-                    // The cross-cell leg: the repair revived this
-                    // cell's supervisor, so the hop is recorded *here*,
-                    // under the adopter's episode trace, and exported on
-                    // this cell's next telemetry cadence.
-                    if sup.book.supervisor_revivals > revivals_before {
-                        if let (Some(raw), Some(tel)) = (episode_attr, self.telemetry.as_mut()) {
-                            tel.record_hop(TraceId::from_raw(raw), "remote-restart", now);
+        for event in events {
+            let Some(msg) = SupervisionMsg::from_event(&event) else {
+                continue;
+            };
+            match msg {
+                SupervisionMsg::Repair { target, .. } if target == member_id => {
+                    // A repair that revives this cell's loop records the
+                    // cross-cell hop *here*, under the adopter's episode
+                    // trace the command carries, exported on this cell's
+                    // next telemetry cadence.
+                    let episode = event.attr(wellknown::TEL_EPISODE).and_then(|v| v.as_int());
+                    if self.command(env, sup, event) {
+                        if let (Some(raw), Some(tel)) = (episode, self.telemetry.as_mut()) {
+                            tel.record_hop(TraceId::from_raw(raw as u64), "remote-restart", now);
                         }
                     }
                 }
-                SupervisionMsg::Reconcile { target, requester } if *target == member_id => {
+                SupervisionMsg::Reconcile { target, requester } if target == member_id => {
                     // A wire-ordered anti-entropy pass: the adopter
                     // insists live views match durable truth before any
                     // compaction.
-                    self.reconcile(env, sup, Some(*requester));
+                    self.reconcile(env, sup, requester);
                 }
-                _ => {
-                    if sup.rt.alive {
-                        let peer = sup.peer.as_mut().expect("peer plane present");
-                        peer_actions.extend(peer.watcher.on_msg(now, &msg));
-                    }
+                msg if sup.alive => {
+                    let peer = sup.peer.as_mut().expect("peer plane present");
+                    peer_actions.extend(peer.watcher.on_msg(now, &msg));
                 }
+                _ => {}
             }
         }
         let peer = sup.peer.as_mut().expect("peer plane present");
         // b + c. The watcher's clock tick, then execute its actions.
-        if sup.rt.alive {
+        if sup.alive {
             peer_actions.extend(peer.watcher.tick(now));
         }
         for action in peer_actions {
@@ -928,7 +962,7 @@ impl Cell {
                     // anti-entropy pass before the ward's next
                     // compaction window, then keep re-arming it on
                     // cadence.
-                    peer.start_remote(now + RECONCILE_MICROS);
+                    peer.start_remote(now);
                     let order = SupervisionMsg::Reconcile {
                         target,
                         requester: member_id,
@@ -949,229 +983,60 @@ impl Cell {
                 }
             }
         }
-        // d. The remote session: sample the ward, plan repairs, ship
-        // them.
-        if !sup.rt.alive || ward_view.core_crashed {
+        // d. The remote session: order the ward's anti-entropy on
+        // cadence, and revive its loop while it is stopped.
+        if !sup.alive || ward_view.core_crashed {
             return;
         }
         let Some(remote) = peer.remote.as_mut() else {
             return;
         };
-        let order_reconcile = now >= remote.next_reconcile;
-        if order_reconcile {
+        if now >= remote.next_reconcile {
             remote.next_reconcile = now + RECONCILE_MICROS;
-        }
-        let mut commands: Vec<(String, u32, String)> = Vec::new();
-        if remote.monitor.due(now) {
-            let transitions = remote.monitor.observe(now, &ward_view.samples(), &[]);
-            let mut actions = Vec::new();
-            for t in &transitions {
-                env.fault(format!(
-                    "remote supervision(cell member {member_id}) {} {}->{}",
-                    t.component,
-                    t.from.as_str(),
-                    t.to.as_str()
-                ));
-                actions.extend(remote.supervisor.on_transition(t));
-            }
-            actions.extend(remote.supervisor.tick(now, &remote.monitor.report()));
-            for action in actions {
-                let (component, attempt) = match &action {
-                    RepairAction::Restart { component, attempt } => (component.clone(), *attempt),
-                    RepairAction::Escalate { target, .. } => (target.clone(), 0),
-                };
-                commands.push((component, attempt, action.to_string()));
-            }
-        }
-        if order_reconcile {
             let order = SupervisionMsg::Reconcile {
                 target: ward_member,
                 requester: member_id,
             };
             peer.send(sibling_sup, &order.to_event(now));
         }
-        for (component, attempt, desc) in commands {
-            env.fault(format!(
-                "remote repair order: {component} on cell member {ward_member} ({desc})"
-            ));
-            sup.book.remote_commands.push((now, desc));
-            let supervisor_repair = component == "supervisor";
-            let mut event = SupervisionMsg::Repair {
-                target: ward_member,
-                component,
-                attempt,
-            }
-            .to_event(now);
-            // Supervisor revivals carry the episode trace across the
-            // wire, so the target can record its restart hop under the
-            // same journey the adopter opened.
-            if supervisor_repair {
-                if let Some(trace) = self
-                    .telemetry
-                    .as_mut()
-                    .and_then(|tel| tel.episode_wire_repair(ward_member, now))
-                {
-                    event = event.with_attr(wellknown::TEL_EPISODE, trace.raw() as i64);
-                }
-            }
-            peer.send(sibling_sup, &event);
-        }
-    }
-
-    /// The local detect → repair loop. The component-down detector
-    /// samples liveness gauges, failures route through the built-in
-    /// restart obligation (policy-mediated, as the paper's management
-    /// events would be) into the supervisor, and the supervisor's plan
-    /// is executed against durable truth. A wedged component refuses its
-    /// restart, the gauge stays down, and the tick's retry timeout
-    /// escalates up the dependency graph. While the core itself is
-    /// scripted-crashed the supervisor holds off: the scenario owns that
-    /// outage.
-    fn detect_and_repair(&mut self, env: &mut Env, sup: &mut SupervisionPlane) {
-        if !sup.rt.alive || self.core.is_none() {
-            return;
-        }
-        let now = env.now;
-        // A missed ack anywhere pulses the interrupt line; sample
-        // immediately instead of waiting out the monitor's cadence.
-        // (Observing resets the cadence, so a quiet line costs nothing
-        // extra.)
-        let pulses = sup.rt.interrupt_line.load(Ordering::Relaxed);
-        let interrupted = pulses != sup.rt.seen_interrupts;
-        sup.rt.seen_interrupts = pulses;
-        if !sup.rt.monitor.due(now) && !interrupted {
-            return;
-        }
-        let samples = component_samples(self.components_up());
-        let transitions = sup.rt.monitor.observe(now, &samples, &[]);
-        let mut actions = Vec::new();
-        for t in &transitions {
-            env.fault(format!(
-                "supervision(cell{}) {} {}->{}",
-                self.idx,
-                t.component,
-                t.from.as_str(),
-                t.to.as_str()
-            ));
-            if t.to == HealthState::Failed {
-                for fired in sup.rt.policy.on_event(&health_event(t, None)) {
-                    if let ActionSpec::Restart { component } = &fired.action {
-                        if component
-                            .resolve(&fired.trigger)
-                            .is_some_and(|v| v.as_str().is_some())
-                        {
-                            sup.book.policy_restarts += 1;
-                        }
-                    }
-                }
-            }
-            actions.extend(sup.rt.supervisor.on_transition(t));
-        }
-        actions.extend(sup.rt.supervisor.tick(now, &sup.rt.monitor.report()));
-        for action in actions {
-            let target = match &action {
-                RepairAction::Restart { component, .. } => component,
-                RepairAction::Escalate { failed, target } => {
-                    // Escalations are the loop admitting a restart was
-                    // not enough — exactly the runs worth a black-box
-                    // dump.
-                    self.saw_escalation = true;
-                    if let Some(health) = self.health.as_mut() {
-                        health
-                            .recorder
-                            .note(now, format!("escalation: {failed} -> {target}"));
-                    }
-                    target
-                }
-            };
-            self.execute_repair(env, sup, target, false);
-        }
-    }
-
-    /// Executes one repair — from the cell's own supervisor (`remote ==
-    /// false`) or a sibling's wire command (`remote == true`). Restart
-    /// of a wedged component is refused (the gauge stays down and the
-    /// planner escalates); `core` is the escalation target (full reboot
-    /// from the WAL, which subsumes every child and clears a wedge, the
-    /// way power-cycling a gateway does what restarting one daemon on it
-    /// could not); `supervisor` revives a killed supervisor — the repair
-    /// only a *sibling* can ever order.
-    fn execute_repair(
-        &mut self,
-        env: &mut Env,
-        sup: &mut SupervisionPlane,
-        component: &str,
-        remote: bool,
-    ) {
-        let outcome = match (CoreComponent::named(component), component) {
-            (Some(which), _) => {
-                if self.core.is_none() || self.up(which) {
-                    // Already back (detector hysteresis lags the repair).
-                    return;
-                }
-                if self.wedged.contains(&which) {
-                    format!("{component}: failed (wedged)")
-                } else {
-                    self.restart_component(env, which);
-                    format!("{component}: done")
-                }
-            }
-            (None, "core") => {
-                self.stop_core(env);
-                self.reboot_core(env);
-                "core: rebooted".to_string()
-            }
-            (None, "supervisor") if !sup.rt.alive => {
-                sup.revive();
-                for dev in &self.devices {
-                    sup.watch(&dev.channel);
-                }
-                "supervisor: revived".to_string()
-            }
-            _ => return,
-        };
-        let kind = if remote { "remote repair" } else { "repair" };
-        env.fault(format!("cell{} {kind} {outcome}", self.idx));
-        let log = if remote {
-            &mut sup.book.remote_repairs
-        } else {
-            &mut sup.book.local_repairs
-        };
-        log.push((env.now, outcome));
-    }
-
-    /// Rebuilds one killed component on its old endpoint from durable
-    /// truth — the supervisor's `restart` repair, which the cell performs
-    /// itself ([`SmcCell::restart_discovery`], [`SmcCell::restart_bus`]).
-    fn restart_component(&mut self, env: &mut Env, component: CoreComponent) {
-        let Some(core) = &self.core else {
+        let Some(revive) = peer
+            .revival_due(now, ward_member)
+            .filter(|_| !ward_view.sup_alive)
+        else {
             return;
         };
-        let endpoint = |id| Arc::new(env.net.endpoint_with_id(id));
-        match component {
-            CoreComponent::Discovery => core.restart_discovery(endpoint(self.disco_id)),
-            CoreComponent::Sink => core
-                .restart_bus(endpoint(self.sink_id))
-                .map(|()| self.observer.expect_resends(core)),
+        env.fault(format!(
+            "remote repair order: supervisor on cell member {ward_member}"
+        ));
+        sup.book
+            .remote_commands
+            .push((now, "restart supervisor".into()));
+        // The revival carries the episode trace across the wire, so the
+        // ward can record its restart hop under the journey the adopter
+        // opened.
+        let mut event = revive.to_event(now);
+        let tel = self.telemetry.as_mut();
+        if let Some(trace) = tel.and_then(|tel| tel.episode_wire_repair(ward_member, now)) {
+            event = event.with_attr(wellknown::TEL_EPISODE, trace.raw() as i64);
         }
-        .expect("the log reads back");
+        peer.send(sibling_sup, &event);
     }
 
-    /// Rebuilds the core from its write-ahead log (the escalation repair
-    /// and the scripted `CoreRestart`).
+    /// Rebuilds the core from its write-ahead log (the reboot the cell
+    /// asks its owner for, and the scripted `CoreRestart`).
     fn reboot_core(&mut self, env: &mut Env) {
         let ids = Some((self.disco_id, self.sink_id));
-        let core = boot_core(
-            env,
-            &self.backend,
-            CellId(self.member_id),
-            ids,
-            &self.recorded,
-        );
+        let flags = (self.sup_alive(), self.quenching);
+        let cell = CellId(self.member_id);
+        let core = boot_core(env, &self.backend, cell, ids, &self.recorded, flags);
         self.observer.expect_resends(&core);
+        self.bus_seen = core.bus_channel();
         self.core_recoveries += 1;
         env.recovery_micros_total += core.metrics().wal_recovery_micros;
         self.core = Some(core);
+        if let Some(sup) = self.sup.as_mut() {
+            sup.booted(env.now);
+        }
     }
 
     /// The periodic snapshot: compacts the log so recovery replays a
@@ -1187,7 +1052,7 @@ impl Cell {
         let Some(core) = self
             .core
             .as_ref()
-            .filter(|_| self.components_up() == [true; 2])
+            .filter(|_| self.up(CoreComponent::Discovery) && self.up(CoreComponent::Sink))
         else {
             return;
         };
@@ -1214,6 +1079,15 @@ impl Cell {
     pub(crate) fn publish(&mut self, env: &mut Env, interval: u64) {
         let now = env.now;
         for dev in &mut self.devices {
+            let quenched = dev.quench.load(Ordering::Relaxed);
+            if quenched != dev.quenched {
+                dev.quenched = quenched;
+                let verb = if quenched { "quench" } else { "wake" };
+                env.fault(format!("{verb} {}", dev.id));
+                if let Some(health) = self.health.as_mut() {
+                    health.quenches.push((now, dev.id, quenched));
+                }
+            }
             if dev.crashed || dev.quenched || now < dev.next_publish || !dev.agent.is_member() {
                 continue;
             }
@@ -1236,6 +1110,15 @@ impl Cell {
     /// The observer takes what its proxy delivered: every event once, in
     /// each publisher's order — less the repeats recoveries re-sent.
     pub(crate) fn accept_deliveries(&mut self, env: &mut Env) {
+        // A sink the cell restarted this tick re-sent what its log owed:
+        // the copies are a link latency away yet.
+        if let Some(core) = self.core.as_ref() {
+            let channel = core.bus_channel();
+            if !Arc::ptr_eq(&channel, &self.bus_seen) {
+                self.bus_seen = channel;
+                self.observer.expect_resends(core);
+            }
+        }
         let delivered = std::mem::take(&mut *self.observer.inbox.lock().expect("inbox"));
         let observer = &mut self.observer;
         for event in delivered {
@@ -1285,18 +1168,13 @@ impl Cell {
             .sum()
     }
 
-    /// Registers collectors over the final core incarnation: the cell's
-    /// bus, WAL and discovery series.
-    pub(crate) fn register_core_with(&self, registry: &Registry) {
-        if let Some(core) = &self.core {
-            core.register_metrics(registry);
-        }
-    }
-
     /// What the cell ended the run with. `violated` is the oracle's
     /// verdict on the whole run; with a core crash or an escalation on
     /// this cell it is what makes the flight recorder dump.
-    pub(crate) fn into_report(self, violated: bool, at: u64) -> CellReport {
+    pub(crate) fn into_report(mut self, violated: bool, at: u64) -> CellReport {
+        if let (Some(sup), Some(core)) = (self.sup.as_mut(), &self.core) {
+            sup.fold(core.supervision());
+        }
         let dump_reason = if violated {
             Some("dump: run ended with an oracle violation")
         } else if self.saw_core_crash {

@@ -1,44 +1,35 @@
 //! The optional planes a cell can carry — health, supervision (with its
 //! peer plane) and telemetry — plus the telemetry observer they export
 //! to. Each is state the world's tick loop steps when it is present and
-//! skips when it is not.
+//! skips when it is not. None of them decides anything for the cell: a
+//! health transition and a sibling's repair command are published into
+//! the cell, whose own obligations act on them.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use smc_health::{
-    ComponentDown, FlightRecorder, HealthConfig, HealthMonitor, HealthState, HealthTransition,
-    Hysteresis, PeerSupervisor, ServiceRegistry, ServiceSpec, SloBurn, SuperviseConfig, Supervisor,
-};
-use smc_policy::{
-    health_quench_policies, peer_repair_policies, supervision_policies, Policy, PolicyService,
+    FlightRecorder, HealthConfig, HealthMonitor, HealthState, HealthTransition, Hysteresis,
+    PeerSupervisor, SloBurn, SupervisionReport,
 };
 use smc_telemetry::{
-    series_key, Counter, DeltaExporter, Gauge, Registry, Sample, SloConfig, SloTracker,
-    WardRegistry,
+    series_key, Counter, DeltaExporter, Gauge, Registry, SloConfig, SloTracker, WardRegistry,
 };
 use smc_transport::{Incoming, ReliableChannel};
-use smc_types::{codec, episode_trace, Event, HopExport, ServiceId, TelemetryMsg, TraceId};
+use smc_types::{
+    codec, episode_trace, Event, HopExport, ServiceId, SupervisionMsg, TelemetryMsg, TraceId,
+};
 use smc_wal::{CHAN_SUPERVISION, CHAN_TELEMETRY};
 
 use crate::world::{CellReport, Env, HealthOutcome, TelemetryPlaneReport};
 
-/// Sampling cadence and hysteresis of the component-down detector:
-/// deliberately tight (fail after 2 bad 250 ms samples) so
-/// time-to-repair stays near one virtual second.
-const COMPONENT_HEALTH: HealthConfig = HealthConfig {
-    interval_micros: 250_000,
-    hysteresis: Hysteresis {
-        degrade_after: 1,
-        fail_after: 2,
-        recover_after: 1,
-    },
-};
-/// Virtual interval between anti-entropy reconcile passes.
+/// Virtual interval between anti-entropy passes an adopter orders.
 pub(crate) const RECONCILE_MICROS: u64 = 500_000;
+/// How long an adopter waits for its ward's loop to come back before it
+/// orders the revival again (a supervisor's retry clock).
+const REVIVE_RETRY_MICROS: u64 = 1_000_000;
 /// Virtual interval between a cell's telemetry exports.
 const EXPORT_INTERVAL_MICROS: u64 = 400_000;
 /// Delivery-latency SLO objective.
@@ -46,24 +37,16 @@ const DELIVERY_OBJECTIVE_MICROS: u64 = 400_000;
 /// Supervision time-to-repair SLO objective.
 const TTR_OBJECTIVE_MICROS: u64 = 3_000_000;
 
-/// A policy service loaded with one of the built-in policy sets.
-fn policy_service(policies: impl IntoIterator<Item = Policy>) -> PolicyService {
-    let service = PolicyService::new();
-    for p in policies {
-        service.add(p).expect("built-in policies are valid");
-    }
-    service
-}
-
 // ----------------------------------------------------------------------
 // Health.
 // ----------------------------------------------------------------------
 
-/// The in-run self-observation stack: monitor, built-in obligations, and
-/// the flight recorder, all stepped on the virtual timeline.
+/// The in-run self-observation stack: a monitor over the cell's devices
+/// and the flight recorder, stepped on the virtual timeline. Its
+/// transitions are published into the cell, whose quench obligations
+/// act on them.
 pub(crate) struct HealthRuntime {
     pub(crate) monitor: HealthMonitor,
-    pub(crate) policy: PolicyService,
     pub(crate) recorder: FlightRecorder,
     pub(crate) transitions: Vec<HealthTransition>,
     pub(crate) quenches: Vec<(u64, ServiceId, bool)>,
@@ -75,7 +58,6 @@ impl HealthRuntime {
     pub(crate) fn new(dump_path: Option<PathBuf>) -> HealthRuntime {
         HealthRuntime {
             monitor: HealthMonitor::new(HealthConfig::default()),
-            policy: policy_service(health_quench_policies()),
             recorder: FlightRecorder::default(),
             transitions: Vec::new(),
             quenches: Vec::new(),
@@ -109,118 +91,40 @@ impl HealthRuntime {
 // Supervision.
 // ----------------------------------------------------------------------
 
-/// An up/down gauge of the kind the component-down detector watches.
-fn up_sample(name: &str, is_up: bool) -> Sample {
-    let labels = [("component", name)];
-    Sample::gauge("smc_component_up", "", &labels, u64::from(is_up))
-}
-
-/// The liveness gauges of a core's restartable components, discovery
-/// and the sink, each `true` while it runs.
-pub(crate) fn component_samples([discovery, sink]: [bool; 2]) -> Vec<Sample> {
-    vec![up_sample("discovery", discovery), up_sample("sink", sink)]
-}
-
-/// The read-only snapshot of a cell an adopting sibling's monitor
-/// samples. Captured for every cell at the top of the supervision phase
-/// so the order cells are processed in cannot change what either
-/// observes.
+/// The read-only snapshot of a cell an adopting sibling watches.
+/// Captured for every cell at the top of the supervision phase so the
+/// order cells are processed in cannot change what either observes. (An
+/// in-process stand-in for the liveness signal the ward's cell exports;
+/// the protocol itself — lease, claim, repair — still crosses the wire.)
 #[derive(Clone, Copy)]
 pub(crate) struct CellView {
-    /// Whether discovery and the sink run (neither while the core is
-    /// crashed).
-    pub(crate) up: [bool; 2],
+    /// Whether the cell's own loop runs.
     pub(crate) sup_alive: bool,
     pub(crate) core_crashed: bool,
 }
 
-impl CellView {
-    /// The gauges an adopter's component-down detector watches: the
-    /// ward's components *and* its supervisor. (In-process stand-ins for
-    /// the liveness signals the ward's cell runtime exports; the
-    /// protocol itself — lease, claim, repair — still crosses the wire.)
-    pub(crate) fn samples(&self) -> Vec<Sample> {
-        let mut samples = component_samples(self.up);
-        samples.push(up_sample("supervisor", self.sup_alive));
-        samples
-    }
-}
-
-/// A supervisor planning over a core's components — and, for an adopter
-/// watching a ward, over the one component a local loop can never watch:
-/// the ward's supervisor itself.
-fn component_supervisor(watch_supervisor: bool) -> Supervisor {
-    let mut registry = ServiceRegistry::new();
-    registry.register(ServiceSpec::new("core"));
-    let mut children = vec!["discovery", "sink"];
-    if watch_supervisor {
-        children.push("supervisor");
-    }
-    for child in children {
-        registry.register(
-            ServiceSpec::new(child)
-                .depends_on("core")
-                .escalates_to("core"),
-        );
-    }
-    Supervisor::new(registry, SuperviseConfig::default())
-}
-
-fn component_monitor() -> HealthMonitor {
-    HealthMonitor::with_detectors(COMPONENT_HEALTH, vec![Box::new(ComponentDown::default())])
-}
-
-/// The in-process supervisor: component-down detection, the planner and
-/// the built-in supervision obligation. This is what
-/// `ChaosOp::KillSupervisor` stops and a sibling's repair replaces.
-pub(crate) struct SupervisionRuntime {
-    pub(crate) monitor: HealthMonitor,
-    pub(crate) supervisor: Supervisor,
-    pub(crate) policy: PolicyService,
-    pub(crate) next_reconcile: u64,
-    /// Pulsed by the reliable channels whenever a message enters a
-    /// retransmission round (a missed ack — the earliest wire-visible
-    /// sign of a dead receiver). The monitor samples immediately instead
-    /// of waiting out its cadence.
-    pub(crate) interrupt_line: Arc<AtomicU64>,
-    /// Interrupt pulses already consumed by a sample.
-    pub(crate) seen_interrupts: u64,
-    /// `false` after a `KillSupervisor`: the loop stops ticking —
-    /// detection, repair and reconcile all halt — while the data plane
-    /// runs on. Only a sibling cell's remote repair ever revives it.
-    pub(crate) alive: bool,
-}
-
-impl SupervisionRuntime {
-    fn new() -> SupervisionRuntime {
-        SupervisionRuntime {
-            monitor: component_monitor(),
-            supervisor: component_supervisor(false),
-            policy: policy_service(supervision_policies()),
-            next_reconcile: 0,
-            interrupt_line: Arc::new(AtomicU64::new(0)),
-            seen_interrupts: 0,
-            alive: true,
-        }
-    }
-}
-
-/// A cell's supervision plane: the (killable) supervisor, the peer plane
-/// when the cell has a sibling, and the bookkeeping that outlives any
-/// one supervisor incarnation.
+/// What a cell's supervision plane keeps: whether the cell's own loop
+/// runs, the peer plane when the cell has a sibling, and the book that
+/// outlives any one core incarnation.
 pub(crate) struct SupervisionPlane {
     member_id: u64,
-    pub(crate) rt: SupervisionRuntime,
+    /// `false` after a `KillSupervisor` stopped the cell's loop, until a
+    /// sibling's repair revives it.
+    pub(crate) alive: bool,
     pub(crate) peer: Option<PeerPlane>,
-    /// When the last anti-entropy pass (local or wire-ordered) ran: what
-    /// the reconcile-before-checkpoint gate reads.
+    /// When an anti-entropy pass last ran (the cell's own, on its
+    /// cadence while its loop runs, or a wire-ordered one): what the
+    /// reconcile-before-checkpoint gate reads.
     pub(crate) last_reconcile_at: u64,
     /// The cell's report as far as this plane writes it: the counters
-    /// and logs that accumulate over the run, whichever supervisor
-    /// incarnation was alive at the time.
+    /// and logs that accumulate over the run, across core incarnations.
     pub(crate) book: CellReport,
-    /// Interrupt pulses of supervisor incarnations that were replaced.
-    missed_acks_gone: u64,
+    /// When each of the cell's components last failed and has not
+    /// recovered since, from the cell's health events.
+    pub(crate) failed_at: BTreeMap<String, u64>,
+    /// Episodes a core incarnation ended with open: the next boot
+    /// closes them.
+    cut: Vec<String>,
 }
 
 impl SupervisionPlane {
@@ -228,64 +132,83 @@ impl SupervisionPlane {
     /// supervision network when `peer` asks for a sibling.
     pub(crate) fn new(env: &Env, peer: bool, member_id: u64) -> SupervisionPlane {
         SupervisionPlane {
-            rt: SupervisionRuntime::new(),
+            alive: true,
             peer: peer.then(|| PeerPlane::new(env, member_id)),
             member_id,
             last_reconcile_at: 0,
             book: CellReport::default(),
-            missed_acks_gone: 0,
+            failed_at: BTreeMap::new(),
+            cut: Vec::new(),
         }
     }
 
-    /// Routes `channel`'s missed-ack pulses to the supervisor's
-    /// interrupt line, so detection reacts at wire speed instead of the
-    /// sampling cadence.
-    pub(crate) fn watch(&self, channel: &ReliableChannel) {
-        channel.set_missed_ack_interrupt(Arc::clone(&self.rt.interrupt_line));
-    }
-
-    /// A fresh supervisor in place of a killed one: fresh monitor (no
-    /// stale hysteresis), fresh watcher (its first tick heartbeats,
-    /// which is what makes the adopter release). The caller re-points
-    /// the device channels at the new interrupt line.
+    /// A revived loop: a fresh watcher, whose first tick heartbeats —
+    /// which is what makes the adopter release.
     pub(crate) fn revive(&mut self) {
-        self.missed_acks_gone += self.rt.interrupt_line.load(Ordering::Relaxed);
-        self.rt = SupervisionRuntime::new();
+        self.alive = true;
         if let Some(peer) = self.peer.as_mut() {
             peer.watcher = PeerPlane::watcher(self.member_id);
         }
         self.book.supervisor_revivals += 1;
     }
 
-    pub(crate) fn missed_acks(&self) -> u64 {
-        self.missed_acks_gone + self.rt.interrupt_line.load(Ordering::Relaxed)
+    /// Books what one core incarnation's loop reported as it ends; the
+    /// episodes it left open are closed by the next boot.
+    pub(crate) fn fold(&mut self, report: SupervisionReport) {
+        let book = &mut self.book;
+        for (at, line) in &report.log {
+            if let Some(fix) = line.strip_prefix("reconcile: ") {
+                book.reconcile_fixes.push((*at, fix.to_owned()));
+            }
+        }
+        book.local_repairs.extend(report.repairs);
+        book.remote_repairs.extend(report.remote_repairs);
+        let into = &mut book.report;
+        into.restarts += report.restarts;
+        into.escalations += report.escalations;
+        into.reconcile_repairs += report.reconcile_repairs;
+        into.ttr_micros.extend(report.ttr_micros);
+        into.log.extend(report.log);
+        book.reconciles += report.reconciles;
+        self.cut = report.unresolved;
+    }
+
+    /// A new core incarnation booted at `now`: the episodes the last one
+    /// left open are over — the reboot repaired them.
+    pub(crate) fn booted(&mut self, now: u64) {
+        for component in std::mem::take(&mut self.cut) {
+            let ttr = self.failed_at.remove(&component).map(|at| now - at);
+            if let Some(ttr) = ttr {
+                self.book.report.ttr_micros.push(ttr);
+                let line = format!("{component} repaired by a reboot after {ttr} µs");
+                self.book.report.log.push((now, line));
+            }
+        }
     }
 
     /// The supervision half of the cell's report: the book, plus what
-    /// the final supervisor incarnation and the watcher ended with.
-    pub(crate) fn into_report(self) -> CellReport {
+    /// the watcher ended with.
+    pub(crate) fn into_report(mut self) -> CellReport {
         let (peer, adopted_at_end) = match &self.peer {
             Some(peer) => (peer.watcher.report().clone(), peer.watcher.adopted()),
             None => Default::default(),
         };
+        self.book.report.unresolved = self.cut;
         CellReport {
-            supervisor_alive: self.rt.alive,
+            supervisor_alive: self.alive,
             peer,
-            report: self.rt.supervisor.report(),
-            missed_ack_interrupts: self.missed_acks(),
             adopted_at_end,
             ..self.book
         }
     }
 }
 
-/// The adopter's side of a remote-supervision session: a component-down
-/// monitor and a supervisor planning over the ward's components (its
-/// supervisor included), with repairs shipped as wire commands instead
-/// of executed in-process.
+/// The adopter's side of a remote-supervision session. It decides no
+/// repair of the ward's components — the ward's own loop does that — it
+/// only revives that loop while it is stopped, and orders the
+/// anti-entropy passes a stopped loop would have run.
 pub(crate) struct RemoteSupervision {
-    pub(crate) monitor: HealthMonitor,
-    pub(crate) supervisor: Supervisor,
+    pub(crate) next_revival: u64,
     pub(crate) next_reconcile: u64,
 }
 
@@ -293,18 +216,15 @@ pub(crate) struct RemoteSupervision {
 /// supervision channel (`smc.supervision` events on `CHAN_SUPERVISION`,
 /// so the lease/claim/adopt protocol rides the same exactly-once, FIFO
 /// machinery as the data plane, and survives the cell's core losing
-/// *its* log), the watcher over the sibling, and the actuator that
-/// executes the sibling's wire commands.
+/// *its* log), the watcher over the sibling, and the remote session.
 ///
-/// Two halves, deliberately separable: the watcher and the remote
-/// session belong to the supervisor and die with it; the channel and
-/// the actuator belong to the cell runtime and survive, the way an init
-/// system outlives a crashed node agent. That is what makes remote
-/// revival possible at all: the sibling's `Repair { component:
-/// "supervisor" }` lands on a live actuator.
+/// The watcher and the remote session belong to the cell's loop and die
+/// with it; the channel survives, the way an init system outlives a
+/// crashed node agent. That is what makes remote revival possible at
+/// all: the sibling's `Repair { component: "supervisor" }` is published
+/// into the cell, whose peer-repair obligation restarts the loop.
 pub(crate) struct PeerPlane {
     pub(crate) channel: Arc<ReliableChannel>,
-    pub(crate) id: ServiceId,
     /// The sibling's index in the world's cell list and its endpoint on
     /// the supervision channel (set once both cells exist).
     pub(crate) sibling: usize,
@@ -312,21 +232,16 @@ pub(crate) struct PeerPlane {
     pub(crate) watcher: PeerSupervisor,
     /// The remote session while this cell has adopted its sibling.
     pub(crate) remote: Option<RemoteSupervision>,
-    /// Executes wire `Repair` commands through `peer_repair_policies`.
-    pub(crate) actuator: PolicyService,
 }
 
 impl PeerPlane {
     fn new(env: &Env, member_id: u64) -> PeerPlane {
-        let channel = env.plane_channel(CHAN_SUPERVISION);
         PeerPlane {
-            id: channel.local_id(),
-            channel,
+            channel: env.plane_channel(CHAN_SUPERVISION),
             sibling: 0,
             sibling_sup: ServiceId::NIL,
             watcher: PeerPlane::watcher(member_id),
             remote: None,
-            actuator: policy_service(peer_repair_policies()),
         }
     }
 
@@ -340,12 +255,22 @@ impl PeerPlane {
     }
 
     /// Opens the remote session over a freshly adopted ward.
-    pub(crate) fn start_remote(&mut self, first_reconcile: u64) {
+    pub(crate) fn start_remote(&mut self, now: u64) {
         self.remote = Some(RemoteSupervision {
-            monitor: component_monitor(),
-            supervisor: component_supervisor(true),
-            next_reconcile: first_reconcile,
+            next_revival: now,
+            next_reconcile: now + RECONCILE_MICROS,
         });
+    }
+
+    /// The revival order for `ward`'s loop, if one is due at `now`.
+    pub(crate) fn revival_due(&mut self, now: u64, ward: u64) -> Option<SupervisionMsg> {
+        let remote = self.remote.as_mut().filter(|r| now >= r.next_revival)?;
+        remote.next_revival = now + REVIVE_RETRY_MICROS;
+        Some(SupervisionMsg::Repair {
+            target: ward,
+            component: "supervisor".into(),
+            attempt: 1,
+        })
     }
 }
 
@@ -583,7 +508,11 @@ impl Observer {
             monitor: HealthMonitor::with_detectors(
                 HealthConfig {
                     interval_micros: 1_000_000,
-                    ..COMPONENT_HEALTH
+                    hysteresis: Hysteresis {
+                        degrade_after: 1,
+                        fail_after: 2,
+                        recover_after: 1,
+                    },
                 },
                 vec![Box::new(SloBurn::default())],
             ),

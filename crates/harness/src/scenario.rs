@@ -54,13 +54,6 @@ impl CoreComponent {
             CoreComponent::Sink => "sink",
         }
     }
-
-    /// The component supervision calls `name`, if it is one of these.
-    pub(crate) fn named(name: &str) -> Option<CoreComponent> {
-        [CoreComponent::Discovery, CoreComponent::Sink]
-            .into_iter()
-            .find(|c| c.name() == name)
-    }
 }
 
 /// Which piece of live state a [`ChaosOp::CorruptState`] damages. Every
@@ -175,8 +168,8 @@ pub enum ChaosOp {
         /// What gets corrupted.
         target: CorruptTarget,
     },
-    /// Cell `cell`'s *in-process supervisor* dies — the monitor/supervisor
-    /// loop stops ticking while the cell's data plane keeps running.
+    /// Cell `cell`'s *supervisor* dies — the cell's own detect → repair
+    /// loop stops while its data plane keeps running.
     /// There is no scripted restart: in a single-cell world the loop is
     /// gone for good (the peer-supervision teeth baseline), and in a
     /// multi-cell world only a sibling's remote repair revives it.

@@ -28,18 +28,20 @@
 //! configured or absent — the run loop has one body and skips what is
 //! not there:
 //!
-//! * **health** ([`RunOptions::health`]) — a monitor, the built-in quench
-//!   obligations and a flight recorder, sampling the live cell;
-//! * **supervision** ([`RunOptions::supervision`]) — the detect → repair
-//!   loop: a component-down detector, a supervisor that restarts dead
-//!   components from the log and escalates wedged ones to a core reboot,
-//!   and periodic anti-entropy against durable truth;
+//! * **health** ([`RunOptions::health`]) — a monitor over the devices'
+//!   channels and a flight recorder; its transitions are published into
+//!   the cell, whose quench obligations (installed with the plane)
+//!   silence a degraded publisher over the cell's `Quench` path;
+//! * **supervision** ([`RunOptions::supervision`]) — the cell's own
+//!   detect → repair loop left running (it restarts dead components from
+//!   the log, escalates wedged ones and runs anti-entropy), its reports
+//!   booked across incarnations, and the reboot the cell asks its owner
+//!   for when it escalates;
 //! * **peer supervision** ([`SupervisionOptions::peer`]) — the world has
 //!   two sibling cells exactly when this is set. Each heartbeats a lease
 //!   over a journalled supervision channel; a lapsed lease is claimed,
-//!   the silent cell adopted, and repair (reviving the dead supervisor
-//!   included) driven remotely through wire commands the ward's cell
-//!   runtime executes even with its own supervisor dead;
+//!   the silent cell adopted, and its stopped loop revived by a wire
+//!   command the ward's cell carries out through its own obligations;
 //! * **telemetry** ([`RunOptions::telemetry`]) — every cell exports delta
 //!   metrics, trace hops and SLO reports as journalled `smc.telemetry`
 //!   events to an observer that folds them into a ward view.
@@ -50,8 +52,7 @@
 //! with a supervision plane refuses to checkpoint unless an anti-entropy
 //! pass ran within the last checkpoint interval (compaction must never
 //! freeze a diverged view into durable truth — `checkpoint deferred` in
-//! the trace), and every device channel pulses that plane's missed-ack
-//! interrupt line so detection runs at wire speed.
+//! the trace).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -97,6 +98,7 @@ pub fn default_discovery() -> DiscoveryConfig {
 }
 
 /// Everything configurable about a chaos run.
+#[derive(Debug)]
 pub struct RunOptions {
     /// Reliable-channel parameters for every channel in the world
     /// (weaken them — `dedup: false` — to prove the oracle has teeth).
@@ -117,13 +119,13 @@ pub struct RunOptions {
     /// the virtual timeline. `None` (the default) leaves the run
     /// untouched.
     pub health: Option<HealthOptions>,
-    /// Self-repair: `Some` runs a supervisor over each cell's components
-    /// — a `component-down` detector feeds failure episodes, restarts
-    /// rebuild the dead component from the write-ahead log, wedged
-    /// components escalate to a full core reboot, and a periodic
-    /// anti-entropy pass reconciles live views against durable truth.
-    /// `None` (the default) leaves [`ChaosOp::KillComponent`] faults
-    /// permanently down — the teeth baseline.
+    /// Self-repair: `Some` leaves each cell's own detect → repair loop
+    /// running — a failed component is restarted from the write-ahead
+    /// log, a wedged one escalates to a reboot the world performs, and a
+    /// periodic anti-entropy pass reconciles live views against durable
+    /// truth. `None` (the default) stops the loop, which leaves
+    /// [`ChaosOp::KillComponent`] faults permanently down — the teeth
+    /// baseline.
     pub supervision: Option<SupervisionOptions>,
     /// The ward-scale telemetry plane: when set, every cell exports
     /// delta-encoded metrics, trace hops and SLO reports as journalled
@@ -172,14 +174,6 @@ impl Default for RunOptions {
     }
 }
 
-impl std::fmt::Debug for RunOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("trace", &self.trace)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The outcome of one chaos run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -225,19 +219,21 @@ pub struct CellReport {
     pub core_recoveries: u64,
     /// What the health monitor saw, when [`RunOptions::health`] was on.
     pub health: Option<HealthOutcome>,
-    /// Whether an in-process supervisor was alive at run end (`false`
-    /// after an unrevived [`ChaosOp::KillSupervisor`], or with no
-    /// supervision plane at all).
+    /// Whether the cell's own loop ran at run end (`false` after an
+    /// unrevived [`ChaosOp::KillSupervisor`], or with no supervision
+    /// plane at all).
     pub supervisor_alive: bool,
-    /// Times a sibling's remote `Repair` revived this cell's supervisor.
+    /// Times a sibling's remote `Repair` revived this cell's loop.
     pub supervisor_revivals: u64,
     /// The peer watcher's counters and decision log (final incarnation).
     pub peer: PeerReport,
-    /// The local supervisor's episode accounting (final incarnation):
-    /// restarts, escalations, per-episode time-to-repair, the repair log.
+    /// The cell's loop's episode accounting, summed over its core
+    /// incarnations: restarts, escalations, per-episode time-to-repair
+    /// (an episode a reboot ended is timed to the reboot), the repair
+    /// log; `unresolved` is the last incarnation's.
     pub report: SupervisionReport,
-    /// Repairs the cell's own supervisor executed, or was refused by a
-    /// wedged component: `(at_micros, what)`.
+    /// Repairs the cell's own loop carried out, or that a wedged
+    /// component refused: `(at_micros, what)`.
     pub local_repairs: Vec<(u64, String)>,
     /// Repair commands this cell shipped to its adopted ward.
     pub remote_commands: Vec<(u64, String)>,
@@ -250,14 +246,9 @@ pub struct CellReport {
     /// Checkpoints refused because no reconcile had run recently enough
     /// (the reconcile-before-checkpoint invariant holding).
     pub checkpoints_deferred: u64,
-    /// `Restart` actions the built-in supervision obligation fired
-    /// through the policy service (the policy-layer view of the same
-    /// failures the supervisor handled).
+    /// Failures of the cell's components it published as `smc.health`
+    /// events, each of which fired its built-in restart obligation.
     pub policy_restarts: u64,
-    /// Missed-ack retransmission rounds on the cell's device channels
-    /// that pulsed the supervisor's interrupt line (each one woke an
-    /// immediate sample), summed over supervisor incarnations.
-    pub missed_ack_interrupts: u64,
     /// Sibling member ids this cell still held adopted at run end.
     pub adopted_at_end: Vec<u64>,
 }
@@ -668,17 +659,15 @@ impl World {
                 if let Some((own, sibling)) = cell.supervision_link() {
                     env.net.set_partitioned(own, sibling, on);
                 }
-                if let (Some(tel), Some(obs)) = (cell.telemetry_endpoint(), &self.observer) {
-                    env.net.set_partitioned(tel, obs.id, on);
+                if let (Some(tel), Some(obs)) = (&cell.telemetry, &self.observer) {
+                    env.net.set_partitioned(tel.channel.local_id(), obs.id, on);
                 }
-                env.fault(format!(
-                    "cell{c} {}",
-                    if on {
-                        "partitioned from siblings"
-                    } else {
-                        "partition healed"
-                    }
-                ));
+                let what = if on {
+                    "partitioned from siblings"
+                } else {
+                    "partition healed"
+                };
+                env.fault(format!("cell{c} {what}"));
             }
             Act::CoreCrash => self.cells[0].crash_core(env),
             Act::CoreRestart => self.cells[0].restart_core(env),
@@ -805,14 +794,15 @@ impl World {
         // aggregates (which span cells and crashed incarnations) go in
         // below as plain instruments with their final values.
         let live = Registry::default();
-        cells[0].register_core_with(&live);
+        if let Some(core) = &cells[0].core {
+            core.register_metrics(&live);
+        }
         if let Some(sink) = &env.trace_sink {
             sink.register_with(&live);
         }
         let finals = live.gather();
         let registry = Registry::default();
         registry.register_collector(move |out| out.extend(finals.iter().cloned()));
-        let supervised = cells.iter().any(|c| c.sup.is_some());
 
         let telemetry = observer.map(|obs| {
             let mut episodes = Vec::new();
@@ -843,7 +833,7 @@ impl World {
             oracle: env.oracle,
         };
 
-        let mut counters = vec![
+        let counters = [
             (
                 "smc_harness_published_total",
                 "Messages devices handed to their channels over the run.",
@@ -865,13 +855,6 @@ impl World {
                 report.core_recoveries(),
             ),
         ];
-        if supervised {
-            counters.push((
-                "smc_missed_ack_interrupts_total",
-                "Missed-ack retransmission rounds that pulsed the supervision interrupt line.",
-                report.cells.iter().map(|c| c.missed_ack_interrupts).sum(),
-            ));
-        }
         for (name, help, value) in counters {
             report.registry.counter(name, help).add(value);
         }

@@ -381,50 +381,6 @@ impl Detector for MembershipFlap {
     }
 }
 
-/// Component liveness: a per-component up/down gauge (1 = running,
-/// 0 = dead) published by whoever owns the component's lifecycle. The
-/// simplest detector — and the supervisor's trigger: a killed component
-/// drops its gauge to 0 and rides the hysteresis into `Failed`, where
-/// the repair loop picks it up. The component key is the gauge's first
-/// label value, so `smc_component_up{component="discovery"}` tracks a
-/// component named `discovery`.
-#[derive(Debug)]
-pub struct ComponentDown {
-    metric: String,
-}
-
-impl ComponentDown {
-    /// Watches every series of `metric` as an up/down gauge.
-    pub fn new(metric: impl Into<String>) -> ComponentDown {
-        ComponentDown {
-            metric: metric.into(),
-        }
-    }
-}
-
-impl Default for ComponentDown {
-    fn default() -> Self {
-        ComponentDown::new("smc_component_up")
-    }
-}
-
-impl Detector for ComponentDown {
-    fn name(&self) -> &'static str {
-        "component-down"
-    }
-
-    fn observe(&mut self, ctx: &SampleCtx<'_>) -> Vec<Observation> {
-        ctx.series(&self.metric)
-            .into_iter()
-            .map(|(label, value)| Observation {
-                component: label.to_owned(),
-                healthy: value >= 1,
-                detail: format!("up={value}"),
-            })
-            .collect()
-    }
-}
-
 /// SLO burn: an error budget is being spent faster than provisioned
 /// across **every** configured window at once. Watches the
 /// `smc_slo_burn_rate_milli` gauges a telemetry observer folds from
@@ -639,21 +595,6 @@ mod tests {
         assert!(d.observe(&ctx(11, 1, &[], &hops))[0].healthy);
         // A window with no completed deliveries says nothing.
         assert!(d.observe(&ctx(12, 1, &[], &[])).is_empty());
-    }
-
-    #[test]
-    fn component_down_tracks_up_gauges_per_label() {
-        let mut d = ComponentDown::new("up");
-        let s = vec![
-            sample("up", &[("component", "discovery")], 1),
-            sample("up", &[("component", "sink")], 0),
-        ];
-        let obs = d.observe(&ctx(0, 0, &s, &[]));
-        let disco = obs.iter().find(|o| o.component == "discovery").unwrap();
-        let sink = obs.iter().find(|o| o.component == "sink").unwrap();
-        assert!(disco.healthy);
-        assert!(!sink.healthy);
-        assert!(d.observe(&ctx(1, 1, &[], &[])).is_empty());
     }
 
     #[test]

@@ -508,11 +508,7 @@ mod tests {
         // tracked sibling: both must surface in the JSON.
         let mut registry = ServiceRegistry::new();
         registry.register(ServiceSpec::new("core"));
-        registry.register(
-            ServiceSpec::new("sink")
-                .depends_on("core")
-                .escalates_to("core"),
-        );
+        registry.register(ServiceSpec::new("sink").escalates_to("core"));
         let mut supervisor = Supervisor::new(registry, SuperviseConfig::default());
         supervisor.on_transition(&HealthTransition {
             at_micros: 0,

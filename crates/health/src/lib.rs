@@ -24,9 +24,10 @@
 //!   registry snapshots, hops and notes, dumped to a file on chaos
 //!   violations or core crashes.
 //! * **The supervisor** ([`supervise`]): the repair half of the loop —
-//!   a dependency-aware service registry plus a passive, deterministic
-//!   supervisor that answers `Failed` transitions with restarts and
-//!   escalates up the graph when a restart doesn't clear the detector.
+//!   a registry of components and their escalation targets plus a
+//!   passive, deterministic supervisor that answers `Failed` transitions
+//!   with restarts and escalates when a restart doesn't clear the
+//!   detector. A durable `SmcCell` runs it in its own loop.
 //! * **Peer supervision** ([`peer`]): the loop's survival of its own
 //!   host — cells heartbeat leases to sibling cells over the event
 //!   fabric; when one lapses, watchers arbitrate a claim by lowest
@@ -49,8 +50,8 @@ pub mod state;
 pub mod supervise;
 
 pub use detect::{
-    default_detectors, ComponentDown, DeliveryLatency, Detector, MembershipFlap, Observation,
-    QueueGrowth, RetransmitStorm, SampleCtx, SloBurn, WalStall,
+    default_detectors, DeliveryLatency, Detector, MembershipFlap, Observation, QueueGrowth,
+    RetransmitStorm, SampleCtx, SloBurn, WalStall,
 };
 pub use http::{StatusServer, StatusSources, SupervisionStatus};
 pub use monitor::{

@@ -317,8 +317,8 @@ impl PeerSupervisor {
             SupervisionMsg::Claim { target, claimant } => self.on_claim(now, *target, *claimant),
             SupervisionMsg::Adopt { target, adopter } => self.on_adopt(now, *target, *adopter),
             SupervisionMsg::Release { target, .. } => self.on_release(now, *target),
-            // Repair/Reconcile are actuator-plane commands executed by
-            // the receiving cell, not watcher-plane protocol.
+            // Repair/Reconcile are commands the receiving cell carries
+            // out, not watcher-plane protocol.
             _ => Vec::new(),
         }
     }

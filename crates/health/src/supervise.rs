@@ -3,22 +3,25 @@
 //! PR 4 built detection — detectors vote, state machines walk
 //! `Healthy → Degraded → Failed`, transitions become `smc.health`
 //! events. Nothing acted beyond quenching. This module closes the
-//! detect → repair loop with a dependency-aware [`ServiceRegistry`]
-//! over the cell's components and a [`Supervisor`] that turns `Failed`
-//! transitions into [`RepairAction`]s:
+//! detect → repair loop with a [`ServiceRegistry`] of the cell's
+//! components, each naming where its repair escalates, and a
+//! [`Supervisor`] that turns `Failed` transitions into
+//! [`RepairAction`]s:
 //!
 //! * **restart** the failed component from its durable state (the
 //!   embedder re-runs the relevant slice of the `start_durable`
 //!   machinery and re-attaches sinks through the RouteTable control
 //!   path);
-//! * **escalate** up the dependency graph when restarts don't clear the
-//!   detector — a wedged sink endpoint eventually takes the whole core
-//!   down and back up, exactly like a crash-recovery cycle.
+//! * **escalate** up the graph when restarts don't clear the detector —
+//!   a wedged sink endpoint eventually takes the whole core down and
+//!   back up, exactly like a crash-recovery cycle.
 //!
 //! The supervisor is deliberately **passive and deterministic**: it
-//! never spawns threads or touches components itself. The embedder (the
-//! virtual-time harness, or a wall-clock runtime) feeds it transitions
-//! and periodic [`HealthReport`]s and executes the actions it returns.
+//! never spawns threads or touches components itself. Its embedder — the
+//! cell's own loop (`smc_core::SmcCell`), or an adopting sibling's
+//! remote session — feeds it transitions and periodic [`HealthReport`]s
+//! and executes the actions it returns, booking what came of each in
+//! the report ([`SupervisionReport::repairs`]).
 //! That keeps every repair decision on the virtual clock and replayable
 //! per seed.
 //!
@@ -34,34 +37,24 @@ use smc_telemetry::json_string;
 use crate::monitor::{HealthReport, HealthTransition};
 use crate::state::HealthState;
 
-/// One supervised component: its place in the dependency graph.
+/// One supervised component: its place in the escalation graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSpec {
     /// Component key, matching the health monitor's component names
     /// (e.g. `discovery`, `sink`, `wal`).
     pub name: String,
-    /// Components this one needs running (documentation of the graph;
-    /// restart ordering derives from `escalate_to`).
-    pub depends_on: Vec<String>,
     /// Where a failed repair escalates: the component whose restart
     /// subsumes this one (`None` = top of the graph).
     pub escalate_to: Option<String>,
 }
 
 impl ServiceSpec {
-    /// A spec with no dependencies and no escalation target.
+    /// A spec with no escalation target.
     pub fn new(name: impl Into<String>) -> ServiceSpec {
         ServiceSpec {
             name: name.into(),
-            depends_on: Vec::new(),
             escalate_to: None,
         }
-    }
-
-    /// Declares a dependency (builder style).
-    pub fn depends_on(mut self, dep: impl Into<String>) -> ServiceSpec {
-        self.depends_on.push(dep.into());
-        self
     }
 
     /// Sets the escalation target (builder style).
@@ -71,7 +64,7 @@ impl ServiceSpec {
     }
 }
 
-/// The dependency-aware registry of supervised components.
+/// The registry of supervised components and where each escalates.
 ///
 /// Deterministic by construction: iteration is in `BTreeMap` order, and
 /// the escalation chain is an explicit edge per component rather than a
@@ -97,41 +90,13 @@ impl ServiceRegistry {
         self.specs.contains_key(name)
     }
 
-    /// The registered component names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.specs.keys().cloned().collect()
-    }
-
-    /// The spec for `name`.
-    pub fn spec(&self, name: &str) -> Option<&ServiceSpec> {
-        self.specs.get(name)
-    }
-
     /// The escalation target of `name`, if any.
     pub fn escalate_to(&self, name: &str) -> Option<&str> {
         self.specs.get(name)?.escalate_to.as_deref()
     }
 
-    /// Every registered component that (transitively) depends on
-    /// `name`, sorted — the set an embedder must consider re-attaching
-    /// after restarting `name`.
-    pub fn dependents(&self, name: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut frontier = vec![name.to_owned()];
-        while let Some(current) = frontier.pop() {
-            for spec in self.specs.values() {
-                if spec.depends_on.contains(&current) && !out.contains(&spec.name) {
-                    out.push(spec.name.clone());
-                    frontier.push(spec.name.clone());
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Validates the graph: every `depends_on`/`escalate_to` edge names
-    /// a registered component, and following `escalate_to` from any
+    /// Validates the graph: every `escalate_to` edge names a registered
+    /// component, and following `escalate_to` from any
     /// component terminates (no cycle).
     ///
     /// # Errors
@@ -139,11 +104,6 @@ impl ServiceRegistry {
     /// A human-readable description of the first broken edge or cycle.
     pub fn validate(&self) -> Result<(), String> {
         for spec in self.specs.values() {
-            for dep in &spec.depends_on {
-                if !self.specs.contains_key(dep) {
-                    return Err(format!("{} depends on unregistered {dep}", spec.name));
-                }
-            }
             if let Some(target) = &spec.escalate_to {
                 if !self.specs.contains_key(target) {
                     return Err(format!("{} escalates to unregistered {target}", spec.name));
@@ -193,7 +153,7 @@ pub enum RepairAction {
         attempt: u32,
     },
     /// Restarting `failed` did not clear its detector; restart `target`
-    /// (its ancestor in the dependency graph) instead.
+    /// (its escalation target) instead.
     Escalate {
         /// The component whose repairs were exhausted.
         failed: String,
@@ -242,6 +202,9 @@ pub struct SupervisionReport {
     /// Divergences repaired by anti-entropy reconcile passes (recorded
     /// via [`Supervisor::record_reconcile`]).
     pub reconcile_repairs: u64,
+    /// Anti-entropy passes recorded, whether or not they repaired
+    /// anything.
+    pub reconciles: u64,
     /// Completed episodes' time-to-repair, virtual µs, in completion
     /// order (`Failed` transition → `Healthy` recovery).
     pub ttr_micros: Vec<u64>,
@@ -249,6 +212,15 @@ pub struct SupervisionReport {
     pub unresolved: Vec<String>,
     /// The full repair log: `(at_micros, what)`.
     pub log: Vec<(u64, String)>,
+    /// What the embedder made of each repair this supervisor planned:
+    /// `(at_micros, "sink: done")`. The supervisor plans; only the
+    /// embedder knows whether the restart took.
+    pub repairs: Vec<(u64, String)>,
+    /// What it made of each repair a sibling ordered over the wire.
+    pub remote_repairs: Vec<(u64, String)>,
+    /// The supervised components' health as the embedder last sampled
+    /// it, in its sampling order.
+    pub components: Vec<(String, HealthState)>,
 }
 
 impl SupervisionReport {
@@ -284,20 +256,29 @@ impl SupervisionReport {
             .map(|c| json_string(c))
             .collect::<Vec<_>>()
             .join(", ");
+        let components = self
+            .components
+            .iter()
+            .map(|(c, state)| format!("{}: \"{state}\"", json_string(c)))
+            .collect::<Vec<_>>()
+            .join(", ");
         let mut out = String::from("{");
         let _ = write!(
             out,
             "\"restarts\": {}, \"escalations\": {}, \"reconcile_repairs\": {}, \
-             \"mean_ttr_micros\": {}, \"ttr_micros\": [{}], \"unresolved\": [{}], \
-             \"converged\": {}, \"log_len\": {}",
+             \"reconciles\": {}, \"mean_ttr_micros\": {}, \"ttr_micros\": [{}], \
+             \"unresolved\": [{}], \"converged\": {}, \"log_len\": {}, \"repairs\": {}, \
+             \"components\": {{{components}}}",
             self.restarts,
             self.escalations,
             self.reconcile_repairs,
+            self.reconciles,
             self.mean_ttr_micros(),
             list(&self.ttr_micros),
             unresolved,
             self.converged(),
             self.log.len(),
+            self.repairs.len(),
         );
         out.push('}');
         out
@@ -337,11 +318,6 @@ impl Supervisor {
             episodes: BTreeMap::new(),
             report: SupervisionReport::default(),
         }
-    }
-
-    /// The registry (for embedders resolving dependents).
-    pub fn registry(&self) -> &ServiceRegistry {
-        &self.registry
     }
 
     /// Feeds one monitor transition. A `Failed` transition on a
@@ -428,6 +404,7 @@ impl Supervisor {
     /// report (the supervisor does not run reconciliation itself — the
     /// embedder owns the durable truth).
     pub fn record_reconcile(&mut self, now_micros: u64, divergences: &[String]) {
+        self.report.reconciles += 1;
         self.report.reconcile_repairs += divergences.len() as u64;
         for d in divergences {
             self.log(now_micros, format!("reconcile: {d}"));
@@ -497,16 +474,8 @@ mod tests {
     fn registry() -> ServiceRegistry {
         let mut r = ServiceRegistry::new();
         r.register(ServiceSpec::new("core"));
-        r.register(
-            ServiceSpec::new("discovery")
-                .depends_on("core")
-                .escalates_to("core"),
-        );
-        r.register(
-            ServiceSpec::new("sink")
-                .depends_on("core")
-                .escalates_to("core"),
-        );
+        r.register(ServiceSpec::new("discovery").escalates_to("core"));
+        r.register(ServiceSpec::new("sink").escalates_to("core"));
         r
     }
 
@@ -555,18 +524,6 @@ mod tests {
         cyclic.register(ServiceSpec::new("a").escalates_to("b"));
         cyclic.register(ServiceSpec::new("b").escalates_to("a"));
         assert!(cyclic.validate().unwrap_err().contains("cycle"));
-    }
-
-    #[test]
-    fn registry_resolves_transitive_dependents() {
-        let mut r = registry();
-        r.register(ServiceSpec::new("agent").depends_on("discovery"));
-        assert_eq!(
-            r.dependents("core"),
-            vec!["agent".to_owned(), "discovery".into(), "sink".into()]
-        );
-        assert_eq!(r.dependents("discovery"), vec!["agent".to_owned()]);
-        assert!(r.dependents("agent").is_empty());
     }
 
     #[test]

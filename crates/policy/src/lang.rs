@@ -27,7 +27,8 @@
 //! * `do publish TYPE k = v, …` publishes an event; `@name` copies an
 //!   attribute from the triggering event;
 //! * `do command "TYPE-GLOB" NAME k = v, …` sends a management command
-//!   to matching members;
+//!   to matching members; `do command ID NAME …`, with a member's raw id
+//!   in the glob's place, sends it to that member only;
 //! * `do enable ID` / `do disable ID` / `do log "…"` manage the store.
 //!
 //! The document is read with the shared lexer of [`smc_types::text`]:
@@ -39,8 +40,8 @@
 
 use std::fmt;
 
-use smc_types::text::{filter, lex, Cursor, ParseError, Quoted};
-use smc_types::{Error, Filter, Result};
+use smc_types::text::{filter, lex, Cursor, ParseError, Quoted, Tok};
+use smc_types::{AttributeValue, Error, Filter, Result, ServiceId};
 
 use crate::expr::condition;
 use crate::model::{
@@ -183,13 +184,23 @@ fn action(c: &mut Cursor<'_>) -> std::result::Result<ActionSpec, ParseError> {
             event_type: c.word("an event type")?.to_owned(),
             attrs: assignments(c)?,
         },
-        // command "TYPE-GLOB" NAME k = v, ...
-        "command" => ActionSpec::SendCommand {
-            target: None,
-            target_device_type: c.string("a quoted device-type glob")?,
-            name: c.word("a command name")?.to_owned(),
-            args: assignments(c)?,
-        },
+        // command "TYPE-GLOB" NAME k = v, ... | command ID NAME k = v, ...
+        "command" => {
+            let (target, target_device_type) = match c.peek() {
+                Some(Tok::Value(AttributeValue::Int(id))) if *id >= 0 => {
+                    let target = ServiceId::from_raw(*id as u64);
+                    c.take();
+                    (Some(target), String::new())
+                }
+                _ => (None, c.string("a quoted device-type glob or a member id")?),
+            };
+            ActionSpec::SendCommand {
+                target,
+                target_device_type,
+                name: c.word("a command name")?.to_owned(),
+                args: assignments(c)?,
+            }
+        }
         "enable" => ActionSpec::EnablePolicy(c.word("a policy id")?.to_owned()),
         "disable" => ActionSpec::DisablePolicy(c.word("a policy id")?.to_owned()),
         "log" => ActionSpec::Log(c.string("a quoted message")?),
@@ -250,8 +261,9 @@ pub fn write_policies(policies: &[Policy]) -> String {
     policies.iter().map(Policy::to_string).collect()
 }
 
-/// The policy in the textual language, ending with a newline. A
-/// command's `target` member is not part of the language and is dropped.
+/// The policy in the textual language, ending with a newline. A command
+/// with a direct `target` writes the member's id where the glob goes
+/// (the glob is not consulted then, and is not written).
 impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -286,12 +298,15 @@ impl fmt::Display for ActionSpec {
                 write_assignments(f, attrs)
             }
             ActionSpec::SendCommand {
+                target,
                 target_device_type,
                 name,
                 args,
-                ..
             } => {
-                write!(f, "command {} {name}", Quoted(target_device_type))?;
+                match target {
+                    Some(id) => write!(f, "command {} {name}", id.raw())?,
+                    None => write!(f, "command {} {name}", Quoted(target_device_type))?,
+                }
                 write_assignments(f, args)
             }
             ActionSpec::EnablePolicy(id) => write!(f, "enable {id}"),

@@ -8,7 +8,7 @@ use smc_types::codec::{Decode, Encode, Reader, WriteExt};
 use smc_types::error::CodecError;
 use smc_types::{AttributeValue, Event, Filter, ServiceId};
 
-use crate::expr::Expr;
+use crate::expr::{Expr, ParseError};
 
 /// What an authorisation policy governs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -449,7 +449,11 @@ impl Decode for Policy {
                 let event = Filter::decode(r)?;
                 let condition = if r.bool()? {
                     let text = r.str()?;
-                    Some(Expr::parse(&text).map_err(|_| CodecError::BadUtf8)?)
+                    let bad = |e: ParseError| CodecError::BadText {
+                        what: "condition",
+                        reason: e.to_string(),
+                    };
+                    Some(Expr::parse(&text).map_err(bad)?)
                 } else {
                     None
                 };
@@ -709,6 +713,26 @@ mod tests {
                 .join()
                 .unwrap();
             assert!(decoded);
+        }
+    }
+
+    #[test]
+    fn unparsable_condition_is_reported_as_such() {
+        use smc_types::codec::WriteExt;
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(1);
+        buf.put_u8(1);
+        buf.put_str("p");
+        Filter::any().encode(&mut buf);
+        buf.put_bool(true);
+        buf.put_str("(a @= 1)");
+        buf.put_u16_le(0);
+        match from_bytes::<PolicySet>(&buf) {
+            Err(CodecError::BadText { what, reason }) => {
+                assert_eq!(what, "condition");
+                assert!(!reason.is_empty());
+            }
+            other => panic!("expected a condition that does not parse, got {other:?}"),
         }
     }
 }

@@ -383,9 +383,10 @@ pub fn health_quench_policies() -> Vec<Policy> {
 
 /// The built-in supervision obligation: when a component's health
 /// transitions to `Failed`, ask the supervisor to restart it. This is
-/// the policy-layer entry into the detect → repair loop — the
+/// the policy-layer entry into the detect → repair loop a durable
+/// `SmcCell` runs (and holds this obligation for from boot) — the
 /// supervisor decides whether the restart is a component restart or an
-/// escalation up the dependency graph.
+/// escalation to the component that subsumes it.
 pub fn supervision_policies() -> Vec<Policy> {
     use smc_types::member::wellknown;
     use smc_types::{Filter, Op};
@@ -401,12 +402,12 @@ pub fn supervision_policies() -> Vec<Policy> {
 }
 
 /// The built-in peer-repair obligation: a `smc.supervision` *repair*
-/// command arriving from an adopter cell fires [`ActionSpec::Restart`]
-/// aimed at the named component. This is the actuator-plane half of
-/// peer supervision — a cell whose own supervisor is dead still
-/// executes the remote watcher's restart/escalation decisions through
-/// the same `ActionSpec` path local failures take, so remote repair is
-/// policy-governed rather than a privileged side door.
+/// command from an adopter cell, published into the ward cell, fires
+/// [`ActionSpec::Restart`] aimed at the named component. A durable
+/// `SmcCell` holds it from boot, so a cell whose own loop is stopped
+/// still carries out a sibling's command — reviving that loop included —
+/// through the same `ActionSpec` path its own failures take: remote
+/// repair is policy-governed rather than a privileged side door.
 pub fn peer_repair_policies() -> Vec<Policy> {
     use smc_types::member::wellknown;
     use smc_types::{Filter, Op};

@@ -70,14 +70,14 @@ fn arb_action() -> impl Strategy<Value = ActionSpec> {
             event_type: t,
             attrs
         }),
-        (arb_resource(), arb_ident(), arb_assignments()).prop_map(|(glob, name, args)| {
-            ActionSpec::SendCommand {
-                target: None,
+        (wide::command_target(), arb_ident(), arb_assignments()).prop_map(
+            |((target, glob), name, args)| ActionSpec::SendCommand {
+                target,
                 target_device_type: glob,
                 name,
                 args,
             }
-        }),
+        ),
         arb_ident().prop_map(ActionSpec::EnablePolicy),
         arb_ident().prop_map(ActionSpec::DisablePolicy),
         wide::text().prop_map(ActionSpec::Log),

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use smc_policy::{CmpOp, Expr};
-use smc_types::AttributeValue;
+use smc_types::{AttributeValue, ServiceId};
 
 /// A string of any characters: quotes, backslashes, control characters
 /// and non-ASCII included.
@@ -38,6 +38,15 @@ pub fn value() -> impl Strategy<Value = AttributeValue> {
         double().prop_map(AttributeValue::Double),
         text().prop_map(AttributeValue::Str),
         proptest::collection::vec(any::<u8>(), 0..6).prop_map(AttributeValue::Bytes),
+    ]
+}
+
+/// Where a command goes: one member by id (any 48-bit raw id, and no
+/// glob), or the members whose type matches a glob of any characters.
+pub fn command_target() -> impl Strategy<Value = (Option<ServiceId>, String)> {
+    prop_oneof![
+        (0u64..1 << 48).prop_map(|raw| (Some(ServiceId::from_raw(raw)), String::new())),
+        text().prop_map(|glob| (None, glob)),
     ]
 }
 

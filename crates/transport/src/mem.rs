@@ -253,22 +253,30 @@ impl SimNetwork {
     ///
     /// Panics if the identifier is already attached.
     pub fn endpoint_with_id(&self, id: ServiceId) -> MemTransport {
-        let (tx, rx) = unbounded();
+        self.attach(id)
+            .unwrap_or_else(|_| panic!("endpoint {id} already attached"))
+    }
+
+    /// Attaches `id`, unless an endpoint holds it.
+    fn attach(&self, id: ServiceId) -> Result<MemTransport> {
         let mut st = self.inner.state.lock();
-        let prev = st.endpoints.insert(
+        if st.endpoints.contains_key(&id) {
+            return Err(Error::Invalid(format!("endpoint {id} already attached")));
+        }
+        let (tx, rx) = unbounded();
+        st.endpoints.insert(
             id,
             Endpoint {
                 sender: tx,
                 domain: 0,
             },
         );
-        assert!(prev.is_none(), "endpoint {id} already attached");
-        MemTransport {
+        Ok(MemTransport {
             net: self.clone(),
             id,
             rx,
             closed: AtomicBool::new(false),
-        }
+        })
     }
 
     /// Overrides the link configuration for the directed pair `from → to`.
@@ -627,6 +635,11 @@ impl Transport for MemTransport {
         if !self.closed.swap(true, Ordering::SeqCst) {
             self.net.detach(self.id);
         }
+    }
+
+    /// Re-attaches this endpoint's id to its network.
+    fn reopen(&self) -> Result<Arc<dyn Transport>> {
+        Ok(Arc::new(self.net.attach(self.id)?))
     }
 }
 
@@ -1011,6 +1024,22 @@ mod tests {
             Err(Error::Invalid(_))
         ));
         assert!(a.send(b.local_id(), &[0u8; 10]).is_ok());
+    }
+
+    #[test]
+    fn reopen_reattaches_a_free_id() {
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let a = net.endpoint();
+        let b = net.endpoint();
+        assert!(a.reopen().is_err(), "an open endpoint holds its id");
+        a.close();
+        let squatter = net.endpoint_with_id(a.local_id());
+        assert!(a.reopen().is_err(), "a squatter holds the id");
+        drop(squatter);
+        let again = a.reopen().unwrap();
+        b.send(a.local_id(), b"back").unwrap();
+        let got = again.recv(Some(Duration::from_secs(1))).unwrap();
+        assert_eq!(got.payload, b"back");
     }
 
     #[test]

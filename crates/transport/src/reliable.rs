@@ -224,9 +224,6 @@ smc_telemetry::metric_set! {
         counter unreliable_sent: "smc_channel_unreliable_sent_total",
         /// Unreliable payloads received.
         counter unreliable_received: "smc_channel_unreliable_received_total",
-        /// Messages that entered a retransmission round: an ack deadline
-        /// passed with fragments outstanding (the missed-ack interrupt).
-        counter missed_ack_interrupts: "smc_channel_missed_ack_interrupts_total",
     }
     /// Counters describing a channel's activity.
     pub struct ChannelStats {}
@@ -609,12 +606,6 @@ struct Shared {
     /// A copy-on-write snapshot, so the send and receive paths take it
     /// with one short load and hold no lock while recording.
     tracer: SnapshotCell<Tracer>,
-    /// Missed-ack interrupt line: bumped once per message per
-    /// retransmission round so a health monitor can wake on the first
-    /// sign of peer silence instead of waiting out its sampling window.
-    /// Same copy-on-write pattern as the tracer — absent (free) unless
-    /// installed.
-    missed_ack_line: SnapshotCell<Option<Arc<AtomicU64>>>,
 }
 
 /// Reliable messaging endpoint over any [`Transport`].
@@ -781,7 +772,6 @@ impl ReliableChannel {
             clock,
             journal,
             tracer: SnapshotCell::new(Arc::new(Tracer::disabled())),
-            missed_ack_line: SnapshotCell::new(Arc::new(None)),
         });
         let worker = RxWorker {
             shared: Arc::clone(&shared),
@@ -865,17 +855,6 @@ impl ReliableChannel {
     /// [`ReliableChannel::set_tracer`] was called).
     pub fn tracer(&self) -> Tracer {
         (*self.shared.tracer.load()).clone()
-    }
-
-    /// Installs the missed-ack interrupt line: `line` is incremented
-    /// once per message per retransmission round, the moment an ack
-    /// deadline lapses with fragments still unacknowledged. A failure
-    /// detector polling (or parked on) the line learns of peer silence
-    /// at RTO granularity instead of its own sampling cadence. The same
-    /// `Arc` may be shared across many channels to fan interrupts into
-    /// one monitor.
-    pub fn set_missed_ack_interrupt(&self, line: Arc<AtomicU64>) {
-        self.shared.missed_ack_line.store(Arc::new(Some(line)));
     }
 
     /// Queues `payload` for exactly-once, in-order delivery to `to`.
@@ -1249,8 +1228,12 @@ impl ReliableChannel {
         if DELIVERING.get() == Arc::as_ptr(&self.shared) as usize {
             return;
         }
+        // The receive thread itself (a turn its transport gives its
+        // owner) does not wait for itself: the loop ends when it returns.
         if let Some(handle) = self.rx_thread.lock().take() {
-            let _ = handle.join();
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
         *self.shared.consumer.lock() = Consumer::Closed;
     }
@@ -1772,7 +1755,6 @@ impl RxWorker {
         let now = self.shared.clock.now_micros();
         let config = self.shared.config.clone();
         let tracer = self.shared.tracer.load();
-        let missed_ack_line = self.shared.missed_ack_line.load();
         // Sorted peer order: every (re)transmission consumes draws from
         // the simulated network's seeded rng, so iteration order must not
         // depend on hash-map layout for runs to be reproducible.
@@ -1799,13 +1781,6 @@ impl RxWorker {
                 msg.rto = (msg.rto * BACKOFF).min(config.max_rto);
                 // One hop per retransmission round, not per fragment.
                 tracer.record(msg.trace, Hop::TxRetransmit);
-                // A missed ack is the first observable symptom of a dead
-                // peer: pulse the interrupt line so a supervising monitor
-                // can sample immediately rather than on its next window.
-                bump(&self.shared.stats.missed_ack_interrupts);
-                if let Some(line) = missed_ack_line.as_ref() {
-                    line.fetch_add(1, Ordering::Relaxed);
-                }
                 let resent = self.shared.transmit(peer_id, seq, msg);
                 self.shared
                     .stats

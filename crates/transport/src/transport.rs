@@ -11,7 +11,9 @@ use std::cell::Cell;
 use std::fmt;
 use std::time::Duration;
 
-use smc_types::{Result, ServiceId};
+use std::sync::Arc;
+
+use smc_types::{Error, Result, ServiceId};
 
 /// A received datagram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +87,19 @@ pub trait Transport: Send + Sync + fmt::Debug {
 
     /// Shuts the endpoint down; subsequent operations return `Closed`.
     fn close(&self);
+
+    /// A fresh endpoint on this one's address, once this one is closed:
+    /// what a component that died restarts on, so its peers keep the
+    /// address they know. Fails while the address is held — by this
+    /// endpoint, still open, or by whoever took it since.
+    ///
+    /// # Errors
+    ///
+    /// [`smc_types::Error::Invalid`] by default (the transport cannot
+    /// reopen) or while the address is held.
+    fn reopen(&self) -> Result<Arc<dyn Transport>> {
+        Err(Error::Invalid(format!("{} cannot reopen", self.local_id())))
+    }
 }
 
 thread_local! {

@@ -16,6 +16,7 @@
 use std::cell::RefCell;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -239,6 +240,30 @@ impl Transport for UdpTransport {
         self.mtu
     }
 
+    /// Rebinds this endpoint's port. The port stays bound to the closed
+    /// socket until its last handle drops, so the new endpoint takes it
+    /// over (`try_clone`) instead of racing that drop; an open endpoint
+    /// keeps its port, as a bind to an address in use fails.
+    fn reopen(&self) -> Result<Arc<dyn Transport>> {
+        if !self.closed.load(Ordering::SeqCst) {
+            return Err(Error::Io(std::io::ErrorKind::AddrInUse.to_string()));
+        }
+        let socket = self.socket.try_clone()?;
+        socket.set_nonblocking(false)?;
+        socket.set_read_timeout(None)?;
+        Ok(Arc::new(UdpTransport {
+            socket,
+            id: self.id,
+            broadcast_peers: Mutex::new(self.broadcast_peers.lock().clone()),
+            closed: AtomicBool::new(false),
+            mtu: self.mtu,
+            rx: Mutex::new(RxState {
+                buf: vec![0u8; self.mtu + HEADER_LEN].into_boxed_slice(),
+                wait: None,
+            }),
+        }))
+    }
+
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         // Unblock a parked recv by poking our own socket.
@@ -406,6 +431,20 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         t.close();
         assert!(matches!(parked.join().unwrap(), Err(Error::Closed)));
+    }
+
+    #[test]
+    fn reopen_takes_the_closed_port_back() {
+        let a = UdpTransport::bind().unwrap();
+        let b = UdpTransport::bind().unwrap();
+        assert!(a.reopen().is_err(), "an open endpoint keeps its port");
+        a.close();
+        let again = a.reopen().unwrap();
+        assert_eq!(again.local_id(), a.local_id());
+        b.send(a.local_id(), b"back").unwrap();
+        let got = again.recv(Some(TICK)).unwrap();
+        assert_eq!(got.payload, b"back");
+        assert_eq!(got.from, b.local_id());
     }
 
     #[test]

@@ -63,6 +63,13 @@ pub enum CodecError {
     BadUtf8,
     /// Trailing bytes remained after a complete value was decoded.
     TrailingBytes(usize),
+    /// A text field was valid UTF-8 but did not parse as what it holds.
+    BadText {
+        /// What the text should have been (e.g. `"condition"`).
+        what: &'static str,
+        /// The parser's complaint.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -80,6 +87,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::BadUtf8 => write!(f, "string field contains invalid UTF-8"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            CodecError::BadText { what, reason } => write!(f, "{what} does not parse: {reason}"),
         }
     }
 }
