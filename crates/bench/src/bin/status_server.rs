@@ -21,9 +21,7 @@ use std::time::{Duration, Instant};
 use smc_bench::HarnessArgs;
 use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
-use smc_health::{
-    health_event, HealthConfig, HealthMonitor, StatusServer, StatusSources, SupervisionStatus,
-};
+use smc_health::{health_event, HealthConfig, HealthMonitor, StatusServer, StatusSources};
 use smc_policy::health_quench_policies;
 use smc_telemetry::{Registry, SloConfig, SloTracker, TraceSink, Tracer, DEFAULT_SINK_CAPACITY};
 use smc_transport::{LinkConfig, ReliableChannel, SimNetwork};
@@ -98,7 +96,7 @@ fn main() {
     let local_feed_id = ServiceId::from_raw(0xBEE);
 
     let mut monitor = HealthMonitor::new(HealthConfig::default());
-    let supervision: Arc<parking_lot::Mutex<SupervisionStatus>> = Arc::default();
+    let supervision = Arc::new(parking_lot::Mutex::new(cell.supervision()));
     let slo: Arc<parking_lot::Mutex<Vec<SloTracker>>> =
         Arc::new(parking_lot::Mutex::new(vec![SloTracker::new(
             SloConfig::new("delivery-latency", 50_000),
@@ -157,7 +155,7 @@ fn main() {
                 let _ = cell.publish_local(health_event(t, None));
             }
             *shared_report.lock() = monitor.report();
-            supervision.lock().report = cell.supervision();
+            *supervision.lock() = cell.supervision();
             // Feed the SLO tracker the freshest complete journey's
             // end-to-end latency.
             let journey = sink.journey(TraceId::for_event(sensor_id, seq));
@@ -210,7 +208,6 @@ fn main() {
         // The cell's own loop: both of its components, as last sampled.
         let supervision = http_get(addr, "/supervision");
         if !(supervision.starts_with("HTTP/1.1 200")
-            && supervision.contains("\"peers\"")
             && supervision.contains("\"discovery\": \"healthy\"")
             && supervision.contains("\"sink\": \"healthy\""))
         {

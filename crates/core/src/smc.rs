@@ -1224,7 +1224,12 @@ impl SmcCell {
                     let _ = self.bus_channel().send(target, packet);
                 }
             }
-            ActionSpec::Restart { component } => {
+            // Only on the cell's own word: its loop's health events and
+            // what its owner publishes into it. A member's publish
+            // restarts nothing.
+            ActionSpec::Restart { component }
+                if fired.trigger.publisher() == self.bus_endpoint() =>
+            {
                 let component = component.resolve(&fired.trigger);
                 if let Some(component) = component.as_ref().and_then(|v| v.as_str()) {
                     self.on_restart(component, &fired.trigger);

@@ -23,21 +23,31 @@
 //! It is also what revives a loop that was stopped.
 //!
 //! A step-driven cell also runs anti-entropy ([`SmcCell::reconcile`]) on
-//! its loop's cadence. A threaded cell does not: the pass folds the whole
-//! log, which its receive threads would pay for in the middle of live
-//! traffic; its owner calls [`SmcCell::reconcile`] when it wants one.
+//! its loop's cadence. A threaded cell does not: the pass folds the
+//! whole log on a receive thread in the middle of live traffic, and on
+//! the ledger's `ward_durable` workload a pass every 500 ms took the cell
+//! from 161 k to 114 k events/s and from 5.2 to 10.1 heap requests per
+//! event (EXPERIMENTS.md, *PR 40*). Its owner calls
+//! [`SmcCell::reconcile`] when it wants one.
+//!
+//! A threaded cell's loop turns come from its endpoints' receive
+//! threads, so a cell whose discovery and sink are both down takes no
+//! more turns: it repairs nothing and its report stands still. That
+//! second fault is its owner's to notice (both channels read closed) and
+//! answer with a reboot.
 //!
 //! A turn with no transition, no open episode and no pass due takes no
 //! heap memory.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::iter::zip;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
+use smc_health::HealthState::{Degraded, Failed, Healthy};
 use smc_health::{
-    health_event, ComponentHealth, ComponentStatus, HealthReport, HealthState, HealthTransition,
-    Hysteresis, RepairAction, ServiceRegistry, ServiceSpec, SuperviseConfig, SupervisionReport,
-    Supervisor,
+    health_event, ComponentHealth, HealthState, HealthTransition, Hysteresis, RepairAction,
+    SuperviseConfig, SupervisionReport, Supervisor,
 };
 use smc_transport::{Datagram, Transport};
 use smc_types::member::wellknown;
@@ -62,6 +72,23 @@ const HYSTERESIS: Hysteresis = Hysteresis {
 /// Anti-entropy cadence of a step-driven cell.
 const RECONCILE_MICROS: u64 = 500_000;
 
+/// A transition of `component` under the loop's detector name.
+fn transition(
+    at_micros: u64,
+    component: &str,
+    (from, to): (HealthState, HealthState),
+    detail: String,
+) -> HealthTransition {
+    HealthTransition {
+        at_micros,
+        component: component.to_owned(),
+        detector: DETECTOR,
+        from,
+        to,
+        detail,
+    }
+}
+
 /// The loop's state, behind the cell's `supervision` lock.
 pub(super) struct Loop {
     /// Off after [`SmcCell::set_supervising`]`(false)` or
@@ -77,33 +104,13 @@ pub(super) struct Loop {
 
 impl Loop {
     pub(super) fn new(running: bool) -> Loop {
-        let mut registry = ServiceRegistry::new();
-        registry.register(ServiceSpec::new(CORE));
-        for child in COMPONENTS {
-            registry.register(ServiceSpec::new(child).escalates_to(CORE));
-        }
         Loop {
             running,
             health: Default::default(),
             next_sample: 0,
             next_reconcile: 0,
-            supervisor: Supervisor::new(registry, SuperviseConfig::default()),
+            supervisor: Supervisor::new(CORE, &COMPONENTS, SuperviseConfig::default()),
             repairs: Default::default(),
-        }
-    }
-
-    /// The components' standing, for the supervisor's retry clock.
-    fn health_report(&self, now: u64) -> HealthReport {
-        let status = |(component, health): (&&str, &ComponentHealth)| ComponentStatus {
-            component: component.to_string(),
-            detector: DETECTOR,
-            state: health.state(),
-            detail: String::new(),
-            since_micros: now,
-        };
-        HealthReport {
-            at_micros: now,
-            components: COMPONENTS.iter().zip(&self.health).map(status).collect(),
         }
     }
 }
@@ -133,26 +140,21 @@ impl SmcCell {
             ];
             for (i, component) in COMPONENTS.into_iter().enumerate() {
                 if let Some((from, to)) = lp.health[i].observe(up[i], &HYSTERESIS) {
-                    transitions.push(HealthTransition {
-                        at_micros: now,
-                        component: component.to_owned(),
-                        detector: DETECTOR,
-                        from,
-                        to,
-                        detail: format!("up={}", u8::from(up[i])),
-                    });
+                    let detail = format!("up={}", u8::from(up[i]));
+                    transitions.push(transition(now, component, (from, to), detail));
                 }
             }
         }
         // A recovery closes its episode here; a failure goes through the
         // cell's obligations, which open it.
-        for t in transitions.iter().filter(|t| t.to == HealthState::Healthy) {
+        for t in transitions.iter().filter(|t| t.to == Healthy) {
             lp.supervisor.on_transition(t);
         }
         let mut actions = Vec::new();
-        if lp.health.iter().any(|h| h.state() != HealthState::Healthy) {
-            let report = lp.health_report(now);
-            actions = lp.supervisor.tick(now, &report);
+        if lp.health.iter().any(|h| h.state() != Healthy) {
+            let states = lp.health.each_ref().map(ComponentHealth::state);
+            let healthy = |c: &str| zip(COMPONENTS, states).any(|(k, s)| k == c && s == Healthy);
+            actions = lp.supervisor.tick(now, healthy);
         }
         let reconcile = self.stepped && now >= lp.next_reconcile;
         if reconcile {
@@ -192,18 +194,10 @@ impl SmcCell {
         if !lp.running || component == CORE {
             return;
         }
-        let failed = HealthTransition {
-            at_micros: self.config.clock.now_micros(),
-            component: component.to_owned(),
-            detector: DETECTOR,
-            from: HealthState::Degraded,
-            to: HealthState::Failed,
-            detail: trigger
-                .attr(wellknown::HEALTH_DETAIL)
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_owned(),
-        };
+        let now = self.config.clock.now_micros();
+        let detail = trigger.attr(wellknown::HEALTH_DETAIL);
+        let detail = detail.and_then(|v| v.as_str()).unwrap_or_default();
+        let failed = transition(now, component, (Degraded, Failed), detail.into());
         let actions = lp.supervisor.on_transition(&failed);
         drop(lp);
         self.carry_out(actions);
@@ -243,19 +237,12 @@ impl SmcCell {
                 }
             }
             CORE => {
-                let escalation = HealthTransition {
-                    at_micros: now,
-                    component: CORE.to_owned(),
-                    detector: DETECTOR,
-                    from: HealthState::Healthy,
-                    to: HealthState::Failed,
-                    detail: if remote {
-                        "ordered by a sibling"
-                    } else {
-                        "escalated"
-                    }
-                    .into(),
+                let why = if remote {
+                    "ordered by a sibling"
+                } else {
+                    "escalated"
                 };
+                let escalation = transition(now, CORE, (Healthy, Failed), why.into());
                 let _ = self.publish_local(health_event(&escalation, None));
                 "handed to the owner".to_owned()
             }
@@ -323,14 +310,15 @@ impl SmcCell {
 /// A threaded durable cell's endpoint: the transport, and a turn of the
 /// cell's loop each time the receive thread's poll returns — the thread
 /// already wakes on every datagram and every poll interval. A closed
-/// endpoint's thread takes no turns: it is on its way out.
+/// endpoint's thread takes its last turn on its way out; one that
+/// restarts its own component there does not wait for itself
+/// ([`ReliableChannel::close`](smc_transport::ReliableChannel::close)).
 #[derive(Debug)]
 pub(super) struct Managed {
     inner: Arc<dyn Transport>,
     cell: Weak<SmcCell>,
     due: Arc<AtomicU64>,
     clock: SharedClock,
-    closed: AtomicBool,
 }
 
 impl Managed {
@@ -345,7 +333,6 @@ impl Managed {
             cell,
             due,
             clock,
-            closed: AtomicBool::new(false),
         })
     }
 }
@@ -365,8 +352,7 @@ impl Transport for Managed {
 
     fn recv(&self, timeout: Option<Duration>) -> Result<Datagram> {
         let got = self.inner.recv(timeout);
-        let due = self.due.load(Ordering::Relaxed) <= self.clock.now_micros();
-        if due && !self.closed.load(Ordering::Relaxed) {
+        if self.due.load(Ordering::Relaxed) <= self.clock.now_micros() {
             if let Some(cell) = self.cell.upgrade() {
                 cell.manage();
             }
@@ -379,7 +365,6 @@ impl Transport for Managed {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Relaxed);
         self.inner.close();
     }
 

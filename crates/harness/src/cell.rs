@@ -32,7 +32,7 @@ use smc_wal::{MemBackend, WalBackend, CHAN_BUS};
 
 use crate::planes::{CellTelemetry, CellView, HealthRuntime, SupervisionPlane, RECONCILE_MICROS};
 use crate::scenario::{CoreComponent, CorruptTarget};
-use crate::world::{Act, CellReport, Env, RunOptions, CHECKPOINT_MICROS};
+use crate::world::{Act, CellReport, Env, RunOptions};
 
 /// The event type devices publish and the observer subscribes to.
 const CHAOS_EVENT: &str = "harness.chaos";
@@ -715,14 +715,8 @@ impl Cell {
                 Seen::Health(component, from, to) => {
                     let idx = self.idx;
                     env.fault(format!("supervision(cell{idx}) {component} {from}->{to}"));
-                    let Some(sup) = self.sup.as_mut() else {
-                        continue;
-                    };
-                    if to == "healthy" {
-                        sup.failed_at.remove(&component);
-                    } else if to == "failed" {
+                    if let Some(sup) = self.sup.as_mut().filter(|_| to == "failed") {
                         sup.book.policy_restarts += 1;
-                        sup.failed_at.entry(component).or_insert(env.now);
                     }
                 }
             }
@@ -839,7 +833,6 @@ impl Cell {
             return;
         };
         sup.book.reconciles += 1;
-        sup.last_reconcile_at = env.now;
         let fixes = core.reconcile().map(|r| r.divergences).unwrap_or_default();
         for fix in &fixes {
             env.fault(format!("reconcile(cell{}, by {by}): {fix}", self.idx));
@@ -869,17 +862,13 @@ impl Cell {
         revived
     }
 
-    /// The cell's supervision-plane turn: the cell's own loop
-    /// reconciles on its cadence while it runs; then the peer protocol
-    /// and, if adopting, the remote session.
+    /// The cell's supervision-plane turn: the peer protocol and, if
+    /// adopting, the remote session.
     pub(crate) fn supervise(&mut self, env: &mut Env, views: &[CellView]) {
         // The plane is detached while it works on the rest of the cell.
         let Some(mut sup) = self.sup.take() else {
             return;
         };
-        if sup.alive && self.core.is_some() {
-            sup.last_reconcile_at = env.now;
-        }
         if sup.peer.is_some() {
             self.step_peer_plane(env, &mut sup, views);
         }
@@ -1044,30 +1033,35 @@ impl Cell {
     /// closed channel would freeze empty cursors over the journal's live
     /// tail and destroy the durable truth repair depends on. And, where
     /// a supervision plane exists, never unless an anti-entropy pass ran
-    /// within the last checkpoint interval — *even when the supervisor
-    /// that runs reconciles is dead*: compaction would freeze a
-    /// possibly-diverged view into durable truth. An adopter's
-    /// wire-ordered Reconcile is what re-arms the gate.
+    /// since the last checkpoint tick — *even when the loop that runs
+    /// reconciles is stopped*: compaction would freeze a
+    /// possibly-diverged view into durable truth. The cell's loop report
+    /// counts its own passes and the book the wire-ordered ones an
+    /// adopter sends, which is what re-arms the gate.
     pub(crate) fn checkpoint(&mut self, env: &mut Env) {
-        let Some(core) = self
-            .core
-            .as_ref()
-            .filter(|_| self.up(CoreComponent::Discovery) && self.up(CoreComponent::Sink))
-        else {
+        let stale = self.sup.as_mut().is_some_and(|sup| {
+            let own = self
+                .core
+                .as_ref()
+                .map_or(0, |core| core.supervision().reconciles);
+            let ran = sup.book.reconciles + own;
+            std::mem::replace(&mut sup.reconciles_seen, ran) == ran
+        });
+        let up = self.up(CoreComponent::Discovery) && self.up(CoreComponent::Sink);
+        let Some(core) = self.core.as_ref().filter(|_| up) else {
             return;
         };
-        match self.sup.as_mut() {
-            Some(sup) if env.now.saturating_sub(sup.last_reconcile_at) > CHECKPOINT_MICROS => {
-                sup.book.checkpoints_deferred += 1;
-                env.fault(format!(
-                    "cell{} checkpoint deferred (no recent reconcile)",
-                    self.idx
-                ));
-            }
-            _ => {
-                let _ = core.checkpoint();
-            }
+        if !stale {
+            let _ = core.checkpoint();
+            return;
         }
+        if let Some(sup) = self.sup.as_mut() {
+            sup.book.checkpoints_deferred += 1;
+        }
+        env.fault(format!(
+            "cell{} checkpoint deferred (no recent reconcile)",
+            self.idx
+        ));
     }
 
     /// Member devices publish on schedule, each event stamped by its

@@ -5,7 +5,7 @@
 //! health transition and a sibling's repair command are published into
 //! the cell, whose own obligations act on them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,19 +112,16 @@ pub(crate) struct SupervisionPlane {
     /// sibling's repair revives it.
     pub(crate) alive: bool,
     pub(crate) peer: Option<PeerPlane>,
-    /// When an anti-entropy pass last ran (the cell's own, on its
-    /// cadence while its loop runs, or a wire-ordered one): what the
-    /// reconcile-before-checkpoint gate reads.
-    pub(crate) last_reconcile_at: u64,
+    /// The anti-entropy passes run by the last checkpoint tick, the
+    /// cell's own and wire-ordered ones: the reconcile-before-checkpoint
+    /// gate wants one more by the next.
+    pub(crate) reconciles_seen: u64,
     /// The cell's report as far as this plane writes it: the counters
     /// and logs that accumulate over the run, across core incarnations.
     pub(crate) book: CellReport,
-    /// When each of the cell's components last failed and has not
-    /// recovered since, from the cell's health events.
-    pub(crate) failed_at: BTreeMap<String, u64>,
-    /// Episodes a core incarnation ended with open: the next boot
-    /// closes them.
-    cut: Vec<String>,
+    /// Episodes a core incarnation ended with open, and when each
+    /// failed: the next boot closes them.
+    cut: Vec<(String, u64)>,
 }
 
 impl SupervisionPlane {
@@ -135,9 +132,8 @@ impl SupervisionPlane {
             alive: true,
             peer: peer.then(|| PeerPlane::new(env, member_id)),
             member_id,
-            last_reconcile_at: 0,
+            reconciles_seen: 0,
             book: CellReport::default(),
-            failed_at: BTreeMap::new(),
             cut: Vec::new(),
         }
     }
@@ -176,13 +172,11 @@ impl SupervisionPlane {
     /// A new core incarnation booted at `now`: the episodes the last one
     /// left open are over — the reboot repaired them.
     pub(crate) fn booted(&mut self, now: u64) {
-        for component in std::mem::take(&mut self.cut) {
-            let ttr = self.failed_at.remove(&component).map(|at| now - at);
-            if let Some(ttr) = ttr {
-                self.book.report.ttr_micros.push(ttr);
-                let line = format!("{component} repaired by a reboot after {ttr} µs");
-                self.book.report.log.push((now, line));
-            }
+        for (component, failed_at) in std::mem::take(&mut self.cut) {
+            let ttr = now - failed_at;
+            self.book.report.ttr_micros.push(ttr);
+            let line = format!("{component} repaired by a reboot after {ttr} µs");
+            self.book.report.log.push((now, line));
         }
     }
 

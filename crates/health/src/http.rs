@@ -11,8 +11,8 @@
 //!   appended either way,
 //! * `GET /cells` — per-cell export freshness (last export sequence,
 //!   virtual timestamp, lag) as JSON, when ward aggregation is enabled,
-//! * `GET /supervision` — the supervisor's report plus the
-//!   peer-supervision lease table as JSON,
+//! * `GET /supervision` — the cell's detect → repair loop report as
+//!   JSON,
 //! * `GET /tails` (`?format=text` for the flame view) — the critical-path
 //!   attribution table plus the tail-exemplar reservoir, folded from the
 //!   trace sink's current window,
@@ -35,18 +35,7 @@ use smc_telemetry::{json_string, CriticalPath, Registry, SloTracker, TraceSink, 
 use smc_types::{ServiceId, SharedClock, TraceId};
 
 use crate::monitor::HealthReport;
-use crate::peer::{peer_lease_json, PeerLease};
 use crate::supervise::SupervisionReport;
-
-/// What `/supervision` serves: the supervisor's latest report plus the
-/// peer-supervision lease table, refreshed by whoever drives them.
-#[derive(Debug, Clone, Default)]
-pub struct SupervisionStatus {
-    /// The in-process supervisor's report.
-    pub report: SupervisionReport,
-    /// The peer-supervision lease table.
-    pub peers: Vec<PeerLease>,
-}
 
 /// What the server reads on each request. The health report is shared
 /// state refreshed by whoever drives the
@@ -60,8 +49,9 @@ pub struct StatusSources {
     pub sink: Option<Arc<TraceSink>>,
     /// Latest health report behind `/health`.
     pub health: Arc<parking_lot::Mutex<HealthReport>>,
-    /// Supervision state behind `/supervision` (404s when absent).
-    pub supervision: Option<Arc<parking_lot::Mutex<SupervisionStatus>>>,
+    /// The cell's loop report behind `/supervision` (404s when absent),
+    /// refreshed by whoever drives the cell.
+    pub supervision: Option<Arc<parking_lot::Mutex<SupervisionReport>>>,
     /// Ward-scale telemetry aggregation behind `/cells` and stitched
     /// `/journey` responses (404s when absent).
     pub ward: Option<Arc<WardRegistry>>,
@@ -313,10 +303,10 @@ fn cells(_: &Query, sources: &StatusSources) -> Reply {
 }
 
 fn supervision(_: &Query, sources: &StatusSources) -> Reply {
-    let status = enabled(&sources.supervision, "supervision")?.lock().clone();
-    let (report, peers) = (status.report.to_json(), peer_lease_json(&status.peers));
-    let body = format!("{{\"report\": {report}, \"peers\": {peers}}}\n");
-    Ok((JSON, body))
+    let report = enabled(&sources.supervision, "supervision")?
+        .lock()
+        .to_json();
+    Ok((JSON, format!("{report}\n")))
 }
 
 /// `/tails`: the critical-path attribution table and tail-exemplar
@@ -499,17 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn supervision_serves_report_and_lease_table() {
-        use crate::peer::PeerSupervisor;
-        use crate::supervise::{ServiceRegistry, ServiceSpec, SuperviseConfig, Supervisor};
+    fn supervision_serves_the_report() {
+        use crate::supervise::{SuperviseConfig, Supervisor};
         use crate::HealthTransition;
 
-        // A supervisor with one closed episode and a watcher with one
-        // tracked sibling: both must surface in the JSON.
-        let mut registry = ServiceRegistry::new();
-        registry.register(ServiceSpec::new("core"));
-        registry.register(ServiceSpec::new("sink").escalates_to("core"));
-        let mut supervisor = Supervisor::new(registry, SuperviseConfig::default());
+        // A supervisor with one closed episode: it must surface in the
+        // JSON.
+        let mut supervisor = Supervisor::new("core", &["sink"], SuperviseConfig::default());
         supervisor.on_transition(&HealthTransition {
             at_micros: 0,
             component: "sink".into(),
@@ -526,13 +512,7 @@ mod tests {
             to: HealthState::Healthy,
             detail: "up=1".into(),
         });
-        let mut watcher = PeerSupervisor::new(1, [2u64]);
-        watcher.tick(0);
-
-        let status = SupervisionStatus {
-            report: supervisor.report().clone(),
-            peers: watcher.lease_table(),
-        };
+        let status = supervisor.report();
         let sources = StatusSources {
             registry: Registry::new(),
             sink: None,
@@ -548,7 +528,6 @@ mod tests {
         assert!(r.contains("application/json"));
         assert!(r.contains("\"restarts\": 1"));
         assert!(r.contains("\"ttr_micros\": [1500]"));
-        assert!(r.contains("\"peers\": [{\"peer\": 2, \"state\": \"watching\""));
         server.stop();
     }
 

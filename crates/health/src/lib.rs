@@ -53,13 +53,11 @@ pub use detect::{
     default_detectors, DeliveryLatency, Detector, MembershipFlap, Observation, QueueGrowth,
     RetransmitStorm, SampleCtx, SloBurn, WalStall,
 };
-pub use http::{StatusServer, StatusSources, SupervisionStatus};
+pub use http::{StatusServer, StatusSources};
 pub use monitor::{
     health_event, ComponentStatus, HealthConfig, HealthMonitor, HealthReport, HealthTransition,
 };
-pub use peer::{peer_lease_json, PeerAction, PeerLease, PeerReport, PeerSupervisor};
+pub use peer::{PeerAction, PeerReport, PeerSupervisor};
 pub use recorder::FlightRecorder;
 pub use state::{ComponentHealth, HealthState, Hysteresis};
-pub use supervise::{
-    RepairAction, ServiceRegistry, ServiceSpec, SuperviseConfig, SupervisionReport, Supervisor,
-};
+pub use supervise::{RepairAction, SuperviseConfig, SupervisionReport, Supervisor};

@@ -32,7 +32,6 @@
 //! [`SupervisionMsg::Adopt`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 use smc_types::SupervisionMsg;
 
@@ -88,17 +87,6 @@ enum WatchState {
     },
 }
 
-impl WatchState {
-    fn name(&self) -> &'static str {
-        match self {
-            WatchState::Watching => "watching",
-            WatchState::Claiming { .. } => "claiming",
-            WatchState::Deferred { .. } => "deferred",
-            WatchState::Adopted { .. } => "adopted",
-        }
-    }
-}
-
 /// Everything tracked about one sibling.
 #[derive(Debug, Clone)]
 struct PeerTrack {
@@ -111,46 +99,6 @@ struct PeerTrack {
     /// Claimants seen during the open claim window (including self when
     /// we bid). The minimum wins.
     rivals: BTreeSet<u64>,
-}
-
-/// One row of the peer-lease table, as served by `/supervision`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerLease {
-    /// The watched sibling's member id.
-    pub peer: u64,
-    /// Watch state: `watching`, `claiming`, `deferred` or `adopted`.
-    pub state: &'static str,
-    /// The rival that outbid us, when deferred.
-    pub adopter: Option<u64>,
-    /// When the sibling's lease was last refreshed (virtual µs).
-    pub last_lease_micros: Option<u64>,
-    /// The ttl the sibling last advertised (µs).
-    pub ttl_micros: u64,
-}
-
-/// Render a lease table as a JSON array (no trailing newline).
-pub fn peer_lease_json(leases: &[PeerLease]) -> String {
-    let mut out = String::from("[");
-    for (i, lease) in leases.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"peer\": {}, \"state\": \"{}\", \"adopter\": {}, \"last_lease_micros\": {}, \"ttl_micros\": {}}}",
-            lease.peer,
-            lease.state,
-            lease
-                .adopter
-                .map_or_else(|| "null".to_string(), |a| a.to_string()),
-            lease
-                .last_lease_micros
-                .map_or_else(|| "null".to_string(), |a| a.to_string()),
-            lease.ttl_micros,
-        );
-    }
-    out.push(']');
-    out
 }
 
 /// Counters and the decision log of one cell's peer supervisor.
@@ -445,37 +393,12 @@ impl PeerSupervisor {
         Vec::new()
     }
 
-    /// `true` while this watcher holds the adopted role for `peer`.
-    pub fn is_adopter_of(&self, peer: u64) -> bool {
-        self.tracks
-            .get(&peer)
-            .is_some_and(|t| matches!(t.state, WatchState::Adopted { .. }))
-    }
-
     /// Member ids currently adopted by this watcher, ascending.
     pub fn adopted(&self) -> Vec<u64> {
         self.tracks
             .iter()
             .filter(|(_, t)| matches!(t.state, WatchState::Adopted { .. }))
             .map(|(&peer, _)| peer)
-            .collect()
-    }
-
-    /// The current lease table, one row per watched sibling, ascending
-    /// by member id.
-    pub fn lease_table(&self) -> Vec<PeerLease> {
-        self.tracks
-            .iter()
-            .map(|(&peer, track)| PeerLease {
-                peer,
-                state: track.state.name(),
-                adopter: match track.state {
-                    WatchState::Deferred { adopter } => Some(adopter),
-                    _ => None,
-                },
-                last_lease_micros: track.last_lease,
-                ttl_micros: track.ttl_micros,
-            })
             .collect()
     }
 
@@ -488,6 +411,40 @@ impl PeerSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One watched sibling's row: what the tests read of a watcher.
+    struct PeerLease {
+        peer: u64,
+        state: &'static str,
+        adopter: Option<u64>,
+    }
+
+    impl PeerSupervisor {
+        /// `true` while this watcher holds the adopted role for `peer`.
+        fn is_adopter_of(&self, peer: u64) -> bool {
+            self.tracks
+                .get(&peer)
+                .is_some_and(|t| matches!(t.state, WatchState::Adopted { .. }))
+        }
+
+        /// One row per watched sibling, ascending by member id.
+        fn lease_table(&self) -> Vec<PeerLease> {
+            let row = |(&peer, track): (&u64, &PeerTrack)| PeerLease {
+                peer,
+                state: match track.state {
+                    WatchState::Watching => "watching",
+                    WatchState::Claiming { .. } => "claiming",
+                    WatchState::Deferred { .. } => "deferred",
+                    WatchState::Adopted { .. } => "adopted",
+                },
+                adopter: match track.state {
+                    WatchState::Deferred { adopter } => Some(adopter),
+                    _ => None,
+                },
+            };
+            self.tracks.iter().map(row).collect()
+        }
+    }
 
     const LEASE: u64 = 500_000;
     const GRACE: u64 = 300_000;
@@ -771,20 +728,6 @@ mod tests {
             target: 9,
             claimant: 3
         }));
-    }
-
-    #[test]
-    fn lease_table_renders_as_json() {
-        let mut w = watcher(2, &[1, 7]);
-        w.tick(0);
-        lease(&mut w, 100, 1);
-        let json = peer_lease_json(&w.lease_table());
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"peer\": 1"));
-        assert!(json.contains("\"state\": \"watching\""));
-        assert!(json.contains("\"last_lease_micros\": 100"));
-        assert!(json.contains("\"adopter\": null"));
-        assert_eq!(peer_lease_json(&[]), "[]");
     }
 
     #[test]

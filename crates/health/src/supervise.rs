@@ -3,10 +3,9 @@
 //! PR 4 built detection — detectors vote, state machines walk
 //! `Healthy → Degraded → Failed`, transitions become `smc.health`
 //! events. Nothing acted beyond quenching. This module closes the
-//! detect → repair loop with a [`ServiceRegistry`] of the cell's
-//! components, each naming where its repair escalates, and a
-//! [`Supervisor`] that turns `Failed` transitions into
-//! [`RepairAction`]s:
+//! detect → repair loop with a [`Supervisor`] over the cell's
+//! components and the one their repairs escalate to, which turns
+//! `Failed` transitions into [`RepairAction`]s:
 //!
 //! * **restart** the failed component from its durable state (the
 //!   embedder re-runs the relevant slice of the `start_durable`
@@ -18,9 +17,8 @@
 //!
 //! The supervisor is deliberately **passive and deterministic**: it
 //! never spawns threads or touches components itself. Its embedder — the
-//! cell's own loop (`smc_core::SmcCell`), or an adopting sibling's
-//! remote session — feeds it transitions and periodic [`HealthReport`]s
-//! and executes the actions it returns, booking what came of each in
+//! cell's own loop (`smc_core::SmcCell`) — feeds it transitions and
+//! periodic ticks and executes the actions it returns, booking what came of each in
 //! the report ([`SupervisionReport::repairs`]).
 //! That keeps every repair decision on the virtual clock and replayable
 //! per seed.
@@ -34,94 +32,8 @@ use std::collections::BTreeMap;
 
 use smc_telemetry::json_string;
 
-use crate::monitor::{HealthReport, HealthTransition};
+use crate::monitor::HealthTransition;
 use crate::state::HealthState;
-
-/// One supervised component: its place in the escalation graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceSpec {
-    /// Component key, matching the health monitor's component names
-    /// (e.g. `discovery`, `sink`, `wal`).
-    pub name: String,
-    /// Where a failed repair escalates: the component whose restart
-    /// subsumes this one (`None` = top of the graph).
-    pub escalate_to: Option<String>,
-}
-
-impl ServiceSpec {
-    /// A spec with no escalation target.
-    pub fn new(name: impl Into<String>) -> ServiceSpec {
-        ServiceSpec {
-            name: name.into(),
-            escalate_to: None,
-        }
-    }
-
-    /// Sets the escalation target (builder style).
-    pub fn escalates_to(mut self, target: impl Into<String>) -> ServiceSpec {
-        self.escalate_to = Some(target.into());
-        self
-    }
-}
-
-/// The registry of supervised components and where each escalates.
-///
-/// Deterministic by construction: iteration is in `BTreeMap` order, and
-/// the escalation chain is an explicit edge per component rather than a
-/// search.
-#[derive(Debug, Default)]
-pub struct ServiceRegistry {
-    specs: BTreeMap<String, ServiceSpec>,
-}
-
-impl ServiceRegistry {
-    /// An empty registry.
-    pub fn new() -> ServiceRegistry {
-        ServiceRegistry::default()
-    }
-
-    /// Registers (or replaces) a component spec.
-    pub fn register(&mut self, spec: ServiceSpec) {
-        self.specs.insert(spec.name.clone(), spec);
-    }
-
-    /// Whether `name` is supervised.
-    pub fn contains(&self, name: &str) -> bool {
-        self.specs.contains_key(name)
-    }
-
-    /// The escalation target of `name`, if any.
-    pub fn escalate_to(&self, name: &str) -> Option<&str> {
-        self.specs.get(name)?.escalate_to.as_deref()
-    }
-
-    /// Validates the graph: every `escalate_to` edge names a registered
-    /// component, and following `escalate_to` from any
-    /// component terminates (no cycle).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first broken edge or cycle.
-    pub fn validate(&self) -> Result<(), String> {
-        for spec in self.specs.values() {
-            if let Some(target) = &spec.escalate_to {
-                if !self.specs.contains_key(target) {
-                    return Err(format!("{} escalates to unregistered {target}", spec.name));
-                }
-            }
-            let mut hops = 0usize;
-            let mut cursor = spec.name.as_str();
-            while let Some(next) = self.escalate_to(cursor) {
-                hops += 1;
-                if hops > self.specs.len() {
-                    return Err(format!("escalation cycle through {}", spec.name));
-                }
-                cursor = next;
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Supervisor tuning.
 #[derive(Debug, Clone, Copy)]
@@ -188,8 +100,6 @@ struct Episode {
     attempts: u32,
     /// When the last repair action was issued.
     last_action_at: Option<u64>,
-    /// Whether the episode ever escalated.
-    escalated: bool,
 }
 
 /// Summary of everything the supervisor saw and did.
@@ -208,8 +118,8 @@ pub struct SupervisionReport {
     /// Completed episodes' time-to-repair, virtual µs, in completion
     /// order (`Failed` transition → `Healthy` recovery).
     pub ttr_micros: Vec<u64>,
-    /// Components with an episode still open.
-    pub unresolved: Vec<String>,
+    /// Components with an episode still open, and when each failed.
+    pub unresolved: Vec<(String, u64)>,
     /// The full repair log: `(at_micros, what)`.
     pub log: Vec<(u64, String)>,
     /// What the embedder made of each repair this supervisor planned:
@@ -253,7 +163,7 @@ impl SupervisionReport {
         let unresolved = self
             .unresolved
             .iter()
-            .map(|c| json_string(c))
+            .map(|(c, _)| json_string(c))
             .collect::<Vec<_>>()
             .join(", ");
         let components = self
@@ -295,25 +205,22 @@ impl SupervisionReport {
 /// only the tick's retry timeout notices and escalates.
 #[derive(Debug)]
 pub struct Supervisor {
-    registry: ServiceRegistry,
+    /// Where every repair escalates; it restarts itself.
+    top: String,
+    /// The components whose repairs escalate to `top`.
+    children: Vec<String>,
     config: SuperviseConfig,
     episodes: BTreeMap<String, Episode>,
     report: SupervisionReport,
 }
 
 impl Supervisor {
-    /// A supervisor over `registry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry fails [`ServiceRegistry::validate`] — a
-    /// broken graph is a construction bug, not a runtime condition.
-    pub fn new(registry: ServiceRegistry, config: SuperviseConfig) -> Supervisor {
-        if let Err(e) = registry.validate() {
-            panic!("invalid service registry: {e}");
-        }
+    /// A supervisor over `children`, whose exhausted repairs escalate
+    /// to `top`.
+    pub fn new(top: &str, children: &[&str], config: SuperviseConfig) -> Supervisor {
         Supervisor {
-            registry,
+            top: top.to_owned(),
+            children: children.iter().map(|c| c.to_string()).collect(),
             config,
             episodes: BTreeMap::new(),
             report: SupervisionReport::default(),
@@ -325,7 +232,7 @@ impl Supervisor {
     /// repair action; a recovery to `Healthy` closes the episode and
     /// books its time-to-repair.
     pub fn on_transition(&mut self, t: &HealthTransition) -> Vec<RepairAction> {
-        if !self.registry.contains(&t.component) {
+        if t.component != self.top && !self.children.contains(&t.component) {
             return Vec::new();
         }
         match t.to {
@@ -344,7 +251,6 @@ impl Supervisor {
                         current: t.component.clone(),
                         attempts: 0,
                         last_action_at: None,
-                        escalated: false,
                     },
                 );
                 self.plan(&t.component, t.at_micros).into_iter().collect()
@@ -366,18 +272,13 @@ impl Supervisor {
 
     /// One supervision tick: retries or escalates open episodes whose
     /// last action has had `retry_after_micros` to work and whose
-    /// component `report` still shows unhealthy. Call once per
-    /// monitor sampling window, after feeding transitions.
-    pub fn tick(&mut self, now_micros: u64, report: &HealthReport) -> Vec<RepairAction> {
+    /// component is still not `healthy`. Call once per sampling window,
+    /// after feeding transitions.
+    pub fn tick(&mut self, now_micros: u64, healthy: impl Fn(&str) -> bool) -> Vec<RepairAction> {
         let open: Vec<String> = self.episodes.keys().cloned().collect();
         let mut actions = Vec::new();
         for component in open {
-            let healthy_now = report
-                .components
-                .iter()
-                .find(|c| c.component == component)
-                .is_some_and(|c| c.state == HealthState::Healthy);
-            if healthy_now {
+            if healthy(&component) {
                 // Defensive close: the recovery transition is the normal
                 // close path, but a purged component can vanish from the
                 // transition stream.
@@ -415,7 +316,8 @@ impl Supervisor {
     /// now.
     pub fn report(&self) -> SupervisionReport {
         let mut report = self.report.clone();
-        report.unresolved = self.episodes.keys().cloned().collect();
+        let open = self.episodes.iter();
+        report.unresolved = open.map(|(c, ep)| (c.clone(), ep.failed_at)).collect();
         report
     }
 
@@ -436,11 +338,10 @@ impl Supervisor {
             self.log(now_micros, action.to_string());
             return Some(action);
         }
-        if let Some(target) = self.registry.escalate_to(&ep.current) {
-            let target = target.to_owned();
+        if ep.current != self.top {
+            let target = self.top.clone();
             ep.current = target.clone();
             ep.attempts = 1;
-            ep.escalated = true;
             let action = RepairAction::Escalate {
                 failed: component.to_owned(),
                 target,
@@ -469,15 +370,6 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::ComponentStatus;
-
-    fn registry() -> ServiceRegistry {
-        let mut r = ServiceRegistry::new();
-        r.register(ServiceSpec::new("core"));
-        r.register(ServiceSpec::new("discovery").escalates_to("core"));
-        r.register(ServiceSpec::new("sink").escalates_to("core"));
-        r
-    }
 
     fn failed(component: &str, at: u64) -> HealthTransition {
         HealthTransition {
@@ -501,34 +393,18 @@ mod tests {
         }
     }
 
-    fn report_with(component: &str, state: HealthState, at: u64) -> HealthReport {
-        HealthReport {
-            at_micros: at,
-            components: vec![ComponentStatus {
-                component: component.into(),
-                detector: "component-down",
-                state,
-                detail: String::new(),
-                since_micros: at,
-            }],
-        }
+    fn supervisor(config: SuperviseConfig) -> Supervisor {
+        Supervisor::new("core", &["discovery", "sink"], config)
     }
 
-    #[test]
-    fn registry_validates_edges_and_cycles() {
-        assert!(registry().validate().is_ok());
-        let mut broken = ServiceRegistry::new();
-        broken.register(ServiceSpec::new("a").escalates_to("missing"));
-        assert!(broken.validate().unwrap_err().contains("unregistered"));
-        let mut cyclic = ServiceRegistry::new();
-        cyclic.register(ServiceSpec::new("a").escalates_to("b"));
-        cyclic.register(ServiceSpec::new("b").escalates_to("a"));
-        assert!(cyclic.validate().unwrap_err().contains("cycle"));
+    /// Every component but `sink`, which is still down.
+    fn sink_down(component: &str) -> bool {
+        component != "sink"
     }
 
     #[test]
     fn failed_transition_opens_episode_and_restarts() {
-        let mut s = Supervisor::new(registry(), SuperviseConfig::default());
+        let mut s = supervisor(SuperviseConfig::default());
         let actions = s.on_transition(&failed("discovery", 1_000));
         assert_eq!(
             actions,
@@ -539,7 +415,7 @@ mod tests {
         );
         // Duplicate Failed transitions don't double-open.
         assert!(s.on_transition(&failed("discovery", 2_000)).is_empty());
-        assert_eq!(s.report().unresolved, vec!["discovery".to_owned()]);
+        assert_eq!(s.report().unresolved, vec![("discovery".to_owned(), 1_000)]);
 
         let none = s.on_transition(&recovered("discovery", 5_000));
         assert!(none.is_empty());
@@ -552,27 +428,23 @@ mod tests {
 
     #[test]
     fn unsupervised_components_are_ignored() {
-        let mut s = Supervisor::new(registry(), SuperviseConfig::default());
+        let mut s = supervisor(SuperviseConfig::default());
         assert!(s.on_transition(&failed("channel:device3", 0)).is_empty());
         assert!(s.report().converged());
     }
 
     #[test]
     fn tick_retries_then_escalates_a_wedged_component() {
-        let mut s = Supervisor::new(
-            registry(),
-            SuperviseConfig {
-                max_restarts: 2,
-                retry_after_micros: 1_000,
-            },
-        );
+        let mut s = supervisor(SuperviseConfig {
+            max_restarts: 2,
+            retry_after_micros: 1_000,
+        });
         assert_eq!(s.on_transition(&failed("sink", 0)).len(), 1);
-        let still_down = report_with("sink", HealthState::Failed, 0);
         // Inside the retry window: nothing.
-        assert!(s.tick(500, &still_down).is_empty());
+        assert!(s.tick(500, sink_down).is_empty());
         // Second restart attempt.
         assert_eq!(
-            s.tick(1_000, &still_down),
+            s.tick(1_000, sink_down),
             vec![RepairAction::Restart {
                 component: "sink".into(),
                 attempt: 2
@@ -580,7 +452,7 @@ mod tests {
         );
         // Attempts exhausted → escalate to core.
         assert_eq!(
-            s.tick(2_000, &still_down),
+            s.tick(2_000, sink_down),
             vec![RepairAction::Escalate {
                 failed: "sink".into(),
                 target: "core".into()
@@ -588,7 +460,7 @@ mod tests {
         );
         // Core is top of the graph: further ticks keep restarting core.
         assert_eq!(
-            s.tick(3_000, &still_down),
+            s.tick(3_000, sink_down),
             vec![RepairAction::Restart {
                 component: "core".into(),
                 attempt: 2
@@ -599,8 +471,7 @@ mod tests {
         assert!(!report.converged());
 
         // The detector finally clears; the tick closes the episode.
-        let healthy = report_with("sink", HealthState::Healthy, 4_000);
-        assert!(s.tick(4_000, &healthy).is_empty());
+        assert!(s.tick(4_000, |_| true).is_empty());
         let report = s.report();
         assert!(report.converged());
         assert_eq!(report.ttr_micros, vec![4_000]);
@@ -613,21 +484,17 @@ mod tests {
         // matters because the harness drives ticks on exact virtual
         // cadences — an exclusive compare would silently push every
         // retry one whole sampling window late.
-        let mut s = Supervisor::new(
-            registry(),
-            SuperviseConfig {
-                max_restarts: 3,
-                retry_after_micros: 1_000,
-            },
-        );
+        let mut s = supervisor(SuperviseConfig {
+            max_restarts: 3,
+            retry_after_micros: 1_000,
+        });
         assert_eq!(s.on_transition(&failed("sink", 0)).len(), 1);
-        let still_down = report_with("sink", HealthState::Failed, 0);
         assert!(
-            s.tick(999, &still_down).is_empty(),
+            s.tick(999, sink_down).is_empty(),
             "one µs before the deadline must not retry"
         );
         assert_eq!(
-            s.tick(1_000, &still_down),
+            s.tick(1_000, sink_down),
             vec![RepairAction::Restart {
                 component: "sink".into(),
                 attempt: 2
@@ -636,9 +503,9 @@ mod tests {
         );
         // The clock rebased on the retry: the next boundary is equally
         // exact relative to the *retry*, not the original failure.
-        assert!(s.tick(1_999, &still_down).is_empty());
+        assert!(s.tick(1_999, sink_down).is_empty());
         assert_eq!(
-            s.tick(2_000, &still_down),
+            s.tick(2_000, sink_down),
             vec![RepairAction::Restart {
                 component: "sink".into(),
                 attempt: 3
@@ -653,13 +520,10 @@ mod tests {
         // budget check must never pre-empt the clock: a wedged component
         // gets its full `retry_after` to come back before the supervisor
         // walks up the graph.
-        let mut s = Supervisor::new(
-            registry(),
-            SuperviseConfig {
-                max_restarts: 1,
-                retry_after_micros: 1_000,
-            },
-        );
+        let mut s = supervisor(SuperviseConfig {
+            max_restarts: 1,
+            retry_after_micros: 1_000,
+        });
         assert_eq!(
             s.on_transition(&failed("sink", 0)),
             vec![RepairAction::Restart {
@@ -667,14 +531,13 @@ mod tests {
                 attempt: 1
             }]
         );
-        let still_down = report_with("sink", HealthState::Failed, 0);
         // Budget already spent, but inside the window: still silent.
-        assert!(s.tick(500, &still_down).is_empty());
-        assert!(s.tick(999, &still_down).is_empty());
+        assert!(s.tick(500, sink_down).is_empty());
+        assert!(s.tick(999, sink_down).is_empty());
         assert_eq!(s.report().escalations, 0, "no escalation before the clock");
         // The retry clock fires with no budget left → escalate.
         assert_eq!(
-            s.tick(1_000, &still_down),
+            s.tick(1_000, sink_down),
             vec![RepairAction::Escalate {
                 failed: "sink".into(),
                 target: "core".into()
@@ -685,13 +548,10 @@ mod tests {
 
     #[test]
     fn report_renders_as_json() {
-        let mut s = Supervisor::new(
-            registry(),
-            SuperviseConfig {
-                max_restarts: 1,
-                retry_after_micros: 1_000,
-            },
-        );
+        let mut s = supervisor(SuperviseConfig {
+            max_restarts: 1,
+            retry_after_micros: 1_000,
+        });
         s.on_transition(&failed("sink", 0));
         s.on_transition(&recovered("sink", 2_500));
         let json = s.report().to_json();
@@ -705,7 +565,7 @@ mod tests {
     #[test]
     fn unresolved_names_are_escaped_in_json() {
         let report = SupervisionReport {
-            unresolved: vec!["ward \"b\" \\ 3".into()],
+            unresolved: vec![("ward \"b\" \\ 3".into(), 0)],
             ..SupervisionReport::default()
         };
         let json = report.to_json();
@@ -717,7 +577,7 @@ mod tests {
 
     #[test]
     fn reconcile_outcomes_land_in_the_report() {
-        let mut s = Supervisor::new(registry(), SuperviseConfig::default());
+        let mut s = supervisor(SuperviseConfig::default());
         s.record_reconcile(7_000, &["removed ghost member 9".into()]);
         let report = s.report();
         assert_eq!(report.reconcile_repairs, 1);

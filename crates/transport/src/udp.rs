@@ -111,18 +111,23 @@ impl UdpTransport {
             SocketAddr::V6(_) => return Err(Error::Io("bound to unexpected IPv6 address".into())),
         };
         let id = ServiceId::from_addr_port(*local.ip(), local.port());
+        Ok(UdpTransport::on(socket, id, Vec::new()))
+    }
+
+    /// The endpoint `id` on its bound `socket`.
+    fn on(socket: UdpSocket, id: ServiceId, broadcast_peers: Vec<ServiceId>) -> UdpTransport {
         let mtu = 60_000;
-        Ok(UdpTransport {
+        UdpTransport {
             socket,
             id,
-            broadcast_peers: Mutex::new(Vec::new()),
+            broadcast_peers: Mutex::new(broadcast_peers),
             closed: AtomicBool::new(false),
             mtu,
             rx: Mutex::new(RxState {
                 buf: vec![0u8; mtu + HEADER_LEN].into_boxed_slice(),
                 wait: None,
             }),
-        })
+        }
     }
 
     /// Registers a peer to receive copies of our broadcasts.
@@ -251,17 +256,8 @@ impl Transport for UdpTransport {
         let socket = self.socket.try_clone()?;
         socket.set_nonblocking(false)?;
         socket.set_read_timeout(None)?;
-        Ok(Arc::new(UdpTransport {
-            socket,
-            id: self.id,
-            broadcast_peers: Mutex::new(self.broadcast_peers.lock().clone()),
-            closed: AtomicBool::new(false),
-            mtu: self.mtu,
-            rx: Mutex::new(RxState {
-                buf: vec![0u8; self.mtu + HEADER_LEN].into_boxed_slice(),
-                wait: None,
-            }),
-        }))
+        let peers = self.broadcast_peers.lock().clone();
+        Ok(Arc::new(UdpTransport::on(socket, self.id, peers)))
     }
 
     fn close(&self) {
