@@ -20,22 +20,25 @@
 //!   thread that received it; there is no queue in between, so a slow
 //!   consumer is bounded by its senders' windows.
 //!
-//! A cell built with [`SmcCell::with_clock`] has no thread at all: its
-//! owner's [`SmcCell::step`] is the thread that has the work, which is
-//! how the chaos harness replays a durable cell bit for bit. A durable
-//! cell of either kind manages itself: its detect → repair loop
-//! ([`SmcCell::supervision`] reports it) restarts a dead component
-//! through the recovery a boot runs, and hands its owner the one repair
-//! it cannot make, a reboot.
+//! Time is kept by one tick: discovery's beacon and lease timers, then a
+//! turn of the detect → repair loop. A threaded cell runs it on its third
+//! thread, its timer, which outlives both endpoints and every restart of
+//! them. A cell built with [`SmcCell::with_clock`]
+//! has no thread at all: its owner's [`SmcCell::step`] steps the channels
+//! and runs the same tick, which is how the chaos harness replays a
+//! durable cell bit for bit. A durable cell of either kind manages
+//! itself: its loop ([`SmcCell::supervision`] reports it) restarts a dead
+//! component through the recovery a boot runs, reconciles its views with
+//! its log, and hands its owner the one repair it cannot make, a reboot.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent};
+use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent, Ticker};
 use smc_match::EngineKind;
 use smc_policy::{
     peer_repair_policies, supervision_policies, ActionClass, ActionSpec, Decision, FiredAction,
@@ -49,7 +52,7 @@ use smc_types::{
     CursorEntry, Error, Event, Filter, OutboundEntry, Packet, Result, ServiceId, ServiceInfo,
     SharedClock, SnapshotCell, Subscription, SubscriptionId, TraceId, WalRecord,
 };
-use smc_wal::{Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY};
+use smc_wal::{digest, Wal, WalBackend, WalChannelJournal, WalConfig, CHAN_BUS, CHAN_DISCOVERY};
 
 use crate::bootstrap::ProxyFactory;
 use crate::bus::{EventBus, EventSink};
@@ -141,8 +144,9 @@ impl SmcConfig {
 /// A running self-managed cell.
 pub struct SmcCell {
     config: SmcConfig,
-    /// Whether the channels and discovery are driven by [`SmcCell::step`]
-    /// ([`SmcCell::with_clock`]) rather than by their own threads.
+    /// Whether the channels and the tick are driven by [`SmcCell::step`]
+    /// ([`SmcCell::with_clock`]) rather than by receive threads and the
+    /// cell's timer.
     stepped: bool,
     /// The bus endpoint's id, which a restarted bus channel keeps.
     bus_id: ServiceId,
@@ -164,10 +168,17 @@ pub struct SmcCell {
     next_local_seq: AtomicU64,
     /// This cell, for what a repair rebuilds (handlers hold it weakly).
     me: Weak<SmcCell>,
-    /// The detect → repair loop ([`manage`]) and when it is next due
-    /// (shared with a threaded cell's endpoints, which give it its turns).
+    /// The detect → repair loop ([`manage`]).
     supervision: Mutex<manage::Loop>,
-    due: Arc<AtomicU64>,
+    /// Held by a reconcile pass, and by a membership handler or a route
+    /// change while it journals and rebuilds, so that a pass never
+    /// "repairs" a change in flight. A handler that has not returned
+    /// holds off the pass through discovery
+    /// ([`DiscoveryService::settled_members`]).
+    views: Mutex<()>,
+    /// A threaded cell's timer, and whether it is to stop.
+    timer: Ticker,
+    stopped: AtomicBool,
 }
 
 impl std::fmt::Debug for SmcCell {
@@ -239,6 +250,7 @@ impl SmcCell {
     ) -> Arc<Self> {
         let cell = SmcCell::assemble(config, false, bus_transport, discovery_transport, None);
         cell.serve(&cell.bus_channel());
+        cell.start_timer();
         cell
     }
 
@@ -303,14 +315,16 @@ impl SmcCell {
         // Only now the live traffic: whatever reached the channel since it
         // was built waited in its inbox and goes first, in order.
         cell.serve(&channel);
+        if !stepped {
+            cell.start_timer();
+        }
         Ok(cell)
     }
 
     /// The cell on its two endpoints; a durable one (`durable`: the log
-    /// and the state it recovered) journals both channels, runs its own
-    /// detect → repair loop under the built-in supervision and
-    /// peer-repair obligations, and — threaded — takes the loop's turns
-    /// on its receive threads.
+    /// and the state it recovered) journals both channels and runs its
+    /// own detect → repair loop under the built-in supervision and
+    /// peer-repair obligations.
     fn assemble(
         config: SmcConfig,
         stepped: bool,
@@ -329,22 +343,13 @@ impl SmcCell {
                 policy.add(p).expect("built-in policies are valid");
             }
         }
-        let due = Arc::new(AtomicU64::new(0));
         let cell = Arc::new_cyclic(|me: &Weak<SmcCell>| {
-            let endpoint = |transport| match &durable {
-                Some(_) if !stepped => {
-                    let clock = Arc::clone(&config.clock);
-                    manage::Managed::wrap(transport, me.clone(), Arc::clone(&due), clock)
-                }
-                _ => transport,
-            };
             let journal = |chan| durable.as_ref().map(|(wal, snap)| (wal, chan, *snap));
-            let channel =
-                open_channel(&config, stepped, endpoint(bus_transport), journal(CHAN_BUS));
+            let channel = open_channel(&config, stepped, bus_transport, journal(CHAN_BUS));
             let discovery_channel = open_channel(
                 &config,
                 stepped,
-                endpoint(discovery_transport),
+                discovery_transport,
                 journal(CHAN_DISCOVERY),
             );
             let bus_id = channel.local_id();
@@ -365,7 +370,9 @@ impl SmcCell {
                 members: Arc::new(Mutex::new(HashMap::new())),
                 next_local_seq: AtomicU64::new(1),
                 me: me.clone(),
-                due: Arc::clone(&due),
+                views: Mutex::new(()),
+                timer: Ticker::default(),
+                stopped: AtomicBool::new(false),
                 config,
             }
         });
@@ -373,8 +380,9 @@ impl SmcCell {
         cell
     }
 
-    /// A discovery service for this cell on `channel`, threaded or
-    /// step-driven.
+    /// A discovery service for this cell on `channel`, timed by the
+    /// cell's tick; a threaded cell's answers on the channel's receive
+    /// thread.
     fn open_discovery(
         config: &SmcConfig,
         stepped: bool,
@@ -382,13 +390,26 @@ impl SmcCell {
         channel: &Arc<ReliableChannel>,
     ) -> Arc<DiscoveryService> {
         let discovery_config = config.discovery.clone().with_bus_endpoint(bus_id);
-        let channel = Arc::clone(channel);
-        if stepped {
-            let clock = Arc::clone(&config.clock);
-            DiscoveryService::with_clock(config.cell, channel, discovery_config, clock)
-        } else {
-            DiscoveryService::start(config.cell, channel, discovery_config)
+        let (channel, clock) = (Arc::clone(channel), Arc::clone(&config.clock));
+        let service = DiscoveryService::with_clock(config.cell, channel, discovery_config, clock);
+        if !stepped {
+            service.serve();
         }
+        service
+    }
+
+    /// Starts a threaded cell's timer: a [`SmcCell::tick`] every
+    /// discovery tick interval, until [`SmcCell::shutdown`] or the last
+    /// handle goes. It holds the cell weakly, and loads discovery afresh
+    /// on every tick, so it outlives both endpoints and their restarts.
+    fn start_timer(self: &Arc<Self>) {
+        let (ticking, poll) = (Arc::downgrade(self), self.config.discovery.tick_interval());
+        let name = format!("smc-timer-{}", self.config.cell);
+        self.timer.start(name, poll, move || {
+            let cell = ticking.upgrade();
+            let cell = cell.filter(|c| !c.stopped.load(Ordering::SeqCst));
+            cell.map(|c| c.tick()).is_some()
+        });
     }
 
     /// Takes every membership change `discovery` makes, in the order its
@@ -500,8 +521,8 @@ impl SmcCell {
 
     /// Drives a cell built with [`SmcCell::with_clock`] at its clock's
     /// current time: steps the bus channel (whose messages are routed
-    /// before it returns), the discovery channel, then discovery, and
-    /// gives the detect → repair loop its turn. A stopped component is
+    /// before it returns) and the discovery channel, then runs the cell's
+    /// tick — the one a threaded cell's timer runs. A stopped channel is
     /// skipped. Returns the datagrams and discovery work processed.
     ///
     /// # Panics
@@ -510,16 +531,27 @@ impl SmcCell {
     /// [`SmcCell::start_durable`]).
     pub fn step(&self) -> usize {
         let mut work = 0;
-        let channel = self.bus_channel();
-        if !channel.is_closed() {
-            work += channel.step();
+        // The discovery channel is loaded after the bus channel's step,
+        // which may have restarted it.
+        for channel in [Self::bus_channel, Self::discovery_channel] {
+            let channel = channel(self);
+            if !channel.is_closed() {
+                work += channel.step();
+            }
         }
-        let discovery_channel = self.discovery_channel();
-        if !discovery_channel.is_closed() {
-            work += discovery_channel.step() + self.discovery().step();
-        }
+        work + self.tick()
+    }
+
+    /// The cell's one tick, at its clock's now: discovery keeps its time
+    /// (beacon, lease accounting, and a step-driven service's queued
+    /// requests), then the detect → repair loop takes its turn. A threaded
+    /// cell's timer runs it; [`SmcCell::step`] ends with it. Returns the
+    /// discovery work done.
+    fn tick(&self) -> usize {
+        let discovery_up = !self.discovery_channel().is_closed();
+        let work = discovery_up.then(|| self.discovery().step());
         self.manage();
-        work
+        work.unwrap_or(0)
     }
 
     /// Rebuilds the discovery service on `transport` — its old endpoint —
@@ -730,22 +762,37 @@ impl SmcCell {
     /// taken as correct. Non-durable cells get checks 4–5 only — there
     /// is no durable membership truth to diff against.
     ///
+    /// The pass diffs nothing while discovery has a membership change
+    /// whose handler has not returned
+    /// ([`DiscoveryService::settled_members`]): the table is ahead of the
+    /// other views until then, and the next pass sees the change done.
+    /// Otherwise it first compares digests ([`SmcCell::views_agree`]);
+    /// when every view agrees it reads no log and reports what a clean
+    /// pass reports — nothing.
+    ///
     /// # Errors
     ///
     /// Propagates WAL read failures. Individual repairs that fail are
     /// recorded in the report and do not abort the pass.
     pub fn reconcile(&self) -> Result<ReconcileReport> {
+        let _views = self.views.lock();
         let mut report = ReconcileReport::default();
+        let discovery = self.discovery();
+        let Some(table) = discovery.settled_members() else {
+            return Ok(report);
+        };
+        if self.views_agree(&table) {
+            return Ok(report);
+        }
         let channel = self.bus_channel();
         if let Some(wal) = &self.wal {
-            let discovery = self.discovery();
             let truth = wal.recover_state()?;
             let mut truth_members = truth.members.clone();
             truth_members.sort_by_key(|m| m.id);
             let truth_ids: std::collections::HashSet<ServiceId> =
                 truth_members.iter().map(|m| m.id).collect();
             for info in &truth_members {
-                if !discovery.is_member(info.id) {
+                if !table.iter().any(|m| m.id == info.id) {
                     discovery.restore_member(info.clone());
                     self.ensure_proxy(info, &channel);
                     report.repair(format!("re-admitted member {} to discovery", info.id));
@@ -816,6 +863,33 @@ impl SmcCell {
             self.recompute_quench();
         }
         Ok(report)
+    }
+
+    /// Whether every view a [`SmcCell::reconcile`] pass diffs agrees, by
+    /// order-independent digest: the discovery `table` and the members map
+    /// with the log's membership ([`Wal::membership_digest`]), and the
+    /// subscriptions the proxies track with their members' bus routes.
+    /// Any divergence a pass would repair makes one pair differ. The
+    /// log's subscriptions take no part: a pass never diffs them, and a
+    /// purge drops a member's routes with no record of each.
+    #[doc(hidden)]
+    pub fn views_agree(&self, table: &[ServiceInfo]) -> bool {
+        if let Some(wal) = &self.wal {
+            let table = digest(table.iter().map(|m| m.id.raw()));
+            let map = digest(self.members.lock().keys().map(|id| id.raw()));
+            if wal.membership_digest() != Some(table) || map != table {
+                return false;
+            }
+        }
+        let route = |member: ServiceId, id: SubscriptionId| member.raw().rotate_left(32) ^ id.0;
+        let proxies = self.proxies.lock();
+        let tracked = proxies.iter().flat_map(|(&member, proxy)| {
+            let ids = proxy.tracked_subscriptions().into_iter();
+            ids.map(move |id| route(member, id))
+        });
+        let routes = self.bus.subscriptions().into_iter();
+        let routes = routes.filter(|(_, member, _)| proxies.contains_key(member));
+        digest(tracked) == digest(routes.map(|(id, member, _)| route(member, id)))
     }
 
     /// Reads the durable state out of the live channels and bus. Called
@@ -928,9 +1002,11 @@ impl SmcCell {
         })
     }
 
-    /// Stops the cell: its loop, discovery, the bus endpoint, and every
-    /// proxy.
+    /// Stops the cell: its timer, its loop, discovery, the bus endpoint,
+    /// and every proxy.
     pub fn shutdown(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.timer.stop();
         self.set_supervising(false);
         self.discovery().shutdown();
         self.bus_channel().close();
@@ -947,12 +1023,14 @@ impl SmcCell {
     /// its policy bundle, the New Member event — and last the `members`
     /// entry, so whoever finds a member there knows all of that is done.
     /// Discovery has it done before it answers the join, because a device
-    /// may act the moment it hears it was admitted.
+    /// may act the moment it hears it was admitted, and holds off every
+    /// reconcile pass until it returns.
     ///
     /// A member the cell already knows is left as it is: one that
     /// discovery forgot while the cell did not (state corruption) rejoins
     /// as the same incarnation.
     fn on_member_joined(&self, info: ServiceInfo) {
+        let views = self.views.lock();
         if self.members.lock().contains_key(&info.id) {
             return;
         }
@@ -969,6 +1047,7 @@ impl SmcCell {
                 proxy.track_subscription(id, filter);
             }
         }
+        drop(views);
         self.recompute_quench();
         // Deploy the device-type policy bundle, if any.
         let bundle = self.policy.deployment_for(&info.device_type);
@@ -981,6 +1060,7 @@ impl SmcCell {
     }
 
     fn destroy_member(&self, id: ServiceId) {
+        let _views = self.views.lock();
         self.journal(&WalRecord::MemberPurged { member: id });
         self.tear_down(id);
         self.recompute_quench();
@@ -1099,6 +1179,7 @@ impl SmcCell {
                     );
                     return;
                 }
+                let _views = self.views.lock();
                 match self.bus.subscribe(
                     from,
                     filter.clone(),
@@ -1123,6 +1204,7 @@ impl SmcCell {
             }
             Packet::Unsubscribe(id) => {
                 if proxy.tracked_subscriptions().contains(&id) {
+                    let _views = self.views.lock();
                     let _ = self.bus.unsubscribe(id);
                     self.journal(&WalRecord::Unsubscribed { id });
                     proxy.untrack_subscription(id);

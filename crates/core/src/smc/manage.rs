@@ -1,8 +1,8 @@
 //! The cell's own detect → repair loop.
 //!
-//! On every turn it is due — [`SmcCell::step`] for a step-driven cell, a
-//! receive thread's poll tick for a threaded durable one — the loop
-//! samples whether discovery and the sink run, walks each through the
+//! On every turn it is due — each tick of the cell's, which a threaded
+//! cell's timer and a step-driven cell's [`SmcCell::step`] both run — the
+//! loop samples whether discovery and the sink run, walks each through the
 //! `component-down` hysteresis, and publishes every transition as an
 //! `smc.health` event with [`SmcCell::publish_local`]. The cell's own
 //! obligations then decide: the built-in `restart-failed` policy fires
@@ -22,36 +22,26 @@
 //! carried out directly: the sibling that sent it has already decided.
 //! It is also what revives a loop that was stopped.
 //!
-//! A step-driven cell also runs anti-entropy ([`SmcCell::reconcile`]) on
-//! its loop's cadence. A threaded cell does not: the pass folds the
-//! whole log on a receive thread in the middle of live traffic, and on
-//! the ledger's `ward_durable` workload a pass every 500 ms took the cell
-//! from 161 k to 114 k events/s and from 5.2 to 10.1 heap requests per
-//! event (EXPERIMENTS.md, *PR 40*). Its owner calls
-//! [`SmcCell::reconcile`] when it wants one.
-//!
-//! A threaded cell's loop turns come from its endpoints' receive
-//! threads, so a cell whose discovery and sink are both down takes no
-//! more turns: it repairs nothing and its report stands still. That
-//! second fault is its owner's to notice (both channels read closed) and
-//! answer with a reboot.
+//! Every 500 ms the loop also runs anti-entropy ([`SmcCell::reconcile`]).
+//! A pass whose views all agree with the log by digest reads no log, so
+//! a quiet cell's passes cost it next to nothing; only a divergence folds
+//! the log. The timer outlives both endpoints, so a cell whose discovery
+//! and sink are both down restarts both.
 //!
 //! A turn with no transition, no open episode and no pass due takes no
 //! heap memory.
 
 use std::iter::zip;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::Arc;
 
 use smc_health::HealthState::{Degraded, Failed, Healthy};
 use smc_health::{
     health_event, ComponentHealth, HealthState, HealthTransition, Hysteresis, RepairAction,
     SuperviseConfig, SupervisionReport, Supervisor,
 };
-use smc_transport::{Datagram, Transport};
+use smc_transport::Transport;
 use smc_types::member::wellknown;
-use smc_types::{Event, Result, ServiceId, SharedClock};
+use smc_types::Event;
 
 use super::SmcCell;
 
@@ -69,7 +59,7 @@ const HYSTERESIS: Hysteresis = Hysteresis {
     fail_after: 2,
     recover_after: 1,
 };
-/// Anti-entropy cadence of a step-driven cell.
+/// Anti-entropy cadence.
 const RECONCILE_MICROS: u64 = 500_000;
 
 /// A transition of `component` under the loop's detector name.
@@ -95,6 +85,9 @@ pub(super) struct Loop {
     /// [`SmcCell::shutdown`], and in a cell with no log to restart from.
     running: bool,
     health: [ComponentHealth; 2],
+    /// When the loop next has work: the next sample or pass, or at once
+    /// after a repair.
+    due: u64,
     next_sample: u64,
     next_reconcile: u64,
     supervisor: Supervisor,
@@ -107,6 +100,7 @@ impl Loop {
         Loop {
             running,
             health: Default::default(),
+            due: 0,
             next_sample: 0,
             next_reconcile: 0,
             supervisor: Supervisor::new(CORE, &COMPONENTS, SuperviseConfig::default()),
@@ -117,18 +111,14 @@ impl Loop {
 
 impl SmcCell {
     /// One turn of the loop at the clock's now: sample if due, publish
-    /// transitions, retry or escalate open episodes, and — step-driven —
-    /// run anti-entropy if due.
+    /// transitions, retry or escalate open episodes, and run anti-entropy
+    /// if due.
     pub(super) fn manage(&self) {
         let now = self.config.clock.now_micros();
-        if now < self.due.load(Ordering::Relaxed) {
-            return;
-        }
         let Some(mut lp) = self.supervision.try_lock() else {
             return;
         };
-        if !lp.running {
-            self.due.store(u64::MAX, Ordering::Relaxed);
+        if now < lp.due || !lp.running {
             return;
         }
         let mut transitions = Vec::new();
@@ -156,15 +146,11 @@ impl SmcCell {
             let healthy = |c: &str| zip(COMPONENTS, states).any(|(k, s)| k == c && s == Healthy);
             actions = lp.supervisor.tick(now, healthy);
         }
-        let reconcile = self.stepped && now >= lp.next_reconcile;
+        let reconcile = now >= lp.next_reconcile;
         if reconcile {
             lp.next_reconcile = now + RECONCILE_MICROS;
         }
-        let mut due = lp.next_sample;
-        if self.stepped {
-            due = due.min(lp.next_reconcile);
-        }
-        self.due.store(due, Ordering::Relaxed);
+        lp.due = lp.next_sample.min(lp.next_reconcile);
         drop(lp);
         if reconcile {
             let fixes = self.reconcile().map(|r| r.divergences).unwrap_or_default();
@@ -259,7 +245,7 @@ impl SmcCell {
         let mut lp = self.supervision.lock();
         lp.repairs[usize::from(remote)].push((now, format!("{component}: {outcome}")));
         lp.next_sample = now;
-        self.due.store(now, Ordering::Relaxed);
+        lp.due = now;
     }
 
     /// Restarts `component` on a reopening of `transport`, its old
@@ -288,8 +274,9 @@ impl SmcCell {
     /// it again.
     #[doc(hidden)]
     pub fn set_supervising(&self, on: bool) {
-        self.supervision.lock().running = on && self.wal.is_some();
-        self.due.store(0, Ordering::Relaxed);
+        let mut lp = self.supervision.lock();
+        lp.running = on && self.wal.is_some();
+        lp.due = 0;
     }
 
     /// The loop's report: the supervisor's episodes and log, the repairs
@@ -304,73 +291,5 @@ impl SmcCell {
             .map(|(c, h)| (c.to_string(), h.state()))
             .collect();
         report
-    }
-}
-
-/// A threaded durable cell's endpoint: the transport, and a turn of the
-/// cell's loop each time the receive thread's poll returns — the thread
-/// already wakes on every datagram and every poll interval. A closed
-/// endpoint's thread takes its last turn on its way out; one that
-/// restarts its own component there does not wait for itself
-/// ([`ReliableChannel::close`](smc_transport::ReliableChannel::close)).
-#[derive(Debug)]
-pub(super) struct Managed {
-    inner: Arc<dyn Transport>,
-    cell: Weak<SmcCell>,
-    due: Arc<AtomicU64>,
-    clock: SharedClock,
-}
-
-impl Managed {
-    pub(super) fn wrap(
-        inner: Arc<dyn Transport>,
-        cell: Weak<SmcCell>,
-        due: Arc<AtomicU64>,
-        clock: SharedClock,
-    ) -> Arc<dyn Transport> {
-        Arc::new(Managed {
-            inner,
-            cell,
-            due,
-            clock,
-        })
-    }
-}
-
-impl Transport for Managed {
-    fn local_id(&self) -> ServiceId {
-        self.inner.local_id()
-    }
-
-    fn send(&self, to: ServiceId, payload: &[u8]) -> Result<()> {
-        self.inner.send(to, payload)
-    }
-
-    fn broadcast(&self, payload: &[u8]) -> Result<()> {
-        self.inner.broadcast(payload)
-    }
-
-    fn recv(&self, timeout: Option<Duration>) -> Result<Datagram> {
-        let got = self.inner.recv(timeout);
-        if self.due.load(Ordering::Relaxed) <= self.clock.now_micros() {
-            if let Some(cell) = self.cell.upgrade() {
-                cell.manage();
-            }
-        }
-        got
-    }
-
-    fn max_datagram(&self) -> usize {
-        self.inner.max_datagram()
-    }
-
-    fn close(&self) {
-        self.inner.close();
-    }
-
-    fn reopen(&self) -> Result<Arc<dyn Transport>> {
-        let inner = self.inner.reopen()?;
-        let (cell, due) = (self.cell.clone(), Arc::clone(&self.due));
-        Ok(Managed::wrap(inner, cell, due, Arc::clone(&self.clock)))
     }
 }

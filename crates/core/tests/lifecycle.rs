@@ -184,7 +184,7 @@ fn the_last_handle_may_be_the_one_dispatch_holds() {
 /// The membership handler also upgrades its weak cell reference for one
 /// change at a time, on the discovery thread that made the change, so
 /// the cell can be dropped there: by the discovery channel's receive
-/// thread inside a join, and by the discovery timer inside a lease purge.
+/// thread inside a join, and by the cell's timer inside a lease purge.
 /// The timer's drop closes the discovery channel, which joins the receive
 /// thread — so that thread must never be waiting for the handler the
 /// timer is running — and neither thread may join itself.
@@ -199,7 +199,7 @@ fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
         );
         let silent_after_joining = change == wellknown::PURGE_MEMBER;
         let expected_thread = if silent_after_joining {
-            format!("discovery-{}", cell.cell_id())
+            format!("smc-timer-{}", cell.cell_id())
         } else {
             format!("reliable-rx-{}", cell.discovery().local_id())
         };

@@ -1,11 +1,14 @@
 //! A threaded durable cell repairs itself: its discovery endpoint is
 //! stopped from outside, and the cell's own detect → repair loop —
-//! taking its turns on the bus endpoint's receive thread — restarts it on
-//! the same UDP port with no call from anyone, while a member keeps
-//! publishing and a subscriber checks every event arrives once, in
-//! order. A member cannot order the cell's repairs, and a cell whose two
-//! endpoints are both down is its owner's to reboot.
+//! taking its turns on the cell's timer — restarts it on the same UDP
+//! port with no call from anyone, while a member keeps publishing and a
+//! subscriber checks every event arrives once, in order. A member cannot
+//! order the cell's repairs; a cell whose two endpoints are both down
+//! restarts both; views corrupted outside any crash path are healed by
+//! the cell's own anti-entropy; and a pass never mistakes a member's
+//! departure in flight for a divergence.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,19 +203,128 @@ fn a_member_cannot_order_the_cells_repairs() {
     cell.shutdown();
 }
 
-/// The loop's turns ride on the endpoints' receive threads: with both
-/// endpoints down nothing gives it one, and the cell stays down until
-/// its owner, who sees both channels closed, reboots it.
+/// The loop's turns come from the cell's timer, which needs neither
+/// endpoint: with both down the cell restarts both on their old ports.
 #[test]
-fn a_threaded_cell_with_both_endpoints_down_is_its_owners_to_reboot() {
+fn a_threaded_cell_with_both_endpoints_down_restarts_both() {
     let cell = durable_cell(&[]);
     std::thread::sleep(Duration::from_millis(300));
+    let (discovery, bus) = (cell.discovery_channel(), cell.bus_channel());
     cell.discovery().shutdown();
-    cell.bus_channel().close();
-    std::thread::sleep(Duration::from_secs(1));
-    assert!(cell.discovery_channel().is_closed() && cell.bus_channel().is_closed());
+    bus.close();
+    let deadline = Instant::now() + TICK;
+    while !cell.supervision().converged()
+        || cell.discovery_channel().is_closed()
+        || cell.bus_channel().is_closed()
+    {
+        assert!(Instant::now() < deadline, "{:?}", cell.supervision());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(cell.discovery_channel().local_id(), discovery.local_id());
+    assert_eq!(cell.bus_channel().local_id(), bus.local_id());
     let report = cell.supervision();
-    assert_eq!(report.restarts, 0);
-    assert!(report.repairs.is_empty(), "{:?}", report.repairs);
+    for repair in ["discovery: done", "sink: done"] {
+        let made = report.repairs.iter().any(|(_, r)| r == repair);
+        assert!(made, "{repair} missing: {:?}", report.repairs);
+    }
+    cell.shutdown();
+}
+
+/// The members map loses a member and gains a ghost, and the discovery
+/// table forgets the member: the cell's own anti-entropy — every 500 ms,
+/// with no outside `reconcile` — puts all three right.
+#[test]
+fn a_threaded_cell_heals_its_corrupted_views_on_its_own() {
+    let member_t = Arc::new(UdpTransport::bind().unwrap());
+    let cell = durable_cell(&[&member_t]);
+    let member = connect(member_t, "sensor.vitals");
+    let (id, ghost) = (member.local_id(), ServiceId::from_raw(0x6057));
+    let healthy = |cell: &SmcCell| {
+        let ids: Vec<ServiceId> = cell.members().iter().map(|m| m.id).collect();
+        ids == [id] && cell.discovery().is_member(id)
+    };
+    let deadline = Instant::now() + TICK;
+    while !healthy(&cell) {
+        assert!(Instant::now() < deadline, "the member never settled in");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let repairs_before = cell.supervision().reconcile_repairs;
+    assert!(cell.corrupt_members(id, false));
+    assert!(cell.corrupt_members(ghost, true));
+    assert!(cell.discovery().forget_member(id));
+    assert!(!healthy(&cell));
+
+    let corrupted = Instant::now();
+    while !healthy(&cell) {
+        assert!(
+            corrupted.elapsed() < Duration::from_millis(1_200),
+            "not healed: {:?}",
+            cell.members()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let report = cell.supervision();
+    assert!(
+        report.reconcile_repairs >= repairs_before + 3,
+        "healed by the cell's own passes: {:?}",
+        report.log
+    );
+    member.shutdown();
+    cell.shutdown();
+}
+
+/// A member leaves, over and over, while full reconcile passes run back
+/// to back on another thread (each finds a planted ghost, so each folds
+/// the log). Discovery drops the member from its table before the cell's
+/// handler purges it; a pass in between must not take the logged member
+/// for one the table lost and re-admit it. Re-admitted, it would outlive
+/// its purge in the table, and its rejoin would never reach the cell:
+/// every round waits for the member to be back in both views, and its
+/// traffic is accepted at the end.
+#[test]
+fn a_member_that_leaves_during_a_pass_is_neither_readmitted_nor_stuck() {
+    let member_t = Arc::new(UdpTransport::bind().unwrap());
+    let cell = durable_cell(&[&member_t]);
+    let member = connect(member_t, "sensor.vitals");
+    let id = member.local_id();
+    // Back in both views, and the member has heard it: its departure
+    // has landed before its rejoin, which follows it on one channel.
+    let rejoined = |round: usize| {
+        let deadline = Instant::now() + TICK;
+        while !cell.members().iter().any(|m| m.id == id)
+            || !cell.discovery().is_member(id)
+            || member.agent().cell().is_none()
+        {
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: the member is stuck: table {}, map {:?}",
+                cell.discovery().is_member(id),
+                cell.members()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let passes = {
+        let (cell, stop) = (Arc::clone(&cell), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                cell.corrupt_members(ServiceId::from_raw(0x6057), true);
+                cell.reconcile().expect("reconcile");
+            }
+        })
+    };
+    for round in 0..100 {
+        rejoined(round);
+        member.agent().leave("churn").expect("a member leaves");
+    }
+    rejoined(100);
+    stop.store(true, Ordering::Relaxed);
+    passes.join().expect("the passes ran");
+    let event = Event::builder(EVENT_TYPE).attr("seq", 1i64).build();
+    member
+        .publish(event, TICK)
+        .expect("the rejoined member's publish");
+    member.shutdown();
     cell.shutdown();
 }

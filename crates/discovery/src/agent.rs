@@ -18,6 +18,8 @@ use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
 
+use crate::service::Ticker;
+
 /// Lifecycle notifications emitted by a [`MemberAgent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AgentEvent {
@@ -147,7 +149,8 @@ pub struct MemberAgent {
     events_tx: Sender<AgentEvent>,
     unhandled: Arc<Mutex<Unhandled>>,
     running: Arc<AtomicBool>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The heartbeat timer of a started agent.
+    timer: Ticker,
     manual: Option<Mutex<ManualAgent>>,
 }
 
@@ -186,7 +189,7 @@ impl MemberAgent {
             events_tx: events_tx.clone(),
             unhandled: Arc::clone(&unhandled),
             running: Arc::clone(&running),
-            worker: Mutex::new(None),
+            timer: Ticker::default(),
             manual: None,
         });
         let worker = Arc::new(AgentWorker {
@@ -205,11 +208,14 @@ impl MemberAgent {
         worker.channel.set_handler(Box::new(move |incoming| {
             receiving.handle_at(incoming, Instant::now());
         }));
-        let handle = std::thread::Builder::new()
-            .name(format!("member-agent-{}", agent.info.id))
-            .spawn(move || worker.run())
-            .expect("spawn member agent worker");
-        *agent.worker.lock() = Some(handle);
+        let name = format!("member-agent-{}", agent.info.id);
+        agent.timer.start(name, Duration::from_millis(10), move || {
+            let running = worker.running.load(Ordering::SeqCst) && !worker.channel.is_closed();
+            if running {
+                worker.heartbeat_if_due(Instant::now());
+            }
+            running
+        });
         agent
     }
 
@@ -263,7 +269,7 @@ impl MemberAgent {
             events_tx,
             unhandled,
             running,
-            worker: Mutex::new(None),
+            timer: Ticker::default(),
             manual: Some(Mutex::new(ManualAgent {
                 worker,
                 clock,
@@ -413,10 +419,7 @@ impl MemberAgent {
             return;
         }
         self.channel.close();
-        if let Some(handle) = self.worker.lock().take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
+        self.timer.stop();
         // Drop the sink with whatever it owns (the owner's queues
         // disconnect). A sink that is running — this call came from
         // inside it — is dropped by its caller when it returns.
@@ -451,16 +454,6 @@ struct AgentWorker {
 }
 
 impl AgentWorker {
-    /// The agent's own thread: the heartbeat timer, until the agent is
-    /// stopped or its channel closed under it.
-    fn run(&self) {
-        let poll = Duration::from_millis(10);
-        while self.running.load(Ordering::SeqCst) && !self.channel.is_closed() {
-            self.heartbeat_if_due(Instant::now());
-            std::thread::park_timeout(poll);
-        }
-    }
-
     /// Returns `true` if a heartbeat was sent or the cell declared lost.
     fn heartbeat_if_due(&self, now: Instant) -> bool {
         let mut st = self.state.lock();

@@ -31,4 +31,4 @@ pub mod service;
 pub use agent::{AgentConfig, AgentEvent, MemberAgent, PacketSink};
 pub use auth::{AcceptAll, Authenticator, DeviceTypeAllowList, SharedSecret};
 pub use membership::{MemberRecord, MemberState, MembershipEvent, MembershipTable};
-pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats, MembershipHandler};
+pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats, MembershipHandler, Ticker};

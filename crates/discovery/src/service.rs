@@ -18,7 +18,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
-use smc_types::{CellId, Error, Packet, PurgeReason, Result, ServiceId, ServiceInfo, SharedClock};
+use smc_types::{
+    system_clock, CellId, Error, Packet, PurgeReason, Result, ServiceId, ServiceInfo, SharedClock,
+};
 
 use crate::auth::{AcceptAll, Authenticator};
 use crate::membership::{MemberState, MembershipEvent, MembershipTable};
@@ -62,8 +64,7 @@ impl DiscoveryConfig {
             beacon_interval: Duration::from_millis(40),
             lease: Duration::from_millis(150),
             grace: Duration::from_millis(250),
-            authenticator: Arc::new(AcceptAll),
-            bus_endpoint: ServiceId::NIL,
+            ..DiscoveryConfig::default()
         }
     }
 
@@ -78,6 +79,14 @@ impl DiscoveryConfig {
     pub fn with_bus_endpoint(mut self, bus: ServiceId) -> Self {
         self.bus_endpoint = bus;
         self
+    }
+
+    /// How often a threaded owner ticks the service
+    /// ([`DiscoveryService::step`]): the beacon interval, held between 5
+    /// and 50 ms so lease accounting stays fine-grained.
+    pub fn tick_interval(&self) -> Duration {
+        self.beacon_interval
+            .clamp(Duration::from_millis(5), Duration::from_millis(50))
     }
 }
 
@@ -119,8 +128,8 @@ impl DiscoveryCounters {
 ///
 /// It is called one change at a time, in the order the table changed, by
 /// the thread that made the change — the channel's receive thread (joins,
-/// leaves, recoveries), the timer thread or the caller of
-/// [`DiscoveryService::step`] (lease expiries), the caller of
+/// leaves, recoveries), the caller of [`DiscoveryService::step`] (lease
+/// expiries; a started service's ticker thread), the caller of
 /// [`DiscoveryService::evict`] — or, if another thread is running the
 /// handler at that moment, by that thread once it returns: nobody waits
 /// for a handler. No lock the table's readers take is held, so it may read
@@ -144,70 +153,65 @@ struct ServiceState {
     /// Reports not yet handled: each is queued under this lock together
     /// with the change it reports, so the queue is in table order.
     unreported: VecDeque<Report>,
-}
-
-/// Step-driven state for a service built with
-/// [`DiscoveryService::with_clock`].
-#[derive(Debug)]
-struct ManualDriver {
-    clock: SharedClock,
-    /// Wall-clock anchor mapping virtual micros onto the `Instant`
-    /// timeline the membership table uses.
-    origin: Instant,
-    origin_micros: u64,
-    beacon_seq: u64,
-    next_beacon_micros: u64,
-}
-
-impl ManualDriver {
-    fn virtual_now(&self) -> Instant {
-        self.origin
-            + Duration::from_micros(self.clock.now_micros().saturating_sub(self.origin_micros))
-    }
+    /// Changes queued or in the handler: while any is, the table is ahead
+    /// of what its owner has made of it.
+    in_flight: usize,
 }
 
 /// The discovery service of one self-managed cell.
+///
+/// Its owner keeps its time: [`DiscoveryService::step`] sends the beacon
+/// when one is due and runs lease accounting. A cell's timer calls it on
+/// every tick; a step-driven owner calls it with its own clock; a service
+/// [`started`](DiscoveryService::start) on its own has a [`Ticker`] that
+/// does.
 #[derive(Debug)]
 pub struct DiscoveryService {
     worker: Arc<Worker>,
     /// The other end of an unclaimed service's handler.
     events: Receiver<MembershipEvent>,
-    timer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    manual: Option<Mutex<ManualDriver>>,
+    /// The ticker of a service started on its own.
+    ticker: Ticker,
 }
 
 impl DiscoveryService {
-    /// Starts a discovery service for `cell` on `channel`.
+    /// Starts a discovery service for `cell` on `channel`, served by the
+    /// channel's receive thread and ticked by a [`Ticker`] of its own.
     pub fn start(
         cell: CellId,
         channel: Arc<ReliableChannel>,
         config: DiscoveryConfig,
     ) -> Arc<Self> {
-        let service = Self::build(cell, channel, config, None);
-        // Requests are answered where they are received; the service's
-        // own thread only keeps time (beacons, leases).
-        let receiving = Arc::clone(&service.worker);
+        let poll = config.tick_interval();
+        let service = Self::with_clock(cell, channel, config, system_clock());
+        service.serve();
+        let (worker, name) = (Arc::clone(&service.worker), format!("discovery-{cell}"));
+        service.ticker.start(name, poll, move || {
+            let running = worker.running.load(Ordering::SeqCst) && !worker.channel.is_closed();
+            if running {
+                worker.tick();
+            }
+            running
+        });
         service
-            .worker
-            .channel
-            .set_handler(Box::new(move |incoming| {
-                receiving.handle_at(incoming, Instant::now());
-            }));
-        let worker = Arc::clone(&service.worker);
-        let handle = std::thread::Builder::new()
-            .name(format!("discovery-{cell}"))
-            .spawn(move || worker.run())
-            .expect("spawn discovery worker");
-        *service.timer.lock() = Some(handle);
-        service
+    }
+
+    /// Answers requests where they are received, on the channel's receive
+    /// thread, from now on rather than in [`DiscoveryService::step`]. Time
+    /// is still kept by `step` alone.
+    pub fn serve(&self) {
+        let worker = Arc::clone(&self.worker);
+        let handler = move |incoming: Incoming| worker.handle_at(incoming, worker.now());
+        self.worker.channel.set_handler(Box::new(handler));
     }
 
     /// Builds a **step-driven** discovery service timed by `clock`.
     ///
-    /// No worker thread is spawned: nothing happens until [`step`] is
-    /// called, which makes the service fully deterministic under a
-    /// [`smc_types::ManualClock`]. Lease and grace accounting advance
-    /// with the injected clock, not wall time.
+    /// No thread takes its channel's messages (until
+    /// [`DiscoveryService::serve`]): nothing happens until [`step`] is
+    /// called, which makes the service fully deterministic
+    /// under a [`smc_types::ManualClock`]. Lease and grace accounting
+    /// advance with the injected clock, not wall time.
     ///
     /// [`step`]: DiscoveryService::step
     pub fn with_clock(
@@ -216,34 +220,20 @@ impl DiscoveryService {
         config: DiscoveryConfig,
         clock: SharedClock,
     ) -> Arc<Self> {
-        let now_micros = clock.now_micros();
-        let driver = ManualDriver {
-            clock,
-            origin: Instant::now(),
-            origin_micros: now_micros,
-            beacon_seq: 0,
-            next_beacon_micros: now_micros,
-        };
-        Self::build(cell, channel, config, Some(driver))
-    }
-
-    /// A service nobody has claimed: its handler pushes onto the
-    /// [`DiscoveryService::events`] queue.
-    fn build(
-        cell: CellId,
-        channel: Arc<ReliableChannel>,
-        config: DiscoveryConfig,
-        manual: Option<ManualDriver>,
-    ) -> Arc<Self> {
         let (events_tx, events) = unbounded();
+        let origin = (Instant::now(), clock.now_micros());
         Arc::new(DiscoveryService {
             worker: Arc::new(Worker {
                 cell,
                 channel,
                 config,
+                beacon: Mutex::new((0, origin.1)),
+                origin,
+                clock,
                 state: Mutex::new(ServiceState {
                     table: MembershipTable::new(),
                     unreported: VecDeque::new(),
+                    in_flight: 0,
                 }),
                 handler: Mutex::new(Box::new(move |ev| {
                     let _ = events_tx.send(ev);
@@ -252,54 +242,23 @@ impl DiscoveryService {
                 counters: DiscoveryCounters::default(),
             }),
             events,
-            timer: Mutex::new(None),
-            manual: manual.map(Mutex::new),
+            ticker: Ticker::default(),
         })
     }
 
-    /// Performs one unit of discovery work at the injected clock's
-    /// current time: broadcasts a beacon if one is due, runs lease
-    /// accounting, and drains every inbound packet already queued on the
-    /// channel. Returns the number of packets, beacons and membership
-    /// transitions processed.
-    ///
-    /// # Panics
-    ///
-    /// If the service was built with [`DiscoveryService::start`] (which
-    /// owns a worker thread) rather than
-    /// [`DiscoveryService::with_clock`].
+    /// Keeps the service's time at its clock's now: broadcasts a beacon if
+    /// one is due and runs lease accounting — then, if no thread takes
+    /// the channel's messages, handles every one already queued. Returns
+    /// the number of packets, beacons and membership transitions
+    /// processed.
     pub fn step(&self) -> usize {
-        let mut drv = self
-            .manual
-            .as_ref()
-            .expect("step() requires a service built with DiscoveryService::with_clock")
-            .lock();
-        let now_micros = drv.clock.now_micros();
-        let mut work = 0;
-        if now_micros >= drv.next_beacon_micros {
-            drv.beacon_seq += 1;
-            self.worker.beacon(drv.beacon_seq);
-            drv.next_beacon_micros = now_micros + self.config().beacon_interval.as_micros() as u64;
-            work += 1;
-        }
-        let now = drv.virtual_now();
-        drop(drv);
-        work += self.worker.tick(now);
-        while let Ok(incoming) = self.worker.channel.recv(Some(Duration::ZERO)) {
+        let mut work = self.worker.tick();
+        let now = self.worker.now();
+        while let Some(incoming) = self.worker.channel.try_recv() {
             self.worker.handle_at(incoming, now);
             work += 1;
         }
         work
-    }
-
-    /// The cell this service announces.
-    pub fn cell(&self) -> CellId {
-        self.worker.cell
-    }
-
-    /// The timing and admission parameters in force.
-    pub fn config(&self) -> &DiscoveryConfig {
-        &self.worker.config
     }
 
     /// The service's own endpoint id.
@@ -337,6 +296,15 @@ impl DiscoveryService {
         self.worker.state.lock().table.snapshot()
     }
 
+    /// Snapshot of current members once the handler has seen every change
+    /// the table made; `None` while one is queued or being handled. What
+    /// an owner's views are diffed against, so a change half carried out
+    /// is never taken for a divergence.
+    pub fn settled_members(&self) -> Option<Vec<ServiceInfo>> {
+        let st = self.worker.state.lock();
+        (st.in_flight == 0).then(|| st.table.snapshot())
+    }
+
     /// Returns `true` if `id` is currently a member.
     pub fn is_member(&self, id: ServiceId) -> bool {
         self.worker.state.lock().table.contains(id)
@@ -348,10 +316,7 @@ impl DiscoveryService {
     /// never lapsed from the cell's point of view, the process merely
     /// died and came back.
     pub fn restore_member(&self, info: ServiceInfo) {
-        let now = match &self.manual {
-            Some(driver) => driver.lock().virtual_now(),
-            None => Instant::now(),
-        };
+        let now = self.worker.now();
         self.worker.state.lock().table.admit(info, now);
     }
 
@@ -391,17 +356,52 @@ impl DiscoveryService {
         registry.register_weak(self, |service, out| service.stats().samples(&[], out));
     }
 
-    /// Stops the service, its timer thread and its channel.
+    /// Stops the service, its ticker if it has one, and its channel.
     pub fn shutdown(&self) {
         if !self.worker.running.swap(false, Ordering::SeqCst) {
             return;
         }
         self.worker.channel.close();
-        if let Some(handle) = self.timer.lock().take() {
-            handle.thread().unpark();
-            // A handler may stop the service from the timer thread.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
+        self.ticker.stop();
+    }
+}
+
+/// A thread that keeps time: it calls its tick every poll interval until
+/// the tick returns `false`. What a started [`DiscoveryService`] and a
+/// threaded cell's timer both run on.
+#[derive(Debug, Default)]
+pub struct Ticker(Mutex<Option<std::thread::JoinHandle<()>>>);
+
+impl Ticker {
+    /// Starts the thread, `name`d, calling `tick` at once and then every
+    /// `poll` until it returns `false`.
+    ///
+    /// # Panics
+    ///
+    /// If the thread cannot be spawned.
+    pub fn start(
+        &self,
+        name: String,
+        poll: Duration,
+        mut tick: impl FnMut() -> bool + Send + 'static,
+    ) {
+        let thread = std::thread::Builder::new().name(name);
+        let thread = thread.spawn(move || {
+            while tick() {
+                std::thread::park_timeout(poll);
+            }
+        });
+        *self.0.lock() = Some(thread.expect("spawn a ticker"));
+    }
+
+    /// Wakes the thread and waits for it to end — its tick must return
+    /// `false` by now — unless called from the thread itself, as a tick
+    /// that stops its owner does.
+    pub fn stop(&self) {
+        if let Some(thread) = self.0.lock().take() {
+            thread.thread().unpark();
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
             }
         }
     }
@@ -414,12 +414,18 @@ impl Drop for DiscoveryService {
     }
 }
 
-/// What the service's handle, its channel's receive thread and its timer
-/// thread share.
+/// What the service's handle, its channel's receive thread and whoever
+/// keeps its time share.
 struct Worker {
     cell: CellId,
     channel: Arc<ReliableChannel>,
     config: DiscoveryConfig,
+    /// The service's one timekeeper: its clock, the clock's reading at an
+    /// `Instant` (mapping it onto the timeline the table uses), and the
+    /// last beacon's number with when the next is due.
+    clock: SharedClock,
+    origin: (Instant, u64),
+    beacon: Mutex<(u64, u64)>,
     state: Mutex<ServiceState>,
     /// Held by the thread running it; see [`Worker::drain`].
     handler: Mutex<MembershipHandler>,
@@ -437,44 +443,36 @@ impl std::fmt::Debug for Worker {
 }
 
 impl Worker {
-    /// The service's own thread: the beacon and lease timer, until the
-    /// service is stopped or its channel closed under it.
-    fn run(&self) {
-        let mut beacon_seq: u64 = 0;
-        let mut next_beacon = Instant::now();
-        let poll = self
-            .config
-            .beacon_interval
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(5));
-        while self.running.load(Ordering::SeqCst) && !self.channel.is_closed() {
-            let now = Instant::now();
-            if now >= next_beacon {
-                beacon_seq += 1;
-                self.beacon(beacon_seq);
-                next_beacon = now + self.config.beacon_interval;
-            }
-            self.tick(now);
-            std::thread::park_timeout(poll);
+    /// The beacon, if one is due, then lease accounting, at the clock's
+    /// now; returns the beacons sent and the transitions made.
+    fn tick(&self) -> usize {
+        let now_micros = self.clock.now_micros();
+        let mut schedule = self.beacon.lock();
+        let beacon = now_micros >= schedule.1;
+        if beacon {
+            schedule.0 += 1;
+            let (cell, discovery) = (self.cell, self.channel.local_id());
+            let beacon = Packet::Beacon {
+                cell,
+                discovery,
+                seq: schedule.0,
+            };
+            let _ = self.channel.broadcast_unreliable(&to_bytes(&beacon));
+            schedule.1 = now_micros + self.config.beacon_interval.as_micros() as u64;
         }
-    }
-
-    fn beacon(&self, seq: u64) {
-        let beacon = Packet::Beacon {
-            cell: self.cell,
-            discovery: self.channel.local_id(),
-            seq,
-        };
-        let _ = self.channel.broadcast_unreliable(&to_bytes(&beacon));
-    }
-
-    /// Lease accounting at `now`; returns the number of transitions.
-    fn tick(&self, now: Instant) -> usize {
+        drop(schedule);
         let mut st = self.state.lock();
+        let now = self.now();
         let transitions = st.table.tick(now, self.config.lease, self.config.grace);
         let n = transitions.len();
         self.report(st, transitions.into_iter().map(Report::Change));
-        n
+        usize::from(beacon) + n
+    }
+
+    /// The clock's now on the table's timeline.
+    fn now(&self) -> Instant {
+        let since = self.clock.now_micros().saturating_sub(self.origin.1);
+        self.origin.0 + Duration::from_micros(since)
     }
 
     /// Reports what was just done to the table under `st`: counts each
@@ -488,6 +486,7 @@ impl Worker {
         for report in reports {
             if let Report::Change(ev) = &report {
                 self.counters.count(ev);
+                st.in_flight += 1;
             }
             st.unreported.push_back(report);
         }
@@ -503,7 +502,10 @@ impl Worker {
             loop {
                 let next = self.state.lock().unreported.pop_front();
                 match next {
-                    Some(Report::Change(ev)) => handler(ev),
+                    Some(Report::Change(ev)) => {
+                        handler(ev);
+                        self.state.lock().in_flight -= 1;
+                    }
                     Some(Report::Answer(to, answer)) => {
                         let _ = self.channel.send(to, to_shared(&answer));
                     }

@@ -184,7 +184,8 @@ impl Decode for ServiceInfo {
         let device_type = r.str()?;
         let display_name = r.str()?;
         let n = r.collection_len()?;
-        let mut roles = Vec::with_capacity(n.min(64));
+        // A role is at least its two-byte length.
+        let mut roles = Vec::with_capacity(n.min(r.remaining() / 2));
         for _ in 0..n {
             roles.push(r.str()?);
         }

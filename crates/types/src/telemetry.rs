@@ -192,11 +192,14 @@ impl TelemetryMsg {
             "metric-delta" => {
                 let mut r = Reader::new(event.payload());
                 let n = r.u32().ok()? as usize;
-                let mut series = Vec::with_capacity(n.min(1024));
+                // Counts are the sender's claim: reserve only what the
+                // bytes left can hold (a series is at least 13 bytes, a
+                // label 4, a hop 18, a truncated trace 8).
+                let mut series = Vec::with_capacity(n.min(r.remaining() / 13));
                 for _ in 0..n {
                     let name = r.str().ok()?;
                     let labels_n = r.u16().ok()? as usize;
-                    let mut labels = Vec::with_capacity(labels_n.min(16));
+                    let mut labels = Vec::with_capacity(labels_n.min(r.remaining() / 4));
                     for _ in 0..labels_n {
                         labels.push((r.str().ok()?, r.str().ok()?));
                     }
@@ -218,7 +221,7 @@ impl TelemetryMsg {
             "trace-export" => {
                 let mut r = Reader::new(event.payload());
                 let n = r.u32().ok()? as usize;
-                let mut hops = Vec::with_capacity(n.min(1024));
+                let mut hops = Vec::with_capacity(n.min(r.remaining() / 18));
                 for _ in 0..n {
                     let trace = r.u64().ok()?;
                     let label = r.str().ok()?;
@@ -230,7 +233,7 @@ impl TelemetryMsg {
                     });
                 }
                 let t = r.u32().ok()? as usize;
-                let mut truncated = Vec::with_capacity(t.min(1024));
+                let mut truncated = Vec::with_capacity(t.min(r.remaining() / 8));
                 for _ in 0..t {
                     truncated.push(r.u64().ok()?);
                 }

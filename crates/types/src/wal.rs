@@ -682,7 +682,9 @@ fn get_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
             limit: MAX_SNAPSHOT_ENTRIES,
         });
     }
-    let mut out = Vec::with_capacity(len.min(1024));
+    // The count is the writer's claim; reserve only what the bytes that
+    // are left can hold (every entry is at least eight bytes).
+    let mut out = Vec::with_capacity(len.min(r.remaining() / 8));
     for _ in 0..len {
         out.push(T::decode(r)?);
     }

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use smc_types::codec::{from_bytes, to_bytes, to_shared, BytesMut};
+use smc_types::member::wellknown;
 use smc_types::{
-    encode_deliver, parse_filter, AttributeValue, CellId, Constraint, Event, Filter, Op, Packet,
-    ServiceId, ServiceInfo, SubscriptionId, TraceId, WalRecord,
+    encode_deliver, parse_filter, AttributeValue, CellId, Constraint, CoreSnapshot, Event, Filter,
+    Op, Packet, ServiceId, ServiceInfo, SubscriptionId, TelemetryMsg, TraceId, WalRecord,
 };
 
 // For the properties that measure what a decode reserves.
@@ -542,8 +543,66 @@ proptest! {
         let packet = from_bytes::<Packet>(&bytes);
         let event = from_bytes::<Event>(&bytes);
         let _ = from_bytes::<Filter>(&bytes);
+        let _ = from_bytes::<WalRecord>(&bytes);
+        let _ = from_bytes::<CoreSnapshot>(&bytes);
         prop_assert!(same_verdict(&Packet::from_message(bytes.clone()), &packet));
         prop_assert!(same_verdict(&Event::from_message(bytes), &event));
+    }
+
+    /// A telemetry event with any payload parses or is dropped, and what
+    /// the parse reserves is bounded by the payload, not by the counts it
+    /// claims (a label is the widest entry: 48 B in memory for its 4 B
+    /// minimum on the wire).
+    #[test]
+    fn telemetry_payloads_never_panic_or_overreserve(
+        kind in prop_oneof![Just("metric-delta"), Just("trace-export"), Just("slo-report")],
+        claimed in any::<u32>(),
+        rest in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut payload = claimed.to_le_bytes().to_vec();
+        payload.extend_from_slice(&rest);
+        let len = payload.len();
+        let event = Event::builder(wellknown::TELEMETRY)
+            .attr(wellknown::TEL_KIND, kind)
+            .payload(payload)
+            .build();
+        let (requests, _) = counting_alloc::during(|| TelemetryMsg::from_event(&event));
+        prop_assert!(
+            requests.bytes as usize <= 16 * len + 128,
+            "{} B requested for a {} B payload", requests.bytes, len
+        );
+    }
+
+    /// The log's decoders reserve in proportion to the bytes they are
+    /// given, whatever entry count a record or a snapshot claims (a
+    /// member is the widest entry: 80 B in memory, and each role 24 B for
+    /// its 2 B minimum on the wire).
+    #[test]
+    fn hostile_counts_cannot_make_log_decode_reserve(
+        claimed in any::<u32>(),
+        skip in 0usize..5,
+        rest in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // A snapshot whose first `skip` sequences are empty, then one
+        // that claims `claimed` entries.
+        let mut bytes = vec![0; 4 * skip];
+        bytes.extend_from_slice(&claimed.to_le_bytes());
+        bytes.extend_from_slice(&rest);
+        let (requests, _) = counting_alloc::during(|| from_bytes::<CoreSnapshot>(&bytes));
+        prop_assert!(
+            requests.bytes as usize <= 24 * bytes.len() + 128,
+            "{} B requested for a {} B snapshot", requests.bytes, bytes.len()
+        );
+        let joined = WalRecord::MemberJoined { info: ServiceInfo::new(ServiceId::from_raw(7), "s") };
+        let mut bytes = to_bytes(&joined);
+        let roles_at = bytes.len() - 2;
+        bytes[roles_at..].copy_from_slice(&(claimed as u16).to_le_bytes());
+        bytes.extend_from_slice(&rest);
+        let (requests, _) = counting_alloc::during(|| from_bytes::<WalRecord>(&bytes));
+        prop_assert!(
+            requests.bytes as usize <= 24 * bytes.len() + 128,
+            "{} B requested for a {} B record", requests.bytes, bytes.len()
+        );
     }
 
     /// `Display` writes the filter syntax: `parse_filter` reads it back

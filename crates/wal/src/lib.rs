@@ -16,6 +16,8 @@
 //! * [`WalChannelJournal`] adapts a [`Wal`] to the transport layer's
 //!   [`ChannelJournal`] hooks, so a `ReliableChannel` journals cursors
 //!   and outbound queues as it runs;
+//! * [`Wal::membership_digest`] tells an anti-entropy pass, without a
+//!   read of the log, which members the log folds to;
 //! * backends: [`FileBackend`] (real files, `fsync`), [`MemBackend`]
 //!   (deterministic, with injectable torn-tail / corrupt-record / fsync
 //!   faults for the virtual-time harness), and [`NoopBackend`] (retains
@@ -37,11 +39,13 @@
 //! only pre-boundary segments are removed — a record racing the
 //! checkpoint either made it into the captured state or survives in a
 //! retained segment, and replaying it on top is safe because every
-//! [`CoreSnapshot::apply`] fold is idempotent. Trimming records
-//! (`OutAck`, `OutForget`, `RxConsumed`) may be lost with the tail —
-//! recovery then resends or re-routes an already-handled message:
-//! receivers' restored cursors suppress the resend, and re-routing is
-//! the documented at-least-once downlink window.
+//! [`CoreSnapshot::apply`] fold is idempotent. A fold
+//! ([`Wal::recover_state`]) and a checkpoint exclude each other, so a
+//! fold never reads one snapshot and the segment list of the next.
+//! Trimming records (`OutAck`, `OutForget`, `RxConsumed`) may be lost
+//! with the tail — recovery then resends or re-routes an already-handled
+//! message: receivers' restored cursors suppress the resend, and
+//! re-routing is the documented at-least-once downlink window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -173,6 +177,11 @@ pub trait WalBackend: Send + Sync + std::fmt::Debug {
     ///
     /// I/O failure; on error the previous snapshot must survive.
     fn write_snapshot(&self, data: &[u8]) -> Result<()>;
+    /// Whether what is written can be read back — `false` only for
+    /// [`NoopBackend`], whose log can vouch for no digest.
+    fn retains(&self) -> bool {
+        true
+    }
 }
 
 fn io_err(context: &str, e: std::io::Error) -> Error {
@@ -472,6 +481,29 @@ impl WalBackend for NoopBackend {
     fn write_snapshot(&self, _data: &[u8]) -> Result<()> {
         Ok(())
     }
+
+    fn retains(&self) -> bool {
+        false
+    }
+}
+
+// --- the membership digest -------------------------------------------------
+
+/// An order-independent digest of a set of keys: the wrapping sum of a
+/// SplitMix64 hash of each key, so that a removal (adding the negated
+/// hash) cancels its add, and two sets that differ digest apart but for a
+/// 2^-64 collision.
+pub fn digest(keys: impl IntoIterator<Item = u64>) -> u64 {
+    keys.into_iter().map(mix).fold(0, u64::wrapping_add)
+}
+
+/// One key's share of a [`digest`]: SplitMix64's finaliser, offset so that
+/// key 0 does not hash to 0.
+fn mix(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 // --- the log engine --------------------------------------------------------
@@ -609,6 +641,9 @@ pub struct Wal {
     backend: Arc<dyn WalBackend>,
     config: WalConfig,
     inner: Mutex<WalInner>,
+    /// The digest of the folded membership ([`Wal::membership_digest`]).
+    /// Its lock keeps a fold, a compaction and a membership append apart.
+    membership: Mutex<Option<u64>>,
     counters: WalCounters,
 }
 
@@ -633,6 +668,7 @@ impl Wal {
         backend.create_segment(active)?;
 
         let wal = Wal {
+            membership: Mutex::new(vouch(backend.as_ref(), &fold.snapshot)),
             backend,
             config,
             inner: Mutex::new(WalInner {
@@ -658,12 +694,33 @@ impl Wal {
     /// for anti-entropy reconciliation and component restarts — callers
     /// diff live state against it and repair divergence.
     ///
+    /// No compaction runs during the fold: it reads a snapshot and the
+    /// segments that snapshot did not cover, never a newer snapshot's
+    /// segment list. The fold also resets [`Wal::membership_digest`].
+    ///
     /// # Errors
     ///
     /// Propagates backend I/O failures; damaged contents are skipped,
     /// as during open.
     pub fn recover_state(&self) -> Result<CoreSnapshot> {
-        Ok(fold_backend(self.backend.as_ref())?.snapshot)
+        let mut membership = self.membership.lock();
+        let snapshot = fold_backend(self.backend.as_ref())?.snapshot;
+        *membership = vouch(self.backend.as_ref(), &snapshot);
+        Ok(snapshot)
+    }
+
+    /// The order-independent digest of the member ids the log folds to,
+    /// kept at each `MemberJoined` / `MemberPurged` append and reset by
+    /// every fold and compaction — so a caller can tell that its views
+    /// agree with the log without reading it. `None` when the log cannot
+    /// vouch for it: a membership append failed (it may or may not have
+    /// landed), or the backend retains nothing.
+    ///
+    /// Between two folds it is exact for a log whose membership records
+    /// each change the folded set; a second join of a member (or a purge
+    /// of a non-member) moves it off the fold until the next fold.
+    pub fn membership_digest(&self) -> Option<u64> {
+        *self.membership.lock()
     }
 
     /// Appends one record, rotating segments as configured and fsyncing
@@ -675,7 +732,17 @@ impl Wal {
     /// treated as *not* durable (the channel layer then refuses to ack
     /// the state transition it describes).
     pub fn append(&self, record: &WalRecord) -> Result<()> {
-        self.append_with(|buf| record.encode(buf))
+        let hash = match record {
+            WalRecord::MemberJoined { info } => mix(info.id.raw()),
+            WalRecord::MemberPurged { member } => mix(member.raw()).wrapping_neg(),
+            _ => return self.append_with(|buf| record.encode(buf)),
+        };
+        let mut membership = self.membership.lock();
+        let appended = self.append_with(|buf| record.encode(buf));
+        *membership = membership
+            .filter(|_| appended.is_ok())
+            .map(|d| d.wrapping_add(hash));
+        appended
     }
 
     /// [`Wal::append`] for a record the caller writes itself — `encode`
@@ -748,6 +815,10 @@ impl Wal {
     /// `capture` runs *without* the append lock held (holding it would
     /// deadlock with journalling threads that hold channel locks across
     /// their appends) and should read the channel/bus state directly.
+    /// It must not append a membership record: the whole call excludes
+    /// folds ([`Wal::recover_state`]) and membership appends, so no
+    /// membership record lands past the boundary and the captured
+    /// members are what the log folds to afterwards.
     ///
     /// # Errors
     ///
@@ -758,6 +829,7 @@ impl Wal {
     where
         F: FnOnce() -> Result<CoreSnapshot>,
     {
+        let mut membership = self.membership.lock();
         let boundary = {
             let mut inner = self.inner.lock();
             let next = inner.active + 1;
@@ -772,6 +844,9 @@ impl Wal {
         framed.extend_from_slice(&crc32(&payload).to_le_bytes());
         framed.extend_from_slice(&payload);
         self.backend.write_snapshot(&framed)?;
+        // Old segments replay a suffix of what the snapshot holds, so a
+        // removal that fails does not change what the members fold to.
+        *membership = vouch(self.backend.as_ref(), &snapshot);
         for id in self.backend.segments()? {
             if id < boundary {
                 self.backend.remove_segment(id)?;
@@ -786,16 +861,17 @@ impl Wal {
         self.counters.snapshot()
     }
 
-    /// The backend this log writes to.
-    pub fn backend(&self) -> &Arc<dyn WalBackend> {
-        &self.backend
-    }
-
     /// Exports this log's counters into `registry` as `smc_wal_*` series,
     /// sampled at render time.
     pub fn register_with(self: &Arc<Self>, registry: &smc_telemetry::Registry) {
         registry.register_weak(self, |wal, out| wal.metrics().samples(&[], out));
     }
+}
+
+/// The membership digest of `snap`, if `backend` keeps what it is given.
+fn vouch(backend: &dyn WalBackend, snap: &CoreSnapshot) -> Option<u64> {
+    let ids = snap.members.iter().map(|m| m.id.raw());
+    backend.retains().then(|| digest(ids))
 }
 
 fn decode_snapshot(blob: &[u8]) -> Option<CoreSnapshot> {
