@@ -203,26 +203,23 @@ fn open_channel(
     let channel = match journal {
         None => ReliableChannel::new(transport, config.reliable.clone()),
         Some((wal, chan, snap)) => {
-            // The bus journal retains rx payloads: once the channel acks
-            // an event the device will never retransmit it, so the event
-            // must live in the log until it is routed. Discovery traffic
-            // is lease-protocol chatter a peer's next refresh regenerates,
-            // so a bare cursor suffices there.
-            let (journal, pending) = if chan == CHAN_BUS {
-                let journal = WalChannelJournal::with_rx_retention(Arc::clone(wal), chan);
-                (journal, snap.pending_rx_for(chan))
+            // Once the channel acks an event the device will never
+            // retransmit it, so the bus channel acks an event only once
+            // its routing is in the log. Discovery traffic is
+            // lease-protocol chatter a peer's next refresh regenerates,
+            // so its cursor moves at delivery.
+            let journal = if chan == CHAN_BUS {
+                WalChannelJournal::covering_routing(Arc::clone(wal), chan)
             } else {
-                (WalChannelJournal::new(Arc::clone(wal), chan), Vec::new())
+                WalChannelJournal::new(Arc::clone(wal), chan)
             };
             let (journal, cursors) = (Arc::new(journal), snap.cursors_for(chan));
             let reliable = config.reliable.clone();
             if stepped {
                 let clock = Arc::clone(&config.clock);
-                ReliableChannel::with_clock_journaled(
-                    transport, reliable, clock, journal, cursors, pending,
-                )
+                ReliableChannel::with_clock_journaled(transport, reliable, clock, journal, cursors)
             } else {
-                ReliableChannel::new_journaled(transport, reliable, journal, cursors, pending)
+                ReliableChannel::new_journaled(transport, reliable, journal, cursors)
             }
         }
     };
@@ -461,9 +458,9 @@ impl SmcCell {
     /// * `discovery` re-admits the members silently (no `Joined` event —
     ///   they never left, the component did);
     /// * `bus` gets the members and their proxies, the proxies'
-    ///   subscriptions under their original ids, quench state, the
-    ///   outbound queue re-sent in order, and the events a crash caught
-    ///   between ack and routing routed again.
+    ///   subscriptions under their original ids, quench state and the
+    ///   outbound queue re-sent in order. An event a crash caught before
+    ///   its cursor record was never acknowledged: its sender resends it.
     fn recover(
         &self,
         snap: &CoreSnapshot,
@@ -503,19 +500,6 @@ impl SmcCell {
             for (prior_seq, payload) in msgs {
                 let _ = channel.send_recovered(peer, payload, prior_seq);
             }
-        }
-        // Their senders saw these acknowledged and will never retransmit,
-        // so the log is the only copy. Routing goes through the normal
-        // dispatch path and marks each consumed, exactly as live traffic.
-        for (peer, _epoch, seq, payload) in snap.pending_rx_for(CHAN_BUS) {
-            self.dispatch(
-                channel,
-                Incoming::Reliable {
-                    from: peer,
-                    seq,
-                    payload,
-                },
-            );
         }
     }
 
@@ -578,8 +562,8 @@ impl SmcCell {
     /// Rebuilds the bus channel on `transport` — its old endpoint — from
     /// the log: receive cursors keep suppressing duplicates across the
     /// outage, every member gets a fresh proxy on the new channel with
-    /// its subscriptions, and the outbound queue and unrouted events are
-    /// recovered as a boot recovers them. In-process subscriptions stay.
+    /// its subscriptions, and the outbound queue is recovered as a boot
+    /// recovers it. In-process subscriptions stay.
     ///
     /// # Errors
     ///
@@ -922,19 +906,6 @@ impl SmcCell {
                 });
             }
         }
-        // Read the unconsumed list only *after* the cursors: a delivery
-        // advances the cursor and joins the list under one channel lock,
-        // so this order can over-report (entry present, cursor stale —
-        // harmless, replay is idempotent) but never under-report.
-        for (peer, epoch, seq, payload) in channel.unconsumed_rx() {
-            snap.pending_rx.push(smc_types::PendingRx {
-                chan: CHAN_BUS,
-                peer,
-                epoch,
-                seq,
-                payload,
-            });
-        }
         snap.members = self.discovery().members();
         snap.members.sort_by_key(|i| i.id);
         let proxies = self.proxies.lock();
@@ -1092,9 +1063,10 @@ impl SmcCell {
     }
 
     /// Routes one message from the bus channel `channel` and marks a
-    /// reliable one consumed once routing returns, releasing the journal's
-    /// retained copy; a crash mid-routing leaves the message pending in
-    /// the log and recovery re-routes it.
+    /// reliable one consumed once routing returns: the channel journals
+    /// its cursor after what routing journalled, and only then
+    /// acknowledges it. A crash mid-routing leaves the message
+    /// unacknowledged, and its sender resends it to the next incarnation.
     fn dispatch(&self, channel: &Arc<ReliableChannel>, incoming: Incoming) {
         let consumed = match &incoming {
             Incoming::Reliable { from, seq, .. } => Some((*from, *seq)),

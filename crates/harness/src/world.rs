@@ -556,7 +556,6 @@ impl Env {
             Arc::clone(&self.clock),
             Arc::new(WalChannelJournal::new(Arc::new(wal), chan)),
             Vec::new(),
-            Vec::new(),
         );
         channel.set_tracer(self.tracer.clone());
         channel

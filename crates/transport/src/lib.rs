@@ -36,7 +36,7 @@ pub use mem::{MemTransport, NetStats, SimNetwork};
 pub use profile::LinkConfig;
 pub use reliable::{
     ChannelJournal, ChannelStats, Handler, Incoming, PendingOutbound, Receipt, ReliableChannel,
-    ReliableConfig, UnconsumedRx,
+    ReliableConfig,
 };
 pub use transport::{Datagram, Transport};
 pub use udp::UdpTransport;

@@ -108,19 +108,17 @@ impl Default for ReliableConfig {
 /// The channel calls these hooks at the moments that matter for
 /// crash-consistency:
 ///
-/// * [`on_deliver`](ChannelJournal::on_deliver) is called **before** a
-///   message is delivered to the application or any of its fragments are
-///   acknowledged, and carries the payload so the journal can retain the
-///   message itself — not just the cursor advance — until the
-///   application confirms it finished with it. If journalling fails the
-///   message stays buffered and unacknowledged, so the sender
-///   retransmits and delivery is retried — anything a peer saw
-///   acknowledged is therefore durably recorded, payload included.
-/// * [`on_consumed`](ChannelJournal::on_consumed) is called once the
-///   application finished processing a delivered message
-///   ([`ReliableChannel::consumed`]); the journal may stop retaining its
-///   payload. Errors are ignored: the worst case is the payload being
-///   processed again after a crash.
+/// * [`on_deliver`](ChannelJournal::on_deliver) records the receive
+///   cursor past a message **before** any of its fragments is
+///   acknowledged. A channel whose journal
+///   [covers routing](ChannelJournal::covers_routing) calls it once the
+///   application consumed the message ([`ReliableChannel::consumed`]),
+///   after whatever the message caused was journalled; any other channel
+///   calls it before handing the message up. If journalling fails the
+///   message stays unacknowledged, so the sender retransmits, and the
+///   append is retried when the duplicate arrives — a message a peer saw
+///   acknowledged is therefore durably behind the cursor (and, on a
+///   channel that covers routing, durably routed).
 /// * [`on_enqueue`](ChannelJournal::on_enqueue) is called **before** a
 ///   message joins the outbound queue; a failure fails the send.
 /// * [`on_requeue`](ChannelJournal::on_requeue) is the crash-recovery
@@ -132,30 +130,22 @@ impl Default for ReliableConfig {
 ///   stale enqueue after a crash only causes a retransmission the
 ///   receiver's cursor suppresses.
 pub trait ChannelJournal: Send + Sync + std::fmt::Debug {
-    /// The receiver is about to deliver message `seq` (with `payload`)
-    /// from `peer`'s session `epoch` and acknowledge its fragments.
+    /// The receiver's cursor for `peer`'s session `epoch` is about to
+    /// move past message `seq`, and the message's fragments to be
+    /// acknowledged.
     ///
     /// # Errors
     ///
-    /// An error vetoes the delivery; the channel leaves the message
-    /// buffered and unacknowledged and retries later.
-    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64, payload: &[u8]) -> Result<()>;
-    /// Whether delivered payloads must be retained until
-    /// [`on_consumed`](ChannelJournal::on_consumed). When `true` the
-    /// channel tracks every delivery in its unconsumed list
-    /// ([`ReliableChannel::unconsumed_rx`]) so checkpoints can capture
-    /// in-flight messages.
-    fn retains_rx(&self) -> bool {
+    /// An error vetoes the acknowledgement; the channel keeps the message
+    /// unacknowledged (and, at delivery, undelivered) and retries later.
+    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64) -> Result<()>;
+    /// Whether the application journals what each message causes before
+    /// it marks it [consumed](ReliableChannel::consumed). When `true` the
+    /// channel hands a message up without journalling it and moves the
+    /// cursor — and acknowledges — only at consumption: a crash before
+    /// that leaves the message unacknowledged, and its sender resends it.
+    fn covers_routing(&self) -> bool {
         false
-    }
-    /// The application finished processing message `seq` from `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Errors are ignored by the channel (see trait docs).
-    fn on_consumed(&self, peer: ServiceId, seq: u64) -> Result<()> {
-        let _ = (peer, seq);
-        Ok(())
     }
     /// A message with (predicted) sequence number `seq` is about to be
     /// queued for `peer`. The payload is lent as the channel holds it: a
@@ -196,11 +186,6 @@ pub trait ChannelJournal: Send + Sync + std::fmt::Debug {
 /// [`ReliableChannel::outbound_pending`]: each entry pairs a peer with
 /// its `(sequence, payload)` list, oldest first.
 pub type PendingOutbound = Vec<(ServiceId, Vec<(u64, Vec<u8>)>)>;
-
-/// Delivered-but-unconsumed inbound messages, as returned by
-/// [`ReliableChannel::unconsumed_rx`]: `(peer, epoch, seq, payload)`
-/// entries in delivery order.
-pub type UnconsumedRx = Vec<(ServiceId, u64, u64, Vec<u8>)>;
 
 smc_telemetry::metric_set! {
     /// [`ChannelStats`] as the channel keeps them: one atomic per counter,
@@ -481,6 +466,13 @@ enum Reassembly {
 }
 
 impl PeerIn {
+    /// Where the acknowledged prefix ends: the first message handed up
+    /// and not yet acknowledged, or the next one to deliver. The cursor a
+    /// checkpoint records.
+    fn acked_below(&self) -> u64 {
+        self.unconsumed.front().map_or(self.expected, |m| m.seq)
+    }
+
     /// Files one fragment of message `seq`.
     fn reassemble(
         &mut self,
@@ -532,6 +524,10 @@ struct PeerIn {
     epoch: u64,
     /// Next sequence number to deliver.
     expected: u64,
+    /// Messages handed up and not yet acknowledged, oldest first: on a
+    /// channel whose journal covers routing, each until it is consumed
+    /// and the cursor past it journalled. Empty on every other channel.
+    unconsumed: VecDeque<Unconsumed>,
     /// Fully reassembled messages (payload, fragment count) waiting for
     /// their turn.
     ready: BTreeMap<u64, (Vec<u8>, u16)>,
@@ -539,6 +535,14 @@ struct PeerIn {
     partial: HashMap<u64, Partial>,
     /// The emptied list of the last message reassembled, for the next.
     spare: Fragments,
+}
+
+/// A delivered message waiting for [`ReliableChannel::consumed`].
+#[derive(Debug)]
+struct Unconsumed {
+    seq: u64,
+    frag_count: u16,
+    consumed: bool,
 }
 
 /// Acknowledgements owed to one peer and not yet on the wire.
@@ -584,12 +588,6 @@ struct Shared {
     /// flush sends and every send draws from the simulated network's
     /// seeded rng.
     held: Mutex<BTreeMap<ServiceId, HeldAcks>>,
-    /// Delivered messages the application has not yet confirmed via
-    /// [`ReliableChannel::consumed`], in delivery order. Populated only
-    /// when the journal retains rx payloads
-    /// ([`ChannelJournal::retains_rx`]); seeded from the snapshot on
-    /// recovery.
-    unconsumed: Mutex<UnconsumedRx>,
     /// Who takes delivered messages. The delivery step holds this lock
     /// across each hand-over and [`ReliableChannel::set_handler`] takes it
     /// to install, which is what orders "everything that arrived before
@@ -602,6 +600,9 @@ struct Shared {
     config: ReliableConfig,
     clock: SharedClock,
     journal: Option<Arc<dyn ChannelJournal>>,
+    /// Whether the journal [covers routing](ChannelJournal::covers_routing):
+    /// messages are acknowledged at [`ReliableChannel::consumed`].
+    covers_routing: bool,
     /// Hop recorder for traced payloads; disabled (free) by default.
     /// A copy-on-write snapshot, so the send and receive paths take it
     /// with one short load and hold no lock while recording.
@@ -647,15 +648,7 @@ impl ReliableChannel {
     /// Wraps `transport` in a reliable channel and starts its receive
     /// thread.
     pub fn new(transport: Arc<dyn Transport>, config: ReliableConfig) -> Arc<Self> {
-        ReliableChannel::build(
-            transport,
-            config,
-            system_clock(),
-            false,
-            None,
-            Vec::new(),
-            Vec::new(),
-        )
+        ReliableChannel::build(transport, config, system_clock(), false, None, Vec::new())
     }
 
     /// Like [`ReliableChannel::new`], but journalling every durable state
@@ -663,28 +656,17 @@ impl ReliableChannel {
     /// `restored` — the crash-recovery path.
     ///
     /// Each `(peer, epoch, expected)` entry in `restored` re-adopts a
-    /// pre-crash sender session: duplicates of messages delivered before
-    /// the crash are suppressed and re-acknowledged instead of being
-    /// delivered again. `pending` seeds the unconsumed list with
-    /// messages the crashed process delivered (and acked) but had not
-    /// finished processing — the caller must re-process each and mark it
-    /// [`consumed`](ReliableChannel::consumed).
+    /// pre-crash sender session: duplicates of messages acknowledged
+    /// before the crash are suppressed and re-acknowledged instead of
+    /// being delivered again.
     pub fn new_journaled(
         transport: Arc<dyn Transport>,
         config: ReliableConfig,
         journal: Arc<dyn ChannelJournal>,
         restored: Vec<(ServiceId, u64, u64)>,
-        pending: UnconsumedRx,
     ) -> Arc<Self> {
-        ReliableChannel::build(
-            transport,
-            config,
-            system_clock(),
-            false,
-            Some(journal),
-            restored,
-            pending,
-        )
+        let clock = system_clock();
+        ReliableChannel::build(transport, config, clock, false, Some(journal), restored)
     }
 
     /// Wraps `transport` in a **step-driven** reliable channel timed by
@@ -706,28 +688,19 @@ impl ReliableChannel {
         config: ReliableConfig,
         clock: SharedClock,
     ) -> Arc<Self> {
-        ReliableChannel::build(transport, config, clock, true, None, Vec::new(), Vec::new())
+        ReliableChannel::build(transport, config, clock, true, None, Vec::new())
     }
 
     /// The step-driven equivalent of [`ReliableChannel::new_journaled`]:
-    /// journalled, cursor-restored, pending-seeded and timed by `clock`.
+    /// journalled, cursor-restored and timed by `clock`.
     pub fn with_clock_journaled(
         transport: Arc<dyn Transport>,
         config: ReliableConfig,
         clock: SharedClock,
         journal: Arc<dyn ChannelJournal>,
         restored: Vec<(ServiceId, u64, u64)>,
-        pending: UnconsumedRx,
     ) -> Arc<Self> {
-        ReliableChannel::build(
-            transport,
-            config,
-            clock,
-            true,
-            Some(journal),
-            restored,
-            pending,
-        )
+        ReliableChannel::build(transport, config, clock, true, Some(journal), restored)
     }
 
     fn build(
@@ -737,7 +710,6 @@ impl ReliableChannel {
         manual: bool,
         journal: Option<Arc<dyn ChannelJournal>>,
         restored: Vec<(ServiceId, u64, u64)>,
-        pending: UnconsumedRx,
     ) -> Arc<Self> {
         assert!(
             2 * config.poll_interval <= config.initial_rto,
@@ -763,13 +735,13 @@ impl ReliableChannel {
             out: Mutex::new(HashMap::new()),
             peers_in: Mutex::new(peers_in),
             held: Mutex::new(BTreeMap::new()),
-            unconsumed: Mutex::new(pending),
             consumer: Mutex::new(Consumer::Inbox(inbox_tx)),
             stats: Counters::default(),
             closed: AtomicBool::new(false),
             epoch,
             config,
             clock,
+            covers_routing: journal.as_ref().is_some_and(|j| j.covers_routing()),
             journal,
             tracer: SnapshotCell::new(Arc::new(Tracer::disabled())),
         });
@@ -1111,8 +1083,9 @@ impl ReliableChannel {
     /// The receive cursors: one `(peer, epoch, expected)` triple per
     /// sender session seen (or restored), sorted by peer id.
     ///
-    /// Everything below `expected` has been delivered and acknowledged;
-    /// a snapshot of these triples is what recovery feeds back into
+    /// Everything below `expected` has been acknowledged — on a channel
+    /// whose journal covers routing, consumed; a snapshot of these
+    /// triples is what recovery feeds back into
     /// [`ReliableChannel::new_journaled`] to keep exactly-once across a
     /// restart.
     pub fn rx_cursors(&self) -> Vec<(ServiceId, u64, u64)> {
@@ -1120,53 +1093,34 @@ impl ReliableChannel {
         let mut cursors: Vec<(ServiceId, u64, u64)> = peers
             .iter()
             .filter(|(_, p)| p.epoch != 0)
-            .map(|(&id, p)| (id, p.epoch, p.expected))
+            .map(|(&id, p)| (id, p.epoch, p.acked_below()))
             .collect();
         cursors.sort_unstable_by_key(|&(id, _, _)| id);
         cursors
     }
 
-    /// Marks inbound message `seq` from `peer` as fully processed by the
-    /// application.
+    /// Marks inbound message `seq` from `peer`'s current session as
+    /// fully processed by the application.
     ///
-    /// For a journalled channel whose journal
-    /// [retains rx payloads](ChannelJournal::retains_rx) this drops the
-    /// message from the unconsumed list and records the consumption, so
-    /// neither the next checkpoint nor crash recovery re-processes it.
-    /// The journal is told even when the entry is not in the in-memory
-    /// list — recovery re-processes snapshot-restored messages that the
-    /// reborn channel never delivered itself. On other channels this is
-    /// a no-op.
+    /// On a channel whose journal
+    /// [covers routing](ChannelJournal::covers_routing) this is the
+    /// message's acknowledgement: once every message before it is
+    /// consumed too, the journal records the cursor past it and only
+    /// then are its fragments acknowledged. A failed append acknowledges
+    /// nothing; the sender's retransmission retries it. On other
+    /// channels this is a no-op.
     pub fn consumed(&self, peer: ServiceId, seq: u64) {
-        let Some(journal) = &self.shared.journal else {
+        if !self.shared.covers_routing {
+            return;
+        }
+        let mut peers_in = self.shared.peers_in.lock();
+        let Some(state) = peers_in.get_mut(&peer) else {
             return;
         };
-        if !journal.retains_rx() {
-            return;
+        if let Some(message) = state.unconsumed.iter_mut().find(|m| m.seq == seq) {
+            message.consumed = true;
+            self.shared.commit_consumed(peer, state);
         }
-        {
-            let mut unconsumed = self.shared.unconsumed.lock();
-            if let Some(pos) = unconsumed
-                .iter()
-                .position(|&(p, _, s, _)| p == peer && s == seq)
-            {
-                unconsumed.remove(pos);
-            }
-        }
-        let _ = journal.on_consumed(peer, seq);
-    }
-
-    /// Delivered inbound messages not yet marked
-    /// [`consumed`](ReliableChannel::consumed), in delivery order.
-    ///
-    /// Together with [`rx_cursors`](ReliableChannel::rx_cursors) and
-    /// [`outbound_pending`](ReliableChannel::outbound_pending) this is
-    /// the state a checkpoint captures: these messages were acknowledged
-    /// to their senders (who will never retransmit them) but their
-    /// downstream effects are not yet journalled, so a snapshot must
-    /// carry their payloads for recovery to re-process.
-    pub fn unconsumed_rx(&self) -> UnconsumedRx {
-        self.shared.unconsumed.lock().clone()
     }
 
     /// Unacknowledged outbound messages per peer: in-flight messages
@@ -1400,22 +1354,56 @@ impl Shared {
         }
     }
 
+    /// Holds the acknowledgement of in-order message `seq` from `to`'s
+    /// session `epoch` — with `frag_count` fragment acks, when the
+    /// receiver acknowledges whole messages rather than fragments as they
+    /// arrive — and sends what is held once half a window of messages is
+    /// owed, so a one-way stream is never paced by the poll tick (and a
+    /// window of one is acknowledged message by message). The window is
+    /// this end's own: both ends are assumed to be configured alike.
+    fn hold_ack(&self, to: ServiceId, epoch: u64, seq: u64, frag_count: u16) {
+        let mut held = self.held.lock();
+        let held = held.entry(to).or_default().for_epoch(epoch);
+        held.frags.extend((0..frag_count).map(|i| (seq, i)));
+        held.up_to = seq;
+        held.msgs += 1;
+        if held.msgs >= (self.config.window / 2).max(1) {
+            self.flush(to, held);
+        }
+    }
+
+    /// Journals `from`'s cursor past the run of consumed messages at the
+    /// front of its unconsumed list, then acknowledges them. A failed
+    /// append acknowledges nothing: the run stays listed, and the next
+    /// consumption or duplicate retries it. Called under `peers_in`, so
+    /// a checkpoint never reads the cursor without its record.
+    fn commit_consumed(&self, from: ServiceId, peer: &mut PeerIn) {
+        let run = peer.unconsumed.iter().take_while(|m| m.consumed).count();
+        let (Some(journal), Some(last)) = (&self.journal, run.checked_sub(1)) else {
+            return;
+        };
+        if journal
+            .on_deliver(from, peer.epoch, peer.unconsumed[last].seq)
+            .is_err()
+        {
+            return;
+        }
+        for message in peer.unconsumed.drain(..run) {
+            self.hold_ack(from, peer.epoch, message.seq, message.frag_count);
+        }
+    }
+
     /// Delivers every consecutive complete message starting at
     /// `expected`, beginning with the one that just `arrived` (if any):
     /// when that is the next in sequence — the common case — it is handed
     /// up from the hand and never enters `ready`.
     ///
-    /// With a journal attached, each delivery is recorded — payload
-    /// included — *before* the message is handed up or any fragment
-    /// acked (held or sent); a journal error leaves the message buffered
-    /// and unacknowledged so the sender retransmits and delivery is
-    /// retried — the invariant that makes an acked message durably
-    /// recorded.
-    /// When the journal retains rx payloads the message also joins the
-    /// unconsumed list (under the same `peers_in` lock the journal
-    /// append happened under, so checkpoints never observe the append
-    /// without its effect) until the application calls
-    /// [`ReliableChannel::consumed`].
+    /// With a journal attached the message is acknowledged whole, never
+    /// before its cursor is recorded: here, before it is handed up — a
+    /// journal error leaves it buffered and unacknowledged, so the sender
+    /// retransmits and delivery is retried — or, when the journal covers
+    /// routing, at [`ReliableChannel::consumed`]: the message joins the
+    /// unconsumed list and nothing is journalled or copied now.
     ///
     /// "Handed up" is a push onto `handover`: the caller holds `peers_in`,
     /// and the consumer is called only after it let go
@@ -1435,41 +1423,27 @@ impl Shared {
                 peer.ready.insert(seq, (msg, frag_count));
             }
         }
-        let journaled = self.journal.is_some();
-        // Half a window owed is sent without waiting for a ride, so a
-        // one-way stream is never paced by the poll tick (and a window
-        // of one is acknowledged message by message). The window is this
-        // end's own: both ends are assumed to be configured alike.
-        let bound = (self.config.window / 2).max(1);
         loop {
             let seq = peer.expected;
             let Some((msg, frag_count)) = in_hand.take().or_else(|| peer.ready.remove(&seq)) else {
                 break;
             };
-            if let Some(journal) = &self.journal {
-                if journal.on_deliver(from, peer.epoch, seq, &msg).is_err() {
-                    peer.ready.insert(seq, (msg, frag_count));
-                    break;
+            match &self.journal {
+                Some(_) if self.covers_routing => {
+                    peer.unconsumed.push_back(Unconsumed {
+                        seq,
+                        frag_count,
+                        consumed: false,
+                    });
                 }
-                if journal.retains_rx() {
-                    self.unconsumed
-                        .lock()
-                        .push((from, peer.epoch, seq, msg.clone()));
+                Some(journal) => {
+                    if journal.on_deliver(from, peer.epoch, seq).is_err() {
+                        peer.ready.insert(seq, (msg, frag_count));
+                        break;
+                    }
+                    self.hold_ack(from, peer.epoch, seq, frag_count);
                 }
-            }
-            {
-                let mut held = self.held.lock();
-                let held = held.entry(from).or_default().for_epoch(peer.epoch);
-                if journaled {
-                    // Journalled receivers ack at delivery time, the
-                    // whole message at once.
-                    held.frags.extend((0..frag_count).map(|i| (seq, i)));
-                }
-                held.up_to = seq;
-                held.msgs += 1;
-                if held.msgs >= bound {
-                    self.flush(from, held);
-                }
+                None => self.hold_ack(from, peer.epoch, seq, 0),
             }
             peer.expected = seq + 1;
             bump(&self.stats.msgs_delivered);
@@ -1634,8 +1608,8 @@ impl RxWorker {
         frag_count: u16,
         payload: Vec<u8>,
     ) {
-        // Journalled receivers acknowledge nothing until delivery is
-        // durably recorded; without a journal a fragment is acknowledged
+        // Journalled receivers acknowledge nothing until the cursor past
+        // the message is durably recorded; without a journal a fragment is acknowledged
         // as it is accepted. Either way the acknowledgement of in-order
         // data is held for a data frame to carry; only with dedup
         // disabled does the original ack-everything-on-arrival behaviour
@@ -1705,9 +1679,13 @@ impl RxWorker {
         // have been lost, and the sender is already retransmitting.
         if seq < peer.expected || peer.ready.contains_key(&seq) {
             bump(&self.shared.stats.duplicates_suppressed);
-            if !journaled || seq < peer.expected {
-                // (Journalled: its delivery is already recorded.)
+            if !journaled || seq < peer.acked_below() {
+                // (Journalled: its cursor is already recorded.)
                 self.shared.send_ack(from, epoch, seq, frag_index);
+            } else if seq < peer.expected {
+                // Delivered, its cursor not yet recorded: retry the append
+                // in case it failed at consumption.
+                self.shared.commit_consumed(from, peer);
             } else {
                 // Buffered but not yet journalled: don't ack, but retry
                 // the drain in case it stalled on a journal error earlier.

@@ -42,7 +42,7 @@ impl RecordingJournal {
 }
 
 impl ChannelJournal for RecordingJournal {
-    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64, _payload: &[u8]) -> Result<()> {
+    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64) -> Result<()> {
         if *self.failing.lock() {
             return Err(Error::Io("injected journal failure".into()));
         }
@@ -256,7 +256,6 @@ fn crashed_core_scenario(
         Arc::clone(&shared),
         Arc::clone(&journal) as Arc<dyn ChannelJournal>,
         Vec::new(),
-        Vec::new(),
     );
     let core_id = core.local_id();
     let device_id = device.local_id();
@@ -325,7 +324,6 @@ fn restored_cursors_suppress_redelivery_after_restart() {
         clock.clone() as SharedClock,
         Arc::new(RecordingJournal::default()) as Arc<dyn ChannelJournal>,
         restored,
-        Vec::new(),
     );
 
     // Let the device's retransmission timers fire until it drains.
@@ -375,7 +373,6 @@ fn lost_cursors_redeliver_after_restart() {
         clock.clone() as SharedClock,
         Arc::new(RecordingJournal::default()) as Arc<dyn ChannelJournal>,
         Vec::new(), // nothing recovered
-        Vec::new(),
     );
 
     let mut redelivered = Vec::new();
@@ -423,7 +420,6 @@ fn journal_failure_defers_delivery_and_ack_until_success() {
         config,
         Arc::clone(&shared),
         Arc::clone(&journal) as Arc<dyn ChannelJournal>,
-        Vec::new(),
         Vec::new(),
     );
 

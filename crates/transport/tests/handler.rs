@@ -19,7 +19,7 @@ use smc_transport::{
     ChannelJournal, Incoming, LinkConfig, ReliableChannel, ReliableConfig, SimNetwork,
     FRAME_HEADER_LEN,
 };
-use smc_types::{ManualClock, Result, ServiceId, SharedBytes, SharedClock};
+use smc_types::{Error, ManualClock, Result, ServiceId, SharedBytes, SharedClock};
 
 const TICK: Duration = Duration::from_secs(10);
 
@@ -46,23 +46,25 @@ fn forward_reliable(channel: &ReliableChannel) -> mpsc::Receiver<(ServiceId, u64
     rx
 }
 
-/// A journal that retains rx payloads and records nothing else: what the
-/// cell's bus channel runs with, minus the log.
+/// A journal that covers routing and records the cursors it is asked
+/// for, or refuses them while `failing`: what the cell's bus channel runs
+/// with, minus the log.
 #[derive(Debug, Default)]
-struct Retaining {
+struct Covering {
     consumed: Mutex<Vec<(ServiceId, u64)>>,
+    failing: Mutex<bool>,
 }
 
-impl ChannelJournal for Retaining {
-    fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
-        Ok(())
-    }
-    fn retains_rx(&self) -> bool {
-        true
-    }
-    fn on_consumed(&self, peer: ServiceId, seq: u64) -> Result<()> {
+impl ChannelJournal for Covering {
+    fn on_deliver(&self, peer: ServiceId, _: u64, seq: u64) -> Result<()> {
+        if *self.failing.lock() {
+            return Err(Error::Io("injected journal failure".into()));
+        }
         self.consumed.lock().push((peer, seq));
         Ok(())
+    }
+    fn covers_routing(&self) -> bool {
+        true
     }
     fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
@@ -272,19 +274,18 @@ fn messages_that_beat_the_handler_go_through_it_first() {
 }
 
 /// The handler runs with `peers_in` (and every other channel lock)
-/// released: it can send both ways, read the cursors and the unconsumed
-/// list and mark its message consumed, all on its own channel.
+/// released: it can send both ways, read the cursors and mark its message
+/// consumed, all on its own channel.
 #[test]
 fn a_handler_may_use_its_own_channel() {
     const MESSAGES: u64 = 200;
     let net = SimNetwork::new(LinkConfig::ideal());
     let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
-    let journal = Arc::new(Retaining::default());
+    let journal = Arc::new(Covering::default());
     let b = ReliableChannel::new_journaled(
         Arc::new(net.endpoint()),
         fast_config(),
         Arc::clone(&journal) as Arc<dyn ChannelJournal>,
-        Vec::new(),
         Vec::new(),
     );
     let own = Arc::clone(&b);
@@ -292,18 +293,18 @@ fn a_handler_may_use_its_own_channel() {
         let Incoming::Reliable { from, seq, payload } = incoming else {
             return;
         };
-        let cursor = own
-            .rx_cursors()
-            .into_iter()
-            .find(|&(peer, ..)| peer == from);
-        assert!(cursor.is_some_and(|(_, _, expected)| expected > seq));
-        assert!(own
-            .unconsumed_rx()
-            .iter()
-            .any(|&(peer, _, s, _)| peer == from && s == seq));
+        let cursor = |channel: &ReliableChannel| {
+            let cursors = channel.rx_cursors().into_iter();
+            cursors
+                .filter(|&(peer, ..)| peer == from)
+                .map(|(.., expected)| expected)
+                .next()
+        };
+        assert_eq!(cursor(&own), Some(seq), "not past the message yet");
         // Consumed first: the test reads the journal once it has both
         // answers.
         own.consumed(from, seq);
+        assert_eq!(cursor(&own), Some(seq + 1));
         own.send(from, payload).unwrap();
         own.send_unreliable(from, b"seen").unwrap();
     }));
@@ -321,7 +322,6 @@ fn a_handler_may_use_its_own_channel() {
             Incoming::Unreliable { .. } => seen += 1,
         }
     }
-    assert!(b.unconsumed_rx().is_empty());
     assert_eq!(journal.consumed.lock().len() as u64, MESSAGES);
     a.close();
     b.close();
@@ -352,18 +352,20 @@ fn a_step_driven_channel_delivers_inside_step() {
     assert_eq!(got, [(1, vec![0]), (2, vec![1]), (3, vec![2])]);
 }
 
-/// A journalled channel lists a message as unconsumed from before its
-/// handler is called until the handler (or whoever it handed it to) says
-/// so: a checkpoint taken while the handler runs carries the message.
+/// On a channel whose journal covers routing a message is acknowledged
+/// when it is consumed, not when it is delivered: while its handler runs
+/// and after it returned, the cursor a checkpoint reads stays at the
+/// message and the sender's retransmissions go unanswered, until the
+/// consumer says so.
 #[test]
-fn a_message_stays_unconsumed_while_its_handler_runs() {
+fn a_message_is_acknowledged_when_consumed() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
+    let journal = Arc::new(Covering::default());
     let b = ReliableChannel::new_journaled(
         Arc::new(net.endpoint()),
         fast_config(),
-        Arc::new(Retaining::default()),
-        Vec::new(),
+        Arc::clone(&journal) as Arc<dyn ChannelJournal>,
         Vec::new(),
     );
     let (entered_tx, entered) = mpsc::channel();
@@ -377,20 +379,87 @@ fn a_message_stays_unconsumed_while_its_handler_runs() {
     let Incoming::Reliable { from, seq, .. } = entered.recv_timeout(TICK).unwrap() else {
         panic!("a reliable message was sent");
     };
-    let held = b.unconsumed_rx();
-    assert_eq!(held.len(), 1, "listed while the handler has not returned");
-    assert_eq!(
-        (held[0].0, held[0].2, &held[0].3[..]),
-        (from, seq, &b"vitals"[..])
-    );
-    assert_eq!(b.rx_cursors(), [(from, held[0].1, seq + 1)]);
-
+    let cursor = || b.rx_cursors()[0].2;
+    assert_eq!(cursor(), seq, "not past the message while its handler runs");
     resume.send(()).unwrap();
+    // Two retransmissions arrive, and neither is answered.
+    let deadline = Instant::now() + TICK;
+    while b.stats().duplicates_suppressed < 2 {
+        assert!(Instant::now() < deadline, "the sender retransmits");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(a.pending(b.local_id()), 1, "unacknowledged until consumed");
+    assert_eq!(cursor(), seq);
+    assert!(journal.consumed.lock().is_empty(), "nothing journalled yet");
+
     b.consumed(from, seq);
-    assert!(b.unconsumed_rx().is_empty());
+    assert_eq!(journal.consumed.lock()[..], [(from, seq)]);
+    assert_eq!(cursor(), seq + 1);
+    while a.pending(b.local_id()) > 0 {
+        assert!(Instant::now() < deadline, "acknowledged once consumed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     a.close();
     b.close();
     net.shutdown();
+}
+
+/// A cursor append that fails at consumption withholds the ack; the
+/// sender's retransmission retries it, and the ack leaves once it lands.
+#[test]
+fn a_failed_cursor_append_is_retried_by_the_duplicate() {
+    let manual = Arc::new(ManualClock::new());
+    let clock: SharedClock = manual.clone();
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 1, Arc::clone(&clock));
+    let config = ReliableConfig::default();
+    let a =
+        ReliableChannel::with_clock(Arc::new(net.endpoint()), config.clone(), Arc::clone(&clock));
+    let journal = Arc::new(Covering::default());
+    *journal.failing.lock() = true;
+    let b = ReliableChannel::with_clock_journaled(
+        Arc::new(net.endpoint()),
+        config.clone(),
+        Arc::clone(&clock),
+        Arc::clone(&journal) as Arc<dyn ChannelJournal>,
+        Vec::new(),
+    );
+    let own = Arc::clone(&b);
+    let (handled_tx, handled) = mpsc::channel();
+    b.set_handler(Box::new(move |incoming| {
+        if let Incoming::Reliable { from, seq, .. } = incoming {
+            own.consumed(from, seq);
+            handled_tx.send(seq).unwrap();
+        }
+    }));
+    // One round: the sender's retransmission timer fires, the link
+    // carries both ways, both ends step.
+    let round = || {
+        manual.advance_millis(config.max_rto.as_millis() as u64);
+        a.step();
+        net.pump_due();
+        b.step();
+        b.step();
+        net.pump_due();
+        a.step();
+    };
+    a.send(b.local_id(), b"vitals".to_vec()).unwrap();
+    round();
+    round();
+    assert_eq!(handled.try_iter().collect::<Vec<_>>(), [1], "handled once");
+    assert!(
+        b.stats().duplicates_suppressed >= 1,
+        "the duplicate arrived"
+    );
+    assert_eq!(a.pending(b.local_id()), 1, "no ack while the append fails");
+    assert_eq!(b.rx_cursors()[0].2, 1);
+
+    *journal.failing.lock() = false;
+    round();
+    assert_eq!(a.pending(b.local_id()), 0, "the duplicate's retry acked it");
+    assert_eq!(journal.consumed.lock()[..], [(a.local_id(), 1)]);
+    assert_eq!(b.rx_cursors()[0].2, 2);
+    assert!(handled.try_recv().is_err(), "and nothing was handled twice");
+    b.close();
 }
 
 /// `close()` from another thread drops the handler and what it owns —

@@ -421,7 +421,7 @@ struct FlakyJournal {
 }
 
 impl ChannelJournal for FlakyJournal {
-    fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
+    fn on_deliver(&self, _: ServiceId, _: u64, _: u64) -> Result<()> {
         if *self.failing.lock() {
             return Err(Error::Io("injected journal failure".into()));
         }
@@ -457,7 +457,6 @@ fn undelivered_message_is_acknowledged_in_no_form() {
         ReliableConfig::default(),
         Arc::clone(&shared),
         Arc::clone(&journal) as Arc<dyn ChannelJournal>,
-        Vec::new(),
         Vec::new(),
     );
 

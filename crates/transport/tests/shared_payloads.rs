@@ -60,7 +60,7 @@ fn coalesced_acks_complete_journaled_deliveries() {
     #[derive(Debug, Default)]
     struct NullJournal;
     impl ChannelJournal for NullJournal {
-        fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
+        fn on_deliver(&self, _: ServiceId, _: u64, _: u64) -> Result<()> {
             Ok(())
         }
         fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
@@ -80,7 +80,6 @@ fn coalesced_acks_complete_journaled_deliveries() {
         Arc::new(net.endpoint()),
         fast_config(),
         Arc::new(NullJournal),
-        Vec::new(),
         Vec::new(),
     );
     // Payloads big enough to fragment, sent as one burst so the
@@ -155,7 +154,7 @@ impl Transport for SnoopTransport {
 #[derive(Debug, Default)]
 struct NullJournal;
 impl ChannelJournal for NullJournal {
-    fn on_deliver(&self, _: ServiceId, _: u64, _: u64, _: &[u8]) -> Result<()> {
+    fn on_deliver(&self, _: ServiceId, _: u64, _: u64) -> Result<()> {
         Ok(())
     }
     fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
@@ -191,7 +190,6 @@ fn snooped_pair() -> (
         Arc::clone(&snoop) as Arc<dyn Transport>,
         patient,
         Arc::new(NullJournal),
-        Vec::new(),
         Vec::new(),
     );
     (a, b, snoop)
@@ -347,7 +345,6 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
         ReliableConfig::default(),
         clock.clone(),
         Arc::new(NullJournal),
-        Vec::new(),
         Vec::new(),
     );
     let mut wire = Vec::new();

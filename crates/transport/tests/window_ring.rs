@@ -83,7 +83,7 @@ impl Transport for Wire {
 struct Retired(Mutex<Vec<u64>>);
 
 impl ChannelJournal for Retired {
-    fn on_deliver(&self, _peer: ServiceId, _epoch: u64, _seq: u64, _payload: &[u8]) -> Result<()> {
+    fn on_deliver(&self, _peer: ServiceId, _epoch: u64, _seq: u64) -> Result<()> {
         Ok(())
     }
     fn on_enqueue(&self, _peer: ServiceId, _seq: u64, _payload: &SharedBytes) -> Result<()> {
@@ -141,7 +141,6 @@ impl Case {
             config,
             clock.clone(),
             Arc::clone(&journal) as Arc<dyn ChannelJournal>,
-            Vec::new(),
             Vec::new(),
         );
         let mut rng = StdRng::seed_from_u64(seed);

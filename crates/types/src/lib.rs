@@ -68,4 +68,4 @@ pub use telemetry::{episode_trace, HopExport, SeriesDelta, TelemetryMsg};
 pub use text::parse_filter;
 pub use trace::TraceId;
 pub use value::AttributeValue;
-pub use wal::{CoreSnapshot, CursorEntry, OutboundEntry, PendingRx, RetainedOutbound, WalRecord};
+pub use wal::{CoreSnapshot, CursorEntry, OutboundEntry, RetainedOutbound, WalRecord};

@@ -38,7 +38,6 @@ const W_MEMBER_PURGED: u8 = 6;
 const W_SUBSCRIBED: u8 = 7;
 const W_UNSUBSCRIBED: u8 = 8;
 const W_RX_DELIVER: u8 = 9;
-const W_RX_CONSUMED: u8 = 10;
 const W_OUT_REQUEUE: u8 = 11;
 
 /// One durable state transition of the SMC core.
@@ -63,14 +62,12 @@ pub enum WalRecord {
         /// The next sequence number the receiver will deliver.
         expected: u64,
     },
-    /// A receiver is delivering message `seq` from `peer` and retains
-    /// its payload until the application confirms it was routed
-    /// ([`WalRecord::RxConsumed`]). Written *instead of* [`WalRecord::RxCursor`]
-    /// on channels whose inbound messages have durable downstream
-    /// effects (the bus channel): it advances the cursor exactly like an
-    /// `RxCursor { expected: seq + 1 }` *and* keeps the payload, so a
-    /// crash between the acknowledgement and the event's routing cannot
-    /// lose the message.
+    /// A delivered message with its payload: the cursor advance of an
+    /// `RxCursor { expected: seq + 1 }` plus the message's bytes. No
+    /// channel writes one — a receiver journals its cursor alone — and a
+    /// fold reads it as that cursor advance, dropping the bytes. It stays
+    /// a record kind because the ledger's `wal.append_us.*` rows time the
+    /// append of one, an event-sized record.
     RxDeliver {
         /// Which channel of the core delivered the message.
         chan: u8,
@@ -83,17 +80,6 @@ pub enum WalRecord {
         seq: u64,
         /// The full reassembled message payload.
         payload: Vec<u8>,
-    },
-    /// The application finished routing inbound message `seq` from
-    /// `peer` (every downstream effect is journalled); the retained
-    /// [`WalRecord::RxDeliver`] payload is no longer needed.
-    RxConsumed {
-        /// Which channel of the core the message arrived on.
-        chan: u8,
-        /// The sending peer.
-        peer: ServiceId,
-        /// The consumed sequence number.
-        seq: u64,
     },
     /// A message was queued for transmission to `peer` and must survive
     /// a crash until acknowledged (the paper's "queued and resent by the
@@ -165,26 +151,6 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Writes a [`WalRecord::RxDeliver`] whose payload the caller only
-    /// borrows — a channel journals the message it is about to hand up
-    /// without copying it into a record first. The one place that knows
-    /// the layout (`Encode` goes through here).
-    pub fn put_rx_deliver(
-        buf: &mut BytesMut,
-        chan: u8,
-        peer: ServiceId,
-        epoch: u64,
-        seq: u64,
-        payload: &[u8],
-    ) {
-        buf.put_u8(W_RX_DELIVER);
-        buf.put_u8(chan);
-        peer.encode(buf);
-        buf.put_u64_le(epoch);
-        buf.put_u64_le(seq);
-        buf.put_bytes_field(payload);
-    }
-
     /// Writes a [`WalRecord::OutEnqueue`] of a message on its way to a
     /// channel, its bytes written from however the message holds them
     /// ([`SharedBytes::put_range`]) — a channel journals what it queues
@@ -231,12 +197,13 @@ impl Encode for WalRecord {
                 epoch,
                 seq,
                 payload,
-            } => WalRecord::put_rx_deliver(buf, *chan, *peer, *epoch, *seq, payload),
-            WalRecord::RxConsumed { chan, peer, seq } => {
-                buf.put_u8(W_RX_CONSUMED);
+            } => {
+                buf.put_u8(W_RX_DELIVER);
                 buf.put_u8(*chan);
                 peer.encode(buf);
+                buf.put_u64_le(*epoch);
                 buf.put_u64_le(*seq);
+                buf.put_bytes_field(payload);
             }
             WalRecord::OutEnqueue {
                 chan,
@@ -305,11 +272,6 @@ impl Decode for WalRecord {
                 epoch: r.u64()?,
                 seq: r.u64()?,
                 payload: r.bytes()?,
-            }),
-            W_RX_CONSUMED => Ok(WalRecord::RxConsumed {
-                chan: r.u8()?,
-                peer: ServiceId::decode(r)?,
-                seq: r.u64()?,
             }),
             W_OUT_ENQUEUE => Ok(WalRecord::OutEnqueue {
                 chan: r.u8()?,
@@ -383,45 +345,6 @@ pub struct OutboundEntry {
     pub payload: Vec<u8>,
 }
 
-/// One inbound message a [`CoreSnapshot`] retains because it was
-/// acknowledged to its sender but not yet routed by the application
-/// (see [`WalRecord::RxDeliver`] / [`WalRecord::RxConsumed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingRx {
-    /// Which channel of the core the message arrived on.
-    pub chan: u8,
-    /// The sending peer.
-    pub peer: ServiceId,
-    /// The sender's session epoch.
-    pub epoch: u64,
-    /// The delivered sequence number.
-    pub seq: u64,
-    /// The full reassembled message payload.
-    pub payload: Vec<u8>,
-}
-
-impl Encode for PendingRx {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.chan);
-        self.peer.encode(buf);
-        buf.put_u64_le(self.epoch);
-        buf.put_u64_le(self.seq);
-        buf.put_bytes_field(&self.payload);
-    }
-}
-
-impl Decode for PendingRx {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PendingRx {
-            chan: r.u8()?,
-            peer: ServiceId::decode(r)?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            payload: r.bytes()?,
-        })
-    }
-}
-
 impl Encode for CursorEntry {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(self.chan);
@@ -475,9 +398,6 @@ pub struct CoreSnapshot {
     pub cursors: Vec<CursorEntry>,
     /// Queued-or-inflight outbound messages, oldest first per peer.
     pub outbound: Vec<OutboundEntry>,
-    /// Inbound messages acknowledged to their senders but not yet routed
-    /// by the application, in delivery (log) order.
-    pub pending_rx: Vec<PendingRx>,
     /// The admitted membership at snapshot time.
     pub members: Vec<ServiceInfo>,
     /// The installed subscriptions at snapshot time.
@@ -527,30 +447,9 @@ impl CoreSnapshot {
                 peer,
                 epoch,
                 seq,
-                payload,
+                ..
             } => {
                 self.upsert_cursor(*chan, *peer, *epoch, *seq + 1);
-                let duplicate = self.pending_rx.iter().any(|p| {
-                    p.chan == *chan && p.peer == *peer && p.epoch == *epoch && p.seq == *seq
-                });
-                if !duplicate {
-                    self.pending_rx.push(PendingRx {
-                        chan: *chan,
-                        peer: *peer,
-                        epoch: *epoch,
-                        seq: *seq,
-                        payload: payload.clone(),
-                    });
-                }
-            }
-            WalRecord::RxConsumed { chan, peer, seq } => {
-                if let Some(i) = self
-                    .pending_rx
-                    .iter()
-                    .position(|p| p.chan == *chan && p.peer == *peer && p.seq == *seq)
-                {
-                    self.pending_rx.remove(i);
-                }
             }
             WalRecord::OutEnqueue {
                 chan,
@@ -643,16 +542,6 @@ impl CoreSnapshot {
         grouped
     }
 
-    /// Acknowledged-but-unrouted inbound messages for one channel as
-    /// `(peer, epoch, seq, payload)`, in delivery (log) order.
-    pub fn pending_rx_for(&self, chan: u8) -> Vec<(ServiceId, u64, u64, Vec<u8>)> {
-        self.pending_rx
-            .iter()
-            .filter(|p| p.chan == chan)
-            .map(|p| (p.peer, p.epoch, p.seq, p.payload.clone()))
-            .collect()
-    }
-
     /// Receive cursors for one channel as `(peer, epoch, expected)`,
     /// sorted by peer id.
     pub fn cursors_for(&self, chan: u8) -> Vec<(ServiceId, u64, u64)> {
@@ -695,7 +584,6 @@ impl Encode for CoreSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
         put_seq(buf, &self.cursors);
         put_seq(buf, &self.outbound);
-        put_seq(buf, &self.pending_rx);
         put_seq(buf, &self.members);
         put_seq(buf, &self.subscriptions);
         buf.put_u64_le(self.next_subscription);
@@ -707,7 +595,6 @@ impl Decode for CoreSnapshot {
         Ok(CoreSnapshot {
             cursors: get_seq(r)?,
             outbound: get_seq(r)?,
-            pending_rx: get_seq(r)?,
             members: get_seq(r)?,
             subscriptions: get_seq(r)?,
             next_subscription: r.u64()?,
@@ -739,11 +626,6 @@ mod tests {
                 epoch: 123,
                 seq: 42,
                 payload: vec![9, 9, 9],
-            },
-            WalRecord::RxConsumed {
-                chan: 0,
-                peer: sid(7),
-                seq: 42,
             },
             WalRecord::OutEnqueue {
                 chan: 1,
@@ -1007,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_rx_deliver_and_consume_track_pending() {
+    fn apply_rx_deliver_is_a_cursor_advance() {
         let mut snap = CoreSnapshot::default();
         let deliver = WalRecord::RxDeliver {
             chan: 0,
@@ -1017,33 +899,22 @@ mod tests {
             payload: vec![0xCD],
         };
         snap.apply(&deliver);
+        snap.apply(&deliver);
         assert_eq!(
             snap.cursors_for(0),
             vec![(sid(3), 9, 5)],
             "a deliver advances the cursor past the delivered seq"
         );
-        assert_eq!(snap.pending_rx_for(0), vec![(sid(3), 9, 4, vec![0xCD])]);
-        // Replaying it (snapshot raced the log tail) adds nothing.
-        snap.apply(&deliver);
-        assert_eq!(snap.pending_rx_for(0).len(), 1);
-        snap.apply(&WalRecord::RxConsumed {
-            chan: 0,
-            peer: sid(3),
-            seq: 4,
+        assert_eq!(snap, {
+            let mut cursor = CoreSnapshot::default();
+            cursor.apply(&WalRecord::RxCursor {
+                chan: 0,
+                peer: sid(3),
+                epoch: 9,
+                expected: 5,
+            });
+            cursor
         });
-        assert!(snap.pending_rx_for(0).is_empty());
-        assert_eq!(
-            snap.cursors_for(0),
-            vec![(sid(3), 9, 5)],
-            "consuming trims the payload, not the cursor"
-        );
-        // Consuming again (replay) is a no-op.
-        snap.apply(&WalRecord::RxConsumed {
-            chan: 0,
-            peer: sid(3),
-            seq: 4,
-        });
-        assert!(snap.pending_rx_for(0).is_empty());
     }
 
     #[test]

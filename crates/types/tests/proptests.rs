@@ -4,8 +4,9 @@ use proptest::prelude::*;
 use smc_types::codec::{from_bytes, to_bytes, to_shared, BytesMut};
 use smc_types::member::wellknown;
 use smc_types::{
-    encode_deliver, parse_filter, AttributeValue, CellId, Constraint, CoreSnapshot, Event, Filter,
-    Op, Packet, ServiceId, ServiceInfo, SubscriptionId, TelemetryMsg, TraceId, WalRecord,
+    encode_deliver, parse_filter, AttributeSet, AttributeValue, CellId, Constraint, CoreSnapshot,
+    Event, Filter, Op, Packet, ServiceId, ServiceInfo, SubscriptionId, TelemetryMsg, TraceId,
+    WalRecord,
 };
 
 // For the properties that measure what a decode reserves.
@@ -49,6 +50,74 @@ fn arb_event() -> impl Strategy<Value = Event> {
             }
             b.build()
         })
+}
+
+/// One packet of each tag that carries a count or a length — attribute
+/// tables, constraint lists, roles, tokens, strings, opaque bytes — with
+/// every count and length in it above zero.
+fn counted_packets() -> Vec<Packet> {
+    let id = ServiceId::from_raw(7);
+    let event = Event::builder("smc.vitals")
+        .attr("bpm", 70i64)
+        .attr("site", "ward")
+        .publisher(id)
+        .seq(1)
+        .payload(vec![1, 2, 3])
+        .build();
+    let filter = Filter::for_type("smc.vitals")
+        .with(("bpm", Op::Gt, 100i64))
+        .with(("site", Op::Eq, "ward"));
+    let args: AttributeSet = [("limit", 120i64), ("floor", 40)]
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), AttributeValue::Int(value)))
+        .collect();
+    vec![
+        Packet::publish(event.clone()),
+        Packet::publish_acked(event.clone()),
+        Packet::deliver(event),
+        Packet::Subscribe {
+            request_id: 1,
+            filter: filter.clone(),
+        },
+        Packet::Advertise {
+            request_id: 2,
+            filter,
+        },
+        Packet::JoinRequest {
+            info: ServiceInfo::new(id, "sensor.ecg")
+                .with_role("publisher")
+                .with_role("ward"),
+            auth_token: vec![5; 4],
+        },
+        Packet::JoinResponse {
+            accepted: false,
+            reason: "full".into(),
+            cell: CellId(1),
+            lease_millis: 900,
+            bus: id,
+        },
+        Packet::Leave {
+            member: id,
+            reason: "bye".into(),
+        },
+        Packet::Command {
+            target: id,
+            name: "threshold".into(),
+            args,
+        },
+        Packet::CommandAck {
+            target: id,
+            name: "threshold".into(),
+        },
+        Packet::Raw(vec![9; 6]),
+        Packet::PolicyDeploy {
+            payload: vec![4; 8],
+        },
+        Packet::Error {
+            about: "publish".into(),
+            message: "denied".into(),
+        },
+    ]
 }
 
 /// Whether two decodes of the same bytes agree: the same error, or values
@@ -603,6 +672,41 @@ proptest! {
             requests.bytes as usize <= 24 * bytes.len() + 128,
             "{} B requested for a {} B record", requests.bytes, bytes.len()
         );
+    }
+
+    /// A packet's decoders reserve in proportion to the bytes they are
+    /// given, whatever a count or a length in it claims. Every offset of
+    /// every tag's encoding is tried as a two- and a four-byte claim, so
+    /// each count and length field is hit; the decode, from bytes or
+    /// adopting the message as the cell does, fails or asks the heap for
+    /// at most a constant times the bytes (an attribute or a constraint
+    /// is the widest entry for its minimum on the wire).
+    #[test]
+    fn hostile_counts_cannot_make_packet_decode_reserve(
+        claimed in any::<u32>(),
+        rest in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        for packet in counted_packets() {
+            let honest = to_bytes(&packet);
+            for at in 1..honest.len() {
+                for width in [2, 4] {
+                    let mut bytes = honest.clone();
+                    let end = (at + width).min(bytes.len());
+                    bytes[at..end].copy_from_slice(&claimed.to_le_bytes()[..end - at]);
+                    bytes.extend_from_slice(&rest);
+                    let (requests, _) = counting_alloc::during(|| from_bytes::<Packet>(&bytes));
+                    let message = bytes.clone();
+                    let (adopted, _) = counting_alloc::during(|| Packet::from_message(message));
+                    for requests in [requests, adopted] {
+                        prop_assert!(
+                            requests.bytes as usize <= 24 * bytes.len() + 128,
+                            "{} B requested for {} B of a {} ({} at {})",
+                            requests.bytes, bytes.len(), packet.kind(), claimed, at
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// `Display` writes the filter syntax: `parse_filter` reads it back

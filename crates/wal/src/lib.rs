@@ -24,16 +24,18 @@
 //!   nothing — exists so tests can prove the oracle catches a core that
 //!   recovers without a log).
 //!
-//! Crash-consistency argument, in one paragraph: the channel journals a
-//! delivery — payload included, for channels that retain rx
-//! (`RxDeliver`) — *before* delivering or acking a message, journals an
-//! outbound enqueue *before* the message can reach the wire, and
-//! journals consumption (`RxConsumed`) only after the application
-//! finished routing. So at every crash point, anything a peer saw
-//! acknowledged is in the log *with its payload* (exactly-once delivery
-//! into the core holds on replay, and recovery re-routes messages the
-//! crash caught between ack and routing), and anything accepted for
-//! sending is either in the log or was never sent (queue-until-acked
+//! Crash-consistency argument, in one paragraph: a receiver journals
+//! its cursor past a message (`RxCursor`) *before* it acknowledges any
+//! of the message's fragments — on the bus channel, whose journal covers
+//! routing, only once the application consumed the message, after the
+//! `OutEnqueue` records its routing appended; on the discovery channel
+//! at delivery — and the channel journals an outbound enqueue *before*
+//! the message can reach the wire. So at every crash point, anything a
+//! peer saw acknowledged is behind a journalled cursor, routed in the
+//! log when it was an event (exactly-once delivery into the core holds
+//! on replay); a message the crash caught before its cursor record was
+//! never acknowledged, and its sender resends it; and anything accepted
+//! for sending is either in the log or was never sent (queue-until-acked
 //! holds). Checkpoints use [`Wal::snapshot_with`]: the active segment is
 //! rotated *first* to pin a boundary, the state is captured after, and
 //! only pre-boundary segments are removed — a record racing the
@@ -42,10 +44,11 @@
 //! [`CoreSnapshot::apply`] fold is idempotent. A fold
 //! ([`Wal::recover_state`]) and a checkpoint exclude each other, so a
 //! fold never reads one snapshot and the segment list of the next.
-//! Trimming records (`OutAck`, `OutForget`, `RxConsumed`) may be lost
-//! with the tail — recovery then resends or re-routes an already-handled
-//! message: receivers' restored cursors suppress the resend, and
-//! re-routing is the documented at-least-once downlink window.
+//! Trimming records (`OutAck`, `OutForget`) may be lost with the tail —
+//! recovery then resends an already-delivered message. A crash between
+//! an event's `OutEnqueue` and its cursor record routes the event again
+//! when its sender resends it: both are the documented at-least-once
+//! downlink window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -747,8 +750,8 @@ impl Wal {
 
     /// [`Wal::append`] for a record the caller writes itself — `encode`
     /// must append exactly one [`WalRecord`] encoding to the buffer it is
-    /// given (e.g. [`WalRecord::put_rx_deliver`], from a payload the
-    /// caller only borrows). The record is framed where it is encoded, in
+    /// given (e.g. [`WalRecord::put_out_enqueue`], from a payload the
+    /// caller only lends). The record is framed where it is encoded, in
     /// the thread's encode scratch, and the backend reads it from there.
     ///
     /// # Errors
@@ -895,66 +898,50 @@ fn decode_snapshot(blob: &[u8]) -> Option<CoreSnapshot> {
 pub struct WalChannelJournal {
     wal: Arc<Wal>,
     chan: u8,
-    retain_rx: bool,
+    covers_routing: bool,
 }
 
 impl WalChannelJournal {
-    /// Journals channel `chan`'s state transitions into `wal`, recording
-    /// deliveries as bare cursor advances. Suitable for channels whose
+    /// Journals channel `chan`'s state transitions into `wal`, its
+    /// cursor as each message is delivered. Suitable for channels whose
     /// inbound traffic regenerates itself after a crash (discovery lease
-    /// chatter); a message lost between ack and routing is simply sent
+    /// chatter); a message lost between ack and handling is simply sent
     /// again by the peer's next refresh.
     pub fn new(wal: Arc<Wal>, chan: u8) -> Self {
         WalChannelJournal {
             wal,
             chan,
-            retain_rx: false,
+            covers_routing: false,
         }
     }
 
-    /// Like [`WalChannelJournal::new`], but retaining each delivered
-    /// payload (`RxDeliver`) until the application confirms it routed the
-    /// message (`RxConsumed`). Required for channels carrying events that
-    /// exist nowhere else once acknowledged — the bus channel — so a
-    /// crash between ack and routing cannot lose them.
-    pub fn with_rx_retention(wal: Arc<Wal>, chan: u8) -> Self {
+    /// Like [`WalChannelJournal::new`], but the cursor moves past a
+    /// message only once the application consumed it, after the records
+    /// its routing appended ([`ChannelJournal::covers_routing`]).
+    /// Required for channels carrying events that exist nowhere else once
+    /// acknowledged — the bus channel: a crash before the cursor record
+    /// leaves the event unacknowledged, and its sender resends it.
+    pub fn covering_routing(wal: Arc<Wal>, chan: u8) -> Self {
         WalChannelJournal {
             wal,
             chan,
-            retain_rx: true,
+            covers_routing: true,
         }
     }
 }
 
 impl ChannelJournal for WalChannelJournal {
-    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64, payload: &[u8]) -> Result<()> {
-        if self.retain_rx {
-            self.wal.append_with(|buf| {
-                WalRecord::put_rx_deliver(buf, self.chan, peer, epoch, seq, payload);
-            })
-        } else {
-            self.wal.append(&WalRecord::RxCursor {
-                chan: self.chan,
-                peer,
-                epoch,
-                expected: seq + 1,
-            })
-        }
-    }
-
-    fn retains_rx(&self) -> bool {
-        self.retain_rx
-    }
-
-    fn on_consumed(&self, peer: ServiceId, seq: u64) -> Result<()> {
-        if !self.retain_rx {
-            return Ok(());
-        }
-        self.wal.append(&WalRecord::RxConsumed {
+    fn on_deliver(&self, peer: ServiceId, epoch: u64, seq: u64) -> Result<()> {
+        self.wal.append(&WalRecord::RxCursor {
             chan: self.chan,
             peer,
-            seq,
+            epoch,
+            expected: seq + 1,
         })
+    }
+
+    fn covers_routing(&self) -> bool {
+        self.covers_routing
     }
 
     fn on_enqueue(&self, peer: ServiceId, seq: u64, payload: &SharedBytes) -> Result<()> {
@@ -1298,7 +1285,7 @@ mod tests {
         let wal = Arc::new(wal);
         let bus = WalChannelJournal::new(Arc::clone(&wal), CHAN_BUS);
         let disco = WalChannelJournal::new(Arc::clone(&wal), CHAN_DISCOVERY);
-        bus.on_deliver(sid(1), 3, 9, &[1, 2]).unwrap();
+        bus.on_deliver(sid(1), 3, 9).unwrap();
         disco
             .on_enqueue(sid(2), 1, &SharedBytes::from(vec![5, 6]))
             .unwrap();
@@ -1313,46 +1300,37 @@ mod tests {
         assert_eq!(
             recovered.snapshot.cursors_for(CHAN_BUS),
             vec![(sid(1), 3, 10)],
-            "a cursor-only deliver advances past the delivered seq"
-        );
-        assert!(
-            recovered.snapshot.pending_rx_for(CHAN_BUS).is_empty(),
-            "cursor-only journals retain no payloads"
+            "a deliver advances past the delivered seq"
         );
         assert!(recovered.snapshot.cursors_for(CHAN_DISCOVERY).is_empty());
         assert!(recovered.snapshot.outbound_for(CHAN_DISCOVERY).is_empty());
     }
 
     #[test]
-    fn rx_retaining_journal_keeps_payloads_until_consumed() {
+    fn a_journal_covering_routing_writes_the_cursor_alone() {
         let backend = MemBackend::new();
         let (wal, _) = open_mem(&backend);
         let wal = Arc::new(wal);
-        let bus = WalChannelJournal::with_rx_retention(Arc::clone(&wal), CHAN_BUS);
-        assert!(bus.retains_rx());
-        bus.on_deliver(sid(1), 3, 9, &[7, 7]).unwrap();
-        drop(bus);
-        drop(wal);
+        let bus = WalChannelJournal::covering_routing(Arc::clone(&wal), CHAN_BUS);
+        let disco = WalChannelJournal::new(Arc::clone(&wal), CHAN_DISCOVERY);
+        assert!(bus.covers_routing() && !disco.covers_routing());
+        bus.on_deliver(sid(1), 3, 9).unwrap();
+        let one = wal.metrics().bytes_appended;
+        disco.on_deliver(sid(1), 3, 9).unwrap();
+        assert_eq!(
+            wal.metrics().bytes_appended,
+            2 * one,
+            "one cursor record each, no payload"
+        );
+        drop((bus, disco, wal));
 
-        // Crash between ack and routing: the payload must still be here.
-        let (wal, recovered) = open_mem(&backend);
+        let (_, recovered) = open_mem(&backend);
+        assert_eq!(recovered.replayed, 2);
         assert_eq!(
             recovered.snapshot.cursors_for(CHAN_BUS),
             vec![(sid(1), 3, 10)]
         );
-        assert_eq!(
-            recovered.snapshot.pending_rx_for(CHAN_BUS),
-            vec![(sid(1), 3, 9, vec![7, 7])],
-            "acked-but-unrouted message survives with its payload"
-        );
-        let bus = WalChannelJournal::with_rx_retention(Arc::new(wal), CHAN_BUS);
-        bus.on_consumed(sid(1), 9).unwrap();
-
-        let (_, recovered) = open_mem(&backend);
-        assert!(
-            recovered.snapshot.pending_rx_for(CHAN_BUS).is_empty(),
-            "consumption releases the retained payload"
-        );
+        assert_eq!(recovered.snapshot.outbound, vec![]);
     }
 
     #[test]
