@@ -1080,13 +1080,19 @@ impl SmcCell {
 
     fn handle_incoming(&self, channel: &Arc<ReliableChannel>, incoming: Incoming) {
         let from = incoming.from();
-        let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
-            return;
-        };
         // Membership gate: everything on the bus endpoint requires
         // membership, and a member is in `members` from before discovery
         // answers its join until its purge is handled.
         let member_info = self.members.lock().get(&from).cloned();
+        if member_info.is_none() && matches!(incoming, Incoming::Unreliable { .. }) {
+            // Unanswered: a non-member's fire-and-forget datagram — a
+            // discovery beacon the bus endpoint overhears — is worth no
+            // reliable refusal (on a durable cell, three log records).
+            return;
+        }
+        let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
+            return;
+        };
         let Some(info) = member_info else {
             refuse(channel, from, packet.kind(), "not a member of this cell");
             return;

@@ -2,8 +2,9 @@
 //! real, threaded cell: publisher `RemoteClient` → mem link → bus channel
 //! (whose receive thread dispatches: no inbox, no dispatch thread) → bus →
 //! proxy → mem link → subscriber `RemoteClient` (routed on *its* channel's
-//! receive thread), 64 B, 1 → 1, the ledger's `vitals_udp` shape on the
-//! in-memory link.
+//! receive thread), 1 → 1: 64 B, the ledger's `vitals_udp` shape on the
+//! in-memory link, and 4 096 B, its `ecg_bulk` (four fragments a hop at
+//! MTU 1 400).
 //!
 //! The rule the path is held to: none to send or share an event (its
 //! packet is its body under a tag), and a decode asks for what the decoded
@@ -15,23 +16,30 @@
 //! |---------------------------------------------------------|----------|
 //! | driver: clone of the pooled event                       | 0        |
 //! | publisher: `Publish` — the event under a tag (`Packet::into_shared`) — sent | 0 |
-//! | link: one buffer per datagram, 2 data frames            | 2        |
-//! | link: a standalone acknowledgement per half window and hop | ≈ 0.1 |
-//! | `Frame` decode ×2 (the payload keeps the datagram)      | 0        |
+//! | link: one buffer per datagram, 2 data frames — kept as the message | 2 |
+//! | link: a standalone acknowledgement per half window and hop, in a buffer its receiver gave back | 0 |
+//! | `Frame` decode ×2 (the payload keeps the datagram; a batch's entries are read where they lie) | 0 |
 //! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its shared body, three attributes in its inline table) | 1 |
 //! | cell: event shared with the bus; policy, nothing firing | 0        |
 //! | bus: the `Deliver` — the adopted event under another tag, its stamp written as it is framed; proxy sends it as it is | 0 |
 //! | subscriber: `Deliver` adopted (body)                    | 1        |
 //! | send windows: rings whose buffers are reused            | 0        |
-//! | **plain**                                               | **≈ 4.1** |
-//! | durable: the log's segments growing (3 records, framed in scratch) | ≈ 0.1 |
-//! | **durable**                                             | **≈ 4.2** |
+//! | **plain**                                               | **≈ 4.0** |
+//! | durable: the log's segments growing (3 records, framed in scratch) | ≈ 0.01 |
+//! | **durable**                                             | **≈ 4.0** |
+//! | 4 096 B: link, 4 data frames a hop, each in a buffer its receiver gave back | 0 |
+//! | 4 096 B: the reassembled message, a hop — it is the message the event is adopted from | 2 |
+//! | 4 096 B: the fragments, handed back to the link once copied | 0     |
+//! | **plain, 4 096 B**                                      | **≈ 4.0** |
 //!
 //! Nothing is sent back at the application level: the publisher did not
 //! ask for a `PublishAck`, and the channel's own acknowledgement — held,
 //! cumulative, one datagram per half window — is all either hop pays.
 //!
-//! Measured here: 4.14 plain, 4.15 durable (5.16 durable while the bus
+//! Measured here: 4.02 plain, 4.03 durable, 4.05 plain at 4 096 B (4.13,
+//! 4.15 and 12.15 while the link gave every datagram a fresh buffer and
+//! the receiver freed each one it did not keep: its acknowledgements, and
+//! a bulk event's eight fragments; 5.16 durable while the bus
 //! channel kept a copy of each delivered message until it was consumed
 //! and journalled it whole, payload included; 6.5 and 7.5 while the
 //! attribute table was a `Vec` of its own and the send windows were
@@ -85,9 +93,9 @@ fn reliable() -> ReliableConfig {
     }
 }
 
-/// Heap requests per delivered event, process-wide, over `EVENTS` events
-/// after `WARM_UP`.
-fn requests_per_event(durable: bool) -> f64 {
+/// Heap requests per delivered event of `payload` bytes, process-wide,
+/// over `EVENTS` events after `WARM_UP`.
+fn requests_per_event(durable: bool, payload: usize) -> f64 {
     let net = SimNetwork::with_seed(LinkConfig::ideal(), 1);
     let endpoint = || -> Arc<dyn Transport> { Arc::new(net.endpoint()) };
     let config = SmcConfig {
@@ -133,7 +141,7 @@ fn requests_per_event(durable: bool) -> f64 {
                 .attr("bpm", 60 + i)
                 .attr("patient", 0x12_3456_7890 + i)
                 .attr("sum", -i)
-                .payload(vec![i as u8; 64])
+                .payload(vec![i as u8; payload])
                 .build()
         })
         .collect();
@@ -149,6 +157,7 @@ fn requests_per_event(durable: bool) -> f64 {
             let event = subscriber.next_event(STEP).expect("delivery");
             delivered += 1;
             assert_eq!(event.seq(), delivered, "in order, exactly once");
+            assert_eq!(event.payload().len(), payload);
         }
     };
     run(WARM_UP);
@@ -160,7 +169,9 @@ fn requests_per_event(durable: bool) -> f64 {
     subscriber.shutdown();
     cell.shutdown();
     net.shutdown();
-    requests as f64 / EVENTS as f64
+    let per_event = requests as f64 / EVENTS as f64;
+    eprintln!("durable {durable}, {payload} B: {per_event:.3} requests per event");
+    per_event
 }
 
 /// Heap requests the calling thread makes over step-driven turns of a
@@ -206,11 +217,16 @@ fn quiet_loop_turn_requests() -> u64 {
 #[test]
 fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
     assert_eq!(quiet_loop_turn_requests(), 0, "a quiet loop turn allocated");
-    let plain = requests_per_event(false);
+    let plain = requests_per_event(false, 64);
     assert!(plain <= 5.0, "plain cell: {plain} heap requests per event");
-    let durable = requests_per_event(true);
+    let durable = requests_per_event(true, 64);
     assert!(
         durable <= 5.0,
         "durable cell: {durable} heap requests per event"
+    );
+    let bulk = requests_per_event(false, 4096);
+    assert!(
+        bulk <= 5.0,
+        "plain cell, 4 096 B events: {bulk} heap requests per event"
     );
 }

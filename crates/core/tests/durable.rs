@@ -566,3 +566,67 @@ fn reconcile_repairs_corrupted_membership_and_routing() {
     );
     cell.shutdown();
 }
+
+/// The bus endpoint hears every beacon its own discovery service
+/// broadcasts. A durable cell with no members, stepped through 20 beacon
+/// intervals, answers none of them — its log takes no record at all,
+/// so none addressed to its discovery endpoint — while a non-member's
+/// reliable `Publish` is still refused.
+#[test]
+fn a_cell_leaves_beacons_unanswered_and_refuses_a_strangers_publish() {
+    const BEACON_MS: u64 = 25;
+    let manual = Arc::new(ManualClock::new());
+    let clock: SharedClock = manual.clone();
+    let net = SimNetwork::with_clock(LinkConfig::ideal(), 7, Arc::clone(&clock));
+    let config = SmcConfig {
+        discovery: DiscoveryConfig {
+            beacon_interval: Duration::from_millis(BEACON_MS),
+            ..DiscoveryConfig::default()
+        },
+        clock: Arc::clone(&clock),
+        ..SmcConfig::default()
+    };
+    let crash = Arc::new(Crash::default());
+    let log = Arc::new(CrashingLog {
+        log: Arc::new(MemBackend::new()),
+        crash: Arc::clone(&crash),
+    });
+    let (bus, discovery) = (Arc::new(net.endpoint()), Arc::new(net.endpoint()));
+    let cell = SmcCell::with_clock(bus, discovery, config.clone(), log).expect("boot");
+    // Armed with no budget to run out: it only lists what lands.
+    crash.arm(u64::MAX);
+    let stranger = ReliableChannel::with_clock(
+        Arc::new(net.endpoint()),
+        config.reliable.clone(),
+        Arc::clone(&clock),
+    );
+    let run = |ms: u64| {
+        for _ in 0..ms / STEP_MS {
+            net.pump_due();
+            cell.step();
+            stranger.step();
+            manual.advance_millis(STEP_MS);
+        }
+    };
+    run(20 * BEACON_MS);
+    let heard = std::iter::from_fn(|| stranger.try_recv())
+        .filter(|incoming| matches!(incoming, smc_transport::Incoming::Unreliable { .. }))
+        .count();
+    assert!(heard >= 10, "{heard} beacons broadcast");
+    let landed = crash.landed.lock().clone();
+    assert!(landed.is_empty(), "beacons answered, the log took {landed:?}");
+
+    let reading = Event::builder(READING).attr("bpm", 70i64).build();
+    let publish = Packet::publish(reading).into_shared();
+    stranger.send(cell.bus_endpoint(), publish).unwrap();
+    run(100);
+    let refusal = std::iter::from_fn(|| stranger.try_recv()).find_map(|incoming| match incoming {
+        smc_transport::Incoming::Reliable { payload, .. } => Packet::from_message(payload).ok(),
+        smc_transport::Incoming::Unreliable { .. } => None,
+    });
+    assert!(
+        matches!(&refusal, Some(Packet::Error { message, .. }) if message.contains("not a member")),
+        "a stranger's publish refused: {refusal:?}"
+    );
+    cell.shutdown();
+}

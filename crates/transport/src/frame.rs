@@ -111,8 +111,9 @@ pub fn put_unreliable_frame(buf: &mut BytesMut, payload: &[u8]) {
     buf.put_bytes_field(payload);
 }
 
-/// Parses one frame, leaving a payload-bearing frame's `payload` empty
-/// and returning the payload's bytes, still in the input, beside it.
+/// Parses one frame, leaving a payload-bearing frame's `payload` and an
+/// [`Frame::AckBatch`]'s `acks` empty and returning the payload's or the
+/// entries' bytes, still in the input, beside it (see [`ack_entries`]).
 fn decode_borrowed<'a>(r: &mut Reader<'a>) -> Result<(Frame, &'a [u8]), CodecError> {
     match r.u8()? {
         tag @ (F_DATA | F_DATA_ACK) => {
@@ -158,18 +159,12 @@ fn decode_borrowed<'a>(r: &mut Reader<'a>) -> Result<(Frame, &'a [u8]), CodecErr
             let count = r.collection_len()?;
             // The count is the sender's claim; reserve only what the
             // datagram can actually hold.
-            let needed = count * ACK_ENTRY_LEN;
-            if r.remaining() < needed {
-                return Err(CodecError::UnexpectedEnd {
-                    needed,
-                    remaining: r.remaining(),
-                });
-            }
-            let mut acks = Vec::with_capacity(count);
-            for _ in 0..count {
-                acks.push((r.u64()?, r.u16()?));
-            }
-            Ok((Frame::AckBatch { epoch, acks }, &[]))
+            let entries = r.take(count * ACK_ENTRY_LEN)?;
+            let frame = Frame::AckBatch {
+                epoch,
+                acks: Vec::new(),
+            };
+            Ok((frame, entries))
         }
         F_UNRELIABLE => Ok((
             Frame::Unreliable {
@@ -184,11 +179,45 @@ fn decode_borrowed<'a>(r: &mut Reader<'a>) -> Result<(Frame, &'a [u8]), CodecErr
     }
 }
 
+/// The `(seq, frag_index)` entries of an [`Frame::AckBatch`], read where
+/// they lie: the bytes [`decode_datagram`] returns beside the batch.
+pub(crate) fn ack_entries(entries: &[u8]) -> impl Iterator<Item = (u64, u16)> + '_ {
+    entries.chunks_exact(ACK_ENTRY_LEN).map(|entry| {
+        let (seq, frag_index) = entry.split_at(8);
+        (
+            u64::from_le_bytes(seq.try_into().expect("eight bytes")),
+            u16::from_le_bytes(frag_index.try_into().expect("two bytes")),
+        )
+    })
+}
+
+/// Parses the one frame `datagram` holds, exactly as `from_bytes::<Frame>`
+/// would — the same error for the same bytes — but borrowing: a
+/// payload-bearing frame's payload and a batch's entries come back as
+/// bytes of `datagram` beside a frame that holds neither, so decoding
+/// asks nothing of the heap.
+pub(crate) fn decode_datagram(datagram: &[u8]) -> Result<(Frame, &[u8]), CodecError> {
+    let mut r = Reader::new(datagram);
+    let decoded = decode_borrowed(&mut r)?;
+    if !r.is_empty() {
+        return Err(CodecError::TrailingBytes(r.remaining()));
+    }
+    Ok(decoded)
+}
+
 impl Frame {
     fn payload_mut(&mut self) -> Option<&mut Vec<u8>> {
         match self {
             Frame::Data { payload, .. } | Frame::Unreliable { payload } => Some(payload),
             Frame::Ack { .. } | Frame::AckBatch { .. } => None,
+        }
+    }
+
+    /// Reads a batch's `entries`, which [`decode_borrowed`] left beside
+    /// it, into its list — of exactly their number.
+    fn read_entries(&mut self, entries: &[u8]) {
+        if let Frame::AckBatch { acks, .. } = self {
+            *acks = ack_entries(entries).collect();
         }
     }
 
@@ -204,16 +233,15 @@ impl Frame {
     /// Returns a [`CodecError`] if the datagram is truncated, malformed,
     /// or has trailing bytes.
     pub fn from_datagram(mut datagram: Vec<u8>) -> Result<Frame, CodecError> {
-        let mut r = Reader::new(&datagram);
-        let (mut frame, payload) = decode_borrowed(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::TrailingBytes(r.remaining()));
-        }
-        if let Some(slot) = frame.payload_mut() {
-            // Nothing follows a payload, so it is the datagram's tail.
-            let header = datagram.len() - payload.len();
-            datagram.drain(..header);
-            *slot = datagram;
+        let (mut frame, bytes) = decode_datagram(&datagram)?;
+        // Nothing follows a payload, so it is the datagram's tail.
+        let header = datagram.len() - bytes.len();
+        match frame.payload_mut() {
+            Some(slot) => {
+                datagram.drain(..header);
+                *slot = datagram;
+            }
+            None => frame.read_entries(bytes),
         }
         Ok(frame)
     }
@@ -221,9 +249,10 @@ impl Frame {
 
 impl Decode for Frame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (mut frame, payload) = decode_borrowed(r)?;
-        if let Some(slot) = frame.payload_mut() {
-            *slot = payload.to_vec();
+        let (mut frame, bytes) = decode_borrowed(r)?;
+        match frame.payload_mut() {
+            Some(slot) => *slot = bytes.to_vec(),
+            None => frame.read_entries(bytes),
         }
         Ok(frame)
     }

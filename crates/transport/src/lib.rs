@@ -38,5 +38,5 @@ pub use reliable::{
     ChannelJournal, ChannelStats, Handler, Incoming, PendingOutbound, Receipt, ReliableChannel,
     ReliableConfig,
 };
-pub use transport::{Datagram, Transport};
+pub use transport::{Datagram, Transport, SPARE_BUFFERS};
 pub use udp::UdpTransport;

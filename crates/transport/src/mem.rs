@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use smc_types::{system_clock, Error, Result, ServiceId, SharedClock};
 
 use crate::profile::LinkConfig;
-use crate::transport::{Cork, Datagram, Transport};
+use crate::transport::{Cork, Datagram, Spares, Transport};
 
 /// Counters describing everything the simulated network did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,6 +95,9 @@ impl Ord for Scheduled {
 struct Endpoint {
     sender: Sender<Datagram>,
     domain: u32,
+    /// The buffers the endpoint's receiver gave back, for `transmit` to
+    /// fill.
+    spares: Spares,
 }
 
 #[derive(Debug)]
@@ -264,17 +267,20 @@ impl SimNetwork {
             return Err(Error::Invalid(format!("endpoint {id} already attached")));
         }
         let (tx, rx) = unbounded();
+        let spares = Spares::default();
         st.endpoints.insert(
             id,
             Endpoint {
                 sender: tx,
                 domain: 0,
+                spares: spares.clone(),
             },
         );
         Ok(MemTransport {
             net: self.clone(),
             id,
             rx,
+            spares,
             closed: AtomicBool::new(false),
         })
     }
@@ -361,17 +367,21 @@ impl SimNetwork {
         st.stats.sent += 1;
         // Reachability: both partitions and domain mismatches silently eat
         // the datagram, exactly like radio out-of-range.
-        let reachable = {
+        let home = {
             let src_domain = st.endpoints.get(&from).map(|e| e.domain);
             match (src_domain, st.endpoints.get(&to)) {
-                (Some(sd), Some(ep)) if ep.domain == sd => !st.partitioned.contains(&(from, to)),
-                _ => false,
+                (Some(sd), Some(ep))
+                    if ep.domain == sd && !st.partitioned.contains(&(from, to)) =>
+                {
+                    Some(ep.spares.clone())
+                }
+                _ => None,
             }
         };
-        if !reachable {
+        let Some(home) = home else {
             st.stats.unreachable += 1;
             return Ok(());
-        }
+        };
         let NetState {
             links,
             default_link,
@@ -387,7 +397,12 @@ impl SimNetwork {
                 link.mtu
             )));
         }
-        let (lost, duplicated, jitter_micros) = {
+        // A link that draws nothing takes no lock for it; the sequence of
+        // draws is the same either way.
+        let draws = link.loss > 0.0 || link.duplicate > 0.0 || !link.jitter.is_zero();
+        let (lost, duplicated, jitter_micros) = if !draws {
+            (false, false, 0)
+        } else {
             let mut rng = self.inner.rng.lock();
             let lost = link.loss > 0.0 && rng.gen_bool(link.loss.min(1.0));
             let duplicated = link.duplicate > 0.0 && rng.gen_bool(link.duplicate.min(1.0));
@@ -415,18 +430,16 @@ impl SimNetwork {
             start + tx_micros + link.latency.as_micros() as u64 + jitter_micros
         };
 
-        let datagram = Datagram {
-            from,
-            payload: payload.to_vec(),
-            broadcast,
-        };
+        // Each copy in a buffer its receiver gave back, if one has room.
         let mut wake = false;
         let copy = if duplicated {
             stats.duplicated += 1;
-            self.dispatch(&mut st, now, deliver_at, to, datagram.clone(), &mut wake)
+            let copy = Datagram::received(from, home.copy(payload), broadcast, home.clone());
+            self.dispatch(&mut st, now, deliver_at, to, copy, &mut wake)
         } else {
             None
         };
+        let datagram = Datagram::received(from, home.copy(payload), broadcast, home);
         let original = self.dispatch(&mut st, now, deliver_at, to, datagram, &mut wake);
         drop(st);
         for handover in [copy, original].into_iter().flatten() {
@@ -570,6 +583,7 @@ pub struct MemTransport {
     net: SimNetwork,
     id: ServiceId,
     rx: Receiver<Datagram>,
+    spares: Spares,
     closed: AtomicBool,
 }
 
@@ -577,6 +591,13 @@ impl MemTransport {
     /// The network this endpoint is attached to.
     pub fn network(&self) -> &SimNetwork {
         &self.net
+    }
+
+    /// How many buffers given back by [`Datagram::recycle`] this endpoint
+    /// holds for its link to fill: at most
+    /// [`SPARE_BUFFERS`](crate::SPARE_BUFFERS).
+    pub fn spare_buffers(&self) -> usize {
+        self.spares.len()
     }
 }
 

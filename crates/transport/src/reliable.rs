@@ -42,11 +42,11 @@ use smc_types::{
 };
 
 use crate::frame::{
-    encode_ack_frame, fragment_count, fragment_range, put_ack_batch_frame, put_data_header,
-    put_unreliable_frame, CumulativeAck, Frame, ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN,
-    FRAME_HEADER_LEN,
+    ack_entries, decode_datagram, encode_ack_frame, fragment_count, fragment_range,
+    put_ack_batch_frame, put_data_header, put_unreliable_frame, CumulativeAck, Frame,
+    ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN, FRAME_HEADER_LEN,
 };
-use crate::transport::{Cork, Transport};
+use crate::transport::{Cork, Datagram, Transport};
 
 /// Multiplier applied to a message's RTO after each retransmission.
 const BACKOFF: u32 = 2;
@@ -441,8 +441,17 @@ impl PeerOut {
     }
 }
 
+/// One fragment as it arrived: its index and its datagram, whose bytes
+/// from `at` on are the fragment's.
+#[derive(Debug)]
+struct Fragment {
+    index: u16,
+    at: usize,
+    datagram: Datagram,
+}
+
 /// Fragments received so far, sorted by index.
-type Fragments = Vec<(u16, Vec<u8>)>;
+type Fragments = Vec<Fragment>;
 
 #[derive(Debug)]
 struct Partial {
@@ -473,20 +482,17 @@ impl PeerIn {
         self.unconsumed.front().map_or(self.expected, |m| m.seq)
     }
 
-    /// Files one fragment of message `seq`.
-    fn reassemble(
-        &mut self,
-        seq: u64,
-        frag_index: u16,
-        frag_count: u16,
-        payload: Vec<u8>,
-    ) -> Reassembly {
+    /// Files `fragment` of message `seq`. A fragment that is not kept
+    /// goes back to the link, and so do a message's fragments once they
+    /// are copied into the whole: only a message that fits one datagram
+    /// keeps its datagram's buffer, as its body.
+    fn reassemble(&mut self, seq: u64, frag_count: u16, fragment: Fragment) -> Reassembly {
         // A message that fits one datagram — nearly all of them — is
         // whole as it arrives: nothing to keep, nothing to copy. (Were an
         // entry already open for `seq` it would claim more fragments, and
         // the check below rejects the mismatch.)
         if frag_count == 1 && !self.partial.contains_key(&seq) {
-            return Reassembly::Whole(payload);
+            return Reassembly::Whole(fragment.datagram.into_tail(fragment.at));
         }
         let spare = &mut self.spare;
         let partial = self.partial.entry(seq).or_insert_with(|| Partial {
@@ -496,21 +502,27 @@ impl PeerIn {
         });
         if partial.frag_count != frag_count {
             // Inconsistent metadata — treat as corrupt and ignore.
+            fragment.datagram.recycle();
             return Reassembly::Pending;
         }
         // (The frame decoder refused an index outside `0..frag_count`.)
-        let Err(at) = partial.frags.binary_search_by_key(&frag_index, |&(i, _)| i) else {
+        let Err(i) = partial
+            .frags
+            .binary_search_by_key(&fragment.index, |f| f.index)
+        else {
+            fragment.datagram.recycle();
             return Reassembly::Duplicate;
         };
-        partial.bytes += payload.len();
-        partial.frags.insert(at, (frag_index, payload));
+        partial.bytes += fragment.datagram.payload.len() - fragment.at;
+        partial.frags.insert(i, fragment);
         if partial.frags.len() < frag_count as usize {
             return Reassembly::Pending;
         }
         let mut partial = self.partial.remove(&seq).expect("partial present");
         let mut whole = Vec::with_capacity(partial.bytes);
-        for (_, piece) in partial.frags.drain(..) {
-            whole.extend_from_slice(&piece);
+        for Fragment { at, datagram, .. } in partial.frags.drain(..) {
+            whole.extend_from_slice(&datagram.payload[at..]);
+            datagram.recycle();
         }
         self.spare = partial.frags;
         Reassembly::Whole(whole)
@@ -796,11 +808,8 @@ impl ReliableChannel {
         let mut processed = 0;
         while let Ok(datagram) = self.shared.transport.recv(Some(Duration::ZERO)) {
             processed += 1;
-            // A corrupt datagram is dropped silently.
-            if let Ok(frame) = Frame::from_datagram(datagram.payload) {
-                worker.handle_frame(datagram.from, datagram.broadcast, frame);
-                worker.deliver();
-            }
+            worker.receive(datagram);
+            worker.deliver();
         }
         worker.retransmit_due();
         processed
@@ -1476,11 +1485,8 @@ impl RxWorker {
         while !self.shared.closed.load(Ordering::SeqCst) {
             match self.shared.transport.recv(Some(poll)) {
                 Ok(datagram) => {
-                    // A corrupt datagram is dropped silently.
-                    if let Ok(frame) = Frame::from_datagram(datagram.payload) {
-                        self.handle_frame(datagram.from, datagram.broadcast, frame);
-                        self.deliver();
-                    }
+                    self.receive(datagram);
+                    self.deliver();
                 }
                 Err(Error::Timeout) => {}
                 Err(_) => break,
@@ -1504,14 +1510,24 @@ impl RxWorker {
         }
     }
 
-    fn handle_frame(&mut self, from: ServiceId, broadcast: bool, frame: Frame) {
+    /// Acts on one received datagram. Its buffer goes back to the link
+    /// unless it is kept: as an unreliable payload, as a message that
+    /// fits it, or as a fragment until its message is whole. A corrupt
+    /// datagram is dropped silently.
+    fn receive(&mut self, datagram: Datagram) {
+        let from = datagram.from;
+        let Ok((frame, bytes)) = decode_datagram(&datagram.payload) else {
+            return datagram.recycle();
+        };
+        // Where the payload starts: nothing follows it.
+        let at = datagram.payload.len() - bytes.len();
         match frame {
-            Frame::Unreliable { payload } => {
+            Frame::Unreliable { .. } => {
                 bump(&self.shared.stats.unreliable_received);
                 self.handover.push(Incoming::Unreliable {
                     from,
-                    payload,
-                    broadcast,
+                    broadcast: datagram.broadcast,
+                    payload: datagram.into_tail(at),
                 });
             }
             Frame::Ack {
@@ -1519,10 +1535,12 @@ impl RxWorker {
                 seq,
                 frag_index,
             } => {
-                self.handle_acks(from, epoch, 0, &[(seq, frag_index)]);
+                self.handle_acks(from, epoch, 0, [(seq, frag_index)]);
+                datagram.recycle();
             }
-            Frame::AckBatch { epoch, acks } => {
-                self.handle_acks(from, epoch, 0, &acks);
+            Frame::AckBatch { epoch, .. } => {
+                self.handle_acks(from, epoch, 0, ack_entries(bytes));
+                datagram.recycle();
             }
             Frame::Data {
                 epoch,
@@ -1530,14 +1548,19 @@ impl RxWorker {
                 frag_index,
                 frag_count,
                 ack,
-                payload,
+                ..
             } => {
                 // The ack first: it may open the window this data's
                 // reply needs.
                 if let Some(ack) = ack {
-                    self.handle_acks(from, ack.epoch, ack.up_to, &[]);
+                    self.handle_acks(from, ack.epoch, ack.up_to, []);
                 }
-                self.handle_data(from, epoch, seq, frag_index, frag_count, payload);
+                let fragment = Fragment {
+                    index: frag_index,
+                    at,
+                    datagram,
+                };
+                self.handle_data(from, epoch, seq, frag_count, fragment);
             }
         }
     }
@@ -1548,7 +1571,13 @@ impl RxWorker {
     /// of `(seq, frag_index)` pairs ([`Frame::Ack`] is one pair,
     /// [`Frame::AckBatch`] the coalesced form). Acknowledgements echoing
     /// any epoch but this session's are ignored.
-    fn handle_acks(&mut self, from: ServiceId, epoch: u64, up_to: u64, acks: &[(u64, u16)]) {
+    fn handle_acks(
+        &mut self,
+        from: ServiceId,
+        epoch: u64,
+        up_to: u64,
+        acks: impl IntoIterator<Item = (u64, u16)>,
+    ) {
         if epoch != self.shared.epoch {
             return;
         }
@@ -1562,7 +1591,7 @@ impl RxWorker {
             self.complete(from, seq, msg);
             completed = true;
         }
-        for &(seq, frag_index) in acks {
+        for (seq, frag_index) in acks {
             let Some(at) = peer.find(seq) else {
                 continue;
             };
@@ -1599,15 +1628,17 @@ impl RxWorker {
         }
     }
 
+    /// Files one data fragment; one the channel does not keep goes back
+    /// to the link.
     fn handle_data(
         &mut self,
         from: ServiceId,
         epoch: u64,
         seq: u64,
-        frag_index: u16,
         frag_count: u16,
-        payload: Vec<u8>,
+        fragment: Fragment,
     ) {
+        let frag_index = fragment.index;
         // Journalled receivers acknowledge nothing until the cursor past
         // the message is durably recorded; without a journal a fragment is acknowledged
         // as it is accepted. Either way the acknowledgement of in-order
@@ -1619,7 +1650,7 @@ impl RxWorker {
         let peer = peers_in.entry(from).or_default();
         if epoch < peer.epoch {
             // Stray frame from a dead session: ignore entirely.
-            return;
+            return fragment.datagram.recycle();
         }
         if epoch > peer.epoch {
             // The peer restarted: adopt the new session.
@@ -1655,7 +1686,7 @@ impl RxWorker {
             && !peer.ready.contains_key(&seq)
             && (seq - peer.expected) as usize > self.shared.config.reorder_buffer
         {
-            return;
+            return fragment.datagram.recycle();
         }
 
         if !self.shared.config.dedup {
@@ -1665,9 +1696,7 @@ impl RxWorker {
             // Retransmitted messages get delivered again; gaps are not
             // waited for.
             self.shared.send_ack(from, epoch, seq, frag_index);
-            if let Reassembly::Whole(payload) =
-                peer.reassemble(seq, frag_index, frag_count, payload)
-            {
+            if let Reassembly::Whole(payload) = peer.reassemble(seq, frag_count, fragment) {
                 bump(&self.shared.stats.msgs_delivered);
                 self.handover
                     .push(Incoming::Reliable { from, seq, payload });
@@ -1678,6 +1707,7 @@ impl RxWorker {
         // A duplicate is re-acknowledged at once: its original ack may
         // have been lost, and the sender is already retransmitting.
         if seq < peer.expected || peer.ready.contains_key(&seq) {
+            fragment.datagram.recycle();
             bump(&self.shared.stats.duplicates_suppressed);
             if !journaled || seq < peer.acked_below() {
                 // (Journalled: its cursor is already recorded.)
@@ -1695,7 +1725,7 @@ impl RxWorker {
             return;
         }
         let in_order = seq == peer.expected;
-        let reassembly = peer.reassemble(seq, frag_index, frag_count, payload);
+        let reassembly = peer.reassemble(seq, frag_count, fragment);
         if !journaled {
             if in_order && !matches!(reassembly, Reassembly::Duplicate) {
                 let mut held = self.shared.held.lock();

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use smc_types::{Error, Result, ServiceId};
 
-use crate::transport::{Datagram, Transport};
+use crate::transport::{Datagram, Spares, Transport};
 
 /// One-byte flag marking a datagram as broadcast.
 const FLAG_BROADCAST: u8 = 0x01;
@@ -86,6 +86,9 @@ pub struct UdpTransport {
     closed: AtomicBool,
     mtu: usize,
     rx: Mutex<RxState>,
+    /// The buffers received datagrams were given back in, for `recv` to
+    /// copy the next ones into.
+    spares: Spares,
 }
 
 impl UdpTransport {
@@ -127,6 +130,7 @@ impl UdpTransport {
                 buf: vec![0u8; mtu + HEADER_LEN].into_boxed_slice(),
                 wait: None,
             }),
+            spares: Spares::default(),
         }
     }
 
@@ -222,12 +226,14 @@ impl Transport for UdpTransport {
                     let mut raw = [0u8; 8];
                     raw[..6].copy_from_slice(&buf[1..7]);
                     let from = ServiceId::from_raw(u64::from_le_bytes(raw));
-                    let payload = buf[HEADER_LEN..n].to_vec();
-                    return Ok(Datagram {
+                    let payload = self.spares.copy(&buf[HEADER_LEN..n]);
+                    let broadcast = flags & FLAG_BROADCAST != 0;
+                    return Ok(Datagram::received(
                         from,
                         payload,
-                        broadcast: flags & FLAG_BROADCAST != 0,
-                    });
+                        broadcast,
+                        self.spares.clone(),
+                    ));
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock

@@ -156,7 +156,8 @@ impl<'a> Reader<'a> {
         self.take(n).map(|_| ())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Reads `n` bytes without copying them out of the input.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEnd {
                 needed: n,

@@ -6,8 +6,9 @@
 //! size, as in the ledger's allocator (`benchmark/src/alloc.rs`).
 //!
 //! Two counts: [`during`], the calling thread's own, which the test
-//! harness's other threads cannot disturb; and [`in_process`], for a
-//! threaded cell whose work happens elsewhere.
+//! harness's other threads cannot disturb; and [`in_process`] /
+//! [`in_process_requests`], for a threaded cell whose work happens
+//! elsewhere.
 
 #![allow(dead_code)]
 
@@ -20,6 +21,7 @@ thread_local! {
 }
 
 static PROCESS: AtomicU64 = AtomicU64::new(0);
+static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Heap requests made and bytes requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +47,21 @@ pub fn in_process() -> u64 {
     PROCESS.load(Ordering::Relaxed)
 }
 
+/// Requests made and bytes requested by every thread since the process
+/// started.
+pub fn in_process_requests() -> Requests {
+    Requests {
+        count: PROCESS.load(Ordering::Relaxed),
+        bytes: PROCESS_BYTES.load(Ordering::Relaxed),
+    }
+}
+
 pub struct Counting;
 
 fn count(size: usize) {
     // Relaxed: the counter publishes no other data.
     PROCESS.fetch_add(1, Ordering::Relaxed);
+    PROCESS_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     THREAD.with(|t| {
         let now = t.get();
         t.set(Requests {
