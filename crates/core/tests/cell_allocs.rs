@@ -8,15 +8,16 @@
 //!
 //! The rule the path is held to: none to send or share an event (its
 //! packet is its body under a tag), and a decode asks for what the decoded
-//! value keeps — which, for an event, is the message it arrived in plus
-//! its shared body, the attribute table inside it. Per delivered event
-//! that is
+//! value keeps — which, for an event, is its shared body, the attribute
+//! table inside it: the message it arrived in is a buffer of the link's,
+//! which goes back to the link when the last reader of the event drops
+//! it. Per delivered event that is
 //!
 //! | stage                                                   | requests |
 //! |---------------------------------------------------------|----------|
 //! | driver: clone of the pooled event                       | 0        |
 //! | publisher: `Publish` — the event under a tag (`Packet::into_shared`) — sent | 0 |
-//! | link: one buffer per datagram, 2 data frames — kept as the message | 2 |
+//! | link: one buffer per datagram, 2 data frames — kept as the message, and given back with it | 0 |
 //! | link: a standalone acknowledgement per half window and hop, in a buffer its receiver gave back | 0 |
 //! | `Frame` decode ×2 (the payload keeps the datagram; a batch's entries are read where they lie) | 0 |
 //! | cell: `Publish` adopted (`Packet::from_message`: the event keeps the message; its shared body, three attributes in its inline table) | 1 |
@@ -24,36 +25,41 @@
 //! | bus: the `Deliver` — the adopted event under another tag, its stamp written as it is framed; proxy sends it as it is | 0 |
 //! | subscriber: `Deliver` adopted (body)                    | 1        |
 //! | send windows: rings whose buffers are reused            | 0        |
-//! | **plain**                                               | **≈ 4.0** |
+//! | **plain**                                               | **≈ 2.0** |
 //! | durable: the log's segments growing (3 records, framed in scratch) | ≈ 0.01 |
-//! | **durable**                                             | **≈ 4.0** |
+//! | **durable**                                             | **≈ 2.0** |
 //! | 4 096 B: link, 4 data frames a hop, each in a buffer its receiver gave back | 0 |
-//! | 4 096 B: the reassembled message, a hop — it is the message the event is adopted from | 2 |
+//! | 4 096 B: the reassembled message, a hop — it is the message the event is adopted from, in a buffer of the link's | 0 |
 //! | 4 096 B: the fragments, handed back to the link once copied | 0     |
-//! | **plain, 4 096 B**                                      | **≈ 4.0** |
+//! | **plain, 4 096 B**                                      | **≈ 2.0** |
 //!
 //! Nothing is sent back at the application level: the publisher did not
 //! ask for a `PublishAck`, and the channel's own acknowledgement — held,
 //! cumulative, one datagram per half window — is all either hop pays.
 //!
-//! Measured here: 4.02 plain, 4.03 durable, 4.05 plain at 4 096 B (4.13,
-//! 4.15 and 12.15 while the link gave every datagram a fresh buffer and
-//! the receiver freed each one it did not keep: its acknowledgements, and
-//! a bulk event's eight fragments; 5.16 durable while the bus
-//! channel kept a copy of each delivered message until it was consumed
-//! and journalled it whole, payload included; 6.5 and 7.5 while the
-//! attribute table was a `Vec` of its own and the send windows were
-//! B-trees gaining nodes as they filled; 8.5 and 9.5 while each send
-//! copied its event into a buffer of its own; 18.5 and 19.5 while each
-//! decode copied type name, three names and payload out of the message —
-//! 7 requests a decode; 22.4 and 24.5 with a `PublishAck` and a
-//! `DeliverAck` per event; 74.1 and 119.9 before this budget existed).
-//! What is left of a decode is one request whatever the event's size,
-//! for up to four attributes (a fifth puts the table in a `Vec`, one
-//! more); string and bytes attribute *values* are still copied out on
-//! top, one request each, and this event has none. The bounds leave a
-//! little room for a loaded host, where the poll tick sends an
-//! acknowledgement before half a window is owed.
+//! Measured here: 2.00–2.02 plain, 2.01–2.02 durable, 2.00–2.02 plain at
+//! 4 096 B (2.06–2.24 at 4 096 B while an endpoint kept at most 64 spare
+//! buffers, fewer than the bus endpoint has received and not yet seen
+//! dropped at its busiest; 4.02, 4.03 and 4.05 while the message an event
+//! arrived in was freed with the event, so the link asked the heap for the
+//! next datagram's buffer, and the reassembled 4 096 B message was a fresh
+//! buffer each hop; 4.13, 4.15 and 12.15 while the link gave every datagram
+//! a fresh buffer and the receiver freed each one it did not keep: its
+//! acknowledgements, and a bulk event's eight fragments; 5.16 durable while
+//! the bus channel kept a copy of each delivered message until it was
+//! consumed and journalled it whole, payload included; 6.5 and 7.5 while
+//! the attribute table was a `Vec` of its own and the send windows were
+//! B-trees gaining nodes as they filled; 8.5 and 9.5 while each send copied
+//! its event into a buffer of its own; 18.5 and 19.5 while each decode
+//! copied type name, three names and payload out of the message — 7
+//! requests a decode; 22.4 and 24.5 with a `PublishAck` and a `DeliverAck`
+//! per event; 74.1 and 119.9 before this budget existed). What is left of a
+//! decode is one request whatever the event's size, for up to four
+//! attributes (a fifth puts the table in a `Vec`, one more); string and
+//! bytes attribute *values* are still copied out on top, one request each,
+//! and this event has none. The bounds leave a little room for a loaded
+//! host, where the poll tick sends an acknowledgement before half a window
+//! is owed.
 //!
 //! Alone in its binary because it installs a counting `#[global_allocator]`;
 //! the count is process-wide because the cell's work happens on its own
@@ -218,15 +224,15 @@ fn quiet_loop_turn_requests() -> u64 {
 fn an_event_costs_the_cell_a_bounded_number_of_heap_requests() {
     assert_eq!(quiet_loop_turn_requests(), 0, "a quiet loop turn allocated");
     let plain = requests_per_event(false, 64);
-    assert!(plain <= 5.0, "plain cell: {plain} heap requests per event");
+    assert!(plain <= 2.3, "plain cell: {plain} heap requests per event");
     let durable = requests_per_event(true, 64);
     assert!(
-        durable <= 5.0,
+        durable <= 2.3,
         "durable cell: {durable} heap requests per event"
     );
     let bulk = requests_per_event(false, 4096);
     assert!(
-        bulk <= 5.0,
+        bulk <= 2.3,
         "plain cell, 4 096 B events: {bulk} heap requests per event"
     );
 }

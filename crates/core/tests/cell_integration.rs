@@ -815,3 +815,62 @@ fn unsubscribe_stops_flow() {
     monitor.shutdown();
     cell.shutdown();
 }
+
+/// An event keeps the buffer it arrived in, and that buffer goes back to
+/// the endpoint that received it when the event drops — here after the
+/// cell, its members and the network are all gone: the bus's copy (a
+/// local sink's) and the subscriber's, each dropped on a thread of its
+/// own, read as they were sent, and dropping them neither panics nor
+/// blocks.
+#[test]
+fn an_event_may_outlive_its_cell_and_its_network() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let cell = start_cell(&net);
+    let (sink, local) = ChannelSink::new();
+    cell.subscribe_local(
+        ServiceId::from_raw(0x5151),
+        Filter::for_type("smc.ecg.strip"),
+        Arc::new(sink),
+    )
+    .unwrap();
+    let sensor = connect(&net, "sensor.ecg", &["sensor"]);
+    let monitor = connect(&net, "monitor.station", &["manager"]);
+    monitor
+        .subscribe(Filter::for_type("smc.ecg.strip"), TICK)
+        .unwrap();
+    let strip: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    sensor
+        .publish(
+            Event::builder("smc.ecg.strip")
+                .attr("lead", 2i64)
+                .payload(strip.clone())
+                .build(),
+            TICK,
+        )
+        .unwrap();
+    let delivered = monitor.next_event(TICK).unwrap();
+    let at_the_bus = local.recv_timeout(TICK).unwrap();
+
+    sensor.shutdown();
+    monitor.shutdown();
+    cell.shutdown();
+    drop((sensor, monitor, cell));
+    net.shutdown();
+    drop(net);
+
+    let (done, dropped) = std::sync::mpsc::channel();
+    for event in [delivered, at_the_bus] {
+        let (done, strip) = (done.clone(), strip.clone());
+        std::thread::spawn(move || {
+            assert_eq!(event.payload(), &strip[..]);
+            assert_eq!(event.attr("lead").and_then(|v| v.as_int()), Some(2));
+            drop(event);
+            done.send(()).unwrap();
+        });
+    }
+    for _ in 0..2 {
+        dropped
+            .recv_timeout(TICK)
+            .expect("an event dropped after its cell neither panics nor blocks");
+    }
+}

@@ -195,8 +195,14 @@ pub(crate) fn ack_entries(entries: &[u8]) -> impl Iterator<Item = (u64, u16)> + 
 /// would — the same error for the same bytes — but borrowing: a
 /// payload-bearing frame's payload and a batch's entries come back as
 /// bytes of `datagram` beside a frame that holds neither, so decoding
-/// asks nothing of the heap.
-pub(crate) fn decode_datagram(datagram: &[u8]) -> Result<(Frame, &[u8]), CodecError> {
+/// asks nothing of the heap. What a channel reads a received datagram
+/// with.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] if the datagram is truncated, malformed, or
+/// has trailing bytes.
+pub fn decode_datagram(datagram: &[u8]) -> Result<(Frame, &[u8]), CodecError> {
     let mut r = Reader::new(datagram);
     let decoded = decode_borrowed(&mut r)?;
     if !r.is_empty() {
@@ -219,31 +225,6 @@ impl Frame {
         if let Frame::AckBatch { acks, .. } = self {
             *acks = ack_entries(entries).collect();
         }
-    }
-
-    /// Decodes the frame a received datagram holds, exactly as
-    /// `from_bytes::<Frame>` would — the same frame, the same error —
-    /// except that the payload *keeps the datagram's allocation*: the
-    /// header is moved out from under it instead of the payload being
-    /// copied out of a buffer that was itself just copied out of the
-    /// socket's.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] if the datagram is truncated, malformed,
-    /// or has trailing bytes.
-    pub fn from_datagram(mut datagram: Vec<u8>) -> Result<Frame, CodecError> {
-        let (mut frame, bytes) = decode_datagram(&datagram)?;
-        // Nothing follows a payload, so it is the datagram's tail.
-        let header = datagram.len() - bytes.len();
-        match frame.payload_mut() {
-            Some(slot) => {
-                datagram.drain(..header);
-                *slot = datagram;
-            }
-            None => frame.read_entries(bytes),
-        }
-        Ok(frame)
     }
 }
 
@@ -586,11 +567,22 @@ mod tests {
         }
     }
 
-    /// The owned decode agrees with the borrowed one on every frame kind,
-    /// on every truncation of each, and on trailing bytes — and a data
-    /// payload comes back in the buffer the datagram arrived in.
+    /// The frame [`decode_datagram`] finds in `datagram`, with the
+    /// payload or a batch's entries read from the bytes it returns.
+    fn read_out(datagram: &[u8]) -> Result<Frame, CodecError> {
+        let (mut frame, bytes) = decode_datagram(datagram)?;
+        match frame.payload_mut() {
+            Some(slot) => *slot = bytes.to_vec(),
+            None => frame.read_entries(bytes),
+        }
+        Ok(frame)
+    }
+
+    /// The channel's decode agrees with the owned one on every frame
+    /// kind, on every truncation of each, and on trailing bytes — and a
+    /// data payload is the datagram's own tail.
     #[test]
-    fn from_datagram_matches_from_bytes() {
+    fn decode_datagram_matches_from_bytes() {
         let frames = [
             data_frame(None, 1, 2, 0, 3, &[9; 10]),
             data_frame(Some(CumulativeAck { epoch: 8, up_to: 4 }), 1, 2, 2, 3, &[]),
@@ -604,27 +596,21 @@ mod tests {
         ];
         for bytes in frames {
             for cut in 0..=bytes.len() {
-                assert_eq!(
-                    Frame::from_datagram(bytes[..cut].to_vec()),
-                    from_bytes::<Frame>(&bytes[..cut])
-                );
+                assert_eq!(read_out(&bytes[..cut]), from_bytes::<Frame>(&bytes[..cut]));
             }
             let mut long = bytes.clone();
             long.push(0);
-            assert_eq!(
-                Frame::from_datagram(long.clone()),
-                from_bytes::<Frame>(&long)
-            );
+            assert_eq!(read_out(&long), from_bytes::<Frame>(&long));
         }
         let datagram = data_frame(None, 1, 2, 0, 1, &[7; 100]);
-        let buffer = datagram.as_ptr();
-        match Frame::from_datagram(datagram).unwrap() {
-            Frame::Data { payload, .. } => {
-                assert_eq!(payload, vec![7; 100]);
-                assert_eq!(payload.as_ptr(), buffer, "the datagram's own allocation");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (frame, payload) = decode_datagram(&datagram).unwrap();
+        assert!(matches!(frame, Frame::Data { .. }));
+        assert_eq!(payload, &[7; 100]);
+        assert_eq!(
+            payload.as_ptr(),
+            datagram[datagram.len() - 100..].as_ptr(),
+            "the datagram's own bytes"
+        );
     }
 
     #[test]

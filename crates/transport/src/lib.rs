@@ -38,5 +38,6 @@ pub use reliable::{
     ChannelJournal, ChannelStats, Handler, Incoming, PendingOutbound, Receipt, ReliableChannel,
     ReliableConfig,
 };
-pub use transport::{Datagram, Transport, SPARE_BUFFERS};
+pub use smc_types::SPARE_BUFFERS;
+pub use transport::{Datagram, Transport};
 pub use udp::UdpTransport;

@@ -38,10 +38,10 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use smc_types::{system_clock, Error, Result, ServiceId, SharedClock};
+use smc_types::{system_clock, Error, Result, ServiceId, SharedClock, Spares};
 
 use crate::profile::LinkConfig;
-use crate::transport::{Cork, Datagram, Spares, Transport};
+use crate::transport::{Cork, Datagram, Transport};
 
 /// Counters describing everything the simulated network did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -434,12 +434,20 @@ impl SimNetwork {
         let mut wake = false;
         let copy = if duplicated {
             stats.duplicated += 1;
-            let copy = Datagram::received(from, home.copy(payload), broadcast, home.clone());
+            let copy = Datagram {
+                from,
+                payload: home.copy(payload),
+                broadcast,
+            };
             self.dispatch(&mut st, now, deliver_at, to, copy, &mut wake)
         } else {
             None
         };
-        let datagram = Datagram::received(from, home.copy(payload), broadcast, home);
+        let datagram = Datagram {
+            from,
+            payload: home.copy(payload),
+            broadcast,
+        };
         let original = self.dispatch(&mut st, now, deliver_at, to, datagram, &mut wake);
         drop(st);
         for handover in [copy, original].into_iter().flatten() {
@@ -593,11 +601,17 @@ impl MemTransport {
         &self.net
     }
 
-    /// How many buffers given back by [`Datagram::recycle`] this endpoint
-    /// holds for its link to fill: at most
+    /// How many buffers of received datagrams, given back when they were
+    /// dropped, this endpoint holds for its link to fill: at most
     /// [`SPARE_BUFFERS`](crate::SPARE_BUFFERS).
     pub fn spare_buffers(&self) -> usize {
         self.spares.len()
+    }
+
+    /// The capacity of each buffer [`MemTransport::spare_buffers`]
+    /// counts: none over [`MAX_SPARE_LEN`](smc_types::MAX_SPARE_LEN).
+    pub fn spare_rooms(&self) -> Vec<usize> {
+        self.spares.rooms()
     }
 }
 
@@ -836,7 +850,9 @@ mod tests {
     }
 
     fn try_recv(ep: &MemTransport) -> Option<Vec<u8>> {
-        ep.recv(Some(Duration::ZERO)).ok().map(|d| d.payload)
+        ep.recv(Some(Duration::ZERO))
+            .ok()
+            .map(|d| d.payload.into_vec())
     }
 
     #[test]

@@ -38,7 +38,8 @@ use parking_lot::Mutex;
 use smc_telemetry::{Hop, Tracer};
 use smc_types::codec::{with_scratch, MAX_COLLECTION_LEN};
 use smc_types::{
-    system_clock, Error, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell, TraceId,
+    system_clock, Error, MessageBuf, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell,
+    TraceId,
 };
 
 use crate::frame::{
@@ -231,14 +232,14 @@ pub enum Incoming {
         /// processing the message.
         seq: u64,
         /// The reassembled message bytes.
-        payload: Vec<u8>,
+        payload: MessageBuf,
     },
     /// A fire-and-forget payload (e.g. a discovery beacon).
     Unreliable {
         /// The sending endpoint.
         from: ServiceId,
         /// The payload bytes.
-        payload: Vec<u8>,
+        payload: MessageBuf,
         /// Whether it arrived by broadcast.
         broadcast: bool,
     },
@@ -259,9 +260,10 @@ impl Incoming {
         }
     }
 
-    /// The payload itself — the buffer the message arrived in — for a
-    /// consumer that keeps it (`Packet::from_message`).
-    pub fn into_payload(self) -> Vec<u8> {
+    /// The payload itself — the buffer the message arrived in, which goes
+    /// back to the link when it is dropped — for a consumer that keeps it
+    /// (`Packet::from_message`).
+    pub fn into_payload(self) -> MessageBuf {
         match self {
             Incoming::Reliable { payload, .. } | Incoming::Unreliable { payload, .. } => payload,
         }
@@ -471,7 +473,7 @@ enum Reassembly {
     /// The fragment was already held.
     Duplicate,
     /// That was the last missing fragment: here is the message.
-    Whole(Vec<u8>),
+    Whole(MessageBuf),
 }
 
 impl PeerIn {
@@ -483,8 +485,9 @@ impl PeerIn {
     }
 
     /// Files `fragment` of message `seq`. A fragment that is not kept
-    /// goes back to the link, and so do a message's fragments once they
-    /// are copied into the whole: only a message that fits one datagram
+    /// goes back to the link as it drops, and so do a message's fragments
+    /// once they are copied into the whole — a buffer of the same link's,
+    /// which goes back in its turn. A message that fits one datagram
     /// keeps its datagram's buffer, as its body.
     fn reassemble(&mut self, seq: u64, frag_count: u16, fragment: Fragment) -> Reassembly {
         // A message that fits one datagram — nearly all of them — is
@@ -502,7 +505,6 @@ impl PeerIn {
         });
         if partial.frag_count != frag_count {
             // Inconsistent metadata — treat as corrupt and ignore.
-            fragment.datagram.recycle();
             return Reassembly::Pending;
         }
         // (The frame decoder refused an index outside `0..frag_count`.)
@@ -510,7 +512,6 @@ impl PeerIn {
             .frags
             .binary_search_by_key(&fragment.index, |f| f.index)
         else {
-            fragment.datagram.recycle();
             return Reassembly::Duplicate;
         };
         partial.bytes += fragment.datagram.payload.len() - fragment.at;
@@ -519,10 +520,9 @@ impl PeerIn {
             return Reassembly::Pending;
         }
         let mut partial = self.partial.remove(&seq).expect("partial present");
-        let mut whole = Vec::with_capacity(partial.bytes);
+        let mut whole = partial.frags[0].datagram.payload.sibling(partial.bytes);
         for Fragment { at, datagram, .. } in partial.frags.drain(..) {
             whole.extend_from_slice(&datagram.payload[at..]);
-            datagram.recycle();
         }
         self.spare = partial.frags;
         Reassembly::Whole(whole)
@@ -542,7 +542,7 @@ struct PeerIn {
     unconsumed: VecDeque<Unconsumed>,
     /// Fully reassembled messages (payload, fragment count) waiting for
     /// their turn.
-    ready: BTreeMap<u64, (Vec<u8>, u16)>,
+    ready: BTreeMap<u64, (MessageBuf, u16)>,
     /// Messages still missing fragments.
     partial: HashMap<u64, Partial>,
     /// The emptied list of the last message reassembled, for the next.
@@ -1422,7 +1422,7 @@ impl Shared {
         handover: &mut Vec<Incoming>,
         from: ServiceId,
         peer: &mut PeerIn,
-        arrived: Option<(u64, Vec<u8>, u16)>,
+        arrived: Option<(u64, MessageBuf, u16)>,
     ) {
         let mut in_hand = None;
         if let Some((seq, msg, frag_count)) = arrived {
@@ -1511,13 +1511,13 @@ impl RxWorker {
     }
 
     /// Acts on one received datagram. Its buffer goes back to the link
-    /// unless it is kept: as an unreliable payload, as a message that
-    /// fits it, or as a fragment until its message is whole. A corrupt
-    /// datagram is dropped silently.
+    /// as it drops, unless it is kept: as an unreliable payload, as a
+    /// message that fits it, or as a fragment until its message is whole.
+    /// A corrupt datagram is dropped silently.
     fn receive(&mut self, datagram: Datagram) {
         let from = datagram.from;
         let Ok((frame, bytes)) = decode_datagram(&datagram.payload) else {
-            return datagram.recycle();
+            return;
         };
         // Where the payload starts: nothing follows it.
         let at = datagram.payload.len() - bytes.len();
@@ -1536,11 +1536,9 @@ impl RxWorker {
                 frag_index,
             } => {
                 self.handle_acks(from, epoch, 0, [(seq, frag_index)]);
-                datagram.recycle();
             }
             Frame::AckBatch { epoch, .. } => {
                 self.handle_acks(from, epoch, 0, ack_entries(bytes));
-                datagram.recycle();
             }
             Frame::Data {
                 epoch,
@@ -1629,7 +1627,7 @@ impl RxWorker {
     }
 
     /// Files one data fragment; one the channel does not keep goes back
-    /// to the link.
+    /// to the link as it drops.
     fn handle_data(
         &mut self,
         from: ServiceId,
@@ -1650,7 +1648,7 @@ impl RxWorker {
         let peer = peers_in.entry(from).or_default();
         if epoch < peer.epoch {
             // Stray frame from a dead session: ignore entirely.
-            return fragment.datagram.recycle();
+            return;
         }
         if epoch > peer.epoch {
             // The peer restarted: adopt the new session.
@@ -1686,7 +1684,7 @@ impl RxWorker {
             && !peer.ready.contains_key(&seq)
             && (seq - peer.expected) as usize > self.shared.config.reorder_buffer
         {
-            return fragment.datagram.recycle();
+            return;
         }
 
         if !self.shared.config.dedup {
@@ -1707,7 +1705,6 @@ impl RxWorker {
         // A duplicate is re-acknowledged at once: its original ack may
         // have been lost, and the sender is already retransmitting.
         if seq < peer.expected || peer.ready.contains_key(&seq) {
-            fragment.datagram.recycle();
             bump(&self.shared.stats.duplicates_suppressed);
             if !journaled || seq < peer.acked_below() {
                 // (Journalled: its cursor is already recorded.)

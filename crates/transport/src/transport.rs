@@ -13,158 +13,43 @@ use std::time::Duration;
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use smc_types::{Error, Result, ServiceId};
-
-/// How many spare receive buffers one endpoint keeps for its link to
-/// fill (see [`Datagram::recycle`]). Enough for a window of 16
-/// four-fragment messages in flight to the endpoint at once.
-pub const SPARE_BUFFERS: usize = 64;
+use smc_types::{Error, MessageBuf, Result, ServiceId};
 
 /// A received datagram.
 ///
-/// Its buffer belongs to the endpoint that received it: a receiver that
-/// does not keep the payload hands the buffer back with
-/// [`Datagram::recycle`], and the link fills it with a later datagram
-/// for the same endpoint instead of asking the heap for a new one.
+/// Its buffer belongs to the endpoint that received it (see
+/// [`MessageBuf`]): whoever drops the payload — the channel, or the last
+/// reader of the message or event it became — hands the buffer back, and
+/// the link fills it with a later datagram for the same endpoint instead
+/// of asking the heap for a new one.
 #[derive(Debug, Clone)]
 pub struct Datagram {
     /// The sending endpoint.
     pub from: ServiceId,
     /// The raw bytes.
-    pub payload: Vec<u8>,
+    pub payload: MessageBuf,
     /// Whether this arrived via broadcast rather than unicast.
     pub broadcast: bool,
-    /// Where the payload's buffer goes back to; `None` for a datagram
-    /// built outside a link.
-    home: Option<Spares>,
 }
 
 impl Datagram {
-    /// Creates a unicast datagram record.
-    pub fn unicast(from: ServiceId, payload: Vec<u8>) -> Self {
+    /// Creates a unicast datagram record; a `Vec` payload has no home.
+    pub fn unicast(from: ServiceId, payload: impl Into<MessageBuf>) -> Self {
         Datagram {
             from,
-            payload,
+            payload: payload.into(),
             broadcast: false,
-            home: None,
-        }
-    }
-
-    /// A datagram whose buffer goes back to `home`'s spares.
-    pub(crate) fn received(
-        from: ServiceId,
-        payload: Vec<u8>,
-        broadcast: bool,
-        home: Spares,
-    ) -> Self {
-        Datagram {
-            from,
-            payload,
-            broadcast,
-            home: Some(home),
-        }
-    }
-
-    /// Hands the payload's buffer back to the endpoint that received it,
-    /// for its link to fill again; a datagram built outside a link just
-    /// drops it. For a receiver done with the bytes.
-    pub fn recycle(self) {
-        if let Some(home) = self.home {
-            home.give_back(self.payload);
         }
     }
 
     /// The payload from byte `at` on, in the datagram's own buffer: the
     /// bytes before it are moved out from under the rest, which is not
     /// copied anywhere else.
-    pub(crate) fn into_tail(self, at: usize) -> Vec<u8> {
+    pub(crate) fn into_tail(self, at: usize) -> MessageBuf {
         let mut payload = self.payload;
-        payload.drain(..at);
+        payload.drain_front(at);
         payload
     }
-}
-
-/// An endpoint's spare receive buffers, at most [`SPARE_BUFFERS`] of
-/// them, the most recently given back on top: what its link copies a
-/// received datagram into before it asks the heap. Filled by the link
-/// (under its own lock), given back by the receiver — on another thread —
-/// so the list has a lock of its own, a leaf.
-#[derive(Clone, Default)]
-pub(crate) struct Spares(Arc<Mutex<Vec<Vec<u8>>>>);
-
-impl fmt::Debug for Spares {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Spares({})", self.len())
-    }
-}
-
-impl Spares {
-    /// `bytes` in the best-fitting spare that already has room for them
-    /// — the one with the least capacity that is enough, the most
-    /// recently given back of equals — or, when none has, in a buffer of
-    /// exactly their size. A spare is never grown, and holds nothing of
-    /// what it held before.
-    pub(crate) fn copy(&self, bytes: &[u8]) -> Vec<u8> {
-        let spare = {
-            let mut spares = self.0.lock();
-            best_fit(&spares, bytes.len()).map(|at| spares.remove(at))
-        };
-        match spare {
-            Some(mut buf) => {
-                buf.clear();
-                buf.extend_from_slice(bytes);
-                buf
-            }
-            None => bytes.to_vec(),
-        }
-    }
-
-    /// Keeps `buf` for a later datagram. At the bound the smaller of
-    /// `buf` and the smallest spare is dropped: the list keeps the
-    /// buffers that fit the most datagrams.
-    fn give_back(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut spares = self.0.lock();
-        if spares.len() < SPARE_BUFFERS {
-            return spares.push(buf);
-        }
-        let smallest = (0..spares.len()).min_by_key(|&at| spares[at].capacity());
-        let dropped = match smallest {
-            Some(at) if spares[at].capacity() < buf.capacity() => {
-                std::mem::replace(&mut spares[at], buf)
-            }
-            _ => buf,
-        };
-        drop(spares);
-        drop(dropped);
-    }
-
-    /// How many spares the endpoint holds.
-    pub(crate) fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-}
-
-/// Where in `spares` the best fit for `len` bytes is. The search runs
-/// from the top and stops at a spare of exactly `len`: the common case,
-/// since a link's datagrams come in a few sizes and each spare was first
-/// made for one of them.
-fn best_fit(spares: &[Vec<u8>], len: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (at, spare) in spares.iter().enumerate().rev() {
-        let room = spare.capacity();
-        if room == len {
-            return Some(at);
-        }
-        if room > len && best.is_none_or(|(_, least)| room < least) {
-            best = Some((at, room));
-        }
-    }
-    best.map(|(at, _)| at)
 }
 
 /// An unreliable datagram transport endpoint.
@@ -278,33 +163,6 @@ mod tests {
     fn datagram_constructors() {
         let d = Datagram::unicast(ServiceId::from_raw(1), vec![1, 2]);
         assert!(!d.broadcast);
-    }
-
-    #[test]
-    fn a_spare_is_the_best_fit_and_never_grown() {
-        let spares = Spares::default();
-        let from = ServiceId::from_raw(1);
-        for size in [100, 1400, 600] {
-            Datagram::received(from, Vec::with_capacity(size), false, spares.clone()).recycle();
-        }
-        assert_eq!(spares.len(), 3);
-        let buf = spares.copy(&[7; 500]);
-        assert_eq!((buf.capacity(), &buf[..]), (600, &[7; 500][..]));
-        // Nothing left has room for 1 401 bytes: a fresh, exact buffer.
-        assert_eq!(spares.copy(&[1; 1401]).capacity(), 1401);
-        assert_eq!(spares.len(), 2);
-    }
-
-    #[test]
-    fn at_the_bound_the_smallest_buffer_goes() {
-        let spares = Spares::default();
-        for size in 1..=SPARE_BUFFERS + 1 {
-            spares.give_back(Vec::with_capacity(size));
-        }
-        spares.give_back(Vec::with_capacity(1));
-        let rooms: Vec<usize> = spares.0.lock().iter().map(Vec::capacity).collect();
-        assert_eq!(rooms.len(), SPARE_BUFFERS);
-        assert_eq!(rooms.iter().min(), Some(&2));
-        assert_eq!(rooms.iter().max(), Some(&(SPARE_BUFFERS + 1)));
+        assert_eq!(d.into_tail(1), vec![2]);
     }
 }

@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use smc_types::{Error, Result, ServiceId};
+use smc_types::{Error, Result, ServiceId, Spares};
 
-use crate::transport::{Datagram, Spares, Transport};
+use crate::transport::{Datagram, Transport};
 
 /// One-byte flag marking a datagram as broadcast.
 const FLAG_BROADCAST: u8 = 0x01;
@@ -226,14 +226,11 @@ impl Transport for UdpTransport {
                     let mut raw = [0u8; 8];
                     raw[..6].copy_from_slice(&buf[1..7]);
                     let from = ServiceId::from_raw(u64::from_le_bytes(raw));
-                    let payload = self.spares.copy(&buf[HEADER_LEN..n]);
-                    let broadcast = flags & FLAG_BROADCAST != 0;
-                    return Ok(Datagram::received(
+                    return Ok(Datagram {
                         from,
-                        payload,
-                        broadcast,
-                        self.spares.clone(),
-                    ));
+                        payload: self.spares.copy(&buf[HEADER_LEN..n]),
+                        broadcast: flags & FLAG_BROADCAST != 0,
+                    });
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock

@@ -68,7 +68,7 @@ impl ChannelJournal for RecordingJournal {
 fn drain(chan: &ReliableChannel) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     while let Ok(Incoming::Reliable { payload, .. }) = chan.recv(Some(Duration::ZERO)) {
-        out.push(payload);
+        out.push(payload.into_vec());
     }
     out
 }

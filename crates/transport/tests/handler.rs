@@ -40,7 +40,7 @@ fn forward_reliable(channel: &ReliableChannel) -> mpsc::Receiver<(ServiceId, u64
     let (tx, rx) = mpsc::channel();
     channel.set_handler(Box::new(move |incoming| {
         if let Incoming::Reliable { from, seq, payload } = incoming {
-            let _ = tx.send((from, seq, payload));
+            let _ = tx.send((from, seq, payload.into_vec()));
         }
     }));
     rx

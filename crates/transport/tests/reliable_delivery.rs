@@ -23,7 +23,7 @@ fn collect_reliable(ch: &ReliableChannel, n: usize) -> Vec<Vec<u8>> {
     let mut got = Vec::new();
     while got.len() < n {
         match ch.recv(Some(TICK)).expect("recv within deadline") {
-            Incoming::Reliable { payload, .. } => got.push(payload),
+            Incoming::Reliable { payload, .. } => got.push(payload.into_vec()),
             Incoming::Unreliable { .. } => {}
         }
     }
@@ -240,7 +240,7 @@ fn many_peers_fifo_per_sender() {
     let mut total = 0;
     while total < 100 {
         if let Incoming::Reliable { payload, .. } = hub.recv(Some(TICK)).unwrap() {
-            let text = String::from_utf8(payload).unwrap();
+            let text = String::from_utf8(payload.into_vec()).unwrap();
             let (sender, idx) = text.split_once(':').unwrap();
             let idx: u32 = idx.parse().unwrap();
             let expected = next.entry(sender.to_string()).or_insert(0);

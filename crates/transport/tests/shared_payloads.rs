@@ -25,7 +25,7 @@ fn collect_reliable(ch: &ReliableChannel, n: usize) -> Vec<Vec<u8>> {
     let mut got = Vec::new();
     while got.len() < n {
         match ch.recv(Some(TICK)).expect("recv within deadline") {
-            Incoming::Reliable { payload, .. } => got.push(payload),
+            Incoming::Reliable { payload, .. } => got.push(payload.into_vec()),
             Incoming::Unreliable { .. } => {}
         }
     }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, BytesMut};
 
+use crate::buffer::MessageBuf;
 use crate::codec::{with_scratch, Decode, Encode, Reader, WriteExt, MIN_ATTRIBUTE_LEN};
 use crate::error::CodecError;
 use crate::id::{EventId, ServiceId};
@@ -253,9 +254,10 @@ fn value_content_len(value: &AttributeValue) -> usize {
 /// attribute values are decoded once, into `table`, in strictly
 /// ascending name order. The table is part of the body, so an event with
 /// up to [`INLINE_ROWS`] attributes is two heap requests: `buf` and the
-/// shared cell the body lives in.
+/// shared cell the body lives in — and only the cell when `buf` is a
+/// received buffer, which goes back to its link when the body drops.
 struct Body {
-    buf: Vec<u8>,
+    buf: MessageBuf,
     event_type: Span,
     table: Table,
     payload: Span,
@@ -295,7 +297,7 @@ fn scan(r: &mut Reader<'_>) -> Result<(Body, Stamp), CodecError> {
     let payload_len = r.bytes_ref()?.len();
     let payload = Span::ending_at(r.position(), payload_len);
     let body = Body {
-        buf: Vec::new(),
+        buf: MessageBuf::default(),
         event_type,
         table,
         payload,
@@ -335,7 +337,7 @@ impl Body {
                 table.push(Entry { name: span, value });
             }
             buf.put_bytes_field(payload);
-            buf.to_vec()
+            MessageBuf::from(buf.to_vec())
         });
         assert!(
             u32::try_from(buf.len()).is_ok(),
@@ -354,7 +356,7 @@ impl Body {
     /// buffer whose names are not strictly ascending is never kept as it
     /// is: its content is sorted (last duplicate wins) and written out
     /// again.
-    fn adopt(buf: Vec<u8>, scanned: Body) -> Body {
+    fn adopt(buf: MessageBuf, scanned: Body) -> Body {
         let mut body = Body { buf, ..scanned };
         let mut table = std::mem::take(&mut body.table);
         let by_name = |a: &Entry, b: &Entry| body.bytes(a.name).cmp(body.bytes(b.name));
@@ -557,6 +559,8 @@ impl Event {
     /// The event whose encoding `message` is, kept in `message`: what is
     /// asked of the heap is the shared body, whose attribute table holds
     /// up to four rows in place (a fifth moves it to a `Vec` of its own).
+    /// A received buffer ([`MessageBuf`]) goes home when the last clone
+    /// of the event drops.
     /// [`from_bytes`](crate::codec::from_bytes) gives the same event from
     /// a borrowed slice, for one copy of the slice more.
     ///
@@ -564,14 +568,14 @@ impl Event {
     ///
     /// Returns a [`CodecError`] if the input is truncated, malformed, or
     /// has trailing bytes.
-    pub fn from_message(message: Vec<u8>) -> Result<Event, CodecError> {
-        Event::adopt(message, 0, |_| Ok(())).map(|(event, ())| event)
+    pub fn from_message(message: impl Into<MessageBuf>) -> Result<Event, CodecError> {
+        Event::adopt(message.into(), 0, |_| Ok(())).map(|(event, ())| event)
     }
 
     /// Adopts the event encoded at `message[at..]`; `rest` reads whatever
     /// the enclosing format puts after it, and must leave nothing over.
     pub(crate) fn adopt<T>(
-        message: Vec<u8>,
+        message: MessageBuf,
         at: usize,
         rest: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
     ) -> Result<(Event, T), CodecError> {
@@ -705,7 +709,7 @@ impl Decode for Event {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let mut own = Reader::new(r.rest());
         let (scanned, stamp) = scan(&mut own)?;
-        let encoding = r.rest()[..own.position()].to_vec();
+        let encoding = MessageBuf::from(r.rest()[..own.position()].to_vec());
         r.skip(encoding.len())?;
         Ok(Event::from_body(Body::adopt(encoding, scanned), stamp))
     }

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod buffer;
 pub mod clock;
 pub mod codec;
 pub mod error;
@@ -51,6 +52,7 @@ pub mod trace;
 pub mod value;
 pub mod wal;
 
+pub use buffer::{MessageBuf, Spares, MAX_SPARE_LEN, SPARE_BUFFERS, SPARE_BYTES};
 pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use error::{CodecError, Error, Result};
 pub use event::{AttributeSet, Attributes, Event, EventBuilder};

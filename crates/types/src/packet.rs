@@ -6,6 +6,7 @@
 
 use bytes::{BufMut, BytesMut};
 
+use crate::buffer::MessageBuf;
 use crate::codec::{from_bytes, to_shared, Decode, Encode, Reader, WriteExt};
 use crate::error::CodecError;
 use crate::event::{AttributeSet, Event};
@@ -230,14 +231,16 @@ impl Packet {
     /// and payload out of it (see [`Event`]), so the decode asks the heap
     /// for the event's table and shared body and copies nothing. Every
     /// other packet is decoded as [`from_bytes`] would and the message
-    /// dropped.
+    /// dropped. A received buffer goes back to its link when it is
+    /// dropped: the event's, with the last clone of the event.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] if the input is truncated, malformed, or
     /// has trailing bytes — the same verdict as [`from_bytes`] on the
     /// same bytes.
-    pub fn from_message(message: Vec<u8>) -> Result<Packet, CodecError> {
+    pub fn from_message(message: impl Into<MessageBuf>) -> Result<Packet, CodecError> {
+        let message = message.into();
         let Some(&tag @ (P_PUBLISH | P_PUBLISH_ACKED | P_DELIVER)) = message.first() else {
             return from_bytes(&message);
         };

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use bytes::BufMut;
 
+use crate::buffer::MessageBuf;
 use crate::event::Event;
 use crate::trace::TraceId;
 
@@ -131,6 +132,13 @@ impl From<Arc<[u8]>> for SharedBytes {
 impl From<Vec<u8>> for SharedBytes {
     fn from(v: Vec<u8>) -> Self {
         SharedBytes::new(Arc::from(v))
+    }
+}
+
+impl From<MessageBuf> for SharedBytes {
+    /// A copy of the bytes; the buffer goes home.
+    fn from(v: MessageBuf) -> Self {
+        SharedBytes::new(Arc::from(&v[..]))
     }
 }
 
