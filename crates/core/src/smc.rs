@@ -7,8 +7,9 @@
 //! the work:
 //!
 //! * the **membership handler** is handed each of discovery's membership
-//!   changes, in the order its table changed, on the discovery thread
-//!   that made it; it creates/destroys proxies (the bootstrap mechanism),
+//!   changes, in the order its table changed, on the thread that steps
+//!   discovery (or evicts a member); it creates/destroys proxies (the
+//!   bootstrap mechanism),
 //!   publishes the well-known `New Member` / `Purge Member` events, and
 //!   pushes policy deployments to newcomers — a newcomer's before it is
 //!   told it was admitted;
@@ -21,9 +22,12 @@
 //!   consumer is bounded by its senders' windows.
 //!
 //! Time is kept by one tick: discovery's beacon and lease timers, then a
-//! turn of the detect → repair loop. A threaded cell runs it on its third
-//! thread, its timer, which outlives both endpoints and every restart of
-//! them. A cell built with [`SmcCell::with_clock`]
+//! turn of the detect → repair loop. A threaded cell runs two threads,
+//! one per endpoint: the bus channel's receiver, and the cell's loop,
+//! which ticks and between ticks steps the discovery channel and has
+//! the service handle requests as they arrive. The loop outlives both
+//! endpoints and every restart of them. A cell built with
+//! [`SmcCell::with_clock`]
 //! has no thread at all: its owner's [`SmcCell::step`] steps the channels
 //! and runs the same tick, which is how the chaos harness replays a
 //! durable cell bit for bit. A durable cell of either kind manages
@@ -38,7 +42,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent, Ticker};
+use smc_discovery::{DiscoveryConfig, DiscoveryService, MembershipEvent, Ticker, Wait};
 use smc_match::EngineKind;
 use smc_policy::{
     peer_repair_policies, supervision_policies, ActionClass, ActionSpec, Decision, FiredAction,
@@ -145,8 +149,8 @@ impl SmcConfig {
 pub struct SmcCell {
     config: SmcConfig,
     /// Whether the channels and the tick are driven by [`SmcCell::step`]
-    /// ([`SmcCell::with_clock`]) rather than by receive threads and the
-    /// cell's timer.
+    /// ([`SmcCell::with_clock`]) rather than by the bus channel's receive
+    /// thread and the cell's loop.
     stepped: bool,
     /// The bus endpoint's id, which a restarted bus channel keeps.
     bus_id: ServiceId,
@@ -154,11 +158,10 @@ pub struct SmcCell {
     policy: Arc<PolicyService>,
     factory: Arc<ProxyFactory>,
     quench: Arc<QuenchManager>,
-    /// The bus channel, the discovery channel and the discovery service:
-    /// what a component restart replaces. The bus channel's handler holds
-    /// its own channel, so routing a message loads none of them.
+    /// The bus channel and the discovery service, with its channel: what
+    /// a component restart replaces. The bus channel's handler holds its
+    /// own channel, so routing a message loads neither.
     channel: SnapshotCell<ReliableChannel>,
-    discovery_channel: SnapshotCell<ReliableChannel>,
     discovery: SnapshotCell<DiscoveryService>,
     wal: Option<Arc<Wal>>,
     proxies: Arc<Mutex<HashMap<ServiceId, Arc<Proxy>>>>,
@@ -170,14 +173,14 @@ pub struct SmcCell {
     me: Weak<SmcCell>,
     /// The detect → repair loop ([`manage`]).
     supervision: Mutex<manage::Loop>,
-    /// Held by a reconcile pass, and by a membership handler or a route
-    /// change while it journals and rebuilds, so that a pass never
-    /// "repairs" a change in flight. A handler that has not returned
-    /// holds off the pass through discovery
-    /// ([`DiscoveryService::settled_members`]).
+    /// Held by a reconcile pass, and by a bus-thread subscribe or
+    /// unsubscribe while it journals and routes, so that a pass never
+    /// "repairs" a route change in flight. A membership change needs
+    /// none of it: discovery makes and hands it over under its own lock,
+    /// which a pass holds too ([`DiscoveryService::with_members`]).
     views: Mutex<()>,
-    /// A threaded cell's timer, and whether it is to stop.
-    timer: Ticker,
+    /// A threaded cell's loop, and whether it is to stop.
+    thread: Ticker,
     stopped: AtomicBool,
 }
 
@@ -200,8 +203,10 @@ fn open_channel(
     transport: Arc<dyn Transport>,
     journal: Option<(&Arc<Wal>, u8, &CoreSnapshot)>,
 ) -> Arc<ReliableChannel> {
+    let (reliable, clock) = (config.reliable.clone(), Arc::clone(&config.clock));
     let channel = match journal {
-        None => ReliableChannel::new(transport, config.reliable.clone()),
+        None if stepped => ReliableChannel::with_clock(transport, reliable, clock),
+        None => ReliableChannel::new(transport, reliable),
         Some((wal, chan, snap)) => {
             // Once the channel acks an event the device will never
             // retransmit it, so the bus channel acks an event only once
@@ -214,9 +219,7 @@ fn open_channel(
                 WalChannelJournal::new(Arc::clone(wal), chan)
             };
             let (journal, cursors) = (Arc::new(journal), snap.cursors_for(chan));
-            let reliable = config.reliable.clone();
             if stepped {
-                let clock = Arc::clone(&config.clock);
                 ReliableChannel::with_clock_journaled(transport, reliable, clock, journal, cursors)
             } else {
                 ReliableChannel::new_journaled(transport, reliable, journal, cursors)
@@ -246,8 +249,8 @@ impl SmcCell {
         config: SmcConfig,
     ) -> Arc<Self> {
         let cell = SmcCell::assemble(config, false, bus_transport, discovery_transport, None);
-        cell.serve(&cell.bus_channel());
-        cell.start_timer();
+        cell.claim_bus(&cell.bus_channel());
+        cell.start_loop();
         cell
     }
 
@@ -311,9 +314,9 @@ impl SmcCell {
         cell.recover(&snap, Some(&cell.discovery()), Some(&channel));
         // Only now the live traffic: whatever reached the channel since it
         // was built waited in its inbox and goes first, in order.
-        cell.serve(&channel);
+        cell.claim_bus(&channel);
         if !stepped {
-            cell.start_timer();
+            cell.start_loop();
         }
         Ok(cell)
     }
@@ -343,14 +346,9 @@ impl SmcCell {
         let cell = Arc::new_cyclic(|me: &Weak<SmcCell>| {
             let journal = |chan| durable.as_ref().map(|(wal, snap)| (wal, chan, *snap));
             let channel = open_channel(&config, stepped, bus_transport, journal(CHAN_BUS));
-            let discovery_channel = open_channel(
-                &config,
-                stepped,
-                discovery_transport,
-                journal(CHAN_DISCOVERY),
-            );
-            let bus_id = channel.local_id();
-            let discovery = SmcCell::open_discovery(&config, stepped, bus_id, &discovery_channel);
+            let (bus_id, discovery_journal) = (channel.local_id(), journal(CHAN_DISCOVERY));
+            let discovery =
+                SmcCell::open_discovery(&config, bus_id, discovery_transport, discovery_journal);
             SmcCell {
                 stepped,
                 bus_id,
@@ -359,7 +357,6 @@ impl SmcCell {
                 factory: Arc::new(ProxyFactory::new()),
                 quench: Arc::new(QuenchManager::new()),
                 channel: SnapshotCell::new(channel),
-                discovery_channel: SnapshotCell::new(discovery_channel),
                 discovery: SnapshotCell::new(discovery),
                 supervision: Mutex::new(manage::Loop::new(durable.is_some())),
                 wal: durable.as_ref().map(|(wal, _)| Arc::clone(wal)),
@@ -368,7 +365,7 @@ impl SmcCell {
                 next_local_seq: AtomicU64::new(1),
                 me: me.clone(),
                 views: Mutex::new(()),
-                timer: Ticker::default(),
+                thread: Ticker::default(),
                 stopped: AtomicBool::new(false),
                 config,
             }
@@ -377,42 +374,43 @@ impl SmcCell {
         cell
     }
 
-    /// A discovery service for this cell on `channel`, timed by the
-    /// cell's tick; a threaded cell's answers on the channel's receive
-    /// thread.
+    /// A discovery service for this cell on `transport`, timed by the
+    /// cell's tick, on a step-driven channel (`journal` as for
+    /// [`open_channel`]).
     fn open_discovery(
         config: &SmcConfig,
-        stepped: bool,
         bus_id: ServiceId,
-        channel: &Arc<ReliableChannel>,
+        transport: Arc<dyn Transport>,
+        journal: Option<(&Arc<Wal>, u8, &CoreSnapshot)>,
     ) -> Arc<DiscoveryService> {
+        let channel = open_channel(config, true, transport, journal);
         let discovery_config = config.discovery.clone().with_bus_endpoint(bus_id);
-        let (channel, clock) = (Arc::clone(channel), Arc::clone(&config.clock));
-        let service = DiscoveryService::with_clock(config.cell, channel, discovery_config, clock);
-        if !stepped {
-            service.serve();
-        }
-        service
+        let clock = Arc::clone(&config.clock);
+        DiscoveryService::with_clock(config.cell, channel, discovery_config, clock)
     }
 
-    /// Starts a threaded cell's timer: a [`SmcCell::tick`] every
-    /// discovery tick interval, until [`SmcCell::shutdown`] or the last
-    /// handle goes. It holds the cell weakly, and loads discovery afresh
-    /// on every tick, so it outlives both endpoints and their restarts.
-    fn start_timer(self: &Arc<Self>) {
-        let (ticking, poll) = (Arc::downgrade(self), self.config.discovery.tick_interval());
-        let name = format!("smc-timer-{}", self.config.cell);
-        self.timer.start(name, poll, move || {
+    /// Starts a threaded cell's loop: a [`SmcCell::tick`] at once and then
+    /// every discovery tick interval, and in between discovery's channel
+    /// stepped and its requests handled as they arrive — until
+    /// [`SmcCell::shutdown`] or the last handle goes. It holds the cell
+    /// weakly, and loads discovery afresh on every tick, so it outlives
+    /// both endpoints and their restarts; while discovery is down it
+    /// parks until the next tick.
+    fn start_loop(self: &Arc<Self>) {
+        let (ticking, every) = (Arc::downgrade(self), self.config.discovery.tick_interval());
+        let name = format!("smc-loop-{}", self.config.cell);
+        self.thread.start(name, every, move || {
             let cell = ticking.upgrade();
-            let cell = cell.filter(|c| !c.stopped.load(Ordering::SeqCst));
-            cell.map(|c| c.tick()).is_some()
+            let cell = cell.filter(|c| !c.stopped.load(Ordering::SeqCst))?;
+            cell.tick();
+            Some(Wait::Serve(cell.discovery()))
         });
     }
 
     /// Takes every membership change `discovery` makes, in the order its
     /// table made them; a join's before discovery answers it, so a device
     /// that hears it is a member finds its proxy in place. Held weakly,
-    /// like the bus handler (`serve`).
+    /// like the bus handler (`claim_bus`).
     fn claim(self: &Arc<Self>, discovery: &DiscoveryService) {
         let membership = Arc::downgrade(self);
         discovery.set_membership_handler(Box::new(move |change| {
@@ -442,7 +440,7 @@ impl SmcCell {
     /// stops the cell (via its `Drop`) — even when that handle is the
     /// handler's own upgrade. Its hold on `channel` ends when the channel
     /// closes and drops the handler.
-    fn serve(self: &Arc<Self>, channel: &Arc<ReliableChannel>) {
+    fn claim_bus(self: &Arc<Self>, channel: &Arc<ReliableChannel>) {
         let serving = Arc::downgrade(self);
         let answering = Arc::clone(channel);
         channel.set_handler(Box::new(move |incoming| {
@@ -506,7 +504,7 @@ impl SmcCell {
     /// Drives a cell built with [`SmcCell::with_clock`] at its clock's
     /// current time: steps the bus channel (whose messages are routed
     /// before it returns) and the discovery channel, then runs the cell's
-    /// tick — the one a threaded cell's timer runs. A stopped channel is
+    /// tick — the one a threaded cell's loop runs. A stopped channel is
     /// skipped. Returns the datagrams and discovery work processed.
     ///
     /// # Panics
@@ -527,10 +525,9 @@ impl SmcCell {
     }
 
     /// The cell's one tick, at its clock's now: discovery keeps its time
-    /// (beacon, lease accounting, and a step-driven service's queued
-    /// requests), then the detect → repair loop takes its turn. A threaded
-    /// cell's timer runs it; [`SmcCell::step`] ends with it. Returns the
-    /// discovery work done.
+    /// (beacon, lease accounting, and its queued requests), then the
+    /// detect → repair loop takes its turn. A threaded cell's loop runs
+    /// it; [`SmcCell::step`] ends with it. Returns the discovery work done.
     fn tick(&self) -> usize {
         let discovery_up = !self.discovery_channel().is_closed();
         let work = discovery_up.then(|| self.discovery().step());
@@ -550,11 +547,9 @@ impl SmcCell {
         let (wal, snap) = self.durable_truth()?;
         self.discovery().shutdown();
         let journal = Some((wal, CHAN_DISCOVERY, &snap));
-        let channel = open_channel(&self.config, self.stepped, transport, journal);
-        let discovery = SmcCell::open_discovery(&self.config, self.stepped, self.bus_id, &channel);
+        let discovery = SmcCell::open_discovery(&self.config, self.bus_id, transport, journal);
         self.recover(&snap, Some(&discovery), None);
         self.claim(&discovery);
-        self.discovery_channel.store(channel);
         self.discovery.store(discovery);
         Ok(())
     }
@@ -583,7 +578,7 @@ impl SmcCell {
         let channel = open_channel(&self.config, self.stepped, transport, journal);
         self.channel.store(Arc::clone(&channel));
         self.recover(&snap, None, Some(&channel));
-        self.serve(&channel);
+        self.claim_bus(&channel);
         Ok(())
     }
 
@@ -628,7 +623,7 @@ impl SmcCell {
 
     /// The reliable channel serving the discovery endpoint.
     pub fn discovery_channel(&self) -> Arc<ReliableChannel> {
-        self.discovery_channel.load()
+        Arc::clone(self.discovery().channel())
     }
 
     /// The in-process event bus.
@@ -746,26 +741,33 @@ impl SmcCell {
     /// taken as correct. Non-durable cells get checks 4–5 only — there
     /// is no durable membership truth to diff against.
     ///
-    /// The pass diffs nothing while discovery has a membership change
-    /// whose handler has not returned
-    /// ([`DiscoveryService::settled_members`]): the table is ahead of the
-    /// other views until then, and the next pass sees the change done.
-    /// Otherwise it first compares digests ([`SmcCell::views_agree`]);
-    /// when every view agrees it reads no log and reports what a clean
-    /// pass reports — nothing.
+    /// The pass runs while discovery can make no membership change
+    /// ([`DiscoveryService::with_members`]): a change is made and handled
+    /// under the lock the pass holds, so the pass never finds the table
+    /// ahead of the other views. On the cell's loop, which steps
+    /// discovery before it, the lock is free; a pass from another thread
+    /// waits for the step in progress. It first compares digests
+    /// ([`SmcCell::views_agree`]); when every view agrees it reads no log
+    /// and reports what a clean pass reports — nothing.
     ///
     /// # Errors
     ///
     /// Propagates WAL read failures. Individual repairs that fail are
     /// recorded in the report and do not abort the pass.
     pub fn reconcile(&self) -> Result<ReconcileReport> {
+        let discovery = self.discovery();
+        discovery.with_members(|table| self.reconcile_against(&discovery, table))
+    }
+
+    /// [`SmcCell::reconcile`]'s pass, against `discovery`'s `table`.
+    fn reconcile_against(
+        &self,
+        discovery: &DiscoveryService,
+        table: &[ServiceInfo],
+    ) -> Result<ReconcileReport> {
         let _views = self.views.lock();
         let mut report = ReconcileReport::default();
-        let discovery = self.discovery();
-        let Some(table) = discovery.settled_members() else {
-            return Ok(report);
-        };
-        if self.views_agree(&table) {
+        if self.views_agree(table) {
             return Ok(report);
         }
         let channel = self.bus_channel();
@@ -973,12 +975,15 @@ impl SmcCell {
         })
     }
 
-    /// Stops the cell: its timer, its loop, discovery, the bus endpoint,
-    /// and every proxy.
+    /// Stops the cell: its loop and its supervision, discovery, the bus
+    /// endpoint, and every proxy.
     pub fn shutdown(&self) {
         self.stopped.store(true, Ordering::SeqCst);
-        self.timer.stop();
         self.set_supervising(false);
+        // Closing discovery's channel ends the loop's wait on it; a
+        // discovery a repair restarted meanwhile goes once the loop ended.
+        self.discovery().shutdown();
+        self.thread.stop();
         self.discovery().shutdown();
         self.bus_channel().close();
         let proxies: Vec<Arc<Proxy>> = self.proxies.lock().values().cloned().collect();
@@ -994,14 +999,13 @@ impl SmcCell {
     /// its policy bundle, the New Member event — and last the `members`
     /// entry, so whoever finds a member there knows all of that is done.
     /// Discovery has it done before it answers the join, because a device
-    /// may act the moment it hears it was admitted, and holds off every
-    /// reconcile pass until it returns.
+    /// may act the moment it hears it was admitted, and lets no reconcile
+    /// pass run until it returns.
     ///
     /// A member the cell already knows is left as it is: one that
     /// discovery forgot while the cell did not (state corruption) rejoins
     /// as the same incarnation.
     fn on_member_joined(&self, info: ServiceInfo) {
-        let views = self.views.lock();
         if self.members.lock().contains_key(&info.id) {
             return;
         }
@@ -1018,7 +1022,6 @@ impl SmcCell {
                 proxy.track_subscription(id, filter);
             }
         }
-        drop(views);
         self.recompute_quench();
         // Deploy the device-type policy bundle, if any.
         let bundle = self.policy.deployment_for(&info.device_type);
@@ -1031,7 +1034,6 @@ impl SmcCell {
     }
 
     fn destroy_member(&self, id: ServiceId) {
-        let _views = self.views.lock();
         self.journal(&WalRecord::MemberPurged { member: id });
         self.tear_down(id);
         self.recompute_quench();
@@ -1347,5 +1349,6 @@ impl SmcCell {
 impl Drop for SmcCell {
     fn drop(&mut self) {
         self.bus_channel().close();
+        self.discovery_channel().close();
     }
 }

@@ -1,7 +1,7 @@
 //! The cell's own detect → repair loop.
 //!
 //! On every turn it is due — each tick of the cell's, which a threaded
-//! cell's timer and a step-driven cell's [`SmcCell::step`] both run — the
+//! cell's loop and a step-driven cell's [`SmcCell::step`] both run — the
 //! loop samples whether discovery and the sink run, walks each through the
 //! `component-down` hysteresis, and publishes every transition as an
 //! `smc.health` event with [`SmcCell::publish_local`]. The cell's own
@@ -25,7 +25,7 @@
 //! Every 500 ms the loop also runs anti-entropy ([`SmcCell::reconcile`]).
 //! A pass whose views all agree with the log by digest reads no log, so
 //! a quiet cell's passes cost it next to nothing; only a divergence folds
-//! the log. The timer outlives both endpoints, so a cell whose discovery
+//! the log. The loop outlives both endpoints, so a cell whose discovery
 //! and sink are both down restarts both.
 //!
 //! A turn with no transition, no open episode and no pass due takes no

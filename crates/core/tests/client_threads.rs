@@ -12,6 +12,7 @@ use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::AgentConfig;
 use smc_transport::{LinkConfig, ReliableChannel, ReliableConfig, SimNetwork};
 use smc_types::{Event, Filter, ServiceId, ServiceInfo};
+use smc_wal::MemBackend;
 
 const TICK: Duration = Duration::from_secs(5);
 
@@ -37,7 +38,7 @@ fn settles_to(expected: usize) -> bool {
 fn threads_are_counted() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let idle = thread_count();
-    let cell = cell_runs_three_threads(&net, idle);
+    let cell = cell_runs_two_threads_and_restarts_with_none_more(&net, idle);
     client_runs_two_threads_and_shutdown_leaves_none(&net);
     cell.shutdown();
     assert!(
@@ -48,19 +49,57 @@ fn threads_are_counted() {
     net.shutdown();
 }
 
-/// A started cell runs three threads: the bus channel's receiver (which
-/// dispatches), the discovery channel's receiver (which admits members
-/// and hands joins, leaves and recoveries to the cell) and the discovery
-/// timer (beacons, and the lease purges it hands to the cell). There is
-/// no dispatch thread and no membership thread.
-fn cell_runs_three_threads(net: &SimNetwork, idle: usize) -> Arc<SmcCell> {
-    let cell = SmcCell::start(
+/// A started cell runs two threads, one per endpoint: the bus channel's
+/// receiver (which dispatches) and the cell's loop, which steps the
+/// discovery channel and service as requests arrive (admitting members
+/// and handing every membership change to the cell) and ticks (beacons,
+/// lease purges, the detect → repair loop). There is no dispatch thread,
+/// no membership thread and no timer. The loop restarts either endpoint,
+/// stopped from outside, with no thread more.
+fn cell_runs_two_threads_and_restarts_with_none_more(
+    net: &SimNetwork,
+    idle: usize,
+) -> Arc<SmcCell> {
+    let cell = SmcCell::start_durable(
         Arc::new(net.endpoint()),
         Arc::new(net.endpoint()),
         SmcConfig::fast(),
+        Arc::new(MemBackend::new()),
+    )
+    .expect("durable start");
+    assert_eq!(thread_count(), idle + 2, "two threads per cell");
+
+    let stopped = cell.discovery_channel();
+    cell.discovery().shutdown();
+    restarted(&stopped, || cell.discovery_channel());
+    assert!(
+        settles_to(idle + 2),
+        "{} threads after discovery restarted",
+        thread_count() - idle
     );
-    assert_eq!(thread_count(), idle + 3, "three threads per cell");
+
+    let stopped = cell.bus_channel();
+    stopped.close();
+    restarted(&stopped, || cell.bus_channel());
+    assert!(
+        settles_to(idle + 2),
+        "{} threads after the bus endpoint restarted",
+        thread_count() - idle
+    );
     cell
+}
+
+/// Waits for the cell's loop to replace `stopped` with an open channel.
+fn restarted(stopped: &Arc<ReliableChannel>, current: impl Fn() -> Arc<ReliableChannel>) {
+    let deadline = Instant::now() + TICK;
+    loop {
+        let channel = current();
+        if !Arc::ptr_eq(&channel, stopped) && !channel.is_closed() {
+            return;
+        }
+        assert!(Instant::now() < deadline, "the endpoint was not restarted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// A connected client runs two threads — its channel's receiver, which

@@ -182,12 +182,10 @@ fn the_last_handle_may_be_the_one_dispatch_holds() {
 }
 
 /// The membership handler also upgrades its weak cell reference for one
-/// change at a time, on the discovery thread that made the change, so
-/// the cell can be dropped there: by the discovery channel's receive
-/// thread inside a join, and by the cell's timer inside a lease purge.
-/// The timer's drop closes the discovery channel, which joins the receive
-/// thread — so that thread must never be waiting for the handler the
-/// timer is running — and neither thread may join itself.
+/// change at a time, on the cell's loop, which makes every change, so the
+/// cell can be dropped there: inside a join and inside a lease purge. The
+/// loop must not join itself, and a join that arrives while the handler
+/// is held must not keep anything alive.
 fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
     for change in [wellknown::NEW_MEMBER, wellknown::PURGE_MEMBER] {
         let net = SimNetwork::new(LinkConfig::ideal());
@@ -198,11 +196,7 @@ fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
             SmcConfig::fast(),
         );
         let silent_after_joining = change == wellknown::PURGE_MEMBER;
-        let expected_thread = if silent_after_joining {
-            format!("smc-timer-{}", cell.cell_id())
-        } else {
-            format!("reliable-rx-{}", cell.discovery().local_id())
-        };
+        let expected_thread = format!("smc-loop-{}", cell.cell_id());
         // A cell-side subscriber that holds the handler inside `change`.
         let (entered, handling) = mpsc::channel();
         let (resume, resumed) = mpsc::channel::<()>();
@@ -236,10 +230,8 @@ fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
             "{change}"
         );
         // A newcomer asks to join while the handler is held (by hand: the
-        // timer that beacons may be the one held). Inside the timer's
-        // purge, the receive thread admits it — the table lists it at once
-        // — and must not be left waiting for the handler when the timer
-        // drops the cell.
+        // loop that beacons is the one held). It waits for the loop, which
+        // drops the cell once the handler returns.
         let newcomer = ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default());
         let join = Packet::JoinRequest {
             info: ServiceInfo::new(ServiceId::NIL, "sensor.spo2"),
@@ -248,13 +240,6 @@ fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
         newcomer
             .send(cell.discovery().local_id(), to_shared(&join))
             .expect("queued");
-        if silent_after_joining {
-            let deadline = std::time::Instant::now() + STEP;
-            while !cell.discovery().is_member(newcomer.local_id()) {
-                assert!(std::time::Instant::now() < deadline, "the table waited");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
         drop(cell);
         drop(resume);
 

@@ -18,7 +18,7 @@ use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
 use smc_types::{CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
 
-use crate::service::Ticker;
+use crate::service::{Ticker, Wait};
 
 /// Lifecycle notifications emitted by a [`MemberAgent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,7 +214,7 @@ impl MemberAgent {
             if running {
                 worker.heartbeat_if_due(Instant::now());
             }
-            running
+            running.then_some(Wait::Park)
         });
         agent
     }

@@ -16,8 +16,9 @@
 //!
 //! Group membership deliberately does **not** travel over the event bus;
 //! the service hands each [`MembershipEvent`] to its owner's
-//! [`MembershipHandler`], in the order the table changed, and the cell
-//! wiring (in `smc-core`) publishes the corresponding bus events.
+//! [`MembershipHandler`], in the order the table changed, on the thread
+//! that changed it, and the cell wiring (in `smc-core`) publishes the
+//! corresponding bus events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,4 +32,6 @@ pub mod service;
 pub use agent::{AgentConfig, AgentEvent, MemberAgent, PacketSink};
 pub use auth::{AcceptAll, Authenticator, DeviceTypeAllowList, SharedSecret};
 pub use membership::{MemberRecord, MemberState, MembershipEvent, MembershipTable};
-pub use service::{DiscoveryConfig, DiscoveryService, DiscoveryStats, MembershipHandler, Ticker};
+pub use service::{
+    DiscoveryConfig, DiscoveryService, DiscoveryStats, MembershipHandler, Ticker, Wait,
+};

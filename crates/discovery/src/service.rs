@@ -8,13 +8,12 @@
 //! discovery protocol does not use the event bus for monitoring group
 //! membership".
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
@@ -126,90 +125,85 @@ impl DiscoveryCounters {
 /// What a service's owner does with each membership change, installed
 /// with [`DiscoveryService::set_membership_handler`].
 ///
-/// It is called one change at a time, in the order the table changed, by
-/// the thread that made the change — the channel's receive thread (joins,
-/// leaves, recoveries), the caller of [`DiscoveryService::step`] (lease
-/// expiries; a started service's ticker thread), the caller of
-/// [`DiscoveryService::evict`] — or, if another thread is running the
-/// handler at that moment, by that thread once it returns: nobody waits
-/// for a handler. No lock the table's readers take is held, so it may read
-/// the table; a `Joined` is handled before the member's `JoinResponse` is
-/// sent, so what it sets up exists by the time the device hears it was
-/// admitted. It must not install a handler itself.
+/// It is called one change at a time, in the order the table changed, on
+/// the thread that made the change: the one stepping the service
+/// ([`DiscoveryService::step`]; a started service's or a threaded cell's
+/// loop) for joins, leaves, recoveries and lease expiries, or the caller
+/// of [`DiscoveryService::evict`]. A step and an eviction each hold the
+/// service's one lock while they change the table and hand over what
+/// changed, so no change is made before the one ahead of it is handled,
+/// and no thread hands another's. No lock the table's readers take is
+/// held, so it may read the table; a `Joined` is handled before the
+/// member's `JoinResponse` is sent, so what it sets up exists by the time
+/// the device hears it was admitted. It must not install a handler or
+/// evict a member itself.
 pub type MembershipHandler = Box<dyn FnMut(MembershipEvent) + Send>;
-
-/// What the table's writers leave for the handler, in table order.
-#[derive(Debug)]
-enum Report {
-    /// A membership change.
-    Change(MembershipEvent),
-    /// A join's answer, sent once every change before it is handled.
-    Answer(ServiceId, Packet),
-}
-
-#[derive(Debug)]
-struct ServiceState {
-    table: MembershipTable,
-    /// Reports not yet handled: each is queued under this lock together
-    /// with the change it reports, so the queue is in table order.
-    unreported: VecDeque<Report>,
-    /// Changes queued or in the handler: while any is, the table is ahead
-    /// of what its owner has made of it.
-    in_flight: usize,
-}
 
 /// The discovery service of one self-managed cell.
 ///
 /// Its owner keeps its time: [`DiscoveryService::step`] sends the beacon
-/// when one is due and runs lease accounting. A cell's timer calls it on
-/// every tick; a step-driven owner calls it with its own clock; a service
-/// [`started`](DiscoveryService::start) on its own has a [`Ticker`] that
-/// does.
-#[derive(Debug)]
+/// when one is due, runs lease accounting and handles the requests its
+/// channel queued. A threaded cell's loop calls it; a step-driven owner
+/// calls it with its own clock; a service
+/// [`started`](DiscoveryService::start) on its own has a loop of its own.
 pub struct DiscoveryService {
-    worker: Arc<Worker>,
+    cell: CellId,
+    channel: Arc<ReliableChannel>,
+    config: DiscoveryConfig,
+    /// The service's one timekeeper: its clock, the clock's reading at an
+    /// `Instant` (mapping it onto the timeline the table uses), and the
+    /// last beacon's number with when the next is due.
+    clock: SharedClock,
+    origin: (Instant, u64),
+    beacon: Mutex<(u64, u64)>,
+    table: Mutex<MembershipTable>,
+    /// Who is handed each change, behind the service's one lock: a step
+    /// and an eviction hold it throughout, and so does an owner's diff of
+    /// its views against the table ([`DiscoveryService::with_members`]).
+    handler: Mutex<MembershipHandler>,
     /// The other end of an unclaimed service's handler.
     events: Receiver<MembershipEvent>,
-    /// The ticker of a service started on its own.
+    running: AtomicBool,
+    counters: DiscoveryCounters,
+    /// The loop of a service started on its own.
     ticker: Ticker,
 }
 
+impl std::fmt::Debug for DiscoveryService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiscoveryService")
+            .field("cell", &self.cell)
+            .field("table", &self.table)
+            .finish_non_exhaustive()
+    }
+}
+
 impl DiscoveryService {
-    /// Starts a discovery service for `cell` on `channel`, served by the
-    /// channel's receive thread and ticked by a [`Ticker`] of its own.
+    /// Starts a discovery service for `cell` on `channel`, with a loop of
+    /// its own that ticks it and takes its channel's messages as they come.
     pub fn start(
         cell: CellId,
         channel: Arc<ReliableChannel>,
         config: DiscoveryConfig,
     ) -> Arc<Self> {
-        let poll = config.tick_interval();
+        let every = config.tick_interval();
         let service = Self::with_clock(cell, channel, config, system_clock());
-        service.serve();
-        let (worker, name) = (Arc::clone(&service.worker), format!("discovery-{cell}"));
-        service.ticker.start(name, poll, move || {
-            let running = worker.running.load(Ordering::SeqCst) && !worker.channel.is_closed();
-            if running {
-                worker.tick();
-            }
-            running
-        });
+        let serving = Arc::downgrade(&service);
         service
-    }
-
-    /// Answers requests where they are received, on the channel's receive
-    /// thread, from now on rather than in [`DiscoveryService::step`]. Time
-    /// is still kept by `step` alone.
-    pub fn serve(&self) {
-        let worker = Arc::clone(&self.worker);
-        let handler = move |incoming: Incoming| worker.handle_at(incoming, worker.now());
-        self.worker.channel.set_handler(Box::new(handler));
+            .ticker
+            .start(format!("discovery-{cell}"), every, move || {
+                let service = serving.upgrade();
+                let service = service.filter(|s| s.running.load(Ordering::SeqCst))?;
+                service.step();
+                (!service.channel.is_closed()).then_some(Wait::Serve(service))
+            });
+        service
     }
 
     /// Builds a **step-driven** discovery service timed by `clock`.
     ///
-    /// No thread takes its channel's messages (until
-    /// [`DiscoveryService::serve`]): nothing happens until [`step`] is
-    /// called, which makes the service fully deterministic
+    /// No thread takes its channel's messages: nothing happens until
+    /// [`step`] is called, which makes the service fully deterministic
     /// under a [`smc_types::ManualClock`]. Lease and grace accounting
     /// advance with the injected clock, not wall time.
     ///
@@ -223,39 +217,54 @@ impl DiscoveryService {
         let (events_tx, events) = unbounded();
         let origin = (Instant::now(), clock.now_micros());
         Arc::new(DiscoveryService {
-            worker: Arc::new(Worker {
-                cell,
-                channel,
-                config,
-                beacon: Mutex::new((0, origin.1)),
-                origin,
-                clock,
-                state: Mutex::new(ServiceState {
-                    table: MembershipTable::new(),
-                    unreported: VecDeque::new(),
-                    in_flight: 0,
-                }),
-                handler: Mutex::new(Box::new(move |ev| {
-                    let _ = events_tx.send(ev);
-                })),
-                running: AtomicBool::new(true),
-                counters: DiscoveryCounters::default(),
-            }),
+            cell,
+            channel,
+            config,
+            beacon: Mutex::new((0, origin.1)),
+            origin,
+            clock,
+            table: Mutex::new(MembershipTable::new()),
+            handler: Mutex::new(Box::new(move |ev| {
+                let _ = events_tx.send(ev);
+            })),
             events,
+            running: AtomicBool::new(true),
+            counters: DiscoveryCounters::default(),
             ticker: Ticker::default(),
         })
     }
 
     /// Keeps the service's time at its clock's now: broadcasts a beacon if
-    /// one is due and runs lease accounting — then, if no thread takes
-    /// the channel's messages, handles every one already queued. Returns
-    /// the number of packets, beacons and membership transitions
-    /// processed.
+    /// one is due and runs lease accounting, then handles every message
+    /// its channel has queued. Returns the number of packets, beacons and
+    /// membership transitions processed.
     pub fn step(&self) -> usize {
-        let mut work = self.worker.tick();
-        let now = self.worker.now();
-        while let Some(incoming) = self.worker.channel.try_recv() {
-            self.worker.handle_at(incoming, now);
+        let mut handler = self.handler.lock();
+        let work = self.tick(&mut handler);
+        work + self.handle_queued(&mut handler, None)
+    }
+
+    /// What a loop does between ticks: waits up to `wait` for the
+    /// channel's first message — stepping a step-driven channel for it
+    /// ([`ReliableChannel::step_waiting`]) — then handles what came, as a
+    /// step does; the time is kept at the ticks.
+    fn step_waiting(&self, wait: Duration) {
+        let first = if self.channel.is_step_driven() {
+            self.channel.step_waiting(wait);
+            None
+        } else {
+            self.channel.recv(Some(wait)).ok()
+        };
+        self.handle_queued(&mut self.handler.lock(), first);
+    }
+
+    /// Handles `first`, then every message the channel has queued.
+    fn handle_queued(&self, handler: &mut MembershipHandler, first: Option<Incoming>) -> usize {
+        let now = self.now();
+        let queued = std::iter::from_fn(|| self.channel.try_recv());
+        let mut work = 0;
+        for incoming in first.into_iter().chain(queued) {
+            self.handle_at(incoming, now, handler);
             work += 1;
         }
         work
@@ -263,7 +272,12 @@ impl DiscoveryService {
 
     /// The service's own endpoint id.
     pub fn local_id(&self) -> ServiceId {
-        self.worker.channel.local_id()
+        self.channel.local_id()
+    }
+
+    /// The channel the service answers on.
+    pub fn channel(&self) -> &Arc<ReliableChannel> {
+        &self.channel
     }
 
     /// Claims the service: from now on every membership change is handed
@@ -274,13 +288,11 @@ impl DiscoveryService {
     /// calling thread, in order, before any later one does. A second call
     /// replaces the handler.
     pub fn set_membership_handler(&self, mut handler: MembershipHandler) {
-        let mut current = self.worker.handler.lock();
+        let mut current = self.handler.lock();
         while let Ok(earlier) = self.events.try_recv() {
             handler(earlier);
         }
         *current = handler;
-        drop(current);
-        self.worker.drain();
     }
 
     /// The membership changes (joined / suspected / recovered / purged) of
@@ -293,21 +305,21 @@ impl DiscoveryService {
 
     /// Snapshot of current members.
     pub fn members(&self) -> Vec<ServiceInfo> {
-        self.worker.state.lock().table.snapshot()
+        self.table.lock().snapshot()
     }
 
-    /// Snapshot of current members once the handler has seen every change
-    /// the table made; `None` while one is queued or being handled. What
-    /// an owner's views are diffed against, so a change half carried out
-    /// is never taken for a divergence.
-    pub fn settled_members(&self) -> Option<Vec<ServiceInfo>> {
-        let st = self.worker.state.lock();
-        (st.in_flight == 0).then(|| st.table.snapshot())
+    /// Runs `f` on a snapshot of the current members while no change can
+    /// be made or handled: what an owner's views are diffed against, so a
+    /// change half carried out is never taken for a divergence. `f` must
+    /// not step the service or evict a member.
+    pub fn with_members<R>(&self, f: impl FnOnce(&[ServiceInfo]) -> R) -> R {
+        let _changes = self.handler.lock();
+        f(&self.members())
     }
 
     /// Returns `true` if `id` is currently a member.
     pub fn is_member(&self, id: ServiceId) -> bool {
-        self.worker.state.lock().table.contains(id)
+        self.table.lock().contains(id)
     }
 
     /// Silently re-admits a member recovered from a durability snapshot
@@ -316,8 +328,8 @@ impl DiscoveryService {
     /// never lapsed from the cell's point of view, the process merely
     /// died and came back.
     pub fn restore_member(&self, info: ServiceInfo) {
-        let now = self.worker.now();
-        self.worker.state.lock().table.admit(info, now);
+        let now = self.now();
+        self.table.lock().admit(info, now);
     }
 
     /// Silently drops a member from the table: no `Purged` event, no
@@ -327,27 +339,29 @@ impl DiscoveryService {
     /// against durable truth brings the member back. Returns `true` if
     /// the entry existed.
     pub fn forget_member(&self, id: ServiceId) -> bool {
-        self.worker.state.lock().table.remove(id).is_some()
+        self.table.lock().remove(id).is_some()
     }
 
-    /// Forcibly removes a member (operator or policy action).
+    /// Forcibly removes a member (operator or policy action), handing the
+    /// purge to the handler on the calling thread before it returns — in
+    /// turn with the steps, whose lock it holds.
     ///
     /// # Errors
     ///
     /// [`Error::NotMember`] if `id` is not in the table.
     pub fn evict(&self, id: ServiceId) -> Result<()> {
-        let mut st = self.worker.state.lock();
-        if st.table.remove(id).is_none() {
+        let mut handler = self.handler.lock();
+        if self.table.lock().remove(id).is_none() {
             return Err(Error::NotMember);
         }
         let evicted = MembershipEvent::Purged(id, PurgeReason::Evicted);
-        self.worker.report(st, [Report::Change(evicted)]);
+        self.hand(&mut handler, evicted);
         Ok(())
     }
 
     /// A snapshot of the service's activity counters.
     pub fn stats(&self) -> DiscoveryStats {
-        self.worker.counters.snapshot()
+        self.counters.snapshot()
     }
 
     /// Exports this service's counters into `registry` as
@@ -356,96 +370,18 @@ impl DiscoveryService {
         registry.register_weak(self, |service, out| service.stats().samples(&[], out));
     }
 
-    /// Stops the service, its ticker if it has one, and its channel.
+    /// Stops the service, its loop if it has one, and its channel.
     pub fn shutdown(&self) {
-        if !self.worker.running.swap(false, Ordering::SeqCst) {
+        if !self.running.swap(false, Ordering::SeqCst) {
             return;
         }
-        self.worker.channel.close();
+        self.channel.close();
         self.ticker.stop();
     }
-}
 
-/// A thread that keeps time: it calls its tick every poll interval until
-/// the tick returns `false`. What a started [`DiscoveryService`] and a
-/// threaded cell's timer both run on.
-#[derive(Debug, Default)]
-pub struct Ticker(Mutex<Option<std::thread::JoinHandle<()>>>);
-
-impl Ticker {
-    /// Starts the thread, `name`d, calling `tick` at once and then every
-    /// `poll` until it returns `false`.
-    ///
-    /// # Panics
-    ///
-    /// If the thread cannot be spawned.
-    pub fn start(
-        &self,
-        name: String,
-        poll: Duration,
-        mut tick: impl FnMut() -> bool + Send + 'static,
-    ) {
-        let thread = std::thread::Builder::new().name(name);
-        let thread = thread.spawn(move || {
-            while tick() {
-                std::thread::park_timeout(poll);
-            }
-        });
-        *self.0.lock() = Some(thread.expect("spawn a ticker"));
-    }
-
-    /// Wakes the thread and waits for it to end — its tick must return
-    /// `false` by now — unless called from the thread itself, as a tick
-    /// that stops its owner does.
-    pub fn stop(&self) {
-        if let Some(thread) = self.0.lock().take() {
-            thread.thread().unpark();
-            if thread.thread().id() != std::thread::current().id() {
-                let _ = thread.join();
-            }
-        }
-    }
-}
-
-impl Drop for DiscoveryService {
-    fn drop(&mut self) {
-        self.worker.running.store(false, Ordering::SeqCst);
-        self.worker.channel.close();
-    }
-}
-
-/// What the service's handle, its channel's receive thread and whoever
-/// keeps its time share.
-struct Worker {
-    cell: CellId,
-    channel: Arc<ReliableChannel>,
-    config: DiscoveryConfig,
-    /// The service's one timekeeper: its clock, the clock's reading at an
-    /// `Instant` (mapping it onto the timeline the table uses), and the
-    /// last beacon's number with when the next is due.
-    clock: SharedClock,
-    origin: (Instant, u64),
-    beacon: Mutex<(u64, u64)>,
-    state: Mutex<ServiceState>,
-    /// Held by the thread running it; see [`Worker::drain`].
-    handler: Mutex<MembershipHandler>,
-    running: AtomicBool,
-    counters: DiscoveryCounters,
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field("cell", &self.cell)
-            .field("state", &self.state)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Worker {
     /// The beacon, if one is due, then lease accounting, at the clock's
     /// now; returns the beacons sent and the transitions made.
-    fn tick(&self) -> usize {
+    fn tick(&self, handler: &mut MembershipHandler) -> usize {
         let now_micros = self.clock.now_micros();
         let mut schedule = self.beacon.lock();
         let beacon = now_micros >= schedule.1;
@@ -461,12 +397,20 @@ impl Worker {
             schedule.1 = now_micros + self.config.beacon_interval.as_micros() as u64;
         }
         drop(schedule);
-        let mut st = self.state.lock();
         let now = self.now();
-        let transitions = st.table.tick(now, self.config.lease, self.config.grace);
+        let (lease, grace) = (self.config.lease, self.config.grace);
+        let transitions = self.table.lock().tick(now, lease, grace);
         let n = transitions.len();
-        self.report(st, transitions.into_iter().map(Report::Change));
+        for ev in transitions {
+            self.hand(handler, ev);
+        }
         usize::from(beacon) + n
+    }
+
+    /// Counts a change the table just made and hands it over.
+    fn hand(&self, handler: &mut MembershipHandler, ev: MembershipEvent) {
+        self.counters.count(&ev);
+        handler(ev);
     }
 
     /// The clock's now on the table's timeline.
@@ -475,88 +419,46 @@ impl Worker {
         self.origin.0 + Duration::from_micros(since)
     }
 
-    /// Reports what was just done to the table under `st`: counts each
-    /// change, queues it behind everything done before it, and once `st`
-    /// is released hands the queue to the handler.
-    fn report(
-        &self,
-        mut st: MutexGuard<'_, ServiceState>,
-        reports: impl IntoIterator<Item = Report>,
-    ) {
-        for report in reports {
-            if let Report::Change(ev) = &report {
-                self.counters.count(ev);
-                st.in_flight += 1;
-            }
-            st.unreported.push_back(report);
-        }
-        drop(st);
-        self.drain();
-    }
-
-    /// Handles queued reports one at a time, in order — unless another
-    /// thread is running the handler, in which case that thread takes
-    /// them before it lets go. Never waits for a handler to return.
-    fn drain(&self) {
-        while let Some(mut handler) = self.handler.try_lock() {
-            loop {
-                let next = self.state.lock().unreported.pop_front();
-                match next {
-                    Some(Report::Change(ev)) => {
-                        handler(ev);
-                        self.state.lock().in_flight -= 1;
-                    }
-                    Some(Report::Answer(to, answer)) => {
-                        let _ = self.channel.send(to, to_shared(&answer));
-                    }
-                    None => break,
-                }
-            }
-            drop(handler);
-            // A report queued while this thread was letting go found the
-            // handler taken: it is this thread's to hand over.
-            if self.state.lock().unreported.is_empty() {
-                return;
-            }
-        }
-    }
-
-    fn handle_at(&self, incoming: Incoming, now: Instant) {
+    fn handle_at(&self, incoming: Incoming, now: Instant, handler: &mut MembershipHandler) {
         let from = incoming.from();
         let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
         };
         match packet {
             Packet::JoinRequest { info, auth_token } => {
-                self.handle_join(from, info, &auth_token, now);
+                self.handle_join(from, info, &auth_token, now, handler);
             }
             Packet::Heartbeat { member, seq } => {
-                let mut st = self.state.lock();
                 // Unknown member: stay silent so it rejoins on the next
                 // beacon.
-                let Some(prev) = st.table.heartbeat(member, now) else {
+                let Some(prev) = self.table.lock().heartbeat(member, now) else {
                     return;
                 };
-                let recovered = (prev == MemberState::Suspected)
-                    .then_some(Report::Change(MembershipEvent::Recovered(member)));
-                self.report(st, recovered);
+                if prev == MemberState::Suspected {
+                    self.hand(handler, MembershipEvent::Recovered(member));
+                }
                 self.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
                 let ack = Packet::HeartbeatAck { seq };
                 let _ = self.channel.send_unreliable(from, &to_bytes(&ack));
             }
             Packet::Leave { member, .. } => {
-                let mut st = self.state.lock();
-                let left = st
-                    .table
-                    .remove(member)
-                    .map(|_| Report::Change(MembershipEvent::Purged(member, PurgeReason::Left)));
-                self.report(st, left);
+                let left = self.table.lock().remove(member).is_some();
+                if left {
+                    self.hand(handler, MembershipEvent::Purged(member, PurgeReason::Left));
+                }
             }
             _ => {}
         }
     }
 
-    fn handle_join(&self, from: ServiceId, mut info: ServiceInfo, token: &[u8], now: Instant) {
+    fn handle_join(
+        &self,
+        from: ServiceId,
+        mut info: ServiceInfo,
+        token: &[u8],
+        now: Instant,
+        handler: &mut MembershipHandler,
+    ) {
         // Trust the transport-derived id over the self-declared one.
         info.id = from;
         let verdict = self.config.authenticator.authenticate(&info, token);
@@ -577,12 +479,82 @@ impl Worker {
         // Admit before answering: a device that hears it is a member may
         // use its membership at once, so by then the table lists it and
         // the handler has seen it join.
-        let mut st = self.state.lock();
-        let joined = (accepted && st.table.admit(info.clone(), now))
-            .then_some(Report::Change(MembershipEvent::Joined(info)));
-        self.report(
-            st,
-            joined.into_iter().chain([Report::Answer(from, response)]),
-        );
+        if accepted && self.table.lock().admit(info.clone(), now) {
+            self.hand(handler, MembershipEvent::Joined(info));
+        }
+        let _ = self.channel.send(from, to_shared(&response));
+    }
+}
+
+impl Drop for DiscoveryService {
+    fn drop(&mut self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.channel.close();
+    }
+}
+
+/// How a [`Ticker`]'s thread spends the time until its next tick.
+#[derive(Debug)]
+pub enum Wait {
+    /// Parked.
+    Park,
+    /// Taking the service's messages as they come: each wait on its
+    /// channel is held to the channel's poll interval, and what it brought
+    /// is handled as [`DiscoveryService::step`] handles it. Parked instead
+    /// once the channel closes.
+    Serve(Arc<DiscoveryService>),
+}
+
+/// A thread that keeps time: it calls its tick at once and then every
+/// `every`, and between ticks waits as the tick asks, until the tick
+/// returns `None`. What a member agent's heartbeats park on, and what a
+/// started [`DiscoveryService`] and a threaded cell each run as their one
+/// thread, serving discovery between ticks.
+#[derive(Debug, Default)]
+pub struct Ticker(Mutex<Option<std::thread::JoinHandle<()>>>);
+
+impl Ticker {
+    /// Starts the thread, `name`d.
+    ///
+    /// # Panics
+    ///
+    /// If the thread cannot be spawned.
+    pub fn start(
+        &self,
+        name: String,
+        every: Duration,
+        mut tick: impl FnMut() -> Option<Wait> + Send + 'static,
+    ) {
+        let thread = std::thread::Builder::new().name(name);
+        let thread = thread.spawn(move || {
+            while let Some(wait) = tick() {
+                let due = Instant::now() + every;
+                loop {
+                    let left = due.saturating_duration_since(Instant::now());
+                    match &wait {
+                        Wait::Serve(service) if !left.is_zero() && !service.channel.is_closed() => {
+                            service.step_waiting(left);
+                        }
+                        _ => {
+                            std::thread::park_timeout(left);
+                            break;
+                        }
+                    }
+                }
+            }
+        });
+        *self.0.lock() = Some(thread.expect("spawn a ticker"));
+    }
+
+    /// Wakes the thread and waits for it to end — its tick must return
+    /// `None` by now, and a channel it serves must be closed — unless
+    /// called from the thread itself, as a tick that stops its owner does.
+    pub fn stop(&self) {
+        if let Some(thread) = self.0.lock().take() {
+            thread.thread().unpark();
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
+        }
     }
 }

@@ -798,21 +798,36 @@ impl ReliableChannel {
     /// Panics if the channel was built with [`ReliableChannel::new`]
     /// (its receive thread owns this state).
     pub fn step(&self) -> usize {
-        let rx = self
+        self.step_waiting(Duration::ZERO)
+    }
+
+    /// [`ReliableChannel::step`], waiting up to `wait` for the first
+    /// datagram: what lets one thread block on a step-driven channel. The
+    /// wait is held to the poll interval, so the acknowledgements the step
+    /// holds are flushed by the next one before the sender's first timeout.
+    pub fn step_waiting(&self, wait: Duration) -> usize {
+        let mut worker = self
             .manual_rx
             .as_ref()
             .expect("step() requires a channel built with ReliableChannel::with_clock")
             .lock();
-        let mut worker = rx;
         self.shared.flush_held();
+        let mut wait = wait.min(self.shared.config.poll_interval);
         let mut processed = 0;
-        while let Ok(datagram) = self.shared.transport.recv(Some(Duration::ZERO)) {
+        while let Ok(datagram) = self.shared.transport.recv(Some(wait)) {
+            wait = Duration::ZERO;
             processed += 1;
             worker.receive(datagram);
             worker.deliver();
         }
         worker.retransmit_due();
         processed
+    }
+
+    /// Whether the channel is step-driven ([`ReliableChannel::with_clock`])
+    /// rather than served by a receive thread of its own.
+    pub fn is_step_driven(&self) -> bool {
+        self.manual_rx.is_some()
     }
 
     /// The underlying endpoint's identifier.

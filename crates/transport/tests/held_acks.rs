@@ -506,3 +506,44 @@ fn undelivered_message_is_acknowledged_in_no_form() {
     assert!(tap.take().iter().any(|f| acknowledges(f, 2)));
     assert_eq!(device.pending(core.local_id()), 0);
 }
+
+/// A step-driven channel that waits for its first datagram
+/// (`step_waiting`) never waits past its poll interval, however long it
+/// is asked to, so the ack its step holds leaves with the next step in
+/// time to beat the sender's first timeout: a loop of waiting steps
+/// receives every message once and the sender retransmits nothing.
+#[test]
+fn a_waiting_step_is_held_to_the_poll_interval() {
+    let net = SimNetwork::new(LinkConfig::ideal());
+    let config = ReliableConfig {
+        initial_rto: Duration::from_millis(200),
+        poll_interval: Duration::from_millis(100),
+        ..ReliableConfig::default()
+    };
+    let clock = smc_types::system_clock();
+    let rx = ReliableChannel::with_clock(Arc::new(net.endpoint()), config.clone(), clock);
+    let tx = ReliableChannel::new(Arc::new(net.endpoint()), config);
+
+    let asked = Instant::now();
+    assert_eq!(rx.step_waiting(Duration::from_secs(5)), 0);
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "an idle step waited {waited:?}"
+    );
+
+    let receipts: Vec<Receipt> = (0..20u8)
+        .map(|i| tx.send_with_receipt(rx.local_id(), vec![i]).unwrap())
+        .collect();
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while got.len() < 20 || receipts.iter().any(|r| r.poll().is_none()) {
+        assert!(Instant::now() < deadline, "received {got:?}");
+        rx.step_waiting(Duration::from_secs(5));
+        while let Some(Incoming::Reliable { payload, .. }) = rx.try_recv() {
+            got.push(payload[0]);
+        }
+    }
+    assert_eq!(got, (0..20u8).collect::<Vec<_>>());
+    assert_eq!(tx.stats().retransmits, 0, "a held ack lost the race");
+}
