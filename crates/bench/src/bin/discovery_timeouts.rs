@@ -56,6 +56,7 @@ fn main() {
                 max_missed_heartbeats: u32::MAX,
                 ..AgentConfig::default()
             },
+            Box::new(|_, _| {}),
         );
         agent.wait_joined(Duration::from_secs(10)).expect("join");
         // Drain the Joined event.

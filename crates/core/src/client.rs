@@ -16,7 +16,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use smc_discovery::{AgentConfig, MemberAgent};
+use smc_discovery::{AgentConfig, MemberAgent, PacketSink};
 use smc_transport::ReliableChannel;
 use smc_types::codec::to_shared;
 use smc_types::{
@@ -48,6 +48,24 @@ pub struct CommandRequest {
     pub args: AttributeSet,
 }
 
+/// The join both kinds of device make: starts a [`MemberAgent`] on
+/// `channel` that hands bus traffic to `sink`, waits up to `join_timeout`
+/// for admission, and returns the agent with the cell's bus endpoint.
+fn join(
+    info: ServiceInfo,
+    channel: &Arc<ReliableChannel>,
+    agent_config: AgentConfig,
+    join_timeout: Duration,
+    sink: PacketSink,
+) -> Result<(Arc<MemberAgent>, ServiceId)> {
+    let agent = MemberAgent::start(info, Arc::clone(channel), agent_config, sink);
+    agent.wait_joined(join_timeout)?;
+    let bus = agent
+        .bus_endpoint()
+        .ok_or_else(|| Error::Invalid("cell reported no bus endpoint".into()))?;
+    Ok((agent, bus))
+}
+
 /// A smart device's connection to a cell's event bus.
 #[derive(Debug)]
 pub struct RemoteClient {
@@ -66,12 +84,12 @@ pub struct RemoteClient {
 
 impl RemoteClient {
     /// Joins a cell and connects to its bus: starts a [`MemberAgent`] on
-    /// `channel`, waits up to `join_timeout` for admission, and installs
-    /// the packet router as the agent's sink — bus traffic is routed on
-    /// the thread that received it (the channel's receive thread), with
-    /// no hand-off in between. The router only queues and answers
-    /// without waiting; whoever installs a sink of their own must keep to
-    /// the same rule ([`smc_discovery::PacketSink`]).
+    /// `channel` with the packet router as its sink, and waits up to
+    /// `join_timeout` for admission. Bus traffic is routed on the thread
+    /// that received it (the channel's receive thread), with no hand-off
+    /// in between. The router only queues and answers without waiting;
+    /// whoever gives an agent a sink of their own must keep to the same
+    /// rule ([`smc_discovery::PacketSink`]).
     ///
     /// # Errors
     ///
@@ -83,12 +101,6 @@ impl RemoteClient {
         agent_config: AgentConfig,
         join_timeout: Duration,
     ) -> Result<Arc<Self>> {
-        let agent = MemberAgent::start(info, Arc::clone(&channel), agent_config);
-        agent.wait_joined(join_timeout)?;
-        let bus = agent
-            .bus_endpoint()
-            .ok_or_else(|| Error::Invalid("cell reported no bus endpoint".into()))?;
-
         let (events_tx, events_rx) = unbounded();
         let (commands_tx, commands_rx) = unbounded();
         let (policies_tx, policies_rx) = unbounded();
@@ -103,7 +115,8 @@ impl RemoteClient {
             policies: policies_tx,
             quenched: Arc::clone(&quenched),
         };
-        agent.set_packet_sink(Box::new(move |from, packet| router.route(from, packet)));
+        let sink = Box::new(move |from, packet| router.route(from, packet));
+        let (agent, bus) = join(info, &channel, agent_config, join_timeout, sink)?;
 
         Ok(Arc::new(RemoteClient {
             agent,
@@ -411,25 +424,22 @@ impl RawDevice {
     ///
     /// # Errors
     ///
-    /// [`Error::Timeout`] if no cell admitted the device.
+    /// [`Error::Timeout`] if no cell admitted the device;
+    /// [`Error::Invalid`] if the cell reported no bus endpoint.
     pub fn connect(
         info: ServiceInfo,
         channel: Arc<ReliableChannel>,
         agent_config: AgentConfig,
         join_timeout: Duration,
     ) -> Result<Self> {
-        let agent = MemberAgent::start(info, Arc::clone(&channel), agent_config);
-        agent.wait_joined(join_timeout)?;
-        let bus = agent
-            .bus_endpoint()
-            .ok_or_else(|| Error::Invalid("cell reported no bus endpoint".into()))?;
         let (downlink_tx, downlink_rx) = unbounded();
-        agent.set_packet_sink(Box::new(move |_, packet| {
+        let sink = Box::new(move |_, packet| {
             // Other traffic is not for a dumb device.
             if let Packet::Raw(bytes) = packet {
                 let _ = downlink_tx.send(bytes);
             }
-        }));
+        });
+        let (agent, bus) = join(info, &channel, agent_config, join_timeout, sink)?;
         Ok(RawDevice {
             agent,
             channel,

@@ -105,6 +105,7 @@ impl Ward {
                         ..AgentConfig::default()
                     },
                     Arc::clone(&shared),
+                    Box::new(|_, _| {}),
                 );
                 (channel, agent)
             })

@@ -9,7 +9,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use smc_core::{RemoteClient, SmcCell, SmcConfig};
-use smc_discovery::{AgentConfig, DiscoveryConfig, MemberAgent};
+use smc_discovery::{AgentConfig, DiscoveryConfig, MemberAgent, PacketSink};
 use smc_transport::{
     Datagram, LinkConfig, MemTransport, ReliableChannel, ReliableConfig, SimNetwork, Transport,
 };
@@ -337,15 +337,27 @@ fn crash_while_routing(k: Option<u64>) -> (Vec<i64>, Vec<String>) {
         cell.set_supervising(false);
         cell
     };
-    let device = |device_type: &str| {
+    let device = |device_type: &str, sink: PacketSink| {
         let endpoint = Arc::new(net.endpoint());
         let channel = ReliableChannel::with_clock(endpoint, reliable.clone(), Arc::clone(&clock));
         let info = ServiceInfo::new(ServiceId::NIL, device_type);
         let config = AgentConfig::default();
-        let agent = MemberAgent::with_clock(info, Arc::clone(&channel), config, Arc::clone(&clock));
+        let clock = Arc::clone(&clock);
+        let agent = MemberAgent::with_clock(info, Arc::clone(&channel), config, clock, sink);
         (channel, agent)
     };
-    let (publisher, subscriber) = (device("sensor.heart-rate"), device("monitor.station"));
+    let readings = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&readings);
+    let publisher = device("sensor.heart-rate", Box::new(|_, _| {}));
+    let subscriber = device(
+        "monitor.station",
+        Box::new(move |_, packet| {
+            if let Packet::Deliver { event, .. } = packet {
+                let bpm = event.attr("bpm").and_then(|bpm| bpm.as_int());
+                sink.lock().push(bpm.expect("a reading"));
+            }
+        }),
+    );
     let run = |cell: &SmcCell, ms: u64| {
         for _ in 0..ms / STEP_MS {
             net.pump_due();
@@ -370,14 +382,6 @@ fn crash_while_routing(k: Option<u64>) -> (Vec<i64>, Vec<String>) {
     let crash = Arc::new(Crash::default());
     let cell = boot(net.endpoint(), net.endpoint(), &crash);
     let (bus_id, discovery_id) = (cell.bus_endpoint(), cell.discovery_channel().local_id());
-    let readings = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&readings);
-    subscriber.1.set_packet_sink(Box::new(move |_, packet| {
-        if let Packet::Deliver { event, .. } = packet {
-            let bpm = event.attr("bpm").and_then(|bpm| bpm.as_int());
-            sink.lock().push(bpm.expect("a reading"));
-        }
-    }));
     run(&cell, 500);
     let subscribe = Packet::Subscribe {
         request_id: 1,
@@ -614,7 +618,10 @@ fn a_cell_leaves_beacons_unanswered_and_refuses_a_strangers_publish() {
         .count();
     assert!(heard >= 10, "{heard} beacons broadcast");
     let landed = crash.landed.lock().clone();
-    assert!(landed.is_empty(), "beacons answered, the log took {landed:?}");
+    assert!(
+        landed.is_empty(),
+        "beacons answered, the log took {landed:?}"
+    );
 
     let reading = Event::builder(READING).attr("bpm", 70i64).build();
     let publish = Packet::publish(reading).into_shared();

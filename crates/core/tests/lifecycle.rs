@@ -215,6 +215,7 @@ fn the_last_handle_may_be_the_one_the_membership_handler_holds() {
             ServiceInfo::new(ServiceId::NIL, "sensor.hr"),
             ReliableChannel::new(Arc::new(net.endpoint()), ReliableConfig::default()),
             AgentConfig::default(),
+            Box::new(|_, _| {}),
         );
         if silent_after_joining {
             device.wait_joined(STEP).expect("join");

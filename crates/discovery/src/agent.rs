@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 
 use smc_transport::{Incoming, ReliableChannel};
 use smc_types::codec::{to_bytes, to_shared};
-use smc_types::{CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
+use smc_types::{system_clock, CellId, Error, Packet, Result, ServiceId, ServiceInfo, SharedClock};
 
 use crate::service::{Ticker, Wait};
 
@@ -74,6 +74,8 @@ impl Default for AgentConfig {
 /// such as `Deliver` or `SubscribeAck`), called in arrival order on the
 /// thread that took the packet off the transport: the channel's receive
 /// thread (a step-driven agent: the caller of [`MemberAgent::step`]).
+/// The agent's constructor takes it, so it sees every such packet from
+/// the first; it is dropped when the agent stops.
 ///
 /// **Never block on a reply inside a sink.** Until it returns, that
 /// thread receives nothing: a sink that calls `RemoteClient::publish` (or
@@ -83,22 +85,6 @@ impl Default for AgentConfig {
 /// thread.
 pub type PacketSink = Box<dyn FnMut(ServiceId, Packet) + Send>;
 
-/// Where unconsumed packets go: held until the agent's owner installs its
-/// sink ([`MemberAgent::set_packet_sink`]), handed straight to it after.
-enum Unhandled {
-    Held(Vec<(ServiceId, Packet)>),
-    Sink(PacketSink),
-}
-
-impl std::fmt::Debug for Unhandled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Unhandled::Held(held) => write!(f, "Held({})", held.len()),
-            Unhandled::Sink(_) => f.write_str("Sink"),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Searching,
@@ -106,124 +92,97 @@ enum Phase {
     Member,
 }
 
+/// Membership as the agent sees it; times are its clock's micros.
 #[derive(Debug)]
 struct AgentState {
     phase: Phase,
     cell: Option<CellId>,
     discovery: Option<ServiceId>,
     bus: Option<ServiceId>,
-    lease: Duration,
-    next_heartbeat: Instant,
+    /// A third of the granted lease, rounded up, so a single loss cannot
+    /// expire us.
+    heartbeat_every: u64,
+    next_heartbeat: u64,
     heartbeat_seq: u64,
     last_acked_seq: u64,
     missed: u32,
 }
 
-/// Step-driven state for an agent built with [`MemberAgent::with_clock`].
-#[derive(Debug)]
-struct ManualAgent {
-    worker: AgentWorker,
-    clock: SharedClock,
-    /// Wall-clock anchor mapping virtual micros onto the `Instant`
-    /// timeline the heartbeat schedule uses.
-    origin: Instant,
-    origin_micros: u64,
-}
-
-impl ManualAgent {
-    fn virtual_now(&self) -> Instant {
-        self.origin
-            + Duration::from_micros(self.clock.now_micros().saturating_sub(self.origin_micros))
-    }
-}
-
 /// The device-side discovery participant.
-#[derive(Debug)]
+///
+/// It keeps its clock's time: [`MemberAgent::step`] sends a heartbeat if
+/// one is due and handles what its channel queued. A
+/// [`started`](MemberAgent::start) agent needs no stepping: its
+/// channel's receive thread handles each packet as it comes and a timer
+/// heartbeats.
 pub struct MemberAgent {
     info: ServiceInfo,
     channel: Arc<ReliableChannel>,
-    state: Arc<Mutex<AgentState>>,
+    config: AgentConfig,
+    clock: SharedClock,
+    state: Mutex<AgentState>,
     /// Signalled on every transition to [`Phase::Member`].
-    joined: Arc<Condvar>,
+    joined: Condvar,
     events_rx: Receiver<AgentEvent>,
     events_tx: Sender<AgentEvent>,
-    unhandled: Arc<Mutex<Unhandled>>,
-    running: Arc<AtomicBool>,
+    /// Where unconsumed packets go, until the agent stops.
+    sink: Mutex<Option<PacketSink>>,
+    running: AtomicBool,
     /// The heartbeat timer of a started agent.
     timer: Ticker,
-    manual: Option<Mutex<ManualAgent>>,
+}
+
+impl std::fmt::Debug for MemberAgent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemberAgent")
+            .field("info", &self.info)
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
 }
 
 impl MemberAgent {
-    /// Starts an agent describing itself as `info` on `channel`.
+    /// Starts an agent describing itself as `info` on `channel`, on the
+    /// wall clock, handing what discovery does not consume to `sink`: the
+    /// channel's receive thread handles packets as they come and a timer
+    /// thread heartbeats. Both hold the agent weakly, so dropping its last
+    /// handle stops them.
     ///
     /// The agent's id is always the channel's endpoint id; the id inside
     /// `info` is overwritten.
     pub fn start(
-        mut info: ServiceInfo,
+        info: ServiceInfo,
         channel: Arc<ReliableChannel>,
         config: AgentConfig,
+        sink: PacketSink,
     ) -> Arc<Self> {
-        info.id = channel.local_id();
-        let (events_tx, events_rx) = unbounded();
-        let unhandled = Arc::new(Mutex::new(Unhandled::Held(Vec::new())));
-        let state = Arc::new(Mutex::new(AgentState {
-            phase: Phase::Searching,
-            cell: None,
-            discovery: None,
-            bus: None,
-            lease: Duration::from_secs(2),
-            next_heartbeat: Instant::now(),
-            heartbeat_seq: 0,
-            last_acked_seq: 0,
-            missed: 0,
+        let agent = Self::with_clock(info, channel, config, system_clock(), sink);
+        let receiving = Arc::downgrade(&agent);
+        agent.channel.set_handler(Box::new(move |incoming| {
+            if let Some(agent) = receiving.upgrade() {
+                agent.handle_at(incoming, agent.clock.now_micros());
+            }
         }));
-        let running = Arc::new(AtomicBool::new(true));
-        let joined = Arc::new(Condvar::new());
-        let agent = Arc::new(MemberAgent {
-            info: info.clone(),
-            channel: Arc::clone(&channel),
-            state: Arc::clone(&state),
-            joined: Arc::clone(&joined),
-            events_rx,
-            events_tx: events_tx.clone(),
-            unhandled: Arc::clone(&unhandled),
-            running: Arc::clone(&running),
-            timer: Ticker::default(),
-            manual: None,
-        });
-        let worker = Arc::new(AgentWorker {
-            info,
-            channel,
-            config,
-            state,
-            joined,
-            events: events_tx,
-            unhandled,
-            running,
-        });
-        // Packets are handled where they are received; the agent's own
-        // thread only keeps time.
-        let receiving = Arc::clone(&worker);
-        worker.channel.set_handler(Box::new(move |incoming| {
-            receiving.handle_at(incoming, Instant::now());
-        }));
+        let ticking = Arc::downgrade(&agent);
         let name = format!("member-agent-{}", agent.info.id);
         agent.timer.start(name, Duration::from_millis(10), move || {
-            let running = worker.running.load(Ordering::SeqCst) && !worker.channel.is_closed();
+            let agent = ticking.upgrade()?;
+            let running = agent.running.load(Ordering::SeqCst) && !agent.channel.is_closed();
             if running {
-                worker.heartbeat_if_due(Instant::now());
+                agent.heartbeat_if_due(agent.clock.now_micros());
             }
             running.then_some(Wait::Park)
         });
         agent
     }
 
-    /// Builds a **step-driven** agent timed by `clock`.
+    /// Builds a **step-driven** agent timed by `clock`, handing what
+    /// discovery does not consume to `sink`.
     ///
-    /// No worker thread is spawned: beacons are only noticed and
-    /// heartbeats only sent from [`step`], making the agent fully
-    /// deterministic under a [`smc_types::ManualClock`].
+    /// No thread is spawned: beacons are only noticed and heartbeats only
+    /// sent from [`step`], making the agent fully deterministic under a
+    /// [`smc_types::ManualClock`]. The id inside `info` is overwritten
+    /// with the channel's, as by [`MemberAgent::start`].
     ///
     /// [`step`]: MemberAgent::step
     pub fn with_clock(
@@ -231,73 +190,44 @@ impl MemberAgent {
         channel: Arc<ReliableChannel>,
         config: AgentConfig,
         clock: SharedClock,
+        sink: PacketSink,
     ) -> Arc<Self> {
         info.id = channel.local_id();
         let (events_tx, events_rx) = unbounded();
-        let unhandled = Arc::new(Mutex::new(Unhandled::Held(Vec::new())));
-        let origin = Instant::now();
-        let state = Arc::new(Mutex::new(AgentState {
-            phase: Phase::Searching,
-            cell: None,
-            discovery: None,
-            bus: None,
-            lease: Duration::from_secs(2),
-            next_heartbeat: origin,
-            heartbeat_seq: 0,
-            last_acked_seq: 0,
-            missed: 0,
-        }));
-        let running = Arc::new(AtomicBool::new(true));
-        let joined = Arc::new(Condvar::new());
-        let worker = AgentWorker {
-            info: info.clone(),
-            channel: Arc::clone(&channel),
-            config,
-            state: Arc::clone(&state),
-            joined: Arc::clone(&joined),
-            events: events_tx.clone(),
-            unhandled: Arc::clone(&unhandled),
-            running: Arc::clone(&running),
-        };
-        let origin_micros = clock.now_micros();
         Arc::new(MemberAgent {
             info,
             channel,
-            state,
-            joined,
+            config,
+            clock,
+            state: Mutex::new(AgentState {
+                phase: Phase::Searching,
+                cell: None,
+                discovery: None,
+                bus: None,
+                heartbeat_every: 0,
+                next_heartbeat: 0,
+                heartbeat_seq: 0,
+                last_acked_seq: 0,
+                missed: 0,
+            }),
+            joined: Condvar::new(),
             events_rx,
             events_tx,
-            unhandled,
-            running,
+            sink: Mutex::new(Some(sink)),
+            running: AtomicBool::new(true),
             timer: Ticker::default(),
-            manual: Some(Mutex::new(ManualAgent {
-                worker,
-                clock,
-                origin,
-                origin_micros,
-            })),
         })
     }
 
-    /// Performs one unit of agent work at the injected clock's current
-    /// time: sends a heartbeat if one is due and drains every inbound
-    /// packet already queued on the channel. Returns the number of
-    /// packets and heartbeats processed.
-    ///
-    /// # Panics
-    ///
-    /// If the agent was built with [`MemberAgent::start`] (which owns a
-    /// worker thread) rather than [`MemberAgent::with_clock`].
+    /// Keeps the agent's time at its clock's now: sends a heartbeat if one
+    /// is due, then handles every packet its channel has queued (none on a
+    /// started agent, whose receive thread takes them). Returns the number
+    /// of packets and heartbeats processed.
     pub fn step(&self) -> usize {
-        let drv = self
-            .manual
-            .as_ref()
-            .expect("step() requires an agent built with MemberAgent::with_clock")
-            .lock();
-        let now = drv.virtual_now();
-        let mut work = usize::from(drv.worker.heartbeat_if_due(now));
-        while let Ok(incoming) = self.channel.recv(Some(Duration::ZERO)) {
-            drv.worker.handle_at(incoming, now);
+        let now = self.clock.now_micros();
+        let mut work = usize::from(self.heartbeat_if_due(now));
+        while let Some(incoming) = self.channel.try_recv() {
+            self.handle_at(incoming, now);
             work += 1;
         }
         work
@@ -316,24 +246,6 @@ impl MemberAgent {
     /// Lifecycle notifications.
     pub fn events(&self) -> &Receiver<AgentEvent> {
         &self.events_rx
-    }
-
-    /// Installs the sink for packets the discovery protocol does not
-    /// consume — one endpoint serves both protocols, as in the paper's
-    /// prototype, and the device's bus client is that sink.
-    ///
-    /// Packets that arrived before this call were held; they go through
-    /// `sink` first, in arrival order, before any later packet does (the
-    /// receiving thread waits out the hand-over). A second call replaces
-    /// the sink. See [`PacketSink`] for what a sink must not do.
-    pub fn set_packet_sink(&self, mut sink: PacketSink) {
-        let mut unhandled = self.unhandled.lock();
-        if let Unhandled::Held(held) = &mut *unhandled {
-            for (from, packet) in held.drain(..) {
-                sink(from, packet);
-            }
-        }
-        *unhandled = Unhandled::Sink(sink);
     }
 
     /// The cell's event-bus endpoint, learned from the join response.
@@ -423,8 +335,8 @@ impl MemberAgent {
         // Drop the sink with whatever it owns (the owner's queues
         // disconnect). A sink that is running — this call came from
         // inside it — is dropped by its caller when it returns.
-        if let Some(mut unhandled) = self.unhandled.try_lock() {
-            *unhandled = Unhandled::Held(Vec::new());
+        if let Some(mut sink) = self.sink.try_lock() {
+            *sink = None;
         }
         let mut st = self.state.lock();
         st.phase = Phase::Searching;
@@ -432,30 +344,9 @@ impl MemberAgent {
         st.discovery = None;
         st.bus = None;
     }
-}
 
-impl Drop for MemberAgent {
-    fn drop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.channel.close();
-    }
-}
-
-#[derive(Debug)]
-struct AgentWorker {
-    info: ServiceInfo,
-    channel: Arc<ReliableChannel>,
-    config: AgentConfig,
-    state: Arc<Mutex<AgentState>>,
-    joined: Arc<Condvar>,
-    events: Sender<AgentEvent>,
-    unhandled: Arc<Mutex<Unhandled>>,
-    running: Arc<AtomicBool>,
-}
-
-impl AgentWorker {
     /// Returns `true` if a heartbeat was sent or the cell declared lost.
-    fn heartbeat_if_due(&self, now: Instant) -> bool {
+    fn heartbeat_if_due(&self, now: u64) -> bool {
         let mut st = self.state.lock();
         if st.phase != Phase::Member || now < st.next_heartbeat {
             return false;
@@ -470,7 +361,7 @@ impl AgentWorker {
                 st.discovery = None;
                 st.missed = 0;
                 drop(st);
-                let _ = self.events.send(AgentEvent::Lost { cell });
+                let _ = self.events_tx.send(AgentEvent::Lost { cell });
                 return true;
             }
         }
@@ -480,15 +371,13 @@ impl AgentWorker {
             seq: st.heartbeat_seq,
         };
         let discovery = st.discovery.expect("member has a discovery endpoint");
-        // Heartbeat at a third of the lease so a single loss cannot
-        // expire us.
-        st.next_heartbeat = now + st.lease / 3;
+        st.next_heartbeat = now.saturating_add(st.heartbeat_every);
         drop(st);
         let _ = self.channel.send_unreliable(discovery, &to_bytes(&packet));
         true
     }
 
-    fn handle_at(&self, incoming: Incoming, now: Instant) {
+    fn handle_at(&self, incoming: Incoming, now: u64) {
         let from = incoming.from();
         let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
@@ -531,14 +420,14 @@ impl AgentWorker {
                     st.cell = Some(cell);
                     st.discovery = Some(from);
                     st.bus = Some(bus);
-                    st.lease = Duration::from_millis(lease_millis.max(30));
+                    st.heartbeat_every = lease_millis.max(30).saturating_mul(1000).div_ceil(3);
                     st.heartbeat_seq = 0;
                     st.last_acked_seq = 0;
                     st.missed = 0;
-                    st.next_heartbeat = now + st.lease / 3;
+                    st.next_heartbeat = now.saturating_add(st.heartbeat_every);
                     // Recorded and announced before the state is released:
                     // whoever sees `Member` acts after `Joined` is queued.
-                    let _ = self.events.send(AgentEvent::Joined {
+                    let _ = self.events_tx.send(AgentEvent::Joined {
                         cell,
                         discovery: from,
                     });
@@ -549,7 +438,7 @@ impl AgentWorker {
                     st.cell = None;
                     st.discovery = None;
                     drop(st);
-                    let _ = self.events.send(AgentEvent::Rejected { cell, reason });
+                    let _ = self.events_tx.send(AgentEvent::Rejected { cell, reason });
                 }
             }
             Packet::HeartbeatAck { seq } => {
@@ -560,17 +449,22 @@ impl AgentWorker {
                 }
             }
             other => {
-                let mut unhandled = self.unhandled.lock();
-                match &mut *unhandled {
-                    Unhandled::Held(held) => held.push((from, other)),
-                    Unhandled::Sink(sink) => sink(from, other),
+                let mut slot = self.sink.lock();
+                if let Some(sink) = slot.as_mut() {
+                    sink(from, other);
                 }
                 // A sink that stopped the agent could not be dropped
                 // while it ran ([`MemberAgent::shutdown`]).
                 if !self.running.load(Ordering::SeqCst) {
-                    *unhandled = Unhandled::Held(Vec::new());
+                    *slot = None;
                 }
             }
         }
+    }
+}
+
+impl Drop for MemberAgent {
+    fn drop(&mut self) {
+        self.channel.close();
     }
 }

@@ -1,7 +1,7 @@
 //! The membership table: who is in the cell, and how alive they are.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smc_types::{PurgeReason, ServiceId, ServiceInfo};
 
@@ -20,10 +20,9 @@ pub enum MemberState {
 pub struct MemberRecord {
     /// The member's static description.
     pub info: ServiceInfo,
-    /// When the member was admitted.
-    pub joined_at: Instant,
-    /// Last heartbeat (or join) seen.
-    pub last_seen: Instant,
+    /// When the last heartbeat (or the join) was seen, in the service
+    /// clock's micros.
+    pub last_seen: u64,
     /// Current liveness assessment.
     pub state: MemberState,
 }
@@ -46,20 +45,21 @@ pub enum MembershipEvent {
     Purged(ServiceId, PurgeReason),
 }
 
-/// The table of current members with lease accounting.
+/// The table of current members with lease accounting. Times are a
+/// clock's micros ([`smc_types::Clock::now_micros`]).
 ///
 /// ```
-/// use std::time::{Duration, Instant};
+/// use std::time::Duration;
 /// use smc_discovery::{MembershipEvent, MembershipTable};
 /// use smc_types::{ServiceId, ServiceInfo};
 ///
 /// let mut table = MembershipTable::new();
-/// let t0 = Instant::now();
+/// let t0 = 1_000_000;
 /// table.admit(ServiceInfo::new(ServiceId::from_raw(1), "sensor.hr"), t0);
 /// // Silence beyond the lease: suspected, but not yet purged.
 /// let lease = Duration::from_millis(100);
 /// let grace = Duration::from_millis(200);
-/// let events = table.tick(t0 + Duration::from_millis(150), lease, grace);
+/// let events = table.tick(t0 + 150_000, lease, grace);
 /// assert!(matches!(events[0], MembershipEvent::Suspected(_)));
 /// assert!(table.contains(ServiceId::from_raw(1)), "masked, not purged");
 /// ```
@@ -74,21 +74,21 @@ impl MembershipTable {
         MembershipTable::default()
     }
 
-    /// Admits (or re-admits) a member, returning `true` if it was new.
-    pub fn admit(&mut self, info: ServiceInfo, now: Instant) -> bool {
+    /// Admits (or re-admits) a member at `now`, returning `true` if it
+    /// was new.
+    pub fn admit(&mut self, info: ServiceInfo, now: u64) -> bool {
         let id = info.id;
         let record = MemberRecord {
             info,
-            joined_at: now,
             last_seen: now,
             state: MemberState::Active,
         };
         self.members.insert(id, record).is_none()
     }
 
-    /// Records a heartbeat. Returns the member's previous state, or `None`
-    /// if it is not a member.
-    pub fn heartbeat(&mut self, id: ServiceId, now: Instant) -> Option<MemberState> {
+    /// Records a heartbeat seen at `now`. Returns the member's previous
+    /// state, or `None` if it is not a member.
+    pub fn heartbeat(&mut self, id: ServiceId, now: u64) -> Option<MemberState> {
         let rec = self.members.get_mut(&id)?;
         let prev = rec.state;
         rec.last_seen = now;
@@ -131,18 +131,20 @@ impl MembershipTable {
         self.members.values().map(|r| r.info.clone()).collect()
     }
 
-    /// Advances lease accounting: members silent beyond `lease` become
-    /// suspected; members suspected longer than `grace` are purged.
+    /// Advances lease accounting to `now`: members silent beyond `lease`
+    /// become suspected; members suspected longer than `grace` are purged.
     ///
     /// Returns the resulting transitions in a deterministic (id) order.
-    pub fn tick(&mut self, now: Instant, lease: Duration, grace: Duration) -> Vec<MembershipEvent> {
+    pub fn tick(&mut self, now: u64, lease: Duration, grace: Duration) -> Vec<MembershipEvent> {
+        let lease = lease.as_micros() as u64;
+        let grace = grace.as_micros() as u64;
         let mut events = Vec::new();
         let mut purge: Vec<ServiceId> = Vec::new();
         let mut ids: Vec<ServiceId> = self.members.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
             let rec = self.members.get_mut(&id).expect("id from keys");
-            let silent = now.saturating_duration_since(rec.last_seen);
+            let silent = now.saturating_sub(rec.last_seen);
             match rec.state {
                 MemberState::Active if silent > lease => {
                     rec.state = MemberState::Suspected;
@@ -170,6 +172,11 @@ mod tests {
 
     const LEASE: Duration = Duration::from_millis(100);
     const GRACE: Duration = Duration::from_millis(200);
+    /// The lease and the grace period in the table's micros.
+    const LEASE_US: u64 = 100_000;
+    const GRACE_US: u64 = 200_000;
+    /// An arbitrary admission time, well clear of zero.
+    const T0: u64 = 5_000_000;
 
     fn info(raw: u64) -> ServiceInfo {
         ServiceInfo::new(ServiceId::from_raw(raw), "sensor.test")
@@ -178,39 +185,48 @@ mod tests {
     #[test]
     fn admit_and_lookup() {
         let mut t = MembershipTable::new();
-        let now = Instant::now();
-        assert!(t.admit(info(1), now));
-        assert!(!t.admit(info(1), now), "re-admission is not new");
+        assert!(t.admit(info(1), T0));
+        assert!(!t.admit(info(1), T0), "re-admission is not new");
         assert!(t.contains(ServiceId::from_raw(1)));
         assert_eq!(t.len(), 1);
-        assert_eq!(
-            t.get(ServiceId::from_raw(1)).unwrap().state,
-            MemberState::Active
-        );
+        let rec = t.get(ServiceId::from_raw(1)).unwrap();
+        assert_eq!(rec.state, MemberState::Active);
+        assert_eq!(rec.last_seen, T0);
         assert_eq!(t.snapshot().len(), 1);
     }
 
     #[test]
     fn heartbeat_refreshes() {
         let mut t = MembershipTable::new();
-        let t0 = Instant::now();
-        t.admit(info(1), t0);
+        t.admit(info(1), T0);
         assert_eq!(
-            t.heartbeat(ServiceId::from_raw(1), t0 + LEASE),
+            t.heartbeat(ServiceId::from_raw(1), T0 + LEASE_US),
             Some(MemberState::Active)
         );
-        assert_eq!(t.heartbeat(ServiceId::from_raw(9), t0), None);
+        assert_eq!(
+            t.get(ServiceId::from_raw(1)).unwrap().last_seen,
+            T0 + LEASE_US
+        );
+        assert_eq!(t.heartbeat(ServiceId::from_raw(9), T0), None);
         // Fresh heartbeat means no suspicion at t0 + lease + ε.
-        let events = t.tick(t0 + LEASE + Duration::from_millis(50), LEASE, GRACE);
+        let events = t.tick(T0 + LEASE_US + 50_000, LEASE, GRACE);
         assert!(events.is_empty(), "{events:?}");
     }
 
+    /// The boundaries are exact to the microsecond: silence equal to the
+    /// lease is within it, and silence equal to lease + grace is within
+    /// grace.
     #[test]
     fn silence_suspects_then_purges() {
         let mut t = MembershipTable::new();
-        let t0 = Instant::now();
-        t.admit(info(1), t0);
-        let events = t.tick(t0 + LEASE + Duration::from_millis(1), LEASE, GRACE);
+        t.admit(info(1), T0);
+        assert!(t.tick(T0 + LEASE_US, LEASE, GRACE).is_empty());
+        assert_eq!(
+            t.get(ServiceId::from_raw(1)).unwrap().state,
+            MemberState::Active,
+            "silence equal to the lease stays active"
+        );
+        let events = t.tick(T0 + LEASE_US + 1, LEASE, GRACE);
         assert_eq!(
             events,
             vec![MembershipEvent::Suspected(ServiceId::from_raw(1))]
@@ -220,9 +236,10 @@ mod tests {
             MemberState::Suspected
         );
         // Still inside grace: nothing more.
-        assert!(t.tick(t0 + LEASE + GRACE, LEASE, GRACE).is_empty());
+        assert!(t.tick(T0 + LEASE_US + GRACE_US, LEASE, GRACE).is_empty());
+        assert!(t.contains(ServiceId::from_raw(1)));
         // Past grace: purged.
-        let events = t.tick(t0 + LEASE + GRACE + Duration::from_millis(1), LEASE, GRACE);
+        let events = t.tick(T0 + LEASE_US + GRACE_US + 1, LEASE, GRACE);
         assert_eq!(
             events,
             vec![MembershipEvent::Purged(
@@ -236,16 +253,15 @@ mod tests {
     #[test]
     fn recovery_during_grace_masks_disconnect() {
         let mut t = MembershipTable::new();
-        let t0 = Instant::now();
-        t.admit(info(1), t0);
-        t.tick(t0 + LEASE + Duration::from_millis(1), LEASE, GRACE);
+        t.admit(info(1), T0);
+        t.tick(T0 + LEASE_US + 1, LEASE, GRACE);
         // Heartbeat arrives within grace: back to Active, no purge ever.
-        let recovered_at = t0 + LEASE + Duration::from_millis(50);
+        let recovered_at = T0 + LEASE_US + 50_000;
         let prev = t.heartbeat(ServiceId::from_raw(1), recovered_at);
         assert_eq!(prev, Some(MemberState::Suspected));
         // Within the refreshed lease nothing happens — the disconnection
         // was fully masked, even though t0 + lease + grace has passed.
-        let check_at = recovered_at + LEASE;
+        let check_at = recovered_at + LEASE_US;
         let events = t.tick(check_at, LEASE, GRACE);
         assert!(events.is_empty(), "{events:?}");
         assert_eq!(
@@ -257,9 +273,8 @@ mod tests {
     #[test]
     fn very_long_silence_suspects_and_purges_in_one_tick() {
         let mut t = MembershipTable::new();
-        let t0 = Instant::now();
-        t.admit(info(1), t0);
-        let events = t.tick(t0 + LEASE + GRACE + Duration::from_secs(1), LEASE, GRACE);
+        t.admit(info(1), T0);
+        let events = t.tick(T0 + LEASE_US + GRACE_US + 1_000_000, LEASE, GRACE);
         assert_eq!(
             events,
             vec![
@@ -272,11 +287,10 @@ mod tests {
     #[test]
     fn tick_orders_events_by_id() {
         let mut t = MembershipTable::new();
-        let t0 = Instant::now();
         for raw in [5u64, 1, 3] {
-            t.admit(info(raw), t0);
+            t.admit(info(raw), T0);
         }
-        let events = t.tick(t0 + LEASE + Duration::from_millis(1), LEASE, GRACE);
+        let events = t.tick(T0 + LEASE_US + 1, LEASE, GRACE);
         let ids: Vec<u64> = events
             .iter()
             .map(|e| match e {
@@ -290,7 +304,7 @@ mod tests {
     #[test]
     fn remove_returns_record() {
         let mut t = MembershipTable::new();
-        t.admit(info(1), Instant::now());
+        t.admit(info(1), T0);
         let rec = t.remove(ServiceId::from_raw(1)).unwrap();
         assert_eq!(rec.info.device_type, "sensor.test");
         assert!(t.remove(ServiceId::from_raw(1)).is_none());

@@ -150,11 +150,9 @@ pub struct DiscoveryService {
     cell: CellId,
     channel: Arc<ReliableChannel>,
     config: DiscoveryConfig,
-    /// The service's one timekeeper: its clock, the clock's reading at an
-    /// `Instant` (mapping it onto the timeline the table uses), and the
-    /// last beacon's number with when the next is due.
+    /// The service's one timekeeper: its clock, whose micros the table
+    /// keeps too, and the last beacon's number with when the next is due.
     clock: SharedClock,
-    origin: (Instant, u64),
     beacon: Mutex<(u64, u64)>,
     table: Mutex<MembershipTable>,
     /// Who is handed each change, behind the service's one lock: a step
@@ -215,13 +213,11 @@ impl DiscoveryService {
         clock: SharedClock,
     ) -> Arc<Self> {
         let (events_tx, events) = unbounded();
-        let origin = (Instant::now(), clock.now_micros());
         Arc::new(DiscoveryService {
             cell,
             channel,
             config,
-            beacon: Mutex::new((0, origin.1)),
-            origin,
+            beacon: Mutex::new((0, clock.now_micros())),
             clock,
             table: Mutex::new(MembershipTable::new()),
             handler: Mutex::new(Box::new(move |ev| {
@@ -260,7 +256,7 @@ impl DiscoveryService {
 
     /// Handles `first`, then every message the channel has queued.
     fn handle_queued(&self, handler: &mut MembershipHandler, first: Option<Incoming>) -> usize {
-        let now = self.now();
+        let now = self.clock.now_micros();
         let queued = std::iter::from_fn(|| self.channel.try_recv());
         let mut work = 0;
         for incoming in first.into_iter().chain(queued) {
@@ -328,7 +324,7 @@ impl DiscoveryService {
     /// never lapsed from the cell's point of view, the process merely
     /// died and came back.
     pub fn restore_member(&self, info: ServiceInfo) {
-        let now = self.now();
+        let now = self.clock.now_micros();
         self.table.lock().admit(info, now);
     }
 
@@ -397,9 +393,8 @@ impl DiscoveryService {
             schedule.1 = now_micros + self.config.beacon_interval.as_micros() as u64;
         }
         drop(schedule);
-        let now = self.now();
         let (lease, grace) = (self.config.lease, self.config.grace);
-        let transitions = self.table.lock().tick(now, lease, grace);
+        let transitions = self.table.lock().tick(now_micros, lease, grace);
         let n = transitions.len();
         for ev in transitions {
             self.hand(handler, ev);
@@ -413,13 +408,7 @@ impl DiscoveryService {
         handler(ev);
     }
 
-    /// The clock's now on the table's timeline.
-    fn now(&self) -> Instant {
-        let since = self.clock.now_micros().saturating_sub(self.origin.1);
-        self.origin.0 + Duration::from_micros(since)
-    }
-
-    fn handle_at(&self, incoming: Incoming, now: Instant, handler: &mut MembershipHandler) {
+    fn handle_at(&self, incoming: Incoming, now: u64, handler: &mut MembershipHandler) {
         let from = incoming.from();
         let Ok(packet) = Packet::from_message(incoming.into_payload()) else {
             return;
@@ -456,7 +445,7 @@ impl DiscoveryService {
         from: ServiceId,
         mut info: ServiceInfo,
         token: &[u8],
-        now: Instant,
+        now: u64,
         handler: &mut MembershipHandler,
     ) {
         // Trust the transport-derived id over the self-declared one.

@@ -33,7 +33,12 @@ fn info(device_type: &str) -> ServiceInfo {
 fn device_discovers_and_joins() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
 
     let cell = agent.wait_joined(TICK).unwrap();
     assert_eq!(cell, CellId(1));
@@ -61,7 +66,12 @@ fn rejected_device_stays_out() {
     let config = DiscoveryConfig::fast()
         .with_authenticator(Arc::new(DeviceTypeAllowList::new(["sensor.spo2"])));
     let service = DiscoveryService::start(CellId(1), channel(&net), config);
-    let agent = MemberAgent::start(info("laptop"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("laptop"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
 
     match agent.events().recv_timeout(TICK).unwrap() {
         AgentEvent::Rejected { reason, .. } => assert!(reason.contains("laptop")),
@@ -87,6 +97,7 @@ fn shared_secret_controls_admission() {
             auth_token: b"bad".to_vec(),
             ..AgentConfig::default()
         },
+        Box::new(|_, _| {}),
     );
     assert!(matches!(
         wrong.events().recv_timeout(TICK).unwrap(),
@@ -100,6 +111,7 @@ fn shared_secret_controls_admission() {
             auth_token: b"tok".to_vec(),
             ..AgentConfig::default()
         },
+        Box::new(|_, _| {}),
     );
     right.wait_joined(TICK).unwrap();
     wrong.shutdown();
@@ -111,7 +123,12 @@ fn shared_secret_controls_admission() {
 fn graceful_leave_purges_immediately() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
     agent.wait_joined(TICK).unwrap();
     let _ = service.events().recv_timeout(TICK).unwrap(); // Joined
 
@@ -149,6 +166,7 @@ fn transient_disconnect_is_masked() {
             max_missed_heartbeats: 100,
             ..AgentConfig::default()
         },
+        Box::new(|_, _| {}),
     );
     agent.wait_joined(TICK).unwrap();
     let _ = service.events().recv_timeout(TICK).unwrap(); // Joined
@@ -174,7 +192,12 @@ fn transient_disconnect_is_masked() {
 fn prolonged_silence_purges_and_rejoin_works() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
     agent.wait_joined(TICK).unwrap();
     let _ = service.events().recv_timeout(TICK).unwrap(); // Joined
 
@@ -213,7 +236,12 @@ fn prolonged_silence_purges_and_rejoin_works() {
 fn evict_removes_member() {
     let net = SimNetwork::new(LinkConfig::ideal());
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
     agent.wait_joined(TICK).unwrap();
     let _ = service.events().recv_timeout(TICK).unwrap();
 
@@ -238,6 +266,7 @@ fn cell_filter_restricts_agent() {
             cell_filter: Some(CellId(2)),
             ..AgentConfig::default()
         },
+        Box::new(|_, _| {}),
     );
     // Cell 1 beacons but the agent wants cell 2 only.
     assert!(agent.wait_joined(Duration::from_millis(300)).is_err());
@@ -258,6 +287,7 @@ fn multiple_devices_join_one_cell() {
                 info(&format!("sensor.kind{i}")),
                 channel(&net),
                 AgentConfig::default(),
+                Box::new(|_, _| {}),
             )
         })
         .collect();
@@ -275,7 +305,12 @@ fn multiple_devices_join_one_cell() {
 fn discovery_works_over_lossy_link() {
     let net = SimNetwork::with_seed(LinkConfig::ideal().with_loss(0.25), 17);
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
     // Joins despite 25% packet loss (joins are reliable; beacons repeat).
     agent.wait_joined(TICK).unwrap();
     agent.shutdown();
@@ -352,7 +387,12 @@ fn member_is_admitted_before_it_is_told() {
         }
     }));
 
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(|_, _| {}),
+    );
     agent.wait_joined(TICK).unwrap();
     assert_eq!(
         *probe.listed_and_hooked_when_told.lock().unwrap(),
@@ -451,17 +491,26 @@ fn a_packet_sink_may_shut_its_agent_down() {
 
     let net = SimNetwork::new(LinkConfig::ideal());
     let service = DiscoveryService::start(CellId(1), channel(&net), DiscoveryConfig::fast());
-    let agent = MemberAgent::start(info("sensor.hr"), channel(&net), AgentConfig::default());
+    // The sink gets its agent once the agent exists.
+    let slot = Arc::new(std::sync::OnceLock::<Arc<MemberAgent>>::new());
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    let own = Arc::clone(&slot);
+    let agent = MemberAgent::start(
+        info("sensor.hr"),
+        channel(&net),
+        AgentConfig::default(),
+        Box::new(move |_, _| {
+            let own = own
+                .get()
+                .expect("the agent is handed over before bus traffic");
+            own.shutdown();
+            let _ = stopped_tx.send(own.is_member());
+        }),
+    );
     agent.wait_joined(TICK).unwrap();
     let (id, released) = (agent.local_id(), Arc::downgrade(&agent));
-
-    let (stopped_tx, stopped) = std::sync::mpsc::channel();
-    let own = Arc::clone(&agent);
-    agent.set_packet_sink(Box::new(move |_, _| {
-        own.shutdown();
-        let _ = stopped_tx.send(own.is_member());
-    }));
-    drop(agent);
+    slot.set(agent).expect("set once");
+    drop(slot);
 
     // Bus traffic, which discovery leaves to the sink.
     let bus = channel(&net);

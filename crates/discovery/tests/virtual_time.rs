@@ -72,6 +72,7 @@ impl World {
             Arc::clone(&dev_channel),
             agent_config,
             Arc::clone(&shared),
+            Box::new(|_, _| {}),
         );
         World {
             clock,
@@ -234,11 +235,11 @@ fn membership_sequence_is_deterministic() {
     assert_eq!(run(99), run(99));
 }
 
-/// Bus traffic that reaches the agent before its owner installed a sink
-/// is held, then goes through the sink first and in arrival order; later
-/// packets follow it straight through.
+/// Bus traffic reaches the sink the agent was built with during the
+/// `step` that took it in, in arrival order: each packet is seen before
+/// `agent.step()` returns.
 #[test]
-fn held_packets_reach_a_late_sink_first_and_in_order() {
+fn bus_packets_reach_the_sink_in_the_step_that_takes_them_in() {
     use smc_types::codec::to_shared;
     use smc_types::Packet;
     use std::sync::Mutex;
@@ -254,36 +255,101 @@ fn held_packets_reach_a_late_sink_first_and_in_order() {
         )
     };
     let (bus, device) = (channel(), channel());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink_seen = Arc::clone(&seen);
+    let bus_id = bus.local_id();
     let agent = MemberAgent::with_clock(
         ServiceInfo::new(ServiceId::NIL, "test.device"),
         Arc::clone(&device),
         AgentConfig::default(),
         shared,
+        Box::new(move |from, packet| {
+            assert_eq!(from, bus_id);
+            let Packet::Raw(bytes) = packet else {
+                panic!("unexpected {packet:?}");
+            };
+            sink_seen.lock().unwrap().push(bytes[0]);
+        }),
     );
-    let deliver = |n: u8| {
+
+    for n in 1..=5u8 {
         bus.send(agent.local_id(), to_shared(&Packet::Raw(vec![n])))
             .unwrap();
         device.step();
+        assert_eq!(
+            seen.lock().unwrap().len(),
+            usize::from(n) - 1,
+            "not before the step"
+        );
         assert_eq!(agent.step(), 1);
+        let expected: Vec<u8> = (1..=n).collect();
+        assert_eq!(*seen.lock().unwrap(), expected, "seen within the step");
         bus.step();
-    };
+    }
+}
 
-    for n in 1..=3 {
-        deliver(n);
-    }
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink_seen = Arc::clone(&seen);
-    let bus_id = bus.local_id();
-    agent.set_packet_sink(Box::new(move |from, packet| {
-        assert_eq!(from, bus_id);
-        let Packet::Raw(bytes) = packet else {
-            panic!("unexpected {packet:?}");
+/// The heartbeat schedule keeps the clock's micros: a third of the lease,
+/// rounded up, so a 1 s lease heartbeats 333 334 µs after the join and
+/// not a microsecond before; and a lease from a hostile cell, however
+/// long, neither panics nor wraps into an early heartbeat.
+#[test]
+fn heartbeats_fall_due_a_third_of_the_lease_after_the_join_rounded_up() {
+    use smc_types::codec::to_shared;
+    use smc_types::Packet;
+
+    let heartbeats_after_join = |lease_millis: u64, waits: &[u64]| -> Vec<usize> {
+        let clock = Arc::new(ManualClock::new());
+        let shared: SharedClock = clock.clone();
+        let net = SimNetwork::with_clock(LinkConfig::ideal(), 5, Arc::clone(&shared));
+        let channel = || {
+            ReliableChannel::with_clock(
+                Arc::new(net.endpoint()),
+                ReliableConfig::default(),
+                Arc::clone(&shared),
+            )
         };
-        sink_seen.lock().unwrap().push(bytes[0]);
-    }));
-    assert_eq!(*seen.lock().unwrap(), [1, 2, 3], "held packets drain first");
-    for n in 4..=5 {
-        deliver(n);
-    }
-    assert_eq!(*seen.lock().unwrap(), [1, 2, 3, 4, 5]);
+        // The cell is played by hand on `cell`'s channel.
+        let (cell, device) = (channel(), channel());
+        let agent = MemberAgent::with_clock(
+            ServiceInfo::new(ServiceId::NIL, "test.device"),
+            Arc::clone(&device),
+            AgentConfig::default(),
+            shared,
+            Box::new(|_, _| {}),
+        );
+        let to_agent = |packet: Packet| {
+            cell.send(agent.local_id(), to_shared(&packet)).unwrap();
+            device.step();
+            agent.step();
+            cell.step();
+        };
+        let beacon = Packet::Beacon {
+            cell: CellId(1),
+            discovery: cell.local_id(),
+            seq: 1,
+        };
+        to_agent(beacon);
+        let asked = std::iter::from_fn(|| cell.try_recv())
+            .filter_map(|incoming| Packet::from_message(incoming.into_payload()).ok())
+            .any(|packet| matches!(packet, Packet::JoinRequest { .. }));
+        assert!(asked, "the beacon draws a join request");
+        to_agent(Packet::JoinResponse {
+            accepted: true,
+            reason: String::new(),
+            cell: CellId(1),
+            lease_millis,
+            bus: cell.local_id(),
+        });
+        assert!(agent.is_member());
+        waits
+            .iter()
+            .map(|&wait| {
+                clock.advance_micros(wait);
+                agent.step()
+            })
+            .collect()
+    };
+    assert_eq!(heartbeats_after_join(1_000, &[333_333, 1]), [0, 1]);
+    assert_eq!(heartbeats_after_join(30, &[9_999, 1]), [0, 1]);
+    assert_eq!(heartbeats_after_join(u64::MAX, &[0, 1 << 40]), [0, 0]);
 }

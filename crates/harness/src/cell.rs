@@ -105,7 +105,7 @@ fn agent(
     channel: &Arc<ReliableChannel>,
     sink: impl FnMut(ServiceId, Packet) + Send + 'static,
 ) -> Arc<MemberAgent> {
-    let agent = MemberAgent::with_clock(
+    MemberAgent::with_clock(
         info.clone(),
         Arc::clone(channel),
         AgentConfig {
@@ -113,9 +113,8 @@ fn agent(
             ..AgentConfig::default()
         },
         Arc::clone(&env.clock),
-    );
-    agent.set_packet_sink(Box::new(sink));
-    agent
+        Box::new(sink),
+    )
 }
 
 /// A device's agent: whatever the bus sends it that is not discovery
