@@ -129,7 +129,9 @@ impl Default for ReliableConfig {
 /// * [`on_acked`](ChannelJournal::on_acked) / [`on_forget`](ChannelJournal::on_forget)
 ///   trim retained outbound state. Their errors are ignored: replaying a
 ///   stale enqueue after a crash only causes a retransmission the
-///   receiver's cursor suppresses.
+///   receiver's cursor suppresses. `on_acked` takes every message one
+///   acknowledgement frame (or one expiry pass) retires, in one call; no
+///   receipt of those messages resolves before it returns.
 pub trait ChannelJournal: Send + Sync + std::fmt::Debug {
     /// The receiver's cursor for `peer`'s session `epoch` is about to
     /// move past message `seq`, and the message's fragments to be
@@ -168,13 +170,18 @@ pub trait ChannelJournal: Send + Sync + std::fmt::Debug {
         let _ = (peer, prior_seq, seq);
         Ok(())
     }
-    /// Outbound message `seq` to `peer` was fully acknowledged or
-    /// abandoned and no longer needs to be retained.
+    /// Outbound messages `seqs` to `peer` were fully acknowledged or
+    /// abandoned and no longer need to be retained: what one
+    /// acknowledgement frame retires (its cumulative front first, then
+    /// each message its fragment acknowledgements complete, in that
+    /// order), or the messages one retransmission pass abandons. Never
+    /// empty. The channel resolves their receipts, records their
+    /// `RxAcked` hops and refills the window only after this returns.
     ///
     /// # Errors
     ///
     /// Errors are ignored by the channel (see trait docs).
-    fn on_acked(&self, peer: ServiceId, seq: u64) -> Result<()>;
+    fn on_acked(&self, peer: ServiceId, seqs: &[u64]) -> Result<()>;
     /// All outbound state for `peer` was deliberately dropped.
     ///
     /// # Errors
@@ -760,6 +767,8 @@ impl ReliableChannel {
         let worker = RxWorker {
             shared: Arc::clone(&shared),
             handover: Vec::new(),
+            retired: Retired::default(),
+            peer_ids: Vec::new(),
         };
         if manual {
             return Arc::new(ReliableChannel {
@@ -1488,6 +1497,54 @@ struct RxWorker {
     /// emptied by [`RxWorker::deliver`] once it is released. Cleared,
     /// never shrunk: the buffer is reused.
     handover: Vec<Incoming>,
+    /// Messages one acknowledgement frame or one expiry pass retires,
+    /// reused the same way.
+    retired: Retired,
+    /// The peers one retransmission pass visits, in order; reused.
+    peer_ids: Vec<ServiceId>,
+}
+
+/// Outbound messages retired together: journalled with one
+/// [`ChannelJournal::on_acked`] call, then resolved. Cleared, never
+/// shrunk: a retirement asks nothing of the heap once the buffers have
+/// held a window's worth.
+#[derive(Debug, Default)]
+struct Retired {
+    seqs: Vec<u64>,
+    msgs: Vec<OutMessage>,
+}
+
+impl Retired {
+    fn push(&mut self, seq: u64, msg: OutMessage) {
+        self.seqs.push(seq);
+        self.msgs.push(msg);
+    }
+
+    /// Journals the retired messages to `peer` in one call and only then
+    /// resolves each one: acknowledged, or abandoned when `expired`.
+    fn settle(&mut self, shared: &Shared, peer: ServiceId, tracer: &Tracer, expired: bool) {
+        if let Some(journal) = &shared.journal {
+            let _ = journal.on_acked(peer, &self.seqs);
+        }
+        self.seqs.clear();
+        let (hop, counter) = if expired {
+            (
+                Hop::Dropped { reason: "expired" },
+                &shared.stats.msgs_expired,
+            )
+        } else {
+            (Hop::RxAcked, &shared.stats.msgs_acked)
+        };
+        for msg in self.msgs.drain(..) {
+            tracer.record(msg.trace, hop);
+            // Count before resolving the receipt so a caller woken by
+            // `send_blocking` observes the updated stats.
+            bump(counter);
+            if let Some(tx) = msg.receipt {
+                let _ = tx.send(if expired { Err(Error::Timeout) } else { Ok(()) });
+            }
+        }
+    }
 }
 
 impl RxWorker {
@@ -1583,7 +1640,8 @@ impl RxWorker {
     /// (the cumulative form a data frame carries; 0 = none), then a run
     /// of `(seq, frag_index)` pairs ([`Frame::Ack`] is one pair,
     /// [`Frame::AckBatch`] the coalesced form). Acknowledgements echoing
-    /// any epoch but this session's are ignored.
+    /// any epoch but this session's are ignored. What they complete is
+    /// retired in one journal call.
     fn handle_acks(
         &mut self,
         from: ServiceId,
@@ -1591,18 +1649,18 @@ impl RxWorker {
         up_to: u64,
         acks: impl IntoIterator<Item = (u64, u16)>,
     ) {
-        if epoch != self.shared.epoch {
+        let shared = &*self.shared;
+        if epoch != shared.epoch {
             return;
         }
-        let mut out = self.shared.out.lock();
+        let retired = &mut self.retired;
+        let mut out = shared.out.lock();
         let Some(peer) = out.get_mut(&from) else {
             return;
         };
-        let mut completed = false;
         while peer.inflight.front().is_some_and(|&(seq, _)| seq <= up_to) {
             let (seq, msg) = peer.inflight.pop_front().expect("the front is there");
-            self.complete(from, seq, msg);
-            completed = true;
+            retired.push(seq, msg);
         }
         for (seq, frag_index) in acks {
             let Some(at) = peer.find(seq) else {
@@ -1613,32 +1671,19 @@ impl RxWorker {
                 msg.unacked -= 1;
                 if msg.unacked == 0 {
                     let (seq, msg) = peer.inflight.remove(at).expect("completed message exists");
-                    self.complete(from, seq, msg);
-                    completed = true;
+                    retired.push(seq, msg);
                 }
             }
         }
-        if completed {
-            // Window slots freed: promote queued messages, once for the
-            // whole batch.
-            let now = self.shared.clock.now_micros();
-            let tracer = self.shared.tracer.load();
-            self.shared.pump(now, from, peer, &tracer);
+        if retired.seqs.is_empty() {
+            return;
         }
-    }
-
-    /// Retires a fully acknowledged message.
-    fn complete(&self, from: ServiceId, seq: u64, msg: OutMessage) {
-        if let Some(journal) = &self.shared.journal {
-            let _ = journal.on_acked(from, seq);
-        }
-        self.shared.tracer.load().record(msg.trace, Hop::RxAcked);
-        // Count before resolving the receipt so a caller woken by
-        // `send_blocking` observes the updated stats.
-        bump(&self.shared.stats.msgs_acked);
-        if let Some(tx) = msg.receipt {
-            let _ = tx.send(Ok(()));
-        }
+        let tracer = shared.tracer.load();
+        retired.settle(shared, from, &tracer, false);
+        // Window slots freed: promote queued messages, once for the
+        // whole batch.
+        let now = shared.clock.now_micros();
+        shared.pump(now, from, peer, &tracer);
     }
 
     /// Files one data fragment; one the channel does not keep goes back
@@ -1763,7 +1808,8 @@ impl RxWorker {
     }
 
     fn retransmit_due(&mut self) {
-        let mut out = self.shared.out.lock();
+        let shared = &*self.shared;
+        let mut out = shared.out.lock();
         // An idle channel — the common case on every tick — has nothing
         // to resend or promote.
         if out
@@ -1772,19 +1818,20 @@ impl RxWorker {
         {
             return;
         }
-        let now = self.shared.clock.now_micros();
-        let config = self.shared.config.clone();
-        let tracer = self.shared.tracer.load();
+        let now = shared.clock.now_micros();
+        let config = &shared.config;
+        let tracer = shared.tracer.load();
         // Sorted peer order: every (re)transmission consumes draws from
         // the simulated network's seeded rng, so iteration order must not
         // depend on hash-map layout for runs to be reproducible.
-        let mut peer_ids: Vec<ServiceId> = out.keys().copied().collect();
+        let peer_ids = &mut self.peer_ids;
+        peer_ids.clear();
+        peer_ids.extend(out.keys().copied());
         peer_ids.sort_unstable();
-        for peer_id in peer_ids {
+        let retired = &mut self.retired;
+        for &peer_id in peer_ids.iter() {
             let peer = out.get_mut(&peer_id).expect("peer present");
-            let mut expired: Vec<u64> = Vec::new();
             for (seq, msg) in peer.inflight.iter_mut() {
-                let seq = *seq;
                 if msg.unacked == 0
                     || Duration::from_micros(now.saturating_sub(msg.last_tx)) < msg.rto
                 {
@@ -1792,7 +1839,7 @@ impl RxWorker {
                 }
                 if let Some(max) = config.max_retries {
                     if msg.retries >= max {
-                        expired.push(seq);
+                        retired.seqs.push(*seq);
                         continue;
                     }
                 }
@@ -1801,32 +1848,26 @@ impl RxWorker {
                 msg.rto = (msg.rto * BACKOFF).min(config.max_rto);
                 // One hop per retransmission round, not per fragment.
                 tracer.record(msg.trace, Hop::TxRetransmit);
-                let resent = self.shared.transmit(peer_id, seq, msg);
-                self.shared
+                let resent = shared.transmit(peer_id, *seq, msg);
+                shared
                     .stats
                     .retransmits
                     .fetch_add(resent, Ordering::Relaxed);
             }
-            for seq in expired {
-                let at = peer.find(seq).expect("expired message exists");
-                let (_, msg) = peer.inflight.remove(at).expect("expired message exists");
+            if !retired.seqs.is_empty() {
+                for &seq in &retired.seqs {
+                    let at = peer.find(seq).expect("expired message exists");
+                    let (_, msg) = peer.inflight.remove(at).expect("expired message exists");
+                    retired.msgs.push(msg);
+                }
                 // An abandoned message will never be acked; stop
                 // retaining it. (If the journal entry outlives us anyway,
                 // recovery resends it once and the receiver's cursor
                 // decides — at-least-once is the worst case here, and
                 // only for explicitly bounded-retry senders.)
-                if let Some(journal) = &self.shared.journal {
-                    let _ = journal.on_acked(peer_id, seq);
-                }
-                tracer.record(msg.trace, Hop::Dropped { reason: "expired" });
-                // Counted before the receipt resolves, as for an ack, so
-                // the woken sender observes it.
-                bump(&self.shared.stats.msgs_expired);
-                if let Some(tx) = msg.receipt {
-                    let _ = tx.send(Err(Error::Timeout));
-                }
+                retired.settle(shared, peer_id, &tracer, true);
             }
-            self.shared.pump(now, peer_id, peer, &tracer);
+            shared.pump(now, peer_id, peer, &tracer);
         }
     }
 }

@@ -56,7 +56,7 @@ impl ChannelJournal for RecordingJournal {
         Ok(())
     }
 
-    fn on_acked(&self, _peer: ServiceId, _seq: u64) -> Result<()> {
+    fn on_acked(&self, _peer: ServiceId, _seqs: &[u64]) -> Result<()> {
         Ok(())
     }
 

@@ -69,7 +69,7 @@ impl ChannelJournal for Covering {
     fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
     }
-    fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {
+    fn on_acked(&self, _: ServiceId, _: &[u64]) -> Result<()> {
         Ok(())
     }
     fn on_forget(&self, _: ServiceId) -> Result<()> {

@@ -66,7 +66,7 @@ fn coalesced_acks_complete_journaled_deliveries() {
         fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
             Ok(())
         }
-        fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {
+        fn on_acked(&self, _: ServiceId, _: &[u64]) -> Result<()> {
             Ok(())
         }
         fn on_forget(&self, _: ServiceId) -> Result<()> {
@@ -160,7 +160,7 @@ impl ChannelJournal for NullJournal {
     fn on_enqueue(&self, _: ServiceId, _: u64, _: &SharedBytes) -> Result<()> {
         Ok(())
     }
-    fn on_acked(&self, _: ServiceId, _: u64) -> Result<()> {
+    fn on_acked(&self, _: ServiceId, _: &[u64]) -> Result<()> {
         Ok(())
     }
     fn on_forget(&self, _: ServiceId) -> Result<()> {

@@ -89,8 +89,8 @@ impl ChannelJournal for Retired {
     fn on_enqueue(&self, _peer: ServiceId, _seq: u64, _payload: &SharedBytes) -> Result<()> {
         Ok(())
     }
-    fn on_acked(&self, _peer: ServiceId, seq: u64) -> Result<()> {
-        self.0.lock().unwrap().push(seq);
+    fn on_acked(&self, _peer: ServiceId, seqs: &[u64]) -> Result<()> {
+        self.0.lock().unwrap().extend_from_slice(seqs);
         Ok(())
     }
     fn on_forget(&self, _peer: ServiceId) -> Result<()> {
