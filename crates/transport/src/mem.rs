@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use smc_types::{system_clock, Error, Result, ServiceId, SharedClock, Spares};
 
 use crate::profile::LinkConfig;
-use crate::transport::{Cork, Datagram, Transport};
+use crate::transport::{note_backlog, Cork, Datagram, Transport};
 
 /// Counters describing everything the simulated network did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -520,21 +520,23 @@ thread_local! {
     static HELD: RefCell<Vec<Handover>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Completes every hand-over this thread's cork held, in order: one
-/// queue push per run of consecutive hand-overs to one endpoint.
+/// Completes every hand-over this thread's cork held: one queue push per
+/// endpoint, in the order the endpoints were first sent to, each carrying
+/// that endpoint's datagrams in the order they were sent.
 pub(crate) fn release_held() {
     HELD.with_borrow_mut(|held| {
-        let mut held = held.drain(..).peekable();
-        while let Some(Handover { sender, datagram }) = held.next() {
-            // The run's other senders are clones of `sender`, which
+        while let Some(first) = held.first() {
+            // The endpoint's other senders are clones of `sender`, which
             // outlives the push: dropping them inside it (under the
             // queue's lock) never drops the channel's last sender.
-            let run = std::iter::from_fn(|| {
-                held.next_if(|next| next.sender.same_channel(&sender))
-                    .map(|next| next.datagram)
-            });
-            // A closed receiver just drops the datagrams.
-            let _ = sender.send_all(std::iter::once(datagram).chain(run));
+            let sender = first.sender.clone();
+            let mine = held
+                .extract_if(.., |next| next.sender.same_channel(&sender))
+                .map(|next| next.datagram);
+            if sender.send_all(mine).is_err() {
+                // A closed receiver just drops the datagrams.
+                held.retain(|next| !next.sender.same_channel(&sender));
+            }
         }
     });
 }
@@ -653,13 +655,15 @@ impl Transport for MemTransport {
         if self.closed.load(Ordering::SeqCst) {
             return Err(Error::Closed);
         }
-        match timeout {
+        let datagram = match timeout {
             Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
                 RecvTimeoutError::Timeout => Error::Timeout,
                 RecvTimeoutError::Disconnected => Error::Closed,
             }),
             None => self.rx.recv().map_err(|_| Error::Closed),
-        }
+        }?;
+        note_backlog(!self.rx.is_empty());
+        Ok(datagram)
     }
 
     fn max_datagram(&self) -> usize {
@@ -853,6 +857,21 @@ mod tests {
         ep.recv(Some(Duration::ZERO))
             .ok()
             .map(|d| d.payload.into_vec())
+    }
+
+    #[test]
+    fn a_receive_says_whether_more_is_queued_behind_it() {
+        use crate::transport::recv_noting_backlog;
+        let net = SimNetwork::new(LinkConfig::ideal());
+        let (a, b) = (net.endpoint(), net.endpoint());
+        for i in 0..3u8 {
+            a.send(b.local_id(), &[i]).unwrap();
+        }
+        let backlogs: Vec<(u8, bool)> =
+            std::iter::from_fn(|| recv_noting_backlog(&b, Some(Duration::ZERO)).ok())
+                .map(|(d, backlog)| (d.payload[0], backlog))
+                .collect();
+        assert_eq!(backlogs, [(0, true), (1, true), (2, false)]);
     }
 
     #[test]

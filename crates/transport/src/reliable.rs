@@ -47,7 +47,7 @@ use crate::frame::{
     put_ack_batch_frame, put_data_header, put_unreliable_frame, CumulativeAck, Frame,
     ACK_BATCH_HEADER_LEN, ACK_ENTRY_LEN, FRAME_HEADER_LEN,
 };
-use crate::transport::{Cork, Datagram, Transport};
+use crate::transport::{recv_noting_backlog, Cork, Datagram, Transport};
 
 /// Multiplier applied to a message's RTO after each retransmission.
 const BACKOFF: u32 = 2;
@@ -287,6 +287,13 @@ impl Incoming {
 /// and close its own channel. Until it returns, that thread receives
 /// nothing more, acknowledges nothing and retransmits nothing, so a
 /// handler must not wait for a message only its own channel can deliver.
+///
+/// On a receive thread it runs inside a drain: the thread handles every
+/// datagram its link already queued (a window at most) under one cork,
+/// and whatever is sent over the mem link meanwhile — by the handler, on
+/// any channel — leaves when the drain ends. So a handler must not wait
+/// for a reply to anything it sent over the mem link either: the request
+/// has not left yet.
 pub type Handler = Box<dyn FnMut(Incoming) + Send>;
 
 /// Where the delivery step puts a message.
@@ -1555,11 +1562,8 @@ impl RxWorker {
         let poll = self.shared.config.poll_interval;
         let mut last_scan = self.shared.clock.now_micros();
         while !self.shared.closed.load(Ordering::SeqCst) {
-            match self.shared.transport.recv(Some(poll)) {
-                Ok(datagram) => {
-                    self.receive(datagram);
-                    self.deliver();
-                }
+            match recv_noting_backlog(&*self.shared.transport, Some(poll)) {
+                Ok((datagram, backlog)) => self.drain(datagram, backlog),
                 Err(Error::Timeout) => {}
                 Err(_) => break,
             }
@@ -1572,6 +1576,26 @@ impl RxWorker {
             }
         }
         *self.shared.consumer.lock() = Consumer::Closed;
+    }
+
+    /// Handles `datagram` and, while its link says more is queued behind
+    /// it (`backlog`), the datagrams after it — one window of them at
+    /// most, so the tick is never starved — under one [`Cork`]: what the
+    /// channel and its consumer send over the mem link meanwhile leaves
+    /// when the drain ends, in one hand-over per endpoint, and wakes each
+    /// receiving thread once.
+    fn drain(&mut self, datagram: Datagram, backlog: bool) {
+        let _cork = Cork::hold();
+        let mut next = Some((datagram, backlog));
+        let mut budget = self.shared.config.window.max(1);
+        while let Some((datagram, backlog)) = next.take() {
+            self.receive(datagram);
+            self.deliver();
+            budget -= 1;
+            if backlog && budget > 0 {
+                next = recv_noting_backlog(&*self.shared.transport, Some(Duration::ZERO)).ok();
+            }
+        }
     }
 
     /// The delivery step: hands what the last frame made deliverable to

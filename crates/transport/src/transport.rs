@@ -120,13 +120,45 @@ pub trait Transport: Send + Sync + fmt::Debug {
 thread_local! {
     /// How many [`Cork`]s this thread holds.
     static CORKS: Cell<usize> = const { Cell::new(0) };
+    /// Whether the link this thread last received from had more queued
+    /// behind the datagram it returned. Only
+    /// [`crate::mem::MemTransport::recv`] sets it.
+    static BACKLOG: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Receives from `transport` as [`Transport::recv`] does, and says
+/// whether its link already holds another datagram: what lets a receive
+/// thread take its backlog without polling. Only the mem link answers
+/// (through any wrapper that forwards `recv` on the same thread, which is
+/// why this is a thread-local and not a [`Transport`] method); every other
+/// transport reads as having nothing queued.
+pub(crate) fn recv_noting_backlog(
+    transport: &dyn Transport,
+    timeout: Option<Duration>,
+) -> Result<(Datagram, bool)> {
+    BACKLOG.set(false);
+    let datagram = transport.recv(timeout)?;
+    Ok((datagram, BACKLOG.replace(false)))
+}
+
+/// Records, for [`recv_noting_backlog`], that the datagram this thread
+/// just took left `queued` behind it.
+pub(crate) fn note_backlog(queued: bool) {
+    BACKLOG.set(queued);
 }
 
 /// While held, every datagram this thread sends over a
 /// [`crate::mem::MemTransport`] that is due at once is counted as
-/// delivered but held back; when the outermost cork ends, each run of held
-/// datagrams to one endpoint goes into its queue in one push, with at most
-/// one wake-up. [`crate::udp::UdpTransport`] ignores it.
+/// delivered but held back; when the outermost cork ends, what it held
+/// for each endpoint goes into that endpoint's queue in one push, in the
+/// order it was sent, with at most one wake-up.
+/// [`crate::udp::UdpTransport`] ignores it.
+///
+/// Two places hold one: a reliable message's fragment loop, and a receive
+/// thread's drain — the datagram its blocking `recv` returned and every
+/// one its link had queued behind it, up to a window — so the data,
+/// acknowledgements and handler sends of one wake-up leave together when
+/// the drain ends.
 ///
 /// A thread-local, not a [`Transport`] method, so that it holds through
 /// any wrapper that forwards `send` on the same thread.

@@ -228,9 +228,14 @@ fn io_err(context: &str, e: std::io::Error) -> Error {
 
 /// A [`WalBackend`] over real files in one directory: `seg-NNNNNNNN.wal`
 /// segments and a `snapshot.bin` blob replaced via write-to-temp+rename.
+///
+/// The segment being appended to stays open between appends and syncs;
+/// creating the next segment (a rotation) or removing a segment closes it.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
+    /// The active segment's id and its file, opened for appending.
+    active: Mutex<Option<(u64, fs::File)>>,
 }
 
 impl FileBackend {
@@ -242,7 +247,10 @@ impl FileBackend {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err("create wal dir", e))?;
-        Ok(FileBackend { dir })
+        Ok(FileBackend {
+            dir,
+            active: Mutex::new(None),
+        })
     }
 
     fn segment_path(&self, id: u64) -> PathBuf {
@@ -251,6 +259,27 @@ impl FileBackend {
 
     fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot.bin")
+    }
+
+    /// Runs `op` on segment `id`, opened for appending: the file kept open
+    /// for it, or — for any other segment — a fresh open that is kept in
+    /// its place.
+    fn with_segment<T>(
+        &self,
+        id: u64,
+        op: impl FnOnce(&mut fs::File) -> std::io::Result<T>,
+        context: &str,
+    ) -> Result<T> {
+        let mut active = self.active.lock();
+        if !matches!(*active, Some((open, _)) if open == id) {
+            let file = fs::OpenOptions::new()
+                .append(true)
+                .open(self.segment_path(id))
+                .map_err(|e| io_err("open segment", e))?;
+            *active = Some((id, file));
+        }
+        let (_, file) = active.as_mut().expect("segment opened above");
+        op(file).map_err(|e| io_err(context, e))
     }
 
     /// Fsyncs the WAL directory itself. Creating, removing or renaming a
@@ -294,6 +323,8 @@ impl WalBackend for FileBackend {
     }
 
     fn create_segment(&self, id: u64) -> Result<()> {
+        // A rotation: the segment appended to until now is done.
+        *self.active.lock() = None;
         fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -304,20 +335,15 @@ impl WalBackend for FileBackend {
     }
 
     fn append(&self, id: u64, data: &[u8]) -> Result<()> {
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .open(self.segment_path(id))
-            .map_err(|e| io_err("open segment", e))?;
-        file.write_all(data)
-            .map_err(|e| io_err("append segment", e))
+        self.with_segment(id, |file| file.write_all(data), "append segment")
     }
 
     fn sync(&self, id: u64) -> Result<()> {
-        let file = fs::File::open(self.segment_path(id)).map_err(|e| io_err("open segment", e))?;
-        file.sync_data().map_err(|e| io_err("fsync segment", e))
+        self.with_segment(id, |file| file.sync_data(), "fsync segment")
     }
 
     fn remove_segment(&self, id: u64) -> Result<()> {
+        *self.active.lock() = None;
         match fs::remove_file(self.segment_path(id)) {
             Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -1493,6 +1519,46 @@ mod tests {
         let mut cursors = recovered.snapshot.cursors_for(CHAN_BUS);
         cursors.sort_unstable_by_key(|&(id, _, _)| id);
         assert_eq!(cursors, vec![(sid(1), 7, 6), (sid(2), 7, 9)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backend_keeps_appending_across_rotations_and_snapshots() {
+        let dir =
+            std::env::temp_dir().join(format!("smc-wal-rotation-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // Small enough that every few records start a new segment.
+        let config = WalConfig {
+            segment_max_bytes: 96,
+            ..WalConfig::default()
+        };
+        let backend = Arc::new(FileBackend::open(&dir).unwrap());
+        let (wal, _) = Wal::open(backend.clone(), config.clone()).unwrap();
+        for expected in 1..=6 {
+            wal.append(&cursor(1, expected)).unwrap();
+        }
+        let before = backend.segments().unwrap();
+        assert!(before.len() > 1, "rotated: {before:?}");
+        let mut snap = CoreSnapshot::default();
+        snap.apply(&cursor(1, 6));
+        wal.snapshot_with(|| Ok(snap.clone())).unwrap();
+        for expected in 7..=16 {
+            wal.append(&cursor(2, expected)).unwrap();
+        }
+        let after = backend.segments().unwrap();
+        assert!(after.len() > 1, "rotated after the snapshot: {after:?}");
+        assert!(after[0] > before[before.len() - 1], "{before:?} {after:?}");
+        drop(wal);
+        drop(backend);
+
+        let reopened = Arc::new(FileBackend::open(&dir).unwrap());
+        let (_, recovered) = Wal::open(reopened, config).unwrap();
+        assert_eq!(recovered.replayed, 10);
+        assert_eq!(recovered.skipped, 0);
+        assert!(!recovered.truncated);
+        let mut cursors = recovered.snapshot.cursors_for(CHAN_BUS);
+        cursors.sort_unstable_by_key(|&(id, _, _)| id);
+        assert_eq!(cursors, vec![(sid(1), 7, 6), (sid(2), 7, 16)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
