@@ -1,12 +1,14 @@
-//! Thread census of one durable event: how many times each thread of a
-//! threaded durable cell and its two clients is switched out per event,
-//! voluntarily (it blocked: a wait, a park) and involuntarily (it was
-//! preempted — on one core, usually by a thread it had just woken).
+//! Thread census of one event: how many times each thread of a threaded
+//! cell and its two clients is switched out per event, voluntarily (it
+//! blocked: a wait, a park) and involuntarily (it was preempted — on one
+//! core, usually by a thread it had just woken).
 //!
-//! The world is the ledger's `ward_durable` shape: `SmcCell::start_durable`
-//! with its log on a `MemBackend`, the in-memory link, one publisher and one
-//! subscriber `RemoteClient`, driven from this thread with W events
-//! outstanding. The counts are the kernel's, read from
+//! The worlds are two of the ledger's shapes, over the in-memory link with
+//! one publisher and one subscriber `RemoteClient`, driven from this
+//! thread with W events outstanding: `ward_durable` (`SmcCell::start_durable`
+//! with its log on a `MemBackend`, 256-byte events) and `ecg_bulk`
+//! (`SmcCell::start`, 4 096-byte events, four fragments each at the link's
+//! MTU of 1 400). The counts are the kernel's, read from
 //! `/proc/self/task/*/status` before and after a fixed number of events;
 //! nothing in the program counts anything for this test.
 //!
@@ -20,7 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use smc_core::{RemoteClient, SmcCell, SmcConfig};
@@ -39,6 +41,10 @@ const EVENT_TYPE: &str = "smc.sensor.reading";
 /// (0.95–1.02 pinned to one core, 0.4–2.2 on two); one that wakes it
 /// once per drain reads ≈ 0.3.
 const MAX_SWITCHES_PER_EVENT_W16: f64 = 0.6;
+
+/// Held by each test while its world runs: no other test's threads run
+/// while the counts are read.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// One thread's switch counts.
 #[derive(Debug, Clone, Copy, Default)]
@@ -95,6 +101,25 @@ fn reliable() -> ReliableConfig {
     }
 }
 
+/// What distinguishes the two worlds.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// `SmcCell::start_durable` on a `MemBackend` rather than `SmcCell::start`.
+    durable: bool,
+    /// Bytes of payload per event.
+    payload: usize,
+}
+
+const WARD_DURABLE: Shape = Shape {
+    durable: true,
+    payload: 256,
+};
+
+const ECG_BULK: Shape = Shape {
+    durable: false,
+    payload: 4_096,
+};
+
 struct World {
     net: SimNetwork,
     cell: Arc<SmcCell>,
@@ -106,7 +131,7 @@ struct World {
 }
 
 impl World {
-    fn build() -> World {
+    fn build(shape: Shape) -> World {
         let net = SimNetwork::with_seed(LinkConfig::ideal(), 49);
         let ep = || -> Arc<dyn Transport> { Arc::new(net.endpoint()) };
         let (bus, discovery, publ, subs) = (ep(), ep(), ep(), ep());
@@ -121,8 +146,12 @@ impl World {
             reliable: reliable(),
             ..SmcConfig::default()
         };
-        let cell = SmcCell::start_durable(bus, discovery, config, Arc::new(MemBackend::new()))
-            .expect("the cell starts");
+        let cell = if shape.durable {
+            SmcCell::start_durable(bus, discovery, config, Arc::new(MemBackend::new()))
+                .expect("the cell starts")
+        } else {
+            SmcCell::start(bus, discovery, config)
+        };
         for policy in ehealth_baseline() {
             cell.policy().add(policy).expect("a baseline policy");
         }
@@ -143,7 +172,7 @@ impl World {
         let event = Event::builder(EVENT_TYPE)
             .attr("bpm", 72i64)
             .attr("patient", 4_049i64)
-            .payload(vec![0x5A; 256])
+            .payload(vec![0x5A; shape.payload])
             .build();
         World {
             net,
@@ -182,20 +211,19 @@ impl World {
 }
 
 /// Switches per event over `events` events at `w` outstanding, per
-/// thread name, printed as a table; returns the total.
+/// thread, printed as a table; returns the total. A row is keyed by the
+/// thread's name, and by name and tid only where two threads share one.
 fn measure(world: &mut World, w: u64, events: u64) -> f64 {
     world.run(w, events / 4); // warm
     let before = census();
     world.run(w, events);
     let after = census();
 
-    let per = |n: u64| n as f64 / events as f64;
-    println!("W = {w}, {events} events: context switches per event");
-    println!(
-        "{:<24} {:>10} {:>12}",
-        "thread [tid]", "voluntary", "involuntary"
-    );
-    let mut total = Switches::default();
+    let mut named: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, name) in after.keys() {
+        *named.entry(name).or_default() += 1;
+    }
+    let mut rows = BTreeMap::new();
     for ((tid, name), now) in &after {
         let then = before
             .get(&(*tid, name.clone()))
@@ -208,10 +236,20 @@ fn measure(world: &mut World, w: u64, events: u64) -> f64 {
         if row.voluntary + row.involuntary == 0 {
             continue;
         }
-        // Names are cut to 15 bytes: the three receive threads share one.
+        let key = match named[name.as_str()] {
+            1 => name.clone(),
+            _ => format!("{name} [{tid}]"),
+        };
+        rows.insert(key, row);
+    }
+
+    let per = |n: u64| n as f64 / events as f64;
+    println!("W = {w}, {events} events: context switches per event");
+    println!("{:<24} {:>10} {:>12}", "thread", "voluntary", "involuntary");
+    let mut total = Switches::default();
+    for (key, row) in &rows {
         println!(
-            "{:<24} {:>10.3} {:>12.3}",
-            format!("{name} [{tid}]"),
+            "{key:<24} {:>10.3} {:>12.3}",
             per(row.voluntary),
             per(row.involuntary)
         );
@@ -228,10 +266,11 @@ fn measure(world: &mut World, w: u64, events: u64) -> f64 {
     sum
 }
 
-/// One test, so no other test's threads run while the counts are read.
 #[test]
 fn a_durable_event_costs_few_context_switches() {
-    let mut world = World::build();
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    println!("ward_durable");
+    let mut world = World::build(WARD_DURABLE);
     let one = measure(&mut world, 1, 2_000);
     // The best of three: another process's thread taking the core
     // preempts the cell's threads, and only ever adds switches.
@@ -245,5 +284,22 @@ fn a_durable_event_costs_few_context_switches() {
     assert!(
         sixteen <= MAX_SWITCHES_PER_EVENT_W16,
         "{sixteen:.3} context switches per event at W = 16 (bound {MAX_SWITCHES_PER_EVENT_W16})"
+    );
+}
+
+/// The same census for four-fragment events. Only the relative property
+/// the drain guarantees is asserted: a window of events costs fewer
+/// switches per event than one event at a time.
+#[test]
+fn a_bulk_event_costs_fewer_context_switches_in_a_window() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    println!("ecg_bulk");
+    let mut world = World::build(ECG_BULK);
+    let one = measure(&mut world, 1, 2_000);
+    let sixteen = measure(&mut world, 16, 20_000);
+    world.shutdown();
+    assert!(
+        sixteen < one,
+        "{sixteen:.3} context switches per event at W = 16, {one:.3} at W = 1"
     );
 }

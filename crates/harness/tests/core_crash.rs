@@ -72,7 +72,7 @@ fn core_crash_scenario(seed: u64) -> Scenario {
 /// Seed pinned by `scan_for_teeth_seed` below: with a `NoopBackend` this
 /// schedule redelivers a pre-crash message after the devices rejoin
 /// (the oracle flags it), while the real WAL run is clean.
-const TEETH_SEED: u64 = 1;
+const TEETH_SEED: u64 = 3;
 
 #[test]
 fn core_crash_recovers_exactly_once_from_the_wal() {

@@ -71,11 +71,12 @@ pub struct ReliableConfig {
     /// acknowledged, but a one-way stream from it is paced by the
     /// receiver's poll tick rather than the link.
     pub window: usize,
-    /// How long `recv` polls the transport between retransmission scans.
-    /// Also the tick on which held acknowledgements are flushed. A
-    /// datagram that arrives just before a tick is due returns the poll
-    /// early without a scan and the next poll can run its full length,
-    /// so an acknowledgement is held for up to **two** intervals:
+    /// How long `recv` polls the transport between retransmission scans,
+    /// by the channel's clock — threaded or step-driven. Also the tick on
+    /// which held acknowledgements are flushed. A datagram that arrives
+    /// just before a tick is due returns the poll early without a scan
+    /// and the next poll can run its full length, so an acknowledgement
+    /// is held for up to **two** intervals:
     /// `2 * poll_interval` must not exceed `initial_rto` (checked at
     /// construction).
     pub poll_interval: Duration,
@@ -288,12 +289,12 @@ impl Incoming {
 /// nothing more, acknowledges nothing and retransmits nothing, so a
 /// handler must not wait for a message only its own channel can deliver.
 ///
-/// On a receive thread it runs inside a drain: the thread handles every
-/// datagram its link already queued (a window at most) under one cork,
-/// and whatever is sent over the mem link meanwhile — by the handler, on
-/// any channel — leaves when the drain ends. So a handler must not wait
-/// for a reply to anything it sent over the mem link either: the request
-/// has not left yet.
+/// It runs inside a drain, on a receive thread and in a step alike: the
+/// turn handles every datagram its link already queued (a window at
+/// most) under one cork, and whatever is sent over the mem link
+/// meanwhile — by the handler, on any channel — leaves when the drain
+/// ends. So a handler must not wait for a reply to anything it sent over
+/// the mem link either: the request has not left yet.
 pub type Handler = Box<dyn FnMut(Incoming) + Send>;
 
 /// Where the delivery step puts a message.
@@ -633,6 +634,8 @@ struct Shared {
     /// A copy-on-write snapshot, so the send and receive paths take it
     /// with one short load and hold no lock while recording.
     tracer: SnapshotCell<Tracer>,
+    /// The receive loop's state, taken for each [`Shared::turn`].
+    rx: Mutex<RxWorker>,
 }
 
 /// Reliable messaging endpoint over any [`Transport`].
@@ -658,9 +661,8 @@ pub struct ReliableChannel {
     shared: Arc<Shared>,
     inbox: Receiver<Incoming>,
     rx_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Present only on step-driven channels ([`ReliableChannel::with_clock`]):
-    /// the receive/retransmit state the owner pumps via [`ReliableChannel::step`].
-    manual_rx: Option<Mutex<RxWorker>>,
+    /// Whether the owner turns the receive loop ([`ReliableChannel::step`]).
+    stepped: bool,
 }
 
 /// Epochs must grow across restarts within a process; a global counter
@@ -733,7 +735,7 @@ impl ReliableChannel {
         transport: Arc<dyn Transport>,
         config: ReliableConfig,
         clock: SharedClock,
-        manual: bool,
+        stepped: bool,
         journal: Option<Arc<dyn ChannelJournal>>,
         restored: Vec<(ServiceId, u64, u64)>,
     ) -> Arc<Self> {
@@ -743,7 +745,8 @@ impl ReliableChannel {
             config.poll_interval,
             config.initial_rto
         );
-        let epoch = clock.now_micros() + EPOCH_BUMP.fetch_add(1, Ordering::Relaxed);
+        let last_scan = clock.now_micros();
+        let epoch = last_scan + EPOCH_BUMP.fetch_add(1, Ordering::Relaxed);
         let (inbox_tx, inbox_rx) = unbounded();
         let mut peers_in = HashMap::new();
         for (peer, peer_epoch, expected) in restored {
@@ -770,80 +773,74 @@ impl ReliableChannel {
             covers_routing: journal.as_ref().is_some_and(|j| j.covers_routing()),
             journal,
             tracer: SnapshotCell::new(Arc::new(Tracer::disabled())),
+            rx: Mutex::new(RxWorker {
+                handover: Vec::new(),
+                retired: Retired::default(),
+                peer_ids: Vec::new(),
+                last_scan,
+            }),
         });
-        let worker = RxWorker {
-            shared: Arc::clone(&shared),
-            handover: Vec::new(),
-            retired: Retired::default(),
-            peer_ids: Vec::new(),
-        };
-        if manual {
-            return Arc::new(ReliableChannel {
-                shared,
-                inbox: inbox_rx,
-                rx_thread: Mutex::new(None),
-                manual_rx: Some(Mutex::new(worker)),
-            });
-        }
         let channel = Arc::new(ReliableChannel {
             shared,
             inbox: inbox_rx,
             rx_thread: Mutex::new(None),
-            manual_rx: None,
+            stepped,
         });
+        if stepped {
+            return channel;
+        }
+        // "rx-" and twelve hex digits: the 15 bytes of name the kernel keeps.
+        let shared = Arc::clone(&channel.shared);
         let handle = std::thread::Builder::new()
-            .name(format!("reliable-rx-{}", channel.local_id()))
-            .spawn(move || worker.run())
+            .name(format!("rx-{}", channel.local_id()))
+            .spawn(move || {
+                let poll = shared.config.poll_interval;
+                while shared.turn(poll).is_ok() && !shared.closed.load(Ordering::SeqCst) {}
+                // The handler and what it owns go with the loop.
+                *shared.consumer.lock() = Consumer::Closed;
+            })
             .expect("spawn reliable rx thread");
         *channel.rx_thread.lock() = Some(handle);
         channel
     }
 
-    /// Drives a step-driven channel: sends the acknowledgements still
-    /// held from the previous step (the owner's turn in between was their
-    /// chance to ride on a data frame — no virtual time needs to pass),
-    /// drains every datagram currently in the transport, processes it
-    /// (acks, reassembly, in-order delivery — into the inbox, or through
-    /// the installed [`Handler`] before this call returns) and retransmits
-    /// whatever the clock says is due.
+    /// Drives a step-driven channel: turns the receive loop a threaded
+    /// channel's thread runs until a turn finds nothing queued. A turn
+    /// drains the transport (acks, reassembly, in-order delivery — into
+    /// the inbox, or through the installed [`Handler`] before this call
+    /// returns) and, once a `poll_interval` of the clock has passed since
+    /// the last scan, retransmits what is due and sends the held acks.
     ///
     /// Returns the number of datagrams processed.
     ///
     /// # Panics
     ///
     /// Panics if the channel was built with [`ReliableChannel::new`]
-    /// (its receive thread owns this state).
+    /// (its receive thread turns the loop).
     pub fn step(&self) -> usize {
         self.step_waiting(Duration::ZERO)
     }
 
-    /// [`ReliableChannel::step`], waiting up to `wait` for the first
-    /// datagram: what lets one thread block on a step-driven channel. The
-    /// wait is held to the poll interval, so the acknowledgements the step
-    /// holds are flushed by the next one before the sender's first timeout.
+    /// [`ReliableChannel::step`], its first turn waiting up to `wait` for
+    /// a datagram: what lets one thread block on a step-driven channel.
+    /// The wait is held to the poll interval, as the receive thread's is.
     pub fn step_waiting(&self, wait: Duration) -> usize {
-        let mut worker = self
-            .manual_rx
-            .as_ref()
-            .expect("step() requires a channel built with ReliableChannel::with_clock")
-            .lock();
-        self.shared.flush_held();
-        let mut wait = wait.min(self.shared.config.poll_interval);
-        let mut processed = 0;
-        while let Ok(datagram) = self.shared.transport.recv(Some(wait)) {
+        assert!(
+            self.stepped,
+            "step() requires a channel built with ReliableChannel::with_clock"
+        );
+        let (mut wait, mut processed) = (wait, 0);
+        while let Ok(taken @ 1..) = self.shared.turn(wait) {
+            processed += taken;
             wait = Duration::ZERO;
-            processed += 1;
-            worker.receive(datagram);
-            worker.deliver();
         }
-        worker.retransmit_due();
         processed
     }
 
     /// Whether the channel is step-driven ([`ReliableChannel::with_clock`])
     /// rather than served by a receive thread of its own.
     pub fn is_step_driven(&self) -> bool {
-        self.manual_rx.is_some()
+        self.stepped
     }
 
     /// The underlying endpoint's identifier.
@@ -1366,8 +1363,7 @@ impl Shared {
     }
 
     /// Sends every held acknowledgement that found no data frame to ride
-    /// on — the poll tick of a threaded channel, the start of a step of a
-    /// step-driven one.
+    /// on: the end of a turn's scan.
     fn flush_held(&self) {
         for (&peer, held) in self.held.lock().iter_mut() {
             self.flush(peer, held);
@@ -1494,12 +1490,50 @@ impl Shared {
             });
         }
     }
+
+    /// One turn of the receive loop — the receive thread's body, and what
+    /// a step is made of. It waits up to `wait` (held to the poll
+    /// interval) for a datagram, then handles it and, while its link says
+    /// more is queued behind it, the datagrams after it — a window of them
+    /// at most, so the scan is never starved — under one [`Cork`]: what
+    /// the channel and its consumer send over the mem link meanwhile
+    /// leaves when the drain ends, in one hand-over per endpoint, and
+    /// wakes each receiving thread once. Then, once a `poll_interval` of
+    /// the clock has passed since the last scan, it scans. Returns how
+    /// many datagrams it handled; an error once the transport is closed.
+    fn turn(&self, wait: Duration) -> Result<usize> {
+        let mut rx = self.rx.lock();
+        let poll = self.config.poll_interval;
+        let mut next = match recv_noting_backlog(&*self.transport, Some(wait.min(poll))) {
+            Ok(first) => Some(first),
+            Err(Error::Timeout) => None,
+            Err(e) => return Err(e),
+        };
+        let mut handled = 0;
+        let cork = Cork::hold();
+        while let Some((datagram, backlog)) = next.take() {
+            rx.receive(self, datagram);
+            rx.deliver(self);
+            handled += 1;
+            if backlog && handled < self.config.window.max(1) {
+                next = recv_noting_backlog(&*self.transport, Some(Duration::ZERO)).ok();
+            }
+        }
+        drop(cork);
+        let now = self.clock.now_micros();
+        if Duration::from_micros(now.saturating_sub(rx.last_scan)) >= poll {
+            // Retransmissions first: they can carry what is held.
+            rx.retransmit_due(self);
+            self.flush_held();
+            rx.last_scan = now;
+        }
+        Ok(handled)
+    }
 }
 
-/// The receive/retransmit worker.
+/// The receive loop's state, kept between turns.
 #[derive(Debug)]
 struct RxWorker {
-    shared: Arc<Shared>,
     /// Messages one frame made deliverable, filled under `peers_in` and
     /// emptied by [`RxWorker::deliver`] once it is released. Cleared,
     /// never shrunk: the buffer is reused.
@@ -1509,6 +1543,9 @@ struct RxWorker {
     retired: Retired,
     /// The peers one retransmission pass visits, in order; reused.
     peer_ids: Vec<ServiceId>,
+    /// Clock micros of the last scan: retransmissions and held
+    /// acknowledgements wait a `poll_interval` from here.
+    last_scan: u64,
 }
 
 /// Outbound messages retired together: journalled with one
@@ -1555,54 +1592,11 @@ impl Retired {
 }
 
 impl RxWorker {
-    /// The receive thread's body. Whichever way the loop ends, the
-    /// consumer goes with it: the handler and what it owns are dropped,
-    /// `recv` reports the channel closed.
-    fn run(mut self) {
-        let poll = self.shared.config.poll_interval;
-        let mut last_scan = self.shared.clock.now_micros();
-        while !self.shared.closed.load(Ordering::SeqCst) {
-            match recv_noting_backlog(&*self.shared.transport, Some(poll)) {
-                Ok((datagram, backlog)) => self.drain(datagram, backlog),
-                Err(Error::Timeout) => {}
-                Err(_) => break,
-            }
-            let now = self.shared.clock.now_micros();
-            if Duration::from_micros(now.saturating_sub(last_scan)) >= poll {
-                // Retransmissions first: they can carry what is held.
-                self.retransmit_due();
-                self.shared.flush_held();
-                last_scan = now;
-            }
-        }
-        *self.shared.consumer.lock() = Consumer::Closed;
-    }
-
-    /// Handles `datagram` and, while its link says more is queued behind
-    /// it (`backlog`), the datagrams after it — one window of them at
-    /// most, so the tick is never starved — under one [`Cork`]: what the
-    /// channel and its consumer send over the mem link meanwhile leaves
-    /// when the drain ends, in one hand-over per endpoint, and wakes each
-    /// receiving thread once.
-    fn drain(&mut self, datagram: Datagram, backlog: bool) {
-        let _cork = Cork::hold();
-        let mut next = Some((datagram, backlog));
-        let mut budget = self.shared.config.window.max(1);
-        while let Some((datagram, backlog)) = next.take() {
-            self.receive(datagram);
-            self.deliver();
-            budget -= 1;
-            if backlog && budget > 0 {
-                next = recv_noting_backlog(&*self.shared.transport, Some(Duration::ZERO)).ok();
-            }
-        }
-    }
-
     /// The delivery step: hands what the last frame made deliverable to
     /// the channel's consumer, with `peers_in` released.
-    fn deliver(&mut self) {
+    fn deliver(&mut self, shared: &Shared) {
         if !self.handover.is_empty() {
-            self.shared.deliver(self.handover.drain(..));
+            shared.deliver(self.handover.drain(..));
         }
     }
 
@@ -1610,7 +1604,7 @@ impl RxWorker {
     /// as it drops, unless it is kept: as an unreliable payload, as a
     /// message that fits it, or as a fragment until its message is whole.
     /// A corrupt datagram is dropped silently.
-    fn receive(&mut self, datagram: Datagram) {
+    fn receive(&mut self, shared: &Shared, datagram: Datagram) {
         let from = datagram.from;
         let Ok((frame, bytes)) = decode_datagram(&datagram.payload) else {
             return;
@@ -1619,7 +1613,7 @@ impl RxWorker {
         let at = datagram.payload.len() - bytes.len();
         match frame {
             Frame::Unreliable { .. } => {
-                bump(&self.shared.stats.unreliable_received);
+                bump(&shared.stats.unreliable_received);
                 self.handover.push(Incoming::Unreliable {
                     from,
                     broadcast: datagram.broadcast,
@@ -1631,10 +1625,10 @@ impl RxWorker {
                 seq,
                 frag_index,
             } => {
-                self.handle_acks(from, epoch, 0, [(seq, frag_index)]);
+                self.handle_acks(shared, from, epoch, 0, [(seq, frag_index)]);
             }
             Frame::AckBatch { epoch, .. } => {
-                self.handle_acks(from, epoch, 0, ack_entries(bytes));
+                self.handle_acks(shared, from, epoch, 0, ack_entries(bytes));
             }
             Frame::Data {
                 epoch,
@@ -1647,14 +1641,14 @@ impl RxWorker {
                 // The ack first: it may open the window this data's
                 // reply needs.
                 if let Some(ack) = ack {
-                    self.handle_acks(from, ack.epoch, ack.up_to, []);
+                    self.handle_acks(shared, from, ack.epoch, ack.up_to, []);
                 }
                 let fragment = Fragment {
                     index: frag_index,
                     at,
                     datagram,
                 };
-                self.handle_data(from, epoch, seq, frag_count, fragment);
+                self.handle_data(shared, from, epoch, seq, frag_count, fragment);
             }
         }
     }
@@ -1668,12 +1662,12 @@ impl RxWorker {
     /// retired in one journal call.
     fn handle_acks(
         &mut self,
+        shared: &Shared,
         from: ServiceId,
         epoch: u64,
         up_to: u64,
         acks: impl IntoIterator<Item = (u64, u16)>,
     ) {
-        let shared = &*self.shared;
         if epoch != shared.epoch {
             return;
         }
@@ -1714,6 +1708,7 @@ impl RxWorker {
     /// to the link as it drops.
     fn handle_data(
         &mut self,
+        shared: &Shared,
         from: ServiceId,
         epoch: u64,
         seq: u64,
@@ -1727,8 +1722,8 @@ impl RxWorker {
         // data is held for a data frame to carry; only with dedup
         // disabled does the original ack-everything-on-arrival behaviour
         // apply unchanged.
-        let journaled = self.shared.journal.is_some() && self.shared.config.dedup;
-        let mut peers_in = self.shared.peers_in.lock();
+        let journaled = shared.journal.is_some() && shared.config.dedup;
+        let mut peers_in = shared.peers_in.lock();
         let peer = peers_in.entry(from).or_default();
         if epoch < peer.epoch {
             // Stray frame from a dead session: ignore entirely.
@@ -1746,7 +1741,7 @@ impl RxWorker {
             // avoids re-buffering the peer's whole history; anything the
             // crashed process already delivered that resurfaces at or
             // above it is what the delivery oracle flags as a duplicate.
-            let expected = if journaled && seq > self.shared.config.window as u64 {
+            let expected = if journaled && seq > shared.config.window as u64 {
                 seq
             } else {
                 1
@@ -1766,20 +1761,20 @@ impl RxWorker {
         // pending.)
         if seq >= peer.expected
             && !peer.ready.contains_key(&seq)
-            && (seq - peer.expected) as usize > self.shared.config.reorder_buffer
+            && (seq - peer.expected) as usize > shared.config.reorder_buffer
         {
             return;
         }
 
-        if !self.shared.config.dedup {
+        if !shared.config.dedup {
             // Intentionally-broken mode for oracle validation: ack on
             // arrival and hand every fragment batch up as soon as it
             // completes, with no duplicate suppression and no reordering.
             // Retransmitted messages get delivered again; gaps are not
             // waited for.
-            self.shared.send_ack(from, epoch, seq, frag_index);
+            shared.send_ack(from, epoch, seq, frag_index);
             if let Reassembly::Whole(payload) = peer.reassemble(seq, frag_count, fragment) {
-                bump(&self.shared.stats.msgs_delivered);
+                bump(&shared.stats.msgs_delivered);
                 self.handover
                     .push(Incoming::Reliable { from, seq, payload });
             }
@@ -1789,19 +1784,18 @@ impl RxWorker {
         // A duplicate is re-acknowledged at once: its original ack may
         // have been lost, and the sender is already retransmitting.
         if seq < peer.expected || peer.ready.contains_key(&seq) {
-            bump(&self.shared.stats.duplicates_suppressed);
+            bump(&shared.stats.duplicates_suppressed);
             if !journaled || seq < peer.acked_below() {
                 // (Journalled: its cursor is already recorded.)
-                self.shared.send_ack(from, epoch, seq, frag_index);
+                shared.send_ack(from, epoch, seq, frag_index);
             } else if seq < peer.expected {
                 // Delivered, its cursor not yet recorded: retry the append
                 // in case it failed at consumption.
-                self.shared.commit_consumed(from, peer);
+                shared.commit_consumed(from, peer);
             } else {
                 // Buffered but not yet journalled: don't ack, but retry
                 // the drain in case it stalled on a journal error earlier.
-                self.shared
-                    .drain_in_order(&mut self.handover, from, peer, None);
+                shared.drain_in_order(&mut self.handover, from, peer, None);
             }
             return;
         }
@@ -1809,30 +1803,28 @@ impl RxWorker {
         let reassembly = peer.reassemble(seq, frag_count, fragment);
         if !journaled {
             if in_order && !matches!(reassembly, Reassembly::Duplicate) {
-                let mut held = self.shared.held.lock();
+                let mut held = shared.held.lock();
                 let held = held.entry(from).or_default().for_epoch(epoch);
                 held.frags.push((seq, frag_index));
             } else {
                 // New data ahead of a gap is acknowledged at once too:
                 // the sender should learn which of its window arrived.
                 // Only the next message in sequence waits for a ride.
-                self.shared.send_ack(from, epoch, seq, frag_index);
+                shared.send_ack(from, epoch, seq, frag_index);
             }
         }
         match reassembly {
             Reassembly::Pending => {}
-            Reassembly::Duplicate => bump(&self.shared.stats.duplicates_suppressed),
+            Reassembly::Duplicate => bump(&shared.stats.duplicates_suppressed),
             // Deliver everything now in order.
             Reassembly::Whole(msg) => {
                 let arrived = Some((seq, msg, frag_count));
-                self.shared
-                    .drain_in_order(&mut self.handover, from, peer, arrived);
+                shared.drain_in_order(&mut self.handover, from, peer, arrived);
             }
         }
     }
 
-    fn retransmit_due(&mut self) {
-        let shared = &*self.shared;
+    fn retransmit_due(&mut self, shared: &Shared) {
         let mut out = shared.out.lock();
         // An idle channel — the common case on every tick — has nothing
         // to resend or promote.

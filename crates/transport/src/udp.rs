@@ -378,7 +378,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(b.step(), 0, "the held ack leaves at the next step");
+        // A poll interval later B's scan is due: the held ack leaves.
+        clock.advance_millis(20);
+        assert_eq!(b.step(), 0, "the held ack leaves at the scan");
         assert_eq!(a.step(), 1, "the ack is polled off the socket");
         assert!(matches!(receipt.poll(), Some(Ok(()))));
         assert_eq!((a.step(), b.step()), (0, 0), "both sockets are drained");

@@ -133,8 +133,10 @@ fn one_ack_frame_is_one_journal_call() {
             .unwrap();
         journal.receipts.lock().insert(i, receipt);
     }
-    // Receive (the acks are held), flush the held acks, take them.
+    // Receive (the acks are held), flush the held acks at the scan a
+    // poll interval later, take them.
     receiver.step();
+    clock.advance_millis(20);
     receiver.step();
     sender.step();
     assert_eq!(*journal.calls.lock(), vec![vec![1, 2, 3, 4, 5]]);

@@ -102,7 +102,9 @@ fn restart_with_higher_epoch_rejects_stale_traffic_and_starts_clean() {
     net.pump_due();
     rx.step();
     assert_eq!(drain(&rx), vec![vec![0xA1], vec![0xA2]]);
-    // The acks were held through our turn; the next step sends them.
+    // The acks were held through our turn; the scan a poll interval
+    // later sends them.
+    clock.advance_millis(20);
     rx.step();
     net.pump_due();
     old.step();
@@ -153,6 +155,7 @@ fn restart_with_higher_epoch_rejects_stale_traffic_and_starts_clean() {
     reborn.send(rx.local_id(), vec![0xB2]).unwrap();
     net.pump_due();
     rx.step();
+    clock.advance_millis(20);
     rx.step();
     reborn.step();
     assert_eq!(drain(&rx), vec![vec![0xB2]]);
@@ -264,6 +267,7 @@ fn crashed_core_scenario(
         net.pump_due();
         core.step();
         device.step();
+        clock.advance_millis(20);
         core.step();
         device.step();
     };

@@ -1,7 +1,7 @@
 //! The acknowledgement rule: an ack for in-order data is held per peer
 //! and leaves inside the next data frame to that peer, on the next tick
-//! (the next `step()` of a step-driven channel), or at once when half a
-//! window is owed. These tests pin what the rule must never cost —
+//! (a step of a step-driven channel is a turn of the same loop), or at
+//! once when half a window is owed. These tests pin what the rule must never cost —
 //! exactly-once, FIFO, every receipt resolving, journal-before-ack — and
 //! what it must buy: fewer datagrams, no spurious retransmission.
 
@@ -120,7 +120,7 @@ fn two_way_traffic_survives_loss_duplication_and_reordering() {
         let mut sent = 0;
         for _ in 0..20_000 {
             // A and B talk at different rates, so acks sometimes find a
-            // ride and sometimes wait for the step.
+            // ride and sometimes wait for the scan.
             if sent < EACH_WAY {
                 receipts.push(
                     a.send_with_receipt(b.local_id(), message(sent, max_datagram))
@@ -509,8 +509,8 @@ fn undelivered_message_is_acknowledged_in_no_form() {
 
 /// A step-driven channel that waits for its first datagram
 /// (`step_waiting`) never waits past its poll interval, however long it
-/// is asked to, so the ack its step holds leaves with the next step in
-/// time to beat the sender's first timeout: a loop of waiting steps
+/// is asked to, so the ack its step holds leaves at a scan a poll
+/// interval on, in time to beat the sender's first timeout: a loop of waiting steps
 /// receives every message once and the sender retransmits nothing.
 #[test]
 fn a_waiting_step_is_held_to_the_poll_interval() {

@@ -344,3 +344,34 @@ fn close_unblocks_receivers() {
     assert!(matches!(result, Err(Error::Closed)), "{result:?}");
     assert!(matches!(a.send(a.local_id(), vec![]), Err(Error::Closed)));
 }
+
+/// Each receive thread is named for its endpoint, in the 15 bytes of
+/// `comm` the kernel keeps: two channels of one process read as two
+/// threads, not one name twice. (On sockets, whose ids no other test's
+/// endpoints share: every `SimNetwork` numbers its endpoints alike.)
+#[cfg(target_os = "linux")]
+#[test]
+fn receive_threads_have_distinct_names() {
+    let channel = || ReliableChannel::new(Arc::new(UdpTransport::bind().unwrap()), fast_config());
+    let (a, b) = (channel(), channel());
+    // A thread names itself as it starts: once both threads have handled
+    // a datagram — B the message, A its acknowledgement — both have.
+    a.send_blocking(b.local_id(), vec![1], TICK).unwrap();
+    let comms: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("a /proc filesystem")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    let names = [&a, &b].map(|channel| format!("rx-{}", channel.local_id()));
+    assert_ne!(names[0], names[1]);
+    for name in &names {
+        assert!(name.len() <= 15, "{name} is cut by the kernel");
+        assert_eq!(
+            comms.iter().filter(|comm| *comm == name).count(),
+            1,
+            "{name} among {comms:?}"
+        );
+    }
+    a.close();
+    b.close();
+}

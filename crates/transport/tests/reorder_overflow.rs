@@ -85,7 +85,8 @@ fn reorder_overflow_drops_backlog_then_recovers_in_order() {
         }
     }
     // The acks of the last deliveries were held through that turn; one
-    // more round sends them.
+    // more round, a poll interval later, sends them.
+    clock.advance_millis(20);
     step_all();
     assert_eq!(
         delivered,

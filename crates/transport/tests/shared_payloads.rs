@@ -334,7 +334,7 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     let (ta, tb) = (snoop(), snoop());
     // A acknowledges fragments as it accepts them; B is journalled, so it
     // acknowledges whole messages on delivery. Both hold what they owe for
-    // the next data frame to the peer, or for their next step.
+    // the next data frame to the peer, or for their next scan.
     let a = ReliableChannel::with_clock(
         Arc::clone(&ta) as Arc<dyn Transport>,
         ReliableConfig::default(),
@@ -351,11 +351,12 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
     let mut receipts = Vec::new();
     type End<'a> = (char, &'a SnoopTransport, &'a ReliableChannel);
     let (end_a, end_b): (End, End) = (('A', &ta, &a), ('B', &tb, &b));
-    // What the sender just put on the wire, then the receiver's turn
-    // (acks held since its last turn out, data in), then the sender's
-    // (acks in, window moves).
+    // What the sender just put on the wire, then the receiver's turn a
+    // poll interval later (data in, then the scan sends what it holds),
+    // then the sender's (acks in, window moves).
     let settle = |wire: &mut Vec<String>, sender: End, receiver: End| {
         transcribe(sender.0, sender.1, wire);
+        clock.advance_millis(20);
         receiver.2.step();
         transcribe(receiver.0, receiver.1, wire);
         sender.2.step();
@@ -381,17 +382,18 @@ fn scripted_exchange_is_byte_identical_on_the_wire() {
         settle(&mut wire, from, to);
     }
 
-    // A quiet turn each: what A still holds for B's burst leaves as one
-    // `AckBatch` (it would otherwise ride on — and be lost with — the
-    // message the partition below swallows).
+    // A quiet turn each: nothing is left to send — A's scan already put
+    // what it held for B's burst on the wire as one `AckBatch` (held, it
+    // would ride on — and be lost with — the message the partition below
+    // swallows).
     settle(&mut wire, end_b, end_a);
 
     // A journalled drain: the first of three messages is lost, the other
     // two wait (unacknowledged) in B's reorder buffer, and the
     // retransmission round releases all three at once, then re-acks at
     // once the two duplicates it had already buffered. The three
-    // deliveries' own acks are held, and leave as one `AckBatch` on B's
-    // next turn.
+    // deliveries' own acks are held, and leave as one `AckBatch` at the
+    // scan that ends B's turn.
     net.set_partitioned(a.local_id(), b.local_id(), true);
     receipts.push(
         a.send_with_receipt(b.local_id(), b"lost-first".to_vec())
